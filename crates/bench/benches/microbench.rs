@@ -8,13 +8,16 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use polystyrene::prelude::*;
 use polystyrene_lab::TrafficLoad;
-use polystyrene_membership::{Descriptor, NodeId};
+use polystyrene_membership::{Descriptor, FailureTable, NodeId};
 use polystyrene_netsim::prelude::{LinkProfile, NetSim, NetSimConfig};
+use polystyrene_protocol::{EffectSink, Event, ProtocolConfig, ProtocolNode, Wire};
 use polystyrene_sim::prelude::{Engine, EngineConfig};
 use polystyrene_space::diameter::{diameter_exact, diameter_sampled, diameter_two_sweep};
 use polystyrene_space::medoid::{medoid_index, medoid_index_sampled};
 use polystyrene_space::shapes;
 use polystyrene_space::torus::Torus2;
+use polystyrene_space::MetricSpace;
+use polystyrene_topology::rank::{choose_ranked, k_closest_ids_into};
 use polystyrene_topology::{tman_exchange, TMan, TManConfig, TopologyConstruction};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -171,6 +174,166 @@ fn bench_tman_exchange(c: &mut Criterion) {
     group.finish();
 }
 
+/// How many distinct views the per-view-entry benches cycle through. One
+/// 100-entry view replayed in a loop teaches the branch predictor its
+/// two hundred sign outcomes; real node-rounds never see the same view
+/// twice in a row. 64 views of 100 entries is 100 KB of coordinates —
+/// out of L1, inside L2, like a node's working set mid-round.
+const VIEWS: usize = 64;
+
+/// A position and the 100-entry view ranked from it.
+type RankedView = ([f64; 2], Vec<Descriptor<[f64; 2]>>);
+
+/// `VIEWS` shuffled 100-entry views over the paper's 80×40 torus.
+fn shuffled_views(seed: u64) -> Vec<RankedView> {
+    (0..VIEWS as u64)
+        .map(|v| {
+            let mut points = random_points(101, seed.wrapping_mul(1000) + v).into_iter();
+            let own = points.next().expect("101 points drawn");
+            let view = points
+                .zip(v * 100 + 1..)
+                .map(|(p, id)| Descriptor::new(NodeId::new(id), p))
+                .collect();
+            (own, view)
+        })
+        .collect()
+}
+
+/// The per-view-entry distance kernel and the two ranking passes built
+/// on it (partner pick: `choose_ranked` at ψ = 5; backup/migration
+/// candidates: `k_closest_ids_into`), per 100-entry view. Entries sit
+/// uniformly around the ranking position, so the sign of each axis
+/// difference — the branch the torus kernel no longer takes — is a coin
+/// flip.
+fn bench_torus_distance_pass(c: &mut Criterion) {
+    let space = Torus2::new(80.0, 40.0);
+    let views = shuffled_views(12);
+    let mut group = c.benchmark_group("torus_distance_pass");
+    group.bench_function("distance_sq/view100", |b| {
+        let mut at = 0;
+        b.iter(|| {
+            let (own, view) = &views[at % VIEWS];
+            at += 1;
+            view.iter()
+                .map(|d| space.distance_sq(own, &d.pos))
+                .sum::<f64>()
+        });
+    });
+    group.bench_function("choose_ranked/view100_psi5", |b| {
+        let mut at = 0;
+        b.iter(|| {
+            let (own, view) = &views[at % VIEWS];
+            at += 1;
+            choose_ranked(&space, own, view, 5, |n| n - 1)
+        });
+    });
+    group.bench_function("k_closest_ids/view100_k20", |b| {
+        let mut at = 0;
+        let mut out = Vec::with_capacity(20);
+        b.iter(|| {
+            let (own, view) = &views[at % VIEWS];
+            at += 1;
+            out.clear();
+            k_closest_ids_into(&space, own, view, 20, &mut out);
+            out.len()
+        });
+    });
+    group.finish();
+}
+
+/// One query hop at a node holding a 100-entry view: the `Wire::Query`
+/// event end to end — greedy next-hop scan over the view, then the
+/// forward (or terminal reply) effect.
+fn bench_greedy_next_hop(c: &mut Criterion) {
+    let space = Torus2::new(80.0, 40.0);
+    let nodes: Vec<ProtocolNode<Torus2>> = shuffled_views(13)
+        .into_iter()
+        .enumerate()
+        .map(|(v, (own, view))| {
+            ProtocolNode::new(
+                NodeId::new(1_000_000 + v as u64),
+                space,
+                ProtocolConfig::default(),
+                PolyState::empty_at(own),
+                Vec::new(),
+                view,
+            )
+        })
+        .collect();
+    let keys = random_points(VIEWS * 4 + 1, 14);
+    let mut nodes = nodes;
+    let mut rng = StdRng::seed_from_u64(15);
+    let mut sink = EffectSink::new();
+    let mut group = c.benchmark_group("greedy_next_hop");
+    group.bench_function("query_event/view100", |b| {
+        let mut at = 0usize;
+        b.iter(|| {
+            let node = &mut nodes[at % VIEWS];
+            let key = keys[at % keys.len()];
+            at += 1;
+            sink.clear();
+            node.on_event_into(
+                Event::Message {
+                    from: NodeId::new(0),
+                    wire: Wire::Query {
+                        qid: at as u64,
+                        origin: NodeId::new(0),
+                        key,
+                        ttl: 16,
+                        hops: 1,
+                    },
+                },
+                &mut rng,
+                &mut sink,
+            );
+            sink.len()
+        });
+    });
+    group.finish();
+}
+
+/// The failure check every protocol phase makes once per view entry,
+/// through the `&dyn Fn(NodeId) -> bool` the protocol takes it as:
+/// 100 lookups against the knowledge of a 3200-node population after the
+/// half-torus kill (1600 known crashes). `btree_set` is the structure the
+/// netsim kernel kept before the dense table.
+fn bench_failure_lookup(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(16);
+    let views: Vec<Vec<NodeId>> = (0..VIEWS)
+        .map(|_| {
+            (0..100)
+                .map(|_| NodeId::new(rng.random_range(0..3200)))
+                .collect()
+        })
+        .collect();
+    let dead = (0..3200u64).filter(|i| i % 80 >= 40).map(NodeId::new);
+    let mut table = FailureTable::new();
+    let mut set = std::collections::BTreeSet::new();
+    for id in dead {
+        table.mark(id);
+        set.insert(id);
+    }
+    let scan = |views: &[Vec<NodeId>], at: usize, fd: &dyn Fn(NodeId) -> bool| {
+        views[at % VIEWS].iter().filter(|&&id| fd(id)).count()
+    };
+    let mut group = c.benchmark_group("failure_lookup");
+    group.bench_function("table/view100_dead1600", |b| {
+        let mut at = 0;
+        b.iter(|| {
+            at += 1;
+            scan(&views, at, &|id| table.is_failed(id))
+        });
+    });
+    group.bench_function("btree_set/view100_dead1600", |b| {
+        let mut at = 0;
+        b.iter(|| {
+            at += 1;
+            scan(&views, at, &|id| set.contains(&id))
+        });
+    });
+    group.finish();
+}
+
 /// Steady-state allocation gate for the event kernel's activation loop.
 ///
 /// After warm-up, a netsim round should allocate almost nothing: the
@@ -298,6 +461,9 @@ criterion_group!(
     bench_split,
     bench_migration_exchange,
     bench_tman_exchange,
+    bench_torus_distance_pass,
+    bench_greedy_next_hop,
+    bench_failure_lookup,
     bench_engine_round,
     bench_netsim_round
 );

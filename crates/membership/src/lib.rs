@@ -15,7 +15,9 @@
 //!   (Voulgaris et al., cited as \[17\]/\[21\] in the paper);
 //! * [`fd`] — the failure-detector abstraction with a perfect detector, a
 //!   delayed detector (detection lag injection) and a flaky detector
-//!   (false suspicions) for robustness testing.
+//!   (false suspicions) for robustness testing, plus the dense
+//!   [`FailureTable`] the single-threaded drivers answer per-entry
+//!   failure checks from.
 //!
 //! # Example
 //!
@@ -40,7 +42,8 @@ pub mod view;
 
 pub use descriptor::Descriptor;
 pub use fd::{
-    DelayedFailureDetector, FailureDetector, FlakyFailureDetector, SharedFailureDetector,
+    DelayedFailureDetector, FailureDetector, FailureTable, FlakyFailureDetector,
+    SharedFailureDetector,
 };
 pub use id::{IdHashMap, IdHashSet, IdHasher, NodeId};
 pub use rps::PeerSampling;

@@ -40,7 +40,7 @@ use crate::config::NetSimConfig;
 use crate::metrics::{reference_homogeneity, NetRoundMetrics};
 use crate::queue::CalendarQueue;
 use polystyrene::prelude::*;
-use polystyrene_membership::{Descriptor, NodeId};
+use polystyrene_membership::{Descriptor, FailureTable, NodeId};
 use polystyrene_protocol::pool::NodePool;
 use polystyrene_protocol::{
     Channel, Effect, EffectSink, Event, Fate, FaultyNetwork, NetworkModel, ProtocolNode, QueryItem,
@@ -51,7 +51,7 @@ use polystyrene_topology::TopologyConstruction;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Seed offset separating the network model's entropy stream from the
 /// kernel's, so link faults and protocol randomness never interleave.
@@ -140,8 +140,10 @@ pub struct NetSim<S: MetricSpace> {
     /// Query messages currently in transit — kept out of `in_flight`,
     /// which feeds the pinned protocol metric history.
     traffic_in_flight: usize,
-    /// Crashes the population's failure knowledge has caught up with.
-    detected: BTreeSet<NodeId>,
+    /// Crashes the population's failure knowledge has caught up with —
+    /// consulted once per view entry by every activation and once per
+    /// probe, hence the dense table.
+    detected: FailureTable,
     queue: CalendarQueue<Pending<S::Point>>,
     now: u64,
     round: u32,
@@ -257,7 +259,7 @@ impl<S: MetricSpace> NetSim<S> {
             traffic_rng: StdRng::seed_from_u64(config.seed ^ TRAFFIC_SEED_TAG),
             next_qid: 0,
             traffic_in_flight: 0,
-            detected: BTreeSet::new(),
+            detected: FailureTable::new(),
             queue: CalendarQueue::new(),
             now: 0,
             round: 0,
@@ -486,7 +488,7 @@ impl<S: MetricSpace> NetSim<S> {
             return false;
         }
         if self.config.detection_delay_ticks == 0 {
-            self.detected.insert(id);
+            self.detected.mark(id);
         } else {
             let at = self.now + self.config.detection_delay_ticks;
             self.schedule(at, Pending::Detect { id });
@@ -670,7 +672,7 @@ impl<S: MetricSpace> NetSim<S> {
                     // instead. This keeps partitions non-destructive:
                     // views are not purged, so the fabric heals cleanly
                     // when the mask lifts.
-                    let event = if !self.detected.contains(&peer) {
+                    let event = if !self.detected.is_failed(peer) {
                         Event::ProbeOk {
                             peer,
                             channel,
@@ -729,7 +731,7 @@ impl<S: MetricSpace> NetSim<S> {
             self.now = self.now.max(at);
             match what {
                 Pending::Detect { id } => {
-                    self.detected.insert(id);
+                    self.detected.mark(id);
                 }
                 Pending::Crash { id } => {
                     self.crash(id);
@@ -751,7 +753,7 @@ impl<S: MetricSpace> NetSim<S> {
                         let Some(node) = nodes.get_mut(id) else {
                             continue;
                         };
-                        let fd = |peer: NodeId| detected.contains(&peer);
+                        let fd = |peer: NodeId| detected.is_failed(peer);
                         node.on_round_into(&fd, rng, sink);
                     }
                     if !self.sink.is_empty() {
@@ -794,8 +796,10 @@ impl<S: MetricSpace> NetSim<S> {
     // ------------------------------------------------------------------
 
     /// Measures the quality metrics over the current state (exhaustive
-    /// nearest-node scans off the pool's dense slot arrays; the event
-    /// queue — not measurement — dominates the kernel's profile).
+    /// nearest-node scans off the pool's dense slot arrays). Neither this
+    /// pass nor the event queue is where the kernel's time goes: the
+    /// PR 11 ledger puts the queue at 12–16 ns per push + pop against
+    /// microseconds of protocol work per event.
     ///
     /// Allocates fresh scratch tables; the round loop goes through the
     /// kernel-owned reusable scratch instead.
@@ -1034,14 +1038,90 @@ mod tests {
         sim.run(10);
         sim.crash(NodeId::new(0));
         assert!(
-            !sim.detected.contains(&NodeId::new(0)),
+            !sim.detected.is_failed(NodeId::new(0)),
             "crash must not be known before its Detect event"
         );
         sim.run(3);
         assert!(
-            sim.detected.contains(&NodeId::new(0)),
+            sim.detected.is_failed(NodeId::new(0)),
             "Detect event must have fired"
         );
+    }
+
+    #[test]
+    fn failure_knowledge_matches_a_set_oracle_through_crash_detect_and_inject() {
+        use std::collections::BTreeSet;
+        let ticks = NetSimConfig::default().ticks_per_round;
+        for delay in [0, ticks / 2, 2 * ticks + 3] {
+            let mut cfg = tiny_config(13);
+            cfg.detection_delay_ticks = delay;
+            let mut sim = NetSim::new(Torus2::new(16.0, 4.0), shapes::torus_grid(16, 4, 1.0), cfg);
+            // Every crash of the script as `(time it takes effect, id,
+            // called directly)`. What the survivors should know at any
+            // instant follows from these alone: a direct crash under a
+            // zero delay is known at once; anything else once its Detect
+            // (or, under a zero delay, its Crash) event has been drained,
+            // i.e. is strictly before the current round boundary.
+            let mut crashes: Vec<(u64, NodeId, bool)> = Vec::new();
+            let check = |sim: &NetSim<Torus2>, crashes: &[(u64, NodeId, bool)], when: &str| {
+                let oracle: BTreeSet<NodeId> = crashes
+                    .iter()
+                    .filter(|&&(at, _, direct)| (direct && delay == 0) || at + delay < sim.now())
+                    .map(|&(_, id, _)| id)
+                    .collect();
+                for probe in (0..80).map(NodeId::new) {
+                    assert_eq!(
+                        sim.detected.is_failed(probe),
+                        oracle.contains(&probe),
+                        "delay {delay}, {when}: knowledge of {probe} at t = {}",
+                        sim.now()
+                    );
+                }
+            };
+            let crash = |sim: &mut NetSim<Torus2>, crashes: &mut Vec<_>, raw: u64| {
+                assert!(sim.crash(NodeId::new(raw)));
+                crashes.push((sim.now(), NodeId::new(raw), true));
+            };
+            let crash_later =
+                |sim: &mut NetSim<Torus2>, crashes: &mut Vec<_>, raw: u64, dt: u64| {
+                    sim.schedule_crash(NodeId::new(raw), dt);
+                    crashes.push((sim.now() + dt, NodeId::new(raw), false));
+                };
+
+            sim.run(3);
+            check(&sim, &crashes, "before any crash");
+            crash(&mut sim, &mut crashes, 2);
+            crash(&mut sim, &mut crashes, 5);
+            assert!(!sim.crash(NodeId::new(2)), "already dead");
+            check(&sim, &crashes, "right after two direct crashes");
+            sim.step();
+            check(&sim, &crashes, "one round later");
+            crash_later(&mut sim, &mut crashes, 7, ticks / 2);
+            check(&sim, &crashes, "mid-round crash scheduled");
+            sim.step();
+            check(&sim, &crashes, "mid-round crash fired");
+            // Ids issued after construction: beyond anything the table
+            // has been sized for so far.
+            let fresh = sim.inject(&[[1.5, 1.5], [9.5, 2.5], [12.5, 0.5]]);
+            assert_eq!(fresh, [64, 65, 66].map(NodeId::new));
+            check(&sim, &crashes, "after inject");
+            sim.step();
+            crash(&mut sim, &mut crashes, 65);
+            crash_later(&mut sim, &mut crashes, 66, 1);
+            crash(&mut sim, &mut crashes, 0);
+            for round in 0..5 {
+                check(&sim, &crashes, &format!("tail round {round}"));
+                sim.step();
+            }
+            check(&sim, &crashes, "end");
+            assert_eq!(
+                (0..80)
+                    .filter(|&i| sim.detected.is_failed(NodeId::new(i)))
+                    .count(),
+                crashes.len(),
+                "every crash of the script is known by the end"
+            );
+        }
     }
 
     #[test]

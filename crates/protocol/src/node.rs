@@ -333,16 +333,33 @@ impl<S: MetricSpace> ProtocolNode<S> {
     /// the next hop of greedy query forwarding. Deterministic (pure
     /// argmin over the T-Man view, no entropy) and strictly improving,
     /// so routes terminate without a visited set.
+    ///
+    /// The winner is the first entry attaining the least `distance` to
+    /// `key` below the node's own. The scan runs once per query hop over
+    /// the whole view, so it compares squared distances and takes the
+    /// root only of entries that might win: `distance` is a
+    /// non-decreasing function of `distance_sq` (see
+    /// [`MetricSpace::distance_sq`]), hence an entry whose square is
+    /// *strictly* above the bar's cannot be strictly below the bar, and
+    /// skipping it never changes the answer. Everything else — ties
+    /// included, which a rounded root or a rounded square can collapse —
+    /// goes through the exact `distance` comparison.
     fn closer_view_entry(&self, key: &S::Point) -> Option<NodeId> {
-        let own = self.space.distance(&self.poly.pos, key);
-        let mut best: Option<(NodeId, f64)> = None;
+        // The bar an entry must beat, and that same point's square.
+        let mut bar = self.space.distance(&self.poly.pos, key);
+        let mut bar_sq = self.space.distance_sq(&self.poly.pos, key);
+        let mut best = None;
         for entry in self.tman.view_entries() {
+            let sq = self.space.distance_sq(&entry.pos, key);
+            if sq > bar_sq {
+                continue;
+            }
             let d = self.space.distance(&entry.pos, key);
-            if d < own && best.is_none_or(|(_, bd)| d < bd) {
-                best = Some((entry.id, d));
+            if d < bar {
+                (bar, bar_sq, best) = (d, sq, Some(entry.id));
             }
         }
-        best.map(|(id, _)| id)
+        best
     }
 
     // ------------------------------------------------------------------
@@ -1708,5 +1725,179 @@ mod tests {
             ),
             "a node with no guests must still initiate exchanges (paper Phase 3)"
         );
+    }
+
+    /// `closer_view_entry` as it stood before the squared-distance
+    /// pre-filter, verbatim: argmin of `distance` with strict `<`, so the
+    /// first entry attaining the minimum wins.
+    fn closer_view_entry_reference<S: MetricSpace>(
+        node: &ProtocolNode<S>,
+        key: &S::Point,
+    ) -> Option<NodeId> {
+        let own = node.space.distance(&node.poly.pos, key);
+        let mut best: Option<(NodeId, f64)> = None;
+        for entry in node.tman.view_entries() {
+            let d = node.space.distance(&entry.pos, key);
+            if d < own && best.is_none_or(|(_, bd)| d < bd) {
+                best = Some((entry.id, d));
+            }
+        }
+        best.map(|(id, _)| id)
+    }
+
+    /// A node at `pos` whose T-Man view holds `view` (ids 1, 2, … in the
+    /// given order before T-Man ranks them).
+    fn routing_node<S: MetricSpace>(
+        space: S,
+        pos: S::Point,
+        view: Vec<S::Point>,
+    ) -> ProtocolNode<S> {
+        let contacts: Vec<_> = view
+            .into_iter()
+            .zip(1u64..)
+            .map(|(p, id)| Descriptor::new(NodeId::new(id), p))
+            .collect();
+        let node = ProtocolNode::new(
+            NodeId::new(0),
+            space,
+            ProtocolConfig::default(),
+            PolyState::empty_at(pos),
+            Vec::new(),
+            contacts.clone(),
+        );
+        assert_eq!(node.tman.view_entries().len(), contacts.len());
+        node
+    }
+
+    fn assert_next_hop_matches_reference<S: MetricSpace>(
+        node: &ProtocolNode<S>,
+        keys: &[S::Point],
+    ) {
+        for key in keys {
+            assert_eq!(
+                node.closer_view_entry(key),
+                closer_view_entry_reference(node, key),
+                "next hop toward {key:?} from {:?} over {:?}",
+                node.poly.pos,
+                node.tman.view_entries()
+            );
+        }
+    }
+
+    #[test]
+    fn next_hop_breaks_exact_ties_like_the_reference_argmin() {
+        // Four entries at distance exactly 5 from the origin (two of them
+        // co-located), two whose *squares* sit an ulp either side of 25
+        // but whose roots round to the same 5.0, and one strictly
+        // farther.
+        let above = [3.0000000000000004, 4.0];
+        let below = [3.0, 3.9999999999999996];
+        let origin = [0.0, 0.0];
+        assert!(Euclidean2.distance_sq(&above, &origin) > 25.0);
+        assert!(Euclidean2.distance_sq(&below, &origin) < 25.0);
+        assert_eq!(Euclidean2.distance(&above, &origin), 5.0);
+        assert_eq!(Euclidean2.distance(&below, &origin), 5.0);
+        let ring_of_five = vec![
+            [3.0, 4.0],
+            above,
+            [4.0, 3.0],
+            [3.0, 4.0],
+            below,
+            [-5.0, 0.0],
+            [6.0, 0.0],
+        ];
+        for rotate in 0..ring_of_five.len() {
+            let mut view = ring_of_five.clone();
+            view.rotate_left(rotate);
+            let node = routing_node(Euclidean2, [7.0, 0.0], view.clone());
+            assert_next_hop_matches_reference(&node, &[[0.0, 0.0], [3.0, 4.0], [7.0, 0.0]]);
+            // The same ties across the torus seam.
+            let seam = |p: [f64; 2]| [(p[0] + 80.0) % 80.0, (p[1] + 40.0) % 40.0];
+            let node = routing_node(
+                Torus2::new(80.0, 40.0),
+                seam([7.0, 0.0]),
+                view.iter().copied().map(seam).collect(),
+            );
+            assert_next_hop_matches_reference(&node, &[[0.0, 0.0], [79.5, 39.5], [40.0, 20.0]]);
+        }
+        // Ring: mirror images around the key are exact ties.
+        let node = routing_node(
+            Ring::new(100.0),
+            50.0,
+            vec![3.0, 97.0, 3.0, 10.0, 90.0, 99.5, 0.5],
+        );
+        assert_next_hop_matches_reference(&node, &[0.0, 100.0, 50.0, 3.0, 98.25]);
+    }
+
+    #[test]
+    fn next_hop_is_none_when_no_entry_is_strictly_closer() {
+        // Co-located with the node, or as far as the node: not a hop.
+        let node = routing_node(
+            Euclidean2,
+            [5.0, 0.0],
+            vec![[5.0, 0.0], [0.0, 5.0], [9.0, 9.0]],
+        );
+        assert_eq!(node.closer_view_entry(&[0.0, 0.0]), None);
+        assert_next_hop_matches_reference(&node, &[[0.0, 0.0], [5.0, 0.0]]);
+        // A NaN key orders nothing.
+        assert_eq!(node.closer_view_entry(&[f64::NAN, 0.0]), None);
+        assert_next_hop_matches_reference(&node, &[[f64::NAN, 0.0]]);
+    }
+
+    mod next_hop_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Lattice coordinates: few distinct values, so views are full of
+        /// co-located entries and exact distance ties.
+        fn lattice(cells: u32, step: f64) -> impl Strategy<Value = f64> {
+            (0..cells).prop_map(move |c| f64::from(c) * step)
+        }
+
+        fn lattice2(nx: u32, ny: u32, step: f64) -> impl Strategy<Value = [f64; 2]> {
+            [lattice(nx, step), lattice(ny, step)].prop_map(|[x, y]| [x, y])
+        }
+
+        proptest! {
+            #[test]
+            fn torus_next_hop_matches_reference(
+                pos in lattice2(16, 8, 0.5),
+                view in proptest::collection::vec(lattice2(16, 8, 0.5), 0..60),
+                keys in proptest::collection::vec(lattice2(32, 16, 0.25), 1..8),
+            ) {
+                let node = routing_node(Torus2::new(8.0, 4.0), pos, view);
+                assert_next_hop_matches_reference(&node, &keys);
+            }
+
+            #[test]
+            fn ring_next_hop_matches_reference(
+                pos in lattice(40, 0.1),
+                view in proptest::collection::vec(lattice(40, 0.1), 0..60),
+                keys in proptest::collection::vec(lattice(80, 0.05), 1..8),
+            ) {
+                let node = routing_node(Ring::new(4.0), pos, view);
+                assert_next_hop_matches_reference(&node, &keys);
+            }
+
+            #[test]
+            fn euclidean_next_hop_matches_reference(
+                pos in lattice2(12, 12, 1.0),
+                view in proptest::collection::vec(lattice2(12, 12, 1.0), 0..60),
+                keys in proptest::collection::vec(lattice2(24, 24, 0.5), 1..8),
+            ) {
+                let node = routing_node(Euclidean2, pos, view);
+                assert_next_hop_matches_reference(&node, &keys);
+            }
+
+            #[test]
+            fn continuous_torus_next_hop_matches_reference(
+                pos in [0.0..80.0f64, 0.0..40.0f64],
+                view in proptest::collection::vec([0.0..80.0f64, 0.0..40.0f64], 0..100),
+                keys in proptest::collection::vec([0.0..80.0f64, 0.0..40.0f64], 1..8),
+            ) {
+                let node = routing_node(Torus2::new(80.0, 40.0), pos, view);
+                assert_next_hop_matches_reference(&node, &keys);
+            }
+        }
     }
 }

@@ -42,7 +42,7 @@ use crate::cost::{CostModel, RoundCost};
 use crate::metrics::{reference_homogeneity, RoundMetrics};
 use crate::pool::NodePool;
 use polystyrene::prelude::*;
-use polystyrene_membership::{Descriptor, NodeId, SharedFailureDetector};
+use polystyrene_membership::{Descriptor, FailureTable, NodeId};
 use polystyrene_protocol::{
     Channel, Effect, EffectSink, Event, Phase, ProtocolConfig, ProtocolNode, QueryItem, Wire,
 };
@@ -173,7 +173,14 @@ pub struct Engine<S: MetricSpace> {
     /// The initial data points of the founding population — the target
     /// shape, and the reference set of the homogeneity metric.
     original_points: Vec<DataPoint<S::Point>>,
-    fd: SharedFailureDetector,
+    /// Crashes the population's detector reports as of this round —
+    /// what every phase's per-view-entry failure check reads.
+    detected: FailureTable,
+    /// Crashes still inside the detection delay, as `(round from which
+    /// the detector reports it, id)` in crash order. The round counter
+    /// only grows, so the queue is sorted and [`Engine::step`] matures
+    /// it from the front.
+    undetected: VecDeque<(u32, NodeId)>,
     round: u32,
     rng: StdRng,
     cost: RoundCost,
@@ -287,7 +294,8 @@ impl<S: MetricSpace> Engine<S> {
             config,
             pool,
             original_points,
-            fd: SharedFailureDetector::new(),
+            detected: FailureTable::new(),
+            undetected: VecDeque::new(),
             round: 0,
             rng,
             cost: RoundCost::default(),
@@ -567,10 +575,13 @@ impl<S: MetricSpace> Engine<S> {
     }
 
     /// Crashes one specific node (no-op if already dead). The pool frees
-    /// and recycles the slot; the id is never reused.
+    /// and recycles the slot; the id is never reused. The detector
+    /// reports the crash `detection_delay` rounds later (see
+    /// [`Engine::step`]).
     pub fn crash(&mut self, id: NodeId) {
         if self.pool.remove(id).is_some() {
-            self.fd.mark_failed(id, self.round);
+            let visible_from = self.round.saturating_add(self.config.detection_delay);
+            self.undetected.push_back((visible_from, id));
         }
     }
 
@@ -579,29 +590,39 @@ impl<S: MetricSpace> Engine<S> {
     /// from random alive contacts drawn through the shared
     /// [`polystyrene_protocol::sample_bootstrap_contacts`] path. Returns
     /// the new ids.
+    ///
+    /// Two passes, as in the netsim kernel's inject: every joiner's
+    /// contacts are drawn first, against one borrow of the pre-inject
+    /// alive list (joiners never bootstrap each other), then the nodes
+    /// are inserted.
     pub fn inject(&mut self, positions: Vec<S::Point>) -> Vec<NodeId> {
-        let alive = self.pool.alive_ids().to_vec();
         let protocol = self.config.protocol();
+        let mut seeds = Vec::with_capacity(positions.len());
+        {
+            let Self {
+                pool, rng, config, ..
+            } = &mut *self;
+            let alive = pool.alive_ids();
+            let pos_of = |j: NodeId| pool.get(j).map(|c| c.poly.pos.clone());
+            for _ in &positions {
+                seeds.push((
+                    polystyrene_protocol::sample_bootstrap_contacts(
+                        alive,
+                        &pos_of,
+                        config.rps_view_cap,
+                        rng,
+                    ),
+                    polystyrene_protocol::sample_bootstrap_contacts(
+                        alive,
+                        &pos_of,
+                        config.tman_bootstrap,
+                        rng,
+                    ),
+                ));
+            }
+        }
         let mut new_ids = Vec::with_capacity(positions.len());
-        for pos in positions {
-            let (contacts, boot) = {
-                let pool = &self.pool;
-                let pos_of = |j: NodeId| pool.get(j).map(|c| c.poly.pos.clone());
-                (
-                    polystyrene_protocol::sample_bootstrap_contacts(
-                        &alive,
-                        &pos_of,
-                        self.config.rps_view_cap,
-                        &mut self.rng,
-                    ),
-                    polystyrene_protocol::sample_bootstrap_contacts(
-                        &alive,
-                        &pos_of,
-                        self.config.tman_bootstrap,
-                        &mut self.rng,
-                    ),
-                )
-            };
+        for (pos, (contacts, boot)) in positions.into_iter().zip(seeds) {
             let space = &self.space;
             let id = self.pool.insert_with(|id| {
                 ProtocolNode::new(
@@ -649,6 +670,17 @@ impl<S: MetricSpace> Engine<S> {
     pub fn step(&mut self) -> RoundMetrics {
         self.round += 1;
         self.cost.reset();
+        // Crashes whose detection delay has run out enter the failure
+        // knowledge here, once, for all five phases below: verdicts
+        // cannot change mid-round, because crashes are injected only
+        // between rounds.
+        while let Some(&(visible_from, id)) = self.undetected.front() {
+            if visible_from > self.round {
+                break;
+            }
+            self.detected.mark(id);
+            self.undetected.pop_front();
+        }
         self.run_phase(Phase::PeerSampling);
         self.run_phase(Phase::Topology);
         if self.poly_enabled {
@@ -673,34 +705,13 @@ impl<S: MetricSpace> Engine<S> {
         }
     }
 
-    /// Dense per-id failure verdicts at the current round: a crash
-    /// becomes visible `detection_delay` rounds after it happened.
-    ///
-    /// One lock acquisition per phase; the phases then test membership
-    /// against a flag table instead of a shared `RwLock`-guarded map
-    /// (T-Man's per-entry purges alone query the detector millions of
-    /// times per round at 10k+ nodes). Verdicts cannot change mid-phase —
-    /// crashes are injected only between rounds — so the snapshot is
-    /// exactly the closure it replaced.
-    fn detector_flags(&self) -> Vec<bool> {
-        let mut flags = vec![false; self.pool.peek_next_id().index()];
-        let delay = self.config.detection_delay;
-        let now = self.round;
-        for (id, at) in self.fd.failure_records() {
-            if now >= at.saturating_add(delay) {
-                if let Some(f) = flags.get_mut(id.index()) {
-                    *f = true;
-                }
-            }
-        }
-        flags
-    }
-
     /// One protocol phase across the whole population, each node
     /// activated once in a fresh random order (the cycle-driven model).
     fn run_phase(&mut self, phase: Phase) {
-        let flags = self.detector_flags();
-        let detected = |id: NodeId| flags.get(id.index()).copied().unwrap_or(false);
+        // Taken and restored around the sweep, like the buffers below:
+        // `dispatch` needs the whole engine mutably.
+        let known = std::mem::take(&mut self.detected);
+        let detected = |id: NodeId| known.is_failed(id);
         let mut order = std::mem::take(&mut self.order);
         order.clear();
         order.extend_from_slice(self.pool.alive_ids());
@@ -718,6 +729,7 @@ impl<S: MetricSpace> Engine<S> {
         }
         self.sink = sink;
         self.order = order;
+        self.detected = known;
     }
 
     /// Executes one node's queued effects synchronously: probes are
@@ -775,9 +787,9 @@ impl<S: MetricSpace> Engine<S> {
     /// only touches its own state, so the outcome is identical in any
     /// activation order and the pass fans out across the pool's slots.
     fn recovery_phase(&mut self) {
-        let flags = self.detector_flags();
-        let detected = move |id: NodeId| flags.get(id.index()).copied().unwrap_or(false);
-        self.pool.slots_mut().par_iter_mut().for_each(|slot| {
+        let Self { pool, detected, .. } = self;
+        let detected = |id: NodeId| detected.is_failed(id);
+        pool.slots_mut().par_iter_mut().for_each(|slot| {
             if let Some(node) = slot.as_mut() {
                 node.recover_ghosts(&detected);
             }
@@ -1182,6 +1194,77 @@ mod tests {
         e.crash(NodeId::new(0));
         e.crash(NodeId::new(0));
         assert_eq!(e.alive_count(), 63);
+    }
+
+    /// The per-phase verdict table as `detector_flags()` rebuilt it from
+    /// the `(id, crash round)` records before the engine kept a
+    /// [`FailureTable`] up to date — verbatim but for taking its inputs
+    /// as arguments.
+    fn detector_flags_reference(
+        records: &[(NodeId, u32)],
+        next_id: usize,
+        delay: u32,
+        now: u32,
+    ) -> Vec<bool> {
+        let mut flags = vec![false; next_id];
+        for &(id, at) in records {
+            if now >= at.saturating_add(delay) {
+                if let Some(f) = flags.get_mut(id.index()) {
+                    *f = true;
+                }
+            }
+        }
+        flags
+    }
+
+    #[test]
+    fn failure_knowledge_matches_the_rebuilt_flags_through_crash_delay_and_inject() {
+        for delay in [0, 1, 3, u32::MAX] {
+            let mut cfg = tiny_config(21);
+            cfg.detection_delay = delay;
+            let mut e = Engine::new(Torus2::new(16.0, 4.0), shapes::torus_grid(16, 4, 1.0), cfg);
+            let mut records: Vec<(NodeId, u32)> = Vec::new();
+            // One round, then the table the round's phases read against
+            // the one the old code would have rebuilt for them.
+            let step_and_check = |e: &mut Engine<Torus2>, records: &[(NodeId, u32)]| {
+                e.step();
+                let next_id = e.pool.peek_next_id().index();
+                let flags = detector_flags_reference(records, next_id, delay, e.round());
+                for probe in 0..next_id + 8 {
+                    assert_eq!(
+                        e.detected.is_failed(NodeId::new(probe as u64)),
+                        flags.get(probe).copied().unwrap_or(false),
+                        "delay {delay}, round {}: verdict on n{probe}",
+                        e.round()
+                    );
+                }
+            };
+            let crash = |e: &mut Engine<Torus2>, records: &mut Vec<_>, raw: u64| {
+                e.crash(NodeId::new(raw));
+                records.push((NodeId::new(raw), e.round()));
+            };
+
+            step_and_check(&mut e, &records);
+            crash(&mut e, &mut records, 2);
+            crash(&mut e, &mut records, 40);
+            e.crash(NodeId::new(2)); // already dead: no second record
+            step_and_check(&mut e, &records);
+            crash(&mut e, &mut records, 7);
+            step_and_check(&mut e, &records);
+            // Ids issued after construction, one of them crashed in turn.
+            let fresh = e.inject(vec![[1.5, 1.5], [9.5, 2.5]]);
+            assert_eq!(fresh, [64, 65].map(NodeId::new));
+            step_and_check(&mut e, &records);
+            crash(&mut e, &mut records, 65);
+            crash(&mut e, &mut records, 0);
+            for _ in 0..5 {
+                step_and_check(&mut e, &records);
+            }
+            let known = (0..80)
+                .filter(|&i| e.detected.is_failed(NodeId::new(i)))
+                .count();
+            assert_eq!(known, if delay == u32::MAX { 0 } else { records.len() });
+        }
     }
 
     #[test]

@@ -55,6 +55,14 @@ pub trait MetricSpace: Clone + Send + Sync + 'static {
     ///
     /// Override when a cheaper computation than `distance(a, b)^2` exists
     /// (e.g. Euclidean spaces can skip the square root).
+    ///
+    /// An override must keep the two orders compatible:
+    /// `distance_sq(a, b) > distance_sq(c, d)` implies
+    /// `distance(a, b) >= distance(c, d)`. Both usual pairings do — this
+    /// default (a rounded square is monotone in `d`) and
+    /// `distance = distance_sq.sqrt()` (a rounded root is monotone in its
+    /// argument) — and greedy forwarding relies on it to compare squares
+    /// before paying for a root.
     fn distance_sq(&self, a: &Self::Point, b: &Self::Point) -> f64 {
         let d = self.distance(a, b);
         d * d

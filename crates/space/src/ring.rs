@@ -55,8 +55,25 @@ impl MetricSpace for Ring {
     type Point = f64;
 
     fn distance(&self, a: &f64, b: &f64) -> f64 {
-        let d = (a - b).rem_euclid(self.circumference);
-        d.min(self.circumference - d)
+        // `rem_euclid` is an `fmod` library call. For |a − b| < c fmod's
+        // quotient is zero and fmod is exact, so the remainder is the
+        // difference itself and `rem_euclid` reduces to the conditional
+        // add below; the call is only made out of range (NaN and
+        // infinities included). The add stays a branch, unlike
+        // `Torus2`'s masked one: this result is returned as is, not
+        // squared, so a −0.0 difference must stay −0.0.
+        let c = self.circumference;
+        let diff = a - b;
+        let d = if diff.abs() < c {
+            if diff < 0.0 {
+                diff + c
+            } else {
+                diff
+            }
+        } else {
+            diff.rem_euclid(c)
+        };
+        d.min(c - d)
     }
 
     fn grid_spec(&self, target_cells: usize) -> Option<crate::point::GridSpec> {
@@ -103,7 +120,63 @@ mod tests {
         let _ = Ring::new(0.0);
     }
 
+    /// `Ring::distance` as it stood before the in-range fast path,
+    /// verbatim.
+    fn distance_reference(r: &Ring, a: f64, b: f64) -> f64 {
+        let d = (a - b).rem_euclid(r.circumference);
+        d.min(r.circumference - d)
+    }
+
+    fn assert_matches_reference(r: &Ring, a: f64, b: f64) {
+        let (new, old) = (r.distance(&a, &b), distance_reference(r, a, b));
+        assert!(
+            new.to_bits() == old.to_bits() || (new.is_nan() && old.is_nan()),
+            "distance({a:e}, {b:e}) on {r:?}: {new:e} vs reference {old:e}"
+        );
+    }
+
+    #[test]
+    fn fast_path_matches_reference_on_special_abscissae() {
+        let specials = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -1e-300,
+            1e-17,
+            -1e-17,
+            49.99999999999999,
+            50.0,
+            50.00000000000001,
+            99.0,
+            100.0,
+            -100.0,
+            100.00000000000001,
+            250.5,
+            -1e18,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for r in [Ring::new(100.0), Ring::new(0.3)] {
+            for &a in &specials {
+                for &b in &specials {
+                    assert_matches_reference(&r, a, b);
+                }
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn fast_path_matches_reference(a in -400.0..400.0f64, b in -400.0..400.0f64, c in 0.001..500.0f64) {
+            assert_matches_reference(&Ring::new(c), a, b);
+            // In range by construction, both orders.
+            let (p, q) = (a.rem_euclid(c), b.rem_euclid(c));
+            assert_matches_reference(&Ring::new(c), p, q);
+            assert_matches_reference(&Ring::new(c), q, p);
+        }
+
         #[test]
         fn metric_axioms(a in 0.0..100.0f64, b in 0.0..100.0f64, c in 0.0..100.0f64) {
             let r = Ring::new(100.0);
