@@ -192,10 +192,26 @@ fn sweep(plan: &Plan, args: &CommonArgs, warmup: u32, rounds: u32) -> SweepResul
     }
 }
 
-/// Times `rounds` rounds of the top rung on twin converged kernels —
-/// one offering through the batched hot path, one through the retained
-/// per-wire reference path — and returns
-/// `(speedup, batched_secs, unbatched_secs)`.
+/// Timed windows per path in [`batched_speedup`].
+const SPEEDUP_PAIRS: usize = 5;
+
+/// Times the top rung on twin converged kernels — one offering through
+/// the batched hot path, one through the retained per-wire reference
+/// path — and returns `(speedup, batched_secs, unbatched_secs)`.
+///
+/// Each path's figure is its fastest of [`SPEEDUP_PAIRS`] windows of
+/// `rounds` rounds. A window pair is interleaved round by round, the
+/// two kernels taking turns to go first, so a busy spell on the box
+/// (they outlast a window) lands on both paths alike; interference
+/// only adds time, so the minimum is the estimate. One unpaired
+/// sub-second timing per path read anywhere from 0.78x to 1.54x on
+/// unchanged code (PR 12).
+///
+/// The caller fails the sweep when the speedup reads below 1.0. Paired
+/// this way it reads 0.90 to 0.99 at the CI size (r4000 over 4 096
+/// gateways, about one query per batch), on PR 13 and on its parent
+/// alike, so that gate fails there: ROADMAP item (d) is the open
+/// question of which path to keep.
 fn batched_speedup(
     args: &CommonArgs,
     plan: &Plan,
@@ -204,7 +220,7 @@ fn batched_speedup(
     rate: usize,
 ) -> (f64, f64, f64) {
     let keys = key_universe(args.traffic_keys, plan.cols, plan.rows);
-    let time_one = |batched: bool| {
+    let converged = || {
         let mut cfg = NetSimConfig::default();
         cfg.poly = PolystyreneConfig::builder().replication(args.k).build();
         cfg.area = plan.nodes() as f64;
@@ -216,7 +232,7 @@ fn batched_speedup(
             cfg,
         );
         sim.run(warmup);
-        let mut load = TrafficLoad::with_dist(
+        let load = TrafficLoad::with_dist(
             keys.clone(),
             rate,
             args.read_fraction,
@@ -224,20 +240,32 @@ fn batched_speedup(
             args.seed,
             args.traffic_dist,
         );
-        let started = Instant::now();
-        for _ in 0..rounds {
-            let ttl = load.ttl();
-            if batched {
-                sim.offer_traffic(load.next_round(), ttl);
-            } else {
-                sim.offer_traffic_unbatched(load.next_round(), ttl);
-            }
-            sim.step();
-        }
-        started.elapsed().as_secs_f64()
+        (sim, load)
     };
-    let unbatched = time_one(false);
-    let batched = time_one(true);
+    // [batched, unbatched]: same seed, same load, each on its own path.
+    let mut twins = [converged(), converged()];
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..SPEEDUP_PAIRS {
+        let mut window = [0.0; 2];
+        for round in 0..rounds as usize {
+            for side in [round % 2, 1 - round % 2] {
+                let (sim, load) = &mut twins[side];
+                let started = Instant::now();
+                let ttl = load.ttl();
+                if side == 0 {
+                    sim.offer_traffic(load.next_round(), ttl);
+                } else {
+                    sim.offer_traffic_unbatched(load.next_round(), ttl);
+                }
+                sim.step();
+                window[side] += started.elapsed().as_secs_f64();
+            }
+        }
+        for side in 0..2 {
+            best[side] = best[side].min(window[side]);
+        }
+    }
+    let [batched, unbatched] = best;
     (unbatched / batched, batched, unbatched)
 }
 

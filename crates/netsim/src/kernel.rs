@@ -24,6 +24,38 @@
 //! simply vanishes in the fabric, and views survive the window intact
 //! (see `execute`).
 //!
+//! # What the kernel simulates, and what it takes from an oracle
+//!
+//! Everything the protocol *sends* is simulated: each wire message is an
+//! event with a fate drawn from the network model, charged in the
+//! paper's cost units at the send boundary and counted in
+//! `sent_messages` / `dropped_messages`. Two things are not messages:
+//!
+//! * **Reachability probes** read the kernel's failure knowledge (see
+//!   above) — an oracle with a configurable lag, blind to partitions.
+//! * **The per-round position refresh** (paper Sec. IV-B: "T-Man must
+//!   update their positions in its view in each round, causing most of
+//!   the traffic") runs at every round boundary as the pool pass the
+//!   cycle engine also runs, [`NodePool::refresh_view_positions`]: each
+//!   T-Man view entry whose subject is alive takes the subject's current
+//!   position and age zero, instantly and without loss. It is *costed*
+//!   like the engine's — one descriptor per entry whose position
+//!   changed, on the T-Man bucket of the round's cost — but draws no
+//!   fate, enters no queue and moves neither message counter. Without
+//!   it a survivor that Polystyrene has moved lives on in other views
+//!   at its old coordinates (its fresh descriptor only circulates near
+//!   where it now is, and views are capped by *believed* distance), and
+//!   greedy forwarding bounces between believed and true positions
+//!   until the hop budget runs out.
+//!
+//! The refresh respects the fabric where that is a yes/no question:
+//! an entry is skipped — old position kept, age still growing — while
+//! the protocol fabric's [`NetworkModel::blocked`] separates holder and
+//! subject, and picked up at the first round boundary after the heal.
+//! Entries naming dead subjects are never refreshed; they age until
+//! the failure knowledge purges them. Link loss and latency do not
+//! apply to it: a lossy link delays gossip, not this pass.
+//!
 //! The hot loop is allocation-free in steady state: future events live
 //! in a [`CalendarQueue`] of reusable per-tick buckets, node effects are
 //! pushed into one kernel-owned [`EffectSink`] and dispatched through
@@ -127,7 +159,7 @@ pub struct NetSim<S: MetricSpace> {
     config: NetSimConfig,
     nodes: NodePool<S>,
     original_points: Vec<DataPoint<S::Point>>,
-    net: Box<dyn NetworkModel>,
+    net: Box<dyn NetworkModel + Sync>,
     /// The network model application-plane queries ride. A separate
     /// fault/jitter stream from `net`, so query traffic never perturbs
     /// the protocol plane's draw order — golden histories stay
@@ -187,7 +219,8 @@ impl<S: MetricSpace> NetSim<S> {
 
     /// Builds the simulator around a custom [`NetworkModel`] (asymmetric
     /// links, channel-selective loss, …). `config.link` is ignored in
-    /// favor of the model.
+    /// favor of the model. `Sync` because the position-refresh pass asks
+    /// [`NetworkModel::blocked`] from its worker threads.
     ///
     /// # Panics
     ///
@@ -196,7 +229,7 @@ impl<S: MetricSpace> NetSim<S> {
         space: S,
         shape: Vec<S::Point>,
         config: NetSimConfig,
-        net: Box<dyn NetworkModel>,
+        net: Box<dyn NetworkModel + Sync>,
     ) -> Self {
         assert!(!shape.is_empty(), "cannot simulate an empty network");
         config.validate();
@@ -369,6 +402,12 @@ impl<S: MetricSpace> NetSim<S> {
     /// from.
     pub fn view_entries_of(&self, id: NodeId) -> Option<&[Descriptor<S::Point>]> {
         self.nodes.get(id).map(|c| c.tman.view_entries())
+    }
+
+    /// `(stale, total)` T-Man view entries against ground truth — see
+    /// [`NodePool::stale_view_entries`]. A diagnostic, not a metric.
+    pub fn stale_view_entries(&self) -> (u64, u64) {
+        self.nodes.stale_view_entries()
     }
 
     /// Injects one query per key at a uniformly random alive gateway.
@@ -599,8 +638,8 @@ impl<S: MetricSpace> NetSim<S> {
     /// local phase pipeline, [`ProtocolNode::on_round`] — is scheduled at
     /// a random offset within the round's tick span, then the event queue
     /// processes activations and message deliveries interleaved in
-    /// `(time, seq)` order up to the round boundary. Returns the metrics
-    /// measured at the end of the round.
+    /// `(time, seq)` order up to the round boundary, where the position
+    /// refresh runs. Returns the metrics measured at the end of the round.
     ///
     /// The per-node jitter is load-bearing, not cosmetic: gossip
     /// deployments (and PeerSim's event-driven mode) phase-shift node
@@ -627,6 +666,7 @@ impl<S: MetricSpace> NetSim<S> {
         // time order; later arrivals stay queued for future rounds.
         self.drain(round_end - 1);
         self.now = round_end;
+        self.position_refresh();
         let mut scratch = std::mem::take(&mut self.scratch);
         let metrics = self.measure_into(&mut scratch);
         self.scratch = scratch;
@@ -639,6 +679,20 @@ impl<S: MetricSpace> NetSim<S> {
         for _ in 0..rounds {
             self.step();
         }
+    }
+
+    /// The paper's per-round position refresh (Sec. IV-B), at the round
+    /// boundary: the pool pass the cycle engine runs, charged the same
+    /// way, and stopped only by a partition of the protocol fabric (the
+    /// module docs say what that models and what it does not). While a
+    /// partition is installed `blocked` costs two tree lookups per view
+    /// entry; no benchmark workload partitions, so that is unmeasured.
+    fn position_refresh(&mut self) {
+        let net = &*self.net;
+        let changed = self
+            .nodes
+            .refresh_view_positions(|holder, subject| net.blocked(holder, subject));
+        self.cost.tman_units += changed * self.config.cost.units_per_descriptor as u64;
     }
 
     fn schedule(&mut self, at: u64, what: Pending<S::Point>) {
@@ -1159,6 +1213,88 @@ mod tests {
             m.homogeneity < m.reference_homogeneity,
             "healed and settled"
         );
+    }
+
+    #[test]
+    fn position_refresh_stops_at_a_partition_and_resumes_on_heal() {
+        let mut sim = tiny_sim(14, LinkProfile::ideal());
+        sim.run(12);
+        assert_eq!(sim.stale_view_entries().0, 0, "converged views are current");
+        // Cut the torus in two (the right half is "the rest of the
+        // network"), then crash the right half's outer columns so its
+        // survivors move while the left half cannot hear of it.
+        let on_left = |id: NodeId| id.index() % 16 < 8;
+        let left: Vec<NodeId> = (0..64).map(NodeId::new).filter(|&id| on_left(id)).collect();
+        sim.set_partition(std::slice::from_ref(&left));
+        let at_cut: Vec<[f64; 2]> = (0..64)
+            .map(|i| sim.poly_state(NodeId::new(i)).expect("alive").pos)
+            .collect();
+        for id in (0..64).map(NodeId::new).filter(|id| id.index() % 16 >= 12) {
+            sim.crash(id);
+        }
+        let rounds = 6;
+        sim.run(rounds);
+
+        // Every view entry whose subject is alive, with the subject's
+        // true position: (holder, entry, truth).
+        fn audit(sim: &NetSim<Torus2>) -> Vec<(NodeId, Descriptor<[f64; 2]>, [f64; 2])> {
+            let mut out = Vec::new();
+            for &holder in sim.alive_ids() {
+                for entry in sim.view_entries_of(holder).expect("alive") {
+                    if let Some(subject) = sim.poly_state(entry.id) {
+                        out.push((holder, *entry, subject.pos));
+                    }
+                }
+            }
+            out
+        }
+        let (mut across, mut held_back, mut oldest) = (0, 0, 0);
+        for (holder, entry, truth) in audit(&sim) {
+            if on_left(holder) == on_left(entry.id) {
+                assert_eq!(
+                    entry.pos, truth,
+                    "{holder} -> {} is on one side of the cut",
+                    entry.id
+                );
+                assert_eq!(entry.age, 0, "refreshed entries are fresh");
+                continue;
+            }
+            across += 1;
+            assert!(
+                entry.age > 0,
+                "{holder} -> {} crossed the cut: age 0",
+                entry.id
+            );
+            oldest = oldest.max(entry.age);
+            if truth != at_cut[entry.id.index()] {
+                assert_ne!(
+                    entry.pos, truth,
+                    "{holder} learned {}'s move across the cut",
+                    entry.id
+                );
+                held_back += 1;
+            }
+        }
+        assert!(across > 0, "no view straddles the cut");
+        assert!(
+            held_back > 0,
+            "nobody moved behind the cut: the test shows nothing"
+        );
+        assert!(
+            oldest >= rounds,
+            "an entry nothing touched ages once per round"
+        );
+        let (stale, _) = sim.stale_view_entries();
+        assert!(stale >= held_back, "the audit and the diagnostic disagree");
+
+        // Healed: the next round boundary brings every entry up to date.
+        sim.heal();
+        sim.step();
+        for (holder, entry, truth) in audit(&sim) {
+            assert_eq!(entry.pos, truth, "{holder} -> {} after heal", entry.id);
+            assert_eq!(entry.age, 0);
+        }
+        assert_eq!(sim.stale_view_entries().0, 0);
     }
 
     #[test]

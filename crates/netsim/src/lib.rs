@@ -23,6 +23,12 @@
 //! `tests/equivalence.rs`), which anchors every lossy result to the
 //! validated baseline.
 //!
+//! Not everything is a message. Reachability probes are answered from
+//! the kernel's (lagged) failure knowledge, and the paper's per-round
+//! T-Man position refresh is the same instantaneous, costed pool pass
+//! the cycle engine runs, applied at each round boundary and stopped
+//! only by partitions — see "What the kernel simulates" in [`kernel`].
+//!
 //! Scenario scripts are the shared ones: the experiment plane
 //! (`polystyrene-lab`) plugs [`kernel::NetSim`] in as one of its
 //! `Substrate`s, so any script written for the engine or the live

@@ -10,6 +10,12 @@
 //! that shifts a single RNG draw, reorders one heap pop, or alters one
 //! fate decision shows up here. (Deliberate schedule changes must
 //! re-capture the fingerprints and say so in review.)
+//!
+//! Re-pinned once since capture: PR 13 put the paper's per-round T-Man
+//! position refresh on the kernel's round boundary (`NetSim::step`), so
+//! views hold current positions where they used to hold the positions
+//! gossip last carried, and every round after the first migration
+//! differs. The engine, lab and runtime goldens did not move.
 
 use polystyrene_netsim::prelude::*;
 use polystyrene_space::prelude::*;
@@ -78,13 +84,13 @@ fn lossy_schedule_is_bit_identical_seed_42() {
     assert_eq!(last.alive_nodes, 128);
     // Spot values of the final round, for a readable diff when the
     // fingerprint trips.
-    assert_eq!(last.homogeneity.to_bits(), 0x3fd05951e3af9662);
+    assert_eq!(last.homogeneity.to_bits(), 0x3fcd8918c003e158);
     assert_eq!(last.surviving_points.to_bits(), 0x3fef800000000000);
-    assert_eq!(last.sent_messages, 27263);
-    assert_eq!(last.dropped_messages, 1375);
+    assert_eq!(last.sent_messages, 27419);
+    assert_eq!(last.dropped_messages, 1384);
     assert_eq!(
         fingerprint(&history),
-        0xf2837287d3cf8ae9,
+        0xc8b2fe6429b2f5c5,
         "seed-42 netsim schedule diverged"
     );
 }
@@ -96,7 +102,7 @@ fn lossy_schedule_is_bit_identical_seed_7() {
     assert_eq!(last.alive_nodes, 128);
     assert_eq!(
         fingerprint(&history),
-        0x7c8e89834e605bc0,
+        0x44cb0922397501aa,
         "seed-7 netsim schedule diverged"
     );
 }

@@ -59,6 +59,7 @@
 use crate::node::ProtocolNode;
 use polystyrene_membership::NodeId;
 use polystyrene_space::MetricSpace;
+use polystyrene_topology::TopologyConstruction;
 use rayon::prelude::*;
 
 /// A generation-stamped slot handle. Valid only while the slot's current
@@ -256,10 +257,9 @@ impl<S: MetricSpace> NodePool<S> {
         Some(&self.positions[self.slot_of(id)?])
     }
 
-    /// Mirrors every occupant's current `poly.pos` into the slab. The
-    /// engine calls this once per round, after the last phase that moves
-    /// nodes — replacing the id-indexed `Vec<Option<Point>>` it used to
-    /// allocate for the refresh pass.
+    /// Mirrors every occupant's current `poly.pos` into the slab — the
+    /// first half of [`Self::refresh_view_positions`], which the drivers
+    /// run once per round after the last thing that moves nodes.
     pub fn sync_positions(&mut self) {
         for (slot, cell) in self.slots.iter().enumerate() {
             if let Some(node) = cell {
@@ -268,12 +268,25 @@ impl<S: MetricSpace> NodePool<S> {
         }
     }
 
-    /// Batch position-refresh pass: every node updates its T-Man view
-    /// entries to the subjects' slab positions (dead subjects resolve to
-    /// `None`). Returns the total number of changed entries. Fans out
-    /// with rayon; the slab is the immutable snapshot, so the pass is
-    /// deterministic in any split.
-    pub fn refresh_tman_positions(&mut self) -> u64 {
+    /// The paper's per-round position refresh ("T-Man must update their
+    /// positions in its view in each round", Sec. IV-B), as one batch
+    /// pass shared by every deterministic driver: brings the slab up to
+    /// date ([`Self::sync_positions`]), then rewrites each T-Man view
+    /// entry to its subject's slab position and resets its age. Returns
+    /// the number of entries whose position changed — what the driver
+    /// charges, one descriptor each.
+    ///
+    /// An entry is left untouched — old position, still ageing — when
+    /// its subject is dead, or when `blocked(holder, subject)` says the
+    /// fabric currently separates the two (a driver without a network
+    /// to partition passes `|_, _| false`). Fans out with rayon; the
+    /// slab is the immutable snapshot, so the pass is deterministic in
+    /// any split.
+    pub fn refresh_view_positions(
+        &mut self,
+        blocked: impl Fn(NodeId, NodeId) -> bool + Sync,
+    ) -> u64 {
+        self.sync_positions();
         let Self {
             slots,
             positions,
@@ -292,10 +305,34 @@ impl<S: MetricSpace> NodePool<S> {
         slots
             .par_iter_mut()
             .map(|cell| match cell.as_mut() {
-                Some(node) => node.tman.refresh_positions(lookup) as u64,
+                Some(node) => {
+                    let holder = node.id();
+                    node.tman.refresh_positions(|subject| {
+                        lookup(subject).filter(|_| !blocked(holder, subject))
+                    }) as u64
+                }
                 None => 0,
             })
             .sum()
+    }
+
+    /// Ground-truth audit of the T-Man views: `(stale, total)` over every
+    /// view entry whose subject is alive, `stale` counting those whose
+    /// recorded position differs from the subject's current `poly.pos`.
+    /// Entries naming dead subjects are in neither count (nothing can
+    /// refresh them; they age out). A diagnostic for tests and examples,
+    /// not a per-round metric: it walks as much as the refresh itself.
+    pub fn stale_view_entries(&self) -> (u64, u64) {
+        let (mut stale, mut total) = (0, 0);
+        for node in self.slots.iter().flatten() {
+            for entry in node.tman.view_entries() {
+                if let Some(subject) = self.get(entry.id) {
+                    total += 1;
+                    stale += u64::from(subject.poly.pos != entry.pos);
+                }
+            }
+        }
+        (stale, total)
     }
 }
 
@@ -304,9 +341,15 @@ mod tests {
     use super::*;
     use crate::config::ProtocolConfig;
     use polystyrene::prelude::{DataPoint, PointId, PolyState};
+    use polystyrene_membership::Descriptor;
     use polystyrene_space::prelude::Torus2;
 
     fn mk(pool: &mut NodePool<Torus2>, x: f64) -> NodeId {
+        mk_knowing(pool, x, Vec::new())
+    }
+
+    /// A node at `[x, 0]` whose T-Man view starts out holding `view`.
+    fn mk_knowing(pool: &mut NodePool<Torus2>, x: f64, view: Vec<Descriptor<[f64; 2]>>) -> NodeId {
         pool.insert_with(|id| {
             ProtocolNode::new(
                 id,
@@ -314,7 +357,7 @@ mod tests {
                 ProtocolConfig::default(),
                 PolyState::with_initial_point(DataPoint::new(PointId::new(id.as_u64()), [x, 0.0])),
                 Vec::new(),
-                Vec::new(),
+                view,
             )
         })
     }
@@ -373,5 +416,41 @@ mod tests {
         );
         pool.sync_positions();
         assert_eq!(pool.position(a), Some(&[5.0, 5.0]));
+    }
+
+    #[test]
+    fn view_refresh_skips_dead_and_blocked_subjects() {
+        let mut pool: NodePool<Torus2> = NodePool::new();
+        let ids: Vec<NodeId> = (1..=3).map(|x| mk(&mut pool, x as f64)).collect();
+        let view = ids
+            .iter()
+            .map(|&id| Descriptor::new(id, *pool.position(id).unwrap()))
+            .collect();
+        let holder = mk_knowing(&mut pool, 0.0, view);
+        assert_eq!(pool.stale_view_entries(), (0, 3));
+
+        for &id in &ids {
+            pool.get_mut(id).unwrap().poly.pos[1] = 5.0;
+        }
+        pool.remove(ids[2]);
+        assert_eq!(
+            pool.stale_view_entries(),
+            (2, 2),
+            "dead subjects not counted"
+        );
+        let cut = ids[1];
+        let changed = pool.refresh_view_positions(|from, to| from == holder && to == cut);
+        assert_eq!(changed, 1, "one subject dead, one behind the cut");
+        assert_eq!(pool.stale_view_entries(), (1, 2));
+        let entry = |pool: &NodePool<Torus2>, id| {
+            let view = pool.get(holder).unwrap().tman.view_entries();
+            view.iter().find(|e| e.id == id).unwrap().pos
+        };
+        assert_eq!(entry(&pool, ids[0]), [1.0, 5.0]);
+        assert_eq!(entry(&pool, cut), [2.0, 0.0], "blocked: old position kept");
+        assert_eq!(entry(&pool, ids[2]), [3.0, 0.0], "dead: untouched");
+
+        assert_eq!(pool.refresh_view_positions(|_, _| false), 1);
+        assert_eq!(pool.stale_view_entries(), (0, 2));
     }
 }

@@ -408,6 +408,12 @@ impl<S: MetricSpace> Engine<S> {
         self.pool.get(id).map(|c| c.tman.view_entries())
     }
 
+    /// `(stale, total)` T-Man view entries against ground truth — see
+    /// [`NodePool::stale_view_entries`]. A diagnostic, not a metric.
+    pub fn stale_view_entries(&self) -> (u64, u64) {
+        self.pool.stale_view_entries()
+    }
+
     // ------------------------------------------------------------------
     // Application traffic
     // ------------------------------------------------------------------
@@ -803,13 +809,13 @@ impl<S: MetricSpace> Engine<S> {
     /// charged as one descriptor. When nodes are stationary (T-Man alone,
     /// or a converged Polystyrene network at rest) this costs nothing.
     ///
-    /// The phases above are the last movers of the round, so this is also
-    /// where the pool's position slab is brought up to date — the
-    /// measurement pass below then reads coordinates off the dense slab.
+    /// The phases above are the last movers of the round, so the pool
+    /// pass (shared with the event kernel) also brings the position slab
+    /// up to date — the measurement pass below then reads coordinates
+    /// off the dense slab. The cycle model has no fabric to partition.
     fn position_refresh_phase(&mut self) {
-        self.pool.sync_positions();
         let unit = self.config.cost.units_per_descriptor as u64;
-        let changed_total = self.pool.refresh_tman_positions();
+        let changed_total = self.pool.refresh_view_positions(|_, _| false);
         self.cost.tman_units += changed_total * unit;
     }
 
