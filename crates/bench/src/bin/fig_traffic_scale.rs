@@ -10,9 +10,8 @@
 //! Two different saturation mechanisms are exercised:
 //!
 //! * the deterministic kernel (`netsim`, default 160×160 = 25 600
-//!   nodes) has no admission bound — its sweep measures routing cost at
-//!   scale, and a paired batched-vs-unbatched run at the top rung
-//!   reports the wall-clock speedup of the `QueryBatch` hot path;
+//!   nodes) has no admission bound: its sweep measures routing cost at
+//!   scale;
 //! * the live substrates (`cluster`, `tcp`, figure-scale grids) bound
 //!   every gateway's ingress at [`GATEWAY_INGRESS_BOUND`] queries —
 //!   past the knee they *shed* load at the gateway (counted separately
@@ -31,7 +30,6 @@ use polystyrene_lab::{
     build_substrate, run_experiment, run_experiment_with_traffic, summary_json, ExperimentSummary,
     LabConfig, SubstrateKind, TrafficLoad,
 };
-use polystyrene_netsim::{NetSim, NetSimConfig};
 use polystyrene_protocol::Scenario;
 use polystyrene_routing::kv::key_position;
 use polystyrene_runtime::GATEWAY_INGRESS_BOUND;
@@ -192,83 +190,6 @@ fn sweep(plan: &Plan, args: &CommonArgs, warmup: u32, rounds: u32) -> SweepResul
     }
 }
 
-/// Timed windows per path in [`batched_speedup`].
-const SPEEDUP_PAIRS: usize = 5;
-
-/// Times the top rung on twin converged kernels — one offering through
-/// the batched hot path, one through the retained per-wire reference
-/// path — and returns `(speedup, batched_secs, unbatched_secs)`.
-///
-/// Each path's figure is its fastest of [`SPEEDUP_PAIRS`] windows of
-/// `rounds` rounds. A window pair is interleaved round by round, the
-/// two kernels taking turns to go first, so a busy spell on the box
-/// (they outlast a window) lands on both paths alike; interference
-/// only adds time, so the minimum is the estimate. One unpaired
-/// sub-second timing per path read anywhere from 0.78x to 1.54x on
-/// unchanged code (PR 12).
-///
-/// The caller fails the sweep when the speedup reads below 1.0. Paired
-/// this way it reads 0.90 to 0.99 at the CI size (r4000 over 4 096
-/// gateways, about one query per batch), on PR 13 and on its parent
-/// alike, so that gate fails there: ROADMAP item (d) is the open
-/// question of which path to keep.
-fn batched_speedup(
-    args: &CommonArgs,
-    plan: &Plan,
-    warmup: u32,
-    rounds: u32,
-    rate: usize,
-) -> (f64, f64, f64) {
-    let keys = key_universe(args.traffic_keys, plan.cols, plan.rows);
-    let converged = || {
-        let mut cfg = NetSimConfig::default();
-        cfg.poly = PolystyreneConfig::builder().replication(args.k).build();
-        cfg.area = plan.nodes() as f64;
-        cfg.seed = args.seed;
-        cfg.link = args.link_profile();
-        let mut sim = NetSim::new(
-            Torus2::new(plan.cols as f64, plan.rows as f64),
-            shapes::torus_grid(plan.cols, plan.rows, 1.0),
-            cfg,
-        );
-        sim.run(warmup);
-        let load = TrafficLoad::with_dist(
-            keys.clone(),
-            rate,
-            args.read_fraction,
-            plan.ttl(),
-            args.seed,
-            args.traffic_dist,
-        );
-        (sim, load)
-    };
-    // [batched, unbatched]: same seed, same load, each on its own path.
-    let mut twins = [converged(), converged()];
-    let mut best = [f64::INFINITY; 2];
-    for _ in 0..SPEEDUP_PAIRS {
-        let mut window = [0.0; 2];
-        for round in 0..rounds as usize {
-            for side in [round % 2, 1 - round % 2] {
-                let (sim, load) = &mut twins[side];
-                let started = Instant::now();
-                let ttl = load.ttl();
-                if side == 0 {
-                    sim.offer_traffic(load.next_round(), ttl);
-                } else {
-                    sim.offer_traffic_unbatched(load.next_round(), ttl);
-                }
-                sim.step();
-                window[side] += started.elapsed().as_secs_f64();
-            }
-        }
-        for side in 0..2 {
-            best[side] = best[side].min(window[side]);
-        }
-    }
-    let [batched, unbatched] = best;
-    (unbatched / batched, batched, unbatched)
-}
-
 fn main() {
     let args = CommonArgs::parse_with(
         CommonArgs {
@@ -290,12 +211,10 @@ fn main() {
             "live-rows",
             "live-base-rate",
             "live-rate-steps",
-            "speedup-rounds",
         ],
     );
     let warmup = args.extra_usize("warmup", 20) as u32;
     let rounds = args.extra_usize("rounds", 6) as u32;
-    let speedup_rounds = args.extra_usize("speedup-rounds", 8) as u32;
     let sim_plan = |kind| Plan {
         kind,
         cols: args.cols,
@@ -380,31 +299,6 @@ fn main() {
         results.push((plan.kind.name().to_string(), result));
     }
 
-    // Batched-vs-unbatched wall clock at the top rung, on the kernel
-    // sweep's own grid (skipped when the sweep only ran live kinds).
-    let speedup = plans
-        .iter()
-        .find(|p| matches!(p.kind, SubstrateKind::Netsim | SubstrateKind::Engine))
-        .map(|plan| {
-            let top = *plan.rates().last().expect("ladder is never empty");
-            let plan = Plan {
-                kind: SubstrateKind::Netsim,
-                ..*plan
-            };
-            let (speedup, batched, unbatched) =
-                batched_speedup(&args, &plan, warmup, speedup_rounds, top);
-            println!(
-                "batched hot path at r{top}: {batched:.2}s vs unbatched {unbatched:.2}s \
-                 ({speedup:.2}x)\n"
-            );
-            if speedup < 1.0 {
-                failures.push(format!(
-                    "batching lost to the per-wire path: {speedup:.2}x at r{top}"
-                ));
-            }
-            (speedup, batched, unbatched)
-        });
-
     std::fs::create_dir_all(&args.out).expect("failed to create output directory");
     let entries: Vec<(String, &ExperimentSummary)> = results
         .iter()
@@ -425,7 +319,7 @@ fn main() {
         .map(|(label, r)| format!("\"{label}\":{}", json_f64(r.wall_secs, 3)))
         .collect::<Vec<_>>()
         .join(",");
-    let mut meta: Vec<(&str, String)> = vec![
+    let meta: Vec<(&str, String)> = vec![
         ("nodes", plans[0].nodes().to_string()),
         ("k", args.k.to_string()),
         ("warmup", warmup.to_string()),
@@ -437,11 +331,6 @@ fn main() {
         ("knee_rate", format!("{{{knee_obj}}}")),
         ("wall_secs", format!("{{{wall_obj}}}")),
     ];
-    if let Some((speedup, batched, unbatched)) = speedup {
-        meta.push(("batched_speedup", json_f64(speedup, 3)));
-        meta.push(("batched_wall_secs", json_f64(batched, 3)));
-        meta.push(("unbatched_wall_secs", json_f64(unbatched, 3)));
-    }
     let json = summary_json("fig_traffic_scale", &meta, &entries);
     let json_path = args.out.join("fig_traffic_scale.json");
     std::fs::write(&json_path, json).expect("failed to write JSON");

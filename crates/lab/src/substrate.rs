@@ -1,12 +1,10 @@
 //! The one seam every execution substrate stands behind.
 //!
-//! [`Substrate`] collapses the two parallel seams the repository grew —
-//! the deterministic simulators' `ScenarioSubstrate` and the live
-//! clusters' `ClusterHarness` — into a single trait: kill, inject,
-//! partition, step, observe. The cycle engine and the discrete-event
-//! kernel implement it directly; the wall-clock deployments plug in
-//! through [`LiveSubstrate`], which owns the round bookkeeping
-//! (tick targets, victim entropy) that asynchronous clusters need and
+//! [`Substrate`] is that seam: kill, inject, partition, step, observe.
+//! The cycle engine and the discrete-event kernel implement it
+//! directly; the live [`Cluster`], over whichever transport, plugs in
+//! through [`LiveSubstrate`], which owns the round bookkeeping (tick
+//! targets, victim entropy) that an asynchronous cluster needs and
 //! deterministic simulators don't.
 //!
 //! [`build_substrate`] is the `scenario × substrate` switchboard: given
@@ -18,11 +16,10 @@
 use polystyrene::prelude::PolystyreneConfig;
 use polystyrene_membership::NodeId;
 use polystyrene_netsim::{NetSim, NetSimConfig};
-use polystyrene_protocol::codec::PointCodec;
 use polystyrene_protocol::observe::{RoundObservation, TrafficStats};
 use polystyrene_protocol::scenario::select_victims;
 use polystyrene_protocol::LinkProfile;
-use polystyrene_runtime::{Cluster, RuntimeConfig};
+use polystyrene_runtime::{Cluster, RuntimeConfig, Transport};
 use polystyrene_sim::engine::{Engine, EngineConfig};
 use polystyrene_sim::metrics::RoundMetrics;
 use polystyrene_space::torus::Torus2;
@@ -51,7 +48,7 @@ pub trait Substrate<P> {
     /// Installs a network partition
     /// (see [`polystyrene_protocol::ScenarioEvent::Partition`]).
     /// Default: no-op, for substrates without a network fabric to cut —
-    /// the cycle engine's atomic exchanges and the live clusters'
+    /// the cycle engine's atomic exchanges and the live cluster's
     /// reliable channels cannot model one.
     fn partition(&mut self, _groups: &[Vec<NodeId>]) {}
     /// Heals a previously installed partition. Default: no-op.
@@ -213,71 +210,6 @@ fn net_observation(m: &polystyrene_netsim::NetRoundMetrics) -> RoundObservation 
     }
 }
 
-/// What the [`LiveSubstrate`] adapter needs from a wall-clock cluster —
-/// the thin forwarding layer over the identical inherent APIs of the
-/// in-process [`Cluster`] and the TCP deployment, private to this crate
-/// so the public seam stays exactly one trait.
-trait LiveCluster<P> {
-    fn alive_ids(&self) -> Vec<NodeId>;
-    fn kill(&self, id: NodeId) -> bool;
-    fn kill_region(&self, predicate: &(dyn Fn(&P) -> bool + Send + Sync)) -> Vec<NodeId>;
-    fn inject(&self, position: P) -> NodeId;
-    fn await_ticks(&self, ticks: u64, max_wait: Duration);
-    fn observe(&self) -> RoundObservation;
-    fn offer_traffic(&self, keys: &[P], ttl: u32);
-}
-
-impl<S: MetricSpace> LiveCluster<S::Point> for Cluster<S> {
-    fn alive_ids(&self) -> Vec<NodeId> {
-        Cluster::alive_ids(self)
-    }
-    fn kill(&self, id: NodeId) -> bool {
-        Cluster::kill(self, id)
-    }
-    fn kill_region(&self, predicate: &(dyn Fn(&S::Point) -> bool + Send + Sync)) -> Vec<NodeId> {
-        Cluster::kill_region(self, |p: &S::Point| predicate(p))
-    }
-    fn inject(&self, position: S::Point) -> NodeId {
-        Cluster::inject(self, position)
-    }
-    fn await_ticks(&self, ticks: u64, max_wait: Duration) {
-        Cluster::await_ticks(self, ticks, max_wait);
-    }
-    fn observe(&self) -> RoundObservation {
-        Cluster::observe(self)
-    }
-    fn offer_traffic(&self, keys: &[S::Point], ttl: u32) {
-        Cluster::offer_traffic(self, keys, ttl);
-    }
-}
-
-impl<S: MetricSpace> LiveCluster<S::Point> for TcpCluster<S>
-where
-    S::Point: PointCodec,
-{
-    fn alive_ids(&self) -> Vec<NodeId> {
-        TcpCluster::alive_ids(self)
-    }
-    fn kill(&self, id: NodeId) -> bool {
-        TcpCluster::kill(self, id)
-    }
-    fn kill_region(&self, predicate: &(dyn Fn(&S::Point) -> bool + Send + Sync)) -> Vec<NodeId> {
-        TcpCluster::kill_region(self, |p: &S::Point| predicate(p))
-    }
-    fn inject(&self, position: S::Point) -> NodeId {
-        TcpCluster::inject(self, position)
-    }
-    fn await_ticks(&self, ticks: u64, max_wait: Duration) {
-        TcpCluster::await_ticks(self, ticks, max_wait);
-    }
-    fn observe(&self) -> RoundObservation {
-        TcpCluster::observe(self)
-    }
-    fn offer_traffic(&self, keys: &[S::Point], ttl: u32) {
-        TcpCluster::offer_traffic(self, keys, ttl);
-    }
-}
-
 /// A wall-clock deployment viewed as a [`Substrate`]: one scenario round
 /// is "every alive node has completed one more local tick", and victim
 /// selection for random-failure events draws from a seeded RNG owned
@@ -330,8 +262,11 @@ impl<C> LiveSubstrate<C> {
     }
 }
 
-impl<P: Clone, C: LiveCluster<P>> Substrate<P> for LiveSubstrate<C> {
-    fn kill_region(&mut self, predicate: &(dyn Fn(&P) -> bool + Send + Sync)) -> Vec<NodeId> {
+impl<S: MetricSpace, T: Transport<S::Point>> Substrate<S::Point> for LiveSubstrate<Cluster<S, T>> {
+    fn kill_region(
+        &mut self,
+        predicate: &(dyn Fn(&S::Point) -> bool + Send + Sync),
+    ) -> Vec<NodeId> {
         self.cluster.kill_region(predicate)
     }
 
@@ -352,14 +287,14 @@ impl<P: Clone, C: LiveCluster<P>> Substrate<P> for LiveSubstrate<C> {
             .collect()
     }
 
-    fn inject(&mut self, positions: &[P]) -> Vec<NodeId> {
+    fn inject(&mut self, positions: &[S::Point]) -> Vec<NodeId> {
         positions
             .iter()
             .map(|p| self.cluster.inject(p.clone()))
             .collect()
     }
 
-    fn offer_traffic(&mut self, keys: &[P], ttl: u32) {
+    fn offer_traffic(&mut self, keys: &[S::Point], ttl: u32) {
         self.cluster.offer_traffic(keys, ttl);
     }
 
@@ -578,7 +513,7 @@ pub fn build_substrate(
             Box::new(NetSim::new(space, shape, n))
         }
         SubstrateKind::Cluster => Box::new(LiveSubstrate::new(
-            Cluster::spawn(space, shape, cfg.runtime()),
+            Cluster::<Torus2>::spawn(space, shape, cfg.runtime()),
             cfg.seed,
             cfg.round_timeout,
         )),

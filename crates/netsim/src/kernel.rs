@@ -464,10 +464,11 @@ impl<S: MetricSpace> NetSim<S> {
         self.traffic_batch = batch;
     }
 
-    /// The pre-batching per-wire offer path: one [`Wire::Query`]
-    /// delivery event per key. Kept as a paired baseline for the
-    /// batched-vs-unbatched equivalence test and the `fig_traffic_scale`
-    /// wall-clock comparison.
+    /// The per-wire offer path: one [`Wire::Query`] delivery event per
+    /// key. Nothing drives load through it; it stays only as the
+    /// reference the batched path must match outcome for outcome
+    /// (`batched_offers_match_the_unbatched_outcome_set` in the lab's
+    /// `substrates` tests).
     pub fn offer_traffic_unbatched(&mut self, keys: &[S::Point], ttl: u32) {
         if self.nodes.alive_count() == 0 {
             return;
@@ -635,7 +636,7 @@ impl<S: MetricSpace> NetSim<S> {
     // ------------------------------------------------------------------
 
     /// Runs one protocol round: every alive node's activation — its full
-    /// local phase pipeline, [`ProtocolNode::on_round`] — is scheduled at
+    /// local phase pipeline, [`ProtocolNode::on_round_into`] — is scheduled at
     /// a random offset within the round's tick span, then the event queue
     /// processes activations and message deliveries interleaved in
     /// `(time, seq)` order up to the round boundary, where the position

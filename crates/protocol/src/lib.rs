@@ -38,14 +38,14 @@
 //!
 //! A driver feeds the node and executes its effects:
 //!
-//! * the **cycle engine** calls [`node::ProtocolNode::on_phase`] for every
+//! * the **cycle engine** calls [`node::ProtocolNode::on_phase_into`] for every
 //!   node phase-by-phase (PeerSim semantics: one global activation order
 //!   per phase) and applies effects synchronously — a [`wire::Effect::Send`]
 //!   is delivered to the destination node's
-//!   [`node::ProtocolNode::on_event`] in the same instant, which keeps
+//!   [`node::ProtocolNode::on_event_into`] in the same instant, which keeps
 //!   pairwise exchanges atomic and histories bit-identical to the
 //!   pre-extraction engine;
-//! * the **threaded runtime** calls [`node::ProtocolNode::on_tick`] on a
+//! * the **threaded runtime** calls [`node::ProtocolNode::on_tick_into`] on a
 //!   wall-clock timer and maps each effect onto a mailbox message; replies
 //!   arrive later (or never) as [`wire::Event::Message`]s.
 //!
@@ -75,8 +75,9 @@
 //!     contacts.clone(),
 //!     contacts,
 //! );
-//! let effects = node.on_tick(&mut rng);
-//! assert!(effects.iter().any(|e| matches!(e, Effect::Probe { .. })));
+//! let mut sink = EffectSink::new();
+//! node.on_tick_into(&mut rng, &mut sink);
+//! assert!(sink.drain().any(|e| matches!(e, Effect::Probe { .. })));
 //! ```
 
 #![forbid(unsafe_code)]

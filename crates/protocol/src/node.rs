@@ -10,17 +10,17 @@
 //!
 //! Two driving styles are supported by the same code paths:
 //!
-//! * **phase-wise** ([`ProtocolNode::on_phase`]): a cycle-driven engine
+//! * **phase-wise** ([`ProtocolNode::on_phase_into`]): a cycle-driven engine
 //!   activates every node once per phase in a global order, applying
 //!   effects synchronously — the PeerSim model of the paper's evaluation.
 //!   Entropy is drawn from the driver's RNG in exactly the order the
 //!   pre-extraction engine drew it, so seeded histories are bit-identical
 //!   (under an RNG-free projection such as the default medoid);
-//! * **tick-wise** ([`ProtocolNode::on_tick`]): an asynchronous runtime
+//! * **tick-wise** ([`ProtocolNode::on_tick_into`]): an asynchronous runtime
 //!   runs all phases back-to-back on a local timer, with the node's
 //!   built-in heartbeat detector supplying failure verdicts and a
 //!   post-recovery re-projection compensating for migrations that may
-//!   stall (see [`ProtocolNode::on_tick`]).
+//!   stall (see [`ProtocolNode::on_tick_into`]).
 
 use crate::config::ProtocolConfig;
 use crate::wire::{Channel, Effect, EffectSink, Event, QueryItem, QueryReplyItem, Wire};
@@ -34,7 +34,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// One step of the per-tick protocol pipeline (paper Fig. 4).
 ///
-/// [`ProtocolNode::on_tick`] runs them in [`Phase::ALL`] order; a cycle
+/// [`ProtocolNode::on_tick_into`] runs them in [`Phase::ALL`] order; a cycle
 /// driver runs each phase across the whole population before moving to
 /// the next, which is exactly PeerSim's cycle-driven semantics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -124,7 +124,7 @@ pub struct ProtocolNode<S: MetricSpace> {
     pub poly: PolyState<S::Point>,
     /// Heartbeat bookkeeping: last local tick we heard from a peer.
     last_seen: BTreeMap<NodeId, u64>,
-    /// Local protocol clock, advanced by [`ProtocolNode::on_tick`] only —
+    /// Local protocol clock, advanced by [`ProtocolNode::on_tick_into`] only —
     /// a cycle driver resolves every exchange within one activation, so
     /// it never needs the clock.
     clock: u64,
@@ -236,13 +236,13 @@ impl<S: MetricSpace> ProtocolNode<S> {
 
     /// Advances the node's local protocol clock by one unit without
     /// running any phase — for drivers (and tests) that pass time
-    /// explicitly between individual [`ProtocolNode::on_phase`] calls,
+    /// explicitly between individual [`ProtocolNode::on_phase_into`] calls,
     /// so the tick-denominated timeouts (the in-flight migration lock,
     /// the parked-handout re-adoption) make progress.
     ///
-    /// Do **not** combine with [`ProtocolNode::on_tick`] or
-    /// [`ProtocolNode::on_round`]: both advance the clock themselves (the
-    /// discrete-event network simulator drives nodes through `on_round`
+    /// Do **not** combine with [`ProtocolNode::on_tick_into`] or
+    /// [`ProtocolNode::on_round_into`]: both advance the clock themselves (the
+    /// discrete-event network simulator drives nodes through `on_round_into`
     /// alone), and adding this on top would halve every timeout.
     pub fn advance_clock(&mut self) {
         self.clock += 1;
@@ -377,15 +377,10 @@ impl<S: MetricSpace> ProtocolNode<S> {
     /// reactivated ghosts re-projects the position immediately: the
     /// topology layer must not keep advertising coordinates unrelated to
     /// the newly adopted guests.
-    pub fn on_tick<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Vec<Effect<S::Point>> {
-        let mut sink = EffectSink::new();
-        self.on_tick_into(rng, &mut sink);
-        sink.into_effects()
-    }
-
-    /// Sink-based twin of [`ProtocolNode::on_tick`]: pushes the round's
-    /// effects into a caller-supplied (and typically reused) buffer
-    /// instead of allocating a fresh `Vec` per activation.
+    ///
+    /// Like every entry point, it pushes its effects into a
+    /// caller-supplied (and typically reused) sink instead of allocating
+    /// a `Vec` per activation.
     pub fn on_tick_into<R: Rng + ?Sized>(&mut self, rng: &mut R, sink: &mut EffectSink<S::Point>) {
         self.clock += 1;
         let suspects = self.suspects();
@@ -395,22 +390,11 @@ impl<S: MetricSpace> ProtocolNode<S> {
 
     /// One full local protocol round with failure verdicts supplied by
     /// the driver — the asynchronous *phase-external* twin of
-    /// [`ProtocolNode::on_tick`], for drivers that own the failure
+    /// [`ProtocolNode::on_tick_into`], for drivers that own the failure
     /// knowledge themselves (the discrete-event network simulator feeds
     /// its crash-detection events here) but still deliver effects
     /// asynchronously, so the clock must advance and recoveries must
     /// re-project immediately.
-    pub fn on_round<R: Rng + ?Sized>(
-        &mut self,
-        fd: &dyn Fn(NodeId) -> bool,
-        rng: &mut R,
-    ) -> Vec<Effect<S::Point>> {
-        let mut sink = EffectSink::new();
-        self.on_round_into(fd, rng, &mut sink);
-        sink.into_effects()
-    }
-
-    /// Sink-based twin of [`ProtocolNode::on_round`].
     pub fn on_round_into<R: Rng + ?Sized>(
         &mut self,
         fd: &dyn Fn(NodeId) -> bool,
@@ -421,7 +405,7 @@ impl<S: MetricSpace> ProtocolNode<S> {
         self.run_local_round(fd, rng, sink);
     }
 
-    /// Shared body of [`ProtocolNode::on_tick`] / [`ProtocolNode::on_round`]:
+    /// Shared body of [`ProtocolNode::on_tick_into`] / [`ProtocolNode::on_round_into`]:
     /// every phase in order, with the asynchronous-driver recovery rule
     /// (re-project right away — a migration that would otherwise fix the
     /// position may stall for rounds).
@@ -444,21 +428,10 @@ impl<S: MetricSpace> ProtocolNode<S> {
 
     /// One protocol phase, with failure verdicts supplied by the driver —
     /// the cycle-driven entry point (the engine passes its simulated
-    /// detector; [`ProtocolNode::on_tick`] passes the heartbeat one).
-    pub fn on_phase<R: Rng + ?Sized>(
-        &mut self,
-        phase: Phase,
-        fd: &dyn Fn(NodeId) -> bool,
-        rng: &mut R,
-    ) -> Vec<Effect<S::Point>> {
-        let mut sink = EffectSink::new();
-        self.on_phase_into(phase, fd, rng, &mut sink);
-        sink.into_effects()
-    }
-
-    /// Sink-based twin of [`ProtocolNode::on_phase`] — the cycle engine's
-    /// hot entry point: one sink serves the whole population, so the
-    /// steady state of a phase sweep performs no effect allocation at all.
+    /// detector; [`ProtocolNode::on_tick_into`] passes the heartbeat one).
+    /// The cycle engine's hot path: one sink serves the whole
+    /// population, so the steady state of a phase sweep performs no
+    /// effect allocation at all.
     pub fn on_phase_into<R: Rng + ?Sized>(
         &mut self,
         phase: Phase,
@@ -478,18 +451,7 @@ impl<S: MetricSpace> ProtocolNode<S> {
         }
     }
 
-    /// Handles one driver event and returns the follow-up effects.
-    pub fn on_event<R: Rng + ?Sized>(
-        &mut self,
-        event: Event<S::Point>,
-        rng: &mut R,
-    ) -> Vec<Effect<S::Point>> {
-        let mut sink = EffectSink::new();
-        self.on_event_into(event, rng, &mut sink);
-        sink.into_effects()
-    }
-
-    /// Sink-based twin of [`ProtocolNode::on_event`].
+    /// Handles one driver event, pushing the follow-up effects.
     pub fn on_event_into<R: Rng + ?Sized>(
         &mut self,
         event: Event<S::Point>,
@@ -512,7 +474,7 @@ impl<S: MetricSpace> ProtocolNode<S> {
 
     /// Recovery pass (Algorithm 2): reactivate ghosts of failed holders.
     /// RNG-free and purely local, which is why cycle drivers may fan it
-    /// out across cores; [`ProtocolNode::on_phase`] routes
+    /// out across cores; [`ProtocolNode::on_phase_into`] routes
     /// [`Phase::Recovery`] here.
     pub fn recover_ghosts(&mut self, fd: &dyn Fn(NodeId) -> bool) -> RecoveryOutcome {
         recover(&mut self.poly, fd)
@@ -1134,6 +1096,13 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The effects one sink entry point pushes, collected for assertions.
+    fn collect(run: impl FnOnce(&mut EffectSink<[f64; 2]>)) -> Vec<Effect<[f64; 2]>> {
+        let mut sink = EffectSink::new();
+        run(&mut sink);
+        sink.drain().collect()
+    }
+
     fn desc(id: u64, x: f64, y: f64) -> Descriptor<[f64; 2]> {
         Descriptor::new(NodeId::new(id), [x, y])
     }
@@ -1186,7 +1155,11 @@ mod tests {
                     } else {
                         Event::PeerUnreachable { peer, channel }
                     };
-                    queue.extend(me.on_event(event, rng).into_iter().map(|e| (from_a, e)));
+                    queue.extend(
+                        collect(|sink| me.on_event_into(event, rng, sink))
+                            .into_iter()
+                            .map(|e| (from_a, e)),
+                    );
                 }
                 Effect::Send { to, wire } => {
                     if to == other.id() {
@@ -1194,7 +1167,11 @@ mod tests {
                             from: me.id(),
                             wire,
                         };
-                        queue.extend(other.on_event(event, rng).into_iter().map(|e| (!from_a, e)));
+                        queue.extend(
+                            collect(|sink| other.on_event_into(event, rng, sink))
+                                .into_iter()
+                                .map(|e| (!from_a, e)),
+                        );
                     }
                     // Sends to anyone else are lost in this two-node world.
                 }
@@ -1208,9 +1185,9 @@ mod tests {
         let mut a = founder(0, 0.0, vec![desc(1, 1.0, 0.0)]);
         let mut b = founder(1, 1.0, vec![desc(0, 0.0, 0.0)]);
         for _ in 0..6 {
-            let ea = a.on_tick(&mut rng);
+            let ea = collect(|sink| a.on_tick_into(&mut rng, sink));
             loopback(&mut a, &mut b, ea, &mut rng);
-            let eb = b.on_tick(&mut rng);
+            let eb = collect(|sink| b.on_tick_into(&mut rng, sink));
             loopback(&mut b, &mut a, eb, &mut rng);
         }
         // Both learned each other on the topology layer…
@@ -1227,21 +1204,23 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut a = founder(0, 0.0, vec![desc(9, 2.0, 0.0)]);
         assert!(a.rps.view().contains(NodeId::new(9)));
-        a.on_event(
+        a.on_event_into(
             Event::PeerUnreachable {
                 peer: NodeId::new(9),
                 channel: Channel::PeerSampling,
             },
             &mut rng,
+            &mut EffectSink::new(),
         );
         assert!(!a.rps.view().contains(NodeId::new(9)));
         assert!(a.tman.view_entries().iter().any(|d| d.id == NodeId::new(9)));
-        a.on_event(
+        a.on_event_into(
             Event::PeerUnreachable {
                 peer: NodeId::new(9),
                 channel: Channel::Topology,
             },
             &mut rng,
+            &mut EffectSink::new(),
         );
         assert!(a.tman.view_entries().is_empty());
     }
@@ -1251,14 +1230,17 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut b = founder(1, 1.0, vec![desc(0, 0.0, 0.0)]);
         // Put b mid-exchange with node 7.
-        let opened = b.on_event(
-            Event::ProbeOk {
-                peer: NodeId::new(7),
-                channel: Channel::Migration,
-                pos: None,
-            },
-            &mut rng,
-        );
+        let opened = collect(|sink| {
+            b.on_event_into(
+                Event::ProbeOk {
+                    peer: NodeId::new(7),
+                    channel: Channel::Migration,
+                    pos: None,
+                },
+                &mut rng,
+                sink,
+            )
+        });
         assert!(matches!(
             opened.as_slice(),
             [Effect::Send {
@@ -1268,17 +1250,20 @@ mod tests {
         ));
         assert_eq!(b.pending_migration(), Some(NodeId::new(7)));
         let incoming = vec![DataPoint::new(PointId::new(40), [0.5, 0.0])];
-        let effects = b.on_event(
-            Event::Message {
-                from: NodeId::new(0),
-                wire: Wire::MigrationRequest {
-                    xid: 7,
-                    from_pos: [0.0, 0.0],
-                    guests: incoming.clone(),
+        let effects = collect(|sink| {
+            b.on_event_into(
+                Event::Message {
+                    from: NodeId::new(0),
+                    wire: Wire::MigrationRequest {
+                        xid: 7,
+                        from_pos: [0.0, 0.0],
+                        guests: incoming.clone(),
+                    },
                 },
-            },
-            &mut rng,
-        );
+                &mut rng,
+                sink,
+            )
+        });
         match effects.as_slice() {
             [Effect::Send {
                 to,
@@ -1300,17 +1285,20 @@ mod tests {
         let mut b = founder(1, 10.0, vec![desc(0, 0.0, 0.0)]);
         b.poly
             .absorb_guests(vec![DataPoint::new(PointId::new(30), [9.0, 0.0])]);
-        let effects = b.on_event(
-            Event::Message {
-                from: NodeId::new(0),
-                wire: Wire::MigrationRequest {
-                    xid: 7,
-                    from_pos: [0.0, 0.0],
-                    guests: vec![DataPoint::new(PointId::new(20), [1.0, 0.0])],
+        let effects = collect(|sink| {
+            b.on_event_into(
+                Event::Message {
+                    from: NodeId::new(0),
+                    wire: Wire::MigrationRequest {
+                        xid: 7,
+                        from_pos: [0.0, 0.0],
+                        guests: vec![DataPoint::new(PointId::new(20), [1.0, 0.0])],
+                    },
                 },
-            },
-            &mut rng,
-        );
+                &mut rng,
+                sink,
+            )
+        });
         match effects.as_slice() {
             [Effect::Send {
                 wire:
@@ -1339,17 +1327,20 @@ mod tests {
         let mut b = founder(1, 10.0, vec![desc(0, 0.0, 0.0)]);
         b.poly
             .absorb_guests(vec![DataPoint::new(PointId::new(30), [0.3, 0.0])]);
-        let effects = b.on_event(
-            Event::Message {
-                from: NodeId::new(0),
-                wire: Wire::MigrationRequest {
-                    xid: 7,
-                    from_pos: [0.0, 0.0],
-                    guests: vec![DataPoint::new(PointId::new(20), [1.0, 0.0])],
+        let effects = collect(|sink| {
+            b.on_event_into(
+                Event::Message {
+                    from: NodeId::new(0),
+                    wire: Wire::MigrationRequest {
+                        xid: 7,
+                        from_pos: [0.0, 0.0],
+                        guests: vec![DataPoint::new(PointId::new(20), [1.0, 0.0])],
+                    },
                 },
-            },
-            rng,
-        );
+                rng,
+                sink,
+            )
+        });
         match effects.as_slice() {
             [Effect::Send {
                 wire: Wire::MigrationReply { points, busy, .. },
@@ -1381,25 +1372,29 @@ mod tests {
         // A stale ack — from an exchange generation the initiator already
         // timed out — must NOT release this handout: its reply may still
         // be dropped, and the parking is the only safety copy.
-        let _ = b.on_event(
+        b.on_event_into(
             Event::Message {
                 from: NodeId::new(0),
                 wire: Wire::MigrationAck { xid: 6 },
             },
             &mut rng,
+            &mut EffectSink::new(),
         );
         assert_eq!(
             b.parked_points(),
             1,
             "a stale-generation ack must not clear a newer handout"
         );
-        let follow_up = b.on_event(
-            Event::Message {
-                from: NodeId::new(0),
-                wire: Wire::MigrationAck { xid: 7 },
-            },
-            &mut rng,
-        );
+        let follow_up = collect(|sink| {
+            b.on_event_into(
+                Event::Message {
+                    from: NodeId::new(0),
+                    wire: Wire::MigrationAck { xid: 7 },
+                },
+                &mut rng,
+                sink,
+            )
+        });
         assert!(follow_up.is_empty());
         assert_eq!(b.parked_points(), 0, "ack must clear the handout");
     }
@@ -1409,44 +1404,54 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(12);
         let mut a = founder(0, 0.0, vec![desc(1, 1.0, 0.0)]);
         // Exchange 1 with node 1, which times out…
-        let _ = a.on_event(
+        a.on_event_into(
             Event::ProbeOk {
                 peer: NodeId::new(1),
                 channel: Channel::Migration,
                 pos: None,
             },
             &mut rng,
+            &mut EffectSink::new(),
         );
         for _ in 0..=a.config().migration_timeout_ticks {
             a.advance_clock();
         }
-        let _ = a.on_phase(Phase::Migration, &|id| id != NodeId::new(1), &mut rng);
+        a.on_phase_into(
+            Phase::Migration,
+            &|id| id != NodeId::new(1),
+            &mut rng,
+            &mut EffectSink::new(),
+        );
         // …then exchange 2 with the same partner.
-        let _ = a.on_event(
+        a.on_event_into(
             Event::ProbeOk {
                 peer: NodeId::new(1),
                 channel: Channel::Migration,
                 pos: None,
             },
             &mut rng,
+            &mut EffectSink::new(),
         );
         assert_eq!(a.pending_migration(), Some(NodeId::new(1)));
         // The slow reply to exchange 1 finally lands: it must be absorbed
         // via the late path and acked with ITS generation — exchange 2
         // stays pending, so its real reply can still resolve it.
-        let effects = a.on_event(
-            Event::Message {
-                from: NodeId::new(1),
-                wire: Wire::MigrationReply {
-                    xid: 1,
-                    points: vec![DataPoint::new(PointId::new(77), [0.5, 0.0])],
-                    busy: false,
-                    pulled: 1,
-                    pushed: 0,
+        let effects = collect(|sink| {
+            a.on_event_into(
+                Event::Message {
+                    from: NodeId::new(1),
+                    wire: Wire::MigrationReply {
+                        xid: 1,
+                        points: vec![DataPoint::new(PointId::new(77), [0.5, 0.0])],
+                        busy: false,
+                        pulled: 1,
+                        pushed: 0,
+                    },
                 },
-            },
-            &mut rng,
-        );
+                &mut rng,
+                sink,
+            )
+        });
         match effects.as_slice() {
             [Effect::Send {
                 wire: Wire::MigrationAck { xid },
@@ -1472,7 +1477,12 @@ mod tests {
         for _ in 0..=b.config().migration_timeout_ticks {
             b.advance_clock();
         }
-        let _ = b.on_phase(Phase::Migration, &|_| false, &mut rng);
+        b.on_phase_into(
+            Phase::Migration,
+            &|_| false,
+            &mut rng,
+            &mut EffectSink::new(),
+        );
         assert_eq!(b.parked_points(), 0);
         assert!(
             b.poly.guests.iter().any(|g| g.id == PointId::new(30)),
@@ -1485,12 +1495,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let mut b = responder_with_contribution(&mut rng);
         assert_eq!(b.parked_points(), 1);
-        let _ = b.on_event(
+        b.on_event_into(
             Event::PeerUnreachable {
                 peer: NodeId::new(0),
                 channel: Channel::Migration,
             },
             &mut rng,
+            &mut EffectSink::new(),
         );
         assert_eq!(b.parked_points(), 0);
         assert!(
@@ -1503,7 +1514,7 @@ mod tests {
     fn heartbeat_silence_raises_suspicion_and_recovery_reactivates() {
         let mut rng = StdRng::seed_from_u64(7);
         let mut a = founder(0, 0.0, vec![desc(1, 1.0, 0.0)]);
-        a.on_event(
+        a.on_event_into(
             Event::Message {
                 from: NodeId::new(5),
                 wire: Wire::BackupPush {
@@ -1513,11 +1524,12 @@ mod tests {
                 },
             },
             &mut rng,
+            &mut EffectSink::new(),
         );
         assert!(a.suspects().is_empty());
         // While the ghosts are held, 5 is monitored: the first tick
         // heartbeats it back.
-        let effects = a.on_tick(&mut rng);
+        let effects = collect(|sink| a.on_tick_into(&mut rng, sink));
         assert!(effects.iter().any(|e| matches!(
             e,
             Effect::Send { to, wire: Wire::Heartbeat } if *to == NodeId::new(5)
@@ -1525,7 +1537,7 @@ mod tests {
         // Silence past the heartbeat timeout: suspicion arises and the
         // same tick's recovery phase reactivates the ghosts.
         for _ in 0..=a.config().heartbeat_timeout_ticks {
-            let _ = a.on_tick(&mut rng);
+            a.on_tick_into(&mut rng, &mut EffectSink::new());
         }
         assert!(a.suspects().contains(&NodeId::new(5)));
         assert!(a.poly.ghosts.is_empty());
@@ -1542,19 +1554,22 @@ mod tests {
         rng: &mut StdRng,
     ) -> Vec<Effect<[f64; 2]>> {
         let origin = node.id();
-        node.on_event(
-            Event::Message {
-                from: origin,
-                wire: Wire::Query {
-                    qid,
-                    origin,
-                    key,
-                    ttl,
-                    hops: 0,
+        collect(|sink| {
+            node.on_event_into(
+                Event::Message {
+                    from: origin,
+                    wire: Wire::Query {
+                        qid,
+                        origin,
+                        key,
+                        ttl,
+                        hops: 0,
+                    },
                 },
-            },
-            rng,
-        )
+                rng,
+                sink,
+            )
+        })
     }
 
     #[test]
@@ -1594,7 +1609,7 @@ mod tests {
         }
         assert_eq!(a.pending_query_count(), 1);
         // The remote terminus answers; the gateway records the completion.
-        let _ = a.on_event(
+        a.on_event_into(
             Event::Message {
                 from: NodeId::new(2),
                 wire: Wire::QueryReply {
@@ -1604,6 +1619,7 @@ mod tests {
                 },
             },
             &mut rng,
+            &mut EffectSink::new(),
         );
         let mut samples = Vec::new();
         let (offered, delivered, dropped) = a.take_traffic(&mut samples);
@@ -1616,19 +1632,22 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(23);
         let mut b = founder(1, 1.0, vec![desc(5, 9.0, 0.0)]);
         // b is the closest to the key among what it can see: terminal.
-        let effects = b.on_event(
-            Event::Message {
-                from: NodeId::new(0),
-                wire: Wire::Query {
-                    qid: 4,
-                    origin: NodeId::new(0),
-                    key: [1.2, 0.0],
-                    ttl: 8,
-                    hops: 3,
+        let effects = collect(|sink| {
+            b.on_event_into(
+                Event::Message {
+                    from: NodeId::new(0),
+                    wire: Wire::Query {
+                        qid: 4,
+                        origin: NodeId::new(0),
+                        key: [1.2, 0.0],
+                        ttl: 8,
+                        hops: 3,
+                    },
                 },
-            },
-            &mut rng,
-        );
+                &mut rng,
+                sink,
+            )
+        });
         match effects.as_slice() {
             [Effect::Send {
                 to,
@@ -1650,19 +1669,22 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(24);
         let mut b = founder(1, 1.0, vec![desc(2, 3.0, 0.0)]);
         // Node 2 is strictly closer to the key, but the budget is spent.
-        let effects = b.on_event(
-            Event::Message {
-                from: NodeId::new(0),
-                wire: Wire::Query {
-                    qid: 5,
-                    origin: NodeId::new(0),
-                    key: [3.0, 0.0],
-                    ttl: 2,
-                    hops: 2,
+        let effects = collect(|sink| {
+            b.on_event_into(
+                Event::Message {
+                    from: NodeId::new(0),
+                    wire: Wire::Query {
+                        qid: 5,
+                        origin: NodeId::new(0),
+                        key: [3.0, 0.0],
+                        ttl: 2,
+                        hops: 2,
+                    },
                 },
-            },
-            &mut rng,
-        );
+                &mut rng,
+                sink,
+            )
+        });
         assert!(
             matches!(
                 effects.as_slice(),
@@ -1714,7 +1736,8 @@ mod tests {
             vec![desc(0, 0.0, 0.0)],
             vec![desc(0, 0.0, 0.0)],
         );
-        let effects = joiner.on_phase(Phase::Migration, &|_| false, &mut rng);
+        let effects =
+            collect(|sink| joiner.on_phase_into(Phase::Migration, &|_| false, &mut rng, sink));
         assert!(
             matches!(
                 effects.as_slice(),

@@ -238,7 +238,7 @@ impl<P> Wire<P> {
     }
 }
 
-/// Everything a driver can feed into [`crate::node::ProtocolNode::on_event`].
+/// Everything a driver can feed into [`crate::node::ProtocolNode::on_event_into`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum Event<P> {
     /// A wire message arrived from `from`.
@@ -499,16 +499,12 @@ impl<P> Default for BufPool<P> {
 
 /// A reusable buffer the phase pipeline pushes [`Effect`]s into.
 ///
-/// The `on_tick`/`on_phase`/`on_event` family used to return a freshly
-/// allocated `Vec<Effect>` per call — two to six allocations per node per
-/// round, which dominates the cycle engine's hot loop past ~50k nodes. A
-/// batch driver now owns **one** sink, clears it between activations, and
-/// passes it to the `*_into` twins; the effect and id scratch capacities
-/// warm up over the first round and are reused for the rest of the run.
-///
-/// The legacy `Vec`-returning entry points still exist as thin wrappers
-/// (they build a throwaway sink), so occasional-use drivers — the
-/// threaded runtime, the TCP cluster — compile unchanged.
+/// Returning a freshly allocated `Vec<Effect>` per call would cost two to
+/// six allocations per node per round, which dominates the cycle engine's
+/// hot loop past ~50k nodes. A driver owns **one** sink, clears it between
+/// activations, and passes it to the `on_*_into` entry points; the effect
+/// and id scratch capacities warm up over the first round and are reused
+/// for the rest of the run.
 #[derive(Debug)]
 pub struct EffectSink<P> {
     effects: Vec<Effect<P>>,
@@ -570,12 +566,6 @@ impl<P> EffectSink<P> {
     /// Removes and yields the queued effects, keeping capacity.
     pub fn drain(&mut self) -> std::vec::Drain<'_, Effect<P>> {
         self.effects.drain(..)
-    }
-
-    /// Consumes the sink into the queued effects (the compat wrappers'
-    /// return value).
-    pub fn into_effects(self) -> Vec<Effect<P>> {
-        self.effects
     }
 
     /// Borrows the id scratch out of the sink (empty, capacity warm).

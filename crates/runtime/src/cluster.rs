@@ -1,14 +1,16 @@
-//! Cluster harness: spawns node threads, injects crashes and fresh
-//! joiners, observes global health, and shuts everything down.
+//! The live cluster harness: spawns node threads over a [`Transport`],
+//! injects crashes and fresh joiners, offers traffic, observes global
+//! health, and shuts everything down.
 
 use crate::config::RuntimeConfig;
-use crate::fabric::RegistryFabric;
+use crate::fabric::Transport;
 use crate::harness::{contacts_from_board, contacts_from_shape};
 use crate::message::Message;
 use crate::node::NodeRuntime;
 use crate::observe::{observe, ObservationBoard};
 use crate::registry::Registry;
 use crate::traffic::GatewayTraffic;
+use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 use polystyrene::prelude::{DataPoint, PointId};
 use polystyrene_membership::{Descriptor, NodeId};
@@ -23,52 +25,56 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// A running Polystyrene deployment: one thread per node.
+/// What the harness keeps per alive node.
+struct Node<P> {
+    mailbox: Sender<Message<P>>,
+    /// Admission gauge shared with the node thread: queries accepted
+    /// into the mailbox but not yet handled. The offer path sheds
+    /// against it instead of flooding a slow node.
+    ingress: Arc<AtomicUsize>,
+    /// The node thread plus the transport's service threads.
+    threads: Vec<JoinHandle<()>>,
+}
+
+/// A running Polystyrene deployment: one thread per node, exchanging
+/// messages over the transport `T` (in-process mailboxes by default;
+/// `polystyrene-transport` supplies loopback TCP).
 ///
 /// See the crate-level docs for an end-to-end example.
-pub struct Cluster<S: MetricSpace> {
+pub struct Cluster<S: MetricSpace, T: Transport<S::Point> = Registry<<S as MetricSpace>::Point>> {
     space: S,
     config: RuntimeConfig,
-    registry: Arc<Registry<S::Point>>,
+    transport: Arc<T>,
     board: Arc<ObservationBoard<S::Point>>,
     original_points: Vec<DataPoint<S::Point>>,
-    handles: Mutex<HashMap<NodeId, JoinHandle<()>>>,
+    /// The alive nodes: the harness's authority on who is alive.
+    nodes: Mutex<HashMap<NodeId, Node<S::Point>>>,
+    /// Threads of killed nodes, joined at shutdown. A kill is crash-stop:
+    /// it must not wait for the dying threads (a node mid-write to
+    /// another dead peer can take a full io timeout to notice), or
+    /// killing a region would stall the harness while the survivors'
+    /// clocks keep running.
+    graveyard: Mutex<Vec<JoinHandle<()>>>,
     next_id: Mutex<u64>,
     rng: Mutex<StdRng>,
     /// Traffic-plane offer state: the dedicated gateway-draw stream,
     /// the qid counter, the cumulative shed count and the batching
-    /// scratch, shared with the TCP deployment via [`GatewayTraffic`].
+    /// scratch.
     traffic: Mutex<GatewayTraffic>,
-    /// Per-gateway admission gauges (queries accepted into a mailbox
-    /// but not yet handled by its node thread); the offer path sheds
-    /// against these instead of flooding a slow node.
-    ingress: Mutex<HashMap<NodeId, Arc<AtomicUsize>>>,
 }
 
-impl<S: MetricSpace> Cluster<S> {
+impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
     /// Spawns one node per position of `shape`, each founding the data
     /// point at its position.
     ///
     /// # Panics
     ///
-    /// Panics if `shape` is empty or the configuration is invalid.
-    pub fn spawn(space: S, shape: Vec<S::Point>, config: RuntimeConfig) -> Self {
+    /// Panics if `shape` is empty, the configuration is invalid, or the
+    /// transport cannot allocate a node's endpoint.
+    pub fn spawn(space: S, shape: Vec<S::Point>, config: T::Config) -> Self {
         assert!(!shape.is_empty(), "cannot spawn an empty cluster");
-        config.validate();
-        let registry: Arc<Registry<S::Point>> = Registry::new();
-        if config.link.loss > 0.0 {
-            // Same fault model as the discrete-event simulator, driving
-            // the registry's transit-loss hook. Loss is the only link
-            // parameter the runtime honors, so the hook — a per-send
-            // lock — is installed only when it can actually drop
-            // something; a lossless profile (even with latency set)
-            // keeps the hot path lock-free.
-            registry.install_network(Box::new(polystyrene_protocol::FaultyNetwork::new(
-                config.link,
-                config.seed ^ 0x6c6f_7373, // "loss": decouple from node rngs
-            )));
-        }
-        let board: Arc<ObservationBoard<S::Point>> = ObservationBoard::new();
+        let transport = Arc::new(T::open(config));
+        let config = T::runtime(&config);
         let original_points: Vec<DataPoint<S::Point>> = shape
             .iter()
             .enumerate()
@@ -77,14 +83,14 @@ impl<S: MetricSpace> Cluster<S> {
         let cluster = Self {
             space,
             config,
-            registry,
-            board,
+            transport,
+            board: ObservationBoard::new(),
             original_points: original_points.clone(),
-            handles: Mutex::new(HashMap::new()),
+            nodes: Mutex::new(HashMap::new()),
+            graveyard: Mutex::new(Vec::new()),
             next_id: Mutex::new(shape.len() as u64),
             rng: Mutex::new(StdRng::seed_from_u64(config.seed)),
             traffic: Mutex::new(GatewayTraffic::new(config.seed)),
-            ingress: Mutex::new(HashMap::new()),
         };
         for (i, pos) in shape.iter().enumerate() {
             let contacts = {
@@ -109,9 +115,10 @@ impl<S: MetricSpace> Cluster<S> {
         contacts: Vec<Descriptor<S::Point>>,
     ) {
         let (tx, rx) = crossbeam::channel::unbounded();
-        self.registry.register(id, tx);
+        // Attached before the node runs: a peer that learns of this node
+        // can reach it from the first tick.
+        let (fabric, mut threads) = self.transport.attach(id, tx.clone());
         let ingress = Arc::new(AtomicUsize::new(0));
-        self.ingress.lock().insert(id, Arc::clone(&ingress));
         let node = NodeRuntime::new(
             id,
             self.space.clone(),
@@ -119,16 +126,25 @@ impl<S: MetricSpace> Cluster<S> {
             origin,
             position,
             contacts,
-            Box::new(RegistryFabric::new(id, Arc::clone(&self.registry))),
+            fabric,
             Arc::clone(&self.board),
             rx,
-            ingress,
+            Arc::clone(&ingress),
         );
-        let handle = std::thread::Builder::new()
-            .name(format!("poly-{id}"))
-            .spawn(move || node.run())
-            .expect("failed to spawn node thread");
-        self.handles.lock().insert(id, handle);
+        threads.push(
+            std::thread::Builder::new()
+                .name(format!("poly-{id}"))
+                .spawn(move || node.run())
+                .expect("failed to spawn node thread"),
+        );
+        self.nodes.lock().insert(
+            id,
+            Node {
+                mailbox: tx,
+                ingress,
+                threads,
+            },
+        );
     }
 
     /// The original data points (the target shape).
@@ -136,46 +152,52 @@ impl<S: MetricSpace> Cluster<S> {
         &self.original_points
     }
 
-    /// Ids currently registered (alive).
+    /// Ids currently alive.
     pub fn alive_ids(&self) -> Vec<NodeId> {
-        self.registry.ids()
+        self.nodes.lock().keys().copied().collect()
     }
 
-    /// Protocol messages lost in transit by the injected link faults
+    /// Whether `id` is currently alive.
+    pub fn is_alive(&self, id: NodeId) -> bool {
+        self.nodes.lock().contains_key(&id)
+    }
+
+    /// Protocol messages lost in transit to the injected link faults
     /// (zero on an ideal link).
     pub fn injected_drops(&self) -> u64 {
-        self.registry.injected_drops()
+        self.transport.injected_drops()
     }
 
-    /// Hard-crashes a node: deregisters it (its mailbox contents are
-    /// lost to peers) and stops its thread. No goodbye messages — peers
-    /// must notice via heartbeat timeouts. Returns whether the node was
+    /// Frames the transport has written to the wire so far (zero on the
+    /// in-process transport, which moves values).
+    pub fn sent_frames(&self) -> u64 {
+        self.transport.sent_frames()
+    }
+
+    /// Hard-crashes a node: detaches it from the transport (its mailbox
+    /// backlog is lost to peers) and signals its threads to stop
+    /// *without waiting for them*, so killing half a torus costs
+    /// milliseconds while the survivors' clocks run. No goodbye
+    /// messages: peers notice through failed sends and heartbeat
+    /// timeouts. The dying threads (which exit within one mailbox poll)
+    /// are joined by [`Cluster::shutdown`]. Returns whether the node was
     /// alive.
     pub fn kill(&self, id: NodeId) -> bool {
-        let handle = self.handles.lock().remove(&id);
-        match handle {
-            Some(handle) => {
-                // Deregister first so no further protocol messages reach it,
-                // then stop the thread.
-                self.registry.send(id, Message::Shutdown);
-                self.registry.deregister(id);
-                self.ingress.lock().remove(&id);
-                let _ = handle.join();
-                self.board.remove(id);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Whether `id` is currently alive (registered).
-    pub fn is_alive(&self, id: NodeId) -> bool {
-        self.registry.contains(id)
+        let Some(node) = self.nodes.lock().remove(&id) else {
+            return false;
+        };
+        // Detach first: probes and delivery reports turn negative before
+        // the thread even sees the signal.
+        self.transport.detach(id);
+        let _ = node.mailbox.send(Message::Shutdown);
+        self.graveyard.lock().extend(node.threads);
+        self.board.remove(id);
+        true
     }
 
     /// Crashes every founding node whose original data point satisfies
-    /// `predicate` — the paper's correlated regional failure, with
-    /// victim selection shared with every other substrate through
+    /// `predicate`: the paper's correlated regional failure, with victim
+    /// selection shared with every other substrate through
     /// [`select_region_victims`]. Returns the crashed ids.
     pub fn kill_region(&self, predicate: impl Fn(&S::Point) -> bool + Send + Sync) -> Vec<NodeId> {
         let victims =
@@ -215,28 +237,26 @@ impl<S: MetricSpace> Cluster<S> {
     /// Offers one application query per key, each issued through a
     /// uniformly random alive gateway node. Keys that draw the same
     /// gateway share one self-addressed
-    /// [`polystyrene_protocol::Wire::QueryBatch`] envelope in its
-    /// mailbox; admission is bounded per gateway
+    /// [`polystyrene_protocol::Wire::QueryBatch`] envelope, put straight
+    /// into the gateway's mailbox: issuing a query at a node crosses no
+    /// link, so the transport (and its loss model) sees only the
+    /// forwarding hops. Admission is bounded per gateway
     /// ([`crate::GATEWAY_INGRESS_BOUND`]), and batches refused at a full
-    /// gateway are *shed* — counted in the observation plane's
+    /// gateway are *shed*: counted in the observation plane's
     /// `traffic.shed`, separate from queries that expired in flight.
     pub fn offer_traffic(&self, keys: &[S::Point], ttl: u32) {
-        let alive = self.alive_ids();
-        let mut traffic = self.traffic.lock();
-        let ingress = self.ingress.lock();
-        traffic.offer(
+        let nodes = self.nodes.lock();
+        let alive: Vec<NodeId> = nodes.keys().copied().collect();
+        self.traffic.lock().offer(
             keys,
             ttl,
             &alive,
-            |id| ingress.get(&id).cloned(),
+            |id| nodes.get(&id).map(|n| Arc::clone(&n.ingress)),
             |gateway, wire| {
-                self.registry.send(
-                    gateway,
-                    Message::Protocol {
-                        from: gateway,
-                        wire,
-                    },
-                );
+                let _ = nodes[&gateway].mailbox.send(Message::Protocol {
+                    from: gateway,
+                    wire,
+                });
             },
         );
     }
@@ -252,10 +272,11 @@ impl<S: MetricSpace> Cluster<S> {
         let deadline = std::time::Instant::now() + max_wait;
         loop {
             let obs = self.observe();
-            // Every *registered* node must have published and progressed —
+            // Every *alive* node must have published and progressed:
             // counting only publishers would return before slow starters
             // ever appear on the board.
-            if obs.alive_nodes >= self.registry.len() && obs.alive_nodes > 0 && obs.ticks >= ticks {
+            let alive = self.nodes.lock().len();
+            if obs.alive_nodes >= alive && obs.alive_nodes > 0 && obs.ticks >= ticks {
                 return;
             }
             if std::time::Instant::now() > deadline {
@@ -266,260 +287,45 @@ impl<S: MetricSpace> Cluster<S> {
     }
 
     /// Measures cluster health from the observation plane, reported as
-    /// the unified [`RoundObservation`] record. The traffic counters are
-    /// cumulative (node threads publish running totals), including the
-    /// offer-side shed count stamped here.
+    /// the unified [`RoundObservation`] record. Reports are filtered to
+    /// the alive nodes: kills do not wait for the dying threads, and a
+    /// node may publish one last report after its crash, which must not
+    /// count. The traffic counters are cumulative (node threads publish
+    /// running totals), including the offer-side shed count stamped
+    /// here.
     pub fn observe(&self) -> RoundObservation {
+        let mut snapshot = self.board.snapshot();
+        {
+            let nodes = self.nodes.lock();
+            snapshot.retain(|id, _| nodes.contains_key(id));
+        }
         let mut obs = observe(
             &self.space,
             &self.original_points,
-            &self.board.snapshot(),
+            &snapshot,
             self.config.area,
         );
         obs.traffic.shed = self.traffic.lock().shed();
         obs
     }
 
-    /// Orderly shutdown: stops every node thread and joins it.
+    /// Orderly shutdown: stops every node and joins its threads,
+    /// including those of previously killed nodes. Threads a transport
+    /// did not hand over at attach (per-connection readers) wind down on
+    /// their own once their node is detached.
     pub fn shutdown(&self) {
-        let ids: Vec<NodeId> = self.handles.lock().keys().copied().collect();
-        for id in ids {
-            self.registry.send(id, Message::Shutdown);
-            self.registry.deregister(id);
+        for id in self.alive_ids() {
+            self.kill(id);
         }
-        let handles: Vec<(NodeId, JoinHandle<()>)> = self.handles.lock().drain().collect();
-        for (_, handle) in handles {
+        let handles: Vec<JoinHandle<()>> = self.graveyard.lock().drain(..).collect();
+        for handle in handles {
             let _ = handle.join();
         }
     }
 }
 
-impl<S: MetricSpace> Drop for Cluster<S> {
+impl<S: MetricSpace, T: Transport<S::Point>> Drop for Cluster<S, T> {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use polystyrene_space::prelude::*;
-    use polystyrene_space::shapes;
-
-    fn fast_config() -> RuntimeConfig {
-        let mut c = RuntimeConfig::default();
-        c.tick = Duration::from_millis(2);
-        c.poly = polystyrene::prelude::PolystyreneConfig::builder()
-            .replication(3)
-            .build();
-        c
-    }
-
-    fn spawn_grid(cols: usize, rows: usize) -> Cluster<Torus2> {
-        Cluster::spawn(
-            Torus2::new(cols as f64, rows as f64),
-            shapes::torus_grid(cols, rows, 1.0),
-            fast_config(),
-        )
-    }
-
-    #[test]
-    fn cluster_spawns_and_reports() {
-        let cluster = spawn_grid(6, 4);
-        cluster.await_ticks(5, Duration::from_secs(5));
-        let obs = cluster.observe();
-        assert_eq!(obs.alive_nodes, 24);
-        // Migrations may have points in flight at snapshot time; replicas
-        // keep them alive, so survival stays (near) perfect.
-        assert!(
-            obs.surviving_points >= 0.95,
-            "points vanished: {}",
-            obs.surviving_points
-        );
-        assert!(obs.ticks >= 5);
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn replication_reaches_one_plus_k() {
-        let cluster = spawn_grid(6, 4);
-        cluster.await_ticks(10, Duration::from_secs(5));
-        let obs = cluster.observe();
-        // Every node hosts its own point plus K=3 replicas of others.
-        assert!(
-            obs.points_per_node > 3.0,
-            "replication never took hold: {} points/node",
-            obs.points_per_node
-        );
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn kill_is_crash_stop() {
-        let cluster = spawn_grid(4, 4);
-        cluster.await_ticks(3, Duration::from_secs(5));
-        assert!(cluster.kill(NodeId::new(0)));
-        assert!(!cluster.kill(NodeId::new(0)), "second kill must be a no-op");
-        let obs = cluster.observe();
-        assert_eq!(obs.alive_nodes, 15);
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn catastrophic_failure_recovers_points() {
-        let cluster = spawn_grid(8, 4);
-        // Let replication converge first.
-        cluster.await_ticks(12, Duration::from_secs(10));
-        let killed = cluster.kill_region(shapes::in_right_half(8.0));
-        assert_eq!(killed.len(), 16);
-        // Wait for heartbeat timeouts + recovery + migration. Polled with
-        // a generous deadline rather than one fixed sleep: on a loaded CI
-        // box (the whole workspace tests in parallel) thread scheduling
-        // can stretch the detection/recovery pipeline severalfold.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let mut obs = cluster.observe();
-        while std::time::Instant::now() < deadline {
-            cluster.run_for(Duration::from_millis(100));
-            obs = cluster.observe();
-            if obs.surviving_points > 0.75 && obs.homogeneity < 2.0 {
-                break;
-            }
-        }
-        assert_eq!(obs.alive_nodes, 16);
-        // K=3 over a 50% failure ⇒ ~94% of points expected to survive;
-        // leave slack for heartbeat-detection races.
-        assert!(
-            obs.surviving_points > 0.75,
-            "too many points lost: {}",
-            obs.surviving_points
-        );
-        // And the survivors spread back over the shape.
-        assert!(
-            obs.homogeneity < 2.0,
-            "shape not recovered: homogeneity {}",
-            obs.homogeneity
-        );
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn injection_spawns_empty_joiners() {
-        let cluster = spawn_grid(4, 4);
-        cluster.await_ticks(5, Duration::from_secs(5));
-        let id = cluster.inject([0.5, 0.5]);
-        assert!(id.as_u64() >= 16);
-        cluster.run_for(Duration::from_millis(200));
-        let obs = cluster.observe();
-        assert_eq!(obs.alive_nodes, 17);
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn lossy_cluster_still_replicates_and_counts_drops() {
-        let mut config = fast_config();
-        config.link = polystyrene_protocol::LinkProfile {
-            latency: 0,
-            jitter: 0,
-            loss: 0.10,
-        };
-        let cluster = Cluster::spawn(Torus2::new(6.0, 4.0), shapes::torus_grid(6, 4, 1.0), config);
-        cluster.await_ticks(12, Duration::from_secs(10));
-        let obs = cluster.observe();
-        assert_eq!(obs.alive_nodes, 24);
-        assert!(
-            cluster.injected_drops() > 0,
-            "a 10% lossy fabric that dropped nothing is not lossy"
-        );
-        // The protocol absorbs the loss: replication still takes hold and
-        // no point is destroyed (loss can only duplicate, never destroy).
-        assert!(
-            obs.points_per_node > 2.5,
-            "replication never took hold under loss: {} points/node",
-            obs.points_per_node
-        );
-        assert!(
-            obs.surviving_points >= 0.95,
-            "points vanished under transit loss: {}",
-            obs.surviving_points
-        );
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn traffic_queries_resolve_on_the_live_cluster() {
-        let cluster = spawn_grid(6, 4);
-        cluster.await_ticks(10, Duration::from_secs(5));
-        let keys: Vec<[f64; 2]> = (0..6).map(|i| [i as f64 + 0.5, 1.5]).collect();
-        for _ in 0..10 {
-            cluster.offer_traffic(&keys, 32);
-            cluster.run_for(Duration::from_millis(10));
-        }
-        // Every offered query eventually resolves or expires; poll with a
-        // deadline rather than a fixed sleep (loaded CI boxes stretch the
-        // pipeline).
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let mut obs = cluster.observe();
-        while std::time::Instant::now() < deadline {
-            obs = cluster.observe();
-            if obs.traffic.offered >= 60
-                && obs.traffic.delivered + obs.traffic.dropped >= obs.traffic.offered
-            {
-                break;
-            }
-            cluster.run_for(Duration::from_millis(20));
-        }
-        assert!(
-            obs.traffic.offered >= 60,
-            "gateways must register offered queries: {:?}",
-            obs.traffic
-        );
-        assert!(
-            obs.traffic.availability() > 0.8,
-            "a healthy cluster must serve most queries: {:?}",
-            obs.traffic
-        );
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn oversized_offer_is_shed_at_the_gateway() {
-        use crate::traffic::GATEWAY_INGRESS_BOUND;
-        // One node ⇒ one gateway: a single offer larger than the ingress
-        // bound must be refused whole, deterministically (the gauge
-        // cannot admit it no matter how fast the node drains).
-        let cluster = spawn_grid(1, 1);
-        cluster.await_ticks(2, Duration::from_secs(5));
-        let oversized = GATEWAY_INGRESS_BOUND + 44;
-        let keys = vec![[0.5, 0.5]; oversized];
-        cluster.offer_traffic(&keys, 8);
-        assert_eq!(cluster.shed_queries(), oversized as u64);
-        let obs = cluster.observe();
-        assert_eq!(obs.traffic.shed, oversized as u64);
-        // A batch that fits is admitted and eventually registers.
-        cluster.offer_traffic(&keys[..8], 8);
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let mut obs = cluster.observe();
-        while std::time::Instant::now() < deadline && obs.traffic.offered < 8 {
-            cluster.run_for(Duration::from_millis(10));
-            obs = cluster.observe();
-        }
-        assert!(
-            obs.traffic.offered >= 8,
-            "an in-bound batch must be admitted: {:?}",
-            obs.traffic
-        );
-        assert_eq!(
-            obs.traffic.shed, oversized as u64,
-            "admission must not shed"
-        );
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn shutdown_is_idempotent_and_drop_safe() {
-        let cluster = spawn_grid(3, 3);
-        cluster.shutdown();
-        cluster.shutdown();
-        drop(cluster); // Drop impl must not panic on an empty cluster
     }
 }

@@ -1,20 +1,117 @@
-//! The node-side transport abstraction: how one node's thread reaches
-//! the rest of the deployment.
+//! The transport seam: what carries a cluster's messages.
 //!
-//! [`crate::node::NodeRuntime`] is a mailbox-and-timer driver around the
-//! sans-IO `ProtocolNode`; everything transport-specific — how a wire
-//! message actually travels, and how the address book answers a
-//! reachability probe — sits behind [`NodeFabric`]. The in-process
-//! deployment implements it with the shared [`Registry`]
-//! ([`RegistryFabric`]); the TCP substrate (`polystyrene-transport`)
-//! implements it with framed sockets and a per-peer connection cache.
-//! The node loop is byte-for-byte the same over both.
+//! Two traits split it. [`Transport`] is the cluster-level half: the
+//! deployment-wide state (an address book, counters, a loss model)
+//! opened once from its configuration, to which [`crate::Cluster`]
+//! attaches each node's mailbox. [`NodeFabric`] is the node-level half
+//! an attach hands back: how one node's thread sends a wire message and
+//! answers a reachability probe. The shared [`Registry`] implements the
+//! pair over in-process mailboxes ([`RegistryFabric`]);
+//! `polystyrene-transport` implements it over framed loopback sockets.
+//! The harness and the node loop are the same code over both.
+//!
+//! [`TransitLoss`] is the one piece of send-boundary behaviour every
+//! transport shares: the `link.loss` draw.
 
+use crate::config::RuntimeConfig;
 use crate::message::Message;
 use crate::registry::Registry;
+use crossbeam::channel::Sender;
+use parking_lot::Mutex;
 use polystyrene_membership::NodeId;
-use polystyrene_protocol::Wire;
+use polystyrene_protocol::{Channel, Fate, FaultyNetwork, NetworkModel, Wire};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+
+/// A deployment's message fabric, as [`crate::Cluster`] sees it.
+pub trait Transport<P>: Send + Sync + Sized + 'static {
+    /// Deployment parameters: the node-loop [`RuntimeConfig`] plus
+    /// whatever the transport itself needs.
+    type Config: Copy;
+
+    /// The node-loop slice of `config`.
+    fn runtime(config: &Self::Config) -> RuntimeConfig;
+
+    /// Opens an empty fabric.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` is invalid.
+    fn open(config: Self::Config) -> Self;
+
+    /// Makes node `id` reachable: whatever arrives for it is delivered
+    /// to `mailbox`. Returns the node's sending half and the service
+    /// threads started on its behalf, which [`Transport::detach`] tells
+    /// to stop and the cluster joins at shutdown.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the transport cannot allocate the node's endpoint.
+    fn attach(
+        self: &Arc<Self>,
+        id: NodeId,
+        mailbox: Sender<Message<P>>,
+    ) -> (Box<dyn NodeFabric<P>>, Vec<JoinHandle<()>>);
+
+    /// Makes `id` unreachable, crash-stop: sends to it fail observably
+    /// from now on and its service threads wind down.
+    fn detach(&self, id: NodeId);
+
+    /// Protocol messages lost in transit to the injected link faults.
+    fn injected_drops(&self) -> u64;
+
+    /// Frames written to the wire so far; zero on a transport that moves
+    /// values, not bytes.
+    fn sent_frames(&self) -> u64;
+}
+
+/// The send-boundary loss draw: `link.loss` of the shared
+/// [`FaultyNetwork`] model, the only link parameter a wall-clock
+/// transport honors (latency would need timers, and nothing installs a
+/// partition mask on a live cluster). Installed only when it can drop
+/// something, so a lossless deployment takes no lock per send.
+#[derive(Default)]
+pub struct TransitLoss {
+    /// One entropy stream, many sending threads: serialized.
+    model: Option<Mutex<FaultyNetwork>>,
+    lost: AtomicU64,
+}
+
+/// Decouples the loss stream from the node rngs, which derive from the
+/// same base seed ("loss" in ASCII).
+const LOSS_SEED_TAG: u64 = 0x6c6f_7373;
+
+impl TransitLoss {
+    /// The loss model `config.link` asks for.
+    pub fn new(config: &RuntimeConfig) -> Self {
+        let model = FaultyNetwork::new(config.link, config.seed ^ LOSS_SEED_TAG);
+        Self {
+            model: (config.link.loss > 0.0).then(|| Mutex::new(model)),
+            lost: AtomicU64::new(0),
+        }
+    }
+
+    /// Draws the fate of one protocol message; `true` means it vanishes
+    /// in transit (and is counted). The sender must still report what
+    /// the real send would have: loss is silent, only a dead peer is
+    /// observable.
+    pub fn loses(&self, from: NodeId, to: NodeId, channel: Channel) -> bool {
+        let lost = self
+            .model
+            .as_ref()
+            .is_some_and(|m| matches!(m.lock().route(from, to, channel, 0), Fate::Drop));
+        if lost {
+            self.lost.fetch_add(1, Ordering::Relaxed);
+        }
+        lost
+    }
+
+    /// Messages lost so far.
+    pub fn lost(&self) -> u64 {
+        self.lost.load(Ordering::Relaxed)
+    }
+}
 
 /// One node's view of the deployment's message fabric.
 ///

@@ -1,16 +1,10 @@
-//! Spawn-time bootstrap sampling shared by every live deployment.
+//! Spawn-time bootstrap sampling: what a founding node or a fresh
+//! joiner of a [`crate::Cluster`] initially *knows*.
 //!
-//! Whatever carries a cluster's messages — in-process channels or real
-//! sockets — what a founding node or a fresh joiner initially *knows*
-//! must not depend on the transport. The contact-sampling helpers here
-//! are that shared knowledge path; the in-process
-//! [`crate::Cluster`] and the TCP deployment (`polystyrene-transport`)
-//! both route spawn and inject bootstrapping through them.
-//!
-//! The substrate seam itself — kill, inject, step, observe — lives in
-//! the experiment plane (`polystyrene-lab`'s `Substrate` trait), which
-//! both deployments plug into; this module is only the spawn-time slice
-//! they additionally share.
+//! Founders draw contacts from the target shape, joiners from the alive
+//! population through the one sampling path every substrate shares
+//! ([`sample_bootstrap_contacts`]), so what "inject" bootstraps (and how
+//! much entropy it consumes) cannot drift from the simulators.
 
 use crate::observe::NodeReport;
 use polystyrene_membership::{Descriptor, NodeId};
@@ -20,8 +14,8 @@ use rand::RngExt;
 use std::collections::HashMap;
 
 /// Draws up to `count` distinct bootstrap contacts for founding node
-/// `own` from the target shape: the contact set every deployment seeds
-/// its nodes' gossip layers with at spawn.
+/// `own` from the target shape: the contact set the cluster seeds its
+/// nodes' gossip layers with at spawn.
 pub fn contacts_from_shape<P: Clone>(
     shape: &[P],
     own: usize,

@@ -5,7 +5,7 @@
 //! migration, heartbeat bookkeeping — lives in `polystyrene-protocol`
 //! and is byte-for-byte the same state machine the cycle simulator
 //! drives. This thread only does IO: it feeds incoming mailbox messages
-//! to [`ProtocolNode::on_event`], fires [`ProtocolNode::on_tick`] on a
+//! to [`ProtocolNode::on_event_into`], fires [`ProtocolNode::on_tick_into`] on a
 //! wall-clock timer, and executes the returned effects over its
 //! [`NodeFabric`] — probes answered from the fabric's address book,
 //! sends mapped to transport deliveries (in-process mailboxes or framed

@@ -1,56 +1,49 @@
 //! Shared address book: node id → mailbox sender.
 //!
-//! Plays the role of the network fabric. Senders are cloned out of the
-//! registry per message; sending to a crashed node (receiver dropped or
-//! deregistered) silently loses the message, like a TCP connection reset
-//! under crash-stop.
+//! The in-process [`Transport`]. Senders are cloned out of the registry
+//! per message; sending to a crashed node (receiver dropped or
+//! deregistered) loses the message and reports it, like a TCP connection
+//! reset under crash-stop.
 //!
-//! An optional [`NetworkModel`] can be installed to inject *transit*
-//! loss on top of the crash-stop semantics: a dropped message vanishes
-//! silently (the sender still sees success — loss in flight is not
-//! observable, unlike a dead mailbox), so live-cluster scenarios can
-//! exercise lossy links through the same model the discrete-event
-//! simulator uses. The runtime honors the loss probability only:
-//! latency would need timers the in-process fabric does not have (a
-//! model's delay is ignored), and no runtime code path installs a
-//! partition mask — scripted [`ScenarioEvent::Partition`] windows are
-//! the discrete-event simulator's domain and are a documented no-op on
-//! a cluster.
+//! With `link.loss` set, [`TransitLoss`] injects *transit* loss on top
+//! of the crash-stop semantics: a dropped message vanishes silently (the
+//! sender still sees success, since loss in flight is not observable,
+//! unlike a dead mailbox), so live-cluster scenarios exercise lossy
+//! links through the same model the discrete-event simulator uses.
+//! Scripted [`ScenarioEvent::Partition`] windows are the simulator's
+//! domain and a documented no-op on a cluster.
 //!
 //! [`ScenarioEvent::Partition`]: polystyrene_protocol::ScenarioEvent::Partition
 
+use crate::config::RuntimeConfig;
+use crate::fabric::{NodeFabric, RegistryFabric, TransitLoss, Transport};
 use crate::message::Message;
 use crossbeam::channel::Sender;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use polystyrene_membership::NodeId;
-use polystyrene_protocol::{Fate, NetworkModel};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
-/// Thread-safe address book shared by every node of a [`crate::Cluster`].
+/// Thread-safe address book shared by every node of an in-process
+/// [`crate::Cluster`].
 pub struct Registry<P> {
     inner: RwLock<HashMap<NodeId, Sender<Message<P>>>>,
-    /// Transit-fault injection, if any. Serialized behind a mutex: the
-    /// model's entropy stream must not interleave racily even though
-    /// sends come from every node thread.
-    network: Mutex<Option<Box<dyn NetworkModel>>>,
-    /// Messages the installed model has dropped in transit.
-    injected_drops: AtomicU64,
+    loss: TransitLoss,
 }
 
 impl<P> Default for Registry<P> {
     fn default() -> Self {
         Self {
             inner: RwLock::new(HashMap::new()),
-            network: Mutex::new(None),
-            injected_drops: AtomicU64::new(0),
+            loss: TransitLoss::default(),
         }
     }
 }
 
 impl<P> Registry<P> {
-    /// An empty registry behind an `Arc`, ready to share across threads.
+    /// An empty, lossless registry behind an `Arc`, ready to share
+    /// across threads.
     pub fn new() -> Arc<Self> {
         Arc::new(Self::default())
     }
@@ -66,52 +59,18 @@ impl<P> Registry<P> {
         self.inner.write().remove(&id);
     }
 
-    /// Installs a network model; every subsequent protocol message is
-    /// routed through it (control messages — shutdown — are exempt: the
-    /// harness must always be able to stop a node).
-    pub fn install_network(&self, model: Box<dyn NetworkModel>) {
-        *self.network.lock() = Some(model);
-    }
-
-    /// Protocol messages the installed network model dropped in transit.
-    pub fn injected_drops(&self) -> u64 {
-        self.injected_drops.load(Ordering::Relaxed)
-    }
-
     /// Sends `message` to `to`; returns `false` if the destination is
     /// unknown or its mailbox is gone (message lost, crash-stop style).
     ///
-    /// The crash-stop contract is unchanged by an installed
-    /// [`NetworkModel`]: a model-injected drop returns `true` when the
-    /// destination exists — transit loss is invisible to the sender,
-    /// only a dead mailbox is observable — so delivery-failure feedback
-    /// (and the purging built on it) stays exactly as accurate as on a
-    /// lossless fabric.
+    /// Protocol messages pass the [`TransitLoss`] draw first (control
+    /// messages are exempt). The crash-stop contract is unchanged by it:
+    /// an injected drop reports exactly what the real send would have,
+    /// so delivery-failure feedback (and the view purging built on it)
+    /// does not depend on whether the loss draw fired.
     pub fn send(&self, to: NodeId, message: Message<P>) -> bool {
         if let Message::Protocol { from, wire } = &message {
-            let dropped = {
-                let mut network = self.network.lock();
-                match network.as_mut() {
-                    Some(model) => {
-                        matches!(model.route(*from, to, wire.channel(), 0), Fate::Drop)
-                    }
-                    None => false,
-                }
-            };
-            if dropped {
-                self.injected_drops.fetch_add(1, Ordering::Relaxed);
-                // Report exactly what the real send path would have: a
-                // registered node whose mailbox receiver is gone (crashed
-                // without deregistering) is observably dead on both
-                // paths. `contains_key` alone answered `true` for such a
-                // node here and `false` below — the crash-stop feedback
-                // (and the view purging built on it) must not depend on
-                // whether the loss draw fired.
-                return self
-                    .inner
-                    .read()
-                    .get(&to)
-                    .is_some_and(|s| !s.is_disconnected());
+            if self.loss.loses(*from, to, wire.channel()) {
+                return self.contains(to);
             }
         }
         let sender = self.inner.read().get(&to).cloned();
@@ -121,31 +80,55 @@ impl<P> Registry<P> {
         }
     }
 
-    /// Whether `id` currently has a registered, *live* mailbox — the
-    /// runtime's answer to a protocol reachability probe. A node whose
-    /// receiver is gone (crashed without deregistering) is dead to the
-    /// send paths, so probes must agree — crash-stop observability
-    /// cannot depend on which path asks.
+    /// Whether `id` currently has a registered, *live* mailbox: the
+    /// answer to a protocol reachability probe. A node whose receiver is
+    /// gone (crashed without deregistering) is dead to the send path, so
+    /// probes and the injected-drop report must agree with it.
     pub fn contains(&self, id: NodeId) -> bool {
         self.inner
             .read()
             .get(&id)
             .is_some_and(|s| !s.is_disconnected())
     }
+}
 
-    /// Number of registered nodes.
-    pub fn len(&self) -> usize {
-        self.inner.read().len()
+impl<P: Clone + Send + Sync + 'static> Transport<P> for Registry<P> {
+    type Config = RuntimeConfig;
+
+    fn runtime(config: &RuntimeConfig) -> RuntimeConfig {
+        *config
     }
 
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.read().is_empty()
+    fn open(config: RuntimeConfig) -> Self {
+        config.validate();
+        Self {
+            loss: TransitLoss::new(&config),
+            ..Self::default()
+        }
     }
 
-    /// Snapshot of the registered ids.
-    pub fn ids(&self) -> Vec<NodeId> {
-        self.inner.read().keys().copied().collect()
+    fn attach(
+        self: &Arc<Self>,
+        id: NodeId,
+        mailbox: Sender<Message<P>>,
+    ) -> (Box<dyn NodeFabric<P>>, Vec<JoinHandle<()>>) {
+        self.register(id, mailbox);
+        (
+            Box::new(RegistryFabric::new(id, Arc::clone(self))),
+            Vec::new(),
+        )
+    }
+
+    fn detach(&self, id: NodeId) {
+        self.deregister(id);
+    }
+
+    fn injected_drops(&self) -> u64 {
+        self.loss.lost()
+    }
+
+    fn sent_frames(&self) -> u64 {
+        0
     }
 }
 
@@ -159,14 +142,13 @@ mod tests {
         let registry: Arc<Registry<f64>> = Registry::new();
         let (tx, rx) = unbounded();
         registry.register(NodeId::new(1), tx);
-        assert_eq!(registry.len(), 1);
         assert!(registry.contains(NodeId::new(1)));
         assert!(!registry.contains(NodeId::new(2)));
         assert!(registry.send(NodeId::new(1), Message::Shutdown));
         assert!(matches!(rx.recv().unwrap(), Message::Shutdown));
         registry.deregister(NodeId::new(1));
         assert!(!registry.send(NodeId::new(1), Message::Shutdown));
-        assert!(registry.is_empty());
+        assert!(!registry.contains(NodeId::new(1)));
     }
 
     #[test]
@@ -184,50 +166,34 @@ mod tests {
         assert!(!registry.send(NodeId::new(1), Message::Shutdown));
     }
 
-    #[test]
-    fn ids_snapshot() {
-        let registry: Arc<Registry<f64>> = Registry::new();
-        let (tx, _rx) = unbounded();
-        registry.register(NodeId::new(7), tx);
-        assert_eq!(registry.ids(), vec![NodeId::new(7)]);
+    /// A registry whose link drops every protocol message in transit.
+    fn all_loss() -> Registry<f64> {
+        let mut config = RuntimeConfig::default();
+        config.link.loss = 1.0;
+        Registry::open(config)
+    }
+
+    fn heartbeat() -> Message<f64> {
+        Message::Protocol {
+            from: NodeId::new(0),
+            wire: polystyrene_protocol::Wire::Heartbeat,
+        }
     }
 
     #[test]
     fn injected_loss_is_silent_but_counted() {
-        use polystyrene_protocol::{FaultyNetwork, LinkProfile, Wire};
-        let registry: Arc<Registry<f64>> = Registry::new();
+        let registry = all_loss();
         let (tx, rx) = unbounded();
         registry.register(NodeId::new(1), tx);
-        registry.install_network(Box::new(FaultyNetwork::new(
-            LinkProfile {
-                latency: 0,
-                jitter: 0,
-                loss: 1.0, // everything vanishes in transit
-            },
-            0,
-        )));
-        let delivered = registry.send(
-            NodeId::new(1),
-            Message::Protocol {
-                from: NodeId::new(0),
-                wire: Wire::Heartbeat,
-            },
-        );
         assert!(
-            delivered,
+            registry.send(NodeId::new(1), heartbeat()),
             "transit loss must be invisible to the sender (the mailbox exists)"
         );
         assert_eq!(registry.injected_drops(), 1);
         assert!(rx.try_recv().is_err(), "the message must not arrive");
         // Crash-stop reporting stays exact: a dead mailbox is observable
         // even while the model is dropping everything.
-        assert!(!registry.send(
-            NodeId::new(9),
-            Message::Protocol {
-                from: NodeId::new(0),
-                wire: Wire::Heartbeat,
-            },
-        ));
+        assert!(!registry.send(NodeId::new(9), heartbeat()));
         // Control messages bypass the model entirely.
         assert!(registry.send(NodeId::new(1), Message::Shutdown));
         assert!(matches!(rx.recv().unwrap(), Message::Shutdown));
@@ -235,37 +201,20 @@ mod tests {
 
     #[test]
     fn crash_stop_reporting_is_consistent_under_injected_loss() {
-        use polystyrene_protocol::{FaultyNetwork, LinkProfile, Wire};
-        let registry: Arc<Registry<f64>> = Registry::new();
-        let (tx, rx) = unbounded();
-        registry.register(NodeId::new(1), tx);
-        drop(rx); // crashed without deregistering: still in the book
-        let protocol = || Message::Protocol {
-            from: NodeId::new(0),
-            wire: Wire::Heartbeat,
-        };
-        // Real send path: the dead mailbox is observable.
-        assert!(!registry.send(NodeId::new(1), protocol()));
-        // Reachability probes agree: registered-but-dead is dead.
-        assert!(
-            !registry.contains(NodeId::new(1)),
-            "a probe must not report a crashed node reachable while sends report it dead"
-        );
-        // Injected-drop path must report the same verdict, not
-        // `contains_key` (which would say `true` and suppress the
-        // PeerUnreachable feedback the failure detector relies on).
-        registry.install_network(Box::new(FaultyNetwork::new(
-            LinkProfile {
-                latency: 0,
-                jitter: 0,
-                loss: 1.0,
-            },
-            0,
-        )));
-        assert!(
-            !registry.send(NodeId::new(1), protocol()),
-            "a crashed-but-registered node must be reported dead on the drop path too"
-        );
-        assert_eq!(registry.injected_drops(), 1);
+        for (registry, drops) in [(Registry::default(), 0), (all_loss(), 1)] {
+            let (tx, rx) = unbounded();
+            registry.register(NodeId::new(1), tx);
+            drop(rx); // crashed without deregistering: still in the book
+                      // The real send path and the injected-drop path give the same
+                      // verdict (not `contains_key`, which would say `true` on the
+                      // drop path and suppress the PeerUnreachable feedback the
+                      // failure detector relies on), and probes agree with both.
+            assert!(!registry.send(NodeId::new(1), heartbeat()));
+            assert!(
+                !registry.contains(NodeId::new(1)),
+                "a probe must not report a crashed node reachable while sends report it dead"
+            );
+            assert_eq!(registry.injected_drops(), drops);
+        }
     }
 }

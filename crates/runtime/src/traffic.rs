@@ -1,11 +1,11 @@
-//! The live clusters' shared traffic-plane gateway: batched query
-//! injection with bounded-ingress backpressure.
+//! The live cluster's traffic-plane gateway: batched query injection
+//! with bounded-ingress backpressure.
 //!
-//! Both wall-clock deployments (the in-process [`crate::Cluster`] and
-//! the TCP one) inject application queries the same way: draw a
-//! uniformly random alive gateway per key, group the keys that drew the
-//! same gateway into one self-addressed [`Wire::QueryBatch`], and admit
-//! the batch only if the gateway's ingress gauge has room. The gauge
+//! [`crate::Cluster::offer_traffic`] injects application queries by
+//! drawing a uniformly random alive gateway per key, grouping the keys
+//! that drew the same gateway into one self-addressed
+//! [`Wire::QueryBatch`], and admitting the batch only if the gateway's
+//! ingress gauge has room. The gauge
 //! counts queries accepted into the gateway's mailbox but not yet
 //! handled by its node thread — the node decrements it when the
 //! injection is drained — so a gateway that falls behind pushes back at

@@ -40,9 +40,9 @@
 
 use crate::cost::{CostModel, RoundCost};
 use crate::metrics::{reference_homogeneity, RoundMetrics};
-use crate::pool::NodePool;
 use polystyrene::prelude::*;
 use polystyrene_membership::{Descriptor, FailureTable, NodeId};
+use polystyrene_protocol::pool::NodePool;
 use polystyrene_protocol::{
     Channel, Effect, EffectSink, Event, Phase, ProtocolConfig, ProtocolNode, QueryItem, Wire,
 };
@@ -480,11 +480,12 @@ impl<S: MetricSpace> Engine<S> {
         self.traffic_batch = batch;
     }
 
-    /// The pre-batching per-wire offer path: one [`Wire::Query`] event
-    /// per key, dispatched to completion individually. Kept as a paired
-    /// baseline — the batched path must deliver the identical outcome
-    /// set (pinned by a lab test) and beat this on wall-clock (measured
-    /// by `fig_traffic_scale`).
+    /// The per-wire offer path: one [`Wire::Query`] event per key,
+    /// dispatched to completion individually. Nothing drives load
+    /// through it; it stays only as the reference the batched path must
+    /// match outcome for outcome
+    /// (`batched_offers_match_the_unbatched_outcome_set` in the lab's
+    /// `substrates` tests).
     pub fn offer_traffic_unbatched(&mut self, keys: &[S::Point], ttl: u32) {
         if self.pool.alive_count() == 0 {
             return;

@@ -60,7 +60,6 @@
 pub mod cost;
 pub mod engine;
 pub mod metrics;
-pub mod pool;
 pub mod report;
 pub mod snapshot;
 

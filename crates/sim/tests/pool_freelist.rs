@@ -16,8 +16,8 @@
 
 use polystyrene::prelude::{DataPoint, PointId, PolyState};
 use polystyrene_membership::NodeId;
+use polystyrene_protocol::pool::NodePool;
 use polystyrene_protocol::{ProtocolConfig, ProtocolNode};
-use polystyrene_sim::pool::NodePool;
 use polystyrene_space::prelude::Torus2;
 use proptest::collection::vec;
 use proptest::prelude::*;

@@ -1,45 +1,41 @@
-//! The TCP deployment: the unchanged `ProtocolNode` stack as
-//! socket-connected processes-in-miniature on localhost.
+//! The TCP transport: the cluster's messages as framed codec bytes over
+//! loopback sockets.
 //!
 //! Every node owns a real `TcpListener`; every protocol message is one
 //! length-framed codec payload ([`crate::framing`]) on a cached per-peer
-//! `TcpStream`. The node loop is `polystyrene-runtime`'s [`NodeRuntime`]
-//! verbatim — only its [`NodeFabric`] differs, so any behavioral gap
-//! between the in-process cluster and this one is a *wire* bug by
-//! construction, which is exactly what this substrate exists to surface.
+//! `TcpStream`. The harness and the node loop are `polystyrene-runtime`'s
+//! `Cluster` and `NodeRuntime` verbatim; only this [`Transport`] differs,
+//! so any behavioral gap between the in-process cluster and this one is
+//! a *wire* bug by construction, which is exactly what this substrate
+//! exists to surface.
 //!
 //! Failure semantics are crash-stop, carried by the sockets themselves:
-//! killing a node closes its listener and tears down its connections, so
-//! a peer's next send hits a reset or a refused reconnect, reports
+//! detaching a node closes its listener and tears down its connections,
+//! so a peer's next send hits a reset or a refused reconnect, reports
 //! delivery failure, and feeds the same `Event::PeerUnreachable` purge
-//! path every other substrate uses. An installed
-//! [`NetworkModel`] is honored at the send boundary (loss only, like the
-//! in-process registry), so `--net-loss` experiments run over real
-//! sockets too.
+//! path every other substrate uses. `link.loss` is honored at the send
+//! boundary through the shared [`TransitLoss`] draw, so `--net-loss`
+//! experiments run over real sockets too.
 
 use crate::framing::{read_frame_into, write_frame_into, FrameStatus, MID_FRAME_DEADLINE};
 use crossbeam::channel::Sender;
-use parking_lot::{Mutex, RwLock};
-use polystyrene::prelude::{DataPoint, PointId};
-use polystyrene_membership::{Descriptor, NodeId};
+use parking_lot::RwLock;
+use polystyrene_membership::NodeId;
 use polystyrene_protocol::codec::{decode_event, encode_event_into, PointCodec};
-use polystyrene_protocol::observe::RoundObservation;
-use polystyrene_protocol::select_region_victims;
-use polystyrene_protocol::{Event, Fate, NetworkModel, Wire};
-use polystyrene_runtime::harness::{contacts_from_board, contacts_from_shape};
-use polystyrene_runtime::node::NodeRuntime;
-use polystyrene_runtime::observe::{observe, ObservationBoard};
-use polystyrene_runtime::traffic::GatewayTraffic;
-use polystyrene_runtime::{Message, NodeFabric, RuntimeConfig};
-use polystyrene_space::MetricSpace;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use polystyrene_protocol::{Event, Wire};
+use polystyrene_runtime::{Cluster, Message, NodeFabric, RuntimeConfig, TransitLoss, Transport};
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+/// A running TCP deployment: the one live [`Cluster`] with every
+/// message crossing a loopback socket. Per node: one listener, one
+/// acceptor thread and a set of per-connection reader threads beside the
+/// node thread.
+pub type TcpCluster<S> = Cluster<S, TcpFabric>;
 
 /// Parameters of the TCP deployment, over and above the runtime ones.
 #[derive(Clone, Copy, Debug)]
@@ -95,33 +91,95 @@ impl TcpConfig {
     }
 }
 
-/// The shared socket-level address book plus fault-injection state —
+/// The shared socket-level address book plus fault-injection state:
 /// the TCP analogue of the runtime's `Registry`.
 pub struct TcpFabric {
-    addrs: RwLock<HashMap<NodeId, SocketAddr>>,
-    /// Transit-fault injection, if any — same serialization rationale as
-    /// the registry's: one entropy stream, many sending threads.
-    network: Mutex<Option<Box<dyn NetworkModel>>>,
-    injected_drops: AtomicU64,
+    config: TcpConfig,
+    /// Per node: where it listens, and the stop flag it shares with its
+    /// acceptor and every reader thread that acceptor spawned.
+    addrs: RwLock<HashMap<NodeId, (SocketAddr, Arc<AtomicBool>)>>,
+    loss: TransitLoss,
     sent_frames: AtomicU64,
 }
 
 impl TcpFabric {
-    fn new() -> Arc<Self> {
-        Arc::new(Self {
-            addrs: RwLock::new(HashMap::new()),
-            network: Mutex::new(None),
-            injected_drops: AtomicU64::new(0),
-            sent_frames: AtomicU64::new(0),
-        })
-    }
-
     fn addr_of(&self, id: NodeId) -> Option<SocketAddr> {
-        self.addrs.read().get(&id).copied()
+        self.addrs.read().get(&id).map(|(addr, _)| *addr)
     }
 
     fn contains(&self, id: NodeId) -> bool {
         self.addrs.read().contains_key(&id)
+    }
+}
+
+impl<P: PointCodec + Clone + Send + 'static> Transport<P> for TcpFabric {
+    type Config = TcpConfig;
+
+    fn runtime(config: &TcpConfig) -> RuntimeConfig {
+        config.runtime
+    }
+
+    fn open(config: TcpConfig) -> Self {
+        config.validate();
+        Self {
+            config,
+            addrs: RwLock::new(HashMap::new()),
+            loss: TransitLoss::new(&config.runtime),
+            sent_frames: AtomicU64::new(0),
+        }
+    }
+
+    /// Binds the node's loopback listener and starts its acceptor.
+    fn attach(
+        self: &Arc<Self>,
+        id: NodeId,
+        mailbox: Sender<Message<P>>,
+    ) -> (Box<dyn NodeFabric<P>>, Vec<JoinHandle<()>>) {
+        let listener =
+            TcpListener::bind("127.0.0.1:0").expect("failed to bind a loopback listener");
+        let addr = listener
+            .local_addr()
+            .expect("bound listener has an address");
+        // Polled, never parked: a blocking `accept` can only be woken by
+        // an incoming connection, and a kill must not depend on being
+        // able to open one (fd pressure, full backlog); an acceptor
+        // that misses its wake-up would hang `shutdown` forever.
+        listener
+            .set_nonblocking(true)
+            .expect("loopback listener accepts nonblocking mode");
+        let stop = Arc::new(AtomicBool::new(false));
+        self.addrs.write().insert(id, (addr, Arc::clone(&stop)));
+        let poll = self.config.reader_poll;
+        // Accept-poll sized to the protocol tick: first-contact
+        // delivery waits out at most half a tick before its reader
+        // exists (frames buffer in the kernel meanwhile), while big
+        // slow-tick deployments keep acceptor wakeups cheap.
+        let accept_poll = (self.config.runtime.tick / 2)
+            .clamp(Duration::from_millis(1), Duration::from_millis(20));
+        let acceptor = std::thread::Builder::new()
+            .name(format!("poly-tcp-accept-{id}"))
+            .spawn(move || accept_loop::<P>(listener, mailbox, stop, poll, accept_poll))
+            .expect("failed to spawn acceptor thread");
+        (Box::new(TcpLink::new(id, Arc::clone(self))), vec![acceptor])
+    }
+
+    /// Deregisters the address and raises the stop flag: the acceptor
+    /// closes the listener within one accept poll, readers exit on
+    /// connection close or within one `reader_poll`. Peers discover the
+    /// crash through their sockets (resets on cached connections,
+    /// refused reconnects).
+    fn detach(&self, id: NodeId) {
+        if let Some((_, stop)) = self.addrs.write().remove(&id) {
+            stop.store(true, Ordering::Release);
+        }
+    }
+
+    fn injected_drops(&self) -> u64 {
+        self.loss.lost()
+    }
+
+    fn sent_frames(&self) -> u64 {
+        self.sent_frames.load(Ordering::Relaxed)
     }
 }
 
@@ -146,14 +204,14 @@ struct TcpLink<P> {
 }
 
 impl<P> TcpLink<P> {
-    fn new(id: NodeId, fabric: Arc<TcpFabric>, config: &TcpConfig) -> Self {
+    fn new(id: NodeId, fabric: Arc<TcpFabric>) -> Self {
         Self {
             id,
-            fabric,
             conns: HashMap::new(),
             order: VecDeque::new(),
-            cap: config.connection_cap,
-            io_timeout: config.io_timeout,
+            cap: fabric.config.connection_cap,
+            io_timeout: fabric.config.io_timeout,
+            fabric,
             buf: Vec::new(),
             frame: Vec::new(),
             _point: std::marker::PhantomData,
@@ -211,15 +269,7 @@ impl<P> TcpLink<P> {
 
 impl<P: PointCodec + Clone + Send + 'static> NodeFabric<P> for TcpLink<P> {
     fn send(&mut self, to: NodeId, wire: Wire<P>) -> bool {
-        let dropped = {
-            let mut network = self.fabric.network.lock();
-            match network.as_mut() {
-                Some(model) => matches!(model.route(self.id, to, wire.channel(), 0), Fate::Drop),
-                None => false,
-            }
-        };
-        if dropped {
-            self.fabric.injected_drops.fetch_add(1, Ordering::Relaxed);
+        if self.fabric.loss.loses(self.id, to, wire.channel()) {
             return self.fabric.contains(to);
         }
         let Some(addr) = self.fabric.addr_of(to) else {
@@ -255,362 +305,6 @@ impl<P: PointCodec + Clone + Send + 'static> NodeFabric<P> for TcpLink<P> {
 
     fn contains(&mut self, id: NodeId) -> bool {
         self.fabric.contains(id)
-    }
-}
-
-/// Everything the harness keeps per node.
-struct TcpNode<P> {
-    mailbox: Sender<Message<P>>,
-    /// Shared with the acceptor and every reader thread it spawned.
-    stop: Arc<AtomicBool>,
-    /// Admission gauge shared with the node thread: queries offered into
-    /// the mailbox but not yet handled, bounding gateway ingress.
-    ingress: Arc<AtomicUsize>,
-    node_thread: JoinHandle<()>,
-    acceptor: JoinHandle<()>,
-}
-
-/// A running TCP deployment: one listener, one node thread and a set of
-/// per-connection reader threads per node, all on localhost.
-///
-/// The API mirrors [`polystyrene_runtime::Cluster`] — both plug into the
-/// experiment plane (`polystyrene-lab`'s `Substrate` trait), so scenario
-/// scripts and the observation plane are shared verbatim.
-pub struct TcpCluster<S: MetricSpace>
-where
-    S::Point: PointCodec,
-{
-    space: S,
-    config: TcpConfig,
-    fabric: Arc<TcpFabric>,
-    board: Arc<ObservationBoard<S::Point>>,
-    original_points: Vec<DataPoint<S::Point>>,
-    nodes: Mutex<HashMap<NodeId, TcpNode<S::Point>>>,
-    /// Threads of killed nodes, joined at shutdown. A kill is
-    /// crash-stop: it must not wait for the dying threads (a node
-    /// mid-write to another dead peer can take a full io_timeout to
-    /// notice), or killing a region would stall the harness while the
-    /// survivors' clocks keep running.
-    graveyard: Mutex<Vec<JoinHandle<()>>>,
-    next_id: Mutex<u64>,
-    rng: Mutex<StdRng>,
-    /// Traffic-plane offer state (gateway-draw stream, qid counter,
-    /// cumulative shed, batching scratch), shared with the in-process
-    /// cluster via [`GatewayTraffic`].
-    traffic: Mutex<GatewayTraffic>,
-}
-
-impl<S: MetricSpace> TcpCluster<S>
-where
-    S::Point: PointCodec,
-{
-    /// Spawns one socket-backed node per position of `shape`, each
-    /// founding the data point at its position — the same founding
-    /// convention as every other substrate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shape` is empty, the configuration is invalid, or a
-    /// loopback listener cannot be bound.
-    pub fn spawn(space: S, shape: Vec<S::Point>, config: TcpConfig) -> Self {
-        assert!(!shape.is_empty(), "cannot spawn an empty cluster");
-        config.validate();
-        let fabric = TcpFabric::new();
-        if config.runtime.link.loss > 0.0 {
-            // Same fault model, same send-boundary hook, same
-            // seed-decoupling tag as the in-process registry.
-            *fabric.network.lock() = Some(Box::new(polystyrene_protocol::FaultyNetwork::new(
-                config.runtime.link,
-                config.runtime.seed ^ 0x6c6f_7373,
-            )));
-        }
-        let original_points: Vec<DataPoint<S::Point>> = shape
-            .iter()
-            .enumerate()
-            .map(|(i, p)| DataPoint::new(PointId::new(i as u64), p.clone()))
-            .collect();
-        let cluster = Self {
-            space,
-            config,
-            fabric,
-            board: ObservationBoard::new(),
-            original_points: original_points.clone(),
-            nodes: Mutex::new(HashMap::new()),
-            graveyard: Mutex::new(Vec::new()),
-            next_id: Mutex::new(shape.len() as u64),
-            rng: Mutex::new(StdRng::seed_from_u64(config.runtime.seed)),
-            traffic: Mutex::new(GatewayTraffic::new(config.runtime.seed)),
-        };
-        for (i, pos) in shape.iter().enumerate() {
-            let contacts = {
-                let mut rng = cluster.rng.lock();
-                contacts_from_shape(
-                    &shape,
-                    i,
-                    cluster.config.runtime.bootstrap_contacts,
-                    &mut rng,
-                )
-            };
-            cluster.spawn_node(
-                NodeId::new(i as u64),
-                Some(original_points[i].clone()),
-                pos.clone(),
-                contacts,
-            );
-        }
-        cluster
-    }
-
-    fn spawn_node(
-        &self,
-        id: NodeId,
-        origin: Option<DataPoint<S::Point>>,
-        position: S::Point,
-        contacts: Vec<Descriptor<S::Point>>,
-    ) {
-        let listener =
-            TcpListener::bind("127.0.0.1:0").expect("failed to bind a loopback listener");
-        let addr = listener
-            .local_addr()
-            .expect("bound listener has an address");
-        // Polled, never parked: a blocking `accept` can only be woken by
-        // an incoming connection, and a kill must not depend on being
-        // able to open one (fd pressure, full backlog) — an acceptor
-        // that misses its wake-up would hang `shutdown` forever.
-        listener
-            .set_nonblocking(true)
-            .expect("loopback listener accepts nonblocking mode");
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let stop = Arc::new(AtomicBool::new(false));
-        // Register before the node runs: a peer that learns of this node
-        // can reach it from the first tick.
-        self.fabric.addrs.write().insert(id, addr);
-
-        let acceptor = {
-            let stop = Arc::clone(&stop);
-            let tx = tx.clone();
-            let poll = self.config.reader_poll;
-            // Accept-poll sized to the protocol tick: first-contact
-            // delivery waits out at most half a tick before its reader
-            // exists (frames buffer in the kernel meanwhile), while big
-            // slow-tick deployments keep acceptor wakeups cheap.
-            let accept_poll = (self.config.runtime.tick / 2)
-                .clamp(Duration::from_millis(1), Duration::from_millis(20));
-            std::thread::Builder::new()
-                .name(format!("poly-tcp-accept-{id}"))
-                .spawn(move || accept_loop::<S::Point>(listener, tx, stop, poll, accept_poll))
-                .expect("failed to spawn acceptor thread")
-        };
-
-        let ingress = Arc::new(AtomicUsize::new(0));
-        let node = NodeRuntime::new(
-            id,
-            self.space.clone(),
-            self.config.runtime,
-            origin,
-            position,
-            contacts,
-            Box::new(TcpLink::new(id, Arc::clone(&self.fabric), &self.config)),
-            Arc::clone(&self.board),
-            rx,
-            Arc::clone(&ingress),
-        );
-        let node_thread = std::thread::Builder::new()
-            .name(format!("poly-tcp-{id}"))
-            .spawn(move || node.run())
-            .expect("failed to spawn node thread");
-
-        self.nodes.lock().insert(
-            id,
-            TcpNode {
-                mailbox: tx,
-                stop,
-                ingress,
-                node_thread,
-                acceptor,
-            },
-        );
-    }
-
-    /// The original data points (the target shape).
-    pub fn original_points(&self) -> &[DataPoint<S::Point>] {
-        &self.original_points
-    }
-
-    /// Ids currently registered (alive).
-    pub fn alive_ids(&self) -> Vec<NodeId> {
-        self.fabric.addrs.read().keys().copied().collect()
-    }
-
-    /// Protocol frames successfully written to a socket so far.
-    pub fn sent_frames(&self) -> u64 {
-        self.fabric.sent_frames.load(Ordering::Relaxed)
-    }
-
-    /// Protocol messages dropped in transit by the injected link faults
-    /// (zero on an ideal link).
-    pub fn injected_drops(&self) -> u64 {
-        self.fabric.injected_drops.load(Ordering::Relaxed)
-    }
-
-    /// Hard-crashes a node: deregisters it, closes its listener and
-    /// signals its threads to stop *without waiting for them* —
-    /// crash-stop, so killing half a torus costs milliseconds, not a
-    /// serial walk of io timeouts, while the survivors' clocks run.
-    /// Peers discover the crash through their sockets — resets on
-    /// cached connections, refused reconnects — and the node's mailbox
-    /// backlog dies with it. The dying threads (which exit within one
-    /// mailbox poll) are reaped at [`TcpCluster::shutdown`]. Returns
-    /// whether the node was alive.
-    pub fn kill(&self, id: NodeId) -> bool {
-        let node = self.nodes.lock().remove(&id);
-        match node {
-            Some(node) => {
-                // Deregister first: probes and loss-path delivery
-                // reports turn negative before the sockets even close.
-                self.fabric.addrs.write().remove(&id);
-                node.stop.store(true, Ordering::Release);
-                let _ = node.mailbox.send(Message::Shutdown);
-                let mut graveyard = self.graveyard.lock();
-                graveyard.push(node.node_thread);
-                graveyard.push(node.acceptor);
-                drop(graveyard);
-                self.board.remove(id);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Injects a fresh node with no data points at `position` (the
-    /// paper's Phase 3 joiners), bootstrapped from alive contacts.
-    /// Returns its id.
-    pub fn inject(&self, position: S::Point) -> NodeId {
-        let id = {
-            let mut next = self.next_id.lock();
-            let id = NodeId::new(*next);
-            *next += 1;
-            id
-        };
-        let alive = self.alive_ids();
-        let contacts = {
-            let mut rng = self.rng.lock();
-            contacts_from_board(
-                &alive,
-                &self.board.snapshot(),
-                self.config.runtime.bootstrap_contacts,
-                &mut rng,
-            )
-        };
-        self.spawn_node(id, None, position, contacts);
-        id
-    }
-
-    /// Whether `id` is currently alive (registered in the address book).
-    pub fn is_alive(&self, id: NodeId) -> bool {
-        self.fabric.contains(id)
-    }
-
-    /// Crashes every founding node whose original data point satisfies
-    /// `predicate` — the paper's correlated regional failure, with
-    /// victim selection shared with every other substrate through
-    /// [`select_region_victims`]. Returns the crashed ids.
-    pub fn kill_region(&self, predicate: impl Fn(&S::Point) -> bool + Send + Sync) -> Vec<NodeId> {
-        let victims =
-            select_region_victims(&self.original_points, &predicate, &|id| self.is_alive(id));
-        victims.into_iter().filter(|&id| self.kill(id)).collect()
-    }
-
-    /// Lets the cluster run for a wall-clock duration.
-    pub fn run_for(&self, duration: Duration) {
-        std::thread::sleep(duration);
-    }
-
-    /// Offers one application query per key, each issued through a
-    /// uniformly random alive gateway. Keys that draw the same gateway
-    /// share one self-addressed
-    /// [`polystyrene_protocol::Wire::QueryBatch`] envelope in its
-    /// mailbox (issuing queries at a node costs no socket); every
-    /// forwarding hop then rides a real framed TCP connection like any
-    /// other protocol message. Admission is bounded per gateway
-    /// ([`polystyrene_runtime::GATEWAY_INGRESS_BOUND`]); batches refused
-    /// at a full gateway are shed and counted in the observation
-    /// plane's `traffic.shed`, separate from in-flight expiry.
-    pub fn offer_traffic(&self, keys: &[S::Point], ttl: u32) {
-        let nodes = self.nodes.lock();
-        if nodes.is_empty() {
-            return;
-        }
-        let ids: Vec<NodeId> = nodes.keys().copied().collect();
-        let mut traffic = self.traffic.lock();
-        traffic.offer(
-            keys,
-            ttl,
-            &ids,
-            |id| nodes.get(&id).map(|n| Arc::clone(&n.ingress)),
-            |gateway, wire| {
-                let _ = nodes[&gateway].mailbox.send(Message::Protocol {
-                    from: gateway,
-                    wire,
-                });
-            },
-        );
-    }
-
-    /// Queries shed at gateway ingress so far (cumulative).
-    pub fn shed_queries(&self) -> u64 {
-        self.traffic.lock().shed()
-    }
-
-    /// Blocks until every alive node has executed at least `ticks` local
-    /// rounds (with a safety timeout of `max_wait`).
-    pub fn await_ticks(&self, ticks: u64, max_wait: Duration) {
-        let deadline = Instant::now() + max_wait;
-        loop {
-            let obs = self.observe();
-            let registered = self.fabric.addrs.read().len();
-            if obs.alive_nodes >= registered && obs.alive_nodes > 0 && obs.ticks >= ticks {
-                return;
-            }
-            if Instant::now() > deadline {
-                return;
-            }
-            std::thread::sleep(self.config.runtime.tick);
-        }
-    }
-
-    /// Measures cluster health from the observation plane. Reports are
-    /// filtered to currently registered nodes: kills do not wait for
-    /// the dying threads, and a node wedged in a socket timeout may
-    /// publish one last report after its crash — which must not count.
-    pub fn observe(&self) -> RoundObservation {
-        let mut snapshot = self.board.snapshot();
-        snapshot.retain(|id, _| self.fabric.contains(*id));
-        let mut obs = observe(
-            &self.space,
-            &self.original_points,
-            &snapshot,
-            self.config.runtime.area,
-        );
-        obs.traffic.shed = self.traffic.lock().shed();
-        obs
-    }
-
-    /// Orderly shutdown: stops every node and joins its node and
-    /// acceptor threads, including those of previously killed nodes.
-    /// Per-connection reader threads are not tracked and wind down
-    /// asynchronously — immediately when their connection closes (node
-    /// teardown closes every stream this cluster owns), or within one
-    /// `reader_poll` of the stop flag otherwise.
-    pub fn shutdown(&self) {
-        let ids: Vec<NodeId> = self.nodes.lock().keys().copied().collect();
-        for id in ids {
-            self.kill(id);
-        }
-        let handles: Vec<JoinHandle<()>> = self.graveyard.lock().drain(..).collect();
-        for handle in handles {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -688,167 +382,5 @@ fn reader_loop<P: PointCodec>(stream: TcpStream, tx: Sender<Message<P>>, stop: A
             Ok(FrameStatus::Idle) => {}
             Ok(FrameStatus::Closed) | Err(_) => break,
         }
-    }
-}
-
-impl<S: MetricSpace> Drop for TcpCluster<S>
-where
-    S::Point: PointCodec,
-{
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use polystyrene::prelude::PolystyreneConfig;
-    use polystyrene_space::prelude::*;
-    use polystyrene_space::shapes;
-
-    fn fast_config() -> TcpConfig {
-        let mut c = TcpConfig::default();
-        c.runtime.tick = Duration::from_millis(4);
-        c.runtime.poly = PolystyreneConfig::builder().replication(3).build();
-        c.reader_poll = Duration::from_millis(50);
-        c
-    }
-
-    fn spawn_grid(cols: usize, rows: usize) -> TcpCluster<Torus2> {
-        TcpCluster::spawn(
-            Torus2::new(cols as f64, rows as f64),
-            shapes::torus_grid(cols, rows, 1.0),
-            fast_config(),
-        )
-    }
-
-    #[test]
-    fn tcp_cluster_spawns_replicates_and_reports() {
-        let cluster = spawn_grid(4, 4);
-        cluster.await_ticks(10, Duration::from_secs(20));
-        let obs = cluster.observe();
-        assert_eq!(obs.alive_nodes, 16);
-        assert!(obs.ticks >= 10);
-        assert!(
-            obs.surviving_points >= 0.95,
-            "points vanished over TCP: {}",
-            obs.surviving_points
-        );
-        assert!(
-            obs.points_per_node > 2.0,
-            "replication never took hold over TCP: {} points/node",
-            obs.points_per_node
-        );
-        assert!(cluster.sent_frames() > 0, "no frames crossed the sockets");
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn kill_is_crash_stop_over_sockets() {
-        let cluster = spawn_grid(4, 4);
-        cluster.await_ticks(4, Duration::from_secs(10));
-        assert!(cluster.kill(NodeId::new(0)));
-        assert!(!cluster.kill(NodeId::new(0)), "second kill must be a no-op");
-        let obs = cluster.observe();
-        assert_eq!(obs.alive_nodes, 15);
-        // The survivors keep making progress without the dead peer.
-        let before = cluster.observe().ticks;
-        cluster.await_ticks(before + 5, Duration::from_secs(10));
-        assert!(cluster.observe().ticks >= before + 5);
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn injection_spawns_empty_joiners_over_sockets() {
-        let cluster = spawn_grid(3, 3);
-        cluster.await_ticks(5, Duration::from_secs(10));
-        let id = cluster.inject([0.5, 0.5]);
-        assert!(id.as_u64() >= 9);
-        cluster.run_for(Duration::from_millis(200));
-        assert_eq!(cluster.observe().alive_nodes, 10);
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn lossy_tcp_cluster_still_replicates_and_counts_drops() {
-        let mut config = fast_config();
-        config.runtime.link = polystyrene_protocol::LinkProfile {
-            latency: 0,
-            jitter: 0,
-            loss: 0.10,
-        };
-        let cluster =
-            TcpCluster::spawn(Torus2::new(4.0, 4.0), shapes::torus_grid(4, 4, 1.0), config);
-        cluster.await_ticks(12, Duration::from_secs(20));
-        let obs = cluster.observe();
-        assert_eq!(obs.alive_nodes, 16);
-        assert!(
-            cluster.injected_drops() > 0,
-            "a 10% lossy fabric that dropped nothing is not lossy"
-        );
-        assert!(
-            obs.surviving_points >= 0.95,
-            "points vanished under transit loss: {}",
-            obs.surviving_points
-        );
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn traffic_queries_resolve_over_sockets() {
-        let cluster = spawn_grid(4, 4);
-        cluster.await_ticks(10, Duration::from_secs(20));
-        let keys: Vec<[f64; 2]> = (0..4).map(|i| [i as f64 + 0.5, 1.5]).collect();
-        for _ in 0..8 {
-            cluster.offer_traffic(&keys, 32);
-            cluster.run_for(Duration::from_millis(20));
-        }
-        // Poll until every offered query has resolved or expired.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let mut obs = cluster.observe();
-        while Instant::now() < deadline {
-            obs = cluster.observe();
-            if obs.traffic.offered >= 32
-                && obs.traffic.delivered + obs.traffic.dropped >= obs.traffic.offered
-            {
-                break;
-            }
-            cluster.run_for(Duration::from_millis(40));
-        }
-        assert!(
-            obs.traffic.offered >= 32,
-            "gateways must register offered queries: {:?}",
-            obs.traffic
-        );
-        assert!(
-            obs.traffic.availability() > 0.8,
-            "a healthy TCP cluster must serve most queries: {:?}",
-            obs.traffic
-        );
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn oversized_offer_is_shed_at_the_tcp_gateway() {
-        use polystyrene_runtime::GATEWAY_INGRESS_BOUND;
-        // One node ⇒ one gateway: an offer larger than the ingress bound
-        // is refused whole, regardless of thread timing.
-        let cluster = spawn_grid(1, 1);
-        cluster.await_ticks(2, Duration::from_secs(10));
-        let oversized = GATEWAY_INGRESS_BOUND + 10;
-        let keys = vec![[0.5, 0.5]; oversized];
-        cluster.offer_traffic(&keys, 8);
-        assert_eq!(cluster.shed_queries(), oversized as u64);
-        assert_eq!(cluster.observe().traffic.shed, oversized as u64);
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn shutdown_is_idempotent_and_drop_safe() {
-        let cluster = spawn_grid(2, 2);
-        cluster.shutdown();
-        cluster.shutdown();
-        drop(cluster);
     }
 }

@@ -1,22 +1,21 @@
-//! TCP deployment of the Polystyrene stack — the fourth execution
+//! The TCP transport of the live cluster, the fourth execution
 //! substrate: the pinned byte codec (`polystyrene_protocol::codec`),
 //! length-framed ([`framing`]), over real loopback sockets
-//! ([`cluster::TcpCluster`]).
+//! ([`cluster::TcpFabric`]).
 //!
-//! The other three substrates move Rust values — through synchronous
+//! Everywhere else messages move as Rust values: through synchronous
 //! calls (cycle engine), a discrete-event queue (netsim), or in-process
-//! channels (runtime). This one moves *bytes*: every protocol message is
-//! encoded, framed, written to a `TcpStream`, reassembled from partial
-//! reads on the far side, and decoded — so framing bugs, decoder
-//! fragility against corrupt input, and inconsistent delivery reporting
-//! become reachable by tests instead of lying latent until a real
-//! deployment.
+//! mailboxes (the cluster's default transport). Here they move as
+//! *bytes*: every protocol message is encoded, framed, written to a
+//! `TcpStream`, reassembled from partial reads on the far side, and
+//! decoded, so framing bugs, decoder fragility against corrupt input,
+//! and inconsistent delivery reporting become reachable by tests instead
+//! of lying latent until a real deployment.
 //!
-//! The node loop is `polystyrene-runtime`'s `NodeRuntime`, verbatim,
-//! behind its `NodeFabric` seam; the scenario driver and observation
-//! plane are shared through the experiment plane (`polystyrene-lab`'s
-//! `Substrate` trait). A scenario script that runs on the in-process
-//! cluster runs unchanged here:
+//! This crate is only the transport. The harness and the node loop are
+//! `polystyrene-runtime`'s `Cluster` and `NodeRuntime`:
+//! [`TcpCluster<S>`] is `Cluster<S, TcpFabric>`, so whatever runs on the
+//! in-process cluster runs unchanged here:
 //!
 //! ```
 //! use polystyrene_transport::{TcpCluster, TcpConfig};

@@ -17,7 +17,7 @@ fn main() {
     config.tick = Duration::from_millis(5);
     config.poly = PolystyreneConfig::builder().replication(4).build();
 
-    let cluster = Cluster::spawn(
+    let cluster = Cluster::<Torus2>::spawn(
         Torus2::new(cols as f64, rows as f64),
         shapes::torus_grid(cols, rows, 1.0),
         config,

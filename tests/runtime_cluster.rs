@@ -37,7 +37,7 @@ fn settled_homogeneity(cluster: &Cluster<Torus2>, threshold: f64, timeout: Durat
 #[test]
 fn full_lifecycle_failover_and_reinjection() {
     let (cols, rows) = (8, 4);
-    let cluster = Cluster::spawn(
+    let cluster = Cluster::<Torus2>::spawn(
         Torus2::new(cols as f64, rows as f64),
         shapes::torus_grid(cols, rows, 1.0),
         config(4),
@@ -90,7 +90,7 @@ fn full_lifecycle_failover_and_reinjection() {
 fn heartbeat_detector_triggers_recovery_without_oracle() {
     // Unlike the simulator there is no ground-truth detector here: ghosts
     // must be reactivated purely from missed heartbeats.
-    let cluster = Cluster::spawn(
+    let cluster = Cluster::<Torus2>::spawn(
         Torus2::new(6.0, 4.0),
         shapes::torus_grid(6, 4, 1.0),
         config(6),
@@ -112,7 +112,7 @@ fn heartbeat_detector_triggers_recovery_without_oracle() {
 
 #[test]
 fn sequential_kills_do_not_wedge_the_cluster() {
-    let cluster = Cluster::spawn(
+    let cluster = Cluster::<Torus2>::spawn(
         Torus2::new(6.0, 4.0),
         shapes::torus_grid(6, 4, 1.0),
         config(3),
