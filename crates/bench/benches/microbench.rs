@@ -24,26 +24,32 @@ use rand::{RngExt, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// System allocator wrapped with an allocation counter, so the netsim
-/// steady-state gate below can assert on the *count* of heap
-/// allocations, not just time them.
+/// System allocator wrapped with an allocation counter and a live-byte
+/// gauge, so the gates below can assert on the *count* of heap
+/// allocations a round makes and on the bytes a fabric holds, not just
+/// time them.
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 
-// SAFETY: defers entirely to `System`; the counter is a relaxed atomic.
+// SAFETY: defers entirely to `System`; the counters are relaxed atomics.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -342,11 +348,13 @@ fn bench_failure_lookup(c: &mut Criterion) {
 /// and since the payload pool landed the wire messages' descriptor and
 /// point vectors recycle through `EffectSink`'s `BufPool` too. What
 /// remains is protocol-internal churn that genuinely varies per round
-/// (split/merge working sets, occasional view growth). The bound is the
-/// empirical pooled per-round count (~580 at 256 nodes) with ~2.5×
-/// headroom; the pre-pool payload-dominated count was ~5 700, so a
-/// regression that reintroduces per-message payload allocations — let
-/// alone per-event kernel ones — blows well past it.
+/// (split/merge working sets): 157 allocations per round at 256 nodes,
+/// the same on every run and machine (seeded, and below the rayon
+/// shim's threshold, so nothing fans out). The bound is ~2.5x that. Two
+/// allocations per node-round, what the peer-sampling merge once cost,
+/// are ~510 and read 630 here, so a per-exchange `Vec` fails the gate,
+/// and per-message payload allocations (~5 700 before the pool) or
+/// per-event kernel ones all the more.
 ///
 /// The rounds carry a live query workload: the traffic hot path —
 /// batched offers, pooled `QueryBatch` envelopes, per-hop forwarding
@@ -357,7 +365,7 @@ fn assert_netsim_steady_state_allocations(
     load: &mut TrafficLoad<[f64; 2]>,
 ) {
     const ROUNDS: u64 = 8;
-    const PER_ROUND_BOUND: u64 = 1_500;
+    const PER_ROUND_BOUND: u64 = 400;
     let mut samples: Vec<(u32, u64)> = Vec::with_capacity(1024);
     // One loaded warm-up round: the workload's own scratch, the query
     // pool and the per-gateway grouping buffers reach steady capacity.
@@ -388,16 +396,16 @@ fn assert_netsim_steady_state_allocations(
 /// The engine's round machinery (slab phase pipeline, dispatch queue,
 /// metric tables) reuses its scratch, and the protocol payloads recycle
 /// through the sink's pool, so a steady-state round at 256 nodes is
-/// down to protocol-internal churn plus the rayon fan-out of the
-/// measurement pass. Bound = measured (~800) with ~3× headroom; the
-/// pre-pool count was ~6 000. As in the netsim gate, every measured
-/// round serves a live query workload inside the same budget.
+/// down to protocol-internal churn: 324 allocations per round, bound
+/// ~2x that. With the peer-sampling merge's two per node-round it read
+/// 836, and ~6 000 before the pool. As in the netsim gate, every
+/// measured round serves a live query workload inside the same budget.
 fn assert_engine_steady_state_allocations(
     engine: &mut Engine<Torus2>,
     load: &mut TrafficLoad<[f64; 2]>,
 ) {
     const ROUNDS: u64 = 8;
-    const PER_ROUND_BOUND: u64 = 2_500;
+    const PER_ROUND_BOUND: u64 = 700;
     let mut samples: Vec<(u32, u64)> = Vec::with_capacity(1024);
     let ttl = load.ttl();
     engine.offer_traffic(load.next_round(), ttl);
@@ -420,13 +428,42 @@ fn assert_engine_steady_state_allocations(
     );
 }
 
+/// Footprint gate: the heap a 256-node fabric holds per node, 24 rounds
+/// in, at the paper's view sizes (T-Man 100, peer sampling 20). By then
+/// every view is full and replication has settled at 1 + K points, so
+/// what is live is the steady state a 100k-node run multiplies. The two
+/// gossip views are the largest part of it: 3 200 + 640 bytes of
+/// descriptors when allocated at their caps, 5 120 + 1 024 when left to
+/// double their way there. Measured with the views exact: engine 5 631,
+/// netsim 9 403 bytes/node (the kernel adds its event queue and payload
+/// pool); with doubled views 7 896 and 11 760. Each bound is the
+/// midpoint, so a view that carries slack again fails here before it
+/// shows as resident megabytes. The gauge is process-wide, which is
+/// safe at this size: 256 nodes run inline in the rayon shim, so no
+/// worker thread (nor its thread-local scratch) is born inside the
+/// window, and the readings repeat to the byte.
+fn assert_live_heap_per_node(substrate: &str, live_before: u64, nodes: u64, bound: u64) {
+    let per_node = LIVE_BYTES
+        .load(Ordering::Relaxed)
+        .saturating_sub(live_before)
+        / nodes;
+    println!("{substrate} live heap: {per_node} bytes/node after 24 rounds (bound {bound})");
+    assert!(
+        per_node <= bound,
+        "{substrate} holds {per_node} heap bytes per node after 24 rounds (bound {bound}): \
+         per-node state, most likely a gossip view, is carrying slack capacity again"
+    );
+}
+
 fn bench_engine_round(c: &mut Criterion) {
     let mut cfg = EngineConfig::default();
     cfg.area = 256.0;
     cfg.seed = 21;
+    let live_before = LIVE_BYTES.load(Ordering::Relaxed);
     let mut engine = Engine::new(Torus2::new(32.0, 8.0), shapes::torus_grid(32, 8, 1.0), cfg);
     // Warm-up: views fill, slabs and scratch reach steady capacities.
-    engine.run(10);
+    engine.run(24);
+    assert_live_heap_per_node("engine", live_before, 256, 6_750);
     let mut load = TrafficLoad::new(shapes::torus_grid(32, 8, 1.0), 32, 0.9, 16, 21);
     assert_engine_steady_state_allocations(&mut engine, &mut load);
     let mut group = c.benchmark_group("engine_round");
@@ -443,10 +480,12 @@ fn bench_netsim_round(c: &mut Criterion) {
         jitter: 1,
         loss: 0.05,
     };
+    let live_before = LIVE_BYTES.load(Ordering::Relaxed);
     let mut sim = NetSim::new(Torus2::new(32.0, 8.0), shapes::torus_grid(32, 8, 1.0), cfg);
     // Warm-up: views fill, the event queue and kernel scratch reach
     // their steady capacities.
-    sim.run(10);
+    sim.run(24);
+    assert_live_heap_per_node("netsim", live_before, 256, 10_600);
     let mut load = TrafficLoad::new(shapes::torus_grid(32, 8, 1.0), 32, 0.9, 16, 21);
     assert_netsim_steady_state_allocations(&mut sim, &mut load);
     let mut group = c.benchmark_group("netsim_round");

@@ -150,7 +150,8 @@ impl<P: Clone> PeerSampling<P> {
     /// ourselves; when the view is full, evict entries that were just
     /// `sent` to the partner to make room.
     fn merge(&mut self, self_id: NodeId, received: &[Descriptor<P>], sent: &[Descriptor<P>]) {
-        let mut evictable: Vec<NodeId> = sent.iter().map(|d| d.id).collect();
+        // The shipped entries not yet tried as victims, spent from the back.
+        let mut evictable = sent.iter().rev();
         for d in received {
             if d.id == self_id {
                 continue;
@@ -162,8 +163,8 @@ impl<P: Clone> PeerSampling<P> {
                 continue; // fresher duplicate already present
             }
             // View full: sacrifice one of the entries we shipped out.
-            while let Some(victim) = evictable.pop() {
-                if self.view.remove(victim).is_some() {
+            for victim in evictable.by_ref() {
+                if self.view.remove(victim.id).is_some() {
                     self.view.insert(d.clone());
                     break;
                 }
@@ -318,6 +319,23 @@ mod tests {
         assert!(reply.len() <= 3);
         assert!(ps.view().len() <= 3);
         assert!(!ps.view().contains(NodeId::new(0)));
+    }
+
+    #[test]
+    fn full_view_makes_room_from_the_back_of_what_it_sent() {
+        let mut ps: PeerSampling<f64> = PeerSampling::new(3, 3);
+        ps.bootstrap([desc(1), desc(2), desc(3)]);
+        // Equal ages, so `View::insert` refuses the newcomers and each
+        // costs one shipped entry: 2 goes for 4, then 1 for 5; nothing is
+        // left to pay for 6, and 3 was never shipped.
+        ps.handle_reply(
+            NodeId::new(0),
+            &[desc(1), desc(2), desc(9)],
+            &[desc(4), desc(5), desc(6)],
+        );
+        let mut ids = ps.view().ids();
+        ids.sort();
+        assert_eq!(ids, vec![NodeId::new(3), NodeId::new(4), NodeId::new(5)]);
     }
 
     #[test]

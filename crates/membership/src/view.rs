@@ -38,7 +38,9 @@ pub struct View<P> {
 }
 
 impl<P: Clone> View<P> {
-    /// Creates an empty view with the given capacity bound.
+    /// Creates an empty view with the given capacity bound, allocated
+    /// once at exactly that bound: no insert can take it past `cap`, so
+    /// letting the vector double its way there only leaves slack.
     ///
     /// # Panics
     ///
@@ -47,7 +49,7 @@ impl<P: Clone> View<P> {
     pub fn new(cap: usize) -> Self {
         assert!(cap > 0, "view capacity must be at least 1");
         Self {
-            entries: Vec::new(),
+            entries: Vec::with_capacity(cap),
             cap,
         }
     }
@@ -260,6 +262,16 @@ mod tests {
         // A newcomer older than everything is rejected.
         assert!(!v.insert(d(4, 0.4, 10)));
         assert_eq!(v.len(), 2);
+    }
+
+    #[test]
+    fn allocation_is_the_cap_and_stays_there() {
+        let mut v = View::new(5);
+        for i in 0..40 {
+            v.insert(d(i, i as f64, (40 - i) as u32));
+            assert_eq!(v.entries.capacity(), 5);
+        }
+        assert_eq!(v.len(), 5);
     }
 
     #[test]

@@ -1127,6 +1127,38 @@ mod tests {
     }
 
     #[test]
+    fn tman_views_never_outgrow_their_cap() {
+        // 256 nodes against a 20-entry cap: every exchange overflows the
+        // view, and the kill and the joiners add purges and cold views.
+        let mut cfg = tiny_config(5);
+        cfg.area = 256.0;
+        let cap = cfg.tman.view_cap;
+        let mut e = Engine::new(
+            Torus2::new(16.0, 16.0),
+            shapes::torus_grid(16, 16, 1.0),
+            cfg,
+        );
+        for round in 0..50 {
+            if round == 20 {
+                e.fail_original_region(shapes::in_right_half(16.0));
+            }
+            if round == 35 {
+                e.inject(shapes::torus_grid(4, 4, 4.0));
+            }
+            e.step();
+            for node in e.pool.slots().iter().flatten() {
+                assert!(node.tman.view_entries().len() <= cap);
+                assert!(
+                    node.tman.view_capacity() <= cap,
+                    "round {round}: {} holds room for {} descriptors, cap {cap}",
+                    node.id(),
+                    node.tman.view_capacity()
+                );
+            }
+        }
+    }
+
+    #[test]
     fn grid_index_metrics_identical_to_exhaustive() {
         // 512 nodes clears GRID_INDEX_MIN_NODES, so the grid path really
         // runs; the exact index must reproduce the exhaustive metrics

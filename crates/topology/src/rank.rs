@@ -133,13 +133,26 @@ fn rank_keys_into<S: MetricSpace>(
     out: &mut Vec<(u64, NodeId, usize)>,
 ) {
     out.clear();
-    out.extend(descriptors.iter().enumerate().map(|(i, d)| {
-        (
-            distance_sort_key(space.distance_sq(target, &d.pos)),
-            d.id,
-            i,
-        )
-    }));
+    out.extend(
+        descriptors
+            .iter()
+            .enumerate()
+            .map(|(i, d)| rank_key(space, target, d, i)),
+    );
+}
+
+/// The ranking key of one descriptor, tagged with the caller's `index`.
+fn rank_key<S: MetricSpace>(
+    space: &S,
+    target: &S::Point,
+    d: &Descriptor<S::Point>,
+    index: usize,
+) -> (u64, NodeId, usize) {
+    (
+        distance_sort_key(space.distance_sq(target, &d.pos)),
+        d.id,
+        index,
+    )
 }
 
 /// Maps an `f64` to a `u64` whose unsigned order equals `f64::total_cmp`
@@ -483,9 +496,7 @@ pub fn dedup_freshest<P: Clone>(mut descriptors: Vec<Descriptor<P>>) -> Vec<Desc
 /// In-place [`dedup_freshest`]: first-occurrence order is preserved and a
 /// duplicate replaces the kept copy only when strictly fresher (lower
 /// age). The id→slot map makes each lookup O(1) and the compaction swaps
-/// elements instead of reallocating — T-Man's integrate step calls this
-/// on every view merge, so a linear scan per descriptor dominated
-/// whole-round time at 10k+ nodes.
+/// elements instead of reallocating.
 pub fn dedup_freshest_in_place<P>(descriptors: &mut Vec<Descriptor<P>>) {
     thread_local! {
         static SLOT_SCRATCH: std::cell::RefCell<IdHashMap<NodeId, usize>> =
@@ -522,50 +533,6 @@ fn dedup_freshest_with<P>(
     descriptors.truncate(w);
 }
 
-/// Keeps only the `k` descriptors closest to `target` (same selection as
-/// [`k_ranked_indices`]: distance, ties by id), compacting in place and
-/// *preserving input order* among the survivors rather than sorting them.
-///
-/// For callers that treat their descriptor collection as an unordered
-/// set — T-Man's view cap, where every read re-ranks on demand — this
-/// skips the `O(k log k)` sort and the rebuild of the output vector that
-/// a select-and-sort pass pays on every gossip exchange.
-pub fn retain_k_closest<S: MetricSpace>(
-    space: &S,
-    target: &S::Point,
-    descriptors: &mut Vec<Descriptor<S::Point>>,
-    k: usize,
-) {
-    if descriptors.len() <= k {
-        return;
-    }
-    if k == 0 {
-        descriptors.clear();
-        return;
-    }
-    thread_local! {
-        static KEEP_SCRATCH: std::cell::RefCell<Vec<bool>> =
-            const { std::cell::RefCell::new(Vec::new()) };
-    }
-    KEEP_SCRATCH.with(|cell| {
-        let mut keep = cell.borrow_mut();
-        keep.clear();
-        keep.resize(descriptors.len(), false);
-        with_rank_keys(space, target, descriptors, |keyed| {
-            keyed.select_nth_unstable_by(k - 1, compare_keys);
-            for &(_, _, i) in &keyed[..k] {
-                keep[i] = true;
-            }
-        });
-        let mut i = 0;
-        descriptors.retain(|_| {
-            let kept = keep[i];
-            i += 1;
-            kept
-        });
-    });
-}
-
 /// Removes descriptors whose id equals `self_id` (a node never keeps a
 /// descriptor of itself in its own view).
 pub fn drop_self<P>(descriptors: &mut Vec<Descriptor<P>>, self_id: NodeId) {
@@ -576,11 +543,10 @@ pub fn drop_self<P>(descriptors: &mut Vec<Descriptor<P>>, self_id: NodeId) {
 /// within its capacity — the random-contact integration that runs once
 /// per node per gossip round.
 ///
-/// Produces exactly what the full merge pipeline ([`dedup_freshest`] then
-/// [`retain_k_closest`]) would for `view ++ [d]`, exploiting the view
-/// invariants to skip it: a known id only needs a strictly-fresher
-/// replacement check (no distance evaluated at all), and a new id at
-/// capacity only needs the single farthest entry of `view ∪ {d}` evicted.
+/// Produces exactly what [`merge_capped`] would for `[d]`, without its
+/// ranking pass: a known id only needs a strictly-fresher replacement
+/// check (no distance evaluated at all), and a new id at capacity only
+/// needs the single farthest entry of `view ∪ {d}` evicted.
 pub fn insert_one_capped<S: MetricSpace>(
     space: &S,
     target: &S::Point,
@@ -599,19 +565,10 @@ pub fn insert_one_capped<S: MetricSpace>(
         return;
     }
     // At capacity: evict the maximum of `view ∪ {d}` under the ranking
-    // order (distance, ties by id) — the one entry `retain_k_closest`
-    // would drop from the merged set.
-    let mut worst = (
-        distance_sort_key(space.distance_sq(target, &d.pos)),
-        d.id,
-        usize::MAX,
-    );
+    // order (distance, ties by id).
+    let mut worst = rank_key(space, target, d, usize::MAX);
     for (i, e) in view.iter().enumerate() {
-        let key = (
-            distance_sort_key(space.distance_sq(target, &e.pos)),
-            e.id,
-            i,
-        );
+        let key = rank_key(space, target, e, i);
         if compare_keys(&key, &worst) == std::cmp::Ordering::Greater {
             worst = key;
         }
@@ -622,10 +579,96 @@ pub fn insert_one_capped<S: MetricSpace>(
     }
 }
 
+/// Folds a gossip buffer into a view that is already deduplicated, free of
+/// `self_id` and within `cap`, without ever holding more than `cap`
+/// entries — T-Man's view merge, which runs twice per node per round.
+///
+/// The outcome is the one the textbook pipeline gives (append `incoming`,
+/// drop `self_id`, keep the first strictly-freshest copy of every id in
+/// first-occurrence order, then keep the `cap` entries closest to `target`
+/// — distance, ties by id — in that order), entry for entry. A descriptor
+/// of a known id replaces the held copy in place when strictly fresher;
+/// unknown ids are only staged as indices into `incoming`, so a full view
+/// is ranked once against them and only the newcomers that survive the
+/// ranking are cloned, into the slots the evicted entries left.
+pub fn merge_capped<S: MetricSpace>(
+    space: &S,
+    target: &S::Point,
+    self_id: NodeId,
+    view: &mut Vec<Descriptor<S::Point>>,
+    cap: usize,
+    incoming: &[Descriptor<S::Point>],
+) {
+    thread_local! {
+        // Per unknown id in first-occurrence order, the index of its
+        // freshest copy in `incoming`.
+        static NEWCOMERS: std::cell::RefCell<Vec<usize>> =
+            const { std::cell::RefCell::new(Vec::new()) };
+    }
+    if cap == 0 {
+        return; // nothing may be held, and nothing is
+    }
+    NEWCOMERS.with(|cell| {
+        let mut newcomers = cell.borrow_mut();
+        newcomers.clear();
+        for (r, d) in incoming.iter().enumerate() {
+            if d.id == self_id {
+                continue;
+            }
+            if let Some(held) = view.iter_mut().find(|e| e.id == d.id) {
+                if d.age < held.age {
+                    *held = d.clone();
+                }
+            } else if let Some(staged) = newcomers.iter_mut().find(|r| incoming[**r].id == d.id) {
+                if d.age < incoming[*staged].age {
+                    *staged = r;
+                }
+            } else {
+                newcomers.push(r);
+            }
+        }
+        let held = view.len();
+        if held + newcomers.len() <= cap {
+            view.extend(newcomers.iter().map(|&r| incoming[r].clone()));
+            return;
+        }
+        KEY_SCRATCH.with(|cell| {
+            let mut keyed = cell.borrow_mut();
+            rank_keys_into(space, target, view, &mut keyed);
+            keyed.extend(
+                newcomers
+                    .iter()
+                    .enumerate()
+                    .map(|(s, &r)| rank_key(space, target, &incoming[r], held + s)),
+            );
+            // Ids are unique by now, so the order is strict and the `cap`
+            // survivors are one set whatever the selection algorithm. The
+            // evicted tail is at most `newcomers.len()` long: sorting it
+            // by index lets one cursor drive both compactions below.
+            keyed.select_nth_unstable_by(cap - 1, compare_keys);
+            let evicted = &mut keyed[cap..];
+            evicted.sort_unstable_by_key(|&(_, _, i)| i);
+            let mut evicted = evicted.iter().map(|&(_, _, i)| i).peekable();
+            let mut i = 0;
+            view.retain(|_| {
+                let gone = evicted.next_if_eq(&i).is_some();
+                i += 1;
+                !gone
+            });
+            for (s, &r) in newcomers.iter().enumerate() {
+                if evicted.next_if_eq(&(held + s)).is_none() {
+                    view.push(incoming[r].clone());
+                }
+            }
+        });
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use polystyrene_space::prelude::*;
+    use proptest::prelude::*;
 
     fn d(id: u64, x: f64) -> Descriptor<[f64; 2]> {
         Descriptor::new(NodeId::new(id), [x, 0.0])
@@ -686,6 +729,66 @@ mod tests {
         assert_eq!(ds[0].id, NodeId::new(2));
     }
 
+    // ------------------------------------------------------------------
+    // The capped merges against the pipeline they replaced
+    // ------------------------------------------------------------------
+
+    /// The ranked truncation `TMan::integrate` ran until the in-place
+    /// merge, verbatim: keeps the `k` closest (distance, ties by id) in
+    /// input order. Kept here as the reference only.
+    fn retain_k_closest<S: MetricSpace>(
+        space: &S,
+        target: &S::Point,
+        descriptors: &mut Vec<Descriptor<S::Point>>,
+        k: usize,
+    ) {
+        if descriptors.len() <= k {
+            return;
+        }
+        if k == 0 {
+            descriptors.clear();
+            return;
+        }
+        thread_local! {
+            static KEEP_SCRATCH: std::cell::RefCell<Vec<bool>> =
+                const { std::cell::RefCell::new(Vec::new()) };
+        }
+        KEEP_SCRATCH.with(|cell| {
+            let mut keep = cell.borrow_mut();
+            keep.clear();
+            keep.resize(descriptors.len(), false);
+            with_rank_keys(space, target, descriptors, |keyed| {
+                keyed.select_nth_unstable_by(k - 1, compare_keys);
+                for &(_, _, i) in &keyed[..k] {
+                    keep[i] = true;
+                }
+            });
+            let mut i = 0;
+            descriptors.retain(|_| {
+                let kept = keep[i];
+                i += 1;
+                kept
+            });
+        });
+    }
+
+    /// The body of `TMan::integrate` until the in-place merge, verbatim.
+    fn replaced_pipeline<S: MetricSpace>(
+        space: &S,
+        pos: &S::Point,
+        self_id: NodeId,
+        view: &mut Vec<Descriptor<S::Point>>,
+        view_cap: usize,
+        incoming: &[Descriptor<S::Point>],
+    ) {
+        let mut merged = std::mem::take(view);
+        merged.extend(incoming.iter().cloned());
+        drop_self(&mut merged, self_id);
+        dedup_freshest_in_place(&mut merged);
+        retain_k_closest(space, pos, &mut merged, view_cap);
+        *view = merged;
+    }
+
     #[test]
     fn insert_one_capped_matches_merge_pipeline() {
         use rand::{Rng, SeedableRng};
@@ -703,14 +806,50 @@ mod tests {
                     rng.random_range(0..4),
                 );
                 insert_one_capped(&space, &target, &mut fast, cap, &d);
-                slow.push(d);
-                dedup_freshest_in_place(&mut slow);
-                retain_k_closest(&space, &target, &mut slow, cap);
-                assert_eq!(
-                    fast.iter().map(|e| (e.id, e.age)).collect::<Vec<_>>(),
-                    slow.iter().map(|e| (e.id, e.age)).collect::<Vec<_>>(),
-                    "cap {cap}"
-                );
+                // 99 is nobody's id: nothing is dropped as `self`.
+                replaced_pipeline(&space, &target, NodeId::new(99), &mut slow, cap, &[d]);
+                assert_eq!(fast, slow, "cap {cap}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A view fed batch after batch from empty (so it is merged below,
+        /// on its way to and at its cap) holds, after every batch, exactly
+        /// what the replaced pipeline holds — and never more than `cap`.
+        /// Ids 0..16 over at most 30 descriptors per batch force duplicate
+        /// ids inside a batch and `self_id` (0) among them; ages 0..3
+        /// force equal ages, so "first freshest copy wins" is what is
+        /// compared; integer coordinates on a 5x5 torus put many entries
+        /// at exactly the same distance, so the id tie-break decides who
+        /// is evicted.
+        #[test]
+        fn merge_capped_matches_replaced_pipeline(
+            batches in proptest::collection::vec(
+                proptest::collection::vec((0u64..16, 0u8..5, 0u8..5, 0u32..3), 0..30),
+                1..8,
+            ),
+            cap in 1usize..12,
+            at in (0u8..5, 0u8..5),
+        ) {
+            let space = Torus2::new(5.0, 5.0);
+            let pos = [f64::from(at.0), f64::from(at.1)];
+            let self_id = NodeId::new(0);
+            let mut fast: Vec<Descriptor<[f64; 2]>> = Vec::with_capacity(cap);
+            let mut slow = Vec::new();
+            for batch in &batches {
+                let incoming: Vec<_> = batch
+                    .iter()
+                    .map(|&(id, x, y, age)| {
+                        Descriptor::with_age(NodeId::new(id), [f64::from(x), f64::from(y)], age)
+                    })
+                    .collect();
+                merge_capped(&space, &pos, self_id, &mut fast, cap, &incoming);
+                replaced_pipeline(&space, &pos, self_id, &mut slow, cap, &incoming);
+                prop_assert_eq!(&fast, &slow);
+                prop_assert_eq!(fast.capacity(), cap, "the merge grew the view's allocation");
             }
         }
     }

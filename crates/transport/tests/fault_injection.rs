@@ -2,22 +2,41 @@
 //! machinery — parked handouts, stale-generation acks, timeout
 //! re-adoption — exercised over real sockets for the first time.
 //!
-//! The cluster runs under injected transit loss, so migration replies
-//! and acks genuinely vanish off the wire and responders park their
-//! handed-out points; nodes are then killed cold while exchanges are in
-//! flight (at millisecond ticks every tick opens migrations, so a kill
-//! lands mid-exchange with near certainty). The protocol's at-least-once
-//! guarantee must hold end-to-end: loss and crashes may *duplicate*
-//! points, but with K replicas no point is ever destroyed — every
-//! original survives, and the parked-handout re-adoption path returns
-//! them to circulation.
+//! The cluster runs under injected transit loss and nodes are killed
+//! cold while exchanges are in flight (at millisecond ticks every tick
+//! opens migrations, so a kill lands mid-exchange with near certainty).
+//! The recovery runs over the same wire: the reactivated copies of the
+//! victims' points trade places and merge while migration replies and
+//! acks genuinely vanish, so responders park their handed-out points.
+//! The protocol's at-least-once guarantee must hold end-to-end: loss and
+//! crashes may *duplicate* points, but with K replicas no point is ever
+//! destroyed — every original survives, and the parked-handout
+//! re-adoption path returns them to circulation.
+//!
+//! Nothing here waits on the wall clock: progress is awaited in protocol
+//! ticks, as in `cluster_suite`.
 
 use polystyrene::prelude::PolystyreneConfig;
 use polystyrene_membership::NodeId;
+use polystyrene_protocol::observe::RoundObservation;
 use polystyrene_protocol::LinkProfile;
 use polystyrene_space::prelude::*;
 use polystyrene_transport::{TcpCluster, TcpConfig};
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+/// Safety valve of one await, sized so a loaded CI box never reaches it.
+const MAX_WAIT: Duration = Duration::from_secs(30);
+
+/// Silent ticks before a peer is suspected. At 8 ms a tick the default
+/// of 4 is 40 ms, which 24 nodes' threads on two cores exceed unaided:
+/// in 44 of 60 runs a live node had been suspected, its ghosts
+/// reactivated and points were changing hands before the first kill. A
+/// kill that catches a point in the tick it changed hands destroys it
+/// (the protocol's custody window, ROADMAP invariants item), and that
+/// is not what this test is about. With 12 ticks every node still holds
+/// exactly its own point when the kills land (60 of 60 runs), so they
+/// cut exchanges, never a transfer of custody.
+const HEARTBEAT_TIMEOUT_TICKS: u32 = 12;
 
 #[test]
 fn mid_migration_kills_under_loss_never_destroy_points() {
@@ -26,6 +45,7 @@ fn mid_migration_kills_under_loss_never_destroy_points() {
     // whole workspace tests on a loaded single-core box.
     config.runtime.tick = Duration::from_millis(8);
     config.runtime.poly = PolystyreneConfig::builder().replication(4).build();
+    config.runtime.heartbeat_timeout_ticks = HEARTBEAT_TIMEOUT_TICKS;
     // 15% of frames vanish in transit: migration replies get lost (the
     // responder's handout stays parked until re-adoption) and acks get
     // lost (the initiator holds the points *and* the responder re-adopts
@@ -37,8 +57,23 @@ fn mid_migration_kills_under_loss_never_destroy_points() {
     };
     config.reader_poll = Duration::from_millis(50);
     let cluster = TcpCluster::spawn(Torus2::new(6.0, 4.0), shapes::torus_grid(6, 4, 1.0), config);
+    let advance = |ticks: u64| cluster.await_ticks(cluster.observe().ticks + ticks, MAX_WAIT);
+    // Observes once per tick until `done` holds or `budget` ticks have
+    // passed: the assertions are about *what* holds, never how fast.
+    let settle = |budget: u64, done: &dyn Fn(&RoundObservation) -> bool| {
+        let mut obs = cluster.observe();
+        for _ in 0..budget {
+            if done(&obs) {
+                break;
+            }
+            advance(1);
+            obs = cluster.observe();
+        }
+        obs
+    };
+
     // Let replication take hold so kills cannot trivially lose points.
-    cluster.await_ticks(15, Duration::from_secs(30));
+    cluster.await_ticks(15, MAX_WAIT);
     assert!(
         cluster.injected_drops() > 0,
         "the lossy fabric must actually drop frames"
@@ -46,28 +81,20 @@ fn mid_migration_kills_under_loss_never_destroy_points() {
 
     // Kill three nodes cold, one tick apart, while every survivor keeps
     // opening migration exchanges — some victims are mid-exchange as
-    // partner or initiator, leaving unacked handouts and dangling
-    // pending-migration locks behind on the survivors.
+    // partner or initiator, leaving dangling pending-migration locks
+    // behind on the survivors.
     for id in [0u64, 7, 13] {
         assert!(cluster.kill(NodeId::new(id)));
-        cluster.run_for(Duration::from_millis(8));
+        advance(1);
     }
     assert_eq!(cluster.observe().alive_nodes, 21);
 
-    // Recovery: heartbeat timeouts detect the crashes, ghosts
-    // reactivate, parked handouts re-adopt at the migration timeout.
-    // Poll rather than sleep once, with a deadline sized for a loaded
-    // single-core CI box running the whole workspace — the assertion is
-    // about *what* recovers, never about how fast.
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let mut obs = cluster.observe();
-    while Instant::now() < deadline {
-        cluster.run_for(Duration::from_millis(100));
-        obs = cluster.observe();
-        if obs.surviving_points >= 1.0 && obs.homogeneity < 1.0 {
-            break;
-        }
-    }
+    // Recovery: heartbeat timeouts detect the crashes, ghosts reactivate
+    // on up to four backups each, and the copies trade places and merge
+    // under loss, parked handouts re-adopting at the migration timeout (3
+    // ticks). Let all of that fire before looking.
+    advance(u64::from(HEARTBEAT_TIMEOUT_TICKS) + 12);
+    let obs = settle(200, &|o| o.surviving_points >= 1.0 && o.homogeneity < 1.0);
     assert_eq!(obs.alive_nodes, 21);
     assert!(
         obs.surviving_points >= 1.0,
