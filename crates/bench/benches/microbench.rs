@@ -348,11 +348,12 @@ fn bench_failure_lookup(c: &mut Criterion) {
 /// and since the payload pool landed the wire messages' descriptor and
 /// point vectors recycle through `EffectSink`'s `BufPool` too. What
 /// remains is protocol-internal churn that genuinely varies per round
-/// (split/merge working sets): 157 allocations per round at 256 nodes,
-/// the same on every run and machine (seeded, and below the rayon
-/// shim's threshold, so nothing fans out). The bound is ~2.5x that. Two
-/// allocations per node-round, what the peer-sampling merge once cost,
-/// are ~510 and read 630 here, so a per-exchange `Vec` fails the gate,
+/// (split/merge working sets): 150 allocations per round at 256 nodes,
+/// the same on every run and machine (seeded, below the rayon shim's
+/// threshold and the kernel's own, so nothing fans out). The bound is
+/// ~2.7x that. Two allocations per node-round, what the peer-sampling
+/// merge once cost, are ~510 and read 630 then, so a per-exchange `Vec`
+/// fails the gate,
 /// and per-message payload allocations (~5 700 before the pool) or
 /// per-event kernel ones all the more.
 ///
@@ -434,14 +435,24 @@ fn assert_engine_steady_state_allocations(
 /// what is live is the steady state a 100k-node run multiplies. The two
 /// gossip views are the largest part of it: 3 200 + 640 bytes of
 /// descriptors when allocated at their caps, 5 120 + 1 024 when left to
-/// double their way there. Measured with the views exact: engine 5 631,
-/// netsim 9 403 bytes/node (the kernel adds its event queue and payload
-/// pool); with doubled views 7 896 and 11 760. Each bound is the
-/// midpoint, so a view that carries slack again fails here before it
-/// shows as resident megabytes. The gauge is process-wide, which is
-/// safe at this size: 256 nodes run inline in the rayon shim, so no
-/// worker thread (nor its thread-local scratch) is born inside the
-/// window, and the readings repeat to the byte.
+/// double their way there. Measured with the views exact: engine 5 919,
+/// netsim 9 911 bytes/node (the kernel adds its event queue, payload
+/// pool, staging buffers and every node's rng); doubled views would add
+/// 2 265 and 2 357. The bounds were set as the midpoints at PR 17's
+/// readings (5 631 / 9 403) and still sit well below the doubled
+/// figures, so a view that carries slack again fails here before it
+/// shows as resident megabytes. PR 19 moved the readings without
+/// touching a view: replica pushes ride pooled buffers, whose capacity
+/// is whatever the buffer last carried, where they used to be
+/// exact-size clones (+288 on both — the price of the pool no longer
+/// growing by a buffer per push), and the kernel holds a 32-byte stream
+/// per node and one lane's staging scratch (+220). The gauge is
+/// process-wide, which is safe at this size: 256 nodes run inline in
+/// the rayon shim and no 256-node wave is wide enough for a second
+/// kernel lane (asserted below), so no worker thread (nor its
+/// thread-local scratch) is born inside the window, and the readings
+/// repeat to the byte on any number of cores but for the 256 bytes of
+/// each idle `Lane`.
 fn assert_live_heap_per_node(substrate: &str, live_before: u64, nodes: u64, bound: u64) {
     let per_node = LIVE_BYTES
         .load(Ordering::Relaxed)
@@ -486,8 +497,10 @@ fn bench_netsim_round(c: &mut Criterion) {
     // their steady capacities.
     sim.run(24);
     assert_live_heap_per_node("netsim", live_before, 256, 10_600);
+    assert_eq!(sim.parallel_runs(), 0, "a 256-node run fanned out");
     let mut load = TrafficLoad::new(shapes::torus_grid(32, 8, 1.0), 32, 0.9, 16, 21);
     assert_netsim_steady_state_allocations(&mut sim, &mut load);
+    assert_eq!(sim.parallel_runs(), 0, "a loaded 256-node run fanned out");
     let mut group = c.benchmark_group("netsim_round");
     group.bench_function("n256_loss5", |b| b.iter(|| sim.step()));
     group.finish();

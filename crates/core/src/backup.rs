@@ -101,8 +101,34 @@ pub fn plan_backups<P: Clone>(
     self_id: NodeId,
     replication: usize,
     is_failed: impl Fn(NodeId) -> bool,
+    candidates: impl FnMut() -> Option<NodeId>,
+    ids_scratch: &mut Vec<PointId>,
+) -> Vec<BackupPush<P>> {
+    plan_backups_with(
+        state,
+        self_id,
+        replication,
+        is_failed,
+        candidates,
+        ids_scratch,
+        Vec::new,
+    )
+}
+
+/// [`plan_backups`] with the replica buffers supplied by the caller:
+/// each planned push copies the guests into a buffer from `take_points`
+/// (empty, any capacity). The receiver of a push retires the replica it
+/// replaces into its driver's buffer pool, so a driver that also *takes*
+/// push buffers from that pool closes the loop; with fresh buffers the
+/// pool gains one per push and nothing drains it.
+pub fn plan_backups_with<P: Clone>(
+    state: &mut PolyState<P>,
+    self_id: NodeId,
+    replication: usize,
+    is_failed: impl Fn(NodeId) -> bool,
     mut candidates: impl FnMut() -> Option<NodeId>,
     ids_scratch: &mut Vec<PointId>,
+    mut take_points: impl FnMut() -> Vec<DataPoint<P>>,
 ) -> Vec<BackupPush<P>> {
     // Line 1: backups ← backups \ failed (their delta records go too).
     // `retain` on the set would be cleaner but the records must go in the
@@ -139,9 +165,11 @@ pub fn plan_backups<P: Clone>(
         if !new_target && added == 0 && removed == 0 {
             continue; // replica already up to date: no traffic at all
         }
+        let mut points = take_points();
+        points.extend_from_slice(&state.guests);
         pushes.push(BackupPush {
             target,
-            points: state.guests.clone(),
+            points,
             new_target,
             added_points: added,
             removed_ids: removed,
@@ -358,5 +386,36 @@ mod tests {
         );
         assert_eq!(pushes.len(), 1);
         assert!(pushes[0].new_target);
+    }
+
+    #[test]
+    fn supplied_buffers_carry_the_replicas() {
+        let mut s = PolyState::with_initial_point(dp(0, 0.0));
+        let mut handed_out = 0;
+        let pushes = plan_backups_with(
+            &mut s,
+            NodeId::new(0),
+            2,
+            |_| false,
+            cycle_candidates(vec![1, 2]),
+            &mut Vec::new(),
+            || {
+                handed_out += 1;
+                Vec::with_capacity(64)
+            },
+        );
+        assert_eq!(pushes.len(), 2);
+        assert_eq!(
+            handed_out, 2,
+            "one buffer per planned push, none for elided ones"
+        );
+        for p in &pushes {
+            assert_eq!(p.points, s.guests);
+            assert_eq!(
+                p.points.capacity(),
+                64,
+                "the caller's buffer, not a fresh clone"
+            );
+        }
     }
 }

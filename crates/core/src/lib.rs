@@ -70,7 +70,7 @@ pub mod state;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use crate::backup::{plan_backups, push_cost_units, BackupPush};
+    pub use crate::backup::{plan_backups, plan_backups_with, push_cost_units, BackupPush};
     pub use crate::config::{BackupPlacement, ConfigBuilder, PolystyreneConfig};
     pub use crate::datapoint::{DataPoint, PointId};
     pub use crate::migration::{

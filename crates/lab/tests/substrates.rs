@@ -507,15 +507,52 @@ fn lossless_links_charge_the_engine_and_kernel_identically() {
     n.area = lab.area;
     n.seed = lab.seed;
     let mut kernel = NetSim::new(Torus2::new(w, h), shape, n);
+    // Round 0 is exact only up to the short bootstrap views. A message
+    // carries `min(m - 1, view) + 1` descriptors, and bootstrap draws its
+    // `tman_bootstrap` contacts with replacement, so a node can start with
+    // fewer than `m - 1` of them: call those nodes short, `deficit` the
+    // entries they lack in total. Views only grow in a failure-free round,
+    // so every message a short node sends lacks at most its own deficit,
+    // and merging one message from a full node (`m` distinct ids, at most
+    // one of them the receiver's) makes it full for good. A short node
+    // therefore sends short at most its own request, one reply to a full
+    // requester, and one reply to each other short node's request:
+    // `short + 1` messages. Which of them it does send is scheduling, the
+    // one thing the two substrates do not share; both build the same
+    // bootstrap views from the same driver stream. At this seed 3 of 200
+    // views lack one entry each: 0.18 units per node against the round's
+    // 60, and the kernel reads 59.97.
+    let (m, unit) = (lab.tman.m, e.cost.units_per_descriptor);
+    let lacking = |len: usize| (m - 1).saturating_sub(len);
+    let ids = engine.alive_ids();
+    let (mut short, mut deficit) = (0, 0);
+    for &id in &ids {
+        let boot = engine.view_entries_of(id).expect("founder").len();
+        assert_eq!(
+            kernel.view_entries_of(id).expect("founder").len(),
+            boot,
+            "{id:?}: both substrates bootstrap from the same stream"
+        );
+        assert!(boot > 0, "{id:?}: an empty view sends no request at all");
+        short += usize::from(lacking(boot) > 0);
+        deficit += lacking(boot);
+    }
+    let full_round = (2 * m * unit) as f64;
+    let bootstrap_slack = (deficit * (short + 1) * unit) as f64 / ids.len() as f64;
+    assert!(
+        bootstrap_slack < 0.01 * full_round,
+        "{short} short views lacking {deficit} entries leave round 0 unchecked"
+    );
     for round in 0..6 {
         let em = engine.step();
         let nm = kernel.step();
         let e_tman = em.cost_per_node * em.tman_cost_share;
         let n_tman = nm.cost_per_node * nm.tman_cost_share;
+        let slack = if round == 0 { bootstrap_slack } else { 0.0 };
         assert!(
-            (e_tman - n_tman).abs() < 1e-9,
-            "round {round}: T-Man units per node must match exactly on \
-             ideal links: engine {e_tman} vs netsim {n_tman}"
+            (e_tman - n_tman).abs() <= slack + 1e-9,
+            "round {round}: T-Man units per node must match on ideal \
+             links to within {slack}: engine {e_tman} vs netsim {n_tman}"
         );
         assert!(e_tman > 0.0, "round {round}: T-Man traffic cannot be free");
     }

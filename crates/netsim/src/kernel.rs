@@ -22,7 +22,7 @@
 //! experience it. Partitions never fail a probe: nothing crashed, so the
 //! failure detector has nothing to say — the opened exchange's traffic
 //! simply vanishes in the fabric, and views survive the window intact
-//! (see `execute`).
+//! (see `Lane::serve`).
 //!
 //! # What the kernel simulates, and what it takes from an oracle
 //!
@@ -58,15 +58,54 @@
 //!
 //! The hot loop is allocation-free in steady state: future events live
 //! in a [`CalendarQueue`] of reusable per-tick buckets, node effects are
-//! pushed into one kernel-owned [`EffectSink`] and dispatched through
-//! one reusable queue, and the per-round measurement pass reuses dense
+//! pushed into the lanes' [`EffectSink`]s and dispatched through their
+//! reusable queues, and the per-round measurement pass reuses dense
 //! point-id-indexed holder/ghost tables instead of rebuilding hash maps.
 //!
-//! Determinism: one seeded RNG drives bootstrap, activation orders and
-//! node entropy in a fixed order; the network model draws from its own
-//! seeded stream in event order. Identical configurations replay
-//! bit-identical histories — pinned across the pool/queue/metrics swap
-//! by `tests/golden_history.rs`.
+//! # Determinism
+//!
+//! Identical configurations replay bit-identical histories, on any
+//! number of cores — pinned by `tests/golden_history.rs`. Four kinds
+//! of seeded stream, one per kind of decision:
+//!
+//! * the **kernel's** (`seed`) draws bootstrap contacts, each round's
+//!   activation order and offsets, and random victims;
+//! * every **node's own** ([`node_seed`]`(seed, id)`, the rule the live
+//!   substrates use) draws everything its handlers decide: gossip
+//!   partners, shuffles, backup candidates, projections;
+//! * the **protocol fabric's** and the **traffic fabric's** draw each
+//!   message's fate.
+//!
+//! They are separate generators, not all separate sequences:
+//! `node_seed(seed, 0)` is `seed`, so node 0's handlers replay the
+//! numbers the kernel's stream spends on bootstrap contacts and
+//! activation orders (the live substrates' rule, kept value for value;
+//! a tag mixed into it would re-pin their goldens as well). Replay does
+//! not lean on the two being distinct; that node 0's choices are
+//! independent of the driver's is not claimed.
+//!
+//! A handler touches its node, its node's stream, the read-only failure
+//! knowledge and a buffer pool, and probes are answered from that
+//! knowledge without looking at the peer. So the activations and
+//! deliveries queued for one tick — a *wave* — cannot observe each
+//! other's outcome, except through a node they share, and are served in
+//! parallel *lanes* that each own a contiguous chunk of the node slots
+//! and serve their nodes' events in wave order.
+//!
+//! Order lives in the sequential merge stage that follows: every send
+//! is tagged with the position of the event that caused it, and the
+//! sends are counted, charged, given a fate and queued in that order —
+//! the two fabric streams are drawn in event order, and zero-latency
+//! sends land at the back of the tick's bucket to form the next wave,
+//! exactly as a one-event-at-a-time FIFO would have it. Crashes and
+//! detections, which do change what later handlers see, are applied
+//! between runs of a wave, never inside one.
+//!
+//! The lane count (the machine's parallelism) therefore decides which
+//! thread runs a handler and nothing a handler can see: one lane on one
+//! core is the same history as seven on two
+//! (`lane_count_never_shows`). Which pool a buffer retires into does
+//! depend on it, and is not protocol state.
 
 use crate::config::NetSimConfig;
 use crate::metrics::{reference_homogeneity, NetRoundMetrics};
@@ -75,8 +114,8 @@ use polystyrene::prelude::*;
 use polystyrene_membership::{Descriptor, FailureTable, NodeId};
 use polystyrene_protocol::pool::NodePool;
 use polystyrene_protocol::{
-    Channel, Effect, EffectSink, Event, Fate, FaultyNetwork, NetworkModel, ProtocolNode, QueryItem,
-    RoundCost, Wire,
+    node_seed, Channel, Effect, EffectSink, Event, Fate, FaultyNetwork, NetworkModel, ProtocolNode,
+    QueryItem, RoundCost, Wire, TRAFFIC_SEED_TAG,
 };
 use polystyrene_space::MetricSpace;
 use polystyrene_topology::TopologyConstruction;
@@ -89,7 +128,14 @@ use std::collections::VecDeque;
 /// kernel's, so link faults and protocol randomness never interleave.
 const NET_SEED_TAG: u64 = 0x6e65_7473_696d; // "netsim"
 
-use polystyrene_protocol::TRAFFIC_SEED_TAG;
+/// Events that justify a lane: a wave is spread over one lane per
+/// `LANE_LOAD` events it holds (at most one per core), and a run is
+/// served on worker threads once it holds two lanes' worth. Starting and
+/// joining a thread costs what a few dozen handlers do; below this, and
+/// so for the whole of a small population's run (the unit tests, the
+/// 256-node allocation and heap gates), everything stays on lane 0 and
+/// the calling thread. The outcome is the same either way.
+const LANE_LOAD: usize = 128;
 
 /// A queued future event. The tick it fires at and its position within
 /// that tick are carried by the [`CalendarQueue`] (bucket + FIFO slot),
@@ -107,6 +153,121 @@ enum Pending<P> {
     Detect { id: NodeId },
     /// A scheduled crash fires.
     Crash { id: NodeId },
+}
+
+/// One `Activate` or `Deliver` of the run being served, staged on the
+/// lane that owns its node.
+struct Staged<P> {
+    /// Position in the run — the order the merge stage restores.
+    index: u32,
+    /// The node's slot, counted from the start of the lane's chunk.
+    slot: u32,
+    /// The sender and payload to deliver; `None` for an activation.
+    message: Option<(NodeId, Wire<P>)>,
+}
+
+/// A send a staged event caused, waiting for the merge stage.
+struct Outbound<P> {
+    /// [`Staged::index`] of the event that caused it.
+    index: u32,
+    from: NodeId,
+    to: NodeId,
+    wire: Wire<P>,
+}
+
+/// A worker's share of a run: the events of the nodes in one contiguous
+/// chunk of the slot array, and everything serving them needs besides
+/// the nodes and their entropy — all reusable scratch.
+struct Lane<S: MetricSpace> {
+    /// The effect buffer and payload pool this lane's nodes push into.
+    /// Lane 0's doubles as the kernel's own (query offers, wires that
+    /// die in the merge stage).
+    sink: EffectSink<S::Point>,
+    events: Vec<Staged<S::Point>>,
+    /// Dispatch queue of the event being served: a probe's answer can
+    /// append further effects behind the ones already waiting.
+    effects: VecDeque<Effect<S::Point>>,
+    /// Sends caused so far, ascending in `index`.
+    out: VecDeque<Outbound<S::Point>>,
+}
+
+impl<S: MetricSpace> Lane<S> {
+    fn new() -> Self {
+        Self {
+            sink: EffectSink::new(),
+            events: Vec::new(),
+            effects: VecDeque::new(),
+            out: VecDeque::new(),
+        }
+    }
+
+    /// Serves the staged events in order against this lane's chunk of
+    /// the slot array and of the rng slab: every handler runs on its own
+    /// node with that node's entropy, probes are answered on the spot
+    /// from the failure knowledge, and the sends pile up in `out`.
+    fn serve(
+        &mut self,
+        nodes: &mut [Option<ProtocolNode<S>>],
+        rngs: &mut [StdRng],
+        detected: &FailureTable,
+    ) {
+        let Self {
+            sink,
+            events,
+            effects,
+            out,
+        } = self;
+        let fd = |peer: NodeId| detected.is_failed(peer);
+        for Staged {
+            index,
+            slot,
+            message,
+        } in events.drain(..)
+        {
+            let node = nodes[slot as usize]
+                .as_mut()
+                .expect("staged for a live node");
+            let rng = &mut rngs[slot as usize];
+            match message {
+                None => node.on_round_into(&fd, rng, sink),
+                Some((from, wire)) => node.on_event_into(Event::Message { from, wire }, rng, sink),
+            }
+            let from = node.id();
+            effects.extend(sink.drain());
+            while let Some(effect) = effects.pop_front() {
+                match effect {
+                    Effect::Probe { peer, channel } => {
+                        // Failure *knowledge*, not ground truth: an undetected
+                        // crash passes the probe and the exchange later times
+                        // out. Partitions deliberately do NOT fail probes —
+                        // the probe asks the local failure detector, which a
+                        // partition never updates (nothing crashed); the
+                        // opened exchange's traffic then vanishes in transit
+                        // instead. This keeps partitions non-destructive:
+                        // views are not purged, so the fabric heals cleanly
+                        // when the mask lifts.
+                        let event = if !detected.is_failed(peer) {
+                            Event::ProbeOk {
+                                peer,
+                                channel,
+                                pos: None,
+                            }
+                        } else {
+                            Event::PeerUnreachable { peer, channel }
+                        };
+                        node.on_event_into(event, rng, sink);
+                        effects.extend(sink.drain());
+                    }
+                    Effect::Send { to, wire } => out.push_back(Outbound {
+                        index,
+                        from,
+                        to,
+                        wire,
+                    }),
+                }
+            }
+        }
+    }
 }
 
 /// Reusable dense tables for the per-round measurement pass, replacing
@@ -177,9 +338,27 @@ pub struct NetSim<S: MetricSpace> {
     /// probe, hence the dense table.
     detected: FailureTable,
     queue: CalendarQueue<Pending<S::Point>>,
+    /// The wave being served; between waves, the spare buffer
+    /// [`CalendarQueue::take_tick`] swaps into the ring.
+    wave: VecDeque<Pending<S::Point>>,
     now: u64,
     round: u32,
+    /// The kernel's own stream: bootstrap contacts, activation order and
+    /// offsets, victim draws. Never handed to a node.
     rng: StdRng,
+    /// Every node's private entropy stream, slot-indexed beside the
+    /// pool's slot array and seeded by [`node_seed`] when the slot is
+    /// filled (slots recycle, streams do not).
+    rngs: Vec<StdRng>,
+    /// The lanes a run's events are spread over — as many as the machine
+    /// runs threads, never empty; a wave uses as many of them as it has
+    /// work for. How many there are decides which thread serves a node
+    /// and nothing else.
+    lanes: Vec<Lane<S>>,
+    /// Events staged on the lanes for the run being assembled.
+    staged: usize,
+    /// Runs served on worker threads so far.
+    parallel_runs: u64,
     history: Vec<NetRoundMetrics>,
     sent_messages: u64,
     dropped_messages: u64,
@@ -188,12 +367,6 @@ pub struct NetSim<S: MetricSpace> {
     /// This round's traffic in the paper's cost units, tallied at the
     /// send boundary (a dropped message still cost its sender the bytes).
     cost: RoundCost,
-    /// Kernel-owned effect sink every node activation/delivery pushes
-    /// into — one buffer for the whole simulation instead of a fresh
-    /// `Vec` per protocol call.
-    sink: EffectSink<S::Point>,
-    /// Reusable effect-dispatch queue for [`Self::execute`].
-    pending: VecDeque<(NodeId, Effect<S::Point>)>,
     /// Reusable activation-order buffer for [`Self::step`].
     order: Vec<NodeId>,
     /// Reusable measurement tables for [`Self::step`].
@@ -243,6 +416,7 @@ impl<S: MetricSpace> NetSim<S> {
             .collect();
 
         let mut nodes: NodePool<S> = NodePool::with_capacity(n);
+        let mut rngs = Vec::with_capacity(n);
         for (i, origin) in original_points.iter().enumerate() {
             let mut contacts = Vec::new();
             while contacts.len() < config.rps_view_cap.min(n - 1) {
@@ -277,6 +451,8 @@ impl<S: MetricSpace> NetSim<S> {
                 )
             });
             debug_assert_eq!(id.index(), i, "founding ids are positional");
+            debug_assert_eq!(nodes.slot_of(id), Some(i), "and so are their slots");
+            rngs.push(StdRng::seed_from_u64(node_seed(config.seed, id)));
         }
 
         Self {
@@ -294,16 +470,21 @@ impl<S: MetricSpace> NetSim<S> {
             traffic_in_flight: 0,
             detected: FailureTable::new(),
             queue: CalendarQueue::new(),
+            wave: VecDeque::new(),
             now: 0,
             round: 0,
             rng,
+            rngs,
+            lanes: (0..rayon::current_num_threads())
+                .map(|_| Lane::new())
+                .collect(),
+            staged: 0,
+            parallel_runs: 0,
             history: Vec::new(),
             sent_messages: 0,
             dropped_messages: 0,
             in_flight: 0,
             cost: RoundCost::default(),
-            sink: EffectSink::new(),
-            pending: VecDeque::new(),
             order: Vec::new(),
             scratch: MeasureScratch::default(),
             traffic_batch: Vec::new(),
@@ -360,6 +541,14 @@ impl<S: MetricSpace> NetSim<S> {
     /// Messages currently in transit (scheduled but undelivered).
     pub fn in_flight(&self) -> usize {
         self.in_flight
+    }
+
+    /// Runs of events served on worker threads so far — a diagnostic for
+    /// tests and the bench gates, not part of any history: zero on one
+    /// core, and while no run holds two lanes' worth of events.
+    #[doc(hidden)]
+    pub fn parallel_runs(&self) -> u64 {
+        self.parallel_runs
     }
 
     /// Mutable access to the network model (install partitions, tweak a
@@ -440,7 +629,7 @@ impl<S: MetricSpace> NetSim<S> {
         let mut at = 0;
         while at < batch.len() {
             let gateway = batch[at].0;
-            let mut queries = self.sink.take_queries();
+            let mut queries = self.lanes[0].sink.take_queries();
             while at < batch.len() && batch[at].0 == gateway {
                 let (_, qid, idx) = batch[at];
                 queries.push(QueryItem {
@@ -626,6 +815,14 @@ impl<S: MetricSpace> NetSim<S> {
                     boot,
                 )
             });
+            // A recycled slot still holds its previous occupant's stream.
+            let slot = self.nodes.slot_of(id).expect("just inserted");
+            let rng = StdRng::seed_from_u64(node_seed(self.config.seed, id));
+            match self.rngs.get_mut(slot) {
+                Some(stream) => *stream = rng,
+                None => self.rngs.push(rng),
+            }
+            debug_assert_eq!(self.rngs.len(), self.nodes.slot_count());
             new_ids.push(id);
         }
         new_ids
@@ -665,9 +862,18 @@ impl<S: MetricSpace> NetSim<S> {
         // Everything due before the round boundary — activations, the
         // deliveries they cause, crashes, detections — happens now, in
         // time order; later arrivals stay queued for future rounds.
-        self.drain(round_end - 1);
+        let widest = self.serve_until(round_end - 1);
         self.now = round_end;
         self.position_refresh();
+        // Buffers are taken where a message is built and retired where
+        // it is consumed, and lane 0 also feeds every query offer and
+        // every narrow wave: even the pools of the lanes this round used
+        // out against it before the imbalance becomes memory. (A lane the
+        // round left idle would only hoard what it was handed.)
+        let (hub, rest) = self.lanes[..widest].split_first_mut().expect("never empty");
+        for lane in rest {
+            hub.sink.level_pool_with(&mut lane.sink);
+        }
         let mut scratch = std::mem::take(&mut self.scratch);
         let metrics = self.measure_into(&mut scratch);
         self.scratch = scratch;
@@ -707,141 +913,164 @@ impl<S: MetricSpace> NetSim<S> {
         self.queue.push(at, what);
     }
 
-    /// Executes the effects currently in the sink as `origin`'s output:
-    /// probes are answered from the kernel's failure knowledge, sends are
-    /// routed through the network model. Cascading effects (a probe
-    /// answer opening an exchange) flow through one reusable dispatch
-    /// queue.
-    fn execute(&mut self, origin: NodeId) {
-        let mut pending = std::mem::take(&mut self.pending);
-        pending.extend(self.sink.drain().map(|e| (origin, e)));
-        while let Some((at, effect)) = pending.pop_front() {
-            match effect {
-                Effect::Probe { peer, channel } => {
-                    // Failure *knowledge*, not ground truth: an undetected
-                    // crash passes the probe and the exchange later times
-                    // out. Partitions deliberately do NOT fail probes —
-                    // the probe asks the local failure detector, which a
-                    // partition never updates (nothing crashed); the
-                    // opened exchange's traffic then vanishes in transit
-                    // instead. This keeps partitions non-destructive:
-                    // views are not purged, so the fabric heals cleanly
-                    // when the mask lifts.
-                    let event = if !self.detected.is_failed(peer) {
-                        Event::ProbeOk {
-                            peer,
-                            channel,
-                            pos: None,
-                        }
-                    } else {
-                        Event::PeerUnreachable { peer, channel }
-                    };
-                    let Self {
-                        nodes, rng, sink, ..
-                    } = &mut *self;
-                    let node = nodes.get_mut(at).expect("active node vanished");
-                    node.on_event_into(event, rng, sink);
-                    pending.extend(self.sink.drain().map(|e| (at, e)));
-                }
-                Effect::Send { to, wire } => {
-                    if wire.channel() == Channel::Query {
-                        // Application traffic rides its own fabric and is
-                        // metered node-side (a query dropped here simply
-                        // never resolves and expires at its origin): the
-                        // protocol plane's counters, cost tally and rng
-                        // streams are untouched.
-                        match self.traffic_net.route(at, to, Channel::Query, self.now) {
-                            Fate::Drop => self.sink.recycle_wire(wire),
-                            Fate::Deliver { delay } => {
-                                let deliver_at = self.now + delay;
-                                self.schedule(deliver_at, Pending::Deliver { from: at, to, wire });
-                            }
-                        }
-                        continue;
+    /// Serves every queued event with `at <= limit`, one *wave* at a
+    /// time: everything queued for the earliest tick is taken off the
+    /// queue at once, and what serving it sends back into the same tick
+    /// (a zero-latency hop) queues up behind it as the next wave — the
+    /// order a one-event-at-a-time FIFO would serve in. Within a wave,
+    /// consecutive activations and deliveries form a *run* that goes
+    /// through the two stages of [`Self::serve_staged`]; a `Detect` or
+    /// `Crash` changes what every later handler may see, so it closes
+    /// the run before it is applied. Returns the most lanes any wave was
+    /// spread over.
+    fn serve_until(&mut self, limit: u64) -> usize {
+        let mut widest = 1;
+        let mut wave = std::mem::take(&mut self.wave);
+        while let Some(at) = self.queue.take_tick(limit, &mut wave) {
+            self.now = self.now.max(at);
+            // Lanes for this wave (see `LANE_LOAD`), and slots per lane.
+            let width = (wave.len() / LANE_LOAD).clamp(1, self.lanes.len());
+            let chunk = self.nodes.slot_count().div_ceil(width);
+            widest = widest.max(width);
+            for what in wave.drain(..) {
+                match what {
+                    Pending::Detect { id } => {
+                        self.serve_staged(chunk);
+                        self.detected.mark(id);
                     }
-                    self.sent_messages += 1;
-                    self.cost.charge_wire(&self.config.cost, &wire);
-                    match self.net.route(at, to, wire.channel(), self.now) {
-                        Fate::Drop => {
-                            self.dropped_messages += 1;
-                            // Lost in the fabric: the payload buffer goes
-                            // back to the sink's pool.
-                            self.sink.recycle_wire(wire);
+                    Pending::Crash { id } => {
+                        self.serve_staged(chunk);
+                        self.crash(id);
+                    }
+                    Pending::Activate { id } => self.stage(chunk, id, None),
+                    Pending::Deliver { from, to, wire } => {
+                        if wire.channel() == Channel::Query {
+                            self.traffic_in_flight -= 1;
+                        } else {
+                            self.in_flight -= 1;
                         }
-                        Fate::Deliver { delay } => {
-                            let deliver_at = self.now + delay;
-                            self.schedule(deliver_at, Pending::Deliver { from: at, to, wire });
-                        }
+                        self.stage(chunk, to, Some((from, wire)));
                     }
                 }
             }
+            self.serve_staged(chunk);
         }
-        self.pending = pending;
+        self.wave = wave;
+        widest
     }
 
-    /// Processes every queued event with `at <= limit` in `(at, seq)`
-    /// order, advancing the simulated clock to each event's time.
-    fn drain(&mut self, limit: u64) {
-        while let Some((at, what)) = self.queue.pop_next(limit) {
-            self.now = self.now.max(at);
-            match what {
-                Pending::Detect { id } => {
-                    self.detected.mark(id);
+    /// Appends an activation (`message` is `None`) or a delivery to the
+    /// run being assembled, on the lane that owns `to`'s slot. Liveness
+    /// is settled here: crashes only happen between runs.
+    fn stage(&mut self, chunk: usize, to: NodeId, message: Option<(NodeId, Wire<S::Point>)>) {
+        let Some(slot) = self.nodes.slot_of(to) else {
+            // Crashed since this was scheduled: an activation evaporates
+            // with the node, a message in flight gives its buffer back.
+            if let Some((_, wire)) = message {
+                self.lanes[0].sink.recycle_wire(wire);
+            }
+            return;
+        };
+        self.lanes[slot / chunk].events.push(Staged {
+            index: self.staged as u32,
+            slot: (slot % chunk) as u32,
+            message,
+        });
+        self.staged += 1;
+    }
+
+    /// Serves the run staged on the lanes, in two stages.
+    ///
+    /// **Serve** (parallel): each lane runs its nodes' handlers in run
+    /// order ([`Lane::serve`]). Lanes own disjoint chunks of the slot
+    /// array and of the rng slab and only read the failure knowledge, so
+    /// no handler can see what another lane did — and a node's events,
+    /// all on one lane, still reach it in order. A run too small to pay
+    /// for threads ([`LANE_LOAD`]) goes through the same lanes on the
+    /// calling thread.
+    ///
+    /// **Merge** (sequential): the sends come back tagged with the
+    /// position of the event that caused them and are routed in that
+    /// order — counters, cost, both network models' entropy streams and
+    /// the positions deliveries take in the queue are exactly those of
+    /// serving the run one event at a time.
+    fn serve_staged(&mut self, chunk: usize) {
+        let staged = std::mem::take(&mut self.staged);
+        if staged == 0 {
+            return;
+        }
+        let fan_out = staged >= 2 * LANE_LOAD && chunk < self.nodes.slot_count();
+        self.parallel_runs += u64::from(fan_out);
+        let Self {
+            nodes,
+            rngs,
+            lanes,
+            detected,
+            ..
+        } = &mut *self;
+        let detected = &*detected;
+        let mut busy = nodes
+            .slots_mut()
+            .chunks_mut(chunk)
+            .zip(rngs.chunks_mut(chunk))
+            .zip(lanes.iter_mut())
+            .filter(|(_, lane)| !lane.events.is_empty());
+        if !fan_out {
+            for ((nodes, rngs), lane) in busy {
+                lane.serve(nodes, rngs, detected);
+            }
+        } else {
+            rayon::scope(|scope| {
+                // The calling thread takes a lane too.
+                let mine = busy.next();
+                for ((nodes, rngs), lane) in busy {
+                    scope.spawn(move |_| lane.serve(nodes, rngs, detected));
                 }
-                Pending::Crash { id } => {
-                    self.crash(id);
+                if let Some(((nodes, rngs), lane)) = mine {
+                    lane.serve(nodes, rngs, detected);
                 }
-                Pending::Activate { id } => {
-                    {
-                        // Split borrow: `detected` cannot change during
-                        // one activation, so the closure reads it in
-                        // place — no per-activation snapshot clone.
-                        let Self {
-                            nodes,
-                            detected,
-                            rng,
-                            sink,
-                            ..
-                        } = &mut *self;
-                        // Crashed since it was scheduled: the activation
-                        // evaporates with the node.
-                        let Some(node) = nodes.get_mut(id) else {
-                            continue;
-                        };
-                        let fd = |peer: NodeId| detected.is_failed(peer);
-                        node.on_round_into(&fd, rng, sink);
-                    }
-                    if !self.sink.is_empty() {
-                        self.execute(id);
-                    }
-                }
-                Pending::Deliver { from, to, wire } => {
-                    if wire.channel() == Channel::Query {
-                        self.traffic_in_flight -= 1;
-                    } else {
-                        self.in_flight -= 1;
-                    }
-                    let delivered = {
-                        let Self {
-                            nodes, rng, sink, ..
-                        } = &mut *self;
-                        match nodes.get_mut(to) {
-                            Some(node) => {
-                                node.on_event_into(Event::Message { from, wire }, rng, sink);
-                                true
-                            }
-                            // A message to a node that died mid-flight
-                            // evaporates; its buffer is recycled.
-                            None => {
-                                sink.recycle_wire(wire);
-                                false
-                            }
-                        }
-                    };
-                    if delivered && !self.sink.is_empty() {
-                        self.execute(to);
-                    }
-                }
+            });
+        }
+
+        // Every event sits on exactly one lane and every lane's output
+        // ascends, so the lane holding the smallest pending index holds
+        // all of that event's sends, in the order the node issued them.
+        while let Some((index, lane)) = self
+            .lanes
+            .iter()
+            .enumerate()
+            .filter_map(|(lane, l)| l.out.front().map(|o| (o.index, lane)))
+            .min()
+        {
+            while let Some(o) = self.lanes[lane].out.pop_front_if(|o| o.index == index) {
+                self.send(o.from, o.to, o.wire);
+            }
+        }
+    }
+
+    /// Hands one message to its fabric: counted and charged at the send
+    /// boundary, then dropped or scheduled as the network model decides.
+    fn send(&mut self, from: NodeId, to: NodeId, wire: Wire<S::Point>) {
+        let fate = if wire.channel() == Channel::Query {
+            // Application traffic rides its own fabric and is metered
+            // node-side (a query dropped here simply never resolves and
+            // expires at its origin): the protocol plane's counters,
+            // cost tally and rng streams are untouched.
+            self.traffic_net.route(from, to, Channel::Query, self.now)
+        } else {
+            self.sent_messages += 1;
+            self.cost.charge_wire(&self.config.cost, &wire);
+            let fate = self.net.route(from, to, wire.channel(), self.now);
+            if fate == Fate::Drop {
+                self.dropped_messages += 1;
+            }
+            fate
+        };
+        match fate {
+            // Lost in the fabric: the payload buffer goes back to a pool.
+            Fate::Drop => self.lanes[0].sink.recycle_wire(wire),
+            Fate::Deliver { delay } => {
+                self.schedule(self.now + delay, Pending::Deliver { from, to, wire });
             }
         }
     }
@@ -1020,6 +1249,141 @@ mod tests {
         let mut c = tiny_sim(8, lossy);
         c.run(8);
         assert_ne!(a.history(), c.history());
+    }
+
+    /// One run of a script that uses everything the wave loop has to get
+    /// right, on `lanes` lanes: query offers large enough that runs fan
+    /// out, a crash queued between two halves of an offer (a control
+    /// event splitting a parallel run, and deliveries to the node it
+    /// removed), a crash landing mid-round, a region kill whose `Detect`
+    /// events arrive three ticks later in the middle of other traffic,
+    /// and an inject into recycled slots. Returns everything observable:
+    /// the history, the traffic samples and the traffic totals.
+    fn scripted_run(
+        link: LinkProfile,
+        lanes: usize,
+    ) -> (Vec<NetRoundMetrics>, Vec<(u32, u64)>, [u64; 3]) {
+        let mut cfg = tiny_config(17);
+        cfg.area = 512.0;
+        cfg.link = link;
+        cfg.detection_delay_ticks = 3;
+        let mut sim = NetSim::new(
+            Torus2::new(32.0, 16.0),
+            shapes::torus_grid(32, 16, 1.0),
+            cfg,
+        );
+        sim.lanes = (0..lanes).map(|_| Lane::new()).collect();
+        let keys: Vec<[f64; 2]> = (0..1024)
+            .map(|i| [(i % 32) as f64 + 0.5, (i / 32 % 16) as f64 + 0.5])
+            .collect();
+        let mut samples = Vec::new();
+        let mut totals = [0; 3];
+        let mut round = |sim: &mut NetSim<Torus2>, crash_between_offers: Option<u64>| {
+            let (head, tail) = keys.split_at(keys.len() / 2);
+            sim.offer_traffic(head, 32);
+            if let Some(raw) = crash_between_offers {
+                sim.schedule_crash(NodeId::new(raw), 0);
+            }
+            sim.offer_traffic(tail, 32);
+            sim.step();
+            let (offered, delivered, dropped) = sim.drain_traffic(&mut samples);
+            totals[0] += offered;
+            totals[1] += delivered;
+            totals[2] += dropped;
+        };
+        for _ in 0..3 {
+            round(&mut sim, None);
+        }
+        sim.schedule_crash(NodeId::new(40), sim.config().ticks_per_round / 2);
+        round(&mut sim, Some(7));
+        assert_eq!(sim.alive_count(), 510);
+        sim.fail_original_region(&shapes::in_right_half(32.0));
+        for _ in 0..3 {
+            round(&mut sim, None);
+        }
+        sim.inject(&shapes::torus_grid_offset(8, 8, 1.0));
+        for _ in 0..3 {
+            round(&mut sim, Some(300));
+        }
+        assert_eq!(sim.rngs.len(), sim.pool().slot_count());
+        assert!(
+            sim.lanes.iter().all(|lane| lane.events.capacity() > 0),
+            "{lanes} lanes: no wave was wide enough to use them all"
+        );
+        assert_eq!(
+            sim.parallel_runs() > 0,
+            lanes > 1,
+            "{lanes} lanes: runs must fan out, and only then"
+        );
+        (sim.history().to_vec(), samples, totals)
+    }
+
+    #[test]
+    fn lane_count_never_shows() {
+        let lossy = |latency, jitter| LinkProfile {
+            latency,
+            jitter,
+            loss: 0.05,
+        };
+        // Zero latency: a tick is a chain of waves. Latency 2 / jitter 1:
+        // one wave per tick, deliveries straddling ticks and rounds.
+        for link in [lossy(0, 0), lossy(2, 1)] {
+            let one = scripted_run(link, 1);
+            let (history, samples, totals) = &one;
+            assert!(totals[1] > 0 && !samples.is_empty(), "no traffic served");
+            assert!(history.last().expect("ran").dropped_messages > 0);
+            for lanes in [2, 3, 7] {
+                assert_eq!(scripted_run(link, lanes), one, "{lanes} lanes, {link:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn delivery_to_a_node_crashed_earlier_in_the_wave_evaporates() {
+        // One wave holding a crash and a query for the node it removes,
+        // in either order, on a fabric that has carried no query yet:
+        // returns the `(query, reply)` buffers the pools end up with.
+        let pooled_after = |crash_first: bool| {
+            let mut sim = tiny_sim(15, LinkProfile::ideal());
+            sim.run(3);
+            let victim = NodeId::new(9);
+            let now = sim.now();
+            let offer = Pending::Deliver {
+                from: victim,
+                to: victim,
+                wire: Wire::QueryBatch {
+                    queries: vec![QueryItem {
+                        qid: 1,
+                        origin: victim,
+                        key: [1.5, 2.5],
+                        ttl: 8,
+                        hops: 0,
+                    }],
+                },
+            };
+            if crash_first {
+                sim.schedule_crash(victim, 0);
+                sim.schedule(now, offer);
+            } else {
+                sim.schedule(now, offer);
+                sim.schedule_crash(victim, 0);
+            }
+            assert_eq!(sim.traffic_in_flight(), 1);
+            sim.step();
+            assert!(sim.poly_state(victim).is_none(), "the crash fired");
+            assert_eq!(sim.traffic_in_flight(), 0);
+            sim.lanes.iter().fold((0, 0), |(queries, replies), lane| {
+                let (_, _, _, q, r) = lane.sink.buf_pool().pooled_counts();
+                (queries + q, replies + r)
+            })
+        };
+        assert_eq!(
+            pooled_after(true),
+            (1, 0),
+            "the batch came back unread: nobody forwarded or answered it"
+        );
+        let (_, replies) = pooled_after(false);
+        assert!(replies > 0, "ahead of the crash the same query is served");
     }
 
     #[test]

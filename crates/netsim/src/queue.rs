@@ -34,6 +34,11 @@
 //!   to differ by at least `capacity`). FIFO within the bucket is
 //!   therefore byte-identical to the heap's total order, with no
 //!   per-event sequence number stored at all.
+//! * **A tick can be handed out whole.** The kernel serves a tick's
+//!   events as *waves* ([`CalendarQueue::take_tick`]): everything queued
+//!   for the tick so far leaves in one swap, and what the wave's handlers
+//!   send back into the same tick queues up behind it as the next wave —
+//!   the FIFO order, cut where it can be served in parallel.
 //! * **Buckets are reusable scratch.** Each bucket is a `VecDeque` that
 //!   keeps its capacity when drained and is reused every `capacity`
 //!   ticks as the ring wraps, so a steady-state round schedules and
@@ -107,10 +112,10 @@ impl<T> CalendarQueue<T> {
         self.len += 1;
     }
 
-    /// Pops the earliest queued event with tick `<= limit`, in
-    /// `(tick, insertion)` order, or `None` if every queued event lies
-    /// beyond `limit`. Returns the event's tick alongside it.
-    pub fn pop_next(&mut self, limit: u64) -> Option<(u64, T)> {
+    /// Advances `base` to the earliest occupied tick `<= limit` and
+    /// returns its bucket, or `None` if every queued event lies beyond
+    /// `limit`.
+    fn seek(&mut self, limit: u64) -> Option<usize> {
         if self.len == 0 {
             // Nothing queued: let `base` catch up to the drained window
             // so capacity tracks scheduling distance, not elapsed time.
@@ -119,17 +124,41 @@ impl<T> CalendarQueue<T> {
         }
         while self.base <= limit {
             let bucket = (self.base & self.mask) as usize;
-            match self.buckets[bucket].pop_front() {
-                Some(item) => {
-                    self.len -= 1;
-                    return Some((self.base, item));
-                }
-                // An empty bucket means no event at this tick at all —
-                // the ring invariant keeps each bucket single-tick.
-                None => self.base += 1,
+            if !self.buckets[bucket].is_empty() {
+                return Some(bucket);
             }
+            // An empty bucket means no event at this tick at all — the
+            // ring invariant keeps each bucket single-tick.
+            self.base += 1;
         }
         None
+    }
+
+    /// Pops the earliest queued event with tick `<= limit`, in
+    /// `(tick, insertion)` order, or `None` if every queued event lies
+    /// beyond `limit`. Returns the event's tick alongside it.
+    pub fn pop_next(&mut self, limit: u64) -> Option<(u64, T)> {
+        let bucket = self.seek(limit)?;
+        let item = self.buckets[bucket].pop_front().expect("sought occupied");
+        self.len -= 1;
+        Some((self.base, item))
+    }
+
+    /// Hands out, as one *wave*, everything currently queued for the
+    /// earliest tick `<= limit`: the tick's bucket is swapped with `wave`
+    /// (which must be empty — its capacity becomes the bucket's, so the
+    /// buffers circulate and nothing is copied) and the tick returned, or
+    /// `None` if every queued event lies beyond `limit`. Front to back,
+    /// the wave is the order [`Self::pop_next`] would have produced. The
+    /// tick stays open: events pushed for it while the wave is served
+    /// collect in the fresh bucket and form the next wave, exactly where
+    /// the FIFO would have put them — behind everything handed out here.
+    pub fn take_tick(&mut self, limit: u64, wave: &mut VecDeque<T>) -> Option<u64> {
+        debug_assert!(wave.is_empty(), "the previous wave was not served");
+        let bucket = self.seek(limit)?;
+        self.len -= self.buckets[bucket].len();
+        std::mem::swap(&mut self.buckets[bucket], wave);
+        Some(self.base)
     }
 
     /// Doubles the ring until `tick` fits, moving the occupied buckets to
@@ -204,6 +233,75 @@ mod tests {
         q.push(5, 2);
         q.push(4, 3);
         assert_eq!(drain(&mut q, 5), vec![(4, 1), (4, 3), (5, 2)]);
+    }
+
+    /// Drains everything up to `limit` wave by wave.
+    fn drain_waves(q: &mut CalendarQueue<u32>, limit: u64) -> Vec<(u64, Vec<u32>)> {
+        let mut out = Vec::new();
+        let mut wave = VecDeque::new();
+        while let Some(tick) = q.take_tick(limit, &mut wave) {
+            out.push((tick, wave.drain(..).collect()));
+        }
+        out
+    }
+
+    #[test]
+    fn waves_concatenate_to_the_pop_order() {
+        let fill = |q: &mut CalendarQueue<u32>| {
+            for (i, tick) in [5, 3, 5, 3, 4, 70, 3, 1_000, 70].into_iter().enumerate() {
+                q.push(tick, i as u32);
+            }
+        };
+        let (mut popped, mut waved) = (CalendarQueue::new(), CalendarQueue::new());
+        fill(&mut popped);
+        fill(&mut waved);
+        let waves = drain_waves(&mut waved, 2_000);
+        assert_eq!(
+            waves.iter().map(|(t, w)| (*t, w.len())).collect::<Vec<_>>(),
+            vec![(3, 3), (4, 1), (5, 2), (70, 2), (1_000, 1)],
+            "one wave per occupied tick, ring regrowth included"
+        );
+        let flat: Vec<(u64, u32)> = waves
+            .into_iter()
+            .flat_map(|(t, w)| w.into_iter().map(move |item| (t, item)))
+            .collect();
+        assert_eq!(flat, drain(&mut popped, 2_000));
+        assert!(waved.is_empty());
+    }
+
+    #[test]
+    fn pushes_for_the_served_tick_form_a_later_wave() {
+        // A zero-latency chain: sends caused by tick 4's wave land back
+        // in tick 4, behind it, and ahead of tick 5.
+        let mut q = CalendarQueue::new();
+        let mut wave = VecDeque::new();
+        q.push(4, 0);
+        q.push(4, 1);
+        q.push(5, 2);
+        assert_eq!(q.take_tick(9, &mut wave), Some(4));
+        assert_eq!(wave.drain(..).collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(q.len(), 1);
+        q.push(4, 3);
+        q.push(6, 4);
+        q.push(4, 5);
+        assert_eq!(
+            drain_waves(&mut q, 5),
+            vec![(4, vec![3, 5]), (5, vec![2])],
+            "the limit leaves tick 6 queued"
+        );
+        assert_eq!(q.len(), 1);
+        assert_eq!(drain_waves(&mut q, 6), vec![(6, vec![4])]);
+    }
+
+    #[test]
+    fn empty_wave_takes_advance_the_base_window() {
+        let mut q: CalendarQueue<u32> = CalendarQueue::new();
+        let mut wave = VecDeque::new();
+        assert_eq!(q.take_tick(1_000_000, &mut wave), None);
+        q.push(1_000_010, 7);
+        assert_eq!(q.buckets.len(), MIN_BUCKETS, "no growth for a near push");
+        assert_eq!(q.take_tick(2_000_000, &mut wave), Some(1_000_010));
+        assert_eq!(wave, [7]);
     }
 
     #[test]

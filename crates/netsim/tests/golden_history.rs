@@ -7,15 +7,22 @@
 //! the network model's separate entropy stream, detection events and the
 //! migration ack/parking machinery all feed these numbers. The
 //! fingerprints below freeze a lossy, laggy three-phase run — any change
-//! that shifts a single RNG draw, reorders one heap pop, or alters one
+//! that shifts a single RNG draw, reorders one queue pop, or alters one
 //! fate decision shows up here. (Deliberate schedule changes must
 //! re-capture the fingerprints and say so in review.)
 //!
-//! Re-pinned once since capture: PR 13 put the paper's per-round T-Man
+//! Re-pinned twice since capture. PR 13 put the paper's per-round T-Man
 //! position refresh on the kernel's round boundary (`NetSim::step`), so
 //! views hold current positions where they used to hold the positions
 //! gossip last carried, and every round after the first migration
-//! differs. The engine, lab and runtime goldens did not move.
+//! differs. PR 19 gave every node its own entropy stream
+//! (`node_seed(seed, id)`, as on the live substrates) where all handlers
+//! used to draw from the kernel's one, so that a tick's events can be
+//! served in parallel lanes: every protocol choice is a different draw.
+//! Event order did not move — the wave loop run on one shared stream
+//! still reproduced the PR 13 values — and the lane count cannot
+//! (`lane_count_never_shows` in `kernel.rs`). The engine, lab and
+//! runtime goldens moved neither time.
 
 use polystyrene_netsim::prelude::*;
 use polystyrene_space::prelude::*;
@@ -84,13 +91,13 @@ fn lossy_schedule_is_bit_identical_seed_42() {
     assert_eq!(last.alive_nodes, 128);
     // Spot values of the final round, for a readable diff when the
     // fingerprint trips.
-    assert_eq!(last.homogeneity.to_bits(), 0x3fcd8918c003e158);
-    assert_eq!(last.surviving_points.to_bits(), 0x3fef800000000000);
-    assert_eq!(last.sent_messages, 27419);
-    assert_eq!(last.dropped_messages, 1384);
+    assert_eq!(last.homogeneity.to_bits(), 0x3fcb6a09e667f3bd);
+    assert_eq!(last.surviving_points.to_bits(), 0x3fef400000000000);
+    assert_eq!(last.sent_messages, 27912);
+    assert_eq!(last.dropped_messages, 1408);
     assert_eq!(
         fingerprint(&history),
-        0xc8b2fe6429b2f5c5,
+        0x4fc5d7559cf68eec,
         "seed-42 netsim schedule diverged"
     );
 }
@@ -102,7 +109,7 @@ fn lossy_schedule_is_bit_identical_seed_7() {
     assert_eq!(last.alive_nodes, 128);
     assert_eq!(
         fingerprint(&history),
-        0x44cb0922397501aa,
+        0x319aa6085ad1b563,
         "seed-7 netsim schedule diverged"
     );
 }

@@ -90,6 +90,16 @@
 /// fingerprints) byte-identical.
 pub const TRAFFIC_SEED_TAG: u64 = 0x0074_7261_6666_6963; // "traffic"
 
+/// The seed of node `id`'s private entropy stream under a driver seeded
+/// with `seed` — the one rule every substrate that gives nodes their own
+/// streams derives them by (the live clusters' node threads, the event
+/// kernel's rng slab). Node 0's seed is `seed` itself, which the drivers
+/// also seed their own stream with: node 0 starts on the numbers the
+/// driver spent on bootstrap contacts, which nothing feeds back into.
+pub fn node_seed(seed: u64, id: polystyrene_membership::NodeId) -> u64 {
+    seed.wrapping_add(id.as_u64().wrapping_mul(0x9E37))
+}
+
 pub mod codec;
 pub mod config;
 pub mod cost;

@@ -566,13 +566,14 @@ impl<S: MetricSpace> ProtocolNode<S> {
         let mut ids_scratch = sink.take_point_ids();
         let mut pool_iter = pool.drain(..);
         let self_id = self.id;
-        let pushes = plan_backups(
+        let pushes = plan_backups_with(
             &mut self.poly,
             self_id,
             k,
             fd,
             || pool_iter.next(),
             &mut ids_scratch,
+            || sink.take_points(),
         );
         drop(pool_iter);
         sink.put_ids(pool);

@@ -330,103 +330,141 @@ const MAX_POOLED_CAPACITY: usize = 4096;
 /// memory.
 #[derive(Debug)]
 pub struct BufPool<P> {
-    descriptors: Vec<Vec<Descriptor<P>>>,
-    points: Vec<Vec<DataPoint<P>>>,
-    point_ids: Vec<Vec<PointId>>,
-    queries: Vec<Vec<QueryItem<P>>>,
-    replies: Vec<Vec<QueryReplyItem<P>>>,
-    /// Retained element capacity per kind, same order as the stacks.
-    descriptors_retained: usize,
-    points_retained: usize,
-    point_ids_retained: usize,
-    queries_retained: usize,
-    replies_retained: usize,
+    descriptors: Stack<Descriptor<P>>,
+    points: Stack<DataPoint<P>>,
+    point_ids: Stack<PointId>,
+    queries: Stack<QueryItem<P>>,
+    replies: Stack<QueryReplyItem<P>>,
 }
 
-impl<P> BufPool<P> {
-    /// An empty pool.
-    pub fn new() -> Self {
+/// The retained buffers of one payload kind.
+#[derive(Debug)]
+struct Stack<T> {
+    bufs: Vec<Vec<T>>,
+    /// Element capacity retained across `bufs`.
+    retained: usize,
+}
+
+impl<T> Stack<T> {
+    fn new() -> Self {
         Self {
-            descriptors: Vec::new(),
-            points: Vec::new(),
-            point_ids: Vec::new(),
-            queries: Vec::new(),
-            replies: Vec::new(),
-            descriptors_retained: 0,
-            points_retained: 0,
-            point_ids_retained: 0,
-            queries_retained: 0,
-            replies_retained: 0,
+            bufs: Vec::new(),
+            retained: 0,
         }
     }
 
-    fn put<T>(stack: &mut Vec<Vec<T>>, retained: &mut usize, mut buf: Vec<T>) {
+    fn put(&mut self, mut buf: Vec<T>) {
         buf.clear();
         let cap = buf.capacity();
-        if cap > 0 && cap <= MAX_POOLED_CAPACITY && *retained + cap <= MAX_POOLED_ELEMENTS {
-            *retained += cap;
-            stack.push(buf);
+        if cap > 0 && cap <= MAX_POOLED_CAPACITY && self.retained + cap <= MAX_POOLED_ELEMENTS {
+            self.retained += cap;
+            self.bufs.push(buf);
         }
     }
 
-    fn take<T>(stack: &mut Vec<Vec<T>>, retained: &mut usize) -> Vec<T> {
-        match stack.pop() {
+    fn take(&mut self) -> Vec<T> {
+        match self.bufs.pop() {
             Some(buf) => {
-                *retained -= buf.capacity();
+                self.retained -= buf.capacity();
                 buf
             }
             None => Vec::new(),
         }
     }
 
+    /// Moves buffers from the fuller of the two stacks to the other
+    /// until their counts differ by at most one, or the receiver's
+    /// element budget would drop the next one: a surplus the other side
+    /// cannot hold stays pooled where it is.
+    fn level_with(&mut self, other: &mut Self) {
+        let (from, to) = if self.bufs.len() > other.bufs.len() {
+            (self, other)
+        } else {
+            (other, self)
+        };
+        while from.bufs.len() > to.bufs.len() + 1 {
+            let cap = from.bufs.last().map_or(0, Vec::capacity);
+            if to.retained + cap > MAX_POOLED_ELEMENTS {
+                break;
+            }
+            to.put(from.take());
+        }
+    }
+}
+
+impl<P> BufPool<P> {
+    /// An empty pool.
+    pub fn new() -> Self {
+        Self {
+            descriptors: Stack::new(),
+            points: Stack::new(),
+            point_ids: Stack::new(),
+            queries: Stack::new(),
+            replies: Stack::new(),
+        }
+    }
+
     /// A cleared descriptor buffer (pooled capacity when available).
     pub fn take_descriptors(&mut self) -> Vec<Descriptor<P>> {
-        Self::take(&mut self.descriptors, &mut self.descriptors_retained)
+        self.descriptors.take()
     }
 
     /// Returns a descriptor buffer to the pool.
     pub fn put_descriptors(&mut self, buf: Vec<Descriptor<P>>) {
-        Self::put(&mut self.descriptors, &mut self.descriptors_retained, buf);
+        self.descriptors.put(buf);
     }
 
     /// A cleared data-point buffer (pooled capacity when available).
     pub fn take_points(&mut self) -> Vec<DataPoint<P>> {
-        Self::take(&mut self.points, &mut self.points_retained)
+        self.points.take()
     }
 
     /// Returns a data-point buffer to the pool.
     pub fn put_points(&mut self, buf: Vec<DataPoint<P>>) {
-        Self::put(&mut self.points, &mut self.points_retained, buf);
+        self.points.put(buf);
     }
 
     /// A cleared point-id buffer (pooled capacity when available).
     pub fn take_point_ids(&mut self) -> Vec<PointId> {
-        Self::take(&mut self.point_ids, &mut self.point_ids_retained)
+        self.point_ids.take()
     }
 
     /// Returns a point-id buffer to the pool.
     pub fn put_point_ids(&mut self, buf: Vec<PointId>) {
-        Self::put(&mut self.point_ids, &mut self.point_ids_retained, buf);
+        self.point_ids.put(buf);
     }
 
     /// A cleared query-batch buffer (pooled capacity when available).
     pub fn take_queries(&mut self) -> Vec<QueryItem<P>> {
-        Self::take(&mut self.queries, &mut self.queries_retained)
+        self.queries.take()
     }
 
     /// Returns a query-batch buffer to the pool.
     pub fn put_queries(&mut self, buf: Vec<QueryItem<P>>) {
-        Self::put(&mut self.queries, &mut self.queries_retained, buf);
+        self.queries.put(buf);
     }
 
     /// A cleared reply-batch buffer (pooled capacity when available).
     pub fn take_replies(&mut self) -> Vec<QueryReplyItem<P>> {
-        Self::take(&mut self.replies, &mut self.replies_retained)
+        self.replies.take()
     }
 
     /// Returns a reply-batch buffer to the pool.
     pub fn put_replies(&mut self, buf: Vec<QueryReplyItem<P>>) {
-        Self::put(&mut self.replies, &mut self.replies_retained, buf);
+        self.replies.put(buf);
+    }
+
+    /// Evens out the two pools' retained buffers, kind by kind. A driver
+    /// that serves its nodes from several pools (the event kernel's
+    /// lanes) calls this between rounds: buffers are taken where a
+    /// message is built and retired where it is consumed, so without it
+    /// one pool allocates what another hoards.
+    pub fn level_with(&mut self, other: &mut Self) {
+        self.descriptors.level_with(&mut other.descriptors);
+        self.points.level_with(&mut other.points);
+        self.point_ids.level_with(&mut other.point_ids);
+        self.queries.level_with(&mut other.queries);
+        self.replies.level_with(&mut other.replies);
     }
 
     /// Salvages the payload buffers of a wire message that reached the end
@@ -459,11 +497,11 @@ impl<P> BufPool<P> {
     /// retention bounds.
     pub fn pooled_counts(&self) -> (usize, usize, usize, usize, usize) {
         (
-            self.descriptors.len(),
-            self.points.len(),
-            self.point_ids.len(),
-            self.queries.len(),
-            self.replies.len(),
+            self.descriptors.bufs.len(),
+            self.points.bufs.len(),
+            self.point_ids.bufs.len(),
+            self.queries.bufs.len(),
+            self.replies.bufs.len(),
         )
     }
 
@@ -472,11 +510,11 @@ impl<P> BufPool<P> {
     /// by the per-kind element budget [`BufPool::max_pooled_elements`].
     pub fn pooled_elements(&self) -> (usize, usize, usize, usize, usize) {
         (
-            self.descriptors_retained,
-            self.points_retained,
-            self.point_ids_retained,
-            self.queries_retained,
-            self.replies_retained,
+            self.descriptors.retained,
+            self.points.retained,
+            self.point_ids.retained,
+            self.queries.retained,
+            self.replies.retained,
         )
     }
 
@@ -677,6 +715,12 @@ impl<P> EffectSink<P> {
     pub fn buf_pool(&self) -> &BufPool<P> {
         &self.pool
     }
+
+    /// Evens out this sink's payload pool with `other`'s (see
+    /// [`BufPool::level_with`]).
+    pub fn level_pool_with(&mut self, other: &mut Self) {
+        self.pool.level_with(&mut other.pool);
+    }
 }
 
 impl<P> Default for EffectSink<P> {
@@ -824,6 +868,56 @@ mod tests {
         assert!(again.is_empty());
         let (_, _, _, q, r) = pool.pooled_counts();
         assert_eq!((q, r), (1, 0), "taken reply buffer left the pool");
+    }
+
+    #[test]
+    fn levelling_evens_out_each_kind_and_keeps_the_books() {
+        let (mut a, mut b): (BufPool<f64>, BufPool<f64>) = (BufPool::new(), BufPool::new());
+        for cap in 1..=7 {
+            a.put_points(Vec::with_capacity(cap));
+        }
+        b.put_queries(Vec::with_capacity(4));
+        a.level_with(&mut b);
+        assert_eq!((a.pooled_counts().1, b.pooled_counts().1), (4, 3));
+        assert_eq!(
+            a.pooled_counts().3 + b.pooled_counts().3,
+            1,
+            "a lone buffer stays where it is or moves, never doubles"
+        );
+        // Retained-element accounting follows the buffers.
+        let retained = |pool: &mut BufPool<f64>| {
+            let claimed = pool.pooled_elements().1;
+            let mut held = 0;
+            for _ in 0..pool.pooled_counts().1 {
+                held += pool.take_points().capacity();
+            }
+            assert_eq!(pool.pooled_elements().1, 0);
+            (claimed, held)
+        };
+        let ((claimed_a, held_a), (claimed_b, held_b)) = (retained(&mut a), retained(&mut b));
+        assert_eq!(claimed_a, held_a);
+        assert_eq!(claimed_b, held_b);
+        assert!(held_a + held_b >= (1..=7).sum::<usize>());
+        // Levelling from the emptier side is the same operation.
+        b.put_replies(Vec::with_capacity(2));
+        b.put_replies(Vec::with_capacity(2));
+        b.put_replies(Vec::with_capacity(2));
+        a.level_with(&mut b);
+        assert_eq!((a.pooled_counts().4, b.pooled_counts().4), (1, 2));
+        // A receiver at its element budget is handed nothing: the donor's
+        // surplus stays pooled instead of being dropped on arrival.
+        let full = MAX_POOLED_ELEMENTS / MAX_POOLED_CAPACITY;
+        for _ in 0..full {
+            a.put_point_ids(Vec::with_capacity(MAX_POOLED_CAPACITY));
+        }
+        assert_eq!(a.pooled_elements().2, MAX_POOLED_ELEMENTS);
+        for _ in 0..full + 40 {
+            b.put_point_ids(Vec::with_capacity(1));
+        }
+        let donor = (b.pooled_counts().2, b.pooled_elements().2);
+        a.level_with(&mut b);
+        assert_eq!(a.pooled_counts().2, full);
+        assert_eq!((b.pooled_counts().2, b.pooled_elements().2), donor);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::message::Message;
 use crate::observe::{NodeReport, ObservationBoard};
 use polystyrene::prelude::{DataPoint, PolyState};
 use polystyrene_membership::{Descriptor, NodeId};
-use polystyrene_protocol::{CostModel, Effect, EffectSink, Event, ProtocolNode, Wire};
+use polystyrene_protocol::{node_seed, CostModel, Effect, EffectSink, Event, ProtocolNode, Wire};
 use polystyrene_space::MetricSpace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -104,7 +104,7 @@ impl<S: MetricSpace> NodeRuntime<S> {
             fabric,
             board,
             rx,
-            rng: StdRng::seed_from_u64(config.seed.wrapping_add(id.as_u64() * 0x9E37)),
+            rng: StdRng::seed_from_u64(node_seed(config.seed, id)),
             cost_model: config.cost,
             sent_units: 0,
             sink: EffectSink::new(),

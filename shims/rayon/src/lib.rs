@@ -1,15 +1,16 @@
 //! Offline mini-rayon.
 //!
 //! No crates.io access is available in this build environment, so this
-//! shim provides the `par_iter`/`par_iter_mut` subset of rayon's API the
-//! simulation engine uses, implemented with `std::thread::scope` — the
-//! parallelism is real, not a sequential fallback. Work is split into one
-//! contiguous chunk per available core; results are reassembled in input
-//! order, so `map().collect()` is order-stable and deterministic.
+//! shim provides the `par_iter`/`par_iter_mut` and `scope` subset of
+//! rayon's API the simulators use, implemented with `std::thread::scope`
+//! — the parallelism is real, not a sequential fallback. The iterator
+//! adapters split work into one contiguous chunk per available core;
+//! results are reassembled in input order, so `map().collect()` is
+//! order-stable and deterministic.
 //!
-//! Small inputs (fewer than [`PARALLEL_THRESHOLD`] items) run inline on
-//! the calling thread: spawning threads for a 64-node simulation costs
-//! more than it saves.
+//! Small inputs to the adapters (fewer than [`PARALLEL_THRESHOLD`]
+//! items) run inline on the calling thread: spawning threads for a
+//! 64-node simulation costs more than it saves.
 
 use std::num::NonZeroUsize;
 
@@ -45,6 +46,32 @@ fn par_map_slice<'a, T: Sync, U: Send>(items: &'a [T], f: &(impl Fn(&'a T) -> U 
         }
     });
     out
+}
+
+/// A fork-join scope: tasks spawned into it may borrow from the caller's
+/// stack, and [`scope`] returns once all of them have finished.
+pub struct Scope<'scope, 'env: 'scope>(&'scope std::thread::Scope<'scope, 'env>);
+
+/// Runs `op` with a [`Scope`] to spawn borrowing tasks into (rayon's
+/// `scope`). Every task is a fresh thread here, joined before this
+/// returns; a panic in one resurfaces in the caller. The caller decides
+/// whether the work is worth a thread: nothing here runs inline.
+pub fn scope<'env, OP, R>(op: OP) -> R
+where
+    OP: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
+{
+    std::thread::scope(|s| op(&Scope(s)))
+}
+
+impl<'scope, 'env> Scope<'scope, 'env> {
+    /// Spawns `body` into the scope.
+    pub fn spawn<BODY>(&self, body: BODY)
+    where
+        BODY: FnOnce(&Scope<'scope, 'env>) + Send + 'scope,
+    {
+        let threads = self.0;
+        threads.spawn(move || body(&Scope(threads)));
+    }
 }
 
 /// Parallel iterator adapters.
@@ -275,6 +302,23 @@ mod tests {
         let mut v: Vec<u64> = vec![0; 30_000];
         v.par_iter_mut().for_each(|x| *x += 7);
         assert!(v.iter().all(|&x| x == 7));
+    }
+
+    #[test]
+    fn scope_joins_tasks_that_borrow_disjoint_chunks() {
+        let mut v: Vec<u64> = (0..10).collect();
+        let caller = std::thread::current().id();
+        crate::scope(|s| {
+            for part in v.chunks_mut(4) {
+                s.spawn(move |_| {
+                    assert_ne!(std::thread::current().id(), caller);
+                    for x in part {
+                        *x += 100;
+                    }
+                });
+            }
+        });
+        assert_eq!(v, (100..110).collect::<Vec<u64>>());
     }
 
     #[test]
