@@ -213,7 +213,7 @@ fn net_observation(m: &polystyrene_netsim::NetRoundMetrics) -> RoundObservation 
 /// A wall-clock deployment viewed as a [`Substrate`]: one scenario round
 /// is "every alive node has completed one more local tick", and victim
 /// selection for random-failure events draws from a seeded RNG owned
-/// here (node threads have their own entropy; this one only picks who
+/// here (live nodes have their own entropy; this one only picks who
 /// dies).
 ///
 /// Wall-clock asynchrony means live runs are *not* bit-reproducible
@@ -299,7 +299,7 @@ impl<S: MetricSpace, T: Transport<S::Point>> Substrate<S::Point> for LiveSubstra
     }
 
     fn drain_traffic(&mut self) -> TrafficStats {
-        // Node threads publish running totals plus a trailing sample
+        // Live nodes publish running totals plus a trailing sample
         // window; differencing the totals recovers per-drain counters,
         // while the window's hop/latency estimates pass through.
         let cumulative = self.cluster.observe().traffic;
@@ -321,7 +321,10 @@ impl<S: MetricSpace, T: Transport<S::Point>> Substrate<S::Point> for LiveSubstra
 
     fn step(&mut self) -> RoundObservation {
         self.target_ticks += 1;
-        self.cluster
+        // A round that runs into `round_timeout` is still a round: the
+        // trace shows where the cluster was when the wait gave up.
+        let _ = self
+            .cluster
             .await_ticks(self.target_ticks, self.round_timeout);
         let mut obs = self.cluster.observe();
         obs.round = self.target_ticks as u32;

@@ -348,15 +348,15 @@ fn traffic_load_flows_on_the_live_cluster() {
     for o in &trace.observations {
         traffic.merge(&o.traffic);
     }
-    // A scenario round only waits for tick counts the node threads may
-    // already be past, so how many of the ten offers the per-round
+    // A scenario round only waits for tick counts the free-running
+    // nodes may already be past, so how many of the ten offers the per-round
     // drains caught is wall-clock luck. What must hold is where the
     // queries end up: past the query timeout (8 ticks) every one of them
     // is registered at its gateway and resolved one way or the other.
     let ticks = substrate.cluster().observe().ticks;
-    substrate
+    assert!(substrate
         .cluster()
-        .await_ticks(ticks + 10, cfg.round_timeout);
+        .await_ticks(ticks + 10, cfg.round_timeout));
     traffic.merge(&substrate.drain_traffic());
     assert_eq!(traffic.offered, 8 * 10, "{traffic:?}");
     assert_eq!(traffic.shed, 0, "{traffic:?}");

@@ -1,6 +1,7 @@
-//! The live cluster harness: spawns node threads over a [`Transport`],
-//! injects crashes and fresh joiners, offers traffic, observes global
-//! health, and shuts everything down.
+//! The live cluster harness: starts the worker pool, builds nodes over
+//! a [`Transport`] and hands them to their workers, injects crashes and
+//! fresh joiners, offers traffic, observes global health, and shuts
+//! everything down.
 
 use crate::config::RuntimeConfig;
 use crate::fabric::Transport;
@@ -10,6 +11,7 @@ use crate::node::NodeRuntime;
 use crate::observe::{observe, ObservationBoard};
 use crate::registry::Registry;
 use crate::traffic::GatewayTraffic;
+use crate::worker::{Mailbox, Post, Worker};
 use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 use polystyrene::prelude::{DataPoint, PointId};
@@ -23,21 +25,22 @@ use std::collections::HashMap;
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// What the harness keeps per alive node.
 struct Node<P> {
-    mailbox: Sender<Message<P>>,
-    /// Admission gauge shared with the node thread: queries accepted
-    /// into the mailbox but not yet handled. The offer path sheds
-    /// against it instead of flooding a slow node.
+    mailbox: Mailbox<P>,
+    /// Admission gauge shared with the node: queries accepted into the
+    /// mailbox but not yet handled. The offer path sheds against it
+    /// instead of flooding a slow node.
     ingress: Arc<AtomicUsize>,
-    /// The node thread plus the transport's service threads.
+    /// The transport's service threads for this node.
     threads: Vec<JoinHandle<()>>,
 }
 
-/// A running Polystyrene deployment: one thread per node, exchanging
-/// messages over the transport `T` (in-process mailboxes by default;
+/// A running Polystyrene deployment: nodes multiplexed over a fixed pool
+/// of worker threads ([`crate::worker`]), exchanging messages over the
+/// transport `T` (in-process mailboxes by default;
 /// `polystyrene-transport` supplies loopback TCP).
 ///
 /// See the crate-level docs for an end-to-end example.
@@ -49,11 +52,15 @@ pub struct Cluster<S: MetricSpace, T: Transport<S::Point> = Registry<<S as Metri
     original_points: Vec<DataPoint<S::Point>>,
     /// The alive nodes: the harness's authority on who is alive.
     nodes: Mutex<HashMap<NodeId, Node<S::Point>>>,
-    /// Threads of killed nodes, joined at shutdown. A kill is crash-stop:
-    /// it must not wait for the dying threads (a node mid-write to
-    /// another dead peer can take a full io timeout to notice), or
-    /// killing a region would stall the harness while the survivors'
-    /// clocks keep running.
+    /// One inbox per pool worker; node `id` lives on worker
+    /// `id % workers.len()` from adoption to its kill.
+    workers: Vec<Sender<Post<S::Point>>>,
+    /// The worker threads, joined at shutdown.
+    pool: Mutex<Vec<JoinHandle<()>>>,
+    /// Transport service threads of killed nodes, joined at shutdown. A
+    /// kill is crash-stop: it must not wait for them (an acceptor
+    /// notices its stop flag one accept poll later), or killing a region
+    /// would stall the harness while the survivors' clocks keep running.
     graveyard: Mutex<Vec<JoinHandle<()>>>,
     next_id: Mutex<u64>,
     rng: Mutex<StdRng>,
@@ -69,12 +76,29 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
     ///
     /// # Panics
     ///
-    /// Panics if `shape` is empty, the configuration is invalid, or the
-    /// transport cannot allocate a node's endpoint.
+    /// Panics if `shape` is empty, the configuration is invalid, the
+    /// transport cannot allocate a node's endpoint, or a worker thread
+    /// cannot be started.
     pub fn spawn(space: S, shape: Vec<S::Point>, config: T::Config) -> Self {
         assert!(!shape.is_empty(), "cannot spawn an empty cluster");
         let transport = Arc::new(T::open(config));
         let config = T::runtime(&config);
+        let board = ObservationBoard::new();
+        // As many workers as the machine runs at once, never more than
+        // there are nodes to run: past that a thread only adds a stack,
+        // an allocator arena and context switches.
+        let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let (workers, pool) = (0..parallelism.min(shape.len()))
+            .map(|i| {
+                let (inbox, posts) = crossbeam::channel::unbounded();
+                let worker = Worker::new(posts, Arc::clone(&board));
+                let thread = std::thread::Builder::new()
+                    .name(format!("poly-worker-{i}"))
+                    .spawn(move || worker.run())
+                    .expect("failed to spawn worker thread");
+                (inbox, thread)
+            })
+            .unzip();
         let original_points: Vec<DataPoint<S::Point>> = shape
             .iter()
             .enumerate()
@@ -84,9 +108,11 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
             space,
             config,
             transport,
-            board: ObservationBoard::new(),
+            board,
             original_points: original_points.clone(),
             nodes: Mutex::new(HashMap::new()),
+            workers,
+            pool: Mutex::new(pool),
             graveyard: Mutex::new(Vec::new()),
             next_id: Mutex::new(shape.len() as u64),
             rng: Mutex::new(StdRng::seed_from_u64(config.seed)),
@@ -114,10 +140,13 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
         position: S::Point,
         contacts: Vec<Descriptor<S::Point>>,
     ) {
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let worker = &self.workers[id.index() % self.workers.len()];
+        let mailbox = Mailbox::new(id, worker.clone());
         // Attached before the node runs: a peer that learns of this node
-        // can reach it from the first tick.
-        let (fabric, mut threads) = self.transport.attach(id, tx.clone());
+        // can reach it from the first tick (what arrives before the
+        // adoption below has been taken in is discarded, as a message to
+        // a node not yet listening would be).
+        let (fabric, threads) = self.transport.attach(mailbox.clone());
         let ingress = Arc::new(AtomicUsize::new(0));
         let node = NodeRuntime::new(
             id,
@@ -128,19 +157,16 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
             contacts,
             fabric,
             Arc::clone(&self.board),
-            rx,
             Arc::clone(&ingress),
         );
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("poly-{id}"))
-                .spawn(move || node.run())
-                .expect("failed to spawn node thread"),
-        );
+        // A worker that is gone (it panicked, or the cluster was shut
+        // down) adopts nothing: the node never runs, `await_ticks` says
+        // so, and `shutdown` reports why.
+        let _ = worker.send(Post::Adopt(Box::new(node)));
         self.nodes.lock().insert(
             id,
             Node {
-                mailbox: tx,
+                mailbox,
                 ingress,
                 threads,
             },
@@ -175,23 +201,22 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
     }
 
     /// Hard-crashes a node: detaches it from the transport (its mailbox
-    /// backlog is lost to peers) and signals its threads to stop
-    /// *without waiting for them*, so killing half a torus costs
+    /// backlog is lost to peers) and tells its worker to drop it
+    /// *without waiting for that*, so killing half a torus costs
     /// milliseconds while the survivors' clocks run. No goodbye
     /// messages: peers notice through failed sends and heartbeat
-    /// timeouts. The dying threads (which exit within one mailbox poll)
-    /// are joined by [`Cluster::shutdown`]. Returns whether the node was
-    /// alive.
+    /// timeouts. The worker removes the node's report when it drops the
+    /// node; the transport's service threads for it are joined by
+    /// [`Cluster::shutdown`]. Returns whether the node was alive.
     pub fn kill(&self, id: NodeId) -> bool {
         let Some(node) = self.nodes.lock().remove(&id) else {
             return false;
         };
         // Detach first: probes and delivery reports turn negative before
-        // the thread even sees the signal.
+        // the worker even sees the signal.
         self.transport.detach(id);
-        let _ = node.mailbox.send(Message::Shutdown);
+        node.mailbox.send(Message::Shutdown);
         self.graveyard.lock().extend(node.threads);
-        self.board.remove(id);
         true
     }
 
@@ -253,7 +278,7 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
             &alive,
             |id| nodes.get(&id).map(|n| Arc::clone(&n.ingress)),
             |gateway, wire| {
-                let _ = nodes[&gateway].mailbox.send(Message::Protocol {
+                nodes[&gateway].mailbox.send(Message::Protocol {
                     from: gateway,
                     wire,
                 });
@@ -267,20 +292,27 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
     }
 
     /// Blocks until every alive node has executed at least `ticks` local
-    /// rounds (with a safety timeout of `max_wait`).
-    pub fn await_ticks(&self, ticks: u64, max_wait: Duration) {
-        let deadline = std::time::Instant::now() + max_wait;
+    /// rounds, or `max_wait` (a safety timeout) has passed. Returns
+    /// whether the target was reached: `false` means the cluster stalled
+    /// (a node never started, a worker died), which the caller should
+    /// fail on rather than discover through a later assertion.
+    #[must_use = "false means the cluster stalled before reaching the target"]
+    pub fn await_ticks(&self, ticks: u64, max_wait: Duration) -> bool {
+        let deadline = Instant::now() + max_wait;
         loop {
-            let obs = self.observe();
             // Every *alive* node must have published and progressed:
             // counting only publishers would return before slow starters
             // ever appear on the board.
-            let alive = self.nodes.lock().len();
-            if obs.alive_nodes >= alive && obs.alive_nodes > 0 && obs.ticks >= ticks {
-                return;
+            let (alive, (reported, slowest)) = {
+                let nodes = self.nodes.lock();
+                let progress = self.board.progress(|id| nodes.contains_key(&id));
+                (nodes.len(), progress)
+            };
+            if alive > 0 && reported >= alive && slowest >= ticks {
+                return true;
             }
-            if std::time::Instant::now() > deadline {
-                return;
+            if Instant::now() > deadline {
+                return false;
             }
             std::thread::sleep(self.config.tick);
         }
@@ -288,11 +320,11 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
 
     /// Measures cluster health from the observation plane, reported as
     /// the unified [`RoundObservation`] record. Reports are filtered to
-    /// the alive nodes: kills do not wait for the dying threads, and a
-    /// node may publish one last report after its crash, which must not
-    /// count. The traffic counters are cumulative (node threads publish
-    /// running totals), including the offer-side shed count stamped
-    /// here.
+    /// the alive nodes: a kill does not wait for the worker to drop the
+    /// node, which may publish one last report after its crash, and that
+    /// must not count. The traffic counters are cumulative (nodes
+    /// publish running totals), including the offer-side shed count
+    /// stamped here.
     pub fn observe(&self) -> RoundObservation {
         let mut snapshot = self.board.snapshot();
         {
@@ -309,17 +341,43 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
         obs
     }
 
-    /// Orderly shutdown: stops every node and joins its threads,
-    /// including those of previously killed nodes. Threads a transport
-    /// did not hand over at attach (per-connection readers) wind down on
-    /// their own once their node is detached.
+    /// Ids that have a report on the observation board, alive or not;
+    /// [`Cluster::observe`] never shows the difference.
+    #[doc(hidden)]
+    pub fn reported_ids(&self) -> Vec<NodeId> {
+        self.board.ids()
+    }
+
+    /// Orderly shutdown: kills every node, stops the workers and joins
+    /// them and the transport's service threads, including those of
+    /// previously killed nodes. Threads a transport did not hand over at
+    /// attach (per-connection readers) wind down on their own once their
+    /// node is detached.
+    ///
+    /// # Panics
+    ///
+    /// Resumes the first panic any of those threads died of (a worker
+    /// takes every node it runs down with it, and the run must not pass
+    /// on the survivors), unless the caller is already unwinding.
     pub fn shutdown(&self) {
         for id in self.alive_ids() {
             self.kill(id);
         }
-        let handles: Vec<JoinHandle<()>> = self.graveyard.lock().drain(..).collect();
-        for handle in handles {
-            let _ = handle.join();
+        for worker in &self.workers {
+            let _ = worker.send(Post::Stop);
+        }
+        let mut threads: Vec<JoinHandle<()>> = self.pool.lock().drain(..).collect();
+        threads.extend(self.graveyard.lock().drain(..));
+        let mut panic = None;
+        for thread in threads {
+            if let Err(payload) = thread.join() {
+                panic.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = panic {
+            if !std::thread::panicking() {
+                std::panic::resume_unwind(payload);
+            }
         }
     }
 }
@@ -327,5 +385,89 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
 impl<S: MetricSpace, T: Transport<S::Point>> Drop for Cluster<S, T> {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fabric::NodeFabric;
+    use polystyrene_protocol::Wire;
+    use polystyrene_space::prelude::*;
+
+    type Point = [f64; 2];
+
+    /// The in-process transport, except that node 0's sending half
+    /// panics: a stand-in for any bug inside a node's handler.
+    struct Poisoned(Arc<Registry<Point>>);
+
+    struct PoisonedFabric;
+
+    impl NodeFabric<Point> for PoisonedFabric {
+        fn send(&mut self, _: NodeId, _: Wire<Point>) -> bool {
+            panic!("poisoned fabric");
+        }
+
+        fn contains(&mut self, _: NodeId) -> bool {
+            true
+        }
+    }
+
+    impl Transport<Point> for Poisoned {
+        type Config = RuntimeConfig;
+
+        fn runtime(config: &RuntimeConfig) -> RuntimeConfig {
+            *config
+        }
+
+        fn open(config: RuntimeConfig) -> Self {
+            Self(Arc::new(Registry::open(config)))
+        }
+
+        fn attach(
+            self: &Arc<Self>,
+            mailbox: Mailbox<Point>,
+        ) -> (Box<dyn NodeFabric<Point>>, Vec<JoinHandle<()>>) {
+            let poisoned = mailbox.id() == NodeId::new(0);
+            let (fabric, threads) = self.0.attach(mailbox);
+            if poisoned {
+                (Box::new(PoisonedFabric), threads)
+            } else {
+                (fabric, threads)
+            }
+        }
+
+        fn detach(&self, id: NodeId) {
+            self.0.detach(id);
+        }
+
+        fn injected_drops(&self) -> u64 {
+            self.0.injected_drops()
+        }
+
+        fn sent_frames(&self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_resurfaces_at_shutdown() {
+        let mut config = RuntimeConfig::default();
+        config.tick = Duration::from_millis(2);
+        let cluster = Cluster::<Torus2, Poisoned>::spawn(
+            Torus2::new(2.0, 2.0),
+            shapes::torus_grid(2, 2, 1.0),
+            config,
+        );
+        // Node 0 dies in its first round, before it ever publishes, and
+        // takes its worker down: the cluster can never report 4 nodes at
+        // tick 1, and says so instead of returning as if it had.
+        assert!(!cluster.await_ticks(1, Duration::from_millis(200)));
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cluster.shutdown()))
+            .expect_err("shutdown must resume the worker's panic");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"poisoned fabric"));
+        // The threads are joined and the panic is spent: dropping the
+        // cluster (a second shutdown) is quiet.
+        drop(cluster);
     }
 }

@@ -40,7 +40,7 @@ pub struct RuntimeConfig {
     /// discrete-event simulator's domain — they are ignored here.
     pub link: LinkProfile,
     /// Unit prices charged per outbound wire message (paper Sec. IV-A),
-    /// tallied by each node thread at its send boundary.
+    /// tallied by each node at its send boundary.
     pub cost: CostModel,
     /// Base RNG seed (each node derives its own from this and its id).
     pub seed: u64,

@@ -3,8 +3,8 @@
 //! Two traits split it. [`Transport`] is the cluster-level half: the
 //! deployment-wide state (an address book, counters, a loss model)
 //! opened once from its configuration, to which [`crate::Cluster`]
-//! attaches each node's mailbox. [`NodeFabric`] is the node-level half
-//! an attach hands back: how one node's thread sends a wire message and
+//! attaches each node's [`Mailbox`]. [`NodeFabric`] is the node-level
+//! half an attach hands back: how one node sends a wire message and
 //! answers a reachability probe. The shared [`Registry`] implements the
 //! pair over in-process mailboxes ([`RegistryFabric`]);
 //! `polystyrene-transport` implements it over framed loopback sockets.
@@ -16,7 +16,7 @@
 use crate::config::RuntimeConfig;
 use crate::message::Message;
 use crate::registry::Registry;
-use crossbeam::channel::Sender;
+use crate::worker::Mailbox;
 use parking_lot::Mutex;
 use polystyrene_membership::NodeId;
 use polystyrene_protocol::{Channel, Fate, FaultyNetwork, NetworkModel, Wire};
@@ -40,18 +40,18 @@ pub trait Transport<P>: Send + Sync + Sized + 'static {
     /// Panics if `config` is invalid.
     fn open(config: Self::Config) -> Self;
 
-    /// Makes node `id` reachable: whatever arrives for it is delivered
-    /// to `mailbox`. Returns the node's sending half and the service
-    /// threads started on its behalf, which [`Transport::detach`] tells
-    /// to stop and the cluster joins at shutdown.
+    /// Makes node `mailbox.id()` reachable: whatever arrives for it is
+    /// put into `mailbox`. Returns the node's sending half and the
+    /// service threads started on its behalf, which
+    /// [`Transport::detach`] tells to stop and the cluster joins at
+    /// shutdown.
     ///
     /// # Panics
     ///
     /// Panics if the transport cannot allocate the node's endpoint.
     fn attach(
         self: &Arc<Self>,
-        id: NodeId,
-        mailbox: Sender<Message<P>>,
+        mailbox: Mailbox<P>,
     ) -> (Box<dyn NodeFabric<P>>, Vec<JoinHandle<()>>);
 
     /// Makes `id` unreachable, crash-stop: sends to it fail observably
@@ -73,7 +73,7 @@ pub trait Transport<P>: Send + Sync + Sized + 'static {
 /// something, so a lossless deployment takes no lock per send.
 #[derive(Default)]
 pub struct TransitLoss {
-    /// One entropy stream, many sending threads: serialized.
+    /// One entropy stream, several sending threads: serialized.
     model: Option<Mutex<FaultyNetwork>>,
     lost: AtomicU64,
 }
@@ -116,8 +116,8 @@ impl TransitLoss {
 /// One node's view of the deployment's message fabric.
 ///
 /// Methods take `&mut self` because a fabric may own per-node mutable
-/// state (a connection cache, buffered writers); each node thread owns
-/// its fabric exclusively.
+/// state (a connection cache, buffered writers); each node owns its
+/// fabric exclusively.
 pub trait NodeFabric<P>: Send {
     /// Delivers `wire` from this node to `to`. Returns `false` only for
     /// an *observable* delivery failure (unknown destination, dead
@@ -164,23 +164,25 @@ impl<P: Clone + Send> NodeFabric<P> for RegistryFabric<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::worker::Post;
     use crossbeam::channel::unbounded;
 
     #[test]
     fn registry_fabric_wraps_sends_with_the_sender_id() {
         let registry: Arc<Registry<f64>> = Registry::new();
         let (tx, rx) = unbounded();
-        registry.register(NodeId::new(2), tx);
+        registry.register(Mailbox::new(NodeId::new(2), tx));
         let mut fabric = RegistryFabric::new(NodeId::new(1), Arc::clone(&registry));
         assert!(fabric.contains(NodeId::new(2)));
         assert!(!fabric.contains(NodeId::new(9)));
         assert!(fabric.send(NodeId::new(2), Wire::Heartbeat));
         match rx.recv().unwrap() {
-            Message::Protocol { from, wire } => {
+            Post::Deliver(to, Message::Protocol { from, wire }) => {
+                assert_eq!(to, NodeId::new(2));
                 assert_eq!(from, NodeId::new(1));
                 assert_eq!(wire, Wire::Heartbeat);
             }
-            other => panic!("expected a protocol message, got {}", other.kind()),
+            _ => panic!("expected a protocol message delivered to node 2"),
         }
         assert!(!fabric.send(NodeId::new(9), Wire::Heartbeat));
     }

@@ -80,17 +80,8 @@ mod tests {
         snapshot.insert(
             NodeId::new(4),
             NodeReport {
-                pos: 4.5,
-                guest_ids: Vec::new(),
-                ghost_ids: Vec::new(),
-                parked_ids: Vec::new(),
-                stored_points: 0,
                 ticks: 1,
-                cost_units: 0,
-                traffic_offered: 0,
-                traffic_delivered: 0,
-                traffic_dropped: 0,
-                traffic_samples: Vec::new(),
+                ..NodeReport::at(4.5)
             },
         );
         let mut rng = StdRng::seed_from_u64(2);

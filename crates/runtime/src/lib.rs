@@ -1,5 +1,6 @@
 //! The live deployment of the Polystyrene stack: one [`Cluster`] of
-//! node threads over a pluggable [`Transport`].
+//! nodes, run by a fixed pool of worker threads, over a pluggable
+//! [`Transport`].
 //!
 //! The paper's system model is "a set of message-passing nodes that
 //! communicate over reliable channels (e.g. TCP)" with "a (possibly
@@ -8,16 +9,19 @@
 //! rounds; this crate drives the *same* sans-IO state machine
 //! (`polystyrene_protocol::ProtocolNode`) asynchronously:
 //!
-//! * one OS thread per node, with a crossbeam channel as its mailbox;
-//! * a wall-clock tick driving gossip initiation, so rounds are only
-//!   loosely synchronized across nodes;
+//! * a pool of `min(available_parallelism(), nodes)` worker threads,
+//!   each running the loops of the nodes assigned to it ([`worker`]): a
+//!   node is a value with a [`Mailbox`] into its worker's inbox and a
+//!   tick deadline of its own, not a thread;
+//! * a wall-clock tick per node driving gossip initiation, so rounds
+//!   are only loosely synchronized across nodes;
 //! * a heartbeat failure detector along the backup relationships (origins
 //!   heartbeat their backups and vice versa), with a configurable timeout;
 //! * crash injection that kills a node mid-flight, losing whatever was in
 //!   its mailbox: exactly the crash-stop model.
 //!
 //! The channel is incidental, so it is a type parameter. The default
-//! transport, [`Registry`], hands messages from thread to thread
+//! transport, [`Registry`], hands messages from inbox to inbox
 //! in-process; `polystyrene-transport` carries them as framed bytes over
 //! loopback TCP. Harness, node loop, gateway admission and loss
 //! injection are this crate's code over both. So is the harness's test
@@ -54,6 +58,7 @@ pub mod node;
 pub mod observe;
 pub mod registry;
 pub mod traffic;
+pub mod worker;
 
 pub use cluster::Cluster;
 pub use config::RuntimeConfig;
@@ -62,3 +67,4 @@ pub use message::Message;
 pub use polystyrene_protocol::observe::RoundObservation;
 pub use registry::Registry;
 pub use traffic::{GatewayTraffic, GATEWAY_INGRESS_BOUND};
+pub use worker::Mailbox;

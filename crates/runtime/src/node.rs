@@ -1,22 +1,25 @@
-//! The per-node thread: a mailbox-and-timer driver around the sans-IO
-//! [`ProtocolNode`].
+//! One live node: the IO driver around the sans-IO [`ProtocolNode`],
+//! run by a pool worker ([`crate::worker`]) beside its siblings.
 //!
 //! All protocol logic — RPS shuffles, T-Man exchanges, recovery, backup,
 //! migration, heartbeat bookkeeping — lives in `polystyrene-protocol`
 //! and is byte-for-byte the same state machine the cycle simulator
-//! drives. This thread only does IO: it feeds incoming mailbox messages
-//! to [`ProtocolNode::on_event_into`], fires [`ProtocolNode::on_tick_into`] on a
-//! wall-clock timer, and executes the returned effects over its
-//! [`NodeFabric`] — probes answered from the fabric's address book,
-//! sends mapped to transport deliveries (in-process mailboxes or framed
-//! TCP, the loop cannot tell), failed deliveries reported back as
-//! [`Event::PeerUnreachable`].
+//! drives. A `NodeRuntime` only does IO: its worker feeds it the
+//! messages addressed to it (`handle`, into
+//! [`ProtocolNode::on_event_into`]) and calls `tick` when its wall-clock
+//! deadline passes ([`ProtocolNode::on_tick_into`]); both
+//! execute the returned effects over the node's [`NodeFabric`] — probes
+//! answered from the fabric's address book, sends mapped to transport
+//! deliveries (in-process mailboxes or framed TCP, the node cannot
+//! tell), failed deliveries reported back as [`Event::PeerUnreachable`].
+//! The node owns its clock: `next_tick` is its own deadline, re-armed by
+//! its own pacing rule, whichever thread happens to run it.
 
 use crate::config::RuntimeConfig;
 use crate::fabric::NodeFabric;
-use crate::message::Message;
-use crate::observe::{NodeReport, ObservationBoard};
-use polystyrene::prelude::{DataPoint, PolyState};
+use crate::observe::ObservationBoard;
+use crate::worker::Resident;
+use polystyrene::prelude::{DataPoint, PointId, PolyState};
 use polystyrene_membership::{Descriptor, NodeId};
 use polystyrene_protocol::{node_seed, CostModel, Effect, EffectSink, Event, ProtocolNode, Wire};
 use polystyrene_space::MetricSpace;
@@ -27,32 +30,33 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Upper bound on messages handled in the pre-tick drain, so a sustained
-/// arrival stream can delay a round but never suppress it. Far above any
-/// per-round backlog a healthy cluster produces (a node receives a few
-/// dozen messages per round at most).
-const MAX_DRAIN_PER_TICK: usize = 512;
-
 /// Bound on the recent resolved-query samples a node republishes to the
 /// observation board: enough for a stable tail-latency estimate, small
-/// enough that the per-tick report clone stays cheap.
+/// enough that the per-tick report refill stays cheap.
 const MAX_TRAFFIC_SAMPLES: usize = 128;
 
-/// Everything a node thread owns.
+/// Rewrites `ids` with `from`, keeping its allocation.
+fn refill(ids: &mut Vec<PointId>, from: impl Iterator<Item = PointId>) {
+    ids.clear();
+    ids.extend(from);
+}
+
+/// Everything a live node owns.
 pub struct NodeRuntime<S: MetricSpace> {
     node: ProtocolNode<S>,
     tick: std::time::Duration,
+    /// When this node's next round is due.
+    next_tick: Instant,
     fabric: Box<dyn NodeFabric<S::Point>>,
     board: Arc<ObservationBoard<S::Point>>,
-    rx: crossbeam::channel::Receiver<Message<S::Point>>,
     rng: StdRng,
     cost_model: CostModel,
     /// Cumulative units this node has handed to the fabric, in the
     /// paper's prices — charged at the send boundary whether or not the
     /// delivery succeeds (the bytes left the node either way).
     sent_units: u64,
-    /// Thread-owned effect buffer every protocol call pushes into — one
-    /// buffer (and payload pool) for the thread's lifetime instead of a
+    /// Node-owned effect buffer every protocol call pushes into — one
+    /// buffer (and payload pool) for the node's lifetime instead of a
     /// fresh `Vec` per tick and per inbound message.
     sink: EffectSink<S::Point>,
     /// Reusable dispatch queue of [`Self::execute`].
@@ -64,8 +68,8 @@ pub struct NodeRuntime<S: MetricSpace> {
     /// Trailing window of resolved-query `(hops, latency)` samples.
     traffic_recent: Vec<(u32, u64)>,
     /// This gateway's admission gauge, shared with the cluster's offer
-    /// path: the offer side adds admitted queries, this thread subtracts
-    /// them as it drains the injections — the backpressure signal that
+    /// path: the offer side adds admitted queries, this node subtracts
+    /// them as it handles the injections — the backpressure signal that
     /// makes the offer path shed instead of flooding a slow mailbox.
     ingress: Arc<AtomicUsize>,
 }
@@ -83,7 +87,6 @@ impl<S: MetricSpace> NodeRuntime<S> {
         contacts: Vec<Descriptor<S::Point>>,
         fabric: Box<dyn NodeFabric<S::Point>>,
         board: Arc<ObservationBoard<S::Point>>,
-        rx: crossbeam::channel::Receiver<Message<S::Point>>,
         ingress: Arc<AtomicUsize>,
     ) -> Self {
         let poly = match origin {
@@ -101,9 +104,9 @@ impl<S: MetricSpace> NodeRuntime<S> {
         Self {
             node,
             tick: config.tick,
+            next_tick: Instant::now() + config.tick,
             fabric,
             board,
-            rx,
             rng: StdRng::seed_from_u64(node_seed(config.seed, id)),
             cost_model: config.cost,
             sent_units: 0,
@@ -117,57 +120,6 @@ impl<S: MetricSpace> NodeRuntime<S> {
         }
     }
 
-    /// The thread body: alternate message handling and ticks until a
-    /// shutdown arrives or the channel closes.
-    pub fn run(mut self) {
-        let tick = self.tick;
-        let mut next_tick = Instant::now() + tick;
-        'outer: loop {
-            let now = Instant::now();
-            if now < next_tick {
-                match self.rx.recv_timeout(next_tick - now) {
-                    Ok(Message::Shutdown) => break,
-                    Ok(msg) => self.handle(msg),
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
-                }
-            } else {
-                // Deadline passed. Drain the mailbox backlog before
-                // ticking: a node that has fallen behind must not run
-                // catch-up ticks back-to-back while replies starve in its
-                // queue — that is a death spiral (migration replies time
-                // out, the late-reply absorb path duplicates guests, the
-                // extra points make every subsequent tick slower). The
-                // drain is bounded so messages arriving *during* the drain
-                // cannot starve the tick itself: a node whose arrival rate
-                // matches its handling rate must still heartbeat.
-                for _ in 0..MAX_DRAIN_PER_TICK {
-                    match self.rx.try_recv() {
-                        Ok(Message::Shutdown) => break 'outer,
-                        Ok(msg) => self.handle(msg),
-                        Err(crossbeam::channel::TryRecvError::Disconnected) => break 'outer,
-                        Err(crossbeam::channel::TryRecvError::Empty) => break,
-                    }
-                }
-                self.on_tick();
-                // Fixed-delay pacing, deliberately: `tick` is the idle gap
-                // *between* rounds, not a fixed rate. Scheduling relative
-                // to now (instead of `next_tick + tick`) is the node's
-                // backpressure: when handling and ticking outrun the
-                // period, the protocol clock slows with the machine.
-                // Pinning the rate here looks more faithful but is
-                // unstable — migration timeouts are tick-denominated, so
-                // a node that ticks on schedule while its partners lag
-                // times out exchanges that are merely slow, and the
-                // late-reply absorb path then duplicates guests without
-                // bound (observed: >100 stored points/node in debug
-                // builds, vs the 1 + K steady state).
-                next_tick = Instant::now() + tick;
-            }
-        }
-        self.board.remove(self.node.id());
-    }
-
     /// One local protocol round, then publish to the observation plane.
     fn on_tick(&mut self) {
         let mut sink = std::mem::take(&mut self.sink);
@@ -177,7 +129,7 @@ impl<S: MetricSpace> NodeRuntime<S> {
         self.sink = sink;
         // Fold the tick's traffic accounting into the cumulative
         // counters the board publishes; the sample window is bounded so
-        // the per-tick report clone cannot grow with load.
+        // the per-tick report refill cannot grow with load.
         let (offered, delivered, dropped) = self.node.take_traffic(&mut self.traffic_recent);
         self.traffic_offered += offered;
         self.traffic_delivered += delivered;
@@ -186,62 +138,20 @@ impl<S: MetricSpace> NodeRuntime<S> {
             let excess = self.traffic_recent.len() - MAX_TRAFFIC_SAMPLES;
             self.traffic_recent.drain(..excess);
         }
-        self.board.publish(
-            self.node.id(),
-            NodeReport {
-                pos: self.node.poly.pos.clone(),
-                guest_ids: self.node.poly.guest_ids(),
-                ghost_ids: self
-                    .node
-                    .poly
-                    .ghosts
-                    .values()
-                    .flat_map(|pts| pts.iter().map(|p| p.id))
-                    .collect(),
-                parked_ids: self.node.parked_point_ids().collect(),
-                stored_points: self.node.poly.stored_points(),
-                ticks: self.node.clock(),
-                cost_units: self.sent_units,
-                traffic_offered: self.traffic_offered,
-                traffic_delivered: self.traffic_delivered,
-                traffic_dropped: self.traffic_dropped,
-                traffic_samples: self.traffic_recent.clone(),
-            },
-        );
-    }
-
-    fn handle(&mut self, message: Message<S::Point>) {
-        match message {
-            Message::Protocol { from, wire } => {
-                // Self-addressed query wires are gateway injections from
-                // the cluster's offer path — the only self-sends in the
-                // system. Handling one frees its admission-gauge slots.
-                if from == self.node.id() {
-                    let injected = match &wire {
-                        Wire::Query { .. } => 1,
-                        Wire::QueryBatch { queries } => queries.len(),
-                        _ => 0,
-                    };
-                    if injected > 0 {
-                        // Saturating: a harness injecting queries by hand
-                        // (no gauge charge) must not wrap the gauge into
-                        // a permanently-full reading.
-                        let _ =
-                            self.ingress
-                                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                                    Some(v.saturating_sub(injected))
-                                });
-                    }
-                }
-                let mut sink = std::mem::take(&mut self.sink);
-                sink.clear();
-                self.node
-                    .on_event_into(Event::Message { from, wire }, &mut self.rng, &mut sink);
-                self.execute(&mut sink);
-                self.sink = sink;
-            }
-            Message::Shutdown => unreachable!("handled by the run loop"),
-        }
+        let (node, poly) = (&self.node, &self.node.poly);
+        self.board.publish_with(node.id(), &poly.pos, |report| {
+            refill(&mut report.guest_ids, poly.guests.iter().map(|p| p.id));
+            let ghosts = poly.ghosts.values().flatten();
+            refill(&mut report.ghost_ids, ghosts.map(|p| p.id));
+            refill(&mut report.parked_ids, node.parked_point_ids());
+            report.stored_points = poly.stored_points();
+            report.ticks = node.clock();
+            report.cost_units = self.sent_units;
+            report.traffic_offered = self.traffic_offered;
+            report.traffic_delivered = self.traffic_delivered;
+            report.traffic_dropped = self.traffic_dropped;
+            report.traffic_samples.clone_from(&self.traffic_recent);
+        });
     }
 
     /// Executes effects against the real transport: probes consult the
@@ -286,5 +196,61 @@ impl<S: MetricSpace> NodeRuntime<S> {
             }
         }
         self.queue = queue;
+    }
+}
+
+impl<S: MetricSpace> Resident<S::Point> for NodeRuntime<S> {
+    fn id(&self) -> NodeId {
+        self.node.id()
+    }
+
+    fn next_tick(&self) -> Instant {
+        self.next_tick
+    }
+
+    fn handle(&mut self, from: NodeId, wire: Wire<S::Point>) {
+        // Self-addressed query wires are gateway injections from the
+        // cluster's offer path — the only self-sends in the system.
+        // Handling one frees its admission-gauge slots.
+        if from == self.node.id() {
+            let injected = match &wire {
+                Wire::Query { .. } => 1,
+                Wire::QueryBatch { queries } => queries.len(),
+                _ => 0,
+            };
+            if injected > 0 {
+                // Saturating: a harness injecting queries by hand (no
+                // gauge charge) must not wrap the gauge into a
+                // permanently-full reading.
+                let _ = self
+                    .ingress
+                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                        Some(v.saturating_sub(injected))
+                    });
+            }
+        }
+        let mut sink = std::mem::take(&mut self.sink);
+        sink.clear();
+        self.node
+            .on_event_into(Event::Message { from, wire }, &mut self.rng, &mut sink);
+        self.execute(&mut sink);
+        self.sink = sink;
+    }
+
+    fn tick(&mut self) -> Instant {
+        self.on_tick();
+        // Fixed-delay pacing, deliberately: `tick` is the idle gap
+        // *between* rounds, not a fixed rate. Scheduling relative to now
+        // (instead of `next_tick + tick`) is the node's backpressure:
+        // when handling and ticking outrun the period, the protocol
+        // clock slows with the machine. Pinning the rate here looks more
+        // faithful but is unstable — migration timeouts are
+        // tick-denominated, so a node that ticks on schedule while its
+        // partners lag times out exchanges that are merely slow, and the
+        // late-reply absorb path then duplicates guests without bound
+        // (observed: >100 stored points/node in debug builds, vs the
+        // 1 + K steady state).
+        self.next_tick = Instant::now() + self.tick;
+        self.next_tick
     }
 }

@@ -49,6 +49,25 @@ pub struct NodeReport<P> {
     pub traffic_samples: Vec<(u32, u64)>,
 }
 
+impl<P> NodeReport<P> {
+    /// The report of a node at `pos` that has not run a round yet.
+    pub fn at(pos: P) -> Self {
+        Self {
+            pos,
+            guest_ids: Vec::new(),
+            ghost_ids: Vec::new(),
+            parked_ids: Vec::new(),
+            stored_points: 0,
+            ticks: 0,
+            cost_units: 0,
+            traffic_offered: 0,
+            traffic_delivered: 0,
+            traffic_dropped: 0,
+            traffic_samples: Vec::new(),
+        }
+    }
+}
+
 /// The shared board.
 pub struct ObservationBoard<P> {
     inner: RwLock<HashMap<NodeId, NodeReport<P>>>,
@@ -68,9 +87,17 @@ impl<P: Clone> ObservationBoard<P> {
         Arc::new(Self::default())
     }
 
-    /// Publishes (or refreshes) a node's report.
-    pub fn publish(&self, id: NodeId, report: NodeReport<P>) {
-        self.inner.write().insert(id, report);
+    /// Publishes (or refreshes) a node's report in place: `refill`
+    /// rewrites the report the board already holds for `id`, now at
+    /// `pos`, so a node's per-tick publication reuses the id lists'
+    /// allocations instead of building and dropping four `Vec`s.
+    pub fn publish_with(&self, id: NodeId, pos: &P, refill: impl FnOnce(&mut NodeReport<P>)) {
+        let mut board = self.inner.write();
+        let report = board
+            .entry(id)
+            .and_modify(|report| report.pos.clone_from(pos))
+            .or_insert_with(|| NodeReport::at(pos.clone()));
+        refill(report);
     }
 
     /// Removes a node's report (crash or shutdown).
@@ -81,6 +108,26 @@ impl<P: Clone> ObservationBoard<P> {
     /// Snapshot of all reports.
     pub fn snapshot(&self) -> HashMap<NodeId, NodeReport<P>> {
         self.inner.read().clone()
+    }
+
+    /// How far the nodes `alive` accepts have got: how many of them
+    /// have a report, and the fewest ticks any of those has executed
+    /// (zero when none has reported). Read under the lock, copying
+    /// nothing.
+    pub fn progress(&self, alive: impl Fn(NodeId) -> bool) -> (usize, u64) {
+        let (mut reported, mut slowest) = (0, u64::MAX);
+        for (&id, report) in self.inner.read().iter() {
+            if alive(id) {
+                reported += 1;
+                slowest = slowest.min(report.ticks);
+            }
+        }
+        (reported, if reported == 0 { 0 } else { slowest })
+    }
+
+    /// Ids that currently have a report.
+    pub fn ids(&self) -> Vec<NodeId> {
+        self.inner.read().keys().copied().collect()
     }
 }
 
@@ -168,8 +215,8 @@ pub fn observe<S: MetricSpace>(
             snapshot.values().map(|r| r.stored_points).sum::<usize>() as f64 / alive as f64
         },
         parked_points,
-        // Cumulative units per alive node, not this-round units: node
-        // threads report running totals (a wall-clock snapshot has no
+        // Cumulative units per alive node, not this-round units: nodes
+        // report running totals (a wall-clock snapshot has no
         // round boundary to reset at). The lab's live-substrate adapter
         // differences consecutive snapshots to recover per-round cost.
         cost_units: if alive == 0 {
@@ -189,17 +236,10 @@ mod tests {
 
     fn report(pos: [f64; 2], ids: &[u64], stored: usize) -> NodeReport<[f64; 2]> {
         NodeReport {
-            pos,
             guest_ids: ids.iter().map(|&i| PointId::new(i)).collect(),
-            ghost_ids: Vec::new(),
-            parked_ids: Vec::new(),
             stored_points: stored,
             ticks: 5,
-            cost_units: 0,
-            traffic_offered: 0,
-            traffic_delivered: 0,
-            traffic_dropped: 0,
-            traffic_samples: Vec::new(),
+            ..NodeReport::at(pos)
         }
     }
 
@@ -214,10 +254,40 @@ mod tests {
     #[test]
     fn board_publish_remove_snapshot() {
         let board: Arc<ObservationBoard<[f64; 2]>> = ObservationBoard::new();
-        board.publish(NodeId::new(1), report([0.0, 0.0], &[0], 1));
-        assert_eq!(board.snapshot().len(), 1);
-        board.remove(NodeId::new(1));
+        let id = NodeId::new(1);
+        board.publish_with(id, &[0.0, 0.0], |r| {
+            r.guest_ids.extend([PointId::new(0), PointId::new(7)]);
+            r.ticks = 1;
+        });
+        // A refresh rewrites the report the board holds, position
+        // included, reusing its lists.
+        board.publish_with(id, &[2.0, 0.0], |r| {
+            assert_eq!(r.guest_ids.len(), 2, "refilled, not rebuilt");
+            r.guest_ids.clear();
+            r.guest_ids.push(PointId::new(3));
+            r.ticks = 2;
+        });
+        let snapshot = board.snapshot();
+        assert_eq!(snapshot.len(), 1);
+        assert_eq!(snapshot[&id].pos, [2.0, 0.0]);
+        assert_eq!(snapshot[&id].guest_ids, vec![PointId::new(3)]);
+        assert_eq!(board.ids(), vec![id]);
+        board.remove(id);
         assert!(board.snapshot().is_empty());
+    }
+
+    #[test]
+    fn progress_counts_only_whom_it_is_asked_about() {
+        let board: Arc<ObservationBoard<[f64; 2]>> = ObservationBoard::new();
+        assert_eq!(board.progress(|_| true), (0, 0));
+        for (id, ticks) in [(1, 9), (2, 4), (3, 1)] {
+            board.publish_with(NodeId::new(id), &[0.0, 0.0], |r| r.ticks = ticks);
+        }
+        assert_eq!(board.progress(|_| true), (3, 1));
+        // Node 3 was killed: its stale report neither counts nor holds
+        // the minimum down.
+        assert_eq!(board.progress(|id| id != NodeId::new(3)), (2, 4));
+        assert_eq!(board.progress(|_| false), (0, 0));
     }
 
     #[test]

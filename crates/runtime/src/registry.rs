@@ -1,9 +1,9 @@
-//! Shared address book: node id → mailbox sender.
+//! Shared address book: node id → [`Mailbox`].
 //!
-//! The in-process [`Transport`]. Senders are cloned out of the registry
-//! per message; sending to a crashed node (receiver dropped or
-//! deregistered) loses the message and reports it, like a TCP connection
-//! reset under crash-stop.
+//! The in-process [`Transport`]. A send looks the destination's mailbox
+//! up and puts the message into its worker's inbox; sending to a crashed
+//! node (deregistered, or its worker gone) loses the message and reports
+//! it, like a TCP connection reset under crash-stop.
 //!
 //! With `link.loss` set, [`TransitLoss`] injects *transit* loss on top
 //! of the crash-stop semantics: a dropped message vanishes silently (the
@@ -18,7 +18,7 @@
 use crate::config::RuntimeConfig;
 use crate::fabric::{NodeFabric, RegistryFabric, TransitLoss, Transport};
 use crate::message::Message;
-use crossbeam::channel::Sender;
+use crate::worker::Mailbox;
 use parking_lot::RwLock;
 use polystyrene_membership::NodeId;
 use std::collections::HashMap;
@@ -28,7 +28,7 @@ use std::thread::JoinHandle;
 /// Thread-safe address book shared by every node of an in-process
 /// [`crate::Cluster`].
 pub struct Registry<P> {
-    inner: RwLock<HashMap<NodeId, Sender<Message<P>>>>,
+    inner: RwLock<HashMap<NodeId, Mailbox<P>>>,
     loss: TransitLoss,
 }
 
@@ -48,9 +48,9 @@ impl<P> Registry<P> {
         Arc::new(Self::default())
     }
 
-    /// Registers a node's mailbox.
-    pub fn register(&self, id: NodeId, sender: Sender<Message<P>>) {
-        self.inner.write().insert(id, sender);
+    /// Registers a node's mailbox under the node's id.
+    pub fn register(&self, mailbox: Mailbox<P>) {
+        self.inner.write().insert(mailbox.id(), mailbox);
     }
 
     /// Removes a node (crash or shutdown). Subsequent sends to it are
@@ -73,22 +73,23 @@ impl<P> Registry<P> {
                 return self.contains(to);
             }
         }
-        let sender = self.inner.read().get(&to).cloned();
-        match sender {
-            Some(s) => s.send(message).is_ok(),
-            None => false,
-        }
+        // Sent under the read lock: the inbox is unbounded, so the send
+        // cannot block, and no sender is cloned per message.
+        self.inner
+            .read()
+            .get(&to)
+            .is_some_and(|mailbox| mailbox.send(message))
     }
 
     /// Whether `id` currently has a registered, *live* mailbox: the
-    /// answer to a protocol reachability probe. A node whose receiver is
+    /// answer to a protocol reachability probe. A node whose worker is
     /// gone (crashed without deregistering) is dead to the send path, so
     /// probes and the injected-drop report must agree with it.
     pub fn contains(&self, id: NodeId) -> bool {
         self.inner
             .read()
             .get(&id)
-            .is_some_and(|s| !s.is_disconnected())
+            .is_some_and(|mailbox| !mailbox.is_disconnected())
     }
 }
 
@@ -109,10 +110,10 @@ impl<P: Clone + Send + Sync + 'static> Transport<P> for Registry<P> {
 
     fn attach(
         self: &Arc<Self>,
-        id: NodeId,
-        mailbox: Sender<Message<P>>,
+        mailbox: Mailbox<P>,
     ) -> (Box<dyn NodeFabric<P>>, Vec<JoinHandle<()>>) {
-        self.register(id, mailbox);
+        let id = mailbox.id();
+        self.register(mailbox);
         (
             Box::new(RegistryFabric::new(id, Arc::clone(self))),
             Vec::new(),
@@ -135,17 +136,29 @@ impl<P: Clone + Send + Sync + 'static> Transport<P> for Registry<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
+    use crate::worker::Post;
+    use crossbeam::channel::{unbounded, Receiver};
+
+    /// Registers node 1 on a fresh worker inbox and returns the worker's
+    /// end of it.
+    fn register_node_1(registry: &Registry<f64>) -> Receiver<Post<f64>> {
+        let (tx, rx) = unbounded();
+        registry.register(Mailbox::new(NodeId::new(1), tx));
+        rx
+    }
+
+    fn is_shutdown_of_node_1(post: Post<f64>) -> bool {
+        matches!(post, Post::Deliver(id, Message::Shutdown) if id == NodeId::new(1))
+    }
 
     #[test]
     fn register_send_deregister() {
         let registry: Arc<Registry<f64>> = Registry::new();
-        let (tx, rx) = unbounded();
-        registry.register(NodeId::new(1), tx);
+        let rx = register_node_1(&registry);
         assert!(registry.contains(NodeId::new(1)));
         assert!(!registry.contains(NodeId::new(2)));
         assert!(registry.send(NodeId::new(1), Message::Shutdown));
-        assert!(matches!(rx.recv().unwrap(), Message::Shutdown));
+        assert!(is_shutdown_of_node_1(rx.recv().unwrap()));
         registry.deregister(NodeId::new(1));
         assert!(!registry.send(NodeId::new(1), Message::Shutdown));
         assert!(!registry.contains(NodeId::new(1)));
@@ -160,9 +173,8 @@ mod tests {
     #[test]
     fn send_to_dropped_receiver_reports_loss() {
         let registry: Arc<Registry<f64>> = Registry::new();
-        let (tx, rx) = unbounded();
-        registry.register(NodeId::new(1), tx);
-        drop(rx); // the node crashed without deregistering
+        let rx = register_node_1(&registry);
+        drop(rx); // the node's worker died without deregistering it
         assert!(!registry.send(NodeId::new(1), Message::Shutdown));
     }
 
@@ -183,8 +195,7 @@ mod tests {
     #[test]
     fn injected_loss_is_silent_but_counted() {
         let registry = all_loss();
-        let (tx, rx) = unbounded();
-        registry.register(NodeId::new(1), tx);
+        let rx = register_node_1(&registry);
         assert!(
             registry.send(NodeId::new(1), heartbeat()),
             "transit loss must be invisible to the sender (the mailbox exists)"
@@ -196,19 +207,19 @@ mod tests {
         assert!(!registry.send(NodeId::new(9), heartbeat()));
         // Control messages bypass the model entirely.
         assert!(registry.send(NodeId::new(1), Message::Shutdown));
-        assert!(matches!(rx.recv().unwrap(), Message::Shutdown));
+        assert!(is_shutdown_of_node_1(rx.recv().unwrap()));
     }
 
     #[test]
     fn crash_stop_reporting_is_consistent_under_injected_loss() {
         for (registry, drops) in [(Registry::default(), 0), (all_loss(), 1)] {
-            let (tx, rx) = unbounded();
-            registry.register(NodeId::new(1), tx);
-            drop(rx); // crashed without deregistering: still in the book
-                      // The real send path and the injected-drop path give the same
-                      // verdict (not `contains_key`, which would say `true` on the
-                      // drop path and suppress the PeerUnreachable feedback the
-                      // failure detector relies on), and probes agree with both.
+            let rx = register_node_1(&registry);
+            // Worker gone, node not deregistered: still in the book.
+            drop(rx);
+            // The real send path and the injected-drop path give the same
+            // verdict (not `contains_key`, which would say `true` on the
+            // drop path and suppress the PeerUnreachable feedback the
+            // failure detector relies on), and probes agree with both.
             assert!(!registry.send(NodeId::new(1), heartbeat()));
             assert!(
                 !registry.contains(NodeId::new(1)),

@@ -7,7 +7,7 @@
 //! [`Wire::QueryBatch`], and admitting the batch only if the gateway's
 //! ingress gauge has room. The gauge
 //! counts queries accepted into the gateway's mailbox but not yet
-//! handled by its node thread — the node decrements it when the
+//! handled by the node — the node decrements it when the
 //! injection is drained — so a gateway that falls behind pushes back at
 //! the *offer* boundary instead of letting its mailbox grow without
 //! bound. A refused batch is *shed*: counted here, never entering the

@@ -18,12 +18,13 @@
 //! experiments run over real sockets too.
 
 use crate::framing::{read_frame_into, write_frame_into, FrameStatus, MID_FRAME_DEADLINE};
-use crossbeam::channel::Sender;
 use parking_lot::RwLock;
 use polystyrene_membership::NodeId;
 use polystyrene_protocol::codec::{decode_event, encode_event_into, PointCodec};
 use polystyrene_protocol::{Event, Wire};
-use polystyrene_runtime::{Cluster, Message, NodeFabric, RuntimeConfig, TransitLoss, Transport};
+use polystyrene_runtime::{
+    Cluster, Mailbox, Message, NodeFabric, RuntimeConfig, TransitLoss, Transport,
+};
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -33,8 +34,9 @@ use std::time::Duration;
 
 /// A running TCP deployment: the one live [`Cluster`] with every
 /// message crossing a loopback socket. Per node: one listener, one
-/// acceptor thread and a set of per-connection reader threads beside the
-/// node thread.
+/// acceptor thread and a set of per-connection reader threads, all
+/// delivering into the node's [`Mailbox`]; the nodes themselves run on
+/// the cluster's worker pool.
 pub type TcpCluster<S> = Cluster<S, TcpFabric>;
 
 /// Parameters of the TCP deployment, over and above the runtime ones.
@@ -132,9 +134,9 @@ impl<P: PointCodec + Clone + Send + 'static> Transport<P> for TcpFabric {
     /// Binds the node's loopback listener and starts its acceptor.
     fn attach(
         self: &Arc<Self>,
-        id: NodeId,
-        mailbox: Sender<Message<P>>,
+        mailbox: Mailbox<P>,
     ) -> (Box<dyn NodeFabric<P>>, Vec<JoinHandle<()>>) {
+        let id = mailbox.id();
         let listener =
             TcpListener::bind("127.0.0.1:0").expect("failed to bind a loopback listener");
         let addr = listener
@@ -184,7 +186,7 @@ impl<P: PointCodec + Clone + Send + 'static> Transport<P> for TcpFabric {
 }
 
 /// One node's sending half: the per-peer connection cache behind the
-/// [`NodeFabric`] surface. Owned exclusively by its node thread.
+/// [`NodeFabric`] surface. Owned exclusively by its node.
 struct TcpLink<P> {
     id: NodeId,
     fabric: Arc<TcpFabric>,
@@ -240,7 +242,8 @@ impl<P> TcpLink<P> {
             };
             // Frames are small and latency-sensitive at millisecond
             // ticks; a blocked write past the timeout is treated as a
-            // dead peer rather than hanging the whole node loop.
+            // dead peer rather than hanging the node (and the worker it
+            // shares with its siblings).
             let _ = stream.set_nodelay(true);
             let _ = stream.set_write_timeout(Some(self.io_timeout));
             while self.conns.len() >= self.cap {
@@ -317,11 +320,12 @@ impl<P: PointCodec + Clone + Send + 'static> NodeFabric<P> for TcpLink<P> {
 ///
 /// Reader threads decode frames into mailbox messages and die on stream
 /// close, malformed input (a corrupt stream cannot be resynchronized —
-/// the sender reconnects), mailbox teardown, or the shared stop flag
-/// (checked every `reader_poll`).
+/// the sender reconnects), the node's worker being gone, or the shared
+/// stop flag (checked before every frame, and every `reader_poll` while
+/// idle).
 fn accept_loop<P: PointCodec + Send + 'static>(
     listener: TcpListener,
-    tx: Sender<Message<P>>,
+    mailbox: Mailbox<P>,
     stop: Arc<AtomicBool>,
     reader_poll: Duration,
     accept_poll: Duration,
@@ -334,14 +338,14 @@ fn accept_loop<P: PointCodec + Send + 'static>(
                 // nonblocking stream would spin instead of sleep.
                 let _ = stream.set_nonblocking(false);
                 let _ = stream.set_read_timeout(Some(reader_poll));
-                let tx = tx.clone();
+                let mailbox = mailbox.clone();
                 let stop = Arc::clone(&stop);
                 // Readers mostly sleep in `read`; a small stack keeps
                 // hundreds of connections per deployment cheap.
                 let _ = std::thread::Builder::new()
                     .name("poly-tcp-read".into())
                     .stack_size(128 * 1024)
-                    .spawn(move || reader_loop(stream, tx, stop));
+                    .spawn(move || reader_loop(stream, mailbox, stop));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(accept_poll);
@@ -355,11 +359,11 @@ fn accept_loop<P: PointCodec + Send + 'static>(
     }
 }
 
-fn reader_loop<P: PointCodec>(stream: TcpStream, tx: Sender<Message<P>>, stop: Arc<AtomicBool>) {
+fn reader_loop<P: PointCodec>(stream: TcpStream, mailbox: Mailbox<P>, stop: Arc<AtomicBool>) {
     let mut stream = std::io::BufReader::new(stream);
     // Per-connection decode scratch: one frame-body buffer amortized
     // over the connection's lifetime. The decoded wire payload itself
-    // is necessarily owned — it crosses the mailbox channel into the
+    // is necessarily owned — it crosses the worker's inbox into the
     // node — so the decode allocation per frame is down to that one.
     let mut payload = Vec::new();
     loop {
@@ -369,7 +373,7 @@ fn reader_loop<P: PointCodec>(stream: TcpStream, tx: Sender<Message<P>>, stop: A
         match read_frame_into(&mut stream, MID_FRAME_DEADLINE, &mut payload) {
             Ok(FrameStatus::Frame) => match decode_event::<P>(&payload) {
                 Ok(Event::Message { from, wire }) => {
-                    if tx.send(Message::Protocol { from, wire }).is_err() {
+                    if !mailbox.send(Message::Protocol { from, wire }) {
                         break;
                     }
                 }

@@ -25,7 +25,7 @@
 //! config.runtime.tick = std::time::Duration::from_millis(4);
 //! let shape = shapes::torus_grid(3, 3, 1.0);
 //! let cluster = TcpCluster::spawn(Torus2::new(3.0, 3.0), shape, config);
-//! cluster.await_ticks(3, std::time::Duration::from_secs(10));
+//! assert!(cluster.await_ticks(3, std::time::Duration::from_secs(10)));
 //! assert_eq!(cluster.observe().alive_nodes, 9);
 //! cluster.shutdown();
 //! ```

@@ -53,9 +53,14 @@ fn lossy(loss: f64) -> LinkProfile {
     }
 }
 
+/// Waits until every alive node has run `ticks` rounds in all.
+fn reach<T: Under>(cluster: &Cluster<Torus2, T>, ticks: u64) {
+    assert!(cluster.await_ticks(ticks, MAX_WAIT), "the cluster stalled");
+}
+
 /// Lets every alive node run `ticks` more rounds.
 fn advance<T: Under>(cluster: &Cluster<Torus2, T>, ticks: u64) {
-    cluster.await_ticks(cluster.observe().ticks + ticks, MAX_WAIT);
+    reach(cluster, cluster.observe().ticks + ticks);
 }
 
 /// Observes once per tick until `done` holds or `budget` ticks have
@@ -78,7 +83,7 @@ fn settle<T: Under>(
 
 pub fn spawns_and_reports<T: Under>() {
     let cluster = spawn_grid::<T>(6, 4);
-    cluster.await_ticks(5, MAX_WAIT);
+    reach(&cluster, 5);
     let obs = cluster.observe();
     assert_eq!(obs.alive_nodes, 24);
     // Migrations may have points in flight at snapshot time; replicas
@@ -99,7 +104,7 @@ pub fn spawns_and_reports<T: Under>() {
 
 pub fn replication_reaches_one_plus_k<T: Under>() {
     let cluster = spawn_grid::<T>(6, 4);
-    cluster.await_ticks(10, MAX_WAIT);
+    reach(&cluster, 10);
     let obs = cluster.observe();
     // Every node hosts its own point plus K=3 replicas of others.
     assert!(
@@ -112,11 +117,11 @@ pub fn replication_reaches_one_plus_k<T: Under>() {
 
 pub fn kill_is_crash_stop<T: Under>() {
     let cluster = spawn_grid::<T>(4, 4);
-    cluster.await_ticks(3, MAX_WAIT);
+    reach(&cluster, 3);
     assert!(cluster.kill(NodeId::new(0)));
     assert!(!cluster.kill(NodeId::new(0)), "second kill must be a no-op");
-    // Immediately: a kill does not wait for the dying thread, and that
-    // thread's last report must not count.
+    // Immediately: a kill does not wait for the worker to drop the
+    // node, and the node's last report must not count.
     assert_eq!(cluster.observe().alive_nodes, 15);
     assert!(!cluster.is_alive(NodeId::new(0)));
     // The survivors keep making progress without the dead peer.
@@ -128,6 +133,30 @@ pub fn kill_is_crash_stop<T: Under>() {
     cluster.shutdown();
 }
 
+/// `observe` hides the reports of dead nodes, so look at the board
+/// itself: a round of the victim that was under way when the kill landed
+/// may still publish, and it is the victim's worker that must take the
+/// report down once the node can publish no more.
+pub fn a_killed_node_never_reappears_on_the_board<T: Under>() {
+    let cluster = spawn_grid::<T>(4, 4);
+    reach(&cluster, 3);
+    let victim = NodeId::new(5);
+    let on_board = || cluster.reported_ids().contains(&victim);
+    assert!(on_board(), "every node has published by tick 3");
+    assert!(cluster.kill(victim));
+    for _ in 0..50 {
+        if !on_board() {
+            break;
+        }
+        advance(&cluster, 1);
+    }
+    assert!(!on_board(), "the victim's report outlived it");
+    advance(&cluster, 5);
+    assert!(!on_board(), "the victim published after it was dropped");
+    assert_eq!(cluster.reported_ids().len(), 15);
+    cluster.shutdown();
+}
+
 pub fn catastrophic_failure_recovers_points<T: Under>() {
     // K=4: a point dies only with its holder and all four backups, so a
     // 50% failure leaves ~97% of the points. At K=3 (~94%) 32 points are
@@ -136,7 +165,7 @@ pub fn catastrophic_failure_recovers_points<T: Under>() {
     // one by one or land together).
     let cluster = spawn_on::<T>(8, 4, LinkProfile::ideal(), 4);
     // Let replication converge first.
-    cluster.await_ticks(12, MAX_WAIT);
+    reach(&cluster, 12);
     let killed = cluster.kill_region(shapes::in_right_half(8.0));
     assert_eq!(killed.len(), 16);
     // Heartbeat timeouts + recovery + migration, all tick-denominated.
@@ -160,18 +189,18 @@ pub fn catastrophic_failure_recovers_points<T: Under>() {
 
 pub fn injection_spawns_empty_joiners<T: Under>() {
     let cluster = spawn_grid::<T>(4, 4);
-    cluster.await_ticks(5, MAX_WAIT);
+    reach(&cluster, 5);
     let id = cluster.inject([0.5, 0.5]);
     assert!(id.as_u64() >= 16);
     // Returns once the joiner has published its first round.
-    cluster.await_ticks(1, MAX_WAIT);
+    reach(&cluster, 1);
     assert_eq!(cluster.observe().alive_nodes, 17);
     cluster.shutdown();
 }
 
 pub fn lossy_cluster_still_replicates_and_counts_drops<T: Under>() {
     let cluster = spawn_on::<T>(6, 4, lossy(0.10), 3);
-    cluster.await_ticks(12, MAX_WAIT);
+    reach(&cluster, 12);
     let obs = cluster.observe();
     assert_eq!(obs.alive_nodes, 24);
     assert!(
@@ -195,7 +224,7 @@ pub fn lossy_cluster_still_replicates_and_counts_drops<T: Under>() {
 
 pub fn traffic_queries_resolve<T: Under>() {
     let cluster = spawn_grid::<T>(6, 4);
-    cluster.await_ticks(10, MAX_WAIT);
+    reach(&cluster, 10);
     let keys: Vec<Point> = (0..6).map(|i| [i as f64 + 0.5, 1.5]).collect();
     for _ in 0..10 {
         cluster.offer_traffic(&keys, 32);
@@ -224,7 +253,7 @@ pub fn oversized_offer_is_shed_at_the_gateway<T: Under>() {
     // bound must be refused whole, deterministically (the gauge cannot
     // admit it no matter how fast the node drains).
     let cluster = spawn_grid::<T>(1, 1);
-    cluster.await_ticks(2, MAX_WAIT);
+    reach(&cluster, 2);
     let oversized = GATEWAY_INGRESS_BOUND + 44;
     let keys = vec![[0.5, 0.5]; oversized];
     cluster.offer_traffic(&keys, 8);
@@ -251,7 +280,7 @@ pub fn oversized_offer_is_shed_at_the_gateway<T: Under>() {
 /// shed everything after the 32nd offer).
 pub fn lossy_links_do_not_leak_the_gateway_gauge<T: Under>() {
     let cluster = spawn_on::<T>(1, 1, lossy(1.0), 3);
-    cluster.await_ticks(2, MAX_WAIT);
+    reach(&cluster, 2);
     let keys = vec![[0.5, 0.5]; 8];
     for _ in 0..40 {
         cluster.offer_traffic(&keys, 8);
@@ -278,6 +307,7 @@ macro_rules! cluster_suite {
             spawns_and_reports,
             replication_reaches_one_plus_k,
             kill_is_crash_stop,
+            a_killed_node_never_reappears_on_the_board,
             catastrophic_failure_recovers_points,
             injection_spawns_empty_joiners,
             lossy_cluster_still_replicates_and_counts_drops,

@@ -57,7 +57,12 @@ fn mid_migration_kills_under_loss_never_destroy_points() {
     };
     config.reader_poll = Duration::from_millis(50);
     let cluster = TcpCluster::spawn(Torus2::new(6.0, 4.0), shapes::torus_grid(6, 4, 1.0), config);
-    let advance = |ticks: u64| cluster.await_ticks(cluster.observe().ticks + ticks, MAX_WAIT);
+    let advance = |ticks: u64| {
+        assert!(
+            cluster.await_ticks(cluster.observe().ticks + ticks, MAX_WAIT),
+            "the cluster stalled"
+        );
+    };
     // Observes once per tick until `done` holds or `budget` ticks have
     // passed: the assertions are about *what* holds, never how fast.
     let settle = |budget: u64, done: &dyn Fn(&RoundObservation) -> bool| {
@@ -73,7 +78,7 @@ fn mid_migration_kills_under_loss_never_destroy_points() {
     };
 
     // Let replication take hold so kills cannot trivially lose points.
-    cluster.await_ticks(15, MAX_WAIT);
+    assert!(cluster.await_ticks(15, MAX_WAIT), "the cluster stalled");
     assert!(
         cluster.injected_drops() > 0,
         "the lossy fabric must actually drop frames"

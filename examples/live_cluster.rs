@@ -1,7 +1,7 @@
 //! A live threaded deployment: the paper's system model for real.
 //!
-//! Spawns one OS thread per node, gossiping over channels with heartbeat
-//! failure detection, kills a third of the fleet mid-flight, and watches
+//! Spawns the nodes over a pool of worker threads, gossiping over
+//! channels with heartbeat failure detection, kills a third of the fleet mid-flight, and watches
 //! the shape recover — no simulator, no synchronized rounds.
 //!
 //! ```sh
@@ -22,16 +22,16 @@ fn main() {
         shapes::torus_grid(cols, rows, 1.0),
         config,
     );
-    println!("spawned {} node threads", cluster.alive_ids().len());
+    println!("spawned {} nodes", cluster.alive_ids().len());
 
-    cluster.await_ticks(15, Duration::from_secs(20));
+    assert!(cluster.await_ticks(15, Duration::from_secs(20)));
     let steady = cluster.observe();
     println!(
         "steady state: {} nodes, {:.2} points/node, homogeneity {:.3}",
         steady.alive_nodes, steady.points_per_node, steady.homogeneity
     );
 
-    // Crash-stop a contiguous third of the torus: threads die with their
+    // Crash-stop a contiguous third of the torus: nodes die with their
     // mailboxes; survivors must notice via heartbeat timeouts.
     let killed = cluster.kill_region(|p| p[0] >= 6.0);
     println!("killed {} nodes (no goodbye messages)", killed.len());

@@ -1,5 +1,5 @@
 //! Integration tests of the threaded deployment: the full stack over
-//! real threads, channels and heartbeat failure detection.
+//! the worker pool, channels and heartbeat failure detection.
 
 use polystyrene_repro::prelude::*;
 use std::time::Duration;
@@ -42,7 +42,7 @@ fn full_lifecycle_failover_and_reinjection() {
         shapes::torus_grid(cols, rows, 1.0),
         config(4),
     );
-    cluster.await_ticks(15, Duration::from_secs(15));
+    assert!(cluster.await_ticks(15, Duration::from_secs(15)));
     let steady = cluster.observe();
     assert_eq!(steady.alive_nodes, 32);
     let settled = settled_homogeneity(&cluster, 0.2, Duration::from_secs(8));
@@ -95,7 +95,7 @@ fn heartbeat_detector_triggers_recovery_without_oracle() {
         shapes::torus_grid(6, 4, 1.0),
         config(6),
     );
-    cluster.await_ticks(12, Duration::from_secs(15));
+    assert!(cluster.await_ticks(12, Duration::from_secs(15)));
     cluster.kill(NodeId::new(0));
     cluster.kill(NodeId::new(1));
     cluster.run_for(Duration::from_millis(400));
@@ -117,7 +117,7 @@ fn sequential_kills_do_not_wedge_the_cluster() {
         shapes::torus_grid(6, 4, 1.0),
         config(3),
     );
-    cluster.await_ticks(8, Duration::from_secs(15));
+    assert!(cluster.await_ticks(8, Duration::from_secs(15)));
     for id in 0..8 {
         cluster.kill(NodeId::new(id));
         cluster.run_for(Duration::from_millis(40));
