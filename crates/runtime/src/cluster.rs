@@ -34,8 +34,6 @@ struct Node<P> {
     /// mailbox but not yet handled. The offer path sheds against it
     /// instead of flooding a slow node.
     ingress: Arc<AtomicUsize>,
-    /// The transport's service threads for this node.
-    threads: Vec<JoinHandle<()>>,
 }
 
 /// A running Polystyrene deployment: nodes multiplexed over a fixed pool
@@ -57,11 +55,6 @@ pub struct Cluster<S: MetricSpace, T: Transport<S::Point> = Registry<<S as Metri
     workers: Vec<Sender<Post<S::Point>>>,
     /// The worker threads, joined at shutdown.
     pool: Mutex<Vec<JoinHandle<()>>>,
-    /// Transport service threads of killed nodes, joined at shutdown. A
-    /// kill is crash-stop: it must not wait for them (an acceptor
-    /// notices its stop flag one accept poll later), or killing a region
-    /// would stall the harness while the survivors' clocks keep running.
-    graveyard: Mutex<Vec<JoinHandle<()>>>,
     next_id: Mutex<u64>,
     rng: Mutex<StdRng>,
     /// Traffic-plane offer state: the dedicated gateway-draw stream,
@@ -113,7 +106,6 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
             nodes: Mutex::new(HashMap::new()),
             workers,
             pool: Mutex::new(pool),
-            graveyard: Mutex::new(Vec::new()),
             next_id: Mutex::new(shape.len() as u64),
             rng: Mutex::new(StdRng::seed_from_u64(config.seed)),
             traffic: Mutex::new(GatewayTraffic::new(config.seed)),
@@ -146,7 +138,7 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
         // can reach it from the first tick (what arrives before the
         // adoption below has been taken in is discarded, as a message to
         // a node not yet listening would be).
-        let (fabric, threads) = self.transport.attach(mailbox.clone());
+        let fabric = self.transport.attach(mailbox.clone());
         let ingress = Arc::new(AtomicUsize::new(0));
         let node = NodeRuntime::new(
             id,
@@ -163,14 +155,7 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
         // down) adopts nothing: the node never runs, `await_ticks` says
         // so, and `shutdown` reports why.
         let _ = worker.send(Post::Adopt(Box::new(node)));
-        self.nodes.lock().insert(
-            id,
-            Node {
-                mailbox,
-                ingress,
-                threads,
-            },
-        );
+        self.nodes.lock().insert(id, Node { mailbox, ingress });
     }
 
     /// The original data points (the target shape).
@@ -186,6 +171,12 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
     /// Whether `id` is currently alive.
     pub fn is_alive(&self, id: NodeId) -> bool {
         self.nodes.lock().contains_key(&id)
+    }
+
+    /// The transport the cluster's messages travel over, for what it
+    /// alone knows (where a TCP node listens).
+    pub fn transport(&self) -> &T {
+        &self.transport
     }
 
     /// Protocol messages lost in transit to the injected link faults
@@ -206,8 +197,10 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
     /// milliseconds while the survivors' clocks run. No goodbye
     /// messages: peers notice through failed sends and heartbeat
     /// timeouts. The worker removes the node's report when it drops the
-    /// node; the transport's service threads for it are joined by
-    /// [`Cluster::shutdown`]. Returns whether the node was alive.
+    /// node; the transport closes the node's endpoint on its own time
+    /// (a TCP node's listener and accepted connections, by the fabric's
+    /// I/O thread, within one wake-up). Returns whether the node was
+    /// alive.
     pub fn kill(&self, id: NodeId) -> bool {
         let Some(node) = self.nodes.lock().remove(&id) else {
             return false;
@@ -216,7 +209,6 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
         // the worker even sees the signal.
         self.transport.detach(id);
         node.mailbox.send(Message::Shutdown);
-        self.graveyard.lock().extend(node.threads);
         true
     }
 
@@ -349,10 +341,9 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
     }
 
     /// Orderly shutdown: kills every node, stops the workers and joins
-    /// them and the transport's service threads, including those of
-    /// previously killed nodes. Threads a transport did not hand over at
-    /// attach (per-connection readers) wind down on their own once their
-    /// node is detached.
+    /// them, then has the transport stop and join whatever threads it
+    /// runs of its own ([`Transport::close`]; the TCP fabric's I/O
+    /// thread, none in process).
     ///
     /// # Panics
     ///
@@ -366,13 +357,16 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
         for worker in &self.workers {
             let _ = worker.send(Post::Stop);
         }
-        let mut threads: Vec<JoinHandle<()>> = self.pool.lock().drain(..).collect();
-        threads.extend(self.graveyard.lock().drain(..));
+        let workers: Vec<JoinHandle<()>> = self.pool.lock().drain(..).collect();
         let mut panic = None;
-        for thread in threads {
-            if let Err(payload) = thread.join() {
+        for worker in workers {
+            if let Err(payload) = worker.join() {
                 panic.get_or_insert(payload);
             }
+        }
+        // After the workers: until they stop, nodes are still sending.
+        if let Err(payload) = self.transport.close() {
+            panic.get_or_insert(payload);
         }
         if let Some(payload) = panic {
             if !std::thread::panicking() {
@@ -424,16 +418,13 @@ mod tests {
             Self(Arc::new(Registry::open(config)))
         }
 
-        fn attach(
-            self: &Arc<Self>,
-            mailbox: Mailbox<Point>,
-        ) -> (Box<dyn NodeFabric<Point>>, Vec<JoinHandle<()>>) {
+        fn attach(self: &Arc<Self>, mailbox: Mailbox<Point>) -> Box<dyn NodeFabric<Point>> {
             let poisoned = mailbox.id() == NodeId::new(0);
-            let (fabric, threads) = self.0.attach(mailbox);
+            let fabric = self.0.attach(mailbox);
             if poisoned {
-                (Box::new(PoisonedFabric), threads)
+                Box::new(PoisonedFabric)
             } else {
-                (fabric, threads)
+                fabric
             }
         }
 

@@ -22,7 +22,6 @@ use polystyrene_membership::NodeId;
 use polystyrene_protocol::{Channel, Fate, FaultyNetwork, NetworkModel, Wire};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// A deployment's message fabric, as [`crate::Cluster`] sees it.
 pub trait Transport<P>: Send + Sync + Sized + 'static {
@@ -41,22 +40,26 @@ pub trait Transport<P>: Send + Sync + Sized + 'static {
     fn open(config: Self::Config) -> Self;
 
     /// Makes node `mailbox.id()` reachable: whatever arrives for it is
-    /// put into `mailbox`. Returns the node's sending half and the
-    /// service threads started on its behalf, which
-    /// [`Transport::detach`] tells to stop and the cluster joins at
-    /// shutdown.
+    /// put into `mailbox`. Returns the node's sending half. A transport
+    /// starts no thread per node; what threads it has are its own, from
+    /// [`Transport::open`] to [`Transport::close`].
     ///
     /// # Panics
     ///
     /// Panics if the transport cannot allocate the node's endpoint.
-    fn attach(
-        self: &Arc<Self>,
-        mailbox: Mailbox<P>,
-    ) -> (Box<dyn NodeFabric<P>>, Vec<JoinHandle<()>>);
+    fn attach(self: &Arc<Self>, mailbox: Mailbox<P>) -> Box<dyn NodeFabric<P>>;
 
     /// Makes `id` unreachable, crash-stop: sends to it fail observably
-    /// from now on and its service threads wind down.
+    /// from now on and whatever endpoint it had is closed.
     fn detach(&self, id: NodeId);
+
+    /// Stops and joins the transport's own threads, once every node is
+    /// detached. `Err` carries the payload of a panic one of them died
+    /// of, for [`crate::Cluster::shutdown`] to re-raise as it does a
+    /// worker's. A transport without threads has nothing to do.
+    fn close(&self) -> std::thread::Result<()> {
+        Ok(())
+    }
 
     /// Protocol messages lost in transit to the injected link faults.
     fn injected_drops(&self) -> u64;

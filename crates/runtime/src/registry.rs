@@ -23,7 +23,6 @@ use parking_lot::RwLock;
 use polystyrene_membership::NodeId;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// Thread-safe address book shared by every node of an in-process
 /// [`crate::Cluster`].
@@ -108,16 +107,10 @@ impl<P: Clone + Send + Sync + 'static> Transport<P> for Registry<P> {
         }
     }
 
-    fn attach(
-        self: &Arc<Self>,
-        mailbox: Mailbox<P>,
-    ) -> (Box<dyn NodeFabric<P>>, Vec<JoinHandle<()>>) {
+    fn attach(self: &Arc<Self>, mailbox: Mailbox<P>) -> Box<dyn NodeFabric<P>> {
         let id = mailbox.id();
         self.register(mailbox);
-        (
-            Box::new(RegistryFabric::new(id, Arc::clone(self))),
-            Vec::new(),
-        )
+        Box::new(RegistryFabric::new(id, Arc::clone(self)))
     }
 
     fn detach(&self, id: NodeId) {

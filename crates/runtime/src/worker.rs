@@ -67,8 +67,8 @@ pub(crate) enum Post<P> {
 
 /// The delivery handle of one node: its id plus the inbox of the worker
 /// that runs it. This is what a [`crate::Transport`] is given at attach
-/// and what every delivery path (registry sends, socket readers, the
-/// gateway offer) puts messages into.
+/// and what every delivery path (registry sends, the TCP fabric's I/O
+/// thread, the gateway offer) puts messages into.
 pub struct Mailbox<P> {
     id: NodeId,
     inbox: Sender<Post<P>>,

@@ -9,15 +9,24 @@
 //! a *wire* bug by construction, which is exactly what this substrate
 //! exists to surface.
 //!
+//! Sending is each node's own business: its [`NodeFabric`] is a cache of
+//! blocking streams it writes to from its worker. Receiving is shared:
+//! the fabric's one I/O thread (`reactor.rs`) holds every node's
+//! listener and every accepted stream, and puts what arrives into the
+//! addressee's [`Mailbox`]. No thread belongs to a node or to a
+//! connection.
+//!
 //! Failure semantics are crash-stop, carried by the sockets themselves:
-//! detaching a node closes its listener and tears down its connections,
-//! so a peer's next send hits a reset or a refused reconnect, reports
-//! delivery failure, and feeds the same `Event::PeerUnreachable` purge
-//! path every other substrate uses. `link.loss` is honored at the send
-//! boundary through the shared [`TransitLoss`] draw, so `--net-loss`
-//! experiments run over real sockets too.
+//! detaching a node closes its listener and every connection accepted
+//! on it at once, so a peer's next send hits a reset or a refused
+//! reconnect, reports delivery failure, and feeds the same
+//! `Event::PeerUnreachable` purge path every other substrate uses.
+//! `link.loss` is honored at the send boundary through the shared
+//! [`TransitLoss`] draw, so `--net-loss` experiments run over real
+//! sockets too.
 
-use crate::framing::{read_frame_into, write_frame_into, FrameStatus, MID_FRAME_DEADLINE};
+use crate::framing::{write_frame_into, MID_FRAME_DEADLINE};
+use crate::reactor::IoThread;
 use parking_lot::RwLock;
 use polystyrene_membership::NodeId;
 use polystyrene_protocol::codec::{decode_event, encode_event_into, PointCodec};
@@ -27,16 +36,15 @@ use polystyrene_runtime::{
 };
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// A running TCP deployment: the one live [`Cluster`] with every
-/// message crossing a loopback socket. Per node: one listener, one
-/// acceptor thread and a set of per-connection reader threads, all
-/// delivering into the node's [`Mailbox`]; the nodes themselves run on
-/// the cluster's worker pool.
+/// message crossing a loopback socket. Per node: one listener and the
+/// connections accepted on it, all served by the fabric's single I/O
+/// thread and delivering into the node's [`Mailbox`]; the nodes
+/// themselves run on the cluster's worker pool.
 pub type TcpCluster<S> = Cluster<S, TcpFabric>;
 
 /// Parameters of the TCP deployment, over and above the runtime ones.
@@ -47,20 +55,13 @@ pub struct TcpConfig {
     pub runtime: RuntimeConfig,
     /// Outgoing connections a node keeps open at once; the
     /// least-recently-*used* is closed when a send to a new peer needs a
-    /// slot. Bounds the deployment's file-descriptor and reader-thread
-    /// footprint at `nodes × cap` instead of `nodes²`, while the LRU
+    /// slot. Bounds the deployment's file-descriptor footprint at
+    /// `nodes × cap` connections instead of `nodes²`, while the LRU
     /// policy keeps the stable working set — heartbeat targets, the
     /// topology neighborhood — cached across the one-shot random-peer
     /// traffic (RPS shuffles) that would churn a FIFO cache into a
     /// connect-per-message storm.
     pub connection_cap: usize,
-    /// How long a reader blocks before re-checking its shutdown flag —
-    /// the upper bound on how long a killed node's reader threads
-    /// linger. Blocked readers cost nothing; each poll expiry is a
-    /// wakeup, so this is deliberately long (readers exit *immediately*
-    /// on connection close regardless — the flag only reaps readers
-    /// whose peer outlives their node).
-    pub reader_poll: Duration,
     /// Timeout for opening a connection and for a blocked write (a peer
     /// that accepts but never drains is indistinguishable from a dead
     /// one past this point).
@@ -72,7 +73,6 @@ impl Default for TcpConfig {
         Self {
             runtime: RuntimeConfig::default(),
             connection_cap: 24,
-            reader_poll: Duration::from_millis(500),
             io_timeout: Duration::from_secs(2),
         }
     }
@@ -83,12 +83,11 @@ impl TcpConfig {
     ///
     /// # Panics
     ///
-    /// Panics on a zero connection cap or zero timeouts, and on an
+    /// Panics on a zero connection cap or a zero timeout, and on an
     /// invalid runtime configuration.
     pub fn validate(&self) {
         self.runtime.validate();
         assert!(self.connection_cap > 0, "connection cap must be non-zero");
-        assert!(!self.reader_poll.is_zero(), "reader poll must be non-zero");
         assert!(!self.io_timeout.is_zero(), "io timeout must be non-zero");
     }
 }
@@ -97,16 +96,18 @@ impl TcpConfig {
 /// the TCP analogue of the runtime's `Registry`.
 pub struct TcpFabric {
     config: TcpConfig,
-    /// Per node: where it listens, and the stop flag it shares with its
-    /// acceptor and every reader thread that acceptor spawned.
-    addrs: RwLock<HashMap<NodeId, (SocketAddr, Arc<AtomicBool>)>>,
+    /// Where each attached node listens.
+    addrs: RwLock<HashMap<NodeId, SocketAddr>>,
     loss: TransitLoss,
     sent_frames: AtomicU64,
+    /// The receiving half: every listener and accepted stream.
+    io: IoThread,
 }
 
 impl TcpFabric {
-    fn addr_of(&self, id: NodeId) -> Option<SocketAddr> {
-        self.addrs.read().get(&id).map(|(addr, _)| *addr)
+    /// Where node `id` listens; `None` once it is detached.
+    pub fn addr_of(&self, id: NodeId) -> Option<SocketAddr> {
+        self.addrs.read().get(&id).copied()
     }
 
     fn contains(&self, id: NodeId) -> bool {
@@ -128,52 +129,52 @@ impl<P: PointCodec + Clone + Send + 'static> Transport<P> for TcpFabric {
             addrs: RwLock::new(HashMap::new()),
             loss: TransitLoss::new(&config.runtime),
             sent_frames: AtomicU64::new(0),
+            io: IoThread::start(MID_FRAME_DEADLINE),
         }
     }
 
-    /// Binds the node's loopback listener and starts its acceptor.
-    fn attach(
-        self: &Arc<Self>,
-        mailbox: Mailbox<P>,
-    ) -> (Box<dyn NodeFabric<P>>, Vec<JoinHandle<()>>) {
+    /// Binds the node's loopback listener and hands it to the I/O
+    /// thread, with how to deliver what arrives on it.
+    fn attach(self: &Arc<Self>, mailbox: Mailbox<P>) -> Box<dyn NodeFabric<P>> {
         let id = mailbox.id();
         let listener =
             TcpListener::bind("127.0.0.1:0").expect("failed to bind a loopback listener");
         let addr = listener
             .local_addr()
             .expect("bound listener has an address");
-        // Polled, never parked: a blocking `accept` can only be woken by
-        // an incoming connection, and a kill must not depend on being
-        // able to open one (fd pressure, full backlog); an acceptor
-        // that misses its wake-up would hang `shutdown` forever.
         listener
             .set_nonblocking(true)
             .expect("loopback listener accepts nonblocking mode");
-        let stop = Arc::new(AtomicBool::new(false));
-        self.addrs.write().insert(id, (addr, Arc::clone(&stop)));
-        let poll = self.config.reader_poll;
-        // Accept-poll sized to the protocol tick: first-contact
-        // delivery waits out at most half a tick before its reader
-        // exists (frames buffer in the kernel meanwhile), while big
-        // slow-tick deployments keep acceptor wakeups cheap.
-        let accept_poll = (self.config.runtime.tick / 2)
-            .clamp(Duration::from_millis(1), Duration::from_millis(20));
-        let acceptor = std::thread::Builder::new()
-            .name(format!("poly-tcp-accept-{id}"))
-            .spawn(move || accept_loop::<P>(listener, mailbox, stop, poll, accept_poll))
-            .expect("failed to spawn acceptor thread");
-        (Box::new(TcpLink::new(id, Arc::clone(self))), vec![acceptor])
+        self.addrs.write().insert(id, addr);
+        // Connections made before the thread has taken the listener in
+        // wait in its backlog.
+        self.io.attach(
+            id,
+            listener,
+            Box::new(move |payload| match decode_event::<P>(payload) {
+                Ok(Event::Message { from, wire }) => mailbox.send(Message::Protocol { from, wire }),
+                // A decode error, or an event kind that has no business
+                // crossing the wire. Dropping the connection is safe:
+                // the protocol already tolerates message loss, and the
+                // peer reconnects.
+                _ => false,
+            }),
+        );
+        Box::new(TcpLink::new(id, Arc::clone(self)))
     }
 
-    /// Deregisters the address and raises the stop flag: the acceptor
-    /// closes the listener within one accept poll, readers exit on
-    /// connection close or within one `reader_poll`. Peers discover the
-    /// crash through their sockets (resets on cached connections,
-    /// refused reconnects).
+    /// Deregisters the address and has the I/O thread close the node's
+    /// listener and every connection accepted on it, without waiting
+    /// for that. Peers discover the crash through their sockets (resets
+    /// on cached connections, refused reconnects).
     fn detach(&self, id: NodeId) {
-        if let Some((_, stop)) = self.addrs.write().remove(&id) {
-            stop.store(true, Ordering::Release);
+        if self.addrs.write().remove(&id).is_some() {
+            self.io.detach(id);
         }
+    }
+
+    fn close(&self) -> std::thread::Result<()> {
+        self.io.close()
     }
 
     fn injected_drops(&self) -> u64 {
@@ -308,83 +309,5 @@ impl<P: PointCodec + Clone + Send + 'static> NodeFabric<P> for TcpLink<P> {
 
     fn contains(&mut self, id: NodeId) -> bool {
         self.fabric.contains(id)
-    }
-}
-
-/// Accepts inbound connections off a *nonblocking* listener and spawns
-/// one reader thread per stream. Polling every `accept_poll` (instead
-/// of a blocking `accept`) makes acceptor exit unconditional on the
-/// stop flag — a parked `accept` can only be woken by an incoming
-/// connection, which a kill under fd pressure might not be able to
-/// fabricate.
-///
-/// Reader threads decode frames into mailbox messages and die on stream
-/// close, malformed input (a corrupt stream cannot be resynchronized —
-/// the sender reconnects), the node's worker being gone, or the shared
-/// stop flag (checked before every frame, and every `reader_poll` while
-/// idle).
-fn accept_loop<P: PointCodec + Send + 'static>(
-    listener: TcpListener,
-    mailbox: Mailbox<P>,
-    stop: Arc<AtomicBool>,
-    reader_poll: Duration,
-    accept_poll: Duration,
-) {
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // Accepted streams must block (with a read timeout):
-                // `read_frame` rides out timeouts mid-frame, but a
-                // nonblocking stream would spin instead of sleep.
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_read_timeout(Some(reader_poll));
-                let mailbox = mailbox.clone();
-                let stop = Arc::clone(&stop);
-                // Readers mostly sleep in `read`; a small stack keeps
-                // hundreds of connections per deployment cheap.
-                let _ = std::thread::Builder::new()
-                    .name("poly-tcp-read".into())
-                    .stack_size(128 * 1024)
-                    .spawn(move || reader_loop(stream, mailbox, stop));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(accept_poll);
-            }
-            Err(_) => {
-                // Transient accept failures (fd pressure, interrupted
-                // syscalls) must not busy-spin the acceptor.
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-    }
-}
-
-fn reader_loop<P: PointCodec>(stream: TcpStream, mailbox: Mailbox<P>, stop: Arc<AtomicBool>) {
-    let mut stream = std::io::BufReader::new(stream);
-    // Per-connection decode scratch: one frame-body buffer amortized
-    // over the connection's lifetime. The decoded wire payload itself
-    // is necessarily owned — it crosses the worker's inbox into the
-    // node — so the decode allocation per frame is down to that one.
-    let mut payload = Vec::new();
-    loop {
-        if stop.load(Ordering::Acquire) {
-            break;
-        }
-        match read_frame_into(&mut stream, MID_FRAME_DEADLINE, &mut payload) {
-            Ok(FrameStatus::Frame) => match decode_event::<P>(&payload) {
-                Ok(Event::Message { from, wire }) => {
-                    if !mailbox.send(Message::Protocol { from, wire }) {
-                        break;
-                    }
-                }
-                // Anything else — a decode error, or an event kind that
-                // has no business crossing the wire — poisons the
-                // connection. Dropping it is safe: the protocol already
-                // tolerates message loss, and the peer reconnects.
-                _ => break,
-            },
-            Ok(FrameStatus::Idle) => {}
-            Ok(FrameStatus::Closed) | Err(_) => break,
-        }
     }
 }

@@ -5,14 +5,20 @@
 //! ([`polystyrene_protocol::codec::FRAME_VERSION`]): a `u32`
 //! little-endian length prefix counting everything after itself, one
 //! frame-version byte, then the payload. [`write_frame`] emits the whole
-//! frame with a single `write_all` (short writes are retried inside it);
-//! [`read_frame`] reassembles a frame from however many partial reads
-//! the socket produces, rejects oversized or mis-versioned frames
-//! *before* allocating, and distinguishes three non-frame outcomes a
-//! socket loop needs: clean close at a frame boundary, idle timeout
-//! before a frame started, and hard stream errors (which include a close
-//! or timeout *mid-frame* — once a frame's first byte arrived, anything
-//! but its completion is stream corruption).
+//! frame with a single `write_all` (short writes are retried inside it).
+//!
+//! Two readers take frames apart, under one set of rules (`frame_size`:
+//! oversized or mis-versioned frames are rejected *before* any room is
+//! made for them). [`read_frame`] pulls a frame out of a blocking
+//! stream, from however many partial reads the socket produces, and
+//! distinguishes three non-frame outcomes a socket loop needs: clean
+//! close at a frame boundary, idle timeout before a frame started, and
+//! hard stream errors (which include a close or timeout *mid-frame*:
+//! once a frame's first byte arrived, anything but its completion is
+//! stream corruption). `Reassembly` is the same thing turned inside out
+//! for the transport's I/O thread, which is handed whatever a
+//! non-blocking read returned and cannot wait for more: bytes are pushed
+//! in, whole payloads come out, and the caller keeps the clock.
 
 use polystyrene_protocol::codec::{FRAME_VERSION, MAX_FRAME_BYTES};
 use std::io::{self, Read, Write};
@@ -58,9 +64,11 @@ fn is_timeout(e: &io::Error) -> bool {
 /// `write_all`, so even brutal scheduling jitter clears one frame in
 /// well under a second; a sender that opens a frame and then trickles
 /// or stalls — dead in a way the kernel has not surfaced yet, or
-/// hostile — must not pin the reading thread (and its stop-flag check)
-/// without bound. A wall deadline, not a window counter: counting
-/// empty timeout windows would be defeated by one byte per window.
+/// hostile — must not pin a blocking reader, nor hold a connection of
+/// the transport's I/O thread open (which sweeps its connections
+/// against the same budget), without bound. A wall deadline, not a
+/// window counter: counting empty timeout windows would be defeated by
+/// one byte per window.
 pub const MID_FRAME_DEADLINE: std::time::Duration = std::time::Duration::from_secs(30);
 
 /// Fills `buf` across as many partial reads as it takes.
@@ -162,32 +170,132 @@ pub fn read_frame_into(
     deadline: std::time::Duration,
     payload: &mut Vec<u8>,
 ) -> io::Result<FrameStatus> {
-    let mut len_buf = [0u8; 4];
-    if let Some(outcome) = fill(r, &mut len_buf, true, deadline)? {
+    let mut header = [0u8; HEADER_BYTES];
+    if let Some(outcome) = fill(r, &mut header[..4], true, deadline)? {
         return Ok(match outcome {
             FrameRead::Closed => FrameStatus::Closed,
             _ => FrameStatus::Idle,
         });
     }
-    let len = u32::from_le_bytes(len_buf) as usize;
+    // The length is judged before the reader waits for anything more.
+    frame_size(&header[..4])?;
+    fill(r, &mut header[4..], false, deadline)?;
+    let size = frame_size(&header)?.expect("a whole header names its frame's size");
+    payload.clear();
+    payload.resize(size - HEADER_BYTES, 0);
+    fill(r, payload, false, deadline)?;
+    Ok(FrameStatus::Frame)
+}
+
+/// What precedes a frame's payload on the wire: the length prefix and
+/// the frame-version byte.
+const HEADER_BYTES: usize = 5;
+
+/// The frame rules, applied to as much of a frame's header as `seen`
+/// holds (bytes past the header are not looked at): the declared length
+/// as soon as its four bytes are there, the version byte once it is.
+/// Returns the frame's whole size on the wire, header included, when
+/// the header is complete. Both readers ([`read_frame_into`] on a
+/// blocking stream, [`Reassembly`] on pushed slices) judge a frame
+/// here, and before either makes room for its payload.
+///
+/// # Errors
+///
+/// `InvalidData` for a declared length outside `1..=`[`MAX_FRAME_BYTES`]
+/// or a version byte other than [`FRAME_VERSION`].
+fn frame_size(seen: &[u8]) -> io::Result<Option<usize>> {
+    let Some(prefix) = seen.first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(*prefix) as usize;
     if len == 0 || len > MAX_FRAME_BYTES {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("frame length {len} outside 1..={MAX_FRAME_BYTES}"),
         ));
     }
-    let mut version = [0u8; 1];
-    fill(r, &mut version, false, deadline)?;
-    if version[0] != FRAME_VERSION {
-        return Err(io::Error::new(
+    match seen.get(4) {
+        None => Ok(None),
+        Some(&FRAME_VERSION) => Ok(Some(4 + len)),
+        Some(version) => Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("frame version {} (expected {FRAME_VERSION})", version[0]),
-        ));
+            format!("frame version {version} (expected {FRAME_VERSION})"),
+        )),
     }
-    payload.clear();
-    payload.resize(len - 1, 0);
-    fill(r, payload, false, deadline)?;
-    Ok(FrameStatus::Frame)
+}
+
+/// Frame reassembly for a reader that is handed bytes instead of asking
+/// for them: whatever a non-blocking `read` returned goes in, whole
+/// payloads come out. One per connection. It holds memory only while a
+/// frame is incomplete: frames that arrive whole are handed out of the
+/// caller's own buffer.
+#[derive(Debug, Default)]
+pub(crate) struct Reassembly {
+    /// The bytes seen so far of an incomplete frame, header included.
+    carry: Vec<u8>,
+}
+
+impl Reassembly {
+    /// Takes the next `bytes` of the stream and calls `on_frame` with
+    /// the payload of every frame they complete, in order. `on_frame`
+    /// answers whether the payload was acceptable.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` for a header [`read_frame_into`] would reject, at
+    /// the byte that shows it and before any room is made for the
+    /// payload, and for a payload `on_frame` refuses. The stream cannot
+    /// be resynchronized after either: the caller drops the connection.
+    pub(crate) fn push(
+        &mut self,
+        mut bytes: &[u8],
+        mut on_frame: impl FnMut(&[u8]) -> bool,
+    ) -> io::Result<()> {
+        let mut hand_out = |payload: &[u8]| {
+            if on_frame(payload) {
+                Ok(())
+            } else {
+                Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "frame payload refused",
+                ))
+            }
+        };
+        loop {
+            if self.carry.is_empty() {
+                if let Some(size) = frame_size(bytes)?.filter(|&size| size <= bytes.len()) {
+                    hand_out(&bytes[HEADER_BYTES..size])?;
+                    bytes = &bytes[size..];
+                    continue;
+                }
+                if bytes.is_empty() {
+                    return Ok(());
+                }
+            }
+            // An incomplete frame is gathered in `carry`: up to its
+            // header first, which says how much more to make room for.
+            let size = frame_size(&self.carry)?;
+            let wanted = size.unwrap_or(HEADER_BYTES) - self.carry.len();
+            let (taken, rest) = bytes.split_at(wanted.min(bytes.len()));
+            self.carry.reserve_exact(wanted);
+            self.carry.extend_from_slice(taken);
+            bytes = rest;
+            if taken.len() < wanted {
+                // Out of bytes mid-frame: what there is of the header
+                // is judged now, not when the rest arrives.
+                return frame_size(&self.carry).map(|_| ());
+            }
+            if size.is_some() {
+                hand_out(&self.carry[HEADER_BYTES..])?;
+                self.carry = Vec::new();
+            }
+        }
+    }
+
+    /// Whether a frame has started and not yet completed.
+    pub(crate) fn mid_frame(&self) -> bool {
+        !self.carry.is_empty()
+    }
 }
 
 /// Writes one frame (length prefix, version byte, payload) as a single
@@ -373,10 +481,10 @@ mod tests {
         // Only the length prefix ever arrives; the frame body never
         // comes and the connection never closes. The reader must give
         // up at the deadline, not retry timeouts forever (a hostile
-        // half-frame would otherwise pin the reading thread — and its
-        // kill-flag check — for the life of the process). A wall
-        // deadline also defeats the byte-trickle variant that a
-        // consecutive-empty-window counter would miss.
+        // half-frame would otherwise pin the reading thread for the
+        // life of the process). A wall deadline also defeats the
+        // byte-trickle variant that a consecutive-empty-window counter
+        // would miss.
         let mut r = Stall {
             bytes: framed(b"never finished")[..4].to_vec(),
             at: 0,
@@ -465,5 +573,107 @@ mod tests {
         let mut w = ShortWriter { out: Vec::new() };
         write_frame(&mut w, b"short").unwrap();
         assert_eq!(w.out, framed(b"short"));
+    }
+
+    /// Pushes `chunks` through a fresh [`Reassembly`] and returns the
+    /// payloads handed out, with the reassembly for a look inside.
+    fn reassemble(chunks: &[&[u8]]) -> io::Result<(Vec<Vec<u8>>, Reassembly)> {
+        let mut frames = Reassembly::default();
+        let mut out = Vec::new();
+        for chunk in chunks {
+            frames.push(chunk, |payload| {
+                out.push(payload.to_vec());
+                true
+            })?;
+        }
+        Ok((out, frames))
+    }
+
+    #[test]
+    fn reassembly_takes_a_frame_one_byte_per_push() {
+        let mut wire = framed(b"trickled");
+        wire.extend(framed(b""));
+        let bytes: Vec<&[u8]> = wire.chunks(1).collect();
+        let (out, frames) = reassemble(&bytes).unwrap();
+        assert_eq!(out, [b"trickled".to_vec(), vec![]]);
+        assert!(!frames.mid_frame());
+        assert_eq!(frames.carry.capacity(), 0, "nothing is kept between frames");
+    }
+
+    #[test]
+    fn reassembly_takes_two_frames_and_a_half_in_one_push() {
+        let mut wire = framed(b"one");
+        wire.extend(framed(b"two"));
+        let third = framed(b"the third frame");
+        for cut in 1..third.len() {
+            let mut first = wire.clone();
+            first.extend(&third[..cut]);
+            let (out, frames) = reassemble(&[&first]).unwrap();
+            assert_eq!(out, [b"one".to_vec(), b"two".to_vec()], "cut at {cut}");
+            assert!(frames.mid_frame(), "cut at {cut}");
+            assert!(
+                frames.carry.capacity() <= third.len(),
+                "the carry holds one frame at most, cut at {cut}"
+            );
+            let (out, frames) = reassemble(&[&first, &third[cut..], &wire]).unwrap();
+            assert_eq!(out.len(), 5, "cut at {cut}");
+            assert_eq!(out[2], b"the third frame", "cut at {cut}");
+            assert_eq!(out[4], b"two", "cut at {cut}");
+            assert!(!frames.mid_frame(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn reassembly_rejects_a_bad_header_without_making_room_for_it() {
+        let zero = 0u32.to_le_bytes().to_vec();
+        let oversize = (MAX_FRAME_BYTES as u32 + 1).to_le_bytes().to_vec();
+        let mut misversioned = framed(b"v?")[..HEADER_BYTES].to_vec();
+        misversioned[4] = FRAME_VERSION + 1;
+        for (what, bad) in [
+            ("zero length", zero),
+            ("oversize length", oversize),
+            ("wrong version", misversioned),
+        ] {
+            // In one piece, behind a good frame, and a byte at a time:
+            // the verdict falls at the same byte, and all that was ever
+            // kept is a header's worth.
+            let mut behind = framed(b"fine");
+            behind.extend(&bad);
+            let trickled: Vec<&[u8]> = bad.chunks(1).collect();
+            for chunks in [vec![&bad[..]], vec![&behind[..]], trickled] {
+                let mut frames = Reassembly::default();
+                let mut pushed = 0;
+                let err = chunks
+                    .iter()
+                    .find_map(|chunk| {
+                        pushed += chunk.len();
+                        frames.push(chunk, |_| true).err()
+                    })
+                    .unwrap_or_else(|| panic!("{what} accepted"));
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+                assert_eq!(
+                    pushed,
+                    chunks.concat().len(),
+                    "{what}: judged at its last byte"
+                );
+                assert!(frames.carry.capacity() <= HEADER_BYTES, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn reassembly_stops_at_a_refused_payload() {
+        let mut wire = framed(b"good");
+        wire.extend(framed(b"bad"));
+        wire.extend(framed(b"never seen"));
+        let mut seen = Vec::new();
+        let err = Reassembly::default()
+            .push(&wire, |payload| {
+                seen.push(payload.to_vec());
+                payload != b"bad"
+            })
+            .expect_err("a refused payload poisons the stream");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(seen, [b"good".to_vec(), b"bad".to_vec()]);
     }
 }

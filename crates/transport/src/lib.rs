@@ -12,6 +12,15 @@
 //! and inconsistent delivery reporting become reachable by tests instead
 //! of lying latent until a real deployment.
 //!
+//! A node sends from its own worker, through a cache of blocking streams
+//! to the peers it talks to. Nothing receives per node or per
+//! connection: one I/O thread per fabric holds every listener and every
+//! accepted stream, non-blocking, waits for readiness on all of them at
+//! once (`polling`, level-triggered), and reassembles, decodes and
+//! delivers whatever arrives. A deployment is the worker pool plus that
+//! one thread, whatever its node and connection count, and a killed
+//! node's sockets all close at once.
+//!
 //! This crate is only the transport. The harness and the node loop are
 //! `polystyrene-runtime`'s `Cluster` and `NodeRuntime`:
 //! [`TcpCluster<S>`] is `Cluster<S, TcpFabric>`, so whatever runs on the
@@ -35,6 +44,7 @@
 
 pub mod cluster;
 pub mod framing;
+mod reactor;
 
 pub use cluster::{TcpCluster, TcpConfig, TcpFabric};
 pub use framing::{read_frame, read_frame_deadline, write_frame, FrameRead};

@@ -55,7 +55,6 @@ fn mid_migration_kills_under_loss_never_destroy_points() {
         jitter: 0,
         loss: 0.15,
     };
-    config.reader_poll = Duration::from_millis(50);
     let cluster = TcpCluster::spawn(Torus2::new(6.0, 4.0), shapes::torus_grid(6, 4, 1.0), config);
     let advance = |ticks: u64| {
         assert!(
