@@ -436,17 +436,21 @@ fn assert_engine_steady_state_allocations(
 /// gossip views are the largest part of it: 3 200 + 640 bytes of
 /// descriptors when allocated at their caps, 5 120 + 1 024 when left to
 /// double their way there. Measured with the views exact: engine 5 919,
-/// netsim 9 911 bytes/node (the kernel adds its event queue, payload
+/// netsim 7 346 bytes/node (the kernel adds its event slab, payload
 /// pool, staging buffers and every node's rng); doubled views would add
-/// 2 265 and 2 357. The bounds were set as the midpoints at PR 17's
-/// readings (5 631 / 9 403) and still sit well below the doubled
-/// figures, so a view that carries slack again fails here before it
-/// shows as resident megabytes. PR 19 moved the readings without
-/// touching a view: replica pushes ride pooled buffers, whose capacity
-/// is whatever the buffer last carried, where they used to be
-/// exact-size clones (+288 on both — the price of the pool no longer
-/// growing by a buffer per push), and the kernel holds a 32-byte stream
-/// per node and one lane's staging scratch (+220). The gauge is
+/// 2 265 and 2 357. The engine bound was set as the midpoint of an
+/// earlier reading (5 631) and still sits well below the doubled
+/// figure, so a view that carries slack again fails here before it
+/// shows as resident megabytes. That reading rose without a view
+/// changing: replica pushes ride pooled buffers, whose capacity is
+/// whatever the buffer last carried, where they used to be exact-size
+/// clones (+288 on both — the price of the pool no longer growing by a
+/// buffer per push), and the kernel holds a 32-byte stream per node and
+/// one lane's staging scratch (+220). The netsim bound is the midpoint
+/// of 7 346 and the 9 911 the kernel held while its calendar queue kept
+/// one `VecDeque` per tick, each as large as the busiest tick it had
+/// served; a queue that sizes its storage by ring length times tick
+/// load again fails here. The gauge is
 /// process-wide, which is safe at this size: 256 nodes run inline in
 /// the rayon shim and no 256-node wave is wide enough for a second
 /// kernel lane (asserted below), so no worker thread (nor its
@@ -496,7 +500,7 @@ fn bench_netsim_round(c: &mut Criterion) {
     // Warm-up: views fill, the event queue and kernel scratch reach
     // their steady capacities.
     sim.run(24);
-    assert_live_heap_per_node("netsim", live_before, 256, 10_600);
+    assert_live_heap_per_node("netsim", live_before, 256, 8_600);
     assert_eq!(sim.parallel_runs(), 0, "a 256-node run fanned out");
     let mut load = TrafficLoad::new(shapes::torus_grid(32, 8, 1.0), 32, 0.9, 16, 21);
     assert_netsim_steady_state_allocations(&mut sim, &mut load);

@@ -16,6 +16,9 @@
 //!   netsim sweep's deterministic steady-state allocation count (gated
 //!   exactly: the probe is seeded and single-threaded).
 //!
+//! Other keys are carried along, not read: `fig_loss_latency`'s
+//! per-row `peak_rss_mb`, for one, depends on the allocator and the box.
+//!
 //! Improvements (lower values) always pass; a substrate present in the
 //! baseline but missing from the current run is a failure, so the gate
 //! cannot be dodged by dropping a substrate from the matrix. Noisy

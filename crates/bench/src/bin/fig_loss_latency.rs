@@ -18,11 +18,12 @@
 //! * `--sweep-nodes MAX` holds the drop rate fixed (`--net-loss`,
 //!   defaulting to 5%) and sweeps the population over the standard
 //!   scaling grids up to `MAX` nodes — the netsim scale axis, timed
-//!   per row.
+//!   per row, with each row's peak resident memory beside its time.
 //!
 //! Emits machine-readable JSON (one record per sweep point plus a
-//! `wall_secs` object with each row's wall-clock, via the shared
-//! emitter) for the CI perf/quality trajectory, and exits nonzero if
+//! `wall_secs` object with each row's wall-clock and a `peak_rss_mb`
+//! object with the process's peak resident set after each row, via the
+//! shared emitter) for the CI perf/quality trajectory, and exits nonzero if
 //! any netsim loss-sweep point at or below 10% loss fails to recover —
 //! so the artifact upload doubles as a regression gate.
 //!
@@ -136,6 +137,22 @@ struct SweepRow {
     summary: ExperimentSummary,
     /// Wall-clock for the row's runs, in seconds.
     wall_secs: f64,
+    /// The process's peak resident set once the row is done, in MB
+    /// (NaN where `/proc` has no `VmHWM`). Scale rows ascend in size,
+    /// so there it is the row's own peak; loss rows share one size, so
+    /// there it is the peak of the rows so far. Not gated.
+    peak_rss_mb: f64,
+}
+
+/// `VmHWM` of `/proc/self/status` in MB, or NaN off Linux.
+fn peak_rss_mb() -> f64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+            kb.trim().strip_suffix("kB")?.trim().parse::<f64>().ok()
+        })
+        .map_or(f64::NAN, |kb| kb / 1024.0)
 }
 
 /// The sweep's scenario: converge, kill the right half-torus, and — with
@@ -207,6 +224,7 @@ fn run_row(args: &CommonArgs, loss: f64, label: String) -> SweepRow {
         loss,
         summary,
         wall_secs: started.elapsed().as_secs_f64(),
+        peak_rss_mb: peak_rss_mb(),
     }
 }
 
@@ -223,13 +241,14 @@ fn report_row(row: &SweepRow, runs: usize) {
     let last = |s: &polystyrene_lab::SeriesStats| s.last().map(|v| v.mean()).unwrap_or(f64::NAN);
     println!(
         "{:>10} → reshaping {reshaping}, final homogeneity {:.3} (ref {:.3}), \
-         survival {:.1}%, {:.1} pts/node, {:.1}s wall",
+         survival {:.1}%, {:.1} pts/node, {:.1}s wall, {:.0} MB peak RSS",
         row.label,
         last(&row.summary.homogeneity),
         last(&row.summary.reference_homogeneity),
         last(&row.summary.surviving_points) * 100.0,
         last(&row.summary.points_per_node),
         row.wall_secs,
+        row.peak_rss_mb,
     );
 }
 
@@ -366,13 +385,15 @@ fn main() {
     std::fs::create_dir_all(&args.out).expect("failed to create output directory");
     let entries: Vec<(String, &ExperimentSummary)> =
         rows.iter().map(|r| (r.label.clone(), &r.summary)).collect();
-    let wall_secs = format!(
-        "{{{}}}",
-        rows.iter()
-            .map(|r| format!("\"{}\":{}", r.label, json_f64(r.wall_secs, 3)))
-            .collect::<Vec<_>>()
-            .join(",")
-    );
+    let per_row = |value: fn(&SweepRow) -> f64| {
+        format!(
+            "{{{}}}",
+            rows.iter()
+                .map(|r| format!("\"{}\":{}", r.label, json_f64(value(r), 3)))
+                .collect::<Vec<_>>()
+                .join(",")
+        )
+    };
     let mut meta: Vec<(&str, String)> = vec![
         ("substrate", format!("\"{}\"", args.substrate)),
         (
@@ -389,7 +410,10 @@ fn main() {
         // Per-row wall-clock, for the baseline differ and the scale
         // axis: quality regressions and time regressions travel in
         // the same artifact.
-        ("wall_secs", wall_secs),
+        ("wall_secs", per_row(|r| r.wall_secs)),
+        // Per-row peak memory beside it; `baseline_diff` does not read
+        // it (resident size depends on the allocator and the box).
+        ("peak_rss_mb", per_row(|r| r.peak_rss_mb)),
     ];
     if let Some(n) = allocs_per_round {
         // Steady-state heap allocations per round on the 256-node
@@ -445,6 +469,7 @@ mod tests {
                 ..Default::default()
             },
             wall_secs: 1.0,
+            peak_rss_mb: 1.0,
         }
     }
 

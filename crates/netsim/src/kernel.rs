@@ -57,10 +57,13 @@
 //! apply to it: a lossy link delays gossip, not this pass.
 //!
 //! The hot loop is allocation-free in steady state: future events live
-//! in a [`CalendarQueue`] of reusable per-tick buckets, node effects are
-//! pushed into the lanes' [`EffectSink`]s and dispatched through their
-//! reusable queues, and the per-round measurement pass reuses dense
-//! point-id-indexed holder/ghost tables instead of rebuilding hash maps.
+//! in a [`CalendarQueue`], per-tick lists threaded through one slab of
+//! event cells that a pop frees for the next push (so it holds as many
+//! cells as were ever queued at once, not a ring of buckets each sized
+//! for its busiest tick), node effects are pushed into the lanes'
+//! [`EffectSink`]s and dispatched through their reusable queues, and the
+//! per-round measurement pass reuses dense point-id-indexed holder/ghost
+//! tables instead of rebuilding hash maps.
 //!
 //! # Determinism
 //!
@@ -138,8 +141,8 @@ const NET_SEED_TAG: u64 = 0x6e65_7473_696d; // "netsim"
 const LANE_LOAD: usize = 128;
 
 /// A queued future event. The tick it fires at and its position within
-/// that tick are carried by the [`CalendarQueue`] (bucket + FIFO slot),
-/// not stored per event.
+/// that tick are carried by the [`CalendarQueue`] (bucket + list
+/// position), not stored per event.
 enum Pending<P> {
     /// A wire message completes its transit.
     Deliver {
@@ -338,9 +341,6 @@ pub struct NetSim<S: MetricSpace> {
     /// probe, hence the dense table.
     detected: FailureTable,
     queue: CalendarQueue<Pending<S::Point>>,
-    /// The wave being served; between waves, the spare buffer
-    /// [`CalendarQueue::take_tick`] swaps into the ring.
-    wave: VecDeque<Pending<S::Point>>,
     now: u64,
     round: u32,
     /// The kernel's own stream: bootstrap contacts, activation order and
@@ -470,7 +470,6 @@ impl<S: MetricSpace> NetSim<S> {
             traffic_in_flight: 0,
             detected: FailureTable::new(),
             queue: CalendarQueue::new(),
-            wave: VecDeque::new(),
             now: 0,
             round: 0,
             rng,
@@ -914,10 +913,11 @@ impl<S: MetricSpace> NetSim<S> {
     }
 
     /// Serves every queued event with `at <= limit`, one *wave* at a
-    /// time: everything queued for the earliest tick is taken off the
-    /// queue at once, and what serving it sends back into the same tick
-    /// (a zero-latency hop) queues up behind it as the next wave — the
-    /// order a one-event-at-a-time FIFO would serve in. Within a wave,
+    /// time: everything queued for the earliest tick is detached from
+    /// the queue at once and popped straight out of its slab, and what
+    /// serving it sends back into the same tick (a zero-latency hop)
+    /// queues up behind it as the next wave — the order a
+    /// one-event-at-a-time FIFO would serve in. Within a wave,
     /// consecutive activations and deliveries form a *run* that goes
     /// through the two stages of [`Self::serve_staged`]; a `Detect` or
     /// `Crash` changes what every later handler may see, so it closes
@@ -925,14 +925,13 @@ impl<S: MetricSpace> NetSim<S> {
     /// spread over.
     fn serve_until(&mut self, limit: u64) -> usize {
         let mut widest = 1;
-        let mut wave = std::mem::take(&mut self.wave);
-        while let Some(at) = self.queue.take_tick(limit, &mut wave) {
-            self.now = self.now.max(at);
+        while let Some(mut wave) = self.queue.take_wave(limit) {
+            self.now = self.now.max(wave.tick());
             // Lanes for this wave (see `LANE_LOAD`), and slots per lane.
             let width = (wave.len() / LANE_LOAD).clamp(1, self.lanes.len());
             let chunk = self.nodes.slot_count().div_ceil(width);
             widest = widest.max(width);
-            for what in wave.drain(..) {
+            while let Some(what) = self.queue.pop_wave(&mut wave) {
                 match what {
                     Pending::Detect { id } => {
                         self.serve_staged(chunk);
@@ -955,7 +954,6 @@ impl<S: MetricSpace> NetSim<S> {
             }
             self.serve_staged(chunk);
         }
-        self.wave = wave;
         widest
     }
 
