@@ -348,10 +348,10 @@ fn bench_failure_lookup(c: &mut Criterion) {
 /// and since the payload pool landed the wire messages' descriptor and
 /// point vectors recycle through `EffectSink`'s `BufPool` too. What
 /// remains is protocol-internal churn that genuinely varies per round
-/// (split/merge working sets): 150 allocations per round at 256 nodes,
-/// the same on every run and machine (seeded, below the rayon shim's
-/// threshold and the kernel's own, so nothing fans out). The bound is
-/// ~2.7x that. Two allocations per node-round, what the peer-sampling
+/// (split/merge working sets) plus the shared census's per-point result
+/// vector: 155 allocations per round at 256 nodes, the same on every run
+/// and machine (seeded, below the rayon shim's threshold and the
+/// kernel's own, so nothing fans out). The bound is ~2.6x that. Two allocations per node-round, what the peer-sampling
 /// merge once cost, are ~510 and read 630 then, so a per-exchange `Vec`
 /// fails the gate,
 /// and per-message payload allocations (~5 700 before the pool) or

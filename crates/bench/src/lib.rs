@@ -397,7 +397,7 @@ pub fn run_quality(
             .push_run(metrics.iter().map(|m| m.points_per_node).collect());
         result
             .cost_per_node
-            .push_run(metrics.iter().map(|m| m.cost_per_node).collect());
+            .push_run(metrics.iter().map(|m| m.cost_units).collect());
         if result.reference_homogeneity.len() < metrics.len() {
             result.reference_homogeneity =
                 metrics.iter().map(|m| m.reference_homogeneity).collect();

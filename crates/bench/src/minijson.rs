@@ -1,11 +1,10 @@
 //! A minimal JSON reader for the bench artifacts.
 //!
-//! The experiment plane hand-rolls its JSON output (the serde shim has
-//! no serialization machinery, by design), so the baseline differ needs
-//! a reader for the same dialect: objects, arrays, strings with the
-//! basic escapes, `f64` numbers, and the three literals. This is a
-//! strict recursive-descent parser over exactly that grammar — not a
-//! general-purpose JSON library, just the other half of
+//! The experiment plane hand-rolls its JSON output, so the baseline
+//! differ needs a reader for the same dialect: objects, arrays, strings
+//! with the basic escapes, `f64` numbers, and the three literals. This
+//! is a strict recursive-descent parser over exactly that grammar — not
+//! a general-purpose JSON library, just the other half of
 //! [`polystyrene_lab::summary_json`].
 
 /// A parsed JSON value.

@@ -2,7 +2,6 @@
 
 use crate::projection::ProjectionStrategy;
 use crate::split::SplitStrategy;
-use serde::{Deserialize, Serialize};
 
 /// Where backup replicas are placed (paper Sec. III-D).
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// replicating data points to nodes only a few hops away) could be
 /// considered." Both ends of that trade-off are implemented; the ablation
 /// bench quantifies it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BackupPlacement {
     /// Replicas on uniformly random nodes (from the peer-sampling layer) —
     /// the paper's choice, robust to *correlated* regional failures.
@@ -43,7 +42,7 @@ pub enum BackupPlacement {
 ///     .build();
 /// assert_eq!(cfg.replication, 8);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PolystyreneConfig {
     /// Number of backup copies per data point (the paper's `K`).
     pub replication: usize,

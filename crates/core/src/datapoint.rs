@@ -5,8 +5,6 @@
 //! The set of all data points defines the underlying shape the topology
 //! should converge to." (paper Sec. II-C)
 
-use serde::{Deserialize, Serialize};
-
 /// Stable identity of a data point, assigned when the target shape is
 /// created and preserved across every migration and replication.
 ///
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// paper Fig. 7a) and what the homogeneity metric traces: "the mean
 /// distance between each initial data point and the nearest node hosting
 /// this data point" (Sec. IV-A).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PointId(u64);
 
 impl PointId {
@@ -59,7 +57,7 @@ impl std::fmt::Display for PointId {
 /// assert_eq!(p.id, PointId::new(3));
 /// assert_eq!(p.pos, [1.0, 2.0]);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DataPoint<P> {
     /// Stable identity.
     pub id: PointId,

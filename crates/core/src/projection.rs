@@ -12,10 +12,9 @@ use crate::datapoint::DataPoint;
 use polystyrene_space::medoid::{medoid_index_by, medoid_index_sampled_by};
 use polystyrene_space::MetricSpace;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How a node position is computed from its guest set.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProjectionStrategy {
     /// The exact medoid of the guest points — the paper's choice,
     /// well-defined in any metric space (Sec. III-C).

@@ -17,10 +17,9 @@ use polystyrene_space::diameter::diameter_of_by;
 use polystyrene_space::medoid::medoid_index_by;
 use polystyrene_space::MetricSpace;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Which `SPLIT` function migration uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SplitStrategy {
     /// `SPLIT_BASIC` (Algorithm 4): nearest-position assignment.
     Basic,

@@ -11,7 +11,7 @@
 
 use crate::substrate::Substrate;
 use crate::traffic::TrafficLoad;
-use polystyrene_protocol::observe::RoundObservation;
+use polystyrene_protocol::observe::{reshaping_time, RoundObservation};
 use polystyrene_protocol::scenario::{Scenario, ScenarioEvent};
 use polystyrene_space::stats::{ci95, ConfidenceInterval};
 use std::fmt::Write as _;
@@ -151,29 +151,20 @@ impl ExperimentTrace {
     }
 
     /// Rounds from the failure until homogeneity first drops below the
-    /// reference bound (paper Sec. IV-A), or `None` if it never does
-    /// (or the scenario has no failure).
+    /// reference bound — the one [`reshaping_time`] rule — or `None` if
+    /// it never does (or the scenario has no failure).
     pub fn reshaping_rounds(&self) -> Option<u32> {
-        let fr = self.failure_index()?;
-        self.observations
-            .iter()
-            .enumerate()
-            .skip(fr)
-            .find(|(_, o)| o.homogeneity < o.reference_homogeneity)
-            .map(|(i, _)| (i + 1) as u32 - fr as u32)
+        reshaping_time(&self.observations, self.failure_round?)
     }
 
     /// Protocol ticks from the kill until the recovery crossing — the
     /// progress-denominated reshaping time the wall-clock substrates are
     /// gated on (wall-clock hiccups stretch rounds, not this clock).
     pub fn reshaping_ticks(&self) -> Option<u64> {
-        let fr = self.failure_index()?;
         let kill = self.kill_tick?;
-        self.observations
-            .iter()
-            .skip(fr)
-            .find(|o| o.homogeneity < o.reference_homogeneity)
-            .map(|o| o.ticks.saturating_sub(kill).max(1))
+        let crossing =
+            &self.observations[self.failure_index()? + self.reshaping_rounds()? as usize - 1];
+        Some(crossing.ticks.saturating_sub(kill).max(1))
     }
 
     /// Fraction of initial data points surviving the failure — Table
@@ -451,9 +442,8 @@ impl ExperimentSummary {
 /// A float as a JSON number token, with `precision` fractional digits —
 /// or the JSON literal `null` when the value is not finite.
 ///
-/// The experiment binaries hand-roll their JSON (the serde shim has no
-/// serialization machinery, by design), and `format!("{v:.6}")` happily
-/// prints `NaN` or `inf` for the degenerate sweeps that produce them
+/// The experiment binaries hand-roll their JSON, and `format!("{v:.6}")`
+/// happily prints `NaN` or `inf` for the degenerate sweeps that produce them
 /// (an empty cluster's infinite homogeneity, a 0-run mean) — which is
 /// not JSON, and silently breaks every `BENCH_*.json` consumer
 /// downstream. Every hand-rolled emitter must route floats through

@@ -21,7 +21,6 @@ use polystyrene_protocol::scenario::select_victims;
 use polystyrene_protocol::LinkProfile;
 use polystyrene_runtime::{Cluster, RuntimeConfig, Transport};
 use polystyrene_sim::engine::{Engine, EngineConfig};
-use polystyrene_sim::metrics::RoundMetrics;
 use polystyrene_space::torus::Torus2;
 use polystyrene_space::MetricSpace;
 use polystyrene_topology::TManConfig;
@@ -71,26 +70,8 @@ pub trait Substrate<P> {
     /// Measures the current state without advancing. On the
     /// deterministic substrates this re-reads the last round's metrics
     /// (or measures round zero) and consumes no entropy; on the live
-    /// clusters it snapshots the observation board.
+    /// clusters it reads the observation board.
     fn observe(&self) -> RoundObservation;
-}
-
-fn engine_observation(m: &RoundMetrics) -> RoundObservation {
-    RoundObservation {
-        round: m.round,
-        alive_nodes: m.alive_nodes,
-        homogeneity: m.homogeneity,
-        reference_homogeneity: m.reference_homogeneity,
-        surviving_points: m.surviving_points,
-        points_per_node: m.points_per_node,
-        // Cycle exchanges are atomic: a handout is never parked.
-        parked_points: 0,
-        cost_units: m.cost_per_node,
-        ticks: u64::from(m.round),
-        // Traffic is accounted through the drain seam, not the
-        // substrate-internal metric history.
-        traffic: TrafficStats::default(),
-    }
 }
 
 impl<S: MetricSpace> Substrate<S::Point> for Engine<S> {
@@ -132,13 +113,13 @@ impl<S: MetricSpace> Substrate<S::Point> for Engine<S> {
     }
 
     fn step(&mut self) -> RoundObservation {
-        engine_observation(&Engine::step(self))
+        Engine::step(self).observation
     }
 
     fn observe(&self) -> RoundObservation {
         match self.history().last() {
-            Some(m) => engine_observation(m),
-            None => engine_observation(&self.compute_metrics()),
+            Some(m) => m.observation,
+            None => self.compute_metrics().observation,
         }
     }
 }
@@ -184,29 +165,14 @@ impl<S: MetricSpace> Substrate<S::Point> for NetSim<S> {
     }
 
     fn step(&mut self) -> RoundObservation {
-        net_observation(&NetSim::step(self))
+        NetSim::step(self).observation
     }
 
     fn observe(&self) -> RoundObservation {
         match self.history().last() {
-            Some(m) => net_observation(m),
-            None => net_observation(&self.compute_metrics()),
+            Some(m) => m.observation,
+            None => self.compute_metrics().observation,
         }
-    }
-}
-
-fn net_observation(m: &polystyrene_netsim::NetRoundMetrics) -> RoundObservation {
-    RoundObservation {
-        round: m.round,
-        alive_nodes: m.alive_nodes,
-        homogeneity: m.homogeneity,
-        reference_homogeneity: m.reference_homogeneity,
-        surviving_points: m.surviving_points,
-        points_per_node: m.points_per_node,
-        parked_points: m.parked_points,
-        cost_units: m.cost_per_node,
-        ticks: u64::from(m.round),
-        traffic: TrafficStats::default(),
     }
 }
 

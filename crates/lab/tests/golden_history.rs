@@ -29,7 +29,7 @@ fn fingerprint(metrics: &[RoundMetrics]) -> u64 {
             m.homogeneity,
             m.reference_homogeneity,
             m.points_per_node,
-            m.cost_per_node,
+            m.cost_units,
             m.tman_cost_share,
             m.surviving_points,
         ] {
@@ -69,7 +69,7 @@ fn paper_scenario_history_is_bit_identical_to_pre_refactor_engine() {
     assert_eq!(last.alive_nodes, 128);
     assert_eq!(last.proximity.to_bits(), 0x3fef5477b008bb13);
     assert_eq!(last.homogeneity.to_bits(), 0x3fb8000000000000);
-    assert_eq!(last.cost_per_node.to_bits(), 0x4050cc0000000000);
+    assert_eq!(last.cost_units.to_bits(), 0x4050cc0000000000);
     assert_eq!(last.surviving_points.to_bits(), 0x3fef800000000000);
     assert_eq!(
         fingerprint(&history),
@@ -85,7 +85,7 @@ fn second_seed_history_is_bit_identical_too() {
     assert_eq!(last.alive_nodes, 128);
     assert_eq!(last.proximity.to_bits(), 0x3fef599ff40784a4);
     assert_eq!(last.homogeneity.to_bits(), 0x3fb6000000000000);
-    assert_eq!(last.cost_per_node.to_bits(), 0x4051580000000000);
+    assert_eq!(last.cost_units.to_bits(), 0x4051580000000000);
     assert_eq!(last.surviving_points.to_bits(), 0x3fef400000000000);
     assert_eq!(
         fingerprint(&history),

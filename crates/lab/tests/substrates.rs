@@ -10,7 +10,9 @@ use polystyrene_lab::{
 };
 use polystyrene_membership::NodeId;
 use polystyrene_netsim::{NetRoundMetrics, NetSim, NetSimConfig};
+use polystyrene_protocol::observe::{Census, RoundObservation};
 use polystyrene_protocol::{PaperScenario, Scenario, ScenarioEvent};
+use polystyrene_runtime::observe::{observe, NodeReport};
 use polystyrene_runtime::Cluster;
 use polystyrene_sim::prelude::*;
 use polystyrene_space::prelude::*;
@@ -546,8 +548,8 @@ fn lossless_links_charge_the_engine_and_kernel_identically() {
     for round in 0..6 {
         let em = engine.step();
         let nm = kernel.step();
-        let e_tman = em.cost_per_node * em.tman_cost_share;
-        let n_tman = nm.cost_per_node * nm.tman_cost_share;
+        let e_tman = em.cost_units * em.tman_cost_share;
+        let n_tman = nm.cost_units * nm.tman_cost_share;
         let slack = if round == 0 { bootstrap_slack } else { 0.0 };
         assert!(
             (e_tman - n_tman).abs() <= slack + 1e-9,
@@ -555,5 +557,63 @@ fn lossless_links_charge_the_engine_and_kernel_identically() {
              links to within {slack}: engine {e_tman} vs netsim {n_tman}"
         );
         assert!(e_tman > 0.0, "round {round}: T-Man traffic cannot be free");
+    }
+}
+
+/// The census is fed two ways: from a deterministic driver's node pool,
+/// and from the reports a live cluster's nodes publish. Built from the
+/// same nodes after a half-torus kill, the two must measure the same
+/// bits.
+#[test]
+fn census_reads_the_pool_and_the_board_alike() {
+    let mut cfg = EngineConfig::default();
+    cfg.area = 512.0;
+    cfg.seed = 5;
+    cfg.tman.view_cap = 20;
+    cfg.tman.m = 8;
+    let space = Torus2::new(32.0, 16.0);
+    let mut engine = Engine::new(space, shapes::torus_grid(32, 16, 1.0), cfg);
+    engine.run(8);
+    engine.fail_original_region(shapes::in_right_half(32.0));
+    engine.run(2);
+    let reports: Vec<NodeReport<[f64; 2]>> = engine
+        .alive_ids()
+        .into_iter()
+        .map(|id| {
+            let poly = engine.poly_state(id).expect("alive");
+            assert_eq!(
+                engine.parked_points_of(id),
+                Some(0),
+                "cycle exchanges are atomic"
+            );
+            NodeReport {
+                guest_ids: poly.guests.iter().map(|p| p.id).collect(),
+                ghost_ids: poly.ghosts.values().flatten().map(|p| p.id).collect(),
+                stored_points: poly.stored_points(),
+                ..NodeReport::at(poly.pos)
+            }
+        })
+        .collect();
+    let from_pool = RoundObservation {
+        round: 0,
+        ticks: 0,
+        cost_units: 0.0,
+        ..engine.compute_metrics().observation
+    };
+    let from_board = observe(
+        &mut Census::new(),
+        engine.space(),
+        engine.original_points(),
+        cfg.area,
+        &reports,
+    );
+    assert!(from_pool.surviving_points < 1.0 && from_pool.homogeneity > 0.0);
+    assert_eq!(from_pool, from_board);
+    for (pool, board) in [
+        (from_pool.homogeneity, from_board.homogeneity),
+        (from_pool.surviving_points, from_board.surviving_points),
+        (from_pool.points_per_node, from_board.points_per_node),
+    ] {
+        assert_eq!(pool.to_bits(), board.to_bits());
     }
 }

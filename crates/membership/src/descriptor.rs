@@ -1,7 +1,6 @@
 //! Node descriptors — the records gossip layers exchange.
 
 use crate::id::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// A node descriptor: the node's identity, its current position in the
 /// data space, and a gossip age.
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// `age` counts gossip rounds since the descriptor was created by its
 /// subject; fresher (lower-age) descriptors carry more recent positions,
 /// which matters because Polystyrene nodes *move*.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Descriptor<P> {
     /// Identity of the described node.
     pub id: NodeId,

@@ -1,7 +1,5 @@
 //! Node identifiers.
 
-use serde::{Deserialize, Serialize};
-
 /// A globally unique node identifier.
 ///
 /// In the paper's cost model a node ID is the unit of communication: "We
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(format!("{a}"), "n7");
 /// assert!(a < NodeId::new(8));
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u64);
 
 impl NodeId {

@@ -9,7 +9,6 @@ use crate::descriptor::Descriptor;
 use crate::id::NodeId;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
 thread_local! {
@@ -31,7 +30,7 @@ thread_local! {
 /// assert_eq!(v.len(), 1);
 /// assert_eq!(v.get(NodeId::new(1)).unwrap().pos, 0.1); // freshest kept
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct View<P> {
     entries: Vec<Descriptor<P>>,
     cap: usize,

@@ -62,8 +62,8 @@
 //! cells as were ever queued at once, not a ring of buckets each sized
 //! for its busiest tick), node effects are pushed into the lanes'
 //! [`EffectSink`]s and dispatched through their reusable queues, and the
-//! per-round measurement pass reuses dense point-id-indexed holder/ghost
-//! tables instead of rebuilding hash maps.
+//! per-round measurement pass is the shared [`Census`], whose dense
+//! point-id-indexed tables the kernel keeps from round to round.
 //!
 //! # Determinism
 //!
@@ -111,10 +111,11 @@
 //! depend on it, and is not protocol state.
 
 use crate::config::NetSimConfig;
-use crate::metrics::{reference_homogeneity, NetRoundMetrics};
+use crate::metrics::NetRoundMetrics;
 use crate::queue::CalendarQueue;
 use polystyrene::prelude::*;
 use polystyrene_membership::{Descriptor, FailureTable, NodeId};
+use polystyrene_protocol::observe::{Census, RoundObservation};
 use polystyrene_protocol::pool::NodePool;
 use polystyrene_protocol::{
     node_seed, Channel, Effect, EffectSink, Event, Fate, FaultyNetwork, NetworkModel, ProtocolNode,
@@ -273,33 +274,6 @@ impl<S: MetricSpace> Lane<S> {
     }
 }
 
-/// Reusable dense tables for the per-round measurement pass, replacing
-/// the `HashMap<PointId, Vec<usize>>` / `HashSet<PointId>` the kernel
-/// used to rebuild every round. Founding point ids are contiguous from
-/// zero, so point-id-indexed vectors cover them exactly; holder entries
-/// are pool *slot* indices, read back off the dense slot array.
-#[derive(Default)]
-struct MeasureScratch {
-    /// Slot of every alive node, in ascending-id order.
-    alive_slots: Vec<u32>,
-    /// Point-id-indexed holder slots (guests + parked handouts).
-    holders: Vec<Vec<u32>>,
-    /// Point-id-indexed "some alive node still stores this point".
-    existing: Vec<bool>,
-}
-
-impl MeasureScratch {
-    fn reset(&mut self, n_points: usize) {
-        self.alive_slots.clear();
-        for h in &mut self.holders {
-            h.clear();
-        }
-        self.holders.resize_with(n_points, Vec::new);
-        self.existing.clear();
-        self.existing.resize(n_points, false);
-    }
-}
-
 /// The discrete-event network simulator — the third execution substrate,
 /// between the cycle engine (deterministic, atomic exchanges) and the
 /// threaded runtime (real asynchrony, no determinism): deterministic
@@ -369,8 +343,8 @@ pub struct NetSim<S: MetricSpace> {
     cost: RoundCost,
     /// Reusable activation-order buffer for [`Self::step`].
     order: Vec<NodeId>,
-    /// Reusable measurement tables for [`Self::step`].
-    scratch: MeasureScratch,
+    /// The measurement pass's tables, reused by [`Self::step`].
+    census: Census<S::Point>,
     /// Reusable `(gateway, qid, key index)` scratch of the batched
     /// [`Self::offer_traffic`] grouping pass.
     traffic_batch: Vec<(NodeId, u64, usize)>,
@@ -485,7 +459,7 @@ impl<S: MetricSpace> NetSim<S> {
             in_flight: 0,
             cost: RoundCost::default(),
             order: Vec::new(),
-            scratch: MeasureScratch::default(),
+            census: Census::new(),
             traffic_batch: Vec::new(),
         }
     }
@@ -873,9 +847,9 @@ impl<S: MetricSpace> NetSim<S> {
         for lane in rest {
             hub.sink.level_pool_with(&mut lane.sink);
         }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let metrics = self.measure_into(&mut scratch);
-        self.scratch = scratch;
+        let mut census = std::mem::take(&mut self.census);
+        let metrics = self.metrics_into(&mut census);
+        self.census = census;
         self.history.push(metrics);
         metrics
     }
@@ -1077,112 +1051,32 @@ impl<S: MetricSpace> NetSim<S> {
     // Metrics
     // ------------------------------------------------------------------
 
-    /// Measures the quality metrics over the current state (exhaustive
-    /// nearest-node scans off the pool's dense slot arrays). Neither this
-    /// pass nor the event queue is where the kernel's time goes: the
-    /// PR 11 ledger puts the queue at 12–16 ns per push + pop against
-    /// microseconds of protocol work per event.
+    /// Measures the quality metrics over the current state: the shared
+    /// [`Census`] of the pool plus the kernel's message counters.
     ///
-    /// Allocates fresh scratch tables; the round loop goes through the
-    /// kernel-owned reusable scratch instead.
+    /// Allocates fresh census tables; the round loop goes through the
+    /// kernel-owned reusable ones instead.
     pub fn compute_metrics(&self) -> NetRoundMetrics {
-        self.measure_into(&mut MeasureScratch::default())
+        self.metrics_into(&mut Census::new())
     }
 
-    /// The measurement body, writing its working set into `scratch` so
-    /// the per-round path reuses one set of dense tables.
-    fn measure_into(&self, scratch: &mut MeasureScratch) -> NetRoundMetrics {
-        let n_points = self.original_points.len();
-        scratch.reset(n_points);
-        let alive_count = self.nodes.alive_count();
-        let slots = self.nodes.slots();
-
-        let mut stored = 0usize;
-        let mut parked_points = 0usize;
-        for &id in self.nodes.alive_ids() {
-            let slot = self.nodes.slot_of(id).expect("alive id has a slot") as u32;
-            scratch.alive_slots.push(slot);
-            let node = slots[slot as usize].as_ref().expect("alive slot occupied");
-            for g in &node.poly.guests {
-                debug_assert!(g.id.index() < n_points, "guests hold founding points");
-                scratch.holders[g.id.index()].push(slot);
-                scratch.existing[g.id.index()] = true;
-            }
-            for pts in node.poly.ghosts.values() {
-                for p in pts {
-                    scratch.existing[p.id.index()] = true;
-                }
-            }
-            // Mid-handover points physically remain on the responder
-            // until the initiator takes custody: they are not lost, and
-            // they are *held here* for the homogeneity measurement (the
-            // bytes are on this node, whatever the ownership paperwork
-            // says).
-            for pid in node.parked_point_ids() {
-                scratch.holders[pid.index()].push(slot);
-                scratch.existing[pid.index()] = true;
-                parked_points += 1;
-            }
-            stored += node.poly.stored_points();
-        }
-
-        let pos_of = |slot: u32| {
-            &slots[slot as usize]
-                .as_ref()
-                .expect("holder alive")
-                .poly
-                .pos
-        };
-        let mut homogeneity_acc = 0.0;
-        let mut surviving = 0usize;
-        for point in &self.original_points {
-            let holders = &scratch.holders[point.id.index()];
-            let candidates: &[u32] = if holders.is_empty() {
-                &scratch.alive_slots
-            } else {
-                holders
-            };
-            let nearest = candidates
-                .iter()
-                .map(|&s| self.space.distance(&point.pos, pos_of(s)))
-                .fold(f64::INFINITY, f64::min);
-            if nearest.is_finite() {
-                homogeneity_acc += nearest;
-            }
-            if scratch.existing[point.id.index()] {
-                surviving += 1;
-            }
-        }
-        let homogeneity = if self.original_points.is_empty() || alive_count == 0 {
-            f64::INFINITY
-        } else {
-            homogeneity_acc / self.original_points.len() as f64
-        };
-
+    fn metrics_into(&self, census: &mut Census<S::Point>) -> NetRoundMetrics {
+        let observation = census.of_pool(
+            &self.space,
+            &self.original_points,
+            self.config.area,
+            &self.nodes,
+        );
         NetRoundMetrics {
-            round: self.round,
-            alive_nodes: alive_count,
-            homogeneity,
-            reference_homogeneity: reference_homogeneity(self.config.area, alive_count),
-            surviving_points: if self.original_points.is_empty() {
-                1.0
-            } else {
-                surviving as f64 / self.original_points.len() as f64
+            observation: RoundObservation {
+                round: self.round,
+                ticks: u64::from(self.round),
+                cost_units: observation.per_node(self.cost.total()),
+                ..observation
             },
-            points_per_node: if alive_count == 0 {
-                0.0
-            } else {
-                stored as f64 / alive_count as f64
-            },
-            parked_points,
             in_flight: self.in_flight,
             sent_messages: self.sent_messages,
             dropped_messages: self.dropped_messages,
-            cost_per_node: if alive_count == 0 {
-                0.0
-            } else {
-                self.cost.total() as f64 / alive_count as f64
-            },
             tman_cost_share: self.cost.tman_share(),
         }
     }

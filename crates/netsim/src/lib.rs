@@ -63,7 +63,7 @@ pub mod queue;
 pub mod prelude {
     pub use crate::config::NetSimConfig;
     pub use crate::kernel::NetSim;
-    pub use crate::metrics::{net_reshaping_time, reference_homogeneity, NetRoundMetrics};
+    pub use crate::metrics::{reference_homogeneity, NetRoundMetrics};
     pub use crate::queue::CalendarQueue;
     pub use polystyrene_protocol::{Fate, FaultyNetwork, LinkProfile, NetworkModel};
 }

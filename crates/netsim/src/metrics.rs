@@ -1,28 +1,23 @@
 //! Per-round observables of the discrete-event simulator.
 
-/// What the kernel measures after every round — the paper's quality
-/// metrics plus the network-level counters the other substrates cannot
-/// produce (messages in flight, drops, parked handover points).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+use polystyrene_protocol::observe::RoundObservation;
+use std::borrow::Borrow;
+use std::ops::Deref;
+
+pub use polystyrene_protocol::observe::reference_homogeneity;
+
+/// What the kernel measures after every round — the shared observation
+/// (read through `Deref`) plus the network-level counters the other
+/// substrates cannot produce.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NetRoundMetrics {
-    /// Round the sample was taken at (after the round ran).
-    pub round: u32,
-    /// Number of alive nodes.
-    pub alive_nodes: usize,
-    /// Mean distance from each initial data point to its nearest primary
-    /// holder (or the nearest alive node if the point has none).
-    pub homogeneity: f64,
-    /// Reference homogeneity `H` for the current population.
-    pub reference_homogeneity: f64,
-    /// Fraction of the initial data points that still exist somewhere —
-    /// as a guest, a ghost replica, or a parked migration handout.
-    pub surviving_points: f64,
-    /// Mean stored data points per node (guests + ghosts).
-    pub points_per_node: f64,
-    /// Migration-split points parked awaiting acknowledgment across the
-    /// whole network (nonzero exactly while replies/acks are in flight
-    /// or lost).
-    pub parked_points: usize,
+    /// The substrate-independent record. `ticks` is the round number,
+    /// `parked_points` counts migration-split points parked awaiting
+    /// acknowledgment (nonzero exactly while replies/acks are in flight
+    /// or lost), and `cost_units` is this round's traffic in the paper's
+    /// cost units per alive node — charged at the send boundary with the
+    /// same unit prices as the cycle engine (Fig. 7b's y-axis).
+    pub observation: RoundObservation,
     /// Messages still queued in the fabric at the end of the round.
     pub in_flight: usize,
     /// Messages handed to the network so far (cumulative).
@@ -30,26 +25,23 @@ pub struct NetRoundMetrics {
     /// Messages the network dropped so far (loss and partitions,
     /// cumulative).
     pub dropped_messages: u64,
-    /// Traffic this round in the paper's cost units, divided by the
-    /// alive population — charged at the send boundary with the same
-    /// unit prices as the cycle engine (Fig. 7b's y-axis).
-    pub cost_per_node: f64,
     /// Fraction of this round's cost units attributable to T-Man view
     /// exchanges.
     pub tman_cost_share: f64,
 }
 
-pub use polystyrene_protocol::observe::reference_homogeneity;
+impl Deref for NetRoundMetrics {
+    type Target = RoundObservation;
 
-/// Rounds after `failure_round` until homogeneity first drops below the
-/// reference value, or `None` if it never does (the cycle engine's
-/// reshaping-time rule, applied to the network simulator's history).
-pub fn net_reshaping_time(series: &[NetRoundMetrics], failure_round: u32) -> Option<u32> {
-    series
-        .iter()
-        .filter(|m| m.round > failure_round)
-        .find(|m| m.homogeneity < m.reference_homogeneity)
-        .map(|m| m.round - failure_round)
+    fn deref(&self) -> &RoundObservation {
+        &self.observation
+    }
+}
+
+impl Borrow<RoundObservation> for NetRoundMetrics {
+    fn borrow(&self) -> &RoundObservation {
+        &self.observation
+    }
 }
 
 #[cfg(test)]
@@ -64,14 +56,28 @@ mod tests {
 
     #[test]
     fn reshaping_time_skips_the_failure_sample() {
-        let m = |round, h, r| NetRoundMetrics {
-            round,
-            homogeneity: h,
-            reference_homogeneity: r,
-            ..Default::default()
+        use polystyrene_protocol::observe::reshaping_time;
+        let m = |round, homogeneity, reference_homogeneity| NetRoundMetrics {
+            observation: RoundObservation {
+                round,
+                homogeneity,
+                reference_homogeneity,
+                ..RoundObservation::default()
+            },
+            in_flight: 0,
+            sent_messages: 0,
+            dropped_messages: 0,
+            tman_cost_share: 0.0,
         };
-        let series = vec![m(20, 0.1, 0.5), m(21, 2.0, 0.7), m(22, 0.6, 0.7)];
-        assert_eq!(net_reshaping_time(&series, 20), Some(2));
-        assert_eq!(net_reshaping_time(&series[..2], 20), None);
+        // A kernel history read through `Borrow`: round 2's sample was
+        // taken before the failure fired and must not count.
+        let series = vec![
+            m(1, 0.1, 0.5),
+            m(2, 0.1, 0.5),
+            m(3, 2.0, 0.7),
+            m(4, 0.6, 0.7),
+        ];
+        assert_eq!(reshaping_time(&series, 2), Some(2));
+        assert_eq!(reshaping_time(&series[..3], 2), None);
     }
 }

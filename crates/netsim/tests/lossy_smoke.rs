@@ -3,6 +3,7 @@
 //! substrate exists to test, at a size that runs in seconds.
 
 use polystyrene_netsim::prelude::*;
+use polystyrene_protocol::observe::reshaping_time;
 use polystyrene_space::prelude::*;
 use polystyrene_space::shapes;
 
@@ -34,7 +35,7 @@ fn recovers_from_half_torus_failure_under_ten_percent_loss() {
     let killed = sim.fail_original_region(&shapes::in_right_half(COLS as f64));
     assert_eq!(killed.len(), COLS * ROWS / 2);
     sim.run(40);
-    let reshaping = net_reshaping_time(sim.history(), 20);
+    let reshaping = reshaping_time(sim.history(), 20);
     assert!(
         reshaping.is_some(),
         "no recovery under 10% loss in 40 rounds (final homogeneity {} vs reference {})",

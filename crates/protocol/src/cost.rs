@@ -18,10 +18,9 @@
 
 use crate::wire::Wire;
 use polystyrene::backup::push_cost_units;
-use serde::{Deserialize, Serialize};
 
 /// Unit prices for the quantities that cross the wire.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CostModel {
     /// Units per bare data point (a set of coordinates; 2 for 2-D).
     pub units_per_point: usize,
@@ -86,7 +85,7 @@ impl Default for CostModel {
 /// Per-round traffic tally, split by origin so Fig. 7b's observation
 /// ("most of the communication overhead … is caused by T-Man") can be
 /// reproduced exactly.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RoundCost {
     /// Units spent by T-Man view exchanges.
     pub tman_units: u64,

@@ -20,9 +20,10 @@
 //!   engine, the discrete-event network simulator, and the live
 //!   clusters;
 //! * [`observe`] defines the unified [`observe::RoundObservation`]
-//!   record every substrate reports experiment results in, and the
-//!   shared reference-homogeneity bound the reshaping-time metric is
-//!   defined against;
+//!   record every substrate reports experiment results in, the one
+//!   [`observe::Census`] that measures homogeneity and survival for all
+//!   of them, and the reference-homogeneity bound and reshaping-time
+//!   rule the recovery criterion is defined by;
 //! * [`net`] defines the shared network model ([`net::NetworkModel`],
 //!   [`net::LinkProfile`], [`net::FaultyNetwork`]): what a driver's
 //!   fabric does to each message — deliver after a latency, drop, or
@@ -116,7 +117,9 @@ pub mod prelude {
     pub use crate::cost::{CostModel, RoundCost};
     pub use crate::net::{Fate, FaultyNetwork, LinkProfile, NetworkModel};
     pub use crate::node::{Phase, ProtocolNode};
-    pub use crate::observe::{reference_homogeneity, RoundObservation, TrafficStats};
+    pub use crate::observe::{
+        reference_homogeneity, reshaping_time, Census, RoundObservation, TrafficStats,
+    };
     pub use crate::pool::{NodePool, SlotRef};
     pub use crate::scenario::{
         sample_bootstrap_contacts, select_region_victims, select_victims, PaperScenario, Scenario,

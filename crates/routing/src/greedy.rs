@@ -10,10 +10,9 @@
 use crate::oracle::NeighborOracle;
 use polystyrene_membership::NodeId;
 use polystyrene_space::MetricSpace;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of one greedy route.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RouteResult {
     /// Whether the route terminated at the node closest to the target
     /// (within `delivery_radius`, or a global greedy minimum that is the

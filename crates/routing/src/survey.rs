@@ -6,10 +6,9 @@ use crate::greedy::greedy_route;
 use crate::oracle::NeighborOracle;
 use polystyrene_space::MetricSpace;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate outcome of a routing survey.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RoutingSurvey {
     /// Routes attempted.
     pub attempts: usize,

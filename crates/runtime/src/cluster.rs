@@ -16,7 +16,7 @@ use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 use polystyrene::prelude::{DataPoint, PointId};
 use polystyrene_membership::{Descriptor, NodeId};
-use polystyrene_protocol::observe::RoundObservation;
+use polystyrene_protocol::observe::{Census, RoundObservation};
 use polystyrene_protocol::select_region_victims;
 use polystyrene_space::MetricSpace;
 use rand::rngs::StdRng;
@@ -61,6 +61,8 @@ pub struct Cluster<S: MetricSpace, T: Transport<S::Point> = Registry<<S as Metri
     /// the qid counter, the cumulative shed count and the batching
     /// scratch.
     traffic: Mutex<GatewayTraffic>,
+    /// The measurement tables [`Cluster::observe`] reuses.
+    census: Mutex<Census<S::Point>>,
 }
 
 impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
@@ -109,6 +111,7 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
             next_id: Mutex::new(shape.len() as u64),
             rng: Mutex::new(StdRng::seed_from_u64(config.seed)),
             traffic: Mutex::new(GatewayTraffic::new(config.seed)),
+            census: Mutex::new(Census::new()),
         };
         for (i, pos) in shape.iter().enumerate() {
             let contacts = {
@@ -311,24 +314,29 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
     }
 
     /// Measures cluster health from the observation plane, reported as
-    /// the unified [`RoundObservation`] record. Reports are filtered to
-    /// the alive nodes: a kill does not wait for the worker to drop the
-    /// node, which may publish one last report after its crash, and that
-    /// must not count. The traffic counters are cumulative (nodes
-    /// publish running totals), including the offer-side shed count
-    /// stamped here.
+    /// the unified [`RoundObservation`] record, reading the board in
+    /// place under its lock. Reports are filtered to the alive nodes: a
+    /// kill does not wait for the worker to drop the node, which may
+    /// publish one last report after its crash, and that must not count.
+    /// The traffic counters are cumulative (nodes publish running
+    /// totals), including the offer-side shed count stamped here.
     pub fn observe(&self) -> RoundObservation {
-        let mut snapshot = self.board.snapshot();
-        {
+        let mut obs = {
             let nodes = self.nodes.lock();
-            snapshot.retain(|id, _| nodes.contains_key(id));
-        }
-        let mut obs = observe(
-            &self.space,
-            &self.original_points,
-            &snapshot,
-            self.config.area,
-        );
+            let mut census = self.census.lock();
+            self.board.read(|reports| {
+                observe(
+                    &mut census,
+                    &self.space,
+                    &self.original_points,
+                    self.config.area,
+                    reports
+                        .iter()
+                        .filter(|(id, _)| nodes.contains_key(id))
+                        .map(|(_, report)| report),
+                )
+            })
+        };
         obs.traffic.shed = self.traffic.lock().shed();
         obs
     }

@@ -1,16 +1,17 @@
 //! Observation plane: a shared board nodes report to, so the harness can
 //! measure homogeneity and survival without perturbing the protocol.
 //!
-//! Aggregation produces the unified
-//! [`polystyrene_protocol::observe::RoundObservation`] record — the same
-//! type every other execution substrate reports in, so experiment
-//! harnesses read one observation pipeline regardless of what carries
-//! the messages.
+//! [`observe`] feeds the reports to the shared
+//! [`polystyrene_protocol::observe::Census`] and produces the unified
+//! [`RoundObservation`] record — measured by the same pass, and reported
+//! in the same type, as on every other execution substrate, so
+//! experiment harnesses read one observation pipeline regardless of what
+//! carries the messages.
 
 use parking_lot::RwLock;
 use polystyrene::prelude::{DataPoint, PointId};
 use polystyrene_membership::NodeId;
-use polystyrene_protocol::observe::{reference_homogeneity, RoundObservation, TrafficStats};
+use polystyrene_protocol::observe::{Census, RoundObservation, TrafficStats};
 use polystyrene_space::MetricSpace;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -110,6 +111,12 @@ impl<P: Clone> ObservationBoard<P> {
         self.inner.read().clone()
     }
 
+    /// Runs `f` over the reports under one read lock, copying nothing;
+    /// publishers wait until it returns.
+    pub fn read<R>(&self, f: impl FnOnce(&HashMap<NodeId, NodeReport<P>>) -> R) -> R {
+        f(&self.inner.read())
+    }
+
     /// How far the nodes `alive` accepts have got: how many of them
     /// have a report, and the fewest ticks any of those has executed
     /// (zero when none has reported). Read under the lock, copying
@@ -131,101 +138,56 @@ impl<P: Clone> ObservationBoard<P> {
     }
 }
 
-/// Computes the unified [`RoundObservation`] over a snapshot, against
-/// the original target shape; `area` is the data-space surface the
-/// reference homogeneity is computed from. The `round` field is left at
-/// zero — the experiment driver stamps it, since only the driver knows
-/// which scenario round a wall-clock snapshot corresponds to.
-pub fn observe<S: MetricSpace>(
+/// Measures the unified [`RoundObservation`] over `reports` (one per
+/// alive node): the shared [`Census`] of what they hold, plus what only a
+/// live cluster reports — the survivors' tick floor, and cumulative cost
+/// and traffic counters. `area` is the data-space surface the reference
+/// homogeneity is computed from. The `round` field is left at zero — the
+/// experiment driver stamps it, since only the driver knows which
+/// scenario round a wall-clock reading corresponds to.
+pub fn observe<'a, S: MetricSpace>(
+    census: &mut Census<S::Point>,
     space: &S,
     original_points: &[DataPoint<S::Point>],
-    snapshot: &HashMap<NodeId, NodeReport<S::Point>>,
     area: f64,
+    reports: impl IntoIterator<Item = &'a NodeReport<S::Point>>,
 ) -> RoundObservation {
-    let alive = snapshot.len();
-    let mut parked_points = 0usize;
-    let mut holder_positions: HashMap<PointId, Vec<&S::Point>> = HashMap::new();
-    for report in snapshot.values() {
-        // Parked handover points are physically stored on the parking
-        // node until the initiator takes custody: held here.
-        parked_points += report.parked_ids.len();
-        for pid in report.guest_ids.iter().chain(&report.parked_ids) {
-            holder_positions.entry(*pid).or_default().push(&report.pos);
-        }
-    }
-    let mut ghost_ids: std::collections::HashSet<PointId> = std::collections::HashSet::new();
-    for report in snapshot.values() {
-        ghost_ids.extend(report.ghost_ids.iter().copied());
-    }
-    let mut homogeneity_acc = 0.0;
-    let mut surviving = 0usize;
-    for point in original_points {
-        if ghost_ids.contains(&point.id) && !holder_positions.contains_key(&point.id) {
-            surviving += 1;
-        }
-        let nearest = match holder_positions.get(&point.id) {
-            Some(holders) => {
-                surviving += 1;
-                holders
-                    .iter()
-                    .map(|pos| space.distance(&point.pos, pos))
-                    .fold(f64::INFINITY, f64::min)
-            }
-            None => snapshot
-                .values()
-                .map(|r| space.distance(&point.pos, &r.pos))
-                .fold(f64::INFINITY, f64::min),
-        };
-        if nearest.is_finite() {
-            homogeneity_acc += nearest;
-        }
-    }
-    let homogeneity = if original_points.is_empty() || alive == 0 {
-        f64::INFINITY
-    } else {
-        homogeneity_acc / original_points.len() as f64
-    };
+    let mut pass = census.start(space, original_points, area);
+    let (mut ticks, mut cost_units) = (u64::MAX, 0u64);
     // Cumulative gateway counters, like `cost_units`: a wall-clock
-    // snapshot has no round boundary to reset at, so the lab's
-    // live-substrate adapter differences consecutive snapshots. The
+    // reading has no round boundary to reset at, so the lab's
+    // live-substrate adapter differences consecutive readings. The
     // latency percentiles come from the nodes' bounded recent-sample
     // windows — an estimate over the trailing window, not the round.
     let mut traffic_samples: Vec<(u32, u64)> = Vec::new();
     let (mut offered, mut delivered, mut dropped) = (0u64, 0u64, 0u64);
-    for report in snapshot.values() {
+    for report in reports {
+        pass.count(
+            &report.pos,
+            report.guest_ids.iter().copied(),
+            report.ghost_ids.iter().copied(),
+            report.parked_ids.iter().copied(),
+            report.stored_points,
+        );
+        ticks = ticks.min(report.ticks);
+        cost_units += report.cost_units;
         offered += report.traffic_offered;
         delivered += report.traffic_delivered;
         dropped += report.traffic_dropped;
         traffic_samples.extend_from_slice(&report.traffic_samples);
     }
-    let traffic = TrafficStats::from_samples(offered, delivered, dropped, &mut traffic_samples);
+    let observation = pass.finish();
     RoundObservation {
-        round: 0,
-        alive_nodes: alive,
-        homogeneity,
-        reference_homogeneity: reference_homogeneity(area, alive),
-        surviving_points: if original_points.is_empty() {
-            1.0
+        // Cumulative units per alive node, not this-round units (see
+        // above); the lab's live-substrate adapter differences them.
+        cost_units: observation.per_node(cost_units),
+        ticks: if observation.alive_nodes == 0 {
+            0
         } else {
-            surviving as f64 / original_points.len() as f64
+            ticks
         },
-        points_per_node: if alive == 0 {
-            0.0
-        } else {
-            snapshot.values().map(|r| r.stored_points).sum::<usize>() as f64 / alive as f64
-        },
-        parked_points,
-        // Cumulative units per alive node, not this-round units: nodes
-        // report running totals (a wall-clock snapshot has no
-        // round boundary to reset at). The lab's live-substrate adapter
-        // differences consecutive snapshots to recover per-round cost.
-        cost_units: if alive == 0 {
-            0.0
-        } else {
-            snapshot.values().map(|r| r.cost_units).sum::<u64>() as f64 / alive as f64
-        },
-        ticks: snapshot.values().map(|r| r.ticks).min().unwrap_or(0),
-        traffic,
+        traffic: TrafficStats::from_samples(offered, delivered, dropped, &mut traffic_samples),
+        ..observation
     }
 }
 
@@ -291,81 +253,35 @@ mod tests {
     }
 
     #[test]
-    fn perfect_coverage_gives_zero_homogeneity() {
-        let pts = originals(&[[0.0, 0.0], [1.0, 0.0]]);
-        let mut snap = HashMap::new();
-        snap.insert(NodeId::new(0), report([0.0, 0.0], &[0], 1));
-        snap.insert(NodeId::new(1), report([1.0, 0.0], &[1], 1));
-        let obs = observe(&Euclidean2, &pts, &snap, 4.0);
-        assert_eq!(obs.alive_nodes, 2);
-        assert!(obs.homogeneity.abs() < 1e-12);
-        assert_eq!(obs.surviving_points, 1.0);
-        assert_eq!(obs.points_per_node, 1.0);
-        assert_eq!(obs.ticks, 5);
-        assert_eq!(obs.parked_points, 0);
-        assert_eq!(obs.reference_homogeneity, 0.5 * (4.0f64 / 2.0).sqrt());
-    }
-
-    #[test]
-    fn lost_point_measured_against_nearest_node() {
-        let pts = originals(&[[0.0, 0.0], [10.0, 0.0]]);
-        let mut snap = HashMap::new();
-        // Only point 0 has a holder; point 1 is lost.
-        snap.insert(NodeId::new(0), report([0.0, 0.0], &[0], 1));
-        snap.insert(NodeId::new(1), report([4.0, 0.0], &[], 0));
-        let obs = observe(&Euclidean2, &pts, &snap, 4.0);
-        assert_eq!(obs.surviving_points, 0.5);
-        // point 0 at distance 0; point 1 at distance 6 from the nearest
-        // node (4,0) → mean 3.
-        assert!((obs.homogeneity - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parked_points_count_as_held() {
-        let pts = originals(&[[0.0, 0.0], [6.0, 0.0]]);
-        let mut snap = HashMap::new();
-        snap.insert(NodeId::new(0), report([0.0, 0.0], &[0], 1));
-        // Point 1 exists only as a parked handout on the node at (5,0).
-        let mut parked = report([5.0, 0.0], &[], 0);
-        parked.parked_ids = vec![PointId::new(1)];
-        snap.insert(NodeId::new(1), parked);
-        let obs = observe(&Euclidean2, &pts, &snap, 4.0);
-        assert_eq!(obs.surviving_points, 1.0, "mid-handover is not lost");
-        assert_eq!(obs.parked_points, 1);
-        // Point 1 measured against its parking node, distance 1 → mean 0.5.
-        assert!((obs.homogeneity - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn traffic_counters_aggregate_across_reports() {
-        let pts = originals(&[[0.0, 0.0], [1.0, 0.0]]);
-        let mut snap = HashMap::new();
+        let pts = originals(&[[0.0, 0.0], [1.0, 0.0], [9.0, 0.0]]);
         let mut a = report([0.0, 0.0], &[0], 1);
         a.traffic_offered = 10;
         a.traffic_delivered = 8;
         a.traffic_dropped = 2;
         a.traffic_samples = vec![(3, 2), (5, 6)];
+        a.cost_units = 30;
         let mut b = report([1.0, 0.0], &[1], 1);
         b.traffic_offered = 4;
         b.traffic_delivered = 4;
         b.traffic_samples = vec![(1, 1)];
-        snap.insert(NodeId::new(0), a);
-        snap.insert(NodeId::new(1), b);
-        let obs = observe(&Euclidean2, &pts, &snap, 4.0);
+        b.ticks = 3;
+        b.cost_units = 10;
+        // Point 2 is parked on b: the report's lists reach the census.
+        b.parked_ids = vec![PointId::new(2)];
+        let mut census = Census::new();
+        let obs = observe(&mut census, &Euclidean2, &pts, 4.0, [&a, &b]);
         assert_eq!(obs.traffic.offered, 14);
         assert_eq!(obs.traffic.delivered, 12);
         assert_eq!(obs.traffic.dropped, 2);
         assert!((obs.traffic.mean_hops - 3.0).abs() < 1e-12);
         assert_eq!(obs.traffic.latency_p50, 2.0);
         assert_eq!(obs.traffic.latency_p99, 6.0);
-    }
-
-    #[test]
-    fn empty_cluster_observation() {
-        let pts = originals(&[[0.0, 0.0]]);
-        let snap = HashMap::new();
-        let obs = observe(&Euclidean2, &pts, &snap, 4.0);
-        assert_eq!(obs.alive_nodes, 0);
-        assert!(obs.homogeneity.is_infinite());
+        assert_eq!(obs.ticks, 3, "the slowest node's clock");
+        assert_eq!(obs.cost_units, 20.0, "cumulative units per node");
+        assert_eq!((obs.parked_points, obs.surviving_points), (1, 1.0));
+        assert_eq!(obs.round, 0, "the driver stamps the round");
+        let empty = observe(&mut census, &Euclidean2, &pts, 4.0, []);
+        assert_eq!((empty.alive_nodes, empty.ticks), (0, 0));
     }
 }

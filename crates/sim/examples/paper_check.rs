@@ -4,6 +4,7 @@
 //! cargo run --release -p polystyrene-sim --example paper_check
 //! ```
 
+use polystyrene_protocol::observe::reshaping_time;
 use polystyrene_sim::prelude::*;
 use polystyrene_space::torus::Torus2;
 use std::time::Instant;
@@ -37,7 +38,7 @@ fn main() {
             println!(
                 "round {:>3}  alive {:>5}  homog {:>8.3} (H {:.3})  prox {:>7.3}  pts/node {:>6.2}  cost/node {:>7.1}",
                 m.round, m.alive_nodes, m.homogeneity, m.reference_homogeneity,
-                m.proximity, m.points_per_node, m.cost_per_node
+                m.proximity, m.points_per_node, m.cost_units
             );
         }
     }

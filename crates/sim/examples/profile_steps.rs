@@ -48,7 +48,7 @@ fn main() {
             m.round,
             t.elapsed(),
             m.proximity,
-            m.cost_per_node
+            m.cost_units
         );
     }
 }

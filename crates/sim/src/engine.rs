@@ -39,27 +39,21 @@
 //! pinned by the golden-history fingerprint suites.
 
 use crate::cost::{CostModel, RoundCost};
-use crate::metrics::{reference_homogeneity, RoundMetrics};
+use crate::metrics::RoundMetrics;
 use polystyrene::prelude::*;
 use polystyrene_membership::{Descriptor, FailureTable, NodeId};
+use polystyrene_protocol::observe::{Census, RoundObservation};
 use polystyrene_protocol::pool::NodePool;
 use polystyrene_protocol::{
     Channel, Effect, EffectSink, Event, Phase, ProtocolConfig, ProtocolNode, QueryItem, Wire,
 };
 use polystyrene_space::MetricSpace;
-use polystyrene_topology::rank::GridIndex;
 use polystyrene_topology::{TManConfig, TopologyConstruction};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-
-/// Below this many alive nodes the engine skips building the spatial-grid
-/// candidate index and scans exhaustively: at small scale the build costs
-/// more than the scan it replaces.
-const GRID_INDEX_MIN_NODES: usize = 256;
 
 /// Seed tag of the application-traffic entropy stream. Query gateways are
 /// drawn from a dedicated RNG seeded with `config.seed ^ TRAFFIC_SEED_TAG`
@@ -70,7 +64,7 @@ pub use polystyrene_protocol::TRAFFIC_SEED_TAG;
 /// Engine-level configuration: protocol parameters plus simulation knobs.
 ///
 /// Defaults are the paper's evaluation settings (Sec. IV-A).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EngineConfig {
     /// T-Man parameters (view cap 100, m = 20, ψ = 5).
     pub tman: TManConfig,
@@ -97,16 +91,6 @@ pub struct EngineConfig {
     /// on (the paper's "possibly imperfect" detector, Sec. III-A). Zero
     /// models the perfect detector of the paper's evaluation.
     pub detection_delay: u32,
-    /// Use the spatial-grid candidate index for the engine's global
-    /// nearest-node queries (the homogeneity metric's fallback scan).
-    ///
-    /// The index is exact — results are identical with it on or off — so
-    /// this is purely a performance knob: without it the per-round metric
-    /// pass degenerates to `O(points × nodes)` after a catastrophic
-    /// failure, which is the wall that stops >10k-node runs. Ignored
-    /// (exhaustive scan) for spaces without grid support and for networks
-    /// below a few hundred nodes.
-    pub grid_index: bool,
     /// Master seed; every run with the same seed is bit-identical.
     pub seed: u64,
 }
@@ -123,7 +107,6 @@ impl Default for EngineConfig {
             cost: CostModel::default(),
             area: 3200.0,
             detection_delay: 0,
-            grid_index: true,
             seed: 0,
         }
     }
@@ -186,7 +169,10 @@ pub struct Engine<S: MetricSpace> {
     cost: RoundCost,
     history: Vec<RoundMetrics>,
     poly_enabled: bool,
-    scratch: MetricsScratch,
+    /// The measurement pass's tables, reused round after round.
+    census: Census<S::Point>,
+    /// Reusable per-node `(distance sum, samples)` of the proximity pass.
+    proximity: Vec<(f64, usize)>,
     /// The one effect buffer every activation pushes into.
     sink: EffectSink<S::Point>,
     /// Reusable synchronous-delivery queue of [`Engine::dispatch`].
@@ -201,32 +187,6 @@ pub struct Engine<S: MetricSpace> {
     /// Reusable `(gateway, qid, key index)` scratch of the batched
     /// [`Engine::offer_traffic`] grouping pass.
     traffic_batch: Vec<(NodeId, u64, usize)>,
-}
-
-/// Reusable buffers of the per-round measurement pass. At scale the
-/// pass ran tens of thousands of allocations per round — a fresh
-/// holder map (one `Vec` per data point), a ghost set, and the
-/// per-node/per-point result vectors — all dropped again at round end.
-/// Keeping them on the engine and clearing instead of dropping makes
-/// the observation hot path allocation-free in steady state. The holder
-/// and ghost tables are dense, indexed by point id (founding ids are
-/// contiguous by construction), which also replaces per-point hashing
-/// with direct indexing. Results are bit-identical: same insertion
-/// order, same lookup semantics, pinned by the golden-history
-/// fingerprints and the grid-index equivalence test.
-#[derive(Default)]
-struct MetricsScratch {
-    /// Ids of alive nodes, ascending.
-    alive: Vec<NodeId>,
-    /// `holders[point]` = slots of alive nodes hosting that point as a
-    /// guest (empty = no holder).
-    holders: Vec<Vec<usize>>,
-    /// Whether any alive node stores a ghost replica of the point.
-    ghost_present: Vec<bool>,
-    /// Per-node (proximity sum, sample count).
-    per_node: Vec<(f64, usize)>,
-    /// Per-point (nearest-holder distance, survived).
-    per_point: Vec<(f64, bool)>,
 }
 
 impl<S: MetricSpace> Engine<S> {
@@ -301,7 +261,8 @@ impl<S: MetricSpace> Engine<S> {
             cost: RoundCost::default(),
             history: Vec::new(),
             poly_enabled: true,
-            scratch: MetricsScratch::default(),
+            census: Census::new(),
+            proximity: Vec::new(),
             sink: EffectSink::new(),
             queue: VecDeque::new(),
             order: Vec::new(),
@@ -696,11 +657,13 @@ impl<S: MetricSpace> Engine<S> {
             self.run_phase(Phase::Migration);
         }
         self.position_refresh_phase();
-        // Reuse the engine-owned scratch buffers (taken and restored
-        // around the `&self` measurement pass to satisfy the borrows).
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let metrics = self.measure(&mut scratch);
-        self.scratch = scratch;
+        // The engine-owned tables are taken and restored around the
+        // `&self` pass to satisfy the borrows.
+        let mut census = std::mem::take(&mut self.census);
+        let mut proximity = std::mem::take(&mut self.proximity);
+        let metrics = self.metrics_into(&mut census, &mut proximity);
+        self.census = census;
+        self.proximity = proximity;
         self.history.push(metrics);
         metrics
     }
@@ -812,8 +775,9 @@ impl<S: MetricSpace> Engine<S> {
     ///
     /// The phases above are the last movers of the round, so the pool
     /// pass (shared with the event kernel) also brings the position slab
-    /// up to date — the measurement pass below then reads coordinates
-    /// off the dense slab. The cycle model has no fabric to partition.
+    /// up to date — the proximity pass below then reads neighbors'
+    /// coordinates off the dense slab. The cycle model has no fabric to
+    /// partition.
     fn position_refresh_phase(&mut self) {
         let unit = self.config.cost.units_per_descriptor as u64;
         let changed_total = self.pool.refresh_view_positions(|_, _| false);
@@ -824,46 +788,34 @@ impl<S: MetricSpace> Engine<S> {
     // Metrics
     // ------------------------------------------------------------------
 
-    /// Measures the paper's metrics over the current state.
-    ///
-    /// At scale this is the engine's hot spot, so it uses three
-    /// accelerations — none changes any measured value:
-    ///
-    /// * a [`GridIndex`] over the alive nodes' positions answers the
-    ///   "nearest alive node" queries of the homogeneity metric for data
-    ///   points that currently have no holder (after a catastrophic
-    ///   failure that is up to half of all points, which otherwise makes
-    ///   this pass `O(points × nodes)`);
-    /// * the per-node and per-point measurement loops fan out across
-    ///   cores with rayon, folding partial sums back in input order so
-    ///   results stay bit-identical to a sequential pass, and read
-    ///   coordinates off the pool's position slab instead of chasing
-    ///   into each node;
-    /// * repeated rounds reuse the engine-owned `MetricsScratch` buffers
-    ///   (this public entry point measures into a throwaway scratch, so
-    ///   ad-hoc callers pay the allocations instead of holding them).
+    /// Measures the paper's metrics over the current state: the shared
+    /// observation from the [`Census`] (which keeps its own speed-ups —
+    /// a grid index for holderless points at scale, a rayon fan-out
+    /// summed in point order), plus the engine's proximity and cost
+    /// split. The round loop reuses engine-owned tables; this public
+    /// entry point measures into throwaway ones, so ad-hoc callers pay
+    /// the allocations instead of holding them.
     pub fn compute_metrics(&self) -> RoundMetrics {
-        self.measure(&mut MetricsScratch::default())
+        self.metrics_into(&mut Census::new(), &mut Vec::new())
     }
 
-    fn measure(&self, scratch: &mut MetricsScratch) -> RoundMetrics {
-        let MetricsScratch {
-            alive,
-            holders,
-            ghost_present,
-            per_node,
-            per_point,
-        } = scratch;
-        alive.clear();
-        alive.extend_from_slice(self.pool.alive_ids());
-        let alive: &[NodeId] = alive;
-        let alive_count = alive.len();
-        let positions = self.pool.positions();
-
+    fn metrics_into(
+        &self,
+        census: &mut Census<S::Point>,
+        per_node: &mut Vec<(f64, usize)>,
+    ) -> RoundMetrics {
+        let observation = census.of_pool(
+            &self.space,
+            &self.original_points,
+            self.config.area,
+            &self.pool,
+        );
         // Proximity: mean distance to the k closest T-Man neighbors,
         // measured against the neighbors' *true* current positions (the
-        // slab mirrors them whenever measurement runs).
-        alive
+        // slab mirrors them whenever measurement runs), fanned out and
+        // folded back in id order.
+        self.pool
+            .alive_ids()
             .par_iter()
             .map(|&id| {
                 let node = self.pool.get(id).expect("alive id");
@@ -891,129 +843,15 @@ impl<S: MetricSpace> Engine<S> {
             proximity_acc / proximity_samples as f64
         };
 
-        // Homogeneity: map every original data point to its primary
-        // holders (paper Sec. IV-A's ĝuests⁻¹). Dense tables indexed by
-        // point id (founding ids are contiguous by construction); ghost
-        // presence also counts for survival (the copy exists even if
-        // not yet reactivated). Holders are recorded by pool slot, so
-        // the distance loops below are straight slab reads.
-        let n_points = self.original_points.len();
-        for slot in holders.iter_mut() {
-            slot.clear();
-        }
-        holders.resize_with(n_points, Vec::new);
-        ghost_present.clear();
-        ghost_present.resize(n_points, false);
-        for &id in alive {
-            let s = self.pool.slot_of(id).expect("alive id");
-            let node = self.pool.slots()[s].as_ref().expect("occupied slot");
-            for g in &node.poly.guests {
-                if let Some(slot) = holders.get_mut(g.id.index()) {
-                    slot.push(s);
-                }
-            }
-            for pts in node.poly.ghosts.values() {
-                for p in pts {
-                    if let Some(flag) = ghost_present.get_mut(p.id.index()) {
-                        *flag = true;
-                    }
-                }
-            }
-        }
-        let holders: &[Vec<usize>] = holders;
-        let ghost_present: &[bool] = ghost_present;
-        // Exact nearest-alive-node index for holderless points. `None`
-        // (small network, grid off, gridless space, or no holderless
-        // point to serve — the common healthy-round case) falls back to
-        // the exhaustive scan; both paths return identical distances.
-        let any_holderless = holders.iter().any(Vec::is_empty);
-        let alive_index: Option<GridIndex<S>> =
-            if self.config.grid_index && any_holderless && alive_count >= GRID_INDEX_MIN_NODES {
-                GridIndex::build(
-                    &self.space,
-                    alive.iter().map(|&id| {
-                        (
-                            id.as_u64(),
-                            self.pool.position(id).expect("alive id").clone(),
-                        )
-                    }),
-                )
-            } else {
-                None
-            };
-        self.original_points
-            .par_iter()
-            .map(|point| {
-                let hs = &holders[point.id.index()];
-                let nearest = if !hs.is_empty() {
-                    hs.iter()
-                        .map(|&s| self.space.distance(&point.pos, &positions[s]))
-                        .fold(f64::INFINITY, f64::min)
-                } else {
-                    match &alive_index {
-                        Some(index) => index
-                            .nearest(&point.pos)
-                            .map(|(_, d)| d)
-                            .unwrap_or(f64::INFINITY),
-                        None => alive
-                            .iter()
-                            .map(|&id| {
-                                let pos = self.pool.position(id).expect("alive id");
-                                self.space.distance(&point.pos, pos)
-                            })
-                            .fold(f64::INFINITY, f64::min),
-                    }
-                };
-                let survived = !hs.is_empty() || ghost_present[point.id.index()];
-                (nearest, survived)
-            })
-            .collect_into_vec(per_point);
-        let mut homogeneity_acc = 0.0;
-        let mut surviving = 0usize;
-        for &(nearest, survived) in per_point.iter() {
-            if nearest.is_finite() {
-                homogeneity_acc += nearest;
-            }
-            if survived {
-                surviving += 1;
-            }
-        }
-        let homogeneity = if self.original_points.is_empty() || alive_count == 0 {
-            f64::INFINITY
-        } else {
-            homogeneity_acc / self.original_points.len() as f64
-        };
-
-        let points_per_node = if alive_count == 0 {
-            0.0
-        } else {
-            alive
-                .iter()
-                .map(|&id| self.pool.get(id).expect("alive id").poly.stored_points())
-                .sum::<usize>() as f64
-                / alive_count as f64
-        };
-
-        let cost_per_node = if alive_count == 0 {
-            0.0
-        } else {
-            self.cost.total() as f64 / alive_count as f64
-        };
-
         RoundMetrics {
-            round: self.round,
-            alive_nodes: alive_count,
-            proximity,
-            homogeneity,
-            reference_homogeneity: reference_homogeneity(self.config.area, alive_count),
-            points_per_node,
-            cost_per_node,
-            tman_cost_share: self.cost.tman_share(),
-            surviving_points: if self.original_points.is_empty() {
-                1.0
-            } else {
-                surviving as f64 / self.original_points.len() as f64
+            observation: RoundObservation {
+                round: self.round,
+                ticks: u64::from(self.round),
+                cost_units: observation.per_node(self.cost.total()),
+                ..observation
             },
+            proximity,
+            tman_cost_share: self.cost.tman_share(),
         }
     }
 
@@ -1031,6 +869,7 @@ impl<S: MetricSpace> Engine<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use polystyrene_protocol::observe::reference_homogeneity;
     use polystyrene_space::prelude::*;
     use polystyrene_space::shapes;
 
@@ -1049,7 +888,6 @@ mod tests {
             cost: CostModel::default(),
             area: 64.0,
             detection_delay: 0,
-            grid_index: true,
             seed,
         }
     }
@@ -1158,23 +996,77 @@ mod tests {
         }
     }
 
+    /// The census fields measured the slow, obvious way: every point
+    /// against every alive node. Returns the observation and how many
+    /// points had no holder.
+    fn exhaustive_census(e: &Engine<Torus2>) -> (RoundObservation, usize) {
+        let nodes: Vec<&ProtocolNode<Torus2>> = e.pool.slots().iter().flatten().collect();
+        let (mut homogeneity, mut surviving, mut holderless) = (0.0, 0, 0);
+        for point in e.original_points() {
+            let hosts = |n: &&ProtocolNode<Torus2>| n.poly.guests.iter().any(|g| g.id == point.id);
+            let ghosted = |n: &&ProtocolNode<Torus2>| {
+                n.poly.ghosts.values().flatten().any(|g| g.id == point.id)
+            };
+            let held = nodes.iter().any(hosts);
+            holderless += usize::from(!held);
+            surviving += usize::from(held || nodes.iter().any(ghosted));
+            homogeneity += nodes
+                .iter()
+                .filter(|n| !held || hosts(n))
+                .map(|n| e.space().distance(&point.pos, &n.poly.pos))
+                .fold(f64::INFINITY, f64::min);
+        }
+        let n = e.original_points().len() as f64;
+        let stored: usize = nodes.iter().map(|n| n.poly.stored_points()).sum();
+        let observation = RoundObservation {
+            alive_nodes: nodes.len(),
+            homogeneity: homogeneity / n,
+            reference_homogeneity: reference_homogeneity(e.config().area, nodes.len()),
+            surviving_points: surviving as f64 / n,
+            points_per_node: stored as f64 / nodes.len() as f64,
+            ..RoundObservation::default()
+        };
+        (observation, holderless)
+    }
+
     #[test]
     fn grid_index_metrics_identical_to_exhaustive() {
-        // 512 nodes clears GRID_INDEX_MIN_NODES, so the grid path really
-        // runs; the exact index must reproduce the exhaustive metrics
-        // bit for bit through convergence, catastrophe and reshaping.
-        let run = |grid: bool| {
-            let mut cfg = tiny_config(11);
-            cfg.area = 512.0;
-            cfg.grid_index = grid;
-            let space = Torus2::new(32.0, 16.0);
-            let mut e = Engine::new(space, shapes::torus_grid(32, 16, 1.0), cfg);
-            e.run(6);
-            e.fail_original_region(shapes::in_right_half(32.0));
-            e.run(8);
-            e.history().to_vec()
-        };
-        assert_eq!(run(true), run(false));
+        // 512 nodes, 256 left after the kill: the census's grid path
+        // (GRID_INDEX_MIN_NODES) serves every round with a holderless
+        // point, and must match the exhaustive reference bit for bit
+        // through convergence, catastrophe and reshaping.
+        use polystyrene_protocol::observe::GRID_INDEX_MIN_NODES;
+        let mut cfg = tiny_config(11);
+        cfg.area = 512.0;
+        let mut e = Engine::new(
+            Torus2::new(32.0, 16.0),
+            shapes::torus_grid(32, 16, 1.0),
+            cfg,
+        );
+        let mut gridded_rounds = 0;
+        for round in 1..=14 {
+            if round == 7 {
+                e.fail_original_region(shapes::in_right_half(32.0));
+            }
+            let m = e.step();
+            let (reference, holderless) = exhaustive_census(&e);
+            let census = RoundObservation {
+                round: 0,
+                ticks: 0,
+                cost_units: 0.0,
+                ..m.observation
+            };
+            assert_eq!(census, reference, "round {round}");
+            assert_eq!(
+                census.homogeneity.to_bits(),
+                reference.homogeneity.to_bits(),
+                "round {round}"
+            );
+            if holderless > 0 && m.alive_nodes >= GRID_INDEX_MIN_NODES {
+                gridded_rounds += 1;
+            }
+        }
+        assert!(gridded_rounds >= 3, "grid path ran {gridded_rounds} times");
     }
 
     #[test]
@@ -1311,7 +1203,7 @@ mod tests {
         let mut e = tiny_engine(10);
         e.run(10);
         let m = e.history().last().unwrap();
-        assert!(m.cost_per_node > 0.0);
+        assert!(m.cost_units > 0.0);
         assert!(
             m.tman_cost_share > 0.5,
             "T-Man should dominate traffic (paper Fig. 7b), got {}",

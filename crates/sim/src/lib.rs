@@ -12,23 +12,25 @@
 //! * [`snapshot`] — point-cloud captures for the visual figures;
 //! * [`report`] — ASCII tables, terminal plots and CSV output.
 //!
-//! # Scaling: the grid-index engine
+//! # Scaling: the grid-index census
 //!
-//! The engine's per-round measurement pass needs a "nearest alive node"
-//! answer for every data point that currently lacks a holder — after a
+//! The per-round measurement pass needs a "nearest alive node" answer
+//! for every data point that currently lacks a holder — after a
 //! catastrophic failure that is up to half of all points, so an
 //! exhaustive scan makes each round `O(points × nodes)` and walls the
-//! simulator at a few thousand peers. With
-//! [`EngineConfig::grid_index`](engine::EngineConfig::grid_index)
-//! (the default) the engine builds a spatial-grid candidate index
-//! (`polystyrene_topology::rank::GridIndex`, bucketed by `Torus2`/`Ring`
-//! coordinates) over the alive nodes each round and answers those
-//! queries in `O(1)` expected per point. The index is exact, so metrics
-//! are bit-identical with it on or off; networks under a few hundred
-//! nodes and spaces without grid support automatically fall back to the
-//! exhaustive scan. Together with the rayon fan-out of the rng-free
-//! phases (recovery, position refresh, measurement), this is what lets
-//! `fig10a_scaling` complete 10k+-node runs.
+//! simulator at a few thousand peers. The shared
+//! [`Census`](polystyrene_protocol::observe::Census) therefore builds a
+//! spatial-grid candidate index (`polystyrene_topology::rank::GridIndex`,
+//! bucketed by `Torus2`/`Ring` coordinates) over the alive nodes
+//! whenever some point is holderless and the population reaches
+//! [`GRID_INDEX_MIN_NODES`](polystyrene_protocol::observe::GRID_INDEX_MIN_NODES),
+//! and answers those queries in `O(1)` expected per point. The index is
+//! exact, so metrics are bit-identical to the exhaustive scan that
+//! smaller networks and spaces without grid support fall back to. There
+//! is no switch: nothing observable depends on which path ran. Together
+//! with the rayon fan-out of the rng-free phases (recovery, position
+//! refresh, measurement), this is what lets `fig10a_scaling` complete
+//! 10k+-node runs.
 //!
 //! # Example: the paper's headline result, in miniature
 //!
@@ -67,7 +69,7 @@ pub mod snapshot;
 pub mod prelude {
     pub use crate::cost::{CostModel, RoundCost};
     pub use crate::engine::{Engine, EngineConfig};
-    pub use crate::metrics::{reference_homogeneity, reshaping_time, RoundMetrics};
+    pub use crate::metrics::{reference_homogeneity, RoundMetrics};
     pub use crate::report::{ascii_plot, render_table, series_rows, write_csv};
     pub use crate::snapshot::Snapshot;
     pub use polystyrene_protocol::scenario::{PaperScenario, Scenario, ScenarioEvent};

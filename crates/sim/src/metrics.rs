@@ -9,49 +9,44 @@
 //!   `H = 1/2 · sqrt(A/|N|)` used to define the **reshaping time**;
 //! * **data points per node** — memory overhead (guests + ghosts);
 //! * **message cost** — see [`crate::cost`].
+//!
+//! Homogeneity, `H`, survival, points per node and cost per node are the
+//! shared [`RoundObservation`], measured by the one
+//! [`polystyrene_protocol::observe::Census`]; [`RoundMetrics`] adds what
+//! only the cycle engine reports.
 
-use serde::{Deserialize, Serialize};
-
-/// All per-round observables the experiment harness records.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct RoundMetrics {
-    /// Simulation round the sample was taken at (after the round ran).
-    pub round: u32,
-    /// Number of alive nodes.
-    pub alive_nodes: usize,
-    /// Mean distance to the k closest topology neighbors.
-    pub proximity: f64,
-    /// Mean distance from each initial data point to its nearest holder.
-    pub homogeneity: f64,
-    /// Reference homogeneity `H` for the current population.
-    pub reference_homogeneity: f64,
-    /// Mean stored data points per node (guests + ghosts).
-    pub points_per_node: f64,
-    /// Message cost per node this round (paper units).
-    pub cost_per_node: f64,
-    /// T-Man's share of this round's traffic, in `[0, 1]`.
-    pub tman_cost_share: f64,
-    /// Fraction of the initial data points that still have at least one
-    /// alive holder (guest or ghost copy) — Table II's "Reliability".
-    pub surviving_points: f64,
-}
+use polystyrene_protocol::observe::RoundObservation;
+use std::borrow::Borrow;
+use std::ops::Deref;
 
 pub use polystyrene_protocol::observe::reference_homogeneity;
 
-/// Detects the reshaping time from a homogeneity series (Sec. IV-A): the
-/// number of rounds after `failure_round` until homogeneity first drops
-/// below the reference value, or `None` if it never does.
-///
-/// Only rounds *strictly after* the failure round are considered: the
-/// sample labeled with the failure round was measured before the failure
-/// was injected (events fire at the start of the following round), so its
-/// healthy pre-failure homogeneity must not count as a recovery.
-pub fn reshaping_time(series: &[RoundMetrics], failure_round: u32) -> Option<u32> {
-    series
-        .iter()
-        .filter(|m| m.round > failure_round)
-        .find(|m| m.homogeneity < m.reference_homogeneity)
-        .map(|m| m.round - failure_round)
+/// All per-round observables the experiment harness records: the shared
+/// observation (read through `Deref`) plus the engine's own.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct RoundMetrics {
+    /// The substrate-independent record. `ticks` is the round number and
+    /// `cost_units` the message cost per node this round (paper units);
+    /// exchanges are atomic, so `parked_points` is zero.
+    pub observation: RoundObservation,
+    /// Mean distance to the k closest topology neighbors.
+    pub proximity: f64,
+    /// T-Man's share of this round's traffic, in `[0, 1]`.
+    pub tman_cost_share: f64,
+}
+
+impl Deref for RoundMetrics {
+    type Target = RoundObservation;
+
+    fn deref(&self) -> &RoundObservation {
+        &self.observation
+    }
+}
+
+impl Borrow<RoundObservation> for RoundMetrics {
+    fn borrow(&self) -> &RoundObservation {
+        &self.observation
+    }
 }
 
 #[cfg(test)]
@@ -68,36 +63,25 @@ mod tests {
 
     fn m(round: u32, homogeneity: f64, h: f64) -> RoundMetrics {
         RoundMetrics {
-            round,
-            homogeneity,
-            reference_homogeneity: h,
-            ..Default::default()
+            observation: RoundObservation {
+                round,
+                homogeneity,
+                reference_homogeneity: h,
+                ..RoundObservation::default()
+            },
+            proximity: 0.0,
+            tman_cost_share: 0.0,
         }
     }
 
     #[test]
-    fn reshaping_time_first_crossing() {
-        let series = vec![
-            m(19, 0.1, 0.5), // pre-failure, ignored
-            m(20, 0.1, 0.5), // measured just before the failure: ignored
-            m(21, 2.0, 0.71),
-            m(22, 0.6, 0.71), // first crossing, 2 rounds after failure
-            m(23, 0.5, 0.71),
-        ];
-        assert_eq!(reshaping_time(&series, 20), Some(2));
-    }
-
-    #[test]
-    fn reshaping_time_none_when_never_recovers() {
-        let series = vec![m(20, 0.1, 0.5), m(21, 5.0, 0.71), m(22, 5.0, 0.71)];
-        assert_eq!(reshaping_time(&series, 20), None);
-    }
-
-    #[test]
     fn reshaping_time_ignores_the_failure_round_sample() {
-        // Round 20's sample predates the crash; even though it is below
-        // the reference it must not count.
-        let series = vec![m(20, 0.1, 0.71), m(21, 0.2, 0.71)];
-        assert_eq!(reshaping_time(&series, 20), Some(1));
+        use polystyrene_protocol::observe::reshaping_time;
+        // An engine history read through `Borrow`: round 2's sample
+        // predates the crash; even though it is below the reference it
+        // must not count.
+        let series = vec![m(1, 0.1, 0.71), m(2, 0.1, 0.71), m(3, 0.2, 0.71)];
+        assert_eq!(reshaping_time(&series, 2), Some(1));
+        assert_eq!(reshaping_time(&series[..2], 2), None);
     }
 }

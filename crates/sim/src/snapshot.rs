@@ -8,10 +8,9 @@
 
 use crate::engine::Engine;
 use polystyrene_space::MetricSpace;
-use serde::{Deserialize, Serialize};
 
 /// A frozen view of the overlay at some round.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Snapshot {
     /// Round at which the snapshot was taken.
     pub round: u32,

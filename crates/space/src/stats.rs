@@ -7,8 +7,6 @@
 //! half-widths, and a per-round series accumulator used by the experiment
 //! harness.
 
-use serde::{Deserialize, Serialize};
-
 /// Arithmetic mean; `NaN` for an empty slice is avoided by returning 0.0.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -30,7 +28,7 @@ pub fn std_dev(xs: &[f64]) -> f64 {
 
 /// A mean together with the half-width of its 95 % confidence interval,
 /// i.e. the `±` column of the paper's Table II.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ConfidenceInterval {
     /// Sample mean.
     pub mean: f64,
@@ -134,7 +132,7 @@ pub fn ci95(xs: &[f64]) -> ConfidenceInterval {
 /// let means = acc.means();
 /// assert_eq!(means, vec![2.0, 3.0, 3.0]);
 /// ```
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct SeriesAccumulator {
     runs: Vec<Vec<f64>>,
 }

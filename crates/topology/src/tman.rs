@@ -16,12 +16,11 @@ use crate::traits::TopologyConstruction;
 use polystyrene_membership::{Descriptor, NodeId};
 use polystyrene_space::MetricSpace;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// T-Man protocol parameters.
 ///
 /// The defaults are the paper's evaluation settings (Sec. IV-A).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TManConfig {
     /// Maximum number of descriptors kept in the view (paper: 100).
     pub view_cap: usize,

@@ -16,7 +16,6 @@ use crate::traits::TopologyConstruction;
 use polystyrene_membership::{Descriptor, NodeId};
 use polystyrene_space::MetricSpace;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
 thread_local! {
@@ -26,7 +25,7 @@ thread_local! {
 }
 
 /// Vicinity protocol parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct VicinityConfig {
     /// Maximum number of descriptors kept in the view.
     pub view_cap: usize,

@@ -37,10 +37,14 @@ fn par_map_slice<'a, T: Sync, U: Send>(items: &'a [T], f: &(impl Fn(&'a T) -> U 
     let chunk = chunk_len(items.len(), workers);
     let mut out: Vec<U> = Vec::with_capacity(items.len());
     std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
+        let mut parts = items.chunks(chunk);
+        let mine = parts.next().unwrap_or_default();
+        let handles: Vec<_> = parts
             .map(|part| scope.spawn(move || part.iter().map(f).collect::<Vec<U>>()))
             .collect();
+        // The calling thread maps the first chunk instead of idling in
+        // `join`: one thread, and one allocator arena, fewer per call.
+        out.extend(mine.iter().map(f));
         for h in handles {
             out.extend(h.join().expect("rayon-shim worker panicked"));
         }

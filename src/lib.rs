@@ -65,7 +65,7 @@ pub mod prelude {
         LabConfig, LiveSubstrate, Substrate, SubstrateKind,
     };
     pub use polystyrene_membership::{Descriptor, FailureDetector, NodeId, PeerSampling, View};
-    pub use polystyrene_netsim::{net_reshaping_time, NetRoundMetrics, NetSim, NetSimConfig};
+    pub use polystyrene_netsim::{NetRoundMetrics, NetSim, NetSimConfig};
     pub use polystyrene_protocol::prelude::*;
     pub use polystyrene_routing::prelude::*;
     pub use polystyrene_runtime::{Cluster, RuntimeConfig};
