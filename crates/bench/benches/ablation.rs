@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices DESIGN.md §6 calls out:
+//! Ablation benches for the protocol's pluggable design choices:
 //! projection strategy, replication factor and split strategy — each
 //! printed as a reshaping-time table (the protocol-quality axis) and
 //! timed as a scenario run (the compute-cost axis).

@@ -1,17 +1,18 @@
-//! **Extension experiment E1** — routing quality through the three-phase
-//! scenario (not a paper figure, but the paper's motivating claim made
+//! **Extension experiment E1** — routing quality through the catastrophe
+//! (not a paper figure, but the paper's motivating claim made
 //! quantitative: "Losing the shape of the topology might affect system
 //! performance, e.g. routing").
 //!
-//! At sampled rounds the harness freezes the overlay, runs a greedy
-//! routing survey over random keys, and reports delivery rate, mean hops
-//! and mean final distance to the key — for Polystyrene and for the
-//! T-Man baseline, through two oracles: the *ideal* engine oracle
-//! (routing over ground-truth positions, the geometry's best case) and
-//! the *view* oracle (routing over what each node's protocol view
-//! actually knows, stale entries dead-ending — what the traffic plane's
-//! query wires experience). The gap between the two columns is the
-//! price of distribution.
+//! One engine run per stack — Polystyrene and the T-Man baseline — with
+//! the seeded key workload riding the kill-and-reshape scenario through
+//! the traffic plane: every lookup enters at a random gateway and is
+//! forwarded greedily by the nodes themselves, over their own views. At
+//! four moments it reports the served fraction, the mean hop count, and
+//! the census homogeneity (the mean distance from a founding data point,
+//! i.e. a key of the shape, to the closest alive node) against the
+//! reference `H`. A torn shape still answers every lookup — from the rim
+//! of the hole, far from the key; only the re-formed shape brings the
+//! answers back within `H` of their keys.
 //!
 //! ```sh
 //! cargo run --release -p polystyrene-bench --bin ext_routing_recovery -- \
@@ -19,108 +20,76 @@
 //! ```
 
 use polystyrene::prelude::SplitStrategy;
-use polystyrene_bench::{experiment_config, CommonArgs};
-use polystyrene_routing::prelude::*;
+use polystyrene_bench::CommonArgs;
+use polystyrene_lab::{
+    build_substrate, key_universe, run_experiment_with_traffic, SubstrateKind, TrafficLoad,
+};
 use polystyrene_sim::prelude::*;
-use polystyrene_space::shapes;
 use polystyrene_space::torus::Torus2;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 
-fn survey_at(
-    engine: &Engine<Torus2>,
-    ideal: bool,
-    w: f64,
-    h: f64,
-    attempts: usize,
-    rng: &mut StdRng,
-) -> RoutingSurvey {
-    // Routing uses 8 links per hop: greedy geographic routing over the 4
-    // drawn-in-figures neighbors is fragile on the irregular post-failure
-    // layout (directional gaps create local minima); 8 closest view
-    // entries restore CAN-like routability on both stacks.
-    fn survey_with(
-        engine: &Engine<Torus2>,
-        oracle: &impl NeighborOracle<[f64; 2]>,
-        w: f64,
-        h: f64,
-        attempts: usize,
-        rng: &mut StdRng,
-    ) -> RoutingSurvey {
-        routing_survey(
-            engine.space(),
-            oracle,
-            |rng: &mut StdRng| [rng.random_range(0.0..w), rng.random_range(0.0..h)],
-            attempts,
-            (w + h) as usize * 2,
-            0.75,
-            rng,
-        )
-    }
-    if ideal {
-        survey_with(engine, &EngineOracle::new(engine, 8), w, h, attempts, rng)
-    } else {
-        survey_with(
-            engine,
-            &ViewOracle::from_engine(engine, 8),
-            w,
-            h,
-            attempts,
-            rng,
-        )
-    }
-}
+/// Observation rounds sampled, relative to the failure round: the round
+/// before it, the round it strikes, and three and fifteen rounds on. Row
+/// `r` counts the queries offered at the start of round `r` and the
+/// census taken at its end.
+const MOMENTS: [(&str, i64); 4] = [
+    ("converged", -1),
+    ("failure round", 0),
+    ("failure + 3 rounds", 3),
+    ("failure + 15 rounds", 15),
+];
 
 fn main() {
-    let args = CommonArgs::parse_with(
-        CommonArgs {
-            cols: 40,
-            rows: 20,
-            ..Default::default()
-        },
-        &["attempts"],
-    );
-    let paper = args.paper_scenario();
+    let args = CommonArgs::parse(CommonArgs {
+        cols: 40,
+        rows: 20,
+        traffic_rate: 400,
+        traffic_keys: 1024,
+        ..Default::default()
+    });
+    let paper = PaperScenario::reshaping_only(args.cols, args.rows, 20, 16);
     let (w, h) = paper.extents();
-    let attempts = args.extra_usize("attempts", 400);
+    let keys = key_universe(args.traffic_keys, args.cols, args.rows);
+    // Enough hops to cross the torus twice: a strictly improving walk
+    // never needs them, so no lookup is lost to the budget.
+    let ttl = ((w + h) * 2.0) as u32;
     println!(
-        "E1 routing recovery: {}-node torus, {} lookups per sample\n",
+        "E1 routing recovery: {}-node torus, {} lookups per round over {} keys\n",
         paper.node_count(),
-        attempts
+        args.traffic_rate,
+        args.traffic_keys
     );
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     for (name, tman_only) in [("Polystyrene_K4", false), ("TMan", true)] {
-        let mut cfg = experiment_config(args.k, SplitStrategy::Advanced, args.seed);
+        let mut cfg = args.lab_config(SplitStrategy::Advanced);
         cfg.area = paper.area();
-        let mut engine = Engine::new(Torus2::new(w, h), paper.shape(), cfg);
-        if tman_only {
-            engine.disable_polystyrene();
+        cfg.tman_only = tman_only;
+        let mut engine = build_substrate(
+            SubstrateKind::Engine,
+            Torus2::new(w, h),
+            paper.shape(),
+            &cfg,
+        );
+        let mut load = TrafficLoad::with_dist(
+            keys.clone(),
+            args.traffic_rate,
+            args.read_fraction,
+            ttl,
+            args.seed,
+            args.traffic_dist,
+        );
+        let trace = run_experiment_with_traffic(engine.as_mut(), &paper.script(), Some(&mut load));
+        for (moment, offset) in MOMENTS {
+            let o = &trace.observations[(i64::from(paper.failure_round) + offset) as usize];
+            rows.push(vec![
+                name.to_string(),
+                moment.to_string(),
+                format!("{:.1}", o.traffic.availability() * 100.0),
+                format!("{:.2}", o.traffic.mean_hops),
+                format!("{:.3}", o.homogeneity),
+                format!("{:.3}", o.reference_homogeneity),
+            ]);
         }
-        let mut rng = StdRng::seed_from_u64(args.seed ^ 0xE1);
-
-        let mut sample = |engine: &Engine<Torus2>, label: &str, rng: &mut StdRng| {
-            for (oracle, ideal) in [("ideal", true), ("view", false)] {
-                let s = survey_at(engine, ideal, w, h, attempts, rng);
-                rows.push(vec![
-                    name.to_string(),
-                    label.to_string(),
-                    oracle.to_string(),
-                    format!("{:.1}", s.success_rate() * 100.0),
-                    format!("{:.2}", s.mean_hops),
-                    format!("{:.3}", s.mean_final_distance),
-                ]);
-            }
-        };
-
-        engine.run(paper.failure_round);
-        sample(&engine, "converged", &mut rng);
-        engine.fail_original_region(shapes::in_right_half(w));
-        sample(&engine, "just after failure", &mut rng);
-        engine.run(3);
-        sample(&engine, "failure + 3 rounds", &mut rng);
-        engine.run(12);
-        sample(&engine, "failure + 15 rounds", &mut rng);
     }
 
     println!(
@@ -130,10 +99,10 @@ fn main() {
             &[
                 "stack",
                 "moment",
-                "oracle",
-                "delivery (%)",
+                "served (%)",
                 "mean hops",
-                "mean dist to key"
+                "homogeneity",
+                "reference H"
             ],
             &rows,
         )
@@ -143,22 +112,21 @@ fn main() {
         &[
             "stack",
             "moment",
-            "oracle",
-            "delivery_pct",
+            "availability_pct",
             "mean_hops",
-            "mean_final_distance",
+            "homogeneity",
+            "reference_homogeneity",
         ],
         &rows,
     )
     .expect("failed to write CSV");
     println!("CSV written to {}", args.out.display());
     println!(
-        "\nExpected shape: both stacks route fine when converged; right after\n\
-         the blast the mean distance to keys explodes (keys in the hole).\n\
-         Under Polystyrene it returns to ~pre-failure levels within ~15\n\
-         rounds; under T-Man it stays high forever. The view oracle trails\n\
-         the ideal one hardest just after the failure (views still hold the\n\
-         dead half and stale links dead-end), then closes the gap as gossip\n\
-         refreshes the views."
+        "\nExpected shape: both stacks serve every lookup when converged, with\n\
+         homogeneity far below H. The failure round drops the lookups sent to\n\
+         dead view entries and sends homogeneity far above H (keys in the\n\
+         hole). Within ~15 rounds both stacks serve every lookup again, but\n\
+         only Polystyrene brings homogeneity back below H; under T-Man the\n\
+         answers for keys in the hole still come from its rim."
     );
 }

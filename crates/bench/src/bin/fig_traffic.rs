@@ -21,11 +21,10 @@
 use polystyrene::prelude::PolystyreneConfig;
 use polystyrene_bench::CommonArgs;
 use polystyrene_lab::{
-    build_substrate, run_experiment_with_traffic, summary_json, ExperimentSummary, LabConfig,
-    SubstrateKind, TrafficLoad,
+    build_substrate, key_universe, run_experiment_with_traffic, summary_json, ExperimentSummary,
+    LabConfig, SubstrateKind, TrafficLoad,
 };
 use polystyrene_protocol::{Scenario, ScenarioEvent};
-use polystyrene_routing::kv::key_position;
 use polystyrene_space::prelude::*;
 use polystyrene_space::shapes;
 use std::sync::Arc;
@@ -59,11 +58,7 @@ fn main() {
     let (cols, rows) = (args.cols, args.rows);
     let ttl = args.extra_usize("ttl", 16) as u32;
     let scenario = traffic_scenario(cols);
-    // The workload's key universe: hashed positions on the torus, the
-    // same addressing scheme `polystyrene_routing::kv` uses.
-    let keys: Vec<[f64; 2]> = (0..args.traffic_keys)
-        .map(|i| key_position(&format!("key:{i}"), cols as f64, rows as f64))
-        .collect();
+    let keys = key_universe(args.traffic_keys, cols, rows);
     let kinds: Vec<SubstrateKind> = if args.substrate_given {
         vec![args.substrate]
     } else {

@@ -27,11 +27,10 @@
 use polystyrene::prelude::PolystyreneConfig;
 use polystyrene_bench::{json_f64, CommonArgs};
 use polystyrene_lab::{
-    build_substrate, run_experiment, run_experiment_with_traffic, summary_json, ExperimentSummary,
-    LabConfig, SubstrateKind, TrafficLoad,
+    build_substrate, key_universe, run_experiment, run_experiment_with_traffic, summary_json,
+    ExperimentSummary, LabConfig, SubstrateKind, TrafficLoad,
 };
 use polystyrene_protocol::Scenario;
-use polystyrene_routing::kv::key_position;
 use polystyrene_runtime::GATEWAY_INGRESS_BOUND;
 use polystyrene_space::prelude::*;
 use polystyrene_space::shapes;
@@ -83,14 +82,6 @@ impl Plan {
         }
         cfg
     }
-}
-
-/// The workload's key universe: hashed positions on the torus, the same
-/// addressing scheme `polystyrene_routing::kv` uses.
-fn key_universe(count: usize, cols: usize, rows: usize) -> Vec<[f64; 2]> {
-    (0..count)
-        .map(|i| key_position(&format!("key:{i}"), cols as f64, rows as f64))
-        .collect()
 }
 
 /// The outcome of one substrate's rate ladder.

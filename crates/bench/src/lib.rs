@@ -1,7 +1,8 @@
 //! Shared harness code for the experiment binaries and Criterion benches.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md §3 for the index) and accepts the same flags:
+//! (the README's "Reproducing the paper's figures" lists them) and
+//! accepts the same flags:
 //!
 //! ```text
 //! --cols N        torus grid columns    (default: figure-specific)

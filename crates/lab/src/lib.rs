@@ -17,6 +17,9 @@
 //!   partition masks, failure bookkeeping) producing an
 //!   [`ExperimentTrace`] of unified
 //!   [`polystyrene_protocol::RoundObservation`]s;
+//! * [`TrafficLoad`] over a [`key_universe`] — the seeded query workload
+//!   [`run_experiment_with_traffic`] offers each round, resolved by the
+//!   nodes' own greedy forwarding;
 //! * [`ExperimentSummary`] / [`summary_json`] — streaming
 //!   min/mean/max aggregation over repeated seeded runs and the one
 //!   hand-rolled JSON emitter every `BENCH_*.json` artifact shares.
@@ -61,4 +64,4 @@ pub use experiment::{
 };
 pub use polystyrene_protocol::observe::{RoundObservation, TrafficStats};
 pub use substrate::{build_substrate, LabConfig, LiveSubstrate, Substrate, SubstrateKind};
-pub use traffic::{TrafficDist, TrafficLoad};
+pub use traffic::{key_universe, TrafficDist, TrafficLoad};

@@ -8,12 +8,46 @@
 //! seed with the shared [`TRAFFIC_SEED_TAG`]), so the *same* request
 //! sequence hits the cycle engine, the event kernel and the live
 //! clusters, and switching the load on cannot perturb a substrate's
-//! protocol entropy.
+//! protocol entropy. Keys are positions on the torus; [`key_universe`]
+//! hashes named keys onto it, so a lookup for `key:7` is a query for the
+//! node whose published position is closest to where `key:7` hashes.
 
 use polystyrene_protocol::TRAFFIC_SEED_TAG;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::str::FromStr;
+
+/// FNV-1a hash of a key with a splitmix64 finalizer (plain FNV has weak
+/// high-bit avalanche on short keys, which would cluster key positions).
+fn fnv1a(key: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in key.as_bytes() {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    }
+    // splitmix64 finalizer for full avalanche.
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
+}
+
+/// Maps a key to a position on a `width × height` rectangle (the torus
+/// fundamental domain), uniformly by hash.
+fn key_position(key: &str, width: f64, height: f64) -> [f64; 2] {
+    let h = fnv1a(key);
+    let x = (h >> 32) as f64 / u32::MAX as f64 * width;
+    let y = (h & 0xFFFF_FFFF) as f64 / u32::MAX as f64 * height;
+    [x.min(width), y.min(height)]
+}
+
+/// The hashed key universe of a `cols × rows` unit-step torus: key `i`
+/// is `key:{i}`, placed where its name hashes. Every traffic figure and
+/// example draws its workload from this one addressing scheme.
+pub fn key_universe(count: usize, cols: usize, rows: usize) -> Vec<[f64; 2]> {
+    (0..count)
+        .map(|i| key_position(&format!("key:{i}"), cols as f64, rows as f64))
+        .collect()
+}
 
 /// How a workload picks keys from its universe.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -201,6 +235,23 @@ impl<P: Clone> TrafficLoad<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn key_positions_are_stable_and_in_bounds() {
+        let a = key_position("alpha", 80.0, 40.0);
+        let b = key_position("alpha", 80.0, 40.0);
+        assert_eq!(a, b);
+        for key in ["a", "b", "hello", "🦀", ""] {
+            let p = key_position(key, 80.0, 40.0);
+            assert!((0.0..=80.0).contains(&p[0]));
+            assert!((0.0..=40.0).contains(&p[1]));
+        }
+        assert_ne!(key_position("a", 80.0, 40.0), key_position("b", 80.0, 40.0));
+        assert_eq!(
+            key_universe(3, 80, 40)[2],
+            key_position("key:2", 80.0, 40.0)
+        );
+    }
 
     #[test]
     fn batches_are_seed_reproducible_and_sized() {

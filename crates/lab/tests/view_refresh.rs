@@ -2,15 +2,18 @@
 //! from outside on both deterministic substrates: after Polystyrene has
 //! moved the survivors of a half-torus kill, views must hold current
 //! positions, and greedy forwarding over them must still end at the
-//! true nearest node in a handful of hops.
+//! true nearest node in a handful of hops. The same holds wherever a
+//! regional blast falls: once the shape has reshaped, every hashed key
+//! of the workload resolves again.
 
-use polystyrene_lab::Substrate;
+use polystyrene_lab::{key_universe, Substrate};
 use polystyrene_membership::{Descriptor, NodeId};
 use polystyrene_netsim::{NetSim, NetSimConfig};
 use polystyrene_protocol::LinkProfile;
 use polystyrene_sim::prelude::*;
 use polystyrene_space::prelude::*;
 use polystyrene_space::shapes;
+use polystyrene_topology::TManConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -26,7 +29,7 @@ trait Audited: Substrate<[f64; 2]> {
     fn pos(&self, id: NodeId) -> Option<[f64; 2]>;
     fn view(&self, id: NodeId) -> Option<&[Descriptor<[f64; 2]>]>;
     fn stale(&self) -> (u64, u64);
-    fn drain_samples(&mut self, samples: &mut Vec<(u32, u64)>);
+    fn drain_samples(&mut self, samples: &mut Vec<(u32, u64)>) -> (u64, u64, u64);
 }
 
 macro_rules! audited {
@@ -44,8 +47,8 @@ macro_rules! audited {
             fn stale(&self) -> (u64, u64) {
                 self.stale_view_entries()
             }
-            fn drain_samples(&mut self, samples: &mut Vec<(u32, u64)>) {
-                self.drain_traffic(samples);
+            fn drain_samples(&mut self, samples: &mut Vec<(u32, u64)>) -> (u64, u64, u64) {
+                self.drain_traffic(samples)
             }
         }
     };
@@ -57,47 +60,58 @@ fn space() -> Torus2 {
     Torus2::new(COLS as f64, ROWS as f64)
 }
 
-fn tman() -> polystyrene_topology::TManConfig {
-    polystyrene_topology::TManConfig {
+fn tman() -> TManConfig {
+    TManConfig {
         view_cap: 30,
         m: 10,
         psi: 5,
     }
 }
 
-fn engine() -> Engine<Torus2> {
+fn engine(cols: usize, rows: usize, tman: TManConfig, seed: u64) -> Engine<Torus2> {
     let mut cfg = EngineConfig::default();
-    cfg.tman = tman();
-    cfg.area = (COLS * ROWS) as f64;
-    cfg.seed = SEED;
-    Engine::new(space(), shapes::torus_grid(COLS, ROWS, 1.0), cfg)
+    cfg.tman = tman;
+    cfg.area = (cols * rows) as f64;
+    cfg.seed = seed;
+    Engine::new(
+        Torus2::new(cols as f64, rows as f64),
+        shapes::torus_grid(cols, rows, 1.0),
+        cfg,
+    )
 }
 
-fn kernel() -> NetSim<Torus2> {
+fn kernel(cols: usize, rows: usize, tman: TManConfig, seed: u64) -> NetSim<Torus2> {
     let mut cfg = NetSimConfig::default();
-    cfg.tman = tman();
-    cfg.area = (COLS * ROWS) as f64;
-    cfg.seed = SEED;
+    cfg.tman = tman;
+    cfg.area = (cols * rows) as f64;
+    cfg.seed = seed;
     cfg.link = LinkProfile {
         latency: 2,
         jitter: 1,
         loss: 0.0,
     };
-    NetSim::new(space(), shapes::torus_grid(COLS, ROWS, 1.0), cfg)
+    NetSim::new(
+        Torus2::new(cols as f64, rows as f64),
+        shapes::torus_grid(cols, rows, 1.0),
+        cfg,
+    )
 }
 
 /// Offers `keys` for `rounds` rounds, two quiet rounds for stragglers,
-/// and returns every resolved query's hop count.
-fn hops_under_load<A: Audited>(sub: &mut A, keys: &[[f64; 2]], rounds: u32) -> Vec<u32> {
+/// and returns every resolved query's hop count with the summed
+/// `(offered, delivered, dropped)`.
+fn serve<A: Audited>(sub: &mut A, keys: &[[f64; 2]], rounds: u32) -> (Vec<u32>, (u64, u64, u64)) {
     let mut samples = Vec::new();
+    let mut totals = (0, 0, 0);
     for r in 0..rounds + 2 {
         if r < rounds {
             sub.offer_traffic(keys, TTL);
         }
         sub.step();
-        sub.drain_samples(&mut samples);
+        let (o, d, x) = sub.drain_samples(&mut samples);
+        totals = (totals.0 + o, totals.1 + d, totals.2 + x);
     }
-    samples.into_iter().map(|(hops, _)| hops).collect()
+    (samples.into_iter().map(|(hops, _)| hops).collect(), totals)
 }
 
 fn mean(hops: &[u32]) -> f64 {
@@ -108,8 +122,12 @@ fn mean(hops: &[u32]) -> f64 {
 /// it (argmin of believed distance, strictly below the forwarder's own
 /// true distance), ends up from `from`. `None` if it steps onto a dead
 /// node or is still moving after 64 hops.
-fn greedy_terminus<A: Audited>(sub: &A, from: NodeId, key: &[f64; 2]) -> Option<NodeId> {
-    let space = space();
+fn greedy_terminus<A: Audited>(
+    sub: &A,
+    space: &Torus2,
+    from: NodeId,
+    key: &[f64; 2],
+) -> Option<NodeId> {
     let mut at = from;
     for _ in 0..64 {
         let mut bar = space.distance(&sub.pos(at)?, key);
@@ -126,6 +144,25 @@ fn greedy_terminus<A: Audited>(sub: &A, from: NodeId, key: &[f64; 2]) -> Option<
         }
     }
     None
+}
+
+/// How many of the greedy routes to `keys`, each from its own spread-out
+/// alive source, end at the true nearest alive node.
+fn routes_at_nearest<A: Audited>(sub: &A, space: &Torus2, keys: &[[f64; 2]]) -> usize {
+    let alive = sub.alive();
+    let mut at_nearest = 0;
+    for (i, key) in keys.iter().enumerate() {
+        let nearest = alive
+            .iter()
+            .map(|&id| space.distance(&sub.pos(id).expect("alive"), key))
+            .fold(f64::INFINITY, f64::min);
+        let from = alive[i * alive.len() / keys.len()];
+        if let Some(end) = greedy_terminus(sub, space, from, key) {
+            let reached = space.distance(&sub.pos(end).expect("terminus alive"), key);
+            at_nearest += usize::from(reached <= nearest + 1e-9);
+        }
+    }
+    at_nearest
 }
 
 /// Converge, kill `x >= cols/2`, let the survivors reshape for 30
@@ -151,7 +188,7 @@ fn views_track_the_reshaped_overlay<A: Audited>(sub: &mut A, label: &str) {
     for _ in 0..20 {
         sub.step();
     }
-    let before = hops_under_load(sub, &keys, 5);
+    let (before, _) = serve(sub, &keys, 5);
     assert!(!before.is_empty(), "{label}: no pre-kill query resolved");
 
     let killed = sub.kill_region(&shapes::in_right_half(COLS as f64));
@@ -167,20 +204,7 @@ fn views_track_the_reshaped_overlay<A: Audited>(sub: &mut A, label: &str) {
     }
 
     // (c) greedy routes over the views end at the true nearest node.
-    let alive = sub.alive();
-    let space = space();
-    let mut at_nearest = 0;
-    for (i, key) in keys.iter().enumerate() {
-        let nearest = alive
-            .iter()
-            .map(|&id| space.distance(&sub.pos(id).expect("alive"), key))
-            .fold(f64::INFINITY, f64::min);
-        let from = alive[i * alive.len() / keys.len()];
-        if let Some(end) = greedy_terminus(sub, from, key) {
-            let reached = space.distance(&sub.pos(end).expect("terminus alive"), key);
-            at_nearest += usize::from(reached <= nearest + 1e-9);
-        }
-    }
+    let at_nearest = routes_at_nearest(sub, &space(), &keys);
     assert!(
         at_nearest * 100 >= keys.len() * 95,
         "{label}: only {at_nearest} of {} greedy routes ended at the nearest node",
@@ -188,7 +212,7 @@ fn views_track_the_reshaped_overlay<A: Audited>(sub: &mut A, label: &str) {
     );
 
     // (a) the reshaped overlay routes like the converged one did.
-    let after = hops_under_load(sub, &keys, 10);
+    let (after, _) = serve(sub, &keys, 10);
     assert!(
         after.len() >= keys.len() * 9,
         "{label}: only {} of {} post-reshape queries resolved",
@@ -211,10 +235,78 @@ fn views_track_the_reshaped_overlay<A: Audited>(sub: &mut A, label: &str) {
 
 #[test]
 fn views_track_the_reshaped_overlay_on_the_engine() {
-    views_track_the_reshaped_overlay(&mut engine(), "engine");
+    views_track_the_reshaped_overlay(&mut engine(COLS, ROWS, tman(), SEED), "engine");
 }
 
 #[test]
 fn views_track_the_reshaped_overlay_on_netsim() {
-    views_track_the_reshaped_overlay(&mut kernel(), "netsim");
+    views_track_the_reshaped_overlay(&mut kernel(COLS, ROWS, tman(), SEED), "netsim");
+}
+
+/// The regional-blast grid: small enough to sweep seeds and boundaries.
+const BLAST_COLS: usize = 12;
+const BLAST_ROWS: usize = 6;
+const BLAST_SEEDS: std::ops::Range<u64> = 0..6;
+/// Blast boundaries swept: every founding node at `x >= boundary` dies.
+const BLAST_BOUNDARIES: std::ops::Range<u32> = 4..9;
+
+fn blast_tman() -> TManConfig {
+    TManConfig {
+        view_cap: 24,
+        m: 8,
+        ..TManConfig::default()
+    }
+}
+
+/// Converge 12 rounds, kill every founding node at `x >= boundary`,
+/// reshape for 15 rounds, then look up the 32 hashed keys for 3 rounds.
+/// Every lookup resolves, and the reference greedy routes end at the
+/// nearest alive node for all but a few keys.
+fn keys_resolve_after_a_regional_blast<A: Audited>(sub: &mut A, label: &str, boundary: u32) {
+    let space = Torus2::new(BLAST_COLS as f64, BLAST_ROWS as f64);
+    let keys = key_universe(32, BLAST_COLS, BLAST_ROWS);
+    for _ in 0..12 {
+        sub.step();
+    }
+    let cut = f64::from(boundary);
+    let killed = sub.kill_region(&move |p: &[f64; 2]| p[0] >= cut);
+    assert_eq!(killed.len(), (BLAST_COLS - boundary as usize) * BLAST_ROWS);
+    for _ in 0..15 {
+        sub.step();
+    }
+
+    let at_nearest = routes_at_nearest(sub, &space, &keys);
+    assert!(
+        at_nearest >= 29,
+        "{label}, x >= {boundary}: only {at_nearest} of {} greedy routes ended at the \
+         nearest node",
+        keys.len()
+    );
+    let (_, (offered, delivered, dropped)) = serve(sub, &keys, 3);
+    assert_eq!(offered, 3 * keys.len() as u64, "{label}, x >= {boundary}");
+    assert_eq!(
+        (delivered, dropped),
+        (offered, 0),
+        "{label}, x >= {boundary}: lookups lost after the reshape"
+    );
+}
+
+#[test]
+fn engine_keys_resolve_after_any_regional_blast() {
+    for seed in BLAST_SEEDS {
+        for boundary in BLAST_BOUNDARIES {
+            let mut sub = engine(BLAST_COLS, BLAST_ROWS, blast_tman(), seed);
+            keys_resolve_after_a_regional_blast(&mut sub, &format!("engine seed {seed}"), boundary);
+        }
+    }
+}
+
+#[test]
+fn netsim_keys_resolve_after_any_regional_blast() {
+    for seed in BLAST_SEEDS {
+        for boundary in BLAST_BOUNDARIES {
+            let mut sub = kernel(BLAST_COLS, BLAST_ROWS, blast_tman(), seed);
+            keys_resolve_after_a_regional_blast(&mut sub, &format!("netsim seed {seed}"), boundary);
+        }
+    }
 }

@@ -560,8 +560,7 @@ impl<S: MetricSpace> NetSim<S> {
     }
 
     /// A node's current T-Man view entries, if alive — the hearsay the
-    /// traffic plane forwards over and `routing::ViewOracle` is built
-    /// from.
+    /// traffic plane forwards over.
     pub fn view_entries_of(&self, id: NodeId) -> Option<&[Descriptor<S::Point>]> {
         self.nodes.get(id).map(|c| c.tman.view_entries())
     }

@@ -363,8 +363,8 @@ impl<S: MetricSpace> Engine<S> {
     }
 
     /// The raw T-Man view a node currently holds, if alive — the local
-    /// knowledge a `polystyrene_routing`-style view oracle is built
-    /// from (stale entries pointing at dead peers included).
+    /// knowledge the traffic plane forwards queries over (stale entries
+    /// pointing at dead peers included).
     pub fn view_entries_of(&self, id: NodeId) -> Option<&[Descriptor<S::Point>]> {
         self.pool.get(id).map(|c| c.tman.view_entries())
     }
@@ -937,6 +937,26 @@ mod tests {
             "expected ≈ 1+K=4 stored points, got {}",
             m.points_per_node
         );
+    }
+
+    #[test]
+    fn converged_neighbors_are_the_grid_neighbors() {
+        let mut cfg = EngineConfig::default();
+        cfg.area = 32.0;
+        cfg.tman.view_cap = 16;
+        cfg.tman.m = 6;
+        let space = Torus2::new(8.0, 4.0);
+        let mut e = Engine::new(space, shapes::torus_grid(8, 4, 1.0), cfg);
+        e.run(10);
+        for id in e.alive_ids() {
+            let neighbors = e.neighbors_of(id, 4);
+            assert_eq!(neighbors.len(), 4);
+            let at = e.position_of(id).unwrap();
+            for n in neighbors {
+                let d = space.distance(&at, &e.position_of(n).unwrap());
+                assert!(d <= 1.5, "{id:?} reports {n:?} at distance {d}");
+            }
+        }
     }
 
     #[test]

@@ -11,16 +11,15 @@
 //! | topology | [`topology`] | T-Man, Vicinity |
 //! | **core** | [`core`] | the Polystyrene layer (projection, backup, recovery, migration, splits) |
 //! | **protocol** | [`protocol`] | the sans-IO per-node state machine + shared scenario scripts |
-//! | routing | [`routing`] | greedy routing + key-value facade (the motivating application) |
 //! | simulation | [`sim`] | cycle-driven engine + every paper experiment |
 //! | network simulation | [`netsim`] | deterministic discrete-event substrate: latency, loss, partitions |
-//! | deployment | [`runtime`] | threaded message-passing cluster |
+//! | deployment | [`runtime`] | message-passing cluster, node loops on a fixed worker pool |
 //! | wire deployment | [`transport`] | the byte codec, length-framed, over real TCP sockets |
-//! | **experiment plane** | [`lab`] | one `Substrate` seam + one driver over all four substrates |
+//! | **experiment plane** | [`lab`] | one `Substrate` seam + one driver over all four substrates, and the query workload of the traffic plane |
 //!
-//! See `README.md` for the quickstart, `DESIGN.md` for the architecture
-//! and per-experiment index, and `EXPERIMENTS.md` for paper-vs-measured
-//! results.
+//! See `README.md` for the quickstart, the architecture ("Workspace
+//! layout") and the per-figure binaries ("Reproducing the paper's
+//! figures").
 //!
 //! # Example
 //!
@@ -50,7 +49,6 @@ pub use polystyrene_lab as lab;
 pub use polystyrene_membership as membership;
 pub use polystyrene_netsim as netsim;
 pub use polystyrene_protocol as protocol;
-pub use polystyrene_routing as routing;
 pub use polystyrene_runtime as runtime;
 pub use polystyrene_sim as sim;
 pub use polystyrene_space as space;
@@ -61,13 +59,13 @@ pub use polystyrene_transport as transport;
 pub mod prelude {
     pub use polystyrene::prelude::*;
     pub use polystyrene_lab::{
-        build_substrate, run_experiment, summary_json, ExperimentSummary, ExperimentTrace,
-        LabConfig, LiveSubstrate, Substrate, SubstrateKind,
+        build_substrate, key_universe, run_experiment, run_experiment_with_traffic, summary_json,
+        ExperimentSummary, ExperimentTrace, LabConfig, LiveSubstrate, Substrate, SubstrateKind,
+        TrafficLoad,
     };
     pub use polystyrene_membership::{Descriptor, FailureDetector, NodeId, PeerSampling, View};
     pub use polystyrene_netsim::{NetRoundMetrics, NetSim, NetSimConfig};
     pub use polystyrene_protocol::prelude::*;
-    pub use polystyrene_routing::prelude::*;
     pub use polystyrene_runtime::{Cluster, RuntimeConfig};
     pub use polystyrene_sim::prelude::*;
     pub use polystyrene_space::prelude::*;
