@@ -38,7 +38,7 @@ fn print_fig1() {
     let mut engine = Engine::new(Torus2::new(w, h), paper.shape(), cfg);
     engine.disable_polystyrene();
     engine.run(paper.failure_round);
-    engine.fail_original_region(shapes::in_right_half(w));
+    engine.fail_original_region(&shapes::in_right_half(w));
     engine.run(20);
     let snap = Snapshot::capture(&engine, 4);
     println!("{}", snap.render_density(w, h, 20, 6));
@@ -169,7 +169,7 @@ fn bench_failure_recovery(c: &mut Criterion) {
             cfg,
         );
         engine.run(10);
-        engine.fail_original_region(shapes::in_right_half(20.0));
+        engine.fail_original_region(&shapes::in_right_half(20.0));
         b.iter(|| engine.step());
     });
     group.finish();

@@ -47,7 +47,7 @@ fn main() {
             engine.disable_polystyrene();
         }
         engine.run(paper.failure_round);
-        engine.fail_original_region(shapes::in_right_half(w));
+        engine.fail_original_region(&shapes::in_right_half(w));
         if !tman_only {
             engine.run(2);
             dump(&engine, &format!("fig8a_repair_started_{name}"));
@@ -57,7 +57,7 @@ fn main() {
         } else {
             engine.run(paper.inject_round.unwrap_or(100) - paper.failure_round);
         }
-        engine.inject(shapes::torus_grid_offset(args.cols / 2, args.rows, 1.0));
+        engine.inject(&shapes::torus_grid_offset(args.cols / 2, args.rows, 1.0));
         engine.run(25);
         dump(&engine, &format!("fig9_reinjection_{name}"));
         let m = engine.history().last().unwrap();

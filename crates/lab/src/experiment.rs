@@ -838,8 +838,12 @@ mod tests {
     #[test]
     fn json_f64_emits_null_for_non_finite_values() {
         assert_eq!(json_f64(1.25, 2), "1.25");
+        assert_eq!(json_f64(-0.5, 3), "-0.500");
+        assert_eq!(json_f64(0.0, 0), "0");
+        // The degenerate-sweep values that used to produce invalid JSON.
         assert_eq!(json_f64(f64::NAN, 6), "null");
         assert_eq!(json_f64(f64::INFINITY, 6), "null");
+        assert_eq!(json_f64(f64::NEG_INFINITY, 2), "null");
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! [`Substrate`] is that seam: kill, inject, partition, step, observe.
 //! The cycle engine and the discrete-event kernel implement it
-//! directly; the live [`Cluster`], over whichever transport, plugs in
+//! directly, with one body (their kill, join and traffic methods share
+//! signatures); the live [`Cluster`], over whichever transport, plugs in
 //! through [`LiveSubstrate`], which owns the round bookkeeping (tick
 //! targets, victim entropy) that an asynchronous cluster needs and
 //! deterministic simulators don't.
@@ -74,76 +75,60 @@ pub trait Substrate<P> {
     fn observe(&self) -> RoundObservation;
 }
 
-impl<S: MetricSpace> Substrate<S::Point> for Engine<S> {
-    fn kill_region(
-        &mut self,
-        predicate: &(dyn Fn(&S::Point) -> bool + Send + Sync),
-    ) -> Vec<NodeId> {
-        self.fail_original_region(|p: &S::Point| predicate(p))
-    }
-
-    fn kill_fraction(&mut self, fraction: f64) -> Vec<NodeId> {
-        self.fail_random_fraction(fraction)
-    }
-
-    fn kill_nodes(&mut self, ids: &[NodeId]) -> Vec<NodeId> {
-        let mut killed = Vec::new();
-        for &id in ids {
-            let was_alive = self.poly_state(id).is_some();
-            self.crash(id);
-            if was_alive {
-                killed.push(id);
+/// The one [`Substrate`] impl of the deterministic drivers, which share
+/// their kill, join and traffic signatures; `$extra` holds what only one
+/// of them has.
+macro_rules! deterministic_substrate {
+    ($driver:ident { $($extra:item)* }) => {
+        impl<S: MetricSpace> Substrate<S::Point> for $driver<S> {
+            fn kill_region(
+                &mut self,
+                predicate: &(dyn Fn(&S::Point) -> bool + Send + Sync),
+            ) -> Vec<NodeId> {
+                self.fail_original_region(predicate)
             }
+
+            fn kill_fraction(&mut self, fraction: f64) -> Vec<NodeId> {
+                self.fail_random_fraction(fraction)
+            }
+
+            fn kill_nodes(&mut self, ids: &[NodeId]) -> Vec<NodeId> {
+                ids.iter().copied().filter(|&id| self.crash(id)).collect()
+            }
+
+            fn inject(&mut self, positions: &[S::Point]) -> Vec<NodeId> {
+                $driver::inject(self, positions)
+            }
+
+            fn offer_traffic(&mut self, keys: &[S::Point], ttl: u32) {
+                $driver::offer_traffic(self, keys, ttl);
+            }
+
+            fn drain_traffic(&mut self) -> TrafficStats {
+                let mut samples = Vec::new();
+                let (offered, delivered, dropped) = $driver::drain_traffic(self, &mut samples);
+                TrafficStats::from_samples(offered, delivered, dropped, &mut samples)
+            }
+
+            fn step(&mut self) -> RoundObservation {
+                $driver::step(self).observation
+            }
+
+            fn observe(&self) -> RoundObservation {
+                match self.history().last() {
+                    Some(m) => m.observation,
+                    None => self.compute_metrics().observation,
+                }
+            }
+
+            $($extra)*
         }
-        killed
-    }
-
-    fn inject(&mut self, positions: &[S::Point]) -> Vec<NodeId> {
-        Engine::inject(self, positions.to_vec())
-    }
-
-    fn offer_traffic(&mut self, keys: &[S::Point], ttl: u32) {
-        Engine::offer_traffic(self, keys, ttl);
-    }
-
-    fn drain_traffic(&mut self) -> TrafficStats {
-        let mut samples = Vec::new();
-        let (offered, delivered, dropped) = Engine::drain_traffic(self, &mut samples);
-        TrafficStats::from_samples(offered, delivered, dropped, &mut samples)
-    }
-
-    fn step(&mut self) -> RoundObservation {
-        Engine::step(self).observation
-    }
-
-    fn observe(&self) -> RoundObservation {
-        match self.history().last() {
-            Some(m) => m.observation,
-            None => self.compute_metrics().observation,
-        }
-    }
+    };
 }
 
-impl<S: MetricSpace> Substrate<S::Point> for NetSim<S> {
-    fn kill_region(
-        &mut self,
-        predicate: &(dyn Fn(&S::Point) -> bool + Send + Sync),
-    ) -> Vec<NodeId> {
-        self.fail_original_region(predicate)
-    }
+deterministic_substrate!(Engine {});
 
-    fn kill_fraction(&mut self, fraction: f64) -> Vec<NodeId> {
-        self.fail_random_fraction(fraction)
-    }
-
-    fn kill_nodes(&mut self, ids: &[NodeId]) -> Vec<NodeId> {
-        ids.iter().copied().filter(|&id| self.crash(id)).collect()
-    }
-
-    fn inject(&mut self, positions: &[S::Point]) -> Vec<NodeId> {
-        NetSim::inject(self, positions)
-    }
-
+deterministic_substrate!(NetSim {
     fn partition(&mut self, groups: &[Vec<NodeId>]) {
         // The kernel-level cut severs both fabrics — protocol gossip and
         // query traffic — so a partition is a partition for everyone.
@@ -153,28 +138,7 @@ impl<S: MetricSpace> Substrate<S::Point> for NetSim<S> {
     fn heal(&mut self) {
         NetSim::heal(self);
     }
-
-    fn offer_traffic(&mut self, keys: &[S::Point], ttl: u32) {
-        NetSim::offer_traffic(self, keys, ttl);
-    }
-
-    fn drain_traffic(&mut self) -> TrafficStats {
-        let mut samples = Vec::new();
-        let (offered, delivered, dropped) = NetSim::drain_traffic(self, &mut samples);
-        TrafficStats::from_samples(offered, delivered, dropped, &mut samples)
-    }
-
-    fn step(&mut self) -> RoundObservation {
-        NetSim::step(self).observation
-    }
-
-    fn observe(&self) -> RoundObservation {
-        match self.history().last() {
-            Some(m) => m.observation,
-            None => self.compute_metrics().observation,
-        }
-    }
-}
+});
 
 /// A wall-clock deployment viewed as a [`Substrate`]: one scenario round
 /// is "every alive node has completed one more local tick", and victim

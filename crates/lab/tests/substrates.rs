@@ -11,7 +11,7 @@ use polystyrene_lab::{
 use polystyrene_membership::NodeId;
 use polystyrene_netsim::{NetRoundMetrics, NetSim, NetSimConfig};
 use polystyrene_protocol::observe::{Census, RoundObservation};
-use polystyrene_protocol::{PaperScenario, Scenario, ScenarioEvent};
+use polystyrene_protocol::{CostModel, PaperScenario, Scenario, ScenarioEvent};
 use polystyrene_runtime::observe::{observe, NodeReport};
 use polystyrene_runtime::Cluster;
 use polystyrene_sim::prelude::*;
@@ -511,7 +511,7 @@ fn lossless_links_charge_the_engine_and_kernel_identically() {
     let mut kernel = NetSim::new(Torus2::new(w, h), shape, n);
     // Round 0 is exact only up to the short bootstrap views. A message
     // carries `min(m - 1, view) + 1` descriptors, and bootstrap draws its
-    // `tman_bootstrap` contacts with replacement, so a node can start with
+    // `TMAN_BOOTSTRAP` contacts with replacement, so a node can start with
     // fewer than `m - 1` of them: call those nodes short, `deficit` the
     // entries they lack in total. Views only grow in a failure-free round,
     // so every message a short node sends lacks at most its own deficit,
@@ -524,7 +524,7 @@ fn lossless_links_charge_the_engine_and_kernel_identically() {
     // bootstrap views from the same driver stream. At this seed 3 of 200
     // views lack one entry each: 0.18 units per node against the round's
     // 60, and the kernel reads 59.97.
-    let (m, unit) = (lab.tman.m, e.cost.units_per_descriptor);
+    let (m, unit) = (lab.tman.m, CostModel::default().units_per_descriptor);
     let lacking = |len: usize| (m - 1).saturating_sub(len);
     let ids = engine.alive_ids();
     let (mut short, mut deficit) = (0, 0);
@@ -574,7 +574,7 @@ fn census_reads_the_pool_and_the_board_alike() {
     let space = Torus2::new(32.0, 16.0);
     let mut engine = Engine::new(space, shapes::torus_grid(32, 16, 1.0), cfg);
     engine.run(8);
-    engine.fail_original_region(shapes::in_right_half(32.0));
+    engine.fail_original_region(&shapes::in_right_half(32.0));
     engine.run(2);
     let reports: Vec<NodeReport<[f64; 2]>> = engine
         .alive_ids()

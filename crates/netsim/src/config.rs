@@ -1,34 +1,29 @@
 //! Configuration of the discrete-event network simulator.
 
 use polystyrene::prelude::PolystyreneConfig;
-use polystyrene_protocol::{CostModel, LinkProfile, ProtocolConfig};
+use polystyrene_protocol::{LinkProfile, ProtocolConfig};
 use polystyrene_topology::TManConfig;
 
 /// Simulator-level configuration: protocol parameters plus the network
-/// model and the event-kernel knobs.
+/// model and the event-kernel knobs. The protocol fields it does not
+/// carry take [`ProtocolConfig`]'s defaults, and messages are priced by
+/// the cycle engine's [`polystyrene_protocol::CostModel::default`] at
+/// this kernel's send boundary.
 ///
 /// Defaults match the cycle engine's paper settings, with an ideal
 /// (instant, lossless) link — under which the simulator reproduces the
 /// cycle engine's per-round population arithmetic exactly (the
-/// equivalence anchor pinned by `tests/equivalence.rs`).
+/// equivalence anchor pinned by
+/// `deterministic_substrates_agree_exactly_and_recover` in the
+/// workspace's `tests/cross_substrate.rs`).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NetSimConfig {
     /// T-Man parameters (view cap 100, m = 20, ψ = 5 in the paper).
     pub tman: TManConfig,
     /// Polystyrene parameters (K, split strategy, projection, …).
     pub poly: PolystyreneConfig,
-    /// RPS view capacity.
-    pub rps_view_cap: usize,
-    /// Descriptors exchanged per RPS shuffle.
-    pub rps_shuffle_len: usize,
-    /// Random contacts seeded into each T-Man view at start.
-    pub tman_bootstrap: usize,
     /// The link model every message is routed through.
     pub link: LinkProfile,
-    /// Unit prices charged per outbound wire message (paper Sec. IV-A) —
-    /// the same prices the cycle engine uses, applied at this kernel's
-    /// send boundary.
-    pub cost: CostModel,
     /// Simulated time units per protocol round. Latency is expressed in
     /// the same units, so `latency >= ticks_per_round` means a message
     /// arrives in a *later* round than it was sent in. Node activations
@@ -39,9 +34,6 @@ pub struct NetSimConfig {
     /// Simulated time units between a crash and the round survivors'
     /// failure knowledge reports it (0 = the engine's perfect detector).
     pub detection_delay_ticks: u64,
-    /// Protocol rounds an in-flight migration (or an unacknowledged
-    /// handout) may stay open before its owner gives up.
-    pub migration_timeout_rounds: u32,
     /// Surface area of the data space, for the reference homogeneity.
     pub area: f64,
     /// Master seed; every run with the same seed is bit-identical.
@@ -53,14 +45,9 @@ impl Default for NetSimConfig {
         Self {
             tman: TManConfig::default(),
             poly: PolystyreneConfig::default(),
-            rps_view_cap: 20,
-            rps_shuffle_len: 8,
-            tman_bootstrap: 10,
             link: LinkProfile::ideal(),
-            cost: CostModel::default(),
             ticks_per_round: 16,
             detection_delay_ticks: 0,
-            migration_timeout_rounds: 3,
             area: 3200.0,
             seed: 0,
         }
@@ -72,8 +59,8 @@ impl NetSimConfig {
     ///
     /// # Panics
     ///
-    /// Panics on an invalid sub-configuration, a zero `ticks_per_round`,
-    /// or a zero migration timeout.
+    /// Panics on an invalid sub-configuration or a zero
+    /// `ticks_per_round`.
     pub fn validate(&self) {
         self.tman.validate();
         self.poly.validate();
@@ -82,26 +69,21 @@ impl NetSimConfig {
             self.ticks_per_round >= 1,
             "a round must span at least one simulated time unit"
         );
-        assert!(
-            self.migration_timeout_rounds >= 1,
-            "migration timeout must be at least one round"
-        );
     }
 
     /// The protocol-level slice of this configuration. The kernel
     /// supplies failure knowledge externally (crash/detect events), so
     /// the built-in heartbeat detector is disabled; the migration timeout
-    /// stays *finite* — unlike under the cycle engine, a reply here can
-    /// be delayed or dropped, and the pending-exchange lock must expire.
+    /// keeps its *finite* default (node clocks advance once per round,
+    /// so it counts rounds) — unlike under the cycle engine, a reply here
+    /// can be delayed or dropped, and the pending-exchange lock must
+    /// expire.
     pub fn protocol(&self) -> ProtocolConfig {
         ProtocolConfig {
             tman: self.tman,
             poly: self.poly,
-            rps_view_cap: self.rps_view_cap,
-            rps_shuffle_len: self.rps_shuffle_len,
             heartbeat_timeout_ticks: u32::MAX,
-            migration_timeout_ticks: self.migration_timeout_rounds,
-            query_timeout_ticks: ProtocolConfig::default().query_timeout_ticks,
+            ..ProtocolConfig::default()
         }
     }
 }
@@ -119,7 +101,7 @@ mod tests {
         assert_eq!(protocol.heartbeat_timeout_ticks, u32::MAX);
         assert_eq!(
             protocol.migration_timeout_ticks,
-            cfg.migration_timeout_rounds
+            ProtocolConfig::default().migration_timeout_ticks
         );
     }
 

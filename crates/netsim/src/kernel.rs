@@ -116,10 +116,10 @@ use crate::queue::CalendarQueue;
 use polystyrene::prelude::*;
 use polystyrene_membership::{Descriptor, FailureTable, NodeId};
 use polystyrene_protocol::observe::{Census, RoundObservation};
-use polystyrene_protocol::pool::NodePool;
+use polystyrene_protocol::pool::{Gateways, NodePool};
 use polystyrene_protocol::{
-    node_seed, Channel, Effect, EffectSink, Event, Fate, FaultyNetwork, NetworkModel, ProtocolNode,
-    QueryItem, RoundCost, Wire, TRAFFIC_SEED_TAG,
+    node_seed, Channel, CostModel, Effect, EffectSink, Event, Fate, FaultyNetwork, NetworkModel,
+    ProtocolNode, RoundCost, Wire, TRAFFIC_SEED_TAG,
 };
 use polystyrene_space::MetricSpace;
 use polystyrene_topology::TopologyConstruction;
@@ -303,10 +303,8 @@ pub struct NetSim<S: MetricSpace> {
     /// the protocol plane's draw order — golden histories stay
     /// byte-identical with traffic enabled.
     traffic_net: Box<dyn NetworkModel>,
-    /// Gateway-selection stream for [`Self::offer_traffic`].
-    traffic_rng: StdRng,
-    /// Query ids, unique per simulator.
-    next_qid: u64,
+    /// Query entry of the traffic plane: gateway draws and query ids.
+    gateways: Gateways,
     /// Query messages currently in transit — kept out of `in_flight`,
     /// which feeds the pinned protocol metric history.
     traffic_in_flight: usize,
@@ -345,9 +343,6 @@ pub struct NetSim<S: MetricSpace> {
     order: Vec<NodeId>,
     /// The measurement pass's tables, reused by [`Self::step`].
     census: Census<S::Point>,
-    /// Reusable `(gateway, qid, key index)` scratch of the batched
-    /// [`Self::offer_traffic`] grouping pass.
-    traffic_batch: Vec<(NodeId, u64, usize)>,
 }
 
 impl<S: MetricSpace> NetSim<S> {
@@ -380,55 +375,14 @@ impl<S: MetricSpace> NetSim<S> {
     ) -> Self {
         assert!(!shape.is_empty(), "cannot simulate an empty network");
         config.validate();
-        let protocol = config.protocol();
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let n = shape.len();
-        let original_points: Vec<DataPoint<S::Point>> = shape
+        let (nodes, original_points) = NodePool::found(&space, &shape, config.protocol(), &mut rng);
+        // Founding slots are positional, and so is the rng slab.
+        let rngs = nodes
+            .alive_ids()
             .iter()
-            .enumerate()
-            .map(|(i, p)| DataPoint::new(PointId::new(i as u64), p.clone()))
+            .map(|&id| StdRng::seed_from_u64(node_seed(config.seed, id)))
             .collect();
-
-        let mut nodes: NodePool<S> = NodePool::with_capacity(n);
-        let mut rngs = Vec::with_capacity(n);
-        for (i, origin) in original_points.iter().enumerate() {
-            let mut contacts = Vec::new();
-            while contacts.len() < config.rps_view_cap.min(n - 1) {
-                let j = rng.random_range(0..n);
-                if j != i
-                    && !contacts
-                        .iter()
-                        .any(|d: &Descriptor<S::Point>| d.id.index() == j)
-                {
-                    contacts.push(Descriptor::new(NodeId::new(j as u64), shape[j].clone()));
-                }
-                if contacts.len() >= config.rps_view_cap || n <= 1 {
-                    break;
-                }
-            }
-            let mut boot = Vec::new();
-            for _ in 0..config.tman_bootstrap {
-                let j = rng.random_range(0..n);
-                if j != i {
-                    boot.push(Descriptor::new(NodeId::new(j as u64), shape[j].clone()));
-                }
-            }
-            let space = space.clone();
-            let id = nodes.insert_with(move |id| {
-                ProtocolNode::new(
-                    id,
-                    space,
-                    protocol,
-                    PolyState::with_initial_point(origin.clone()),
-                    contacts,
-                    boot,
-                )
-            });
-            debug_assert_eq!(id.index(), i, "founding ids are positional");
-            debug_assert_eq!(nodes.slot_of(id), Some(i), "and so are their slots");
-            rngs.push(StdRng::seed_from_u64(node_seed(config.seed, id)));
-        }
-
         Self {
             space,
             config,
@@ -439,8 +393,7 @@ impl<S: MetricSpace> NetSim<S> {
                 config.link,
                 config.seed ^ TRAFFIC_SEED_TAG,
             )),
-            traffic_rng: StdRng::seed_from_u64(config.seed ^ TRAFFIC_SEED_TAG),
-            next_qid: 0,
+            gateways: Gateways::new(config.seed),
             traffic_in_flight: 0,
             detected: FailureTable::new(),
             queue: CalendarQueue::new(),
@@ -460,7 +413,6 @@ impl<S: MetricSpace> NetSim<S> {
             cost: RoundCost::default(),
             order: Vec::new(),
             census: Census::new(),
-            traffic_batch: Vec::new(),
         }
     }
 
@@ -583,36 +535,11 @@ impl<S: MetricSpace> NetSim<S> {
     /// query transit draw from dedicated streams, so enabling traffic
     /// leaves the protocol history byte-identical.
     pub fn offer_traffic(&mut self, keys: &[S::Point], ttl: u32) {
-        if self.nodes.alive_count() == 0 {
-            return;
-        }
-        let mut batch = std::mem::take(&mut self.traffic_batch);
-        batch.clear();
+        self.gateways.group(self.nodes.alive_ids(), keys.len());
+        while let Some((gateway, queries)) = self
+            .gateways
+            .next_batch(keys, ttl, |_| self.lanes[0].sink.take_queries())
         {
-            let alive = self.nodes.alive_ids();
-            let n = alive.len();
-            for idx in 0..keys.len() {
-                let gateway = alive[self.traffic_rng.random_range(0..n)];
-                self.next_qid += 1;
-                batch.push((gateway, self.next_qid, idx));
-            }
-        }
-        batch.sort_unstable();
-        let mut at = 0;
-        while at < batch.len() {
-            let gateway = batch[at].0;
-            let mut queries = self.lanes[0].sink.take_queries();
-            while at < batch.len() && batch[at].0 == gateway {
-                let (_, qid, idx) = batch[at];
-                queries.push(QueryItem {
-                    qid,
-                    origin: gateway,
-                    key: keys[idx].clone(),
-                    ttl,
-                    hops: 0,
-                });
-                at += 1;
-            }
             self.schedule(
                 self.now,
                 Pending::Deliver {
@@ -622,7 +549,6 @@ impl<S: MetricSpace> NetSim<S> {
                 },
             );
         }
-        self.traffic_batch = batch;
     }
 
     /// The per-wire offer path: one [`Wire::Query`] delivery event per
@@ -631,15 +557,12 @@ impl<S: MetricSpace> NetSim<S> {
     /// (`batched_offers_match_the_unbatched_outcome_set` in the lab's
     /// `substrates` tests).
     pub fn offer_traffic_unbatched(&mut self, keys: &[S::Point], ttl: u32) {
-        if self.nodes.alive_count() == 0 {
-            return;
-        }
         for key in keys {
-            let n = self.nodes.alive_count();
-            let gateway = self.nodes.alive_ids()[self.traffic_rng.random_range(0..n)];
-            self.next_qid += 1;
+            let Some((gateway, qid)) = self.gateways.draw(self.nodes.alive_ids()) else {
+                break;
+            };
             let wire = Wire::Query {
-                qid: self.next_qid,
+                qid,
                 origin: gateway,
                 key: key.clone(),
                 ttl,
@@ -663,16 +586,7 @@ impl<S: MetricSpace> NetSim<S> {
     /// *rounds* and an unanswered query expires as dropped after
     /// `query_timeout_ticks` rounds.
     pub fn drain_traffic(&mut self, samples: &mut Vec<(u32, u64)>) -> (u64, u64, u64) {
-        let mut offered = 0;
-        let mut delivered = 0;
-        let mut dropped = 0;
-        for node in self.nodes.slots_mut().iter_mut().flatten() {
-            let (o, de, dr) = node.take_traffic(samples);
-            offered += o;
-            delivered += de;
-            dropped += dr;
-        }
-        (offered, delivered, dropped)
+        self.nodes.drain_traffic(samples)
     }
 
     // ------------------------------------------------------------------
@@ -739,65 +653,28 @@ impl<S: MetricSpace> NetSim<S> {
     }
 
     /// Injects fresh empty nodes at `positions`, bootstrapped from random
-    /// alive contacts drawn through the shared
-    /// [`polystyrene_protocol::sample_bootstrap_contacts`] path (same
-    /// semantics as the cycle engine's inject). Returns the new ids.
-    ///
-    /// All contact sampling reads the pre-inject population directly off
-    /// the pool's alive list (new joiners never bootstrap each other);
-    /// positions are borrowed and cloned once, into the node that owns
-    /// them.
+    /// alive contacts through the pool's two-pass [`NodePool::join`] (the
+    /// cycle engine's inject; joiners never bootstrap each other).
+    /// Returns the new ids.
     pub fn inject(&mut self, positions: &[S::Point]) -> Vec<NodeId> {
-        let protocol = self.config.protocol();
-        let mut seeds = Vec::with_capacity(positions.len());
-        {
-            let Self {
-                nodes, rng, config, ..
-            } = &mut *self;
-            let alive = nodes.alive_ids();
-            let pos_of = |j: NodeId| nodes.get(j).map(|c| c.poly.pos.clone());
-            for _ in positions {
-                seeds.push((
-                    polystyrene_protocol::sample_bootstrap_contacts(
-                        alive,
-                        &pos_of,
-                        config.rps_view_cap,
-                        rng,
-                    ),
-                    polystyrene_protocol::sample_bootstrap_contacts(
-                        alive,
-                        &pos_of,
-                        config.tman_bootstrap,
-                        rng,
-                    ),
-                ));
-            }
-        }
-        let mut new_ids = Vec::with_capacity(positions.len());
-        for (pos, (contacts, boot)) in positions.iter().zip(seeds) {
-            let space = self.space.clone();
-            let pos = pos.clone();
-            let id = self.nodes.insert_with(move |id| {
-                ProtocolNode::new(
-                    id,
-                    space,
-                    protocol,
-                    PolyState::empty_at(pos),
-                    contacts,
-                    boot,
-                )
-            });
-            // A recycled slot still holds its previous occupant's stream.
+        let ids = self.nodes.join(
+            &self.space,
+            positions,
+            self.config.protocol(),
+            &mut self.rng,
+        );
+        for &id in &ids {
+            // A recycled slot still holds its previous occupant's stream;
+            // fresh slots are issued in ascending order.
             let slot = self.nodes.slot_of(id).expect("just inserted");
             let rng = StdRng::seed_from_u64(node_seed(self.config.seed, id));
             match self.rngs.get_mut(slot) {
                 Some(stream) => *stream = rng,
                 None => self.rngs.push(rng),
             }
-            debug_assert_eq!(self.rngs.len(), self.nodes.slot_count());
-            new_ids.push(id);
         }
-        new_ids
+        debug_assert_eq!(self.rngs.len(), self.nodes.slot_count());
+        ids
     }
 
     // ------------------------------------------------------------------
@@ -871,7 +748,7 @@ impl<S: MetricSpace> NetSim<S> {
         let changed = self
             .nodes
             .refresh_view_positions(|holder, subject| net.blocked(holder, subject));
-        self.cost.tman_units += changed * self.config.cost.units_per_descriptor as u64;
+        self.cost.tman_units += changed * CostModel::default().units_per_descriptor as u64;
     }
 
     fn schedule(&mut self, at: u64, what: Pending<S::Point>) {
@@ -1030,7 +907,7 @@ impl<S: MetricSpace> NetSim<S> {
             self.traffic_net.route(from, to, Channel::Query, self.now)
         } else {
             self.sent_messages += 1;
-            self.cost.charge_wire(&self.config.cost, &wire);
+            self.cost.charge_wire(&CostModel::default(), &wire);
             let fate = self.net.route(from, to, wire.channel(), self.now);
             if fate == Fate::Drop {
                 self.dropped_messages += 1;
@@ -1084,7 +961,7 @@ impl<S: MetricSpace> NetSim<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polystyrene_protocol::LinkProfile;
+    use polystyrene_protocol::{LinkProfile, QueryItem};
     use polystyrene_space::prelude::*;
     use polystyrene_space::shapes;
 
@@ -1096,9 +973,6 @@ mod tests {
             psi: 3,
         };
         cfg.poly = PolystyreneConfig::builder().replication(3).build();
-        cfg.rps_view_cap = 10;
-        cfg.rps_shuffle_len = 5;
-        cfg.tman_bootstrap = 5;
         cfg.area = 64.0;
         cfg.seed = seed;
         cfg

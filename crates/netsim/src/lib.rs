@@ -20,8 +20,11 @@
 //! `(deliver_at, seq)`; a zero-latency, zero-loss
 //! configuration collapses to round-synchronized delivery and reproduces
 //! the cycle engine's per-round population arithmetic (pinned by
-//! `tests/equivalence.rs`), which anchors every lossy result to the
-//! validated baseline.
+//! `deterministic_substrates_agree_exactly_and_recover` in the
+//! workspace's `tests/cross_substrate.rs`), which anchors every lossy
+//! result to the validated baseline. Both drivers found, join and offer
+//! queries to their populations through the shared
+//! [`polystyrene_protocol::pool`].
 //!
 //! Not everything is a message. Reachability probes are answered from
 //! the kernel's (lagged) failure knowledge, and the paper's per-round

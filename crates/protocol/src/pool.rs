@@ -55,12 +55,45 @@
 //! it. Iteration order, id assignment, and position values are all exactly
 //! those of the boxed layout, which is what keeps the golden-history
 //! fingerprints byte-identical across the swap.
+//!
+//! # One population for both drivers
+//!
+//! Whatever the cycle engine and the event kernel do to their populations
+//! alike is done here, once, so the two cannot drift and a fuzzer has one
+//! join/kill surface to drive:
+//!
+//! * [`NodePool::found`] builds the paper's founding population (node
+//!   `i` on shape point `i`, random RPS and T-Man contacts, Sec. IV-A);
+//! * [`NodePool::join`] re-injects empty nodes (Phase 3) in two passes,
+//!   so joiners never bootstrap each other;
+//! * [`NodePool::drain_traffic`] sums the gateways' traffic counters;
+//! * [`Gateways`] draws each query's entry node off the traffic stream
+//!   and groups a round's queries into one batch per gateway.
+//!
+//! Each takes the driver's entropy stream as an argument and draws
+//! exactly what the drivers drew before it moved here, in the same
+//! order. What stays in a driver is what makes it a different execution
+//! model: phase-by-phase activation and synchronous dispatch in the
+//! engine, the calendar queue, lanes, fabrics and per-node streams in the
+//! kernel.
 
+use crate::config::ProtocolConfig;
 use crate::node::ProtocolNode;
-use polystyrene_membership::NodeId;
+use crate::scenario::sample_bootstrap_contacts;
+use crate::wire::QueryItem;
+use crate::TRAFFIC_SEED_TAG;
+use polystyrene::prelude::{DataPoint, PointId, PolyState};
+use polystyrene_membership::{Descriptor, NodeId};
 use polystyrene_space::MetricSpace;
 use polystyrene_topology::TopologyConstruction;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
+
+/// T-Man contacts every node is given when it founds or joins the
+/// population ("each physical node is initialized with 10 random
+/// neighbors taken from the RPS layer", Sec. IV-A).
+pub const TMAN_BOOTSTRAP: usize = 10;
 
 /// A generation-stamped slot handle. Valid only while the slot's current
 /// generation matches; any kill of the occupant invalidates it.
@@ -126,6 +159,105 @@ impl<S: MetricSpace> NodePool<S> {
             alive: Vec::with_capacity(n),
             next_id: 0,
         }
+    }
+
+    /// Founds the population of the paper's evaluation: node `i` stands
+    /// on `shape[i]` and hosts data point `i`. Founders are built in id
+    /// order, and each draws from `rng` distinct RPS contacts other than
+    /// itself until it holds `min(rps_view_cap, n - 1)`, then makes
+    /// [`TMAN_BOOTSTRAP`] T-Man draws with replacement, skipping (without
+    /// a retry) any draw of itself. Returns the pool and the founding
+    /// points, which are the target shape.
+    pub fn found<R: Rng + ?Sized>(
+        space: &S,
+        shape: &[S::Point],
+        protocol: ProtocolConfig,
+        rng: &mut R,
+    ) -> (Self, Vec<DataPoint<S::Point>>) {
+        let points: Vec<DataPoint<S::Point>> = shape
+            .iter()
+            .enumerate()
+            .map(|(i, p)| DataPoint::new(PointId::new(i as u64), p.clone()))
+            .collect();
+        let mut pool = Self::with_capacity(shape.len());
+        for (i, origin) in points.iter().enumerate() {
+            let (contacts, boot) = founder_contacts(i, shape, protocol.rps_view_cap, rng);
+            let id = pool.insert_with(|id| {
+                ProtocolNode::new(
+                    id,
+                    space.clone(),
+                    protocol,
+                    PolyState::with_initial_point(origin.clone()),
+                    contacts,
+                    boot,
+                )
+            });
+            debug_assert_eq!(
+                (id.index(), pool.slot_of(id)),
+                (i, Some(i)),
+                "founding ids and slots are positional"
+            );
+        }
+        (pool, points)
+    }
+
+    /// Joins fresh, empty nodes at `positions` (the paper's Phase 3
+    /// re-injection) in two passes. First every joiner's contacts are
+    /// drawn from `rng`, joiner by joiner, against the alive list from
+    /// before the join: `rps_view_cap` RPS and then [`TMAN_BOOTSTRAP`]
+    /// T-Man contacts through [`sample_bootstrap_contacts`], at the
+    /// subjects' current positions. So joiners never bootstrap each
+    /// other. Then the joiners are inserted in order. Returns their ids,
+    /// which are fresh and ascending even where a slot is recycled.
+    pub fn join<R: Rng + ?Sized>(
+        &mut self,
+        space: &S,
+        positions: &[S::Point],
+        protocol: ProtocolConfig,
+        rng: &mut R,
+    ) -> Vec<NodeId> {
+        let seeds: Vec<_> = {
+            let alive = self.alive_ids();
+            let pos_of = |j: NodeId| self.get(j).map(|c| c.poly.pos.clone());
+            positions
+                .iter()
+                .map(|_| {
+                    (
+                        sample_bootstrap_contacts(alive, &pos_of, protocol.rps_view_cap, rng),
+                        sample_bootstrap_contacts(alive, &pos_of, TMAN_BOOTSTRAP, rng),
+                    )
+                })
+                .collect()
+        };
+        positions
+            .iter()
+            .zip(seeds)
+            .map(|(pos, (contacts, boot))| {
+                self.insert_with(|id| {
+                    ProtocolNode::new(
+                        id,
+                        space.clone(),
+                        protocol,
+                        PolyState::empty_at(pos.clone()),
+                        contacts,
+                        boot,
+                    )
+                })
+            })
+            .collect()
+    }
+
+    /// Drains every node's gateway-side traffic counters in slot order:
+    /// appends the completion samples to `samples` and returns the summed
+    /// `(offered, delivered, dropped)`.
+    pub fn drain_traffic(&mut self, samples: &mut Vec<(u32, u64)>) -> (u64, u64, u64) {
+        self.slots
+            .iter_mut()
+            .flatten()
+            .fold((0, 0, 0), |(offered, delivered, dropped), node| {
+                let (o, d, x) = node.take_traffic(samples);
+                (offered + o, delivered + d, dropped + x)
+            })
     }
 
     /// The id the next [`Self::insert_with`] will issue. Monotonic; never
@@ -336,6 +468,112 @@ impl<S: MetricSpace> NodePool<S> {
     }
 }
 
+/// Founder `i`'s bootstrap contacts among the founders standing on
+/// `shape`, as [`NodePool::found`] describes them. Returns
+/// `(rps, tman)`.
+fn founder_contacts<P: Clone, R: Rng + ?Sized>(
+    i: usize,
+    shape: &[P],
+    rps_view_cap: usize,
+    rng: &mut R,
+) -> (Vec<Descriptor<P>>, Vec<Descriptor<P>>) {
+    let n = shape.len();
+    let contact = |j: usize| Descriptor::new(NodeId::new(j as u64), shape[j].clone());
+    let mut rps: Vec<Descriptor<P>> = Vec::new();
+    while rps.len() < rps_view_cap.min(n - 1) {
+        let j = rng.random_range(0..n);
+        if j != i && !rps.iter().any(|d| d.id.index() == j) {
+            rps.push(contact(j));
+        }
+    }
+    let mut tman = Vec::new();
+    for _ in 0..TMAN_BOOTSTRAP {
+        let j = rng.random_range(0..n);
+        if j != i {
+            tman.push(contact(j));
+        }
+    }
+    (rps, tman)
+}
+
+/// Where the traffic plane's queries enter the population. It holds
+/// the gateway-draw stream, seeded `seed ^ TRAFFIC_SEED_TAG` so that
+/// offering load never advances a protocol stream, and the query-id
+/// counter.
+pub struct Gateways {
+    rng: StdRng,
+    next_qid: u64,
+    /// `(gateway, qid, key index)` of the grouped offer, sorted; the
+    /// entries from `handed_out` on have not been batched yet.
+    grouped: Vec<(NodeId, u64, usize)>,
+    handed_out: usize,
+}
+
+impl Gateways {
+    /// Fresh query entry for a driver seeded with `seed`.
+    pub fn new(seed: u64) -> Self {
+        Self {
+            rng: StdRng::seed_from_u64(seed ^ TRAFFIC_SEED_TAG),
+            next_qid: 0,
+            grouped: Vec::new(),
+            handed_out: 0,
+        }
+    }
+
+    /// Draws one query's gateway uniformly from `alive` and issues its
+    /// qid. `None`, and no draw, when nobody is alive.
+    pub fn draw(&mut self, alive: &[NodeId]) -> Option<(NodeId, u64)> {
+        if alive.is_empty() {
+            return None;
+        }
+        let gateway = alive[self.rng.random_range(0..alive.len())];
+        self.next_qid += 1;
+        Some((gateway, self.next_qid))
+    }
+
+    /// Draws the gateways of `keys` queries in key order, which is the
+    /// stream and qid sequence of calling [`Self::draw`] once per key,
+    /// and groups them by gateway for [`Self::next_batch`].
+    pub fn group(&mut self, alive: &[NodeId], keys: usize) {
+        self.grouped.clear();
+        self.handed_out = 0;
+        for idx in 0..keys {
+            let Some((gateway, qid)) = self.draw(alive) else {
+                return;
+            };
+            self.grouped.push((gateway, qid, idx));
+        }
+        self.grouped.sort_unstable();
+    }
+
+    /// The next gateway of the grouped offer, in ascending gateway order,
+    /// with its queries for a [`crate::Wire::QueryBatch`]: qids ascending,
+    /// pushed into the buffer `take(count)` returns. `None` once every
+    /// gateway has had its batch.
+    pub fn next_batch<P: Clone>(
+        &mut self,
+        keys: &[P],
+        ttl: u32,
+        take: impl FnOnce(usize) -> Vec<QueryItem<P>>,
+    ) -> Option<(NodeId, Vec<QueryItem<P>>)> {
+        let rest = &self.grouped[self.handed_out..];
+        let gateway = rest.first()?.0;
+        let count = rest.iter().take_while(|e| e.0 == gateway).count();
+        let mut queries = take(count);
+        for &(_, qid, idx) in &rest[..count] {
+            queries.push(QueryItem {
+                qid,
+                origin: gateway,
+                key: keys[idx].clone(),
+                ttl,
+                hops: 0,
+            });
+        }
+        self.handed_out += count;
+        Some((gateway, queries))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -452,5 +690,144 @@ mod tests {
 
         assert_eq!(pool.refresh_view_positions(|_, _| false), 1);
         assert_eq!(pool.stale_view_entries(), (0, 2));
+    }
+
+    fn founded(cols: usize, rows: usize, seed: u64) -> NodePool<Torus2> {
+        let space = Torus2::new(cols as f64, rows as f64);
+        let shape = polystyrene_space::shapes::torus_grid(cols, rows, 1.0);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (pool, points) = NodePool::found(&space, &shape, ProtocolConfig::default(), &mut rng);
+        assert_eq!(points.len(), shape.len());
+        pool
+    }
+
+    /// Every id named in `id`'s RPS and T-Man views.
+    fn known_by(pool: &NodePool<Torus2>, id: NodeId) -> Vec<NodeId> {
+        let node = pool.get(id).expect("alive");
+        let mut known = node.rps.view().ids();
+        known.extend(node.tman.view_entries().iter().map(|d| d.id));
+        known
+    }
+
+    #[test]
+    fn founders_hold_distinct_rps_contacts_other_than_themselves() {
+        let cap = ProtocolConfig::default().rps_view_cap;
+        // Fewer founders than the cap, exactly one more, and many more.
+        for (cols, rows) in [(1, 1), (4, 2), (7, 3), (8, 8)] {
+            let pool = founded(cols, rows, 3);
+            let n = cols * rows;
+            for &id in pool.alive_ids() {
+                let mut rps = pool.get(id).expect("alive").rps.view().ids();
+                assert_eq!(rps.len(), cap.min(n - 1), "{n} founders: {id}");
+                assert!(!rps.contains(&id), "{id} knows itself");
+                rps.sort();
+                rps.dedup();
+                assert_eq!(rps.len(), cap.min(n - 1), "{id}: duplicates");
+            }
+        }
+    }
+
+    #[test]
+    fn tman_bootstrap_draws_skip_the_node_itself() {
+        // Among three founders a third of the draws hit the founder
+        // itself, so some are skipped: fewer than TMAN_BOOTSTRAP remain.
+        let shape = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]];
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut skipped = 0;
+        for i in 0..3 {
+            let (_, tman) = founder_contacts(i, &shape, 20, &mut rng);
+            assert!(tman.iter().all(|d| d.id.index() != i), "founder {i}");
+            skipped += TMAN_BOOTSTRAP - tman.len();
+        }
+        assert!(skipped > 0, "no draw of a founder itself in 30");
+    }
+
+    #[test]
+    fn joiners_never_bootstrap_each_other() {
+        let mut pool = founded(4, 4, 1);
+        for raw in [2, 5, 11] {
+            pool.remove(NodeId::new(raw));
+        }
+        let before = pool.alive_ids().to_vec();
+        let joiners = pool.join(
+            &Torus2::new(4.0, 4.0),
+            &polystyrene_space::shapes::torus_grid_offset(4, 2, 1.0),
+            ProtocolConfig::default(),
+            &mut StdRng::seed_from_u64(4),
+        );
+        assert_eq!(joiners.len(), 8);
+        for &id in &joiners {
+            let known = known_by(&pool, id);
+            assert!(!known.is_empty(), "{id} joined knowing nobody");
+            assert!(
+                known.iter().all(|k| before.contains(k)),
+                "{id} names {known:?}, not only nodes alive before the join"
+            );
+            let node = pool.get(id).expect("alive");
+            assert!(node.poly.guests.is_empty(), "joiners hold no point");
+        }
+    }
+
+    #[test]
+    fn joins_into_recycled_slots_get_fresh_ascending_ids() {
+        let mut pool = founded(4, 2, 6);
+        for raw in [1, 6, 3] {
+            pool.remove(NodeId::new(raw));
+        }
+        let freed: Vec<usize> = vec![3, 6, 1];
+        let joiners = pool.join(
+            &Torus2::new(4.0, 2.0),
+            &[[0.5, 0.5], [1.5, 0.5], [2.5, 0.5], [3.5, 0.5], [0.5, 1.5]],
+            ProtocolConfig::default(),
+            &mut StdRng::seed_from_u64(8),
+        );
+        assert_eq!(joiners, (8..13).map(NodeId::new).collect::<Vec<_>>());
+        let slots: Vec<usize> = joiners
+            .iter()
+            .map(|&id| pool.slot_of(id).unwrap())
+            .collect();
+        assert_eq!(slots[..3], freed[..], "freed slots recycled LIFO");
+        assert_eq!(slots[3..], [8, 9], "then fresh slots");
+        assert_eq!(pool.slot_count(), 10);
+        assert_eq!(pool.alive_ids().last(), Some(&NodeId::new(12)));
+    }
+
+    #[test]
+    fn gateways_batch_once_per_gateway_in_the_draw_sequence() {
+        let alive: Vec<NodeId> = [1, 4, 6, 9, 13].map(NodeId::new).to_vec();
+        let keys: Vec<[f64; 2]> = (0..40).map(|i| [f64::from(i), 0.0]).collect();
+        let mut grouped = Gateways::new(11);
+        grouped.group(&alive, keys.len());
+        let mut batches = Vec::new();
+        while let Some(batch) = grouped.next_batch(&keys, 8, Vec::with_capacity) {
+            batches.push(batch);
+        }
+        assert!(
+            batches.windows(2).all(|w| w[0].0 < w[1].0),
+            "one batch per gateway, in gateway order"
+        );
+        let mut issued = Vec::new();
+        for (gateway, queries) in &batches {
+            assert!(queries.windows(2).all(|w| w[0].qid < w[1].qid));
+            for q in queries {
+                assert_eq!((q.origin, q.ttl, q.hops), (*gateway, 8, 0));
+                assert_eq!(q.key, keys[q.qid as usize - 1], "qids follow key order");
+                issued.push((q.qid, *gateway));
+            }
+        }
+        issued.sort_unstable();
+        let mut one_by_one = Gateways::new(11);
+        let drawn: Vec<(u64, NodeId)> = keys
+            .iter()
+            .map(|_| one_by_one.draw(&alive).map(|(g, qid)| (qid, g)).unwrap())
+            .collect();
+        assert_eq!(issued, drawn);
+        assert!(batches.len() > 1 && batches.len() <= alive.len());
+
+        // Nobody alive: nothing drawn, nothing batched, the stream untouched.
+        assert_eq!(grouped.draw(&[]), None);
+        grouped.group(&[], 5);
+        assert!(grouped.next_batch(&keys, 8, Vec::with_capacity).is_none());
+        assert_eq!(grouped.draw(&alive), one_by_one.draw(&alive));
     }
 }

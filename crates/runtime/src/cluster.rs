@@ -3,7 +3,7 @@
 //! fresh joiners, offers traffic, observes global health, and shuts
 //! everything down.
 
-use crate::config::RuntimeConfig;
+use crate::config::{RuntimeConfig, BOOTSTRAP_CONTACTS};
 use crate::fabric::Transport;
 use crate::harness::{contacts_from_board, contacts_from_shape};
 use crate::message::Message;
@@ -116,7 +116,7 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
         for (i, pos) in shape.iter().enumerate() {
             let contacts = {
                 let mut rng = cluster.rng.lock();
-                contacts_from_shape(&shape, i, cluster.config.bootstrap_contacts, &mut rng)
+                contacts_from_shape(&shape, i, BOOTSTRAP_CONTACTS, &mut rng)
             };
             cluster.spawn_node(
                 NodeId::new(i as u64),
@@ -238,12 +238,7 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
         let alive = self.alive_ids();
         let contacts: Vec<Descriptor<S::Point>> = {
             let mut rng = self.rng.lock();
-            contacts_from_board(
-                &alive,
-                &self.board.snapshot(),
-                self.config.bootstrap_contacts,
-                &mut rng,
-            )
+            contacts_from_board(&alive, &self.board.snapshot(), BOOTSTRAP_CONTACTS, &mut rng)
         };
         self.spawn_node(id, None, position, contacts);
         id

@@ -1,11 +1,21 @@
 //! Runtime deployment configuration.
 
 use polystyrene::prelude::PolystyreneConfig;
-use polystyrene_protocol::{CostModel, LinkProfile, ProtocolConfig};
+use polystyrene_protocol::{LinkProfile, ProtocolConfig};
 use polystyrene_topology::TManConfig;
 use std::time::Duration;
 
-/// Parameters of a threaded Polystyrene deployment.
+/// RPS view capacity of a live node.
+const RPS_VIEW_CAP: usize = 12;
+/// Descriptors per RPS shuffle of a live node.
+const RPS_SHUFFLE_LEN: usize = 6;
+/// Random contacts seeded into each node's layers at spawn.
+pub(crate) const BOOTSTRAP_CONTACTS: usize = 8;
+
+/// Parameters of a threaded Polystyrene deployment. The RPS sizing and
+/// the bootstrap contact count are the constants above, the migration
+/// timeout is [`ProtocolConfig`]'s default, and messages are priced by
+/// [`polystyrene_protocol::CostModel::default`].
 #[derive(Clone, Copy, Debug)]
 pub struct RuntimeConfig {
     /// Protocol tick: each node initiates one gossip round per tick.
@@ -24,24 +34,12 @@ pub struct RuntimeConfig {
     pub tman: TManConfig,
     /// Polystyrene parameters.
     pub poly: PolystyreneConfig,
-    /// RPS view capacity.
-    pub rps_view_cap: usize,
-    /// Descriptors per RPS shuffle.
-    pub rps_shuffle_len: usize,
-    /// Random contacts seeded into each node's layers at spawn.
-    pub bootstrap_contacts: usize,
-    /// Ticks an initiated migration may stay unanswered before the
-    /// initiator gives up and unlocks.
-    pub migration_timeout_ticks: u32,
     /// Link-fault injection for the in-process fabric. The runtime honors
     /// the loss probability (messages silently vanish in transit, via the
     /// shared [`polystyrene_protocol::NetworkModel`] hook in the
     /// registry); latency and jitter need a timer fabric and are the
     /// discrete-event simulator's domain — they are ignored here.
     pub link: LinkProfile,
-    /// Unit prices charged per outbound wire message (paper Sec. IV-A),
-    /// tallied by each node at its send boundary.
-    pub cost: CostModel,
     /// Base RNG seed (each node derives its own from this and its id).
     pub seed: u64,
     /// Surface area of the data space, for the reference homogeneity
@@ -61,12 +59,7 @@ impl Default for RuntimeConfig {
                 psi: 5,
             },
             poly: PolystyreneConfig::default(),
-            rps_view_cap: 12,
-            rps_shuffle_len: 6,
-            bootstrap_contacts: 8,
-            migration_timeout_ticks: 3,
             link: LinkProfile::ideal(),
-            cost: CostModel::default(),
             seed: 1,
             area: 3200.0,
         }
@@ -78,16 +71,12 @@ impl RuntimeConfig {
     ///
     /// # Panics
     ///
-    /// Panics on zero timeouts or a zero tick.
+    /// Panics on a zero heartbeat timeout or a zero tick.
     pub fn validate(&self) {
         assert!(!self.tick.is_zero(), "tick must be non-zero");
         assert!(
             self.heartbeat_timeout_ticks > 0,
             "heartbeat timeout must be at least one tick"
-        );
-        assert!(
-            self.migration_timeout_ticks > 0,
-            "migration timeout must be at least one tick"
         );
         self.link.validate();
         self.poly.validate();
@@ -100,11 +89,10 @@ impl RuntimeConfig {
         ProtocolConfig {
             tman: self.tman,
             poly: self.poly,
-            rps_view_cap: self.rps_view_cap,
-            rps_shuffle_len: self.rps_shuffle_len,
+            rps_view_cap: RPS_VIEW_CAP,
+            rps_shuffle_len: RPS_SHUFFLE_LEN,
             heartbeat_timeout_ticks: self.heartbeat_timeout_ticks,
-            migration_timeout_ticks: self.migration_timeout_ticks,
-            query_timeout_ticks: ProtocolConfig::default().query_timeout_ticks,
+            ..ProtocolConfig::default()
         }
     }
 }

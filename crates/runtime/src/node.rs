@@ -50,9 +50,8 @@ pub struct NodeRuntime<S: MetricSpace> {
     fabric: Box<dyn NodeFabric<S::Point>>,
     board: Arc<ObservationBoard<S::Point>>,
     rng: StdRng,
-    cost_model: CostModel,
     /// Cumulative units this node has handed to the fabric, in the
-    /// paper's prices — charged at the send boundary whether or not the
+    /// paper's prices ([`CostModel::default`]) — charged at the send boundary whether or not the
     /// delivery succeeds (the bytes left the node either way).
     sent_units: u64,
     /// Node-owned effect buffer every protocol call pushes into — one
@@ -108,7 +107,6 @@ impl<S: MetricSpace> NodeRuntime<S> {
             fabric,
             board,
             rng: StdRng::seed_from_u64(node_seed(config.seed, id)),
-            cost_model: config.cost,
             sent_units: 0,
             sink: EffectSink::new(),
             queue: VecDeque::new(),
@@ -182,7 +180,7 @@ impl<S: MetricSpace> NodeRuntime<S> {
                 }
                 Effect::Send { to, wire } => {
                     let channel = wire.channel();
-                    self.sent_units += self.cost_model.wire_units(&wire);
+                    self.sent_units += CostModel::default().wire_units(&wire);
                     // The fabric takes ownership of the wire (in-process
                     // delivery hands the very buffer to the receiver), so
                     // there is nothing to recycle on this path.

@@ -15,9 +15,8 @@
 //! flight.
 
 use polystyrene_membership::NodeId;
-use polystyrene_protocol::{QueryItem, Wire, TRAFFIC_SEED_TAG};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use polystyrene_protocol::pool::Gateways;
+use polystyrene_protocol::Wire;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -29,27 +28,20 @@ use std::sync::Arc;
 pub const GATEWAY_INGRESS_BOUND: usize = 256;
 
 /// The offer-side state of a live cluster's traffic plane: the
-/// dedicated gateway-draw entropy stream (`seed ^ TRAFFIC_SEED_TAG`,
-/// the tag every substrate shares), the qid counter, the cumulative
-/// shed count, and the reusable grouping scratch.
+/// deterministic drivers' [`Gateways`] (the gateway-draw stream every
+/// substrate seeds alike, the qid counter and the grouping pass) and the
+/// cumulative shed count.
 pub struct GatewayTraffic {
-    rng: StdRng,
-    next_qid: u64,
+    gateways: Gateways,
     shed: u64,
-    /// `(gateway, qid, key index)` scratch, reused across offers;
-    /// sorting it groups co-destined queries while the qid component
-    /// keeps each gateway's run in issue order.
-    batch: Vec<(NodeId, u64, usize)>,
 }
 
 impl GatewayTraffic {
     /// Fresh state off the cluster seed.
     pub fn new(seed: u64) -> Self {
         Self {
-            rng: StdRng::seed_from_u64(seed ^ TRAFFIC_SEED_TAG),
-            next_qid: 0,
+            gateways: Gateways::new(seed),
             shed: 0,
-            batch: Vec::new(),
         }
     }
 
@@ -74,25 +66,10 @@ impl GatewayTraffic {
         gauge_of: impl Fn(NodeId) -> Option<Arc<AtomicUsize>>,
         mut deliver: impl FnMut(NodeId, Wire<P>),
     ) {
-        if alive.is_empty() || keys.is_empty() {
-            return;
-        }
-        let mut batch = std::mem::take(&mut self.batch);
-        batch.clear();
-        for idx in 0..keys.len() {
-            let gateway = alive[self.rng.random_range(0..alive.len())];
-            self.next_qid += 1;
-            batch.push((gateway, self.next_qid, idx));
-        }
-        batch.sort_unstable();
-        let mut at = 0;
-        while at < batch.len() {
-            let gateway = batch[at].0;
-            let mut end = at;
-            while end < batch.len() && batch[end].0 == gateway {
-                end += 1;
-            }
-            let len = end - at;
+        self.gateways.group(alive, keys.len());
+        while let Some((gateway, queries)) = self.gateways.next_batch(keys, ttl, Vec::with_capacity)
+        {
+            let len = queries.len();
             // Load-then-add is racy only against the node's own
             // decrements, which can only make more room; the single
             // offer path is serialized by the caller's lock, so the
@@ -105,23 +82,11 @@ impl GatewayTraffic {
                 _ => false,
             };
             if admitted {
-                let queries: Vec<QueryItem<P>> = batch[at..end]
-                    .iter()
-                    .map(|&(_, qid, idx)| QueryItem {
-                        qid,
-                        origin: gateway,
-                        key: keys[idx].clone(),
-                        ttl,
-                        hops: 0,
-                    })
-                    .collect();
                 deliver(gateway, Wire::QueryBatch { queries });
             } else {
                 self.shed += len as u64;
             }
-            at = end;
         }
-        self.batch = batch;
     }
 }
 

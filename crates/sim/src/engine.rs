@@ -38,30 +38,29 @@
 //! activation order, same RNG draws, same delivery order — which is
 //! pinned by the golden-history fingerprint suites.
 
-use crate::cost::{CostModel, RoundCost};
 use crate::metrics::RoundMetrics;
 use polystyrene::prelude::*;
 use polystyrene_membership::{Descriptor, FailureTable, NodeId};
 use polystyrene_protocol::observe::{Census, RoundObservation};
-use polystyrene_protocol::pool::NodePool;
+use polystyrene_protocol::pool::{Gateways, NodePool};
 use polystyrene_protocol::{
-    Channel, Effect, EffectSink, Event, Phase, ProtocolConfig, ProtocolNode, QueryItem, Wire,
+    Channel, CostModel, Effect, EffectSink, Event, Phase, ProtocolConfig, RoundCost, Wire,
 };
 use polystyrene_space::MetricSpace;
 use polystyrene_topology::{TManConfig, TopologyConstruction};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rayon::prelude::*;
 use std::collections::VecDeque;
 
-/// Seed tag of the application-traffic entropy stream. Query gateways are
-/// drawn from a dedicated RNG seeded with `config.seed ^ TRAFFIC_SEED_TAG`
-/// so offering load never advances the protocol stream — seeded histories
-/// stay bit-identical with traffic on or off ("traffic" in ASCII).
-pub use polystyrene_protocol::TRAFFIC_SEED_TAG;
+/// Neighborhood size of the proximity metric ("we represent the 4
+/// closest nodes returned by T-Man").
+const REPORT_NEIGHBORS: usize = 4;
 
 /// Engine-level configuration: protocol parameters plus simulation knobs.
+/// The protocol fields it does not carry take [`ProtocolConfig`]'s
+/// defaults, and messages are priced by [`CostModel::default`].
 ///
 /// Defaults are the paper's evaluation settings (Sec. IV-A).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -70,19 +69,6 @@ pub struct EngineConfig {
     pub tman: TManConfig,
     /// Polystyrene parameters (K, split strategy, projection, …).
     pub poly: PolystyreneConfig,
-    /// RPS view capacity.
-    pub rps_view_cap: usize,
-    /// Descriptors exchanged per RPS shuffle.
-    pub rps_shuffle_len: usize,
-    /// Random contacts seeded into each T-Man view at start ("each
-    /// physical node is initialized with 10 random neighbors taken from
-    /// the RPS layer").
-    pub tman_bootstrap: usize,
-    /// Neighborhood size for the proximity metric ("we represent the 4
-    /// closest nodes returned by T-Man").
-    pub report_neighbors: usize,
-    /// Wire-cost unit prices.
-    pub cost: CostModel,
     /// Surface area of the data space, for the reference homogeneity
     /// (3200 for the paper's 80×40 torus).
     pub area: f64,
@@ -100,11 +86,6 @@ impl Default for EngineConfig {
         Self {
             tman: TManConfig::default(),
             poly: PolystyreneConfig::default(),
-            rps_view_cap: 20,
-            rps_shuffle_len: 8,
-            tman_bootstrap: 10,
-            report_neighbors: 4,
-            cost: CostModel::default(),
             area: 3200.0,
             detection_delay: 0,
             seed: 0,
@@ -118,17 +99,15 @@ impl EngineConfig {
     /// its own failure detector, so the tick-denominated timeouts of the
     /// asynchronous drivers are disabled.
     pub fn protocol(&self) -> ProtocolConfig {
+        // Cycle exchanges are atomic, so an unanswered query can never
+        // complete later either: the engine expires pendings at drain
+        // time itself, and the default query timeout is inert.
         ProtocolConfig {
             tman: self.tman,
             poly: self.poly,
-            rps_view_cap: self.rps_view_cap,
-            rps_shuffle_len: self.rps_shuffle_len,
             heartbeat_timeout_ticks: u32::MAX,
             migration_timeout_ticks: u32::MAX,
-            // Cycle exchanges are atomic, so an unanswered query can never
-            // complete later; the engine expires pendings at drain time
-            // itself and the tick-denominated timeout is inert.
-            query_timeout_ticks: ProtocolConfig::default().query_timeout_ticks,
+            ..ProtocolConfig::default()
         }
     }
 }
@@ -179,20 +158,16 @@ pub struct Engine<S: MetricSpace> {
     queue: VecDeque<(NodeId, Effect<S::Point>)>,
     /// Reusable activation-order buffer of [`Engine::run_phase`].
     order: Vec<NodeId>,
-    /// Application-traffic entropy stream: gateway draws come from here,
-    /// never from the protocol `rng` (see [`TRAFFIC_SEED_TAG`]).
-    traffic_rng: StdRng,
-    /// Query-id counter for [`Engine::offer_traffic`].
-    next_qid: u64,
-    /// Reusable `(gateway, qid, key index)` scratch of the batched
-    /// [`Engine::offer_traffic`] grouping pass.
-    traffic_batch: Vec<(NodeId, u64, usize)>,
+    /// Query entry of the traffic plane: gateway draws come from its own
+    /// stream, never from the protocol `rng`, so seeded histories stay
+    /// bit-identical with traffic on or off.
+    gateways: Gateways,
 }
 
 impl<S: MetricSpace> Engine<S> {
     /// Builds a network of `shape.len()` nodes, node `i` founding data
     /// point `i` at `shape[i]`, and bootstraps both gossip layers with
-    /// uniformly random contacts.
+    /// uniformly random contacts ([`NodePool::found`]).
     ///
     /// # Panics
     ///
@@ -201,54 +176,8 @@ impl<S: MetricSpace> Engine<S> {
         assert!(!shape.is_empty(), "cannot simulate an empty network");
         config.poly.validate();
         config.tman.validate();
-        let protocol = config.protocol();
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let n = shape.len();
-        let original_points: Vec<DataPoint<S::Point>> = shape
-            .iter()
-            .enumerate()
-            .map(|(i, p)| DataPoint::new(PointId::new(i as u64), p.clone()))
-            .collect();
-
-        let mut pool = NodePool::with_capacity(n);
-        for (i, origin) in original_points.iter().enumerate() {
-            let mut contacts = Vec::new();
-            while contacts.len() < config.rps_view_cap.min(n - 1) {
-                let j = rng.random_range(0..n);
-                if j != i
-                    && !contacts
-                        .iter()
-                        .any(|d: &Descriptor<S::Point>| d.id.index() == j)
-                {
-                    contacts.push(Descriptor::new(NodeId::new(j as u64), shape[j].clone()));
-                }
-                if contacts.len() >= config.rps_view_cap || n <= 1 {
-                    break;
-                }
-            }
-
-            let mut boot = Vec::new();
-            for _ in 0..config.tman_bootstrap {
-                let j = rng.random_range(0..n);
-                if j != i {
-                    boot.push(Descriptor::new(NodeId::new(j as u64), shape[j].clone()));
-                }
-            }
-
-            let space = &space;
-            pool.insert_with(|id| {
-                debug_assert_eq!(id.index(), i, "founding ids must be contiguous");
-                ProtocolNode::new(
-                    id,
-                    space.clone(),
-                    protocol,
-                    PolyState::with_initial_point(origin.clone()),
-                    contacts,
-                    boot,
-                )
-            });
-        }
-
+        let (pool, original_points) = NodePool::found(&space, &shape, config.protocol(), &mut rng);
         Self {
             space,
             config,
@@ -266,9 +195,7 @@ impl<S: MetricSpace> Engine<S> {
             sink: EffectSink::new(),
             queue: VecDeque::new(),
             order: Vec::new(),
-            traffic_rng: StdRng::seed_from_u64(config.seed ^ TRAFFIC_SEED_TAG),
-            next_qid: 0,
-            traffic_batch: Vec::new(),
+            gateways: Gateways::new(config.seed),
         }
     }
 
@@ -388,41 +315,14 @@ impl<S: MetricSpace> Engine<S> {
     /// Co-gateway queries share one [`Wire::QueryBatch`] envelope: every
     /// gateway is drawn first, in key order (the exact rng stream and
     /// qid assignment of the per-wire path), then the round's queries
-    /// are grouped per gateway and injected as one event each.
+    /// are grouped per gateway ([`Gateways::group`]) and each batch is
+    /// dispatched at once.
     pub fn offer_traffic(&mut self, keys: &[S::Point], ttl: u32) {
-        if self.pool.alive_count() == 0 {
-            return;
-        }
-        let mut batch = std::mem::take(&mut self.traffic_batch);
-        batch.clear();
-        {
-            let alive = self.pool.alive_ids();
-            let n = alive.len();
-            for idx in 0..keys.len() {
-                let gateway = alive[self.traffic_rng.random_range(0..n)];
-                self.next_qid += 1;
-                batch.push((gateway, self.next_qid, idx));
-            }
-        }
-        // Group by gateway; qids ascend within a gateway, so each batch
-        // carries its queries in the order the per-wire path issued them.
-        batch.sort_unstable();
+        self.gateways.group(self.pool.alive_ids(), keys.len());
         let mut sink = std::mem::take(&mut self.sink);
-        let mut at = 0;
-        while at < batch.len() {
-            let gateway = batch[at].0;
-            let mut queries = sink.take_queries();
-            while at < batch.len() && batch[at].0 == gateway {
-                let (_, qid, idx) = batch[at];
-                queries.push(QueryItem {
-                    qid,
-                    origin: gateway,
-                    key: keys[idx].clone(),
-                    ttl,
-                    hops: 0,
-                });
-                at += 1;
-            }
+        while let Some((gateway, queries)) =
+            self.gateways.next_batch(keys, ttl, |_| sink.take_queries())
+        {
             sink.clear();
             let node = self.pool.get_mut(gateway).expect("alive id");
             node.on_event_into(
@@ -438,7 +338,6 @@ impl<S: MetricSpace> Engine<S> {
             }
         }
         self.sink = sink;
-        self.traffic_batch = batch;
     }
 
     /// The per-wire offer path: one [`Wire::Query`] event per key,
@@ -448,15 +347,11 @@ impl<S: MetricSpace> Engine<S> {
     /// (`batched_offers_match_the_unbatched_outcome_set` in the lab's
     /// `substrates` tests).
     pub fn offer_traffic_unbatched(&mut self, keys: &[S::Point], ttl: u32) {
-        if self.pool.alive_count() == 0 {
-            return;
-        }
         let mut sink = std::mem::take(&mut self.sink);
         for key in keys {
-            let n = self.pool.alive_count();
-            let gateway = self.pool.alive_ids()[self.traffic_rng.random_range(0..n)];
-            self.next_qid += 1;
-            let qid = self.next_qid;
+            let Some((gateway, qid)) = self.gateways.draw(self.pool.alive_ids()) else {
+                break;
+            };
             sink.clear();
             let node = self.pool.get_mut(gateway).expect("alive id");
             node.on_event_into(
@@ -486,17 +381,10 @@ impl<S: MetricSpace> Engine<S> {
     /// query still pending at drain time was lost to a stale view entry
     /// (its hop was sent to a dead node) and is written off immediately.
     pub fn drain_traffic(&mut self, samples: &mut Vec<(u32, u64)>) -> (u64, u64, u64) {
-        let (mut offered, mut delivered, mut dropped) = (0u64, 0u64, 0u64);
-        for slot in self.pool.slots_mut().iter_mut() {
-            if let Some(node) = slot.as_mut() {
-                node.expire_all_pending_queries();
-                let (o, d, x) = node.take_traffic(samples);
-                offered += o;
-                delivered += d;
-                dropped += x;
-            }
+        for node in self.pool.slots_mut().iter_mut().flatten() {
+            node.expire_all_pending_queries();
         }
-        (offered, delivered, dropped)
+        self.pool.drain_traffic(samples)
     }
 
     // ------------------------------------------------------------------
@@ -511,10 +399,10 @@ impl<S: MetricSpace> Engine<S> {
     /// other substrate's. Returns the crashed ids.
     pub fn fail_original_region(
         &mut self,
-        predicate: impl Fn(&S::Point) -> bool + Send + Sync,
+        predicate: &(dyn Fn(&S::Point) -> bool + Send + Sync),
     ) -> Vec<NodeId> {
         let killed =
-            polystyrene_protocol::select_region_victims(&self.original_points, &predicate, &|id| {
+            polystyrene_protocol::select_region_victims(&self.original_points, predicate, &|id| {
                 self.pool.contains(id)
             });
         for &id in &killed {
@@ -542,69 +430,31 @@ impl<S: MetricSpace> Engine<S> {
         killed
     }
 
-    /// Crashes one specific node (no-op if already dead). The pool frees
-    /// and recycles the slot; the id is never reused. The detector
+    /// Crashes one specific node; returns whether it was alive. The pool
+    /// frees and recycles the slot; the id is never reused. The detector
     /// reports the crash `detection_delay` rounds later (see
     /// [`Engine::step`]).
-    pub fn crash(&mut self, id: NodeId) {
-        if self.pool.remove(id).is_some() {
-            let visible_from = self.round.saturating_add(self.config.detection_delay);
-            self.undetected.push_back((visible_from, id));
+    pub fn crash(&mut self, id: NodeId) -> bool {
+        if self.pool.remove(id).is_none() {
+            return false;
         }
+        let visible_from = self.round.saturating_add(self.config.detection_delay);
+        self.undetected.push_back((visible_from, id));
+        true
     }
 
     /// Injects fresh nodes at the given positions: no data points, `pos`
     /// initialized (Sec. IV-A Phase 3), both gossip layers bootstrapped
-    /// from random alive contacts drawn through the shared
-    /// [`polystyrene_protocol::sample_bootstrap_contacts`] path. Returns
+    /// from random alive contacts through the pool's two-pass
+    /// [`NodePool::join`] (joiners never bootstrap each other). Returns
     /// the new ids.
-    ///
-    /// Two passes, as in the netsim kernel's inject: every joiner's
-    /// contacts are drawn first, against one borrow of the pre-inject
-    /// alive list (joiners never bootstrap each other), then the nodes
-    /// are inserted.
-    pub fn inject(&mut self, positions: Vec<S::Point>) -> Vec<NodeId> {
-        let protocol = self.config.protocol();
-        let mut seeds = Vec::with_capacity(positions.len());
-        {
-            let Self {
-                pool, rng, config, ..
-            } = &mut *self;
-            let alive = pool.alive_ids();
-            let pos_of = |j: NodeId| pool.get(j).map(|c| c.poly.pos.clone());
-            for _ in &positions {
-                seeds.push((
-                    polystyrene_protocol::sample_bootstrap_contacts(
-                        alive,
-                        &pos_of,
-                        config.rps_view_cap,
-                        rng,
-                    ),
-                    polystyrene_protocol::sample_bootstrap_contacts(
-                        alive,
-                        &pos_of,
-                        config.tman_bootstrap,
-                        rng,
-                    ),
-                ));
-            }
-        }
-        let mut new_ids = Vec::with_capacity(positions.len());
-        for (pos, (contacts, boot)) in positions.into_iter().zip(seeds) {
-            let space = &self.space;
-            let id = self.pool.insert_with(|id| {
-                ProtocolNode::new(
-                    id,
-                    space.clone(),
-                    protocol,
-                    PolyState::empty_at(pos),
-                    contacts,
-                    boot,
-                )
-            });
-            new_ids.push(id);
-        }
-        new_ids
+    pub fn inject(&mut self, positions: &[S::Point]) -> Vec<NodeId> {
+        self.pool.join(
+            &self.space,
+            positions,
+            self.config.protocol(),
+            &mut self.rng,
+        )
     }
 
     /// Morphs the target shape in place (paper footnote 1: the shape
@@ -726,8 +576,9 @@ impl<S: MetricSpace> Engine<S> {
                         // Imperfect detection: the exchange times out; a
                         // T-Man request was still paid for.
                         if channel == Channel::Topology {
-                            self.cost.tman_units +=
-                                (self.config.tman.m * self.config.cost.units_per_descriptor) as u64;
+                            self.cost.tman_units += (self.config.tman.m
+                                * CostModel::default().units_per_descriptor)
+                                as u64;
                         }
                         Event::PeerUnreachable { peer, channel }
                     };
@@ -736,7 +587,7 @@ impl<S: MetricSpace> Engine<S> {
                     queue.extend(sink.drain().map(|e| (at, e)));
                 }
                 Effect::Send { to, wire } => {
-                    self.cost.charge_wire(&self.config.cost, &wire);
+                    self.cost.charge_wire(&CostModel::default(), &wire);
                     if let Some(node) = self.pool.get_mut(to) {
                         node.on_event_into(Event::Message { from: at, wire }, &mut self.rng, sink);
                         queue.extend(sink.drain().map(|e| (to, e)));
@@ -779,7 +630,7 @@ impl<S: MetricSpace> Engine<S> {
     /// coordinates off the dense slab. The cycle model has no fabric to
     /// partition.
     fn position_refresh_phase(&mut self) {
-        let unit = self.config.cost.units_per_descriptor as u64;
+        let unit = CostModel::default().units_per_descriptor as u64;
         let changed_total = self.pool.refresh_view_positions(|_, _| false);
         self.cost.tman_units += changed_total * unit;
     }
@@ -825,7 +676,7 @@ impl<S: MetricSpace> Engine<S> {
                 // per-node result vector (the rank scratch is per-thread,
                 // so this is safe under the rayon fan-out).
                 node.tman
-                    .for_closest(&node.poly.pos, self.config.report_neighbors, |d| {
+                    .for_closest(&node.poly.pos, REPORT_NEIGHBORS, |d| {
                         if let Some(actual) = self.pool.position(d.id) {
                             acc += self.space.distance(&node.poly.pos, actual);
                             samples += 1;
@@ -870,6 +721,7 @@ impl<S: MetricSpace> Engine<S> {
 mod tests {
     use super::*;
     use polystyrene_protocol::observe::reference_homogeneity;
+    use polystyrene_protocol::ProtocolNode;
     use polystyrene_space::prelude::*;
     use polystyrene_space::shapes;
 
@@ -881,11 +733,6 @@ mod tests {
                 psi: 3,
             },
             poly: PolystyreneConfig::builder().replication(3).build(),
-            rps_view_cap: 10,
-            rps_shuffle_len: 5,
-            tman_bootstrap: 5,
-            report_neighbors: 4,
-            cost: CostModel::default(),
             area: 64.0,
             detection_delay: 0,
             seed,
@@ -963,7 +810,7 @@ mod tests {
     fn catastrophic_failure_and_recovery() {
         let mut e = tiny_engine(4);
         e.run(12);
-        let killed = e.fail_original_region(shapes::in_right_half(16.0));
+        let killed = e.fail_original_region(&shapes::in_right_half(16.0));
         assert_eq!(killed.len(), 32);
         assert_eq!(e.alive_count(), 32);
         let at_failure = e.compute_metrics();
@@ -998,10 +845,10 @@ mod tests {
         );
         for round in 0..50 {
             if round == 20 {
-                e.fail_original_region(shapes::in_right_half(16.0));
+                e.fail_original_region(&shapes::in_right_half(16.0));
             }
             if round == 35 {
-                e.inject(shapes::torus_grid(4, 4, 4.0));
+                e.inject(&shapes::torus_grid(4, 4, 4.0));
             }
             e.step();
             for node in e.pool.slots().iter().flatten() {
@@ -1066,7 +913,7 @@ mod tests {
         let mut gridded_rounds = 0;
         for round in 1..=14 {
             if round == 7 {
-                e.fail_original_region(shapes::in_right_half(32.0));
+                e.fail_original_region(&shapes::in_right_half(32.0));
             }
             let m = e.step();
             let (reference, holderless) = exhaustive_census(&e);
@@ -1111,9 +958,9 @@ mod tests {
     fn injection_adds_empty_nodes_that_acquire_points() {
         let mut e = tiny_engine(5);
         e.run(10);
-        e.fail_original_region(shapes::in_right_half(16.0));
+        e.fail_original_region(&shapes::in_right_half(16.0));
         e.run(10);
-        let fresh = e.inject(shapes::torus_grid_offset(16, 2, 1.0));
+        let fresh = e.inject(&shapes::torus_grid_offset(16, 2, 1.0));
         assert_eq!(fresh.len(), 32);
         assert_eq!(e.alive_count(), 64);
         for &id in &fresh {
@@ -1203,7 +1050,7 @@ mod tests {
             crash(&mut e, &mut records, 7);
             step_and_check(&mut e, &records);
             // Ids issued after construction, one of them crashed in turn.
-            let fresh = e.inject(vec![[1.5, 1.5], [9.5, 2.5]]);
+            let fresh = e.inject(&[[1.5, 1.5], [9.5, 2.5]]);
             assert_eq!(fresh, [64, 65].map(NodeId::new));
             step_and_check(&mut e, &records);
             crash(&mut e, &mut records, 65);
@@ -1245,7 +1092,7 @@ mod tests {
             let space = Torus2::new(16.0, 4.0);
             let mut e = Engine::new(space, shapes::torus_grid(16, 4, 1.0), cfg);
             e.run(12);
-            e.fail_original_region(shapes::in_right_half(16.0));
+            e.fail_original_region(&shapes::in_right_half(16.0));
             // First round at which homogeneity recrosses the reference.
             for extra in 1..=30u32 {
                 let m = e.step();
@@ -1280,7 +1127,7 @@ mod tests {
             let space = Torus2::new(16.0, 4.0);
             let mut e = Engine::new(space, shapes::torus_grid(16, 4, 1.0), cfg);
             e.run(12);
-            e.fail_original_region(shapes::in_right_half(16.0));
+            e.fail_original_region(&shapes::in_right_half(16.0));
             e.run(5);
             e.history().last().unwrap().surviving_points
         };

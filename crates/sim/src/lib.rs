@@ -4,11 +4,12 @@
 //! Sec. IV-B).
 //!
 //! * [`engine`] — the cycle-driven engine running the full stack
-//!   (RPS → T-Man → Polystyrene) with failure and churn injection;
+//!   (RPS → T-Man → Polystyrene) with failure and churn injection, over
+//!   the population, joins and query entry it shares with the event
+//!   kernel ([`polystyrene_protocol::pool`]);
 //! * [`metrics`] — the paper's five metrics (proximity, homogeneity,
 //!   reference homogeneity / reshaping time, data points per node,
-//!   message cost);
-//! * [`cost`] — wire-cost accounting in the paper's units;
+//!   message cost, priced by [`polystyrene_protocol::cost`]);
 //! * [`snapshot`] — point-cloud captures for the visual figures;
 //! * [`report`] — ASCII tables, terminal plots and CSV output.
 //!
@@ -47,7 +48,7 @@
 //!
 //! // Converge, then kill the right half of the torus.
 //! engine.run(10);
-//! engine.fail_original_region(shapes::in_right_half(16.0));
+//! engine.fail_original_region(&shapes::in_right_half(16.0));
 //! assert!(engine.compute_metrics().homogeneity > 1.0);
 //!
 //! // A few rounds later the survivors have re-formed the full torus.
@@ -59,7 +60,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cost;
 pub mod engine;
 pub mod metrics;
 pub mod report;
@@ -67,7 +67,6 @@ pub mod snapshot;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use crate::cost::{CostModel, RoundCost};
     pub use crate::engine::{Engine, EngineConfig};
     pub use crate::metrics::{reference_homogeneity, RoundMetrics};
     pub use crate::report::{ascii_plot, render_table, series_rows, write_csv};

@@ -8,7 +8,7 @@
 //! * **reference homogeneity `H`** — the ideal-distribution bound
 //!   `H = 1/2 · sqrt(A/|N|)` used to define the **reshaping time**;
 //! * **data points per node** — memory overhead (guests + ghosts);
-//! * **message cost** — see [`crate::cost`].
+//! * **message cost** — see [`polystyrene_protocol::cost`].
 //!
 //! Homogeneity, `H`, survival, points per node and cost per node are the
 //! shared [`RoundObservation`], measured by the one
@@ -52,14 +52,6 @@ impl Borrow<RoundObservation> for RoundMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reference_values_match_paper() {
-        assert!((reference_homogeneity(3200.0, 3200) - 0.5).abs() < 1e-12);
-        let h1600 = reference_homogeneity(3200.0, 1600);
-        assert!((h1600 - std::f64::consts::SQRT_2 / 2.0).abs() < 1e-12);
-        assert_eq!(reference_homogeneity(3200.0, 0), f64::INFINITY);
-    }
 
     fn m(round: u32, homogeneity: f64, h: f64) -> RoundMetrics {
         RoundMetrics {

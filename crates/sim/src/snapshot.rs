@@ -143,7 +143,7 @@ mod tests {
         e.run(8);
         let before = Snapshot::capture(&e, 4);
         let empty_before = before.empty_cell_fraction(16.0, 4.0, 8, 2);
-        e.fail_original_region(shapes::in_right_half(16.0));
+        e.fail_original_region(&shapes::in_right_half(16.0));
         let after = Snapshot::capture(&e, 4);
         let empty_after = after.empty_cell_fraction(16.0, 4.0, 8, 2);
         assert!(

@@ -42,7 +42,7 @@ fn run(label: &str, polystyrene: bool) -> (f64, f64) {
 
     engine.run(20);
     // Datacenter 3 (north-east quadrant) suffers a power failure.
-    let killed = engine.fail_original_region(move |p| datacenter(p, w, h) == 3);
+    let killed = engine.fail_original_region(&move |p| datacenter(p, w, h) == 3);
     println!("{label}: datacenter 3 lost ({} nodes down)", killed.len());
     engine.run(25);
 

@@ -49,7 +49,7 @@ fn main() {
     );
 
     // Scale-out: re-provision a fresh batch of empty nodes.
-    let fresh = engine.inject(shapes::torus_grid_offset(cols, rows / 2, 1.0));
+    let fresh = engine.inject(&shapes::torus_grid_offset(cols, rows / 2, 1.0));
     println!("\nre-provisioned {} empty nodes", fresh.len());
     for _ in 0..15 {
         engine.step();

@@ -10,7 +10,7 @@
 //! | membership | [`membership`] | node ids, gossip views, RPS, failure detectors |
 //! | topology | [`topology`] | T-Man, Vicinity |
 //! | **core** | [`core`] | the Polystyrene layer (projection, backup, recovery, migration, splits) |
-//! | **protocol** | [`protocol`] | the sans-IO per-node state machine + shared scenario scripts |
+//! | **protocol** | [`protocol`] | the sans-IO per-node state machine, the deterministic drivers' shared population (founding, joins, query entry) + shared scenario scripts |
 //! | simulation | [`sim`] | cycle-driven engine + every paper experiment |
 //! | network simulation | [`netsim`] | deterministic discrete-event substrate: latency, loss, partitions |
 //! | deployment | [`runtime`] | message-passing cluster, node loops on a fixed worker pool |
@@ -35,7 +35,9 @@
 //!     cfg,
 //! );
 //! engine.run(12);
-//! engine.fail_original_region(shapes::in_right_half(16.0));
+//! // The engine and the event kernel share this kill signature, and
+//! // `inject(&positions)` and `crash(id) -> bool` besides.
+//! engine.fail_original_region(&shapes::in_right_half(16.0));
 //! engine.run(15);
 //! let m = engine.history().last().unwrap();
 //! assert!(m.homogeneity < m.reference_homogeneity, "the shape must re-form");

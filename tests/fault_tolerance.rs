@@ -22,12 +22,12 @@ fn survives_two_successive_catastrophes() {
     // survivors' region. 75 % of the founding fleet ends up dead.
     let mut e = engine(16, 16, 6, 1);
     e.run(15);
-    e.fail_original_region(shapes::in_right_half(16.0));
+    e.fail_original_region(&shapes::in_right_half(16.0));
     e.run(20);
     let after_first = *e.history().last().unwrap();
     assert!(after_first.homogeneity < after_first.reference_homogeneity);
 
-    e.fail_original_region(|p: &[f64; 2]| p[1] >= 8.0);
+    e.fail_original_region(&|p: &[f64; 2]| p[1] >= 8.0);
     assert_eq!(e.alive_count(), 64);
     e.run(30);
     let after_second = *e.history().last().unwrap();
@@ -75,7 +75,7 @@ fn churn_then_regional_blast() {
     e.run(12);
     e.fail_random_fraction(0.2);
     e.run(6);
-    e.fail_original_region(shapes::in_right_half(16.0));
+    e.fail_original_region(&shapes::in_right_half(16.0));
     e.run(25);
     let m = *e.history().last().unwrap();
     assert!(
@@ -92,7 +92,7 @@ fn single_survivor_holds_the_whole_shape_memory() {
     // ghosts must carry a large share of the shape.
     let mut e = engine(8, 4, 8, 4);
     e.run(15);
-    e.fail_original_region(|p: &[f64; 2]| p[0] >= 1.0);
+    e.fail_original_region(&|p: &[f64; 2]| p[0] >= 1.0);
     assert_eq!(e.alive_count(), 4);
     e.run(20);
     let m = *e.history().last().unwrap();

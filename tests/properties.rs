@@ -68,7 +68,7 @@ proptest! {
         );
         engine.run(10);
         let cut_x = cut as f64;
-        engine.fail_original_region(move |p: &[f64; 2]| p[0] >= cut_x);
+        engine.fail_original_region(&move |p: &[f64; 2]| p[0] >= cut_x);
         engine.run(20);
         // Eventually: every surviving point has exactly one holder.
         let mut holders: HashMap<u64, usize> = HashMap::new();
