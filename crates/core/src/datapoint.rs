@@ -81,17 +81,12 @@ thread_local! {
         std::cell::RefCell::new(std::collections::HashSet::new());
 }
 
-/// Removes duplicate data points by id, keeping the first occurrence —
-/// the dedup rule of the migration union ("all points ← p.guests ∪
-/// q.guests", Algorithm 3 line 4, where ∪ is a set union over identities).
-pub fn dedup_by_id<P>(mut points: Vec<DataPoint<P>>) -> Vec<DataPoint<P>> {
-    dedup_by_id_in_place(&mut points);
-    points
-}
-
-/// [`dedup_by_id`] on a buffer in place: order-preserving `retain` over a
-/// thread-local seen-set, so the union → dedup step of every exchange
-/// costs zero steady-state allocations.
+/// Removes duplicate data points by id in place, keeping the first
+/// occurrence — the dedup rule of the migration union ("all points ←
+/// p.guests ∪ q.guests", Algorithm 3 line 4, where ∪ is a set union over
+/// identities). An order-preserving `retain` over a thread-local
+/// seen-set, so the union → dedup step of every exchange costs zero
+/// steady-state allocations.
 pub fn dedup_by_id_in_place<P>(points: &mut Vec<DataPoint<P>>) {
     SEEN_IDS.with(|cell| {
         let mut seen = cell.borrow_mut();
@@ -123,12 +118,12 @@ mod tests {
 
     #[test]
     fn dedup_keeps_first_occurrence() {
-        let pts = vec![
+        let mut out = vec![
             DataPoint::new(PointId::new(1), [0.0, 0.0]),
             DataPoint::new(PointId::new(2), [1.0, 0.0]),
             DataPoint::new(PointId::new(1), [9.0, 9.0]),
         ];
-        let out = dedup_by_id(pts);
+        dedup_by_id_in_place(&mut out);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].pos, [0.0, 0.0]); // first copy of id 1 kept
         assert_eq!(out[1].id, PointId::new(2));
@@ -136,7 +131,8 @@ mod tests {
 
     #[test]
     fn dedup_of_empty_is_empty() {
-        let out: Vec<DataPoint<f64>> = dedup_by_id(Vec::new());
+        let mut out: Vec<DataPoint<f64>> = Vec::new();
+        dedup_by_id_in_place(&mut out);
         assert!(out.is_empty());
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! ## The idea
 //!
-//! Topology-construction protocols (T-Man, Vicinity, …) organize nodes
+//! Topology-construction protocols (such as T-Man) organize nodes
 //! along a target shape — a torus, a ring — but when a *correlated
 //! catastrophic failure* wipes out a whole region (say, a datacenter
 //! hosting one half of the torus), surviving nodes heal their links yet

@@ -88,9 +88,6 @@ impl std::hash::Hasher for IdHasher {
 /// [`IdHasher`].
 pub type IdHashMap<K, V> = std::collections::HashMap<K, V, std::hash::BuildHasherDefault<IdHasher>>;
 
-/// A `HashSet` over [`NodeId`]-like trusted integers using [`IdHasher`].
-pub type IdHashSet<K> = std::collections::HashSet<K, std::hash::BuildHasherDefault<IdHasher>>;
-
 impl From<NodeId> for u64 {
     fn from(id: NodeId) -> Self {
         id.0

@@ -1,5 +1,5 @@
 //! Membership substrate for the Polystyrene reproduction: node identities,
-//! gossip views, the peer-sampling service and failure detection.
+//! gossip views, the peer-sampling service and the drivers' failure table.
 //!
 //! Polystyrene (ICDCS 2014) sits on a classic two-layer gossip stack
 //! (paper Fig. 2 and Sec. III-A): the bottom layer is a *peer-sampling
@@ -13,11 +13,8 @@
 //!   maintains;
 //! * [`rps::PeerSampling`] — a Cyclon-style shuffling peer sampler
 //!   (Voulgaris et al., cited as \[17\]/\[21\] in the paper);
-//! * [`fd`] — the failure-detector abstraction with a perfect detector, a
-//!   delayed detector (detection lag injection) and a flaky detector
-//!   (false suspicions) for robustness testing, plus the dense
-//!   [`FailureTable`] the single-threaded drivers answer per-entry
-//!   failure checks from.
+//! * [`FailureTable`] — the dense set of known crashes the single-threaded
+//!   drivers answer per-entry failure checks from.
 //!
 //! # Example
 //!
@@ -41,10 +38,7 @@ pub mod rps;
 pub mod view;
 
 pub use descriptor::Descriptor;
-pub use fd::{
-    DelayedFailureDetector, FailureDetector, FailureTable, FlakyFailureDetector,
-    SharedFailureDetector,
-};
-pub use id::{IdHashMap, IdHashSet, IdHasher, NodeId};
+pub use fd::FailureTable;
+pub use id::{IdHashMap, IdHasher, NodeId};
 pub use rps::PeerSampling;
 pub use view::View;

@@ -8,10 +8,10 @@
 //! picks its *oldest* neighbor, swaps a random subset of its view with it,
 //! and the two merge the received entries preferring fresh descriptors.
 //!
-//! The API is message-oriented (`make_request` / `handle_request` /
-//! `handle_reply`) so the same state machine drives both the round-based
-//! simulator and the threaded runtime. [`shuffle_exchange`] composes the
-//! three steps for engines with direct access to both endpoints.
+//! The API is message-oriented (`make_request_into` /
+//! `handle_request_into` / `handle_reply`), so one state machine serves
+//! every substrate; the caller owns the (typically pooled) message
+//! buffers.
 
 use crate::descriptor::Descriptor;
 use crate::id::NodeId;
@@ -67,11 +67,6 @@ impl<P: Clone> PeerSampling<P> {
         &self.view
     }
 
-    /// Number of descriptors exchanged per shuffle.
-    pub fn shuffle_len(&self) -> usize {
-        self.shuffle_len
-    }
-
     /// Ages the view by one round and returns the shuffle partner for this
     /// round (the oldest neighbor), without removing it yet.
     pub fn begin_round(&mut self) -> Option<NodeId> {
@@ -79,22 +74,10 @@ impl<P: Clone> PeerSampling<P> {
         self.view.oldest().map(|d| d.id)
     }
 
-    /// Builds the shuffle request for `partner`: the partner's entry is
-    /// dropped from the view and the request contains a fresh descriptor of
-    /// the sender plus up to `shuffle_len - 1` random other entries.
-    pub fn make_request<R: Rng + ?Sized>(
-        &mut self,
-        self_descriptor: Descriptor<P>,
-        partner: NodeId,
-        rng: &mut R,
-    ) -> Vec<Descriptor<P>> {
-        let mut out = Vec::new();
-        self.make_request_into(self_descriptor, partner, rng, &mut out);
-        out
-    }
-
-    /// [`PeerSampling::make_request`] appending into a caller-owned
-    /// (typically pooled) buffer. Rng draw sequence is identical.
+    /// Builds the shuffle request for `partner` in `out`: the partner's
+    /// entry is dropped from the view and the request carries up to
+    /// `shuffle_len - 1` random other entries plus a fresh descriptor of
+    /// the sender.
     pub fn make_request_into<R: Rng + ?Sized>(
         &mut self,
         self_descriptor: Descriptor<P>,
@@ -108,22 +91,9 @@ impl<P: Clone> PeerSampling<P> {
         out.push(self_descriptor);
     }
 
-    /// Handles an incoming shuffle request: replies with a random sample of
-    /// the local view and merges the received entries.
-    pub fn handle_request<R: Rng + ?Sized>(
-        &mut self,
-        self_id: NodeId,
-        incoming: &[Descriptor<P>],
-        rng: &mut R,
-    ) -> Vec<Descriptor<P>> {
-        let mut reply = Vec::new();
-        self.handle_request_into(self_id, incoming, rng, &mut reply);
-        reply
-    }
-
-    /// [`PeerSampling::handle_request`] building the reply in a
-    /// caller-owned (typically pooled) buffer. Rng draw sequence is
-    /// identical.
+    /// Handles an incoming shuffle request: builds the reply, a random
+    /// sample of the local view, in `reply` (which must start empty) and
+    /// merges the received entries.
     pub fn handle_request_into<R: Rng + ?Sized>(
         &mut self,
         self_id: NodeId,
@@ -186,50 +156,9 @@ impl<P: Clone> PeerSampling<P> {
         self.view.random(rng).map(|d| d.id)
     }
 
-    /// Up to `n` distinct random peers from the view.
-    pub fn random_peers<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<NodeId> {
-        self.view.sample(n, rng).into_iter().map(|d| d.id).collect()
-    }
-
-    /// Appends up to `n` distinct random peers from the view into `out` —
-    /// the scratch-buffer twin of [`PeerSampling::random_peers`] for hot
-    /// per-round callers. Draws from the RNG exactly as `random_peers`
-    /// does, so seeded histories are identical either way.
+    /// Appends up to `n` distinct random peers from the view into `out`.
     pub fn random_peers_into<R: Rng + ?Sized>(&self, n: usize, rng: &mut R, out: &mut Vec<NodeId>) {
         self.view.sample_ids_into(n, rng, out);
-    }
-}
-
-/// Outcome of a complete pairwise shuffle, for engines that drive both
-/// endpoints directly.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShuffleOutcome {
-    /// Descriptors sent by the initiator.
-    pub sent: usize,
-    /// Descriptors sent back by the responder.
-    pub received: usize,
-}
-
-/// Runs one full Cyclon shuffle between initiator `a` and responder `b`
-/// (both sides merged), returning the exchanged descriptor counts.
-///
-/// The initiator must already have selected `b` via
-/// [`PeerSampling::begin_round`]. Simulators call this directly; the
-/// threaded runtime performs the same three steps over real messages.
-pub fn shuffle_exchange<P: Clone, R: Rng + ?Sized>(
-    a: &mut PeerSampling<P>,
-    a_descriptor: Descriptor<P>,
-    b: &mut PeerSampling<P>,
-    b_id: NodeId,
-    rng: &mut R,
-) -> ShuffleOutcome {
-    let a_id = a_descriptor.id;
-    let request = a.make_request(a_descriptor, b_id, rng);
-    let reply = b.handle_request(b_id, &request, rng);
-    a.handle_reply(a_id, &request, &reply);
-    ShuffleOutcome {
-        sent: request.len(),
-        received: reply.len(),
     }
 }
 
@@ -242,6 +171,25 @@ mod tests {
 
     fn desc(id: u64) -> Descriptor<f64> {
         Descriptor::new(NodeId::new(id), id as f64)
+    }
+
+    /// One full Cyclon shuffle between initiator `a` and responder `b`:
+    /// the three steps a node runs over messages, with both endpoints at
+    /// hand. Returns the number of descriptors `a` sent.
+    fn shuffle<R: Rng + ?Sized>(
+        a: &mut PeerSampling<f64>,
+        a_descriptor: Descriptor<f64>,
+        b: &mut PeerSampling<f64>,
+        b_id: NodeId,
+        rng: &mut R,
+    ) -> usize {
+        let a_id = a_descriptor.id;
+        let mut request = Vec::new();
+        a.make_request_into(a_descriptor, b_id, rng, &mut request);
+        let mut reply = Vec::new();
+        b.handle_request_into(b_id, &request, rng, &mut reply);
+        a.handle_reply(a_id, &request, &reply);
+        request.len()
     }
 
     #[test]
@@ -278,7 +226,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut ps: PeerSampling<f64> = PeerSampling::new(8, 3);
         ps.bootstrap([desc(1), desc(2), desc(3)]);
-        let req = ps.make_request(desc(0), NodeId::new(2), &mut rng);
+        let mut req = Vec::new();
+        ps.make_request_into(desc(0), NodeId::new(2), &mut rng, &mut req);
         assert!(req.iter().any(|d| d.id == NodeId::new(0) && d.age == 0));
         assert!(req.len() <= 3);
         assert!(!ps.view().contains(NodeId::new(2)));
@@ -298,8 +247,8 @@ mod tests {
         let partner = a.begin_round().unwrap();
         assert_eq!(partner, NodeId::new(9));
         // Pretend 9 is b for the exchange mechanics.
-        let out = shuffle_exchange(&mut a, desc(0), &mut b, NodeId::new(9), &mut rng);
-        assert!(out.sent >= 1);
+        let sent = shuffle(&mut a, desc(0), &mut b, NodeId::new(9), &mut rng);
+        assert!(sent >= 1);
         // b learned about a (id 0) or some of a's neighbors.
         assert!(b.view().len() >= 3);
         // a merged b's reply.
@@ -315,7 +264,8 @@ mod tests {
         let mut ps: PeerSampling<f64> = PeerSampling::new(3, 3);
         ps.bootstrap([desc(1), desc(2), desc(3)]);
         let incoming = vec![desc(4), desc(5), desc(0)];
-        let reply = ps.handle_request(NodeId::new(0), &incoming, &mut rng);
+        let mut reply = Vec::new();
+        ps.handle_request_into(NodeId::new(0), &incoming, &mut rng, &mut reply);
         assert!(reply.len() <= 3);
         assert!(ps.view().len() <= 3);
         assert!(!ps.view().contains(NodeId::new(0)));
@@ -352,7 +302,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let mut ps: PeerSampling<f64> = PeerSampling::new(8, 3);
         ps.bootstrap([desc(1), desc(2), desc(3), desc(4)]);
-        let peers = ps.random_peers(3, &mut rng);
+        let mut peers = Vec::new();
+        ps.random_peers_into(3, &mut rng, &mut peers);
         assert_eq!(peers.len(), 3);
         for p in peers {
             assert!(ps.view().contains(p));
@@ -392,7 +343,7 @@ mod tests {
                     let (l, r) = nodes.split_at_mut(i);
                     (&mut r[0], &mut l[j])
                 };
-                shuffle_exchange(left, desc(i as u64), right, partner, &mut rng);
+                shuffle(left, desc(i as u64), right, partner, &mut rng);
             }
         }
         // Every view is full, and collectively the views reference most
@@ -418,7 +369,7 @@ mod tests {
             a.bootstrap(a_ids.iter().map(|&i| desc(i)));
             b.bootstrap(b_ids.iter().map(|&i| desc(i)));
             let partner = a.begin_round().unwrap();
-            shuffle_exchange(&mut a, desc(0), &mut b, partner, &mut rng);
+            shuffle(&mut a, desc(0), &mut b, partner, &mut rng);
             prop_assert!(a.view().len() <= 8);
             prop_assert!(b.view().len() <= 8);
             prop_assert!(!a.view().contains(NodeId::new(0)));

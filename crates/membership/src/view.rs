@@ -53,11 +53,6 @@ impl<P: Clone> View<P> {
         }
     }
 
-    /// The capacity bound.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
     /// Number of descriptors currently held.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -154,17 +149,10 @@ impl<P: Clone> View<P> {
         }
     }
 
-    /// Up to `n` distinct descriptors sampled uniformly at random.
-    pub fn sample<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<Descriptor<P>> {
-        let mut out = Vec::new();
-        self.sample_into(n, rng, &mut out);
-        out
-    }
-
-    /// [`View::sample`] appending into a caller-owned buffer: the index
-    /// permutation lives in thread-local scratch, so steady-state sampling
-    /// does not touch the allocator. The rng draw sequence is identical to
-    /// [`View::sample`] (the shuffle depends only on the view length).
+    /// Appends up to `n` distinct descriptors, sampled uniformly at
+    /// random, into a caller-owned buffer: the index permutation lives in
+    /// thread-local scratch, so steady-state sampling does not touch the
+    /// allocator. The rng draws depend only on the view length.
     pub fn sample_into<R: Rng + ?Sized>(
         &self,
         n: usize,
@@ -182,8 +170,8 @@ impl<P: Clone> View<P> {
     }
 
     /// The ids of up to `n` distinct uniformly sampled descriptors,
-    /// appended into `out` — rng-equivalent to [`View::sample`] without
-    /// cloning any descriptor.
+    /// appended into `out` — rng-equivalent to [`View::sample_into`]
+    /// without cloning any descriptor.
     pub fn sample_ids_into<R: Rng + ?Sized>(&self, n: usize, rng: &mut R, out: &mut Vec<NodeId>) {
         SAMPLE_IDX.with(|cell| {
             let mut idx = cell.borrow_mut();
@@ -193,18 +181,6 @@ impl<P: Clone> View<P> {
             idx.truncate(n);
             out.extend(idx.iter().map(|&i| self.entries[i].id));
         });
-    }
-
-    /// Keeps only the `n` best entries according to `score` (lower is
-    /// better) — the ranked truncation at the heart of T-Man's view merge.
-    pub fn keep_best_by(&mut self, n: usize, mut score: impl FnMut(&Descriptor<P>) -> f64) {
-        self.entries.sort_by(|a, b| score(a).total_cmp(&score(b)));
-        self.entries.truncate(n);
-    }
-
-    /// Drains all entries, leaving the view empty.
-    pub fn drain(&mut self) -> Vec<Descriptor<P>> {
-        std::mem::take(&mut self.entries)
     }
 
     /// Direct access to the underlying entries (read-only).
@@ -302,25 +278,16 @@ mod tests {
             v.insert(d(i, i as f64, 0));
         }
         let mut rng = StdRng::seed_from_u64(1);
-        let s = v.sample(4, &mut rng);
+        let mut s = Vec::new();
+        v.sample_into(4, &mut rng, &mut s);
         assert_eq!(s.len(), 4);
         let mut ids: Vec<_> = s.iter().map(|e| e.id).collect();
         ids.sort();
         ids.dedup();
         assert_eq!(ids.len(), 4);
-        assert_eq!(v.sample(99, &mut rng).len(), 10);
-    }
-
-    #[test]
-    fn keep_best_by_ranks_and_truncates() {
-        let mut v = View::new(10);
-        for i in 0..6 {
-            v.insert(d(i, i as f64, 0));
-        }
-        v.keep_best_by(3, |e| (e.pos - 3.0).abs());
-        let mut ids = v.ids();
-        ids.sort();
-        assert_eq!(ids, vec![NodeId::new(2), NodeId::new(3), NodeId::new(4)]);
+        let mut all = Vec::new();
+        v.sample_into(99, &mut rng, &mut all);
+        assert_eq!(all.len(), 10);
     }
 
     #[test]

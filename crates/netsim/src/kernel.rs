@@ -476,8 +476,10 @@ impl<S: MetricSpace> NetSim<S> {
         self.parallel_runs
     }
 
-    /// Mutable access to the network model (install partitions, tweak a
-    /// custom model mid-run).
+    /// Mutable access to the protocol fabric's network model (install
+    /// partitions, tweak a custom model mid-run). The traffic plane keeps
+    /// its own model; [`Self::set_partition`] / [`Self::heal`] cut and
+    /// restore both planes at once.
     pub fn network_mut(&mut self) -> &mut dyn NetworkModel {
         self.net.as_mut()
     }
@@ -485,14 +487,6 @@ impl<S: MetricSpace> NetSim<S> {
     // ------------------------------------------------------------------
     // Traffic plane — application queries over the live fabric
     // ------------------------------------------------------------------
-
-    /// Mutable access to the traffic plane's network model. Partitions
-    /// installed on the protocol fabric via [`Self::network_mut`] do not
-    /// automatically apply here; [`Self::set_partition`] /
-    /// [`Self::heal`] cut and restore both planes at once.
-    pub fn traffic_network_mut(&mut self) -> &mut dyn NetworkModel {
-        self.traffic_net.as_mut()
-    }
 
     /// Installs a partition on both the protocol and traffic fabrics.
     pub fn set_partition(&mut self, groups: &[Vec<NodeId>]) {

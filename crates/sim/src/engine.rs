@@ -207,11 +207,6 @@ impl<S: MetricSpace> Engine<S> {
         self.poly_enabled = false;
     }
 
-    /// Whether the Polystyrene layer is active.
-    pub fn polystyrene_enabled(&self) -> bool {
-        self.poly_enabled
-    }
-
     /// The current round number (rounds completed so far).
     pub fn round(&self) -> u32 {
         self.round

@@ -112,20 +112,6 @@ pub fn series_rows(series: &[(&str, &[f64])]) -> (Vec<String>, Vec<Vec<String>>)
     (headers, rows)
 }
 
-/// Downsamples a per-round series for compact terminal plots: keeps every
-/// `stride`-th point.
-pub fn downsample(series: &[f64], stride: usize) -> Vec<(usize, f64)> {
-    if stride == 0 {
-        return Vec::new();
-    }
-    series
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| i % stride == 0)
-        .map(|(i, &v)| (i, v))
-        .collect()
-}
-
 /// A crude terminal line plot of one or more series, good enough to see
 /// the shape of Figs. 6 and 7 directly in `cargo bench` output.
 pub fn ascii_plot(title: &str, series: &[(&str, &[f64])], height: usize, width: usize) -> String {
@@ -218,13 +204,6 @@ mod tests {
         assert_eq!(headers, vec!["round", "a", "b"]);
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[2][2], ""); // missing b value at round 2
-    }
-
-    #[test]
-    fn downsample_strides() {
-        let s = [0.0, 1.0, 2.0, 3.0, 4.0];
-        assert_eq!(downsample(&s, 2), vec![(0, 0.0), (2, 2.0), (4, 4.0)]);
-        assert!(downsample(&s, 0).is_empty());
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! paper's evaluation, the parallel offset grid used for the re-injection
 //! phase (Sec. IV-A, Phase 3), and a few other classic overlay shapes.
 
-use rand::Rng;
-
 /// Regular grid of `cols × rows` points with the given `step`, starting at
 /// the origin — the paper's torus shape ("3200 nodes placed on a regular
 /// 80 × 40 grid … distance between two neighboring nodes on the grid is set
@@ -84,33 +82,6 @@ pub fn line_points(n: usize, from: [f64; 2], to: [f64; 2]) -> Vec<[f64; 2]> {
         .collect()
 }
 
-/// `n` points drawn uniformly at random from the rectangle
-/// `[0, width) × [0, height)`.
-pub fn uniform_rect<R: Rng + ?Sized>(
-    n: usize,
-    width: f64,
-    height: f64,
-    rng: &mut R,
-) -> Vec<[f64; 2]> {
-    (0..n)
-        .map(|_| [rng.random_range(0.0..width), rng.random_range(0.0..height)])
-        .collect()
-}
-
-/// Regular 3-D grid of `nx × ny × nz` points with the given step — the
-/// "3D point" data space of the paper's system model.
-pub fn cube_grid(nx: usize, ny: usize, nz: usize, step: f64) -> Vec<[f64; 3]> {
-    let mut pts = Vec::with_capacity(nx * ny * nz);
-    for z in 0..nz {
-        for y in 0..ny {
-            for x in 0..nx {
-                pts.push([x as f64 * step, y as f64 * step, z as f64 * step]);
-            }
-        }
-    }
-    pts
-}
-
 /// Predicate selecting the right half of a `width`-wide torus — the region
 /// killed by the paper's catastrophic failure ("all the 1600 nodes located
 /// in one half of the torus crash", Sec. IV-A Phase 2).
@@ -121,8 +92,6 @@ pub fn in_right_half(width: f64) -> impl Fn(&[f64; 2]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn paper_grid_has_3200_points() {
@@ -175,23 +144,6 @@ mod tests {
         assert_eq!(line_points(1, [2.0, 3.0], [9.0, 9.0]), vec![[2.0, 3.0]]);
         let pts = line_points(3, [0.0, 0.0], [2.0, 4.0]);
         assert_eq!(pts, vec![[0.0, 0.0], [1.0, 2.0], [2.0, 4.0]]);
-    }
-
-    #[test]
-    fn uniform_rect_respects_bounds() {
-        let mut rng = StdRng::seed_from_u64(11);
-        for p in uniform_rect(500, 80.0, 40.0, &mut rng) {
-            assert!((0.0..80.0).contains(&p[0]));
-            assert!((0.0..40.0).contains(&p[1]));
-        }
-    }
-
-    #[test]
-    fn cube_grid_size_and_corners() {
-        let g = cube_grid(2, 3, 4, 1.5);
-        assert_eq!(g.len(), 24);
-        assert_eq!(g[0], [0.0, 0.0, 0.0]);
-        assert_eq!(*g.last().unwrap(), [1.5, 3.0, 4.5]);
     }
 
     #[test]

@@ -2,19 +2,15 @@
 //!
 //! "Topology construction protocols seek to self-organize a network so that
 //! each node ends up connected to its k closest nodes" (paper Sec. II-B).
-//! Polystyrene is an add-on layer that works over *any* such protocol
-//! (paper Fig. 3); this crate provides the two the paper names:
+//! Polystyrene is an add-on layer over such a protocol (paper Fig. 3); this
+//! crate provides the one the paper evaluates (Sec. IV):
 //!
 //! * [`tman::TMan`] — T-Man (Jelasity, Montresor, Babaoglu — the paper's
-//!   reference \[1\] and the protocol of its evaluation): ranked gossip
-//!   exchanges of the `m` best descriptors with a partner drawn from the
-//!   `ψ` closest neighbors;
-//! * [`vicinity::Vicinity`] — a Vicinity-style variant (Voulgaris & van
-//!   Steen, reference \[2\]) that mixes random peers into both partner
-//!   selection and exchanged buffers;
-//! * [`TopologyConstruction`] — the trait Polystyrene programs against, so
-//!   the layer above never depends on which protocol runs below (the
-//!   paper's modularity claim, Sec. II-C).
+//!   reference \[1\]): ranked gossip exchanges of the `m` best descriptors
+//!   with a partner drawn from the `ψ` closest neighbors;
+//! * [`TopologyConstruction`] — T-Man's interface as the stack calls it;
+//! * [`rank`] — the distance-ranking kernels behind T-Man's view, and the
+//!   spatial-grid candidate index the census uses.
 //!
 //! # Example
 //!
@@ -39,8 +35,6 @@
 pub mod rank;
 pub mod tman;
 pub mod traits;
-pub mod vicinity;
 
 pub use tman::{tman_exchange, ExchangeStats, TMan, TManConfig};
 pub use traits::TopologyConstruction;
-pub use vicinity::{Vicinity, VicinityConfig};

@@ -1,4 +1,4 @@
-//! Distance-ranking helpers shared by the topology protocols, and the
+//! Distance-ranking kernels behind T-Man's view, and the
 //! spatial-grid candidate index that scales global nearest-neighbor
 //! queries past the exhaustive-scan wall.
 //!
@@ -11,9 +11,8 @@
 //!   are needed, a linear-time partial selection bounds the sort to the
 //!   `k`-prefix.
 
-use polystyrene_membership::{Descriptor, IdHashMap, NodeId};
+use polystyrene_membership::{Descriptor, NodeId};
 use polystyrene_space::{GridSpec, MetricSpace};
-use std::collections::hash_map::Entry;
 
 // Reusable decorate-sort-undecorate buffer, one per thread.
 //
@@ -43,42 +42,10 @@ fn with_rank_keys<S: MetricSpace, R>(
     })
 }
 
-/// Returns the indices of `descriptors` sorted by increasing distance to
-/// `target`, ties broken by node id for determinism.
-///
-/// Distances are evaluated once per descriptor (decorate–sort–undecorate),
-/// not inside the comparator.
-pub fn ranked_indices<S: MetricSpace>(
-    space: &S,
-    target: &S::Point,
-    descriptors: &[Descriptor<S::Point>],
-) -> Vec<usize> {
-    with_rank_keys(space, target, descriptors, |keyed| {
-        keyed.sort_unstable_by(compare_keys);
-        keyed.iter().map(|&(_, _, i)| i).collect()
-    })
-}
-
-/// Returns the indices of the `k` descriptors closest to `target`, in
-/// increasing distance order (ties by node id). Equivalent to
-/// `ranked_indices(..).truncate(k)` but runs in `O(n + k log k)` via
-/// partial selection instead of a full sort.
-pub fn k_ranked_indices<S: MetricSpace>(
-    space: &S,
-    target: &S::Point,
-    descriptors: &[Descriptor<S::Point>],
-    k: usize,
-) -> Vec<usize> {
-    with_rank_keys(space, target, descriptors, |keyed| {
-        select_k(keyed, k);
-        keyed.iter().map(|&(_, _, i)| i).collect()
-    })
-}
-
-/// Ranks like [`k_ranked_indices`] but never materializes the index
-/// vector: `choose` receives the number of ranked candidates
-/// (`min(k, len)`) and returns the rank to pick; the corresponding
-/// descriptor index is returned. `None` on an empty input, with `choose`
+/// Ranks the `k` descriptors closest to `target` (ties by node id)
+/// without materializing an index vector: `choose` receives the number
+/// of ranked candidates (`min(k, len)`) and returns the rank to pick; the
+/// corresponding descriptor index is returned. `None` on an empty input, with `choose`
 /// never called — the allocation-free partner-selection path, which
 /// runs once per node per gossip round.
 pub fn choose_ranked<S: MetricSpace>(
@@ -354,43 +321,6 @@ impl<S: MetricSpace> GridIndex<S> {
         best
     }
 
-    /// The `k` entries nearest to `q`, in increasing distance order (ties
-    /// by handle). Exact, like [`GridIndex::nearest`].
-    pub fn k_nearest(&self, q: &S::Point, k: usize) -> Vec<(u64, f64)> {
-        if self.entries.is_empty() || k == 0 {
-            return Vec::new();
-        }
-        let (qx, qy) = self
-            .space
-            .grid_cell(q, &self.spec)
-            .expect("index exists, so the space grids points");
-        let mut found: Vec<(u64, f64)> = Vec::new();
-        let unit = self.spec.min_cell_extent();
-        let max_radius = self.max_ring_radius();
-        for radius in 0..=max_radius {
-            if found.len() >= k && unit > 0.0 && radius >= 1 {
-                let kth = found[k - 1].1;
-                if (radius - 1) as f64 * unit > kth {
-                    break;
-                }
-            }
-            self.for_ring_cells(qx, qy, radius, |cell| {
-                for &ei in &self.cells[cell] {
-                    let (handle, pos) = &self.entries[ei as usize];
-                    let d = self.space.distance(q, pos);
-                    found.push((*handle, d));
-                }
-            });
-            found.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-            // Truncating to k is exact: anything discarded ranks strictly
-            // after the kept k-th entry by (distance, handle), and later
-            // rings can only improve that k-th entry — a discarded entry
-            // can never re-enter the final top-k.
-            found.truncate(k);
-        }
-        found
-    }
-
     /// Largest Chebyshev ring radius that can still reach new cells.
     fn max_ring_radius(&self) -> usize {
         let x_reach = if self.spec.wrap_x {
@@ -483,60 +413,6 @@ fn wrap_or_clip(c: isize, n: usize, wrap: bool) -> Option<usize> {
     } else {
         None
     }
-}
-
-/// Deduplicates descriptors by id, keeping the freshest (lowest age) copy
-/// of each node — essential because Polystyrene nodes move, so stale
-/// descriptors carry wrong positions.
-pub fn dedup_freshest<P: Clone>(mut descriptors: Vec<Descriptor<P>>) -> Vec<Descriptor<P>> {
-    dedup_freshest_in_place(&mut descriptors);
-    descriptors
-}
-
-/// In-place [`dedup_freshest`]: first-occurrence order is preserved and a
-/// duplicate replaces the kept copy only when strictly fresher (lower
-/// age). The id→slot map makes each lookup O(1) and the compaction swaps
-/// elements instead of reallocating.
-pub fn dedup_freshest_in_place<P>(descriptors: &mut Vec<Descriptor<P>>) {
-    thread_local! {
-        static SLOT_SCRATCH: std::cell::RefCell<IdHashMap<NodeId, usize>> =
-            std::cell::RefCell::new(IdHashMap::default());
-    }
-    SLOT_SCRATCH.with(|cell| {
-        let mut slot_by_id = cell.borrow_mut();
-        slot_by_id.clear();
-        slot_by_id.reserve(descriptors.len());
-        dedup_freshest_with(descriptors, &mut slot_by_id);
-    });
-}
-
-fn dedup_freshest_with<P>(
-    descriptors: &mut Vec<Descriptor<P>>,
-    slot_by_id: &mut IdHashMap<NodeId, usize>,
-) {
-    let mut w = 0;
-    for r in 0..descriptors.len() {
-        match slot_by_id.entry(descriptors[r].id) {
-            Entry::Occupied(e) => {
-                let slot = *e.get();
-                if descriptors[r].age < descriptors[slot].age {
-                    descriptors.swap(slot, r);
-                }
-            }
-            Entry::Vacant(e) => {
-                e.insert(w);
-                descriptors.swap(w, r);
-                w += 1;
-            }
-        }
-    }
-    descriptors.truncate(w);
-}
-
-/// Removes descriptors whose id equals `self_id` (a node never keeps a
-/// descriptor of itself in its own view).
-pub fn drop_self<P>(descriptors: &mut Vec<Descriptor<P>>, self_id: NodeId) {
-    descriptors.retain(|d| d.id != self_id);
 }
 
 /// Folds a single descriptor into a view that is already deduplicated and
@@ -667,26 +543,34 @@ pub fn merge_capped<S: MetricSpace>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use polystyrene_membership::IdHashMap;
     use polystyrene_space::prelude::*;
     use proptest::prelude::*;
+    use std::collections::hash_map::Entry;
 
     fn d(id: u64, x: f64) -> Descriptor<[f64; 2]> {
         Descriptor::new(NodeId::new(id), [x, 0.0])
     }
 
+    fn ranked_ids(ds: &[Descriptor<[f64; 2]>]) -> Vec<u64> {
+        let mut ids = Vec::new();
+        for_k_closest(&Euclidean2, &[0.0, 0.0], ds, ds.len(), |e| {
+            ids.push(e.id.as_u64())
+        });
+        ids
+    }
+
     #[test]
     fn ranks_by_distance() {
         let ds = vec![d(1, 5.0), d(2, 1.0), d(3, 3.0)];
-        let idx = ranked_indices(&Euclidean2, &[0.0, 0.0], &ds);
-        assert_eq!(idx, vec![1, 2, 0]);
+        assert_eq!(ranked_ids(&ds), vec![2, 3, 1]);
     }
 
     #[test]
     fn rank_ties_break_by_id() {
         let ds = vec![d(9, 1.0), d(2, -1.0), d(5, 1.0)];
-        let idx = ranked_indices(&Euclidean2, &[0.0, 0.0], &ds);
-        // all at distance 1; order by id: 2, 5, 9 -> indices 1, 2, 0
-        assert_eq!(idx, vec![1, 2, 0]);
+        // all at distance 1; order by id
+        assert_eq!(ranked_ids(&ds), vec![2, 5, 9]);
     }
 
     #[test]
@@ -709,12 +593,12 @@ mod tests {
 
     #[test]
     fn dedup_keeps_freshest() {
-        let ds = vec![
+        let mut out = vec![
             Descriptor::with_age(NodeId::new(1), [0.0, 0.0], 4),
             Descriptor::with_age(NodeId::new(1), [9.0, 0.0], 1),
             Descriptor::with_age(NodeId::new(2), [2.0, 0.0], 0),
         ];
-        let out = dedup_freshest(ds);
+        dedup_freshest_in_place(&mut out);
         assert_eq!(out.len(), 2);
         let one = out.iter().find(|e| e.id == NodeId::new(1)).unwrap();
         assert_eq!(one.pos, [9.0, 0.0]);
@@ -732,6 +616,54 @@ mod tests {
     // ------------------------------------------------------------------
     // The capped merges against the pipeline they replaced
     // ------------------------------------------------------------------
+
+    /// Deduplicates descriptors by id in place, keeping the freshest copy
+    /// of each node: first-occurrence order is preserved and a duplicate
+    /// replaces the kept copy only when strictly fresher (lower age). The
+    /// id→slot map makes each lookup O(1) and the compaction swaps
+    /// elements instead of reallocating. Kept here as the reference only.
+    fn dedup_freshest_in_place<P>(descriptors: &mut Vec<Descriptor<P>>) {
+        thread_local! {
+            static SLOT_SCRATCH: std::cell::RefCell<IdHashMap<NodeId, usize>> =
+                std::cell::RefCell::new(IdHashMap::default());
+        }
+        SLOT_SCRATCH.with(|cell| {
+            let mut slot_by_id = cell.borrow_mut();
+            slot_by_id.clear();
+            slot_by_id.reserve(descriptors.len());
+            dedup_freshest_with(descriptors, &mut slot_by_id);
+        });
+    }
+
+    fn dedup_freshest_with<P>(
+        descriptors: &mut Vec<Descriptor<P>>,
+        slot_by_id: &mut IdHashMap<NodeId, usize>,
+    ) {
+        let mut w = 0;
+        for r in 0..descriptors.len() {
+            match slot_by_id.entry(descriptors[r].id) {
+                Entry::Occupied(e) => {
+                    let slot = *e.get();
+                    if descriptors[r].age < descriptors[slot].age {
+                        descriptors.swap(slot, r);
+                    }
+                }
+                Entry::Vacant(e) => {
+                    e.insert(w);
+                    descriptors.swap(w, r);
+                    w += 1;
+                }
+            }
+        }
+        descriptors.truncate(w);
+    }
+
+    /// Removes descriptors whose id equals `self_id` (a node never keeps a
+    /// descriptor of itself in its own view). Kept here as the reference
+    /// only.
+    fn drop_self<P>(descriptors: &mut Vec<Descriptor<P>>, self_id: NodeId) {
+        descriptors.retain(|d| d.id != self_id);
+    }
 
     /// The ranked truncation `TMan::integrate` ran until the in-place
     /// merge, verbatim: keeps the `k` closest (distance, ties by id) in
@@ -854,20 +786,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn k_ranked_matches_full_rank_prefix() {
-        let ds: Vec<_> = [5.0, 1.0, 3.0, -2.0, 8.0, 0.5, -7.0]
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| d(i as u64, x))
-            .collect();
-        let full = ranked_indices(&Euclidean2, &[0.0, 0.0], &ds);
-        for k in 0..=ds.len() + 2 {
-            let partial = k_ranked_indices(&Euclidean2, &[0.0, 0.0], &ds, k);
-            assert_eq!(partial, full[..k.min(ds.len())], "k = {k}");
-        }
-    }
-
     // ------------------------------------------------------------------
     // GridIndex: exactness against the exhaustive scan it replaces
     // ------------------------------------------------------------------
@@ -941,30 +859,12 @@ mod tests {
     }
 
     #[test]
-    fn grid_k_nearest_matches_sorted_exhaustive() {
-        let space = Torus2::new(40.0, 20.0);
-        let entries = torus_cloud(300, 40.0, 20.0, 5);
-        let index = GridIndex::build(&space, entries.clone()).unwrap();
-        for (_, q) in torus_cloud(50, 40.0, 20.0, 6) {
-            let got: Vec<u64> = index.k_nearest(&q, 7).into_iter().map(|(h, _)| h).collect();
-            let mut all: Vec<(u64, f64)> = entries
-                .iter()
-                .map(|(h, p)| (*h, space.distance(&q, p)))
-                .collect();
-            all.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-            let want: Vec<u64> = all.into_iter().take(7).map(|(h, _)| h).collect();
-            assert_eq!(got, want, "query {q:?}");
-        }
-    }
-
-    #[test]
     fn grid_empty_and_unsupported_spaces() {
         let space = Torus2::new(10.0, 10.0);
         let empty: Vec<(u64, [f64; 2])> = Vec::new();
         let index = GridIndex::build(&space, empty).unwrap();
         assert!(index.is_empty());
         assert_eq!(index.nearest(&[1.0, 1.0]), None);
-        assert!(index.k_nearest(&[1.0, 1.0], 3).is_empty());
         // Euclidean space is unbounded: no grid decomposition.
         assert!(GridIndex::build(&Euclidean2, vec![(0u64, [0.0, 0.0])]).is_none());
     }

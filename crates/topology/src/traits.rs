@@ -1,16 +1,18 @@
-//! The protocol-agnostic interface Polystyrene programs against.
+//! T-Man's interface, as the layers above it call it.
 
 use polystyrene_membership::{Descriptor, NodeId};
 use polystyrene_space::MetricSpace;
 use rand::Rng;
 
-/// A decentralized topology-construction protocol, as seen from the layers
-/// above it (paper Fig. 3: Polystyrene only consumes "Neighbours" from this
-/// layer and feeds it a "Node position").
+/// The topology-construction layer as the rest of the stack calls it
+/// (paper Fig. 3: Polystyrene only consumes "Neighbours" from this layer
+/// and feeds it a "Node position"). [`crate::TMan`] is its one
+/// implementation; the paper argues the layer above could sit on any
+/// such protocol (Sec. II-C) but evaluates on T-Man alone (Sec. IV).
 ///
-/// Implementations are *passive state machines*: an external driver (the
-/// round-based simulator or the threaded runtime) owns scheduling and
-/// message delivery, which keeps protocols testable in isolation.
+/// T-Man is a *passive state machine*: an external driver (the cycle
+/// engine, the event kernel or a live node loop) owns scheduling and
+/// message delivery, which keeps the protocol testable in isolation.
 pub trait TopologyConstruction<S: MetricSpace> {
     /// Ages the local view by one round (descriptor staleness bookkeeping).
     fn begin_round(&mut self);
@@ -20,8 +22,7 @@ pub trait TopologyConstruction<S: MetricSpace> {
     fn closest(&self, pos: &S::Point, k: usize) -> Vec<Descriptor<S::Point>>;
 
     /// Selects the gossip partner for this round given the node's current
-    /// position (T-Man: random among the ψ closest; Vicinity: mixes a
-    /// random peer in).
+    /// position (T-Man: random among the ψ closest).
     fn select_partner<R: Rng + ?Sized>(&self, pos: &S::Point, rng: &mut R) -> Option<NodeId>;
 
     /// Merges descriptors into the view: deduplicate by id keeping the

@@ -7,8 +7,8 @@
 //! | layer | crate | contents |
 //! |---|---|---|
 //! | spaces | [`space`] | metric spaces, medoids, diameters, shapes, stats |
-//! | membership | [`membership`] | node ids, gossip views, RPS, failure detectors |
-//! | topology | [`topology`] | T-Man, Vicinity |
+//! | membership | [`membership`] | node ids, gossip views, RPS, the drivers' failure table |
+//! | topology | [`topology`] | T-Man, distance ranking, the spatial-grid index |
 //! | **core** | [`core`] | the Polystyrene layer (projection, backup, recovery, migration, splits) |
 //! | **protocol** | [`protocol`] | the sans-IO per-node state machine, the deterministic drivers' shared population (founding, joins, query entry) + shared scenario scripts |
 //! | simulation | [`sim`] | cycle-driven engine + every paper experiment |
@@ -65,14 +65,12 @@ pub mod prelude {
         ExperimentSummary, ExperimentTrace, LabConfig, LiveSubstrate, Substrate, SubstrateKind,
         TrafficLoad,
     };
-    pub use polystyrene_membership::{Descriptor, FailureDetector, NodeId, PeerSampling, View};
+    pub use polystyrene_membership::{Descriptor, NodeId, PeerSampling, View};
     pub use polystyrene_netsim::{NetRoundMetrics, NetSim, NetSimConfig};
     pub use polystyrene_protocol::prelude::*;
     pub use polystyrene_runtime::{Cluster, RuntimeConfig};
     pub use polystyrene_sim::prelude::*;
     pub use polystyrene_space::prelude::*;
-    pub use polystyrene_topology::{
-        TMan, TManConfig, TopologyConstruction, Vicinity, VicinityConfig,
-    };
+    pub use polystyrene_topology::{TMan, TManConfig, TopologyConstruction};
     pub use polystyrene_transport::{TcpCluster, TcpConfig};
 }
