@@ -39,7 +39,7 @@ const MOMENTS: [(&str, i64); 4] = [
 ];
 
 fn main() {
-    let args = CommonArgs::parse(CommonArgs {
+    let args = CommonArgs::parse_engine_only(CommonArgs {
         cols: 40,
         rows: 20,
         traffic_rate: 400,
@@ -60,7 +60,10 @@ fn main() {
     );
 
     let mut rows: Vec<Vec<String>> = Vec::new();
-    for (name, tman_only) in [("Polystyrene_K4", false), ("TMan", true)] {
+    for (name, tman_only) in [
+        (format!("Polystyrene_K{}", args.k), false),
+        ("TMan".into(), true),
+    ] {
         let mut cfg = args.lab_config(SplitStrategy::Advanced);
         cfg.area = paper.area();
         cfg.tman_only = tman_only;
@@ -82,7 +85,7 @@ fn main() {
         for (moment, offset) in MOMENTS {
             let o = &trace.observations[(i64::from(paper.failure_round) + offset) as usize];
             rows.push(vec![
-                name.to_string(),
+                name.clone(),
                 moment.to_string(),
                 format!("{:.1}", o.traffic.availability() * 100.0),
                 format!("{:.2}", o.traffic.mean_hops),

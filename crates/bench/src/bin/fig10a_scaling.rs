@@ -21,10 +21,10 @@
 
 use polystyrene::prelude::SplitStrategy;
 use polystyrene_bench::{
-    json_f64, render_reshaping_table, scaling_sizes, scaling_sweep, CommonArgs, ReshapingRow,
+    json_f64, render_reshaping_table, reshaping_row, scaling_sizes, CommonArgs, ReshapingRow,
 };
 use polystyrene_lab::SubstrateKind;
-use polystyrene_sim::prelude::write_csv;
+use polystyrene_sim::prelude::{write_csv, PaperScenario};
 
 /// The machine-readable sweep artifact: per-row wall-clock in a
 /// `wall_secs` object plus per-row reshaping means as `entries`, the
@@ -90,15 +90,16 @@ fn main() {
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
     let mut sweeps: Vec<(usize, Vec<ReshapingRow>)> = Vec::new();
     for &k in &[8usize, 4, 2] {
-        let rows = scaling_sweep(
-            args.substrate,
-            &sizes,
-            k,
-            SplitStrategy::Advanced,
-            args.runs,
-            &args.lab_config(SplitStrategy::Advanced),
-            60,
-        );
+        let mut cfg = args.lab_config(SplitStrategy::Advanced);
+        cfg.poly.replication = k;
+        let rows: Vec<_> = sizes
+            .iter()
+            .map(|&(cols, rows)| {
+                let paper = PaperScenario::reshaping_only(cols, rows, 20, 60);
+                let label = format!("{} nodes", cols * rows);
+                reshaping_row(args.substrate, &paper, &cfg, args.runs, label)
+            })
+            .collect();
         println!(
             "{}",
             render_reshaping_table(

@@ -9,9 +9,9 @@
 //! ```
 
 use polystyrene::prelude::SplitStrategy;
-use polystyrene_bench::{render_reshaping_table, scaling_sizes, scaling_sweep, CommonArgs};
+use polystyrene_bench::{render_reshaping_table, reshaping_row, scaling_sizes, CommonArgs};
 use polystyrene_lab::SubstrateKind;
-use polystyrene_sim::prelude::write_csv;
+use polystyrene_sim::prelude::{write_csv, PaperScenario};
 
 // Runs on any execution substrate via `--substrate` (default: engine).
 
@@ -40,15 +40,15 @@ fn main() {
 
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
     for strategy in SplitStrategy::ALL {
-        let rows = scaling_sweep(
-            args.substrate,
-            &sizes,
-            args.k,
-            strategy,
-            args.runs,
-            &args.lab_config(strategy),
-            80,
-        );
+        let cfg = args.lab_config(strategy);
+        let rows: Vec<_> = sizes
+            .iter()
+            .map(|&(cols, rows)| {
+                let paper = PaperScenario::reshaping_only(cols, rows, 20, 80);
+                let label = format!("{} nodes", cols * rows);
+                reshaping_row(args.substrate, &paper, &cfg, args.runs, label)
+            })
+            .collect();
         println!(
             "{}",
             render_reshaping_table(&format!("Fig. 10b — {strategy}"), &rows)

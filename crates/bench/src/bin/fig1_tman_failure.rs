@@ -18,7 +18,7 @@
 
 use polystyrene::prelude::SplitStrategy;
 use polystyrene_bench::{run_summary, CommonArgs};
-use polystyrene_lab::run_experiment;
+use polystyrene_lab::{build_engine, run_experiment, LabConfig};
 use polystyrene_protocol::{PaperScenario, Scenario, ScenarioEvent};
 use polystyrene_sim::prelude::*;
 use polystyrene_space::torus::Torus2;
@@ -38,11 +38,11 @@ fn main() {
     // snapshots need engine internals), driven segment by segment
     // through the one experiment driver.
     // ------------------------------------------------------------------
-    let mut cfg = EngineConfig::default();
+    let mut cfg = LabConfig::default();
     cfg.area = paper.area();
     cfg.seed = args.seed;
-    let mut engine = Engine::new(Torus2::new(w, h), paper.shape(), cfg);
-    engine.disable_polystyrene();
+    cfg.tman_only = true;
+    let mut engine = build_engine(Torus2::new(w, h), paper.shape(), &cfg);
 
     let cells_x = args.cols.min(72);
     let cells_y = args.rows.min(24);

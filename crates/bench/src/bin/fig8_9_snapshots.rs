@@ -1,9 +1,10 @@
 //! **Figures 8 & 9** — visual repair and reinjection snapshots.
 //!
-//! Fig. 8: Polystyrene (K=4) two rounds after the half-torus failure
-//! (repair started) and eight rounds after (repair complete). Fig. 9: the
-//! overlay 25 rounds after fresh nodes are re-injected, under T-Man alone
-//! vs under Polystyrene.
+//! Fig. 8: Polystyrene (K = `--k`, default 4) two rounds after the
+//! half-torus failure (repair started) and eight rounds after (repair
+//! complete). Fig. 9: the overlay 25 rounds after fresh nodes are
+//! re-injected, under T-Man alone vs under Polystyrene. Engine only
+//! (the snapshots read engine internals).
 //!
 //! ```sh
 //! cargo run --release -p polystyrene-bench --bin fig8_9_snapshots -- \
@@ -11,13 +12,14 @@
 //! ```
 
 use polystyrene::prelude::SplitStrategy;
-use polystyrene_bench::{experiment_config, CommonArgs};
+use polystyrene_bench::CommonArgs;
+use polystyrene_lab::build_engine;
 use polystyrene_sim::prelude::*;
 use polystyrene_space::shapes;
 use polystyrene_space::torus::Torus2;
 
 fn main() {
-    let args = CommonArgs::parse(CommonArgs {
+    let args = CommonArgs::parse_engine_only(CommonArgs {
         cols: 40,
         rows: 20,
         ..Default::default()
@@ -39,13 +41,14 @@ fn main() {
             .expect("failed to write CSV");
     };
 
-    for (name, tman_only) in [("Polystyrene_K4", false), ("TMan", true)] {
-        let mut cfg = experiment_config(args.k, SplitStrategy::Advanced, args.seed);
+    for (name, tman_only) in [
+        (format!("Polystyrene_K{}", args.k), false),
+        ("TMan".into(), true),
+    ] {
+        let mut cfg = args.lab_config(SplitStrategy::Advanced);
         cfg.area = paper.area();
-        let mut engine = Engine::new(Torus2::new(w, h), paper.shape(), cfg);
-        if tman_only {
-            engine.disable_polystyrene();
-        }
+        cfg.tman_only = tman_only;
+        let mut engine = build_engine(Torus2::new(w, h), paper.shape(), &cfg);
         engine.run(paper.failure_round);
         engine.fail_original_region(&shapes::in_right_half(w));
         if !tman_only {

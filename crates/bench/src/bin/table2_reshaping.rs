@@ -13,7 +13,7 @@
 //! ```
 
 use polystyrene::prelude::SplitStrategy;
-use polystyrene_bench::{render_reshaping_table, table2_row, CommonArgs};
+use polystyrene_bench::{render_reshaping_table, reshaping_row, CommonArgs};
 use polystyrene_sim::prelude::*;
 
 // `--substrate` picks the backend; `--net-*` flags reach the ones that
@@ -36,14 +36,9 @@ fn main() {
     let rows: Vec<_> = [2usize, 4, 8]
         .iter()
         .map(|&k| {
-            table2_row(
-                args.substrate,
-                &paper,
-                k,
-                SplitStrategy::Advanced,
-                args.runs,
-                &args.lab_config(SplitStrategy::Advanced),
-            )
+            let mut cfg = args.lab_config(SplitStrategy::Advanced);
+            cfg.poly.replication = k;
+            reshaping_row(args.substrate, &paper, &cfg, args.runs, format!("K={k}"))
         })
         .collect();
     println!(

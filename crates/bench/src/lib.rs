@@ -1,8 +1,18 @@
-//! Shared harness code for the experiment binaries and Criterion benches.
+//! Shared harness code for the experiment binaries.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! (the README's "Reproducing the paper's figures" lists them) and
-//! accepts the same flags:
+//! Every binary in `src/bin/` regenerates one table or figure of the
+//! paper, an ablation or an extension (the README's "Reproducing the
+//! paper's figures" lists them):
+//!
+//! * paper: `fig1_tman_failure`, `fig6_7_quality`, `fig8_9_snapshots`,
+//!   `table2_reshaping`, `fig10a_scaling`, `fig10b_split`;
+//! * ablations: `ablation` (projection, K, backup placement);
+//! * extensions: `ext_routing_recovery`, `substrate_matrix`,
+//!   `fig_loss_latency`, `fig_traffic`, `fig_traffic_scale`,
+//!   `fig_tcp_loopback`;
+//! * `baseline_diff`, the CI gate over their JSON artifacts.
+//!
+//! The figure binaries accept the same flags:
 //!
 //! ```text
 //! --cols N        torus grid columns    (default: figure-specific)
@@ -14,10 +24,15 @@
 //! --substrate S   execution substrate: engine|netsim|cluster|tcp
 //! ```
 //!
-//! The figure benches drive whatever `--substrate` names through the
-//! unified experiment plane (`polystyrene-lab`): one `Substrate` seam,
-//! one scenario driver, one observation record — so every scenario runs
-//! on every substrate.
+//! They drive whatever `--substrate` names through the unified
+//! experiment plane (`polystyrene-lab`): one `Substrate` seam, one
+//! scenario driver, one observation record — so every scenario runs on
+//! every substrate. The three that read engine internals
+//! (`fig6_7_quality`, `fig8_9_snapshots`, `ext_routing_recovery`) reject
+//! any other substrate. The only bench target, `benches/microbench.rs`,
+//! times the algorithmic kernels and gates allocations and live heap;
+//! wall-clock timing of whole runs lives in the repo benchmark
+//! (`benchmark/`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,10 +41,11 @@ pub mod minijson;
 
 use polystyrene::prelude::{PolystyreneConfig, SplitStrategy};
 use polystyrene_lab::{
-    build_substrate, run_experiment, ExperimentSummary, LabConfig, SubstrateKind, TrafficDist,
+    build_engine, build_substrate, run_experiment, ExperimentSummary, LabConfig, SeriesStats,
+    SubstrateKind, TrafficDist,
 };
 use polystyrene_sim::prelude::*;
-use polystyrene_space::stats::{ci95, ConfidenceInterval, SeriesAccumulator};
+use polystyrene_space::stats::{ci95, ConfidenceInterval};
 use polystyrene_space::torus::Torus2;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
@@ -106,6 +122,17 @@ const COMMON_KEYS: [&str; 15] = [
     "traffic-dist",
 ];
 
+/// The usage line: every accepted flag, sorted.
+fn usage(extra_keys: &[&str]) -> String {
+    let mut keys: Vec<String> = COMMON_KEYS
+        .iter()
+        .chain(extra_keys.iter())
+        .map(|k| format!("--{k}"))
+        .collect();
+    keys.sort();
+    format!("accepted flags (each takes a value): {}", keys.join(" "))
+}
+
 impl Default for CommonArgs {
     fn default() -> Self {
         Self {
@@ -162,16 +189,31 @@ impl CommonArgs {
         Self::parse_argv(defaults, extra_keys, std::env::args().skip(1).collect())
     }
 
+    /// [`CommonArgs::parse`] for the figures that read engine internals
+    /// (proximity, snapshots, the T-Man baseline) and so run on the
+    /// cycle engine only.
+    ///
+    /// # Panics
+    ///
+    /// As [`CommonArgs::parse`], and also when `--substrate` names
+    /// anything but `engine`: the flag must never silently yield engine
+    /// numbers.
+    pub fn parse_engine_only(defaults: CommonArgs) -> Self {
+        Self::parse(defaults).require_engine()
+    }
+
+    fn require_engine(self) -> Self {
+        assert!(
+            self.substrate == SubstrateKind::Engine,
+            "--substrate {}: this figure reads engine internals and runs on the engine only\n{}",
+            self.substrate,
+            usage(&[])
+        );
+        self
+    }
+
     fn parse_argv(defaults: CommonArgs, extra_keys: &[&str], argv: Vec<String>) -> Self {
-        let usage = || {
-            let mut keys: Vec<String> = COMMON_KEYS
-                .iter()
-                .chain(extra_keys.iter())
-                .map(|k| format!("--{k}"))
-                .collect();
-            keys.sort();
-            format!("accepted flags (each takes a value): {}", keys.join(" "))
-        };
+        let usage = || usage(extra_keys);
         let mut args = defaults;
         let mut seen: HashSet<String> = HashSet::new();
         let mut i = 0;
@@ -303,113 +345,30 @@ impl CommonArgs {
     }
 }
 
-/// The engine configuration used by engine-specific experiments unless
-/// overridden: paper parameters, with the replication factor and split
-/// strategy applied on top.
-pub fn experiment_config(k: usize, split: SplitStrategy, seed: u64) -> EngineConfig {
-    let mut cfg = EngineConfig::default();
-    cfg.poly = PolystyreneConfig::builder()
-        .replication(k)
-        .split(split)
-        .build();
-    cfg.seed = seed;
-    cfg
-}
-
-/// Which protocol stack a comparison run uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StackKind {
-    /// The full stack: Polystyrene over T-Man over RPS.
-    Polystyrene,
-    /// T-Man alone (the paper's baseline): equivalent to Polystyrene with
-    /// migration, backup and recovery disabled. Engine-only.
-    TManOnly,
-}
-
-/// Aggregated engine series of repeated runs — the per-round curves of
-/// the quality/overhead figures (6 and 7), which need the
-/// engine-internal metrics (proximity, cost split) on top of the
-/// unified observations. The driving still goes through the one lab
-/// code path; only the series extraction reads the engine history.
-#[derive(Clone, Debug, Default)]
-pub struct QualityResult {
-    /// Per-round homogeneity across runs.
-    pub homogeneity: SeriesAccumulator,
-    /// Per-round proximity across runs.
-    pub proximity: SeriesAccumulator,
-    /// Per-round stored points per node across runs.
-    pub points_per_node: SeriesAccumulator,
-    /// Per-round message cost per node across runs.
-    pub cost_per_node: SeriesAccumulator,
-    /// Per-round reference homogeneity (population-driven, identical
-    /// across runs with the same scenario).
-    pub reference_homogeneity: Vec<f64>,
-    /// Reshaping time of each run that reshaped, in rounds.
-    pub reshaping_times: Vec<f64>,
-    /// Number of runs that never reshaped within the scenario.
-    pub unreshaped_runs: usize,
-    /// Reliability of each run.
-    pub reliabilities: Vec<f64>,
-}
-
-impl QualityResult {
-    /// Mean ± CI95 of the reshaping time (over runs that reshaped).
-    pub fn reshaping_ci(&self) -> ConfidenceInterval {
-        ci95(&self.reshaping_times)
-    }
-
-    /// Mean ± CI95 of the reliability, in percent (Table II convention).
-    pub fn reliability_percent_ci(&self) -> ConfidenceInterval {
-        let percents: Vec<f64> = self.reliabilities.iter().map(|r| r * 100.0).collect();
-        ci95(&percents)
-    }
-}
-
-/// Runs the three-phase paper scenario for one `(stack, K)`
-/// configuration on the cycle engine, `runs` times with consecutive
-/// seeds, through the unified scenario driver.
+/// Runs the three-phase paper scenario `runs` times with consecutive
+/// seeds on the cycle engine, through the one scenario driver, and
+/// aggregates the traces — the runs behind Figs. 6 and 7. Also returns
+/// the per-round proximity (Fig. 6b), the one series the unified
+/// observation does not carry, read off the engine history. `cfg`
+/// supplies K, split and the base seed; `cfg.tman_only` runs the T-Man
+/// baseline.
 pub fn run_quality(
     paper: &PaperScenario,
-    stack: StackKind,
-    k: usize,
-    split: SplitStrategy,
+    cfg: &LabConfig,
     runs: usize,
-    seed: u64,
-) -> QualityResult {
-    let mut result = QualityResult::default();
+) -> (ExperimentSummary, SeriesStats) {
     let (w, h) = paper.extents();
+    let mut summary = ExperimentSummary::default();
+    let mut proximity = SeriesStats::default();
     for run in 0..runs {
-        let mut config = experiment_config(k, split, seed + run as u64);
-        config.area = paper.area();
-        let mut engine = Engine::new(Torus2::new(w, h), paper.shape(), config);
-        if stack == StackKind::TManOnly {
-            engine.disable_polystyrene();
-        }
-        let trace = polystyrene_lab::run_experiment(&mut engine, &paper.script());
-        let metrics = engine.history();
-        result
-            .homogeneity
-            .push_run(metrics.iter().map(|m| m.homogeneity).collect());
-        result
-            .proximity
-            .push_run(metrics.iter().map(|m| m.proximity).collect());
-        result
-            .points_per_node
-            .push_run(metrics.iter().map(|m| m.points_per_node).collect());
-        result
-            .cost_per_node
-            .push_run(metrics.iter().map(|m| m.cost_units).collect());
-        if result.reference_homogeneity.len() < metrics.len() {
-            result.reference_homogeneity =
-                metrics.iter().map(|m| m.reference_homogeneity).collect();
-        }
-        match trace.reshaping_rounds() {
-            Some(t) => result.reshaping_times.push(f64::from(t)),
-            None => result.unreshaped_runs += 1,
-        }
-        result.reliabilities.push(trace.reliability());
+        let mut run_cfg = *cfg;
+        run_cfg.seed = cfg.seed + run as u64;
+        run_cfg.area = paper.area();
+        let mut engine = build_engine(Torus2::new(w, h), paper.shape(), &run_cfg);
+        summary.push(&run_experiment(&mut engine, &paper.script()));
+        proximity.push_run(engine.history().iter().map(|m| m.proximity));
     }
-    result
+    (summary, proximity)
 }
 
 /// Runs `paper`'s script `runs` times with consecutive seeds on the
@@ -471,68 +430,20 @@ impl ReshapingRow {
     }
 }
 
-/// Produces one Table II row: reshaping time and reliability for a given
-/// K over `runs` repetitions of the failure-only scenario, on the given
-/// substrate. `base` supplies everything but K and the split — seed,
-/// link profile, tick — so the `--net-*` flags reach the substrates
-/// that honor them instead of being silently dropped.
-pub fn table2_row(
+/// One reshaping-table row: `paper`'s script run `runs` times on the
+/// given substrate from the finished configuration `cfg` (K, split,
+/// projection, placement, base seed, link profile), timed — the row of
+/// Table II, of the Fig. 10 sweeps and of the ablations.
+pub fn reshaping_row(
     kind: SubstrateKind,
     paper: &PaperScenario,
-    k: usize,
-    split: SplitStrategy,
+    cfg: &LabConfig,
     runs: usize,
-    base: &LabConfig,
+    label: String,
 ) -> ReshapingRow {
-    let mut cfg = *base;
-    cfg.poly = PolystyreneConfig::builder()
-        .replication(k)
-        .split(split)
-        .build();
     let started = Instant::now();
-    let summary = run_summary(kind, paper, &cfg, runs);
-    ReshapingRow::from_summary(
-        format!("K={k}"),
-        paper.node_count(),
-        &summary,
-        started.elapsed(),
-    )
-}
-
-/// The reshaping-time sweep of Fig. 10: one row per network size for a
-/// fixed K and split strategy, on the given substrate. `sizes` are
-/// `(cols, rows)` grid shapes; `base` supplies seed, link profile and
-/// tick (K and split override its protocol parameters). Each row
-/// carries its wall-clock cost, so observation-path performance
-/// regressions show up in the sweep output itself.
-pub fn scaling_sweep(
-    kind: SubstrateKind,
-    sizes: &[(usize, usize)],
-    k: usize,
-    split: SplitStrategy,
-    runs: usize,
-    base: &LabConfig,
-    tail_rounds: u32,
-) -> Vec<ReshapingRow> {
-    sizes
-        .iter()
-        .map(|&(cols, rows)| {
-            let paper = PaperScenario::reshaping_only(cols, rows, 20, tail_rounds);
-            let mut cfg = *base;
-            cfg.poly = PolystyreneConfig::builder()
-                .replication(k)
-                .split(split)
-                .build();
-            let started = Instant::now();
-            let summary = run_summary(kind, &paper, &cfg, runs);
-            ReshapingRow::from_summary(
-                format!("{} nodes", cols * rows),
-                cols * rows,
-                &summary,
-                started.elapsed(),
-            )
-        })
-        .collect()
+    let summary = run_summary(kind, paper, cfg, runs);
+    ReshapingRow::from_summary(label, paper.node_count(), &summary, started.elapsed())
 }
 
 /// Formats a [`ReshapingRow`] table in the paper's Table II layout,
@@ -595,22 +506,6 @@ pub fn scaling_sizes(max_nodes: usize) -> Vec<(usize, usize)> {
     .into_iter()
     .filter(|&(c, r)| c * r <= max_nodes)
     .collect()
-}
-
-/// Summarizes a quality run's headline numbers for terminal output.
-pub fn summarize(result: &QualityResult, label: &str) -> String {
-    let reshaping = result.reshaping_ci();
-    let reliability = result.reliability_percent_ci();
-    let final_h = result
-        .homogeneity
-        .means()
-        .last()
-        .copied()
-        .unwrap_or(f64::NAN);
-    format!(
-        "{label}: reshaping {reshaping} rounds ({} unreshaped), reliability {reliability} %, final homogeneity {final_h:.3}",
-        result.unreshaped_runs
-    )
 }
 
 /// Mean of the last `n` samples of a series (steady-state estimate).
@@ -854,11 +749,24 @@ mod tests {
     }
 
     #[test]
-    fn experiment_config_applies_k_and_split() {
-        let cfg = experiment_config(8, SplitStrategy::Basic, 7);
-        assert_eq!(cfg.poly.replication, 8);
-        assert_eq!(cfg.poly.split, SplitStrategy::Basic);
-        assert_eq!(cfg.seed, 7);
+    fn engine_figures_accept_only_the_engine() {
+        let args = CommonArgs::parse_argv(
+            CommonArgs::default(),
+            &[],
+            vec!["--substrate".to_string(), "engine".to_string()],
+        );
+        assert_eq!(args.require_engine().substrate, SubstrateKind::Engine);
+    }
+
+    #[test]
+    #[should_panic(expected = "--substrate netsim: this figure reads engine internals")]
+    fn engine_figures_reject_other_substrates() {
+        let _ = CommonArgs::parse_argv(
+            CommonArgs::default(),
+            &[],
+            vec!["--substrate".to_string(), "netsim".to_string()],
+        )
+        .require_engine();
     }
 
     #[test]
@@ -943,14 +851,9 @@ mod tests {
     #[test]
     fn tiny_end_to_end_table2_row() {
         let paper = PaperScenario::reshaping_only(12, 6, 8, 25);
-        let row = table2_row(
-            SubstrateKind::Engine,
-            &paper,
-            3,
-            SplitStrategy::Advanced,
-            2,
-            &LabConfig::default(),
-        );
+        let mut cfg = LabConfig::default();
+        cfg.poly.replication = 3;
+        let row = reshaping_row(SubstrateKind::Engine, &paper, &cfg, 2, "K=3".into());
         assert_eq!(row.nodes, 72);
         assert!(row.reliability.mean > 70.0);
     }
@@ -965,31 +868,21 @@ mod tests {
             inject_round: None,
             total_rounds: 30,
         };
-        let result = run_quality(
-            &paper,
-            StackKind::Polystyrene,
-            3,
-            SplitStrategy::Advanced,
-            2,
-            1,
-        );
-        assert_eq!(result.homogeneity.run_count(), 2);
-        assert_eq!(result.homogeneity.rounds(), 30);
-        assert_eq!(result.reference_homogeneity.len(), 30);
-        assert_eq!(result.reliabilities.len(), 2);
-        assert_eq!(result.reshaping_times.len() + result.unreshaped_runs, 2);
-        assert!(result.unreshaped_runs == 0, "tiny torus must reshape");
+        let mut cfg = LabConfig::default();
+        cfg.poly.replication = 3;
+        let (summary, proximity) = run_quality(&paper, &cfg, 2);
+        assert_eq!(summary.runs, 2);
+        assert_eq!(summary.homogeneity.len(), 30);
+        assert_eq!(proximity.len(), 30);
+        assert_eq!(summary.reference_homogeneity.len(), 30);
+        assert_eq!(summary.reliabilities.len(), 2);
+        assert_eq!(summary.recovered_runs() + summary.unreshaped_runs(), 2);
+        assert!(summary.unreshaped_runs() == 0, "tiny torus must reshape");
         // The baseline heals links but the shape is lost for good.
-        let tman = run_quality(
-            &paper,
-            StackKind::TManOnly,
-            3,
-            SplitStrategy::Advanced,
-            1,
-            1,
-        );
-        assert_eq!(tman.reshaping_times.len(), 0);
-        assert_eq!(tman.unreshaped_runs, 1);
+        cfg.tman_only = true;
+        let (tman, _) = run_quality(&paper, &cfg, 1);
+        assert_eq!(tman.recovered_runs(), 0);
+        assert_eq!(tman.unreshaped_runs(), 1);
         assert!(tman.reliability_percent_ci().mean < 60.0);
     }
 }

@@ -7,7 +7,7 @@
 //! is an independent piece of our protocol that can be easily adapted"
 //! (paper Sec. II-C). The default is the medoid (Sec. III-C); alternatives
 //! are provided for the modularity ablations of
-//! `crates/bench/benches/ablation.rs`.
+//! `crates/bench/src/bin/ablation.rs`.
 
 use crate::datapoint::DataPoint;
 use polystyrene_space::medoid::{medoid_index_by, medoid_index_sampled_by};

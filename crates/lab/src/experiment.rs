@@ -239,7 +239,8 @@ pub struct SeriesStats {
 }
 
 impl SeriesStats {
-    fn push_run(&mut self, series: impl Iterator<Item = f64>) {
+    /// Folds one run's per-round series into the statistics.
+    pub fn push_run(&mut self, series: impl Iterator<Item = f64>) {
         for (r, v) in series.enumerate() {
             if r >= self.rounds.len() {
                 self.rounds.resize_with(r + 1, RoundStat::default);
@@ -833,6 +834,40 @@ mod tests {
         assert_eq!(summary.homogeneity.len(), 2);
         assert_eq!(summary.homogeneity.at(0).unwrap().count, 2);
         assert_eq!(summary.homogeneity.at(1).unwrap().count, 1);
+    }
+
+    #[test]
+    fn series_accumulator_handles_ragged_runs() {
+        let mut stats = SeriesStats::default();
+        stats.push_run([1.0, 2.0, 3.0].into_iter());
+        stats.push_run([3.0, 4.0].into_iter());
+        assert_eq!(stats.at(0).unwrap().count, 2);
+        assert_eq!(stats.len(), 3);
+        assert_eq!(stats.means(), vec![2.0, 3.0, 3.0]);
+        assert_eq!(stats.last().unwrap().count, 1);
+    }
+
+    #[test]
+    fn empty_accumulator() {
+        let stats = SeriesStats::default();
+        assert_eq!(stats.len(), 0);
+        assert!(stats.means().is_empty());
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn accumulator_means_match_manual_average(
+            a in proptest::collection::vec(-10.0..10.0f64, 1..10),
+            b in proptest::collection::vec(-10.0..10.0f64, 1..10),
+        ) {
+            let mut stats = SeriesStats::default();
+            stats.push_run(a.iter().copied());
+            stats.push_run(b.iter().copied());
+            for (r, m) in stats.means().iter().enumerate() {
+                let samples: Vec<f64> = a.get(r).into_iter().chain(b.get(r)).copied().collect();
+                proptest::prop_assert!((m - polystyrene_space::stats::mean(&samples)).abs() < 1e-12);
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! * [`Substrate`] — the one seam (kill / inject / partition / step /
 //!   observe) all four backends implement;
 //! * [`build_substrate`] — the `--substrate engine|netsim|cluster|tcp`
-//!   switchboard behind every experiment binary;
+//!   switchboard behind every experiment binary; its engine arm,
+//!   [`build_engine`], also serves the figures that read engine
+//!   internals (proximity, snapshots, the T-Man-only baseline);
 //! * [`run_experiment`] — the single scenario driver (churn windows,
 //!   partition masks, failure bookkeeping) producing an
 //!   [`ExperimentTrace`] of unified
@@ -63,5 +65,7 @@ pub use experiment::{
     ExperimentTrace, RoundStat, SeriesStats,
 };
 pub use polystyrene_protocol::observe::{RoundObservation, TrafficStats};
-pub use substrate::{build_substrate, LabConfig, LiveSubstrate, Substrate, SubstrateKind};
+pub use substrate::{
+    build_engine, build_substrate, LabConfig, LiveSubstrate, Substrate, SubstrateKind,
+};
 pub use traffic::{key_universe, TrafficDist, TrafficLoad};

@@ -403,6 +403,24 @@ impl LabConfig {
     }
 }
 
+/// Builds the cycle engine over a torus-grid shape — the one place a
+/// [`LabConfig`] becomes an [`EngineConfig`], shared by
+/// [`build_substrate`] and the figures that read engine internals
+/// (proximity, snapshots). `cfg.tman_only` switches the Polystyrene
+/// layer off: the paper's T-Man baseline.
+pub fn build_engine(space: Torus2, shape: Vec<[f64; 2]>, cfg: &LabConfig) -> Engine<Torus2> {
+    let mut e = EngineConfig::default();
+    e.tman = cfg.tman;
+    e.poly = cfg.poly;
+    e.area = cfg.area;
+    e.seed = cfg.seed;
+    let mut engine = Engine::new(space, shape, e);
+    if cfg.tman_only {
+        engine.disable_polystyrene();
+    }
+    engine
+}
+
 /// Builds the requested execution substrate over a torus-grid shape —
 /// the switchboard behind every `--substrate` flag. The scenario then
 /// runs through [`crate::run_experiment`] identically on whatever this
@@ -424,18 +442,7 @@ pub fn build_substrate(
         "the T-Man-only baseline needs the cycle engine (--substrate engine)"
     );
     match kind {
-        SubstrateKind::Engine => {
-            let mut e = EngineConfig::default();
-            e.tman = cfg.tman;
-            e.poly = cfg.poly;
-            e.area = cfg.area;
-            e.seed = cfg.seed;
-            let mut engine = Engine::new(space, shape, e);
-            if cfg.tman_only {
-                engine.disable_polystyrene();
-            }
-            Box::new(engine)
-        }
+        SubstrateKind::Engine => Box::new(build_engine(space, shape, cfg)),
         SubstrateKind::Netsim => {
             let mut n = NetSimConfig::default();
             n.tman = cfg.tman;
@@ -475,6 +482,62 @@ mod tests {
         assert!("enginee".parse::<SubstrateKind>().is_err());
         assert!(!SubstrateKind::Engine.has_network_model());
         assert!(SubstrateKind::Tcp.has_network_model());
+    }
+
+    #[test]
+    fn build_engine_applies_the_lab_config() {
+        use polystyrene::prelude::{BackupPlacement, ProjectionStrategy, SplitStrategy};
+        let mut cfg = LabConfig::default();
+        cfg.poly = PolystyreneConfig::builder()
+            .replication(8)
+            .split(SplitStrategy::Basic)
+            .projection(ProjectionStrategy::FirstGuest)
+            .backup_placement(BackupPlacement::NeighborhoodBiased)
+            .build();
+        cfg.seed = 7;
+        cfg.area = 32.0;
+        let shape = polystyrene_space::shapes::torus_grid(8, 4, 1.0);
+        let mut engine = build_engine(Torus2::new(8.0, 4.0), shape.clone(), &cfg);
+        let applied = engine.config();
+        assert_eq!(applied.poly, cfg.poly);
+        assert_eq!(applied.tman, cfg.tman);
+        assert_eq!(applied.seed, 7);
+        assert_eq!(applied.area, 32.0);
+        // The full stack replicates every point K times; the baseline
+        // never stores more than its own point.
+        engine.run(3);
+        assert!(engine.history()[2].points_per_node > 1.0);
+        cfg.tman_only = true;
+        let mut baseline = build_engine(Torus2::new(8.0, 4.0), shape, &cfg);
+        baseline.run(3);
+        assert!(baseline.history().iter().all(|m| m.points_per_node == 1.0));
+    }
+
+    #[test]
+    fn engine_trace_is_the_engine_history() {
+        // The quality figures aggregate the trace and read proximity off
+        // the history: round r of one must be round r of the other.
+        let paper = polystyrene_protocol::PaperScenario {
+            cols: 8,
+            rows: 4,
+            step: 1.0,
+            failure_round: 5,
+            inject_round: Some(12),
+            total_rounds: 18,
+        };
+        let (w, h) = paper.extents();
+        for tman_only in [false, true] {
+            let mut cfg = LabConfig::default();
+            cfg.area = paper.area();
+            cfg.tman_only = tman_only;
+            let mut engine = build_engine(Torus2::new(w, h), paper.shape(), &cfg);
+            let trace = crate::run_experiment(&mut engine, &paper.script());
+            assert_eq!(trace.observations.len(), 18);
+            assert_eq!(engine.history().len(), 18);
+            for (obs, metrics) in trace.observations.iter().zip(engine.history()) {
+                assert_eq!(*obs, metrics.observation);
+            }
+        }
     }
 
     #[test]

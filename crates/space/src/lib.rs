@@ -62,7 +62,7 @@ pub mod prelude {
     pub use crate::ring::Ring;
     pub use crate::setspace::{ItemSet, JaccardSpace};
     pub use crate::shapes;
-    pub use crate::stats::{ci95, mean, ConfidenceInterval, SeriesAccumulator};
+    pub use crate::stats::{ci95, mean, ConfidenceInterval};
     pub use crate::torus::Torus2;
 }
 

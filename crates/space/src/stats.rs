@@ -3,9 +3,8 @@
 //! Every quantitative claim in the paper is "averaged over 25 experiments,
 //! and when mentioned, intervals of confidence are computed at a 95%
 //! confidence level" (Sec. IV-B). This module provides exactly those
-//! estimators: sample means, standard deviations, 95 % confidence
-//! half-widths, and a per-round series accumulator used by the experiment
-//! harness.
+//! estimators: sample means, standard deviations and 95 % confidence
+//! half-widths.
 
 /// Arithmetic mean; `NaN` for an empty slice is avoided by returning 0.0.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -114,74 +113,6 @@ pub fn ci95(xs: &[f64]) -> ConfidenceInterval {
     }
 }
 
-/// Accumulates per-round series across repeated experiment runs and
-/// produces per-round means and confidence intervals — the machinery behind
-/// every time-series figure (Figs. 6 and 7).
-///
-/// Runs may have different lengths (e.g. a run that ends early); statistics
-/// at round `r` are computed over the runs that reached round `r`.
-///
-/// # Example
-///
-/// ```
-/// use polystyrene_space::stats::SeriesAccumulator;
-///
-/// let mut acc = SeriesAccumulator::new();
-/// acc.push_run(vec![1.0, 2.0, 3.0]);
-/// acc.push_run(vec![3.0, 4.0]);
-/// let means = acc.means();
-/// assert_eq!(means, vec![2.0, 3.0, 3.0]);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct SeriesAccumulator {
-    runs: Vec<Vec<f64>>,
-}
-
-impl SeriesAccumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds the per-round series of one run.
-    pub fn push_run(&mut self, series: Vec<f64>) {
-        self.runs.push(series);
-    }
-
-    /// Number of runs accumulated so far.
-    pub fn run_count(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// Length of the longest run.
-    pub fn rounds(&self) -> usize {
-        self.runs.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
-    /// Samples available at round `r` across runs.
-    fn at_round(&self, r: usize) -> Vec<f64> {
-        self.runs
-            .iter()
-            .filter_map(|run| run.get(r))
-            .copied()
-            .collect()
-    }
-
-    /// Per-round means.
-    pub fn means(&self) -> Vec<f64> {
-        (0..self.rounds())
-            .map(|r| mean(&self.at_round(r)))
-            .collect()
-    }
-
-    /// Per-round 95 % confidence intervals.
-    pub fn cis(&self) -> Vec<ConfidenceInterval> {
-        (0..self.rounds())
-            .map(|r| ci95(&self.at_round(r)))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,27 +182,6 @@ mod tests {
         assert_eq!(t_975(1000), 1.96);
     }
 
-    #[test]
-    fn series_accumulator_handles_ragged_runs() {
-        let mut acc = SeriesAccumulator::new();
-        acc.push_run(vec![1.0, 2.0, 3.0]);
-        acc.push_run(vec![3.0, 4.0]);
-        assert_eq!(acc.run_count(), 2);
-        assert_eq!(acc.rounds(), 3);
-        assert_eq!(acc.means(), vec![2.0, 3.0, 3.0]);
-        let cis = acc.cis();
-        assert_eq!(cis.len(), 3);
-        assert_eq!(cis[2].n, 1);
-    }
-
-    #[test]
-    fn empty_accumulator() {
-        let acc = SeriesAccumulator::new();
-        assert_eq!(acc.rounds(), 0);
-        assert!(acc.means().is_empty());
-        assert!(acc.cis().is_empty());
-    }
-
     proptest! {
         #[test]
         fn ci_always_contains_the_mean(xs in proptest::collection::vec(-1e3..1e3f64, 1..40)) {
@@ -286,23 +196,6 @@ mod tests {
             let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
             let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             prop_assert!(m >= lo - 1e-9 && m <= hi + 1e-9);
-        }
-
-        #[test]
-        fn accumulator_means_match_manual_average(
-            a in proptest::collection::vec(-10.0..10.0f64, 1..10),
-            b in proptest::collection::vec(-10.0..10.0f64, 1..10),
-        ) {
-            let mut acc = SeriesAccumulator::new();
-            acc.push_run(a.clone());
-            acc.push_run(b.clone());
-            let means = acc.means();
-            for (r, m) in means.iter().enumerate() {
-                let mut samples = Vec::new();
-                if let Some(x) = a.get(r) { samples.push(*x); }
-                if let Some(x) = b.get(r) { samples.push(*x); }
-                prop_assert!((m - mean(&samples)).abs() < 1e-12);
-            }
         }
     }
 }
