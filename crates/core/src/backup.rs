@@ -283,6 +283,32 @@ mod tests {
     }
 
     #[test]
+    fn empty_last_push_is_not_a_new_target() {
+        // A node without guests still enrolls its backups, with empty
+        // full-state pushes; the next round has nothing to tell them.
+        let mut s: PolyState<[f64; 2]> = PolyState::empty_at([0.0, 0.0]);
+        let first = plan_backups(
+            &mut s,
+            NodeId::new(0),
+            2,
+            |_| false,
+            cycle_candidates(vec![1, 2]),
+            &mut Vec::new(),
+        );
+        assert_eq!(first.len(), 2);
+        assert!(first.iter().all(|p| p.new_target && p.points.is_empty()));
+        let again = plan_backups(
+            &mut s,
+            NodeId::new(0),
+            2,
+            |_| false,
+            cycle_candidates(vec![1, 2]),
+            &mut Vec::new(),
+        );
+        assert!(again.is_empty(), "an empty replica is a replica: {again:?}");
+    }
+
+    #[test]
     fn failed_backups_are_replaced() {
         let mut s = PolyState::with_initial_point(dp(0, 0.0));
         let _ = plan_backups(

@@ -133,4 +133,17 @@ mod tests {
         assert_eq!(outcome.recovered_from, vec![NodeId::new(1)]);
         assert_eq!(outcome.reactivated_points, 0);
     }
+
+    #[test]
+    fn empty_replica_holder_is_recovered_beside_full_ones() {
+        let mut s = PolyState::with_initial_point(dp(0, 0.0));
+        s.store_ghosts(NodeId::new(3), vec![dp(30, 3.0)]);
+        s.store_ghosts(NodeId::new(1), Vec::new());
+        s.store_ghosts(NodeId::new(2), vec![dp(20, 2.0)]);
+        let outcome = recover(&mut s, |id| id != NodeId::new(2));
+        assert_eq!(outcome.recovered_from, vec![NodeId::new(1), NodeId::new(3)]);
+        assert_eq!(outcome.reactivated_points, 1);
+        assert_eq!(s.ghosts.len(), 1);
+        assert!(s.ghosts.contains_key(&NodeId::new(2)));
+    }
 }

@@ -171,6 +171,23 @@ mod tests {
     }
 
     #[test]
+    fn empty_push_keeps_its_holder() {
+        let mut s = PolyState::with_initial_point(dp(1, 0.0, 0.0));
+        s.store_ghosts(NodeId::new(5), vec![dp(10, 1.0, 1.0)]);
+        // A holder whose guests all migrated away pushes an empty
+        // replica: it stays a holder (and a heartbeat peer), with none
+        // of its old points.
+        s.store_ghosts(NodeId::new(5), Vec::new());
+        assert!(!s.ghosts.is_empty());
+        assert_eq!(s.ghosts.len(), 1);
+        assert_eq!(
+            s.ghosts.keys().copied().collect::<Vec<_>>(),
+            vec![NodeId::new(5)]
+        );
+        assert_eq!(s.stored_points(), 1);
+    }
+
+    #[test]
     fn project_updates_position_to_medoid() {
         let mut rng = StdRng::seed_from_u64(1);
         let cfg = PolystyreneConfig::default();

@@ -1545,6 +1545,33 @@ mod tests {
         assert!(a.poly.guests.iter().any(|g| g.id == PointId::new(50)));
     }
 
+    #[test]
+    fn empty_backup_push_keeps_its_holder_monitored() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut a = founder(0, 0.0, vec![desc(1, 1.0, 0.0)]);
+        let push = |points| Event::Message {
+            from: NodeId::new(5),
+            wire: Wire::BackupPush {
+                points,
+                added_points: 0,
+                removed_ids: 1,
+            },
+        };
+        let one = vec![DataPoint::new(PointId::new(50), [3.0, 0.0])];
+        a.on_event_into(push(one), &mut rng, &mut EffectSink::new());
+        a.on_event_into(push(Vec::new()), &mut rng, &mut EffectSink::new());
+        assert!(
+            !a.poly.ghosts.is_empty(),
+            "an empty replica keeps its holder"
+        );
+        assert_eq!(a.poly.stored_points(), 1);
+        let effects = collect(|sink| a.on_tick_into(&mut rng, sink));
+        assert!(effects.iter().any(|e| matches!(
+            e,
+            Effect::Send { to, wire: Wire::Heartbeat } if *to == NodeId::new(5)
+        )));
+    }
+
     /// Injects a query at `node` through its own gateway, as a driver
     /// would: `Event::Message` from the node itself with zero hops.
     fn inject_query(
