@@ -458,15 +458,48 @@ fn assert_engine_steady_state_allocations(
 /// repeat to the byte on any number of cores but for the 256 bytes of
 /// each idle `Lane`.
 fn assert_live_heap_per_node(substrate: &str, live_before: u64, nodes: u64, bound: u64) {
-    let per_node = LIVE_BYTES
-        .load(Ordering::Relaxed)
-        .saturating_sub(live_before)
-        / nodes;
+    let per_node = live_heap_per_node(live_before, nodes);
     println!("{substrate} live heap: {per_node} bytes/node after 24 rounds (bound {bound})");
     assert!(
         per_node <= bound,
         "{substrate} holds {per_node} heap bytes per node after 24 rounds (bound {bound}): \
          per-node state, most likely a gossip view, is carrying slack capacity again"
+    );
+}
+
+fn live_heap_per_node(live_before: u64, nodes: u64) -> u64 {
+    LIVE_BYTES
+        .load(Ordering::Relaxed)
+        .saturating_sub(live_before)
+        / nodes
+}
+
+/// Footprint gate after the paper's catastrophe on the same engine:
+/// half the torus (`x >= 16`) crashes, 8 rounds reshape, fresh nodes
+/// join at the dead half's founding positions and 8 more rounds absorb
+/// them. The survivors' recovery spike passes through every custody
+/// structure — reactivated ghosts, the fat replicas pushed to the
+/// backups, their delta ledgers — so state that keeps the capacity of
+/// that spike once it has drained fails here rather than in resident
+/// megabytes at scale.
+fn assert_post_catastrophe_heap_per_node(engine: &mut Engine<Torus2>, live_before: u64) {
+    const BOUND: u64 = 5_529;
+    let dead_half = |p: &[f64; 2]| p[0] >= 16.0;
+    engine.fail_original_region(&dead_half);
+    engine.run(8);
+    let refill: Vec<[f64; 2]> = shapes::torus_grid(32, 8, 1.0)
+        .into_iter()
+        .filter(dead_half)
+        .collect();
+    engine.inject(&refill);
+    engine.run(8);
+    assert_eq!(engine.alive_count(), 256);
+    let per_node = live_heap_per_node(live_before, 256);
+    println!("engine live heap: {per_node} bytes/node after the catastrophe (bound {BOUND})");
+    assert!(
+        per_node <= BOUND,
+        "engine holds {per_node} heap bytes per node after a kill, reshape and re-inject \
+         (bound {BOUND}): per-node state is keeping capacity from the recovery spike"
     );
 }
 
@@ -478,9 +511,10 @@ fn bench_engine_round(c: &mut Criterion) {
     let mut engine = Engine::new(Torus2::new(32.0, 8.0), shapes::torus_grid(32, 8, 1.0), cfg);
     // Warm-up: views fill, slabs and scratch reach steady capacities.
     engine.run(24);
-    assert_live_heap_per_node("engine", live_before, 256, 6_750);
+    assert_live_heap_per_node("engine", live_before, 256, 5_464);
     let mut load = TrafficLoad::new(shapes::torus_grid(32, 8, 1.0), 32, 0.9, 16, 21);
     assert_engine_steady_state_allocations(&mut engine, &mut load);
+    assert_post_catastrophe_heap_per_node(&mut engine, live_before);
     let mut group = c.benchmark_group("engine_round");
     group.bench_function("n256", |b| b.iter(|| engine.step()));
     group.finish();
@@ -500,7 +534,7 @@ fn bench_netsim_round(c: &mut Criterion) {
     // Warm-up: views fill, the event queue and kernel scratch reach
     // their steady capacities.
     sim.run(24);
-    assert_live_heap_per_node("netsim", live_before, 256, 8_600);
+    assert_live_heap_per_node("netsim", live_before, 256, 7_000);
     assert_eq!(sim.parallel_runs(), 0, "a 256-node run fanned out");
     let mut load = TrafficLoad::new(shapes::torus_grid(32, 8, 1.0), 32, 0.9, 16, 21);
     assert_netsim_steady_state_allocations(&mut sim, &mut load);

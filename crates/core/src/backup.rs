@@ -131,21 +131,29 @@ pub fn plan_backups_with<P: Clone>(
     mut take_points: impl FnMut() -> Vec<DataPoint<P>>,
 ) -> Vec<BackupPush<P>> {
     // Line 1: backups ← backups \ failed (their delta records go too).
-    // `retain` on the set would be cleaner but the records must go in the
-    // same pass; collect-free double walk keeps this allocation-free.
-    while let Some(&b) = state.backups.iter().find(|&&b| is_failed(b)) {
-        state.backups.remove(&b);
-        state.last_sent.remove(&b);
-    }
+    state.backups.remove_where(&is_failed, |_, _| {});
 
-    // Line 2: recruit replacements, bounded attempts.
+    // Line 2: recruit replacements, bounded attempts. A recruit is a new
+    // target and gets a full push, so it is planned straight away; it
+    // joins the backup table with its record below.
+    let mut pushes: Vec<BackupPush<P>> = Vec::new();
     let mut attempts = replication.saturating_mul(20) + 20;
-    while state.backups.len() < replication && attempts > 0 {
+    while state.backups.len() + pushes.len() < replication && attempts > 0 {
         attempts -= 1;
         match candidates() {
             Some(c) => {
-                if c != self_id && !is_failed(c) && !state.backups.contains(&c) {
-                    state.backups.insert(c);
+                if c != self_id
+                    && !is_failed(c)
+                    && !state.backups.contains(c)
+                    && !pushes.iter().any(|p| p.target == c)
+                {
+                    pushes.push(BackupPush {
+                        target: c,
+                        points: Vec::new(),
+                        new_target: true,
+                        added_points: 0,
+                        removed_ids: 0,
+                    });
                 }
             }
             None => break,
@@ -156,34 +164,27 @@ pub fn plan_backups_with<P: Clone>(
     ids_scratch.clear();
     ids_scratch.extend(state.guests.iter().map(|g| g.id));
     ids_scratch.sort_unstable();
-    let mut pushes = Vec::new();
-    for &target in &state.backups {
-        let previous = state.last_sent.get(&target);
-        let new_target = previous.is_none();
-        let previous = previous.map(Vec::as_slice).unwrap_or_default();
+    for push in &mut pushes {
+        push.added_points = ids_scratch.len();
+    }
+    for (target, previous) in state.backups.runs() {
         let (added, removed) = sorted_delta_counts(ids_scratch, previous);
-        if !new_target && added == 0 && removed == 0 {
+        if added == 0 && removed == 0 {
             continue; // replica already up to date: no traffic at all
         }
-        let mut points = take_points();
-        points.extend_from_slice(&state.guests);
         pushes.push(BackupPush {
             target,
-            points,
-            new_target,
+            points: Vec::new(),
+            new_target: false,
             added_points: added,
             removed_ids: removed,
         });
     }
-    for push in &pushes {
-        state
-            .last_sent
-            .entry(push.target)
-            .and_modify(|ids| {
-                ids.clear();
-                ids.extend_from_slice(ids_scratch);
-            })
-            .or_insert_with(|| ids_scratch.clone());
+    pushes.sort_unstable_by_key(|push| push.target);
+    for push in &mut pushes {
+        push.points = take_points();
+        push.points.extend_from_slice(&state.guests);
+        state.backups.set(push.target, ids_scratch);
     }
     pushes
 }
@@ -319,7 +320,7 @@ mod tests {
             cycle_candidates(vec![1, 2]),
             &mut Vec::new(),
         );
-        assert!(s.backups.contains(&NodeId::new(1)));
+        assert!(s.backups.contains(NodeId::new(1)));
         // Node 1 dies; a replacement (3) must be enrolled and receive a
         // full push, while the survivor (2) stays silent.
         let pushes = plan_backups(
@@ -330,8 +331,8 @@ mod tests {
             cycle_candidates(vec![3]),
             &mut Vec::new(),
         );
-        assert!(!s.backups.contains(&NodeId::new(1)));
-        assert!(s.backups.contains(&NodeId::new(3)));
+        assert!(!s.backups.contains(NodeId::new(1)));
+        assert!(s.backups.contains(NodeId::new(3)));
         assert_eq!(pushes.len(), 1);
         assert_eq!(pushes[0].target, NodeId::new(3));
         assert!(pushes[0].new_target);
@@ -348,8 +349,8 @@ mod tests {
             cycle_candidates(vec![0, 9, 1, 1, 2, 3]),
             &mut Vec::new(),
         );
-        assert!(!s.backups.contains(&NodeId::new(0)), "enrolled itself");
-        assert!(!s.backups.contains(&NodeId::new(9)), "enrolled a dead node");
+        assert!(!s.backups.contains(NodeId::new(0)), "enrolled itself");
+        assert!(!s.backups.contains(NodeId::new(9)), "enrolled a dead node");
         assert_eq!(s.backups.len(), 3);
     }
 
@@ -401,7 +402,7 @@ mod tests {
             || None,
             &mut Vec::new(),
         );
-        assert!(s.last_sent.is_empty());
+        assert!(s.backups.is_empty());
         let pushes = plan_backups(
             &mut s,
             NodeId::new(0),

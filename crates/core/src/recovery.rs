@@ -8,6 +8,7 @@
 //! end for
 //! ```
 
+use crate::datapoint::dedup_by_id_in_place;
 use crate::state::PolyState;
 use polystyrene_membership::NodeId;
 
@@ -40,7 +41,7 @@ impl RecoveryOutcome {
 /// use polystyrene_membership::NodeId;
 ///
 /// let mut s = PolyState::with_initial_point(DataPoint::new(PointId::new(0), [0.0, 0.0]));
-/// s.store_ghosts(NodeId::new(9), vec![DataPoint::new(PointId::new(1), [1.0, 1.0])]);
+/// s.store_ghosts(NodeId::new(9), &[DataPoint::new(PointId::new(1), [1.0, 1.0])]);
 /// let outcome = recover(&mut s, |id| id == NodeId::new(9));
 /// assert_eq!(outcome.reactivated_points, 1);
 /// assert_eq!(s.guests.len(), 2);
@@ -50,20 +51,15 @@ pub fn recover<P: Clone>(
     state: &mut PolyState<P>,
     is_failed: impl Fn(NodeId) -> bool,
 ) -> RecoveryOutcome {
-    let failed_origins: Vec<NodeId> = state
-        .ghosts
-        .keys()
-        .copied()
-        .filter(|&q| is_failed(q))
-        .collect();
     let mut outcome = RecoveryOutcome::default();
-    for q in failed_origins {
-        let points = state.ghosts.remove(&q).unwrap_or_default();
-        let before = state.guests.len();
-        state.absorb_guests(points);
-        outcome.reactivated_points += state.guests.len() - before;
+    let PolyState { guests, ghosts, .. } = state;
+    ghosts.remove_where(is_failed, |q, points| {
+        let before = guests.len();
+        guests.extend(points);
+        dedup_by_id_in_place(guests);
+        outcome.reactivated_points += guests.len() - before;
         outcome.recovered_from.push(q);
-    }
+    });
     outcome
 }
 
@@ -79,7 +75,7 @@ mod tests {
     #[test]
     fn no_failures_means_no_recovery() {
         let mut s = PolyState::with_initial_point(dp(0, 0.0));
-        s.store_ghosts(NodeId::new(1), vec![dp(10, 1.0)]);
+        s.store_ghosts(NodeId::new(1), &[dp(10, 1.0)]);
         let outcome = recover(&mut s, |_| false);
         assert!(outcome.is_empty());
         assert_eq!(outcome.reactivated_points, 0);
@@ -90,21 +86,21 @@ mod tests {
     #[test]
     fn reactivates_only_failed_origins() {
         let mut s = PolyState::with_initial_point(dp(0, 0.0));
-        s.store_ghosts(NodeId::new(1), vec![dp(10, 1.0), dp(11, 2.0)]);
-        s.store_ghosts(NodeId::new(2), vec![dp(12, 3.0)]);
+        s.store_ghosts(NodeId::new(1), &[dp(10, 1.0), dp(11, 2.0)]);
+        s.store_ghosts(NodeId::new(2), &[dp(12, 3.0)]);
         let outcome = recover(&mut s, |id| id == NodeId::new(1));
         assert_eq!(outcome.recovered_from, vec![NodeId::new(1)]);
         assert_eq!(outcome.reactivated_points, 2);
         assert_eq!(s.guests.len(), 3);
         assert_eq!(s.ghosts.len(), 1);
-        assert!(s.ghosts.contains_key(&NodeId::new(2)));
+        assert!(s.ghosts.contains(NodeId::new(2)));
     }
 
     #[test]
     fn reactivation_dedups_against_existing_guests() {
         let mut s = PolyState::with_initial_point(dp(0, 0.0));
         // The ghost contains a copy of a point we already host.
-        s.store_ghosts(NodeId::new(1), vec![dp(0, 9.0), dp(10, 1.0)]);
+        s.store_ghosts(NodeId::new(1), &[dp(0, 9.0), dp(10, 1.0)]);
         let outcome = recover(&mut s, |_| true);
         assert_eq!(outcome.reactivated_points, 1);
         assert_eq!(s.guests.len(), 2);
@@ -116,7 +112,7 @@ mod tests {
     fn multiple_failed_origins_all_recovered() {
         let mut s = PolyState::with_initial_point(dp(0, 0.0));
         for i in 1..=4 {
-            s.store_ghosts(NodeId::new(i), vec![dp(10 + i, i as f64)]);
+            s.store_ghosts(NodeId::new(i), &[dp(10 + i, i as f64)]);
         }
         let outcome = recover(&mut s, |_| true);
         assert_eq!(outcome.recovered_from.len(), 4);
@@ -128,7 +124,7 @@ mod tests {
     #[test]
     fn empty_ghost_entry_recovers_zero_points() {
         let mut s = PolyState::with_initial_point(dp(0, 0.0));
-        s.store_ghosts(NodeId::new(1), Vec::new());
+        s.store_ghosts(NodeId::new(1), &[]);
         let outcome = recover(&mut s, |_| true);
         assert_eq!(outcome.recovered_from, vec![NodeId::new(1)]);
         assert_eq!(outcome.reactivated_points, 0);
@@ -137,13 +133,13 @@ mod tests {
     #[test]
     fn empty_replica_holder_is_recovered_beside_full_ones() {
         let mut s = PolyState::with_initial_point(dp(0, 0.0));
-        s.store_ghosts(NodeId::new(3), vec![dp(30, 3.0)]);
-        s.store_ghosts(NodeId::new(1), Vec::new());
-        s.store_ghosts(NodeId::new(2), vec![dp(20, 2.0)]);
+        s.store_ghosts(NodeId::new(3), &[dp(30, 3.0)]);
+        s.store_ghosts(NodeId::new(1), &[]);
+        s.store_ghosts(NodeId::new(2), &[dp(20, 2.0)]);
         let outcome = recover(&mut s, |id| id != NodeId::new(2));
         assert_eq!(outcome.recovered_from, vec![NodeId::new(1), NodeId::new(3)]);
         assert_eq!(outcome.reactivated_points, 1);
         assert_eq!(s.ghosts.len(), 1);
-        assert!(s.ghosts.contains_key(&NodeId::new(2)));
+        assert!(s.ghosts.contains(NodeId::new(2)));
     }
 }

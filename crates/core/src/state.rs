@@ -6,13 +6,19 @@
 //! | `pos`     | the node's virtual position                                  |
 //! | `ghosts`  | inactivated data points replicated to this node, keyed by the node they came from |
 //! | `backups` | the nodes where the local node has replicated its state      |
+//!
+//! The two custody maps, `ghosts` and `backups`, are [`RunTable`]s: one
+//! id-sorted table of `(node, run length)` over one flat vector holding
+//! every node's run back to back. A node's K replicas and K backup
+//! records cost four heap blocks, however many peers they involve, where
+//! a map of vectors costs a tree node plus one buffer per peer.
 
 use crate::config::PolystyreneConfig;
 use crate::datapoint::{dedup_by_id_in_place, DataPoint, PointId};
 use polystyrene_membership::NodeId;
 use polystyrene_space::MetricSpace;
 use rand::Rng;
-use std::collections::{BTreeMap, BTreeSet};
+use std::vec::Drain;
 
 /// Polystyrene state of one node, generic over the data-space point type.
 ///
@@ -35,16 +41,15 @@ pub struct PolyState<P> {
     /// The node's virtual position, as published to the topology layer.
     pub pos: P,
     /// Deactivated replicas received from other nodes, keyed by origin:
-    /// `ghosts[q]` is the last state `q` pushed here.
-    pub ghosts: BTreeMap<NodeId, Vec<DataPoint<P>>>,
-    /// The nodes currently holding a replica of `guests`.
-    pub backups: BTreeSet<NodeId>,
-    /// Per-backup record of the point ids last pushed there (sorted
-    /// ascending), enabling the incremental-delta traffic optimization of
-    /// paper Sec. III-D. Sorted `Vec`s instead of sets: the delta walk is
-    /// a linear merge, and an unchanged replica costs zero allocations to
-    /// re-verify each round.
-    pub(crate) last_sent: BTreeMap<NodeId, Vec<PointId>>,
+    /// the run of `q` is the last state `q` pushed here. A holder whose
+    /// last push was empty keeps its (empty) entry.
+    pub ghosts: RunTable<DataPoint<P>>,
+    /// The nodes currently holding a replica of `guests`, each with the
+    /// ids (sorted ascending) last pushed there — the record behind the
+    /// incremental-delta traffic optimization of paper Sec. III-D. The
+    /// delta walk is a linear merge against it, and an unchanged replica
+    /// costs zero allocations to re-verify each round.
+    pub backups: RunTable<PointId>,
 }
 
 impl<P: Clone> PolyState<P> {
@@ -55,9 +60,8 @@ impl<P: Clone> PolyState<P> {
         Self {
             pos: origin.pos.clone(),
             guests: vec![origin],
-            ghosts: BTreeMap::new(),
-            backups: BTreeSet::new(),
-            last_sent: BTreeMap::new(),
+            ghosts: RunTable::default(),
+            backups: RunTable::default(),
         }
     }
 
@@ -68,9 +72,8 @@ impl<P: Clone> PolyState<P> {
         Self {
             pos,
             guests: Vec::new(),
-            ghosts: BTreeMap::new(),
-            backups: BTreeSet::new(),
-            last_sent: BTreeMap::new(),
+            ghosts: RunTable::default(),
+            backups: RunTable::default(),
         }
     }
 
@@ -82,7 +85,7 @@ impl<P: Clone> PolyState<P> {
     /// Total data points stored locally (guests + ghost copies) — the
     /// memory-overhead metric of paper Fig. 7a.
     pub fn stored_points(&self) -> usize {
-        self.guests.len() + self.ghosts.values().map(Vec::len).sum::<usize>()
+        self.guests.len() + self.ghosts.items().len()
     }
 
     /// Adds guests, deduplicating by id against the existing set.
@@ -109,15 +112,125 @@ impl<P: Clone> PolyState<P> {
     }
 
     /// Records an incoming backup push: `from` replicated its guest set
-    /// here (Step 2' of paper Fig. 4). Returns the replica it replaces,
-    /// if any, so a pooling driver can recycle the buffer instead of
-    /// dropping one per received push.
-    pub fn store_ghosts(
+    /// here (Step 2' of paper Fig. 4). The points are copied into
+    /// `from`'s run, replacing what it pushed before, so the caller keeps
+    /// the push buffer (a pooling driver recycles it).
+    pub fn store_ghosts(&mut self, from: NodeId, points: &[DataPoint<P>]) {
+        self.ghosts.set(from, points);
+    }
+}
+
+/// Runs of `T` keyed by node id: a table of `(node, run length)` sorted
+/// ascending by node over one vector holding the runs back to back in
+/// that order. Iteration is by ascending node, each run in the order it
+/// was set; a node with an empty run is still a key.
+#[derive(Clone, Debug)]
+pub struct RunTable<T> {
+    keys: Vec<(NodeId, usize)>,
+    items: Vec<T>,
+}
+
+impl<T> Default for RunTable<T> {
+    fn default() -> Self {
+        Self {
+            keys: Vec::new(),
+            items: Vec::new(),
+        }
+    }
+}
+
+impl<T> RunTable<T> {
+    /// Number of keys (empty runs included).
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Whether there is no key at all.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// Whether `key` has a run (possibly empty).
+    pub fn contains(&self, key: NodeId) -> bool {
+        self.index_of(key).is_ok()
+    }
+
+    /// The keys, ascending.
+    pub fn keys(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.keys.iter().map(|&(key, _)| key)
+    }
+
+    /// Every run, back to back in key order.
+    pub fn items(&self) -> &[T] {
+        &self.items
+    }
+
+    /// Every run, back to back in key order, for in-place edits.
+    pub fn items_mut(&mut self) -> &mut [T] {
+        &mut self.items
+    }
+
+    /// `(key, run)` pairs, ascending by key.
+    pub fn runs(&self) -> impl Iterator<Item = (NodeId, &[T])> + '_ {
+        let mut start = 0;
+        self.keys.iter().map(move |&(key, len)| {
+            start += len;
+            (key, &self.items[start - len..start])
+        })
+    }
+
+    /// Replaces `key`'s run with a copy of `run`, inserting the key if
+    /// it is new.
+    pub(crate) fn set(&mut self, key: NodeId, run: &[T])
+    where
+        T: Clone,
+    {
+        let (index, old_len) = match self.index_of(key) {
+            Ok(index) => (index, std::mem::replace(&mut self.keys[index].1, run.len())),
+            Err(index) => {
+                self.keys.insert(index, (key, run.len()));
+                (index, 0)
+            }
+        };
+        let start: usize = self.keys[..index].iter().map(|&(_, len)| len).sum();
+        self.items
+            .splice(start..start + old_len, run.iter().cloned());
+        self.release_slack();
+    }
+
+    /// Removes every key `doomed` flags, ascending, handing each one's
+    /// run to `take` as it goes.
+    pub(crate) fn remove_where(
         &mut self,
-        from: NodeId,
-        points: Vec<DataPoint<P>>,
-    ) -> Option<Vec<DataPoint<P>>> {
-        self.ghosts.insert(from, points)
+        mut doomed: impl FnMut(NodeId) -> bool,
+        mut take: impl FnMut(NodeId, Drain<'_, T>),
+    ) {
+        let items = &mut self.items;
+        let mut start = 0;
+        self.keys.retain(|&(key, len)| {
+            if doomed(key) {
+                take(key, items.drain(start..start + len));
+                false
+            } else {
+                start += len;
+                true
+            }
+        });
+        self.release_slack();
+    }
+
+    /// Gives back capacity beyond twice the length (plus four): what a
+    /// drained spike leaves behind, such as a recovery burst replicated
+    /// in full and then migrated away. The slack it tolerates keeps runs
+    /// that breathe around one size from reallocating on every push.
+    fn release_slack(&mut self) {
+        if self.items.capacity() > 2 * self.items.len() + 4 {
+            self.items.shrink_to(self.items.len());
+        }
+    }
+
+    fn index_of(&self, key: NodeId) -> Result<usize, usize> {
+        self.keys.binary_search_by_key(&key, |&(k, _)| k)
     }
 }
 
@@ -162,28 +275,25 @@ mod tests {
     #[test]
     fn stored_points_counts_ghosts() {
         let mut s = PolyState::with_initial_point(dp(1, 0.0, 0.0));
-        s.store_ghosts(NodeId::new(5), vec![dp(10, 1.0, 1.0), dp(11, 2.0, 2.0)]);
-        s.store_ghosts(NodeId::new(6), vec![dp(12, 3.0, 3.0)]);
+        s.store_ghosts(NodeId::new(5), &[dp(10, 1.0, 1.0), dp(11, 2.0, 2.0)]);
+        s.store_ghosts(NodeId::new(6), &[dp(12, 3.0, 3.0)]);
         assert_eq!(s.stored_points(), 4);
         // Re-push from the same origin replaces, not accumulates.
-        s.store_ghosts(NodeId::new(5), vec![dp(10, 1.0, 1.0)]);
+        s.store_ghosts(NodeId::new(5), &[dp(10, 1.0, 1.0)]);
         assert_eq!(s.stored_points(), 3);
     }
 
     #[test]
     fn empty_push_keeps_its_holder() {
         let mut s = PolyState::with_initial_point(dp(1, 0.0, 0.0));
-        s.store_ghosts(NodeId::new(5), vec![dp(10, 1.0, 1.0)]);
+        s.store_ghosts(NodeId::new(5), &[dp(10, 1.0, 1.0)]);
         // A holder whose guests all migrated away pushes an empty
         // replica: it stays a holder (and a heartbeat peer), with none
         // of its old points.
-        s.store_ghosts(NodeId::new(5), Vec::new());
+        s.store_ghosts(NodeId::new(5), &[]);
         assert!(!s.ghosts.is_empty());
         assert_eq!(s.ghosts.len(), 1);
-        assert_eq!(
-            s.ghosts.keys().copied().collect::<Vec<_>>(),
-            vec![NodeId::new(5)]
-        );
+        assert_eq!(s.ghosts.keys().collect::<Vec<_>>(), vec![NodeId::new(5)]);
         assert_eq!(s.stored_points(), 1);
     }
 

@@ -588,7 +588,7 @@ fn census_reads_the_pool_and_the_board_alike() {
             );
             NodeReport {
                 guest_ids: poly.guests.iter().map(|p| p.id).collect(),
-                ghost_ids: poly.ghosts.values().flatten().map(|p| p.id).collect(),
+                ghost_ids: poly.ghosts.items().iter().map(|p| p.id).collect(),
                 stored_points: poly.stored_points(),
                 ..NodeReport::at(poly.pos)
             }

@@ -492,14 +492,11 @@ impl<S: MetricSpace> ProtocolNode<S> {
             return;
         }
         // Heartbeats along the backup relationships (Sec. III-A suggests
-        // "a reactive ping mechanism, or heartbeats").
-        for peer in self
-            .poly
-            .backups
-            .iter()
-            .copied()
-            .chain(self.poly.ghosts.keys().copied())
-        {
+        // "a reactive ping mechanism, or heartbeats"), one per peer: a
+        // backup target that also pushes its replica here is beaten once.
+        let poly = &self.poly;
+        let holders_only = poly.ghosts.keys().filter(|&q| !poly.backups.contains(q));
+        for peer in poly.backups.keys().chain(holders_only) {
             sink.push(Effect::Send {
                 to: peer,
                 wire: Wire::Heartbeat,
@@ -944,9 +941,8 @@ impl<S: MetricSpace> ProtocolNode<S> {
                 }
             }
             Wire::BackupPush { points, .. } => {
-                if let Some(replaced) = self.poly.store_ghosts(from, points) {
-                    sink.put_points(replaced);
-                }
+                self.poly.store_ghosts(from, &points);
+                sink.put_points(points);
             }
             Wire::Query {
                 qid,

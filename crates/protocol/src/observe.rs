@@ -345,7 +345,7 @@ impl<P: Clone + Send + Sync> Census<P> {
             pass.count(
                 &poly.pos,
                 poly.guests.iter().map(|p| p.id),
-                poly.ghosts.values().flatten().map(|p| p.id),
+                poly.ghosts.items().iter().map(|p| p.id),
                 node.parked_point_ids(),
                 poly.stored_points(),
             );

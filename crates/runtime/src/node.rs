@@ -139,7 +139,7 @@ impl<S: MetricSpace> NodeRuntime<S> {
         let (node, poly) = (&self.node, &self.node.poly);
         self.board.publish_with(node.id(), &poly.pos, |report| {
             refill(&mut report.guest_ids, poly.guests.iter().map(|p| p.id));
-            let ghosts = poly.ghosts.values().flatten();
+            let ghosts = poly.ghosts.items().iter();
             refill(&mut report.ghost_ids, ghosts.map(|p| p.id));
             refill(&mut report.parked_ids, node.parked_point_ids());
             report.stored_points = poly.stored_points();

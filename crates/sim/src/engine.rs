@@ -465,10 +465,8 @@ impl<S: MetricSpace> Engine<S> {
             for g in &mut node.poly.guests {
                 g.pos = transform(&g.pos);
             }
-            for pts in node.poly.ghosts.values_mut() {
-                for g in pts {
-                    g.pos = transform(&g.pos);
-                }
+            for g in node.poly.ghosts.items_mut() {
+                g.pos = transform(&g.pos);
             }
         }
     }
@@ -866,9 +864,8 @@ mod tests {
         let (mut homogeneity, mut surviving, mut holderless) = (0.0, 0, 0);
         for point in e.original_points() {
             let hosts = |n: &&ProtocolNode<Torus2>| n.poly.guests.iter().any(|g| g.id == point.id);
-            let ghosted = |n: &&ProtocolNode<Torus2>| {
-                n.poly.ghosts.values().flatten().any(|g| g.id == point.id)
-            };
+            let ghosted =
+                |n: &&ProtocolNode<Torus2>| n.poly.ghosts.items().iter().any(|g| g.id == point.id);
             let held = nodes.iter().any(hosts);
             holderless += usize::from(!held);
             surviving += usize::from(held || nodes.iter().any(ghosted));

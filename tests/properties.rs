@@ -179,12 +179,12 @@ proptest! {
             let pts: Vec<_> = (0..pts_per_origin as u64)
                 .map(|j| point((overlap + origin * 2 + j) % 10))
                 .collect();
-            s.store_ghosts(NodeId::new(origin + 100), pts);
+            s.store_ghosts(NodeId::new(origin + 100), &pts);
         }
         let all_ghost_ids: std::collections::BTreeSet<u64> = s
             .ghosts
-            .values()
-            .flatten()
+            .items()
+            .iter()
             .map(|g| g.id.as_u64())
             .collect();
 
