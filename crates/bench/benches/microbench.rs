@@ -435,22 +435,18 @@ fn assert_engine_steady_state_allocations(
 /// what is live is the steady state a 100k-node run multiplies. The two
 /// gossip views are the largest part of it: 3 200 + 640 bytes of
 /// descriptors when allocated at their caps, 5 120 + 1 024 when left to
-/// double their way there. Measured with the views exact: engine 5 919,
-/// netsim 7 346 bytes/node (the kernel adds its event slab, payload
-/// pool, staging buffers and every node's rng); doubled views would add
-/// 2 265 and 2 357. The engine bound was set as the midpoint of an
-/// earlier reading (5 631) and still sits well below the doubled
-/// figure, so a view that carries slack again fails here before it
-/// shows as resident megabytes. That reading rose without a view
-/// changing: replica pushes ride pooled buffers, whose capacity is
-/// whatever the buffer last carried, where they used to be exact-size
-/// clones (+288 on both — the price of the pool no longer growing by a
-/// buffer per push), and the kernel holds a 32-byte stream per node and
-/// one lane's staging scratch (+220). The netsim bound is the midpoint
-/// of 7 346 and the 9 911 the kernel held while its calendar queue kept
-/// one `VecDeque` per tick, each as large as the busiest tick it had
-/// served; a queue that sizes its storage by ring length times tick
-/// load again fails here. The gauge is
+/// double their way there; doubled views would add 2 265 (engine) and
+/// 2 357 (netsim) bytes/node. Measured: engine 5 005, netsim 6 616
+/// bytes/node (the kernel adds its event slab, payload pool, staging
+/// buffers and every node's rng). The custody state is the next part:
+/// ghosts and backup records sit in two run tables per node, four heap
+/// blocks of about 64, 96, 64 and 32 bytes at K = 4. As a `BTreeMap` of
+/// ghost buffers, a `BTreeSet` of backups and a `BTreeMap` of delta
+/// records it cost two 368-byte tree leaves, a 104-byte set leaf, four
+/// pooled replica buffers of capacity 4 and four one-id vectors:
+/// engine 5 922, netsim 7 384. Each bound is the midpoint of those two
+/// readings, so per-peer custody buffers fail here, and a view that
+/// carries slack fails long before. The gauge is
 /// process-wide, which is safe at this size: 256 nodes run inline in
 /// the rayon shim and no 256-node wave is wide enough for a second
 /// kernel lane (asserted below), so no worker thread (nor its
@@ -479,9 +475,12 @@ fn live_heap_per_node(live_before: u64, nodes: u64) -> u64 {
 /// join at the dead half's founding positions and 8 more rounds absorb
 /// them. The survivors' recovery spike passes through every custody
 /// structure — reactivated ghosts, the fat replicas pushed to the
-/// backups, their delta ledgers — so state that keeps the capacity of
-/// that spike once it has drained fails here rather than in resident
-/// megabytes at scale.
+/// backups, their delta records. Measured: 5 450 bytes/node (the
+/// traffic load built since the first gate included). With run tables
+/// that keep the capacity of that spike it read 5 608, with per-peer
+/// B-tree custody 6 358; the bound is the midpoint of the first two, so
+/// spike capacity that is never given back fails here rather than in
+/// resident megabytes at scale.
 fn assert_post_catastrophe_heap_per_node(engine: &mut Engine<Torus2>, live_before: u64) {
     const BOUND: u64 = 5_529;
     let dead_half = |p: &[f64; 2]| p[0] >= 16.0;

@@ -17,7 +17,9 @@
 //! implements that optimization — each push records what actually changed
 //! with respect to the previous push to the same target, pushes whose
 //! delta is empty are elided entirely, and the simulator charges only the
-//! delta.
+//! delta. The record is the target's run in [`PolyState::backups`]: the
+//! ids last pushed there, sorted, so a target whose last push was empty
+//! is up to date, not new.
 
 use crate::datapoint::{DataPoint, PointId};
 use crate::state::PolyState;
@@ -117,10 +119,10 @@ pub fn plan_backups<P: Clone>(
 
 /// [`plan_backups`] with the replica buffers supplied by the caller:
 /// each planned push copies the guests into a buffer from `take_points`
-/// (empty, any capacity). The receiver of a push retires the replica it
-/// replaces into its driver's buffer pool, so a driver that also *takes*
-/// push buffers from that pool closes the loop; with fresh buffers the
-/// pool gains one per push and nothing drains it.
+/// (empty, any capacity). The receiver copies a push into its ghost table
+/// and retires the buffer into its driver's buffer pool, so a driver that
+/// also *takes* push buffers from that pool closes the loop; with fresh
+/// buffers the pool gains one per push and nothing drains it.
 pub fn plan_backups_with<P: Clone>(
     state: &mut PolyState<P>,
     self_id: NodeId,
@@ -130,6 +132,12 @@ pub fn plan_backups_with<P: Clone>(
     ids_scratch: &mut Vec<PointId>,
     mut take_points: impl FnMut() -> Vec<DataPoint<P>>,
 ) -> Vec<BackupPush<P>> {
+    // The guest ids, sorted: every push is measured against them and
+    // recorded as them.
+    ids_scratch.clear();
+    ids_scratch.extend(state.guests.iter().map(|g| g.id));
+    ids_scratch.sort_unstable();
+
     // Line 1: backups ← backups \ failed (their delta records go too).
     state.backups.remove_where(&is_failed, |_, _| {});
 
@@ -151,7 +159,7 @@ pub fn plan_backups_with<P: Clone>(
                         target: c,
                         points: Vec::new(),
                         new_target: true,
-                        added_points: 0,
+                        added_points: ids_scratch.len(),
                         removed_ids: 0,
                     });
                 }
@@ -161,12 +169,6 @@ pub fn plan_backups_with<P: Clone>(
     }
 
     // Lines 3-5: plan pushes, eliding unchanged replicas.
-    ids_scratch.clear();
-    ids_scratch.extend(state.guests.iter().map(|g| g.id));
-    ids_scratch.sort_unstable();
-    for push in &mut pushes {
-        push.added_points = ids_scratch.len();
-    }
     for (target, previous) in state.backups.runs() {
         let (added, removed) = sorted_delta_counts(ids_scratch, previous);
         if added == 0 && removed == 0 {
@@ -180,6 +182,7 @@ pub fn plan_backups_with<P: Clone>(
             removed_ids: removed,
         });
     }
+    // Recruits and stale targets go out in one order, ascending by target.
     pushes.sort_unstable_by_key(|push| push.target);
     for push in &mut pushes {
         push.points = take_points();

@@ -29,9 +29,11 @@ impl RecoveryOutcome {
     }
 }
 
-/// Runs Algorithm 2 on `state`: every ghost entry whose origin the failure
-/// detector flags is merged into the guest set and dropped from the ghost
-/// dictionary.
+/// Runs Algorithm 2 on `state`: every ghost run whose origin the failure
+/// detector flags is merged into the guest set (holders ascending, each
+/// run deduplicated against the guests as it lands) and dropped from the
+/// ghost table. A flagged holder with an empty run is reported with no
+/// points.
 ///
 /// # Example
 ///

@@ -9,9 +9,8 @@
 //!
 //! The two custody maps, `ghosts` and `backups`, are [`RunTable`]s: one
 //! id-sorted table of `(node, run length)` over one flat vector holding
-//! every node's run back to back. A node's K replicas and K backup
-//! records cost four heap blocks, however many peers they involve, where
-//! a map of vectors costs a tree node plus one buffer per peer.
+//! every node's run back to back, so a node's replicas and backup
+//! records cost four heap blocks however many peers they involve.
 
 use crate::config::PolystyreneConfig;
 use crate::datapoint::{dedup_by_id_in_place, DataPoint, PointId};
@@ -60,8 +59,8 @@ impl<P: Clone> PolyState<P> {
         Self {
             pos: origin.pos.clone(),
             guests: vec![origin],
-            ghosts: RunTable::default(),
-            backups: RunTable::default(),
+            ghosts: RunTable::EMPTY,
+            backups: RunTable::EMPTY,
         }
     }
 
@@ -72,8 +71,8 @@ impl<P: Clone> PolyState<P> {
         Self {
             pos,
             guests: Vec::new(),
-            ghosts: RunTable::default(),
-            backups: RunTable::default(),
+            ghosts: RunTable::EMPTY,
+            backups: RunTable::EMPTY,
         }
     }
 
@@ -130,16 +129,12 @@ pub struct RunTable<T> {
     items: Vec<T>,
 }
 
-impl<T> Default for RunTable<T> {
-    fn default() -> Self {
-        Self {
-            keys: Vec::new(),
-            items: Vec::new(),
-        }
-    }
-}
-
 impl<T> RunTable<T> {
+    const EMPTY: Self = Self {
+        keys: Vec::new(),
+        items: Vec::new(),
+    };
+
     /// Number of keys (empty runs included).
     pub fn len(&self) -> usize {
         self.keys.len()
@@ -152,7 +147,7 @@ impl<T> RunTable<T> {
 
     /// Whether `key` has a run (possibly empty).
     pub fn contains(&self, key: NodeId) -> bool {
-        self.index_of(key).is_ok()
+        self.keys.binary_search_by_key(&key, |&(k, _)| k).is_ok()
     }
 
     /// The keys, ascending.
@@ -185,7 +180,7 @@ impl<T> RunTable<T> {
     where
         T: Clone,
     {
-        let (index, old_len) = match self.index_of(key) {
+        let (index, old_len) = match self.keys.binary_search_by_key(&key, |&(k, _)| k) {
             Ok(index) => (index, std::mem::replace(&mut self.keys[index].1, run.len())),
             Err(index) => {
                 self.keys.insert(index, (key, run.len()));
@@ -227,10 +222,6 @@ impl<T> RunTable<T> {
         if self.items.capacity() > 2 * self.items.len() + 4 {
             self.items.shrink_to(self.items.len());
         }
-    }
-
-    fn index_of(&self, key: NodeId) -> Result<usize, usize> {
-        self.keys.binary_search_by_key(&key, |&(k, _)| k)
     }
 }
 

@@ -493,7 +493,7 @@ impl<S: MetricSpace> ProtocolNode<S> {
         }
         // Heartbeats along the backup relationships (Sec. III-A suggests
         // "a reactive ping mechanism, or heartbeats"), one per peer: a
-        // backup target that also pushes its replica here is beaten once.
+        // backup target that also pushes its replica here gets one, not two.
         let poly = &self.poly;
         let holders_only = poly.ghosts.keys().filter(|&q| !poly.backups.contains(q));
         for peer in poly.backups.keys().chain(holders_only) {
@@ -1566,6 +1566,34 @@ mod tests {
             e,
             Effect::Send { to, wire: Wire::Heartbeat } if *to == NodeId::new(5)
         )));
+    }
+
+    #[test]
+    fn a_peer_in_both_custody_roles_gets_one_heartbeat_per_tick() {
+        let mut rng = StdRng::seed_from_u64(7);
+        // 5 is the only contact, so the first tick enrolls it as a backup.
+        let mut a = founder(0, 0.0, vec![desc(5, 1.0, 0.0)]);
+        a.on_tick_into(&mut rng, &mut EffectSink::new());
+        assert!(a.poly.backups.contains(NodeId::new(5)));
+        // 5 also replicates its own guests here.
+        a.on_event_into(
+            Event::Message {
+                from: NodeId::new(5),
+                wire: Wire::BackupPush {
+                    points: vec![DataPoint::new(PointId::new(50), [1.0, 0.0])],
+                    added_points: 1,
+                    removed_ids: 0,
+                },
+            },
+            &mut rng,
+            &mut EffectSink::new(),
+        );
+        let effects = collect(|sink| a.on_tick_into(&mut rng, sink));
+        let beats = effects
+            .iter()
+            .filter(|e| matches!(e, Effect::Send { to, wire: Wire::Heartbeat } if *to == NodeId::new(5)))
+            .count();
+        assert_eq!(beats, 1);
     }
 
     /// Injects a query at `node` through its own gateway, as a driver
