@@ -446,7 +446,8 @@ fn assert_engine_steady_state_allocations(
 /// pooled replica buffers of capacity 4 and four one-id vectors:
 /// engine 5 922, netsim 7 384. Each bound is the midpoint of those two
 /// readings, so per-peer custody buffers fail here, and a view that
-/// carries slack fails long before. The gauge is
+/// carries slack or a calendar queue that keeps one deque per tick
+/// (9 911 on the kernel) fails long before. The gauge is
 /// process-wide, which is safe at this size: 256 nodes run inline in
 /// the rayon shim and no 256-node wave is wide enough for a second
 /// kernel lane (asserted below), so no worker thread (nor its
