@@ -433,21 +433,20 @@ fn assert_engine_steady_state_allocations(
 /// in, at the paper's view sizes (T-Man 100, peer sampling 20). By then
 /// every view is full and replication has settled at 1 + K points, so
 /// what is live is the steady state a 100k-node run multiplies. The two
-/// gossip views are the largest part of it: 3 200 + 640 bytes of
-/// descriptors when allocated at their caps, 5 120 + 1 024 when left to
-/// double their way there; doubled views would add 2 265 (engine) and
-/// 2 357 (netsim) bytes/node. Measured: engine 5 005, netsim 6 616
-/// bytes/node (the kernel adds its event slab, payload pool, staging
-/// buffers and every node's rng). The custody state is the next part:
-/// ghosts and backup records sit in two run tables per node, four heap
-/// blocks of about 64, 96, 64 and 32 bytes at K = 4. As a `BTreeMap` of
-/// ghost buffers, a `BTreeSet` of backups and a `BTreeMap` of delta
-/// records it cost two 368-byte tree leaves, a 104-byte set leaf, four
-/// pooled replica buffers of capacity 4 and four one-id vectors:
-/// engine 5 922, netsim 7 384. Each bound is the midpoint of those two
-/// readings, so per-peer custody buffers fail here, and a view that
-/// carries slack or a calendar queue that keeps one deque per tick
-/// (9 911 on the kernel) fails long before. The gauge is
+/// gossip views are the largest part of it: 2 400 + 480 bytes of 24-byte
+/// descriptors when allocated at their caps, 3 840 + 768 when left to
+/// double their way there (at 32-byte descriptors doubled views added
+/// 2 265 on the engine and 2 357 on the kernel). Measured: engine
+/// 4 035, netsim 5 375 bytes/node (the kernel adds its event slab,
+/// payload pool, staging buffers and every node's rng). With 64-bit
+/// node ids, 32-byte descriptors, they read 5 005 and 6 616. Each bound
+/// is the midpoint of those two readings, so a widened id fails here,
+/// and a view that carries slack, per-peer custody buffers (5 922 and
+/// 7 384 before the run tables) or a calendar queue that keeps one
+/// deque per tick (9 911 on the kernel) fail long before. The custody
+/// state is the next part after the views: ghosts and backup records
+/// sit in two run tables per node, four heap blocks of about 64, 96, 64
+/// and 32 bytes at K = 4. The gauge is
 /// process-wide, which is safe at this size: 256 nodes run inline in
 /// the rayon shim and no 256-node wave is wide enough for a second
 /// kernel lane (asserted below), so no worker thread (nor its
@@ -476,14 +475,15 @@ fn live_heap_per_node(live_before: u64, nodes: u64) -> u64 {
 /// join at the dead half's founding positions and 8 more rounds absorb
 /// them. The survivors' recovery spike passes through every custody
 /// structure — reactivated ghosts, the fat replicas pushed to the
-/// backups, their delta records. Measured: 5 450 bytes/node (the
-/// traffic load built since the first gate included). With run tables
-/// that keep the capacity of that spike it read 5 608, with per-peer
-/// B-tree custody 6 358; the bound is the midpoint of the first two, so
-/// spike capacity that is never given back fails here rather than in
-/// resident megabytes at scale.
+/// backups, their delta records. Measured: 4 450 bytes/node (the
+/// traffic load built since the first gate included; 5 450 with 64-bit
+/// node ids). With run tables that keep the capacity of that spike it
+/// reads 4 608, with per-peer B-tree custody 6 358 at 64-bit ids; the
+/// bound is the midpoint of the first two, so spike capacity that is
+/// never given back fails here rather than in resident megabytes at
+/// scale.
 fn assert_post_catastrophe_heap_per_node(engine: &mut Engine<Torus2>, live_before: u64) {
-    const BOUND: u64 = 5_529;
+    const BOUND: u64 = 4_529;
     let dead_half = |p: &[f64; 2]| p[0] >= 16.0;
     engine.fail_original_region(&dead_half);
     engine.run(8);
@@ -511,7 +511,7 @@ fn bench_engine_round(c: &mut Criterion) {
     let mut engine = Engine::new(Torus2::new(32.0, 8.0), shapes::torus_grid(32, 8, 1.0), cfg);
     // Warm-up: views fill, slabs and scratch reach steady capacities.
     engine.run(24);
-    assert_live_heap_per_node("engine", live_before, 256, 5_464);
+    assert_live_heap_per_node("engine", live_before, 256, 4_520);
     let mut load = TrafficLoad::new(shapes::torus_grid(32, 8, 1.0), 32, 0.9, 16, 21);
     assert_engine_steady_state_allocations(&mut engine, &mut load);
     assert_post_catastrophe_heap_per_node(&mut engine, live_before);
@@ -534,7 +534,7 @@ fn bench_netsim_round(c: &mut Criterion) {
     // Warm-up: views fill, the event queue and kernel scratch reach
     // their steady capacities.
     sim.run(24);
-    assert_live_heap_per_node("netsim", live_before, 256, 7_000);
+    assert_live_heap_per_node("netsim", live_before, 256, 5_996);
     assert_eq!(sim.parallel_runs(), 0, "a 256-node run fanned out");
     let mut load = TrafficLoad::new(shapes::torus_grid(32, 8, 1.0), 32, 0.9, 16, 21);
     assert_netsim_steady_state_allocations(&mut sim, &mut load);

@@ -10,7 +10,8 @@
 //! live substrates spawn threads per node, so their default sweep is
 //! capped lower). Each table row reports its wall-clock cost, so
 //! observation-path performance regressions are visible in the sweep
-//! output itself.
+//! output itself, and the JSON and CSV carry the process's peak
+//! resident set after each row beside it.
 //!
 //! ```sh
 //! cargo run --release -p polystyrene-bench --bin fig10a_scaling -- \
@@ -21,34 +22,45 @@
 
 use polystyrene::prelude::SplitStrategy;
 use polystyrene_bench::{
-    json_f64, render_reshaping_table, reshaping_row, scaling_sizes, CommonArgs, ReshapingRow,
+    json_f64, peak_rss_mb, render_reshaping_table, reshaping_row, scaling_sizes, CommonArgs,
+    ReshapingRow,
 };
 use polystyrene_lab::SubstrateKind;
 use polystyrene_sim::prelude::{write_csv, PaperScenario};
 
+/// One K's rows, each with the process's `VmHWM` once it finished
+/// (MB). Sizes ascend within a K and K = 8 runs first, so each K = 8
+/// reading is that row's own peak; later K only repeat smaller sizes.
+type Sweep = (usize, Vec<ReshapingRow>, Vec<f64>);
+
 /// The machine-readable sweep artifact: per-row wall-clock in a
-/// `wall_secs` object plus per-row reshaping means as `entries`, the
-/// same shape `baseline_diff` already gates for the matrix and netsim
-/// artifacts. Rows are labeled `K<k>/n=<nodes>`; on the deterministic
-/// engine substrate the reshaping means are gated exactly and the
-/// 12 800-node wall-clock rides the relative gate.
-fn sweep_json(
-    substrate: SubstrateKind,
-    runs: usize,
-    sweeps: &[(usize, Vec<ReshapingRow>)],
-) -> String {
-    let all: Vec<(String, &ReshapingRow)> = sweeps
+/// `wall_secs` object and peak memory in a `peak_rss_mb` object, plus
+/// per-row reshaping means as `entries`, the same shape `baseline_diff`
+/// already gates for the matrix and netsim artifacts. Rows are labeled
+/// `K<k>/n=<nodes>`; on the deterministic engine substrate the
+/// reshaping means are gated exactly and the 12 800-node wall-clock
+/// rides the relative gate. `baseline_diff` does not read
+/// `peak_rss_mb` (resident size depends on the allocator and the box).
+fn sweep_json(substrate: SubstrateKind, runs: usize, sweeps: &[Sweep]) -> String {
+    let all: Vec<(String, &ReshapingRow, f64)> = sweeps
         .iter()
-        .flat_map(|(k, rows)| rows.iter().map(move |r| (format!("K{k}/n={}", r.nodes), r)))
+        .flat_map(|(k, rows, rss)| {
+            rows.iter()
+                .zip(rss)
+                .map(move |(r, &rss)| (format!("K{k}/n={}", r.nodes), r, rss))
+        })
         .collect();
-    let wall_secs = all
-        .iter()
-        .map(|(label, r)| format!("\"{label}\":{}", json_f64(r.elapsed.as_secs_f64(), 3)))
-        .collect::<Vec<_>>()
-        .join(",");
+    let per_row = |value: &dyn Fn(&ReshapingRow, f64) -> f64| {
+        all.iter()
+            .map(|(label, r, rss)| format!("\"{label}\":{}", json_f64(value(r, *rss), 3)))
+            .collect::<Vec<_>>()
+            .join(",")
+    };
+    let wall_secs = per_row(&|r, _| r.elapsed.as_secs_f64());
+    let peak_rss = per_row(&|_, rss| rss);
     let entries = all
         .iter()
-        .map(|(label, r)| {
+        .map(|(label, r, _)| {
             format!(
                 "{{\"label\":\"{label}\",\"nodes\":{},\"mean_reshaping_rounds\":{},\"unreshaped_runs\":{},\"reliability_mean\":{}}}",
                 r.nodes,
@@ -61,7 +73,7 @@ fn sweep_json(
         .join(",");
     format!(
         "{{\"figure\":\"fig10a_scaling\",\"substrate\":\"{substrate}\",\"runs\":{runs},\
-         \"wall_secs\":{{{wall_secs}}},\"entries\":[{entries}]}}\n"
+         \"wall_secs\":{{{wall_secs}}},\"peak_rss_mb\":{{{peak_rss}}},\"entries\":[{entries}]}}\n"
     )
 }
 
@@ -88,16 +100,17 @@ fn main() {
     );
 
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
-    let mut sweeps: Vec<(usize, Vec<ReshapingRow>)> = Vec::new();
+    let mut sweeps: Vec<Sweep> = Vec::new();
     for &k in &[8usize, 4, 2] {
         let mut cfg = args.lab_config(SplitStrategy::Advanced);
         cfg.poly.replication = k;
-        let rows: Vec<_> = sizes
+        let (rows, rss): (Vec<_>, Vec<_>) = sizes
             .iter()
             .map(|&(cols, rows)| {
                 let paper = PaperScenario::reshaping_only(cols, rows, 20, 60);
                 let label = format!("{} nodes", cols * rows);
-                reshaping_row(args.substrate, &paper, &cfg, args.runs, label)
+                let row = reshaping_row(args.substrate, &paper, &cfg, args.runs, label);
+                (row, peak_rss_mb())
             })
             .collect();
         println!(
@@ -107,16 +120,17 @@ fn main() {
                 &rows
             )
         );
-        for r in &rows {
+        for (r, rss) in rows.iter().zip(&rss) {
             csv_rows.push(vec![
                 k.to_string(),
                 r.nodes.to_string(),
                 format!("{:.3}", r.reshaping.mean),
                 format!("{:.3}", r.reshaping.half_width),
                 format!("{:.3}", r.elapsed.as_secs_f64()),
+                format!("{rss:.1}"),
             ]);
         }
-        sweeps.push((k, rows));
+        sweeps.push((k, rows, rss));
     }
     write_csv(
         args.out.join("fig10a_scaling.csv"),
@@ -126,6 +140,7 @@ fn main() {
             "reshaping_mean",
             "reshaping_ci95",
             "wall_secs",
+            "peak_rss_mb",
         ],
         &csv_rows,
     )

@@ -35,7 +35,7 @@
 //! ```
 
 use polystyrene::prelude::SplitStrategy;
-use polystyrene_bench::{scaling_sizes, CommonArgs};
+use polystyrene_bench::{peak_rss_mb, scaling_sizes, CommonArgs};
 use polystyrene_lab::{json_f64, summary_json, ExperimentSummary, SubstrateKind};
 use polystyrene_membership::NodeId;
 use polystyrene_netsim::prelude::{LinkProfile, NetSim, NetSimConfig};
@@ -142,17 +142,6 @@ struct SweepRow {
     /// so there it is the row's own peak; loss rows share one size, so
     /// there it is the peak of the rows so far. Not gated.
     peak_rss_mb: f64,
-}
-
-/// `VmHWM` of `/proc/self/status` in MB, or NaN off Linux.
-fn peak_rss_mb() -> f64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|status| {
-            let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
-            kb.trim().strip_suffix("kB")?.trim().parse::<f64>().ok()
-        })
-        .map_or(f64::NAN, |kb| kb / 1024.0)
 }
 
 /// The sweep's scenario: converge, kill the right half-torus, and — with

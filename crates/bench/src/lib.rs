@@ -508,6 +508,19 @@ pub fn scaling_sizes(max_nodes: usize) -> Vec<(usize, usize)> {
     .collect()
 }
 
+/// `VmHWM` of `/proc/self/status` in MB, or NaN off Linux: the
+/// process's peak resident set so far. Sweeps whose rows ascend in size
+/// read it after each row as that row's peak.
+pub fn peak_rss_mb() -> f64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+            kb.trim().strip_suffix("kB")?.trim().parse::<f64>().ok()
+        })
+        .map_or(f64::NAN, |kb| kb / 1024.0)
+}
+
 /// Mean of the last `n` samples of a series (steady-state estimate).
 pub fn steady_state(series: &[f64], n: usize) -> f64 {
     if series.is_empty() {

@@ -34,11 +34,12 @@
 //!
 //! ```
 //! use polystyrene_lab::{build_substrate, run_experiment, LabConfig, SubstrateKind};
+//! use polystyrene_membership::NodeId;
 //! use polystyrene_protocol::{Scenario, ScenarioEvent};
 //! use polystyrene_space::prelude::*;
 //!
 //! let scenario: Scenario<[f64; 2]> =
-//!     Scenario::new(4).at(1, ScenarioEvent::FailNodes(vec![1.into(), 2.into()]));
+//!     Scenario::new(4).at(1, ScenarioEvent::FailNodes(vec![NodeId::new(1), NodeId::new(2)]));
 //! let mut cfg = LabConfig::default();
 //! cfg.area = 16.0;
 //! for kind in [SubstrateKind::Engine, SubstrateKind::Netsim] {

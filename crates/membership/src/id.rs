@@ -2,6 +2,14 @@
 
 /// A globally unique node identifier.
 ///
+/// Ids are dense 32-bit indices: the node pool (`NodePool` in the
+/// protocol crate) and the live cluster each mint them from a counter
+/// starting at 0, and `FailureTable` and the pool's slot map are
+/// vectors indexed by [`NodeId::index`]. Holding 4 bytes instead of 8
+/// packs a 2-D gossip descriptor into 24 bytes. The wire keeps an 8-byte
+/// id field; the codec rejects values above `u32::MAX` with a typed
+/// error.
+///
 /// In the paper's cost model a node ID is the unit of communication: "We
 /// assume a single coordinate uses the same size as a node ID, and take
 /// this as our arbitrary communication unit" (Sec. IV-A). The simulator's
@@ -18,17 +26,26 @@
 /// assert!(a < NodeId::new(8));
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct NodeId(u64);
+pub struct NodeId(u32);
 
 impl NodeId {
     /// Creates a node id from a raw integer.
+    ///
+    /// # Panics
+    ///
+    /// If `raw` exceeds `u32::MAX`; [`NodeId::try_from`] is the checked
+    /// form.
     pub const fn new(raw: u64) -> Self {
-        Self(raw)
+        assert!(
+            raw <= u32::MAX as u64,
+            "node id exceeds u32::MAX, the bound of the 32-bit id space"
+        );
+        Self(raw as u32)
     }
 
     /// The raw integer value.
     pub const fn as_u64(&self) -> u64 {
-        self.0
+        self.0 as u64
     }
 
     /// The raw value as a usize, convenient for dense array indexing in the
@@ -38,9 +55,12 @@ impl NodeId {
     }
 }
 
-impl From<u64> for NodeId {
-    fn from(raw: u64) -> Self {
-        Self(raw)
+impl TryFrom<u64> for NodeId {
+    type Error = std::num::TryFromIntError;
+
+    /// The checked form of [`NodeId::new`]: fails above `u32::MAX`.
+    fn try_from(raw: u64) -> Result<Self, Self::Error> {
+        u32::try_from(raw).map(Self)
     }
 }
 
@@ -90,7 +110,7 @@ pub type IdHashMap<K, V> = std::collections::HashMap<K, V, std::hash::BuildHashe
 
 impl From<NodeId> for u64 {
     fn from(id: NodeId) -> Self {
-        id.0
+        u64::from(id.0)
     }
 }
 
@@ -109,9 +129,28 @@ mod tests {
     fn roundtrip_and_ordering() {
         let id = NodeId::new(42);
         assert_eq!(u64::from(id), 42);
-        assert_eq!(NodeId::from(42u64), id);
+        assert_eq!(NodeId::try_from(42u64), Ok(id));
         assert_eq!(id.index(), 42);
         assert!(NodeId::new(1) < NodeId::new(2));
+        // The id space ends at u32::MAX.
+        let top = u64::from(u32::MAX);
+        assert_eq!(NodeId::new(top).as_u64(), top);
+        assert_eq!(NodeId::try_from(top), Ok(NodeId::new(top)));
+        assert!(NodeId::try_from(top + 1).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "u32::MAX")]
+    fn minting_past_the_id_space_names_the_bound() {
+        let _ = NodeId::new(u64::from(u32::MAX) + 1);
+    }
+
+    #[test]
+    fn descriptors_pack_into_24_bytes() {
+        // A wider id would grow every gossip view by a third; fail here
+        // rather than as a slow creep in peak resident memory.
+        assert_eq!(std::mem::size_of::<NodeId>(), 4);
+        assert_eq!(std::mem::size_of::<crate::Descriptor<[f64; 2]>>(), 24);
     }
 
     #[test]

@@ -13,6 +13,11 @@
 //! Positions are encoded through [`PointCodec`], implemented for the
 //! workspace's concrete point types (`f64` rings, `[f64; 2]` surfaces).
 //!
+//! A node id is an 8-byte `u64` field on the wire, though [`NodeId`]
+//! holds 32 bits: the format stays as it was, and a decoder that meets a
+//! value above `u32::MAX` returns [`CodecError::BadNodeId`] instead of
+//! building an id.
+//!
 //! ```
 //! use polystyrene_protocol::codec::{decode_wire, encode_wire};
 //! use polystyrene_protocol::wire::Wire;
@@ -80,6 +85,9 @@ pub enum CodecError {
     BadLength(u64),
     /// Input bytes remained after the value was fully decoded.
     TrailingBytes(usize),
+    /// An 8-byte node id field held a value above `u32::MAX`, outside
+    /// the id space [`NodeId`] can hold.
+    BadNodeId(u64),
 }
 
 impl std::fmt::Display for CodecError {
@@ -92,6 +100,7 @@ impl std::fmt::Display for CodecError {
             CodecError::BadTag { what, tag } => write!(f, "no {what} variant has tag {tag}"),
             CodecError::BadLength(n) => write!(f, "length prefix {n} exceeds the input"),
             CodecError::TrailingBytes(n) => write!(f, "{n} trailing bytes after the value"),
+            CodecError::BadNodeId(v) => write!(f, "node id {v} exceeds u32::MAX"),
         }
     }
 }
@@ -141,6 +150,13 @@ impl<'a> Reader<'a> {
 
     fn f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// A node id: an 8-byte field whose value must fit the 32-bit id
+    /// space — the only way the decoders build a [`NodeId`].
+    fn node_id(&mut self) -> Result<NodeId, CodecError> {
+        let raw = self.u64()?;
+        NodeId::try_from(raw).map_err(|_| CodecError::BadNodeId(raw))
     }
 
     /// A `u64` length prefix, sanity-checked against the bytes actually
@@ -220,7 +236,7 @@ fn put_descriptor<P: PointCodec>(out: &mut Vec<u8>, d: &Descriptor<P>) {
 }
 
 fn get_descriptor<P: PointCodec>(r: &mut Reader<'_>) -> Result<Descriptor<P>, CodecError> {
-    let id = NodeId::new(r.u64()?);
+    let id = r.node_id()?;
     let pos = P::decode_point(r)?;
     let age = r.u32()?;
     Ok(Descriptor::with_age(id, pos, age))
@@ -427,7 +443,7 @@ fn get_wire<P: PointCodec>(r: &mut Reader<'_>) -> Result<Wire<P>, CodecError> {
         8 => Wire::Heartbeat,
         9 => Wire::Query {
             qid: r.u64()?,
-            origin: NodeId::new(r.u64()?),
+            origin: r.node_id()?,
             key: P::decode_point(r)?,
             ttl: r.u32()?,
             hops: r.u32()?,
@@ -444,7 +460,7 @@ fn get_wire<P: PointCodec>(r: &mut Reader<'_>) -> Result<Wire<P>, CodecError> {
                     .map(|_| {
                         Ok(QueryItem {
                             qid: r.u64()?,
-                            origin: NodeId::new(r.u64()?),
+                            origin: r.node_id()?,
                             key: P::decode_point(r)?,
                             ttl: r.u32()?,
                             hops: r.u32()?,
@@ -558,11 +574,11 @@ pub fn decode_event<P: PointCodec>(bytes: &[u8]) -> Result<Event<P>, CodecError>
     let mut r = open(bytes)?;
     let event = match r.u8()? {
         0 => Event::Message {
-            from: NodeId::new(r.u64()?),
+            from: r.node_id()?,
             wire: get_wire(&mut r)?,
         },
         1 => Event::ProbeOk {
-            peer: NodeId::new(r.u64()?),
+            peer: r.node_id()?,
             channel: channel_from_tag(r.u8()?)?,
             pos: match r.u8()? {
                 0 => None,
@@ -576,7 +592,7 @@ pub fn decode_event<P: PointCodec>(bytes: &[u8]) -> Result<Event<P>, CodecError>
             },
         },
         2 => Event::PeerUnreachable {
-            peer: NodeId::new(r.u64()?),
+            peer: r.node_id()?,
             channel: channel_from_tag(r.u8()?)?,
         },
         tag => return Err(CodecError::BadTag { what: "Event", tag }),
@@ -614,11 +630,11 @@ pub fn decode_effect<P: PointCodec>(bytes: &[u8]) -> Result<Effect<P>, CodecErro
     let mut r = open(bytes)?;
     let effect = match r.u8()? {
         0 => Effect::Probe {
-            peer: NodeId::new(r.u64()?),
+            peer: r.node_id()?,
             channel: channel_from_tag(r.u8()?)?,
         },
         1 => Effect::Send {
-            to: NodeId::new(r.u64()?),
+            to: r.node_id()?,
             wire: get_wire(&mut r)?,
         },
         tag => {
@@ -797,6 +813,91 @@ mod tests {
                 decode_wire::<[f64; 2]>(&out),
                 Err(CodecError::BadLength(u64::MAX))
             );
+        }
+    }
+
+    /// Encodes `value` (which carries the id `u32::MAX` exactly once),
+    /// checks that it round-trips, then raises that id field to
+    /// `u32::MAX + 1`: decoding must fail with [`CodecError::BadNodeId`].
+    fn assert_id_field_bounded<T: PartialEq + std::fmt::Debug>(
+        value: T,
+        encode: fn(&T) -> Vec<u8>,
+        decode: fn(&[u8]) -> Result<T, CodecError>,
+    ) {
+        let mut bytes = encode(&value);
+        assert_eq!(decode(&bytes).as_ref(), Ok(&value));
+        let top = u64::from(u32::MAX).to_le_bytes();
+        let at: Vec<usize> = (0..=bytes.len() - 8)
+            .filter(|&i| bytes[i..i + 8] == top)
+            .collect();
+        assert_eq!(at.len(), 1, "{value:?} must hold the id field once");
+        let past = u64::from(u32::MAX) + 1;
+        bytes[at[0]..at[0] + 8].copy_from_slice(&past.to_le_bytes());
+        assert_eq!(
+            decode(&bytes),
+            Err(CodecError::BadNodeId(past)),
+            "{value:?}"
+        );
+    }
+
+    #[test]
+    fn ids_past_u32_max_fail_in_every_id_field() {
+        let top = NodeId::new(u64::from(u32::MAX));
+        let query = |origin| QueryItem {
+            qid: 7,
+            origin,
+            key: [3.0, 4.0],
+            ttl: 64,
+            hops: 1,
+        };
+        let wires: [Wire<[f64; 2]>; 3] = [
+            Wire::RpsRequest {
+                descriptors: vec![Descriptor::with_age(top, [1.0, 2.0], 3)],
+            },
+            Wire::Query {
+                qid: 7,
+                origin: top,
+                key: [3.0, 4.0],
+                ttl: 64,
+                hops: 1,
+            },
+            Wire::QueryBatch {
+                queries: vec![query(NodeId::new(5)), query(top)],
+            },
+        ];
+        for wire in wires {
+            assert_id_field_bounded(wire, encode_wire, decode_wire);
+        }
+        let events: [Event<[f64; 2]>; 3] = [
+            Event::Message {
+                from: top,
+                wire: Wire::Heartbeat,
+            },
+            Event::ProbeOk {
+                peer: top,
+                channel: Channel::Backup,
+                pos: Some([1.0, 2.0]),
+            },
+            Event::PeerUnreachable {
+                peer: top,
+                channel: Channel::Query,
+            },
+        ];
+        for event in events {
+            assert_id_field_bounded(event, encode_event, decode_event);
+        }
+        let effects: [Effect<[f64; 2]>; 2] = [
+            Effect::Probe {
+                peer: top,
+                channel: Channel::Topology,
+            },
+            Effect::Send {
+                to: top,
+                wire: Wire::Heartbeat,
+            },
+        ];
+        for effect in effects {
+            assert_id_field_bounded(effect, encode_effect, decode_effect);
         }
     }
 

@@ -124,7 +124,8 @@ pub struct NodePool<S: MetricSpace> {
     /// Alive ids, sorted ascending (ids are issued monotonically, so a
     /// join is always a push).
     alive: Vec<NodeId>,
-    /// Next id to issue.
+    /// Next id to issue. Never wraps: [`NodeId::new`] panics, naming
+    /// the `u32::MAX` bound, once the id space is spent.
     next_id: u64,
 }
 

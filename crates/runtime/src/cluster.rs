@@ -55,6 +55,8 @@ pub struct Cluster<S: MetricSpace, T: Transport<S::Point> = Registry<<S as Metri
     workers: Vec<Sender<Post<S::Point>>>,
     /// The worker threads, joined at shutdown.
     pool: Mutex<Vec<JoinHandle<()>>>,
+    /// Next id [`Self::inject`] issues. Never wraps: [`NodeId::new`]
+    /// panics, naming the `u32::MAX` bound, once the id space is spent.
     next_id: Mutex<u64>,
     rng: Mutex<StdRng>,
     /// Traffic-plane offer state: the dedicated gateway-draw stream,
