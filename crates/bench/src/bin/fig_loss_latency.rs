@@ -44,7 +44,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// System allocator wrapped with an allocation counter, mirroring the
-/// microbench alloc gate: the sweep artifact carries a deterministic
+/// allocation gates in `tests/gates.rs`: the sweep artifact carries a deterministic
 /// `allocs_per_round` scalar so `baseline_diff` catches allocation
 /// regressions in CI, not just locally.
 struct CountingAlloc;
@@ -72,7 +72,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Measures steady-state heap allocations per netsim round on the
-/// microbench gate's 256-node scenario (same grid, seed and link
+/// netsim allocation gate's 256-node scenario (same grid, seed and link
 /// profile, so the numbers are directly comparable). Deterministic:
 /// netsim is single-threaded and fully seeded, so the committed
 /// baseline can gate this exactly.
@@ -365,7 +365,7 @@ fn main() {
     // Allocation telemetry for the CI trajectory: only the deterministic
     // netsim substrate measures it (the live substrates' thread and
     // socket machinery would make the count scheduling-dependent). The
-    // probe reuses the microbench gate's 256-node scenario, so the
+    // probe reuses the netsim allocation gate's 256-node scenario, so the
     // artifact scalar and the local gate speak the same unit.
     let allocs_per_round = (args.substrate == SubstrateKind::Netsim)
         .then(measure_allocs_per_round)

@@ -29,10 +29,9 @@
 //! scenario driver, one observation record — so every scenario runs on
 //! every substrate. The three that read engine internals
 //! (`fig6_7_quality`, `fig8_9_snapshots`, `ext_routing_recovery`) reject
-//! any other substrate. The only bench target, `benches/microbench.rs`,
-//! times the algorithmic kernels and gates allocations and live heap;
-//! wall-clock timing of whole runs lives in the repo benchmark
-//! (`benchmark/`).
+//! any other substrate. `tests/gates.rs` gates steady-state
+//! allocations and live heap per node with a counting allocator;
+//! wall-clock timing lives in the repo benchmark (`benchmark/`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -11,9 +11,7 @@ use crate::node::NodeRuntime;
 use crate::observe::{observe, ObservationBoard};
 use crate::registry::Registry;
 use crate::traffic::GatewayTraffic;
-use crate::worker::{Mailbox, Post, Worker};
-use crossbeam::channel::Sender;
-use parking_lot::Mutex;
+use crate::worker::{inbox, Inbox, Mailbox, Post, Worker};
 use polystyrene::prelude::{DataPoint, PointId};
 use polystyrene_membership::{Descriptor, NodeId};
 use polystyrene_protocol::observe::{Census, RoundObservation};
@@ -23,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::sync::atomic::AtomicUsize;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -52,7 +50,7 @@ pub struct Cluster<S: MetricSpace, T: Transport<S::Point> = Registry<<S as Metri
     nodes: Mutex<HashMap<NodeId, Node<S::Point>>>,
     /// One inbox per pool worker; node `id` lives on worker
     /// `id % workers.len()` from adoption to its kill.
-    workers: Vec<Sender<Post<S::Point>>>,
+    workers: Vec<Inbox<S::Point>>,
     /// The worker threads, joined at shutdown.
     pool: Mutex<Vec<JoinHandle<()>>>,
     /// Next id [`Self::inject`] issues. Never wraps: [`NodeId::new`]
@@ -87,7 +85,7 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
         let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
         let (workers, pool) = (0..parallelism.min(shape.len()))
             .map(|i| {
-                let (inbox, posts) = crossbeam::channel::unbounded();
+                let (inbox, posts) = inbox();
                 let worker = Worker::new(posts, Arc::clone(&board));
                 let thread = std::thread::Builder::new()
                     .name(format!("poly-worker-{i}"))
@@ -117,7 +115,7 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
         };
         for (i, pos) in shape.iter().enumerate() {
             let contacts = {
-                let mut rng = cluster.rng.lock();
+                let mut rng = cluster.rng.lock().unwrap_or_else(PoisonError::into_inner);
                 contacts_from_shape(&shape, i, BOOTSTRAP_CONTACTS, &mut rng)
             };
             cluster.spawn_node(
@@ -159,8 +157,11 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
         // A worker that is gone (it panicked, or the cluster was shut
         // down) adopts nothing: the node never runs, `await_ticks` says
         // so, and `shutdown` reports why.
-        let _ = worker.send(Post::Adopt(Box::new(node)));
-        self.nodes.lock().insert(id, Node { mailbox, ingress });
+        let _ = worker.0.send(Post::Adopt(Box::new(node)));
+        self.nodes
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(id, Node { mailbox, ingress });
     }
 
     /// The original data points (the target shape).
@@ -170,12 +171,20 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
 
     /// Ids currently alive.
     pub fn alive_ids(&self) -> Vec<NodeId> {
-        self.nodes.lock().keys().copied().collect()
+        self.nodes
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .keys()
+            .copied()
+            .collect()
     }
 
     /// Whether `id` is currently alive.
     pub fn is_alive(&self, id: NodeId) -> bool {
-        self.nodes.lock().contains_key(&id)
+        self.nodes
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .contains_key(&id)
     }
 
     /// The transport the cluster's messages travel over, for what it
@@ -207,7 +216,12 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
     /// I/O thread, within one wake-up). Returns whether the node was
     /// alive.
     pub fn kill(&self, id: NodeId) -> bool {
-        let Some(node) = self.nodes.lock().remove(&id) else {
+        let Some(node) = self
+            .nodes
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&id)
+        else {
             return false;
         };
         // Detach first: probes and delivery reports turn negative before
@@ -232,14 +246,14 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
     /// Returns its id.
     pub fn inject(&self, position: S::Point) -> NodeId {
         let id = {
-            let mut next = self.next_id.lock();
+            let mut next = self.next_id.lock().unwrap_or_else(PoisonError::into_inner);
             let id = NodeId::new(*next);
             *next += 1;
             id
         };
         let alive = self.alive_ids();
         let contacts: Vec<Descriptor<S::Point>> = {
-            let mut rng = self.rng.lock();
+            let mut rng = self.rng.lock().unwrap_or_else(PoisonError::into_inner);
             contacts_from_board(&alive, &self.board.snapshot(), BOOTSTRAP_CONTACTS, &mut rng)
         };
         self.spawn_node(id, None, position, contacts);
@@ -262,25 +276,31 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
     /// gateway are *shed*: counted in the observation plane's
     /// `traffic.shed`, separate from queries that expired in flight.
     pub fn offer_traffic(&self, keys: &[S::Point], ttl: u32) {
-        let nodes = self.nodes.lock();
+        let nodes = self.nodes.lock().unwrap_or_else(PoisonError::into_inner);
         let alive: Vec<NodeId> = nodes.keys().copied().collect();
-        self.traffic.lock().offer(
-            keys,
-            ttl,
-            &alive,
-            |id| nodes.get(&id).map(|n| Arc::clone(&n.ingress)),
-            |gateway, wire| {
-                nodes[&gateway].mailbox.send(Message::Protocol {
-                    from: gateway,
-                    wire,
-                });
-            },
-        );
+        self.traffic
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .offer(
+                keys,
+                ttl,
+                &alive,
+                |id| nodes.get(&id).map(|n| Arc::clone(&n.ingress)),
+                |gateway, wire| {
+                    nodes[&gateway].mailbox.send(Message::Protocol {
+                        from: gateway,
+                        wire,
+                    });
+                },
+            );
     }
 
     /// Queries shed at gateway ingress so far (cumulative).
     pub fn shed_queries(&self) -> u64 {
-        self.traffic.lock().shed()
+        self.traffic
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .shed()
     }
 
     /// Blocks until every alive node has executed at least `ticks` local
@@ -296,7 +316,7 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
             // counting only publishers would return before slow starters
             // ever appear on the board.
             let (alive, (reported, slowest)) = {
-                let nodes = self.nodes.lock();
+                let nodes = self.nodes.lock().unwrap_or_else(PoisonError::into_inner);
                 let progress = self.board.progress(|id| nodes.contains_key(&id));
                 (nodes.len(), progress)
             };
@@ -319,8 +339,8 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
     /// totals), including the offer-side shed count stamped here.
     pub fn observe(&self) -> RoundObservation {
         let mut obs = {
-            let nodes = self.nodes.lock();
-            let mut census = self.census.lock();
+            let nodes = self.nodes.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut census = self.census.lock().unwrap_or_else(PoisonError::into_inner);
             self.board.read(|reports| {
                 observe(
                     &mut census,
@@ -334,7 +354,11 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
                 )
             })
         };
-        obs.traffic.shed = self.traffic.lock().shed();
+        obs.traffic.shed = self
+            .traffic
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .shed();
         obs
     }
 
@@ -359,10 +383,15 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
         for id in self.alive_ids() {
             self.kill(id);
         }
-        for worker in &self.workers {
-            let _ = worker.send(Post::Stop);
+        for (inbox, _) in &self.workers {
+            let _ = inbox.send(Post::Stop);
         }
-        let workers: Vec<JoinHandle<()>> = self.pool.lock().drain(..).collect();
+        let workers: Vec<JoinHandle<()>> = self
+            .pool
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .drain(..)
+            .collect();
         let mut panic = None;
         for worker in workers {
             if let Err(payload) = worker.join() {

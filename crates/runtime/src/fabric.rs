@@ -17,11 +17,10 @@ use crate::config::RuntimeConfig;
 use crate::message::Message;
 use crate::registry::Registry;
 use crate::worker::Mailbox;
-use parking_lot::Mutex;
 use polystyrene_membership::NodeId;
 use polystyrene_protocol::{Channel, Fate, FaultyNetwork, NetworkModel, Wire};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A deployment's message fabric, as [`crate::Cluster`] sees it.
 pub trait Transport<P>: Send + Sync + Sized + 'static {
@@ -100,10 +99,14 @@ impl TransitLoss {
     /// the real send would have: loss is silent, only a dead peer is
     /// observable.
     pub fn loses(&self, from: NodeId, to: NodeId, channel: Channel) -> bool {
-        let lost = self
-            .model
-            .as_ref()
-            .is_some_and(|m| matches!(m.lock().route(from, to, channel, 0), Fate::Drop));
+        let lost = self.model.as_ref().is_some_and(|m| {
+            matches!(
+                m.lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .route(from, to, channel, 0),
+                Fate::Drop
+            )
+        });
         if lost {
             self.lost.fetch_add(1, Ordering::Relaxed);
         }
@@ -167,13 +170,12 @@ impl<P: Clone + Send> NodeFabric<P> for RegistryFabric<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::worker::Post;
-    use crossbeam::channel::unbounded;
+    use crate::worker::{inbox, Post};
 
     #[test]
     fn registry_fabric_wraps_sends_with_the_sender_id() {
         let registry: Arc<Registry<f64>> = Registry::new();
-        let (tx, rx) = unbounded();
+        let (tx, (rx, _worker)) = inbox();
         registry.register(Mailbox::new(NodeId::new(2), tx));
         let mut fabric = RegistryFabric::new(NodeId::new(1), Arc::clone(&registry));
         assert!(fabric.contains(NodeId::new(2)));

@@ -30,6 +30,12 @@
 //! `tests/cluster_tcp.rs`); this crate's own `cargo test` reaches
 //! [`Cluster`] only through the example below.
 //!
+//! Channels and locks are `std`'s. Every lock is taken with
+//! `unwrap_or_else(PoisonError::into_inner)`: a worker that panics while
+//! holding the observation board, the registry or the link model must
+//! not poison it, so that [`Cluster::shutdown`] resurfaces the worker's
+//! own panic, not a `PoisonError` raised on the harness thread.
+//!
 //! # Example
 //!
 //! ```

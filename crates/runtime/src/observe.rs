@@ -8,13 +8,12 @@
 //! experiment harnesses read one observation pipeline regardless of what
 //! carries the messages.
 
-use parking_lot::RwLock;
 use polystyrene::prelude::{DataPoint, PointId};
 use polystyrene_membership::NodeId;
 use polystyrene_protocol::observe::{Census, RoundObservation, TrafficStats};
 use polystyrene_space::MetricSpace;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// What each node publishes at every tick.
 #[derive(Clone, Debug)]
@@ -93,7 +92,7 @@ impl<P: Clone> ObservationBoard<P> {
     /// `pos`, so a node's per-tick publication reuses the id lists'
     /// allocations instead of building and dropping four `Vec`s.
     pub fn publish_with(&self, id: NodeId, pos: &P, refill: impl FnOnce(&mut NodeReport<P>)) {
-        let mut board = self.inner.write();
+        let mut board = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         let report = board
             .entry(id)
             .and_modify(|report| report.pos.clone_from(pos))
@@ -103,18 +102,24 @@ impl<P: Clone> ObservationBoard<P> {
 
     /// Removes a node's report (crash or shutdown).
     pub fn remove(&self, id: NodeId) {
-        self.inner.write().remove(&id);
+        self.inner
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&id);
     }
 
     /// Snapshot of all reports.
     pub fn snapshot(&self) -> HashMap<NodeId, NodeReport<P>> {
-        self.inner.read().clone()
+        self.inner
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Runs `f` over the reports under one read lock, copying nothing;
     /// publishers wait until it returns.
     pub fn read<R>(&self, f: impl FnOnce(&HashMap<NodeId, NodeReport<P>>) -> R) -> R {
-        f(&self.inner.read())
+        f(&self.inner.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// How far the nodes `alive` accepts have got: how many of them
@@ -123,7 +128,12 @@ impl<P: Clone> ObservationBoard<P> {
     /// nothing.
     pub fn progress(&self, alive: impl Fn(NodeId) -> bool) -> (usize, u64) {
         let (mut reported, mut slowest) = (0, u64::MAX);
-        for (&id, report) in self.inner.read().iter() {
+        for (&id, report) in self
+            .inner
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+        {
             if alive(id) {
                 reported += 1;
                 slowest = slowest.min(report.ticks);
@@ -134,7 +144,12 @@ impl<P: Clone> ObservationBoard<P> {
 
     /// Ids that currently have a report.
     pub fn ids(&self) -> Vec<NodeId> {
-        self.inner.read().keys().copied().collect()
+        self.inner
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .keys()
+            .copied()
+            .collect()
     }
 }
 
@@ -236,6 +251,28 @@ mod tests {
         assert_eq!(board.ids(), vec![id]);
         board.remove(id);
         assert!(board.snapshot().is_empty());
+    }
+
+    /// A publisher that panics under the write lock must not poison the
+    /// board: the harness reads it after a worker died, and
+    /// `Cluster::shutdown` must resurface that worker's own panic, not a
+    /// `PoisonError` raised here.
+    #[test]
+    fn a_panicking_publisher_does_not_poison_the_board() {
+        let board: Arc<ObservationBoard<[f64; 2]>> = ObservationBoard::new();
+        let (id, other) = (NodeId::new(1), NodeId::new(2));
+        board.publish_with(id, &[0.0, 0.0], |r| r.ticks = 3);
+        let publish = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            board.publish_with(other, &[1.0, 0.0], |_| panic!("refill panicked"));
+        }));
+        assert!(publish.is_err());
+        assert_eq!(board.snapshot()[&id].ticks, 3);
+        assert_eq!(board.progress(|n| n == id), (1, 3));
+        let mut ids = board.ids();
+        ids.sort();
+        assert_eq!(ids, vec![id, other]);
+        board.publish_with(id, &[0.0, 0.0], |r| r.ticks = 4);
+        assert_eq!(board.progress(|n| n == id), (1, 4));
     }
 
     #[test]

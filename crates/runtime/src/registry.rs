@@ -19,10 +19,9 @@ use crate::config::RuntimeConfig;
 use crate::fabric::{NodeFabric, RegistryFabric, TransitLoss, Transport};
 use crate::message::Message;
 use crate::worker::Mailbox;
-use parking_lot::RwLock;
 use polystyrene_membership::NodeId;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Thread-safe address book shared by every node of an in-process
 /// [`crate::Cluster`].
@@ -49,13 +48,19 @@ impl<P> Registry<P> {
 
     /// Registers a node's mailbox under the node's id.
     pub fn register(&self, mailbox: Mailbox<P>) {
-        self.inner.write().insert(mailbox.id(), mailbox);
+        self.inner
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(mailbox.id(), mailbox);
     }
 
     /// Removes a node (crash or shutdown). Subsequent sends to it are
     /// dropped.
     pub fn deregister(&self, id: NodeId) {
-        self.inner.write().remove(&id);
+        self.inner
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&id);
     }
 
     /// Sends `message` to `to`; returns `false` if the destination is
@@ -76,6 +81,7 @@ impl<P> Registry<P> {
         // cannot block, and no sender is cloned per message.
         self.inner
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .get(&to)
             .is_some_and(|mailbox| mailbox.send(message))
     }
@@ -87,6 +93,7 @@ impl<P> Registry<P> {
     pub fn contains(&self, id: NodeId) -> bool {
         self.inner
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .get(&id)
             .is_some_and(|mailbox| !mailbox.is_disconnected())
     }
@@ -129,13 +136,12 @@ impl<P: Clone + Send + Sync + 'static> Transport<P> for Registry<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::worker::Post;
-    use crossbeam::channel::{unbounded, Receiver};
+    use crate::worker::{inbox, Post, Posts};
 
     /// Registers node 1 on a fresh worker inbox and returns the worker's
     /// end of it.
-    fn register_node_1(registry: &Registry<f64>) -> Receiver<Post<f64>> {
-        let (tx, rx) = unbounded();
+    fn register_node_1(registry: &Registry<f64>) -> Posts<f64> {
+        let (tx, rx) = inbox();
         registry.register(Mailbox::new(NodeId::new(1), tx));
         rx
     }
@@ -147,7 +153,7 @@ mod tests {
     #[test]
     fn register_send_deregister() {
         let registry: Arc<Registry<f64>> = Registry::new();
-        let rx = register_node_1(&registry);
+        let (rx, _worker) = register_node_1(&registry);
         assert!(registry.contains(NodeId::new(1)));
         assert!(!registry.contains(NodeId::new(2)));
         assert!(registry.send(NodeId::new(1), Message::Shutdown));
@@ -188,7 +194,7 @@ mod tests {
     #[test]
     fn injected_loss_is_silent_but_counted() {
         let registry = all_loss();
-        let rx = register_node_1(&registry);
+        let (rx, _worker) = register_node_1(&registry);
         assert!(
             registry.send(NodeId::new(1), heartbeat()),
             "transit loss must be invisible to the sender (the mailbox exists)"

@@ -22,13 +22,13 @@
 
 use crate::message::Message;
 use crate::observe::ObservationBoard;
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use polystyrene_membership::NodeId;
 use polystyrene_protocol::Wire;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::ops::ControlFlow;
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 /// Upper bound on inbox entries handled in the pre-tick drain, so a
@@ -65,6 +65,22 @@ pub(crate) enum Post<P> {
     Stop,
 }
 
+/// The sending end of a worker's inbox, and a watch on its receiving
+/// end: `std`'s sender cannot tell that its receiver is gone without
+/// sending, so [`Mailbox::is_disconnected`] asks the watch instead.
+pub(crate) type Inbox<P> = (Sender<Post<P>>, Weak<()>);
+
+/// The receiving end of a worker's inbox, and the token its [`Inbox`]
+/// watches, dropped with it.
+pub(crate) type Posts<P> = (Receiver<Post<P>>, Arc<()>);
+
+/// Opens a worker's inbox.
+pub(crate) fn inbox<P>() -> (Inbox<P>, Posts<P>) {
+    let (sender, receiver) = mpsc::channel();
+    let alive = Arc::new(());
+    ((sender, Arc::downgrade(&alive)), (receiver, alive))
+}
+
 /// The delivery handle of one node: its id plus the inbox of the worker
 /// that runs it. This is what a [`crate::Transport`] is given at attach
 /// and what every delivery path (registry sends, the TCP fabric's I/O
@@ -72,6 +88,7 @@ pub(crate) enum Post<P> {
 pub struct Mailbox<P> {
     id: NodeId,
     inbox: Sender<Post<P>>,
+    worker: Weak<()>,
 }
 
 impl<P> Clone for Mailbox<P> {
@@ -79,13 +96,14 @@ impl<P> Clone for Mailbox<P> {
         Self {
             id: self.id,
             inbox: self.inbox.clone(),
+            worker: self.worker.clone(),
         }
     }
 }
 
 impl<P> Mailbox<P> {
-    pub(crate) fn new(id: NodeId, inbox: Sender<Post<P>>) -> Self {
-        Self { id, inbox }
+    pub(crate) fn new(id: NodeId, (inbox, worker): Inbox<P>) -> Self {
+        Self { id, inbox, worker }
     }
 
     /// The node this mailbox delivers to.
@@ -101,13 +119,15 @@ impl<P> Mailbox<P> {
 
     /// Whether the node's worker is gone. A `true` answer is final.
     pub fn is_disconnected(&self) -> bool {
-        self.inbox.is_disconnected()
+        self.worker.strong_count() == 0
     }
 }
 
 /// One pool thread's state.
 pub(crate) struct Worker<P> {
     inbox: Receiver<Post<P>>,
+    /// Dropped with the worker: what its mailboxes watch.
+    _alive: Arc<()>,
     board: Arc<ObservationBoard<P>>,
     nodes: HashMap<NodeId, Box<dyn Resident<P>>>,
     /// Every node's `next_tick`, earliest first. A node has exactly one
@@ -117,9 +137,10 @@ pub(crate) struct Worker<P> {
 }
 
 impl<P: Clone> Worker<P> {
-    pub(crate) fn new(inbox: Receiver<Post<P>>, board: Arc<ObservationBoard<P>>) -> Self {
+    pub(crate) fn new((inbox, alive): Posts<P>, board: Arc<ObservationBoard<P>>) -> Self {
         Self {
             inbox,
+            _alive: alive,
             board,
             nodes: HashMap::new(),
             due: BinaryHeap::new(),
@@ -217,7 +238,6 @@ impl<P: Clone> Worker<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
     use std::time::Duration;
 
     /// Generous: only a wedged worker reaches it.
@@ -259,9 +279,21 @@ mod tests {
     }
 
     #[test]
+    fn every_clone_of_a_mailbox_sees_its_worker_go() {
+        let (inbox, posts) = inbox();
+        let mailbox = Mailbox::new(NodeId::new(1), inbox);
+        let clone = mailbox.clone();
+        assert!(!mailbox.is_disconnected() && !clone.is_disconnected());
+        drop(posts);
+        assert!(mailbox.is_disconnected());
+        assert!(clone.is_disconnected(), "clones share the watch");
+        assert!(!clone.send(heartbeat(NodeId::new(0))));
+    }
+
+    #[test]
     fn a_flooded_node_does_not_starve_its_worker() {
-        let (inbox, rx) = unbounded();
-        let (ticked, ticks) = unbounded();
+        let (inbox, rx) = inbox();
+        let (ticked, ticks) = mpsc::channel();
         let (flooded, sibling) = (NodeId::new(0), NodeId::new(1));
         let mailbox = Mailbox::new(flooded, inbox.clone());
         for id in [flooded, sibling] {
@@ -271,7 +303,7 @@ mod tests {
                 ticked: ticked.clone(),
                 echo: (id == flooded).then(|| mailbox.clone()),
             };
-            inbox.send(Post::Adopt(Box::new(probe))).unwrap();
+            inbox.0.send(Post::Adopt(Box::new(probe))).unwrap();
         }
         // A backlog deeper than one drain that never shrinks: every
         // handled message queues its successor, so the inbox is never
@@ -291,14 +323,14 @@ mod tests {
                 sibling_ticks += 1;
             }
         }
-        inbox.send(Post::Stop).unwrap();
+        inbox.0.send(Post::Stop).unwrap();
         worker.join().unwrap();
     }
 
     #[test]
     fn shutdown_retires_the_node_and_its_backlog_is_discarded() {
-        let (inbox, rx) = unbounded();
-        let (ticked, ticks) = unbounded();
+        let (inbox, rx) = inbox();
+        let (ticked, ticks) = mpsc::channel();
         let id = NodeId::new(4);
         let mailbox = Mailbox::new(id, inbox.clone());
         let probe = Probe {
@@ -307,7 +339,7 @@ mod tests {
             ticked,
             echo: None,
         };
-        inbox.send(Post::Adopt(Box::new(probe))).unwrap();
+        inbox.0.send(Post::Adopt(Box::new(probe))).unwrap();
         let worker = std::thread::spawn(move || Worker::new(rx, ObservationBoard::new()).run());
         ticks.recv_timeout(MAX_WAIT).expect("the node never ran");
         assert!(mailbox.send(Message::Shutdown));
@@ -318,7 +350,7 @@ mod tests {
         // The node was dropped with its end of the tick channel, not
         // merely left unscheduled.
         while ticks.recv_timeout(MAX_WAIT).is_ok() {}
-        inbox.send(Post::Stop).unwrap();
+        inbox.0.send(Post::Stop).unwrap();
         worker.join().unwrap();
         assert!(mailbox.is_disconnected());
         assert!(!mailbox.send(heartbeat(id)));

@@ -27,7 +27,6 @@
 
 use crate::framing::{write_frame_into, MID_FRAME_DEADLINE};
 use crate::reactor::IoThread;
-use parking_lot::RwLock;
 use polystyrene_membership::NodeId;
 use polystyrene_protocol::codec::{decode_event, encode_event_into, PointCodec};
 use polystyrene_protocol::{Event, Wire};
@@ -37,7 +36,7 @@ use polystyrene_runtime::{
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Duration;
 
 /// A running TCP deployment: the one live [`Cluster`] with every
@@ -107,11 +106,18 @@ pub struct TcpFabric {
 impl TcpFabric {
     /// Where node `id` listens; `None` once it is detached.
     pub fn addr_of(&self, id: NodeId) -> Option<SocketAddr> {
-        self.addrs.read().get(&id).copied()
+        self.addrs
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&id)
+            .copied()
     }
 
     fn contains(&self, id: NodeId) -> bool {
-        self.addrs.read().contains_key(&id)
+        self.addrs
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .contains_key(&id)
     }
 }
 
@@ -145,7 +151,10 @@ impl<P: PointCodec + Clone + Send + 'static> Transport<P> for TcpFabric {
         listener
             .set_nonblocking(true)
             .expect("loopback listener accepts nonblocking mode");
-        self.addrs.write().insert(id, addr);
+        self.addrs
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(id, addr);
         // Connections made before the thread has taken the listener in
         // wait in its backlog.
         self.io.attach(
@@ -168,7 +177,13 @@ impl<P: PointCodec + Clone + Send + 'static> Transport<P> for TcpFabric {
     /// for that. Peers discover the crash through their sockets (resets
     /// on cached connections, refused reconnects).
     fn detach(&self, id: NodeId) {
-        if self.addrs.write().remove(&id).is_some() {
+        if self
+            .addrs
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&id)
+            .is_some()
+        {
             self.io.detach(id);
         }
     }

@@ -19,15 +19,14 @@
 //! wait, and never writes to a socket.
 
 use crate::framing::Reassembly;
-use crossbeam::channel::{Receiver, Sender, TryRecvError};
-use parking_lot::Mutex;
 use polling::{Event, PollMode, Poller};
 use polystyrene_membership::NodeId;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -72,7 +71,7 @@ impl IoThread {
     /// Panics if the poller or the thread cannot be created.
     pub(crate) fn start(mid_frame_deadline: Duration) -> Self {
         let poller = Arc::new(Poller::new().expect("failed to create the readiness poller"));
-        let (commands, inbox) = crossbeam::channel::unbounded();
+        let (commands, inbox) = mpsc::channel();
         let reactor = Reactor {
             poller: Arc::clone(&poller),
             commands: inbox,
@@ -122,7 +121,12 @@ impl IoThread {
     /// `Err` carries the payload of the panic it died of, once; further
     /// calls find nothing to join.
     pub(crate) fn close(&self) -> std::thread::Result<()> {
-        let Some(thread) = self.thread.lock().take() else {
+        let Some(thread) = self
+            .thread
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+        else {
             return Ok(());
         };
         self.tell(Command::Close);
