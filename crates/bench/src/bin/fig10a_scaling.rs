@@ -120,6 +120,10 @@ fn main() {
                 &rows
             )
         );
+        // The engine's phase ledger, one line per row.
+        for split in rows.iter().filter_map(ReshapingRow::phase_split) {
+            println!("  phases (ms/round) {split}");
+        }
         for (r, rss) in rows.iter().zip(&rss) {
             csv_rows.push(vec![
                 k.to_string(),

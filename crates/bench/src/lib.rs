@@ -380,17 +380,39 @@ pub fn run_summary(
     base: &LabConfig,
     runs: usize,
 ) -> ExperimentSummary {
+    summary_and_phases(kind, paper, base, runs).0
+}
+
+/// [`run_summary`] plus, on the cycle engine, its phase ledger
+/// ([`Engine::phase_ns`]) summed over the runs.
+fn summary_and_phases(
+    kind: SubstrateKind,
+    paper: &PaperScenario,
+    base: &LabConfig,
+    runs: usize,
+) -> (ExperimentSummary, Option<[u64; ENGINE_PHASES.len()]>) {
     let (w, h) = paper.extents();
     let mut summary = ExperimentSummary::default();
+    let mut phases = None;
     for run in 0..runs {
         let mut cfg = *base;
         cfg.seed = base.seed + run as u64;
         cfg.area = paper.area();
-        let mut substrate = build_substrate(kind, Torus2::new(w, h), paper.shape(), &cfg);
-        let trace = run_experiment(substrate.as_mut(), &paper.script());
+        let trace = if kind == SubstrateKind::Engine {
+            let mut engine = build_engine(Torus2::new(w, h), paper.shape(), &cfg);
+            let trace = run_experiment(&mut engine, &paper.script());
+            let sum = phases.get_or_insert([0; ENGINE_PHASES.len()]);
+            for (sum, ns) in sum.iter_mut().zip(engine.phase_ns()) {
+                *sum += ns;
+            }
+            trace
+        } else {
+            let mut substrate = build_substrate(kind, Torus2::new(w, h), paper.shape(), &cfg);
+            run_experiment(substrate.as_mut(), &paper.script())
+        };
         summary.push(&trace);
     }
-    summary
+    (summary, phases)
 }
 
 /// One row of the Table II / Fig. 10 reshaping-time sweeps.
@@ -408,6 +430,10 @@ pub struct ReshapingRow {
     pub reliability: ConfidenceInterval,
     /// Wall clock spent producing this row (all its runs).
     pub elapsed: Duration,
+    /// On the cycle engine, the mean wall-clock milliseconds per round
+    /// of each of [`ENGINE_PHASES`] over the row's runs; `None` on the
+    /// other substrates.
+    pub phase_ms: Option<[f64; ENGINE_PHASES.len()]>,
 }
 
 impl ReshapingRow {
@@ -425,7 +451,25 @@ impl ReshapingRow {
             unreshaped: summary.unreshaped_runs(),
             reliability: summary.reliability_percent_ci(),
             elapsed,
+            phase_ms: None,
         }
+    }
+
+    /// The row's phase split as one line, `name ms` per phase and their
+    /// sum; `None` off the engine.
+    pub fn phase_split(&self) -> Option<String> {
+        let phase_ms = self.phase_ms?;
+        let parts: Vec<String> = ENGINE_PHASES
+            .iter()
+            .zip(phase_ms)
+            .map(|(name, ms)| format!("{name} {ms:.2}"))
+            .collect();
+        Some(format!(
+            "{}: {} | sum {:.2} ms/round",
+            self.label,
+            parts.join(", "),
+            phase_ms.iter().sum::<f64>()
+        ))
     }
 }
 
@@ -441,8 +485,12 @@ pub fn reshaping_row(
     label: String,
 ) -> ReshapingRow {
     let started = Instant::now();
-    let summary = run_summary(kind, paper, cfg, runs);
-    ReshapingRow::from_summary(label, paper.node_count(), &summary, started.elapsed())
+    let (summary, phases) = summary_and_phases(kind, paper, cfg, runs);
+    let mut row =
+        ReshapingRow::from_summary(label, paper.node_count(), &summary, started.elapsed());
+    let rounds = f64::from(paper.script().total_rounds()) * runs as f64;
+    row.phase_ms = phases.map(|ns| ns.map(|ns| ns as f64 / 1e6 / rounds));
+    row
 }
 
 /// Formats a [`ReshapingRow`] table in the paper's Table II layout,
@@ -853,6 +901,7 @@ mod tests {
                 n: 3,
             },
             elapsed: Duration::from_millis(1234),
+            phase_ms: None,
         }];
         let t = render_reshaping_table("T", &rows);
         assert!(t.contains("never reshaped"));

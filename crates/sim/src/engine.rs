@@ -53,6 +53,21 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rayon::prelude::*;
 use std::collections::VecDeque;
+use std::time::Instant;
+
+/// The rows of [`Engine::phase_ns`]: the round's protocol phases in the
+/// order [`Engine::step`] runs them, then the measurement pass split
+/// into the census and the proximity metric.
+pub const ENGINE_PHASES: [&str; 8] = [
+    "peer_sampling",
+    "topology",
+    "recovery",
+    "backup",
+    "migration",
+    "position_refresh",
+    "census",
+    "proximity",
+];
 
 /// Neighborhood size of the proximity metric ("we represent the 4
 /// closest nodes returned by T-Man").
@@ -162,6 +177,10 @@ pub struct Engine<S: MetricSpace> {
     /// stream, never from the protocol `rng`, so seeded histories stay
     /// bit-identical with traffic on or off.
     gateways: Gateways,
+    /// Wall-clock nanoseconds spent in each of [`ENGINE_PHASES`] since
+    /// the engine was built. Kept off [`RoundMetrics`], whose histories
+    /// are compared for equality.
+    phase_ns: [u64; ENGINE_PHASES.len()],
 }
 
 impl<S: MetricSpace> Engine<S> {
@@ -196,6 +215,7 @@ impl<S: MetricSpace> Engine<S> {
             queue: VecDeque::new(),
             order: Vec::new(),
             gateways: Gateways::new(config.seed),
+            phase_ns: [0; ENGINE_PHASES.len()],
         }
     }
 
@@ -248,6 +268,14 @@ impl<S: MetricSpace> Engine<S> {
     /// Per-round metric history.
     pub fn history(&self) -> &[RoundMetrics] {
         &self.history
+    }
+
+    /// The phase ledger: wall-clock nanoseconds spent in each of
+    /// [`ENGINE_PHASES`] (same index) over every round so far. One clock
+    /// read per phase boundary; the phases skipped when Polystyrene is
+    /// disabled read zero.
+    pub fn phase_ns(&self) -> [u64; ENGINE_PHASES.len()] {
+        self.phase_ns
     }
 
     /// The published position of a node, if alive.
@@ -492,23 +520,41 @@ impl<S: MetricSpace> Engine<S> {
             self.detected.mark(id);
             self.undetected.pop_front();
         }
+        let mut clock = Instant::now();
         self.run_phase(Phase::PeerSampling);
+        self.stamp(0, &mut clock);
         self.run_phase(Phase::Topology);
+        self.stamp(1, &mut clock);
         if self.poly_enabled {
             self.recovery_phase();
+            self.stamp(2, &mut clock);
             self.run_phase(Phase::Backup);
+            self.stamp(3, &mut clock);
             self.run_phase(Phase::Migration);
+            self.stamp(4, &mut clock);
         }
         self.position_refresh_phase();
+        self.stamp(5, &mut clock);
         // The engine-owned tables are taken and restored around the
-        // `&self` pass to satisfy the borrows.
+        // `&self` passes to satisfy the borrows.
         let mut census = std::mem::take(&mut self.census);
-        let mut proximity = std::mem::take(&mut self.proximity);
-        let metrics = self.metrics_into(&mut census, &mut proximity);
+        let observation = self.observe_into(&mut census);
         self.census = census;
+        self.stamp(6, &mut clock);
+        let mut proximity = std::mem::take(&mut self.proximity);
+        let metrics = self.metrics_from(observation, &mut proximity);
         self.proximity = proximity;
+        self.stamp(7, &mut clock);
         self.history.push(metrics);
         metrics
+    }
+
+    /// Charges the time since `clock` to phase `phase` of the ledger and
+    /// restarts `clock` from the same reading.
+    fn stamp(&mut self, phase: usize, clock: &mut Instant) {
+        let now = Instant::now();
+        self.phase_ns[phase] += (now - *clock).as_nanos() as u64;
+        *clock = now;
     }
 
     /// Runs `rounds` consecutive rounds.
@@ -640,20 +686,28 @@ impl<S: MetricSpace> Engine<S> {
     /// entry point measures into throwaway ones, so ad-hoc callers pay
     /// the allocations instead of holding them.
     pub fn compute_metrics(&self) -> RoundMetrics {
-        self.metrics_into(&mut Census::new(), &mut Vec::new())
+        let observation = self.observe_into(&mut Census::new());
+        self.metrics_from(observation, &mut Vec::new())
     }
 
-    fn metrics_into(
-        &self,
-        census: &mut Census<S::Point>,
-        per_node: &mut Vec<(f64, usize)>,
-    ) -> RoundMetrics {
-        let observation = census.of_pool(
+    /// The census half of the measurement pass: the shared observation
+    /// of the pool, before the engine's own fields are filled in.
+    fn observe_into(&self, census: &mut Census<S::Point>) -> RoundObservation {
+        census.of_pool(
             &self.space,
             &self.original_points,
             self.config.area,
             &self.pool,
-        );
+        )
+    }
+
+    /// The proximity half of the measurement pass, assembled with the
+    /// census `observation` into the round's metrics.
+    fn metrics_from(
+        &self,
+        observation: RoundObservation,
+        per_node: &mut Vec<(f64, usize)>,
+    ) -> RoundMetrics {
         // Proximity: mean distance to the k closest T-Man neighbors,
         // measured against the neighbors' *true* current positions (the
         // slab mirrors them whenever measurement runs), fanned out and

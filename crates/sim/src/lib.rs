@@ -67,7 +67,7 @@ pub mod snapshot;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use crate::engine::{Engine, EngineConfig};
+    pub use crate::engine::{Engine, EngineConfig, ENGINE_PHASES};
     pub use crate::metrics::{reference_homogeneity, RoundMetrics};
     pub use crate::report::{ascii_plot, render_table, series_rows, write_csv};
     pub use crate::snapshot::Snapshot;
