@@ -415,59 +415,66 @@ fn wrap_or_clip(c: isize, n: usize, wrap: bool) -> Option<usize> {
     }
 }
 
-/// Folds a single descriptor into a view that is already deduplicated and
-/// within its capacity — the random-contact integration that runs once
-/// per node per gossip round.
-///
-/// Produces exactly what [`merge_capped`] would for `[d]`, without its
-/// ranking pass: a known id only needs a strictly-fresher replacement
-/// check (no distance evaluated at all), and a new id at capacity only
-/// needs the single farthest entry of `view ∪ {d}` evicted.
-pub fn insert_one_capped<S: MetricSpace>(
+/// The rank order of `d` for `target`: squared distance through
+/// [`distance_sort_key`], ties by id — the order every kernel above
+/// ranks by, and the order a ranked view is held in.
+fn view_key<S: MetricSpace>(
     space: &S,
     target: &S::Point,
-    view: &mut Vec<Descriptor<S::Point>>,
-    cap: usize,
     d: &Descriptor<S::Point>,
-) {
-    if let Some(slot) = view.iter_mut().find(|e| e.id == d.id) {
-        if d.age < slot.age {
-            *slot = d.clone();
-        }
-        return;
-    }
-    if view.len() < cap {
-        view.push(d.clone());
-        return;
-    }
-    // At capacity: evict the maximum of `view ∪ {d}` under the ranking
-    // order (distance, ties by id).
-    let mut worst = rank_key(space, target, d, usize::MAX);
-    for (i, e) in view.iter().enumerate() {
-        let key = rank_key(space, target, e, i);
-        if compare_keys(&key, &worst) == std::cmp::Ordering::Greater {
-            worst = key;
-        }
-    }
-    if worst.2 != usize::MAX {
-        view.remove(worst.2);
-        view.push(d.clone());
-    }
+) -> (u64, NodeId) {
+    (distance_sort_key(space.distance_sq(target, &d.pos)), d.id)
 }
 
-/// Folds a gossip buffer into a view that is already deduplicated, free of
-/// `self_id` and within `cap`, without ever holding more than `cap`
-/// entries — T-Man's view merge, which runs twice per node per round.
+/// Sorts `view` into rank order for `target` (distance, ties by id).
+/// Each key is computed once into the per-thread scratch; the sorted
+/// keys then drive an in-place permutation of the view, one walk per
+/// cycle, so nothing is allocated or cloned. A view already in order —
+/// the common case after a refresh that moved nothing out of place —
+/// costs one key pass and one sorted check.
+pub(crate) fn rank_in_place<S: MetricSpace>(
+    space: &S,
+    target: &S::Point,
+    view: &mut [Descriptor<S::Point>],
+) {
+    KEY_SCRATCH.with(|cell| {
+        let mut keyed = cell.borrow_mut();
+        rank_keys_into(space, target, view, &mut keyed);
+        if keyed.is_sorted_by(|a, b| compare_keys(a, b).is_lt()) {
+            return;
+        }
+        keyed.sort_unstable_by(compare_keys);
+        // Slot `j` takes the entry at `keyed[j].2`; a visited slot's
+        // source is overwritten with `usize::MAX`.
+        for start in 0..keyed.len() {
+            let mut at = start;
+            loop {
+                let from = std::mem::replace(&mut keyed[at].2, usize::MAX);
+                if from == start || from == usize::MAX {
+                    break;
+                }
+                view.swap(at, from);
+                at = from;
+            }
+        }
+    });
+}
+
+/// Folds a gossip buffer into a view that is deduplicated, free of
+/// `self_id`, within `cap` and held in rank order for `target`, keeping
+/// all four true — T-Man's view merge, which runs three times per node
+/// per round (the random-contact fold and both sides of the exchange).
 ///
-/// The outcome is the one the textbook pipeline gives (append `incoming`,
-/// drop `self_id`, keep the first strictly-freshest copy of every id in
-/// first-occurrence order, then keep the `cap` entries closest to `target`
-/// — distance, ties by id — in that order), entry for entry. A descriptor
-/// of a known id replaces the held copy in place when strictly fresher;
-/// unknown ids are only staged as indices into `incoming`, so a full view
-/// is ranked once against them and only the newcomers that survive the
-/// ranking are cloned, into the slots the evicted entries left.
-pub fn merge_capped<S: MetricSpace>(
+/// The view ends up holding exactly the entries the textbook pipeline
+/// keeps (append `incoming`, drop `self_id`, keep the first
+/// strictly-freshest copy of every id, then the `cap` entries closest to
+/// `target`, distance then id), in rank order. A descriptor of a known
+/// id replaces the held copy in place when strictly fresher, and is
+/// moved back into order if its position changed. Unknown ids are staged
+/// as indices into `incoming` (their freshest copy), then each is placed
+/// by binary search; at the cap the farthest entry falls off the tail,
+/// and a newcomer that would rank past the cap is never cloned.
+pub(crate) fn merge_ranked<S: MetricSpace>(
     space: &S,
     target: &S::Point,
     self_id: NodeId,
@@ -481,9 +488,6 @@ pub fn merge_capped<S: MetricSpace>(
         static NEWCOMERS: std::cell::RefCell<Vec<usize>> =
             const { std::cell::RefCell::new(Vec::new()) };
     }
-    if cap == 0 {
-        return; // nothing may be held, and nothing is
-    }
     NEWCOMERS.with(|cell| {
         let mut newcomers = cell.borrow_mut();
         newcomers.clear();
@@ -491,9 +495,13 @@ pub fn merge_capped<S: MetricSpace>(
             if d.id == self_id {
                 continue;
             }
-            if let Some(held) = view.iter_mut().find(|e| e.id == d.id) {
-                if d.age < held.age {
-                    *held = d.clone();
+            if let Some(i) = view.iter().position(|e| e.id == d.id) {
+                if d.age < view[i].age {
+                    let moved = d.pos != view[i].pos;
+                    view[i] = d.clone();
+                    if moved {
+                        reorder_one(space, target, view, i);
+                    }
                 }
             } else if let Some(staged) = newcomers.iter_mut().find(|r| incoming[**r].id == d.id) {
                 if d.age < incoming[*staged].age {
@@ -503,50 +511,306 @@ pub fn merge_capped<S: MetricSpace>(
                 newcomers.push(r);
             }
         }
-        let held = view.len();
-        if held + newcomers.len() <= cap {
-            view.extend(newcomers.iter().map(|&r| incoming[r].clone()));
-            return;
+        for &r in newcomers.iter() {
+            let d = &incoming[r];
+            let key = view_key(space, target, d);
+            let at = view.partition_point(|e| view_key(space, target, e) < key);
+            if at < cap {
+                if view.len() == cap {
+                    view.pop();
+                }
+                view.insert(at, d.clone());
+            }
         }
-        KEY_SCRATCH.with(|cell| {
-            let mut keyed = cell.borrow_mut();
-            rank_keys_into(space, target, view, &mut keyed);
-            keyed.extend(
-                newcomers
-                    .iter()
-                    .enumerate()
-                    .map(|(s, &r)| rank_key(space, target, &incoming[r], held + s)),
-            );
-            // Ids are unique by now, so the order is strict and the `cap`
-            // survivors are one set whatever the selection algorithm. The
-            // evicted tail is at most `newcomers.len()` long: sorting it
-            // by index lets one cursor drive both compactions below.
-            keyed.select_nth_unstable_by(cap - 1, compare_keys);
-            let evicted = &mut keyed[cap..];
-            evicted.sort_unstable_by_key(|&(_, _, i)| i);
-            let mut evicted = evicted.iter().map(|&(_, _, i)| i).peekable();
-            let mut i = 0;
-            view.retain(|_| {
-                let gone = evicted.next_if_eq(&i).is_some();
-                i += 1;
-                !gone
-            });
-            for (s, &r) in newcomers.iter().enumerate() {
-                if evicted.next_if_eq(&(held + s)).is_none() {
-                    view.push(incoming[r].clone());
+    });
+}
+
+/// Moves `view[i]` to its place in rank order for `target`, every other
+/// entry being in order already.
+fn reorder_one<S: MetricSpace>(
+    space: &S,
+    target: &S::Point,
+    view: &mut [Descriptor<S::Point>],
+    i: usize,
+) {
+    let key = view_key(space, target, &view[i]);
+    let before = view[..i].partition_point(|e| view_key(space, target, e) < key);
+    if before < i {
+        view[before..=i].rotate_right(1);
+    } else {
+        let after = i + 1 + view[i + 1..].partition_point(|e| view_key(space, target, e) < key);
+        view[i..after].rotate_left(1);
+    }
+}
+
+/// The pipelines ranked views replaced, verbatim, as references for the
+/// tests here and in [`crate::tman`].
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use polystyrene_membership::IdHashMap;
+    use std::collections::hash_map::Entry;
+
+    /// Deduplicates descriptors by id in place, keeping the freshest copy
+    /// of each node: first-occurrence order is preserved and a duplicate
+    /// replaces the kept copy only when strictly fresher (lower age). The
+    /// id→slot map makes each lookup O(1) and the compaction swaps
+    /// elements instead of reallocating. Kept here as the reference only.
+    pub(crate) fn dedup_freshest_in_place<P>(descriptors: &mut Vec<Descriptor<P>>) {
+        thread_local! {
+            static SLOT_SCRATCH: std::cell::RefCell<IdHashMap<NodeId, usize>> =
+                std::cell::RefCell::new(IdHashMap::default());
+        }
+        SLOT_SCRATCH.with(|cell| {
+            let mut slot_by_id = cell.borrow_mut();
+            slot_by_id.clear();
+            slot_by_id.reserve(descriptors.len());
+            dedup_freshest_with(descriptors, &mut slot_by_id);
+        });
+    }
+
+    fn dedup_freshest_with<P>(
+        descriptors: &mut Vec<Descriptor<P>>,
+        slot_by_id: &mut IdHashMap<NodeId, usize>,
+    ) {
+        let mut w = 0;
+        for r in 0..descriptors.len() {
+            match slot_by_id.entry(descriptors[r].id) {
+                Entry::Occupied(e) => {
+                    let slot = *e.get();
+                    if descriptors[r].age < descriptors[slot].age {
+                        descriptors.swap(slot, r);
+                    }
+                }
+                Entry::Vacant(e) => {
+                    e.insert(w);
+                    descriptors.swap(w, r);
+                    w += 1;
                 }
             }
+        }
+        descriptors.truncate(w);
+    }
+
+    /// Removes descriptors whose id equals `self_id` (a node never keeps a
+    /// descriptor of itself in its own view). Kept here as the reference
+    /// only.
+    pub(crate) fn drop_self<P>(descriptors: &mut Vec<Descriptor<P>>, self_id: NodeId) {
+        descriptors.retain(|d| d.id != self_id);
+    }
+
+    /// The ranked truncation `TMan::integrate` ran until the in-place
+    /// merge, verbatim: keeps the `k` closest (distance, ties by id) in
+    /// input order. Kept here as the reference only.
+    pub(crate) fn retain_k_closest<S: MetricSpace>(
+        space: &S,
+        target: &S::Point,
+        descriptors: &mut Vec<Descriptor<S::Point>>,
+        k: usize,
+    ) {
+        if descriptors.len() <= k {
+            return;
+        }
+        if k == 0 {
+            descriptors.clear();
+            return;
+        }
+        thread_local! {
+            static KEEP_SCRATCH: std::cell::RefCell<Vec<bool>> =
+                const { std::cell::RefCell::new(Vec::new()) };
+        }
+        KEEP_SCRATCH.with(|cell| {
+            let mut keep = cell.borrow_mut();
+            keep.clear();
+            keep.resize(descriptors.len(), false);
+            with_rank_keys(space, target, descriptors, |keyed| {
+                keyed.select_nth_unstable_by(k - 1, compare_keys);
+                for &(_, _, i) in &keyed[..k] {
+                    keep[i] = true;
+                }
+            });
+            let mut i = 0;
+            descriptors.retain(|_| {
+                let kept = keep[i];
+                i += 1;
+                kept
+            });
         });
-    });
+    }
+
+    /// The body of `TMan::integrate` until the in-place merge, verbatim.
+    pub(crate) fn replaced_pipeline<S: MetricSpace>(
+        space: &S,
+        pos: &S::Point,
+        self_id: NodeId,
+        view: &mut Vec<Descriptor<S::Point>>,
+        view_cap: usize,
+        incoming: &[Descriptor<S::Point>],
+    ) {
+        let mut merged = std::mem::take(view);
+        merged.extend(incoming.iter().cloned());
+        drop_self(&mut merged, self_id);
+        dedup_freshest_in_place(&mut merged);
+        retain_k_closest(space, pos, &mut merged, view_cap);
+        *view = merged;
+    }
+
+    /// Folds a single descriptor into a view that is already deduplicated and
+    /// within its capacity — the random-contact integration that runs once
+    /// per node per gossip round.
+    ///
+    /// Produces exactly what [`merge_capped`] would for `[d]`, without its
+    /// ranking pass: a known id only needs a strictly-fresher replacement
+    /// check (no distance evaluated at all), and a new id at capacity only
+    /// needs the single farthest entry of `view ∪ {d}` evicted.
+    ///
+    /// The library's single-descriptor fold until views were held in rank
+    /// order, verbatim. Kept here as the reference only.
+    pub(crate) fn insert_one_capped<S: MetricSpace>(
+        space: &S,
+        target: &S::Point,
+        view: &mut Vec<Descriptor<S::Point>>,
+        cap: usize,
+        d: &Descriptor<S::Point>,
+    ) {
+        if let Some(slot) = view.iter_mut().find(|e| e.id == d.id) {
+            if d.age < slot.age {
+                *slot = d.clone();
+            }
+            return;
+        }
+        if view.len() < cap {
+            view.push(d.clone());
+            return;
+        }
+        // At capacity: evict the maximum of `view ∪ {d}` under the ranking
+        // order (distance, ties by id).
+        let mut worst = rank_key(space, target, d, usize::MAX);
+        for (i, e) in view.iter().enumerate() {
+            let key = rank_key(space, target, e, i);
+            if compare_keys(&key, &worst) == std::cmp::Ordering::Greater {
+                worst = key;
+            }
+        }
+        if worst.2 != usize::MAX {
+            view.remove(worst.2);
+            view.push(d.clone());
+        }
+    }
+
+    /// Folds a gossip buffer into a view that is already deduplicated, free of
+    /// `self_id` and within `cap`, without ever holding more than `cap`
+    /// entries — T-Man's view merge, which runs twice per node per round.
+    ///
+    /// The outcome is the one the textbook pipeline gives (append `incoming`,
+    /// drop `self_id`, keep the first strictly-freshest copy of every id in
+    /// first-occurrence order, then keep the `cap` entries closest to `target`
+    /// — distance, ties by id — in that order), entry for entry. A descriptor
+    /// of a known id replaces the held copy in place when strictly fresher;
+    /// unknown ids are only staged as indices into `incoming`, so a full view
+    /// is ranked once against them and only the newcomers that survive the
+    /// ranking are cloned, into the slots the evicted entries left.
+    ///
+    /// The library's merge until views were held in rank order, verbatim.
+    /// Kept here as the reference only.
+    pub(crate) fn merge_capped<S: MetricSpace>(
+        space: &S,
+        target: &S::Point,
+        self_id: NodeId,
+        view: &mut Vec<Descriptor<S::Point>>,
+        cap: usize,
+        incoming: &[Descriptor<S::Point>],
+    ) {
+        thread_local! {
+            // Per unknown id in first-occurrence order, the index of its
+            // freshest copy in `incoming`.
+            static NEWCOMERS: std::cell::RefCell<Vec<usize>> =
+                const { std::cell::RefCell::new(Vec::new()) };
+        }
+        if cap == 0 {
+            return; // nothing may be held, and nothing is
+        }
+        NEWCOMERS.with(|cell| {
+            let mut newcomers = cell.borrow_mut();
+            newcomers.clear();
+            for (r, d) in incoming.iter().enumerate() {
+                if d.id == self_id {
+                    continue;
+                }
+                if let Some(held) = view.iter_mut().find(|e| e.id == d.id) {
+                    if d.age < held.age {
+                        *held = d.clone();
+                    }
+                } else if let Some(staged) = newcomers.iter_mut().find(|r| incoming[**r].id == d.id)
+                {
+                    if d.age < incoming[*staged].age {
+                        *staged = r;
+                    }
+                } else {
+                    newcomers.push(r);
+                }
+            }
+            let held = view.len();
+            if held + newcomers.len() <= cap {
+                view.extend(newcomers.iter().map(|&r| incoming[r].clone()));
+                return;
+            }
+            KEY_SCRATCH.with(|cell| {
+                let mut keyed = cell.borrow_mut();
+                rank_keys_into(space, target, view, &mut keyed);
+                keyed.extend(
+                    newcomers
+                        .iter()
+                        .enumerate()
+                        .map(|(s, &r)| rank_key(space, target, &incoming[r], held + s)),
+                );
+                // Ids are unique by now, so the order is strict and the `cap`
+                // survivors are one set whatever the selection algorithm. The
+                // evicted tail is at most `newcomers.len()` long: sorting it
+                // by index lets one cursor drive both compactions below.
+                keyed.select_nth_unstable_by(cap - 1, compare_keys);
+                let evicted = &mut keyed[cap..];
+                evicted.sort_unstable_by_key(|&(_, _, i)| i);
+                let mut evicted = evicted.iter().map(|&(_, _, i)| i).peekable();
+                let mut i = 0;
+                view.retain(|_| {
+                    let gone = evicted.next_if_eq(&i).is_some();
+                    i += 1;
+                    !gone
+                });
+                for (s, &r) in newcomers.iter().enumerate() {
+                    if evicted.next_if_eq(&(held + s)).is_none() {
+                        view.push(incoming[r].clone());
+                    }
+                }
+            });
+        });
+    }
+
+    /// Whether `view` is strictly increasing in rank order for `target`
+    /// (distance, ties by id).
+    pub(crate) fn is_ranked<S: MetricSpace>(
+        space: &S,
+        target: &S::Point,
+        view: &[Descriptor<S::Point>],
+    ) -> bool {
+        view.windows(2)
+            .all(|w| view_key(space, target, &w[0]) < view_key(space, target, &w[1]))
+    }
+
+    /// `a` and `b` hold the same entries (id, position and age), in any
+    /// order.
+    pub(crate) fn same_set<P: PartialEq>(a: &[Descriptor<P>], b: &[Descriptor<P>]) -> bool {
+        a.len() == b.len() && a.iter().all(|d| b.contains(d))
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::*;
     use super::*;
-    use polystyrene_membership::IdHashMap;
     use polystyrene_space::prelude::*;
     use proptest::prelude::*;
-    use std::collections::hash_map::Entry;
 
     fn d(id: u64, x: f64) -> Descriptor<[f64; 2]> {
         Descriptor::new(NodeId::new(id), [x, 0.0])
@@ -614,119 +878,19 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // The capped merges against the pipeline they replaced
+    // Ranked merges against the pipelines they replaced
     // ------------------------------------------------------------------
 
-    /// Deduplicates descriptors by id in place, keeping the freshest copy
-    /// of each node: first-occurrence order is preserved and a duplicate
-    /// replaces the kept copy only when strictly fresher (lower age). The
-    /// id→slot map makes each lookup O(1) and the compaction swaps
-    /// elements instead of reallocating. Kept here as the reference only.
-    fn dedup_freshest_in_place<P>(descriptors: &mut Vec<Descriptor<P>>) {
-        thread_local! {
-            static SLOT_SCRATCH: std::cell::RefCell<IdHashMap<NodeId, usize>> =
-                std::cell::RefCell::new(IdHashMap::default());
-        }
-        SLOT_SCRATCH.with(|cell| {
-            let mut slot_by_id = cell.borrow_mut();
-            slot_by_id.clear();
-            slot_by_id.reserve(descriptors.len());
-            dedup_freshest_with(descriptors, &mut slot_by_id);
-        });
-    }
-
-    fn dedup_freshest_with<P>(
-        descriptors: &mut Vec<Descriptor<P>>,
-        slot_by_id: &mut IdHashMap<NodeId, usize>,
-    ) {
-        let mut w = 0;
-        for r in 0..descriptors.len() {
-            match slot_by_id.entry(descriptors[r].id) {
-                Entry::Occupied(e) => {
-                    let slot = *e.get();
-                    if descriptors[r].age < descriptors[slot].age {
-                        descriptors.swap(slot, r);
-                    }
-                }
-                Entry::Vacant(e) => {
-                    e.insert(w);
-                    descriptors.swap(w, r);
-                    w += 1;
-                }
-            }
-        }
-        descriptors.truncate(w);
-    }
-
-    /// Removes descriptors whose id equals `self_id` (a node never keeps a
-    /// descriptor of itself in its own view). Kept here as the reference
-    /// only.
-    fn drop_self<P>(descriptors: &mut Vec<Descriptor<P>>, self_id: NodeId) {
-        descriptors.retain(|d| d.id != self_id);
-    }
-
-    /// The ranked truncation `TMan::integrate` ran until the in-place
-    /// merge, verbatim: keeps the `k` closest (distance, ties by id) in
-    /// input order. Kept here as the reference only.
-    fn retain_k_closest<S: MetricSpace>(
-        space: &S,
-        target: &S::Point,
-        descriptors: &mut Vec<Descriptor<S::Point>>,
-        k: usize,
-    ) {
-        if descriptors.len() <= k {
-            return;
-        }
-        if k == 0 {
-            descriptors.clear();
-            return;
-        }
-        thread_local! {
-            static KEEP_SCRATCH: std::cell::RefCell<Vec<bool>> =
-                const { std::cell::RefCell::new(Vec::new()) };
-        }
-        KEEP_SCRATCH.with(|cell| {
-            let mut keep = cell.borrow_mut();
-            keep.clear();
-            keep.resize(descriptors.len(), false);
-            with_rank_keys(space, target, descriptors, |keyed| {
-                keyed.select_nth_unstable_by(k - 1, compare_keys);
-                for &(_, _, i) in &keyed[..k] {
-                    keep[i] = true;
-                }
-            });
-            let mut i = 0;
-            descriptors.retain(|_| {
-                let kept = keep[i];
-                i += 1;
-                kept
-            });
-        });
-    }
-
-    /// The body of `TMan::integrate` until the in-place merge, verbatim.
-    fn replaced_pipeline<S: MetricSpace>(
-        space: &S,
-        pos: &S::Point,
-        self_id: NodeId,
-        view: &mut Vec<Descriptor<S::Point>>,
-        view_cap: usize,
-        incoming: &[Descriptor<S::Point>],
-    ) {
-        let mut merged = std::mem::take(view);
-        merged.extend(incoming.iter().cloned());
-        drop_self(&mut merged, self_id);
-        dedup_freshest_in_place(&mut merged);
-        retain_k_closest(space, pos, &mut merged, view_cap);
-        *view = merged;
-    }
-
+    /// One descriptor at a time: the ranked merge holds what the replaced
+    /// pipeline holds, in rank order, and so does the verbatim
+    /// single-descriptor fold it replaced, in the pipeline's order.
     #[test]
     fn insert_one_capped_matches_merge_pipeline() {
         use rand::{Rng, SeedableRng};
         let space = Torus2::new(20.0, 20.0);
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         for cap in [1usize, 2, 5, 8] {
+            let mut ranked: Vec<Descriptor<[f64; 2]>> = Vec::new();
             let mut fast: Vec<Descriptor<[f64; 2]>> = Vec::new();
             let mut slow: Vec<Descriptor<[f64; 2]>> = Vec::new();
             let target = [3.0, 4.0];
@@ -737,10 +901,21 @@ mod tests {
                     [rng.random_range(0.0..20.0), rng.random_range(0.0..20.0)],
                     rng.random_range(0..4),
                 );
-                insert_one_capped(&space, &target, &mut fast, cap, &d);
                 // 99 is nobody's id: nothing is dropped as `self`.
-                replaced_pipeline(&space, &target, NodeId::new(99), &mut slow, cap, &[d]);
+                let nobody = NodeId::new(99);
+                merge_ranked(
+                    &space,
+                    &target,
+                    nobody,
+                    &mut ranked,
+                    cap,
+                    std::slice::from_ref(&d),
+                );
+                insert_one_capped(&space, &target, &mut fast, cap, &d);
+                replaced_pipeline(&space, &target, nobody, &mut slow, cap, &[d]);
                 assert_eq!(fast, slow, "cap {cap}");
+                assert!(same_set(&ranked, &slow), "cap {cap}");
+                assert!(is_ranked(&space, &target, &ranked), "cap {cap}");
             }
         }
     }
@@ -750,7 +925,9 @@ mod tests {
 
         /// A view fed batch after batch from empty (so it is merged below,
         /// on its way to and at its cap) holds, after every batch, exactly
-        /// what the replaced pipeline holds — and never more than `cap`.
+        /// what the replaced pipeline holds, in rank order — and never
+        /// more than `cap`. The verbatim merge it replaced holds the same
+        /// in the pipeline's order.
         /// Ids 0..16 over at most 30 descriptors per batch force duplicate
         /// ids inside a batch and `self_id` (0) among them; ages 0..3
         /// force equal ages, so "first freshest copy wins" is what is
@@ -769,7 +946,8 @@ mod tests {
             let space = Torus2::new(5.0, 5.0);
             let pos = [f64::from(at.0), f64::from(at.1)];
             let self_id = NodeId::new(0);
-            let mut fast: Vec<Descriptor<[f64; 2]>> = Vec::with_capacity(cap);
+            let mut ranked: Vec<Descriptor<[f64; 2]>> = Vec::with_capacity(cap);
+            let mut fast = Vec::new();
             let mut slow = Vec::new();
             for batch in &batches {
                 let incoming: Vec<_> = batch
@@ -778,10 +956,13 @@ mod tests {
                         Descriptor::with_age(NodeId::new(id), [f64::from(x), f64::from(y)], age)
                     })
                     .collect();
+                merge_ranked(&space, &pos, self_id, &mut ranked, cap, &incoming);
                 merge_capped(&space, &pos, self_id, &mut fast, cap, &incoming);
                 replaced_pipeline(&space, &pos, self_id, &mut slow, cap, &incoming);
                 prop_assert_eq!(&fast, &slow);
-                prop_assert_eq!(fast.capacity(), cap, "the merge grew the view's allocation");
+                prop_assert!(same_set(&ranked, &slow));
+                prop_assert!(is_ranked(&space, &pos, &ranked));
+                prop_assert_eq!(ranked.capacity(), cap, "the merge grew the view's allocation");
             }
         }
     }

@@ -9,8 +9,8 @@
 //! peers (rather than being unbounded as in \[1\])" (Sec. IV-A).
 
 use crate::rank::{
-    choose_ranked, for_k_closest, insert_one_capped, k_closest, k_closest_ids_into, k_closest_into,
-    merge_capped,
+    choose_ranked, for_k_closest, k_closest, k_closest_ids_into, k_closest_into, merge_ranked,
+    rank_in_place,
 };
 use crate::traits::TopologyConstruction;
 use polystyrene_membership::{Descriptor, NodeId};
@@ -56,9 +56,24 @@ impl TManConfig {
 
 /// T-Man protocol state of one node.
 ///
-/// The node's own position is *not* stored here: Polystyrene moves nodes
+/// The node's own position is *not* owned here: Polystyrene moves nodes
 /// around, so the position is owned by the layer above and passed into
 /// every operation (paper Fig. 3: "Node position" flows downward).
+///
+/// **The view is kept in rank order.** Once a position has been passed
+/// to [`TopologyConstruction::integrate`], the view is sorted for it the
+/// way every ranking kernel orders entries — squared distance, ties by
+/// id — and `TMan` remembers that position. Every operation keeps the
+/// order: a merge places only the entries it changes, a refresh that
+/// moved an entry re-ranks the view, and a merge for a new position
+/// re-ranks first. So the own-position reads ([`TMan::select_partner`],
+/// [`TMan::closest`], [`TMan::closest_ids_into`], [`TMan::for_closest`])
+/// are prefix reads when asked about that position, returning exactly
+/// what the full ranking would; reads for any other position, and the
+/// partner-targeted [`TMan::prepare_message`], rank the view in full.
+///
+/// [`TMan::select_partner`]: TopologyConstruction::select_partner
+/// [`TMan::closest`]: TopologyConstruction::closest
 ///
 /// # Example
 ///
@@ -81,6 +96,9 @@ pub struct TMan<S: MetricSpace> {
     space: S,
     config: TManConfig,
     view: Vec<Descriptor<S::Point>>,
+    /// The position the view is held in rank order for; `None` until the
+    /// first merge.
+    ranked_for: Option<S::Point>,
 }
 
 impl<S: MetricSpace> TMan<S> {
@@ -95,6 +113,7 @@ impl<S: MetricSpace> TMan<S> {
             space,
             config,
             view: Vec::new(),
+            ranked_for: None,
         }
     }
 
@@ -116,6 +135,12 @@ impl<S: MetricSpace> TMan<S> {
         self.view.capacity()
     }
 
+    /// The whole view in rank order for `pos`, when it is held ranked for
+    /// exactly `pos`; `None` sends the caller to the full ranking.
+    fn ranked(&self, pos: &S::Point) -> Option<&[Descriptor<S::Point>]> {
+        (self.ranked_for.as_ref() == Some(pos)).then_some(&self.view)
+    }
+
     /// Refreshes the positions of view entries from `lookup` (current
     /// position of a node, or `None` if unknown/dead), returning how many
     /// entries actually changed position.
@@ -127,7 +152,8 @@ impl<S: MetricSpace> TMan<S> {
     /// (Sec. IV-B) — the driver charges one descriptor per changed entry.
     /// `lookup` borrows the current position out of the driver's position
     /// slab (or returns `None` if unknown/dead), so a full refresh pass
-    /// clones a position only for the entries that actually moved.
+    /// clones a position only for the entries that actually moved, and
+    /// only a view with a moved entry is re-ranked.
     pub fn refresh_positions<'a>(
         &mut self,
         mut lookup: impl FnMut(NodeId) -> Option<&'a S::Point>,
@@ -143,6 +169,11 @@ impl<S: MetricSpace> TMan<S> {
                     changed += 1;
                 }
                 entry.age = 0;
+            }
+        }
+        if changed > 0 {
+            if let Some(pos) = &self.ranked_for {
+                rank_in_place(&self.space, pos, &mut self.view);
             }
         }
         changed
@@ -183,14 +214,20 @@ impl<S: MetricSpace> TMan<S> {
     /// `out` — the clone-free twin of [`TopologyConstruction::closest`] for
     /// callers that only need identities.
     pub fn closest_ids_into(&self, pos: &S::Point, k: usize, out: &mut Vec<NodeId>) {
-        k_closest_ids_into(&self.space, pos, &self.view, k, out);
+        match self.ranked(pos) {
+            Some(view) => out.extend(view.iter().take(k).map(|d| d.id)),
+            None => k_closest_ids_into(&self.space, pos, &self.view, k, out),
+        }
     }
 
     /// Visits the `k` view entries closest to `pos` in distance order
     /// without cloning them. `visit` must not re-enter a ranking helper
     /// (they share one per-thread scratch).
     pub fn for_closest(&self, pos: &S::Point, k: usize, visit: impl FnMut(&Descriptor<S::Point>)) {
-        for_k_closest(&self.space, pos, &self.view, k, visit);
+        match self.ranked(pos) {
+            Some(view) => view.iter().take(k).for_each(visit),
+            None => for_k_closest(&self.space, pos, &self.view, k, visit),
+        }
     }
 }
 
@@ -202,13 +239,22 @@ impl<S: MetricSpace> TopologyConstruction<S> for TMan<S> {
     }
 
     fn closest(&self, pos: &S::Point, k: usize) -> Vec<Descriptor<S::Point>> {
-        k_closest(&self.space, pos, &self.view, k)
+        match self.ranked(pos) {
+            Some(view) => view[..k.min(view.len())].to_vec(),
+            None => k_closest(&self.space, pos, &self.view, k),
+        }
     }
 
     fn select_partner<R: Rng + ?Sized>(&self, pos: &S::Point, rng: &mut R) -> Option<NodeId> {
-        // The ψ-closest candidates are ranked in the thread-local key
-        // scratch and the pick drawn in place: same candidates, same
-        // draw, no index vector allocated per round.
+        // One draw among the ψ closest either way: off the ranked prefix,
+        // or ranked in the thread-local key scratch and drawn in place
+        // (no index vector allocated per round).
+        if let Some(view) = self.ranked(pos) {
+            if view.is_empty() {
+                return None;
+            }
+            return Some(view[rng.random_range(0..self.config.psi.min(view.len()))].id);
+        }
         let pick = choose_ranked(&self.space, pos, &self.view, self.config.psi, |n| {
             rng.random_range(0..n)
         })?;
@@ -221,20 +267,11 @@ impl<S: MetricSpace> TopologyConstruction<S> for TMan<S> {
         // below keeps the view deduplicated and within `cap`, so it never
         // grows again, and this is a no-op from the second call on.
         self.view.reserve_exact(cap.saturating_sub(self.view.len()));
-        // The once-per-round random-contact fold is a single descriptor
-        // and skips the ranking pass of the general merge. Sending it
-        // through `merge_capped` instead keeps every fingerprint and
-        // costs `netsim-traffic` about 4 % (`queries_per_s` 58 121 ->
-        // 55 684, lower in 5 of 6 alternating pairs; 7 of 10 with four
-        // more from a noisy spell); `engine-catastrophe` does not
-        // resolve it (76 908 -> 76 198, 4 of 8 each way).
-        if let [d] = incoming {
-            if d.id != self_id {
-                insert_one_capped(&self.space, pos, &mut self.view, cap, d);
-            }
-            return;
+        if self.ranked_for.as_ref() != Some(pos) {
+            rank_in_place(&self.space, pos, &mut self.view);
+            self.ranked_for = Some(pos.clone());
         }
-        merge_capped(&self.space, pos, self_id, &mut self.view, cap, incoming);
+        merge_ranked(&self.space, pos, self_id, &mut self.view, cap, incoming);
     }
 
     fn purge_failed(&mut self, is_failed: &dyn Fn(NodeId) -> bool) -> usize {
@@ -603,6 +640,162 @@ mod tests {
             let cl = t.closest(&[0.0, 0.0], 10);
             for w in cl.windows(2) {
                 prop_assert!(w[0].pos[0].abs() <= w[1].pos[0].abs() + 1e-9);
+            }
+        }
+    }
+
+    /// One step of the rank-order property test.
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// `integrate` of a batch: `(id, x, y, age)` each.
+        Batch(Vec<(u64, u8, u8, u32)>),
+        /// `integrate` of one descriptor (the random-contact fold).
+        One((u64, u8, u8, u32)),
+        /// `purge_failed` of the ids whose bit is set.
+        Purge(u16),
+        /// `refresh_positions` from a lookup that knows some ids.
+        Refresh(Vec<Option<(u8, u8)>>),
+        /// The node moves: later merges and reads use the new position.
+        Move(u8, u8),
+        /// `begin_round`.
+        Age,
+    }
+
+    /// An [`Op`], the kind drawn uniformly: every variant's payload is
+    /// generated and the kind keeps one (coordinate 5 is "unknown" to a
+    /// refresh).
+    fn op() -> impl Strategy<Value = Op> {
+        let desc = (0u64..16, 0u8..5, 0u8..5, 0u32..3);
+        (
+            0u8..6,
+            proptest::collection::vec(desc.clone(), 0..30),
+            desc,
+            0u16..=u16::MAX,
+            proptest::collection::vec((0u8..6, 0u8..5), 16),
+        )
+            .prop_map(|(kind, batch, one, mask, refresh)| match kind {
+                0 => Op::Batch(batch),
+                1 => Op::One(one),
+                2 => Op::Purge(mask),
+                3 => Op::Refresh(
+                    refresh
+                        .into_iter()
+                        .map(|(x, y)| (x < 5).then_some((x, y)))
+                        .collect(),
+                ),
+                4 => Op::Move(one.1, one.2),
+                _ => Op::Age,
+            })
+    }
+
+    fn at(x: u8, y: u8) -> [f64; 2] {
+        [f64::from(x), f64::from(y)]
+    }
+
+    /// Every own-position read of `t` for `pos` returns what the full
+    /// ranking kernels return on the same view.
+    fn reads_match_kernels(
+        t: &TMan<Torus2>,
+        pos: &[f64; 2],
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        use crate::rank::{choose_ranked, for_k_closest, k_closest, k_closest_ids_into};
+        let (space, view) = (t.space(), t.view_entries());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut reference_rng = StdRng::seed_from_u64(seed);
+        let partner = t.select_partner(pos, &mut rng);
+        let pick = choose_ranked(space, pos, view, t.config().psi, |n| {
+            reference_rng.random_range(0..n)
+        });
+        prop_assert_eq!(partner, pick.map(|i| view[i].id));
+        prop_assert_eq!(
+            rng.random::<u64>(),
+            reference_rng.random::<u64>(),
+            "same draws"
+        );
+        for k in [0, 1, 3, view.len(), view.len() + 1] {
+            let (mut ids, mut reference_ids) = (Vec::new(), Vec::new());
+            t.closest_ids_into(pos, k, &mut ids);
+            k_closest_ids_into(space, pos, view, k, &mut reference_ids);
+            prop_assert_eq!(&ids, &reference_ids);
+            let (mut visited, mut reference_visited) = (Vec::new(), Vec::new());
+            t.for_closest(pos, k, |d| visited.push(*d));
+            for_k_closest(space, pos, view, k, |d| reference_visited.push(*d));
+            prop_assert_eq!(&visited, &reference_visited);
+            prop_assert_eq!(t.closest(pos, k), k_closest(space, pos, view, k));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The rank-order invariant under every operation that touches
+        /// the view. After each step the view holds what the replaced
+        /// pipeline holds (as a set), is strictly increasing in rank order
+        /// for the position it was ranked for, and every own-position read
+        /// — for the node's current position and for the ranked one —
+        /// equals the full-ranking kernel on the same view. Ids 0..16 with
+        /// integer coordinates on a 5x5 torus put many entries at exactly
+        /// the same distance, so the id tie-break is exercised throughout.
+        #[test]
+        fn view_stays_ranked_and_prefix_reads_match_kernels(
+            ops in proptest::collection::vec(op(), 1..24),
+            cap in 1usize..12,
+            psi in 1usize..6,
+            start in (0u8..5, 0u8..5),
+            seed in 0u64..u64::MAX,
+        ) {
+            use crate::rank::reference::{is_ranked, replaced_pipeline, same_set};
+            let space = Torus2::new(5.0, 5.0);
+            let self_id = NodeId::new(0);
+            let mut t = TMan::new(space, TManConfig { view_cap: cap, m: 3, psi });
+            let mut reference: Vec<Descriptor<[f64; 2]>> = Vec::new();
+            let mut pos = at(start.0, start.1);
+            let descriptor = |(id, x, y, age): (u64, u8, u8, u32)| {
+                Descriptor::with_age(NodeId::new(id), at(x, y), age)
+            };
+            for op in ops {
+                match op {
+                    Op::Batch(batch) => {
+                        let incoming: Vec<_> = batch.into_iter().map(descriptor).collect();
+                        t.integrate(self_id, &pos, &incoming);
+                        replaced_pipeline(&space, &pos, self_id, &mut reference, cap, &incoming);
+                    }
+                    Op::One(d) => {
+                        let d = descriptor(d);
+                        t.integrate(self_id, &pos, std::slice::from_ref(&d));
+                        replaced_pipeline(&space, &pos, self_id, &mut reference, cap, &[d]);
+                    }
+                    Op::Purge(mask) => {
+                        let failed = |id: NodeId| mask >> id.index() & 1 == 1;
+                        t.purge_failed(&failed);
+                        reference.retain(|d| !failed(d.id));
+                    }
+                    Op::Refresh(known) => {
+                        let known: Vec<_> = known.into_iter().map(|p| p.map(|(x, y)| at(x, y))).collect();
+                        t.refresh_positions(|id| known[id.index()].as_ref());
+                        for d in &mut reference {
+                            if let Some(p) = known[d.id.index()] {
+                                d.pos = p;
+                                d.age = 0;
+                            }
+                        }
+                    }
+                    Op::Move(x, y) => pos = at(x, y),
+                    Op::Age => {
+                        t.begin_round();
+                        for d in &mut reference {
+                            d.age += 1;
+                        }
+                    }
+                }
+                prop_assert!(same_set(t.view_entries(), &reference));
+                if let Some(ranked) = t.ranked_for {
+                    prop_assert!(is_ranked(&space, &ranked, t.view_entries()));
+                    reads_match_kernels(&t, &ranked, seed)?;
+                }
+                reads_match_kernels(&t, &pos, seed)?;
             }
         }
     }
