@@ -335,9 +335,13 @@ impl<S: MetricSpace> ProtocolNode<S> {
     /// so routes terminate without a visited set.
     ///
     /// The winner is the first entry attaining the least `distance` to
-    /// `key` below the node's own. The scan runs once per query hop over
-    /// the whole view, so it compares squared distances and takes the
-    /// root only of entries that might win: `distance` is a
+    /// `key` below the node's own. The view is held in rank order (see
+    /// [`TMan`]), so an exact tie goes to the entry the holder ranks
+    /// first. Entries at one position always tie, and such entries occur
+    /// while the shape reshapes: among them the lowest id wins. The scan
+    /// runs once per query hop over the whole view, so it compares
+    /// squared distances and takes the root only of entries that might
+    /// win: `distance` is a
     /// non-decreasing function of `distance_sq` (see
     /// [`MetricSpace::distance_sq`]), hence an entry whose square is
     /// *strictly* above the bar's cannot be strictly below the bar, and

@@ -2,14 +2,20 @@
 //! spatial-grid candidate index that scales global nearest-neighbor
 //! queries past the exhaustive-scan wall.
 //!
-//! Two performance disciplines apply throughout:
+//! Three performance disciplines apply throughout:
 //!
 //! * **rank once, compare cached** — distances are computed once per
 //!   descriptor and sorted as plain keys, never recomputed inside a sort
 //!   comparator (which costs two metric evaluations per comparison);
 //! * **select before sorting** — when only the `k` best of `n` entries
 //!   are needed, a linear-time partial selection bounds the sort to the
-//!   `k`-prefix.
+//!   `k`-prefix;
+//! * **keep the order, do not recompute it** — a T-Man view is held in
+//!   rank order for its node's position ([`crate::TMan`]), so the
+//!   node's own reads are prefixes, a merge places only the entries it
+//!   changes (`merge_ranked`), and a full ranking
+//!   (`rank_in_place`) runs only when the position or an entry's
+//!   position moved. The kernels below serve every other position.
 
 use polystyrene_membership::{Descriptor, NodeId};
 use polystyrene_space::{GridSpec, MetricSpace};
@@ -184,7 +190,7 @@ pub fn k_closest_ids_into<S: MetricSpace>(
 
 /// Visits the `k` closest descriptors in increasing distance order without
 /// cloning anything — the zero-copy twin of [`k_closest`] for read-only
-/// consumers (the engine's proximity observation path).
+/// consumers.
 pub fn for_k_closest<S: MetricSpace>(
     space: &S,
     target: &S::Point,

@@ -56,9 +56,9 @@ impl TManConfig {
 
 /// T-Man protocol state of one node.
 ///
-/// The node's own position is *not* owned here: Polystyrene moves nodes
-/// around, so the position is owned by the layer above and passed into
-/// every operation (paper Fig. 3: "Node position" flows downward).
+/// The node's own position is owned by the layer above: Polystyrene
+/// moves nodes around, so the position is passed into every operation
+/// (paper Fig. 3: "Node position" flows downward).
 ///
 /// **The view is kept in rank order.** Once a position has been passed
 /// to [`TopologyConstruction::integrate`], the view is sorted for it the

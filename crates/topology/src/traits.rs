@@ -38,9 +38,12 @@ pub trait TopologyConstruction<S: MetricSpace> {
     fn view_len(&self) -> usize;
 
     /// All view entries (for metrics and snapshots), borrowed in the
-    /// protocol's internal order. Returning a slice instead of a cloned
-    /// `Vec` keeps the per-round observation and lookup paths off the
-    /// allocator — callers that need ownership clone explicitly.
+    /// protocol's internal order. For [`crate::TMan`] that is rank order
+    /// for the position of its last merge — squared distance, ties by id
+    /// — so the slice starts with the node's closest neighbors. Returning
+    /// a slice instead of a cloned `Vec` keeps the per-round observation
+    /// and lookup paths off the allocator — callers that need ownership
+    /// clone explicitly.
     fn view_entries(&self) -> &[Descriptor<S::Point>];
 
     /// The position this view currently believes `id` is at, or `None`
