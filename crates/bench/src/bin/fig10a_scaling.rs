@@ -26,7 +26,7 @@ use polystyrene_bench::{
     ReshapingRow,
 };
 use polystyrene_lab::SubstrateKind;
-use polystyrene_sim::prelude::{write_csv, PaperScenario};
+use polystyrene_sim::prelude::{write_csv, PaperScenario, ENGINE_PHASES};
 
 /// One K's rows, each with the process's `VmHWM` once it finished
 /// (MB). Sizes ascend within a K and K = 8 runs first, so each K = 8
@@ -121,8 +121,19 @@ fn main() {
             )
         );
         // The engine's phase ledger, one line per row.
-        for split in rows.iter().filter_map(ReshapingRow::phase_split) {
-            println!("  phases (ms/round) {split}");
+        for r in &rows {
+            let Some(phase_ms) = r.phase_ms else { continue };
+            let split: Vec<String> = ENGINE_PHASES
+                .iter()
+                .zip(phase_ms)
+                .map(|(name, ms)| format!("{name} {ms:.2}"))
+                .collect();
+            println!(
+                "  phases (ms/round) {}: {} | sum {:.2}",
+                r.label,
+                split.join(", "),
+                phase_ms.iter().sum::<f64>()
+            );
         }
         for (r, rss) in rows.iter().zip(&rss) {
             csv_rows.push(vec![

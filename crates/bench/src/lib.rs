@@ -454,23 +454,6 @@ impl ReshapingRow {
             phase_ms: None,
         }
     }
-
-    /// The row's phase split as one line, `name ms` per phase and their
-    /// sum; `None` off the engine.
-    pub fn phase_split(&self) -> Option<String> {
-        let phase_ms = self.phase_ms?;
-        let parts: Vec<String> = ENGINE_PHASES
-            .iter()
-            .zip(phase_ms)
-            .map(|(name, ms)| format!("{name} {ms:.2}"))
-            .collect();
-        Some(format!(
-            "{}: {} | sum {:.2} ms/round",
-            self.label,
-            parts.join(", "),
-            phase_ms.iter().sum::<f64>()
-        ))
-    }
 }
 
 /// One reshaping-table row: `paper`'s script run `runs` times on the

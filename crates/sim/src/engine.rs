@@ -538,7 +538,12 @@ impl<S: MetricSpace> Engine<S> {
         // The engine-owned tables are taken and restored around the
         // `&self` passes to satisfy the borrows.
         let mut census = std::mem::take(&mut self.census);
-        let observation = self.observe_into(&mut census);
+        let observation = census.of_pool(
+            &self.space,
+            &self.original_points,
+            self.config.area,
+            &self.pool,
+        );
         self.census = census;
         self.stamp(6, &mut clock);
         let mut proximity = std::mem::take(&mut self.proximity);
@@ -686,23 +691,18 @@ impl<S: MetricSpace> Engine<S> {
     /// entry point measures into throwaway ones, so ad-hoc callers pay
     /// the allocations instead of holding them.
     pub fn compute_metrics(&self) -> RoundMetrics {
-        let observation = self.observe_into(&mut Census::new());
-        self.metrics_from(observation, &mut Vec::new())
-    }
-
-    /// The census half of the measurement pass: the shared observation
-    /// of the pool, before the engine's own fields are filled in.
-    fn observe_into(&self, census: &mut Census<S::Point>) -> RoundObservation {
-        census.of_pool(
+        let observation = Census::new().of_pool(
             &self.space,
             &self.original_points,
             self.config.area,
             &self.pool,
-        )
+        );
+        self.metrics_from(observation, &mut Vec::new())
     }
 
     /// The proximity half of the measurement pass, assembled with the
-    /// census `observation` into the round's metrics.
+    /// census `observation` (the shared [`Census::of_pool`] reading)
+    /// into the round's metrics.
     fn metrics_from(
         &self,
         observation: RoundObservation,
