@@ -5,33 +5,39 @@
 //! `--substrate`.
 //!
 //! ```sh
-//! cargo run --release -p polystyrene-bench --bin ablation
-//! cargo run --release -p polystyrene-bench --bin ablation -- --cols 40 --rows 20 --runs 10
+//! figures ablation
+//! figures ablation --cols 40 --rows 20 --runs 10
 //! ```
 
+use crate::{lab_config, render_reshaping_table, reshaping_row, Args, Output};
 use polystyrene::prelude::{BackupPlacement, ProjectionStrategy, SplitStrategy};
-use polystyrene_bench::{render_reshaping_table, reshaping_row, CommonArgs};
-use polystyrene_lab::LabConfig;
-use polystyrene_sim::prelude::*;
+use polystyrene_lab::{LabConfig, SubstrateKind};
+use polystyrene_sim::prelude::PaperScenario;
 
-fn main() {
-    let args = CommonArgs::parse(CommonArgs {
-        cols: 20,
-        rows: 10,
-        runs: 3,
-        seed: 0,
-        ..Default::default()
-    });
-    let paper = PaperScenario::reshaping_only(args.cols, args.rows, 15, 50);
-    let base = args.lab_config(SplitStrategy::Advanced);
-    let row = |cfg: LabConfig, label: &str| {
-        reshaping_row(args.substrate, &paper, &cfg, args.runs, label.into())
-    };
+/// The flags the ablations read; they write no file.
+pub const FLAGS: &[&str] = &[
+    "cols",
+    "rows",
+    "runs",
+    "k",
+    "seed",
+    "substrate",
+    "net-latency",
+    "net-jitter",
+    "net-loss",
+];
 
-    println!(
-        "========== Ablation: projection strategy (K={}, Split_Advanced) ==========",
-        args.k
-    );
+/// Runs the three ablations.
+pub fn run(args: &Args) -> Output {
+    let (cols, rows, runs) = (args.get("cols", 20), args.get("rows", 10), args.get("runs", 3));
+    let k = args.get("k", 4);
+    let substrate = args.get("substrate", SubstrateKind::Engine);
+    let paper = PaperScenario::reshaping_only(cols, rows, 15, 50);
+    let base = lab_config(k, SplitStrategy::Advanced, args.get("seed", 0), args.link(2, 1));
+    let row =
+        |cfg: LabConfig, label: &str| reshaping_row(substrate, &paper, &cfg, runs, label.into());
+
+    println!("========== Ablation: projection strategy (K={k}, Split_Advanced) ==========");
     let rows: Vec<_> = [
         ("Medoid (paper)", ProjectionStrategy::Medoid),
         ("MedoidSampled(8)", ProjectionStrategy::MedoidSampled(8)),
@@ -82,4 +88,5 @@ fn main() {
          (replicas die with their neighborhood) — the exact trade-off the paper\n\
          argues for random placement in Sec. III-D."
     );
+    Output::default()
 }

@@ -1,8 +1,8 @@
-//! **Baseline differ** — the CI regression gate over the benchmark
-//! JSON artifacts (`BENCH_matrix.json`, `BENCH_netsim.json`).
+//! **Baseline differ** — the CI regression gate over the figures' JSON
+//! artifacts (the committed `crates/bench/baselines/BENCH_*.json`).
 //!
 //! Compares the current run against a committed baseline snapshot and
-//! fails (exit 1) when any tracked metric gets worse by more than
+//! fails when any tracked metric gets worse by more than
 //! `--max-regression` (default 0.25, i.e. 25%):
 //!
 //! * `mean_reshaping_rounds` per substrate entry — convergence speed,
@@ -13,8 +13,8 @@
 //!   (unavailability is lower-is-better) against an absolute floor,
 //! * `wall_secs` per substrate from the artifact metadata — real time,
 //! * `allocs_per_round` from the artifact metadata, when present — the
-//!   netsim sweep's deterministic steady-state allocation count (gated
-//!   exactly: the probe is seeded and single-threaded).
+//!   netsim sweep's deterministic steady-state allocation count (no
+//!   noise floor: the probe is seeded and single-threaded).
 //!
 //! Other keys are carried along, not read: `fig_loss_latency`'s
 //! per-row `peak_rss_mb`, for one, depends on the allocator and the box.
@@ -25,15 +25,19 @@
 //! metrics (wall-clock everywhere, round counts on the live threaded
 //! substrates) are gated against a denominator *floor* so small
 //! baselines are judged on absolute drift instead of timer noise; the
-//! deterministic substrates' round and cost metrics are gated exactly.
+//! deterministic substrates' round and cost metrics have no floor, so
+//! their relative change is gated as it is.
 //!
 //! ```sh
-//! cargo run --release -p polystyrene-bench --bin baseline_diff -- \
-//!     --baseline crates/bench/baselines/BENCH_matrix.json \
-//!     --current  target/experiments/substrate_matrix.json
+//! figures diff --baseline crates/bench/baselines/BENCH_matrix.json \
+//!     --current target/experiments/substrate_matrix.json
 //! ```
 
-use polystyrene_bench::minijson::{parse, Json};
+use crate::minijson::{parse, Json};
+use crate::{Args, Output};
+
+/// The flags the differ reads; it writes no file.
+pub const FLAGS: &[&str] = &["baseline", "current", "max-regression"];
 
 /// Denominator floor for wall-clock comparisons: a 25% gate on a
 /// 5-second floor allows 1.25 s of absolute drift, which covers the
@@ -83,23 +87,27 @@ fn doc_is_deterministic(doc: &Json) -> bool {
 }
 
 /// One tracked metric for one substrate: where it was, where it is.
-struct Comparison {
-    what: String,
-    baseline: f64,
-    current: f64,
-    /// Minimum denominator for the relative change. Zero for exact
-    /// metrics; wall-clock uses [`WALL_FLOOR_SECS`] so that short
+#[derive(Clone, Debug)]
+pub struct Comparison {
+    /// `label/metric`, or the metadata key.
+    pub what: String,
+    /// The committed value.
+    pub baseline: f64,
+    /// This run's value.
+    pub current: f64,
+    /// Minimum denominator for the relative change. Zero for the
+    /// deterministic metrics; wall-clock uses `WALL_FLOOR_SECS` so that short
     /// baselines (the deterministic substrates finish in milliseconds,
     /// the live ones in a couple of seconds with ±30% scheduler noise
     /// on the 1-core CI box) are gated on absolute seconds rather than
     /// timer noise, while genuinely long benches stay relatively gated.
-    floor: f64,
+    pub floor: f64,
 }
 
 impl Comparison {
     /// Fractional change; positive = worse (all tracked metrics are
     /// lower-is-better).
-    fn regression(&self) -> f64 {
+    pub fn regression(&self) -> f64 {
         let denom = self.baseline.max(self.floor);
         if denom <= 0.0 {
             // A zero baseline can't be regressed against in relative
@@ -134,35 +142,14 @@ fn lookup<'a>(entries: &[(&str, &'a Json)], label: &str) -> Option<&'a Json> {
     entries.iter().find(|(l, _)| *l == label).map(|(_, e)| *e)
 }
 
-fn main() {
-    let mut baseline_path = String::new();
-    let mut current_path = String::new();
-    let mut max_regression = 0.25f64;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} requires a value"))
-        };
-        match flag.as_str() {
-            "--baseline" => baseline_path = value("--baseline"),
-            "--current" => current_path = value("--current"),
-            "--max-regression" => {
-                max_regression = value("--max-regression")
-                    .parse()
-                    .expect("--max-regression must be a number")
-            }
-            other => panic!("unknown flag {other}"),
-        }
-    }
-    assert!(!baseline_path.is_empty(), "--baseline is required");
-    assert!(!current_path.is_empty(), "--current is required");
-
-    let baseline = load(&baseline_path);
-    let current = load(&current_path);
-    let baseline_entries = entries_by_label(&baseline);
-    let current_entries = entries_by_label(&current);
-    let all_deterministic = doc_is_deterministic(&baseline);
+/// Compares the `current` artifact against its `baseline`: every
+/// tracked metric, and the failures — a metric more than
+/// `max_regression` worse, or one the baseline measured and the current
+/// run does not.
+pub fn compare(baseline: &Json, current: &Json, max_regression: f64) -> (Vec<Comparison>, Vec<String>) {
+    let baseline_entries = entries_by_label(baseline);
+    let current_entries = entries_by_label(current);
+    let all_deterministic = doc_is_deterministic(baseline);
 
     let mut comparisons: Vec<Comparison> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
@@ -267,11 +254,38 @@ fn main() {
         }
     }
 
-    assert!(
-        !comparisons.is_empty() || !failures.is_empty(),
-        "no comparable metrics found — wrong files?"
-    );
+    if comparisons.is_empty() && failures.is_empty() {
+        failures.push("no comparable metrics found — wrong files?".to_string());
+    }
+    for c in &comparisons {
+        let r = c.regression();
+        if r > max_regression {
+            failures.push(format!(
+                "{}: {:.3} -> {:.3} (+{:.1}%, limit +{:.0}%)",
+                c.what,
+                c.baseline,
+                c.current,
+                r * 100.0,
+                max_regression * 100.0
+            ));
+        }
+    }
+    (comparisons, failures)
+}
 
+/// Runs the differ: prints every comparison and fails on each
+/// [`compare`] failure.
+pub fn run(args: &Args) -> Output {
+    let baseline_path: String = args.get("baseline", String::new());
+    let current_path: String = args.get("current", String::new());
+    let max_regression = args.get("max-regression", 0.25);
+    assert!(!baseline_path.is_empty(), "--baseline is required");
+    assert!(!current_path.is_empty(), "--current is required");
+    let (comparisons, failures) = compare(
+        &load(&baseline_path),
+        &load(&current_path),
+        max_regression,
+    );
     println!(
         "{:<28} {:>10} {:>10} {:>8}",
         "metric", "baseline", "current", "change"
@@ -286,28 +300,119 @@ fn main() {
             c.current,
             r * 100.0
         );
-        if r > max_regression {
-            failures.push(format!(
-                "{}: {:.3} -> {:.3} (+{:.1}%, limit +{:.0}%)",
-                c.what,
-                c.baseline,
-                c.current,
-                r * 100.0,
-                max_regression * 100.0
-            ));
-        }
+    }
+    let mut out = Output::default();
+    if failures.is_empty() {
+        println!(
+            "\nOK: {} metric(s) within +{:.0}% of baseline",
+            comparisons.len(),
+            max_regression * 100.0
+        );
+    } else {
+        eprintln!();
+    }
+    for f in failures {
+        out.fail(f);
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A two-substrate matrix artifact: the engine's and the cluster's
+    /// reshaping rounds and wall-clock seconds.
+    fn matrix(engine: (f64, f64), cluster: (f64, f64)) -> Json {
+        parse(&format!(
+            "{{\"figure\":\"substrate_matrix\",\
+             \"wall_secs\":{{\"engine\":{},\"cluster\":{}}},\
+             \"entries\":[{{\"label\":\"engine\",\"mean_reshaping_rounds\":{}}},\
+             {{\"label\":\"cluster\",\"mean_reshaping_rounds\":{}}}]}}",
+            engine.1, cluster.1, engine.0, cluster.0
+        ))
+        .expect("valid JSON")
     }
 
-    if !failures.is_empty() {
-        eprintln!();
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
+    fn failures(baseline: &Json, current: &Json) -> Vec<String> {
+        compare(baseline, current, 0.25).1
     }
-    println!(
-        "\nOK: {} metric(s) within +{:.0}% of baseline",
-        comparisons.len(),
-        max_regression * 100.0
-    );
+
+    #[test]
+    fn deterministic_reshaping_rounds_have_no_floor() {
+        // One round more on a 2-round engine baseline is +50 %.
+        let f = failures(&matrix((2.0, 0.1), (6.0, 1.0)), &matrix((3.0, 0.1), (6.0, 1.0)));
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].starts_with("engine/mean_reshaping_rounds: 2.000 -> 3.000"));
+    }
+
+    #[test]
+    fn live_round_drift_inside_the_floor_passes() {
+        // +4 rounds on the cluster is +67 % of its baseline but 20 % of
+        // the 20-round floor.
+        let f = failures(&matrix((2.0, 0.1), (6.0, 1.0)), &matrix((2.0, 0.1), (10.0, 1.0)));
+        assert!(f.is_empty(), "{f:?}");
+        // Past the floor's 25 % (5 rounds) it fails.
+        let f = failures(&matrix((2.0, 0.1), (6.0, 1.0)), &matrix((2.0, 0.1), (12.0, 1.0)));
+        assert_eq!(f.len(), 1, "{f:?}");
+    }
+
+    #[test]
+    fn wall_secs_above_the_floor_is_gated_relatively() {
+        let baseline = matrix((2.0, 10.0), (6.0, 1.0));
+        let f = failures(&baseline, &matrix((2.0, 12.6), (6.0, 1.0)));
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].starts_with("engine/wall_secs: 10.000 -> 12.600 (+26.0%"));
+        assert!(failures(&baseline, &matrix((2.0, 12.4), (6.0, 1.0))).is_empty());
+        // Under the 5 s floor, +1 s on a 1 s baseline is 20 %.
+        assert!(failures(&baseline, &matrix((2.0, 10.0), (6.0, 2.0))).is_empty());
+    }
+
+    #[test]
+    fn a_substrate_missing_from_the_current_run_fails() {
+        let current = parse(
+            "{\"wall_secs\":{\"engine\":0.1,\"cluster\":1.0},\
+             \"entries\":[{\"label\":\"engine\",\"mean_reshaping_rounds\":2}]}",
+        )
+        .unwrap();
+        let f = failures(&matrix((2.0, 0.1), (6.0, 1.0)), &current);
+        assert_eq!(
+            f,
+            vec!["cluster: present in baseline, missing from current run".to_string()]
+        );
+    }
+
+    #[test]
+    fn allocs_per_round_has_no_floor() {
+        let doc = |n: u32| parse(&format!("{{\"allocs_per_round\":{n},\"entries\":[]}}")).unwrap();
+        let f = failures(&doc(3), &doc(4));
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].starts_with("allocs_per_round: 3.000 -> 4.000"));
+        let missing = parse("{\"entries\":[]}").unwrap();
+        assert_eq!(
+            failures(&doc(3), &missing),
+            vec!["allocs_per_round: measured in baseline, missing from current run".to_string()]
+        );
+    }
+
+    #[test]
+    fn improvements_pass() {
+        let (comparisons, f) = compare(
+            &matrix((4.0, 20.0), (9.0, 3.0)),
+            &matrix((2.0, 1.0), (3.0, 0.5)),
+            0.25,
+        );
+        assert!(f.is_empty(), "{f:?}");
+        assert_eq!(comparisons.len(), 4);
+        assert!(comparisons.iter().all(|c| c.regression() < 0.0));
+    }
+
+    #[test]
+    fn documents_without_tracked_metrics_fail() {
+        let empty = parse("{\"entries\":[]}").unwrap();
+        assert_eq!(
+            failures(&empty, &empty),
+            vec!["no comparable metrics found — wrong files?".to_string()]
+        );
+    }
 }

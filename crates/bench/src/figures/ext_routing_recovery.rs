@@ -15,17 +15,32 @@
 //! answers back within `H` of their keys.
 //!
 //! ```sh
-//! cargo run --release -p polystyrene-bench --bin ext_routing_recovery -- \
-//!     --cols 80 --rows 40
+//! figures ext_routing_recovery --cols 80 --rows 40
 //! ```
 
+use crate::report::render_table;
+use crate::{lab_config, Args, Output};
 use polystyrene::prelude::SplitStrategy;
-use polystyrene_bench::CommonArgs;
 use polystyrene_lab::{
-    build_substrate, key_universe, run_experiment_with_traffic, SubstrateKind, TrafficLoad,
+    build_substrate, key_universe, run_experiment_with_traffic, SubstrateKind, TrafficDist,
+    TrafficLoad,
 };
-use polystyrene_sim::prelude::*;
+use polystyrene_protocol::{LinkProfile, PaperScenario};
 use polystyrene_space::torus::Torus2;
+
+/// The flags E1 reads: one engine run of each stack under the key
+/// workload.
+pub const FLAGS: &[&str] = &[
+    "cols",
+    "rows",
+    "k",
+    "seed",
+    "traffic-rate",
+    "traffic-keys",
+    "read-fraction",
+    "traffic-dist",
+    "out",
+];
 
 /// Observation rounds sampled, relative to the failure round: the round
 /// before it, the round it strikes, and three and fifteen rounds on. Row
@@ -38,33 +53,33 @@ const MOMENTS: [(&str, i64); 4] = [
     ("failure + 15 rounds", 15),
 ];
 
-fn main() {
-    let args = CommonArgs::parse_engine_only(CommonArgs {
-        cols: 40,
-        rows: 20,
-        traffic_rate: 400,
-        traffic_keys: 1024,
-        ..Default::default()
-    });
-    let paper = PaperScenario::reshaping_only(args.cols, args.rows, 20, 16);
+/// Runs E1.
+pub fn run(args: &Args) -> Output {
+    let (cols, rows, k, seed) = (
+        args.get("cols", 40),
+        args.get("rows", 20),
+        args.get("k", 4),
+        args.get("seed", 1),
+    );
+    let (traffic_rate, traffic_keys) = (args.get("traffic-rate", 400), args.traffic_keys(1024));
+    let (read_fraction, traffic_dist) = (
+        args.read_fraction(),
+        args.get("traffic-dist", TrafficDist::Uniform),
+    );
+    let paper = PaperScenario::reshaping_only(cols, rows, 20, 16);
     let (w, h) = paper.extents();
-    let keys = key_universe(args.traffic_keys, args.cols, args.rows);
+    let keys = key_universe(traffic_keys, cols, rows);
     // Enough hops to cross the torus twice: a strictly improving walk
     // never needs them, so no lookup is lost to the budget.
     let ttl = ((w + h) * 2.0) as u32;
     println!(
-        "E1 routing recovery: {}-node torus, {} lookups per round over {} keys\n",
+        "E1 routing recovery: {}-node torus, {traffic_rate} lookups per round over {traffic_keys} keys\n",
         paper.node_count(),
-        args.traffic_rate,
-        args.traffic_keys
     );
 
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    for (name, tman_only) in [
-        (format!("Polystyrene_K{}", args.k), false),
-        ("TMan".into(), true),
-    ] {
-        let mut cfg = args.lab_config(SplitStrategy::Advanced);
+    let mut table: Vec<Vec<String>> = Vec::new();
+    for (name, tman_only) in [(format!("Polystyrene_K{k}"), false), ("TMan".into(), true)] {
+        let mut cfg = lab_config(k, SplitStrategy::Advanced, seed, LinkProfile::ideal());
         cfg.area = paper.area();
         cfg.tman_only = tman_only;
         let mut engine = build_substrate(
@@ -75,16 +90,16 @@ fn main() {
         );
         let mut load = TrafficLoad::with_dist(
             keys.clone(),
-            args.traffic_rate,
-            args.read_fraction,
+            traffic_rate,
+            read_fraction,
             ttl,
-            args.seed,
-            args.traffic_dist,
+            seed,
+            traffic_dist,
         );
         let trace = run_experiment_with_traffic(engine.as_mut(), &paper.script(), Some(&mut load));
         for (moment, offset) in MOMENTS {
             let o = &trace.observations[(i64::from(paper.failure_round) + offset) as usize];
-            rows.push(vec![
+            table.push(vec![
                 name.clone(),
                 moment.to_string(),
                 format!("{:.1}", o.traffic.availability() * 100.0),
@@ -107,11 +122,12 @@ fn main() {
                 "homogeneity",
                 "reference H"
             ],
-            &rows,
+            &table,
         )
     );
-    write_csv(
-        args.out.join("ext_routing_recovery.csv"),
+    let mut out = Output::default();
+    out.csv(
+        "ext_routing_recovery.csv",
         &[
             "stack",
             "moment",
@@ -120,10 +136,8 @@ fn main() {
             "homogeneity",
             "reference_homogeneity",
         ],
-        &rows,
-    )
-    .expect("failed to write CSV");
-    println!("CSV written to {}", args.out.display());
+        &table,
+    );
     println!(
         "\nExpected shape: both stacks serve every lookup when converged, with\n\
          homogeneity far below H. The failure round drops the lookups sent to\n\
@@ -132,4 +146,5 @@ fn main() {
          only Polystyrene brings homogeneity back below H; under T-Man the\n\
          answers for keys in the hole still come from its rim."
     );
+    out
 }

@@ -2,51 +2,53 @@
 //! (K = 4): `SPLIT_BASIC` vs the PD and MD heuristics vs the combined
 //! `SPLIT_ADVANCED`. At 51 200 nodes the paper reports PD alone cutting
 //! the reshaping time by 2.76× and PD+MD by 2.90× (down to 10 rounds).
+//! Runs on any execution substrate via `--substrate` (default: engine).
 //!
 //! ```sh
-//! cargo run --release -p polystyrene-bench --bin fig10b_split -- \
-//!     --max-nodes 51200 --runs 25       # full paper scale (slow!)
+//! figures fig10b_split --max-nodes 51200 --runs 25   # full paper scale (slow!)
 //! ```
 
+use crate::{
+    default_max_nodes, lab_config, render_reshaping_table, reshaping_row, scaling_sizes, Args,
+    Output,
+};
 use polystyrene::prelude::SplitStrategy;
-use polystyrene_bench::{render_reshaping_table, reshaping_row, scaling_sizes, CommonArgs};
 use polystyrene_lab::SubstrateKind;
-use polystyrene_sim::prelude::{write_csv, PaperScenario};
+use polystyrene_sim::prelude::PaperScenario;
 
-// Runs on any execution substrate via `--substrate` (default: engine).
+/// The flags Fig. 10b reads; it sweeps the grid itself.
+pub const FLAGS: &[&str] = &[
+    "max-nodes",
+    "runs",
+    "k",
+    "seed",
+    "substrate",
+    "net-latency",
+    "net-jitter",
+    "net-loss",
+    "out",
+];
 
-fn main() {
-    let args = CommonArgs::parse_with(
-        CommonArgs {
-            runs: 3,
-            ..Default::default()
-        },
-        &["max-nodes"],
-    );
-    // Thread-per-node substrates default to a much smaller sweep.
-    let default_max = match args.substrate {
-        SubstrateKind::Engine | SubstrateKind::Netsim => 6400,
-        SubstrateKind::Cluster | SubstrateKind::Tcp => 400,
-    };
-    let max_nodes = args.extra_usize("max-nodes", default_max);
-    let sizes = scaling_sizes(max_nodes);
+/// Runs the Fig. 10b sweep.
+pub fn run(args: &Args) -> Output {
+    let (runs, k) = (args.get("runs", 3), args.get("k", 4));
+    let substrate = args.get("substrate", SubstrateKind::Engine);
+    let (seed, link) = (args.get("seed", 1), args.link(2, 1));
+    let sizes = scaling_sizes(args.get("max-nodes", default_max_nodes(substrate)));
     println!(
-        "Fig. 10b sweep on {}: sizes {:?}, K = {}, {} runs each, all split functions\n",
-        args.substrate,
+        "Fig. 10b sweep on {substrate}: sizes {:?}, K = {k}, {runs} runs each, all split functions\n",
         sizes.iter().map(|&(c, r)| c * r).collect::<Vec<_>>(),
-        args.k,
-        args.runs
     );
 
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
     for strategy in SplitStrategy::ALL {
-        let cfg = args.lab_config(strategy);
+        let cfg = lab_config(k, strategy, seed, link);
         let rows: Vec<_> = sizes
             .iter()
             .map(|&(cols, rows)| {
                 let paper = PaperScenario::reshaping_only(cols, rows, 20, 80);
                 let label = format!("{} nodes", cols * rows);
-                reshaping_row(args.substrate, &paper, &cfg, args.runs, label)
+                reshaping_row(substrate, &paper, &cfg, runs, label)
             })
             .collect();
         println!(
@@ -63,8 +65,9 @@ fn main() {
             ]);
         }
     }
-    write_csv(
-        args.out.join("fig10b_split.csv"),
+    let mut out = Output::default();
+    out.csv(
+        "fig10b_split.csv",
         &[
             "split",
             "nodes",
@@ -73,13 +76,12 @@ fn main() {
             "unreshaped_runs",
         ],
         &csv_rows,
-    )
-    .expect("failed to write CSV");
-    println!("CSV written to {}", args.out.display());
+    );
     println!(
         "\nExpected shape (paper Fig. 10b): Split_Basic degrades steeply with\n\
          size; the diameter heuristic (PD) recovers most of the gap; adding the\n\
          displacement heuristic (MD) brings a further small improvement\n\
          (÷2.76 → ÷2.90 at 51 200 nodes in the paper)."
     );
+    out
 }

@@ -10,28 +10,49 @@
 //! baseline cannot. Both runs share one scenario value and one driver.
 //!
 //! ```sh
-//! cargo run --release -p polystyrene-bench --bin fig1_tman_failure -- \
-//!     --cols 80 --rows 40
-//! cargo run --release -p polystyrene-bench --bin fig1_tman_failure -- \
-//!     --cols 16 --rows 8 --substrate cluster
+//! figures fig1_tman_failure --cols 80 --rows 40
+//! figures fig1_tman_failure --cols 16 --rows 8 --substrate cluster
 //! ```
 
+use crate::snapshot::dump;
+use crate::{lab_config, run_summary, Args, Output};
 use polystyrene::prelude::SplitStrategy;
-use polystyrene_bench::{run_summary, CommonArgs};
-use polystyrene_lab::{build_engine, run_experiment, LabConfig};
+use polystyrene_lab::{build_engine, run_experiment, LabConfig, SubstrateKind};
 use polystyrene_protocol::{PaperScenario, Scenario, ScenarioEvent};
-use polystyrene_sim::prelude::*;
 use polystyrene_space::torus::Torus2;
 use std::sync::Arc;
 
-fn main() {
-    let args = CommonArgs::parse(CommonArgs {
-        cols: 40,
-        rows: 20,
+/// The flags Fig. 1 reads: one run of each stack. `--k`, `--substrate`
+/// and `--net-*` set up the full stack's contrast run.
+pub const FLAGS: &[&str] = &[
+    "cols",
+    "rows",
+    "k",
+    "seed",
+    "substrate",
+    "net-latency",
+    "net-jitter",
+    "net-loss",
+    "out",
+];
+
+/// Runs Fig. 1 and its contrast run.
+pub fn run(args: &Args) -> Output {
+    let (cols, rows, k, seed) = (
+        args.get("cols", 40),
+        args.get("rows", 20),
+        args.get("k", 4),
+        args.get("seed", 1),
+    );
+    let substrate = args.get("substrate", SubstrateKind::Engine);
+    let link = args.link(2, 1);
+    let paper = PaperScenario {
+        cols,
+        rows,
         ..Default::default()
-    });
-    let paper = args.paper_scenario();
+    };
     let (w, h) = paper.extents();
+    let mut out = Output::default();
 
     // ------------------------------------------------------------------
     // Panels a-c: the T-Man-only baseline, engine-rendered (the density
@@ -40,34 +61,23 @@ fn main() {
     // ------------------------------------------------------------------
     let mut cfg = LabConfig::default();
     cfg.area = paper.area();
-    cfg.seed = args.seed;
+    cfg.seed = seed;
     cfg.tman_only = true;
     let mut engine = build_engine(Torus2::new(w, h), paper.shape(), &cfg);
-
-    let cells_x = args.cols.min(72);
-    let cells_y = args.rows.min(24);
-    let dump = |engine: &Engine<Torus2>, label: &str, out: &std::path::Path| {
-        let snap = Snapshot::capture(engine, 4);
-        println!(
-            "--- Fig. 1{label} (round {}, {} alive) ---",
-            snap.round,
-            snap.positions.len()
-        );
-        println!("{}", snap.render_density(w, h, cells_x, cells_y));
-        snap.write_positions_csv(out.join(format!("fig1{label}.csv")))
-            .expect("failed to write CSV");
+    let panel = |engine: &_, label: &str, out: &mut Output| {
+        dump(engine, &paper, &format!("Fig. 1{label}"), &format!("fig1{label}"), out);
     };
 
-    dump(&engine, "a_round0", &args.out);
+    panel(&engine, "a_round0", &mut out);
     run_experiment(&mut engine, &Scenario::new(paper.failure_round));
-    dump(&engine, "b_converged", &args.out);
+    panel(&engine, "b_converged", &mut out);
     let kill_script: Scenario<[f64; 2]> = Scenario::new(20) // T-Man heals links in ~20 rounds
         .at(
             0,
             ScenarioEvent::FailOriginalRegion(Arc::new(move |p: &[f64; 2]| p[0] >= w / 2.0)),
         );
     run_experiment(&mut engine, &kill_script);
-    dump(&engine, "c_after_failure", &args.out);
+    panel(&engine, "c_after_failure", &mut out);
 
     let m = engine.history().last().unwrap();
     println!(
@@ -76,31 +86,28 @@ fn main() {
          plateau (5.25 for the 80×40 torus).",
         m.proximity, m.homogeneity, m.reference_homogeneity
     );
-    println!("CSV point clouds written to {}", args.out.display());
 
     // ------------------------------------------------------------------
     // The contrast panel: the identical failure with the full stack, on
     // whatever substrate was asked for.
     // ------------------------------------------------------------------
-    let reshaping_only =
-        PaperScenario::reshaping_only(args.cols, args.rows, paper.failure_round, 40);
+    let reshaping_only = PaperScenario::reshaping_only(cols, rows, paper.failure_round, 40);
     let summary = run_summary(
-        args.substrate,
+        substrate,
         &reshaping_only,
-        &args.lab_config(SplitStrategy::Advanced),
+        &lab_config(k, SplitStrategy::Advanced, seed, link),
         1,
     );
     match summary.mean_reshaping_rounds() {
         Some(rounds) => println!(
-            "\nFull Polystyrene stack on {}: same failure, shape recovered in {rounds:.0} rounds\n\
-             (K={}) — the contrast the paper's Fig. 1 motivates.",
-            args.substrate, args.k
+            "\nFull Polystyrene stack on {substrate}: same failure, shape recovered in {rounds:.0} rounds\n\
+             (K={k}) — the contrast the paper's Fig. 1 motivates."
         ),
         None => println!(
-            "\nFull Polystyrene stack on {}: did NOT recover within {} rounds — unexpected;\n\
+            "\nFull Polystyrene stack on {substrate}: did NOT recover within {} rounds — unexpected;\n\
              inspect the configuration.",
-            args.substrate,
             reshaping_only.total_rounds - paper.failure_round
         ),
     }
+    out
 }

@@ -4,38 +4,48 @@
 //! communication cost (7b: units per node per round). Each
 //! configuration runs once; all four figures read the same runs.
 //!
+//! Engine only: proximity (6b) is read off the engine's history.
+//!
 //! ```sh
-//! cargo run --release -p polystyrene-bench --bin fig6_7_quality -- \
-//!     --cols 80 --rows 40 --runs 25     # full paper scale
+//! figures fig6_7_quality --cols 80 --rows 40 --runs 25   # full paper scale
 //! ```
 
-use polystyrene::prelude::SplitStrategy;
-use polystyrene_bench::{
-    render_reshaping_table, run_quality, steady_state, CommonArgs, ReshapingRow,
+use crate::report::{ascii_plot, series_rows};
+use crate::{
+    lab_config, render_reshaping_table, run_quality, steady_state, Args, Output, ReshapingRow,
 };
-use polystyrene_sim::prelude::*;
+use polystyrene::prelude::SplitStrategy;
+use polystyrene_protocol::{LinkProfile, PaperScenario};
 use std::time::Instant;
 
-fn main() {
-    let args = CommonArgs::parse_engine_only(CommonArgs {
-        cols: 40,
-        rows: 20,
-        runs: 3,
+/// The flags Figs. 6 and 7 read; they run each K of the paper and the
+/// T-Man baseline.
+pub const FLAGS: &[&str] = &["cols", "rows", "runs", "seed", "out"];
+
+/// Runs Figs. 6 and 7.
+pub fn run(args: &Args) -> Output {
+    let runs = args.get("runs", 3);
+    let paper = PaperScenario {
+        cols: args.get("cols", 40),
+        rows: args.get("rows", 20),
         ..Default::default()
-    });
-    let paper = args.paper_scenario();
+    };
     println!(
-        "Figs. 6-7 scenario: {}-node torus, failure at r={}, reinjection at r={:?}, {} runs",
+        "Figs. 6-7 scenario: {}-node torus, failure at r={}, reinjection at r={:?}, {runs} runs",
         paper.node_count(),
         paper.failure_round,
         paper.inject_round,
-        args.runs
     );
 
     // (label, homogeneity, proximity, points per node, cost per node)
     let mut series: Vec<(String, [Vec<f64>; 4])> = Vec::new();
     let mut rows = Vec::new();
-    let base = args.lab_config(SplitStrategy::Advanced);
+    let base = lab_config(
+        4,
+        SplitStrategy::Advanced,
+        args.get("seed", 1),
+        LinkProfile::ideal(),
+    );
     // (K, T-Man alone): the paper's three stacks, then its baseline.
     for (k, tman_only) in [(8usize, false), (4, false), (2, false), (4, true)] {
         let label = if tman_only {
@@ -47,7 +57,7 @@ fn main() {
         cfg.poly.replication = k;
         cfg.tman_only = tman_only;
         let started = Instant::now();
-        let (summary, proximity) = run_quality(&paper, &cfg, args.runs);
+        let (summary, proximity) = run_quality(&paper, &cfg, runs);
         let elapsed = started.elapsed();
         let points = summary.points_per_node.means();
         let cost = summary.cost_units.means();
@@ -82,6 +92,7 @@ fn main() {
         render_reshaping_table("Reshaping after the failure", &rows)
     );
 
+    let mut out = Output::default();
     for (i, (title, file)) in [
         (
             "Fig. 6a — homogeneity (lower is better)",
@@ -110,9 +121,8 @@ fn main() {
         println!("\n{}", ascii_plot(title, &refs, 14, 72));
         let (headers, csv_rows) = series_rows(&refs);
         let headers_ref: Vec<&str> = headers.iter().map(String::as_str).collect();
-        write_csv(args.out.join(file), &headers_ref, &csv_rows).expect("failed to write CSV");
+        out.csv(file, &headers_ref, &csv_rows);
     }
-    println!("CSV series written to {}", args.out.display());
     println!(
         "\nExpected shape (paper Fig. 6): Polystyrene homogeneity returns below\n\
          H after ≲10 rounds for every K and drops near zero after reinjection,\n\
@@ -124,4 +134,5 @@ fn main() {
          T-Man position updates (93.6% for K=8 in the paper), with Polystyrene\n\
          adding only migration traffic and incremental backup deltas."
     );
+    out
 }

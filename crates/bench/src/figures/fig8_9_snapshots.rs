@@ -7,45 +7,40 @@
 //! (the snapshots read engine internals).
 //!
 //! ```sh
-//! cargo run --release -p polystyrene-bench --bin fig8_9_snapshots -- \
-//!     --cols 80 --rows 40
+//! figures fig8_9_snapshots --cols 80 --rows 40
 //! ```
 
+use crate::snapshot::dump;
+use crate::{lab_config, Args, Output};
 use polystyrene::prelude::SplitStrategy;
-use polystyrene_bench::CommonArgs;
 use polystyrene_lab::build_engine;
-use polystyrene_sim::prelude::*;
+use polystyrene_protocol::{LinkProfile, PaperScenario};
 use polystyrene_space::shapes;
 use polystyrene_space::torus::Torus2;
 
-fn main() {
-    let args = CommonArgs::parse_engine_only(CommonArgs {
-        cols: 40,
-        rows: 20,
+/// The flags Figs. 8 and 9 read: one run of each stack.
+pub const FLAGS: &[&str] = &["cols", "rows", "k", "seed", "out"];
+
+/// Runs Figs. 8 and 9.
+pub fn run(args: &Args) -> Output {
+    let (cols, rows, k) = (args.get("cols", 40), args.get("rows", 20), args.get("k", 4));
+    let base = lab_config(
+        k,
+        SplitStrategy::Advanced,
+        args.get("seed", 1),
+        LinkProfile::ideal(),
+    );
+    let paper = PaperScenario {
+        cols,
+        rows,
         ..Default::default()
-    });
-    let paper = args.paper_scenario();
-    let (w, h) = paper.extents();
-    let cells_x = args.cols.min(72);
-    let cells_y = args.rows.min(24);
-
-    let dump = |engine: &Engine<Torus2>, label: &str| {
-        let snap = Snapshot::capture(engine, 4);
-        println!(
-            "--- {label} (round {}, {} alive) ---",
-            snap.round,
-            snap.positions.len()
-        );
-        println!("{}", snap.render_density(w, h, cells_x, cells_y));
-        snap.write_positions_csv(args.out.join(format!("{label}.csv")))
-            .expect("failed to write CSV");
     };
+    let (w, h) = paper.extents();
+    let mut out = Output::default();
+    let mut panel = |engine: &_, label: &str| dump(engine, &paper, label, label, &mut out);
 
-    for (name, tman_only) in [
-        (format!("Polystyrene_K{}", args.k), false),
-        ("TMan".into(), true),
-    ] {
-        let mut cfg = args.lab_config(SplitStrategy::Advanced);
+    for (name, tman_only) in [(format!("Polystyrene_K{k}"), false), ("TMan".into(), true)] {
+        let mut cfg = base;
         cfg.area = paper.area();
         cfg.tman_only = tman_only;
         let mut engine = build_engine(Torus2::new(w, h), paper.shape(), &cfg);
@@ -53,23 +48,22 @@ fn main() {
         engine.fail_original_region(&shapes::in_right_half(w));
         if !tman_only {
             engine.run(2);
-            dump(&engine, &format!("fig8a_repair_started_{name}"));
+            panel(&engine, &format!("fig8a_repair_started_{name}"));
             engine.run(6);
-            dump(&engine, &format!("fig8b_repair_completed_{name}"));
+            panel(&engine, &format!("fig8b_repair_completed_{name}"));
             engine.run(paper.inject_round.unwrap_or(100) - paper.failure_round - 8);
         } else {
             engine.run(paper.inject_round.unwrap_or(100) - paper.failure_round);
         }
-        engine.inject(&shapes::torus_grid_offset(args.cols / 2, args.rows, 1.0));
+        engine.inject(&shapes::torus_grid_offset(cols / 2, rows, 1.0));
         engine.run(25);
-        dump(&engine, &format!("fig9_reinjection_{name}"));
+        panel(&engine, &format!("fig9_reinjection_{name}"));
         let m = engine.history().last().unwrap();
         println!(
             "{name}: homogeneity {:.3} (reference {:.3})\n",
             m.homogeneity, m.reference_homogeneity
         );
     }
-    println!("CSV point clouds written to {}", args.out.display());
     println!(
         "Expected shape (paper Figs. 8-9): under Polystyrene the hole left by\n\
          the failure fills within ~8 rounds, and after reinjection the torus is\n\
@@ -77,4 +71,5 @@ fn main() {
          re-injected nodes stay on their injection lattice and the original\n\
          half-torus stays torn (homogeneity ≈ 0.35)."
     );
+    out
 }

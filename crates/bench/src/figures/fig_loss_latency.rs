@@ -14,7 +14,7 @@
 //! Two sweep modes share the machinery:
 //!
 //! * the default **loss sweep** holds the grid fixed and sweeps the
-//!   drop rate ([`LOSSES`] plus any explicit `--net-loss`);
+//!   drop rate (`LOSSES` plus any explicit `--net-loss`);
 //! * `--sweep-nodes MAX` holds the drop rate fixed (`--net-loss`,
 //!   defaulting to 5%) and sweeps the population over the standard
 //!   scaling grids up to `MAX` nodes — the netsim scale axis, timed
@@ -23,61 +23,61 @@
 //! Emits machine-readable JSON (one record per sweep point plus a
 //! `wall_secs` object with each row's wall-clock and a `peak_rss_mb`
 //! object with the process's peak resident set after each row, via the
-//! shared emitter) for the CI perf/quality trajectory, and exits nonzero if
-//! any netsim loss-sweep point at or below 10% loss fails to recover —
-//! so the artifact upload doubles as a regression gate.
+//! shared emitter) for the CI perf/quality trajectory, and fails if any
+//! netsim loss-sweep point at or below 10% loss fails to recover — so
+//! the artifact upload doubles as a regression gate.
 //!
 //! ```sh
-//! cargo run --release -p polystyrene-bench --bin fig_loss_latency -- \
-//!     --cols 40 --rows 25 --runs 3 --net-latency 2 --net-jitter 1
-//! cargo run --release -p polystyrene-bench --bin fig_loss_latency -- \
-//!     --sweep-nodes 25600 --runs 1
+//! figures fig_loss_latency --cols 40 --rows 25 --runs 3 --net-latency 2 --net-jitter 1
+//! figures fig_loss_latency --sweep-nodes 25600 --runs 1
 //! ```
 
+use crate::{lab_config, peak_rss_mb, scaling_sizes, Args, Output, ALLOCATIONS};
 use polystyrene::prelude::SplitStrategy;
-use polystyrene_bench::{peak_rss_mb, scaling_sizes, CommonArgs};
-use polystyrene_lab::{json_f64, summary_json, ExperimentSummary, SubstrateKind};
+use polystyrene_lab::{
+    build_substrate, json_f64, json_object, run_experiment, summary_json, ExperimentSummary,
+    LabConfig, SeriesStats, SubstrateKind,
+};
 use polystyrene_membership::NodeId;
 use polystyrene_netsim::prelude::{LinkProfile, NetSim, NetSimConfig};
 use polystyrene_protocol::{PaperScenario, Scenario, ScenarioEvent};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use polystyrene_space::torus::Torus2;
+use std::sync::atomic::Ordering;
 
-/// System allocator wrapped with an allocation counter, mirroring the
-/// allocation gates in `tests/gates.rs`: the sweep artifact carries a deterministic
-/// `allocs_per_round` scalar so `baseline_diff` catches allocation
-/// regressions in CI, not just locally.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers entirely to `System`; the counter is a relaxed atomic.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+/// The flags the loss/latency sweep reads.
+pub const FLAGS: &[&str] = &[
+    "cols",
+    "rows",
+    "runs",
+    "k",
+    "seed",
+    "substrate",
+    "net-latency",
+    "net-jitter",
+    "net-loss",
+    "partition-rounds",
+    "sweep-nodes",
+    "out",
+];
 
 /// Measures steady-state heap allocations per netsim round on the
 /// netsim allocation gate's 256-node scenario (same grid, seed and link
-/// profile, so the numbers are directly comparable). Deterministic:
-/// netsim is single-threaded and fully seeded, so the committed
-/// baseline can gate this exactly.
+/// profile, so the numbers are directly comparable), off the `figures`
+/// binary's counting allocator: the sweep artifact carries the
+/// deterministic `allocs_per_round` scalar so `figures diff` catches
+/// allocation regressions in CI, not just in `tests/gates.rs`.
+/// Deterministic: netsim is single-threaded and fully seeded, so the
+/// committed baseline can gate this exactly.
+///
+/// # Panics
+///
+/// In a process without the counting allocator, which would read 0.
 fn measure_allocs_per_round() -> u64 {
     const ROUNDS: u64 = 8;
+    assert!(
+        ALLOCATIONS.load(Ordering::Relaxed) > 0,
+        "allocs_per_round needs the figures binary's counting allocator"
+    );
     let mut cfg = NetSimConfig::default();
     cfg.area = 256.0;
     cfg.seed = 21;
@@ -87,7 +87,7 @@ fn measure_allocs_per_round() -> u64 {
         loss: 0.05,
     };
     let mut sim = NetSim::new(
-        polystyrene_space::torus::Torus2::new(32.0, 8.0),
+        Torus2::new(32.0, 8.0),
         polystyrene_space::shapes::torus_grid(32, 8, 1.0),
         cfg,
     );
@@ -111,10 +111,10 @@ const SCALE_SWEEP_LOSS: f64 = 0.05;
 /// The sweep's drop-rate points: the baseline plus `--net-loss` when it
 /// names a rate not already swept — the flag must never be a silent
 /// no-op.
-fn sweep_losses(args: &CommonArgs) -> Vec<f64> {
+fn sweep_losses(net_loss: f64) -> Vec<f64> {
     let mut losses = LOSSES.to_vec();
-    if !losses.iter().any(|&l| (l - args.net_loss).abs() < 1e-12) {
-        losses.push(args.net_loss);
+    if !losses.iter().any(|&l| (l - net_loss).abs() < 1e-12) {
+        losses.push(net_loss);
         losses.sort_by(|a, b| a.partial_cmp(b).expect("validated probabilities"));
     }
     losses
@@ -124,6 +124,15 @@ const FAILURE_ROUND: u32 = 20;
 /// Observation rounds after the failure (lossy recovery at 1k nodes
 /// needs ~50-60 rounds; see the JSON for the measured reshaping times).
 const TAIL_ROUNDS: u32 = 80;
+
+/// What every row of one sweep shares.
+struct Plan {
+    substrate: SubstrateKind,
+    runs: usize,
+    partition_rounds: u32,
+    /// K, split, base seed and link; each row sets its loss and area.
+    base: LabConfig,
+}
 
 /// One completed sweep row: everything the report, the JSON emitter and
 /// the recovery gate need.
@@ -144,23 +153,19 @@ struct SweepRow {
     peak_rss_mb: f64,
 }
 
-/// The sweep's scenario: converge, kill the right half-torus, and — with
-/// `--partition-rounds N` — additionally isolate the left quarter of the
-/// surviving founders for N rounds mid-recovery, expressed as a scripted
-/// [`ScenarioEvent::Partition`] (substrates without a fabric to cut
-/// no-op it). The partition window *extends* the scenario, so the
-/// post-heal recovery budget stays the full `TAIL_ROUNDS` regardless of
-/// the flag.
-fn sweep_scenario(args: &CommonArgs) -> Scenario<[f64; 2]> {
-    let paper = PaperScenario::reshaping_only(
-        args.cols,
-        args.rows,
-        FAILURE_ROUND,
-        TAIL_ROUNDS + args.partition_rounds,
-    );
+/// The sweep's scenario on `paper`'s grid: converge, kill the right
+/// half-torus, and — with `--partition-rounds N` — additionally isolate
+/// the left quarter of the surviving founders for N rounds
+/// mid-recovery, expressed as a scripted [`ScenarioEvent::Partition`]
+/// (substrates without a fabric to cut no-op it). The partition window
+/// *extends* the scenario, so the post-heal recovery budget stays the
+/// full `TAIL_ROUNDS` regardless of the flag.
+fn sweep_scenario(cols: usize, rows: usize, partition_rounds: u32) -> (PaperScenario, Scenario<[f64; 2]>) {
+    let paper =
+        PaperScenario::reshaping_only(cols, rows, FAILURE_ROUND, TAIL_ROUNDS + partition_rounds);
     let mut scenario = paper.script();
-    if args.partition_rounds > 0 {
-        let quarter = args.cols as f64 / 4.0;
+    if partition_rounds > 0 {
+        let quarter = cols as f64 / 4.0;
         let minority: Vec<NodeId> = paper
             .shape()
             .iter()
@@ -172,49 +177,43 @@ fn sweep_scenario(args: &CommonArgs) -> Scenario<[f64; 2]> {
             FAILURE_ROUND,
             ScenarioEvent::Partition {
                 groups: vec![minority],
-                rounds: args.partition_rounds,
+                rounds: partition_rounds,
             },
         );
     }
-    scenario
+    (paper, scenario)
 }
 
-/// Runs one sweep row (`args.runs` seeded repetitions of the scripted
-/// scenario on `args`'s grid at `loss`) and times it.
-fn run_row(args: &CommonArgs, loss: f64, label: String) -> SweepRow {
-    let scenario = sweep_scenario(args);
-    let scenario_paper = PaperScenario::reshaping_only(
-        args.cols,
-        args.rows,
-        FAILURE_ROUND,
-        TAIL_ROUNDS + args.partition_rounds,
-    );
-    let mut base = args.lab_config(SplitStrategy::Advanced);
+/// Runs one sweep row (`plan.runs` seeded repetitions of the scripted
+/// scenario on a `cols × rows` grid at `loss`) and times it.
+fn run_row(plan: &Plan, cols: usize, rows: usize, loss: f64, label: String) -> SweepRow {
+    let (paper, scenario) = sweep_scenario(cols, rows, plan.partition_rounds);
+    let mut base = plan.base;
     base.link.loss = loss;
+    base.area = (cols * rows) as f64;
     let started = std::time::Instant::now();
     let mut summary = ExperimentSummary::default();
-    for run in 0..args.runs {
+    for run in 0..plan.runs {
         let mut cfg = base;
         cfg.seed = base.seed + run as u64;
-        let mut substrate = polystyrene_lab::build_substrate(
-            args.substrate,
-            polystyrene_space::torus::Torus2::new(args.cols as f64, args.rows as f64),
-            scenario_paper.shape(),
+        let mut substrate = build_substrate(
+            plan.substrate,
+            Torus2::new(cols as f64, rows as f64),
+            paper.shape(),
             &cfg,
         );
-        summary.push(&polystyrene_lab::run_experiment(
-            substrate.as_mut(),
-            &scenario,
-        ));
+        summary.push(&run_experiment(substrate.as_mut(), &scenario));
     }
-    SweepRow {
+    let row = SweepRow {
         label,
-        nodes: args.cols * args.rows,
+        nodes: cols * rows,
         loss,
         summary,
         wall_secs: started.elapsed().as_secs_f64(),
         peak_rss_mb: peak_rss_mb(),
-    }
+    };
+    report_row(&row, plan.runs);
+    row
 }
 
 /// Prints one row's headline numbers.
@@ -227,7 +226,7 @@ fn report_row(row: &SweepRow, runs: usize) {
         ),
         None => "never".to_string(),
     };
-    let last = |s: &polystyrene_lab::SeriesStats| s.last().map(|v| v.mean()).unwrap_or(f64::NAN);
+    let last = |s: &SeriesStats| s.last().map(|v| v.mean()).unwrap_or(f64::NAN);
     println!(
         "{:>10} → reshaping {reshaping}, final homogeneity {:.3} (ref {:.3}), \
          survival {:.1}%, {:.1} pts/node, {:.1}s wall, {:.0} MB peak RSS",
@@ -265,100 +264,94 @@ fn gate_failure_report(failed: &[&SweepRow]) -> String {
         })
         .collect();
     format!(
-        "FAIL: recovery gate (<= 10% loss must recover) tripped on {} sweep row(s):\n{}",
+        "recovery gate (<= 10% loss must recover) tripped on {} sweep row(s):\n{}",
         failed.len(),
         rows.join("\n")
     )
 }
 
-fn main() {
-    let args = CommonArgs::parse_with(
-        CommonArgs {
-            cols: 40,
-            rows: 25, // 1000 nodes — the sweep's minimum scale
-            runs: 1,
-            substrate: SubstrateKind::Netsim,
-            ..Default::default()
-        },
-        &["sweep-nodes"],
-    );
+/// Runs the loss sweep, or the scale sweep with `--sweep-nodes`.
+pub fn run(args: &Args) -> Output {
+    let (cols, rows) = (args.get("cols", 40), args.get("rows", 25)); // 1000 nodes — the sweep's minimum scale
+    let substrate = args.get("substrate", SubstrateKind::Netsim);
+    let link = args.link(2, 1);
+    let plan = Plan {
+        substrate,
+        runs: args.get("runs", 1),
+        partition_rounds: args.get("partition-rounds", 0),
+        base: lab_config(
+            args.get("k", 4),
+            SplitStrategy::Advanced,
+            args.get("seed", 1),
+            link,
+        ),
+    };
+    let sweep_nodes = args.get("sweep-nodes", 0);
     assert!(
-        args.substrate.has_network_model(),
+        substrate.has_network_model(),
         "the loss/latency sweep needs a substrate with a network model \
          (netsim, cluster or tcp — the cycle engine has no fabric to disturb)"
     );
-    let sweep_nodes = args.extra_usize("sweep-nodes", 0);
     assert!(
-        sweep_nodes == 0 || args.substrate == SubstrateKind::Netsim,
-        "--sweep-nodes is the netsim scale axis; thread-per-node substrates cannot take it"
+        sweep_nodes == 0 || substrate == SubstrateKind::Netsim,
+        "--sweep-nodes is the netsim scale axis; the live clusters cannot take it"
     );
     assert!(
-        sweep_nodes > 0 || args.cols * args.rows >= 1000 || args.substrate != SubstrateKind::Netsim,
+        sweep_nodes > 0 || cols * rows >= 1000 || substrate != SubstrateKind::Netsim,
         "the netsim loss/latency sweep is specified at >= 1k nodes (got {})",
-        args.cols * args.rows
+        cols * rows
     );
-    // The thread-per-node substrates cannot take the netsim default of
-    // 1000 nodes × 4 sweep points on modest hardware: demand an explicit
-    // small grid instead of silently grinding the box.
+    // The live clusters cannot take the netsim default of 1000 nodes × 4
+    // sweep points on modest hardware: demand an explicit small grid
+    // instead of silently grinding the box.
     assert!(
-        args.cols * args.rows <= 256 || matches!(args.substrate, SubstrateKind::Netsim),
-        "{} spawns threads (and sockets) per node: pass --cols/--rows with <= 256 nodes \
-         (e.g. --cols 8 --rows 8), got {}",
-        args.substrate,
-        args.cols * args.rows
+        cols * rows <= 256 || substrate == SubstrateKind::Netsim,
+        "{substrate} runs every node in wall-clock ticks on a few worker threads: pass \
+         --cols/--rows with <= 256 nodes (e.g. --cols 8 --rows 8), got {}",
+        cols * rows
     );
 
     // One summary per sweep point, every run through the one unified
     // driver with the one (possibly partition-extended) script.
-    let mut rows: Vec<SweepRow> = Vec::new();
+    let mut sweep: Vec<SweepRow> = Vec::new();
     if sweep_nodes > 0 {
-        let loss = if args.net_loss > 0.0 {
-            args.net_loss
+        let loss = if link.loss > 0.0 {
+            link.loss
         } else {
             SCALE_SWEEP_LOSS
         };
         let sizes = scaling_sizes(sweep_nodes);
         assert!(!sizes.is_empty(), "--sweep-nodes below the smallest grid");
         println!(
-            "Scale sweep on {}: up to {} nodes at {:.0}% loss, latency {} ± {} ticks, {} run(s) per size\n",
-            args.substrate,
+            "Scale sweep on {substrate}: up to {} nodes at {:.0}% loss, latency {} ± {} ticks, {} run(s) per size\n",
             sizes.last().map(|&(c, r)| c * r).unwrap_or(0),
             loss * 100.0,
-            args.net_latency,
-            args.net_jitter,
-            args.runs,
+            link.latency,
+            link.jitter,
+            plan.runs,
         );
-        for (cols, rows_) in sizes {
-            let mut row_args = args.clone();
-            row_args.cols = cols;
-            row_args.rows = rows_;
-            let row = run_row(&row_args, loss, format!("n={}", cols * rows_));
-            report_row(&row, args.runs);
-            rows.push(row);
+        for (c, r) in sizes {
+            sweep.push(run_row(&plan, c, r, loss, format!("n={}", c * r)));
         }
     } else {
-        let losses = sweep_losses(&args);
+        let losses = sweep_losses(link.loss);
         println!(
-            "Loss/latency sweep on {}: {} nodes, losses {:?}, latency {} ± {} ticks, {} run(s) per point{}\n",
-            args.substrate,
-            args.cols * args.rows,
-            losses,
-            args.net_latency,
-            args.net_jitter,
-            args.runs,
-            if args.partition_rounds > 0 {
+            "Loss/latency sweep on {substrate}: {} nodes, losses {losses:?}, latency {} ± {} ticks, {} run(s) per point{}\n",
+            cols * rows,
+            link.latency,
+            link.jitter,
+            plan.runs,
+            if plan.partition_rounds > 0 {
                 format!(
                     ", {}-round partition during recovery",
-                    args.partition_rounds
+                    plan.partition_rounds
                 )
             } else {
                 String::new()
             },
         );
         for &loss in &losses {
-            let row = run_row(&args, loss, format!("loss={loss}"));
-            report_row(&row, args.runs);
-            rows.push(row);
+            sweep.push(run_row(&plan, cols, rows, loss, format!("loss={loss}")));
         }
     }
 
@@ -367,53 +360,46 @@ fn main() {
     // socket machinery would make the count scheduling-dependent). The
     // probe reuses the netsim allocation gate's 256-node scenario, so the
     // artifact scalar and the local gate speak the same unit.
-    let allocs_per_round = (args.substrate == SubstrateKind::Netsim)
+    let allocs_per_round = (substrate == SubstrateKind::Netsim)
         .then(measure_allocs_per_round)
         .inspect(|n| println!("\nnetsim steady-state: {n} allocations/round (256-node probe)"));
 
-    std::fs::create_dir_all(&args.out).expect("failed to create output directory");
     let entries: Vec<(String, &ExperimentSummary)> =
-        rows.iter().map(|r| (r.label.clone(), &r.summary)).collect();
-    let per_row = |value: fn(&SweepRow) -> f64| {
-        format!(
-            "{{{}}}",
-            rows.iter()
-                .map(|r| format!("\"{}\":{}", r.label, json_f64(value(r), 3)))
-                .collect::<Vec<_>>()
-                .join(",")
-        )
-    };
+        sweep.iter().map(|r| (r.label.clone(), &r.summary)).collect();
+    let per_row =
+        |value: fn(&SweepRow) -> f64| json_object(sweep.iter().map(|r| (&r.label, json_f64(value(r), 3))));
     let mut meta: Vec<(&str, String)> = vec![
-        ("substrate", format!("\"{}\"", args.substrate)),
+        ("substrate", format!("\"{substrate}\"")),
         (
             "mode",
             format!("\"{}\"", if sweep_nodes > 0 { "scale" } else { "loss" }),
         ),
-        ("nodes", (args.cols * args.rows).to_string()),
-        ("runs", args.runs.to_string()),
+        ("nodes", (cols * rows).to_string()),
+        ("runs", plan.runs.to_string()),
         ("failure_round", FAILURE_ROUND.to_string()),
         ("tail_rounds", TAIL_ROUNDS.to_string()),
-        ("partition_rounds", args.partition_rounds.to_string()),
-        ("latency", args.net_latency.to_string()),
-        ("jitter", args.net_jitter.to_string()),
+        ("partition_rounds", plan.partition_rounds.to_string()),
+        ("latency", link.latency.to_string()),
+        ("jitter", link.jitter.to_string()),
         // Per-row wall-clock, for the baseline differ and the scale
         // axis: quality regressions and time regressions travel in
         // the same artifact.
         ("wall_secs", per_row(|r| r.wall_secs)),
-        // Per-row peak memory beside it; `baseline_diff` does not read
+        // Per-row peak memory beside it; `figures diff` does not read
         // it (resident size depends on the allocator and the box).
         ("peak_rss_mb", per_row(|r| r.peak_rss_mb)),
     ];
     if let Some(n) = allocs_per_round {
         // Steady-state heap allocations per round on the 256-node
-        // probe — exact on netsim, so `baseline_diff` gates it with no
+        // probe — exact on netsim, so `figures diff` gates it with no
         // noise floor.
         meta.push(("allocs_per_round", n.to_string()));
     }
-    let json = summary_json("fig_loss_latency", &meta, &entries);
-    let json_path = args.out.join("fig_loss_latency.json");
-    std::fs::write(&json_path, json).expect("failed to write JSON");
-    println!("\nJSON written to {}", json_path.display());
+    let mut out = Output::default();
+    out.file(
+        "fig_loss_latency.json",
+        summary_json("fig_loss_latency", &meta, &entries),
+    );
 
     // Regression gate: the protocol must recover everywhere at <= 10%
     // loss. Only the plain netsim kill scenario at the pinned 1k scale
@@ -423,25 +409,22 @@ fn main() {
     // makes the run a diagnostic, not a baseline.
     if sweep_nodes > 0 {
         println!("(recovery gate skipped: --sweep-nodes rows are a scale diagnostic)");
-        return;
-    }
-    if args.partition_rounds > 0 {
+    } else if plan.partition_rounds > 0 {
         println!("(recovery gate skipped: custom partition scenario)");
-        return;
-    }
-    if args.substrate != SubstrateKind::Netsim {
+    } else if substrate != SubstrateKind::Netsim {
         println!("(recovery gate skipped: gate is pinned on the deterministic netsim substrate)");
-        return;
+    } else {
+        let failed: Vec<&SweepRow> = sweep
+            .iter()
+            .filter(|r| r.loss <= 0.10 && r.summary.recovered_runs() < r.summary.runs)
+            .collect();
+        if failed.is_empty() {
+            println!("OK: recovery holds at every drop rate <= 10%");
+        } else {
+            out.fail(gate_failure_report(&failed));
+        }
     }
-    let failed: Vec<&SweepRow> = rows
-        .iter()
-        .filter(|r| r.loss <= 0.10 && r.summary.recovered_runs() < r.summary.runs)
-        .collect();
-    if !failed.is_empty() {
-        eprintln!("{}", gate_failure_report(&failed));
-        std::process::exit(1);
-    }
-    println!("OK: recovery holds at every drop rate <= 10%");
+    out
 }
 
 #[cfg(test)]
@@ -467,7 +450,7 @@ mod tests {
         let a = unrecovered_row("loss=0.1", 1000, 0.10, 3);
         let b = unrecovered_row("n=6400", 6400, 0.05, 1);
         let report = gate_failure_report(&[&a, &b]);
-        assert!(report.starts_with("FAIL: recovery gate"));
+        assert!(report.starts_with("recovery gate"));
         assert!(report.contains("tripped on 2 sweep row(s)"));
         assert!(
             report.contains("loss=0.1: 1000 nodes at 10% loss — 0/3 runs recovered"),

@@ -22,14 +22,14 @@
 //! changing the round-denominated result the gate checks.
 //!
 //! ```sh
-//! cargo run --release -p polystyrene-bench --bin fig_tcp_loopback -- \
-//!     --cols 16 --rows 16 --tick-ms 50
+//! figures fig_tcp_loopback --cols 16 --rows 16 --tick-ms 50
 //! ```
 
+use crate::{lab_config, Args, Output};
 use polystyrene::prelude::SplitStrategy;
-use polystyrene_bench::{json_f64, CommonArgs};
 use polystyrene_lab::{
-    build_substrate, run_experiment, summary_json, ExperimentSummary, LiveSubstrate, SubstrateKind,
+    build_substrate, json_f64, run_experiment, summary_json, ExperimentSummary, LiveSubstrate,
+    SubstrateKind,
 };
 use polystyrene_protocol::PaperScenario;
 use polystyrene_space::prelude::*;
@@ -55,38 +55,40 @@ struct SubstrateResult {
     frames: Option<u64>,
 }
 
-fn main() {
-    let args = CommonArgs::parse_with(
-        CommonArgs {
-            cols: 16,
-            rows: 16, // 256 nodes — the loopback benchmark's base scale
-            runs: 1,
-            k: 4,
-            ..Default::default()
-        },
-        &["tick-ms"],
-    );
-    let tick_ms = args.extra_usize("tick-ms", 50);
-    let measured_kind = if args.substrate_given {
-        args.substrate
-    } else {
-        SubstrateKind::Tcp
-    };
+/// The flags the loopback benchmark reads.
+pub const FLAGS: &[&str] = &[
+    "cols",
+    "rows",
+    "runs",
+    "k",
+    "seed",
+    "substrate",
+    "net-latency",
+    "net-jitter",
+    "net-loss",
+    "tick-ms",
+    "out",
+];
+
+/// Runs the measured substrate against the in-process baseline.
+pub fn run(args: &Args) -> Output {
+    // 256 nodes — the loopback benchmark's base scale.
+    let (cols, rows) = (args.get("cols", 16), args.get("rows", 16));
+    let (runs, k, tick_ms) = (args.get("runs", 1), args.get("k", 4), args.get("tick-ms", 50));
+    let measured_kind = args.get("substrate", SubstrateKind::Tcp);
     assert!(
         measured_kind != SubstrateKind::Cluster,
         "the in-process cluster IS the baseline: pick a different --substrate to measure"
     );
-    let (cols, rows) = (args.cols, args.rows);
     let nodes = cols * rows;
     let paper = PaperScenario::reshaping_only(cols, rows, FAILURE_ROUND, TAIL_ROUNDS);
     let scenario = paper.script();
-    let mut base = args.lab_config(SplitStrategy::Advanced);
-    base.tick = Duration::from_millis(tick_ms as u64);
+    let mut base = lab_config(k, SplitStrategy::Advanced, args.get("seed", 1), args.link(2, 1));
+    base.tick = Duration::from_millis(tick_ms);
     base.round_timeout = Duration::from_secs(30);
     println!(
-        "{measured_kind} vs in-process: {nodes} nodes, K={}, {tick_ms} ms ticks, \
+        "{measured_kind} vs in-process: {nodes} nodes, K={k}, {tick_ms} ms ticks, \
          failure at round {FAILURE_ROUND}, observed {TAIL_ROUNDS} rounds\n",
-        args.k,
     );
 
     let mut results = Vec::new();
@@ -94,7 +96,7 @@ fn main() {
         let started = Instant::now();
         let mut summary = ExperimentSummary::default();
         let mut frames = (kind == SubstrateKind::Tcp).then_some(0u64);
-        for run in 0..args.runs {
+        for run in 0..runs {
             let mut cfg = base;
             cfg.seed = base.seed + run as u64;
             cfg.area = paper.area();
@@ -134,7 +136,7 @@ fn main() {
             Some(m) => format!(
                 "{m:.1} ticks ({}/{} runs)",
                 r.summary.recovered_runs(),
-                args.runs
+                runs
             ),
             None => "never".to_string(),
         };
@@ -163,16 +165,15 @@ fn main() {
         );
     }
 
-    std::fs::create_dir_all(&args.out).expect("failed to create output directory");
     let entries: Vec<(String, &ExperimentSummary)> = results
         .iter()
         .map(|r| (r.label.clone(), &r.summary))
         .collect();
     let mut meta = vec![
         ("nodes", nodes.to_string()),
-        ("k", args.k.to_string()),
+        ("k", k.to_string()),
         ("tick_ms", tick_ms.to_string()),
-        ("runs", args.runs.to_string()),
+        ("runs", runs.to_string()),
         ("failure_round", FAILURE_ROUND.to_string()),
         ("tail_rounds", TAIL_ROUNDS.to_string()),
     ];
@@ -184,10 +185,11 @@ fn main() {
             json_f64(frames as f64 / r.elapsed.as_secs_f64(), 0),
         ));
     }
-    let json = summary_json("fig_tcp_loopback", &meta, &entries);
-    let json_path = args.out.join("fig_tcp_loopback.json");
-    std::fs::write(&json_path, json).expect("failed to write JSON");
-    println!("\nJSON written to {}", json_path.display());
+    let mut out = Output::default();
+    out.file(
+        "fig_tcp_loopback.json",
+        summary_json("fig_tcp_loopback", &meta, &entries),
+    );
 
     // Regression gate: the wire may cost wall-clock, never protocol
     // rounds — mean measured reshaping must stay within 2× of the
@@ -198,25 +200,21 @@ fn main() {
         results[0].summary.mean_reshaping_ticks(),
         results[1].summary.mean_reshaping_ticks(),
     ) else {
-        eprintln!("FAIL: a deployment never reshaped");
-        std::process::exit(1);
+        out.fail("a deployment never reshaped".into());
+        return out;
     };
-    if results
-        .iter()
-        .any(|r| r.summary.recovered_runs() < args.runs)
-    {
-        eprintln!("FAIL: not every run reshaped");
-        std::process::exit(1);
-    }
-    if measured > baseline.max(1.0) * 2.0 + 2.0 {
-        eprintln!(
-            "FAIL: {} reshaped in {measured:.1} ticks vs {baseline:.1} in-process (> 2x)",
+    if results.iter().any(|r| r.summary.recovered_runs() < runs) {
+        out.fail("not every run reshaped".into());
+    } else if measured > baseline.max(1.0) * 2.0 + 2.0 {
+        out.fail(format!(
+            "{} reshaped in {measured:.1} ticks vs {baseline:.1} in-process (> 2x)",
+            results[1].label
+        ));
+    } else {
+        println!(
+            "OK: {} reshaping within 2x of in-process ({measured:.1} vs {baseline:.1} ticks)",
             results[1].label
         );
-        std::process::exit(1);
     }
-    println!(
-        "OK: {} reshaping within 2x of in-process ({measured:.1} vs {baseline:.1} ticks)",
-        results[1].label
-    );
+    out
 }

@@ -10,19 +10,20 @@
 //! mid-flight).
 //!
 //! Emits one merged `fig_traffic.json` (uploaded as
-//! `BENCH_traffic.json`) with one entry per substrate, and exits
-//! nonzero when a gate fails.
+//! `BENCH_traffic.json`) with one entry per substrate, and fails when a
+//! gate does.
 //!
 //! ```sh
-//! cargo run --release -p polystyrene-bench --bin fig_traffic
-//! cargo run --release -p polystyrene-bench --bin fig_traffic -- --substrate cluster
+//! figures fig_traffic
+//! figures fig_traffic --substrate cluster
 //! ```
 
+use crate::{Args, Output};
 use polystyrene::prelude::PolystyreneConfig;
-use polystyrene_bench::CommonArgs;
 use polystyrene_lab::{
-    build_substrate, key_universe, run_experiment_with_traffic, summary_json, ExperimentSummary,
-    LabConfig, SubstrateKind, TrafficLoad,
+    build_substrate, json_f64, json_object, json_strings, key_universe,
+    run_experiment_with_traffic, summary_json, ExperimentSummary, LabConfig, SubstrateKind,
+    TrafficLoad,
 };
 use polystyrene_protocol::{Scenario, ScenarioEvent};
 use polystyrene_space::prelude::*;
@@ -38,6 +39,23 @@ const KILL_ROUND: u32 = 20;
 const DIP_WINDOW: usize = 6;
 /// Rounds at the end of the run that must be served near-perfectly.
 const TAIL_ROUNDS: usize = 5;
+/// Hop budget of every query.
+const TTL: u32 = 16;
+
+/// The flags the traffic figure reads; without `--substrate` it runs
+/// the engine and netsim.
+pub const FLAGS: &[&str] = &[
+    "cols",
+    "rows",
+    "runs",
+    "k",
+    "seed",
+    "substrate",
+    "traffic-rate",
+    "traffic-keys",
+    "read-fraction",
+    "out",
+];
 
 /// Converge 20 rounds → kill the right half-torus → observe the served
 /// fraction while the survivors reshape over the full space.
@@ -48,31 +66,30 @@ fn traffic_scenario(cols: usize) -> Scenario<[f64; 2]> {
     )
 }
 
-fn main() {
-    let args = CommonArgs::parse(CommonArgs {
-        cols: 8,
-        rows: 4,
-        runs: 3,
-        ..Default::default()
-    });
-    let (cols, rows) = (args.cols, args.rows);
-    let ttl = args.extra_usize("ttl", 16) as u32;
+/// Runs the traffic figure.
+pub fn run(args: &Args) -> Output {
+    let (cols, rows, runs, k) = (
+        args.get("cols", 8),
+        args.get("rows", 4),
+        args.get("runs", 3),
+        args.get("k", 4),
+    );
+    let (traffic_rate, traffic_keys, read_fraction) = (
+        args.get("traffic-rate", 16),
+        args.traffic_keys(64),
+        args.read_fraction(),
+    );
+    let base_seed: u64 = args.get("seed", 1);
     let scenario = traffic_scenario(cols);
-    let keys = key_universe(args.traffic_keys, cols, rows);
-    let kinds: Vec<SubstrateKind> = if args.substrate_given {
-        vec![args.substrate]
+    let keys = key_universe(traffic_keys, cols, rows);
+    let kinds: Vec<SubstrateKind> = if args.given("substrate") {
+        vec![args.get("substrate", SubstrateKind::Engine)]
     } else {
         vec![SubstrateKind::Engine, SubstrateKind::Netsim]
     };
     println!(
-        "Traffic figure: {}×{} torus, {} queries/round over {} keys (ttl {}), \
-         right half killed at round {}, on {:?}\n",
-        cols,
-        rows,
-        args.traffic_rate,
-        args.traffic_keys,
-        ttl,
-        KILL_ROUND,
+        "Traffic figure: {cols}×{rows} torus, {traffic_rate} queries/round over {traffic_keys} keys \
+         (ttl {TTL}), right half killed at round {KILL_ROUND}, on {:?}\n",
         kinds.iter().map(|k| k.name()).collect::<Vec<_>>()
     );
 
@@ -80,17 +97,17 @@ fn main() {
     cfg.area = (cols * rows) as f64;
     cfg.tman.view_cap = 20;
     cfg.tman.m = 8;
-    cfg.poly = PolystyreneConfig::builder().replication(args.k).build();
+    cfg.poly = PolystyreneConfig::builder().replication(k).build();
     cfg.tick = Duration::from_millis(8);
 
-    let mut failures = Vec::new();
+    let mut out = Output::default();
     let mut summaries: Vec<(String, ExperimentSummary)> = Vec::new();
     let mut walls: Vec<(String, f64)> = Vec::new();
     for &kind in &kinds {
         let started = std::time::Instant::now();
         let mut summary = ExperimentSummary::default();
-        for run in 0..args.runs {
-            let seed = args.seed + run as u64;
+        for run in 0..runs {
+            let seed = base_seed + run as u64;
             cfg.seed = seed;
             let mut substrate = build_substrate(
                 kind,
@@ -98,13 +115,7 @@ fn main() {
                 shapes::torus_grid(cols, rows, 1.0),
                 &cfg,
             );
-            let mut load = TrafficLoad::new(
-                keys.clone(),
-                args.traffic_rate,
-                args.read_fraction,
-                ttl,
-                seed,
-            );
+            let mut load = TrafficLoad::new(keys.clone(), traffic_rate, read_fraction, TTL, seed);
             let trace = run_experiment_with_traffic(substrate.as_mut(), &scenario, Some(&mut load));
             drop(substrate); // live clusters shut down here, before the next spawn
             summary.push(&trace);
@@ -130,7 +141,7 @@ fn main() {
         let deterministic = matches!(kind, SubstrateKind::Engine | SubstrateKind::Netsim);
         let tail_floor = if deterministic { 0.99 } else { 0.80 };
         if tail < tail_floor {
-            failures.push(format!(
+            out.fail(format!(
                 "{kind}: tail availability {tail:.4} below the {tail_floor:.2} recovery floor"
             ));
         }
@@ -139,7 +150,7 @@ fn main() {
         // wall-clock substrates are exempt — their kill lands mid-tick
         // and the dent can fall between observation snapshots.
         if deterministic && dip > tail - 0.02 {
-            failures.push(format!(
+            out.fail(format!(
                 "{kind}: no availability dip at the kill (min {dip:.4} vs tail {tail:.4})"
             ));
         }
@@ -160,7 +171,6 @@ fn main() {
         walls.push((kind.name().to_string(), started.elapsed().as_secs_f64()));
     }
 
-    std::fs::create_dir_all(&args.out).expect("failed to create output directory");
     let entries: Vec<(String, &ExperimentSummary)> = summaries
         .iter()
         .map(|(label, s)| (label.clone(), s))
@@ -169,59 +179,30 @@ fn main() {
         "fig_traffic",
         &[
             ("nodes", (cols * rows).to_string()),
-            ("k", args.k.to_string()),
+            ("k", k.to_string()),
             ("rounds", ROUNDS.to_string()),
             ("kill_round", KILL_ROUND.to_string()),
-            ("runs", args.runs.to_string()),
-            ("traffic_rate", args.traffic_rate.to_string()),
-            ("traffic_keys", args.traffic_keys.to_string()),
+            ("runs", runs.to_string()),
+            ("traffic_rate", traffic_rate.to_string()),
+            ("traffic_keys", traffic_keys.to_string()),
+            ("read_fraction", json_f64(read_fraction, 3)),
+            ("ttl", TTL.to_string()),
+            ("substrates", json_strings(&kinds)),
+            // Per-substrate wall-clock, for the baseline differ.
             (
-                "read_fraction",
-                polystyrene_lab::json_f64(args.read_fraction, 3),
-            ),
-            ("ttl", ttl.to_string()),
-            (
-                "substrates",
-                format!(
-                    "[{}]",
-                    kinds
-                        .iter()
-                        .map(|k| format!("\"{k}\""))
-                        .collect::<Vec<_>>()
-                        .join(",")
-                ),
-            ),
-            (
-                // Per-substrate wall-clock, for the baseline differ.
                 "wall_secs",
-                format!(
-                    "{{{}}}",
-                    walls
-                        .iter()
-                        .map(|(label, secs)| format!(
-                            "\"{label}\":{}",
-                            polystyrene_lab::json_f64(*secs, 3)
-                        ))
-                        .collect::<Vec<_>>()
-                        .join(",")
-                ),
+                json_object(walls.iter().map(|(label, secs)| (label, json_f64(*secs, 3)))),
             ),
         ],
         &entries,
     );
-    let json_path = args.out.join("fig_traffic.json");
-    std::fs::write(&json_path, json).expect("failed to write JSON");
-    println!("\nJSON written to {}", json_path.display());
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
+    out.file("fig_traffic.json", json);
+    if out.failures().is_empty() {
+        println!(
+            "OK: the workload collapses at the kill and is served again by the reshaped \
+             substrate(s): {:?}",
+            kinds.iter().map(|k| k.name()).collect::<Vec<_>>()
+        );
     }
-    println!(
-        "OK: the workload collapses at the kill and is served again by the reshaped \
-         substrate(s): {:?}",
-        kinds.iter().map(|k| k.name()).collect::<Vec<_>>()
-    );
+    out
 }

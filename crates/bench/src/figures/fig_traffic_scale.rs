@@ -4,7 +4,7 @@
 //! zipf-skewed keys by default) on the *same* converged fabric; every
 //! rung is one JSON entry (`netsim@r4000`, `cluster@r1024`, …) whose
 //! availability and latency percentiles ride the existing
-//! `baseline_diff` gates. The **knee** — the first rung served below
+//! `figures diff` gates. The **knee** — the first rung served below
 //! 99% — is reported per substrate in the metadata.
 //!
 //! Two different saturation mechanisms are exercised:
@@ -19,18 +19,18 @@
 //!   that the shed path actually engages.
 //!
 //! ```sh
-//! cargo run --release -p polystyrene-bench --bin fig_traffic_scale
-//! cargo run --release -p polystyrene-bench --bin fig_traffic_scale -- \
-//!     --cols 40 --rows 40 --base-rate 500 --rate-steps 3
+//! figures fig_traffic_scale
+//! figures fig_traffic_scale --cols 40 --rows 40 --base-rate 500 --rate-steps 3
 //! ```
 
+use crate::{Args, Output};
 use polystyrene::prelude::PolystyreneConfig;
-use polystyrene_bench::{json_f64, CommonArgs};
 use polystyrene_lab::{
-    build_substrate, key_universe, run_experiment, run_experiment_with_traffic, summary_json,
-    ExperimentSummary, LabConfig, SubstrateKind, TrafficLoad,
+    build_substrate, json_f64, json_object, key_universe, run_experiment,
+    run_experiment_with_traffic, summary_json, ExperimentSummary, ExperimentTrace, LabConfig,
+    SubstrateKind, TrafficDist, TrafficLoad,
 };
-use polystyrene_protocol::Scenario;
+use polystyrene_protocol::{LinkProfile, Scenario};
 use polystyrene_runtime::GATEWAY_INGRESS_BOUND;
 use polystyrene_space::prelude::*;
 use polystyrene_space::shapes;
@@ -39,6 +39,43 @@ use std::time::{Duration, Instant};
 /// A rung is "served" while its mean availability stays at or above
 /// this; the first rung below it is the substrate's knee.
 const KNEE_AVAILABILITY: f64 = 0.99;
+
+/// The flags the saturation sweep reads. `--cols`, `--rows`,
+/// `--base-rate` and `--rate-steps` size the deterministic kernels'
+/// ladder, the `--live-*` flags the live clusters'; without
+/// `--substrate` it sweeps netsim, cluster and tcp.
+pub const FLAGS: &[&str] = &[
+    "cols",
+    "rows",
+    "base-rate",
+    "rate-steps",
+    "live-cols",
+    "live-rows",
+    "live-base-rate",
+    "live-rate-steps",
+    "warmup",
+    "rounds",
+    "k",
+    "seed",
+    "substrate",
+    "net-latency",
+    "net-jitter",
+    "net-loss",
+    "traffic-keys",
+    "traffic-dist",
+    "read-fraction",
+    "out",
+];
+
+/// What every plan of one sweep shares.
+struct Common {
+    k: usize,
+    seed: u64,
+    link: LinkProfile,
+    traffic_keys: usize,
+    traffic_dist: TrafficDist,
+    read_fraction: f64,
+}
 
 /// One substrate's sweep configuration.
 struct Plan {
@@ -68,12 +105,12 @@ impl Plan {
         matches!(self.kind, SubstrateKind::Cluster | SubstrateKind::Tcp)
     }
 
-    fn lab_config(&self, args: &CommonArgs) -> LabConfig {
+    fn lab_config(&self, common: &Common) -> LabConfig {
         let mut cfg = LabConfig::default();
-        cfg.seed = args.seed;
+        cfg.seed = common.seed;
         cfg.area = self.nodes() as f64;
-        cfg.link = args.link_profile();
-        cfg.poly = PolystyreneConfig::builder().replication(args.k).build();
+        cfg.link = common.link;
+        cfg.poly = PolystyreneConfig::builder().replication(common.k).build();
         if self.is_live() {
             cfg.tman.view_cap = 20;
             cfg.tman.m = 8;
@@ -92,10 +129,10 @@ struct SweepResult {
     wall_secs: f64,
 }
 
-fn sweep(plan: &Plan, args: &CommonArgs, warmup: u32, rounds: u32) -> SweepResult {
+fn sweep(plan: &Plan, common: &Common, warmup: u32, rounds: u32) -> SweepResult {
     let started = Instant::now();
-    let cfg = plan.lab_config(args);
-    let keys = key_universe(args.traffic_keys, plan.cols, plan.rows);
+    let cfg = plan.lab_config(common);
+    let keys = key_universe(common.traffic_keys, plan.cols, plan.rows);
     let mut substrate = build_substrate(
         plan.kind,
         Torus2::new(plan.cols as f64, plan.rows as f64),
@@ -112,10 +149,10 @@ fn sweep(plan: &Plan, args: &CommonArgs, warmup: u32, rounds: u32) -> SweepResul
         let mut load = TrafficLoad::with_dist(
             keys.clone(),
             rate,
-            args.read_fraction,
+            common.read_fraction,
             plan.ttl(),
-            args.seed + i as u64,
-            args.traffic_dist,
+            common.seed + i as u64,
+            common.traffic_dist,
         );
         let trace = run_experiment_with_traffic(
             substrate.as_mut(),
@@ -131,7 +168,7 @@ fn sweep(plan: &Plan, args: &CommonArgs, warmup: u32, rounds: u32) -> SweepResul
         // stragglers resolve inside their own window instead of bleeding
         // into the next rung's.
         let mut window = (0u64, 0u64, 0u64); // offered, delivered, shed
-        let mut absorb = |trace: &polystyrene_lab::ExperimentTrace| {
+        let mut absorb = |trace: &ExperimentTrace| {
             for o in &trace.observations {
                 window.0 += o.traffic.offered;
                 window.1 += o.traffic.delivered;
@@ -144,10 +181,10 @@ fn sweep(plan: &Plan, args: &CommonArgs, warmup: u32, rounds: u32) -> SweepResul
             let mut settle = TrafficLoad::with_dist(
                 keys.clone(),
                 0,
-                args.read_fraction,
+                common.read_fraction,
                 plan.ttl(),
-                args.seed,
-                args.traffic_dist,
+                common.seed,
+                common.traffic_dist,
             );
             let tail = run_experiment_with_traffic(
                 substrate.as_mut(),
@@ -181,49 +218,37 @@ fn sweep(plan: &Plan, args: &CommonArgs, warmup: u32, rounds: u32) -> SweepResul
     }
 }
 
-fn main() {
-    let args = CommonArgs::parse_with(
-        CommonArgs {
-            cols: 160,
-            rows: 160,
-            runs: 1,
-            traffic_keys: 1024,
-            traffic_dist: polystyrene_lab::TrafficDist::Zipf(0.99),
-            net_latency: 0,
-            net_jitter: 0,
-            ..Default::default()
-        },
-        &[
-            "warmup",
-            "rounds",
-            "base-rate",
-            "rate-steps",
-            "live-cols",
-            "live-rows",
-            "live-base-rate",
-            "live-rate-steps",
-        ],
-    );
-    let warmup = args.extra_usize("warmup", 20) as u32;
-    let rounds = args.extra_usize("rounds", 6) as u32;
+/// Runs the saturation sweep.
+pub fn run(args: &Args) -> Output {
+    let common = Common {
+        k: args.get("k", 4),
+        seed: args.get("seed", 1),
+        link: args.link(0, 0),
+        traffic_keys: args.traffic_keys(1024),
+        traffic_dist: args.get("traffic-dist", TrafficDist::Zipf(0.99)),
+        read_fraction: args.read_fraction(),
+    };
+    let warmup = args.get("warmup", 20);
+    let rounds = args.get("rounds", 6);
     let sim_plan = |kind| Plan {
         kind,
-        cols: args.cols,
-        rows: args.rows,
-        base_rate: args.extra_usize("base-rate", 2000),
-        rate_steps: args.extra_usize("rate-steps", 4),
+        cols: args.get("cols", 160),
+        rows: args.get("rows", 160),
+        base_rate: args.get("base-rate", 2000),
+        rate_steps: args.get("rate-steps", 4),
     };
     let live_plan = |kind| Plan {
         kind,
-        cols: args.extra_usize("live-cols", 8),
-        rows: args.extra_usize("live-rows", 4),
-        base_rate: args.extra_usize("live-base-rate", 512),
-        rate_steps: args.extra_usize("live-rate-steps", 6),
+        cols: args.get("live-cols", 8),
+        rows: args.get("live-rows", 4),
+        base_rate: args.get("live-base-rate", 512),
+        rate_steps: args.get("live-rate-steps", 6),
     };
-    let plans: Vec<Plan> = if args.substrate_given {
-        vec![match args.substrate {
-            SubstrateKind::Engine | SubstrateKind::Netsim => sim_plan(args.substrate),
-            SubstrateKind::Cluster | SubstrateKind::Tcp => live_plan(args.substrate),
+    let plans: Vec<Plan> = if args.given("substrate") {
+        let kind = args.get("substrate", SubstrateKind::Netsim);
+        vec![match kind {
+            SubstrateKind::Engine | SubstrateKind::Netsim => sim_plan(kind),
+            SubstrateKind::Cluster | SubstrateKind::Tcp => live_plan(kind),
         }]
     } else {
         vec![
@@ -233,12 +258,12 @@ fn main() {
         ]
     };
     println!(
-        "Traffic saturation sweep: {} dist over {} keys, {} rounds per rung \
+        "Traffic saturation sweep: {} dist over {} keys, {rounds} rounds per rung \
          (warmup {warmup}), gateway ingress bound {GATEWAY_INGRESS_BOUND}\n",
-        args.traffic_dist, args.traffic_keys, rounds
+        common.traffic_dist, common.traffic_keys
     );
 
-    let mut failures: Vec<String> = Vec::new();
+    let mut out = Output::default();
     let mut results: Vec<(String, SweepResult)> = Vec::new();
     for plan in &plans {
         println!(
@@ -250,7 +275,7 @@ fn main() {
             plan.rates(),
             plan.ttl()
         );
-        let result = sweep(plan, &args, warmup, rounds);
+        let result = sweep(plan, &common, warmup, rounds);
         let base_floor = if plan.is_live() {
             0.80
         } else {
@@ -261,7 +286,7 @@ fn main() {
             .mean_traffic_availability()
             .unwrap_or(0.0);
         if base_availability < base_floor {
-            failures.push(format!(
+            out.fail(format!(
                 "{}: base rung availability {base_availability:.4} below the \
                  {base_floor:.2} floor — the fabric cannot serve its lightest load",
                 plan.kind.name()
@@ -271,13 +296,13 @@ fn main() {
             // The ladder tops out past the admission bound: the gateways
             // must have refused load at ingress rather than wedging.
             if result.total_shed == 0 {
-                failures.push(format!(
+                out.fail(format!(
                     "{}: ladder crossed the ingress bound but nothing was shed",
                     plan.kind.name()
                 ));
             }
             if result.knee_rate.is_none() {
-                failures.push(format!(
+                out.fail(format!(
                     "{}: no knee found — the sweep never saturated the gateways",
                     plan.kind.name()
                 ));
@@ -290,52 +315,41 @@ fn main() {
         results.push((plan.kind.name().to_string(), result));
     }
 
-    std::fs::create_dir_all(&args.out).expect("failed to create output directory");
     let entries: Vec<(String, &ExperimentSummary)> = results
         .iter()
         .flat_map(|(_, r)| r.entries.iter().map(|(label, s)| (label.clone(), s)))
         .collect();
-    let knee_obj = results
-        .iter()
-        .map(|(label, r)| {
-            format!(
-                "\"{label}\":{}",
-                r.knee_rate.map_or("null".to_string(), |k| k.to_string())
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let wall_obj = results
-        .iter()
-        .map(|(label, r)| format!("\"{label}\":{}", json_f64(r.wall_secs, 3)))
-        .collect::<Vec<_>>()
-        .join(",");
+    let knee_rate = json_object(results.iter().map(|(label, r)| {
+        let knee = r.knee_rate.map_or("null".to_string(), |k| k.to_string());
+        (label, knee)
+    }));
+    let wall_secs = json_object(
+        results
+            .iter()
+            .map(|(label, r)| (label, json_f64(r.wall_secs, 3))),
+    );
     let meta: Vec<(&str, String)> = vec![
         ("nodes", plans[0].nodes().to_string()),
-        ("k", args.k.to_string()),
+        ("k", common.k.to_string()),
         ("warmup", warmup.to_string()),
         ("rounds", rounds.to_string()),
-        ("traffic_keys", args.traffic_keys.to_string()),
-        ("traffic_dist", format!("\"{}\"", args.traffic_dist)),
-        ("read_fraction", json_f64(args.read_fraction, 3)),
+        ("traffic_keys", common.traffic_keys.to_string()),
+        ("traffic_dist", format!("\"{}\"", common.traffic_dist)),
+        ("read_fraction", json_f64(common.read_fraction, 3)),
         ("ingress_bound", GATEWAY_INGRESS_BOUND.to_string()),
-        ("knee_rate", format!("{{{knee_obj}}}")),
-        ("wall_secs", format!("{{{wall_obj}}}")),
+        ("knee_rate", knee_rate),
+        ("wall_secs", wall_secs),
     ];
-    let json = summary_json("fig_traffic_scale", &meta, &entries);
-    let json_path = args.out.join("fig_traffic_scale.json");
-    std::fs::write(&json_path, json).expect("failed to write JSON");
-    println!("JSON written to {}", json_path.display());
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!(
-        "OK: {} rung(s) swept across {} substrate(s)",
-        entries.len(),
-        results.len()
+    out.file(
+        "fig_traffic_scale.json",
+        summary_json("fig_traffic_scale", &meta, &entries),
     );
+    if out.failures().is_empty() {
+        println!(
+            "OK: {} rung(s) swept across {} substrate(s)",
+            entries.len(),
+            results.len()
+        );
+    }
+    out
 }

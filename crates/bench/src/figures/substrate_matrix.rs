@@ -9,18 +9,18 @@
 //! self-organizing shape survives the same failure scenario regardless
 //! of how messages move. Emits one merged `substrate_matrix.json`
 //! (uploaded as `BENCH_matrix.json`) with one entry per substrate, and
-//! exits nonzero on any disagreement or non-recovery.
+//! fails on any disagreement or non-recovery.
 //!
 //! ```sh
-//! cargo run --release -p polystyrene-bench --bin substrate_matrix
-//! cargo run --release -p polystyrene-bench --bin substrate_matrix -- --substrate tcp
+//! figures substrate_matrix
+//! figures substrate_matrix --substrate tcp
 //! ```
 
+use crate::{Args, Output};
 use polystyrene::prelude::PolystyreneConfig;
-use polystyrene_bench::CommonArgs;
 use polystyrene_lab::{
-    build_substrate, run_experiment, summary_json, ExperimentSummary, ExperimentTrace, LabConfig,
-    SubstrateKind,
+    build_substrate, json_f64, json_object, json_strings, run_experiment, summary_json,
+    ExperimentSummary, ExperimentTrace, LabConfig, SubstrateKind,
 };
 use polystyrene_protocol::{Scenario, ScenarioEvent};
 use polystyrene_space::prelude::*;
@@ -51,17 +51,15 @@ fn shared_scenario(cols: usize, rows: usize) -> Scenario<[f64; 2]> {
         )
 }
 
-fn main() {
-    let args = CommonArgs::parse(CommonArgs {
-        cols: 8,
-        rows: 4,
-        runs: 1,
-        ..Default::default()
-    });
-    let (cols, rows) = (args.cols, args.rows);
+/// The flags the matrix reads; without `--substrate` it runs all four.
+pub const FLAGS: &[&str] = &["cols", "rows", "k", "seed", "substrate", "out"];
+
+/// Runs the matrix.
+pub fn run(args: &Args) -> Output {
+    let (cols, rows, k) = (args.get("cols", 8), args.get("rows", 4), args.get("k", 4));
     let scenario = shared_scenario(cols, rows);
-    let kinds: Vec<SubstrateKind> = if args.substrate_given {
-        vec![args.substrate]
+    let kinds: Vec<SubstrateKind> = if args.given("substrate") {
+        vec![args.get("substrate", SubstrateKind::Engine)]
     } else {
         SubstrateKind::ALL.to_vec()
     };
@@ -74,15 +72,15 @@ fn main() {
 
     let mut cfg = LabConfig::default();
     cfg.area = (cols * rows) as f64;
-    cfg.seed = args.seed + 10; // seed 11 = the historical equivalence anchor
+    cfg.seed = args.get::<u64>("seed", 1) + 10; // seed 11 = the historical equivalence anchor
     cfg.tman.view_cap = 20;
     cfg.tman.m = 8;
-    cfg.poly = PolystyreneConfig::builder().replication(args.k).build();
+    cfg.poly = PolystyreneConfig::builder().replication(k).build();
     // 8 ms leaves debug-build message handling headroom per round on a
     // loaded CI box for the wall-clock substrates.
     cfg.tick = Duration::from_millis(8);
 
-    let mut failures = Vec::new();
+    let mut out = Output::default();
     let mut reference_populations: Option<Vec<usize>> = None;
     let mut summaries: Vec<(String, ExperimentSummary)> = Vec::new();
     let mut walls: Vec<(String, f64)> = Vec::new();
@@ -101,7 +99,7 @@ fn main() {
             None => reference_populations = Some(populations.clone()),
             Some(reference) => {
                 if *reference != populations {
-                    failures.push(format!(
+                    out.fail(format!(
                         "{kind}: population arithmetic diverged from {}'s",
                         kinds[0]
                     ));
@@ -124,11 +122,11 @@ fn main() {
                 .any(|o| o.homogeneity < o.reference_homogeneity.max(1.0)),
         };
         if !recovered {
-            failures.push(format!("{kind}: shape did not recover"));
+            out.fail(format!("{kind}: shape did not recover"));
         }
         let last = trace.final_observation().expect("ran");
         if last.surviving_points <= 0.6 {
-            failures.push(format!(
+            out.fail(format!(
                 "{kind}: lost too many points ({:.2})",
                 last.surviving_points
             ));
@@ -149,7 +147,6 @@ fn main() {
         walls.push((kind.name().to_string(), started.elapsed().as_secs_f64()));
     }
 
-    std::fs::create_dir_all(&args.out).expect("failed to create output directory");
     let entries: Vec<(String, &ExperimentSummary)> = summaries
         .iter()
         .map(|(label, s)| (label.clone(), s))
@@ -158,49 +155,23 @@ fn main() {
         "substrate_matrix",
         &[
             ("nodes", (cols * rows).to_string()),
-            ("k", args.k.to_string()),
+            ("k", k.to_string()),
             ("rounds", 55.to_string()),
+            ("substrates", json_strings(&kinds)),
+            // Per-substrate wall-clock, for the baseline differ.
             (
-                "substrates",
-                format!(
-                    "[{}]",
-                    kinds
-                        .iter()
-                        .map(|k| format!("\"{k}\""))
-                        .collect::<Vec<_>>()
-                        .join(",")
-                ),
-            ),
-            (
-                // Per-substrate wall-clock, for the baseline differ.
                 "wall_secs",
-                format!(
-                    "{{{}}}",
-                    walls
-                        .iter()
-                        .map(|(label, secs)| format!(
-                            "\"{label}\":{}",
-                            polystyrene_lab::json_f64(*secs, 3)
-                        ))
-                        .collect::<Vec<_>>()
-                        .join(",")
-                ),
+                json_object(walls.iter().map(|(label, secs)| (label, json_f64(*secs, 3)))),
             ),
         ],
         &entries,
     );
-    let json_path = args.out.join("substrate_matrix.json");
-    std::fs::write(&json_path, json).expect("failed to write JSON");
-    println!("\nJSON written to {}", json_path.display());
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
+    out.file("substrate_matrix.json", json);
+    if out.failures().is_empty() {
+        println!(
+            "OK: identical population arithmetic and shape recovery across {} substrate(s)",
+            kinds.len()
+        );
     }
-    println!(
-        "OK: identical population arithmetic and shape recovery across {} substrate(s)",
-        kinds.len()
-    );
+    out
 }

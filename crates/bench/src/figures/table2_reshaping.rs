@@ -7,51 +7,56 @@
 //! 99.80 ± 0.03.
 //!
 //! ```sh
-//! cargo run --release -p polystyrene-bench --bin table2_reshaping -- --runs 25
-//! cargo run --release -p polystyrene-bench --bin table2_reshaping -- \
-//!     --substrate cluster --cols 16 --rows 8 --runs 2
+//! figures table2_reshaping --runs 25
+//! figures table2_reshaping --substrate cluster --cols 16 --rows 8 --runs 2
 //! ```
 
+use crate::{lab_config, render_reshaping_table, reshaping_row, Args, Output};
 use polystyrene::prelude::SplitStrategy;
-use polystyrene_bench::{render_reshaping_table, reshaping_row, CommonArgs};
-use polystyrene_sim::prelude::*;
+use polystyrene_lab::SubstrateKind;
+use polystyrene_protocol::PaperScenario;
 
-// `--substrate` picks the backend; `--net-*` flags reach the ones that
-// honor a network model through the shared lab configuration.
+/// The flags Table II reads; it sweeps K itself. `--net-*` reaches the
+/// substrates that honor a network model.
+pub const FLAGS: &[&str] = &[
+    "cols",
+    "rows",
+    "runs",
+    "seed",
+    "substrate",
+    "net-latency",
+    "net-jitter",
+    "net-loss",
+    "out",
+];
 
-fn main() {
-    let args = CommonArgs::parse(CommonArgs {
-        runs: 5,
-        ..Default::default()
-    });
+/// Runs Table II.
+pub fn run(args: &Args) -> Output {
+    let (cols, rows, runs) = (args.get("cols", 80), args.get("rows", 40), args.get("runs", 5));
+    let substrate = args.get("substrate", SubstrateKind::Engine);
+    let (seed, link) = (args.get("seed", 1), args.link(2, 1));
     // Table II only needs the failure phase: converge 20 rounds, crash
     // half the torus, watch the reshaping.
-    let paper = PaperScenario::reshaping_only(args.cols, args.rows, 20, 40);
+    let paper = PaperScenario::reshaping_only(cols, rows, 20, 40);
     println!(
-        "Table II scenario on {}: {}-node torus, failure at r=20, {} runs per K\n",
-        args.substrate,
+        "Table II scenario on {substrate}: {}-node torus, failure at r=20, {runs} runs per K\n",
         paper.node_count(),
-        args.runs
     );
-    let rows: Vec<_> = [2usize, 4, 8]
+    let results: Vec<_> = [2usize, 4, 8]
         .iter()
         .map(|&k| {
-            let mut cfg = args.lab_config(SplitStrategy::Advanced);
-            cfg.poly.replication = k;
-            reshaping_row(args.substrate, &paper, &cfg, args.runs, format!("K={k}"))
+            let cfg = lab_config(k, SplitStrategy::Advanced, seed, link);
+            reshaping_row(substrate, &paper, &cfg, runs, format!("K={k}"))
         })
         .collect();
     println!(
         "{}",
         render_reshaping_table(
-            &format!(
-                "Table II — reshaping time and reliability ({}×{} torus, {})",
-                args.cols, args.rows, args.substrate
-            ),
-            &rows
+            &format!("Table II — reshaping time and reliability ({cols}×{rows} torus, {substrate})"),
+            &results
         )
     );
-    let csv_rows: Vec<Vec<String>> = rows
+    let csv_rows: Vec<Vec<String>> = results
         .iter()
         .map(|r| {
             vec![
@@ -63,8 +68,9 @@ fn main() {
             ]
         })
         .collect();
-    write_csv(
-        args.out.join("table2_reshaping.csv"),
+    let mut out = Output::default();
+    out.csv(
+        "table2_reshaping.csv",
         &[
             "K",
             "reshaping_mean",
@@ -73,12 +79,11 @@ fn main() {
             "reliability_ci95",
         ],
         &csv_rows,
-    )
-    .expect("failed to write CSV");
-    println!("CSV written to {}", args.out.display());
+    );
     println!(
         "\nExpected shape (paper Table II): reshaping time grows with K\n\
          (more redundant copies to deduplicate: 5.00 → 6.96 → 9.08 rounds)\n\
          while reliability grows towards 1 − 0.5^(K+1) (87.7 → 96.9 → 99.8 %)."
     );
+    out
 }

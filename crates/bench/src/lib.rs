@@ -1,8 +1,8 @@
-//! Shared harness code for the experiment binaries.
-//!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper, an ablation or an extension (the README's "Reproducing the
-//! paper's figures" lists them):
+//! The `figures` driver: every table and figure of the paper, an
+//! ablation, the extensions and the baseline differ, one module each
+//! under [`figures`], run as subcommands of the one binary
+//! (`src/bin/figures.rs`; the README's "Reproducing the paper's
+//! figures" lists each with its flags):
 //!
 //! * paper: `fig1_tman_failure`, `fig6_7_quality`, `fig8_9_snapshots`,
 //!   `table2_reshaping`, `fig10a_scaling`, `fig10b_split`;
@@ -10,338 +10,275 @@
 //! * extensions: `ext_routing_recovery`, `substrate_matrix`,
 //!   `fig_loss_latency`, `fig_traffic`, `fig_traffic_scale`,
 //!   `fig_tcp_loopback`;
-//! * `baseline_diff`, the CI gate over their JSON artifacts.
-//!
-//! The figure binaries accept the same flags:
+//! * `diff`, the CI gate over their JSON artifacts.
 //!
 //! ```text
-//! --cols N        torus grid columns    (default: figure-specific)
-//! --rows N        torus grid rows
-//! --runs N        repeated seeded runs  (paper: 25)
-//! --k N           replication factor    (paper: 2, 4 or 8)
-//! --seed N        base seed
-//! --out DIR       CSV/JSON output dir   (default: target/experiments)
-//! --substrate S   execution substrate: engine|netsim|cluster|tcp
+//! figures <command> [--flag value]...
+//! figures table2_reshaping --runs 1
+//! figures diff --baseline crates/bench/baselines/BENCH_matrix.json \
+//!     --current target/experiments/substrate_matrix.json
 //! ```
 //!
-//! They drive whatever `--substrate` names through the unified
+//! Each subcommand accepts exactly the flags it reads
+//! ([`figures::COMMANDS`]); any other flag, a repeated one or a
+//! malformed value panics with its usage list. The figures with a
+//! `--substrate` flag drive that substrate through the unified
 //! experiment plane (`polystyrene-lab`): one `Substrate` seam, one
-//! scenario driver, one observation record — so every scenario runs on
-//! every substrate. The three that read engine internals
-//! (`fig6_7_quality`, `fig8_9_snapshots`, `ext_routing_recovery`) reject
-//! any other substrate. `tests/gates.rs` gates steady-state
-//! allocations and live heap per node with a counting allocator;
-//! wall-clock timing lives in the repo benchmark (`benchmark/`).
+//! scenario driver, one observation record. The three that read engine
+//! internals (`fig6_7_quality`, `fig8_9_snapshots`,
+//! `ext_routing_recovery`) have no such flag. A figure hands its
+//! artifacts and failed gates back as an [`Output`]; the driver writes
+//! the files into `--out` and exits 1 on any failure.
+//! `tests/gates.rs` gates steady-state allocations and live heap per
+//! node with a counting allocator; wall-clock timing lives in the repo
+//! benchmark (`benchmark/`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod figures;
 pub mod minijson;
+pub mod report;
+pub mod snapshot;
 
 use polystyrene::prelude::{PolystyreneConfig, SplitStrategy};
 use polystyrene_lab::{
     build_engine, build_substrate, run_experiment, ExperimentSummary, LabConfig, SeriesStats,
-    SubstrateKind, TrafficDist,
+    SubstrateKind,
 };
+use polystyrene_protocol::LinkProfile;
 use polystyrene_sim::prelude::*;
 use polystyrene_space::stats::{ci95, ConfidenceInterval};
 use polystyrene_space::torus::Torus2;
-use std::collections::{HashMap, HashSet};
+use report::render_table;
+use std::fmt::Display;
 use std::path::PathBuf;
+use std::str::FromStr;
+use std::sync::atomic::AtomicU64;
 use std::time::{Duration, Instant};
 
 pub use polystyrene_lab::json_f64;
 
-/// Parsed command-line options shared by all experiment binaries.
+/// Heap allocations (and reallocations) so far, counted by the
+/// `figures` binary's global allocator; it stays 0 in a process
+/// without that allocator, such as a test binary.
+pub static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// One subcommand's command line: `--key value` pairs whose keys the
+/// subcommand declared. Each value is parsed where the subcommand reads
+/// it, against the default it passes there.
 #[derive(Clone, Debug)]
-pub struct CommonArgs {
-    /// Torus grid columns.
-    pub cols: usize,
-    /// Torus grid rows.
-    pub rows: usize,
-    /// Number of repeated seeded runs.
-    pub runs: usize,
-    /// Replication factor K.
-    pub k: usize,
-    /// Base seed.
-    pub seed: u64,
-    /// Output directory for CSV/JSON dumps.
-    pub out: PathBuf,
-    /// Execution substrate the figure runs on (`--substrate`;
-    /// out-of-vocabulary values are rejected at parse time).
-    pub substrate: SubstrateKind,
-    /// Whether `--substrate` was passed explicitly (binaries whose
-    /// default substrate is figure-specific check this).
-    pub substrate_given: bool,
-    /// Base link latency in simulated ticks (`--net-latency`; netsim
-    /// substrate only).
-    pub net_latency: u64,
-    /// Uniform extra link jitter in simulated ticks (`--net-jitter`).
-    pub net_jitter: u64,
-    /// Link loss probability in `[0, 1]` (`--net-loss`; out-of-range
-    /// values are rejected at parse time).
-    pub net_loss: f64,
-    /// Duration of scripted partitions in rounds (`--partition-rounds`;
-    /// 0 = the scenario has no partition window).
-    pub partition_rounds: u32,
-    /// Application queries offered per round (`--traffic-rate`; 0 = no
-    /// workload rides the scenario).
-    pub traffic_rate: usize,
-    /// Size of the workload's key universe (`--traffic-keys`; must be
-    /// positive when the rate is).
-    pub traffic_keys: usize,
-    /// Fraction of traffic requests that are reads (`--read-fraction`;
-    /// out-of-range values are rejected at parse time).
-    pub read_fraction: f64,
-    /// Key-popularity distribution of the workload (`--traffic-dist`;
-    /// `uniform` or `zipf:<s>` with a positive finite exponent —
-    /// malformed values are rejected at parse time).
-    pub traffic_dist: TrafficDist,
-    /// Figure-specific `--key value` pairs, restricted to the keys the
-    /// binary declared via [`CommonArgs::parse_with`].
-    pub extra: HashMap<String, String>,
+pub struct Args {
+    flags: &'static [&'static str],
+    values: Vec<(String, String)>,
 }
 
-/// The flags every experiment binary accepts.
-const COMMON_KEYS: [&str; 15] = [
-    "cols",
-    "rows",
-    "runs",
-    "k",
-    "seed",
-    "out",
-    "substrate",
-    "net-latency",
-    "net-jitter",
-    "net-loss",
-    "partition-rounds",
-    "traffic-rate",
-    "traffic-keys",
-    "read-fraction",
-    "traffic-dist",
-];
-
 /// The usage line: every accepted flag, sorted.
-fn usage(extra_keys: &[&str]) -> String {
-    let mut keys: Vec<String> = COMMON_KEYS
-        .iter()
-        .chain(extra_keys.iter())
-        .map(|k| format!("--{k}"))
-        .collect();
+fn usage(flags: &[&str]) -> String {
+    let mut keys: Vec<String> = flags.iter().map(|k| format!("--{k}")).collect();
     keys.sort();
     format!("accepted flags (each takes a value): {}", keys.join(" "))
 }
 
-impl Default for CommonArgs {
-    fn default() -> Self {
-        Self {
-            cols: 80,
-            rows: 40,
-            runs: 5,
-            k: 4,
-            seed: 1,
-            out: PathBuf::from("target/experiments"),
-            substrate: SubstrateKind::Engine,
-            substrate_given: false,
-            net_latency: 2,
-            net_jitter: 1,
-            net_loss: 0.0,
-            partition_rounds: 0,
-            traffic_rate: 16,
-            traffic_keys: 64,
-            read_fraction: 0.9,
-            traffic_dist: TrafficDist::Uniform,
-            extra: HashMap::new(),
+impl Args {
+    /// Parses `--key value` pairs; `flags` lists every key the
+    /// subcommand reads.
+    ///
+    /// Any other key is rejected with a usage message listing the
+    /// accepted ones — a typo like `--max-node`, or `--k` for a figure
+    /// that sweeps K itself, must fail loudly instead of running with
+    /// defaults. So must a *repeated* flag: last-one-wins silently
+    /// discarded half of a sweep script's intent when a line was
+    /// copy-pasted and only one occurrence edited.
+    ///
+    /// # Errors
+    ///
+    /// The message, usage list included, for a malformed pair, an
+    /// undeclared flag, or a duplicate.
+    pub fn try_parse(flags: &'static [&'static str], argv: &[String]) -> Result<Self, String> {
+        let mut values: Vec<(String, String)> = Vec::new();
+        let mut argv = argv.iter();
+        while let Some(arg) = argv.next() {
+            let key = arg
+                .strip_prefix("--")
+                .ok_or_else(|| format!("expected --key, got {arg:?}\n{}", usage(flags)))?;
+            let value = argv
+                .next()
+                .ok_or_else(|| format!("missing value for --{key}\n{}", usage(flags)))?;
+            if !flags.contains(&key) {
+                return Err(format!("unknown flag --{key}\n{}", usage(flags)));
+            }
+            if values.iter().any(|(k, _)| k == key) {
+                return Err(format!(
+                    "duplicate flag --{key} (each flag may appear once)\n{}",
+                    usage(flags)
+                ));
+            }
+            values.push((key.to_string(), value.clone()));
         }
+        Ok(Self { flags, values })
+    }
+
+    /// [`Args::try_parse`].
+    ///
+    /// # Panics
+    ///
+    /// With [`Args::try_parse`]'s message where that returns an error.
+    pub fn parse(flags: &'static [&'static str], argv: &[String]) -> Self {
+        Self::try_parse(flags, argv).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    fn value(&self, key: &str) -> Option<&str> {
+        assert!(
+            self.flags.contains(&key),
+            "--{key} is read but not among the declared flags"
+        );
+        self.values
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// Whether `--key` was passed (the figures whose default is a set of
+    /// substrates check this for `--substrate`).
+    pub fn given(&self, key: &str) -> bool {
+        self.value(key).is_some()
+    }
+
+    /// The value of `--key`, or `default` when the flag is absent.
+    ///
+    /// # Panics
+    ///
+    /// With the usage list when the value does not parse as a `T`.
+    pub fn get<T: FromStr>(&self, key: &str, default: T) -> T
+    where
+        T::Err: Display,
+    {
+        self.value(key).map_or(default, |v| {
+            v.parse()
+                .unwrap_or_else(|e| panic!("--{key} {v:?}: {e}\n{}", usage(self.flags)))
+        })
+    }
+
+    /// The link profile of the `--net-latency`, `--net-jitter` and
+    /// `--net-loss` flags, from the figure's default latency and jitter
+    /// and no loss.
+    ///
+    /// # Panics
+    ///
+    /// As [`Args::get`], and when the loss is not a probability.
+    pub fn link(&self, latency: u64, jitter: u64) -> LinkProfile {
+        let loss: f64 = self.get("net-loss", 0.0);
+        assert!(
+            (0.0..=1.0).contains(&loss),
+            "--net-loss must be a probability in [0, 1], got {loss}\n{}",
+            usage(self.flags)
+        );
+        LinkProfile {
+            latency: self.get("net-latency", latency),
+            jitter: self.get("net-jitter", jitter),
+            loss,
+        }
+    }
+
+    /// `--read-fraction`: the share of traffic requests that are reads
+    /// (default 0.9).
+    ///
+    /// # Panics
+    ///
+    /// As [`Args::get`], and when the value is outside `[0, 1]`.
+    pub fn read_fraction(&self) -> f64 {
+        let fraction: f64 = self.get("read-fraction", 0.9);
+        assert!(
+            (0.0..=1.0).contains(&fraction),
+            "--read-fraction must be a fraction in [0, 1], got {fraction}\n{}",
+            usage(self.flags)
+        );
+        fraction
+    }
+
+    /// `--traffic-keys`: the size of the workload's key universe.
+    ///
+    /// # Panics
+    ///
+    /// As [`Args::get`], and when the value is 0.
+    pub fn traffic_keys(&self, default: usize) -> usize {
+        let keys = self.get("traffic-keys", default);
+        assert!(
+            keys > 0,
+            "--traffic-keys must be positive\n{}",
+            usage(self.flags)
+        );
+        keys
     }
 }
 
-impl CommonArgs {
-    /// Parses `--key value` pairs from `std::env::args`, starting from the
-    /// given defaults. Equivalent to [`CommonArgs::parse_with`] with no
-    /// figure-specific keys.
+/// What a subcommand hands back to the driver: the artifacts it made,
+/// which the driver writes into `--out`, and the gates it failed.
+#[derive(Debug, Default)]
+pub struct Output {
+    files: Vec<(String, String)>,
+    failures: Vec<String>,
+}
+
+impl Output {
+    /// Adds the artifact `name` with its full text.
+    pub fn file(&mut self, name: impl Into<String>, text: String) {
+        self.files.push((name.into(), text));
+    }
+
+    /// Adds the CSV artifact `name` ([`report::csv`]).
+    pub fn csv(&mut self, name: &str, headers: &[&str], rows: &[Vec<String>]) {
+        self.file(name, report::csv(headers, rows));
+    }
+
+    /// Records a failed gate; the driver prints it after `FAIL: ` and
+    /// exits 1.
+    pub fn fail(&mut self, failure: String) {
+        self.failures.push(failure);
+    }
+
+    /// The failed gates so far.
+    pub fn failures(&self) -> &[String] {
+        &self.failures
+    }
+
+    /// Writes the artifacts into `--out` (default
+    /// `target/experiments`), names them on stdout, and returns the
+    /// failed gates. Only a subcommand with artifacts reads `--out`.
     ///
     /// # Panics
     ///
-    /// Panics with a usage message on malformed arguments or unknown
-    /// flags.
-    pub fn parse(defaults: CommonArgs) -> Self {
-        Self::parse_with(defaults, &[])
-    }
-
-    /// Parses `--key value` pairs from `std::env::args`, starting from the
-    /// given defaults; `extra_keys` lists the figure-specific flags this
-    /// binary additionally accepts (retrieved via
-    /// [`CommonArgs::extra_usize`]).
-    ///
-    /// Unknown flags are rejected with a usage message listing every
-    /// accepted one — a typo like `--max-node` must fail loudly instead
-    /// of silently sweeping with defaults. So must a *repeated* flag:
-    /// last-one-wins silently discarded half of a sweep script's intent
-    /// when a line was copy-pasted and only one occurrence edited.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed arguments, unknown
-    /// flags, or duplicate occurrences of the same flag.
-    pub fn parse_with(defaults: CommonArgs, extra_keys: &[&str]) -> Self {
-        Self::parse_argv(defaults, extra_keys, std::env::args().skip(1).collect())
-    }
-
-    /// [`CommonArgs::parse`] for the figures that read engine internals
-    /// (proximity, snapshots, the T-Man baseline) and so run on the
-    /// cycle engine only.
-    ///
-    /// # Panics
-    ///
-    /// As [`CommonArgs::parse`], and also when `--substrate` names
-    /// anything but `engine`: the flag must never silently yield engine
-    /// numbers.
-    pub fn parse_engine_only(defaults: CommonArgs) -> Self {
-        Self::parse(defaults).require_engine()
-    }
-
-    fn require_engine(self) -> Self {
-        assert!(
-            self.substrate == SubstrateKind::Engine,
-            "--substrate {}: this figure reads engine internals and runs on the engine only\n{}",
-            self.substrate,
-            usage(&[])
-        );
-        self
-    }
-
-    fn parse_argv(defaults: CommonArgs, extra_keys: &[&str], argv: Vec<String>) -> Self {
-        let usage = || usage(extra_keys);
-        let mut args = defaults;
-        let mut seen: HashSet<String> = HashSet::new();
-        let mut i = 0;
-        while i < argv.len() {
-            let key = argv[i]
-                .strip_prefix("--")
-                .unwrap_or_else(|| panic!("expected --key, got {:?}\n{}", argv[i], usage()));
-            let value = argv
-                .get(i + 1)
-                .unwrap_or_else(|| panic!("missing value for --{key}\n{}", usage()))
-                .clone();
-            assert!(
-                seen.insert(key.to_string()),
-                "duplicate flag --{key} (each flag may appear once)\n{}",
-                usage()
-            );
-            match key {
-                "cols" => args.cols = value.parse().expect("--cols expects an integer"),
-                "rows" => args.rows = value.parse().expect("--rows expects an integer"),
-                "runs" => args.runs = value.parse().expect("--runs expects an integer"),
-                "k" => args.k = value.parse().expect("--k expects an integer"),
-                "seed" => args.seed = value.parse().expect("--seed expects an integer"),
-                "out" => args.out = PathBuf::from(value),
-                "substrate" => {
-                    args.substrate = value
-                        .parse()
-                        .unwrap_or_else(|e: String| panic!("{e}\n{}", usage()));
-                    args.substrate_given = true;
-                }
-                "net-latency" => {
-                    args.net_latency = value.parse().expect("--net-latency expects an integer")
-                }
-                "net-jitter" => {
-                    args.net_jitter = value.parse().expect("--net-jitter expects an integer")
-                }
-                "net-loss" => {
-                    let loss: f64 = value.parse().expect("--net-loss expects a number");
-                    assert!(
-                        (0.0..=1.0).contains(&loss),
-                        "--net-loss must be a probability in [0, 1], got {loss}\n{}",
-                        usage()
-                    );
-                    args.net_loss = loss;
-                }
-                "partition-rounds" => {
-                    args.partition_rounds = value
-                        .parse()
-                        .expect("--partition-rounds expects an integer")
-                }
-                "traffic-rate" => {
-                    args.traffic_rate = value.parse().expect("--traffic-rate expects an integer")
-                }
-                "traffic-keys" => {
-                    let keys: usize = value.parse().expect("--traffic-keys expects an integer");
-                    assert!(
-                        keys > 0,
-                        "--traffic-keys must be positive (use --traffic-rate 0 to \
-                         disable the workload)\n{}",
-                        usage()
-                    );
-                    args.traffic_keys = keys;
-                }
-                "read-fraction" => {
-                    let fraction: f64 = value.parse().expect("--read-fraction expects a number");
-                    assert!(
-                        (0.0..=1.0).contains(&fraction),
-                        "--read-fraction must be a fraction in [0, 1], got {fraction}\n{}",
-                        usage()
-                    );
-                    args.read_fraction = fraction;
-                }
-                "traffic-dist" => {
-                    args.traffic_dist = value
-                        .parse()
-                        .unwrap_or_else(|e: String| panic!("--traffic-dist: {e}\n{}", usage()));
-                }
-                _ if extra_keys.contains(&key) => {
-                    args.extra.insert(key.to_string(), value);
-                }
-                _ => panic!("unknown flag --{key}\n{}", usage()),
+    /// When the directory or a file cannot be written.
+    pub fn finish(self, args: &Args) -> Vec<String> {
+        if !self.files.is_empty() {
+            let dir: PathBuf = args.get("out", PathBuf::from("target/experiments"));
+            std::fs::create_dir_all(&dir)
+                .unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
+            for (name, text) in &self.files {
+                let path = dir.join(name);
+                std::fs::write(&path, text)
+                    .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
             }
-            i += 2;
+            let names: Vec<&str> = self.files.iter().map(|(name, _)| name.as_str()).collect();
+            println!("\nwritten to {}: {}", dir.display(), names.join(", "));
         }
-        args
+        self.failures
     }
+}
 
-    /// An integer from [`CommonArgs::extra`], or the default.
-    pub fn extra_usize(&self, key: &str, default: usize) -> usize {
-        self.extra
-            .get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} expects an integer"))
-            })
-            .unwrap_or(default)
-    }
-
-    /// The paper scenario for the configured grid.
-    pub fn paper_scenario(&self) -> PaperScenario {
-        PaperScenario {
-            cols: self.cols,
-            rows: self.rows,
-            ..Default::default()
-        }
-    }
-
-    /// The link profile described by the `--net-*` flags.
-    pub fn link_profile(&self) -> polystyrene_protocol::LinkProfile {
-        polystyrene_protocol::LinkProfile {
-            latency: self.net_latency,
-            jitter: self.net_jitter,
-            loss: self.net_loss,
-        }
-    }
-
-    /// The substrate-agnostic lab configuration for these args: K and
-    /// split applied to the protocol, the `--net-*` link profile
-    /// installed, area left at the grid's surface.
-    pub fn lab_config(&self, split: SplitStrategy) -> LabConfig {
-        let mut cfg = LabConfig::default();
-        cfg.poly = PolystyreneConfig::builder()
-            .replication(self.k)
-            .split(split)
-            .build();
-        cfg.seed = self.seed;
-        cfg.area = (self.cols * self.rows) as f64;
-        cfg.link = self.link_profile();
-        cfg
-    }
+/// The lab configuration the figures start from: K replicas and
+/// `split` on the protocol, the base seed and the link profile; the
+/// runners set the area per scenario.
+pub fn lab_config(k: usize, split: SplitStrategy, seed: u64, link: LinkProfile) -> LabConfig {
+    let mut cfg = LabConfig::default();
+    cfg.poly = PolystyreneConfig::builder()
+        .replication(k)
+        .split(split)
+        .build();
+    cfg.seed = seed;
+    cfg.link = link;
+    cfg
 }
 
 /// Runs the three-phase paper scenario `runs` times with consecutive
@@ -538,6 +475,17 @@ pub fn scaling_sizes(max_nodes: usize) -> Vec<(usize, usize)> {
     .collect()
 }
 
+/// The default top of a Fig. 10 sweep on `kind`. The live clusters run
+/// every node on one worker pool (a thread per core) in wall-clock
+/// ticks, so their rounds cost real time at every size and their sweep
+/// stops at 400 nodes until larger grids have been measured.
+pub fn default_max_nodes(kind: SubstrateKind) -> usize {
+    match kind {
+        SubstrateKind::Engine | SubstrateKind::Netsim => 6400,
+        SubstrateKind::Cluster | SubstrateKind::Tcp => 400,
+    }
+}
+
 /// `VmHWM` of `/proc/self/status` in MB, or NaN off Linux: the
 /// process's peak resident set so far. Sweeps whose rows ascend in size
 /// read it after each row as that row's peak.
@@ -563,20 +511,44 @@ pub fn steady_state(series: &[f64], n: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use polystyrene_lab::TrafficDist;
+
+    /// The flags the parser tests declare.
+    const FLAGS: &[&str] = &[
+        "cols",
+        "k",
+        "seed",
+        "out",
+        "substrate",
+        "max-nodes",
+        "net-latency",
+        "net-jitter",
+        "net-loss",
+        "partition-rounds",
+        "traffic-rate",
+        "traffic-keys",
+        "read-fraction",
+        "traffic-dist",
+    ];
+
+    fn parse(argv: &[&str]) -> Args {
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        Args::parse(FLAGS, &argv)
+    }
 
     #[test]
     fn parse_argv_accepts_common_and_declared_extra_flags() {
-        let args = CommonArgs::parse_argv(
-            CommonArgs::default(),
-            &["max-nodes"],
-            vec!["--cols", "8", "--max-nodes", "400"]
-                .into_iter()
-                .map(String::from)
-                .collect(),
-        );
-        assert_eq!(args.cols, 8);
-        assert_eq!(args.extra_usize("max-nodes", 0), 400);
-        assert!(!args.substrate_given);
+        let args = parse(&["--cols", "8", "--max-nodes", "400"]);
+        assert_eq!(args.get("cols", 80usize), 8);
+        assert_eq!(args.get("max-nodes", 0usize), 400);
+        assert_eq!(args.get("seed", 1u64), 1);
+        assert!(!args.given("substrate"));
+    }
+
+    #[test]
+    #[should_panic(expected = "--runs is read but not among the declared flags")]
+    fn reading_an_undeclared_flag_panics() {
+        let _ = parse(&[]).get("runs", 1usize);
     }
 
     #[test]
@@ -587,24 +559,16 @@ mod tests {
             ("cluster", SubstrateKind::Cluster),
             ("tcp", SubstrateKind::Tcp),
         ] {
-            let args = CommonArgs::parse_argv(
-                CommonArgs::default(),
-                &[],
-                vec!["--substrate".to_string(), name.to_string()],
-            );
-            assert_eq!(args.substrate, kind);
-            assert!(args.substrate_given);
+            let args = parse(&["--substrate", name]);
+            assert_eq!(args.get("substrate", SubstrateKind::Engine), kind);
+            assert!(args.given("substrate"));
         }
     }
 
     #[test]
     #[should_panic(expected = "unknown substrate \"engien\"")]
     fn parse_argv_rejects_unknown_substrate() {
-        let _ = CommonArgs::parse_argv(
-            CommonArgs::default(),
-            &[],
-            vec!["--substrate".to_string(), "engien".to_string()],
-        );
+        let _ = parse(&["--substrate", "engien"]).get("substrate", SubstrateKind::Engine);
     }
 
     #[test]
@@ -612,229 +576,187 @@ mod tests {
     fn parse_argv_rejects_duplicate_flags() {
         // Last-one-wins used to hide the copy-paste typo here: the
         // second --seed silently overrode the first.
-        let _ = CommonArgs::parse_argv(
-            CommonArgs::default(),
-            &[],
-            vec!["--seed", "1", "--cols", "8", "--seed", "2"]
-                .into_iter()
-                .map(String::from)
-                .collect(),
-        );
+        let _ = parse(&["--seed", "1", "--cols", "8", "--seed", "2"]);
     }
 
     #[test]
     #[should_panic(expected = "duplicate flag --max-nodes")]
     fn parse_argv_rejects_duplicate_extra_flags() {
-        let _ = CommonArgs::parse_argv(
-            CommonArgs::default(),
-            &["max-nodes"],
-            vec!["--max-nodes", "400", "--max-nodes", "800"]
-                .into_iter()
-                .map(String::from)
-                .collect(),
-        );
+        let _ = parse(&["--max-nodes", "400", "--max-nodes", "800"]);
     }
 
     #[test]
     fn parse_argv_accepts_net_flags() {
-        let args = CommonArgs::parse_argv(
-            CommonArgs::default(),
-            &[],
-            vec![
-                "--net-latency",
-                "5",
-                "--net-jitter",
-                "2",
-                "--net-loss",
-                "0.1",
-                "--partition-rounds",
-                "7",
-            ]
-            .into_iter()
-            .map(String::from)
-            .collect(),
-        );
-        assert_eq!(args.net_latency, 5);
-        assert_eq!(args.net_jitter, 2);
-        assert!((args.net_loss - 0.1).abs() < 1e-12);
-        assert_eq!(args.partition_rounds, 7);
-        let link = args.link_profile();
+        let args = parse(&[
+            "--net-latency",
+            "5",
+            "--net-jitter",
+            "2",
+            "--net-loss",
+            "0.1",
+            "--partition-rounds",
+            "7",
+        ]);
+        let link = args.link(2, 1);
         assert_eq!(link.latency, 5);
         assert_eq!(link.jitter, 2);
+        assert!((link.loss - 0.1).abs() < 1e-12);
+        assert_eq!(args.get("partition-rounds", 0u32), 7);
+        let defaults = parse(&[]).link(2, 1);
+        assert_eq!((defaults.latency, defaults.jitter), (2, 1));
+        assert_eq!(defaults.loss, 0.0);
     }
 
     #[test]
     #[should_panic(expected = "--net-loss must be a probability in [0, 1]")]
     fn parse_argv_rejects_out_of_range_loss() {
-        let _ = CommonArgs::parse_argv(
-            CommonArgs::default(),
-            &[],
-            vec!["--net-loss".to_string(), "1.5".to_string()],
-        );
+        let _ = parse(&["--net-loss", "1.5"]).link(2, 1);
     }
 
     #[test]
     fn parse_argv_accepts_traffic_flags() {
-        let args = CommonArgs::parse_argv(
-            CommonArgs::default(),
-            &[],
-            vec![
-                "--traffic-rate",
-                "32",
-                "--traffic-keys",
-                "128",
-                "--read-fraction",
-                "0.75",
-            ]
-            .into_iter()
-            .map(String::from)
-            .collect(),
+        let args = parse(&[
+            "--traffic-rate",
+            "32",
+            "--traffic-keys",
+            "128",
+            "--read-fraction",
+            "0.75",
+        ]);
+        assert_eq!(args.get("traffic-rate", 16usize), 32);
+        assert_eq!(args.traffic_keys(64), 128);
+        assert!((args.read_fraction() - 0.75).abs() < 1e-12);
+        assert_eq!(
+            args.get("traffic-dist", TrafficDist::Uniform),
+            TrafficDist::Uniform
         );
-        assert_eq!(args.traffic_rate, 32);
-        assert_eq!(args.traffic_keys, 128);
-        assert!((args.read_fraction - 0.75).abs() < 1e-12);
-        assert_eq!(args.traffic_dist, TrafficDist::Uniform);
     }
 
     #[test]
     fn parse_argv_accepts_traffic_distributions() {
-        let args = CommonArgs::parse_argv(
-            CommonArgs::default(),
-            &[],
-            vec!["--traffic-dist".to_string(), "zipf:1.2".to_string()],
-        );
-        match args.traffic_dist {
+        let args = parse(&["--traffic-dist", "zipf:1.2"]);
+        match args.get("traffic-dist", TrafficDist::Uniform) {
             TrafficDist::Zipf(s) => assert!((s - 1.2).abs() < 1e-12),
             other => panic!("expected zipf, parsed {other:?}"),
         }
-        let uniform = CommonArgs::parse_argv(
-            CommonArgs::default(),
-            &[],
-            vec!["--traffic-dist".to_string(), "uniform".to_string()],
+        let uniform = parse(&["--traffic-dist", "uniform"]);
+        assert_eq!(
+            uniform.get("traffic-dist", TrafficDist::Zipf(0.99)),
+            TrafficDist::Uniform
         );
-        assert_eq!(uniform.traffic_dist, TrafficDist::Uniform);
     }
 
     #[test]
     #[should_panic(expected = "unknown traffic distribution")]
     fn parse_argv_rejects_unknown_traffic_distribution() {
-        let _ = CommonArgs::parse_argv(
-            CommonArgs::default(),
-            &[],
-            vec!["--traffic-dist".to_string(), "pareto".to_string()],
-        );
+        let _ = parse(&["--traffic-dist", "pareto"]).get("traffic-dist", TrafficDist::Uniform);
     }
 
     #[test]
     #[should_panic(expected = "zipf exponent must be a positive finite number")]
     fn parse_argv_rejects_non_positive_zipf_exponent() {
-        let _ = CommonArgs::parse_argv(
-            CommonArgs::default(),
-            &[],
-            vec!["--traffic-dist".to_string(), "zipf:-1".to_string()],
-        );
+        let _ = parse(&["--traffic-dist", "zipf:-1"]).get("traffic-dist", TrafficDist::Uniform);
     }
 
     #[test]
     #[should_panic(expected = "--read-fraction must be a fraction in [0, 1]")]
     fn parse_argv_rejects_out_of_range_read_fraction() {
-        let _ = CommonArgs::parse_argv(
-            CommonArgs::default(),
-            &[],
-            vec!["--read-fraction".to_string(), "-0.2".to_string()],
-        );
+        let _ = parse(&["--read-fraction", "-0.2"]).read_fraction();
     }
 
     #[test]
     #[should_panic(expected = "--traffic-keys must be positive")]
     fn parse_argv_rejects_empty_key_universe() {
-        let _ = CommonArgs::parse_argv(
-            CommonArgs::default(),
-            &[],
-            vec!["--traffic-keys".to_string(), "0".to_string()],
-        );
+        let _ = parse(&["--traffic-keys", "0"]).traffic_keys(64);
     }
 
     #[test]
     #[should_panic(expected = "unknown flag --traffic-rat")]
     fn parse_argv_rejects_typoed_traffic_flag() {
-        let _ = CommonArgs::parse_argv(
-            CommonArgs::default(),
-            &[],
-            vec!["--traffic-rat".to_string(), "8".to_string()],
-        );
+        let _ = parse(&["--traffic-rat", "8"]);
     }
 
     #[test]
     #[should_panic(expected = "unknown flag --net-los")]
     fn parse_argv_rejects_typoed_net_flag() {
-        let _ = CommonArgs::parse_argv(
-            CommonArgs::default(),
-            &[],
-            vec!["--net-los".to_string(), "0.1".to_string()],
-        );
+        let _ = parse(&["--net-los", "0.1"]);
     }
 
     #[test]
     #[should_panic(expected = "unknown flag --max-node")]
     fn parse_argv_rejects_typoed_flags() {
-        let _ = CommonArgs::parse_argv(
-            CommonArgs::default(),
-            &["max-nodes"],
-            vec!["--max-node".to_string(), "400".to_string()],
-        );
+        let _ = parse(&["--max-node", "400"]);
     }
 
     #[test]
     #[should_panic(expected = "missing value for --seed")]
     fn parse_argv_rejects_dangling_flag() {
-        let _ = CommonArgs::parse_argv(CommonArgs::default(), &[], vec!["--seed".to_string()]);
+        let _ = parse(&["--seed"]);
     }
 
+    #[test]
+    #[should_panic(expected = "--cols \"eight\"")]
+    fn parse_argv_rejects_malformed_values() {
+        let _ = parse(&["--cols", "eight"]).get("cols", 80usize);
+    }
+
+    /// The three figures that read engine internals run on the engine
+    /// and declare no `--substrate` at all, so not even `engine` is
+    /// accepted.
     #[test]
     fn engine_figures_accept_only_the_engine() {
-        let args = CommonArgs::parse_argv(
-            CommonArgs::default(),
-            &[],
-            vec!["--substrate".to_string(), "engine".to_string()],
-        );
-        assert_eq!(args.require_engine().substrate, SubstrateKind::Engine);
+        for name in ["fig6_7_quality", "fig8_9_snapshots", "ext_routing_recovery"] {
+            let command = figures::COMMANDS
+                .iter()
+                .find(|c| c.name == name)
+                .expect("a subcommand");
+            assert!(!command.flags.contains(&"substrate"), "{name}");
+            let err = Args::try_parse(command.flags, &["--substrate".into(), "engine".into()])
+                .expect_err(name);
+            assert!(err.starts_with("unknown flag --substrate\naccepted flags"));
+        }
     }
 
     #[test]
-    #[should_panic(expected = "--substrate netsim: this figure reads engine internals")]
+    #[should_panic(expected = "unknown flag --substrate")]
     fn engine_figures_reject_other_substrates() {
-        let _ = CommonArgs::parse_argv(
-            CommonArgs::default(),
-            &[],
-            vec!["--substrate".to_string(), "netsim".to_string()],
-        )
-        .require_engine();
+        let _ = figures::parse(&[
+            "fig6_7_quality".into(),
+            "--substrate".into(),
+            "netsim".into(),
+        ]);
     }
 
     #[test]
     fn lab_config_carries_k_split_and_link() {
-        let args = CommonArgs::parse_argv(
-            CommonArgs::default(),
-            &[],
-            vec![
-                "--k",
-                "8",
-                "--cols",
-                "10",
-                "--rows",
-                "10",
-                "--net-loss",
-                "0.2",
-            ]
-            .into_iter()
-            .map(String::from)
-            .collect(),
+        let args = parse(&["--k", "8", "--net-loss", "0.2"]);
+        let cfg = lab_config(
+            args.get("k", 4),
+            SplitStrategy::Basic,
+            args.get("seed", 1),
+            args.link(2, 1),
         );
-        let cfg = args.lab_config(SplitStrategy::Advanced);
         assert_eq!(cfg.poly.replication, 8);
-        assert_eq!(cfg.area, 100.0);
+        assert_eq!(cfg.poly.split, SplitStrategy::Basic);
+        assert_eq!(cfg.seed, 1);
         assert!((cfg.link.loss - 0.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn output_writes_its_files_into_out_and_returns_its_failures() {
+        let dir = std::env::temp_dir().join(format!("figures-output-{}", std::process::id()));
+        let args = parse(&["--out", dir.to_str().expect("utf-8 temp dir")]);
+        let mut out = Output::default();
+        out.csv("a.csv", &["x"], &[vec!["1".into()]]);
+        out.file("b.json", "{}\n".into());
+        out.fail("gate".into());
+        assert_eq!(out.finish(&args), vec!["gate".to_string()]);
+        assert_eq!(
+            std::fs::read_to_string(dir.join("a.csv")).unwrap(),
+            "x\n1\n"
+        );
+        assert_eq!(std::fs::read_to_string(dir.join("b.json")).unwrap(), "{}\n");
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

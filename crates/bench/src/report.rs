@@ -1,17 +1,14 @@
-//! Plain-text tables and CSV output for experiment results.
+//! Plain-text tables, terminal plots and CSV text for the figures.
 //!
-//! Every bench harness prints the same rows/series the paper reports and
+//! Every figure prints the same rows/series the paper reports and
 //! drops a CSV next to it, so results can be re-plotted externally.
-
-use std::io::Write;
-use std::path::Path;
 
 /// Renders a fixed-width ASCII table with a title line.
 ///
 /// # Example
 ///
 /// ```
-/// use polystyrene_sim::report::render_table;
+/// use polystyrene_bench::report::render_table;
 ///
 /// let s = render_table(
 ///     "Table II",
@@ -70,28 +67,15 @@ pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> Stri
     out
 }
 
-/// Writes a CSV file: a header row, then one row per record.
-///
-/// # Errors
-///
-/// Returns any I/O error from creating or writing the file (including a
-/// missing parent directory).
-pub fn write_csv(
-    path: impl AsRef<Path>,
-    headers: &[&str],
-    rows: &[Vec<String>],
-) -> std::io::Result<()> {
-    if let Some(parent) = path.as_ref().parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let mut f = std::fs::File::create(path)?;
-    writeln!(f, "{}", headers.join(","))?;
+/// CSV text: a header row, then one row per record.
+pub fn csv(headers: &[&str], rows: &[Vec<String>]) -> String {
+    let mut out = headers.join(",");
+    out.push('\n');
     for row in rows {
-        writeln!(f, "{}", row.join(","))?;
+        out.push_str(&row.join(","));
+        out.push('\n');
     }
-    Ok(())
+    out
 }
 
 /// Formats a float series as CSV rows `(index, value...)` for multi-series
@@ -113,7 +97,7 @@ pub fn series_rows(series: &[(&str, &[f64])]) -> (Vec<String>, Vec<Vec<String>>)
 }
 
 /// A crude terminal line plot of one or more series, good enough to see
-/// the shape of Figs. 6 and 7 directly in `cargo bench` output.
+/// the shape of Figs. 6 and 7 directly in the figure's output.
 pub fn ascii_plot(title: &str, series: &[(&str, &[f64])], height: usize, width: usize) -> String {
     let mut out = format!("{title}\n");
     let max = series
@@ -180,20 +164,14 @@ mod tests {
 
     #[test]
     fn csv_roundtrip() {
-        let dir = std::env::temp_dir().join("polystyrene-report-test");
-        let path = dir.join("out.csv");
-        write_csv(
-            &path,
+        let content = csv(
             &["round", "value"],
             &[
                 vec!["0".into(), "1.5".into()],
                 vec!["1".into(), "2.5".into()],
             ],
-        )
-        .unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
+        );
         assert_eq!(content, "round,value\n0,1.5\n1,2.5\n");
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! seeded runs stream into an [`ExperimentSummary`] (per-round
 //! min/mean/max without retaining per-run series), and
 //! [`summary_json`] is the single hand-rolled JSON emitter every
-//! experiment binary shares.
+//! figure shares.
 
 use crate::substrate::Substrate;
 use crate::traffic::TrafficLoad;
@@ -443,7 +443,7 @@ impl ExperimentSummary {
 /// A float as a JSON number token, with `precision` fractional digits —
 /// or the JSON literal `null` when the value is not finite.
 ///
-/// The experiment binaries hand-roll their JSON, and `format!("{v:.6}")`
+/// The figures hand-roll their JSON, and `format!("{v:.6}")`
 /// happily prints `NaN` or `inf` for the degenerate sweeps that produce them
 /// (an empty cluster's infinite homogeneity, a 0-run mean) — which is
 /// not JSON, and silently breaks every `BENCH_*.json` consumer
@@ -455,6 +455,24 @@ pub fn json_f64(v: f64, precision: usize) -> String {
     } else {
         "null".to_string()
     }
+}
+
+/// A JSON object of one value per label, in order — the artifacts'
+/// per-row `wall_secs`, `peak_rss_mb` and `knee_rate` maps. Values must
+/// already be JSON tokens (floats through [`json_f64`]).
+pub fn json_object<L: std::fmt::Display>(members: impl IntoIterator<Item = (L, String)>) -> String {
+    let members: Vec<String> = members
+        .into_iter()
+        .map(|(label, value)| format!("\"{label}\":{value}"))
+        .collect();
+    format!("{{{}}}", members.join(","))
+}
+
+/// A JSON array of the labels as strings — the artifacts' `substrates`
+/// list.
+pub fn json_strings<L: std::fmt::Display>(labels: impl IntoIterator<Item = L>) -> String {
+    let labels: Vec<String> = labels.into_iter().map(|l| format!("\"{l}\"")).collect();
+    format!("[{}]", labels.join(","))
 }
 
 fn json_stat(out: &mut String, stat: Option<&RoundStat>, precision: usize) {
@@ -879,6 +897,18 @@ mod tests {
         assert_eq!(json_f64(f64::NAN, 6), "null");
         assert_eq!(json_f64(f64::INFINITY, 6), "null");
         assert_eq!(json_f64(f64::NEG_INFINITY, 2), "null");
+    }
+
+    #[test]
+    fn json_object_and_strings_keep_label_order() {
+        let walls = [("netsim", 1.5), ("cluster", f64::NAN)];
+        assert_eq!(
+            json_object(walls.map(|(l, s)| (l, json_f64(s, 3)))),
+            "{\"netsim\":1.500,\"cluster\":null}"
+        );
+        assert_eq!(json_object(Vec::<(&str, String)>::new()), "{}");
+        assert_eq!(json_strings(["engine", "tcp"]), "[\"engine\",\"tcp\"]");
+        assert_eq!(json_strings(Vec::<&str>::new()), "[]");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! * [`Substrate`] — the one seam (kill / inject / partition / step /
 //!   observe) all four backends implement;
 //! * [`build_substrate`] — the `--substrate engine|netsim|cluster|tcp`
-//!   switchboard behind every experiment binary; its engine arm,
+//!   switchboard behind every figure's `--substrate`; its engine arm,
 //!   [`build_engine`], also serves the figures that read engine
 //!   internals (proximity, snapshots, the T-Man-only baseline);
 //! * [`run_experiment`] — the single scenario driver (churn windows,
@@ -62,8 +62,8 @@ pub mod substrate;
 pub mod traffic;
 
 pub use experiment::{
-    json_f64, run_experiment, run_experiment_with_traffic, summary_json, ExperimentSummary,
-    ExperimentTrace, RoundStat, SeriesStats,
+    json_f64, json_object, json_strings, run_experiment, run_experiment_with_traffic, summary_json,
+    ExperimentSummary, ExperimentTrace, RoundStat, SeriesStats,
 };
 pub use polystyrene_protocol::observe::{RoundObservation, TrafficStats};
 pub use substrate::{

@@ -10,7 +10,7 @@
 //!
 //! [`build_substrate`] is the `scenario × substrate` switchboard: given
 //! a [`SubstrateKind`] and one [`LabConfig`], it returns any of the four
-//! backends behind `Box<dyn Substrate>`, so every experiment binary and
+//! backends behind `Box<dyn Substrate>`, so every figure and
 //! every cross-substrate test is one `--substrate` flag away from
 //! running on a different execution model.
 

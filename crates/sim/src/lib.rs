@@ -1,5 +1,5 @@
-//! Round-based discrete-event simulator and experiment harness for the
-//! Polystyrene reproduction — the stand-in for PeerSim \[26\], which the
+//! Round-based discrete-event simulator for the Polystyrene
+//! reproduction — the stand-in for PeerSim \[26\], which the
 //! paper used for all results ("All results were computed with PeerSim",
 //! Sec. IV-B).
 //!
@@ -9,9 +9,10 @@
 //!   kernel ([`polystyrene_protocol::pool`]);
 //! * [`metrics`] — the paper's five metrics (proximity, homogeneity,
 //!   reference homogeneity / reshaping time, data points per node,
-//!   message cost, priced by [`polystyrene_protocol::cost`]);
-//! * [`snapshot`] — point-cloud captures for the visual figures;
-//! * [`report`] — ASCII tables, terminal plots and CSV output.
+//!   message cost, priced by [`polystyrene_protocol::cost`]).
+//!
+//! The figures' output (tables, plots, CSVs and point-cloud snapshots)
+//! is the `figures` driver's, in `polystyrene-bench`.
 //!
 //! # Scaling: the grid-index census
 //!
@@ -62,15 +63,11 @@
 
 pub mod engine;
 pub mod metrics;
-pub mod report;
-pub mod snapshot;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::engine::{Engine, EngineConfig, ENGINE_PHASES};
     pub use crate::metrics::{reference_homogeneity, RoundMetrics};
-    pub use crate::report::{ascii_plot, render_table, series_rows, write_csv};
-    pub use crate::snapshot::Snapshot;
     pub use polystyrene_protocol::scenario::{PaperScenario, Scenario, ScenarioEvent};
 }
 

@@ -18,7 +18,7 @@
 //! | **experiment plane** | [`lab`] | one `Substrate` seam + one driver over all four substrates, and the query workload of the traffic plane |
 //!
 //! See `README.md` for the quickstart, the architecture ("Workspace
-//! layout") and the per-figure binaries ("Reproducing the paper's
+//! layout") and the `figures` driver ("Reproducing the paper's
 //! figures").
 //!
 //! # Example
