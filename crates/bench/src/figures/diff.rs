@@ -3,7 +3,8 @@
 //!
 //! Compares the current run against a committed baseline snapshot and
 //! fails when any tracked metric gets worse by more than
-//! `--max-regression` (default 0.25, i.e. 25%):
+//! `--max-regression` (default 0.25, i.e. 25%), or at all where the
+//! metric is exact:
 //!
 //! * `mean_reshaping_rounds` per substrate entry — convergence speed,
 //! * `mean_cost_units` per substrate entry — the paper's bandwidth
@@ -13,8 +14,8 @@
 //!   (unavailability is lower-is-better) against an absolute floor,
 //! * `wall_secs` per substrate from the artifact metadata — real time,
 //! * `allocs_per_round` from the artifact metadata, when present — the
-//!   netsim sweep's deterministic steady-state allocation count (no
-//!   noise floor: the probe is seeded and single-threaded).
+//!   netsim sweep's steady-state allocation count, gated relatively
+//!   with no floor.
 //!
 //! Other keys are carried along, not read: `fig_loss_latency`'s
 //! per-row `peak_rss_mb`, for one, depends on the allocator and the box.
@@ -24,9 +25,10 @@
 //! cannot be dodged by dropping a substrate from the matrix. Noisy
 //! metrics (wall-clock everywhere, round counts on the live threaded
 //! substrates) are gated against a denominator *floor* so small
-//! baselines are judged on absolute drift instead of timer noise; the
-//! deterministic substrates' round and cost metrics have no floor, so
-//! their relative change is gated as it is.
+//! baselines are judged on absolute drift instead of timer noise. The
+//! deterministic substrates' (engine, netsim) round and cost metrics
+//! are exact: the scenario is seeded and replays bit for bit, so any
+//! increase over the committed value fails.
 //!
 //! ```sh
 //! figures diff --baseline crates/bench/baselines/BENCH_matrix.json \
@@ -102,6 +104,9 @@ pub struct Comparison {
     /// on the 1-core CI box) are gated on absolute seconds rather than
     /// timer noise, while genuinely long benches stay relatively gated.
     pub floor: f64,
+    /// Whether any increase fails, whatever `--max-regression` allows:
+    /// a value the run reproduces exactly.
+    pub exact: bool,
 }
 
 impl Comparison {
@@ -115,6 +120,16 @@ impl Comparison {
             0.0
         } else {
             (self.current - self.baseline) / denom
+        }
+    }
+
+    /// Whether this comparison fails under `max_regression`.
+    pub fn fails(&self, max_regression: f64) -> bool {
+        let r = self.regression();
+        if self.exact {
+            r > 0.0
+        } else {
+            r > max_regression
         }
     }
 }
@@ -163,6 +178,7 @@ pub fn compare(baseline: &Json, current: &Json, max_regression: f64) -> (Vec<Com
             ));
             continue;
         };
+        let deterministic = all_deterministic || is_deterministic(label);
         for metric in ["mean_reshaping_rounds", "mean_cost_units"] {
             let base = base_entry.get(metric).and_then(Json::as_f64);
             let cur = cur_entry.get(metric).and_then(Json::as_f64);
@@ -171,14 +187,12 @@ pub fn compare(baseline: &Json, current: &Json, max_regression: f64) -> (Vec<Com
                     what: format!("{label}/{metric}"),
                     baseline: b,
                     current: c,
-                    floor: if metric == "mean_reshaping_rounds"
-                        && !all_deterministic
-                        && !is_deterministic(label)
-                    {
+                    floor: if metric == "mean_reshaping_rounds" && !deterministic {
                         LIVE_ROUNDS_FLOOR
                     } else {
                         0.0
                     },
+                    exact: deterministic,
                 }),
                 (Some(_), None) => {
                     failures.push(format!("{label}/{metric}: measured in baseline, null now"))
@@ -206,6 +220,7 @@ pub fn compare(baseline: &Json, current: &Json, max_regression: f64) -> (Vec<Com
                     baseline: 1.0 - b,
                     current: 1.0 - c,
                     floor: UNAVAILABILITY_FLOOR,
+                    exact: false,
                 }),
                 None => failures.push(format!(
                     "{label}/mean_traffic_availability: measured in baseline, null now"
@@ -228,6 +243,7 @@ pub fn compare(baseline: &Json, current: &Json, max_regression: f64) -> (Vec<Com
                     baseline: b,
                     current: c,
                     floor: WALL_FLOOR_SECS,
+                    exact: false,
                 }),
                 None => failures.push(format!(
                     "{label}/wall_secs: measured in baseline, missing from current run"
@@ -236,10 +252,10 @@ pub fn compare(baseline: &Json, current: &Json, max_regression: f64) -> (Vec<Com
         }
     }
 
-    // Scalar metadata metrics (lower-is-better, exact): currently the
-    // netsim sweep's deterministic allocation telemetry. A baseline
-    // that measured it must keep being measured — dropping the scalar
-    // is a failure, exactly like dropping a substrate.
+    // Scalar metadata metrics (lower-is-better, relative gate, no
+    // floor): currently the netsim sweep's allocation telemetry. A
+    // baseline that measured it must keep being measured — dropping the
+    // scalar is a failure, exactly like dropping a substrate.
     if let Some(b) = baseline.get("allocs_per_round").and_then(Json::as_f64) {
         match current.get("allocs_per_round").and_then(Json::as_f64) {
             Some(c) => comparisons.push(Comparison {
@@ -247,6 +263,7 @@ pub fn compare(baseline: &Json, current: &Json, max_regression: f64) -> (Vec<Com
                 baseline: b,
                 current: c,
                 floor: 0.0,
+                exact: false,
             }),
             None => failures.push(
                 "allocs_per_round: measured in baseline, missing from current run".to_string(),
@@ -258,15 +275,18 @@ pub fn compare(baseline: &Json, current: &Json, max_regression: f64) -> (Vec<Com
         failures.push("no comparable metrics found — wrong files?".to_string());
     }
     for c in &comparisons {
-        let r = c.regression();
-        if r > max_regression {
+        if c.fails(max_regression) {
+            let limit = if c.exact {
+                "exact".to_string()
+            } else {
+                format!("limit +{:.0}%", max_regression * 100.0)
+            };
             failures.push(format!(
-                "{}: {:.3} -> {:.3} (+{:.1}%, limit +{:.0}%)",
+                "{}: {:.3} -> {:.3} (+{:.1}%, {limit})",
                 c.what,
                 c.baseline,
                 c.current,
-                r * 100.0,
-                max_regression * 100.0
+                c.regression() * 100.0,
             ));
         }
     }
@@ -291,14 +311,13 @@ pub fn run(args: &Args) -> Output {
         "metric", "baseline", "current", "change"
     );
     for c in &comparisons {
-        let r = c.regression();
-        let verdict = if r > max_regression { "  FAIL" } else { "" };
+        let verdict = if c.fails(max_regression) { "  FAIL" } else { "" };
         println!(
             "{:<28} {:>10.3} {:>10.3} {:>+7.1}%{verdict}",
             c.what,
             c.baseline,
             c.current,
-            r * 100.0
+            c.regression() * 100.0
         );
     }
     let mut out = Output::default();
@@ -347,6 +366,32 @@ mod tests {
     }
 
     #[test]
+    fn deterministic_entry_metrics_fail_on_any_increase() {
+        // +2.5 % is inside the 25 % gate, but the engine replays exactly.
+        let baseline = matrix((2.0, 0.1), (6.0, 1.0));
+        let f = failures(&baseline, &matrix((2.05, 0.1), (6.0, 1.0)));
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(
+            f[0].starts_with("engine/mean_reshaping_rounds: 2.000 -> 2.050 (+2.5%, exact)"),
+            "{f:?}"
+        );
+        assert!(failures(&baseline, &matrix((1.95, 0.1), (6.0, 1.0))).is_empty());
+        // The live cluster keeps its 20-round floor: +1 round passes.
+        assert!(failures(&baseline, &matrix((2.0, 0.1), (7.0, 1.0))).is_empty());
+        // Cost units of a single-substrate netsim artifact are exact too.
+        let sweep = |cost: f64| {
+            parse(&format!(
+                "{{\"substrate\":\"netsim\",\"entries\":[{{\"label\":\"loss=0\",\"mean_cost_units\":{cost}}}]}}"
+            ))
+            .unwrap()
+        };
+        let f = failures(&sweep(120.0), &sweep(120.01));
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].starts_with("loss=0/mean_cost_units: 120.000 -> 120.010"));
+        assert!(failures(&sweep(120.0), &sweep(119.0)).is_empty());
+    }
+
+    #[test]
     fn live_round_drift_inside_the_floor_passes() {
         // +4 rounds on the cluster is +67 % of its baseline but 20 % of
         // the 20-round floor.
@@ -388,6 +433,8 @@ mod tests {
         let f = failures(&doc(3), &doc(4));
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].starts_with("allocs_per_round: 3.000 -> 4.000"));
+        // The gate is relative, not exact: +24 % passes.
+        assert!(failures(&doc(111), &doc(138)).is_empty());
         let missing = parse("{\"entries\":[]}").unwrap();
         assert_eq!(
             failures(&doc(3), &missing),

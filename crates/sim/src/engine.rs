@@ -720,8 +720,8 @@ impl<S: MetricSpace> Engine<S> {
                 let mut acc = 0.0;
                 let mut samples = 0usize;
                 // Visitor form of `closest`: same ranking, same order, no
-                // per-node result vector (the rank scratch is per-thread,
-                // so this is safe under the rayon fan-out).
+                // per-node result vector (the read shares no scratch, so
+                // this is safe under the rayon fan-out).
                 node.tman
                     .for_closest(&node.poly.pos, REPORT_NEIGHBORS, |d| {
                         if let Some(actual) = self.pool.position(d.id) {

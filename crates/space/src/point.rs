@@ -48,6 +48,11 @@ pub trait MetricSpace: Clone + Send + Sync + 'static {
 
     /// Distance between two points. Must be non-negative, symmetric and
     /// satisfy the triangle inequality.
+    ///
+    /// T-Man's reads for a position other than the one its view is
+    /// ranked for stop scanning on the triangle inequality (the
+    /// topology crate's `rank` module): a space that breaks it by more
+    /// than rounding gets wrong neighbours back, not slower ones.
     fn distance(&self, a: &Self::Point, b: &Self::Point) -> f64;
 
     /// Squared distance, the quantity minimized by the medoid projection

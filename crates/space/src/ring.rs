@@ -167,7 +167,35 @@ mod tests {
         }
     }
 
+    /// Abscissae on a ring of circumference 100: anywhere within two and
+    /// a half turns either way (out of range included), or within three
+    /// ulps of the seam (100 ≡ 0), up to two whole turns away.
+    fn abscissa() -> impl Strategy<Value = f64> {
+        (0u8..2, -250.0..250.0f64, -3i64..4, -2i32..3).prop_map(|(kind, x, ulps, turns)| {
+            if kind == 0 {
+                x
+            } else {
+                f64::from_bits(100f64.to_bits().wrapping_add_signed(ulps))
+                    + 100.0 * f64::from(turns)
+            }
+        })
+    }
+
     proptest! {
+        #[test]
+        fn symmetry(a in abscissa(), b in abscissa()) {
+            let r = Ring::new(100.0);
+            prop_assert!((r.distance(&a, &b) - r.distance(&b, &a)).abs() < 1e-9);
+        }
+
+        /// T-Man's pruned reads (`polystyrene_topology::rank`) stop on
+        /// this inequality, so it is what their exactness rests on.
+        #[test]
+        fn triangle_inequality(a in abscissa(), b in abscissa(), c in abscissa()) {
+            let r = Ring::new(100.0);
+            prop_assert!(r.distance(&a, &c) <= r.distance(&a, &b) + r.distance(&b, &c) + 1e-9);
+        }
+
         #[test]
         fn fast_path_matches_reference(a in -400.0..400.0f64, b in -400.0..400.0f64, c in 0.001..500.0f64) {
             assert_matches_reference(&Ring::new(c), a, b);

@@ -9,25 +9,28 @@
 //!   comparator (which costs two metric evaluations per comparison);
 //! * **select before sorting** — when only the `k` best of `n` entries
 //!   are needed, a linear-time partial selection bounds the sort to the
-//!   `k`-prefix;
+//!   `k`-prefix ([`k_closest_into`], for a slice in no known order);
 //! * **keep the order, do not recompute it** — a T-Man view is held in
 //!   rank order for its node's position ([`crate::TMan`]), so the
 //!   node's own reads are prefixes, a merge places only the entries it
 //!   changes (`merge_ranked`), and a full ranking
 //!   (`rank_in_place`) runs only when the position or an entry's
-//!   position moved. The kernels below serve every other position.
+//!   position moved. Reads for any other position scan that order
+//!   outward and stop where the triangle inequality rules out every
+//!   later entry (`for_closest_ranked`).
 
 use polystyrene_membership::{Descriptor, NodeId};
 use polystyrene_space::{GridSpec, MetricSpace};
 
-// Reusable decorate-sort-undecorate buffer, one per thread.
+// Reusable decorate-sort-undecorate buffer, one per thread, for the
+// full rankings (`rank_in_place` after a move, `k_closest_into`).
 //
-// Every gossip exchange of every node runs several ranking passes over
-// ~100-entry views; a fresh key vector per pass made the allocator the
-// hottest shared path of a large simulation. The buffer only ever grows
-// to the largest view ranked on the thread (a few KB), and none of the
-// ranking helpers call back into each other, so a simple per-thread
-// scratch is safe.
+// A node re-ranks its ~100-entry view in every round in which it or
+// one of its entries moved; a fresh key vector per pass made the
+// allocator the hottest shared path of a large simulation. The buffer
+// only ever grows to the largest view ranked on the thread (a few KB),
+// and none of the ranking helpers call back into each other, so a
+// simple per-thread scratch is safe.
 thread_local! {
     static KEY_SCRATCH: std::cell::RefCell<Vec<(u64, NodeId, usize)>> =
         const { std::cell::RefCell::new(Vec::new()) };
@@ -45,29 +48,6 @@ fn with_rank_keys<S: MetricSpace, R>(
         let mut keyed = cell.borrow_mut();
         rank_keys_into(space, target, descriptors, &mut keyed);
         f(&mut keyed)
-    })
-}
-
-/// Ranks the `k` descriptors closest to `target` (ties by node id)
-/// without materializing an index vector: `choose` receives the number
-/// of ranked candidates (`min(k, len)`) and returns the rank to pick; the
-/// corresponding descriptor index is returned. `None` on an empty input, with `choose`
-/// never called — the allocation-free partner-selection path, which
-/// runs once per node per gossip round.
-pub fn choose_ranked<S: MetricSpace>(
-    space: &S,
-    target: &S::Point,
-    descriptors: &[Descriptor<S::Point>],
-    k: usize,
-    choose: impl FnOnce(usize) -> usize,
-) -> Option<usize> {
-    with_rank_keys(space, target, descriptors, |keyed| {
-        select_k(keyed, k);
-        if keyed.is_empty() {
-            None
-        } else {
-            Some(keyed[choose(keyed.len())].2)
-        }
     })
 }
 
@@ -145,20 +125,9 @@ fn compare_keys(a: &(u64, NodeId, usize), b: &(u64, NodeId, usize)) -> std::cmp:
 }
 
 /// The `k` descriptors of `descriptors` closest to `target` (cloned), in
-/// increasing distance order.
-pub fn k_closest<S: MetricSpace>(
-    space: &S,
-    target: &S::Point,
-    descriptors: &[Descriptor<S::Point>],
-    k: usize,
-) -> Vec<Descriptor<S::Point>> {
-    let mut out = Vec::new();
-    k_closest_into(space, target, descriptors, k, &mut out);
-    out
-}
-
-/// [`k_closest`] appending into a caller-owned (typically pooled) buffer
-/// instead of allocating the result.
+/// increasing distance order (ties by id), appended into a caller-owned
+/// (typically pooled) buffer. The slice may be in any order: it is
+/// ranked in full.
 pub fn k_closest_into<S: MetricSpace>(
     space: &S,
     target: &S::Point,
@@ -172,38 +141,76 @@ pub fn k_closest_into<S: MetricSpace>(
     });
 }
 
-/// The ids of the `k` closest descriptors, appended into `out` — the
-/// clone-free twin of [`k_closest`] for callers that only need identities
-/// (backup pools, migration candidate sets).
-pub fn k_closest_ids_into<S: MetricSpace>(
-    space: &S,
-    target: &S::Point,
-    descriptors: &[Descriptor<S::Point>],
-    k: usize,
-    out: &mut Vec<NodeId>,
-) {
-    with_rank_keys(space, target, descriptors, |keyed| {
-        select_k(keyed, k);
-        out.extend(keyed.iter().map(|&(_, id, _)| id));
-    });
-}
+/// Slots in [`for_closest_ranked`]'s stack buffer: a larger `k` is
+/// served in passes of this many, each resuming past the last key the
+/// one before handed out.
+const BEST_SLOTS: usize = 32;
 
-/// Visits the `k` closest descriptors in increasing distance order without
-/// cloning anything — the zero-copy twin of [`k_closest`] for read-only
-/// consumers.
-pub fn for_k_closest<S: MetricSpace>(
+/// Relative margin on [`for_closest_ranked`]'s squared stopping bound.
+/// The distances carry a few ulps of rounding; the margin is far wider,
+/// so rounding can only make the scan longer, never cut it short.
+const STOP_MARGIN: f64 = 1e-9;
+
+/// Visits the `k` entries of `view` closest to `target` in rank order
+/// (squared distance, ties by id) — exactly what [`k_closest_into`]
+/// returns, without ranking the view in full and with no per-thread
+/// scratch. `view` holds each id once, in rank order for `pivot`.
+///
+/// For `target == pivot` that is a prefix. Otherwise the view is
+/// scanned in order, the best `k` kept by insertion in a stack buffer,
+/// and the scan stops at the first entry `e` with
+/// `d(pivot, e) > r_k + d(pivot, target)`, `r_k` the `k`-th best
+/// distance to `target` so far: by the triangle inequality, `e` and
+/// every entry after it are strictly farther from `target` than `r_k`
+/// ([`MetricSpace::distance`]), so no tie is decided by the cut.
+pub(crate) fn for_closest_ranked<S: MetricSpace>(
     space: &S,
+    pivot: &S::Point,
+    view: &[Descriptor<S::Point>],
     target: &S::Point,
-    descriptors: &[Descriptor<S::Point>],
     k: usize,
     mut visit: impl FnMut(&Descriptor<S::Point>),
 ) {
-    with_rank_keys(space, target, descriptors, |keyed| {
-        select_k(keyed, k);
-        for &(_, _, i) in keyed.iter() {
-            visit(&descriptors[i]);
+    if target == pivot {
+        view.iter().take(k).for_each(visit);
+        return;
+    }
+    let reach = space.distance_sq(pivot, target).sqrt();
+    let mut best = [((0, NodeId::new(0)), 0u32); BEST_SLOTS];
+    let mut after = None;
+    let mut left = k.min(view.len());
+    while left > 0 {
+        let want = left.min(BEST_SLOTS);
+        let (mut held, mut stop) = (0, f64::INFINITY);
+        for (i, e) in view.iter().enumerate() {
+            if held == want && space.distance_sq(pivot, &e.pos) > stop {
+                break;
+            }
+            let key = view_key(space, target, e);
+            if after.is_some_and(|a| key <= a) || (held == want && key >= best[want - 1].0) {
+                continue;
+            }
+            // Full: the worst entry falls off as the new one sinks in.
+            let mut at = held.min(want - 1);
+            while at > 0 && key < best[at - 1].0 {
+                best[at] = best[at - 1];
+                at -= 1;
+            }
+            best[at] = (key, i as u32);
+            held = (held + 1).min(want);
+            if held == want {
+                // Squared distances are non-negative: their sort key is
+                // their bits with the sign bit set.
+                let r_k = f64::from_bits(best[want - 1].0 .0 & !(1 << 63)).sqrt();
+                stop = (r_k + reach) * (r_k + reach) * (1.0 + STOP_MARGIN);
+            }
         }
-    });
+        for &(_, i) in &best[..want] {
+            visit(&view[i as usize]);
+        }
+        after = Some(best[want - 1].0);
+        left -= want;
+    }
 }
 
 /// A spatial-grid candidate index over a set of positioned entries.
@@ -556,6 +563,76 @@ pub(crate) mod reference {
     use super::*;
     use polystyrene_membership::IdHashMap;
     use std::collections::hash_map::Entry;
+
+    /// Ranks the `k` descriptors closest to `target` (ties by node id)
+    /// without materializing an index vector: `choose` receives the number
+    /// of ranked candidates (`min(k, len)`) and returns the rank to pick; the
+    /// corresponding descriptor index is returned. `None` on an empty input, with `choose`
+    /// never called.
+    ///
+    /// `TMan::select_partner`'s off-position path until the pruned scan,
+    /// verbatim. Kept here as the reference only.
+    pub(crate) fn choose_ranked<S: MetricSpace>(
+        space: &S,
+        target: &S::Point,
+        descriptors: &[Descriptor<S::Point>],
+        k: usize,
+        choose: impl FnOnce(usize) -> usize,
+    ) -> Option<usize> {
+        with_rank_keys(space, target, descriptors, |keyed| {
+            select_k(keyed, k);
+            if keyed.is_empty() {
+                None
+            } else {
+                Some(keyed[choose(keyed.len())].2)
+            }
+        })
+    }
+
+    /// The `k` descriptors of `descriptors` closest to `target` (cloned), in
+    /// increasing distance order. Kept here as the reference only.
+    pub(crate) fn k_closest<S: MetricSpace>(
+        space: &S,
+        target: &S::Point,
+        descriptors: &[Descriptor<S::Point>],
+        k: usize,
+    ) -> Vec<Descriptor<S::Point>> {
+        let mut out = Vec::new();
+        k_closest_into(space, target, descriptors, k, &mut out);
+        out
+    }
+
+    /// The ids of the `k` closest descriptors, appended into `out`. Kept
+    /// here as the reference only.
+    pub(crate) fn k_closest_ids_into<S: MetricSpace>(
+        space: &S,
+        target: &S::Point,
+        descriptors: &[Descriptor<S::Point>],
+        k: usize,
+        out: &mut Vec<NodeId>,
+    ) {
+        with_rank_keys(space, target, descriptors, |keyed| {
+            select_k(keyed, k);
+            out.extend(keyed.iter().map(|&(_, id, _)| id));
+        });
+    }
+
+    /// Visits the `k` closest descriptors in increasing distance order
+    /// without cloning anything. Kept here as the reference only.
+    pub(crate) fn for_k_closest<S: MetricSpace>(
+        space: &S,
+        target: &S::Point,
+        descriptors: &[Descriptor<S::Point>],
+        k: usize,
+        mut visit: impl FnMut(&Descriptor<S::Point>),
+    ) {
+        with_rank_keys(space, target, descriptors, |keyed| {
+            select_k(keyed, k);
+            for &(_, _, i) in keyed.iter() {
+                visit(&descriptors[i]);
+            }
+        });
+    }
 
     /// Deduplicates descriptors by id in place, keeping the freshest copy
     /// of each node: first-occurrence order is preserved and a duplicate
@@ -970,6 +1047,130 @@ mod tests {
                 prop_assert!(is_ranked(&space, &pos, &ranked));
                 prop_assert_eq!(ranked.capacity(), cap, "the merge grew the view's allocation");
             }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // The pruned scan against the full ranking
+    // ------------------------------------------------------------------
+
+    /// Ranks `view` for `pivot`, then reads it for every target and every
+    /// `k` both ways: the pruned scan returns the full ranking's
+    /// descriptors in the full ranking's order.
+    fn pruned_scan_matches<S: MetricSpace>(
+        space: &S,
+        pivot: &S::Point,
+        mut view: Vec<Descriptor<S::Point>>,
+        targets: &[S::Point],
+        ks: &[usize],
+    ) -> Result<(), TestCaseError> {
+        rank_in_place(space, pivot, &mut view);
+        for target in targets {
+            for &k in ks {
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                for_closest_ranked(space, pivot, &view, target, k, |d| got.push(d.clone()));
+                k_closest_into(space, target, &view, k, &mut want);
+                prop_assert_eq!(&got, &want, "k = {}, target {:?}", k, target);
+            }
+        }
+        Ok(())
+    }
+
+    /// A view at integer coordinates: unique ids, scrambled against the
+    /// input order (`7 i mod 101`, distinct below 101 entries).
+    fn view_at<C, P>(cells: &[C], at: impl Fn(&C) -> P) -> Vec<Descriptor<P>> {
+        cells
+            .iter()
+            .enumerate()
+            .map(|(i, c)| Descriptor::new(NodeId::new(i as u64 * 7 % 101), at(c)))
+            .collect()
+    }
+
+    fn grid(c: &(u8, u8)) -> [f64; 2] {
+        [f64::from(c.0), f64::from(c.1)]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Views of 0–12 entries on the 5×5 integer torus, ranked for a
+        /// random pivot: entries tie on distance and coincide throughout,
+        /// so the id tie-break decides much of the order. Targets: the
+        /// pivot itself (the prefix path), a grid neighbour, and a point
+        /// whose shortest way to the pivot crosses a seam (`+3.5 ≡ −1.5`
+        /// across, half a turn up).
+        #[test]
+        fn pruned_scan_matches_full_ranking_on_torus(
+            cells in proptest::collection::vec((0u8..5, 0u8..5), 0..=12),
+            pivot in (0u8..5, 0u8..5),
+            psi in 1usize..6,
+        ) {
+            let [x, y] = grid(&pivot);
+            let n = cells.len();
+            pruned_scan_matches(
+                &Torus2::new(5.0, 5.0),
+                &[x, y],
+                view_at(&cells, grid),
+                &[[x, y], [(x + 1.0) % 5.0, y], [(x + 3.5) % 5.0, (y + 2.5) % 5.0]],
+                &[0, 1, psi, n, n + 1, 40],
+            )?;
+        }
+
+        /// The same on the plane: no seam, so the far target sits off
+        /// the grid.
+        #[test]
+        fn pruned_scan_matches_full_ranking_on_plane(
+            cells in proptest::collection::vec((0u8..5, 0u8..5), 0..=12),
+            pivot in (0u8..5, 0u8..5),
+            psi in 1usize..6,
+        ) {
+            let [x, y] = grid(&pivot);
+            let n = cells.len();
+            pruned_scan_matches(
+                &Euclidean2,
+                &[x, y],
+                view_at(&cells, grid),
+                &[[x, y], [x + 1.0, y], [x - 3.5, y + 2.5]],
+                &[0, 1, psi, n, n + 1, 40],
+            )?;
+        }
+
+        /// The same on a ring of circumference 5.
+        #[test]
+        fn pruned_scan_matches_full_ranking_on_ring(
+            cells in proptest::collection::vec(0u8..5, 0..=12),
+            pivot in 0u8..5,
+            psi in 1usize..6,
+        ) {
+            use polystyrene_space::ring::Ring;
+            let x = f64::from(pivot);
+            let n = cells.len();
+            pruned_scan_matches(
+                &Ring::new(5.0),
+                &x,
+                view_at(&cells, |&c| f64::from(c)),
+                &[x, (x + 1.0) % 5.0, (x + 3.5) % 5.0],
+                &[0, 1, psi, n, n + 1, 40],
+            )?;
+        }
+
+        /// A `k` past the stack buffer is served in passes, each resuming
+        /// after the last key the one before handed out.
+        #[test]
+        fn pruned_scan_serves_k_past_its_buffer_in_passes(
+            cells in proptest::collection::vec((0u8..10, 0u8..10), 30..=100),
+            pivot in (0u8..10, 0u8..10),
+            target in (0u8..20, 0u8..20),
+        ) {
+            let [x, y] = grid(&pivot);
+            let n = cells.len();
+            pruned_scan_matches(
+                &Torus2::new(10.0, 10.0),
+                &[x, y],
+                view_at(&cells, grid),
+                &[[f64::from(target.0) / 2.0, f64::from(target.1) / 2.0]],
+                &[BEST_SLOTS - 1, BEST_SLOTS, BEST_SLOTS + 1, 2 * BEST_SLOTS + 1, n],
+            )?;
         }
     }
 

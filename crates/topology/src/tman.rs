@@ -8,10 +8,7 @@
 //! cap. The paper runs it with `m = 20`, `ψ = 5` and views "capped to 100
 //! peers (rather than being unbounded as in \[1\])" (Sec. IV-A).
 
-use crate::rank::{
-    choose_ranked, for_k_closest, k_closest, k_closest_ids_into, k_closest_into, merge_ranked,
-    rank_in_place,
-};
+use crate::rank::{for_closest_ranked, merge_ranked, rank_in_place};
 use crate::traits::TopologyConstruction;
 use polystyrene_membership::{Descriptor, NodeId};
 use polystyrene_space::MetricSpace;
@@ -66,11 +63,14 @@ impl TManConfig {
 /// id — and `TMan` remembers that position. Every operation keeps the
 /// order: a merge places only the entries it changes, a refresh that
 /// moved an entry re-ranks the view, and a merge for a new position
-/// re-ranks first. So the own-position reads ([`TMan::select_partner`],
-/// [`TMan::closest`], [`TMan::closest_ids_into`], [`TMan::for_closest`])
-/// are prefix reads when asked about that position, returning exactly
-/// what the full ranking would; reads for any other position, and the
-/// partner-targeted [`TMan::prepare_message`], rank the view in full.
+/// re-ranks first. So the reads ([`TMan::select_partner`],
+/// [`TMan::closest`], [`TMan::closest_ids_into`], [`TMan::for_closest`]
+/// and the partner-targeted [`TMan::prepare_message`]) return exactly
+/// what a full ranking of the view would without one: prefixes when
+/// asked about that position, and for any other position a scan of the
+/// ranked view that stops where the triangle inequality rules out every
+/// later entry (the node has moved since its last merge, or the read is
+/// for the gossip partner).
 ///
 /// [`TMan::select_partner`]: TopologyConstruction::select_partner
 /// [`TMan::closest`]: TopologyConstruction::closest
@@ -135,12 +135,6 @@ impl<S: MetricSpace> TMan<S> {
         self.view.capacity()
     }
 
-    /// The whole view in rank order for `pos`, when it is held ranked for
-    /// exactly `pos`; `None` sends the caller to the full ranking.
-    fn ranked(&self, pos: &S::Point) -> Option<&[Descriptor<S::Point>]> {
-        (self.ranked_for.as_ref() == Some(pos)).then_some(&self.view)
-    }
-
     /// Refreshes the positions of view entries from `lookup` (current
     /// position of a node, or `None` if unknown/dead), returning how many
     /// entries actually changed position.
@@ -200,13 +194,9 @@ impl<S: MetricSpace> TMan<S> {
         target_pos: &S::Point,
         buffer: &mut Vec<Descriptor<S::Point>>,
     ) {
-        k_closest_into(
-            &self.space,
-            target_pos,
-            &self.view,
-            self.config.m.saturating_sub(1),
-            buffer,
-        );
+        let k = self.config.m.saturating_sub(1);
+        buffer.reserve(k.min(self.view.len()));
+        self.for_closest(target_pos, k, |d| buffer.push(d.clone()));
         buffer.push(self_descriptor);
     }
 
@@ -214,20 +204,16 @@ impl<S: MetricSpace> TMan<S> {
     /// `out` — the clone-free twin of [`TopologyConstruction::closest`] for
     /// callers that only need identities.
     pub fn closest_ids_into(&self, pos: &S::Point, k: usize, out: &mut Vec<NodeId>) {
-        match self.ranked(pos) {
-            Some(view) => out.extend(view.iter().take(k).map(|d| d.id)),
-            None => k_closest_ids_into(&self.space, pos, &self.view, k, out),
-        }
+        out.reserve(k.min(self.view.len()));
+        self.for_closest(pos, k, |d| out.push(d.id));
     }
 
     /// Visits the `k` view entries closest to `pos` in distance order
-    /// without cloning them. `visit` must not re-enter a ranking helper
-    /// (they share one per-thread scratch).
+    /// without cloning them.
     pub fn for_closest(&self, pos: &S::Point, k: usize, visit: impl FnMut(&Descriptor<S::Point>)) {
-        match self.ranked(pos) {
-            Some(view) => view.iter().take(k).for_each(visit),
-            None => for_k_closest(&self.space, pos, &self.view, k, visit),
-        }
+        // A view not yet ranked for anything is empty: any pivot will do.
+        let pivot = self.ranked_for.as_ref().unwrap_or(pos);
+        for_closest_ranked(&self.space, pivot, &self.view, pos, k, visit);
     }
 }
 
@@ -239,26 +225,21 @@ impl<S: MetricSpace> TopologyConstruction<S> for TMan<S> {
     }
 
     fn closest(&self, pos: &S::Point, k: usize) -> Vec<Descriptor<S::Point>> {
-        match self.ranked(pos) {
-            Some(view) => view[..k.min(view.len())].to_vec(),
-            None => k_closest(&self.space, pos, &self.view, k),
-        }
+        let mut out = Vec::with_capacity(k.min(self.view.len()));
+        self.for_closest(pos, k, |d| out.push(d.clone()));
+        out
     }
 
     fn select_partner<R: Rng + ?Sized>(&self, pos: &S::Point, rng: &mut R) -> Option<NodeId> {
-        // One draw among the ψ closest either way: off the ranked prefix,
-        // or ranked in the thread-local key scratch and drawn in place
-        // (no index vector allocated per round).
-        if let Some(view) = self.ranked(pos) {
-            if view.is_empty() {
-                return None;
-            }
-            return Some(view[rng.random_range(0..self.config.psi.min(view.len()))].id);
+        // One draw among the ψ closest, then a read down to that rank.
+        let candidates = self.config.psi.min(self.view.len());
+        if candidates == 0 {
+            return None;
         }
-        let pick = choose_ranked(&self.space, pos, &self.view, self.config.psi, |n| {
-            rng.random_range(0..n)
-        })?;
-        Some(self.view[pick].id)
+        let rank = rng.random_range(0..candidates);
+        let mut partner = None;
+        self.for_closest(pos, rank + 1, |d| partner = Some(d.id));
+        partner
     }
 
     fn integrate(&mut self, self_id: NodeId, pos: &S::Point, incoming: &[Descriptor<S::Point>]) {
@@ -692,15 +673,22 @@ mod tests {
         [f64::from(x), f64::from(y)]
     }
 
-    /// Every own-position read of `t` for `pos` returns what the full
-    /// ranking kernels return on the same view.
+    /// Every read of `t` for `pos` returns what the full ranking kernels
+    /// return on the same view, and so does the gossip buffer for a
+    /// partner at `pos`.
     fn reads_match_kernels(
         t: &TMan<Torus2>,
         pos: &[f64; 2],
         seed: u64,
     ) -> Result<(), TestCaseError> {
-        use crate::rank::{choose_ranked, for_k_closest, k_closest, k_closest_ids_into};
+        use crate::rank::k_closest_into;
+        use crate::rank::reference::{choose_ranked, for_k_closest, k_closest, k_closest_ids_into};
         let (space, view) = (t.space(), t.view_entries());
+        let me = Descriptor::new(NodeId::new(0), [0.5, 0.5]);
+        let mut buffer = Vec::new();
+        k_closest_into(space, pos, view, t.config().m - 1, &mut buffer);
+        buffer.push(me);
+        prop_assert_eq!(t.prepare_message(me, pos), buffer);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut reference_rng = StdRng::seed_from_u64(seed);
         let partner = t.select_partner(pos, &mut rng);
@@ -733,23 +721,27 @@ mod tests {
         /// The rank-order invariant under every operation that touches
         /// the view. After each step the view holds what the replaced
         /// pipeline holds (as a set), is strictly increasing in rank order
-        /// for the position it was ranked for, and every own-position read
-        /// — for the node's current position and for the ranked one —
-        /// equals the full-ranking kernel on the same view. Ids 0..16 with
+        /// for the position it was ranked for, and every read and the
+        /// gossip buffer — for the ranked position (prefixes), for the
+        /// node's current one and for one random target (pruned scans) —
+        /// equal the full-ranking kernels on the same view. Ids 0..16 with
         /// integer coordinates on a 5x5 torus put many entries at exactly
         /// the same distance, so the id tie-break is exercised throughout.
         #[test]
         fn view_stays_ranked_and_prefix_reads_match_kernels(
             ops in proptest::collection::vec(op(), 1..24),
             cap in 1usize..12,
+            m in 1usize..12,
             psi in 1usize..6,
             start in (0u8..5, 0u8..5),
+            probe in (0u8..10, 0u8..10),
             seed in 0u64..u64::MAX,
         ) {
             use crate::rank::reference::{is_ranked, replaced_pipeline, same_set};
             let space = Torus2::new(5.0, 5.0);
             let self_id = NodeId::new(0);
-            let mut t = TMan::new(space, TManConfig { view_cap: cap, m: 3, psi });
+            let probe = [f64::from(probe.0) / 2.0, f64::from(probe.1) / 2.0];
+            let mut t = TMan::new(space, TManConfig { view_cap: cap, m, psi });
             let mut reference: Vec<Descriptor<[f64; 2]>> = Vec::new();
             let mut pos = at(start.0, start.1);
             let descriptor = |(id, x, y, age): (u64, u8, u8, u32)| {
@@ -796,6 +788,7 @@ mod tests {
                     reads_match_kernels(&t, &ranked, seed)?;
                 }
                 reads_match_kernels(&t, &pos, seed)?;
+                reads_match_kernels(&t, &probe, seed)?;
             }
         }
     }
