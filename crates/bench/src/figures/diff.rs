@@ -55,7 +55,7 @@ const WALL_FLOOR_SECS: f64 = 5.0;
 /// produces by timing alone — while a convergence regression that
 /// doubles the budget still trips. The deterministic substrates
 /// (engine, netsim) reproduce their round counts exactly and are gated
-/// with no floor.
+/// exactly.
 const LIVE_ROUNDS_FLOOR: f64 = 20.0;
 
 /// Denominator floor for the traffic plane's unserved fraction
@@ -125,12 +125,7 @@ impl Comparison {
 
     /// Whether this comparison fails under `max_regression`.
     pub fn fails(&self, max_regression: f64) -> bool {
-        let r = self.regression();
-        if self.exact {
-            r > 0.0
-        } else {
-            r > max_regression
-        }
+        self.regression() > if self.exact { 0.0 } else { max_regression }
     }
 }
 
