@@ -61,14 +61,14 @@ type Reading = (u64, u64);
 /// and since the payload pool landed the wire messages' descriptor and
 /// point vectors recycle through `EffectSink`'s `BufPool` too. What
 /// remains is protocol-internal churn that genuinely varies per round
-/// (split/merge working sets) plus the shared census's per-point result
-/// vector: 155 allocations per round at 256 nodes, the same on every run
-/// and machine (seeded, below the rayon shim's threshold and the
-/// kernel's own, so nothing fans out). The bound is ~2.6x that. Two allocations per node-round, what the peer-sampling
-/// merge once cost, are ~510 and read 630 then, so a per-exchange `Vec`
-/// fails the gate,
-/// and per-message payload allocations (~5 700 before the pool) or
-/// per-event kernel ones all the more.
+/// (split/merge working sets): 153 allocations per round at 256 nodes,
+/// the same on every run and machine (seeded, below the fan-out
+/// threshold of `polystyrene_protocol::par` and the kernel's own, so
+/// nothing fans out). The bound is ~2.6x that. Two allocations per
+/// node-round, what the peer-sampling merge once cost, are ~510 and read
+/// 630 then, so a per-exchange `Vec` fails the gate, and per-message
+/// payload allocations (~5 700 before the pool) or per-event kernel ones
+/// all the more.
 ///
 /// The rounds carry a live query workload: the traffic hot path —
 /// batched offers, pooled `QueryBatch` envelopes, per-hop forwarding
@@ -110,7 +110,7 @@ fn assert_netsim_steady_state_allocations(
 /// The engine's round machinery (slab phase pipeline, dispatch queue,
 /// metric tables) reuses its scratch, and the protocol payloads recycle
 /// through the sink's pool, so a steady-state round at 256 nodes is
-/// down to protocol-internal churn: 324 allocations per round, bound
+/// down to protocol-internal churn: 321 allocations per round, bound
 /// ~2x that. With the peer-sampling merge's two per node-round it read
 /// 836, and ~6 000 before the pool. As in the netsim gate, every
 /// measured round serves a live query workload inside the same budget.
@@ -160,8 +160,8 @@ fn assert_engine_steady_state_allocations(
 /// state is the next part after the views: ghosts and backup records
 /// sit in two run tables per node, four heap blocks of about 64, 96, 64
 /// and 32 bytes at K = 4. The gauge is
-/// process-wide, which is safe at this size: 256 nodes run inline in
-/// the rayon shim and no 256-node wave is wide enough for a second
+/// process-wide, which is safe at this size: 256 nodes run inline, below
+/// the threshold of `polystyrene_protocol::par`, and no 256-node wave is wide enough for a second
 /// kernel lane (asserted below), so no worker thread (nor its
 /// thread-local scratch) is born inside the window, and the readings
 /// repeat to the byte on any number of cores but for the 256 bytes of

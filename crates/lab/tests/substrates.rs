@@ -11,7 +11,7 @@ use polystyrene_lab::{
 use polystyrene_membership::NodeId;
 use polystyrene_netsim::{NetRoundMetrics, NetSim, NetSimConfig};
 use polystyrene_protocol::observe::{Census, RoundObservation};
-use polystyrene_protocol::{CostModel, PaperScenario, Scenario, ScenarioEvent};
+use polystyrene_protocol::{PaperScenario, Scenario, ScenarioEvent, UNITS_PER_DESCRIPTOR};
 use polystyrene_runtime::observe::{observe, NodeReport};
 use polystyrene_runtime::Cluster;
 use polystyrene_sim::prelude::*;
@@ -524,7 +524,7 @@ fn lossless_links_charge_the_engine_and_kernel_identically() {
     // bootstrap views from the same driver stream. At this seed 3 of 200
     // views lack one entry each: 0.18 units per node against the round's
     // 60, and the kernel reads 59.97.
-    let (m, unit) = (lab.tman.m, CostModel::default().units_per_descriptor);
+    let (m, unit) = (lab.tman.m, UNITS_PER_DESCRIPTOR);
     let lacking = |len: usize| (m - 1).saturating_sub(len);
     let ids = engine.alive_ids();
     let (mut short, mut deficit) = (0, 0);

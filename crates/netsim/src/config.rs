@@ -7,8 +7,8 @@ use polystyrene_topology::TManConfig;
 /// Simulator-level configuration: protocol parameters plus the network
 /// model and the event-kernel knobs. The protocol fields it does not
 /// carry take [`ProtocolConfig`]'s defaults, and messages are priced by
-/// the cycle engine's [`polystyrene_protocol::CostModel::default`] at
-/// this kernel's send boundary.
+/// the cycle engine's [`polystyrene_protocol::wire_units`] at this
+/// kernel's send boundary.
 ///
 /// Defaults match the cycle engine's paper settings, with an ideal
 /// (instant, lossless) link — under which the simulator reproduces the

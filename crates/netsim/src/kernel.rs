@@ -3,7 +3,7 @@
 //!
 //! Where the cycle engine applies every [`Effect::Send`] synchronously —
 //! the atomic pairwise exchange of PeerSim's cycle-driven mode — this
-//! kernel hands each send to a [`NetworkModel`] and schedules the
+//! kernel hands each send to a [`FaultyNetwork`] and schedules the
 //! delivery as a future event keyed by `(deliver_at, seq)`: messages can
 //! arrive later in the round, in a *later round*, out of order with
 //! respect to other links, or never (loss, partitions). Crashes and
@@ -50,7 +50,7 @@
 //!
 //! The refresh respects the fabric where that is a yes/no question:
 //! an entry is skipped — old position kept, age still growing — while
-//! the protocol fabric's [`NetworkModel::blocked`] separates holder and
+//! the protocol fabric's [`FaultyNetwork::blocked`] separates holder and
 //! subject, and picked up at the first round boundary after the heal.
 //! Entries naming dead subjects are never refreshed; they age until
 //! the failure knowledge purges them. Link loss and latency do not
@@ -118,8 +118,8 @@ use polystyrene_membership::{Descriptor, FailureTable, NodeId};
 use polystyrene_protocol::observe::{Census, RoundObservation};
 use polystyrene_protocol::pool::{Gateways, NodePool};
 use polystyrene_protocol::{
-    node_seed, Channel, CostModel, Effect, EffectSink, Event, Fate, FaultyNetwork, NetworkModel,
-    ProtocolNode, RoundCost, Wire, TRAFFIC_SEED_TAG,
+    node_seed, par, Channel, Effect, EffectSink, Event, Fate, FaultyNetwork, ProtocolNode,
+    RoundCost, Wire, TRAFFIC_SEED_TAG, UNITS_PER_DESCRIPTOR,
 };
 use polystyrene_space::MetricSpace;
 use polystyrene_topology::TopologyConstruction;
@@ -297,12 +297,12 @@ pub struct NetSim<S: MetricSpace> {
     config: NetSimConfig,
     nodes: NodePool<S>,
     original_points: Vec<DataPoint<S::Point>>,
-    net: Box<dyn NetworkModel + Sync>,
-    /// The network model application-plane queries ride. A separate
+    net: FaultyNetwork,
+    /// The fabric application-plane queries ride. A separate
     /// fault/jitter stream from `net`, so query traffic never perturbs
     /// the protocol plane's draw order — golden histories stay
     /// byte-identical with traffic enabled.
-    traffic_net: Box<dyn NetworkModel>,
+    traffic_net: FaultyNetwork,
     /// Query entry of the traffic plane: gateway draws and query ids.
     gateways: Gateways,
     /// Query messages currently in transit — kept out of `in_flight`,
@@ -348,31 +348,13 @@ pub struct NetSim<S: MetricSpace> {
 impl<S: MetricSpace> NetSim<S> {
     /// Builds a network of `shape.len()` nodes, node `i` founding data
     /// point `i` at `shape[i]` — the same founding convention as the
-    /// other substrates — with the standard [`FaultyNetwork`] built from
-    /// `config.link`.
+    /// other substrates — with both fabrics (protocol and traffic plane)
+    /// built from `config.link`.
     ///
     /// # Panics
     ///
     /// Panics if `shape` is empty or the configuration is invalid.
     pub fn new(space: S, shape: Vec<S::Point>, config: NetSimConfig) -> Self {
-        let net = Box::new(FaultyNetwork::new(config.link, config.seed ^ NET_SEED_TAG));
-        Self::with_network(space, shape, config, net)
-    }
-
-    /// Builds the simulator around a custom [`NetworkModel`] (asymmetric
-    /// links, channel-selective loss, …). `config.link` is ignored in
-    /// favor of the model. `Sync` because the position-refresh pass asks
-    /// [`NetworkModel::blocked`] from its worker threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shape` is empty or the configuration is invalid.
-    pub fn with_network(
-        space: S,
-        shape: Vec<S::Point>,
-        config: NetSimConfig,
-        net: Box<dyn NetworkModel + Sync>,
-    ) -> Self {
         assert!(!shape.is_empty(), "cannot simulate an empty network");
         config.validate();
         let mut rng = StdRng::seed_from_u64(config.seed);
@@ -388,11 +370,8 @@ impl<S: MetricSpace> NetSim<S> {
             config,
             nodes,
             original_points,
-            net,
-            traffic_net: Box::new(FaultyNetwork::new(
-                config.link,
-                config.seed ^ TRAFFIC_SEED_TAG,
-            )),
+            net: FaultyNetwork::new(config.link, config.seed ^ NET_SEED_TAG),
+            traffic_net: FaultyNetwork::new(config.link, config.seed ^ TRAFFIC_SEED_TAG),
             gateways: Gateways::new(config.seed),
             traffic_in_flight: 0,
             detected: FailureTable::new(),
@@ -401,9 +380,7 @@ impl<S: MetricSpace> NetSim<S> {
             round: 0,
             rng,
             rngs,
-            lanes: (0..rayon::current_num_threads())
-                .map(|_| Lane::new())
-                .collect(),
+            lanes: (0..par::threads()).map(|_| Lane::new()).collect(),
             staged: 0,
             parallel_runs: 0,
             history: Vec::new(),
@@ -474,14 +451,6 @@ impl<S: MetricSpace> NetSim<S> {
     #[doc(hidden)]
     pub fn parallel_runs(&self) -> u64 {
         self.parallel_runs
-    }
-
-    /// Mutable access to the protocol fabric's network model (install
-    /// partitions, tweak a custom model mid-run). The traffic plane keeps
-    /// its own model; [`Self::set_partition`] / [`Self::heal`] cut and
-    /// restore both planes at once.
-    pub fn network_mut(&mut self) -> &mut dyn NetworkModel {
-        self.net.as_mut()
     }
 
     // ------------------------------------------------------------------
@@ -738,11 +707,11 @@ impl<S: MetricSpace> NetSim<S> {
     /// partition is installed `blocked` costs two tree lookups per view
     /// entry; no benchmark workload partitions, so that is unmeasured.
     fn position_refresh(&mut self) {
-        let net = &*self.net;
+        let net = &self.net;
         let changed = self
             .nodes
             .refresh_view_positions(|holder, subject| net.blocked(holder, subject));
-        self.cost.tman_units += changed * CostModel::default().units_per_descriptor as u64;
+        self.cost.tman_units += changed * UNITS_PER_DESCRIPTOR as u64;
     }
 
     fn schedule(&mut self, at: u64, what: Pending<S::Point>) {
@@ -862,11 +831,11 @@ impl<S: MetricSpace> NetSim<S> {
                 lane.serve(nodes, rngs, detected);
             }
         } else {
-            rayon::scope(|scope| {
+            std::thread::scope(|scope| {
                 // The calling thread takes a lane too.
                 let mine = busy.next();
                 for ((nodes, rngs), lane) in busy {
-                    scope.spawn(move |_| lane.serve(nodes, rngs, detected));
+                    scope.spawn(move || lane.serve(nodes, rngs, detected));
                 }
                 if let Some(((nodes, rngs), lane)) = mine {
                     lane.serve(nodes, rngs, detected);
@@ -898,11 +867,11 @@ impl<S: MetricSpace> NetSim<S> {
             // node-side (a query dropped here simply never resolves and
             // expires at its origin): the protocol plane's counters,
             // cost tally and rng streams are untouched.
-            self.traffic_net.route(from, to, Channel::Query, self.now)
+            self.traffic_net.route(from, to)
         } else {
             self.sent_messages += 1;
-            self.cost.charge_wire(&CostModel::default(), &wire);
-            let fate = self.net.route(from, to, wire.channel(), self.now);
+            self.cost.charge_wire(&wire);
+            let fate = self.net.route(from, to);
             if fate == Fate::Drop {
                 self.dropped_messages += 1;
             }
@@ -1317,7 +1286,7 @@ mod tests {
         let mut sim = tiny_sim(8, LinkProfile::ideal());
         sim.run(8);
         // Cut node 0 off from everyone.
-        sim.network_mut().set_partition(&[vec![NodeId::new(0)]]);
+        sim.set_partition(&[vec![NodeId::new(0)]]);
         let before = sim.compute_metrics().dropped_messages;
         sim.run(4);
         let during = sim.compute_metrics().dropped_messages;
@@ -1325,7 +1294,7 @@ mod tests {
             during > before,
             "an isolated node's traffic must be dropped"
         );
-        sim.network_mut().heal();
+        sim.heal();
         let healed = sim.compute_metrics().dropped_messages;
         sim.run(4);
         let m = sim.history().last().expect("ran");

@@ -68,7 +68,7 @@ pub mod prelude {
     pub use crate::kernel::NetSim;
     pub use crate::metrics::{reference_homogeneity, NetRoundMetrics};
     pub use crate::queue::CalendarQueue;
-    pub use polystyrene_protocol::{Fate, FaultyNetwork, LinkProfile, NetworkModel};
+    pub use polystyrene_protocol::{Fate, FaultyNetwork, LinkProfile};
 }
 
 pub use prelude::*;

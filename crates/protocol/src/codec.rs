@@ -1,5 +1,6 @@
-//! Binary codec for the sans-IO surface: [`Wire`], [`Event`] and
-//! [`Effect`] to and from bytes.
+//! Binary codec for the sans-IO surface: [`Wire`] and [`Event`] to and
+//! from bytes. Nothing encodes an [`Effect`](crate::wire::Effect): a
+//! transport frames the events it delivers.
 //!
 //! Today's two transports (the cycle engine's synchronous dispatch and
 //! the runtime's in-process channels) move these enums by value and never
@@ -27,7 +28,7 @@
 //! assert_eq!(decode_wire::<[f64; 2]>(&bytes).unwrap(), wire);
 //! ```
 
-use crate::wire::{Channel, Effect, Event, QueryItem, QueryReplyItem, Wire};
+use crate::wire::{Channel, Event, QueryItem, QueryReplyItem, Wire};
 use polystyrene::prelude::{DataPoint, PointId};
 use polystyrene_membership::{Descriptor, NodeId};
 
@@ -600,53 +601,6 @@ pub fn decode_event<P: PointCodec>(bytes: &[u8]) -> Result<Event<P>, CodecError>
     finish(r, event)
 }
 
-/// Encodes one node effect.
-pub fn encode_effect<P: PointCodec>(effect: &Effect<P>) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_effect_into(&mut out, effect);
-    out
-}
-
-/// Encodes one node effect into `out`, replacing its contents but
-/// keeping its capacity (see [`encode_wire_into`]).
-pub fn encode_effect_into<P: PointCodec>(out: &mut Vec<u8>, effect: &Effect<P>) {
-    start_into(out);
-    match effect {
-        Effect::Probe { peer, channel } => {
-            out.push(0);
-            put_u64(out, peer.as_u64());
-            out.push(channel_tag(*channel));
-        }
-        Effect::Send { to, wire } => {
-            out.push(1);
-            put_u64(out, to.as_u64());
-            put_wire(out, wire);
-        }
-    }
-}
-
-/// Decodes one node effect, rejecting trailing bytes.
-pub fn decode_effect<P: PointCodec>(bytes: &[u8]) -> Result<Effect<P>, CodecError> {
-    let mut r = open(bytes)?;
-    let effect = match r.u8()? {
-        0 => Effect::Probe {
-            peer: r.node_id()?,
-            channel: channel_from_tag(r.u8()?)?,
-        },
-        1 => Effect::Send {
-            to: r.node_id()?,
-            wire: get_wire(&mut r)?,
-        },
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "Effect",
-                tag,
-            })
-        }
-    };
-    finish(r, effect)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -694,7 +648,7 @@ mod tests {
 
     #[test]
     fn into_variants_reuse_a_dirty_buffer() {
-        // One buffer round-trips wire, event and effect back to back:
+        // One buffer round-trips a wire and an event back to back:
         // each encode must fully replace the previous (longer) contents,
         // not append to them, and must match the allocating encoder.
         let wire: Wire<[f64; 2]> = Wire::RpsReply {
@@ -706,10 +660,6 @@ mod tests {
             channel: Channel::Migration,
             pos: Some([4.0, 5.0]),
         };
-        let effect: Effect<[f64; 2]> = Effect::Send {
-            to: NodeId::new(4),
-            wire: Wire::Heartbeat,
-        };
 
         let mut buf = vec![0xAA; 256]; // deliberately dirty and oversized
         encode_wire_into(&mut buf, &wire);
@@ -720,10 +670,6 @@ mod tests {
         encode_event_into(&mut buf, &event);
         assert_eq!(buf, encode_event(&event));
         assert_eq!(decode_event::<[f64; 2]>(&buf).unwrap(), event);
-
-        encode_effect_into(&mut buf, &effect);
-        assert_eq!(buf, encode_effect(&effect));
-        assert_eq!(decode_effect::<[f64; 2]>(&buf).unwrap(), effect);
         assert_eq!(buf.capacity(), cap, "reuse must keep the allocation");
     }
 
@@ -886,19 +832,6 @@ mod tests {
         for event in events {
             assert_id_field_bounded(event, encode_event, decode_event);
         }
-        let effects: [Effect<[f64; 2]>; 2] = [
-            Effect::Probe {
-                peer: top,
-                channel: Channel::Topology,
-            },
-            Effect::Send {
-                to: top,
-                wire: Wire::Heartbeat,
-            },
-        ];
-        for effect in effects {
-            assert_id_field_bounded(effect, encode_effect, decode_effect);
-        }
     }
 
     #[test]
@@ -911,10 +844,6 @@ mod tests {
         assert!(matches!(
             decode_event::<f64>(&bytes),
             Err(CodecError::BadTag { what: "Event", .. })
-        ));
-        assert!(matches!(
-            decode_effect::<f64>(&bytes),
-            Err(CodecError::BadTag { what: "Effect", .. })
         ));
     }
 }

@@ -19,66 +19,41 @@
 use crate::wire::Wire;
 use polystyrene::backup::push_cost_units;
 
-/// Unit prices for the quantities that cross the wire.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CostModel {
-    /// Units per bare data point (a set of coordinates; 2 for 2-D).
-    pub units_per_point: usize,
-    /// Units per node descriptor (ID + coordinates; 3 for 2-D).
-    pub units_per_descriptor: usize,
-    /// Units per bare node/point id.
-    pub units_per_id: usize,
-}
+/// Units per node descriptor: its ID plus two coordinates.
+pub const UNITS_PER_DESCRIPTOR: usize = 3;
 
-impl CostModel {
-    /// The paper's cost model for a `dim`-dimensional coordinate space:
-    /// one unit per coordinate, one per id.
-    pub fn for_dimension(dim: usize) -> Self {
-        Self {
-            units_per_point: dim,
-            units_per_descriptor: dim + 1,
-            units_per_id: 1,
+/// Units per bare data point: a set of 2-D coordinates. A bare node or
+/// point id costs one unit.
+pub const UNITS_PER_POINT: usize = 2;
+
+/// The paper's cost of one wire message, in units: descriptors for the
+/// T-Man legs, whole points plus bare removal ids for a backup delta,
+/// the pull+push legs for a migration split. RPS traffic and the
+/// constant-size control messages (migration request/ack, heartbeats)
+/// are free by the paper's convention.
+pub fn wire_units<P>(wire: &Wire<P>) -> u64 {
+    match wire {
+        Wire::TManRequest { descriptors, .. } | Wire::TManReply { descriptors } => {
+            (descriptors.len() * UNITS_PER_DESCRIPTOR) as u64
         }
-    }
-
-    /// The paper's cost of one wire message, in units: descriptors for
-    /// the T-Man legs, whole points plus bare removal ids for a backup
-    /// delta, the pull+push legs for a migration split. RPS traffic and
-    /// the constant-size control messages (migration request/ack,
-    /// heartbeats) are free by the paper's convention.
-    pub fn wire_units<P>(&self, wire: &Wire<P>) -> u64 {
-        match wire {
-            Wire::TManRequest { descriptors, .. } | Wire::TManReply { descriptors } => {
-                (descriptors.len() * self.units_per_descriptor) as u64
-            }
-            Wire::BackupPush {
-                added_points,
-                removed_ids,
-                ..
-            } => push_cost_units(*added_points, *removed_ids, self.units_per_point) as u64,
-            Wire::MigrationReply { pulled, pushed, .. } => {
-                ((pulled + pushed) * self.units_per_point) as u64
-            }
-            // Application-plane queries are load, not protocol overhead:
-            // the paper's Fig. 7b meters the maintenance protocols only,
-            // so traffic must not move the cost baselines.
-            Wire::RpsRequest { .. }
-            | Wire::RpsReply { .. }
-            | Wire::MigrationRequest { .. }
-            | Wire::MigrationAck { .. }
-            | Wire::Heartbeat
-            | Wire::Query { .. }
-            | Wire::QueryReply { .. }
-            | Wire::QueryBatch { .. }
-            | Wire::QueryReplyBatch { .. } => 0,
-        }
-    }
-}
-
-impl Default for CostModel {
-    /// The 2-D torus model of the paper's evaluation.
-    fn default() -> Self {
-        Self::for_dimension(2)
+        Wire::BackupPush {
+            added_points,
+            removed_ids,
+            ..
+        } => push_cost_units(*added_points, *removed_ids, UNITS_PER_POINT) as u64,
+        Wire::MigrationReply { pulled, pushed, .. } => ((pulled + pushed) * UNITS_PER_POINT) as u64,
+        // Application-plane queries are load, not protocol overhead: the
+        // paper's Fig. 7b meters the maintenance protocols only, so
+        // traffic must not move the cost baselines.
+        Wire::RpsRequest { .. }
+        | Wire::RpsReply { .. }
+        | Wire::MigrationRequest { .. }
+        | Wire::MigrationAck { .. }
+        | Wire::Heartbeat
+        | Wire::Query { .. }
+        | Wire::QueryReply { .. }
+        | Wire::QueryBatch { .. }
+        | Wire::QueryReplyBatch { .. } => 0,
     }
 }
 
@@ -118,11 +93,11 @@ impl RoundCost {
         }
     }
 
-    /// Converts one outbound wire message to units under `model` and adds
-    /// it to the matching bucket — the one charging routine every metered
-    /// substrate calls at its send boundary.
-    pub fn charge_wire<P>(&mut self, model: &CostModel, wire: &Wire<P>) {
-        let units = model.wire_units(wire);
+    /// Converts one outbound wire message to units ([`wire_units`]) and
+    /// adds it to the matching bucket — the one charging routine every
+    /// metered substrate calls at its send boundary.
+    pub fn charge_wire<P>(&mut self, wire: &Wire<P>) {
+        let units = wire_units(wire);
         match wire {
             Wire::TManRequest { .. } | Wire::TManReply { .. } => self.tman_units += units,
             Wire::BackupPush { .. } => self.backup_units += units,
@@ -139,17 +114,9 @@ mod tests {
 
     #[test]
     fn paper_prices_for_2d() {
-        let m = CostModel::default();
-        assert_eq!(m.units_per_point, 2);
-        assert_eq!(m.units_per_descriptor, 3);
-        assert_eq!(m.units_per_id, 1);
-    }
-
-    #[test]
-    fn dimension_scaling() {
-        let m = CostModel::for_dimension(3);
-        assert_eq!(m.units_per_point, 3);
-        assert_eq!(m.units_per_descriptor, 4);
+        // Sec. IV-A: a descriptor is an id plus two coordinates, a point
+        // its two coordinates.
+        assert_eq!((UNITS_PER_DESCRIPTOR, UNITS_PER_POINT), (3, 2));
     }
 
     #[test]
@@ -167,11 +134,10 @@ mod tests {
 
     #[test]
     fn wire_units_match_paper_prices() {
-        let m = CostModel::default();
         let d =
             polystyrene_membership::Descriptor::new(polystyrene_membership::NodeId::new(1), 0.0);
         assert_eq!(
-            m.wire_units(&Wire::TManRequest {
+            wire_units(&Wire::TManRequest {
                 from_pos: 0.0,
                 descriptors: vec![d, d],
             }),
@@ -179,7 +145,7 @@ mod tests {
             "two descriptors at 3 units each"
         );
         assert_eq!(
-            m.wire_units(&Wire::MigrationReply {
+            wire_units(&Wire::MigrationReply {
                 xid: 1,
                 points: vec![DataPoint::new(PointId::new(0), 0.0)],
                 busy: false,
@@ -190,7 +156,7 @@ mod tests {
             "pull+push legs at 2 units per point"
         );
         assert_eq!(
-            m.wire_units(&Wire::BackupPush {
+            wire_units(&Wire::BackupPush {
                 points: Vec::<DataPoint<f64>>::new(),
                 added_points: 2,
                 removed_ids: 3,
@@ -198,42 +164,32 @@ mod tests {
             7,
             "2 points shipped whole + 3 bare removal ids"
         );
-        assert_eq!(m.wire_units(&Wire::<f64>::Heartbeat), 0);
-        assert_eq!(m.wire_units(&Wire::<f64>::MigrationAck { xid: 1 }), 0);
+        assert_eq!(wire_units(&Wire::<f64>::Heartbeat), 0);
+        assert_eq!(wire_units(&Wire::<f64>::MigrationAck { xid: 1 }), 0);
     }
 
     #[test]
     fn charge_wire_routes_to_buckets() {
-        let model = CostModel::default();
         let mut tally = RoundCost::default();
-        tally.charge_wire(
-            &model,
-            &Wire::TManReply {
-                descriptors: vec![polystyrene_membership::Descriptor::new(
-                    polystyrene_membership::NodeId::new(2),
-                    1.0,
-                )],
-            },
-        );
-        tally.charge_wire(
-            &model,
-            &Wire::<f64>::MigrationReply {
-                xid: 1,
-                points: Vec::new(),
-                busy: false,
-                pulled: 1,
-                pushed: 0,
-            },
-        );
-        tally.charge_wire(
-            &model,
-            &Wire::<f64>::BackupPush {
-                points: Vec::new(),
-                added_points: 1,
-                removed_ids: 0,
-            },
-        );
-        tally.charge_wire(&model, &Wire::<f64>::Heartbeat);
+        tally.charge_wire(&Wire::TManReply {
+            descriptors: vec![polystyrene_membership::Descriptor::new(
+                polystyrene_membership::NodeId::new(2),
+                1.0,
+            )],
+        });
+        tally.charge_wire(&Wire::<f64>::MigrationReply {
+            xid: 1,
+            points: Vec::new(),
+            busy: false,
+            pulled: 1,
+            pushed: 0,
+        });
+        tally.charge_wire(&Wire::<f64>::BackupPush {
+            points: Vec::new(),
+            added_points: 1,
+            removed_ids: 0,
+        });
+        tally.charge_wire(&Wire::<f64>::Heartbeat);
         assert_eq!(tally.tman_units, 3);
         assert_eq!(tally.migration_units, 2);
         assert_eq!(tally.backup_units, 2);

@@ -24,16 +24,17 @@
 //!   [`observe::Census`] that measures homogeneity and survival for all
 //!   of them, and the reference-homogeneity bound and reshaping-time
 //!   rule the recovery criterion is defined by;
-//! * [`net`] defines the shared network model ([`net::NetworkModel`],
-//!   [`net::LinkProfile`], [`net::FaultyNetwork`]): what a driver's
-//!   fabric does to each message — deliver after a latency, drop, or
-//!   block across a partition;
+//! * [`net`] defines the shared network model ([`net::FaultyNetwork`]
+//!   under a [`net::LinkProfile`]): what a driver's fabric does to each
+//!   message — deliver after a latency, drop, or block across a
+//!   partition;
 //! * [`codec`] pins the byte encoding of the sans-IO surface before any
 //!   real transport exists, guarded by property round-trips;
 //! * [`pool`] is the dense slot pool (free list, generation-stamped
 //!   [`pool::SlotRef`]s, struct-of-arrays position slab) the
 //!   deterministic drivers store their [`node::ProtocolNode`]
-//!   populations in.
+//!   populations in, and [`par`] the fork-join fan-out their batch
+//!   passes share.
 //!
 //! # Driving the state machine
 //!
@@ -107,6 +108,7 @@ pub mod cost;
 pub mod net;
 pub mod node;
 pub mod observe;
+pub mod par;
 pub mod pool;
 pub mod scenario;
 pub mod wire;
@@ -114,8 +116,8 @@ pub mod wire;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::config::ProtocolConfig;
-    pub use crate::cost::{CostModel, RoundCost};
-    pub use crate::net::{Fate, FaultyNetwork, LinkProfile, NetworkModel};
+    pub use crate::cost::{wire_units, RoundCost, UNITS_PER_DESCRIPTOR, UNITS_PER_POINT};
+    pub use crate::net::{Fate, FaultyNetwork, LinkProfile};
     pub use crate::node::{Phase, ProtocolNode};
     pub use crate::observe::{
         reference_homogeneity, reshaping_time, Census, RoundObservation, TrafficStats,

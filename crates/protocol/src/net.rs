@@ -1,21 +1,19 @@
 //! The network model: what happens to a message between two nodes.
 //!
 //! The sans-IO [`crate::node::ProtocolNode`] never sees a network; its
-//! *drivers* do, and each one answers the question "what does the fabric
-//! do to this message?" differently — the cycle engine delivers
-//! everything atomically, the discrete-event simulator delays, drops and
-//! partitions, the threaded runtime can inject loss into its in-process
-//! channels. [`NetworkModel`] is the shared answer: a driver hands every
-//! outgoing message to the model and obeys the returned [`Fate`].
+//! *drivers* do. The cycle engine delivers everything atomically; the
+//! discrete-event simulator delays, drops and partitions, and the
+//! threaded runtime can inject loss into its in-process channels. Those
+//! two hand every outgoing message to a [`FaultyNetwork`] and obey the
+//! returned [`Fate`].
 //!
-//! [`FaultyNetwork`] is the standard implementation — per-link latency
-//! with uniform jitter, independent drop probability, and a partition
-//! mask — deterministic under a fixed seed, so the discrete-event
-//! simulator stays replayable. The degenerate profile
-//! ([`LinkProfile::ideal`]) delivers everything instantly and losslessly,
-//! which is how the simulator reproduces the cycle engine's behavior.
+//! [`FaultyNetwork`] models per-link latency with uniform jitter,
+//! independent drop probability, and a partition mask — deterministic
+//! under a fixed seed, so the discrete-event simulator stays replayable.
+//! The degenerate profile ([`LinkProfile::ideal`]) delivers everything
+//! instantly and losslessly, which is how the simulator reproduces the
+//! cycle engine's behavior.
 
-use crate::wire::Channel;
 use polystyrene_membership::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,37 +31,6 @@ pub enum Fate {
     /// must not surface a drop as a delivery failure (loss is silent;
     /// only a crashed destination is observable, crash-stop style).
     Drop,
-}
-
-/// A driver-pluggable model of the network fabric.
-///
-/// Implementations may be stateful (entropy for loss draws, partition
-/// masks) and are driven from a single thread per driver — the threaded
-/// runtime serializes access behind a lock.
-pub trait NetworkModel: Send {
-    /// Decides the fate of a message from `from` to `to` on `channel`,
-    /// sent at time `now` (drivers without a simulated clock pass 0).
-    fn route(&mut self, from: NodeId, to: NodeId, channel: Channel, now: u64) -> Fate;
-
-    /// Whether the pair is currently separated by a partition. Unlike the
-    /// probabilistic loss of [`NetworkModel::route`], this is a stable,
-    /// draw-free query ([`FaultyNetwork::route`] checks it before
-    /// spending entropy on a loss draw). The standard drivers do *not*
-    /// consult it for reachability probes — a partition is invisible to
-    /// a failure detector (nothing crashed), only to traffic — but a
-    /// custom driver modeling probe RPCs as real round-trips may.
-    fn blocked(&self, _from: NodeId, _to: NodeId) -> bool {
-        false
-    }
-
-    /// Installs a partition: nodes listed in different groups cannot
-    /// exchange messages. Nodes absent from every group form one implicit
-    /// extra group ("the rest of the network"), so a script can name just
-    /// the minority side. Replaces any previous partition.
-    fn set_partition(&mut self, _groups: &[Vec<NodeId>]) {}
-
-    /// Removes the partition, if any.
-    fn heal(&mut self) {}
 }
 
 /// Per-link delivery profile: fixed base latency, uniform extra jitter,
@@ -118,16 +85,15 @@ impl LinkProfile {
 /// group, everyone else shares the implicit "rest of the network" group.
 const REST_OF_NETWORK: usize = usize::MAX;
 
-/// The standard [`NetworkModel`]: one [`LinkProfile`] for every link plus
-/// an optional partition mask, with a private seeded RNG so identical
-/// seeds replay identical loss and jitter streams.
+/// The network fabric: one [`LinkProfile`] for every link plus an
+/// optional partition mask, with a private seeded RNG so identical seeds
+/// replay identical loss and jitter streams. Driven from one thread per
+/// driver; the threaded runtime serializes access behind a lock.
 pub struct FaultyNetwork {
     profile: LinkProfile,
     rng: StdRng,
     /// Partition mask: node → group index. `None` = fully connected.
     partition: Option<BTreeMap<NodeId, usize>>,
-    delivered: u64,
-    dropped: u64,
 }
 
 impl FaultyNetwork {
@@ -143,24 +109,7 @@ impl FaultyNetwork {
             profile,
             rng: StdRng::seed_from_u64(seed),
             partition: None,
-            delivered: 0,
-            dropped: 0,
         }
-    }
-
-    /// The link profile in force.
-    pub fn profile(&self) -> &LinkProfile {
-        &self.profile
-    }
-
-    /// Messages routed to delivery so far.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Messages dropped so far (loss draws and partition blocks).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     fn group_of(&self, id: NodeId) -> usize {
@@ -169,16 +118,15 @@ impl FaultyNetwork {
             None => REST_OF_NETWORK,
         }
     }
-}
 
-impl NetworkModel for FaultyNetwork {
-    fn route(&mut self, from: NodeId, to: NodeId, _channel: Channel, _now: u64) -> Fate {
+    /// Decides the fate of a message from `from` to `to`: dropped across
+    /// a partition (no draw spent), else lost with the profile's
+    /// probability, else delivered after its latency plus jitter.
+    pub fn route(&mut self, from: NodeId, to: NodeId) -> Fate {
         if self.blocked(from, to) {
-            self.dropped += 1;
             return Fate::Drop;
         }
         if self.profile.loss > 0.0 && self.rng.random_bool(self.profile.loss) {
-            self.dropped += 1;
             return Fate::Drop;
         }
         let delay = if self.profile.jitter > 0 {
@@ -186,15 +134,22 @@ impl NetworkModel for FaultyNetwork {
         } else {
             self.profile.latency
         };
-        self.delivered += 1;
         Fate::Deliver { delay }
     }
 
-    fn blocked(&self, from: NodeId, to: NodeId) -> bool {
+    /// Whether the pair is currently separated by a partition: a stable,
+    /// draw-free query. The drivers do *not* consult it for reachability
+    /// probes — a partition is invisible to a failure detector (nothing
+    /// crashed), only to traffic.
+    pub fn blocked(&self, from: NodeId, to: NodeId) -> bool {
         self.partition.is_some() && self.group_of(from) != self.group_of(to)
     }
 
-    fn set_partition(&mut self, groups: &[Vec<NodeId>]) {
+    /// Installs a partition: nodes listed in different groups cannot
+    /// exchange messages. Nodes absent from every group form one implicit
+    /// extra group ("the rest of the network"), so a script can name just
+    /// the minority side. Replaces any previous partition.
+    pub fn set_partition(&mut self, groups: &[Vec<NodeId>]) {
         let mut mask = BTreeMap::new();
         for (g, members) in groups.iter().enumerate() {
             for &id in members {
@@ -204,7 +159,8 @@ impl NetworkModel for FaultyNetwork {
         self.partition = Some(mask);
     }
 
-    fn heal(&mut self) {
+    /// Removes the partition, if any.
+    pub fn heal(&mut self) {
         self.partition = None;
     }
 }
@@ -221,13 +177,8 @@ mod tests {
     fn ideal_profile_delivers_everything_instantly() {
         let mut net = FaultyNetwork::new(LinkProfile::ideal(), 1);
         for i in 0..100 {
-            assert_eq!(
-                net.route(n(i), n(i + 1), Channel::Topology, 0),
-                Fate::Deliver { delay: 0 }
-            );
+            assert_eq!(net.route(n(i), n(i + 1)), Fate::Deliver { delay: 0 });
         }
-        assert_eq!(net.delivered(), 100);
-        assert_eq!(net.dropped(), 0);
     }
 
     #[test]
@@ -240,7 +191,7 @@ mod tests {
         let mut net = FaultyNetwork::new(profile, 2);
         let mut seen = std::collections::BTreeSet::new();
         for _ in 0..500 {
-            match net.route(n(0), n(1), Channel::Migration, 7) {
+            match net.route(n(0), n(1)) {
                 Fate::Deliver { delay } => {
                     assert!((5..=8).contains(&delay), "delay {delay} out of range");
                     seen.insert(delay);
@@ -260,9 +211,7 @@ mod tests {
         };
         let run = |seed: u64| {
             let mut net = FaultyNetwork::new(profile, seed);
-            (0..1000)
-                .map(|_| net.route(n(0), n(1), Channel::Backup, 0))
-                .collect::<Vec<_>>()
+            (0..1000).map(|_| net.route(n(0), n(1))).collect::<Vec<_>>()
         };
         let a = run(9);
         assert_eq!(a, run(9), "same seed must replay the same fate stream");
@@ -281,13 +230,10 @@ mod tests {
         assert!(!net.blocked(n(1), n(2)), "same group");
         assert!(net.blocked(n(1), n(7)), "listed vs rest of network");
         assert!(!net.blocked(n(7), n(8)), "the rest talk among themselves");
-        assert_eq!(net.route(n(1), n(3), Channel::Topology, 0), Fate::Drop);
+        assert_eq!(net.route(n(1), n(3)), Fate::Drop);
         net.heal();
         assert!(!net.blocked(n(1), n(3)));
-        assert_eq!(
-            net.route(n(1), n(3), Channel::Topology, 0),
-            Fate::Deliver { delay: 0 }
-        );
+        assert_eq!(net.route(n(1), n(3)), Fate::Deliver { delay: 0 });
     }
 
     #[test]

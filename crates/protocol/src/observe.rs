@@ -17,11 +17,11 @@
 //! definitions exist once. [`reshaping_time`] is the one rule reading the
 //! recovery crossing off a series of these records.
 
+use crate::par;
 use crate::pool::NodePool;
 use polystyrene::prelude::{DataPoint, PointId};
 use polystyrene_space::MetricSpace;
 use polystyrene_topology::rank::GridIndex;
-use rayon::prelude::*;
 use std::borrow::Borrow;
 
 /// Per-round application-traffic telemetry: what happened to the
@@ -246,8 +246,8 @@ pub const GRID_INDEX_MIN_NODES: usize = 256;
 /// alive nodes of holderless points come from a [`GridIndex`] when the
 /// population reaches [`GRID_INDEX_MIN_NODES`] and the space supports a
 /// grid, and from an exhaustive scan otherwise; the per-point pass fans
-/// out with rayon and is summed in point order. None of that changes a
-/// measured bit.
+/// out over [`crate::par`] and is summed in point order. None of that
+/// changes a measured bit.
 ///
 /// # Example
 ///
@@ -432,26 +432,23 @@ impl<S: MetricSpace> CensusPass<'_, S> {
         } else {
             None
         };
-        points
-            .par_iter()
-            .map(|point| {
-                let at = point.id.index();
-                let hs = &holders[at];
-                let nearest = if !hs.is_empty() {
-                    hs.iter()
-                        .map(|&h| space.distance(&point.pos, &positions[h as usize]))
-                        .fold(f64::INFINITY, f64::min)
-                } else if let Some(index) = &index {
-                    index.nearest(&point.pos).map_or(f64::INFINITY, |(_, d)| d)
-                } else {
-                    positions
-                        .iter()
-                        .map(|p| space.distance(&point.pos, p))
-                        .fold(f64::INFINITY, f64::min)
-                };
-                (nearest, stored[at])
-            })
-            .collect_into_vec(per_point);
+        par::map_into(points, per_point, |point| {
+            let at = point.id.index();
+            let hs = &holders[at];
+            let nearest = if !hs.is_empty() {
+                hs.iter()
+                    .map(|&h| space.distance(&point.pos, &positions[h as usize]))
+                    .fold(f64::INFINITY, f64::min)
+            } else if let Some(index) = &index {
+                index.nearest(&point.pos).map_or(f64::INFINITY, |(_, d)| d)
+            } else {
+                positions
+                    .iter()
+                    .map(|p| space.distance(&point.pos, p))
+                    .fold(f64::INFINITY, f64::min)
+            };
+            (nearest, stored[at])
+        });
         let mut homogeneity = 0.0;
         let mut surviving = 0usize;
         for &(nearest, survived) in per_point.iter() {

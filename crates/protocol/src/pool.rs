@@ -79,6 +79,7 @@
 
 use crate::config::ProtocolConfig;
 use crate::node::ProtocolNode;
+use crate::par;
 use crate::scenario::sample_bootstrap_contacts;
 use crate::wire::QueryItem;
 use crate::TRAFFIC_SEED_TAG;
@@ -88,7 +89,6 @@ use polystyrene_space::MetricSpace;
 use polystyrene_topology::TopologyConstruction;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// T-Man contacts every node is given when it founds or joins the
 /// population ("each physical node is initialized with 10 random
@@ -370,9 +370,9 @@ impl<S: MetricSpace> NodePool<S> {
         &self.slots
     }
 
-    /// Mutable slot array, for batch passes that fan out with rayon
-    /// (recovery, position refresh). Liveness must not change through
-    /// this view.
+    /// Mutable slot array, for batch passes that fan out over
+    /// [`crate::par`] (recovery, position refresh). Liveness must not
+    /// change through this view.
     pub fn slots_mut(&mut self) -> &mut [Option<ProtocolNode<S>>] {
         &mut self.slots
     }
@@ -412,9 +412,9 @@ impl<S: MetricSpace> NodePool<S> {
     /// An entry is left untouched — old position, still ageing — when
     /// its subject is dead, or when `blocked(holder, subject)` says the
     /// fabric currently separates the two (a driver without a network
-    /// to partition passes `|_, _| false`). Fans out with rayon; the
-    /// slab is the immutable snapshot, so the pass is deterministic in
-    /// any split.
+    /// to partition passes `|_, _| false`). Fans out over
+    /// [`crate::par`]; the slab is the immutable snapshot, so the pass is
+    /// deterministic in any split.
     pub fn refresh_view_positions(
         &mut self,
         blocked: impl Fn(NodeId, NodeId) -> bool + Sync,
@@ -435,18 +435,15 @@ impl<S: MetricSpace> NodePool<S> {
             let s = handle.slot as usize;
             (slot_gen[s] == handle.gen).then(|| &positions[s])
         };
-        slots
-            .par_iter_mut()
-            .map(|cell| match cell.as_mut() {
-                Some(node) => {
-                    let holder = node.id();
-                    node.tman.refresh_positions(|subject| {
-                        lookup(subject).filter(|_| !blocked(holder, subject))
-                    }) as u64
-                }
-                None => 0,
-            })
-            .sum()
+        par::sum_mut(slots, |cell| match cell.as_mut() {
+            Some(node) => {
+                let holder = node.id();
+                node.tman.refresh_positions(|subject| {
+                    lookup(subject).filter(|_| !blocked(holder, subject))
+                }) as u64
+            }
+            None => 0,
+        })
     }
 
     /// Ground-truth audit of the T-Man views: `(stale, total)` over every

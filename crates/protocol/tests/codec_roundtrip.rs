@@ -1,5 +1,5 @@
-//! Property coverage for the wire codec: every encodable [`Wire`],
-//! [`Event`] and [`Effect`] value round-trips bit-exactly through
+//! Property coverage for the wire codec: every encodable [`Wire`] and
+//! [`Event`] value round-trips bit-exactly through
 //! `encode_* → decode_*`, and every encoding is self-delimiting (no
 //! prefix of a valid encoding decodes).
 //!
@@ -9,10 +9,8 @@
 
 use polystyrene::prelude::{DataPoint, PointId};
 use polystyrene_membership::{Descriptor, NodeId};
-use polystyrene_protocol::codec::{
-    decode_effect, decode_event, decode_wire, encode_effect, encode_event, encode_wire,
-};
-use polystyrene_protocol::wire::{Channel, Effect, Event, QueryItem, QueryReplyItem, Wire};
+use polystyrene_protocol::codec::{decode_event, decode_wire, encode_event, encode_wire};
+use polystyrene_protocol::wire::{Channel, Event, QueryItem, QueryReplyItem, Wire};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -154,21 +152,6 @@ fn event_strategy() -> impl Strategy<Value = Event<Pos>> {
         })
 }
 
-fn effect_strategy() -> impl Strategy<Value = Effect<Pos>> {
-    (0..2u8, 0..10_000u64, wire_strategy(), channel_strategy()).prop_map(
-        |(tag, id, wire, channel)| match tag {
-            0 => Effect::Probe {
-                peer: NodeId::new(id),
-                channel,
-            },
-            _ => Effect::Send {
-                to: NodeId::new(id),
-                wire,
-            },
-        },
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -184,13 +167,6 @@ proptest! {
         let bytes = encode_event(&event);
         let back = decode_event::<Pos>(&bytes);
         prop_assert_eq!(back.as_ref(), Ok(&event));
-    }
-
-    #[test]
-    fn effect_round_trips(effect in effect_strategy()) {
-        let bytes = encode_effect(&effect);
-        let back = decode_effect::<Pos>(&bytes);
-        prop_assert_eq!(back.as_ref(), Ok(&effect));
     }
 
     #[test]
@@ -236,8 +212,6 @@ proptest! {
         let _ = decode_wire::<[f64; 2]>(&bytes);
         let _ = decode_event::<f64>(&bytes);
         let _ = decode_event::<[f64; 2]>(&bytes);
-        let _ = decode_effect::<f64>(&bytes);
-        let _ = decode_effect::<[f64; 2]>(&bytes);
     }
 
     #[test]
@@ -255,7 +229,6 @@ proptest! {
         bytes[at] ^= 1 << bit;
         let _ = decode_wire::<Pos>(&bytes);
         let _ = decode_event::<Pos>(&bytes);
-        let _ = decode_effect::<Pos>(&bytes);
     }
 
     #[test]

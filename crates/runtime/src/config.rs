@@ -15,7 +15,7 @@ pub(crate) const BOOTSTRAP_CONTACTS: usize = 8;
 /// Parameters of a threaded Polystyrene deployment. The RPS sizing and
 /// the bootstrap contact count are the constants above, the migration
 /// timeout is [`ProtocolConfig`]'s default, and messages are priced by
-/// [`polystyrene_protocol::CostModel::default`].
+/// [`polystyrene_protocol::wire_units`].
 #[derive(Clone, Copy, Debug)]
 pub struct RuntimeConfig {
     /// Protocol tick: each node initiates one gossip round per tick.
@@ -35,9 +35,9 @@ pub struct RuntimeConfig {
     /// Polystyrene parameters.
     pub poly: PolystyreneConfig,
     /// Link-fault injection for the in-process fabric. The runtime honors
-    /// the loss probability (messages silently vanish in transit, via the
-    /// shared [`polystyrene_protocol::NetworkModel`] hook in the
-    /// registry); latency and jitter need a timer fabric and are the
+    /// the loss probability (messages silently vanish in transit, drawn
+    /// by a [`polystyrene_protocol::FaultyNetwork`] at the send
+    /// boundary); latency and jitter need a timer fabric and are the
     /// discrete-event simulator's domain — they are ignored here.
     pub link: LinkProfile,
     /// Base RNG seed (each node derives its own from this and its id).

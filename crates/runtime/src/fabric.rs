@@ -18,7 +18,7 @@ use crate::message::Message;
 use crate::registry::Registry;
 use crate::worker::Mailbox;
 use polystyrene_membership::NodeId;
-use polystyrene_protocol::{Channel, Fate, FaultyNetwork, NetworkModel, Wire};
+use polystyrene_protocol::{Fate, FaultyNetwork, Wire};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -68,11 +68,11 @@ pub trait Transport<P>: Send + Sync + Sized + 'static {
     fn sent_frames(&self) -> u64;
 }
 
-/// The send-boundary loss draw: `link.loss` of the shared
-/// [`FaultyNetwork`] model, the only link parameter a wall-clock
-/// transport honors (latency would need timers, and nothing installs a
-/// partition mask on a live cluster). Installed only when it can drop
-/// something, so a lossless deployment takes no lock per send.
+/// The send-boundary loss draw: `link.loss` of a [`FaultyNetwork`], the
+/// only link parameter a wall-clock transport honors (latency would need
+/// timers, and nothing installs a partition mask on a live cluster).
+/// Installed only when it can drop something, so a lossless deployment
+/// takes no lock per send.
 #[derive(Default)]
 pub struct TransitLoss {
     /// One entropy stream, several sending threads: serialized.
@@ -98,14 +98,10 @@ impl TransitLoss {
     /// in transit (and is counted). The sender must still report what
     /// the real send would have: loss is silent, only a dead peer is
     /// observable.
-    pub fn loses(&self, from: NodeId, to: NodeId, channel: Channel) -> bool {
+    pub fn loses(&self, from: NodeId, to: NodeId) -> bool {
         let lost = self.model.as_ref().is_some_and(|m| {
-            matches!(
-                m.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .route(from, to, channel, 0),
-                Fate::Drop
-            )
+            let mut model = m.lock().unwrap_or_else(PoisonError::into_inner);
+            model.route(from, to) == Fate::Drop
         });
         if lost {
             self.lost.fetch_add(1, Ordering::Relaxed);

@@ -21,7 +21,7 @@ use crate::observe::ObservationBoard;
 use crate::worker::Resident;
 use polystyrene::prelude::{DataPoint, PointId, PolyState};
 use polystyrene_membership::{Descriptor, NodeId};
-use polystyrene_protocol::{node_seed, CostModel, Effect, EffectSink, Event, ProtocolNode, Wire};
+use polystyrene_protocol::{node_seed, wire_units, Effect, EffectSink, Event, ProtocolNode, Wire};
 use polystyrene_space::MetricSpace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -51,8 +51,9 @@ pub struct NodeRuntime<S: MetricSpace> {
     board: Arc<ObservationBoard<S::Point>>,
     rng: StdRng,
     /// Cumulative units this node has handed to the fabric, in the
-    /// paper's prices ([`CostModel::default`]) — charged at the send boundary whether or not the
-    /// delivery succeeds (the bytes left the node either way).
+    /// paper's prices ([`wire_units`]) — charged at the send boundary
+    /// whether or not the delivery succeeds (the bytes left the node
+    /// either way).
     sent_units: u64,
     /// Node-owned effect buffer every protocol call pushes into — one
     /// buffer (and payload pool) for the node's lifetime instead of a
@@ -180,7 +181,7 @@ impl<S: MetricSpace> NodeRuntime<S> {
                 }
                 Effect::Send { to, wire } => {
                     let channel = wire.channel();
-                    self.sent_units += CostModel::default().wire_units(&wire);
+                    self.sent_units += wire_units(&wire);
                     // The fabric takes ownership of the wire (in-process
                     // delivery hands the very buffer to the receiver), so
                     // there is nothing to recycle on this path.

@@ -72,8 +72,8 @@ impl<P> Registry<P> {
     /// so delivery-failure feedback (and the view purging built on it)
     /// does not depend on whether the loss draw fired.
     pub fn send(&self, to: NodeId, message: Message<P>) -> bool {
-        if let Message::Protocol { from, wire } = &message {
-            if self.loss.loses(*from, to, wire.channel()) {
+        if let Message::Protocol { from, .. } = &message {
+            if self.loss.loses(*from, to) {
                 return self.contains(to);
             }
         }

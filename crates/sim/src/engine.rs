@@ -44,14 +44,14 @@ use polystyrene_membership::{Descriptor, FailureTable, NodeId};
 use polystyrene_protocol::observe::{Census, RoundObservation};
 use polystyrene_protocol::pool::{Gateways, NodePool};
 use polystyrene_protocol::{
-    Channel, CostModel, Effect, EffectSink, Event, Phase, ProtocolConfig, RoundCost, Wire,
+    par, Channel, Effect, EffectSink, Event, Phase, ProtocolConfig, RoundCost, Wire,
+    UNITS_PER_DESCRIPTOR,
 };
 use polystyrene_space::MetricSpace;
 use polystyrene_topology::{TManConfig, TopologyConstruction};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use std::collections::VecDeque;
 use std::time::Instant;
 
@@ -75,7 +75,8 @@ const REPORT_NEIGHBORS: usize = 4;
 
 /// Engine-level configuration: protocol parameters plus simulation knobs.
 /// The protocol fields it does not carry take [`ProtocolConfig`]'s
-/// defaults, and messages are priced by [`CostModel::default`].
+/// defaults, and messages are priced by
+/// [`wire_units`](polystyrene_protocol::wire_units).
 ///
 /// Defaults are the paper's evaluation settings (Sec. IV-A).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -620,9 +621,8 @@ impl<S: MetricSpace> Engine<S> {
                         // Imperfect detection: the exchange times out; a
                         // T-Man request was still paid for.
                         if channel == Channel::Topology {
-                            self.cost.tman_units += (self.config.tman.m
-                                * CostModel::default().units_per_descriptor)
-                                as u64;
+                            self.cost.tman_units +=
+                                (self.config.tman.m * UNITS_PER_DESCRIPTOR) as u64;
                         }
                         Event::PeerUnreachable { peer, channel }
                     };
@@ -631,7 +631,7 @@ impl<S: MetricSpace> Engine<S> {
                     queue.extend(sink.drain().map(|e| (at, e)));
                 }
                 Effect::Send { to, wire } => {
-                    self.cost.charge_wire(&CostModel::default(), &wire);
+                    self.cost.charge_wire(&wire);
                     if let Some(node) = self.pool.get_mut(to) {
                         node.on_event_into(Event::Message { from: at, wire }, &mut self.rng, sink);
                         queue.extend(sink.drain().map(|e| (to, e)));
@@ -654,10 +654,11 @@ impl<S: MetricSpace> Engine<S> {
     fn recovery_phase(&mut self) {
         let Self { pool, detected, .. } = self;
         let detected = |id: NodeId| detected.is_failed(id);
-        pool.slots_mut().par_iter_mut().for_each(|slot| {
-            if let Some(node) = slot.as_mut() {
-                node.recover_ghosts(&detected);
-            }
+        // The pass's sum, the points reactivated, is not needed here.
+        par::sum_mut(pool.slots_mut(), |slot| {
+            slot.as_mut().map_or(0, |node| {
+                node.recover_ghosts(&detected).reactivated_points as u64
+            })
         });
     }
 
@@ -674,9 +675,8 @@ impl<S: MetricSpace> Engine<S> {
     /// coordinates off the dense slab. The cycle model has no fabric to
     /// partition.
     fn position_refresh_phase(&mut self) {
-        let unit = CostModel::default().units_per_descriptor as u64;
-        let changed_total = self.pool.refresh_view_positions(|_, _| false);
-        self.cost.tman_units += changed_total * unit;
+        let changed = self.pool.refresh_view_positions(|_, _| false);
+        self.cost.tman_units += changed * UNITS_PER_DESCRIPTOR as u64;
     }
 
     // ------------------------------------------------------------------
@@ -685,7 +685,7 @@ impl<S: MetricSpace> Engine<S> {
 
     /// Measures the paper's metrics over the current state: the shared
     /// observation from the [`Census`] (which keeps its own speed-ups —
-    /// a grid index for holderless points at scale, a rayon fan-out
+    /// a grid index for holderless points at scale, a fan-out
     /// summed in point order), plus the engine's proximity and cost
     /// split. The round loop reuses engine-owned tables; this public
     /// entry point measures into throwaway ones, so ad-hoc callers pay
@@ -712,26 +712,22 @@ impl<S: MetricSpace> Engine<S> {
         // measured against the neighbors' *true* current positions (the
         // slab mirrors them whenever measurement runs), fanned out and
         // folded back in id order.
-        self.pool
-            .alive_ids()
-            .par_iter()
-            .map(|&id| {
-                let node = self.pool.get(id).expect("alive id");
-                let mut acc = 0.0;
-                let mut samples = 0usize;
-                // Visitor form of `closest`: same ranking, same order, no
-                // per-node result vector (the read shares no scratch, so
-                // this is safe under the rayon fan-out).
-                node.tman
-                    .for_closest(&node.poly.pos, REPORT_NEIGHBORS, |d| {
-                        if let Some(actual) = self.pool.position(d.id) {
-                            acc += self.space.distance(&node.poly.pos, actual);
-                            samples += 1;
-                        }
-                    });
-                (acc, samples)
-            })
-            .collect_into_vec(per_node);
+        par::map_into(self.pool.alive_ids(), per_node, |&id| {
+            let node = self.pool.get(id).expect("alive id");
+            let mut acc = 0.0;
+            let mut samples = 0usize;
+            // Visitor form of `closest`: same ranking, same order, no
+            // per-node result vector (the read shares no scratch, so
+            // this is safe under the fan-out).
+            node.tman
+                .for_closest(&node.poly.pos, REPORT_NEIGHBORS, |d| {
+                    if let Some(actual) = self.pool.position(d.id) {
+                        acc += self.space.distance(&node.poly.pos, actual);
+                        samples += 1;
+                    }
+                });
+            (acc, samples)
+        });
         let (proximity_acc, proximity_samples) = per_node
             .iter()
             .fold((0.0, 0usize), |(a, n), &(pa, pn)| (a + pa, n + pn));

@@ -30,7 +30,7 @@
 //! exact, so metrics are bit-identical to the exhaustive scan that
 //! smaller networks and spaces without grid support fall back to. There
 //! is no switch: nothing observable depends on which path ran. Together
-//! with the rayon fan-out of the rng-free phases (recovery, position
+//! with the fan-out of the rng-free phases (recovery, position
 //! refresh, measurement), this is what lets `fig10a_scaling` complete
 //! 10k+-node runs.
 //!

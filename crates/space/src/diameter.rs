@@ -4,7 +4,7 @@
 //! diameters, i.e. a pair of points (u, v) so that d(u, v) = max d(x, y)".
 //! The paper notes that beyond ~30 points one can "approximate a diameter by
 //! taking a sample of pairs" — both the exact and the sampled variants live
-//! here, plus the classic two-sweep heuristic as a cheaper alternative.
+//! here.
 
 use crate::point::MetricSpace;
 use rand::Rng;
@@ -117,47 +117,6 @@ pub fn diameter_sampled_by<S: MetricSpace, T, R: Rng + ?Sized>(
     Some(best)
 }
 
-/// Two-sweep diameter heuristic: start from a random point, walk to the
-/// farthest point `a`, then to the point `b` farthest from `a`.
-///
-/// Costs `2n` distance evaluations. Exact on trees and very good on
-/// convex-ish clouds; always a lower bound. Returns `None` for fewer than
-/// two points.
-pub fn diameter_two_sweep<S: MetricSpace, R: Rng + ?Sized>(
-    space: &S,
-    points: &[S::Point],
-    rng: &mut R,
-) -> Option<Diameter> {
-    let n = points.len();
-    if n < 2 {
-        return None;
-    }
-    let start = rng.random_range(0..n);
-    let a = farthest_from(space, points, start);
-    let b = farthest_from(space, points, a);
-    Some(Diameter {
-        a,
-        b,
-        length: space.distance(&points[a], &points[b]),
-    })
-}
-
-fn farthest_from<S: MetricSpace>(space: &S, points: &[S::Point], from: usize) -> usize {
-    let mut best = if from == 0 && points.len() > 1 { 1 } else { 0 };
-    let mut best_d = -1.0;
-    for (i, p) in points.iter().enumerate() {
-        if i == from {
-            continue;
-        }
-        let d = space.distance(&points[from], p);
-        if d > best_d {
-            best_d = d;
-            best = i;
-        }
-    }
-    best
-}
-
 /// Adaptive diameter: exact up to `exact_threshold` points, sampled above.
 ///
 /// This is the policy `SPLIT_ADVANCED` uses in this reproduction, with the
@@ -232,14 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn two_sweep_exact_on_a_segment() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let pts: Vec<[f64; 2]> = (0..50).map(|i| [i as f64, 0.0]).collect();
-        let d = diameter_two_sweep(&Euclidean2, &pts, &mut rng).unwrap();
-        assert_eq!(d.length, 49.0);
-    }
-
-    #[test]
     fn adaptive_switches_to_sampling() {
         let mut rng = StdRng::seed_from_u64(5);
         let pts: Vec<[f64; 2]> = (0..100).map(|i| [i as f64, 0.0]).collect();
@@ -268,20 +219,6 @@ mod tests {
         }
 
         #[test]
-        fn two_sweep_is_a_lower_bound(
-            pts in proptest::collection::vec(pt2(), 2..40),
-            seed in 0u64..500,
-        ) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let exact = diameter_exact(&Euclidean2, &pts).unwrap();
-            let sweep = diameter_two_sweep(&Euclidean2, &pts, &mut rng).unwrap();
-            prop_assert!(sweep.length <= exact.length + 1e-9);
-            // ...and at least half of it, a classic two-sweep guarantee in
-            // metric spaces by the triangle inequality.
-            prop_assert!(sweep.length >= exact.length / 2.0 - 1e-9);
-        }
-
-        #[test]
         fn endpoints_are_distinct(
             pts in proptest::collection::vec(pt2(), 2..30),
             seed in 0u64..100,
@@ -290,7 +227,6 @@ mod tests {
             for d in [
                 diameter_exact(&Euclidean2, &pts).unwrap(),
                 diameter_sampled(&Euclidean2, &pts, 8, &mut rng).unwrap(),
-                diameter_two_sweep(&Euclidean2, &pts, &mut rng).unwrap(),
             ] {
                 prop_assert!(d.a != d.b);
                 prop_assert!(d.a < pts.len() && d.b < pts.len());

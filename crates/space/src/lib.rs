@@ -15,8 +15,8 @@
 //!   Polystyrene's Step 1 (Sec. III-C), chosen over the centroid because
 //!   division is ill-defined in modular spaces;
 //! * **diameter** computation ([`diameter`]) — the PD heuristic of
-//!   `SPLIT_ADVANCED` (Algorithm 5), with exact, sampled and two-sweep
-//!   variants (the paper suggests sampling beyond ~30 points);
+//!   `SPLIT_ADVANCED` (Algorithm 5): exact up to a threshold, sampled
+//!   above it (the paper suggests sampling beyond ~30 points);
 //! * target **shape generators** ([`shapes`]) — the 80×40 torus grid of
 //!   Sec. IV-A and friends;
 //! * summary **statistics** ([`stats`]) — means and 95 % confidence
@@ -55,7 +55,7 @@ pub mod torus;
 
 /// Convenient glob-import of the most commonly used items.
 pub mod prelude {
-    pub use crate::diameter::{diameter_exact, diameter_of, diameter_sampled, diameter_two_sweep};
+    pub use crate::diameter::{diameter_exact, diameter_of, diameter_sampled};
     pub use crate::euclidean::{Euclidean, Euclidean2, Euclidean3};
     pub use crate::medoid::{medoid, medoid_index, sum_sq_to};
     pub use crate::point::{GridSpec, MetricSpace};

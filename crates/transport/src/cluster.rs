@@ -288,7 +288,7 @@ impl<P> TcpLink<P> {
 
 impl<P: PointCodec + Clone + Send + 'static> NodeFabric<P> for TcpLink<P> {
     fn send(&mut self, to: NodeId, wire: Wire<P>) -> bool {
-        if self.fabric.loss.loses(self.id, to, wire.channel()) {
+        if self.fabric.loss.loses(self.id, to) {
             return self.fabric.contains(to);
         }
         let Some(addr) = self.fabric.addr_of(to) else {

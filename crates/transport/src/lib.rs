@@ -47,4 +47,3 @@ pub mod framing;
 mod reactor;
 
 pub use cluster::{TcpCluster, TcpConfig, TcpFabric};
-pub use framing::{read_frame, read_frame_deadline, write_frame, FrameRead};

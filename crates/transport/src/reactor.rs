@@ -329,7 +329,7 @@ impl Reactor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framing::write_frame;
+    use crate::framing::write_frame_into;
     use std::io::Write;
     use std::sync::mpsc;
 
@@ -338,7 +338,7 @@ mod tests {
 
     fn framed(payload: &[u8]) -> Vec<u8> {
         let mut frame = Vec::new();
-        write_frame(&mut frame, payload).unwrap();
+        write_frame_into(&mut frame, payload, &mut Vec::new()).unwrap();
         frame
     }
 
@@ -360,7 +360,7 @@ mod tests {
         // Opens a frame and goes silent without closing.
         let frame = framed(b"never finished");
         stalled.write_all(&frame[..frame.len() - 3]).unwrap();
-        write_frame(&mut sibling, b"before").unwrap();
+        sibling.write_all(&framed(b"before")).unwrap();
         assert_eq!(delivered.recv_timeout(MAX_WAIT).unwrap(), b"before");
 
         // Awaited, not slept for: the read returns when the sweep has
@@ -372,7 +372,7 @@ mod tests {
             other => panic!("the stalled connection was left open: {other:?}"),
         }
         // The same node's other connection is none the worse for it.
-        write_frame(&mut sibling, b"after").unwrap();
+        sibling.write_all(&framed(b"after")).unwrap();
         assert_eq!(delivered.recv_timeout(MAX_WAIT).unwrap(), b"after");
         assert!(
             delivered.try_recv().is_err(),
