@@ -501,7 +501,7 @@ impl<S: MetricSpace> NetSim<S> {
         self.gateways.group(self.nodes.alive_ids(), keys.len());
         while let Some((gateway, queries)) = self
             .gateways
-            .next_batch(keys, ttl, |_| self.lanes[0].sink.take_queries())
+            .next_batch(keys, ttl, |_| self.lanes[0].sink.pool.take_queries())
         {
             self.schedule(
                 self.now,
@@ -684,7 +684,7 @@ impl<S: MetricSpace> NetSim<S> {
         // round left idle would only hoard what it was handed.)
         let (hub, rest) = self.lanes[..widest].split_first_mut().expect("never empty");
         for lane in rest {
-            hub.sink.level_pool_with(&mut lane.sink);
+            hub.sink.pool.level_with(&mut lane.sink.pool);
         }
         let mut census = std::mem::take(&mut self.census);
         let metrics = self.metrics_into(&mut census);
@@ -778,7 +778,7 @@ impl<S: MetricSpace> NetSim<S> {
             // Crashed since this was scheduled: an activation evaporates
             // with the node, a message in flight gives its buffer back.
             if let Some((_, wire)) = message {
-                self.lanes[0].sink.recycle_wire(wire);
+                self.lanes[0].sink.pool.recycle_wire(wire);
             }
             return;
         };
@@ -879,7 +879,7 @@ impl<S: MetricSpace> NetSim<S> {
         };
         match fate {
             // Lost in the fabric: the payload buffer goes back to a pool.
-            Fate::Drop => self.lanes[0].sink.recycle_wire(wire),
+            Fate::Drop => self.lanes[0].sink.pool.recycle_wire(wire),
             Fate::Deliver { delay } => {
                 self.schedule(self.now + delay, Pending::Deliver { from, to, wire });
             }
@@ -1101,7 +1101,7 @@ mod tests {
             assert!(sim.poly_state(victim).is_none(), "the crash fired");
             assert_eq!(sim.traffic_in_flight(), 0);
             sim.lanes.iter().fold((0, 0), |(queries, replies), lane| {
-                let (_, _, _, q, r) = lane.sink.buf_pool().pooled_counts();
+                let (_, _, _, q, r) = lane.sink.pool.pooled_counts();
                 (queries + q, replies + r)
             })
         };

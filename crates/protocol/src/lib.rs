@@ -51,6 +51,10 @@
 //!   wall-clock timer and maps each effect onto a mailbox message; replies
 //!   arrive later (or never) as [`wire::Event::Message`]s.
 //!
+//! Both, and the event kernel's [`node::ProtocolNode::on_round_into`], run
+//! the one round schedule [`node::Phase::ALL`]: the protocol order is
+//! written there and nowhere else.
+//!
 //! Reachability is probed before a request is built
 //! ([`wire::Effect::Probe`] answered by [`wire::Event::ProbeOk`] /
 //! [`wire::Event::PeerUnreachable`]): the synchronous driver answers from

@@ -34,9 +34,10 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// One step of the per-tick protocol pipeline (paper Fig. 4).
 ///
-/// [`ProtocolNode::on_tick_into`] runs them in [`Phase::ALL`] order; a cycle
-/// driver runs each phase across the whole population before moving to
-/// the next, which is exactly PeerSim's cycle-driven semantics.
+/// [`ProtocolNode::on_tick_into`] runs them in [`Phase::ALL`] order; the
+/// cycle engine walks the same constant, running each phase across the
+/// whole population before moving to the next, which is exactly
+/// PeerSim's cycle-driven semantics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
     /// Liveness beacons along the backup relationships.
@@ -54,7 +55,9 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// Every phase, in per-tick execution order.
+    /// Every phase, in execution order: the one round schedule that the
+    /// cycle engine, the event kernel and the live node loop all run.
+    /// The protocol order is written here and nowhere else.
     pub const ALL: [Phase; 6] = [
         Phase::Heartbeat,
         Phase::PeerSampling,
@@ -63,6 +66,18 @@ impl Phase {
         Phase::Backup,
         Phase::Migration,
     ];
+
+    /// The phase's snake-case label (ledger rows, reports).
+    pub const fn name(self) -> &'static str {
+        match self {
+            Phase::Heartbeat => "heartbeat",
+            Phase::PeerSampling => "peer_sampling",
+            Phase::Topology => "topology",
+            Phase::Recovery => "recovery",
+            Phase::Backup => "backup",
+            Phase::Migration => "migration",
+        }
+    }
 }
 
 /// Size of the candidate pool drawn per backup round, as a function of
@@ -564,7 +579,7 @@ impl<S: MetricSpace> ProtocolNode<S> {
                     .closest_ids_into(&self.poly.pos, backup_pool_size(k), &mut pool)
             }
         };
-        let mut ids_scratch = sink.take_point_ids();
+        let mut ids_scratch = sink.pool.take_point_ids();
         let mut pool_iter = pool.drain(..);
         let self_id = self.id;
         let pushes = plan_backups_with(
@@ -574,11 +589,11 @@ impl<S: MetricSpace> ProtocolNode<S> {
             fd,
             || pool_iter.next(),
             &mut ids_scratch,
-            || sink.take_points(),
+            || sink.pool.take_points(),
         );
         drop(pool_iter);
         sink.put_ids(pool);
-        sink.put_point_ids(ids_scratch);
+        sink.pool.put_point_ids(ids_scratch);
         for push in pushes {
             self.heard_from_if_new(push.target);
             sink.push(Effect::Send {
@@ -663,7 +678,7 @@ impl<S: MetricSpace> ProtocolNode<S> {
     ) {
         match channel {
             Channel::PeerSampling => {
-                let mut descriptors = sink.take_descriptors();
+                let mut descriptors = sink.pool.take_descriptors();
                 self.rps
                     .make_request_into(self.descriptor(), peer, rng, &mut descriptors);
                 sink.push(Effect::Send {
@@ -674,13 +689,13 @@ impl<S: MetricSpace> ProtocolNode<S> {
             Channel::Topology => {
                 // Rank the buffer for where the partner actually is (when
                 // the driver knows) or where the view believes it is.
-                let mut descriptors = sink.take_descriptors();
+                let mut descriptors = sink.pool.take_descriptors();
                 let target = match &pos {
                     Some(p) => Some(p),
                     None => self.tman.position_of(peer),
                 };
                 let Some(target) = target else {
-                    sink.put_descriptors(descriptors);
+                    sink.pool.put_descriptors(descriptors);
                     return;
                 };
                 self.tman.prepare_message_into(
@@ -699,7 +714,7 @@ impl<S: MetricSpace> ProtocolNode<S> {
             Channel::Migration => {
                 self.migration_seq += 1;
                 let xid = self.migration_seq;
-                let mut shipped = sink.take_point_ids();
+                let mut shipped = sink.pool.take_point_ids();
                 shipped.extend(self.poly.guests.iter().map(|g| g.id));
                 shipped.sort_unstable();
                 self.pending_migration = Some(PendingMigration {
@@ -708,7 +723,7 @@ impl<S: MetricSpace> ProtocolNode<S> {
                     started: self.clock,
                     shipped,
                 });
-                let mut guests = sink.take_points();
+                let mut guests = sink.pool.take_points();
                 guests.extend(self.poly.guests.iter().cloned());
                 sink.push(Effect::Send {
                     to: peer,
@@ -763,7 +778,7 @@ impl<S: MetricSpace> ProtocolNode<S> {
         match wire {
             Wire::Heartbeat => {}
             Wire::RpsRequest { descriptors } => {
-                let mut reply = sink.take_descriptors();
+                let mut reply = sink.pool.take_descriptors();
                 self.rps
                     .handle_request_into(self.id, &descriptors, rng, &mut reply);
                 sink.push(Effect::Send {
@@ -776,18 +791,18 @@ impl<S: MetricSpace> ProtocolNode<S> {
             }
             Wire::RpsReply { sent, descriptors } => {
                 self.rps.handle_reply(self.id, &sent, &descriptors);
-                sink.put_descriptors(sent);
-                sink.put_descriptors(descriptors);
+                sink.pool.put_descriptors(sent);
+                sink.pool.put_descriptors(descriptors);
             }
             Wire::TManRequest {
                 from_pos,
                 descriptors,
             } => {
-                let mut reply = sink.take_descriptors();
+                let mut reply = sink.pool.take_descriptors();
                 self.tman
                     .prepare_message_into(self.descriptor(), &from_pos, &mut reply);
                 self.tman.integrate(self.id, &self.poly.pos, &descriptors);
-                sink.put_descriptors(descriptors);
+                sink.pool.put_descriptors(descriptors);
                 sink.push(Effect::Send {
                     to: from,
                     wire: Wire::TManReply { descriptors: reply },
@@ -795,7 +810,7 @@ impl<S: MetricSpace> ProtocolNode<S> {
             }
             Wire::TManReply { descriptors } => {
                 self.tman.integrate(self.id, &self.poly.pos, &descriptors);
-                sink.put_descriptors(descriptors);
+                sink.pool.put_descriptors(descriptors);
             }
             Wire::MigrationRequest {
                 xid,
@@ -824,7 +839,7 @@ impl<S: MetricSpace> ProtocolNode<S> {
                 if let Some(stale) = self.handouts.remove(&from) {
                     self.poly.absorb_guests(stale.points);
                 }
-                let mut incoming = sink.take_point_ids();
+                let mut incoming = sink.pool.take_point_ids();
                 incoming.extend(guests.iter().map(|g| g.id));
                 incoming.sort_unstable();
                 let outcome = absorb_and_split(
@@ -841,7 +856,7 @@ impl<S: MetricSpace> ProtocolNode<S> {
                 // lands (its timeout re-owns them), so re-adopting those
                 // too would duplicate the whole shipped set on every lost
                 // reply instead of the minimal at-least-once remainder.
-                let mut own_contribution = sink.take_points();
+                let mut own_contribution = sink.pool.take_points();
                 own_contribution.extend(
                     outcome
                         .for_initiator
@@ -849,9 +864,9 @@ impl<S: MetricSpace> ProtocolNode<S> {
                         .filter(|p| incoming.binary_search(&p.id).is_err())
                         .cloned(),
                 );
-                sink.put_point_ids(incoming);
+                sink.pool.put_point_ids(incoming);
                 if own_contribution.is_empty() {
-                    sink.put_points(own_contribution);
+                    sink.pool.put_points(own_contribution);
                 } else {
                     self.handouts.insert(
                         from,
@@ -899,7 +914,7 @@ impl<S: MetricSpace> ProtocolNode<S> {
                         let mut acquired = std::mem::replace(&mut self.poly.guests, points);
                         acquired.retain(|g| pending.shipped.binary_search(&g.id).is_err());
                         if acquired.is_empty() {
-                            sink.put_points(acquired);
+                            sink.pool.put_points(acquired);
                         } else {
                             self.poly.absorb_guests(acquired);
                         }
@@ -913,9 +928,9 @@ impl<S: MetricSpace> ProtocolNode<S> {
                     } else {
                         // Busy bounce: the points are a subset of guests
                         // we still hold — only the buffer is salvageable.
-                        sink.put_points(points);
+                        sink.pool.put_points(points);
                     }
-                    sink.put_point_ids(pending.shipped);
+                    sink.pool.put_point_ids(pending.shipped);
                 } else if !busy {
                     // Late reply after our timeout: the responder already
                     // gave these points away, so we are their only owner —
@@ -932,7 +947,7 @@ impl<S: MetricSpace> ProtocolNode<S> {
                 } else {
                     // A stale *busy* bounce is ignored outright: its
                     // points are a subset of guests we still hold.
-                    sink.put_points(points);
+                    sink.pool.put_points(points);
                 }
             }
             Wire::MigrationAck { xid } => {
@@ -940,13 +955,13 @@ impl<S: MetricSpace> ProtocolNode<S> {
                 // but only for the acknowledged generation.
                 if self.handouts.get(&from).is_some_and(|h| h.xid == xid) {
                     if let Some(handout) = self.handouts.remove(&from) {
-                        sink.put_points(handout.points);
+                        sink.pool.put_points(handout.points);
                     }
                 }
             }
             Wire::BackupPush { points, .. } => {
                 self.poly.store_ghosts(from, &points);
-                sink.put_points(points);
+                sink.pool.put_points(points);
             }
             Wire::Query {
                 qid,
@@ -1027,7 +1042,7 @@ impl<S: MetricSpace> ProtocolNode<S> {
                             let slot = match forwards.iter().position(|(to, _)| *to == next) {
                                 Some(i) => i,
                                 None => {
-                                    forwards.push((next, sink.take_queries()));
+                                    forwards.push((next, sink.pool.take_queries()));
                                     forwards.len() - 1
                                 }
                             };
@@ -1048,7 +1063,7 @@ impl<S: MetricSpace> ProtocolNode<S> {
                                 let slot = match replies.iter().position(|(to, _)| *to == origin) {
                                     Some(i) => i,
                                     None => {
-                                        replies.push((origin, sink.take_replies()));
+                                        replies.push((origin, sink.pool.take_replies()));
                                         replies.len() - 1
                                     }
                                 };
@@ -1061,7 +1076,7 @@ impl<S: MetricSpace> ProtocolNode<S> {
                         }
                     }
                 }
-                sink.put_queries(queries);
+                sink.pool.put_queries(queries);
                 for (to, queries) in forwards.drain(..) {
                     sink.push(Effect::Send {
                         to,
@@ -1084,7 +1099,7 @@ impl<S: MetricSpace> ProtocolNode<S> {
                             .push((hops, self.clock.saturating_sub(issued)));
                     }
                 }
-                sink.put_replies(replies);
+                sink.pool.put_replies(replies);
             }
         }
     }

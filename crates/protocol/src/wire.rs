@@ -554,8 +554,9 @@ pub struct EffectSink<P> {
     ids: Vec<NodeId>,
     /// Recycler for wire payload buffers; shared between every node a
     /// batch driver activates with this sink, so a consumed request's
-    /// buffer resurfaces for the next reply.
-    pool: BufPool<P>,
+    /// buffer resurfaces for the next reply. Phases and drivers take
+    /// and return payload buffers here directly.
+    pub pool: BufPool<P>,
     /// Scratch for grouping a query batch's forwards by next-hop (the
     /// outer slots survive between activations; the inner buffers come
     /// from and return to the pool).
@@ -621,56 +622,6 @@ impl<P> EffectSink<P> {
         self.ids = ids;
     }
 
-    /// A cleared descriptor payload buffer from the sink's [`BufPool`].
-    pub fn take_descriptors(&mut self) -> Vec<Descriptor<P>> {
-        self.pool.take_descriptors()
-    }
-
-    /// Recycles a descriptor payload buffer.
-    pub fn put_descriptors(&mut self, buf: Vec<Descriptor<P>>) {
-        self.pool.put_descriptors(buf);
-    }
-
-    /// A cleared data-point payload buffer from the sink's [`BufPool`].
-    pub fn take_points(&mut self) -> Vec<DataPoint<P>> {
-        self.pool.take_points()
-    }
-
-    /// Recycles a data-point payload buffer.
-    pub fn put_points(&mut self, buf: Vec<DataPoint<P>>) {
-        self.pool.put_points(buf);
-    }
-
-    /// A cleared point-id scratch buffer from the sink's [`BufPool`].
-    pub fn take_point_ids(&mut self) -> Vec<PointId> {
-        self.pool.take_point_ids()
-    }
-
-    /// Recycles a point-id scratch buffer.
-    pub fn put_point_ids(&mut self, buf: Vec<PointId>) {
-        self.pool.put_point_ids(buf);
-    }
-
-    /// A cleared query-batch payload buffer from the sink's [`BufPool`].
-    pub fn take_queries(&mut self) -> Vec<QueryItem<P>> {
-        self.pool.take_queries()
-    }
-
-    /// Recycles a query-batch payload buffer.
-    pub fn put_queries(&mut self, buf: Vec<QueryItem<P>>) {
-        self.pool.put_queries(buf);
-    }
-
-    /// A cleared reply-batch payload buffer from the sink's [`BufPool`].
-    pub fn take_replies(&mut self) -> Vec<QueryReplyItem<P>> {
-        self.pool.take_replies()
-    }
-
-    /// Recycles a reply-batch payload buffer.
-    pub fn put_replies(&mut self, buf: Vec<QueryReplyItem<P>>) {
-        self.pool.put_replies(buf);
-    }
-
     /// Borrows the per-next-hop query grouping scratch (empty, outer
     /// capacity warm). Return it with [`EffectSink::put_query_groups`].
     pub fn take_query_groups(&mut self) -> Vec<(NodeId, Vec<QueryItem<P>>)> {
@@ -703,23 +654,6 @@ impl<P> EffectSink<P> {
             self.pool.put_replies(buf);
         }
         self.reply_groups = groups;
-    }
-
-    /// Salvages the payload buffers of a terminal wire message (see
-    /// [`BufPool::recycle_wire`]).
-    pub fn recycle_wire(&mut self, wire: Wire<P>) {
-        self.pool.recycle_wire(wire);
-    }
-
-    /// Read access to the payload pool (tests, diagnostics).
-    pub fn buf_pool(&self) -> &BufPool<P> {
-        &self.pool
-    }
-
-    /// Evens out this sink's payload pool with `other`'s (see
-    /// [`BufPool::level_with`]).
-    pub fn level_pool_with(&mut self, other: &mut Self) {
-        self.pool.level_with(&mut other.pool);
     }
 }
 
@@ -924,7 +858,7 @@ mod tests {
     fn grouping_scratch_recycles_inner_buffers() {
         let mut sink: EffectSink<f64> = EffectSink::new();
         let mut groups = sink.take_query_groups();
-        let mut inner = sink.take_queries();
+        let mut inner = sink.pool.take_queries();
         inner.push(QueryItem {
             qid: 1,
             origin: NodeId::new(2),
@@ -935,7 +869,7 @@ mod tests {
         groups.push((NodeId::new(7), inner));
         sink.put_query_groups(groups);
         // The abandoned inner buffer must have been salvaged into the pool.
-        assert_eq!(sink.buf_pool().pooled_counts().3, 1);
+        assert_eq!(sink.pool.pooled_counts().3, 1);
         let groups = sink.take_query_groups();
         assert!(groups.is_empty());
         sink.put_query_groups(groups);

@@ -108,8 +108,8 @@ proptest! {
         garbage in vec(0..=255u8, 0..256),
     ) {
         let mut sink: EffectSink<Pos> = EffectSink::new();
-        sink.put_descriptors(stale);
-        let mut buf = sink.take_descriptors();
+        sink.pool.put_descriptors(stale);
+        let mut buf = sink.pool.take_descriptors();
         buf.extend(payload.iter().cloned());
         let recycled_wire = Wire::RpsRequest { descriptors: buf };
         let fresh_wire = Wire::RpsRequest { descriptors: payload };

@@ -17,6 +17,11 @@
 //!   RPS           (Cyclon-style peer sampling; traffic not accounted)
 //! ```
 //!
+//! A round runs the layers bottom-up in [`Phase::ALL`] order, the one
+//! schedule every driver shares: the engine only skips the heartbeat
+//! (it supplies the failure verdicts itself) and fans the RNG-free
+//! recovery phase out across cores.
+//!
 //! Reachability probes are answered from ground truth *before* a request
 //! is built, so no entropy is spent on exchanges that cannot happen —
 //! seeded histories are bit-identical to the engine that predates the
@@ -55,19 +60,28 @@ use rand::SeedableRng;
 use std::collections::VecDeque;
 use std::time::Instant;
 
-/// The rows of [`Engine::phase_ns`]: the round's protocol phases in the
-/// order [`Engine::step`] runs them, then the measurement pass split
-/// into the census and the proximity metric.
-pub const ENGINE_PHASES: [&str; 8] = [
-    "peer_sampling",
-    "topology",
-    "recovery",
-    "backup",
-    "migration",
-    "position_refresh",
-    "census",
-    "proximity",
-];
+/// The rows of [`Engine::phase_ns`]: every protocol phase in
+/// [`Phase::ALL`] order (the engine never runs the heartbeat, so its
+/// row reads 0), then the engine's own passes — the position refresh
+/// and the measurement pass split into the census and the proximity
+/// metric.
+pub const ENGINE_PHASES: [&str; PROXIMITY_ROW + 1] = {
+    let mut rows = [""; PROXIMITY_ROW + 1];
+    let mut i = 0;
+    while i < REFRESH_ROW {
+        rows[i] = Phase::ALL[i].name();
+        i += 1;
+    }
+    rows[REFRESH_ROW] = "position_refresh";
+    rows[CENSUS_ROW] = "census";
+    rows[PROXIMITY_ROW] = "proximity";
+    rows
+};
+
+/// The ledger rows of the engine's own passes, after the phases.
+const REFRESH_ROW: usize = Phase::ALL.len();
+const CENSUS_ROW: usize = REFRESH_ROW + 1;
+const PROXIMITY_ROW: usize = REFRESH_ROW + 2;
 
 /// Neighborhood size of the proximity metric ("we represent the 4
 /// closest nodes returned by T-Man").
@@ -273,8 +287,9 @@ impl<S: MetricSpace> Engine<S> {
 
     /// The phase ledger: wall-clock nanoseconds spent in each of
     /// [`ENGINE_PHASES`] (same index) over every round so far. One clock
-    /// read per phase boundary; the phases skipped when Polystyrene is
-    /// disabled read zero.
+    /// read per phase boundary; a skipped phase reads zero (the
+    /// heartbeat always, recovery, backup and migration when Polystyrene
+    /// is disabled).
     pub fn phase_ns(&self) -> [u64; ENGINE_PHASES.len()] {
         self.phase_ns
     }
@@ -344,8 +359,9 @@ impl<S: MetricSpace> Engine<S> {
     pub fn offer_traffic(&mut self, keys: &[S::Point], ttl: u32) {
         self.gateways.group(self.pool.alive_ids(), keys.len());
         let mut sink = std::mem::take(&mut self.sink);
-        while let Some((gateway, queries)) =
-            self.gateways.next_batch(keys, ttl, |_| sink.take_queries())
+        while let Some((gateway, queries)) = self
+            .gateways
+            .next_batch(keys, ttl, |_| sink.pool.take_queries())
         {
             sink.clear();
             let node = self.pool.get_mut(gateway).expect("alive id");
@@ -504,14 +520,14 @@ impl<S: MetricSpace> Engine<S> {
     // The round loop
     // ------------------------------------------------------------------
 
-    /// Runs one full round — RPS, T-Man, then the Polystyrene pipeline
-    /// (recovery → backup → migration) — and returns the metrics measured
-    /// at the end of it.
+    /// Runs one full round — every protocol phase of [`Phase::ALL`] across
+    /// the population, then the position refresh — and returns the
+    /// metrics measured at the end of it.
     pub fn step(&mut self) -> RoundMetrics {
         self.round += 1;
         self.cost.reset();
         // Crashes whose detection delay has run out enter the failure
-        // knowledge here, once, for all five phases below: verdicts
+        // knowledge here, once, for every phase below: verdicts
         // cannot change mid-round, because crashes are injected only
         // between rounds.
         while let Some(&(visible_from, id)) = self.undetected.front() {
@@ -522,20 +538,23 @@ impl<S: MetricSpace> Engine<S> {
             self.undetected.pop_front();
         }
         let mut clock = Instant::now();
-        self.run_phase(Phase::PeerSampling);
-        self.stamp(0, &mut clock);
-        self.run_phase(Phase::Topology);
-        self.stamp(1, &mut clock);
-        if self.poly_enabled {
-            self.recovery_phase();
-            self.stamp(2, &mut clock);
-            self.run_phase(Phase::Backup);
-            self.stamp(3, &mut clock);
-            self.run_phase(Phase::Migration);
-            self.stamp(4, &mut clock);
+        for (row, phase) in Phase::ALL.into_iter().enumerate() {
+            match phase {
+                // The engine supplies its own verdicts: no detector
+                // listens for beacons, and skipping the phase keeps its
+                // activation shuffle off the rng.
+                Phase::Heartbeat => continue,
+                // T-Man alone: Polystyrene's three phases never run.
+                Phase::Recovery | Phase::Backup | Phase::Migration if !self.poly_enabled => {
+                    continue
+                }
+                Phase::Recovery => self.recovery_phase(),
+                _ => self.run_phase(phase),
+            }
+            self.stamp(row, &mut clock);
         }
         self.position_refresh_phase();
-        self.stamp(5, &mut clock);
+        self.stamp(REFRESH_ROW, &mut clock);
         // The engine-owned tables are taken and restored around the
         // `&self` passes to satisfy the borrows.
         let mut census = std::mem::take(&mut self.census);
@@ -546,20 +565,20 @@ impl<S: MetricSpace> Engine<S> {
             &self.pool,
         );
         self.census = census;
-        self.stamp(6, &mut clock);
+        self.stamp(CENSUS_ROW, &mut clock);
         let mut proximity = std::mem::take(&mut self.proximity);
         let metrics = self.metrics_from(observation, &mut proximity);
         self.proximity = proximity;
-        self.stamp(7, &mut clock);
+        self.stamp(PROXIMITY_ROW, &mut clock);
         self.history.push(metrics);
         metrics
     }
 
-    /// Charges the time since `clock` to phase `phase` of the ledger and
+    /// Charges the time since `clock` to row `row` of the ledger and
     /// restarts `clock` from the same reading.
-    fn stamp(&mut self, phase: usize, clock: &mut Instant) {
+    fn stamp(&mut self, row: usize, clock: &mut Instant) {
         let now = Instant::now();
-        self.phase_ns[phase] += (now - *clock).as_nanos() as u64;
+        self.phase_ns[row] += (now - *clock).as_nanos() as u64;
         *clock = now;
     }
 
@@ -638,7 +657,7 @@ impl<S: MetricSpace> Engine<S> {
                     } else {
                         // A send to an undetected-dead node is simply
                         // lost — its payload buffer goes back to the pool.
-                        sink.recycle_wire(wire);
+                        sink.pool.recycle_wire(wire);
                     }
                 }
             }
@@ -799,6 +818,27 @@ mod tests {
             let s = e.poly_state(id).unwrap();
             assert_eq!(s.guests.len(), 1);
             assert_eq!(s.guests[0].id.as_u64(), id.as_u64());
+        }
+    }
+
+    #[test]
+    fn phase_ledger_charges_exactly_the_phases_that_ran() {
+        let skipped_without_poly = ["recovery", "backup", "migration"];
+        for poly in [true, false] {
+            let mut e = tiny_engine(3);
+            if !poly {
+                e.disable_polystyrene();
+            }
+            e.run(3);
+            for (name, ns) in ENGINE_PHASES.into_iter().zip(e.phase_ns()) {
+                let skipped =
+                    name == "heartbeat" || (!poly && skipped_without_poly.contains(&name));
+                if skipped {
+                    assert_eq!(ns, 0, "{name} is skipped but was charged (poly {poly})");
+                } else {
+                    assert!(ns > 0, "{name} ran but reads 0 (poly {poly})");
+                }
+            }
         }
     }
 
