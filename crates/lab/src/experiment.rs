@@ -944,4 +944,77 @@ mod tests {
         assert!(json.contains("\"mean_traffic_availability\":null"));
         assert!(json.contains("\"final_traffic_availability\":null"));
     }
+
+    /// Pins every byte `summary_json` prints for two runs of different
+    /// lengths: the first reshapes, the second never does and reads a
+    /// NaN latency in its last round (printed `null`).
+    #[test]
+    fn summary_json_pins_every_key() {
+        let round = |alive: usize, h: f64, surviving: f64, ppn: f64, cost: f64, ticks: u64| {
+            RoundObservation {
+                alive_nodes: alive,
+                points_per_node: ppn,
+                cost_units: cost,
+                ..obs(h, 0.7, surviving, ticks)
+            }
+        };
+        let traffic = |offered, delivered, shed, p50, p99| TrafficStats {
+            offered,
+            delivered,
+            shed,
+            reads: offered,
+            writes: 1,
+            latency_p50: p50,
+            latency_p99: p99,
+            ..TrafficStats::default()
+        };
+        let mut reshapes = vec![
+            round(10, 0.4, 1.0, 3.0, 12.5, 1),
+            round(6, 2.5, 0.875, 2.25, 20.0, 3),
+            round(6, 0.6, 0.875, 3.5, 15.25, 5),
+        ];
+        reshapes[0].traffic = traffic(8, 8, 0, 2.0, 4.0);
+        reshapes[1].traffic = traffic(8, 4, 2, 3.0, 9.0);
+        reshapes[2].traffic = traffic(8, 7, 0, 2.5, 5.0);
+        let mut stuck = vec![
+            round(12, 0.45, 1.0, 2.75, 11.0, 1),
+            round(5, 3.0, 0.75, 1.5, 9.5, 2),
+        ];
+        stuck[0].traffic = traffic(4, 4, 0, 1.0, 2.0);
+        stuck[1].traffic = traffic(4, 1, 1, f64::NAN, f64::NAN);
+        let mut summary = ExperimentSummary::default();
+        summary.push(&ExperimentTrace {
+            observations: reshapes,
+            failure_round: Some(1),
+            kill_tick: Some(2),
+        });
+        summary.push(&ExperimentTrace {
+            observations: stuck,
+            failure_round: Some(1),
+            kill_tick: Some(1),
+        });
+        let json = summary_json(
+            "pin",
+            &[("nodes", "12".to_string())],
+            &[("a".to_string(), &summary)],
+        );
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"figure":"pin","nodes":12,"entries":[{"label":"a","runs":2,"recovered_runs":1,"#,
+                r#""mean_reshaping_rounds":2.00,"mean_reshaping_ticks":3.00,"mean_cost_units":13.917,"#,
+                r#""mean_traffic_availability":0.7250,"min_traffic_availability":0.3000,"#,
+                r#""mean_traffic_p50":null,"mean_traffic_p99":null,"#,
+                r#""traffic_reads":32,"traffic_writes":5,"traffic_shed":3,"reliability_mean":81.25,"#,
+                r#""final_alive_nodes":{"min":6,"mean":6,"max":6},"#,
+                r#""final_homogeneity":{"min":0.600000,"mean":0.600000,"max":0.600000},"#,
+                r#""final_reference_homogeneity":{"min":0.700000,"mean":0.700000,"max":0.700000},"#,
+                r#""final_surviving_points":{"min":0.875000,"mean":0.875000,"max":0.875000},"#,
+                r#""final_points_per_node":{"min":3.500,"mean":3.500,"max":3.500},"#,
+                r#""final_traffic_availability":{"min":0.8750,"mean":0.8750,"max":0.8750},"#,
+                r#""final_traffic_p50":{"min":2.50,"mean":2.50,"max":2.50},"#,
+                r#""final_traffic_p99":{"min":5.00,"mean":5.00,"max":5.00}}]}"#,
+            )
+        );
+    }
 }
