@@ -15,6 +15,7 @@ use crate::{
     lab_config, render_reshaping_table, run_quality, steady_state, Args, Output, ReshapingRow,
 };
 use polystyrene::prelude::SplitStrategy;
+use polystyrene_lab::Series;
 use polystyrene_protocol::{LinkProfile, PaperScenario};
 use std::time::Instant;
 
@@ -59,8 +60,8 @@ pub fn run(args: &Args) -> Output {
         let started = Instant::now();
         let (summary, proximity) = run_quality(&paper, &cfg, runs);
         let elapsed = started.elapsed();
-        let points = summary.points_per_node.means();
-        let cost = summary.cost_units.means();
+        let points = summary[Series::PointsPerNode].means();
+        let cost = summary[Series::CostUnits].means();
         // T-Man alone never replicates: one point per founder.
         let expected = if tman_only { 1 } else { 1 + k };
         let pre_failure = points
@@ -84,7 +85,7 @@ pub fn run(args: &Args) -> Output {
         ));
         series.push((
             label,
-            [summary.homogeneity.means(), proximity.means(), points, cost],
+            [summary[Series::Homogeneity].means(), proximity.means(), points, cost],
         ));
     }
     println!(

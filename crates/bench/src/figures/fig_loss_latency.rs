@@ -36,7 +36,7 @@ use crate::{lab_config, peak_rss_mb, scaling_sizes, Args, Output, ALLOCATIONS};
 use polystyrene::prelude::SplitStrategy;
 use polystyrene_lab::{
     build_substrate, json_f64, json_object, run_experiment, summary_json, ExperimentSummary,
-    LabConfig, SeriesStats, SubstrateKind,
+    LabConfig, Series, SubstrateKind,
 };
 use polystyrene_membership::NodeId;
 use polystyrene_netsim::prelude::{LinkProfile, NetSim, NetSimConfig};
@@ -226,15 +226,15 @@ fn report_row(row: &SweepRow, runs: usize) {
         ),
         None => "never".to_string(),
     };
-    let last = |s: &SeriesStats| s.last().map(|v| v.mean()).unwrap_or(f64::NAN);
+    let last = |s| row.summary[s].last().map_or(f64::NAN, |v| v.mean());
     println!(
         "{:>10} → reshaping {reshaping}, final homogeneity {:.3} (ref {:.3}), \
          survival {:.1}%, {:.1} pts/node, {:.1}s wall, {:.0} MB peak RSS",
         row.label,
-        last(&row.summary.homogeneity),
-        last(&row.summary.reference_homogeneity),
-        last(&row.summary.surviving_points) * 100.0,
-        last(&row.summary.points_per_node),
+        last(Series::Homogeneity),
+        last(Series::ReferenceHomogeneity),
+        last(Series::SurvivingPoints) * 100.0,
+        last(Series::PointsPerNode),
         row.wall_secs,
         row.peak_rss_mb,
     );
@@ -432,14 +432,13 @@ mod tests {
     use super::*;
 
     fn unrecovered_row(label: &str, nodes: usize, loss: f64, runs: usize) -> SweepRow {
+        let mut summary = ExperimentSummary::default();
+        summary.runs = runs;
         SweepRow {
             label: label.to_string(),
             nodes,
             loss,
-            summary: ExperimentSummary {
-                runs,
-                ..Default::default()
-            },
+            summary,
             wall_secs: 1.0,
             peak_rss_mb: 1.0,
         }

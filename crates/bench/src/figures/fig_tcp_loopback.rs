@@ -29,7 +29,7 @@ use crate::{lab_config, Args, Output};
 use polystyrene::prelude::SplitStrategy;
 use polystyrene_lab::{
     build_substrate, json_f64, run_experiment, summary_json, ExperimentSummary, LiveSubstrate,
-    SubstrateKind,
+    Series, SubstrateKind,
 };
 use polystyrene_protocol::PaperScenario;
 use polystyrene_space::prelude::*;
@@ -144,18 +144,8 @@ pub fn run(args: &Args) -> Output {
             Some(n) => format!(", {n} frames ({:.0}/s)", n as f64 / r.elapsed.as_secs_f64()),
             None => String::new(),
         };
-        let final_h = r
-            .summary
-            .homogeneity
-            .last()
-            .map(|s| s.mean())
-            .unwrap_or(f64::NAN);
-        let final_survival = r
-            .summary
-            .surviving_points
-            .last()
-            .map(|s| s.mean())
-            .unwrap_or(f64::NAN);
+        let last = |s| r.summary[s].last().map_or(f64::NAN, |v| v.mean());
+        let (final_h, final_survival) = (last(Series::Homogeneity), last(Series::SurvivingPoints));
         println!(
             "{:>16}: reshaping {reshaping}, final homogeneity {final_h:.3}, survival {:.1}%, \
              {:.1} s wall{throughput}",

@@ -19,10 +19,9 @@
 //! ```
 
 use crate::{Args, Output};
-use polystyrene::prelude::PolystyreneConfig;
 use polystyrene_lab::{
     build_substrate, json_f64, json_object, json_strings, key_universe,
-    run_experiment_with_traffic, summary_json, ExperimentSummary, LabConfig, SubstrateKind,
+    run_experiment_with_traffic, summary_json, ExperimentSummary, LabConfig, Series, SubstrateKind,
     TrafficLoad,
 };
 use polystyrene_protocol::{Scenario, ScenarioEvent};
@@ -97,7 +96,7 @@ pub fn run(args: &Args) -> Output {
     cfg.area = (cols * rows) as f64;
     cfg.tman.view_cap = 20;
     cfg.tman.m = 8;
-    cfg.poly = PolystyreneConfig::builder().replication(k).build();
+    cfg.poly.replication = k;
     cfg.tick = Duration::from_millis(8);
 
     let mut out = Output::default();
@@ -123,7 +122,7 @@ pub fn run(args: &Args) -> Output {
 
         // Availability trajectory over the run: converged plateau →
         // kill-round dip → recovered tail.
-        let means = summary.traffic_availability.means();
+        let means = summary[Series::TrafficAvailability].means();
         let tail = means[means.len() - TAIL_ROUNDS..]
             .iter()
             .copied()
@@ -157,14 +156,12 @@ pub fn run(args: &Args) -> Output {
         println!(
             "{kind:>8}: availability mean {:.4}, kill dip {:.4}, tail {:.4}, p99 latency {:.1} \
              hops, {:.1}s",
-            summary.mean_traffic_availability().unwrap_or(f64::NAN),
+            summary.mean(Series::TrafficAvailability).unwrap_or(f64::NAN),
             dip,
             tail,
-            summary
-                .traffic_p99
+            summary[Series::TrafficP99]
                 .last()
-                .map(|s| s.mean())
-                .unwrap_or(f64::NAN),
+                .map_or(f64::NAN, |s| s.mean()),
             started.elapsed().as_secs_f64(),
         );
         summaries.push((kind.name().to_string(), summary));

@@ -24,11 +24,10 @@
 //! ```
 
 use crate::{Args, Output};
-use polystyrene::prelude::PolystyreneConfig;
 use polystyrene_lab::{
     build_substrate, json_f64, json_object, key_universe, run_experiment,
     run_experiment_with_traffic, summary_json, ExperimentSummary, ExperimentTrace, LabConfig,
-    SubstrateKind, TrafficDist, TrafficLoad,
+    Series, SubstrateKind, TrafficDist, TrafficLoad,
 };
 use polystyrene_protocol::{LinkProfile, Scenario};
 use polystyrene_runtime::GATEWAY_INGRESS_BOUND;
@@ -110,7 +109,7 @@ impl Plan {
         cfg.seed = common.seed;
         cfg.area = self.nodes() as f64;
         cfg.link = common.link;
-        cfg.poly = PolystyreneConfig::builder().replication(common.k).build();
+        cfg.poly.replication = common.k;
         if self.is_live() {
             cfg.tman.view_cap = 20;
             cfg.tman.m = 8;
@@ -203,8 +202,8 @@ fn sweep(plan: &Plan, common: &Common, warmup: u32, rounds: u32) -> SweepResult 
         println!(
             "{:>8}@r{rate:<6} availability {availability:.4}  p50 {:>6}  p99 {:>6}  shed {}",
             plan.kind.name(),
-            json_f64(summary.mean_traffic_p50().unwrap_or(f64::NAN), 1),
-            json_f64(summary.mean_traffic_p99().unwrap_or(f64::NAN), 1),
+            json_f64(summary.mean(Series::TrafficP50).unwrap_or(f64::NAN), 1),
+            json_f64(summary.mean(Series::TrafficP99).unwrap_or(f64::NAN), 1),
             summary.traffic_shed,
         );
         entries.push((format!("{}@r{rate}", plan.kind.name()), summary));
@@ -283,7 +282,7 @@ pub fn run(args: &Args) -> Output {
         };
         let base_availability = result.entries[0]
             .1
-            .mean_traffic_availability()
+            .mean(Series::TrafficAvailability)
             .unwrap_or(0.0);
         if base_availability < base_floor {
             out.fail(format!(

@@ -17,7 +17,6 @@
 //! ```
 
 use crate::{Args, Output};
-use polystyrene::prelude::PolystyreneConfig;
 use polystyrene_lab::{
     build_substrate, json_f64, json_object, json_strings, run_experiment, summary_json,
     ExperimentSummary, ExperimentTrace, LabConfig, SubstrateKind,
@@ -75,7 +74,7 @@ pub fn run(args: &Args) -> Output {
     cfg.seed = args.get::<u64>("seed", 1) + 10; // seed 11 = the historical equivalence anchor
     cfg.tman.view_cap = 20;
     cfg.tman.m = 8;
-    cfg.poly = PolystyreneConfig::builder().replication(k).build();
+    cfg.poly.replication = k;
     // 8 ms leaves debug-build message handling headroom per round on a
     // loaded CI box for the wall-clock substrates.
     cfg.tick = Duration::from_millis(8);

@@ -41,7 +41,7 @@ pub mod minijson;
 pub mod report;
 pub mod snapshot;
 
-use polystyrene::prelude::{PolystyreneConfig, SplitStrategy};
+use polystyrene::prelude::SplitStrategy;
 use polystyrene_lab::{
     build_engine, build_substrate, run_experiment, ExperimentSummary, LabConfig, SeriesStats,
     SubstrateKind,
@@ -272,10 +272,8 @@ impl Output {
 /// runners set the area per scenario.
 pub fn lab_config(k: usize, split: SplitStrategy, seed: u64, link: LinkProfile) -> LabConfig {
     let mut cfg = LabConfig::default();
-    cfg.poly = PolystyreneConfig::builder()
-        .replication(k)
-        .split(split)
-        .build();
+    cfg.poly.replication = k;
+    cfg.poly.split = split;
     cfg.seed = seed;
     cfg.link = link;
     cfg
@@ -511,7 +509,7 @@ pub fn steady_state(series: &[f64], n: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polystyrene_lab::TrafficDist;
+    use polystyrene_lab::{Series, TrafficDist};
 
     /// The flags the parser tests declare.
     const FLAGS: &[&str] = &[
@@ -838,9 +836,9 @@ mod tests {
         cfg.poly.replication = 3;
         let (summary, proximity) = run_quality(&paper, &cfg, 2);
         assert_eq!(summary.runs, 2);
-        assert_eq!(summary.homogeneity.len(), 30);
+        assert_eq!(summary[Series::Homogeneity].len(), 30);
         assert_eq!(proximity.len(), 30);
-        assert_eq!(summary.reference_homogeneity.len(), 30);
+        assert_eq!(summary[Series::ReferenceHomogeneity].len(), 30);
         assert_eq!(summary.reliabilities.len(), 2);
         assert_eq!(summary.recovered_runs() + summary.unreshaped_runs(), 2);
         assert!(summary.unreshaped_runs() == 0, "tiny torus must reshape");

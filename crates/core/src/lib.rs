@@ -38,7 +38,7 @@
 //! use rand::SeedableRng;
 //!
 //! let space = Torus2::new(8.0, 8.0);
-//! let cfg = PolystyreneConfig::builder().replication(4).build();
+//! let cfg = PolystyreneConfig::default();
 //! let mut rng = StdRng::seed_from_u64(7);
 //!
 //! // Two nodes, each hosting its own original data point.
@@ -71,7 +71,7 @@ pub mod state;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::backup::{plan_backups, plan_backups_with, push_cost_units, BackupPush};
-    pub use crate::config::{BackupPlacement, ConfigBuilder, PolystyreneConfig};
+    pub use crate::config::{BackupPlacement, PolystyreneConfig};
     pub use crate::datapoint::{DataPoint, PointId};
     pub use crate::migration::{
         absorb_and_split, migrate_exchange, MigrationOutcome, SplitOutcome,

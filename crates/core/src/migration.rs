@@ -19,7 +19,7 @@
 //! module implements the exchange itself (lines 4–7) plus the
 //! re-projection both participants perform afterwards.
 
-use crate::config::PolystyreneConfig;
+use crate::config::{PolystyreneConfig, DIAMETER_EXACT_THRESHOLD};
 use crate::datapoint::{dedup_by_id_in_place, DataPoint, PointId};
 use crate::split::split;
 use crate::state::PolyState;
@@ -158,7 +158,7 @@ pub fn absorb_and_split<S: MetricSpace, R: Rng + ?Sized>(
         all_points,
         initiator_pos,
         &responder.pos,
-        config.diameter_exact_threshold,
+        DIAMETER_EXACT_THRESHOLD,
         rng,
     );
     let pushed = for_responder.len();
@@ -188,7 +188,10 @@ mod tests {
     }
 
     fn cfg(split: SplitStrategy) -> PolystyreneConfig {
-        PolystyreneConfig::builder().split(split).build()
+        PolystyreneConfig {
+            split,
+            ..PolystyreneConfig::default()
+        }
     }
 
     #[test]

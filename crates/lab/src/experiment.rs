@@ -275,32 +275,93 @@ impl SeriesStats {
     }
 }
 
+/// One per-round quantity an [`ExperimentSummary`] tracks. The table
+/// in [`Series::row`] says how each is read and printed; the summary and
+/// [`summary_json`] walk [`Series::ALL`], so a new series is one variant
+/// and one row.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Series {
+    /// Alive population.
+    AliveNodes,
+    /// Homogeneity.
+    Homogeneity,
+    /// Reference homogeneity `H`.
+    ReferenceHomogeneity,
+    /// Surviving fraction of the founding points.
+    SurvivingPoints,
+    /// Stored points per node.
+    PointsPerNode,
+    /// Cost units per node (zero on unmetered substrates).
+    CostUnits,
+    /// Query availability (delivered / presented; `1.0` on quiet rounds,
+    /// so scenario-only runs stay trivially available).
+    TrafficAvailability,
+    /// Median query latency, in protocol ticks.
+    TrafficP50,
+    /// p99 query latency, in protocol ticks.
+    TrafficP99,
+}
+
+/// [`summary_json`] prints `mean_<key>`: the mean of the per-round means.
+const MEAN: u8 = 1;
+/// [`summary_json`] prints `min_<key>`: the worst per-round mean.
+const MIN: u8 = 2;
+/// [`summary_json`] prints `final_<key>`: the last round's min/mean/max.
+const FINAL: u8 = 4;
+
+/// One row of the series table: the JSON key, the reader, the print
+/// precision and the aggregates printed (`MEAN | MIN | FINAL`).
+struct Row(&'static str, fn(&RoundObservation) -> f64, usize, u8);
+
+impl Series {
+    /// Every series, in the order [`summary_json`] prints them.
+    pub const ALL: [Series; 9] = [
+        Series::AliveNodes,
+        Series::Homogeneity,
+        Series::ReferenceHomogeneity,
+        Series::SurvivingPoints,
+        Series::PointsPerNode,
+        Series::CostUnits,
+        Series::TrafficAvailability,
+        Series::TrafficP50,
+        Series::TrafficP99,
+    ];
+
+    /// The series table.
+    fn row(self) -> Row {
+        match self {
+            Series::AliveNodes => Row("alive_nodes", |o| o.alive_nodes as f64, 0, FINAL),
+            Series::Homogeneity => Row("homogeneity", |o| o.homogeneity, 6, FINAL),
+            Series::ReferenceHomogeneity => Row(
+                "reference_homogeneity",
+                |o| o.reference_homogeneity,
+                6,
+                FINAL,
+            ),
+            Series::SurvivingPoints => Row("surviving_points", |o| o.surviving_points, 6, FINAL),
+            Series::PointsPerNode => Row("points_per_node", |o| o.points_per_node, 3, FINAL),
+            Series::CostUnits => Row("cost_units", |o| o.cost_units, 3, MEAN),
+            Series::TrafficAvailability => Row(
+                "traffic_availability",
+                |o| o.traffic.availability(),
+                4,
+                MEAN | MIN | FINAL,
+            ),
+            Series::TrafficP50 => Row("traffic_p50", |o| o.traffic.latency_p50, 2, MEAN | FINAL),
+            Series::TrafficP99 => Row("traffic_p99", |o| o.traffic.latency_p99, 2, MEAN | FINAL),
+        }
+    }
+}
+
 /// Aggregate of repeated seeded runs of one experiment configuration:
-/// streaming per-round series plus the per-run headline scalars
-/// (reshaping, reliability) the paper's tables report.
+/// streaming per-round statistics of every [`Series`] (index the
+/// summary by one) plus the per-run headline scalars (reshaping,
+/// reliability) the paper's tables report.
 #[derive(Clone, Debug, Default)]
 pub struct ExperimentSummary {
     /// Runs aggregated.
     pub runs: usize,
-    /// Per-round alive population.
-    pub alive_nodes: SeriesStats,
-    /// Per-round homogeneity.
-    pub homogeneity: SeriesStats,
-    /// Per-round reference homogeneity.
-    pub reference_homogeneity: SeriesStats,
-    /// Per-round surviving fraction.
-    pub surviving_points: SeriesStats,
-    /// Per-round stored points per node.
-    pub points_per_node: SeriesStats,
-    /// Per-round cost units per node (zero on unmetered substrates).
-    pub cost_units: SeriesStats,
-    /// Per-round query availability (delivered / offered; `1.0` on
-    /// quiet rounds, so scenario-only runs stay trivially available).
-    pub traffic_availability: SeriesStats,
-    /// Per-round median query latency, in protocol ticks.
-    pub traffic_p50: SeriesStats,
-    /// Per-round p99 query latency, in protocol ticks.
-    pub traffic_p99: SeriesStats,
+    series: [SeriesStats; Series::ALL.len()],
     /// Total read-intent queries the workloads drew, across all runs.
     pub traffic_reads: u64,
     /// Total write-intent queries the workloads drew, across all runs.
@@ -316,28 +377,22 @@ pub struct ExperimentSummary {
     pub reliabilities: Vec<f64>,
 }
 
+impl std::ops::Index<Series> for ExperimentSummary {
+    type Output = SeriesStats;
+
+    fn index(&self, series: Series) -> &SeriesStats {
+        &self.series[series as usize]
+    }
+}
+
 impl ExperimentSummary {
     /// Folds one run into the aggregate.
     pub fn push(&mut self, trace: &ExperimentTrace) {
         self.runs += 1;
-        self.alive_nodes
-            .push_run(trace.observations.iter().map(|o| o.alive_nodes as f64));
-        self.homogeneity
-            .push_run(trace.observations.iter().map(|o| o.homogeneity));
-        self.reference_homogeneity
-            .push_run(trace.observations.iter().map(|o| o.reference_homogeneity));
-        self.surviving_points
-            .push_run(trace.observations.iter().map(|o| o.surviving_points));
-        self.points_per_node
-            .push_run(trace.observations.iter().map(|o| o.points_per_node));
-        self.cost_units
-            .push_run(trace.observations.iter().map(|o| o.cost_units));
-        self.traffic_availability
-            .push_run(trace.observations.iter().map(|o| o.traffic.availability()));
-        self.traffic_p50
-            .push_run(trace.observations.iter().map(|o| o.traffic.latency_p50));
-        self.traffic_p99
-            .push_run(trace.observations.iter().map(|o| o.traffic.latency_p99));
+        for series in Series::ALL {
+            let Row(_, read, ..) = series.row();
+            self.series[series as usize].push_run(trace.observations.iter().map(read));
+        }
         for o in &trace.observations {
             self.traffic_reads += o.traffic.reads;
             self.traffic_writes += o.traffic.writes;
@@ -381,44 +436,18 @@ impl ExperimentSummary {
         (!done.is_empty()).then(|| done.iter().sum::<f64>() / done.len() as f64)
     }
 
-    /// Mean cost units per node per round over the whole series, or
-    /// `None` before any run was pushed — the one-number traffic figure
-    /// the baseline differ tracks per substrate.
-    pub fn mean_cost_units(&self) -> Option<f64> {
-        let means = self.cost_units.means();
+    /// Mean of `series`' per-round means, or `None` before any run was
+    /// pushed — the one-number figure the availability gates and the
+    /// baseline differ track.
+    pub fn mean(&self, series: Series) -> Option<f64> {
+        let means = self[series].means();
         (!means.is_empty()).then(|| means.iter().sum::<f64>() / means.len() as f64)
     }
 
-    /// Mean per-round query availability over the whole series, or
-    /// `None` before any run was pushed — the one-number traffic figure
-    /// the availability gates and the baseline differ track.
-    pub fn mean_traffic_availability(&self) -> Option<f64> {
-        let means = self.traffic_availability.means();
-        (!means.is_empty()).then(|| means.iter().sum::<f64>() / means.len() as f64)
-    }
-
-    /// Mean per-round median query latency (protocol ticks) over the
-    /// whole series, or `None` before any run was pushed — the
-    /// saturation sweep's per-rate latency figure.
-    pub fn mean_traffic_p50(&self) -> Option<f64> {
-        let means = self.traffic_p50.means();
-        (!means.is_empty()).then(|| means.iter().sum::<f64>() / means.len() as f64)
-    }
-
-    /// Mean per-round p99 query latency (protocol ticks) over the whole
-    /// series, or `None` before any run was pushed.
-    pub fn mean_traffic_p99(&self) -> Option<f64> {
-        let means = self.traffic_p99.means();
-        (!means.is_empty()).then(|| means.iter().sum::<f64>() / means.len() as f64)
-    }
-
-    /// The worst per-round mean availability across the series — the
-    /// collapse depth an availability gate checks at the kill round.
-    pub fn min_traffic_availability(&self) -> Option<f64> {
-        self.traffic_availability
-            .means()
-            .into_iter()
-            .min_by(f64::total_cmp)
+    /// The worst per-round mean of `series` — for availability, the
+    /// collapse depth a gate checks at the kill round.
+    pub fn min(&self, series: Series) -> Option<f64> {
+        self[series].means().into_iter().min_by(f64::total_cmp)
     }
 
     /// Mean ± CI95 of the reshaping time in rounds (over runs that
@@ -475,30 +504,30 @@ pub fn json_strings<L: std::fmt::Display>(labels: impl IntoIterator<Item = L>) -
     format!("[{}]", labels.join(","))
 }
 
-fn json_stat(out: &mut String, stat: Option<&RoundStat>, precision: usize) {
+fn json_stat(stat: Option<&RoundStat>, precision: usize) -> String {
     match stat {
-        Some(s) => {
-            let _ = write!(
-                out,
-                "{{\"min\":{},\"mean\":{},\"max\":{}}}",
-                json_f64(s.min, precision),
-                json_f64(s.mean(), precision),
-                json_f64(s.max, precision)
-            );
-        }
-        None => out.push_str("null"),
+        Some(s) => format!(
+            "{{\"min\":{},\"mean\":{},\"max\":{}}}",
+            json_f64(s.min, precision),
+            json_f64(s.mean(), precision),
+            json_f64(s.max, precision)
+        ),
+        None => "null".to_string(),
     }
 }
 
 /// The single hand-rolled JSON emitter of the experiment plane: one
 /// record per `(label, summary)` entry, under shared metadata. `meta`
 /// values must already be valid JSON tokens (numbers, `true`, quoted
-/// strings) — every float should come out of [`json_f64`].
+/// strings) — every float should come out of [`json_f64`]. Each entry
+/// prints the [`Series`] table's aggregates: the `mean_` and `min_`
+/// keys after the reshaping times, the `final_` keys last.
 pub fn summary_json(
     figure: &str,
     meta: &[(&str, String)],
     entries: &[(String, &ExperimentSummary)],
 ) -> String {
+    let json_opt = |v: Option<f64>, precision| json_f64(v.unwrap_or(f64::NAN), precision);
     let mut out = String::new();
     let _ = write!(out, "{{\"figure\":\"{figure}\"");
     for (key, value) in meta {
@@ -509,66 +538,44 @@ pub fn summary_json(
         if i > 0 {
             out.push(',');
         }
-        let reshaping_rounds = match s.mean_reshaping_rounds() {
-            Some(m) => json_f64(m, 2),
-            None => "null".to_string(),
-        };
-        let reshaping_ticks = match s.mean_reshaping_ticks() {
-            Some(m) => json_f64(m, 2),
-            None => "null".to_string(),
-        };
-        let cost_units = match s.mean_cost_units() {
-            Some(m) => json_f64(m, 3),
-            None => "null".to_string(),
-        };
-        let traffic_availability = match s.mean_traffic_availability() {
-            Some(m) => json_f64(m, 4),
-            None => "null".to_string(),
-        };
-        let min_traffic_availability = match s.min_traffic_availability() {
-            Some(m) => json_f64(m, 4),
-            None => "null".to_string(),
-        };
-        let traffic_p50 = match s.mean_traffic_p50() {
-            Some(m) => json_f64(m, 2),
-            None => "null".to_string(),
-        };
-        let traffic_p99 = match s.mean_traffic_p99() {
-            Some(m) => json_f64(m, 2),
-            None => "null".to_string(),
-        };
         let _ = write!(
             out,
             "{{\"label\":\"{label}\",\"runs\":{},\"recovered_runs\":{},\
-             \"mean_reshaping_rounds\":{reshaping_rounds},\"mean_reshaping_ticks\":{reshaping_ticks},\
-             \"mean_cost_units\":{cost_units},\
-             \"mean_traffic_availability\":{traffic_availability},\
-             \"min_traffic_availability\":{min_traffic_availability},\
-             \"mean_traffic_p50\":{traffic_p50},\"mean_traffic_p99\":{traffic_p99},\
-             \"traffic_reads\":{},\"traffic_writes\":{},\"traffic_shed\":{},\
-             \"reliability_mean\":{},\"final_alive_nodes\":",
+             \"mean_reshaping_rounds\":{},\"mean_reshaping_ticks\":{}",
             s.runs,
             s.recovered_runs(),
+            json_opt(s.mean_reshaping_rounds(), 2),
+            json_opt(s.mean_reshaping_ticks(), 2),
+        );
+        for series in Series::ALL {
+            let Row(key, _, precision, aggregates) = series.row();
+            if aggregates & MEAN != 0 {
+                let _ = write!(
+                    out,
+                    ",\"mean_{key}\":{}",
+                    json_opt(s.mean(series), precision)
+                );
+            }
+            if aggregates & MIN != 0 {
+                let _ = write!(out, ",\"min_{key}\":{}", json_opt(s.min(series), precision));
+            }
+        }
+        let _ = write!(
+            out,
+            ",\"traffic_reads\":{},\"traffic_writes\":{},\"traffic_shed\":{},\
+             \"reliability_mean\":{}",
             s.traffic_reads,
             s.traffic_writes,
             s.traffic_shed,
             json_f64(s.reliability_percent_ci().mean, 2),
         );
-        json_stat(&mut out, s.alive_nodes.last(), 0);
-        out.push_str(",\"final_homogeneity\":");
-        json_stat(&mut out, s.homogeneity.last(), 6);
-        out.push_str(",\"final_reference_homogeneity\":");
-        json_stat(&mut out, s.reference_homogeneity.last(), 6);
-        out.push_str(",\"final_surviving_points\":");
-        json_stat(&mut out, s.surviving_points.last(), 6);
-        out.push_str(",\"final_points_per_node\":");
-        json_stat(&mut out, s.points_per_node.last(), 3);
-        out.push_str(",\"final_traffic_availability\":");
-        json_stat(&mut out, s.traffic_availability.last(), 4);
-        out.push_str(",\"final_traffic_p50\":");
-        json_stat(&mut out, s.traffic_p50.last(), 2);
-        out.push_str(",\"final_traffic_p99\":");
-        json_stat(&mut out, s.traffic_p99.last(), 2);
+        for series in Series::ALL {
+            let Row(key, _, precision, aggregates) = series.row();
+            if aggregates & FINAL != 0 {
+                let stat = json_stat(s[series].last(), precision);
+                let _ = write!(out, ",\"final_{key}\":{stat}");
+            }
+        }
         out.push('}');
     }
     out.push_str("]}");
@@ -823,12 +830,12 @@ mod tests {
         summary.push(&mk(1.0));
         summary.push(&mk(3.0));
         assert_eq!(summary.runs, 2);
-        let last = summary.homogeneity.last().unwrap();
+        let last = summary[Series::Homogeneity].last().unwrap();
         assert_eq!(last.count, 2);
         assert_eq!(last.min, 2.0);
         assert_eq!(last.max, 6.0);
         assert_eq!(last.mean(), 4.0);
-        assert_eq!(summary.homogeneity.means(), vec![2.0, 4.0]);
+        assert_eq!(summary[Series::Homogeneity].means(), vec![2.0, 4.0]);
         // Both runs "reshaped" at the first sample below reference?
         // Neither did (homogeneity above reference throughout).
         assert_eq!(summary.recovered_runs(), 0);
@@ -849,9 +856,9 @@ mod tests {
             failure_round: None,
             kill_tick: None,
         });
-        assert_eq!(summary.homogeneity.len(), 2);
-        assert_eq!(summary.homogeneity.at(0).unwrap().count, 2);
-        assert_eq!(summary.homogeneity.at(1).unwrap().count, 1);
+        assert_eq!(summary[Series::Homogeneity].len(), 2);
+        assert_eq!(summary[Series::Homogeneity].at(0).unwrap().count, 2);
+        assert_eq!(summary[Series::Homogeneity].at(1).unwrap().count, 1);
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //!   nodes' own greedy forwarding;
 //! * [`ExperimentSummary`] / [`summary_json`] — streaming
 //!   min/mean/max aggregation over repeated seeded runs and the one
-//!   hand-rolled JSON emitter every `BENCH_*.json` artifact shares.
+//!   hand-rolled JSON emitter every `BENCH_*.json` artifact shares; the
+//!   [`Series`] table names each per-round series they track once.
 //!
 //! Scenario × substrate composes freely: any script written in
 //! [`polystyrene_protocol::Scenario`] runs unchanged on anything
@@ -63,7 +64,7 @@ pub mod traffic;
 
 pub use experiment::{
     json_f64, json_object, json_strings, run_experiment, run_experiment_with_traffic, summary_json,
-    ExperimentSummary, ExperimentTrace, RoundStat, SeriesStats,
+    ExperimentSummary, ExperimentTrace, RoundStat, Series, SeriesStats,
 };
 pub use polystyrene_protocol::observe::{RoundObservation, TrafficStats};
 pub use substrate::{

@@ -488,12 +488,10 @@ mod tests {
     fn build_engine_applies_the_lab_config() {
         use polystyrene::prelude::{BackupPlacement, ProjectionStrategy, SplitStrategy};
         let mut cfg = LabConfig::default();
-        cfg.poly = PolystyreneConfig::builder()
-            .replication(8)
-            .split(SplitStrategy::Basic)
-            .projection(ProjectionStrategy::FirstGuest)
-            .backup_placement(BackupPlacement::NeighborhoodBiased)
-            .build();
+        cfg.poly.replication = 8;
+        cfg.poly.split = SplitStrategy::Basic;
+        cfg.poly.projection = ProjectionStrategy::FirstGuest;
+        cfg.poly.backup_placement = BackupPlacement::NeighborhoodBiased;
         cfg.seed = 7;
         cfg.area = 32.0;
         let shape = polystyrene_space::shapes::torus_grid(8, 4, 1.0);

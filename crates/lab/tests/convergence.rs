@@ -15,7 +15,6 @@
 //! monotonically and can never pass — and on an 8 ms tick, which leaves
 //! debug-build message handling headroom on a loaded CI box.
 
-use polystyrene::prelude::PolystyreneConfig;
 use polystyrene_lab::{build_substrate, run_experiment, LabConfig, SubstrateKind};
 use polystyrene_protocol::Scenario;
 use polystyrene_space::prelude::*;
@@ -29,7 +28,7 @@ fn cluster_settles_at_one_plus_k_points_per_node() {
     let mut cfg = LabConfig::default();
     cfg.area = (cols * rows) as f64;
     cfg.tick = Duration::from_millis(8);
-    cfg.poly = PolystyreneConfig::builder().replication(k).build();
+    cfg.poly.replication = k;
     let mut substrate = build_substrate(
         SubstrateKind::Cluster,
         Torus2::new(cols as f64, rows as f64),

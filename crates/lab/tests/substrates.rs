@@ -3,7 +3,6 @@
 //! now parameterized over the unified seam wherever the assertion is
 //! substrate-agnostic.
 
-use polystyrene::prelude::PolystyreneConfig;
 use polystyrene_lab::{
     build_substrate, run_experiment, run_experiment_with_traffic, LabConfig, LiveSubstrate,
     Substrate, SubstrateKind, TrafficLoad, TrafficStats,
@@ -210,7 +209,7 @@ fn scripted_kill_and_inject_apply_on_the_live_cluster() {
     cfg.area = 16.0;
     cfg.seed = 1;
     cfg.tick = Duration::from_millis(2);
-    cfg.poly = PolystyreneConfig::builder().replication(3).build();
+    cfg.poly.replication = 3;
     cfg.round_timeout = Duration::from_secs(5);
     let mut substrate = build_substrate(
         SubstrateKind::Cluster,
@@ -240,7 +239,7 @@ fn churn_window_shrinks_the_live_cluster() {
     cfg.area = 16.0;
     cfg.seed = 2;
     cfg.tick = Duration::from_millis(2);
-    cfg.poly = PolystyreneConfig::builder().replication(3).build();
+    cfg.poly.replication = 3;
     cfg.round_timeout = Duration::from_secs(5);
     let mut substrate = build_substrate(
         SubstrateKind::Cluster,
@@ -337,7 +336,7 @@ fn traffic_load_flows_on_the_live_cluster() {
     cfg.area = 16.0;
     cfg.seed = 3;
     cfg.tick = Duration::from_millis(2);
-    cfg.poly = PolystyreneConfig::builder().replication(3).build();
+    cfg.poly.replication = 3;
     cfg.round_timeout = Duration::from_secs(5);
     let shape = shapes::torus_grid(4, 4, 1.0);
     // Held concretely: the settle below awaits ticks on the cluster.

@@ -99,10 +99,6 @@ mod tests {
         assert!(cfg.link.is_ideal());
         let protocol = cfg.protocol();
         assert_eq!(protocol.heartbeat_timeout_ticks, u32::MAX);
-        assert_eq!(
-            protocol.migration_timeout_ticks,
-            ProtocolConfig::default().migration_timeout_ticks
-        );
     }
 
     #[test]

@@ -935,7 +935,7 @@ mod tests {
             m: 8,
             psi: 3,
         };
-        cfg.poly = PolystyreneConfig::builder().replication(3).build();
+        cfg.poly.replication = 3;
         cfg.area = 64.0;
         cfg.seed = seed;
         cfg

@@ -3,12 +3,22 @@
 use polystyrene::prelude::PolystyreneConfig;
 use polystyrene_topology::TManConfig;
 
+/// Ticks an initiated migration may stay unanswered before the initiator
+/// gives up and unlocks (asynchronous drivers only).
+pub const MIGRATION_TIMEOUT_TICKS: u32 = 3;
+
+/// Ticks a gateway waits for a [`crate::wire::Wire::QueryReply`] before
+/// writing the query off as dropped-in-hole. Expiry is lazy (checked when
+/// traffic counters are drained), so the timeout never touches the
+/// protocol phases or their entropy.
+pub const QUERY_TIMEOUT_TICKS: u32 = 8;
+
 /// Parameters of one node's protocol stack, independent of how it is
 /// driven (cycle engine or threaded runtime).
 ///
-/// The tick-denominated fields only matter to asynchronous drivers: a
-/// cycle driver resolves every exchange within the round it starts in, so
-/// its pending-exchange and heartbeat timeouts never fire.
+/// The tick-denominated timeouts (the heartbeat field here and the two
+/// constants above) only matter to asynchronous drivers: a cycle driver
+/// never advances a node's clock, so none of them fires there.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ProtocolConfig {
     /// T-Man parameters (view cap 100, m = 20, ψ = 5 in the paper).
@@ -24,14 +34,6 @@ pub struct ProtocolConfig {
     /// [`u32::MAX`] disables the detector *and* its per-message liveness
     /// bookkeeping for drivers with an external detector).
     pub heartbeat_timeout_ticks: u32,
-    /// Ticks an initiated migration may stay unanswered before the
-    /// initiator gives up and unlocks (asynchronous drivers only).
-    pub migration_timeout_ticks: u32,
-    /// Ticks a gateway waits for a [`crate::wire::Wire::QueryReply`]
-    /// before writing the query off as dropped-in-hole. Expiry is lazy
-    /// (checked when traffic counters are drained), so the timeout never
-    /// touches the protocol phases or their entropy.
-    pub query_timeout_ticks: u32,
 }
 
 impl Default for ProtocolConfig {
@@ -42,8 +44,6 @@ impl Default for ProtocolConfig {
             rps_view_cap: 20,
             rps_shuffle_len: 8,
             heartbeat_timeout_ticks: 4,
-            migration_timeout_ticks: 3,
-            query_timeout_ticks: 8,
         }
     }
 }
@@ -53,22 +53,14 @@ impl ProtocolConfig {
     ///
     /// # Panics
     ///
-    /// Panics if any sub-configuration is invalid or a zero timeout is
-    /// given.
+    /// Panics if any sub-configuration is invalid or the heartbeat
+    /// timeout is zero.
     pub fn validate(&self) {
         self.tman.validate();
         self.poly.validate();
         assert!(
             self.heartbeat_timeout_ticks > 0,
             "heartbeat timeout must be at least one tick"
-        );
-        assert!(
-            self.migration_timeout_ticks > 0,
-            "migration timeout must be at least one tick"
-        );
-        assert!(
-            self.query_timeout_ticks > 0,
-            "query timeout must be at least one tick"
         );
         // rps_view_cap / rps_shuffle_len are validated by PeerSampling::new.
     }
@@ -81,13 +73,5 @@ mod tests {
     #[test]
     fn default_is_valid() {
         ProtocolConfig::default().validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "migration timeout")]
-    fn zero_migration_timeout_rejected() {
-        let mut c = ProtocolConfig::default();
-        c.migration_timeout_ticks = 0;
-        c.validate();
     }
 }

@@ -22,7 +22,7 @@
 //!   post-recovery re-projection compensating for migrations that may
 //!   stall (see [`ProtocolNode::on_tick_into`]).
 
-use crate::config::ProtocolConfig;
+use crate::config::{ProtocolConfig, MIGRATION_TIMEOUT_TICKS, QUERY_TIMEOUT_TICKS};
 use crate::wire::{Channel, Effect, EffectSink, Event, QueryItem, QueryReplyItem, Wire};
 use polystyrene::prelude::*;
 use polystyrene::recovery::{recover, RecoveryOutcome};
@@ -318,11 +318,11 @@ impl<S: MetricSpace> ProtocolNode<S> {
     /// to `samples` and returns `(offered, delivered, dropped)`.
     ///
     /// Expiry is lazy: pending queries older than
-    /// [`ProtocolConfig::query_timeout_ticks`] are written off as dropped
+    /// [`QUERY_TIMEOUT_TICKS`] are written off as dropped
     /// here, at observation time, so the timeout never touches the
     /// protocol phases or their entropy.
     pub fn take_traffic(&mut self, samples: &mut Vec<(u32, u64)>) -> (u64, u64, u64) {
-        let timeout = u64::from(self.config.query_timeout_ticks);
+        let timeout = u64::from(QUERY_TIMEOUT_TICKS);
         let clock = self.clock;
         let before = self.pending_queries.len();
         self.pending_queries
@@ -617,7 +617,7 @@ impl<S: MetricSpace> ProtocolNode<S> {
         // its ack) was lost in transit, or the initiator crashed. Taking
         // the points back may duplicate them (if the reply did land) but
         // can never lose them — the at-least-once direction.
-        let timeout = u64::from(self.config.migration_timeout_ticks);
+        let timeout = u64::from(MIGRATION_TIMEOUT_TICKS);
         let mut ids = sink.take_ids();
         ids.extend(
             self.handouts
@@ -640,16 +640,12 @@ impl<S: MetricSpace> ProtocolNode<S> {
             sink.put_ids(ids);
             return;
         }
-        // Candidates: the ψ closest topology neighbors plus random RPS
-        // peers (Algorithm 3 lines 1-2) — gathered in the same scratch,
-        // empty again after the drain above.
+        // Candidates: the ψ closest topology neighbors plus one random
+        // RPS peer (Algorithm 3 lines 1-2) — gathered in the same
+        // scratch, empty again after the drain above.
         self.tman
             .closest_ids_into(&self.poly.pos, self.config.poly.psi, &mut ids);
-        for _ in 0..self.config.poly.random_candidates {
-            if let Some(r) = self.rps.random_peer(rng) {
-                ids.push(r);
-            }
-        }
+        ids.extend(self.rps.random_peer(rng));
         let self_id = self.id;
         ids.retain(|&c| c != self_id && !fd(c));
         if ids.is_empty() {
@@ -1130,7 +1126,7 @@ mod tests {
         config.tman.view_cap = 8;
         config.tman.m = 4;
         config.tman.psi = 2;
-        config.poly = PolystyreneConfig::builder().replication(2).build();
+        config.poly.replication = 2;
         ProtocolNode::new(
             NodeId::new(id),
             Euclidean2,
@@ -1429,7 +1425,7 @@ mod tests {
             &mut rng,
             &mut EffectSink::new(),
         );
-        for _ in 0..=a.config().migration_timeout_ticks {
+        for _ in 0..=MIGRATION_TIMEOUT_TICKS {
             a.advance_clock();
         }
         a.on_phase_into(
@@ -1490,7 +1486,7 @@ mod tests {
         assert_eq!(b.parked_points(), 1);
         // The ack never arrives (reply lost in transit). Past the timeout
         // the migration phase re-adopts the parked contribution.
-        for _ in 0..=b.config().migration_timeout_ticks {
+        for _ in 0..=MIGRATION_TIMEOUT_TICKS {
             b.advance_clock();
         }
         b.on_phase_into(
@@ -1781,7 +1777,7 @@ mod tests {
         assert_eq!(a.pending_query_count(), 1);
         // …and once the gateway's clock passes the timeout, the next
         // drain writes it off as dropped-in-hole.
-        for _ in 0..=a.config().query_timeout_ticks {
+        for _ in 0..=QUERY_TIMEOUT_TICKS {
             a.advance_clock();
         }
         let (offered, delivered, dropped) = a.take_traffic(&mut samples);

@@ -92,7 +92,6 @@ impl RuntimeConfig {
             rps_view_cap: RPS_VIEW_CAP,
             rps_shuffle_len: RPS_SHUFFLE_LEN,
             heartbeat_timeout_ticks: self.heartbeat_timeout_ticks,
-            ..ProtocolConfig::default()
         }
     }
 }

@@ -125,18 +125,15 @@ impl Default for EngineConfig {
 
 impl EngineConfig {
     /// The protocol-level slice of this configuration. The engine
-    /// resolves every exchange within the round it starts in and supplies
-    /// its own failure detector, so the tick-denominated timeouts of the
-    /// asynchronous drivers are disabled.
+    /// supplies its own failure detector, so the built-in one is off.
     pub fn protocol(&self) -> ProtocolConfig {
-        // Cycle exchanges are atomic, so an unanswered query can never
-        // complete later either: the engine expires pendings at drain
-        // time itself, and the default query timeout is inert.
+        // Cycle exchanges are atomic and the engine never advances a
+        // node's clock, so the migration and query timeouts cannot fire:
+        // the engine expires pending queries at drain time itself.
         ProtocolConfig {
             tman: self.tman,
             poly: self.poly,
             heartbeat_timeout_ticks: u32::MAX,
-            migration_timeout_ticks: u32::MAX,
             ..ProtocolConfig::default()
         }
     }
@@ -794,7 +791,10 @@ mod tests {
                 m: 8,
                 psi: 3,
             },
-            poly: PolystyreneConfig::builder().replication(3).build(),
+            poly: PolystyreneConfig {
+                replication: 3,
+                ..PolystyreneConfig::default()
+            },
             area: 64.0,
             detection_delay: 0,
             seed,
@@ -1202,10 +1202,8 @@ mod tests {
         // when a whole region dies.
         let run = |placement: BackupPlacement| {
             let mut cfg = tiny_config(22);
-            cfg.poly = PolystyreneConfig::builder()
-                .replication(3)
-                .backup_placement(placement)
-                .build();
+            cfg.poly.replication = 3;
+            cfg.poly.backup_placement = placement;
             let space = Torus2::new(16.0, 4.0);
             let mut e = Engine::new(space, shapes::torus_grid(16, 4, 1.0), cfg);
             e.run(12);

@@ -46,55 +46,33 @@ use std::time::Duration;
 /// themselves run on the cluster's worker pool.
 pub type TcpCluster<S> = Cluster<S, TcpFabric>;
 
-/// Parameters of the TCP deployment, over and above the runtime ones.
-#[derive(Clone, Copy, Debug)]
+/// Outgoing connections a node keeps open at once; the
+/// least-recently-*used* is closed when a send to a new peer needs a
+/// slot. Bounds the deployment's file-descriptor footprint at
+/// `nodes × cap` connections instead of `nodes²`, while the LRU policy
+/// keeps the stable working set — heartbeat targets, the topology
+/// neighborhood — cached across the one-shot random-peer traffic (RPS
+/// shuffles) that would churn a FIFO cache into a connect-per-message
+/// storm.
+pub const CONNECTION_CAP: usize = 24;
+
+/// Timeout for opening a connection and for a blocked write (a peer that
+/// accepts but never drains is indistinguishable from a dead one past
+/// this point).
+pub const IO_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Parameters of the TCP deployment: the runtime ones, which every
+/// message then carries over a socket.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct TcpConfig {
     /// The shared node-loop configuration (tick, timeouts, protocol
     /// parameters, seed; `link.loss` installs the network model).
     pub runtime: RuntimeConfig,
-    /// Outgoing connections a node keeps open at once; the
-    /// least-recently-*used* is closed when a send to a new peer needs a
-    /// slot. Bounds the deployment's file-descriptor footprint at
-    /// `nodes × cap` connections instead of `nodes²`, while the LRU
-    /// policy keeps the stable working set — heartbeat targets, the
-    /// topology neighborhood — cached across the one-shot random-peer
-    /// traffic (RPS shuffles) that would churn a FIFO cache into a
-    /// connect-per-message storm.
-    pub connection_cap: usize,
-    /// Timeout for opening a connection and for a blocked write (a peer
-    /// that accepts but never drains is indistinguishable from a dead
-    /// one past this point).
-    pub io_timeout: Duration,
-}
-
-impl Default for TcpConfig {
-    fn default() -> Self {
-        Self {
-            runtime: RuntimeConfig::default(),
-            connection_cap: 24,
-            io_timeout: Duration::from_secs(2),
-        }
-    }
-}
-
-impl TcpConfig {
-    /// Validates parameter sanity.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero connection cap or a zero timeout, and on an
-    /// invalid runtime configuration.
-    pub fn validate(&self) {
-        self.runtime.validate();
-        assert!(self.connection_cap > 0, "connection cap must be non-zero");
-        assert!(!self.io_timeout.is_zero(), "io timeout must be non-zero");
-    }
 }
 
 /// The shared socket-level address book plus fault-injection state:
 /// the TCP analogue of the runtime's `Registry`.
 pub struct TcpFabric {
-    config: TcpConfig,
     /// Where each attached node listens.
     addrs: RwLock<HashMap<NodeId, SocketAddr>>,
     loss: TransitLoss,
@@ -129,9 +107,8 @@ impl<P: PointCodec + Clone + Send + 'static> Transport<P> for TcpFabric {
     }
 
     fn open(config: TcpConfig) -> Self {
-        config.validate();
+        config.runtime.validate();
         Self {
-            config,
             addrs: RwLock::new(HashMap::new()),
             loss: TransitLoss::new(&config.runtime),
             sent_frames: AtomicU64::new(0),
@@ -210,8 +187,6 @@ struct TcpLink<P> {
     /// Recency order for LRU eviction: front = coldest, back = just
     /// used. Every successful cache hit refreshes its entry.
     order: VecDeque<NodeId>,
-    cap: usize,
-    io_timeout: Duration,
     /// Reusable encode buffer: every outgoing frame is serialized into
     /// this one allocation instead of a fresh `Vec` per send.
     buf: Vec<u8>,
@@ -227,8 +202,6 @@ impl<P> TcpLink<P> {
             id,
             conns: HashMap::new(),
             order: VecDeque::new(),
-            cap: fabric.config.connection_cap,
-            io_timeout: fabric.config.io_timeout,
             fabric,
             buf: Vec::new(),
             frame: Vec::new(),
@@ -253,7 +226,7 @@ impl<P> TcpLink<P> {
     /// error/timeout); the broken stream is dropped either way.
     fn try_write(&mut self, to: NodeId, addr: SocketAddr, payload: &[u8]) -> bool {
         if !self.conns.contains_key(&to) {
-            let Ok(stream) = TcpStream::connect_timeout(&addr, self.io_timeout) else {
+            let Ok(stream) = TcpStream::connect_timeout(&addr, IO_TIMEOUT) else {
                 return false;
             };
             // Frames are small and latency-sensitive at millisecond
@@ -261,8 +234,8 @@ impl<P> TcpLink<P> {
             // dead peer rather than hanging the node (and the worker it
             // shares with its siblings).
             let _ = stream.set_nodelay(true);
-            let _ = stream.set_write_timeout(Some(self.io_timeout));
-            while self.conns.len() >= self.cap {
+            let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+            while self.conns.len() >= CONNECTION_CAP {
                 match self.order.pop_front() {
                     Some(old) => {
                         self.conns.remove(&old);

@@ -4,7 +4,6 @@
 mod cluster_suite;
 
 use cluster_suite::{Point, Under};
-use polystyrene::prelude::PolystyreneConfig;
 use polystyrene_protocol::LinkProfile;
 use polystyrene_runtime::{Registry, RuntimeConfig};
 use std::time::Duration;
@@ -15,9 +14,7 @@ impl Under for Registry<Point> {
     fn fast_config(link: LinkProfile, replication: usize) -> RuntimeConfig {
         let mut c = RuntimeConfig::default();
         c.tick = Duration::from_millis(2);
-        c.poly = PolystyreneConfig::builder()
-            .replication(replication)
-            .build();
+        c.poly.replication = replication;
         c.link = link;
         c
     }

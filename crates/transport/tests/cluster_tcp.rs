@@ -4,7 +4,6 @@
 mod cluster_suite;
 
 use cluster_suite::Under;
-use polystyrene::prelude::PolystyreneConfig;
 use polystyrene_membership::NodeId;
 use polystyrene_protocol::LinkProfile;
 use polystyrene_space::prelude::*;
@@ -22,9 +21,7 @@ impl Under for TcpFabric {
     fn fast_config(link: LinkProfile, replication: usize) -> TcpConfig {
         let mut c = TcpConfig::default();
         c.runtime.tick = Duration::from_millis(4);
-        c.runtime.poly = PolystyreneConfig::builder()
-            .replication(replication)
-            .build();
+        c.runtime.poly.replication = replication;
         c.runtime.link = link;
         c
     }

@@ -16,7 +16,6 @@
 //! Nothing here waits on the wall clock: progress is awaited in protocol
 //! ticks, as in `cluster_suite`.
 
-use polystyrene::prelude::PolystyreneConfig;
 use polystyrene_membership::NodeId;
 use polystyrene_protocol::observe::RoundObservation;
 use polystyrene_protocol::LinkProfile;
@@ -44,7 +43,7 @@ fn mid_migration_kills_under_loss_never_destroy_points() {
     // 8 ms leaves socket-IO and scheduling headroom per round when the
     // whole workspace tests on a loaded single-core box.
     config.runtime.tick = Duration::from_millis(8);
-    config.runtime.poly = PolystyreneConfig::builder().replication(4).build();
+    config.runtime.poly.replication = 4;
     config.runtime.heartbeat_timeout_ticks = HEARTBEAT_TIMEOUT_TICKS;
     // 15% of frames vanish in transit: migration replies get lost (the
     // responder's handout stays parked until re-adoption) and acks get

@@ -19,7 +19,7 @@ fn ring_demo() {
     let mut config = EngineConfig::default();
     // Reference homogeneity is 2-D; for the ring we track raw homogeneity.
     config.area = circumference;
-    config.poly = PolystyreneConfig::builder().replication(4).build();
+    config.poly.replication = 4;
     let shape = shapes::ring_points(n, circumference);
     let mut engine = Engine::new(Ring::new(circumference), shape, config);
 
@@ -47,7 +47,7 @@ fn blob_demo() {
     let n = shape.len();
     let mut config = EngineConfig::default();
     config.area = 600.0; // rough footprint, only used for reporting
-    config.poly = PolystyreneConfig::builder().replication(6).build();
+    config.poly.replication = 6;
     let mut engine = Engine::new(Euclidean2, shape, config);
 
     engine.run(15);

@@ -30,7 +30,7 @@ fn run(label: &str, polystyrene: bool) -> (f64, f64) {
     let (w, h) = (cols as f64, rows as f64);
     let mut config = EngineConfig::default();
     config.area = w * h;
-    config.poly = PolystyreneConfig::builder().replication(6).build();
+    config.poly.replication = 6;
     let mut engine = Engine::new(
         Torus2::new(w, h),
         shapes::torus_grid(cols, rows, 1.0),

@@ -17,7 +17,7 @@ fn main() {
     let (cols, rows) = (32, 16);
     let mut config = EngineConfig::default();
     config.area = (cols * rows) as f64;
-    config.poly = PolystyreneConfig::builder().replication(4).build();
+    config.poly.replication = 4;
     let mut engine = Engine::new(
         Torus2::new(cols as f64, rows as f64),
         shapes::torus_grid(cols, rows, 1.0),

@@ -20,7 +20,7 @@ fn main() {
     let (w, h) = paper.extents();
     let mut cfg = LabConfig::default();
     cfg.area = paper.area();
-    cfg.poly = PolystyreneConfig::builder().replication(6).build();
+    cfg.poly.replication = 6;
     let mut engine = build_substrate(
         SubstrateKind::Engine,
         Torus2::new(w, h),

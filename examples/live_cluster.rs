@@ -15,7 +15,7 @@ fn main() {
     let (cols, rows) = (9, 6);
     let mut config = RuntimeConfig::default();
     config.tick = Duration::from_millis(5);
-    config.poly = PolystyreneConfig::builder().replication(4).build();
+    config.poly.replication = 4;
 
     let cluster = Cluster::<Torus2>::spawn(
         Torus2::new(cols as f64, rows as f64),

@@ -50,7 +50,7 @@ fn lab_config() -> LabConfig {
     cfg.seed = 11;
     cfg.tman.view_cap = 20;
     cfg.tman.m = 8;
-    cfg.poly = PolystyreneConfig::builder().replication(4).build();
+    cfg.poly.replication = 4;
     // 8 ms leaves debug-build message handling headroom per round on a
     // loaded CI box for the wall-clock substrates.
     cfg.tick = Duration::from_millis(8);

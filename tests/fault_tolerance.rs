@@ -8,7 +8,7 @@ fn engine(cols: usize, rows: usize, k: usize, seed: u64) -> Engine<Torus2> {
     let mut cfg = EngineConfig::default();
     cfg.area = (cols * rows) as f64;
     cfg.seed = seed;
-    cfg.poly = PolystyreneConfig::builder().replication(k).build();
+    cfg.poly.replication = k;
     Engine::new(
         Torus2::new(cols as f64, rows as f64),
         shapes::torus_grid(cols, rows, 1.0),

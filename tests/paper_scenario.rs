@@ -14,7 +14,7 @@ fn engine_for(paper: &PaperScenario, k: usize, seed: u64) -> Engine<Torus2> {
     let mut cfg = EngineConfig::default();
     cfg.area = paper.area();
     cfg.seed = seed;
-    cfg.poly = PolystyreneConfig::builder().replication(k).build();
+    cfg.poly.replication = k;
     Engine::new(Torus2::new(w, h), paper.shape(), cfg)
 }
 

@@ -33,7 +33,7 @@ fn engine(communities: usize, per_community: usize, seed: u64) -> Engine<Jaccard
     cfg.seed = seed;
     cfg.tman.view_cap = 20;
     cfg.tman.m = 8;
-    cfg.poly = PolystyreneConfig::builder().replication(4).build();
+    cfg.poly.replication = 4;
     Engine::new(JaccardSpace, shape, cfg)
 }
 

@@ -123,7 +123,7 @@ proptest! {
         use rand::SeedableRng;
         let space = Torus2::new(16.0, 8.0);
         let split = SplitStrategy::ALL[split_pick % SplitStrategy::ALL.len()];
-        let cfg = PolystyreneConfig::builder().replication(3).split(split).build();
+        let cfg = PolystyreneConfig { replication: 3, split, ..PolystyreneConfig::default() };
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let point = |i: u64| DataPoint::new(
             PointId::new(i),

@@ -10,7 +10,7 @@ fn config(k: usize) -> RuntimeConfig {
     // round even on a loaded CI box; at 3 ms the protocol clock stretches
     // under contention and wall-clock assertions below get flaky.
     c.tick = Duration::from_millis(8);
-    c.poly = PolystyreneConfig::builder().replication(k).build();
+    c.poly.replication = k;
     c
 }
 
