@@ -275,8 +275,8 @@ impl SeriesStats {
     }
 }
 
-/// One per-round quantity an [`ExperimentSummary`] tracks. The table
-/// in [`Series::row`] says how each is read and printed; the summary and
+/// One per-round quantity an [`ExperimentSummary`] tracks. One table
+/// (`Series::row`) says how each is read and printed; the summary and
 /// [`summary_json`] walk [`Series::ALL`], so a new series is one variant
 /// and one row.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -314,7 +314,8 @@ const FINAL: u8 = 4;
 struct Row(&'static str, fn(&RoundObservation) -> f64, usize, u8);
 
 impl Series {
-    /// Every series, in the order [`summary_json`] prints them.
+    /// Every series, in declaration order: the order [`summary_json`]
+    /// prints them in, and each one's slot in the summary.
     pub const ALL: [Series; 9] = [
         Series::AliveNodes,
         Series::Homogeneity,
@@ -444,8 +445,9 @@ impl ExperimentSummary {
         (!means.is_empty()).then(|| means.iter().sum::<f64>() / means.len() as f64)
     }
 
-    /// The worst per-round mean of `series` — for availability, the
-    /// collapse depth a gate checks at the kill round.
+    /// The lowest per-round mean of `series`, or `None` before any run
+    /// was pushed — for availability, the collapse depth a gate checks
+    /// at the kill round.
     pub fn min(&self, series: Series) -> Option<f64> {
         self[series].means().into_iter().min_by(f64::total_cmp)
     }

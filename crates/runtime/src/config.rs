@@ -14,8 +14,8 @@ pub(crate) const BOOTSTRAP_CONTACTS: usize = 8;
 
 /// Parameters of a threaded Polystyrene deployment. The RPS sizing and
 /// the bootstrap contact count are the constants above, the migration
-/// timeout is [`ProtocolConfig`]'s default, and messages are priced by
-/// [`polystyrene_protocol::wire_units`].
+/// and query timeouts are the protocol crate's constants, and messages
+/// are priced by [`polystyrene_protocol::wire_units`].
 #[derive(Clone, Copy, Debug)]
 pub struct RuntimeConfig {
     /// Protocol tick: each node initiates one gossip round per tick.

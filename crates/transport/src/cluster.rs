@@ -61,8 +61,8 @@ pub const CONNECTION_CAP: usize = 24;
 /// this point).
 pub const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Parameters of the TCP deployment: the runtime ones, which every
-/// message then carries over a socket.
+/// Parameters of the TCP deployment: the runtime ones. The connection
+/// cap and the socket timeout are the constants above.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TcpConfig {
     /// The shared node-loop configuration (tick, timeouts, protocol
