@@ -14,8 +14,8 @@
 //!   (unavailability is lower-is-better) against an absolute floor,
 //! * `wall_secs` per substrate from the artifact metadata — real time,
 //! * `allocs_per_round` from the artifact metadata, when present — the
-//!   netsim sweep's steady-state allocation count, gated relatively
-//!   with no floor.
+//!   netsim sweep's steady-state allocation count, gated exactly: the
+//!   sweep is seeded and counts the same on any core count.
 //!
 //! Other keys are carried along, not read: `fig_loss_latency`'s
 //! per-row `peak_rss_mb`, for one, depends on the allocator and the box.
@@ -247,10 +247,11 @@ pub fn compare(baseline: &Json, current: &Json, max_regression: f64) -> (Vec<Com
         }
     }
 
-    // Scalar metadata metrics (lower-is-better, relative gate, no
-    // floor): currently the netsim sweep's allocation telemetry. A
-    // baseline that measured it must keep being measured — dropping the
-    // scalar is a failure, exactly like dropping a substrate.
+    // Scalar metadata metrics (lower-is-better, exact): currently the
+    // netsim sweep's allocation count, which a seeded sweep reproduces
+    // to the allocation. A baseline that measured it must keep being
+    // measured — dropping the scalar is a failure, exactly like
+    // dropping a substrate.
     if let Some(b) = baseline.get("allocs_per_round").and_then(Json::as_f64) {
         match current.get("allocs_per_round").and_then(Json::as_f64) {
             Some(c) => comparisons.push(Comparison {
@@ -258,7 +259,7 @@ pub fn compare(baseline: &Json, current: &Json, max_regression: f64) -> (Vec<Com
                 baseline: b,
                 current: c,
                 floor: 0.0,
-                exact: false,
+                exact: true,
             }),
             None => failures.push(
                 "allocs_per_round: measured in baseline, missing from current run".to_string(),
@@ -428,8 +429,12 @@ mod tests {
         let f = failures(&doc(3), &doc(4));
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].starts_with("allocs_per_round: 3.000 -> 4.000"));
-        // The gate is relative, not exact: +24 % passes.
-        assert!(failures(&doc(111), &doc(138)).is_empty());
+        // The gate is exact: one allocation more fails at any size.
+        let f = failures(&doc(114), &doc(115));
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].starts_with("allocs_per_round: 114.000 -> 115.000 (+0.9%, exact)"));
+        assert!(failures(&doc(114), &doc(114)).is_empty());
+        assert!(failures(&doc(114), &doc(113)).is_empty());
         let missing = parse("{\"entries\":[]}").unwrap();
         assert_eq!(
             failures(&doc(3), &missing),

@@ -66,8 +66,9 @@ pub const FLAGS: &[&str] = &[
 /// binary's counting allocator: the sweep artifact carries the
 /// deterministic `allocs_per_round` scalar so `figures diff` catches
 /// allocation regressions in CI, not just in `tests/gates.rs`.
-/// Deterministic: netsim is single-threaded and fully seeded, so the
-/// committed baseline can gate this exactly.
+/// Deterministic: the run is fully seeded and its 256 nodes never fill
+/// a second kernel lane, so the count is the same on any core count and
+/// `figures diff` gates it exactly against the committed baseline.
 ///
 /// # Panics
 ///
