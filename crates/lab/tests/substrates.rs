@@ -527,7 +527,7 @@ fn lossless_links_charge_the_engine_and_kernel_identically() {
     let lacking = |len: usize| (m - 1).saturating_sub(len);
     let ids = engine.alive_ids();
     let (mut short, mut deficit) = (0, 0);
-    for &id in &ids {
+    for &id in ids {
         let boot = engine.view_entries_of(id).expect("founder").len();
         assert_eq!(
             kernel.view_entries_of(id).expect("founder").len(),
@@ -577,8 +577,8 @@ fn census_reads_the_pool_and_the_board_alike() {
     engine.run(2);
     let reports: Vec<NodeReport<[f64; 2]>> = engine
         .alive_ids()
-        .into_iter()
-        .map(|id| {
+        .iter()
+        .map(|&id| {
             let poly = engine.poly_state(id).expect("alive");
             assert_eq!(
                 engine.parked_points_of(id),

@@ -1,14 +1,19 @@
 //! Configuration of the discrete-event network simulator.
 
 use polystyrene::prelude::PolystyreneConfig;
-use polystyrene_protocol::{LinkProfile, ProtocolConfig};
+use polystyrene_protocol::LinkProfile;
 use polystyrene_topology::TManConfig;
 
 /// Simulator-level configuration: protocol parameters plus the network
 /// model and the event-kernel knobs. The protocol fields it does not
-/// carry take [`ProtocolConfig`]'s defaults, and messages are priced by
-/// the cycle engine's [`polystyrene_protocol::wire_units`] at this
-/// kernel's send boundary.
+/// carry take [`ProtocolConfig`](polystyrene_protocol::ProtocolConfig)'s
+/// defaults, with the built-in heartbeat detector off (the kernel's
+/// [`World`](polystyrene_protocol::World) builds that configuration for
+/// both deterministic drivers; crash and `Detect` events supply the
+/// failure knowledge). Node clocks advance once per round, so the
+/// migration timeout counts rounds, and it fires here: a reply can be
+/// delayed or dropped. Messages are priced by the cycle engine's
+/// [`polystyrene_protocol::wire_units`] at this kernel's send boundary.
 ///
 /// Defaults match the cycle engine's paper settings, with an ideal
 /// (instant, lossless) link — under which the simulator reproduces the
@@ -70,22 +75,6 @@ impl NetSimConfig {
             "a round must span at least one simulated time unit"
         );
     }
-
-    /// The protocol-level slice of this configuration. The kernel
-    /// supplies failure knowledge externally (crash/detect events), so
-    /// the built-in heartbeat detector is disabled; the migration timeout
-    /// keeps its *finite* default (node clocks advance once per round,
-    /// so it counts rounds) — unlike under the cycle engine, a reply here
-    /// can be delayed or dropped, and the pending-exchange lock must
-    /// expire.
-    pub fn protocol(&self) -> ProtocolConfig {
-        ProtocolConfig {
-            tman: self.tman,
-            poly: self.poly,
-            heartbeat_timeout_ticks: u32::MAX,
-            ..ProtocolConfig::default()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -97,8 +86,6 @@ mod tests {
         let cfg = NetSimConfig::default();
         cfg.validate();
         assert!(cfg.link.is_ideal());
-        let protocol = cfg.protocol();
-        assert_eq!(protocol.heartbeat_timeout_ticks, u32::MAX);
     }
 
     #[test]

@@ -12,10 +12,14 @@
 //! `t + detection_delay`.
 //!
 //! The protocol stack is the unchanged [`ProtocolNode`] both other
-//! substrates drive, stored in the same dense
-//! [`polystyrene_protocol::pool::NodePool`] slab the cycle engine uses —
-//! activation order, liveness and positions come off the pool's sorted
-//! alive list instead of a grow-only id-indexed vector. Reachability
+//! substrates drive, and the kernel stands on the same ground truth as
+//! the cycle engine: a [`World`] — the dense
+//! [`NodePool`](polystyrene_protocol::pool::NodePool) slab, the founding
+//! shape, the kernel's stream, the failure knowledge — with the
+//! founding, victim selection, position refresh and census written once
+//! there. The kernel derefs to it for every read; its own are the
+//! calendar queue, the lanes, both fabrics and the per-node streams.
+//! Reachability
 //! probes are answered from the *kernel's failure knowledge* (what has
 //! been detected so far) — not from ground truth, so an undetected crash
 //! lets exchanges start and then time out, exactly as a deployment would
@@ -36,7 +40,7 @@
 //! * **The per-round position refresh** (paper Sec. IV-B: "T-Man must
 //!   update their positions in its view in each round, causing most of
 //!   the traffic") runs at every round boundary as the pool pass the
-//!   cycle engine also runs, [`NodePool::refresh_view_positions`]: each
+//!   cycle engine also runs, [`World::refresh_positions`]: each
 //!   T-Man view entry whose subject is alive takes the subject's current
 //!   position and age zero, instantly and without loss. It is *costed*
 //!   like the engine's — one descriptor per entry whose position
@@ -62,8 +66,9 @@
 //! cells as were ever queued at once, not a ring of buckets each sized
 //! for its busiest tick), node effects are pushed into the lanes'
 //! [`EffectSink`]s and dispatched through their reusable queues, and the
-//! per-round measurement pass is the shared [`Census`], whose dense
-//! point-id-indexed tables the kernel keeps from round to round.
+//! per-round measurement pass is the World's census
+//! ([`World::measure`]), whose dense point-id-indexed tables are kept
+//! from round to round.
 //!
 //! # Determinism
 //!
@@ -113,20 +118,17 @@
 use crate::config::NetSimConfig;
 use crate::metrics::NetRoundMetrics;
 use crate::queue::CalendarQueue;
-use polystyrene::prelude::*;
-use polystyrene_membership::{Descriptor, FailureTable, NodeId};
-use polystyrene_protocol::observe::{Census, RoundObservation};
-use polystyrene_protocol::pool::{Gateways, NodePool};
+use polystyrene_membership::{FailureTable, NodeId};
+use polystyrene_protocol::observe::RoundObservation;
 use polystyrene_protocol::{
-    node_seed, par, Channel, Effect, EffectSink, Event, Fate, FaultyNetwork, ProtocolNode,
-    RoundCost, Wire, TRAFFIC_SEED_TAG, UNITS_PER_DESCRIPTOR,
+    node_seed, par, Channel, Effect, EffectSink, Event, Fate, FaultyNetwork, ProtocolNode, Wire,
+    World, TRAFFIC_SEED_TAG,
 };
 use polystyrene_space::MetricSpace;
-use polystyrene_topology::TopologyConstruction;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
+use std::ops::Deref;
 
 /// Seed offset separating the network model's entropy stream from the
 /// kernel's, so link faults and protocol randomness never interleave.
@@ -277,7 +279,8 @@ impl<S: MetricSpace> Lane<S> {
 /// The discrete-event network simulator — the third execution substrate,
 /// between the cycle engine (deterministic, atomic exchanges) and the
 /// threaded runtime (real asynchrony, no determinism): deterministic
-/// *and* asynchronous.
+/// *and* asynchronous. A [`World`] plus an event fabric; derefs to its
+/// `World` for every read of the population.
 ///
 /// # Example
 ///
@@ -293,31 +296,19 @@ impl<S: MetricSpace> Lane<S> {
 /// assert_eq!(m.alive_nodes, 32);
 /// ```
 pub struct NetSim<S: MetricSpace> {
-    space: S,
+    world: World<S>,
     config: NetSimConfig,
-    nodes: NodePool<S>,
-    original_points: Vec<DataPoint<S::Point>>,
     net: FaultyNetwork,
     /// The fabric application-plane queries ride. A separate
     /// fault/jitter stream from `net`, so query traffic never perturbs
     /// the protocol plane's draw order — golden histories stay
     /// byte-identical with traffic enabled.
     traffic_net: FaultyNetwork,
-    /// Query entry of the traffic plane: gateway draws and query ids.
-    gateways: Gateways,
     /// Query messages currently in transit — kept out of `in_flight`,
     /// which feeds the pinned protocol metric history.
     traffic_in_flight: usize,
-    /// Crashes the population's failure knowledge has caught up with —
-    /// consulted once per view entry by every activation and once per
-    /// probe, hence the dense table.
-    detected: FailureTable,
     queue: CalendarQueue<Pending<S::Point>>,
     now: u64,
-    round: u32,
-    /// The kernel's own stream: bootstrap contacts, activation order and
-    /// offsets, victim draws. Never handed to a node.
-    rng: StdRng,
     /// Every node's private entropy stream, slot-indexed beside the
     /// pool's slot array and seeded by [`node_seed`] when the slot is
     /// filled (slots recycle, streams do not).
@@ -336,49 +327,49 @@ pub struct NetSim<S: MetricSpace> {
     dropped_messages: u64,
     /// Messages currently in transit (scheduled, not yet popped).
     in_flight: usize,
-    /// This round's traffic in the paper's cost units, tallied at the
-    /// send boundary (a dropped message still cost its sender the bytes).
-    cost: RoundCost,
-    /// Reusable activation-order buffer for [`Self::step`].
-    order: Vec<NodeId>,
-    /// The measurement pass's tables, reused by [`Self::step`].
-    census: Census<S::Point>,
+}
+
+impl<S: MetricSpace> Deref for NetSim<S> {
+    type Target = World<S>;
+
+    fn deref(&self) -> &World<S> {
+        &self.world
+    }
 }
 
 impl<S: MetricSpace> NetSim<S> {
     /// Builds a network of `shape.len()` nodes, node `i` founding data
     /// point `i` at `shape[i]` — the same founding convention as the
     /// other substrates — with both fabrics (protocol and traffic plane)
-    /// built from `config.link`.
+    /// built from `config.link` ([`World::found`]).
     ///
     /// # Panics
     ///
     /// Panics if `shape` is empty or the configuration is invalid.
     pub fn new(space: S, shape: Vec<S::Point>, config: NetSimConfig) -> Self {
-        assert!(!shape.is_empty(), "cannot simulate an empty network");
         config.validate();
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let (nodes, original_points) = NodePool::found(&space, &shape, config.protocol(), &mut rng);
+        let world = World::found(
+            space,
+            &shape,
+            config.tman,
+            config.poly,
+            config.area,
+            config.seed,
+        );
         // Founding slots are positional, and so is the rng slab.
-        let rngs = nodes
+        let rngs = world
             .alive_ids()
             .iter()
             .map(|&id| StdRng::seed_from_u64(node_seed(config.seed, id)))
             .collect();
         Self {
-            space,
+            world,
             config,
-            nodes,
-            original_points,
             net: FaultyNetwork::new(config.link, config.seed ^ NET_SEED_TAG),
             traffic_net: FaultyNetwork::new(config.link, config.seed ^ TRAFFIC_SEED_TAG),
-            gateways: Gateways::new(config.seed),
             traffic_in_flight: 0,
-            detected: FailureTable::new(),
             queue: CalendarQueue::new(),
             now: 0,
-            round: 0,
-            rng,
             rngs,
             lanes: (0..par::threads()).map(|_| Lane::new()).collect(),
             staged: 0,
@@ -387,15 +378,7 @@ impl<S: MetricSpace> NetSim<S> {
             sent_messages: 0,
             dropped_messages: 0,
             in_flight: 0,
-            cost: RoundCost::default(),
-            order: Vec::new(),
-            census: Census::new(),
         }
-    }
-
-    /// The current round number (rounds completed so far).
-    pub fn round(&self) -> u32 {
-        self.round
     }
 
     /// The current simulated time.
@@ -408,36 +391,9 @@ impl<S: MetricSpace> NetSim<S> {
         &self.config
     }
 
-    /// Ids of currently alive nodes, sorted ascending — a borrow of the
-    /// pool's incrementally maintained list, not a fresh `Vec`.
-    pub fn alive_ids(&self) -> &[NodeId] {
-        self.nodes.alive_ids()
-    }
-
-    /// Number of currently alive nodes.
-    pub fn alive_count(&self) -> usize {
-        self.nodes.alive_count()
-    }
-
-    /// The node pool itself — slot handles, positions, generation
-    /// checks — for diagnostics and the freelist property tests.
-    pub fn pool(&self) -> &NodePool<S> {
-        &self.nodes
-    }
-
-    /// The initial data points defining the target shape.
-    pub fn original_points(&self) -> &[DataPoint<S::Point>] {
-        &self.original_points
-    }
-
     /// Per-round metric history.
     pub fn history(&self) -> &[NetRoundMetrics] {
         &self.history
-    }
-
-    /// Read access to a node's Polystyrene state, if alive.
-    pub fn poly_state(&self, id: NodeId) -> Option<&PolyState<S::Point>> {
-        self.nodes.get(id).map(|c| &c.poly)
     }
 
     /// Messages currently in transit (scheduled but undelivered).
@@ -474,18 +430,6 @@ impl<S: MetricSpace> NetSim<S> {
         self.traffic_in_flight
     }
 
-    /// A node's current T-Man view entries, if alive — the hearsay the
-    /// traffic plane forwards over.
-    pub fn view_entries_of(&self, id: NodeId) -> Option<&[Descriptor<S::Point>]> {
-        self.nodes.get(id).map(|c| c.tman.view_entries())
-    }
-
-    /// `(stale, total)` T-Man view entries against ground truth — see
-    /// [`NodePool::stale_view_entries`]. A diagnostic, not a metric.
-    pub fn stale_view_entries(&self) -> (u64, u64) {
-        self.nodes.stale_view_entries()
-    }
-
     /// Injects one query per key at a uniformly random alive gateway.
     /// Co-gateway queries share one [`Wire::QueryBatch`] envelope,
     /// scheduled as a *single* self-addressed kernel event at the
@@ -498,8 +442,11 @@ impl<S: MetricSpace> NetSim<S> {
     /// query transit draw from dedicated streams, so enabling traffic
     /// leaves the protocol history byte-identical.
     pub fn offer_traffic(&mut self, keys: &[S::Point], ttl: u32) {
-        self.gateways.group(self.nodes.alive_ids(), keys.len());
+        self.world
+            .gateways
+            .group(self.world.pool.alive_ids(), keys.len());
         while let Some((gateway, queries)) = self
+            .world
             .gateways
             .next_batch(keys, ttl, |_| self.lanes[0].sink.pool.take_queries())
         {
@@ -521,7 +468,7 @@ impl<S: MetricSpace> NetSim<S> {
     /// `substrates` tests).
     pub fn offer_traffic_unbatched(&mut self, keys: &[S::Point], ttl: u32) {
         for key in keys {
-            let Some((gateway, qid)) = self.gateways.draw(self.nodes.alive_ids()) else {
+            let Some((gateway, qid)) = self.world.gateways.draw(self.world.pool.alive_ids()) else {
                 break;
             };
             let wire = Wire::Query {
@@ -547,9 +494,10 @@ impl<S: MetricSpace> NetSim<S> {
     /// each resolved query's `(hops, latency)` sample to `samples`.
     /// Node clocks advance once per activation here, so latency is in
     /// *rounds* and an unanswered query expires as dropped after
-    /// `query_timeout_ticks` rounds.
+    /// [`QUERY_TIMEOUT_TICKS`](polystyrene_protocol::config::QUERY_TIMEOUT_TICKS)
+    /// rounds.
     pub fn drain_traffic(&mut self, samples: &mut Vec<(u32, u64)>) -> (u64, u64, u64) {
-        self.nodes.drain_traffic(samples)
+        self.world.pool.drain_traffic(samples)
     }
 
     // ------------------------------------------------------------------
@@ -562,11 +510,11 @@ impl<S: MetricSpace> NetSim<S> {
     /// survivors' failure knowledge learns of the crash — fires
     /// `detection_delay_ticks` later.
     pub fn crash(&mut self, id: NodeId) -> bool {
-        if self.nodes.remove(id).is_none() {
+        if self.world.pool.remove(id).is_none() {
             return false;
         }
         if self.config.detection_delay_ticks == 0 {
-            self.detected.mark(id);
+            self.world.detected.mark(id);
         } else {
             let at = self.now + self.config.detection_delay_ticks;
             self.schedule(at, Pending::Detect { id });
@@ -583,32 +531,25 @@ impl<S: MetricSpace> NetSim<S> {
     }
 
     /// Crashes every alive founding node whose original data point
-    /// satisfies `predicate` (the shared regional-failure path). Returns
-    /// the crashed ids.
+    /// satisfies `predicate` (the World's
+    /// [`region_victims`](World::region_victims)). Returns the crashed
+    /// ids.
     pub fn fail_original_region(
         &mut self,
         predicate: &(dyn Fn(&S::Point) -> bool + Send + Sync),
     ) -> Vec<NodeId> {
-        let killed =
-            polystyrene_protocol::select_region_victims(&self.original_points, predicate, &|id| {
-                self.nodes.contains(id)
-            });
+        let killed = self.world.region_victims(predicate);
         for &id in &killed {
             self.crash(id);
         }
         killed
     }
 
-    /// Crashes a uniformly random fraction of the alive population, with
-    /// victim selection shared with the other substrates. Returns the
-    /// crashed ids. (The one copy of the alive list is forced by the
-    /// shared selector's shuffle-in-place contract.)
+    /// Crashes a uniformly random fraction of the alive population,
+    /// drawn by the World's [`random_victims`](World::random_victims).
+    /// Returns the crashed ids.
     pub fn fail_random_fraction(&mut self, fraction: f64) -> Vec<NodeId> {
-        let killed = polystyrene_protocol::scenario::select_victims(
-            self.nodes.alive_ids().to_vec(),
-            fraction,
-            &mut self.rng,
-        );
+        let killed = self.world.random_victims(fraction);
         for &id in &killed {
             self.crash(id);
         }
@@ -616,27 +557,22 @@ impl<S: MetricSpace> NetSim<S> {
     }
 
     /// Injects fresh empty nodes at `positions`, bootstrapped from random
-    /// alive contacts through the pool's two-pass [`NodePool::join`] (the
-    /// cycle engine's inject; joiners never bootstrap each other).
-    /// Returns the new ids.
+    /// alive contacts through the World's two-pass [`World::join`] (the
+    /// cycle engine's inject; joiners never bootstrap each other), each
+    /// with its own stream. Returns the new ids.
     pub fn inject(&mut self, positions: &[S::Point]) -> Vec<NodeId> {
-        let ids = self.nodes.join(
-            &self.space,
-            positions,
-            self.config.protocol(),
-            &mut self.rng,
-        );
+        let ids = self.world.join(positions);
         for &id in &ids {
             // A recycled slot still holds its previous occupant's stream;
             // fresh slots are issued in ascending order.
-            let slot = self.nodes.slot_of(id).expect("just inserted");
+            let slot = self.world.pool.slot_of(id).expect("just inserted");
             let rng = StdRng::seed_from_u64(node_seed(self.config.seed, id));
             match self.rngs.get_mut(slot) {
                 Some(stream) => *stream = rng,
                 None => self.rngs.push(rng),
             }
         }
-        debug_assert_eq!(self.rngs.len(), self.nodes.slot_count());
+        debug_assert_eq!(self.rngs.len(), self.world.pool.slot_count());
         ids
     }
 
@@ -658,25 +594,28 @@ impl<S: MetricSpace> NetSim<S> {
     /// requests would then land on responders that are themselves
     /// mid-exchange, and the network would busy-bounce forever.
     pub fn step(&mut self) -> NetRoundMetrics {
-        self.round += 1;
-        self.cost.reset();
+        self.world.begin_round();
         let round_start = self.now;
         let round_end = round_start + self.config.ticks_per_round;
-        let mut order = std::mem::take(&mut self.order);
-        order.clear();
-        order.extend_from_slice(self.nodes.alive_ids());
-        order.shuffle(&mut self.rng);
+        let order = self.world.shuffled_order();
         for &id in &order {
-            let offset = self.rng.random_range(0..self.config.ticks_per_round);
+            let offset = self.world.rng.random_range(0..self.config.ticks_per_round);
             self.schedule(round_start + offset, Pending::Activate { id });
         }
-        self.order = order;
+        self.world.order = order;
         // Everything due before the round boundary — activations, the
         // deliveries they cause, crashes, detections — happens now, in
         // time order; later arrivals stay queued for future rounds.
         let widest = self.serve_until(round_end - 1);
         self.now = round_end;
-        self.position_refresh();
+        // The paper's per-round position refresh (Sec. IV-B), stopped
+        // only by a partition of the protocol fabric (the module docs say
+        // what that models and what it does not). While a partition is
+        // installed `blocked` costs two tree lookups per view entry; no
+        // benchmark workload partitions, so that is unmeasured.
+        let net = &self.net;
+        self.world
+            .refresh_positions(|holder, subject| net.blocked(holder, subject));
         // Buffers are taken where a message is built and retired where
         // it is consumed, and lane 0 also feeds every query offer and
         // every narrow wave: even the pools of the lanes this round used
@@ -686,9 +625,8 @@ impl<S: MetricSpace> NetSim<S> {
         for lane in rest {
             hub.sink.pool.level_with(&mut lane.sink.pool);
         }
-        let mut census = std::mem::take(&mut self.census);
-        let metrics = self.metrics_into(&mut census);
-        self.census = census;
+        let observation = self.world.measure();
+        let metrics = self.metrics(observation);
         self.history.push(metrics);
         metrics
     }
@@ -698,20 +636,6 @@ impl<S: MetricSpace> NetSim<S> {
         for _ in 0..rounds {
             self.step();
         }
-    }
-
-    /// The paper's per-round position refresh (Sec. IV-B), at the round
-    /// boundary: the pool pass the cycle engine runs, charged the same
-    /// way, and stopped only by a partition of the protocol fabric (the
-    /// module docs say what that models and what it does not). While a
-    /// partition is installed `blocked` costs two tree lookups per view
-    /// entry; no benchmark workload partitions, so that is unmeasured.
-    fn position_refresh(&mut self) {
-        let net = &self.net;
-        let changed = self
-            .nodes
-            .refresh_view_positions(|holder, subject| net.blocked(holder, subject));
-        self.cost.tman_units += changed * UNITS_PER_DESCRIPTOR as u64;
     }
 
     fn schedule(&mut self, at: u64, what: Pending<S::Point>) {
@@ -742,13 +666,13 @@ impl<S: MetricSpace> NetSim<S> {
             self.now = self.now.max(wave.tick());
             // Lanes for this wave (see `LANE_LOAD`), and slots per lane.
             let width = (wave.len() / LANE_LOAD).clamp(1, self.lanes.len());
-            let chunk = self.nodes.slot_count().div_ceil(width);
+            let chunk = self.world.pool.slot_count().div_ceil(width);
             widest = widest.max(width);
             while let Some(what) = self.queue.pop_wave(&mut wave) {
                 match what {
                     Pending::Detect { id } => {
                         self.serve_staged(chunk);
-                        self.detected.mark(id);
+                        self.world.detected.mark(id);
                     }
                     Pending::Crash { id } => {
                         self.serve_staged(chunk);
@@ -774,7 +698,7 @@ impl<S: MetricSpace> NetSim<S> {
     /// run being assembled, on the lane that owns `to`'s slot. Liveness
     /// is settled here: crashes only happen between runs.
     fn stage(&mut self, chunk: usize, to: NodeId, message: Option<(NodeId, Wire<S::Point>)>) {
-        let Some(slot) = self.nodes.slot_of(to) else {
+        let Some(slot) = self.world.pool.slot_of(to) else {
             // Crashed since this was scheduled: an activation evaporates
             // with the node, a message in flight gives its buffer back.
             if let Some((_, wire)) = message {
@@ -810,17 +734,14 @@ impl<S: MetricSpace> NetSim<S> {
         if staged == 0 {
             return;
         }
-        let fan_out = staged >= 2 * LANE_LOAD && chunk < self.nodes.slot_count();
+        let fan_out = staged >= 2 * LANE_LOAD && chunk < self.world.pool.slot_count();
         self.parallel_runs += u64::from(fan_out);
         let Self {
-            nodes,
-            rngs,
-            lanes,
-            detected,
-            ..
+            world, rngs, lanes, ..
         } = &mut *self;
+        let World { pool, detected, .. } = world;
         let detected = &*detected;
-        let mut busy = nodes
+        let mut busy = pool
             .slots_mut()
             .chunks_mut(chunk)
             .zip(rngs.chunks_mut(chunk))
@@ -870,7 +791,7 @@ impl<S: MetricSpace> NetSim<S> {
             self.traffic_net.route(from, to)
         } else {
             self.sent_messages += 1;
-            self.cost.charge_wire(&wire);
+            self.world.cost.charge_wire(&wire);
             let fate = self.net.route(from, to);
             if fate == Fate::Drop {
                 self.dropped_messages += 1;
@@ -890,33 +811,24 @@ impl<S: MetricSpace> NetSim<S> {
     // Metrics
     // ------------------------------------------------------------------
 
-    /// Measures the quality metrics over the current state: the shared
-    /// [`Census`] of the pool plus the kernel's message counters.
+    /// Measures the quality metrics over the current state: the World's
+    /// census of the pool plus the kernel's message counters.
     ///
-    /// Allocates fresh census tables; the round loop goes through the
-    /// kernel-owned reusable ones instead.
+    /// Allocates fresh census tables ([`World::measure_fresh`]); the
+    /// round loop goes through the World's reusable ones instead.
     pub fn compute_metrics(&self) -> NetRoundMetrics {
-        self.metrics_into(&mut Census::new())
+        self.metrics(self.world.measure_fresh())
     }
 
-    fn metrics_into(&self, census: &mut Census<S::Point>) -> NetRoundMetrics {
-        let observation = census.of_pool(
-            &self.space,
-            &self.original_points,
-            self.config.area,
-            &self.nodes,
-        );
+    /// The World's stamped census `observation` with the kernel's
+    /// message counters.
+    fn metrics(&self, observation: RoundObservation) -> NetRoundMetrics {
         NetRoundMetrics {
-            observation: RoundObservation {
-                round: self.round,
-                ticks: u64::from(self.round),
-                cost_units: observation.per_node(self.cost.total()),
-                ..observation
-            },
+            observation,
             in_flight: self.in_flight,
             sent_messages: self.sent_messages,
             dropped_messages: self.dropped_messages,
-            tman_cost_share: self.cost.tman_share(),
+            tman_cost_share: self.world.cost.tman_share(),
         }
     }
 }
@@ -924,6 +836,7 @@ impl<S: MetricSpace> NetSim<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use polystyrene_membership::Descriptor;
     use polystyrene_protocol::{LinkProfile, QueryItem};
     use polystyrene_space::prelude::*;
     use polystyrene_space::shapes;
@@ -960,6 +873,32 @@ mod tests {
         let m = sim.compute_metrics();
         assert!(m.homogeneity.abs() < 1e-12);
         assert_eq!(m.surviving_points, 1.0);
+    }
+
+    #[test]
+    fn compute_metrics_reads_what_step_measured() {
+        // `step` measures into reused tables, `compute_metrics` into
+        // throwaway ones: both must read the same state the same way,
+        // through a half-torus kill and the reshaping after it, with
+        // messages in flight across round boundaries.
+        let lossy = LinkProfile {
+            latency: 20,
+            jitter: 4,
+            loss: 0.05,
+        };
+        let mut sim = tiny_sim(12, lossy);
+        for round in 1..=8 {
+            if round == 5 {
+                sim.fail_original_region(&shapes::in_right_half(16.0));
+            }
+            let stepped = sim.step();
+            let fresh = sim.compute_metrics();
+            assert_eq!(fresh, stepped, "round {round}");
+            assert_eq!(fresh, *sim.history().last().expect("ran"), "round {round}");
+            assert_eq!(sim.compute_metrics(), fresh, "round {round}: second call");
+        }
+        assert_eq!(sim.alive_count(), 32);
+        assert!(sim.history().iter().any(|m| m.in_flight > 0));
     }
 
     #[test]
@@ -1033,7 +972,7 @@ mod tests {
         for _ in 0..3 {
             round(&mut sim, Some(300));
         }
-        assert_eq!(sim.rngs.len(), sim.pool().slot_count());
+        assert_eq!(sim.rngs.len(), sim.pool.slot_count());
         assert!(
             sim.lanes.iter().all(|lane| lane.events.capacity() > 0),
             "{lanes} lanes: no wave was wide enough to use them all"
@@ -1395,11 +1334,11 @@ mod tests {
         let mut sim = tiny_sim(9, LinkProfile::ideal());
         sim.run(3);
         let victim = NodeId::new(5);
-        let victim_slot = sim.pool().slot_ref(victim).expect("alive");
+        let victim_slot = sim.pool.slot_ref(victim).expect("alive");
         assert!(sim.crash(victim));
         let fresh = sim.inject(&[[3.5, 1.5]]);
         assert_eq!(fresh, vec![NodeId::new(64)], "ids stay monotonic");
-        let fresh_slot = sim.pool().slot_ref(fresh[0]).expect("alive");
+        let fresh_slot = sim.pool.slot_ref(fresh[0]).expect("alive");
         assert_eq!(fresh_slot.slot, victim_slot.slot, "slot recycled");
         assert!(fresh_slot.gen > victim_slot.gen, "generation bumped");
         assert!(sim.poly_state(victim).is_none(), "dead id stays dead");

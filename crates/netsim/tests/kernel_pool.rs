@@ -95,12 +95,12 @@ proptest! {
                         continue;
                     }
                     let id = sim.alive_ids()[sel % sim.alive_count()];
-                    let handle = sim.pool().slot_ref(id).expect("alive handle");
+                    let handle = sim.pool.slot_ref(id).expect("alive handle");
                     prop_assert!(sim.crash(id));
                     oracle.remove(&id);
                     stale.push((id, handle));
                     prop_assert!(sim.poly_state(id).is_none());
-                    prop_assert!(sim.pool().slot_ref(id).is_none(), "handle must die");
+                    prop_assert!(sim.pool.slot_ref(id).is_none(), "handle must die");
                 }
                 Op::CrashDead { sel } => {
                     let id = NodeId::new(sel as u64);
@@ -120,9 +120,9 @@ proptest! {
                     }
                     let id = sim.alive_ids()[sel % sim.alive_count()];
                     prop_assert!(sim.poly_state(id).is_some());
-                    let handle = sim.pool().slot_ref(id).expect("alive handle");
-                    prop_assert_eq!(sim.pool().slot_of(id), Some(handle.slot as usize));
-                    prop_assert_eq!(sim.pool().get(id).expect("alive").id(), id);
+                    let handle = sim.pool.slot_ref(id).expect("alive handle");
+                    prop_assert_eq!(sim.pool.slot_of(id), Some(handle.slot as usize));
+                    prop_assert_eq!(sim.pool.get(id).expect("alive").id(), id);
                 }
             }
 
@@ -132,9 +132,9 @@ proptest! {
             prop_assert_eq!(sim.alive_ids(), oracle_alive.as_slice(), "sorted alive list");
             peak_alive = peak_alive.max(oracle_alive.len());
             prop_assert!(
-                sim.pool().slot_count() <= peak_alive,
+                sim.pool.slot_count() <= peak_alive,
                 "storage bounded by peak population ({} slots > {} peak)",
-                sim.pool().slot_count(),
+                sim.pool.slot_count(),
                 peak_alive
             );
 
@@ -142,11 +142,11 @@ proptest! {
             // nothing, and if its old slot is occupied again the new
             // occupant holds a strictly newer generation.
             for &(dead, old) in &stale {
-                prop_assert!(sim.pool().slot_ref(dead).is_none(), "resurrected handle");
+                prop_assert!(sim.pool.slot_ref(dead).is_none(), "resurrected handle");
                 prop_assert!(sim.poly_state(dead).is_none());
                 prop_assert!(!oracle.contains_key(&dead));
-                if let Some(node) = sim.pool().slots()[old.slot as usize].as_ref() {
-                    let current = sim.pool().slot_ref(node.id()).expect("occupant alive");
+                if let Some(node) = sim.pool.slots()[old.slot as usize].as_ref() {
+                    let current = sim.pool.slot_ref(node.id()).expect("occupant alive");
                     prop_assert_eq!(current.slot, old.slot);
                     prop_assert!(
                         current.gen > old.gen,

@@ -33,8 +33,10 @@
 //! * [`pool`] is the dense slot pool (free list, generation-stamped
 //!   [`pool::SlotRef`]s, struct-of-arrays position slab) the
 //!   deterministic drivers store their [`node::ProtocolNode`]
-//!   populations in, and [`par`] the fork-join fan-out their batch
-//!   passes share.
+//!   populations in, [`world`] the ground truth both stand on (the
+//!   pool, the founding shape, the driver stream, the failure
+//!   knowledge, and the founding, victim, refresh and census code they
+//!   share), and [`par`] the fork-join fan-out their batch passes share.
 //!
 //! # Driving the state machine
 //!
@@ -116,6 +118,7 @@ pub mod par;
 pub mod pool;
 pub mod scenario;
 pub mod wire;
+pub mod world;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
@@ -132,6 +135,7 @@ pub mod prelude {
         ScenarioEvent,
     };
     pub use crate::wire::{Channel, Effect, EffectSink, Event, QueryItem, QueryReplyItem, Wire};
+    pub use crate::world::World;
 }
 
 pub use prelude::*;

@@ -5,11 +5,10 @@
 //! round in arbitrary order, with pairwise gossip exchanges applied
 //! atomically. The per-node protocol itself lives in
 //! [`polystyrene_protocol::ProtocolNode`]; this engine is a *driver*: it
-//! owns ground truth (who is really alive), activates each node
-//! phase-by-phase across the population, and executes the resulting
-//! effects synchronously — a [`Effect::Send`] is delivered to the
-//! destination node in the same instant, which is exactly the atomic
-//! pairwise exchange of the cycle model:
+//! activates each node phase-by-phase across the population and
+//! executes the resulting effects synchronously — a [`Effect::Send`] is
+//! delivered to the destination node in the same instant, which is
+//! exactly the atomic pairwise exchange of the cycle model:
 //!
 //! ```text
 //!   Polystyrene   (recovery → backup → migration, Steps 2-4 of Fig. 4)
@@ -28,36 +27,40 @@
 //! protocol extraction. The engine also injects failures and fresh
 //! nodes, and measures the paper's five metrics after each round.
 //!
-//! # Storage and the hot loop
+//! # Ground truth and the hot loop
 //!
-//! The population lives in a [`NodePool`]: dense
-//! recycled slots with generation ids, a slot-indexed position slab, and
-//! an incrementally maintained sorted alive list (see the pool module
-//! docs for the layout). The phase pipeline drives each node through the
-//! sink-based `*_into` protocol entry points with one engine-owned
-//! [`EffectSink`] and one reusable dispatch queue, so a steady-state
-//! round performs no per-activation allocation. Failure verdicts are
-//! snapshotted into a dense flag table once per phase instead of taking
-//! a read lock per view-membership test. All of it is bit-identical to
-//! the boxed `Vec<Option<ProtocolNode>>` layout it replaced — same
-//! activation order, same RNG draws, same delivery order — which is
-//! pinned by the golden-history fingerprint suites.
+//! Ground truth — who is really alive, the founding shape, the driver
+//! stream, the failure knowledge — is the [`World`] the engine shares
+//! with the event kernel, and so are founding, victim selection, the
+//! position refresh and the census; the engine derefs to it for every
+//! read. What is the engine's own is the synchronous dispatch, the
+//! round-delayed detection queue, the proximity metric and the phase
+//! ledger.
+//!
+//! The population lives in the World's [`NodePool`](polystyrene_protocol::pool::NodePool):
+//! dense recycled slots with generation ids, a slot-indexed position
+//! slab, and an incrementally maintained sorted alive list (see the pool
+//! module docs for the layout). The phase pipeline drives each node
+//! through the sink-based `*_into` protocol entry points with one
+//! engine-owned [`EffectSink`] and one reusable dispatch queue, so a
+//! steady-state round performs no per-activation allocation. Failure
+//! verdicts are kept in a dense flag table instead of taking a read lock
+//! per view-membership test. All of it is bit-identical to the boxed
+//! `Vec<Option<ProtocolNode>>` layout it replaced — same activation
+//! order, same RNG draws, same delivery order — which is pinned by the
+//! golden-history fingerprint suites.
 
 use crate::metrics::RoundMetrics;
 use polystyrene::prelude::*;
-use polystyrene_membership::{Descriptor, FailureTable, NodeId};
-use polystyrene_protocol::observe::{Census, RoundObservation};
-use polystyrene_protocol::pool::{Gateways, NodePool};
+use polystyrene_membership::NodeId;
+use polystyrene_protocol::observe::RoundObservation;
 use polystyrene_protocol::{
-    par, Channel, Effect, EffectSink, Event, Phase, ProtocolConfig, RoundCost, Wire,
-    UNITS_PER_DESCRIPTOR,
+    par, Channel, Effect, EffectSink, Event, Phase, Wire, World, UNITS_PER_DESCRIPTOR,
 };
 use polystyrene_space::MetricSpace;
 use polystyrene_topology::{TManConfig, TopologyConstruction};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use std::collections::VecDeque;
+use std::ops::Deref;
 use std::time::Instant;
 
 /// The rows of [`Engine::phase_ns`]: every protocol phase in
@@ -88,9 +91,10 @@ const PROXIMITY_ROW: usize = REFRESH_ROW + 2;
 const REPORT_NEIGHBORS: usize = 4;
 
 /// Engine-level configuration: protocol parameters plus simulation knobs.
-/// The protocol fields it does not carry take [`ProtocolConfig`]'s
-/// defaults, and messages are priced by
-/// [`wire_units`](polystyrene_protocol::wire_units).
+/// The protocol fields it does not carry take
+/// [`ProtocolConfig`](polystyrene_protocol::ProtocolConfig)'s defaults
+/// (the [`World`] turns the built-in detector off), and messages are
+/// priced by [`wire_units`](polystyrene_protocol::wire_units).
 ///
 /// Defaults are the paper's evaluation settings (Sec. IV-A).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -123,23 +127,8 @@ impl Default for EngineConfig {
     }
 }
 
-impl EngineConfig {
-    /// The protocol-level slice of this configuration. The engine
-    /// supplies its own failure detector, so the built-in one is off.
-    pub fn protocol(&self) -> ProtocolConfig {
-        // Cycle exchanges are atomic and the engine never advances a
-        // node's clock, so the migration and query timeouts cannot fire:
-        // the engine expires pending queries at drain time itself.
-        ProtocolConfig {
-            tman: self.tman,
-            poly: self.poly,
-            heartbeat_timeout_ticks: u32::MAX,
-            ..ProtocolConfig::default()
-        }
-    }
-}
-
-/// The cycle-driven simulator.
+/// The cycle-driven simulator: a [`World`] plus synchronous dispatch.
+/// Derefs to its `World` for every read of the population.
 ///
 /// # Example
 ///
@@ -156,77 +145,60 @@ impl EngineConfig {
 /// assert_eq!(metrics.alive_nodes, 32);
 /// ```
 pub struct Engine<S: MetricSpace> {
-    space: S,
+    world: World<S>,
     config: EngineConfig,
-    pool: NodePool<S>,
-    /// The initial data points of the founding population — the target
-    /// shape, and the reference set of the homogeneity metric.
-    original_points: Vec<DataPoint<S::Point>>,
-    /// Crashes the population's detector reports as of this round —
-    /// what every phase's per-view-entry failure check reads.
-    detected: FailureTable,
     /// Crashes still inside the detection delay, as `(round from which
     /// the detector reports it, id)` in crash order. The round counter
     /// only grows, so the queue is sorted and [`Engine::step`] matures
-    /// it from the front.
+    /// it from the front into the World's failure knowledge.
     undetected: VecDeque<(u32, NodeId)>,
-    round: u32,
-    rng: StdRng,
-    cost: RoundCost,
     history: Vec<RoundMetrics>,
     poly_enabled: bool,
-    /// The measurement pass's tables, reused round after round.
-    census: Census<S::Point>,
     /// Reusable per-node `(distance sum, samples)` of the proximity pass.
     proximity: Vec<(f64, usize)>,
     /// The one effect buffer every activation pushes into.
     sink: EffectSink<S::Point>,
     /// Reusable synchronous-delivery queue of [`Engine::dispatch`].
     queue: VecDeque<(NodeId, Effect<S::Point>)>,
-    /// Reusable activation-order buffer of [`Engine::run_phase`].
-    order: Vec<NodeId>,
-    /// Query entry of the traffic plane: gateway draws come from its own
-    /// stream, never from the protocol `rng`, so seeded histories stay
-    /// bit-identical with traffic on or off.
-    gateways: Gateways,
     /// Wall-clock nanoseconds spent in each of [`ENGINE_PHASES`] since
     /// the engine was built. Kept off [`RoundMetrics`], whose histories
     /// are compared for equality.
     phase_ns: [u64; ENGINE_PHASES.len()],
 }
 
+impl<S: MetricSpace> Deref for Engine<S> {
+    type Target = World<S>;
+
+    fn deref(&self) -> &World<S> {
+        &self.world
+    }
+}
+
 impl<S: MetricSpace> Engine<S> {
     /// Builds a network of `shape.len()` nodes, node `i` founding data
     /// point `i` at `shape[i]`, and bootstraps both gossip layers with
-    /// uniformly random contacts ([`NodePool::found`]).
+    /// uniformly random contacts ([`World::found`]).
     ///
     /// # Panics
     ///
     /// Panics if `shape` is empty.
     pub fn new(space: S, shape: Vec<S::Point>, config: EngineConfig) -> Self {
-        assert!(!shape.is_empty(), "cannot simulate an empty network");
-        config.poly.validate();
-        config.tman.validate();
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let (pool, original_points) = NodePool::found(&space, &shape, config.protocol(), &mut rng);
         Self {
-            space,
+            world: World::found(
+                space,
+                &shape,
+                config.tman,
+                config.poly,
+                config.area,
+                config.seed,
+            ),
             config,
-            pool,
-            original_points,
-            detected: FailureTable::new(),
             undetected: VecDeque::new(),
-            round: 0,
-            rng,
-            cost: RoundCost::default(),
             history: Vec::new(),
             poly_enabled: true,
-            census: Census::new(),
             proximity: Vec::new(),
             sink: EffectSink::new(),
             queue: VecDeque::new(),
-            order: Vec::new(),
-            gateways: Gateways::new(config.seed),
             phase_ns: [0; ENGINE_PHASES.len()],
         }
     }
@@ -239,42 +211,15 @@ impl<S: MetricSpace> Engine<S> {
         self.poly_enabled = false;
     }
 
-    /// The current round number (rounds completed so far).
-    pub fn round(&self) -> u32 {
-        self.round
-    }
-
     /// The engine configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
     }
 
-    /// The metric space being simulated.
-    pub fn space(&self) -> &S {
-        &self.space
-    }
-
-    /// Ids of currently alive nodes, ascending.
-    ///
-    /// Allocates; bulk readers should prefer [`Engine::alive_id_slice`],
-    /// which borrows the pool's incrementally maintained list.
-    pub fn alive_ids(&self) -> Vec<NodeId> {
-        self.pool.alive_ids().to_vec()
-    }
-
-    /// Ids of currently alive nodes, ascending, borrowed from the pool.
+    /// Ids of currently alive nodes, ascending: [`World::alive_ids`],
+    /// under the name the repository benchmark calls it by.
     pub fn alive_id_slice(&self) -> &[NodeId] {
-        self.pool.alive_ids()
-    }
-
-    /// Number of currently alive nodes.
-    pub fn alive_count(&self) -> usize {
-        self.pool.alive_count()
-    }
-
-    /// The initial data points defining the target shape.
-    pub fn original_points(&self) -> &[DataPoint<S::Point>] {
-        &self.original_points
+        self.world.alive_ids()
     }
 
     /// Per-round metric history.
@@ -297,24 +242,18 @@ impl<S: MetricSpace> Engine<S> {
     /// probe ground truth of `Engine::dispatch`) need the position as
     /// of *now*, including moves earlier in the same round.
     pub fn position_of(&self, id: NodeId) -> Option<S::Point> {
-        self.pool.get(id).map(|c| c.poly.pos.clone())
-    }
-
-    /// Read access to a node's Polystyrene state, if alive (tests and
-    /// snapshot tooling).
-    pub fn poly_state(&self, id: NodeId) -> Option<&PolyState<S::Point>> {
-        self.pool.get(id).map(|c| &c.poly)
+        self.world.pool.get(id).map(|c| c.poly.pos.clone())
     }
 
     /// Number of migration-split points the node currently has parked,
     /// if alive — counted without materializing the id list.
     pub fn parked_points_of(&self, id: NodeId) -> Option<usize> {
-        self.pool.get(id).map(|c| c.parked_points())
+        self.world.pool.get(id).map(|c| c.parked_points())
     }
 
     /// The `k` closest T-Man neighbors a node currently reports.
     pub fn neighbors_of(&self, id: NodeId, k: usize) -> Vec<NodeId> {
-        match self.pool.get(id) {
+        match self.world.pool.get(id) {
             Some(node) => node
                 .tman
                 .closest(&node.poly.pos, k)
@@ -323,19 +262,6 @@ impl<S: MetricSpace> Engine<S> {
                 .collect(),
             None => Vec::new(),
         }
-    }
-
-    /// The raw T-Man view a node currently holds, if alive — the local
-    /// knowledge the traffic plane forwards queries over (stale entries
-    /// pointing at dead peers included).
-    pub fn view_entries_of(&self, id: NodeId) -> Option<&[Descriptor<S::Point>]> {
-        self.pool.get(id).map(|c| c.tman.view_entries())
-    }
-
-    /// `(stale, total)` T-Man view entries against ground truth — see
-    /// [`NodePool::stale_view_entries`]. A diagnostic, not a metric.
-    pub fn stale_view_entries(&self) -> (u64, u64) {
-        self.pool.stale_view_entries()
     }
 
     // ------------------------------------------------------------------
@@ -351,23 +277,27 @@ impl<S: MetricSpace> Engine<S> {
     /// Co-gateway queries share one [`Wire::QueryBatch`] envelope: every
     /// gateway is drawn first, in key order (the exact rng stream and
     /// qid assignment of the per-wire path), then the round's queries
-    /// are grouped per gateway ([`Gateways::group`]) and each batch is
-    /// dispatched at once.
+    /// are grouped per gateway
+    /// ([`Gateways::group`](polystyrene_protocol::pool::Gateways::group))
+    /// and each batch is dispatched at once.
     pub fn offer_traffic(&mut self, keys: &[S::Point], ttl: u32) {
-        self.gateways.group(self.pool.alive_ids(), keys.len());
+        self.world
+            .gateways
+            .group(self.world.pool.alive_ids(), keys.len());
         let mut sink = std::mem::take(&mut self.sink);
         while let Some((gateway, queries)) = self
+            .world
             .gateways
             .next_batch(keys, ttl, |_| sink.pool.take_queries())
         {
             sink.clear();
-            let node = self.pool.get_mut(gateway).expect("alive id");
+            let node = self.world.pool.get_mut(gateway).expect("alive id");
             node.on_event_into(
                 Event::Message {
                     from: gateway,
                     wire: Wire::QueryBatch { queries },
                 },
-                &mut self.rng,
+                &mut self.world.rng,
                 &mut sink,
             );
             if !sink.is_empty() {
@@ -386,11 +316,11 @@ impl<S: MetricSpace> Engine<S> {
     pub fn offer_traffic_unbatched(&mut self, keys: &[S::Point], ttl: u32) {
         let mut sink = std::mem::take(&mut self.sink);
         for key in keys {
-            let Some((gateway, qid)) = self.gateways.draw(self.pool.alive_ids()) else {
+            let Some((gateway, qid)) = self.world.gateways.draw(self.world.pool.alive_ids()) else {
                 break;
             };
             sink.clear();
-            let node = self.pool.get_mut(gateway).expect("alive id");
+            let node = self.world.pool.get_mut(gateway).expect("alive id");
             node.on_event_into(
                 Event::Message {
                     from: gateway,
@@ -402,7 +332,7 @@ impl<S: MetricSpace> Engine<S> {
                         hops: 0,
                     },
                 },
-                &mut self.rng,
+                &mut self.world.rng,
                 &mut sink,
             );
             if !sink.is_empty() {
@@ -418,10 +348,10 @@ impl<S: MetricSpace> Engine<S> {
     /// query still pending at drain time was lost to a stale view entry
     /// (its hop was sent to a dead node) and is written off immediately.
     pub fn drain_traffic(&mut self, samples: &mut Vec<(u32, u64)>) -> (u64, u64, u64) {
-        for node in self.pool.slots_mut().iter_mut().flatten() {
+        for node in self.world.pool.slots_mut().iter_mut().flatten() {
             node.expire_all_pending_queries();
         }
-        self.pool.drain_traffic(samples)
+        self.world.pool.drain_traffic(samples)
     }
 
     // ------------------------------------------------------------------
@@ -431,17 +361,14 @@ impl<S: MetricSpace> Engine<S> {
     /// Crashes every alive *founding* node whose original data point
     /// satisfies `predicate` — the paper's correlated catastrophic
     /// failure, e.g. "all the 1600 nodes located in one half of the torus"
-    /// (Sec. IV-A Phase 2). Victim selection goes through the shared
-    /// [`polystyrene_protocol::select_region_victims`] path, like every
-    /// other substrate's. Returns the crashed ids.
+    /// (Sec. IV-A Phase 2). Victims are the World's
+    /// [`region_victims`](World::region_victims). Returns the crashed
+    /// ids.
     pub fn fail_original_region(
         &mut self,
         predicate: &(dyn Fn(&S::Point) -> bool + Send + Sync),
     ) -> Vec<NodeId> {
-        let killed =
-            polystyrene_protocol::select_region_victims(&self.original_points, predicate, &|id| {
-                self.pool.contains(id)
-            });
+        let killed = self.world.region_victims(predicate);
         for &id in &killed {
             self.crash(id);
         }
@@ -449,18 +376,15 @@ impl<S: MetricSpace> Engine<S> {
     }
 
     /// Crashes a uniformly random fraction of the alive population
-    /// (uncorrelated churn), with victim selection shared with the
-    /// runtime substrate. Returns the crashed ids.
+    /// (uncorrelated churn), drawn by the World's
+    /// [`random_victims`](World::random_victims). Returns the crashed
+    /// ids.
     ///
     /// # Panics
     ///
     /// Panics if `fraction` is outside `[0, 1]`.
     pub fn fail_random_fraction(&mut self, fraction: f64) -> Vec<NodeId> {
-        let killed = polystyrene_protocol::scenario::select_victims(
-            self.alive_ids(),
-            fraction,
-            &mut self.rng,
-        );
+        let killed = self.world.random_victims(fraction);
         for &id in &killed {
             self.crash(id);
         }
@@ -472,26 +396,20 @@ impl<S: MetricSpace> Engine<S> {
     /// reports the crash `detection_delay` rounds later (see
     /// [`Engine::step`]).
     pub fn crash(&mut self, id: NodeId) -> bool {
-        if self.pool.remove(id).is_none() {
+        if self.world.pool.remove(id).is_none() {
             return false;
         }
-        let visible_from = self.round.saturating_add(self.config.detection_delay);
+        let visible_from = self.world.round.saturating_add(self.config.detection_delay);
         self.undetected.push_back((visible_from, id));
         true
     }
 
     /// Injects fresh nodes at the given positions: no data points, `pos`
     /// initialized (Sec. IV-A Phase 3), both gossip layers bootstrapped
-    /// from random alive contacts through the pool's two-pass
-    /// [`NodePool::join`] (joiners never bootstrap each other). Returns
-    /// the new ids.
+    /// from random alive contacts ([`World::join`]: joiners never
+    /// bootstrap each other). Returns the new ids.
     pub fn inject(&mut self, positions: &[S::Point]) -> Vec<NodeId> {
-        self.pool.join(
-            &self.space,
-            positions,
-            self.config.protocol(),
-            &mut self.rng,
-        )
+        self.world.join(positions)
     }
 
     /// Morphs the target shape in place (paper footnote 1: the shape
@@ -500,10 +418,10 @@ impl<S: MetricSpace> Engine<S> {
     /// shape and every live guest and ghost copy. Nodes then migrate to
     /// follow their moved points over the next rounds.
     pub fn morph_shape(&mut self, transform: impl Fn(&S::Point) -> S::Point) {
-        for point in &mut self.original_points {
+        for point in &mut self.world.original_points {
             point.pos = transform(&point.pos);
         }
-        for node in self.pool.slots_mut().iter_mut().flatten() {
+        for node in self.world.pool.slots_mut().iter_mut().flatten() {
             for g in &mut node.poly.guests {
                 g.pos = transform(&g.pos);
             }
@@ -521,17 +439,16 @@ impl<S: MetricSpace> Engine<S> {
     /// the population, then the position refresh — and returns the
     /// metrics measured at the end of it.
     pub fn step(&mut self) -> RoundMetrics {
-        self.round += 1;
-        self.cost.reset();
+        self.world.begin_round();
         // Crashes whose detection delay has run out enter the failure
         // knowledge here, once, for every phase below: verdicts
         // cannot change mid-round, because crashes are injected only
         // between rounds.
         while let Some(&(visible_from, id)) = self.undetected.front() {
-            if visible_from > self.round {
+            if visible_from > self.world.round {
                 break;
             }
-            self.detected.mark(id);
+            self.world.detected.mark(id);
             self.undetected.pop_front();
         }
         let mut clock = Instant::now();
@@ -550,18 +467,12 @@ impl<S: MetricSpace> Engine<S> {
             }
             self.stamp(row, &mut clock);
         }
-        self.position_refresh_phase();
+        // The phases above are the last movers of the round, so the
+        // refresh also brings the position slab up to date for the
+        // proximity pass. The cycle model has no fabric to partition.
+        self.world.refresh_positions(|_, _| false);
         self.stamp(REFRESH_ROW, &mut clock);
-        // The engine-owned tables are taken and restored around the
-        // `&self` passes to satisfy the borrows.
-        let mut census = std::mem::take(&mut self.census);
-        let observation = census.of_pool(
-            &self.space,
-            &self.original_points,
-            self.config.area,
-            &self.pool,
-        );
-        self.census = census;
+        let observation = self.world.measure();
         self.stamp(CENSUS_ROW, &mut clock);
         let mut proximity = std::mem::take(&mut self.proximity);
         let metrics = self.metrics_from(observation, &mut proximity);
@@ -591,26 +502,23 @@ impl<S: MetricSpace> Engine<S> {
     fn run_phase(&mut self, phase: Phase) {
         // Taken and restored around the sweep, like the buffers below:
         // `dispatch` needs the whole engine mutably.
-        let known = std::mem::take(&mut self.detected);
+        let known = std::mem::take(&mut self.world.detected);
         let detected = |id: NodeId| known.is_failed(id);
-        let mut order = std::mem::take(&mut self.order);
-        order.clear();
-        order.extend_from_slice(self.pool.alive_ids());
-        order.shuffle(&mut self.rng);
+        let order = self.world.shuffled_order();
         let mut sink = std::mem::take(&mut self.sink);
         for &id in &order {
-            let Some(node) = self.pool.get_mut(id) else {
+            let Some(node) = self.world.pool.get_mut(id) else {
                 continue;
             };
             sink.clear();
-            node.on_phase_into(phase, &detected, &mut self.rng, &mut sink);
+            node.on_phase_into(phase, &detected, &mut self.world.rng, &mut sink);
             if !sink.is_empty() {
                 self.dispatch(id, &mut sink);
             }
         }
         self.sink = sink;
-        self.order = order;
-        self.detected = known;
+        self.world.order = order;
+        self.world.detected = known;
     }
 
     /// Executes one node's queued effects synchronously: probes are
@@ -627,7 +535,7 @@ impl<S: MetricSpace> Engine<S> {
         while let Some((at, effect)) = queue.pop_front() {
             match effect {
                 Effect::Probe { peer, channel } => {
-                    let event = if self.pool.contains(peer) {
+                    let event = if self.world.pool.contains(peer) {
                         Event::ProbeOk {
                             peer,
                             channel,
@@ -637,19 +545,20 @@ impl<S: MetricSpace> Engine<S> {
                         // Imperfect detection: the exchange times out; a
                         // T-Man request was still paid for.
                         if channel == Channel::Topology {
-                            self.cost.tman_units +=
+                            self.world.cost.tman_units +=
                                 (self.config.tman.m * UNITS_PER_DESCRIPTOR) as u64;
                         }
                         Event::PeerUnreachable { peer, channel }
                     };
-                    let node = self.pool.get_mut(at).expect("active node vanished");
-                    node.on_event_into(event, &mut self.rng, sink);
+                    let node = self.world.pool.get_mut(at).expect("active node vanished");
+                    node.on_event_into(event, &mut self.world.rng, sink);
                     queue.extend(sink.drain().map(|e| (at, e)));
                 }
                 Effect::Send { to, wire } => {
-                    self.cost.charge_wire(&wire);
-                    if let Some(node) = self.pool.get_mut(to) {
-                        node.on_event_into(Event::Message { from: at, wire }, &mut self.rng, sink);
+                    self.world.cost.charge_wire(&wire);
+                    if let Some(node) = self.world.pool.get_mut(to) {
+                        let event = Event::Message { from: at, wire };
+                        node.on_event_into(event, &mut self.world.rng, sink);
                         queue.extend(sink.drain().map(|e| (to, e)));
                     } else {
                         // A send to an undetected-dead node is simply
@@ -668,7 +577,7 @@ impl<S: MetricSpace> Engine<S> {
     /// only touches its own state, so the outcome is identical in any
     /// activation order and the pass fans out across the pool's slots.
     fn recovery_phase(&mut self) {
-        let Self { pool, detected, .. } = self;
+        let World { pool, detected, .. } = &mut self.world;
         let detected = |id: NodeId| detected.is_failed(id);
         // The pass's sum, the points reactivated, is not needed here.
         par::sum_mut(pool.slots_mut(), |slot| {
@@ -678,58 +587,35 @@ impl<S: MetricSpace> Engine<S> {
         });
     }
 
-    /// Position-refresh pass: every node updates the coordinates of its
-    /// view entries to the subjects' current positions. "Because nodes
-    /// move, T-Man must update their positions in its view in each round,
-    /// causing most of the traffic" (Sec. IV-B) — each *changed* entry is
-    /// charged as one descriptor. When nodes are stationary (T-Man alone,
-    /// or a converged Polystyrene network at rest) this costs nothing.
-    ///
-    /// The phases above are the last movers of the round, so the pool
-    /// pass (shared with the event kernel) also brings the position slab
-    /// up to date — the proximity pass below then reads neighbors'
-    /// coordinates off the dense slab. The cycle model has no fabric to
-    /// partition.
-    fn position_refresh_phase(&mut self) {
-        let changed = self.pool.refresh_view_positions(|_, _| false);
-        self.cost.tman_units += changed * UNITS_PER_DESCRIPTOR as u64;
-    }
-
     // ------------------------------------------------------------------
     // Metrics
     // ------------------------------------------------------------------
 
-    /// Measures the paper's metrics over the current state: the shared
-    /// observation from the [`Census`] (which keeps its own speed-ups —
-    /// a grid index for holderless points at scale, a fan-out
-    /// summed in point order), plus the engine's proximity and cost
-    /// split. The round loop reuses engine-owned tables; this public
-    /// entry point measures into throwaway ones, so ad-hoc callers pay
-    /// the allocations instead of holding them.
+    /// Measures the paper's metrics over the current state: the World's
+    /// census ([`World::measure_fresh`], which keeps its own speed-ups —
+    /// a grid index for holderless points at scale, a fan-out summed in
+    /// point order), plus the engine's proximity and cost split. The
+    /// round loop reuses the World's and the engine's tables; this
+    /// public entry point measures into throwaway ones, so ad-hoc
+    /// callers pay the allocations instead of holding them.
     pub fn compute_metrics(&self) -> RoundMetrics {
-        let observation = Census::new().of_pool(
-            &self.space,
-            &self.original_points,
-            self.config.area,
-            &self.pool,
-        );
-        self.metrics_from(observation, &mut Vec::new())
+        self.metrics_from(self.world.measure_fresh(), &mut Vec::new())
     }
 
     /// The proximity half of the measurement pass, assembled with the
-    /// census `observation` (the shared [`Census::of_pool`] reading)
-    /// into the round's metrics.
+    /// World's stamped census `observation` into the round's metrics.
     fn metrics_from(
         &self,
         observation: RoundObservation,
         per_node: &mut Vec<(f64, usize)>,
     ) -> RoundMetrics {
+        let pool = &self.world.pool;
         // Proximity: mean distance to the k closest T-Man neighbors,
         // measured against the neighbors' *true* current positions (the
         // slab mirrors them whenever measurement runs), fanned out and
         // folded back in id order.
-        par::map_into(self.pool.alive_ids(), per_node, |&id| {
-            let node = self.pool.get(id).expect("alive id");
+        par::map_into(pool.alive_ids(), per_node, |&id| {
+            let node = pool.get(id).expect("alive id");
             let mut acc = 0.0;
             let mut samples = 0usize;
             // Visitor form of `closest`: same ranking, same order, no
@@ -737,8 +623,8 @@ impl<S: MetricSpace> Engine<S> {
             // this is safe under the fan-out).
             node.tman
                 .for_closest(&node.poly.pos, REPORT_NEIGHBORS, |d| {
-                    if let Some(actual) = self.pool.position(d.id) {
-                        acc += self.space.distance(&node.poly.pos, actual);
+                    if let Some(actual) = pool.position(d.id) {
+                        acc += self.world.space.distance(&node.poly.pos, actual);
                         samples += 1;
                     }
                 });
@@ -754,24 +640,19 @@ impl<S: MetricSpace> Engine<S> {
         };
 
         RoundMetrics {
-            observation: RoundObservation {
-                round: self.round,
-                ticks: u64::from(self.round),
-                cost_units: observation.per_node(self.cost.total()),
-                ..observation
-            },
+            observation,
             proximity,
-            tman_cost_share: self.cost.tman_share(),
+            tman_cost_share: self.world.cost.tman_share(),
         }
     }
 
     /// Positions of all alive nodes, for the snapshot figures (1, 8, 9) —
     /// read off the pool's position slab in ascending id order.
     pub fn snapshot_positions(&self) -> Vec<(NodeId, S::Point)> {
-        self.pool
-            .alive_ids()
+        let pool = &self.world.pool;
+        pool.alive_ids()
             .iter()
-            .map(|&id| (id, self.pool.position(id).expect("alive id").clone()))
+            .map(|&id| (id, pool.position(id).expect("alive id").clone()))
             .collect()
     }
 }
@@ -814,7 +695,7 @@ mod tests {
         assert_eq!(e.original_points().len(), 64);
         assert_eq!(e.round(), 0);
         // Every node initially hosts exactly its own point.
-        for id in e.alive_ids() {
+        for &id in e.alive_ids() {
             let s = e.poly_state(id).unwrap();
             assert_eq!(s.guests.len(), 1);
             assert_eq!(s.guests[0].id.as_u64(), id.as_u64());
@@ -851,6 +732,25 @@ mod tests {
     }
 
     #[test]
+    fn compute_metrics_reads_what_step_measured() {
+        // `step` measures into reused tables, `compute_metrics` into
+        // throwaway ones: both must read the same state the same way,
+        // through a half-torus kill and the reshaping after it.
+        let mut e = tiny_engine(12);
+        for round in 1..=8 {
+            if round == 5 {
+                e.fail_original_region(&shapes::in_right_half(16.0));
+            }
+            let stepped = e.step();
+            let fresh = e.compute_metrics();
+            assert_eq!(fresh, stepped, "round {round}");
+            assert_eq!(fresh, *e.history().last().unwrap(), "round {round}");
+            assert_eq!(e.compute_metrics(), fresh, "round {round}: second call");
+        }
+        assert_eq!(e.alive_count(), 32);
+    }
+
+    #[test]
     fn convergence_brings_proximity_down() {
         let mut e = tiny_engine(3);
         e.run(15);
@@ -878,7 +778,7 @@ mod tests {
         let space = Torus2::new(8.0, 4.0);
         let mut e = Engine::new(space, shapes::torus_grid(8, 4, 1.0), cfg);
         e.run(10);
-        for id in e.alive_ids() {
+        for &id in e.alive_ids() {
             let neighbors = e.neighbors_of(id, 4);
             assert_eq!(neighbors.len(), 4);
             let at = e.position_of(id).unwrap();

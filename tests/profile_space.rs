@@ -46,7 +46,7 @@ fn profiles_cluster_by_community() {
     // own community (ids are laid out community-contiguous).
     let mut same = 0usize;
     let mut total = 0usize;
-    for id in e.alive_ids() {
+    for &id in e.alive_ids() {
         let my_community = id.index() / per;
         for n in e.neighbors_of(id, 4) {
             total += 1;

@@ -30,7 +30,7 @@ proptest! {
         );
         engine.run(rounds);
         let mut holders: HashMap<u64, usize> = HashMap::new();
-        for id in engine.alive_ids() {
+        for &id in engine.alive_ids() {
             for g in &engine.poly_state(id).unwrap().guests {
                 *holders.entry(g.id.as_u64()).or_default() += 1;
             }
@@ -72,7 +72,7 @@ proptest! {
         engine.run(20);
         // Eventually: every surviving point has exactly one holder.
         let mut holders: HashMap<u64, usize> = HashMap::new();
-        for id in engine.alive_ids() {
+        for &id in engine.alive_ids() {
             for g in &engine.poly_state(id).unwrap().guests {
                 *holders.entry(g.id.as_u64()).or_default() += 1;
             }
