@@ -278,7 +278,10 @@ mod tests {
         assert_eq!(world.alive_count(), 32);
         for (i, point) in world.original_points().iter().enumerate() {
             assert_eq!(point.pos, shape[i]);
-            let guests = &world.poly_state(NodeId::new(i as u64)).expect("alive").guests;
+            let guests = &world
+                .poly_state(NodeId::new(i as u64))
+                .expect("alive")
+                .guests;
             assert_eq!(guests.as_slice(), std::slice::from_ref(point));
         }
         assert_eq!(world.measure_fresh().round, 0);
