@@ -19,14 +19,14 @@
 //! founding, victim selection, position refresh and census written once
 //! there. The kernel derefs to it for every read; its own are the
 //! calendar queue, the lanes, both fabrics and the per-node streams.
-//! Reachability
-//! probes are answered from the *kernel's failure knowledge* (what has
-//! been detected so far) — not from ground truth, so an undetected crash
-//! lets exchanges start and then time out, exactly as a deployment would
-//! experience it. Partitions never fail a probe: nothing crashed, so the
-//! failure detector has nothing to say — the opened exchange's traffic
-//! simply vanishes in the fabric, and views survive the window intact
-//! (see `Lane::serve`).
+//!
+//! Reachability probes are answered from the *kernel's failure
+//! knowledge* (what has been detected so far) — not from ground truth,
+//! so an undetected crash lets exchanges start and then time out,
+//! exactly as a deployment would experience it. Partitions never fail a
+//! probe: nothing crashed, so the failure detector has nothing to say —
+//! the opened exchange's traffic simply vanishes in the fabric, and
+//! views survive the window intact (see `Lane::serve`).
 //!
 //! # What the kernel simulates, and what it takes from an oracle
 //!
