@@ -22,9 +22,10 @@
 //! the cycle engine's per-round population arithmetic (pinned by
 //! `deterministic_substrates_agree_exactly_and_recover` in the
 //! workspace's `tests/cross_substrate.rs`), which anchors every lossy
-//! result to the validated baseline. Both drivers found, join and offer
-//! queries to their populations through the shared
-//! [`polystyrene_protocol::pool`].
+//! result to the validated baseline. Both drivers stand on one
+//! [`polystyrene_protocol::world::World`]: they found, join, pick
+//! victims, refresh positions and measure through it, and offer queries
+//! through the shared [`polystyrene_protocol::pool`].
 //!
 //! Not everything is a message. Reachability probes are answered from
 //! the kernel's (lagged) failure knowledge, and the paper's per-round

@@ -58,9 +58,12 @@
 //!
 //! # One population for both drivers
 //!
-//! Whatever the cycle engine and the event kernel do to their populations
-//! alike is done here, once, so the two cannot drift and a fuzzer has one
-//! join/kill surface to drive:
+//! The pool is one field of [`crate::world::World`], the ground truth
+//! both deterministic drivers share (with the founding points, the
+//! driver stream, the failure knowledge and the round cost). Whatever the
+//! cycle engine and the event kernel do to their populations alike is
+//! done here or there, once, so the two cannot drift and a fuzzer has
+//! one join/kill surface to drive:
 //!
 //! * [`NodePool::found`] builds the paper's founding population (node
 //!   `i` on shape point `i`, random RPS and T-Man contacts, Sec. IV-A);
@@ -72,10 +75,11 @@
 //!
 //! Each takes the driver's entropy stream as an argument and draws
 //! exactly what the drivers drew before it moved here, in the same
-//! order. What stays in a driver is what makes it a different execution
-//! model: phase-by-phase activation and synchronous dispatch in the
-//! engine, the calendar queue, lanes, fabrics and per-node streams in the
-//! kernel.
+//! order. The `World` adds victim selection, the round's shared steps
+//! (activation order, position refresh) and the census. What stays in a
+//! driver is what makes it a different execution model: phase-by-phase
+//! activation and synchronous dispatch in the engine, the calendar
+//! queue, lanes, fabrics and per-node streams in the kernel.
 
 use crate::config::ProtocolConfig;
 use crate::node::ProtocolNode;

@@ -5,8 +5,8 @@
 //!
 //! * [`engine`] — the cycle-driven engine running the full stack
 //!   (RPS → T-Man → Polystyrene) with failure and churn injection, over
-//!   the population, joins and query entry it shares with the event
-//!   kernel ([`polystyrene_protocol::pool`]);
+//!   the ground truth it shares with the event kernel
+//!   ([`polystyrene_protocol::world::World`]);
 //! * [`metrics`] — the paper's five metrics (proximity, homogeneity,
 //!   reference homogeneity / reshaping time, data points per node,
 //!   message cost, priced by [`polystyrene_protocol::cost`]).
