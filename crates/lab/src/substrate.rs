@@ -201,11 +201,7 @@ impl<S: MetricSpace, T: Transport<S::Point>> Substrate<S::Point> for LiveSubstra
     }
 
     fn kill_fraction(&mut self, fraction: f64) -> Vec<NodeId> {
-        // Sorted first: alive_ids comes out of a HashMap, and the shared
-        // selection must shuffle a well-defined base order.
-        let mut alive = self.cluster.alive_ids();
-        alive.sort();
-        let mut victims = select_victims(alive, fraction, &mut self.rng);
+        let mut victims = select_victims(self.cluster.alive_ids(), fraction, &mut self.rng);
         victims.retain(|&id| self.cluster.kill(id));
         victims
     }

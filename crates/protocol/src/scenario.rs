@@ -184,9 +184,10 @@ pub fn select_region_victims<P>(
 /// draws over the alive population (with replacement — duplicate
 /// descriptors are the receiving view's problem to fold), positions
 /// resolved through the substrate's current belief (draws whose position
-/// cannot be resolved are skipped without retry). Deterministic
-/// substrates share this so what "inject" bootstraps — and how much
-/// driver entropy it consumes — cannot drift between them.
+/// cannot be resolved are skipped without retry). Every substrate
+/// shares this (the live cluster resolves positions through its
+/// observation board) so what "inject" bootstraps — and how much driver
+/// entropy it consumes — cannot drift between them.
 pub fn sample_bootstrap_contacts<P, R: rand::Rng + ?Sized>(
     alive: &[NodeId],
     position_of: &dyn Fn(NodeId) -> Option<P>,
@@ -354,6 +355,20 @@ mod tests {
             &|id| id != NodeId::new(4), // node 4 already dead
         );
         assert_eq!(victims, vec![NodeId::new(3), NodeId::new(5)]);
+    }
+
+    #[test]
+    fn bootstrap_contacts_skip_unresolvable_ids() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+        // Node 9 has no known position: draws landing on it are skipped.
+        let alive = vec![NodeId::new(4), NodeId::new(9)];
+        let position_of = |id| (id == NodeId::new(4)).then_some(4.5);
+        let contacts = sample_bootstrap_contacts(&alive, &position_of, 8, &mut rng);
+        assert!(!contacts.is_empty());
+        assert!(contacts.iter().all(|d| d.id == NodeId::new(4)));
+        assert!(contacts.iter().all(|d| d.pos == 4.5));
+        assert!(sample_bootstrap_contacts(&[], &position_of, 4, &mut rng).is_empty());
     }
 
     #[test]

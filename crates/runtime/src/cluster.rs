@@ -5,7 +5,6 @@
 
 use crate::config::{RuntimeConfig, BOOTSTRAP_CONTACTS};
 use crate::fabric::Transport;
-use crate::harness::{contacts_from_board, contacts_from_shape};
 use crate::message::Message;
 use crate::node::NodeRuntime;
 use crate::observe::{observe, ObservationBoard};
@@ -15,11 +14,11 @@ use crate::worker::{inbox, Inbox, Mailbox, Post, Worker};
 use polystyrene::prelude::{DataPoint, PointId};
 use polystyrene_membership::{Descriptor, NodeId};
 use polystyrene_protocol::observe::{Census, RoundObservation};
-use polystyrene_protocol::select_region_victims;
+use polystyrene_protocol::{sample_bootstrap_contacts, select_region_victims};
 use polystyrene_space::MetricSpace;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::collections::HashMap;
+use rand::{RngExt, SeedableRng};
+use std::collections::BTreeMap;
 use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -39,6 +38,14 @@ struct Node<P> {
 /// transport `T` (in-process mailboxes by default;
 /// `polystyrene-transport` supplies loopback TCP).
 ///
+/// The cluster is a value owned by the thread that drives it, as the
+/// deterministic drivers' `World` is: what changes who is alive or what
+/// is offered (kills, joins, traffic, shutdown) takes `&mut self`, and
+/// the harness state is plain fields. The workers share only the
+/// observation board, the transport and each node's ingress gauge.
+/// [`Self::alive_ids`] ascends, so every draw over the alive set
+/// (joiners' contacts, gateways, victims) is a function of the seed.
+///
 /// See the crate-level docs for an end-to-end example.
 pub struct Cluster<S: MetricSpace, T: Transport<S::Point> = Registry<<S as MetricSpace>::Point>> {
     space: S,
@@ -46,22 +53,26 @@ pub struct Cluster<S: MetricSpace, T: Transport<S::Point> = Registry<<S as Metri
     transport: Arc<T>,
     board: Arc<ObservationBoard<S::Point>>,
     original_points: Vec<DataPoint<S::Point>>,
-    /// The alive nodes: the harness's authority on who is alive.
-    nodes: Mutex<HashMap<NodeId, Node<S::Point>>>,
+    /// The alive nodes, by ascending id: the harness's authority on who
+    /// is alive.
+    nodes: BTreeMap<NodeId, Node<S::Point>>,
     /// One inbox per pool worker; node `id` lives on worker
     /// `id % workers.len()` from adoption to its kill.
     workers: Vec<Inbox<S::Point>>,
     /// The worker threads, joined at shutdown.
-    pool: Mutex<Vec<JoinHandle<()>>>,
+    pool: Vec<JoinHandle<()>>,
     /// Next id [`Self::inject`] issues. Never wraps: [`NodeId::new`]
     /// panics, naming the `u32::MAX` bound, once the id space is spent.
-    next_id: Mutex<u64>,
-    rng: Mutex<StdRng>,
+    next_id: u64,
+    rng: StdRng,
     /// Traffic-plane offer state: the dedicated gateway-draw stream,
     /// the qid counter, the cumulative shed count and the batching
     /// scratch.
-    traffic: Mutex<GatewayTraffic>,
-    /// The measurement tables [`Cluster::observe`] reuses.
+    traffic: GatewayTraffic,
+    /// The measurement tables [`Cluster::observe`] reuses: the one lock
+    /// of the harness, there only because `observe` must take `&self`
+    /// (the experiment plane's `Substrate::observe` reads a cluster it
+    /// holds shared).
     census: Mutex<Census<S::Point>>,
 }
 
@@ -99,25 +110,22 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
             .enumerate()
             .map(|(i, p)| DataPoint::new(PointId::new(i as u64), p.clone()))
             .collect();
-        let cluster = Self {
+        let mut cluster = Self {
             space,
             config,
             transport,
             board,
             original_points: original_points.clone(),
-            nodes: Mutex::new(HashMap::new()),
+            nodes: BTreeMap::new(),
             workers,
-            pool: Mutex::new(pool),
-            next_id: Mutex::new(shape.len() as u64),
-            rng: Mutex::new(StdRng::seed_from_u64(config.seed)),
-            traffic: Mutex::new(GatewayTraffic::new(config.seed)),
+            pool,
+            next_id: shape.len() as u64,
+            rng: StdRng::seed_from_u64(config.seed),
+            traffic: GatewayTraffic::new(config.seed),
             census: Mutex::new(Census::new()),
         };
         for (i, pos) in shape.iter().enumerate() {
-            let contacts = {
-                let mut rng = cluster.rng.lock().unwrap_or_else(PoisonError::into_inner);
-                contacts_from_shape(&shape, i, BOOTSTRAP_CONTACTS, &mut rng)
-            };
+            let contacts = contacts_from_shape(&shape, i, BOOTSTRAP_CONTACTS, &mut cluster.rng);
             cluster.spawn_node(
                 NodeId::new(i as u64),
                 Some(original_points[i].clone()),
@@ -129,7 +137,7 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
     }
 
     fn spawn_node(
-        &self,
+        &mut self,
         id: NodeId,
         origin: Option<DataPoint<S::Point>>,
         position: S::Point,
@@ -158,10 +166,7 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
         // down) adopts nothing: the node never runs, `await_ticks` says
         // so, and `shutdown` reports why.
         let _ = worker.0.send(Post::Adopt(Box::new(node)));
-        self.nodes
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(id, Node { mailbox, ingress });
+        self.nodes.insert(id, Node { mailbox, ingress });
     }
 
     /// The original data points (the target shape).
@@ -169,22 +174,14 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
         &self.original_points
     }
 
-    /// Ids currently alive.
+    /// Ids currently alive, ascending.
     pub fn alive_ids(&self) -> Vec<NodeId> {
-        self.nodes
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .keys()
-            .copied()
-            .collect()
+        self.nodes.keys().copied().collect()
     }
 
     /// Whether `id` is currently alive.
     pub fn is_alive(&self, id: NodeId) -> bool {
-        self.nodes
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .contains_key(&id)
+        self.nodes.contains_key(&id)
     }
 
     /// The transport the cluster's messages travel over, for what it
@@ -215,13 +212,8 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
     /// (a TCP node's listener and accepted connections, by the fabric's
     /// I/O thread, within one wake-up). Returns whether the node was
     /// alive.
-    pub fn kill(&self, id: NodeId) -> bool {
-        let Some(node) = self
-            .nodes
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&id)
-        else {
+    pub fn kill(&mut self, id: NodeId) -> bool {
+        let Some(node) = self.nodes.remove(&id) else {
             return false;
         };
         // Detach first: probes and delivery reports turn negative before
@@ -235,7 +227,10 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
     /// `predicate`: the paper's correlated regional failure, with victim
     /// selection shared with every other substrate through
     /// [`select_region_victims`]. Returns the crashed ids.
-    pub fn kill_region(&self, predicate: impl Fn(&S::Point) -> bool + Send + Sync) -> Vec<NodeId> {
+    pub fn kill_region(
+        &mut self,
+        predicate: impl Fn(&S::Point) -> bool + Send + Sync,
+    ) -> Vec<NodeId> {
         let victims =
             select_region_victims(&self.original_points, &predicate, &|id| self.is_alive(id));
         victims.into_iter().filter(|&id| self.kill(id)).collect()
@@ -244,25 +239,22 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
     /// Injects a fresh node with no data points at `position`
     /// (the paper's Phase 3 joiners), bootstrapped from alive contacts.
     /// Returns its id.
-    pub fn inject(&self, position: S::Point) -> NodeId {
-        let id = {
-            let mut next = self.next_id.lock().unwrap_or_else(PoisonError::into_inner);
-            let id = NodeId::new(*next);
-            *next += 1;
-            id
-        };
+    pub fn inject(&mut self, position: S::Point) -> NodeId {
+        let id = NodeId::new(self.next_id);
+        self.next_id += 1;
         let alive = self.alive_ids();
-        let contacts: Vec<Descriptor<S::Point>> = {
-            let mut rng = self.rng.lock().unwrap_or_else(PoisonError::into_inner);
-            contacts_from_board(&alive, &self.board.snapshot(), BOOTSTRAP_CONTACTS, &mut rng)
-        };
+        // Positions resolve through the board, read in place: an alive
+        // node that has not published yet is skipped.
+        let contacts = self.board.read(|reports| {
+            sample_bootstrap_contacts(
+                &alive,
+                &|peer| reports.get(&peer).map(|r| r.pos.clone()),
+                BOOTSTRAP_CONTACTS,
+                &mut self.rng,
+            )
+        });
         self.spawn_node(id, None, position, contacts);
         id
-    }
-
-    /// Lets the cluster run for a wall-clock duration.
-    pub fn run_for(&self, duration: Duration) {
-        std::thread::sleep(duration);
     }
 
     /// Offers one application query per key, each issued through a
@@ -275,32 +267,26 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
     /// ([`crate::GATEWAY_INGRESS_BOUND`]), and batches refused at a full
     /// gateway are *shed*: counted in the observation plane's
     /// `traffic.shed`, separate from queries that expired in flight.
-    pub fn offer_traffic(&self, keys: &[S::Point], ttl: u32) {
-        let nodes = self.nodes.lock().unwrap_or_else(PoisonError::into_inner);
-        let alive: Vec<NodeId> = nodes.keys().copied().collect();
-        self.traffic
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .offer(
-                keys,
-                ttl,
-                &alive,
-                |id| nodes.get(&id).map(|n| Arc::clone(&n.ingress)),
-                |gateway, wire| {
-                    nodes[&gateway].mailbox.send(Message::Protocol {
-                        from: gateway,
-                        wire,
-                    });
-                },
-            );
+    pub fn offer_traffic(&mut self, keys: &[S::Point], ttl: u32) {
+        let alive = self.alive_ids();
+        let nodes = &self.nodes;
+        self.traffic.offer(
+            keys,
+            ttl,
+            &alive,
+            |id| nodes.get(&id).map(|n| Arc::clone(&n.ingress)),
+            |gateway, wire| {
+                nodes[&gateway].mailbox.send(Message::Protocol {
+                    from: gateway,
+                    wire,
+                });
+            },
+        );
     }
 
     /// Queries shed at gateway ingress so far (cumulative).
     pub fn shed_queries(&self) -> u64 {
-        self.traffic
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .shed()
+        self.traffic.shed()
     }
 
     /// Blocks until every alive node has executed at least `ticks` local
@@ -315,11 +301,8 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
             // Every *alive* node must have published and progressed:
             // counting only publishers would return before slow starters
             // ever appear on the board.
-            let (alive, (reported, slowest)) = {
-                let nodes = self.nodes.lock().unwrap_or_else(PoisonError::into_inner);
-                let progress = self.board.progress(|id| nodes.contains_key(&id));
-                (nodes.len(), progress)
-            };
+            let alive = self.nodes.len();
+            let (reported, slowest) = self.board.progress(|id| self.is_alive(id));
             if alive > 0 && reported >= alive && slowest >= ticks {
                 return true;
             }
@@ -338,27 +321,20 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
     /// The traffic counters are cumulative (nodes publish running
     /// totals), including the offer-side shed count stamped here.
     pub fn observe(&self) -> RoundObservation {
-        let mut obs = {
-            let nodes = self.nodes.lock().unwrap_or_else(PoisonError::into_inner);
-            let mut census = self.census.lock().unwrap_or_else(PoisonError::into_inner);
-            self.board.read(|reports| {
-                observe(
-                    &mut census,
-                    &self.space,
-                    &self.original_points,
-                    self.config.area,
-                    reports
-                        .iter()
-                        .filter(|(id, _)| nodes.contains_key(id))
-                        .map(|(_, report)| report),
-                )
-            })
-        };
-        obs.traffic.shed = self
-            .traffic
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .shed();
+        let mut census = self.census.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut obs = self.board.read(|reports| {
+            observe(
+                &mut census,
+                &self.space,
+                &self.original_points,
+                self.config.area,
+                reports
+                    .iter()
+                    .filter(|(&id, _)| self.is_alive(id))
+                    .map(|(_, report)| report),
+            )
+        });
+        obs.traffic.shed = self.traffic.shed();
         obs
     }
 
@@ -379,21 +355,15 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
     /// Resumes the first panic any of those threads died of (a worker
     /// takes every node it runs down with it, and the run must not pass
     /// on the survivors), unless the caller is already unwinding.
-    pub fn shutdown(&self) {
+    pub fn shutdown(&mut self) {
         for id in self.alive_ids() {
             self.kill(id);
         }
         for (inbox, _) in &self.workers {
             let _ = inbox.send(Post::Stop);
         }
-        let workers: Vec<JoinHandle<()>> = self
-            .pool
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .drain(..)
-            .collect();
         let mut panic = None;
-        for worker in workers {
+        for worker in self.pool.drain(..) {
             if let Err(payload) = worker.join() {
                 panic.get_or_insert(payload);
             }
@@ -414,6 +384,31 @@ impl<S: MetricSpace, T: Transport<S::Point>> Drop for Cluster<S, T> {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+/// Draws up to `count` distinct bootstrap contacts for founding node
+/// `own` from the target shape: the contact set the cluster seeds its
+/// nodes' gossip layers with at spawn. Joiners draw theirs from the
+/// alive population instead, through the sampling path every substrate
+/// shares ([`sample_bootstrap_contacts`]).
+fn contacts_from_shape<P: Clone>(
+    shape: &[P],
+    own: usize,
+    count: usize,
+    rng: &mut StdRng,
+) -> Vec<Descriptor<P>> {
+    let n = shape.len();
+    let mut contacts = Vec::new();
+    for _ in 0..count * 2 {
+        if contacts.len() >= count {
+            break;
+        }
+        let j = rng.random_range(0..n);
+        if j != own && !contacts.iter().any(|d: &Descriptor<P>| d.id.index() == j) {
+            contacts.push(Descriptor::new(NodeId::new(j as u64), shape[j].clone()));
+        }
+    }
+    contacts
 }
 
 #[cfg(test)]
@@ -476,10 +471,23 @@ mod tests {
     }
 
     #[test]
+    fn shape_contacts_exclude_self_and_duplicates() {
+        let shape: Vec<f64> = (0..10).map(|i| i as f64).collect();
+        let mut rng = StdRng::seed_from_u64(1);
+        let contacts = contacts_from_shape(&shape, 3, 5, &mut rng);
+        assert!(contacts.len() <= 5);
+        assert!(contacts.iter().all(|d| d.id.index() != 3));
+        let mut ids: Vec<usize> = contacts.iter().map(|d| d.id.index()).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), contacts.len(), "no duplicate contacts");
+    }
+
+    #[test]
     fn a_worker_panic_resurfaces_at_shutdown() {
         let mut config = RuntimeConfig::default();
         config.tick = Duration::from_millis(2);
-        let cluster = Cluster::<Torus2, Poisoned>::spawn(
+        let mut cluster = Cluster::<Torus2, Poisoned>::spawn(
             Torus2::new(2.0, 2.0),
             shapes::torus_grid(2, 2, 1.0),
             config,

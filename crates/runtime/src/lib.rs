@@ -30,11 +30,21 @@
 //! `tests/cluster_tcp.rs`); this crate's own `cargo test` reaches
 //! [`Cluster`] only through the example below.
 //!
-//! Channels and locks are `std`'s. Every lock is taken with
+//! Channels and locks are `std`'s. A [`Cluster`] is owned by the thread
+//! that drives it: who is alive, the id counter, the bootstrap and
+//! gateway streams and the worker handles are plain fields, changed
+//! through `&mut self`. A lock guards only what other threads share:
+//! the observation board (nodes publish, the harness reads), the
+//! in-process [`Registry`] and the TCP address book (every node's
+//! fabric resolves peers through them), [`TransitLoss`] (every sender
+//! draws from it) and the TCP fabric's I/O-thread handle (the fabric is
+//! shared with every node, so [`Transport::close`] takes `&self`). The
+//! cluster's census tables are its one lock of its own, since
+//! [`Cluster::observe`] takes `&self`. Every lock is taken with
 //! `unwrap_or_else(PoisonError::into_inner)`: a worker that panics while
-//! holding the observation board, the registry or the link model must
-//! not poison it, so that [`Cluster::shutdown`] resurfaces the worker's
-//! own panic, not a `PoisonError` raised on the harness thread.
+//! holding one must not poison it, so that [`Cluster::shutdown`]
+//! resurfaces the worker's own panic, not a `PoisonError` raised on the
+//! harness thread.
 //!
 //! # Example
 //!
@@ -45,8 +55,10 @@
 //! let mut config = RuntimeConfig::default();
 //! config.tick = std::time::Duration::from_millis(4);
 //! let shape = shapes::torus_grid(4, 4, 1.0);
-//! let cluster = Cluster::<Torus2>::spawn(Torus2::new(4.0, 4.0), shape, config);
-//! cluster.run_for(std::time::Duration::from_millis(80));
+//! let mut cluster = Cluster::<Torus2>::spawn(Torus2::new(4.0, 4.0), shape, config);
+//! // Twenty protocol rounds (80 ms at this tick), however loaded the box.
+//! let target = cluster.observe().ticks + 20;
+//! assert!(cluster.await_ticks(target, std::time::Duration::from_secs(30)));
 //! let m = cluster.observe();
 //! assert_eq!(m.alive_nodes, 16);
 //! cluster.shutdown();
@@ -58,7 +70,6 @@
 pub mod cluster;
 pub mod config;
 pub mod fabric;
-pub mod harness;
 pub mod message;
 pub mod node;
 pub mod observe;

@@ -108,14 +108,6 @@ impl<P: Clone> ObservationBoard<P> {
             .remove(&id);
     }
 
-    /// Snapshot of all reports.
-    pub fn snapshot(&self) -> HashMap<NodeId, NodeReport<P>> {
-        self.inner
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
     /// Runs `f` over the reports under one read lock, copying nothing;
     /// publishers wait until it returns.
     pub fn read<R>(&self, f: impl FnOnce(&HashMap<NodeId, NodeReport<P>>) -> R) -> R {
@@ -244,13 +236,14 @@ mod tests {
             r.guest_ids.push(PointId::new(3));
             r.ticks = 2;
         });
-        let snapshot = board.snapshot();
-        assert_eq!(snapshot.len(), 1);
-        assert_eq!(snapshot[&id].pos, [2.0, 0.0]);
-        assert_eq!(snapshot[&id].guest_ids, vec![PointId::new(3)]);
+        board.read(|reports| {
+            assert_eq!(reports.len(), 1);
+            assert_eq!(reports[&id].pos, [2.0, 0.0]);
+            assert_eq!(reports[&id].guest_ids, vec![PointId::new(3)]);
+        });
         assert_eq!(board.ids(), vec![id]);
         board.remove(id);
-        assert!(board.snapshot().is_empty());
+        assert!(board.read(HashMap::is_empty));
     }
 
     /// A publisher that panics under the write lock must not poison the
@@ -266,7 +259,7 @@ mod tests {
             board.publish_with(other, &[1.0, 0.0], |_| panic!("refill panicked"));
         }));
         assert!(publish.is_err());
-        assert_eq!(board.snapshot()[&id].ticks, 3);
+        assert_eq!(board.read(|reports| reports[&id].ticks), 3);
         assert_eq!(board.progress(|n| n == id), (1, 3));
         let mut ids = board.ids();
         ids.sort();

@@ -50,8 +50,9 @@ impl GatewayTraffic {
         self.shed
     }
 
-    /// One offer: draws a gateway per key (in key order, so the request
-    /// sequence is a pure function of the seed stream), groups
+    /// One offer: draws a gateway per key from `alive` (in key order, and
+    /// the cluster passes `alive` ascending, so the request sequence is
+    /// a pure function of the seed stream and the alive set), groups
     /// co-destined queries into per-gateway batches, and hands each
     /// admitted batch to `deliver` as one self-addressed
     /// [`Wire::QueryBatch`]. A batch whose gateway has no gauge (it
@@ -71,9 +72,9 @@ impl GatewayTraffic {
         {
             let len = queries.len();
             // Load-then-add is racy only against the node's own
-            // decrements, which can only make more room; the single
-            // offer path is serialized by the caller's lock, so the
-            // bound cannot be oversubscribed.
+            // decrements, which can only make more room; offers come
+            // one at a time through `&mut self`, so the bound cannot be
+            // oversubscribed.
             let admitted = match gauge_of(gateway) {
                 Some(gauge) if gauge.load(Ordering::Relaxed) + len <= GATEWAY_INGRESS_BOUND => {
                     gauge.fetch_add(len, Ordering::Relaxed);

@@ -30,7 +30,7 @@ fn process_threads() -> usize {
 fn threads_under_a_grid(side: usize, check: impl FnOnce(&Cluster<Torus2>)) -> usize {
     let mut config = RuntimeConfig::default();
     config.area = (side * side) as f64;
-    let cluster = Cluster::<Torus2>::spawn(
+    let mut cluster = Cluster::<Torus2>::spawn(
         Torus2::new(side as f64, side as f64),
         shapes::torus_grid(side, side, 1.0),
         config,

@@ -82,7 +82,7 @@ fn settle<T: Under>(
 }
 
 pub fn spawns_and_reports<T: Under>() {
-    let cluster = spawn_grid::<T>(6, 4);
+    let mut cluster = spawn_grid::<T>(6, 4);
     reach(&cluster, 5);
     let obs = cluster.observe();
     assert_eq!(obs.alive_nodes, 24);
@@ -103,7 +103,7 @@ pub fn spawns_and_reports<T: Under>() {
 }
 
 pub fn replication_reaches_one_plus_k<T: Under>() {
-    let cluster = spawn_grid::<T>(6, 4);
+    let mut cluster = spawn_grid::<T>(6, 4);
     reach(&cluster, 10);
     let obs = cluster.observe();
     // Every node hosts its own point plus K=3 replicas of others.
@@ -116,7 +116,7 @@ pub fn replication_reaches_one_plus_k<T: Under>() {
 }
 
 pub fn kill_is_crash_stop<T: Under>() {
-    let cluster = spawn_grid::<T>(4, 4);
+    let mut cluster = spawn_grid::<T>(4, 4);
     reach(&cluster, 3);
     assert!(cluster.kill(NodeId::new(0)));
     assert!(!cluster.kill(NodeId::new(0)), "second kill must be a no-op");
@@ -138,21 +138,24 @@ pub fn kill_is_crash_stop<T: Under>() {
 /// may still publish, and it is the victim's worker that must take the
 /// report down once the node can publish no more.
 pub fn a_killed_node_never_reappears_on_the_board<T: Under>() {
-    let cluster = spawn_grid::<T>(4, 4);
+    let mut cluster = spawn_grid::<T>(4, 4);
     reach(&cluster, 3);
     let victim = NodeId::new(5);
-    let on_board = || cluster.reported_ids().contains(&victim);
-    assert!(on_board(), "every node has published by tick 3");
+    let on_board = |cluster: &Cluster<Torus2, T>| cluster.reported_ids().contains(&victim);
+    assert!(on_board(&cluster), "every node has published by tick 3");
     assert!(cluster.kill(victim));
     for _ in 0..50 {
-        if !on_board() {
+        if !on_board(&cluster) {
             break;
         }
         advance(&cluster, 1);
     }
-    assert!(!on_board(), "the victim's report outlived it");
+    assert!(!on_board(&cluster), "the victim's report outlived it");
     advance(&cluster, 5);
-    assert!(!on_board(), "the victim published after it was dropped");
+    assert!(
+        !on_board(&cluster),
+        "the victim published after it was dropped"
+    );
     assert_eq!(cluster.reported_ids().len(), 15);
     cluster.shutdown();
 }
@@ -163,7 +166,7 @@ pub fn catastrophic_failure_recovers_points<T: Under>() {
     // a lottery whose tail reaches the floor below about once in a
     // thousand runs (a binomial draw, the same whether kills are joined
     // one by one or land together).
-    let cluster = spawn_on::<T>(8, 4, LinkProfile::ideal(), 4);
+    let mut cluster = spawn_on::<T>(8, 4, LinkProfile::ideal(), 4);
     // Let replication converge first.
     reach(&cluster, 12);
     let killed = cluster.kill_region(shapes::in_right_half(8.0));
@@ -188,7 +191,7 @@ pub fn catastrophic_failure_recovers_points<T: Under>() {
 }
 
 pub fn injection_spawns_empty_joiners<T: Under>() {
-    let cluster = spawn_grid::<T>(4, 4);
+    let mut cluster = spawn_grid::<T>(4, 4);
     reach(&cluster, 5);
     let id = cluster.inject([0.5, 0.5]);
     assert!(id.as_u64() >= 16);
@@ -198,8 +201,29 @@ pub fn injection_spawns_empty_joiners<T: Under>() {
     cluster.shutdown();
 }
 
+/// The alive table ascends, as the deterministic drivers' does, so the
+/// draws made over it (victims, joiners' contacts, gateways) follow the
+/// seed and not the table's layout: after spawn, after a middle id is
+/// killed, and after a join, whose fresh id comes last.
+pub fn alive_ids_ascend<T: Under>() {
+    let mut cluster = spawn_grid::<T>(4, 4);
+    let ascending = |ids: &[NodeId]| ids.windows(2).all(|w| w[0] < w[1]);
+    let ids = cluster.alive_ids();
+    assert_eq!(ids.len(), 16);
+    assert!(ascending(&ids), "after spawn: {ids:?}");
+    assert!(cluster.kill(NodeId::new(7)));
+    let ids = cluster.alive_ids();
+    assert!(ascending(&ids), "after a kill: {ids:?}");
+    assert!(!ids.contains(&NodeId::new(7)));
+    let joiner = cluster.inject([0.5, 0.5]);
+    let ids = cluster.alive_ids();
+    assert!(ascending(&ids), "after a join: {ids:?}");
+    assert_eq!(ids.last(), Some(&joiner));
+    cluster.shutdown();
+}
+
 pub fn lossy_cluster_still_replicates_and_counts_drops<T: Under>() {
-    let cluster = spawn_on::<T>(6, 4, lossy(0.10), 3);
+    let mut cluster = spawn_on::<T>(6, 4, lossy(0.10), 3);
     reach(&cluster, 12);
     let obs = cluster.observe();
     assert_eq!(obs.alive_nodes, 24);
@@ -223,7 +247,7 @@ pub fn lossy_cluster_still_replicates_and_counts_drops<T: Under>() {
 }
 
 pub fn traffic_queries_resolve<T: Under>() {
-    let cluster = spawn_grid::<T>(6, 4);
+    let mut cluster = spawn_grid::<T>(6, 4);
     reach(&cluster, 10);
     let keys: Vec<Point> = (0..6).map(|i| [i as f64 + 0.5, 1.5]).collect();
     for _ in 0..10 {
@@ -252,7 +276,7 @@ pub fn oversized_offer_is_shed_at_the_gateway<T: Under>() {
     // One node ⇒ one gateway: a single offer larger than the ingress
     // bound must be refused whole, deterministically (the gauge cannot
     // admit it no matter how fast the node drains).
-    let cluster = spawn_grid::<T>(1, 1);
+    let mut cluster = spawn_grid::<T>(1, 1);
     reach(&cluster, 2);
     let oversized = GATEWAY_INGRESS_BOUND + 44;
     let keys = vec![[0.5, 0.5]; oversized];
@@ -279,7 +303,7 @@ pub fn oversized_offer_is_shed_at_the_gateway<T: Under>() {
 /// charged (which would saturate the gateway at the ingress bound and
 /// shed everything after the 32nd offer).
 pub fn lossy_links_do_not_leak_the_gateway_gauge<T: Under>() {
-    let cluster = spawn_on::<T>(1, 1, lossy(1.0), 3);
+    let mut cluster = spawn_on::<T>(1, 1, lossy(1.0), 3);
     reach(&cluster, 2);
     let keys = vec![[0.5, 0.5]; 8];
     for _ in 0..40 {
@@ -293,7 +317,7 @@ pub fn lossy_links_do_not_leak_the_gateway_gauge<T: Under>() {
 }
 
 pub fn shutdown_is_idempotent_and_drop_safe<T: Under>() {
-    let cluster = spawn_grid::<T>(3, 3);
+    let mut cluster = spawn_grid::<T>(3, 3);
     cluster.shutdown();
     cluster.shutdown();
     assert_eq!(cluster.observe().alive_nodes, 0);
@@ -310,6 +334,7 @@ macro_rules! cluster_suite {
             a_killed_node_never_reappears_on_the_board,
             catastrophic_failure_recovers_points,
             injection_spawns_empty_joiners,
+            alive_ids_ascend,
             lossy_cluster_still_replicates_and_counts_drops,
             traffic_queries_resolve,
             oversized_offer_is_shed_at_the_gateway,

@@ -34,7 +34,7 @@ cluster_suite!(TcpFabric);
 /// arrives on them, so a peer's next write cannot land in a dead node.
 #[test]
 fn a_kill_closes_the_victims_sockets() {
-    let cluster = TcpCluster::spawn(
+    let mut cluster = TcpCluster::spawn(
         Torus2::new(3.0, 3.0),
         shapes::torus_grid(3, 3, 1.0),
         TcpFabric::fast_config(LinkProfile::ideal(), 3),

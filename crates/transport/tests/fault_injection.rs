@@ -54,8 +54,9 @@ fn mid_migration_kills_under_loss_never_destroy_points() {
         jitter: 0,
         loss: 0.15,
     };
-    let cluster = TcpCluster::spawn(Torus2::new(6.0, 4.0), shapes::torus_grid(6, 4, 1.0), config);
-    let advance = |ticks: u64| {
+    let mut cluster =
+        TcpCluster::spawn(Torus2::new(6.0, 4.0), shapes::torus_grid(6, 4, 1.0), config);
+    let advance = |cluster: &TcpCluster<Torus2>, ticks: u64| {
         assert!(
             cluster.await_ticks(cluster.observe().ticks + ticks, MAX_WAIT),
             "the cluster stalled"
@@ -63,17 +64,18 @@ fn mid_migration_kills_under_loss_never_destroy_points() {
     };
     // Observes once per tick until `done` holds or `budget` ticks have
     // passed: the assertions are about *what* holds, never how fast.
-    let settle = |budget: u64, done: &dyn Fn(&RoundObservation) -> bool| {
-        let mut obs = cluster.observe();
-        for _ in 0..budget {
-            if done(&obs) {
-                break;
+    let settle =
+        |cluster: &TcpCluster<Torus2>, budget: u64, done: &dyn Fn(&RoundObservation) -> bool| {
+            let mut obs = cluster.observe();
+            for _ in 0..budget {
+                if done(&obs) {
+                    break;
+                }
+                advance(cluster, 1);
+                obs = cluster.observe();
             }
-            advance(1);
-            obs = cluster.observe();
-        }
-        obs
-    };
+            obs
+        };
 
     // Let replication take hold so kills cannot trivially lose points.
     assert!(cluster.await_ticks(15, MAX_WAIT), "the cluster stalled");
@@ -88,7 +90,7 @@ fn mid_migration_kills_under_loss_never_destroy_points() {
     // behind on the survivors.
     for id in [0u64, 7, 13] {
         assert!(cluster.kill(NodeId::new(id)));
-        advance(1);
+        advance(&cluster, 1);
     }
     assert_eq!(cluster.observe().alive_nodes, 21);
 
@@ -96,8 +98,10 @@ fn mid_migration_kills_under_loss_never_destroy_points() {
     // on up to four backups each, and the copies trade places and merge
     // under loss, parked handouts re-adopting at the migration timeout (3
     // ticks). Let all of that fire before looking.
-    advance(u64::from(HEARTBEAT_TIMEOUT_TICKS) + 12);
-    let obs = settle(200, &|o| o.surviving_points >= 1.0 && o.homogeneity < 1.0);
+    advance(&cluster, u64::from(HEARTBEAT_TIMEOUT_TICKS) + 12);
+    let obs = settle(&cluster, 200, &|o| {
+        o.surviving_points >= 1.0 && o.homogeneity < 1.0
+    });
     assert_eq!(obs.alive_nodes, 21);
     assert!(
         obs.surviving_points >= 1.0,

@@ -23,13 +23,29 @@ fn process_threads() -> usize {
     line.trim().parse().expect("Threads is a count")
 }
 
+/// Waits up to 5 s for the process's thread count to come back to
+/// `harness` and returns the last reading. `join` returns once a thread
+/// has cleared its tid, which can be before the kernel drops it from
+/// `Threads:`, so the count read right after `shutdown()` may still
+/// include threads that are joined.
+fn threads_after_reaping(harness: usize) -> usize {
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
+        let threads = process_threads();
+        if threads == harness || std::time::Instant::now() > deadline {
+            return threads;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 /// Runs a `side` x `side` grid over loopback sockets until every node
 /// has both sent and received, and returns the process's thread count
 /// while it is up.
 fn threads_under_a_grid(side: usize) -> usize {
     let mut config = TcpConfig::default();
     config.runtime.area = (side * side) as f64;
-    let cluster = TcpCluster::spawn(
+    let mut cluster = TcpCluster::spawn(
         Torus2::new(side as f64, side as f64),
         shapes::torus_grid(side, side, 1.0),
         config,
@@ -57,13 +73,13 @@ fn threads_do_not_grow_with_nodes_or_connections() {
 
     let small = threads_under_a_grid(8);
     assert_eq!(
-        process_threads(),
+        threads_after_reaping(harness),
         harness,
         "shutdown joins every thread it started"
     );
     let large = threads_under_a_grid(16);
     assert_eq!(
-        process_threads(),
+        threads_after_reaping(harness),
         harness,
         "shutdown joins every thread it started"
     );

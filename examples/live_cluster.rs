@@ -17,7 +17,7 @@ fn main() {
     config.tick = Duration::from_millis(5);
     config.poly.replication = 4;
 
-    let cluster = Cluster::<Torus2>::spawn(
+    let mut cluster = Cluster::<Torus2>::spawn(
         Torus2::new(cols as f64, rows as f64),
         shapes::torus_grid(cols, rows, 1.0),
         config,
@@ -36,7 +36,9 @@ fn main() {
     let killed = cluster.kill_region(|p| p[0] >= 6.0);
     println!("killed {} nodes (no goodbye messages)", killed.len());
 
-    cluster.run_for(Duration::from_millis(600));
+    // 120 protocol rounds: 600 ms at this tick on an idle box.
+    let target = cluster.observe().ticks + 120;
+    assert!(cluster.await_ticks(target, Duration::from_secs(60)));
     let healed = cluster.observe();
     println!(
         "after recovery: {} nodes, {:.1}% points surviving, homogeneity {:.3}",

@@ -14,6 +14,16 @@ fn config(k: usize) -> RuntimeConfig {
     c
 }
 
+/// Lets every alive node run `ticks` more protocol rounds (at the 8 ms
+/// tick, `ticks × 8` ms on an idle box, longer on a loaded one).
+fn advance(cluster: &Cluster<Torus2>, ticks: u64) {
+    let target = cluster.observe().ticks + ticks;
+    assert!(
+        cluster.await_ticks(target, Duration::from_secs(30)),
+        "the cluster stalled"
+    );
+}
+
 /// Best homogeneity observed until it drops below `threshold` or
 /// `timeout` elapses.
 ///
@@ -37,7 +47,7 @@ fn settled_homogeneity(cluster: &Cluster<Torus2>, threshold: f64, timeout: Durat
 #[test]
 fn full_lifecycle_failover_and_reinjection() {
     let (cols, rows) = (8, 4);
-    let cluster = Cluster::<Torus2>::spawn(
+    let mut cluster = Cluster::<Torus2>::spawn(
         Torus2::new(cols as f64, rows as f64),
         shapes::torus_grid(cols, rows, 1.0),
         config(4),
@@ -56,7 +66,7 @@ fn full_lifecycle_failover_and_reinjection() {
     // Catastrophe: the right half dies mid-flight.
     let killed = cluster.kill_region(shapes::in_right_half(cols as f64));
     assert_eq!(killed.len(), 16);
-    cluster.run_for(Duration::from_millis(500));
+    advance(&cluster, 62);
     let healed = cluster.observe();
     assert_eq!(healed.alive_nodes, 16);
     assert!(
@@ -74,7 +84,7 @@ fn full_lifecycle_failover_and_reinjection() {
     for pos in shapes::torus_grid_offset(cols / 2, rows, 1.0) {
         cluster.inject(pos);
     }
-    cluster.run_for(Duration::from_millis(500));
+    advance(&cluster, 62);
     let grown = cluster.observe();
     assert_eq!(grown.alive_nodes, 32);
     assert!(
@@ -90,7 +100,7 @@ fn full_lifecycle_failover_and_reinjection() {
 fn heartbeat_detector_triggers_recovery_without_oracle() {
     // Unlike the simulator there is no ground-truth detector here: ghosts
     // must be reactivated purely from missed heartbeats.
-    let cluster = Cluster::<Torus2>::spawn(
+    let mut cluster = Cluster::<Torus2>::spawn(
         Torus2::new(6.0, 4.0),
         shapes::torus_grid(6, 4, 1.0),
         config(6),
@@ -98,7 +108,7 @@ fn heartbeat_detector_triggers_recovery_without_oracle() {
     assert!(cluster.await_ticks(12, Duration::from_secs(15)));
     cluster.kill(NodeId::new(0));
     cluster.kill(NodeId::new(1));
-    cluster.run_for(Duration::from_millis(400));
+    advance(&cluster, 50);
     let obs = cluster.observe();
     assert_eq!(obs.alive_nodes, 22);
     // Points 0 and 1 must have been recovered by some backup holder.
@@ -112,7 +122,7 @@ fn heartbeat_detector_triggers_recovery_without_oracle() {
 
 #[test]
 fn sequential_kills_do_not_wedge_the_cluster() {
-    let cluster = Cluster::<Torus2>::spawn(
+    let mut cluster = Cluster::<Torus2>::spawn(
         Torus2::new(6.0, 4.0),
         shapes::torus_grid(6, 4, 1.0),
         config(3),
@@ -120,13 +130,13 @@ fn sequential_kills_do_not_wedge_the_cluster() {
     assert!(cluster.await_ticks(8, Duration::from_secs(15)));
     for id in 0..8 {
         cluster.kill(NodeId::new(id));
-        cluster.run_for(Duration::from_millis(40));
+        advance(&cluster, 5);
     }
     let obs = cluster.observe();
     assert_eq!(obs.alive_nodes, 16);
     // Cluster still making progress.
     let before = cluster.observe().ticks;
-    cluster.run_for(Duration::from_millis(200));
+    advance(&cluster, 25);
     assert!(cluster.observe().ticks > before, "cluster wedged");
     cluster.shutdown();
 }
