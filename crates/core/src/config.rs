@@ -30,8 +30,9 @@ pub const DIAMETER_EXACT_THRESHOLD: usize = 30;
 /// Parameters of the Polystyrene layer.
 ///
 /// Defaults follow the paper's evaluation (Sec. IV-A): `K = 4` backup
-/// copies, partner drawn from the `ψ = 5` closest T-Man neighbors plus
-/// one random RPS peer (Algorithm 3 line 2), the `SPLIT_ADVANCED` migration
+/// copies, partner drawn from the `ψ` closest T-Man neighbors (ψ is the
+/// topology layer's, `TManConfig::psi`, paper: 5) plus one random RPS
+/// peer (Algorithm 3 line 2), the `SPLIT_ADVANCED` migration
 /// strategy, and exact diameters up to [`DIAMETER_EXACT_THRESHOLD`]
 /// points. Override a default by assigning its field; every driver
 /// validates the configuration it is built with.
@@ -50,9 +51,6 @@ pub const DIAMETER_EXACT_THRESHOLD: usize = 30;
 pub struct PolystyreneConfig {
     /// Number of backup copies per data point (the paper's `K`).
     pub replication: usize,
-    /// Number of closest topology neighbors considered as migration
-    /// partners (the paper's `ψ`, Algorithm 3 line 1).
-    pub psi: usize,
     /// How guests are projected to a node position (Step 1 of Fig. 4).
     pub projection: ProjectionStrategy,
     /// Which `SPLIT` function migration uses (Step 4 of Fig. 4).
@@ -65,7 +63,6 @@ impl Default for PolystyreneConfig {
     fn default() -> Self {
         Self {
             replication: 4,
-            psi: 5,
             projection: ProjectionStrategy::Medoid,
             split: SplitStrategy::Advanced,
             backup_placement: BackupPlacement::UniformRandom,
@@ -78,13 +75,12 @@ impl PolystyreneConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `replication` or `psi` is zero.
+    /// Panics if `replication` is zero.
     pub fn validate(&self) {
         assert!(
             self.replication > 0,
             "replication factor K must be positive"
         );
-        assert!(self.psi > 0, "psi must be positive");
     }
 }
 
@@ -96,7 +92,6 @@ mod tests {
     fn defaults_match_paper() {
         let c = PolystyreneConfig::default();
         assert_eq!(c.replication, 4);
-        assert_eq!(c.psi, 5);
         assert_eq!(c.split, SplitStrategy::Advanced);
         assert_eq!(c.projection, ProjectionStrategy::Medoid);
         assert_eq!(c.backup_placement, BackupPlacement::UniformRandom);
@@ -107,14 +102,6 @@ mod tests {
     fn zero_replication_rejected() {
         let mut c = PolystyreneConfig::default();
         c.replication = 0;
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "psi must be positive")]
-    fn zero_psi_rejected() {
-        let mut c = PolystyreneConfig::default();
-        c.psi = 0;
         c.validate();
     }
 }

@@ -1,15 +1,16 @@
-//! Binary codec for the sans-IO surface: [`Wire`] and [`Event`] to and
-//! from bytes. Nothing encodes an [`Effect`](crate::wire::Effect): a
-//! transport frames the events it delivers.
+//! Binary codec for the sans-IO surface: an [`Event`] (and the [`Wire`]
+//! message it carries) to and from bytes. Nothing encodes an
+//! [`Effect`](crate::wire::Effect): a transport frames the events it
+//! delivers.
 //!
-//! Today's two transports (the cycle engine's synchronous dispatch and
-//! the runtime's in-process channels) move these enums by value and never
-//! serialize; a real socket transport will. This module pins the encoding
-//! *now* — little-endian fixed-width scalars, one leading format-version
-//! byte, a one-byte tag per enum variant, `u64`-length-prefixed
-//! sequences — so the property suite can guard round-trip fidelity before
-//! any network code exists, and a future transport cannot quietly invent
-//! its own incompatible framing.
+//! The TCP transport (`polystyrene-transport`) writes every protocol
+//! message as one encoded [`Event::Message`]; the deterministic drivers
+//! and the in-process channels move these enums by value and never
+//! serialize. The encoding is little-endian fixed-width scalars, one
+//! leading format-version byte, a one-byte tag per enum variant and
+//! `u64`-length-prefixed sequences, pinned by this module's tests and
+//! the property suite so no transport can quietly invent its own
+//! framing.
 //!
 //! Positions are encoded through [`PointCodec`], implemented for the
 //! workspace's concrete point types (`f64` rings, `[f64; 2]` surfaces).
@@ -20,12 +21,17 @@
 //! building an id.
 //!
 //! ```
-//! use polystyrene_protocol::codec::{decode_wire, encode_wire};
-//! use polystyrene_protocol::wire::Wire;
+//! use polystyrene_membership::NodeId;
+//! use polystyrene_protocol::codec::{decode_event, encode_event_into};
+//! use polystyrene_protocol::wire::{Event, Wire};
 //!
-//! let wire: Wire<[f64; 2]> = Wire::Heartbeat;
-//! let bytes = encode_wire(&wire);
-//! assert_eq!(decode_wire::<[f64; 2]>(&bytes).unwrap(), wire);
+//! let event: Event<[f64; 2]> = Event::Message {
+//!     from: NodeId::new(3),
+//!     wire: Wire::Heartbeat,
+//! };
+//! let mut bytes = Vec::new();
+//! encode_event_into(&mut bytes, &event);
+//! assert_eq!(decode_event::<[f64; 2]>(&bytes).unwrap(), event);
 //! ```
 
 use crate::wire::{Channel, Event, QueryItem, QueryReplyItem, Wire};
@@ -488,13 +494,6 @@ fn get_wire<P: PointCodec>(r: &mut Reader<'_>) -> Result<Wire<P>, CodecError> {
     })
 }
 
-/// Resets `out` to a fresh value start (version byte only), keeping its
-/// capacity — the reuse point of every `encode_*_into` entry.
-fn start_into(out: &mut Vec<u8>) {
-    out.clear();
-    out.push(FORMAT_VERSION);
-}
-
 fn open(bytes: &[u8]) -> Result<Reader<'_>, CodecError> {
     let mut r = Reader::new(bytes);
     let version = r.u8()?;
@@ -511,39 +510,12 @@ fn finish<T>(r: Reader<'_>, value: T) -> Result<T, CodecError> {
     Ok(value)
 }
 
-/// Encodes one wire message.
-pub fn encode_wire<P: PointCodec>(wire: &Wire<P>) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_wire_into(&mut out, wire);
-    out
-}
-
-/// Encodes one wire message into `out`, replacing its contents but
+/// Encodes one driver event into `out`, replacing its contents but
 /// keeping its capacity — the allocation-free path for send loops that
 /// serialize many values through one buffer.
-pub fn encode_wire_into<P: PointCodec>(out: &mut Vec<u8>, wire: &Wire<P>) {
-    start_into(out);
-    put_wire(out, wire);
-}
-
-/// Decodes one wire message, rejecting trailing bytes.
-pub fn decode_wire<P: PointCodec>(bytes: &[u8]) -> Result<Wire<P>, CodecError> {
-    let mut r = open(bytes)?;
-    let wire = get_wire(&mut r)?;
-    finish(r, wire)
-}
-
-/// Encodes one driver event.
-pub fn encode_event<P: PointCodec>(event: &Event<P>) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_event_into(&mut out, event);
-    out
-}
-
-/// Encodes one driver event into `out`, replacing its contents but
-/// keeping its capacity (see [`encode_wire_into`]).
 pub fn encode_event_into<P: PointCodec>(out: &mut Vec<u8>, event: &Event<P>) {
-    start_into(out);
+    out.clear();
+    out.push(FORMAT_VERSION);
     match event {
         Event::Message { from, wire } => {
             out.push(0);
@@ -605,15 +577,38 @@ pub fn decode_event<P: PointCodec>(bytes: &[u8]) -> Result<Event<P>, CodecError>
 mod tests {
     use super::*;
 
+    /// `wire` as the event a transport carries: a message from node 1.
+    fn message<P>(wire: Wire<P>) -> Event<P> {
+        Event::Message {
+            from: NodeId::new(1),
+            wire,
+        }
+    }
+
+    /// The encoding of `event` in a fresh buffer.
+    fn encode<P: PointCodec>(event: &Event<P>) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_event_into(&mut out, event);
+        out
+    }
+
+    /// The first bytes of every encoded message from node 1: the version,
+    /// the `Message` tag and the sender id. The wire's own tag follows.
+    fn message_prefix() -> Vec<u8> {
+        let mut out = vec![FORMAT_VERSION, 0];
+        out.extend_from_slice(&1u64.to_le_bytes());
+        out
+    }
+
     #[test]
     fn truncated_input_fails_cleanly() {
-        let wire: Wire<[f64; 2]> = Wire::RpsRequest {
+        let event: Event<[f64; 2]> = message(Wire::RpsRequest {
             descriptors: vec![Descriptor::new(NodeId::new(3), [1.0, 2.0])],
-        };
-        let bytes = encode_wire(&wire);
+        });
+        let bytes = encode(&event);
         for cut in 0..bytes.len() {
             assert!(
-                decode_wire::<[f64; 2]>(&bytes[..cut]).is_err(),
+                decode_event::<[f64; 2]>(&bytes[..cut]).is_err(),
                 "prefix of {cut} bytes decoded"
             );
         }
@@ -621,168 +616,162 @@ mod tests {
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut bytes = encode_wire::<f64>(&Wire::Heartbeat);
+        let mut bytes = encode::<f64>(&message(Wire::Heartbeat));
         bytes.push(0);
         assert_eq!(
-            decode_wire::<f64>(&bytes),
+            decode_event::<f64>(&bytes),
             Err(CodecError::TrailingBytes(1))
         );
     }
 
     #[test]
     fn wrong_version_rejected() {
-        let mut bytes = encode_wire::<f64>(&Wire::Heartbeat);
+        let mut bytes = encode::<f64>(&message(Wire::Heartbeat));
         bytes[0] = 99;
-        assert_eq!(decode_wire::<f64>(&bytes), Err(CodecError::BadVersion(99)));
+        assert_eq!(decode_event::<f64>(&bytes), Err(CodecError::BadVersion(99)));
     }
 
     #[test]
     fn corrupt_length_prefix_rejected_without_allocating() {
-        let mut out = vec![FORMAT_VERSION, 0]; // RpsRequest
+        let mut out = message_prefix();
+        out.push(0); // RpsRequest
         out.extend_from_slice(&u64::MAX.to_le_bytes()); // absurd length
         assert_eq!(
-            decode_wire::<f64>(&out),
+            decode_event::<f64>(&out),
             Err(CodecError::BadLength(u64::MAX))
         );
     }
 
     #[test]
     fn into_variants_reuse_a_dirty_buffer() {
-        // One buffer round-trips a wire and an event back to back:
+        // One buffer round-trips a message and a probe back to back:
         // each encode must fully replace the previous (longer) contents,
-        // not append to them, and must match the allocating encoder.
-        let wire: Wire<[f64; 2]> = Wire::RpsReply {
+        // not append to them, and must match a fresh buffer's bytes.
+        let message: Event<[f64; 2]> = message(Wire::RpsReply {
             sent: vec![Descriptor::new(NodeId::new(1), [0.5, 1.5])],
             descriptors: vec![Descriptor::new(NodeId::new(2), [2.5, 3.5])],
-        };
-        let event: Event<[f64; 2]> = Event::ProbeOk {
+        });
+        let probe: Event<[f64; 2]> = Event::ProbeOk {
             peer: NodeId::new(9),
             channel: Channel::Migration,
             pos: Some([4.0, 5.0]),
         };
 
         let mut buf = vec![0xAA; 256]; // deliberately dirty and oversized
-        encode_wire_into(&mut buf, &wire);
-        assert_eq!(buf, encode_wire(&wire));
-        assert_eq!(decode_wire::<[f64; 2]>(&buf).unwrap(), wire);
-
         let cap = buf.capacity();
-        encode_event_into(&mut buf, &event);
-        assert_eq!(buf, encode_event(&event));
-        assert_eq!(decode_event::<[f64; 2]>(&buf).unwrap(), event);
+        for event in [&message, &probe] {
+            encode_event_into(&mut buf, event);
+            assert_eq!(buf, encode(event));
+            assert_eq!(&decode_event::<[f64; 2]>(&buf).unwrap(), event);
+        }
         assert_eq!(buf.capacity(), cap, "reuse must keep the allocation");
+    }
+
+    /// Encodes each wire as a message through one dirty, oversized
+    /// buffer: the bytes match a fresh buffer's, round-trip, and no
+    /// strict prefix decodes.
+    fn roundtrip_through_a_dirty_buffer(wires: &[Wire<[f64; 2]>]) {
+        let mut buf = vec![0x55; 300];
+        for wire in wires {
+            let event = message(wire.clone());
+            encode_event_into(&mut buf, &event);
+            assert_eq!(buf, encode(&event));
+            assert_eq!(decode_event::<[f64; 2]>(&buf).unwrap(), event);
+            for cut in 0..buf.len() {
+                assert!(decode_event::<[f64; 2]>(&buf[..cut]).is_err());
+            }
+        }
     }
 
     #[test]
     fn query_variants_roundtrip_through_a_dirty_buffer() {
-        let query: Wire<[f64; 2]> = Wire::Query {
-            qid: 0xFEED_BEEF,
-            origin: NodeId::new(17),
-            key: [3.25, 7.5],
-            ttl: 64,
-            hops: 5,
-        };
-        let reply: Wire<[f64; 2]> = Wire::QueryReply {
-            qid: 0xFEED_BEEF,
-            hops: 9,
-            pos: [1.0, 2.0],
-        };
-        let mut buf = vec![0x55; 300]; // dirty and oversized
-        for wire in [&query, &reply] {
-            encode_wire_into(&mut buf, wire);
-            assert_eq!(buf, encode_wire(wire));
-            assert_eq!(&decode_wire::<[f64; 2]>(&buf).unwrap(), wire);
-            for cut in 0..buf.len() {
-                assert!(decode_wire::<[f64; 2]>(&buf[..cut]).is_err());
-            }
-        }
+        roundtrip_through_a_dirty_buffer(&[
+            Wire::Query {
+                qid: 0xFEED_BEEF,
+                origin: NodeId::new(17),
+                key: [3.25, 7.5],
+                ttl: 64,
+                hops: 5,
+            },
+            Wire::QueryReply {
+                qid: 0xFEED_BEEF,
+                hops: 9,
+                pos: [1.0, 2.0],
+            },
+        ]);
     }
 
     #[test]
     fn batch_variants_roundtrip_through_a_dirty_buffer() {
-        let batch: Wire<[f64; 2]> = Wire::QueryBatch {
-            queries: vec![
-                QueryItem {
-                    qid: 0xDEAD_BEEF,
-                    origin: NodeId::new(17),
-                    key: [3.25, 7.5],
-                    ttl: 64,
-                    hops: 5,
-                },
-                QueryItem {
-                    qid: 0xDEAD_BEF0,
-                    origin: NodeId::new(18),
-                    key: [0.0, 1.0],
-                    ttl: 64,
-                    hops: 0,
-                },
-            ],
-        };
-        let replies: Wire<[f64; 2]> = Wire::QueryReplyBatch {
-            replies: vec![
-                QueryReplyItem {
-                    qid: 0xDEAD_BEEF,
-                    hops: 9,
-                    pos: [1.0, 2.0],
-                },
-                QueryReplyItem {
-                    qid: 0xDEAD_BEF0,
-                    hops: 1,
-                    pos: [5.0, 6.0],
-                },
-            ],
-        };
-        let mut buf = vec![0x55; 300]; // dirty and oversized
-        for wire in [&batch, &replies] {
-            encode_wire_into(&mut buf, wire);
-            assert_eq!(buf, encode_wire(wire));
-            assert_eq!(&decode_wire::<[f64; 2]>(&buf).unwrap(), wire);
-            for cut in 0..buf.len() {
-                assert!(decode_wire::<[f64; 2]>(&buf[..cut]).is_err());
-            }
-        }
         // Empty batches are legal on the wire (senders elide them, but a
         // decoder must not conflate "empty" with "corrupt").
-        let empty: Wire<[f64; 2]> = Wire::QueryBatch { queries: vec![] };
-        assert_eq!(
-            decode_wire::<[f64; 2]>(&encode_wire(&empty)).unwrap(),
-            empty
-        );
+        roundtrip_through_a_dirty_buffer(&[
+            Wire::QueryBatch {
+                queries: vec![
+                    QueryItem {
+                        qid: 0xDEAD_BEEF,
+                        origin: NodeId::new(17),
+                        key: [3.25, 7.5],
+                        ttl: 64,
+                        hops: 5,
+                    },
+                    QueryItem {
+                        qid: 0xDEAD_BEF0,
+                        origin: NodeId::new(18),
+                        key: [0.0, 1.0],
+                        ttl: 64,
+                        hops: 0,
+                    },
+                ],
+            },
+            Wire::QueryReplyBatch {
+                replies: vec![
+                    QueryReplyItem {
+                        qid: 0xDEAD_BEEF,
+                        hops: 9,
+                        pos: [1.0, 2.0],
+                    },
+                    QueryReplyItem {
+                        qid: 0xDEAD_BEF0,
+                        hops: 1,
+                        pos: [5.0, 6.0],
+                    },
+                ],
+            },
+            Wire::QueryBatch { queries: vec![] },
+        ]);
     }
 
     #[test]
     fn corrupt_batch_length_prefix_rejected_without_allocating() {
         for tag in [11u8, 12u8] {
-            let mut out = vec![FORMAT_VERSION, tag];
+            let mut out = message_prefix();
+            out.push(tag);
             out.extend_from_slice(&u64::MAX.to_le_bytes()); // absurd length
             assert_eq!(
-                decode_wire::<[f64; 2]>(&out),
+                decode_event::<[f64; 2]>(&out),
                 Err(CodecError::BadLength(u64::MAX))
             );
         }
     }
 
-    /// Encodes `value` (which carries the id `u32::MAX` exactly once),
+    /// Encodes `event` (which carries the id `u32::MAX` exactly once),
     /// checks that it round-trips, then raises that id field to
     /// `u32::MAX + 1`: decoding must fail with [`CodecError::BadNodeId`].
-    fn assert_id_field_bounded<T: PartialEq + std::fmt::Debug>(
-        value: T,
-        encode: fn(&T) -> Vec<u8>,
-        decode: fn(&[u8]) -> Result<T, CodecError>,
-    ) {
-        let mut bytes = encode(&value);
-        assert_eq!(decode(&bytes).as_ref(), Ok(&value));
+    fn assert_id_field_bounded(event: Event<[f64; 2]>) {
+        let mut bytes = encode(&event);
+        assert_eq!(decode_event(&bytes).as_ref(), Ok(&event));
         let top = u64::from(u32::MAX).to_le_bytes();
         let at: Vec<usize> = (0..=bytes.len() - 8)
             .filter(|&i| bytes[i..i + 8] == top)
             .collect();
-        assert_eq!(at.len(), 1, "{value:?} must hold the id field once");
+        assert_eq!(at.len(), 1, "{event:?} must hold the id field once");
         let past = u64::from(u32::MAX) + 1;
         bytes[at[0]..at[0] + 8].copy_from_slice(&past.to_le_bytes());
         assert_eq!(
-            decode(&bytes),
+            decode_event::<[f64; 2]>(&bytes),
             Err(CodecError::BadNodeId(past)),
-            "{value:?}"
+            "{event:?}"
         );
     }
 
@@ -796,6 +785,7 @@ mod tests {
             ttl: 64,
             hops: 1,
         };
+        // The id fields inside a wire, each carried from node 1.
         let wires: [Wire<[f64; 2]>; 3] = [
             Wire::RpsRequest {
                 descriptors: vec![Descriptor::with_age(top, [1.0, 2.0], 3)],
@@ -812,8 +802,9 @@ mod tests {
             },
         ];
         for wire in wires {
-            assert_id_field_bounded(wire, encode_wire, decode_wire);
+            assert_id_field_bounded(message(wire));
         }
+        // The id fields of the events themselves.
         let events: [Event<[f64; 2]>; 3] = [
             Event::Message {
                 from: top,
@@ -830,19 +821,20 @@ mod tests {
             },
         ];
         for event in events {
-            assert_id_field_bounded(event, encode_event, decode_event);
+            assert_id_field_bounded(event);
         }
     }
 
     #[test]
     fn unknown_tags_rejected() {
-        let bytes = vec![FORMAT_VERSION, 200];
+        let mut bytes = message_prefix();
+        bytes.push(200);
         assert!(matches!(
-            decode_wire::<f64>(&bytes),
+            decode_event::<f64>(&bytes),
             Err(CodecError::BadTag { what: "Wire", .. })
         ));
         assert!(matches!(
-            decode_event::<f64>(&bytes),
+            decode_event::<f64>(&[FORMAT_VERSION, 200]),
             Err(CodecError::BadTag { what: "Event", .. })
         ));
     }

@@ -644,7 +644,7 @@ impl<S: MetricSpace> ProtocolNode<S> {
         // RPS peer (Algorithm 3 lines 1-2) — gathered in the same
         // scratch, empty again after the drain above.
         self.tman
-            .closest_ids_into(&self.poly.pos, self.config.poly.psi, &mut ids);
+            .closest_ids_into(&self.poly.pos, self.config.tman.psi, &mut ids);
         ids.extend(self.rps.random_peer(rng));
         let self_id = self.id;
         ids.retain(|&c| c != self_id && !fd(c));

@@ -1,20 +1,36 @@
-//! Property coverage for the wire codec: every encodable [`Wire`] and
-//! [`Event`] value round-trips bit-exactly through
-//! `encode_* → decode_*`, and every encoding is self-delimiting (no
-//! prefix of a valid encoding decodes).
+//! Property coverage for the wire codec: every encodable [`Event`], and
+//! every [`Wire`] carried as the [`Event::Message`] a transport frames,
+//! round-trips bit-exactly through `encode_event_into → decode_event`,
+//! and every encoding is self-delimiting (no prefix of a valid encoding
+//! decodes).
 //!
-//! This suite is the guard rail the codec exists for: a future socket
-//! transport gets framed bytes whose fidelity was pinned here long before
-//! the first connection is opened.
+//! This suite is the guard rail the codec exists for: the TCP transport
+//! frames exactly these bytes, so their fidelity is pinned here rather
+//! than discovered on a socket.
 
 use polystyrene::prelude::{DataPoint, PointId};
 use polystyrene_membership::{Descriptor, NodeId};
-use polystyrene_protocol::codec::{decode_event, decode_wire, encode_event, encode_wire};
+use polystyrene_protocol::codec::{decode_event, encode_event_into, PointCodec};
 use polystyrene_protocol::wire::{Channel, Event, QueryItem, QueryReplyItem, Wire};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 type Pos = [f64; 2];
+
+/// `wire` as the event a transport carries: a message from node 1.
+fn message<P>(wire: Wire<P>) -> Event<P> {
+    Event::Message {
+        from: NodeId::new(1),
+        wire,
+    }
+}
+
+/// The encoding of `event` in a fresh buffer.
+fn encode<P: PointCodec>(event: &Event<P>) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_event_into(&mut out, event);
+    out
+}
 
 fn pos_strategy() -> impl Strategy<Value = Pos> {
     [-1e6..1e6f64, -1e6..1e6f64]
@@ -157,24 +173,23 @@ proptest! {
 
     #[test]
     fn wire_round_trips(wire in wire_strategy()) {
-        let bytes = encode_wire(&wire);
-        let back = decode_wire::<Pos>(&bytes);
-        prop_assert_eq!(back.as_ref(), Ok(&wire));
+        let event = message(wire);
+        let back = decode_event::<Pos>(&encode(&event));
+        prop_assert_eq!(back.as_ref(), Ok(&event));
     }
 
     #[test]
     fn event_round_trips(event in event_strategy()) {
-        let bytes = encode_event(&event);
-        let back = decode_event::<Pos>(&bytes);
+        let back = decode_event::<Pos>(&encode(&event));
         prop_assert_eq!(back.as_ref(), Ok(&event));
     }
 
     #[test]
     fn no_strict_prefix_of_a_wire_decodes(wire in wire_strategy()) {
-        let bytes = encode_wire(&wire);
+        let bytes = encode(&message(wire));
         for cut in 0..bytes.len() {
             prop_assert!(
-                decode_wire::<Pos>(&bytes[..cut]).is_err(),
+                decode_event::<Pos>(&bytes[..cut]).is_err(),
                 "strict prefix of {} bytes decoded", cut
             );
         }
@@ -182,14 +197,13 @@ proptest! {
 
     #[test]
     fn one_dimensional_points_round_trip(id in 0..100u64, x in -1e9..1e9f64) {
-        let wire: Wire<f64> = Wire::MigrationRequest {
+        let event: Event<f64> = message(Wire::MigrationRequest {
             xid: id,
             from_pos: x,
             guests: std::vec![DataPoint::new(PointId::new(id), -x)],
-        };
-        let bytes = encode_wire(&wire);
-        let back = decode_wire::<f64>(&bytes);
-        prop_assert_eq!(back.as_ref(), Ok(&wire));
+        });
+        let back = decode_event::<f64>(&encode(&event));
+        prop_assert_eq!(back.as_ref(), Ok(&event));
     }
 }
 
@@ -208,8 +222,6 @@ proptest! {
         // length-prefix attack (huge declared count) must be rejected by
         // the remaining-input cap before any allocation happens — the
         // 512-byte inputs here would otherwise OOM on a u64::MAX prefix.
-        let _ = decode_wire::<f64>(&bytes);
-        let _ = decode_wire::<[f64; 2]>(&bytes);
         let _ = decode_event::<f64>(&bytes);
         let _ = decode_event::<[f64; 2]>(&bytes);
     }
@@ -224,10 +236,9 @@ proptest! {
         // the deep decoder paths (mid-sequence tags, length prefixes,
         // truncation boundaries) that uniformly random bytes rarely
         // reach past the version check.
-        let mut bytes = encode_wire(&wire);
+        let mut bytes = encode(&message(wire));
         let at = at % bytes.len();
         bytes[at] ^= 1 << bit;
-        let _ = decode_wire::<Pos>(&bytes);
         let _ = decode_event::<Pos>(&bytes);
     }
 
@@ -236,7 +247,7 @@ proptest! {
         event in event_strategy(),
         cut in 0..4096usize,
     ) {
-        let bytes = encode_event(&event);
+        let bytes = encode(&event);
         let cut = cut % bytes.len();
         prop_assert!(decode_event::<Pos>(&bytes[..cut]).is_err());
     }

@@ -11,8 +11,8 @@
 
 use polystyrene::prelude::{DataPoint, PointId};
 use polystyrene_membership::{Descriptor, NodeId};
-use polystyrene_protocol::codec::{decode_wire, encode_wire, encode_wire_into};
-use polystyrene_protocol::wire::{BufPool, EffectSink, QueryItem, QueryReplyItem, Wire};
+use polystyrene_protocol::codec::{decode_event, encode_event_into};
+use polystyrene_protocol::wire::{BufPool, EffectSink, Event, QueryItem, QueryReplyItem, Wire};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -98,9 +98,9 @@ proptest! {
         prop_assert_eq!(pool.pooled_elements(), (0, 0, 0, 0, 0));
     }
 
-    /// A payload rebuilt in a dirty-history pooled buffer encodes — via
-    /// the `*_into` path over a dirty out-buffer — to exactly the bytes
-    /// of the fresh-allocation encoding, and round-trips.
+    /// A payload rebuilt in a dirty-history pooled buffer encodes, as a
+    /// message over a dirty out-buffer, to exactly the bytes of the
+    /// fresh payload in a clean buffer, and round-trips.
     #[test]
     fn pooled_payloads_round_trip_through_dirty_buffers(
         stale in vec(descriptor_strategy(), 1..40),
@@ -111,14 +111,17 @@ proptest! {
         sink.pool.put_descriptors(stale);
         let mut buf = sink.pool.take_descriptors();
         buf.extend(payload.iter().cloned());
-        let recycled_wire = Wire::RpsRequest { descriptors: buf };
-        let fresh_wire = Wire::RpsRequest { descriptors: payload };
+        let from = NodeId::new(1);
+        let recycled = Event::Message { from, wire: Wire::RpsRequest { descriptors: buf } };
+        let fresh = Event::Message { from, wire: Wire::RpsRequest { descriptors: payload } };
 
         let mut out = garbage; // dirty out-buffer for the *_into path
-        encode_wire_into(&mut out, &recycled_wire);
-        prop_assert_eq!(&out, &encode_wire(&fresh_wire));
-        let decoded = decode_wire::<Pos>(&out);
-        prop_assert_eq!(decoded.as_ref(), Ok(&fresh_wire));
+        encode_event_into(&mut out, &recycled);
+        let mut clean = Vec::new();
+        encode_event_into(&mut clean, &fresh);
+        prop_assert_eq!(&out, &clean);
+        let decoded = decode_event::<Pos>(&out);
+        prop_assert_eq!(decoded.as_ref(), Ok(&fresh));
     }
 
     /// Retention bounds: oversized buffers are dropped on return, and

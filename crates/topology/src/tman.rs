@@ -24,7 +24,8 @@ pub struct TManConfig {
     /// Number of descriptors per gossip message (paper: m = 20).
     pub m: usize,
     /// Partner selected uniformly among the ψ closest neighbors
-    /// (paper: ψ = 5).
+    /// (paper: ψ = 5). Polystyrene's migration draws its candidates from
+    /// the same ψ closest (Algorithm 3 line 1).
     pub psi: usize,
 }
 
@@ -355,6 +356,19 @@ mod tests {
                 view_cap: 1,
                 m: 0,
                 psi: 1,
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "psi (peer-selection width)")]
+    fn zero_psi_rejected() {
+        let _ = TMan::new(
+            Euclidean2,
+            TManConfig {
+                view_cap: 1,
+                m: 1,
+                psi: 0,
             },
         );
     }
