@@ -289,6 +289,17 @@ pub fn compare(baseline: &Json, current: &Json, max_regression: f64) -> (Vec<Com
     (comparisons, failures)
 }
 
+/// The verdict line of a passing diff: how many gates were exact and
+/// how many allowed `max_regression`.
+fn summary(comparisons: &[Comparison], max_regression: f64) -> String {
+    let exact = comparisons.iter().filter(|c| c.exact).count();
+    format!(
+        "OK: {exact} exact, {} within +{:.0}% of baseline",
+        comparisons.len() - exact,
+        max_regression * 100.0
+    )
+}
+
 /// Runs the differ: prints every comparison and fails on each
 /// [`compare`] failure.
 pub fn run(args: &Args) -> Output {
@@ -302,27 +313,25 @@ pub fn run(args: &Args) -> Output {
         &load(&current_path),
         max_regression,
     );
+    let limit = format!("+{:.0}%", max_regression * 100.0);
     println!(
-        "{:<28} {:>10} {:>10} {:>8}",
-        "metric", "baseline", "current", "change"
+        "{:<28} {:>10} {:>10} {:>8} {:>6}",
+        "metric", "baseline", "current", "change", "gate"
     );
     for c in &comparisons {
         let verdict = if c.fails(max_regression) { "  FAIL" } else { "" };
         println!(
-            "{:<28} {:>10.3} {:>10.3} {:>+7.1}%{verdict}",
+            "{:<28} {:>10.3} {:>10.3} {:>+7.1}% {:>6}{verdict}",
             c.what,
             c.baseline,
             c.current,
-            c.regression() * 100.0
+            c.regression() * 100.0,
+            if c.exact { "exact" } else { &limit }
         );
     }
     let mut out = Output::default();
     if failures.is_empty() {
-        println!(
-            "\nOK: {} metric(s) within +{:.0}% of baseline",
-            comparisons.len(),
-            max_regression * 100.0
-        );
+        println!("\n{}", summary(&comparisons, max_regression));
     } else {
         eprintln!();
     }
@@ -452,6 +461,24 @@ mod tests {
         assert!(f.is_empty(), "{f:?}");
         assert_eq!(comparisons.len(), 4);
         assert!(comparisons.iter().all(|c| c.regression() < 0.0));
+    }
+
+    #[test]
+    fn the_verdict_names_exact_gates_apart() {
+        // Engine rounds and the allocation count are exact; the
+        // cluster's rounds and both wall-clock readings are relative.
+        let doc = parse(
+            "{\"allocs_per_round\":114,\"wall_secs\":{\"engine\":0.1,\"cluster\":1.0},\
+             \"entries\":[{\"label\":\"engine\",\"mean_reshaping_rounds\":2},\
+             {\"label\":\"cluster\",\"mean_reshaping_rounds\":6}]}",
+        )
+        .unwrap();
+        let (comparisons, f) = compare(&doc, &doc, 0.25);
+        assert!(f.is_empty(), "{f:?}");
+        assert_eq!(
+            summary(&comparisons, 0.25),
+            "OK: 2 exact, 3 within +25% of baseline"
+        );
     }
 
     #[test]
