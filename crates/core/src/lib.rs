@@ -45,10 +45,13 @@
 //! let mut p = PolyState::with_initial_point(DataPoint::new(PointId::new(0), [0.0, 0.0]));
 //! let mut q = PolyState::with_initial_point(DataPoint::new(PointId::new(1), [1.0, 0.0]));
 //!
-//! // A migration exchange re-partitions the union of their guests.
-//! let outcome = migrate_exchange(&space, &cfg, &mut p, &mut q, &mut rng);
+//! // A migration exchange re-partitions the union of their guests: q
+//! // splits what p ships, p adopts its share and re-projects.
+//! let shipped = vec![PointId::new(0)];
+//! let reply = absorb_and_split(&space, &cfg, &mut q, &p.pos, p.guests.clone(), &mut rng);
+//! adopt_reply(&mut p, reply.for_initiator, &shipped);
+//! p.project(&space, &cfg, &mut rng);
 //! assert_eq!(p.guests.len() + q.guests.len(), 2);
-//! assert!(outcome.transferred_points <= 2);
 //! ```
 //!
 //! The `polystyrene-sim` crate drives this state machine for thousands of
@@ -73,9 +76,7 @@ pub mod prelude {
     pub use crate::backup::{plan_backups, plan_backups_with, push_cost_units, BackupPush};
     pub use crate::config::{BackupPlacement, PolystyreneConfig};
     pub use crate::datapoint::{DataPoint, PointId};
-    pub use crate::migration::{
-        absorb_and_split, migrate_exchange, MigrationOutcome, SplitOutcome,
-    };
+    pub use crate::migration::{absorb_and_split, adopt_reply, SplitOutcome};
     pub use crate::projection::ProjectionStrategy;
     pub use crate::recovery::{recover, RecoveryOutcome};
     pub use crate::reliability::{required_replication, survival_probability};

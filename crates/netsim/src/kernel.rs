@@ -65,7 +65,8 @@
 //! event cells that a pop frees for the next push (so it holds as many
 //! cells as were ever queued at once, not a ring of buckets each sized
 //! for its busiest tick), node effects are pushed into the lanes'
-//! [`EffectSink`]s and dispatched through their reusable queues, and the
+//! [`EffectSink`]s and dispatched through their reusable queues by
+//! [`ProtocolNode::execute_effects`], and the
 //! per-round measurement pass is the World's census
 //! ([`World::measure`]), whose dense point-id-indexed tables are kept
 //! from round to round.
@@ -190,8 +191,9 @@ struct Lane<S: MetricSpace> {
     /// die in the merge stage).
     sink: EffectSink<S::Point>,
     events: Vec<Staged<S::Point>>,
-    /// Dispatch queue of the event being served: a probe's answer can
-    /// append further effects behind the ones already waiting.
+    /// Dispatch queue of the event being served
+    /// ([`ProtocolNode::execute_effects`]): a probe's answer can append
+    /// further effects behind the ones already waiting.
     effects: VecDeque<Effect<S::Point>>,
     /// Sends caused so far, ascending in `index`.
     out: VecDeque<Outbound<S::Point>>,
@@ -239,39 +241,30 @@ impl<S: MetricSpace> Lane<S> {
                 Some((from, wire)) => node.on_event_into(Event::Message { from, wire }, rng, sink),
             }
             let from = node.id();
-            effects.extend(sink.drain());
-            while let Some(effect) = effects.pop_front() {
-                match effect {
-                    Effect::Probe { peer, channel } => {
-                        // Failure *knowledge*, not ground truth: an undetected
-                        // crash passes the probe and the exchange later times
-                        // out. Partitions deliberately do NOT fail probes —
-                        // the probe asks the local failure detector, which a
-                        // partition never updates (nothing crashed); the
-                        // opened exchange's traffic then vanishes in transit
-                        // instead. This keeps partitions non-destructive:
-                        // views are not purged, so the fabric heals cleanly
-                        // when the mask lifts.
-                        let event = if !detected.is_failed(peer) {
-                            Event::ProbeOk {
-                                peer,
-                                channel,
-                                pos: None,
-                            }
-                        } else {
-                            Event::PeerUnreachable { peer, channel }
-                        };
-                        node.on_event_into(event, rng, sink);
-                        effects.extend(sink.drain());
-                    }
-                    Effect::Send { to, wire } => out.push_back(Outbound {
+            // Failure *knowledge*, not ground truth: an undetected crash
+            // passes the probe and the exchange later times out.
+            // Partitions deliberately do NOT fail probes — the probe asks
+            // the local failure detector, which a partition never updates
+            // (nothing crashed); the opened exchange's traffic then
+            // vanishes in transit instead. This keeps partitions
+            // non-destructive: views are not purged, so the fabric heals
+            // cleanly when the mask lifts. Every send succeeds here: its
+            // fate is drawn in the merge stage.
+            node.execute_effects(
+                effects,
+                sink,
+                rng,
+                |peer| !detected.is_failed(peer),
+                |to, wire| {
+                    out.push_back(Outbound {
                         index,
                         from,
                         to,
                         wire,
-                    }),
-                }
-            }
+                    });
+                    true
+                },
+            );
         }
     }
 }

@@ -27,6 +27,11 @@
 //! victims, refresh positions and measure through it, and offer queries
 //! through the shared [`polystyrene_protocol::pool`].
 //!
+//! A node's effects run through the asynchronous effect loop the live
+//! node loop runs too,
+//! [`polystyrene_protocol::ProtocolNode::execute_effects`]: the kernel
+//! only answers reachability and takes each send into its merge stage.
+//!
 //! Not everything is a message. Reachability probes are answered from
 //! the kernel's (lagged) failure knowledge, and the paper's per-round
 //! T-Man position refresh is the same instantaneous, costed pool pass

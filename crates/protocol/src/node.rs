@@ -20,7 +20,12 @@
 //!   runs all phases back-to-back on a local timer, with the node's
 //!   built-in heartbeat detector supplying failure verdicts and a
 //!   post-recovery re-projection compensating for migrations that may
-//!   stall (see [`ProtocolNode::on_tick_into`]).
+//!   stall (see [`ProtocolNode::on_tick_into`]). The event kernel runs
+//!   the same round with its own failure knowledge
+//!   ([`ProtocolNode::on_round_into`]). Both asynchronous drivers execute
+//!   the effects through one loop, [`ProtocolNode::execute_effects`]:
+//!   the driver only says whether a peer is reachable and carries a
+//!   send.
 
 use crate::config::{ProtocolConfig, MIGRATION_TIMEOUT_TICKS, QUERY_TIMEOUT_TICKS};
 use crate::wire::{Channel, Effect, EffectSink, Event, QueryItem, QueryReplyItem, Wire};
@@ -30,7 +35,7 @@ use polystyrene_membership::{Descriptor, NodeId, PeerSampling};
 use polystyrene_space::MetricSpace;
 use polystyrene_topology::{TMan, TopologyConstruction};
 use rand::Rng;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// One step of the per-tick protocol pipeline (paper Fig. 4).
 ///
@@ -229,20 +234,9 @@ impl<S: MetricSpace> ProtocolNode<S> {
         self.handouts.values().map(|h| h.points.len()).sum()
     }
 
-    /// Ids of the parked handout points. Survival accounting must count
+    /// The parked handout points' ids. Survival accounting must count
     /// these: mid-handover a point may exist *only* here (the carrying
     /// reply still in flight), yet it is not lost.
-    ///
-    /// Allocates a fresh `Vec`; observation paths that only need to walk
-    /// or count the ids should use [`ProtocolNode::parked_point_ids`]
-    /// instead.
-    pub fn parked_ids(&self) -> Vec<PointId> {
-        self.parked_point_ids().collect()
-    }
-
-    /// Iterator over the parked handout points' ids — the allocation-free
-    /// accessor for per-round observation (counting every node's parked
-    /// ids used to build a throwaway `Vec<PointId>` per node per round).
     pub fn parked_point_ids(&self) -> impl Iterator<Item = PointId> + '_ {
         self.handouts
             .values()
@@ -488,6 +482,59 @@ impl<S: MetricSpace> ProtocolNode<S> {
                 self.heard_from(from);
                 self.handle_message(from, wire, rng, sink);
             }
+        }
+    }
+
+    /// Executes a sink's effects the way both asynchronous drivers do,
+    /// the event kernel's lanes and the live node loop. The sink's
+    /// effects join the back of `effects`, the caller's reusable queue,
+    /// and run in FIFO order; the follow-ups each one causes queue
+    /// behind them. `effects` is left empty.
+    ///
+    /// * A probe asks `reachable(peer)` and the node gets
+    ///   [`Event::ProbeOk`] with `pos: None` (the peer's position stays
+    ///   what the view believes) or [`Event::PeerUnreachable`].
+    /// * A send is handed to `send(to, wire)`. A `false`, an observable
+    ///   delivery failure, comes back as [`Event::PeerUnreachable`] on
+    ///   the wire's channel.
+    ///
+    /// The cycle engine keeps its own dispatch: it delivers a send to the
+    /// destination node within the same call, answers probes from ground
+    /// truth with the peer's live position and charges a T-Man request
+    /// for an unreachable probe. Sharing this loop would make it branch
+    /// on its caller.
+    pub fn execute_effects<R: Rng + ?Sized>(
+        &mut self,
+        effects: &mut VecDeque<Effect<S::Point>>,
+        sink: &mut EffectSink<S::Point>,
+        rng: &mut R,
+        mut reachable: impl FnMut(NodeId) -> bool,
+        mut send: impl FnMut(NodeId, Wire<S::Point>) -> bool,
+    ) {
+        effects.extend(sink.drain());
+        while let Some(effect) = effects.pop_front() {
+            let event = match effect {
+                Effect::Probe { peer, channel } => {
+                    if reachable(peer) {
+                        Event::ProbeOk {
+                            peer,
+                            channel,
+                            pos: None,
+                        }
+                    } else {
+                        Event::PeerUnreachable { peer, channel }
+                    }
+                }
+                Effect::Send { to, wire } => {
+                    let channel = wire.channel();
+                    if send(to, wire) {
+                        continue;
+                    }
+                    Event::PeerUnreachable { peer: to, channel }
+                }
+            };
+            self.on_event_into(event, rng, sink);
+            effects.extend(sink.drain());
         }
     }
 
@@ -898,21 +945,10 @@ impl<S: MetricSpace> ProtocolNode<S> {
                 if resolves_pending {
                     let pending = self.pending_migration.take().expect("matched above");
                     if !busy {
-                        // The reply redistributes the shipped guests and
-                        // the responder's own; points acquired while the
-                        // exchange was in flight (e.g. a recovery
-                        // reactivating ghosts) are unknown to the split —
-                        // replacing the guest set wholesale would orphan
-                        // them, so they are re-absorbed. `retain` keeps
-                        // them in arrival order, exactly as the old
-                        // filter-collect did, and lets the replaced
-                        // buffer recycle when nothing was acquired.
-                        let mut acquired = std::mem::replace(&mut self.poly.guests, points);
-                        acquired.retain(|g| pending.shipped.binary_search(&g.id).is_err());
-                        if acquired.is_empty() {
-                            sink.pool.put_points(acquired);
-                        } else {
-                            self.poly.absorb_guests(acquired);
+                        // Points acquired while the exchange was in
+                        // flight survive the adoption (see `adopt_reply`).
+                        if let Some(spare) = adopt_reply(&mut self.poly, points, &pending.shipped) {
+                            sink.pool.put_points(spare);
                         }
                         self.poly.project(&self.space, &self.config.poly, rng);
                         // Confirm custody so the responder un-parks its
@@ -1380,7 +1416,10 @@ mod tests {
         // Only point 30 is parked: the shipped point 20 stays safe with
         // the initiator until the reply lands, so parking it too would
         // just duplicate it on every lost reply.
-        assert_eq!(b.parked_ids(), vec![PointId::new(30)]);
+        assert_eq!(
+            b.parked_point_ids().collect::<Vec<_>>(),
+            vec![PointId::new(30)]
+        );
         // A stale ack — from an exchange generation the initiator already
         // timed out — must NOT release this handout: its reply may still
         // be dropped, and the parking is the only safety copy.
@@ -1519,6 +1558,64 @@ mod tests {
         assert!(
             b.poly.guests.iter().any(|g| g.id == PointId::new(30)),
             "the contributed point must be owned again"
+        );
+    }
+
+    #[test]
+    fn effect_loop_reports_unreachable_peers_and_keeps_fifo_order() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let (near, gone) = (NodeId::new(1), NodeId::new(9));
+        let mut a = founder(0, 0.0, vec![desc(1, 1.0, 0.0), desc(9, 2.0, 0.0)]);
+        assert!(a.tman.view_entries().iter().any(|d| d.id == gone));
+        let mut sink = EffectSink::new();
+        for effect in [
+            Effect::Probe {
+                peer: gone,
+                channel: Channel::PeerSampling,
+            },
+            Effect::Probe {
+                peer: near,
+                channel: Channel::Topology,
+            },
+            Effect::Send {
+                to: gone,
+                wire: Wire::TManReply {
+                    descriptors: Vec::new(),
+                },
+            },
+            Effect::Send {
+                to: near,
+                wire: Wire::Heartbeat,
+            },
+        ] {
+            sink.push(effect);
+        }
+        let (mut queue, mut sent) = (VecDeque::new(), Vec::new());
+        a.execute_effects(
+            &mut queue,
+            &mut sink,
+            &mut rng,
+            |peer| peer != gone,
+            |to, wire| {
+                sent.push((to, wire.kind()));
+                to != gone
+            },
+        );
+        assert!(queue.is_empty() && sink.is_empty());
+        // The unreachable probe purged the RPS view only; the failed
+        // send's channel came from its wire, a T-Man one.
+        assert!(!a.rps.view().contains(gone));
+        assert!(a.tman.view_entries().iter().all(|d| d.id != gone));
+        assert!(a.rps.view().contains(near));
+        // The reachable probe opened a T-Man exchange, whose request
+        // queued behind the two sends that were waiting already.
+        assert_eq!(
+            sent,
+            vec![
+                (gone, "tman_reply"),
+                (near, "heartbeat"),
+                (near, "tman_request")
+            ]
         );
     }
 

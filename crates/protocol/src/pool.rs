@@ -84,20 +84,15 @@
 use crate::config::ProtocolConfig;
 use crate::node::ProtocolNode;
 use crate::par;
-use crate::scenario::sample_bootstrap_contacts;
+use crate::scenario::{founder_contacts, joiner_contacts};
 use crate::wire::QueryItem;
 use crate::TRAFFIC_SEED_TAG;
 use polystyrene::prelude::{DataPoint, PointId, PolyState};
-use polystyrene_membership::{Descriptor, NodeId};
+use polystyrene_membership::NodeId;
 use polystyrene_space::MetricSpace;
 use polystyrene_topology::TopologyConstruction;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// T-Man contacts every node is given when it founds or joins the
-/// population ("each physical node is initialized with 10 random
-/// neighbors taken from the RPS layer", Sec. IV-A).
-pub const TMAN_BOOTSTRAP: usize = 10;
 
 /// A generation-stamped slot handle. Valid only while the slot's current
 /// generation matches; any kill of the occupant invalidates it.
@@ -168,11 +163,9 @@ impl<S: MetricSpace> NodePool<S> {
 
     /// Founds the population of the paper's evaluation: node `i` stands
     /// on `shape[i]` and hosts data point `i`. Founders are built in id
-    /// order, and each draws from `rng` distinct RPS contacts other than
-    /// itself until it holds `min(rps_view_cap, n - 1)`, then makes
-    /// [`TMAN_BOOTSTRAP`] T-Man draws with replacement, skipping (without
-    /// a retry) any draw of itself. Returns the pool and the founding
-    /// points, which are the target shape.
+    /// order, each drawing its contacts from `rng` through
+    /// [`founder_contacts`]. Returns the pool and the founding points,
+    /// which are the target shape.
     pub fn found<R: Rng + ?Sized>(
         space: &S,
         shape: &[S::Point],
@@ -209,11 +202,10 @@ impl<S: MetricSpace> NodePool<S> {
     /// Joins fresh, empty nodes at `positions` (the paper's Phase 3
     /// re-injection) in two passes. First every joiner's contacts are
     /// drawn from `rng`, joiner by joiner, against the alive list from
-    /// before the join: `rps_view_cap` RPS and then [`TMAN_BOOTSTRAP`]
-    /// T-Man contacts through [`sample_bootstrap_contacts`], at the
-    /// subjects' current positions. So joiners never bootstrap each
-    /// other. Then the joiners are inserted in order. Returns their ids,
-    /// which are fresh and ascending even where a slot is recycled.
+    /// before the join ([`joiner_contacts`]), at the subjects' current
+    /// positions. So joiners never bootstrap each other. Then the joiners
+    /// are inserted in order. Returns their ids, which are fresh and
+    /// ascending even where a slot is recycled.
     pub fn join<R: Rng + ?Sized>(
         &mut self,
         space: &S,
@@ -226,12 +218,7 @@ impl<S: MetricSpace> NodePool<S> {
             let pos_of = |j: NodeId| self.get(j).map(|c| c.poly.pos.clone());
             positions
                 .iter()
-                .map(|_| {
-                    (
-                        sample_bootstrap_contacts(alive, &pos_of, protocol.rps_view_cap, rng),
-                        sample_bootstrap_contacts(alive, &pos_of, TMAN_BOOTSTRAP, rng),
-                    )
-                })
+                .map(|_| joiner_contacts(alive, &pos_of, protocol.rps_view_cap, rng))
                 .collect()
         };
         positions
@@ -470,34 +457,6 @@ impl<S: MetricSpace> NodePool<S> {
     }
 }
 
-/// Founder `i`'s bootstrap contacts among the founders standing on
-/// `shape`, as [`NodePool::found`] describes them. Returns
-/// `(rps, tman)`.
-fn founder_contacts<P: Clone, R: Rng + ?Sized>(
-    i: usize,
-    shape: &[P],
-    rps_view_cap: usize,
-    rng: &mut R,
-) -> (Vec<Descriptor<P>>, Vec<Descriptor<P>>) {
-    let n = shape.len();
-    let contact = |j: usize| Descriptor::new(NodeId::new(j as u64), shape[j].clone());
-    let mut rps: Vec<Descriptor<P>> = Vec::new();
-    while rps.len() < rps_view_cap.min(n - 1) {
-        let j = rng.random_range(0..n);
-        if j != i && !rps.iter().any(|d| d.id.index() == j) {
-            rps.push(contact(j));
-        }
-    }
-    let mut tman = Vec::new();
-    for _ in 0..TMAN_BOOTSTRAP {
-        let j = rng.random_range(0..n);
-        if j != i {
-            tman.push(contact(j));
-        }
-    }
-    (rps, tman)
-}
-
 /// Where the traffic plane's queries enter the population. It holds
 /// the gateway-draw stream, seeded `seed ^ TRAFFIC_SEED_TAG` so that
 /// offering load never advances a protocol stream, and the query-id
@@ -580,6 +539,7 @@ impl Gateways {
 mod tests {
     use super::*;
     use crate::config::ProtocolConfig;
+    use crate::scenario::TMAN_BOOTSTRAP;
     use polystyrene::prelude::{DataPoint, PointId, PolyState};
     use polystyrene_membership::Descriptor;
     use polystyrene_space::prelude::Torus2;

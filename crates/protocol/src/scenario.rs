@@ -205,6 +205,57 @@ pub fn sample_bootstrap_contacts<P, R: rand::Rng + ?Sized>(
         .collect()
 }
 
+/// T-Man contacts every node is given when it founds or joins the
+/// population ("each physical node is initialized with 10 random
+/// neighbors taken from the RPS layer", Sec. IV-A).
+pub const TMAN_BOOTSTRAP: usize = 10;
+
+/// Founder `i`'s bootstrap contacts among the founders standing on
+/// `shape` (founder `j` on `shape[j]`), the rule every substrate founds
+/// by. It draws from `rng` distinct RPS contacts other than `i` until it
+/// holds `min(rps_view_cap, n - 1)`, then makes [`TMAN_BOOTSTRAP`] T-Man
+/// draws with replacement, skipping (without a retry) any draw of `i`.
+/// Returns `(rps, tman)`.
+pub fn founder_contacts<P: Clone, R: rand::Rng + ?Sized>(
+    i: usize,
+    shape: &[P],
+    rps_view_cap: usize,
+    rng: &mut R,
+) -> (Vec<Descriptor<P>>, Vec<Descriptor<P>>) {
+    let n = shape.len();
+    let contact = |j: usize| Descriptor::new(NodeId::new(j as u64), shape[j].clone());
+    let mut rps: Vec<Descriptor<P>> = Vec::new();
+    while rps.len() < rps_view_cap.min(n - 1) {
+        let j = rng.random_range(0..n);
+        if j != i && !rps.iter().any(|d| d.id.index() == j) {
+            rps.push(contact(j));
+        }
+    }
+    let mut tman = Vec::new();
+    for _ in 0..TMAN_BOOTSTRAP {
+        let j = rng.random_range(0..n);
+        if j != i {
+            tman.push(contact(j));
+        }
+    }
+    (rps, tman)
+}
+
+/// A joiner's bootstrap contacts, the rule every substrate joins by:
+/// `rps_view_cap` RPS and then [`TMAN_BOOTSTRAP`] T-Man draws over the
+/// `alive` population through [`sample_bootstrap_contacts`]. Returns
+/// `(rps, tman)`.
+pub fn joiner_contacts<P, R: rand::Rng + ?Sized>(
+    alive: &[NodeId],
+    position_of: &dyn Fn(NodeId) -> Option<P>,
+    rps_view_cap: usize,
+    rng: &mut R,
+) -> (Vec<Descriptor<P>>, Vec<Descriptor<P>>) {
+    let rps = sample_bootstrap_contacts(alive, position_of, rps_view_cap, rng);
+    let tman = sample_bootstrap_contacts(alive, position_of, TMAN_BOOTSTRAP, rng);
+    (rps, tman)
+}
+
 /// The paper's three-phase evaluation scenario on a `cols × rows` torus
 /// grid (Sec. IV-A), parameterized so the scaling experiments (Fig. 10)
 /// can reuse it at every network size — and, being substrate-agnostic,

@@ -3,21 +3,22 @@
 //! fresh joiners, offers traffic, observes global health, and shuts
 //! everything down.
 
-use crate::config::{RuntimeConfig, BOOTSTRAP_CONTACTS};
+use crate::config::RuntimeConfig;
 use crate::fabric::Transport;
-use crate::message::Message;
 use crate::node::NodeRuntime;
 use crate::observe::{observe, ObservationBoard};
 use crate::registry::Registry;
 use crate::traffic::GatewayTraffic;
 use crate::worker::{inbox, Inbox, Mailbox, Post, Worker};
-use polystyrene::prelude::{DataPoint, PointId};
+use polystyrene::prelude::{DataPoint, PointId, PolyState};
 use polystyrene_membership::{Descriptor, NodeId};
 use polystyrene_protocol::observe::{Census, RoundObservation};
-use polystyrene_protocol::{sample_bootstrap_contacts, select_region_victims};
+use polystyrene_protocol::{
+    founder_contacts, joiner_contacts, select_region_victims, ProtocolNode,
+};
 use polystyrene_space::MetricSpace;
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -78,7 +79,9 @@ pub struct Cluster<S: MetricSpace, T: Transport<S::Point> = Registry<<S as Metri
 
 impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
     /// Spawns one node per position of `shape`, each founding the data
-    /// point at its position.
+    /// point at its position. Founders draw their bootstrap contacts
+    /// from the cluster's stream in id order, by the rule every
+    /// substrate founds by ([`founder_contacts`]).
     ///
     /// # Panics
     ///
@@ -124,14 +127,11 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
             traffic: GatewayTraffic::new(config.seed),
             census: Mutex::new(Census::new()),
         };
-        for (i, pos) in shape.iter().enumerate() {
-            let contacts = contacts_from_shape(&shape, i, BOOTSTRAP_CONTACTS, &mut cluster.rng);
-            cluster.spawn_node(
-                NodeId::new(i as u64),
-                Some(original_points[i].clone()),
-                pos.clone(),
-                contacts,
-            );
+        let rps_view_cap = config.protocol().rps_view_cap;
+        for (i, origin) in original_points.into_iter().enumerate() {
+            let (rps, tman) = founder_contacts(i, &shape, rps_view_cap, &mut cluster.rng);
+            let poly = PolyState::with_initial_point(origin);
+            cluster.spawn_node(NodeId::new(i as u64), poly, rps, tman);
         }
         cluster
     }
@@ -139,10 +139,18 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
     fn spawn_node(
         &mut self,
         id: NodeId,
-        origin: Option<DataPoint<S::Point>>,
-        position: S::Point,
-        contacts: Vec<Descriptor<S::Point>>,
+        poly: PolyState<S::Point>,
+        rps: Vec<Descriptor<S::Point>>,
+        tman: Vec<Descriptor<S::Point>>,
     ) {
+        let node = ProtocolNode::new(
+            id,
+            self.space.clone(),
+            self.config.protocol(),
+            poly,
+            rps,
+            tman,
+        );
         let worker = &self.workers[id.index() % self.workers.len()];
         let mailbox = Mailbox::new(id, worker.clone());
         // Attached before the node runs: a peer that learns of this node
@@ -152,12 +160,8 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
         let fabric = self.transport.attach(mailbox.clone());
         let ingress = Arc::new(AtomicUsize::new(0));
         let node = NodeRuntime::new(
-            id,
-            self.space.clone(),
+            node,
             self.config,
-            origin,
-            position,
-            contacts,
             fabric,
             Arc::clone(&self.board),
             Arc::clone(&ingress),
@@ -219,7 +223,7 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
         // Detach first: probes and delivery reports turn negative before
         // the worker even sees the signal.
         self.transport.detach(id);
-        node.mailbox.send(Message::Shutdown);
+        node.mailbox.retire();
         true
     }
 
@@ -237,23 +241,25 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
     }
 
     /// Injects a fresh node with no data points at `position`
-    /// (the paper's Phase 3 joiners), bootstrapped from alive contacts.
+    /// (the paper's Phase 3 joiners), bootstrapped from alive contacts
+    /// by the rule every substrate joins by ([`joiner_contacts`]).
     /// Returns its id.
     pub fn inject(&mut self, position: S::Point) -> NodeId {
         let id = NodeId::new(self.next_id);
         self.next_id += 1;
         let alive = self.alive_ids();
+        let rps_view_cap = self.config.protocol().rps_view_cap;
         // Positions resolve through the board, read in place: an alive
         // node that has not published yet is skipped.
-        let contacts = self.board.read(|reports| {
-            sample_bootstrap_contacts(
+        let (rps, tman) = self.board.read(|reports| {
+            joiner_contacts(
                 &alive,
                 &|peer| reports.get(&peer).map(|r| r.pos.clone()),
-                BOOTSTRAP_CONTACTS,
+                rps_view_cap,
                 &mut self.rng,
             )
         });
-        self.spawn_node(id, None, position, contacts);
+        self.spawn_node(id, PolyState::empty_at(position), rps, tman);
         id
     }
 
@@ -276,10 +282,7 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
             &alive,
             |id| nodes.get(&id).map(|n| Arc::clone(&n.ingress)),
             |gateway, wire| {
-                nodes[&gateway].mailbox.send(Message::Protocol {
-                    from: gateway,
-                    wire,
-                });
+                nodes[&gateway].mailbox.send(gateway, wire);
             },
         );
     }
@@ -386,31 +389,6 @@ impl<S: MetricSpace, T: Transport<S::Point>> Drop for Cluster<S, T> {
     }
 }
 
-/// Draws up to `count` distinct bootstrap contacts for founding node
-/// `own` from the target shape: the contact set the cluster seeds its
-/// nodes' gossip layers with at spawn. Joiners draw theirs from the
-/// alive population instead, through the sampling path every substrate
-/// shares ([`sample_bootstrap_contacts`]).
-fn contacts_from_shape<P: Clone>(
-    shape: &[P],
-    own: usize,
-    count: usize,
-    rng: &mut StdRng,
-) -> Vec<Descriptor<P>> {
-    let n = shape.len();
-    let mut contacts = Vec::new();
-    for _ in 0..count * 2 {
-        if contacts.len() >= count {
-            break;
-        }
-        let j = rng.random_range(0..n);
-        if j != own && !contacts.iter().any(|d: &Descriptor<P>| d.id.index() == j) {
-            contacts.push(Descriptor::new(NodeId::new(j as u64), shape[j].clone()));
-        }
-    }
-    contacts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -468,19 +446,6 @@ mod tests {
         fn sent_frames(&self) -> u64 {
             0
         }
-    }
-
-    #[test]
-    fn shape_contacts_exclude_self_and_duplicates() {
-        let shape: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let mut rng = StdRng::seed_from_u64(1);
-        let contacts = contacts_from_shape(&shape, 3, 5, &mut rng);
-        assert!(contacts.len() <= 5);
-        assert!(contacts.iter().all(|d| d.id.index() != 3));
-        let mut ids: Vec<usize> = contacts.iter().map(|d| d.id.index()).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), contacts.len(), "no duplicate contacts");
     }
 
     #[test]

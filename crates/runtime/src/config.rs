@@ -9,13 +9,11 @@ use std::time::Duration;
 const RPS_VIEW_CAP: usize = 12;
 /// Descriptors per RPS shuffle of a live node.
 const RPS_SHUFFLE_LEN: usize = 6;
-/// Random contacts seeded into each node's layers at spawn.
-pub(crate) const BOOTSTRAP_CONTACTS: usize = 8;
 
-/// Parameters of a threaded Polystyrene deployment. The RPS sizing and
-/// the bootstrap contact count are the constants above, the migration
-/// and query timeouts are the protocol crate's constants, and messages
-/// are priced by [`polystyrene_protocol::wire_units`].
+/// Parameters of a threaded Polystyrene deployment. The RPS sizing is
+/// the constants above; the bootstrap draws and the migration and query
+/// timeouts are the protocol crate's; messages are priced by
+/// [`polystyrene_protocol::wire_units`].
 #[derive(Clone, Copy, Debug)]
 pub struct RuntimeConfig {
     /// Protocol tick: each node initiates one gossip round per tick.

@@ -14,7 +14,6 @@
 //! transport shares: the `link.loss` draw.
 
 use crate::config::RuntimeConfig;
-use crate::message::Message;
 use crate::registry::Registry;
 use crate::worker::Mailbox;
 use polystyrene_membership::NodeId;
@@ -149,13 +148,7 @@ impl<P> RegistryFabric<P> {
 
 impl<P: Clone + Send> NodeFabric<P> for RegistryFabric<P> {
     fn send(&mut self, to: NodeId, wire: Wire<P>) -> bool {
-        self.registry.send(
-            to,
-            Message::Protocol {
-                from: self.id,
-                wire,
-            },
-        )
+        self.registry.send(to, self.id, wire)
     }
 
     fn contains(&mut self, id: NodeId) -> bool {
@@ -178,7 +171,7 @@ mod tests {
         assert!(!fabric.contains(NodeId::new(9)));
         assert!(fabric.send(NodeId::new(2), Wire::Heartbeat));
         match rx.recv().unwrap() {
-            Post::Deliver(to, Message::Protocol { from, wire }) => {
+            Post::Deliver { to, from, wire } => {
                 assert_eq!(to, NodeId::new(2));
                 assert_eq!(from, NodeId::new(1));
                 assert_eq!(wire, Wire::Heartbeat);

@@ -20,6 +20,14 @@
 //! * crash injection that kills a node mid-flight, losing whatever was in
 //!   its mailbox: exactly the crash-stop model.
 //!
+//! Two rules are the deterministic substrates' own, not copies: founders
+//! and joiners draw their bootstrap contacts through
+//! `polystyrene_protocol::{founder_contacts, joiner_contacts}` (the
+//! cluster's stream, the live RPS view cap), and each node executes its
+//! effects through `ProtocolNode::execute_effects`, the loop the event
+//! kernel's lanes run, with its fabric answering reachability and
+//! carrying the sends.
+//!
 //! The channel is incidental, so it is a type parameter. The default
 //! transport, [`Registry`], hands messages from inbox to inbox
 //! in-process; `polystyrene-transport` carries them as framed bytes over
@@ -70,7 +78,6 @@
 pub mod cluster;
 pub mod config;
 pub mod fabric;
-pub mod message;
 pub mod node;
 pub mod observe;
 pub mod registry;
@@ -80,7 +87,6 @@ pub mod worker;
 pub use cluster::Cluster;
 pub use config::RuntimeConfig;
 pub use fabric::{NodeFabric, RegistryFabric, TransitLoss, Transport};
-pub use message::Message;
 pub use polystyrene_protocol::observe::RoundObservation;
 pub use registry::Registry;
 pub use traffic::{GatewayTraffic, GATEWAY_INGRESS_BOUND};

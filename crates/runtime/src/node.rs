@@ -8,7 +8,9 @@
 //! messages addressed to it (`handle`, into
 //! [`ProtocolNode::on_event_into`]) and calls `tick` when its wall-clock
 //! deadline passes ([`ProtocolNode::on_tick_into`]); both
-//! execute the returned effects over the node's [`NodeFabric`] — probes
+//! execute the returned effects over the node's [`NodeFabric`] through
+//! the loop the event kernel runs too
+//! ([`ProtocolNode::execute_effects`]) — probes
 //! answered from the fabric's address book, sends mapped to transport
 //! deliveries (in-process mailboxes or framed TCP, the node cannot
 //! tell), failed deliveries reported back as [`Event::PeerUnreachable`].
@@ -19,12 +21,13 @@ use crate::config::RuntimeConfig;
 use crate::fabric::NodeFabric;
 use crate::observe::ObservationBoard;
 use crate::worker::Resident;
-use polystyrene::prelude::{DataPoint, PointId, PolyState};
-use polystyrene_membership::{Descriptor, NodeId};
+use polystyrene::prelude::PointId;
+use polystyrene_membership::NodeId;
 use polystyrene_protocol::{node_seed, wire_units, Effect, EffectSink, Event, ProtocolNode, Wire};
 use polystyrene_space::MetricSpace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -59,7 +62,8 @@ pub struct NodeRuntime<S: MetricSpace> {
     /// buffer (and payload pool) for the node's lifetime instead of a
     /// fresh `Vec` per tick and per inbound message.
     sink: EffectSink<S::Point>,
-    /// Reusable dispatch queue of [`Self::execute`].
+    /// Reusable dispatch queue of [`Self::execute`], empty between
+    /// calls.
     queue: VecDeque<Effect<S::Point>>,
     /// Cumulative traffic-plane gateway counters, published every tick.
     traffic_offered: u64,
@@ -75,39 +79,23 @@ pub struct NodeRuntime<S: MetricSpace> {
 }
 
 impl<S: MetricSpace> NodeRuntime<S> {
-    /// Builds a node with its initial data point (`Some`) or as a fresh
-    /// empty joiner (`None`), seeded with bootstrap contacts.
-    #[allow(clippy::too_many_arguments)]
+    /// Wraps `node`, built by the cluster with its bootstrap contacts,
+    /// in the IO driver: the node's tick period and stream come from
+    /// `config`, its sends and probes go through `fabric`.
     pub fn new(
-        id: NodeId,
-        space: S,
+        node: ProtocolNode<S>,
         config: RuntimeConfig,
-        origin: Option<DataPoint<S::Point>>,
-        position: S::Point,
-        contacts: Vec<Descriptor<S::Point>>,
         fabric: Box<dyn NodeFabric<S::Point>>,
         board: Arc<ObservationBoard<S::Point>>,
         ingress: Arc<AtomicUsize>,
     ) -> Self {
-        let poly = match origin {
-            Some(point) => PolyState::with_initial_point(point),
-            None => PolyState::empty_at(position),
-        };
-        let node = ProtocolNode::new(
-            id,
-            space,
-            config.protocol(),
-            poly,
-            contacts.clone(),
-            contacts,
-        );
         Self {
+            rng: StdRng::seed_from_u64(node_seed(config.seed, node.id())),
             node,
             tick: config.tick,
             next_tick: Instant::now() + config.tick,
             fabric,
             board,
-            rng: StdRng::seed_from_u64(node_seed(config.seed, id)),
             sent_units: 0,
             sink: EffectSink::new(),
             queue: VecDeque::new(),
@@ -142,7 +130,7 @@ impl<S: MetricSpace> NodeRuntime<S> {
             refill(&mut report.guest_ids, poly.guests.iter().map(|p| p.id));
             let ghosts = poly.ghosts.items().iter();
             refill(&mut report.ghost_ids, ghosts.map(|p| p.id));
-            refill(&mut report.parked_ids, node.parked_point_ids());
+            refill(&mut report.parked_point_ids, node.parked_point_ids());
             report.stored_points = poly.stored_points();
             report.ticks = node.clock();
             report.cost_units = self.sent_units;
@@ -153,48 +141,30 @@ impl<S: MetricSpace> NodeRuntime<S> {
         });
     }
 
-    /// Executes effects against the real transport: probes consult the
-    /// fabric's address book, sends go through the fabric, and a send
-    /// whose destination is observably gone comes back as
+    /// Executes effects against the real transport
+    /// ([`ProtocolNode::execute_effects`]): probes consult the fabric's
+    /// address book (no ground truth here, and the peer's position stays
+    /// whatever the view believes), sends go through the fabric, and a
+    /// send whose destination is observably gone comes back as
     /// [`Event::PeerUnreachable`] (message lost, crash-stop style).
     fn execute(&mut self, sink: &mut EffectSink<S::Point>) {
-        let mut queue = std::mem::take(&mut self.queue);
-        debug_assert!(queue.is_empty());
-        queue.extend(sink.drain());
-        while let Some(effect) = queue.pop_front() {
-            match effect {
-                Effect::Probe { peer, channel } => {
-                    // No ground truth here: the address book is the best
-                    // knowledge available, and the peer's position stays
-                    // whatever the view believes (`pos: None`).
-                    let event = if self.fabric.contains(peer) {
-                        Event::ProbeOk {
-                            peer,
-                            channel,
-                            pos: None,
-                        }
-                    } else {
-                        Event::PeerUnreachable { peer, channel }
-                    };
-                    self.node.on_event_into(event, &mut self.rng, sink);
-                    queue.extend(sink.drain());
-                }
-                Effect::Send { to, wire } => {
-                    let channel = wire.channel();
-                    self.sent_units += wire_units(&wire);
-                    // The fabric takes ownership of the wire (in-process
-                    // delivery hands the very buffer to the receiver), so
-                    // there is nothing to recycle on this path.
-                    let delivered = self.fabric.send(to, wire);
-                    if !delivered {
-                        let event = Event::PeerUnreachable { peer: to, channel };
-                        self.node.on_event_into(event, &mut self.rng, sink);
-                        queue.extend(sink.drain());
-                    }
-                }
-            }
-        }
-        self.queue = queue;
+        // Both closures need the fabric, one at a time.
+        let fabric = RefCell::new(&mut self.fabric);
+        let sent_units = &mut self.sent_units;
+        self.node.execute_effects(
+            &mut self.queue,
+            sink,
+            &mut self.rng,
+            |peer| fabric.borrow_mut().contains(peer),
+            |to, wire| {
+                // Charged whether or not the delivery succeeds. The
+                // fabric takes ownership of the wire (in-process delivery
+                // hands the very buffer to the receiver), so there is
+                // nothing to recycle on this path.
+                *sent_units += wire_units(&wire);
+                fabric.borrow_mut().send(to, wire)
+            },
+        );
     }
 }
 

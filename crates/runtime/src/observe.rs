@@ -30,7 +30,7 @@ pub struct NodeReport<P> {
     /// this set (the carrying reply dropped, the next backup push already
     /// rewrote the ghosts without it) — it is stored on this node and
     /// must count as held, exactly as the netsim substrate counts it.
-    pub parked_ids: Vec<PointId>,
+    pub parked_point_ids: Vec<PointId>,
     /// Total stored points (guests + ghosts).
     pub stored_points: usize,
     /// Ticks executed so far.
@@ -56,7 +56,7 @@ impl<P> NodeReport<P> {
             pos,
             guest_ids: Vec::new(),
             ghost_ids: Vec::new(),
-            parked_ids: Vec::new(),
+            parked_point_ids: Vec::new(),
             stored_points: 0,
             ticks: 0,
             cost_units: 0,
@@ -173,7 +173,7 @@ pub fn observe<'a, S: MetricSpace>(
             &report.pos,
             report.guest_ids.iter().copied(),
             report.ghost_ids.iter().copied(),
-            report.parked_ids.iter().copied(),
+            report.parked_point_ids.iter().copied(),
             report.stored_points,
         );
         ticks = ticks.min(report.ticks);
@@ -298,7 +298,7 @@ mod tests {
         b.ticks = 3;
         b.cost_units = 10;
         // Point 2 is parked on b: the report's lists reach the census.
-        b.parked_ids = vec![PointId::new(2)];
+        b.parked_point_ids = vec![PointId::new(2)];
         let mut census = Census::new();
         let obs = observe(&mut census, &Euclidean2, &pts, 4.0, [&a, &b]);
         assert_eq!(obs.traffic.offered, 14);

@@ -17,9 +17,9 @@
 
 use crate::config::RuntimeConfig;
 use crate::fabric::{NodeFabric, RegistryFabric, TransitLoss, Transport};
-use crate::message::Message;
 use crate::worker::Mailbox;
 use polystyrene_membership::NodeId;
+use polystyrene_protocol::Wire;
 use std::collections::HashMap;
 use std::sync::{Arc, PoisonError, RwLock};
 
@@ -63,19 +63,18 @@ impl<P> Registry<P> {
             .remove(&id);
     }
 
-    /// Sends `message` to `to`; returns `false` if the destination is
-    /// unknown or its mailbox is gone (message lost, crash-stop style).
+    /// Sends `wire` from `from` to `to`; returns `false` if the
+    /// destination is unknown or its mailbox is gone (message lost,
+    /// crash-stop style).
     ///
-    /// Protocol messages pass the [`TransitLoss`] draw first (control
-    /// messages are exempt). The crash-stop contract is unchanged by it:
-    /// an injected drop reports exactly what the real send would have,
-    /// so delivery-failure feedback (and the view purging built on it)
-    /// does not depend on whether the loss draw fired.
-    pub fn send(&self, to: NodeId, message: Message<P>) -> bool {
-        if let Message::Protocol { from, .. } = &message {
-            if self.loss.loses(*from, to) {
-                return self.contains(to);
-            }
+    /// Every message passes the [`TransitLoss`] draw first. The
+    /// crash-stop contract is unchanged by it: an injected drop reports
+    /// exactly what the real send would have, so delivery-failure
+    /// feedback (and the view purging built on it) does not depend on
+    /// whether the loss draw fired.
+    pub fn send(&self, to: NodeId, from: NodeId, wire: Wire<P>) -> bool {
+        if self.loss.loses(from, to) {
+            return self.contains(to);
         }
         // Sent under the read lock: the inbox is unbounded, so the send
         // cannot block, and no sender is cloned per message.
@@ -83,7 +82,7 @@ impl<P> Registry<P> {
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .get(&to)
-            .is_some_and(|mailbox| mailbox.send(message))
+            .is_some_and(|mailbox| mailbox.send(from, wire))
     }
 
     /// Whether `id` currently has a registered, *live* mailbox: the
@@ -146,8 +145,15 @@ mod tests {
         rx
     }
 
-    fn is_shutdown_of_node_1(post: Post<f64>) -> bool {
-        matches!(post, Post::Deliver(id, Message::Shutdown) if id == NodeId::new(1))
+    fn is_heartbeat_for_node_1(post: Post<f64>) -> bool {
+        matches!(
+            post,
+            Post::Deliver { to, wire: Wire::Heartbeat, .. } if to == NodeId::new(1)
+        )
+    }
+
+    fn heartbeat_to(registry: &Registry<f64>, to: u64) -> bool {
+        registry.send(NodeId::new(to), NodeId::new(0), Wire::Heartbeat)
     }
 
     #[test]
@@ -156,17 +162,17 @@ mod tests {
         let (rx, _worker) = register_node_1(&registry);
         assert!(registry.contains(NodeId::new(1)));
         assert!(!registry.contains(NodeId::new(2)));
-        assert!(registry.send(NodeId::new(1), Message::Shutdown));
-        assert!(is_shutdown_of_node_1(rx.recv().unwrap()));
+        assert!(heartbeat_to(&registry, 1));
+        assert!(is_heartbeat_for_node_1(rx.recv().unwrap()));
         registry.deregister(NodeId::new(1));
-        assert!(!registry.send(NodeId::new(1), Message::Shutdown));
+        assert!(!heartbeat_to(&registry, 1));
         assert!(!registry.contains(NodeId::new(1)));
     }
 
     #[test]
     fn send_to_unknown_is_lost_not_fatal() {
         let registry: Arc<Registry<f64>> = Registry::new();
-        assert!(!registry.send(NodeId::new(42), Message::Shutdown));
+        assert!(!heartbeat_to(&registry, 42));
     }
 
     #[test]
@@ -174,7 +180,7 @@ mod tests {
         let registry: Arc<Registry<f64>> = Registry::new();
         let rx = register_node_1(&registry);
         drop(rx); // the node's worker died without deregistering it
-        assert!(!registry.send(NodeId::new(1), Message::Shutdown));
+        assert!(!heartbeat_to(&registry, 1));
     }
 
     /// A registry whose link drops every protocol message in transit.
@@ -184,29 +190,19 @@ mod tests {
         Registry::open(config)
     }
 
-    fn heartbeat() -> Message<f64> {
-        Message::Protocol {
-            from: NodeId::new(0),
-            wire: polystyrene_protocol::Wire::Heartbeat,
-        }
-    }
-
     #[test]
     fn injected_loss_is_silent_but_counted() {
         let registry = all_loss();
         let (rx, _worker) = register_node_1(&registry);
         assert!(
-            registry.send(NodeId::new(1), heartbeat()),
+            heartbeat_to(&registry, 1),
             "transit loss must be invisible to the sender (the mailbox exists)"
         );
         assert_eq!(registry.injected_drops(), 1);
         assert!(rx.try_recv().is_err(), "the message must not arrive");
         // Crash-stop reporting stays exact: a dead mailbox is observable
         // even while the model is dropping everything.
-        assert!(!registry.send(NodeId::new(9), heartbeat()));
-        // Control messages bypass the model entirely.
-        assert!(registry.send(NodeId::new(1), Message::Shutdown));
-        assert!(is_shutdown_of_node_1(rx.recv().unwrap()));
+        assert!(!heartbeat_to(&registry, 9));
     }
 
     #[test]
@@ -219,7 +215,7 @@ mod tests {
             // verdict (not `contains_key`, which would say `true` on the
             // drop path and suppress the PeerUnreachable feedback the
             // failure detector relies on), and probes agree with both.
-            assert!(!registry.send(NodeId::new(1), heartbeat()));
+            assert!(!heartbeat_to(&registry, 1));
             assert!(
                 !registry.contains(NodeId::new(1)),
                 "a probe must not report a crashed node reachable while sends report it dead"

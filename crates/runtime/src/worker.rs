@@ -20,7 +20,6 @@
 //! so that finding the next one does not scan the nodes on every
 //! message.
 
-use crate::message::Message;
 use crate::observe::ObservationBoard;
 use polystyrene_membership::NodeId;
 use polystyrene_protocol::Wire;
@@ -56,11 +55,17 @@ pub(crate) trait Resident<P>: Send {
 pub(crate) enum Post<P> {
     /// A freshly built node for this worker to run from now on.
     Adopt(Box<dyn Resident<P>>),
-    /// A message for one of the worker's nodes. [`Message::Shutdown`]
-    /// retires the addressee; anything addressed to a node the worker
-    /// does not (or no longer) run is the backlog of a crashed node and
-    /// is discarded, which is what its mailbox dying used to do.
-    Deliver(NodeId, Message<P>),
+    /// A protocol payload from `from` for the worker's node `to`.
+    /// Anything addressed to a node the worker does not (or no longer)
+    /// run is the backlog of a crashed node and is discarded, which is
+    /// what its mailbox dying used to do.
+    Deliver {
+        to: NodeId,
+        from: NodeId,
+        wire: Wire<P>,
+    },
+    /// Drops one of the worker's nodes: the harness's crash.
+    Retire(NodeId),
     /// Ends the worker, dropping whatever nodes it still runs.
     Stop,
 }
@@ -111,10 +116,17 @@ impl<P> Mailbox<P> {
         self.id
     }
 
-    /// Queues `message` for the node; `false` if its worker is gone
-    /// (message lost, crash-stop style).
-    pub fn send(&self, message: Message<P>) -> bool {
-        self.inbox.send(Post::Deliver(self.id, message)).is_ok()
+    /// Queues `wire` from `from` for the node; `false` if its worker is
+    /// gone (message lost, crash-stop style).
+    pub fn send(&self, from: NodeId, wire: Wire<P>) -> bool {
+        let to = self.id;
+        self.inbox.send(Post::Deliver { to, from, wire }).is_ok()
+    }
+
+    /// Tells the node's worker to drop it, behind whatever is already
+    /// queued for it.
+    pub(crate) fn retire(&self) {
+        let _ = self.inbox.send(Post::Retire(self.id));
     }
 
     /// Whether the node's worker is gone. A `true` answer is final.
@@ -187,15 +199,15 @@ impl<P: Clone> Worker<P> {
                 self.due.push(Reverse((node.next_tick(), node.id())));
                 self.nodes.insert(node.id(), node);
             }
-            Post::Deliver(id, Message::Shutdown) => {
+            Post::Retire(id) => {
                 // Dropping the node first closes the last-publish race:
                 // whatever it published while the kill was in flight is
                 // removed after it can publish no more.
                 self.nodes.remove(&id);
                 self.board.remove(id);
             }
-            Post::Deliver(id, Message::Protocol { from, wire }) => {
-                if let Some(node) = self.nodes.get_mut(&id) {
+            Post::Deliver { to, from, wire } => {
+                if let Some(node) = self.nodes.get_mut(&to) {
                     node.handle(from, wire);
                 }
             }
@@ -261,7 +273,7 @@ mod tests {
         }
         fn handle(&mut self, from: NodeId, wire: Wire<f64>) {
             if let Some(mailbox) = &self.echo {
-                mailbox.send(Message::Protocol { from, wire });
+                mailbox.send(from, wire);
             }
         }
         fn tick(&mut self) -> Instant {
@@ -271,23 +283,16 @@ mod tests {
         }
     }
 
-    fn heartbeat(from: NodeId) -> Message<f64> {
-        Message::Protocol {
-            from,
-            wire: Wire::Heartbeat,
-        }
-    }
-
     #[test]
     fn every_clone_of_a_mailbox_sees_its_worker_go() {
-        let (inbox, posts) = inbox();
+        let (inbox, posts) = inbox::<f64>();
         let mailbox = Mailbox::new(NodeId::new(1), inbox);
         let clone = mailbox.clone();
         assert!(!mailbox.is_disconnected() && !clone.is_disconnected());
         drop(posts);
         assert!(mailbox.is_disconnected());
         assert!(clone.is_disconnected(), "clones share the watch");
-        assert!(!clone.send(heartbeat(NodeId::new(0))));
+        assert!(!clone.send(NodeId::new(0), Wire::Heartbeat));
     }
 
     #[test]
@@ -309,7 +314,7 @@ mod tests {
         // handled message queues its successor, so the inbox is never
         // empty and only the bound on the drain lets a round run.
         for _ in 0..2 * MAX_DRAIN_PER_TICK {
-            assert!(mailbox.send(heartbeat(flooded)));
+            assert!(mailbox.send(flooded, Wire::Heartbeat));
         }
         let worker = std::thread::spawn(move || Worker::new(rx, ObservationBoard::new()).run());
         let (mut flooded_ticks, mut sibling_ticks) = (0, 0);
@@ -342,10 +347,10 @@ mod tests {
         inbox.0.send(Post::Adopt(Box::new(probe))).unwrap();
         let worker = std::thread::spawn(move || Worker::new(rx, ObservationBoard::new()).run());
         ticks.recv_timeout(MAX_WAIT).expect("the node never ran");
-        assert!(mailbox.send(Message::Shutdown));
+        mailbox.retire();
         // The worker lives on and swallows what is still addressed to
         // the node it dropped.
-        assert!(mailbox.send(heartbeat(id)));
+        assert!(mailbox.send(id, Wire::Heartbeat));
         assert!(!mailbox.is_disconnected());
         // The node was dropped with its end of the tick channel, not
         // merely left unscheduled.
@@ -353,6 +358,6 @@ mod tests {
         inbox.0.send(Post::Stop).unwrap();
         worker.join().unwrap();
         assert!(mailbox.is_disconnected());
-        assert!(!mailbox.send(heartbeat(id)));
+        assert!(!mailbox.send(id, Wire::Heartbeat));
     }
 }

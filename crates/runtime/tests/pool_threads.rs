@@ -25,6 +25,22 @@ fn process_threads() -> usize {
     line.trim().parse().expect("Threads is a count")
 }
 
+/// Waits up to 5 s for the process's thread count to come back to
+/// `harness` and returns the last reading. `join` returns once a thread
+/// has cleared its tid, which can be before the kernel drops it from
+/// `Threads:`, so the count read right after `shutdown()` may still
+/// include threads that are joined.
+fn threads_after_reaping(harness: usize) -> usize {
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
+        let threads = process_threads();
+        if threads == harness || std::time::Instant::now() > deadline {
+            return threads;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 /// Runs a `side` x `side` in-process grid and returns the process's
 /// thread count while it is up, after `check` has had its look.
 fn threads_under_a_grid(side: usize, check: impl FnOnce(&Cluster<Torus2>)) -> usize {
@@ -51,7 +67,7 @@ fn threads_do_not_grow_with_nodes() {
 
     let small = threads_under_a_grid(8, |_| {});
     assert_eq!(
-        process_threads(),
+        threads_after_reaping(harness),
         harness,
         "shutdown joins every thread it started"
     );

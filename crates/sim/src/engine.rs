@@ -527,7 +527,10 @@ impl<S: MetricSpace> Engine<S> {
     /// destination node in the same instant, and wire traffic is
     /// converted to the paper's cost units as it passes through. Drains
     /// `sink` into the engine's reusable queue and hands it back empty to
-    /// the event handlers for their follow-up effects.
+    /// the event handlers for their follow-up effects. The asynchronous
+    /// drivers share
+    /// [`polystyrene_protocol::ProtocolNode::execute_effects`] instead,
+    /// which delivers nothing itself and never sees a live position.
     fn dispatch(&mut self, origin: NodeId, sink: &mut EffectSink<S::Point>) {
         let mut queue = std::mem::take(&mut self.queue);
         debug_assert!(queue.is_empty());

@@ -30,9 +30,7 @@ use crate::reactor::IoThread;
 use polystyrene_membership::NodeId;
 use polystyrene_protocol::codec::{decode_event, encode_event_into, PointCodec};
 use polystyrene_protocol::{Event, Wire};
-use polystyrene_runtime::{
-    Cluster, Mailbox, Message, NodeFabric, RuntimeConfig, TransitLoss, Transport,
-};
+use polystyrene_runtime::{Cluster, Mailbox, NodeFabric, RuntimeConfig, TransitLoss, Transport};
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -138,7 +136,7 @@ impl<P: PointCodec + Clone + Send + 'static> Transport<P> for TcpFabric {
             id,
             listener,
             Box::new(move |payload| match decode_event::<P>(payload) {
-                Ok(Event::Message { from, wire }) => mailbox.send(Message::Protocol { from, wire }),
+                Ok(Event::Message { from, wire }) => mailbox.send(from, wire),
                 // A decode error, or an event kind that has no business
                 // crossing the wire. Dropping the connection is safe:
                 // the protocol already tolerates message loss, and the

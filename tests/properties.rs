@@ -108,11 +108,12 @@ proptest! {
 
     /// A migration exchange conserves data points exactly: whatever the
     /// guest sets, positions, split strategy and seed, the union of point
-    /// ids after `migrate_exchange` equals the union before — nothing
-    /// lost, nothing duplicated, nothing invented (Algorithm 3 is a pure
-    /// repartition).
+    /// ids after the two halves every driver runs (`absorb_and_split` at
+    /// the responder, `adopt_reply` at the initiator) equals the union
+    /// before — nothing lost, nothing duplicated, nothing invented
+    /// (Algorithm 3 is a pure repartition).
     #[test]
-    fn migrate_exchange_conserves_guests(
+    fn migration_halves_conserve_guests(
         seed in 0u64..1000,
         np in 0usize..12,
         nq in 0usize..12,
@@ -142,13 +143,17 @@ proptest! {
             .collect();
         prop_assert_eq!(before.len(), np + nq, "test setup must not duplicate ids");
 
-        let outcome = migrate_exchange(&space, &cfg, &mut p, &mut q, &mut rng);
+        let mut shipped = p.guest_ids();
+        shipped.sort_unstable();
+        let reply = absorb_and_split(&space, &cfg, &mut q, &p.pos, p.guests.clone(), &mut rng);
+        adopt_reply(&mut p, reply.for_initiator, &shipped);
+        p.project(&space, &cfg, &mut rng);
 
         prop_assert_eq!(
             p.guests.len() + q.guests.len(),
             np + nq,
-            "guest count changed: {} + {} != {} (outcome {:?})",
-            p.guests.len(), q.guests.len(), np + nq, outcome
+            "guest count changed: {} + {} != {}",
+            p.guests.len(), q.guests.len(), np + nq
         );
         let after: std::collections::BTreeSet<u64> = p
             .guests
