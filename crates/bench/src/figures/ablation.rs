@@ -11,7 +11,8 @@
 
 use crate::{lab_config, render_reshaping_table, reshaping_row, Args, Output};
 use polystyrene::prelude::{BackupPlacement, ProjectionStrategy, SplitStrategy};
-use polystyrene_lab::{LabConfig, SubstrateKind};
+use polystyrene_lab::SubstrateKind;
+use polystyrene_protocol::SubstrateConfig;
 use polystyrene_sim::prelude::PaperScenario;
 
 /// The flags the ablations read; they write no file.
@@ -35,7 +36,7 @@ pub fn run(args: &Args) -> Output {
     let paper = PaperScenario::reshaping_only(cols, rows, 15, 50);
     let base = lab_config(k, SplitStrategy::Advanced, args.get("seed", 0), args.link(2, 1));
     let row =
-        |cfg: LabConfig, label: &str| reshaping_row(substrate, &paper, &cfg, runs, label.into());
+        |cfg: SubstrateConfig, label: &str| reshaping_row(substrate, &paper, &cfg, runs, label.into());
 
     println!("========== Ablation: projection strategy (K={k}, Split_Advanced) ==========");
     let rows: Vec<_> = [

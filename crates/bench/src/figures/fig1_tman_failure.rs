@@ -17,8 +17,9 @@
 use crate::snapshot::dump;
 use crate::{lab_config, run_summary, Args, Output};
 use polystyrene::prelude::SplitStrategy;
-use polystyrene_lab::{build_engine, run_experiment, LabConfig, SubstrateKind};
-use polystyrene_protocol::{PaperScenario, Scenario, ScenarioEvent};
+use polystyrene_lab::{run_experiment, SubstrateKind};
+use polystyrene_protocol::{PaperScenario, Scenario, ScenarioEvent, SubstrateConfig};
+use polystyrene_sim::engine::Engine;
 use polystyrene_space::torus::Torus2;
 use std::sync::Arc;
 
@@ -59,11 +60,11 @@ pub fn run(args: &Args) -> Output {
     // snapshots need engine internals), driven segment by segment
     // through the one experiment driver.
     // ------------------------------------------------------------------
-    let mut cfg = LabConfig::default();
+    let mut cfg = SubstrateConfig::default();
     cfg.area = paper.area();
     cfg.seed = seed;
     cfg.tman_only = true;
-    let mut engine = build_engine(Torus2::new(w, h), paper.shape(), &cfg);
+    let mut engine = Engine::new(Torus2::new(w, h), paper.shape(), cfg);
     let panel = |engine: &_, label: &str, out: &mut Output| {
         dump(engine, &paper, &format!("Fig. 1{label}"), &format!("fig1{label}"), out);
     };

@@ -13,8 +13,8 @@
 use crate::snapshot::dump;
 use crate::{lab_config, Args, Output};
 use polystyrene::prelude::SplitStrategy;
-use polystyrene_lab::build_engine;
 use polystyrene_protocol::{LinkProfile, PaperScenario};
+use polystyrene_sim::engine::Engine;
 use polystyrene_space::shapes;
 use polystyrene_space::torus::Torus2;
 
@@ -43,7 +43,7 @@ pub fn run(args: &Args) -> Output {
         let mut cfg = base;
         cfg.area = paper.area();
         cfg.tman_only = tman_only;
-        let mut engine = build_engine(Torus2::new(w, h), paper.shape(), &cfg);
+        let mut engine = Engine::new(Torus2::new(w, h), paper.shape(), cfg);
         engine.run(paper.failure_round);
         engine.fail_original_region(&shapes::in_right_half(w));
         if !tman_only {

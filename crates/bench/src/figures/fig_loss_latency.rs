@@ -36,10 +36,10 @@ use crate::{lab_config, peak_rss_mb, scaling_sizes, Args, Output, ALLOCATIONS};
 use polystyrene::prelude::SplitStrategy;
 use polystyrene_lab::{
     build_substrate, json_f64, json_object, run_experiment, summary_json, ExperimentSummary,
-    LabConfig, Series, SubstrateKind,
+    Series, SubstrateKind,
 };
 use polystyrene_membership::NodeId;
-use polystyrene_netsim::prelude::{LinkProfile, NetSim, NetSimConfig};
+use polystyrene_netsim::prelude::{LinkProfile, NetSim, SubstrateConfig};
 use polystyrene_protocol::{PaperScenario, Scenario, ScenarioEvent};
 use polystyrene_space::torus::Torus2;
 use std::sync::atomic::Ordering;
@@ -79,7 +79,7 @@ fn measure_allocs_per_round() -> u64 {
         ALLOCATIONS.load(Ordering::Relaxed) > 0,
         "allocs_per_round needs the figures binary's counting allocator"
     );
-    let mut cfg = NetSimConfig::default();
+    let mut cfg = SubstrateConfig::default();
     cfg.area = 256.0;
     cfg.seed = 21;
     cfg.link = LinkProfile {
@@ -132,7 +132,7 @@ struct Plan {
     runs: usize,
     partition_rounds: u32,
     /// K, split, base seed and link; each row sets its loss and area.
-    base: LabConfig,
+    base: SubstrateConfig,
 }
 
 /// One completed sweep row: everything the report, the JSON emitter and

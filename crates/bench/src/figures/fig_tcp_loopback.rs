@@ -34,7 +34,7 @@ use polystyrene_lab::{
 use polystyrene_protocol::PaperScenario;
 use polystyrene_space::prelude::*;
 use polystyrene_space::shapes;
-use polystyrene_transport::{TcpCluster, TcpConfig};
+use polystyrene_transport::TcpCluster;
 use std::time::{Duration, Instant};
 
 /// Rounds of convergence before the catastrophic failure.
@@ -105,10 +105,8 @@ pub fn run(args: &Args) -> Output {
             if kind == SubstrateKind::Tcp {
                 // Built concretely so the socket frame counter stays
                 // readable; the driving is the shared path regardless.
-                let mut tcp_config = TcpConfig::default();
-                tcp_config.runtime = cfg.runtime();
                 let mut substrate = LiveSubstrate::new(
-                    TcpCluster::spawn(space, shape, tcp_config),
+                    TcpCluster::spawn(space, shape, cfg),
                     cfg.seed,
                     cfg.round_timeout,
                 );

@@ -21,10 +21,10 @@
 use crate::{Args, Output};
 use polystyrene_lab::{
     build_substrate, json_f64, json_object, json_strings, key_universe,
-    run_experiment_with_traffic, summary_json, ExperimentSummary, LabConfig, Series, SubstrateKind,
+    run_experiment_with_traffic, summary_json, ExperimentSummary, Series, SubstrateKind,
     TrafficLoad,
 };
-use polystyrene_protocol::{Scenario, ScenarioEvent};
+use polystyrene_protocol::{Scenario, ScenarioEvent, SubstrateConfig};
 use polystyrene_space::prelude::*;
 use polystyrene_space::shapes;
 use std::sync::Arc;
@@ -92,7 +92,7 @@ pub fn run(args: &Args) -> Output {
         kinds.iter().map(|k| k.name()).collect::<Vec<_>>()
     );
 
-    let mut cfg = LabConfig::default();
+    let mut cfg = SubstrateConfig::default();
     cfg.area = (cols * rows) as f64;
     cfg.tman.view_cap = 20;
     cfg.tman.m = 8;

@@ -26,10 +26,10 @@
 use crate::{Args, Output};
 use polystyrene_lab::{
     build_substrate, json_f64, json_object, key_universe, run_experiment,
-    run_experiment_with_traffic, summary_json, ExperimentSummary, ExperimentTrace, LabConfig,
+    run_experiment_with_traffic, summary_json, ExperimentSummary, ExperimentTrace,
     Series, SubstrateKind, TrafficDist, TrafficLoad,
 };
-use polystyrene_protocol::{LinkProfile, Scenario};
+use polystyrene_protocol::{LinkProfile, Scenario, SubstrateConfig};
 use polystyrene_runtime::GATEWAY_INGRESS_BOUND;
 use polystyrene_space::prelude::*;
 use polystyrene_space::shapes;
@@ -104,8 +104,8 @@ impl Plan {
         matches!(self.kind, SubstrateKind::Cluster | SubstrateKind::Tcp)
     }
 
-    fn lab_config(&self, common: &Common) -> LabConfig {
-        let mut cfg = LabConfig::default();
+    fn lab_config(&self, common: &Common) -> SubstrateConfig {
+        let mut cfg = SubstrateConfig::default();
         cfg.seed = common.seed;
         cfg.area = self.nodes() as f64;
         cfg.link = common.link;

@@ -19,9 +19,9 @@
 use crate::{Args, Output};
 use polystyrene_lab::{
     build_substrate, json_f64, json_object, json_strings, run_experiment, summary_json,
-    ExperimentSummary, ExperimentTrace, LabConfig, SubstrateKind,
+    ExperimentSummary, ExperimentTrace, SubstrateKind,
 };
-use polystyrene_protocol::{Scenario, ScenarioEvent};
+use polystyrene_protocol::{Scenario, ScenarioEvent, SubstrateConfig};
 use polystyrene_space::prelude::*;
 use polystyrene_space::shapes;
 use std::sync::Arc;
@@ -69,7 +69,7 @@ pub fn run(args: &Args) -> Output {
         kinds.iter().map(|k| k.name()).collect::<Vec<_>>()
     );
 
-    let mut cfg = LabConfig::default();
+    let mut cfg = SubstrateConfig::default();
     cfg.area = (cols * rows) as f64;
     cfg.seed = args.get::<u64>("seed", 1) + 10; // seed 11 = the historical equivalence anchor
     cfg.tman.view_cap = 20;

@@ -43,10 +43,9 @@ pub mod snapshot;
 
 use polystyrene::prelude::SplitStrategy;
 use polystyrene_lab::{
-    build_engine, build_substrate, run_experiment, ExperimentSummary, LabConfig, SeriesStats,
-    SubstrateKind,
+    build_substrate, run_experiment, ExperimentSummary, SeriesStats, SubstrateKind,
 };
-use polystyrene_protocol::LinkProfile;
+use polystyrene_protocol::{LinkProfile, SubstrateConfig};
 use polystyrene_sim::prelude::*;
 use polystyrene_space::stats::{ci95, ConfidenceInterval};
 use polystyrene_space::torus::Torus2;
@@ -270,8 +269,8 @@ impl Output {
 /// The lab configuration the figures start from: K replicas and
 /// `split` on the protocol, the base seed and the link profile; the
 /// runners set the area per scenario.
-pub fn lab_config(k: usize, split: SplitStrategy, seed: u64, link: LinkProfile) -> LabConfig {
-    let mut cfg = LabConfig::default();
+pub fn lab_config(k: usize, split: SplitStrategy, seed: u64, link: LinkProfile) -> SubstrateConfig {
+    let mut cfg = SubstrateConfig::default();
     cfg.poly.replication = k;
     cfg.poly.split = split;
     cfg.seed = seed;
@@ -288,7 +287,7 @@ pub fn lab_config(k: usize, split: SplitStrategy, seed: u64, link: LinkProfile) 
 /// baseline.
 pub fn run_quality(
     paper: &PaperScenario,
-    cfg: &LabConfig,
+    cfg: &SubstrateConfig,
     runs: usize,
 ) -> (ExperimentSummary, SeriesStats) {
     let (w, h) = paper.extents();
@@ -298,7 +297,7 @@ pub fn run_quality(
         let mut run_cfg = *cfg;
         run_cfg.seed = cfg.seed + run as u64;
         run_cfg.area = paper.area();
-        let mut engine = build_engine(Torus2::new(w, h), paper.shape(), &run_cfg);
+        let mut engine = Engine::new(Torus2::new(w, h), paper.shape(), run_cfg);
         summary.push(&run_experiment(&mut engine, &paper.script()));
         proximity.push_run(engine.history().iter().map(|m| m.proximity));
     }
@@ -312,7 +311,7 @@ pub fn run_quality(
 pub fn run_summary(
     kind: SubstrateKind,
     paper: &PaperScenario,
-    base: &LabConfig,
+    base: &SubstrateConfig,
     runs: usize,
 ) -> ExperimentSummary {
     summary_and_phases(kind, paper, base, runs).0
@@ -323,7 +322,7 @@ pub fn run_summary(
 fn summary_and_phases(
     kind: SubstrateKind,
     paper: &PaperScenario,
-    base: &LabConfig,
+    base: &SubstrateConfig,
     runs: usize,
 ) -> (ExperimentSummary, Option<[u64; ENGINE_PHASES.len()]>) {
     let (w, h) = paper.extents();
@@ -334,7 +333,7 @@ fn summary_and_phases(
         cfg.seed = base.seed + run as u64;
         cfg.area = paper.area();
         let trace = if kind == SubstrateKind::Engine {
-            let mut engine = build_engine(Torus2::new(w, h), paper.shape(), &cfg);
+            let mut engine = Engine::new(Torus2::new(w, h), paper.shape(), cfg);
             let trace = run_experiment(&mut engine, &paper.script());
             let sum = phases.get_or_insert([0; ENGINE_PHASES.len()]);
             for (sum, ns) in sum.iter_mut().zip(engine.phase_ns()) {
@@ -398,7 +397,7 @@ impl ReshapingRow {
 pub fn reshaping_row(
     kind: SubstrateKind,
     paper: &PaperScenario,
-    cfg: &LabConfig,
+    cfg: &SubstrateConfig,
     runs: usize,
     label: String,
 ) -> ReshapingRow {
@@ -815,7 +814,8 @@ mod tests {
     #[test]
     fn tiny_end_to_end_table2_row() {
         let paper = PaperScenario::reshaping_only(12, 6, 8, 25);
-        let mut cfg = LabConfig::default();
+        let mut cfg = SubstrateConfig::default();
+        cfg.seed = 1;
         cfg.poly.replication = 3;
         let row = reshaping_row(SubstrateKind::Engine, &paper, &cfg, 2, "K=3".into());
         assert_eq!(row.nodes, 72);
@@ -832,7 +832,8 @@ mod tests {
             inject_round: None,
             total_rounds: 30,
         };
-        let mut cfg = LabConfig::default();
+        let mut cfg = SubstrateConfig::default();
+        cfg.seed = 1;
         cfg.poly.replication = 3;
         let (summary, proximity) = run_quality(&paper, &cfg, 2);
         assert_eq!(summary.runs, 2);

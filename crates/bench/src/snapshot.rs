@@ -114,7 +114,7 @@ pub fn dump(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polystyrene_sim::EngineConfig;
+    use polystyrene_protocol::SubstrateConfig;
     use polystyrene_space::shapes;
 
     /// Fraction of density cells that are empty — how much of the
@@ -132,7 +132,7 @@ mod tests {
     }
 
     fn engine() -> Engine<Torus2> {
-        let mut cfg = EngineConfig::default();
+        let mut cfg = SubstrateConfig::default();
         cfg.area = 64.0;
         cfg.tman.view_cap = 20;
         cfg.tman.m = 8;

@@ -10,8 +10,8 @@
 //! measurement.
 
 use polystyrene_lab::TrafficLoad;
-use polystyrene_netsim::prelude::{LinkProfile, NetSim, NetSimConfig};
-use polystyrene_sim::prelude::{Engine, EngineConfig};
+use polystyrene_netsim::prelude::{LinkProfile, NetSim, SubstrateConfig};
+use polystyrene_sim::prelude::Engine;
 use polystyrene_space::shapes;
 use polystyrene_space::torus::Torus2;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -228,7 +228,7 @@ fn assert_post_catastrophe_heap_per_node(engine: &mut Engine<Torus2>, live_befor
 /// The engine's gates in the order they run: live heap per node, then
 /// allocations per round, then live heap after the catastrophe.
 fn engine_gates() -> [Reading; 3] {
-    let mut cfg = EngineConfig::default();
+    let mut cfg = SubstrateConfig::default();
     cfg.area = 256.0;
     cfg.seed = 21;
     let live_before = LIVE_BYTES.load(Ordering::Relaxed);
@@ -245,7 +245,7 @@ fn engine_gates() -> [Reading; 3] {
 /// The event kernel's gates in the order they run: live heap per node,
 /// then allocations per round.
 fn netsim_gates() -> [Reading; 2] {
-    let mut cfg = NetSimConfig::default();
+    let mut cfg = SubstrateConfig::default();
     cfg.area = 256.0;
     cfg.seed = 21;
     cfg.link = LinkProfile {

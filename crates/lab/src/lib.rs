@@ -12,9 +12,10 @@
 //! * [`Substrate`] — the one seam (kill / inject / partition / step /
 //!   observe) all four backends implement;
 //! * [`build_substrate`] — the `--substrate engine|netsim|cluster|tcp`
-//!   switchboard behind every figure's `--substrate`; its engine arm,
-//!   [`build_engine`], also serves the figures that read engine
-//!   internals (proximity, snapshots, the T-Man-only baseline);
+//!   switchboard behind every figure's `--substrate`, built from one
+//!   [`SubstrateConfig`](polystyrene_protocol::SubstrateConfig) whatever
+//!   the backend (the figures that read engine internals build the
+//!   engine from the same value);
 //! * [`run_experiment`] — the single scenario driver (churn windows,
 //!   partition masks, failure bookkeeping) producing an
 //!   [`ExperimentTrace`] of unified
@@ -34,14 +35,14 @@
 //! # Example: the same script on two substrates
 //!
 //! ```
-//! use polystyrene_lab::{build_substrate, run_experiment, LabConfig, SubstrateKind};
+//! use polystyrene_lab::{build_substrate, run_experiment, SubstrateKind};
 //! use polystyrene_membership::NodeId;
-//! use polystyrene_protocol::{Scenario, ScenarioEvent};
+//! use polystyrene_protocol::{Scenario, ScenarioEvent, SubstrateConfig};
 //! use polystyrene_space::prelude::*;
 //!
 //! let scenario: Scenario<[f64; 2]> =
 //!     Scenario::new(4).at(1, ScenarioEvent::FailNodes(vec![NodeId::new(1), NodeId::new(2)]));
-//! let mut cfg = LabConfig::default();
+//! let mut cfg = SubstrateConfig::default();
 //! cfg.area = 16.0;
 //! for kind in [SubstrateKind::Engine, SubstrateKind::Netsim] {
 //!     let mut substrate = build_substrate(
@@ -67,7 +68,5 @@ pub use experiment::{
     ExperimentSummary, ExperimentTrace, RoundStat, Series, SeriesStats,
 };
 pub use polystyrene_protocol::observe::{RoundObservation, TrafficStats};
-pub use substrate::{
-    build_engine, build_substrate, LabConfig, LiveSubstrate, Substrate, SubstrateKind,
-};
+pub use substrate::{build_substrate, LabConfig, LiveSubstrate, Substrate, SubstrateKind};
 pub use traffic::{key_universe, TrafficDist, TrafficLoad};

@@ -9,23 +9,21 @@
 //! deterministic simulators don't.
 //!
 //! [`build_substrate`] is the `scenario × substrate` switchboard: given
-//! a [`SubstrateKind`] and one [`LabConfig`], it returns any of the four
+//! a [`SubstrateKind`] and one [`SubstrateConfig`], it returns any of the four
 //! backends behind `Box<dyn Substrate>`, so every figure and
 //! every cross-substrate test is one `--substrate` flag away from
 //! running on a different execution model.
 
-use polystyrene::prelude::PolystyreneConfig;
 use polystyrene_membership::NodeId;
-use polystyrene_netsim::{NetSim, NetSimConfig};
+use polystyrene_netsim::NetSim;
 use polystyrene_protocol::observe::{RoundObservation, TrafficStats};
 use polystyrene_protocol::scenario::select_victims;
-use polystyrene_protocol::LinkProfile;
-use polystyrene_runtime::{Cluster, RuntimeConfig, Transport};
-use polystyrene_sim::engine::{Engine, EngineConfig};
+use polystyrene_protocol::SubstrateConfig;
+use polystyrene_runtime::{Cluster, Transport};
+use polystyrene_sim::engine::Engine;
 use polystyrene_space::torus::Torus2;
 use polystyrene_space::MetricSpace;
-use polystyrene_topology::TManConfig;
-use polystyrene_transport::{TcpCluster, TcpConfig};
+use polystyrene_transport::TcpCluster;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
@@ -338,84 +336,10 @@ impl std::str::FromStr for SubstrateKind {
     }
 }
 
-/// The substrate-agnostic slice of an experiment's configuration: the
-/// protocol parameters every backend applies, plus the knobs only some
-/// honor (documented per field). One value drives all four backends, so
-/// a `--substrate` sweep compares like with like.
-#[derive(Clone, Copy, Debug)]
-pub struct LabConfig {
-    /// Polystyrene parameters (K, split strategy, projection, …).
-    pub poly: PolystyreneConfig,
-    /// T-Man parameters.
-    pub tman: TManConfig,
-    /// Surface area of the data space, for the reference homogeneity.
-    pub area: f64,
-    /// Master seed: engine/netsim runs are bit-reproducible under it;
-    /// on the live substrates it seeds node entropy and victim
-    /// selection, but wall-clock scheduling still varies.
-    pub seed: u64,
-    /// Link faults. Netsim honors all of it; the live clusters honor
-    /// the loss probability at the send boundary; the cycle engine has
-    /// no fabric and ignores it.
-    pub link: LinkProfile,
-    /// Protocol tick of the live substrates (ignored by the
-    /// deterministic ones).
-    pub tick: Duration,
-    /// Per-round safety timeout of the live substrates.
-    pub round_timeout: Duration,
-    /// Run plain T-Man without the Polystyrene layer — the paper's
-    /// baseline. Only the cycle engine can switch the layer off.
-    pub tman_only: bool,
-}
-
-impl Default for LabConfig {
-    fn default() -> Self {
-        Self {
-            poly: PolystyreneConfig::default(),
-            tman: TManConfig::default(),
-            area: 3200.0,
-            seed: 1,
-            link: LinkProfile::ideal(),
-            tick: Duration::from_millis(10),
-            round_timeout: Duration::from_secs(10),
-            tman_only: false,
-        }
-    }
-}
-
-impl LabConfig {
-    /// The live-cluster slice of this configuration — public so
-    /// harnesses that must construct a cluster concretely (e.g. to read
-    /// transport-specific counters) still share the one mapping.
-    pub fn runtime(&self) -> RuntimeConfig {
-        let mut cfg = RuntimeConfig::default();
-        cfg.tick = self.tick;
-        cfg.tman = self.tman;
-        cfg.poly = self.poly;
-        cfg.link = self.link;
-        cfg.seed = self.seed;
-        cfg.area = self.area;
-        cfg
-    }
-}
-
-/// Builds the cycle engine over a torus-grid shape — the one place a
-/// [`LabConfig`] becomes an [`EngineConfig`], shared by
-/// [`build_substrate`] and the figures that read engine internals
-/// (proximity, snapshots). `cfg.tman_only` switches the Polystyrene
-/// layer off: the paper's T-Man baseline.
-pub fn build_engine(space: Torus2, shape: Vec<[f64; 2]>, cfg: &LabConfig) -> Engine<Torus2> {
-    let mut e = EngineConfig::default();
-    e.tman = cfg.tman;
-    e.poly = cfg.poly;
-    e.area = cfg.area;
-    e.seed = cfg.seed;
-    let mut engine = Engine::new(space, shape, e);
-    if cfg.tman_only {
-        engine.disable_polystyrene();
-    }
-    engine
-}
+/// The experiment plane's configuration under its old name, kept while
+/// the repository benchmark names it: the one [`SubstrateConfig`], which
+/// drives all four backends.
+pub type LabConfig = SubstrateConfig;
 
 /// Builds the requested execution substrate over a torus-grid shape —
 /// the switchboard behind every `--substrate` flag. The scenario then
@@ -424,44 +348,28 @@ pub fn build_engine(space: Torus2, shape: Vec<[f64; 2]>, cfg: &LabConfig) -> Eng
 ///
 /// # Panics
 ///
-/// Panics if `cfg.tman_only` is set for anything but the cycle engine
-/// (only the engine can switch the Polystyrene layer off), or if the
-/// underlying backend rejects the configuration.
+/// Panics if the backend rejects the configuration: an invalid one, or
+/// `cfg.tman_only` for anything but the cycle engine (only the engine
+/// can switch the Polystyrene layer off).
 pub fn build_substrate(
     kind: SubstrateKind,
     space: Torus2,
     shape: Vec<[f64; 2]>,
-    cfg: &LabConfig,
+    cfg: &SubstrateConfig,
 ) -> Box<dyn Substrate<[f64; 2]>> {
-    assert!(
-        !cfg.tman_only || kind == SubstrateKind::Engine,
-        "the T-Man-only baseline needs the cycle engine (--substrate engine)"
-    );
     match kind {
-        SubstrateKind::Engine => Box::new(build_engine(space, shape, cfg)),
-        SubstrateKind::Netsim => {
-            let mut n = NetSimConfig::default();
-            n.tman = cfg.tman;
-            n.poly = cfg.poly;
-            n.area = cfg.area;
-            n.seed = cfg.seed;
-            n.link = cfg.link;
-            Box::new(NetSim::new(space, shape, n))
-        }
+        SubstrateKind::Engine => Box::new(Engine::new(space, shape, *cfg)),
+        SubstrateKind::Netsim => Box::new(NetSim::new(space, shape, *cfg)),
         SubstrateKind::Cluster => Box::new(LiveSubstrate::new(
-            Cluster::<Torus2>::spawn(space, shape, cfg.runtime()),
+            Cluster::<Torus2>::spawn(space, shape, *cfg),
             cfg.seed,
             cfg.round_timeout,
         )),
-        SubstrateKind::Tcp => {
-            let mut t = TcpConfig::default();
-            t.runtime = cfg.runtime();
-            Box::new(LiveSubstrate::new(
-                TcpCluster::spawn(space, shape, t),
-                cfg.seed,
-                cfg.round_timeout,
-            ))
-        }
+        SubstrateKind::Tcp => Box::new(LiveSubstrate::new(
+            TcpCluster::spawn(space, shape, *cfg),
+            cfg.seed,
+            cfg.round_timeout,
+        )),
     }
 }
 
@@ -481,30 +389,43 @@ mod tests {
     }
 
     #[test]
-    fn build_engine_applies_the_lab_config() {
+    fn build_substrate_hands_the_config_over_unchanged() {
         use polystyrene::prelude::{BackupPlacement, ProjectionStrategy, SplitStrategy};
-        let mut cfg = LabConfig::default();
+        let mut cfg = SubstrateConfig::default();
         cfg.poly.replication = 8;
         cfg.poly.split = SplitStrategy::Basic;
         cfg.poly.projection = ProjectionStrategy::FirstGuest;
         cfg.poly.backup_placement = BackupPlacement::NeighborhoodBiased;
         cfg.seed = 7;
         cfg.area = 32.0;
+        cfg.link.latency = 3;
+        let space = Torus2::new(8.0, 4.0);
         let shape = polystyrene_space::shapes::torus_grid(8, 4, 1.0);
-        let mut engine = build_engine(Torus2::new(8.0, 4.0), shape.clone(), &cfg);
-        let applied = engine.config();
-        assert_eq!(applied.poly, cfg.poly);
-        assert_eq!(applied.tman, cfg.tman);
-        assert_eq!(applied.seed, 7);
-        assert_eq!(applied.area, 32.0);
+        let mut engine = Engine::new(space, shape.clone(), cfg);
+        let mut kernel = NetSim::new(space, shape.clone(), cfg);
+        assert_eq!(engine.config(), &cfg);
+        assert_eq!(kernel.config(), &cfg);
+        // What `build_substrate` returns runs the histories of those two.
+        for (kind, direct) in [
+            (
+                SubstrateKind::Engine,
+                &mut engine as &mut dyn Substrate<[f64; 2]>,
+            ),
+            (SubstrateKind::Netsim, &mut kernel),
+        ] {
+            let mut built = build_substrate(kind, space, shape.clone(), &cfg);
+            for _ in 0..3 {
+                assert_eq!(built.step(), direct.step(), "{kind}");
+            }
+        }
         // The full stack replicates every point K times; the baseline
         // never stores more than its own point.
-        engine.run(3);
         assert!(engine.history()[2].points_per_node > 1.0);
         cfg.tman_only = true;
-        let mut baseline = build_engine(Torus2::new(8.0, 4.0), shape, &cfg);
-        baseline.run(3);
-        assert!(baseline.history().iter().all(|m| m.points_per_node == 1.0));
+        let mut baseline = build_substrate(SubstrateKind::Engine, space, shape, &cfg);
+        for _ in 0..3 {
+            assert_eq!(baseline.step().points_per_node, 1.0);
+        }
     }
 
     #[test]
@@ -521,10 +442,11 @@ mod tests {
         };
         let (w, h) = paper.extents();
         for tman_only in [false, true] {
-            let mut cfg = LabConfig::default();
+            let mut cfg = SubstrateConfig::default();
             cfg.area = paper.area();
+            cfg.seed = 1;
             cfg.tman_only = tman_only;
-            let mut engine = build_engine(Torus2::new(w, h), paper.shape(), &cfg);
+            let mut engine = Engine::new(Torus2::new(w, h), paper.shape(), cfg);
             let trace = crate::run_experiment(&mut engine, &paper.script());
             assert_eq!(trace.observations.len(), 18);
             assert_eq!(engine.history().len(), 18);
@@ -537,7 +459,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "T-Man-only baseline needs the cycle engine")]
     fn tman_only_rejected_off_engine() {
-        let mut cfg = LabConfig::default();
+        let mut cfg = SubstrateConfig::default();
         cfg.tman_only = true;
         let _ = build_substrate(
             SubstrateKind::Netsim,

@@ -15,8 +15,8 @@
 //! monotonically and can never pass — and on an 8 ms tick, which leaves
 //! debug-build message handling headroom on a loaded CI box.
 
-use polystyrene_lab::{build_substrate, run_experiment, LabConfig, SubstrateKind};
-use polystyrene_protocol::Scenario;
+use polystyrene_lab::{build_substrate, run_experiment, SubstrateKind};
+use polystyrene_protocol::{Scenario, SubstrateConfig};
 use polystyrene_space::prelude::*;
 use polystyrene_space::shapes;
 use std::time::Duration;
@@ -25,8 +25,9 @@ use std::time::Duration;
 fn cluster_settles_at_one_plus_k_points_per_node() {
     let (cols, rows) = (8usize, 4usize);
     let k = 4;
-    let mut cfg = LabConfig::default();
+    let mut cfg = SubstrateConfig::default();
     cfg.area = (cols * rows) as f64;
+    cfg.seed = 1;
     cfg.tick = Duration::from_millis(8);
     cfg.poly.replication = k;
     let mut substrate = build_substrate(

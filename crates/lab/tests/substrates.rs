@@ -4,13 +4,15 @@
 //! substrate-agnostic.
 
 use polystyrene_lab::{
-    build_substrate, run_experiment, run_experiment_with_traffic, LabConfig, LiveSubstrate,
-    Substrate, SubstrateKind, TrafficLoad, TrafficStats,
+    build_substrate, run_experiment, run_experiment_with_traffic, LiveSubstrate, Substrate,
+    SubstrateKind, TrafficLoad, TrafficStats,
 };
 use polystyrene_membership::NodeId;
-use polystyrene_netsim::{NetRoundMetrics, NetSim, NetSimConfig};
+use polystyrene_netsim::{NetRoundMetrics, NetSim};
 use polystyrene_protocol::observe::{Census, RoundObservation};
-use polystyrene_protocol::{PaperScenario, Scenario, ScenarioEvent, UNITS_PER_DESCRIPTOR};
+use polystyrene_protocol::{
+    PaperScenario, Scenario, ScenarioEvent, SubstrateConfig, UNITS_PER_DESCRIPTOR,
+};
 use polystyrene_runtime::observe::{observe, NodeReport};
 use polystyrene_runtime::Cluster;
 use polystyrene_sim::prelude::*;
@@ -19,9 +21,9 @@ use polystyrene_space::shapes;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn small_lab_config(seed: u64) -> LabConfig {
+fn small_lab_config(seed: u64) -> SubstrateConfig {
     let p = PaperScenario::small();
-    let mut cfg = LabConfig::default();
+    let mut cfg = SubstrateConfig::default();
     cfg.area = p.area();
     cfg.seed = seed;
     cfg.tman.view_cap = 30;
@@ -104,7 +106,7 @@ fn reshaping_only_variant_recovers_on_the_engine() {
     assert_eq!(p.total_rounds, 40);
     assert_eq!(p.script().event_rounds(), vec![10]);
     let (w, h) = p.extents();
-    let mut cfg = LabConfig::default();
+    let mut cfg = SubstrateConfig::default();
     cfg.area = p.area();
     cfg.seed = 3;
     cfg.tman.view_cap = 30;
@@ -126,7 +128,7 @@ fn reshaping_only_variant_recovers_on_the_engine() {
 fn pre_run_engine_traces_cover_only_their_own_rounds() {
     let p = PaperScenario::small();
     let (w, h) = p.extents();
-    let mut e_cfg = EngineConfig::default();
+    let mut e_cfg = SubstrateConfig::default();
     e_cfg.area = p.area();
     e_cfg.seed = 5;
     e_cfg.tman.view_cap = 30;
@@ -151,7 +153,7 @@ fn partition_script_cuts_and_heals_the_netsim_fabric() {
     // directly — through the same unified driver.
     let p = PaperScenario::small();
     let (w, h) = p.extents();
-    let mut cfg = NetSimConfig::default();
+    let mut cfg = SubstrateConfig::default();
     cfg.area = p.area();
     cfg.seed = 5;
     cfg.tman.view_cap = 30;
@@ -181,7 +183,7 @@ fn partition_script_cuts_and_heals_the_netsim_fabric() {
 fn injected_netsim_nodes_attract_points() {
     let p = PaperScenario::small();
     let (w, h) = p.extents();
-    let mut cfg = NetSimConfig::default();
+    let mut cfg = SubstrateConfig::default();
     cfg.area = p.area();
     cfg.seed = 7;
     cfg.tman.view_cap = 30;
@@ -205,7 +207,7 @@ fn injected_netsim_nodes_attract_points() {
 
 #[test]
 fn scripted_kill_and_inject_apply_on_the_live_cluster() {
-    let mut cfg = LabConfig::default();
+    let mut cfg = SubstrateConfig::default();
     cfg.area = 16.0;
     cfg.seed = 1;
     cfg.tick = Duration::from_millis(2);
@@ -235,7 +237,7 @@ fn scripted_kill_and_inject_apply_on_the_live_cluster() {
 
 #[test]
 fn churn_window_shrinks_the_live_cluster() {
-    let mut cfg = LabConfig::default();
+    let mut cfg = SubstrateConfig::default();
     cfg.area = 16.0;
     cfg.seed = 2;
     cfg.tick = Duration::from_millis(2);
@@ -332,7 +334,7 @@ fn traffic_load_does_not_perturb_the_scenario_plane() {
 
 #[test]
 fn traffic_load_flows_on_the_live_cluster() {
-    let mut cfg = LabConfig::default();
+    let mut cfg = SubstrateConfig::default();
     cfg.area = 16.0;
     cfg.seed = 3;
     cfg.tick = Duration::from_millis(2);
@@ -340,7 +342,7 @@ fn traffic_load_flows_on_the_live_cluster() {
     cfg.round_timeout = Duration::from_secs(5);
     let shape = shapes::torus_grid(4, 4, 1.0);
     // Held concretely: the settle below awaits ticks on the cluster.
-    let cluster = Cluster::<Torus2>::spawn(Torus2::new(4.0, 4.0), shape.clone(), cfg.runtime());
+    let cluster = Cluster::<Torus2>::spawn(Torus2::new(4.0, 4.0), shape.clone(), cfg);
     let mut substrate = LiveSubstrate::new(cluster, cfg.seed, cfg.round_timeout);
     let scenario: Scenario<[f64; 2]> = Scenario::new(10);
     let mut load = TrafficLoad::new(shape, 8, 0.8, 6, 3);
@@ -422,13 +424,7 @@ fn batched_offers_match_the_unbatched_outcome_set() {
     }
 
     // Cycle engine pair.
-    let mk_engine = || {
-        let mut e = EngineConfig::default();
-        e.tman = lab.tman;
-        e.area = lab.area;
-        e.seed = lab.seed;
-        Engine::new(Torus2::new(w, h), shape.clone(), e)
-    };
+    let mk_engine = || Engine::new(Torus2::new(w, h), shape.clone(), lab);
     let mut batched = mk_engine();
     let mut unbatched = mk_engine();
     batched.run(6);
@@ -437,13 +433,7 @@ fn batched_offers_match_the_unbatched_outcome_set() {
 
     // Netsim kernel pair (default ideal links, so the per-envelope
     // loss/latency draw cannot fork the two entropy streams).
-    let mk_kernel = || {
-        let mut n = NetSimConfig::default();
-        n.tman = lab.tman;
-        n.area = lab.area;
-        n.seed = lab.seed;
-        NetSim::new(Torus2::new(w, h), shape.clone(), n)
-    };
+    let mk_kernel = || NetSim::new(Torus2::new(w, h), shape.clone(), lab);
     let mut batched = mk_kernel();
     let mut unbatched = mk_kernel();
     batched.run(6);
@@ -498,16 +488,8 @@ fn lossless_links_charge_the_engine_and_kernel_identically() {
     let (w, h) = p.extents();
     let shape = shapes::torus_grid(p.cols, p.rows, 1.0);
     let lab = small_lab_config(11);
-    let mut e = EngineConfig::default();
-    e.tman = lab.tman;
-    e.area = lab.area;
-    e.seed = lab.seed;
-    let mut engine = Engine::new(Torus2::new(w, h), shape.clone(), e);
-    let mut n = NetSimConfig::default();
-    n.tman = lab.tman;
-    n.area = lab.area;
-    n.seed = lab.seed;
-    let mut kernel = NetSim::new(Torus2::new(w, h), shape, n);
+    let mut engine = Engine::new(Torus2::new(w, h), shape.clone(), lab);
+    let mut kernel = NetSim::new(Torus2::new(w, h), shape, lab);
     // Round 0 is exact only up to the short bootstrap views. A message
     // carries `min(m - 1, view) + 1` descriptors, and bootstrap draws its
     // `TMAN_BOOTSTRAP` contacts with replacement, so a node can start with
@@ -565,7 +547,7 @@ fn lossless_links_charge_the_engine_and_kernel_identically() {
 /// bits.
 #[test]
 fn census_reads_the_pool_and_the_board_alike() {
-    let mut cfg = EngineConfig::default();
+    let mut cfg = SubstrateConfig::default();
     cfg.area = 512.0;
     cfg.seed = 5;
     cfg.tman.view_cap = 20;

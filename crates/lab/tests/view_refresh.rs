@@ -8,8 +8,8 @@
 
 use polystyrene_lab::{key_universe, Substrate};
 use polystyrene_membership::{Descriptor, NodeId};
-use polystyrene_netsim::{NetSim, NetSimConfig};
-use polystyrene_protocol::LinkProfile;
+use polystyrene_netsim::NetSim;
+use polystyrene_protocol::{LinkProfile, SubstrateConfig};
 use polystyrene_sim::prelude::*;
 use polystyrene_space::prelude::*;
 use polystyrene_space::shapes;
@@ -69,7 +69,7 @@ fn tman() -> TManConfig {
 }
 
 fn engine(cols: usize, rows: usize, tman: TManConfig, seed: u64) -> Engine<Torus2> {
-    let mut cfg = EngineConfig::default();
+    let mut cfg = SubstrateConfig::default();
     cfg.tman = tman;
     cfg.area = (cols * rows) as f64;
     cfg.seed = seed;
@@ -81,7 +81,7 @@ fn engine(cols: usize, rows: usize, tman: TManConfig, seed: u64) -> Engine<Torus
 }
 
 fn kernel(cols: usize, rows: usize, tman: TManConfig, seed: u64) -> NetSim<Torus2> {
-    let mut cfg = NetSimConfig::default();
+    let mut cfg = SubstrateConfig::default();
     cfg.tman = tman;
     cfg.area = (cols * rows) as f64;
     cfg.seed = seed;

@@ -9,7 +9,8 @@
 //! respect to other links, or never (loss, partitions). Crashes and
 //! their detection are events too: a crash at time `t` enters the
 //! survivors' failure knowledge only when its `Detect` event fires at
-//! `t + detection_delay`.
+//! `t + detection_delay_ticks` (at once when that is 0, as on the cycle
+//! engine).
 //!
 //! The protocol stack is the unchanged [`ProtocolNode`] both other
 //! substrates drive, and the kernel stands on the same ground truth as
@@ -116,14 +117,13 @@
 //! (`lane_count_never_shows`). Which pool a buffer retires into does
 //! depend on it, and is not protocol state.
 
-use crate::config::NetSimConfig;
 use crate::metrics::NetRoundMetrics;
 use crate::queue::CalendarQueue;
 use polystyrene_membership::{FailureTable, NodeId};
 use polystyrene_protocol::observe::RoundObservation;
 use polystyrene_protocol::{
-    node_seed, par, Channel, Effect, EffectSink, Event, Fate, FaultyNetwork, ProtocolNode, Wire,
-    World, TRAFFIC_SEED_TAG,
+    node_seed, par, Channel, Effect, EffectSink, Event, Fate, FaultyNetwork, ProtocolNode,
+    SubstrateConfig, Wire, World, TRAFFIC_SEED_TAG,
 };
 use polystyrene_space::MetricSpace;
 use rand::rngs::StdRng;
@@ -269,6 +269,12 @@ impl<S: MetricSpace> Lane<S> {
     }
 }
 
+/// The kernel's configuration under its old name, kept while the
+/// repository benchmark names it: the one [`SubstrateConfig`]. The
+/// kernel reads `tman`, `poly`, `area`, `seed`, `link`,
+/// `ticks_per_round` and `detection_delay_ticks`.
+pub type NetSimConfig = SubstrateConfig;
+
 /// The discrete-event network simulator — the third execution substrate,
 /// between the cycle engine (deterministic, atomic exchanges) and the
 /// threaded runtime (real asynchrony, no determinism): deterministic
@@ -281,7 +287,7 @@ impl<S: MetricSpace> Lane<S> {
 /// use polystyrene_netsim::prelude::*;
 /// use polystyrene_space::prelude::*;
 ///
-/// let mut cfg = NetSimConfig::default();
+/// let mut cfg = SubstrateConfig::default();
 /// cfg.area = 32.0;
 /// cfg.link.loss = 0.05; // 5% of messages vanish in transit
 /// let mut sim = NetSim::new(Torus2::new(8.0, 4.0), shapes::torus_grid(8, 4, 1.0), cfg);
@@ -290,7 +296,7 @@ impl<S: MetricSpace> Lane<S> {
 /// ```
 pub struct NetSim<S: MetricSpace> {
     world: World<S>,
-    config: NetSimConfig,
+    config: SubstrateConfig,
     net: FaultyNetwork,
     /// The fabric application-plane queries ride. A separate
     /// fault/jitter stream from `net`, so query traffic never perturbs
@@ -338,17 +344,15 @@ impl<S: MetricSpace> NetSim<S> {
     ///
     /// # Panics
     ///
-    /// Panics if `shape` is empty or the configuration is invalid.
-    pub fn new(space: S, shape: Vec<S::Point>, config: NetSimConfig) -> Self {
-        config.validate();
-        let world = World::found(
-            space,
-            &shape,
-            config.tman,
-            config.poly,
-            config.area,
-            config.seed,
+    /// Panics if `shape` is empty, the configuration is invalid, or it
+    /// asks for `tman_only`: only the cycle engine can switch the
+    /// Polystyrene layer off.
+    pub fn new(space: S, shape: Vec<S::Point>, config: SubstrateConfig) -> Self {
+        assert!(
+            !config.tman_only,
+            "the T-Man-only baseline needs the cycle engine (--substrate engine)"
         );
+        let world = World::found(space, &shape, &config);
         // Founding slots are positional, and so is the rng slab.
         let rngs = world
             .alive_ids()
@@ -380,7 +384,7 @@ impl<S: MetricSpace> NetSim<S> {
     }
 
     /// The simulator configuration.
-    pub fn config(&self) -> &NetSimConfig {
+    pub fn config(&self) -> &SubstrateConfig {
         &self.config
     }
 
@@ -834,8 +838,8 @@ mod tests {
     use polystyrene_space::prelude::*;
     use polystyrene_space::shapes;
 
-    fn tiny_config(seed: u64) -> NetSimConfig {
-        let mut cfg = NetSimConfig::default();
+    fn tiny_config(seed: u64) -> SubstrateConfig {
+        let mut cfg = SubstrateConfig::default();
         cfg.tman = polystyrene_topology::TManConfig {
             view_cap: 20,
             m: 8,
@@ -1065,7 +1069,7 @@ mod tests {
         // Latency of two full rounds: replies straddle round boundaries,
         // so traffic must be in flight at round ends.
         let link = LinkProfile {
-            latency: 2 * NetSimConfig::default().ticks_per_round,
+            latency: 2 * SubstrateConfig::default().ticks_per_round,
             jitter: 4,
             loss: 0.0,
         };
@@ -1130,7 +1134,7 @@ mod tests {
     #[test]
     fn failure_knowledge_matches_a_set_oracle_through_crash_detect_and_inject() {
         use std::collections::BTreeSet;
-        let ticks = NetSimConfig::default().ticks_per_round;
+        let ticks = SubstrateConfig::default().ticks_per_round;
         for delay in [0, ticks / 2, 2 * ticks + 3] {
             let mut cfg = tiny_config(13);
             cfg.detection_delay_ticks = delay;
@@ -1341,7 +1345,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty network")]
     fn empty_shape_rejected() {
-        let _ = NetSim::new(Torus2::new(4.0, 4.0), Vec::new(), NetSimConfig::default());
+        let _ = NetSim::new(
+            Torus2::new(4.0, 4.0),
+            Vec::new(),
+            SubstrateConfig::default(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "T-Man-only baseline needs the cycle engine")]
+    fn tman_only_rejected() {
+        let cfg = SubstrateConfig {
+            tman_only: true,
+            ..tiny_config(1)
+        };
+        let _ = NetSim::new(Torus2::new(16.0, 4.0), shapes::torus_grid(16, 4, 1.0), cfg);
     }
 
     #[test]

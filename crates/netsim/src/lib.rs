@@ -38,6 +38,12 @@
 //! the cycle engine runs, applied at each round boundary and stopped
 //! only by partitions — see "What the kernel simulates" in [`kernel`].
 //!
+//! The kernel is built from the one
+//! [`SubstrateConfig`] every
+//! substrate takes. Beyond the protocol fields, area and seed it reads
+//! the link profile, `ticks_per_round` and `detection_delay_ticks`, and
+//! it rejects `tman_only`, which only the cycle engine honors.
+//!
 //! Scenario scripts are the shared ones: the experiment plane
 //! (`polystyrene-lab`) plugs [`kernel::NetSim`] in as one of its
 //! `Substrate`s, so any script written for the engine or the live
@@ -50,7 +56,7 @@
 //! use polystyrene_netsim::prelude::*;
 //! use polystyrene_space::prelude::*;
 //!
-//! let mut cfg = NetSimConfig::default();
+//! let mut cfg = SubstrateConfig::default();
 //! cfg.area = 32.0;
 //! cfg.link = LinkProfile { latency: 2, jitter: 1, loss: 0.05 };
 //! let mut sim = NetSim::new(Torus2::new(8.0, 4.0), shapes::torus_grid(8, 4, 1.0), cfg);
@@ -63,18 +69,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod config;
 pub mod kernel;
 pub mod metrics;
 pub mod queue;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use crate::config::NetSimConfig;
-    pub use crate::kernel::NetSim;
+    pub use crate::kernel::{NetSim, NetSimConfig};
     pub use crate::metrics::{reference_homogeneity, NetRoundMetrics};
     pub use crate::queue::CalendarQueue;
-    pub use polystyrene_protocol::{Fate, FaultyNetwork, LinkProfile};
+    pub use polystyrene_protocol::{Fate, FaultyNetwork, LinkProfile, SubstrateConfig};
 }
 
 pub use prelude::*;

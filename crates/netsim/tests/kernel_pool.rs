@@ -45,7 +45,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 fn sim_under_churn() -> NetSim<Torus2> {
-    let mut cfg = NetSimConfig::default();
+    let mut cfg = SubstrateConfig::default();
     cfg.area = 32.0;
     cfg.seed = 0xC0FFEE;
     // Latency longer than a round keeps deliveries in flight across the

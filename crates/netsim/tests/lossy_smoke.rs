@@ -10,8 +10,8 @@ use polystyrene_space::shapes;
 const COLS: usize = 16;
 const ROWS: usize = 8;
 
-fn lossy_config(seed: u64, loss: f64) -> NetSimConfig {
-    let mut cfg = NetSimConfig::default();
+fn lossy_config(seed: u64, loss: f64) -> SubstrateConfig {
+    let mut cfg = SubstrateConfig::default();
     cfg.area = (COLS * ROWS) as f64;
     cfg.seed = seed;
     cfg.tman.view_cap = 20;

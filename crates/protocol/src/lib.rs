@@ -122,7 +122,7 @@ pub mod world;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use crate::config::ProtocolConfig;
+    pub use crate::config::{ProtocolConfig, SubstrateConfig};
     pub use crate::cost::{wire_units, RoundCost, UNITS_PER_DESCRIPTOR, UNITS_PER_POINT};
     pub use crate::net::{Fate, FaultyNetwork, LinkProfile};
     pub use crate::node::{Phase, ProtocolNode};

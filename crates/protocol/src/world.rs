@@ -24,21 +24,21 @@
 //! deref: the fields are public for the drivers, which reach them
 //! through their own `world` field, and everyone else mutates a
 //! population only through a driver's methods (its `crash` is the one
-//! that differs: the engine delays detection by rounds, the kernel by a
-//! `Detect` event).
+//! that differs: the engine reports a crash at once, the kernel through
+//! a `Detect` event after its detection delay).
 //!
 //! Every method draws from [`World::rng`] exactly what the drivers drew
 //! before it moved here, in the same order, so no seeded history moved.
 
-use crate::config::ProtocolConfig;
+use crate::config::{ProtocolConfig, SubstrateConfig};
 use crate::cost::{RoundCost, UNITS_PER_DESCRIPTOR};
 use crate::observe::{Census, RoundObservation};
 use crate::pool::{Gateways, NodePool};
 use crate::scenario::{select_region_victims, select_victims};
-use polystyrene::prelude::{DataPoint, PolyState, PolystyreneConfig};
+use polystyrene::prelude::{DataPoint, PolyState};
 use polystyrene_membership::{Descriptor, FailureTable, NodeId};
 use polystyrene_space::MetricSpace;
-use polystyrene_topology::{TManConfig, TopologyConstruction};
+use polystyrene_topology::TopologyConstruction;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -83,40 +83,34 @@ pub struct World<S: MetricSpace> {
 impl<S: MetricSpace> World<S> {
     /// Founds the population of the paper's evaluation on `shape` —
     /// node `i` on `shape[i]`, hosting data point `i`, both gossip
-    /// layers bootstrapped from `seed`'s stream ([`NodePool::found`]).
+    /// layers bootstrapped from `config.seed`'s stream
+    /// ([`NodePool::found`]).
     ///
     /// # Panics
     ///
-    /// Panics if `shape` is empty or a configuration is invalid.
-    pub fn found(
-        space: S,
-        shape: &[S::Point],
-        tman: TManConfig,
-        poly: PolystyreneConfig,
-        area: f64,
-        seed: u64,
-    ) -> Self {
+    /// Panics if `shape` is empty or `config` is invalid.
+    pub fn found(space: S, shape: &[S::Point], config: &SubstrateConfig) -> Self {
         assert!(!shape.is_empty(), "cannot simulate an empty network");
+        config.validate();
         let protocol = ProtocolConfig {
-            tman,
-            poly,
+            tman: config.tman,
+            poly: config.poly,
             heartbeat_timeout_ticks: u32::MAX,
             ..ProtocolConfig::default()
         };
-        protocol.validate();
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = StdRng::seed_from_u64(config.seed);
         let (pool, original_points) = NodePool::found(&space, shape, protocol, &mut rng);
         Self {
             space,
             pool,
             original_points,
-            area,
+            area: config.area,
             protocol,
             round: 0,
             rng,
             cost: RoundCost::default(),
             detected: FailureTable::new(),
-            gateways: Gateways::new(seed),
+            gateways: Gateways::new(config.seed),
             order: Vec::new(),
             census: Census::new(),
         }
@@ -266,14 +260,12 @@ mod tests {
     #[test]
     fn founding_is_positional_and_the_detector_is_off() {
         let shape = shapes::torus_grid(8, 4, 1.0);
-        let world = World::found(
-            Torus2::new(8.0, 4.0),
-            &shape,
-            TManConfig::default(),
-            PolystyreneConfig::default(),
-            32.0,
-            3,
-        );
+        let config = SubstrateConfig {
+            area: 32.0,
+            seed: 3,
+            ..SubstrateConfig::default()
+        };
+        let world = World::found(Torus2::new(8.0, 4.0), &shape, &config);
         assert_eq!(world.protocol.heartbeat_timeout_ticks, u32::MAX);
         assert_eq!(world.alive_count(), 32);
         for (i, point) in world.original_points().iter().enumerate() {

@@ -3,7 +3,7 @@
 //! fresh joiners, offers traffic, observes global health, and shuts
 //! everything down.
 
-use crate::config::RuntimeConfig;
+use crate::config::live_protocol;
 use crate::fabric::Transport;
 use crate::node::NodeRuntime;
 use crate::observe::{observe, ObservationBoard};
@@ -14,7 +14,7 @@ use polystyrene::prelude::{DataPoint, PointId, PolyState};
 use polystyrene_membership::{Descriptor, NodeId};
 use polystyrene_protocol::observe::{Census, RoundObservation};
 use polystyrene_protocol::{
-    founder_contacts, joiner_contacts, select_region_victims, ProtocolNode,
+    founder_contacts, joiner_contacts, select_region_victims, ProtocolNode, SubstrateConfig,
 };
 use polystyrene_space::MetricSpace;
 use rand::rngs::StdRng;
@@ -50,7 +50,7 @@ struct Node<P> {
 /// See the crate-level docs for an end-to-end example.
 pub struct Cluster<S: MetricSpace, T: Transport<S::Point> = Registry<<S as MetricSpace>::Point>> {
     space: S,
-    config: RuntimeConfig,
+    config: SubstrateConfig,
     transport: Arc<T>,
     board: Arc<ObservationBoard<S::Point>>,
     original_points: Vec<DataPoint<S::Point>>,
@@ -85,13 +85,19 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
     ///
     /// # Panics
     ///
-    /// Panics if `shape` is empty, the configuration is invalid, the
-    /// transport cannot allocate a node's endpoint, or a worker thread
-    /// cannot be started.
-    pub fn spawn(space: S, shape: Vec<S::Point>, config: T::Config) -> Self {
+    /// Panics if `shape` is empty, the configuration is invalid or asks
+    /// for `tman_only` (only the cycle engine can switch the Polystyrene
+    /// layer off), the transport cannot allocate a node's endpoint, or a
+    /// worker thread cannot be started.
+    pub fn spawn(space: S, shape: Vec<S::Point>, config: impl Into<SubstrateConfig>) -> Self {
+        let config = config.into();
         assert!(!shape.is_empty(), "cannot spawn an empty cluster");
-        let transport = Arc::new(T::open(config));
-        let config = T::runtime(&config);
+        assert!(
+            !config.tman_only,
+            "the T-Man-only baseline needs the cycle engine (--substrate engine)"
+        );
+        config.validate();
+        let transport = Arc::new(T::open(&config));
         let board = ObservationBoard::new();
         // As many workers as the machine runs at once, never more than
         // there are nodes to run: past that a thread only adds a stack,
@@ -127,7 +133,7 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
             traffic: GatewayTraffic::new(config.seed),
             census: Mutex::new(Census::new()),
         };
-        let rps_view_cap = config.protocol().rps_view_cap;
+        let rps_view_cap = live_protocol(&config).rps_view_cap;
         for (i, origin) in original_points.into_iter().enumerate() {
             let (rps, tman) = founder_contacts(i, &shape, rps_view_cap, &mut cluster.rng);
             let poly = PolyState::with_initial_point(origin);
@@ -146,7 +152,7 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
         let node = ProtocolNode::new(
             id,
             self.space.clone(),
-            self.config.protocol(),
+            live_protocol(&self.config),
             poly,
             rps,
             tman,
@@ -248,7 +254,7 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
         let id = NodeId::new(self.next_id);
         self.next_id += 1;
         let alive = self.alive_ids();
-        let rps_view_cap = self.config.protocol().rps_view_cap;
+        let rps_view_cap = live_protocol(&self.config).rps_view_cap;
         // Positions resolve through the board, read in place: an alive
         // node that has not published yet is skipped.
         let (rps, tman) = self.board.read(|reports| {
@@ -415,13 +421,7 @@ mod tests {
     }
 
     impl Transport<Point> for Poisoned {
-        type Config = RuntimeConfig;
-
-        fn runtime(config: &RuntimeConfig) -> RuntimeConfig {
-            *config
-        }
-
-        fn open(config: RuntimeConfig) -> Self {
+        fn open(config: &SubstrateConfig) -> Self {
             Self(Arc::new(Registry::open(config)))
         }
 
@@ -449,8 +449,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "T-Man-only baseline needs the cycle engine")]
+    fn tman_only_rejected() {
+        let config = SubstrateConfig {
+            tman_only: true,
+            ..SubstrateConfig::default()
+        };
+        let _ =
+            Cluster::<Torus2>::spawn(Torus2::new(2.0, 2.0), shapes::torus_grid(2, 2, 1.0), config);
+    }
+
+    #[test]
     fn a_worker_panic_resurfaces_at_shutdown() {
-        let mut config = RuntimeConfig::default();
+        let mut config = SubstrateConfig::default();
         config.tick = Duration::from_millis(2);
         let mut cluster = Cluster::<Torus2, Poisoned>::spawn(
             Torus2::new(2.0, 2.0),

@@ -13,29 +13,18 @@
 //! [`TransitLoss`] is the one piece of send-boundary behaviour every
 //! transport shares: the `link.loss` draw.
 
-use crate::config::RuntimeConfig;
 use crate::registry::Registry;
 use crate::worker::Mailbox;
 use polystyrene_membership::NodeId;
-use polystyrene_protocol::{Fate, FaultyNetwork, Wire};
+use polystyrene_protocol::{Fate, FaultyNetwork, SubstrateConfig, Wire};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// A deployment's message fabric, as [`crate::Cluster`] sees it.
 pub trait Transport<P>: Send + Sync + Sized + 'static {
-    /// Deployment parameters: the node-loop [`RuntimeConfig`] plus
-    /// whatever the transport itself needs.
-    type Config: Copy;
-
-    /// The node-loop slice of `config`.
-    fn runtime(config: &Self::Config) -> RuntimeConfig;
-
-    /// Opens an empty fabric.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` is invalid.
-    fn open(config: Self::Config) -> Self;
+    /// Opens an empty fabric for a deployment configured by `config`
+    /// (its link and seed; the cluster has validated it).
+    fn open(config: &SubstrateConfig) -> Self;
 
     /// Makes node `mailbox.id()` reachable: whatever arrives for it is
     /// put into `mailbox`. Returns the node's sending half. A transport
@@ -85,7 +74,7 @@ const LOSS_SEED_TAG: u64 = 0x6c6f_7373;
 
 impl TransitLoss {
     /// The loss model `config.link` asks for.
-    pub fn new(config: &RuntimeConfig) -> Self {
+    pub fn new(config: &SubstrateConfig) -> Self {
         let model = FaultyNetwork::new(config.link, config.seed ^ LOSS_SEED_TAG);
         Self {
             model: (config.link.loss > 0.0).then(|| Mutex::new(model)),

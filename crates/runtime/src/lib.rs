@@ -28,6 +28,14 @@
 //! kernel's lanes run, with its fabric answering reachability and
 //! carrying the sends.
 //!
+//! A cluster is spawned from the one
+//! [`SubstrateConfig`](polystyrene_protocol::SubstrateConfig) every
+//! substrate takes: it reads the tick, the heartbeat timeout, the link's
+//! loss probability, the seed and the area, and it rejects `tman_only`.
+//! Each node's protocol configuration is [`config::live_protocol`]: the
+//! shared T-Man, Polystyrene and heartbeat parameters with the live RPS
+//! sizing.
+//!
 //! The channel is incidental, so it is a type parameter. The default
 //! transport, [`Registry`], hands messages from inbox to inbox
 //! in-process; `polystyrene-transport` carries them as framed bytes over
@@ -57,10 +65,11 @@
 //! # Example
 //!
 //! ```
-//! use polystyrene_runtime::{Cluster, RuntimeConfig};
+//! use polystyrene_protocol::SubstrateConfig;
+//! use polystyrene_runtime::Cluster;
 //! use polystyrene_space::prelude::*;
 //!
-//! let mut config = RuntimeConfig::default();
+//! let mut config = SubstrateConfig::default();
 //! config.tick = std::time::Duration::from_millis(4);
 //! let shape = shapes::torus_grid(4, 4, 1.0);
 //! let mut cluster = Cluster::<Torus2>::spawn(Torus2::new(4.0, 4.0), shape, config);
@@ -85,7 +94,6 @@ pub mod traffic;
 pub mod worker;
 
 pub use cluster::Cluster;
-pub use config::RuntimeConfig;
 pub use fabric::{NodeFabric, RegistryFabric, TransitLoss, Transport};
 pub use polystyrene_protocol::observe::RoundObservation;
 pub use registry::Registry;

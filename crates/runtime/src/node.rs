@@ -17,13 +17,14 @@
 //! The node owns its clock: `next_tick` is its own deadline, re-armed by
 //! its own pacing rule, whichever thread happens to run it.
 
-use crate::config::RuntimeConfig;
 use crate::fabric::NodeFabric;
 use crate::observe::ObservationBoard;
 use crate::worker::Resident;
 use polystyrene::prelude::PointId;
 use polystyrene_membership::NodeId;
-use polystyrene_protocol::{node_seed, wire_units, Effect, EffectSink, Event, ProtocolNode, Wire};
+use polystyrene_protocol::{
+    node_seed, wire_units, Effect, EffectSink, Event, ProtocolNode, SubstrateConfig, Wire,
+};
 use polystyrene_space::MetricSpace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -84,7 +85,7 @@ impl<S: MetricSpace> NodeRuntime<S> {
     /// `config`, its sends and probes go through `fabric`.
     pub fn new(
         node: ProtocolNode<S>,
-        config: RuntimeConfig,
+        config: SubstrateConfig,
         fabric: Box<dyn NodeFabric<S::Point>>,
         board: Arc<ObservationBoard<S::Point>>,
         ingress: Arc<AtomicUsize>,

@@ -15,11 +15,10 @@
 //!
 //! [`ScenarioEvent::Partition`]: polystyrene_protocol::ScenarioEvent::Partition
 
-use crate::config::RuntimeConfig;
 use crate::fabric::{NodeFabric, RegistryFabric, TransitLoss, Transport};
 use crate::worker::Mailbox;
 use polystyrene_membership::NodeId;
-use polystyrene_protocol::Wire;
+use polystyrene_protocol::{SubstrateConfig, Wire};
 use std::collections::HashMap;
 use std::sync::{Arc, PoisonError, RwLock};
 
@@ -99,16 +98,9 @@ impl<P> Registry<P> {
 }
 
 impl<P: Clone + Send + Sync + 'static> Transport<P> for Registry<P> {
-    type Config = RuntimeConfig;
-
-    fn runtime(config: &RuntimeConfig) -> RuntimeConfig {
-        *config
-    }
-
-    fn open(config: RuntimeConfig) -> Self {
-        config.validate();
+    fn open(config: &SubstrateConfig) -> Self {
         Self {
-            loss: TransitLoss::new(&config),
+            loss: TransitLoss::new(config),
             ..Self::default()
         }
     }
@@ -185,9 +177,9 @@ mod tests {
 
     /// A registry whose link drops every protocol message in transit.
     fn all_loss() -> Registry<f64> {
-        let mut config = RuntimeConfig::default();
+        let mut config = SubstrateConfig::default();
         config.link.loss = 1.0;
-        Registry::open(config)
+        Registry::open(&config)
     }
 
     #[test]

@@ -6,7 +6,8 @@
 
 #![cfg(target_os = "linux")]
 
-use polystyrene_runtime::{Cluster, RuntimeConfig};
+use polystyrene_protocol::SubstrateConfig;
+use polystyrene_runtime::Cluster;
 use polystyrene_space::prelude::*;
 use std::time::Duration;
 
@@ -44,8 +45,11 @@ fn threads_after_reaping(harness: usize) -> usize {
 /// Runs a `side` x `side` in-process grid and returns the process's
 /// thread count while it is up, after `check` has had its look.
 fn threads_under_a_grid(side: usize, check: impl FnOnce(&Cluster<Torus2>)) -> usize {
-    let mut config = RuntimeConfig::default();
+    let mut config = SubstrateConfig::default();
     config.area = (side * side) as f64;
+    config.seed = 1;
+    config.tman.view_cap = 30;
+    config.tman.m = 10;
     let mut cluster = Cluster::<Torus2>::spawn(
         Torus2::new(side as f64, side as f64),
         shapes::torus_grid(side, side, 1.0),
@@ -74,7 +78,7 @@ fn threads_do_not_grow_with_nodes() {
     // 256 nodes: the first live grid that does not fit in one T-Man view
     // (30 entries here, 20 in the benchmark's sizing).
     let large = threads_under_a_grid(16, |cluster| {
-        let k = RuntimeConfig::default().poly.replication;
+        let k = SubstrateConfig::default().poly.replication;
         let mut obs = cluster.observe();
         while obs.ticks < REPLICATION_BUDGET && obs.points_per_node < (1 + k) as f64 {
             assert!(

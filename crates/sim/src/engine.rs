@@ -34,8 +34,9 @@
 //! with the event kernel, and so are founding, victim selection, the
 //! position refresh and the census; the engine derefs to it for every
 //! read. What is the engine's own is the synchronous dispatch, the
-//! round-delayed detection queue, the proximity metric and the phase
-//! ledger.
+//! proximity metric and the phase ledger. A crash enters the failure
+//! knowledge at once: the engine runs the oracle detector of the paper's
+//! cycle model.
 //!
 //! The population lives in the World's [`NodePool`](polystyrene_protocol::pool::NodePool):
 //! dense recycled slots with generation ids, a slot-indexed position
@@ -51,14 +52,14 @@
 //! golden-history fingerprint suites.
 
 use crate::metrics::RoundMetrics;
-use polystyrene::prelude::*;
 use polystyrene_membership::NodeId;
 use polystyrene_protocol::observe::RoundObservation;
 use polystyrene_protocol::{
-    par, Channel, Effect, EffectSink, Event, Phase, Wire, World, UNITS_PER_DESCRIPTOR,
+    par, Channel, Effect, EffectSink, Event, Phase, SubstrateConfig, Wire, World,
+    UNITS_PER_DESCRIPTOR,
 };
 use polystyrene_space::MetricSpace;
-use polystyrene_topology::{TManConfig, TopologyConstruction};
+use polystyrene_topology::TopologyConstruction;
 use std::collections::VecDeque;
 use std::ops::Deref;
 use std::time::Instant;
@@ -90,42 +91,10 @@ const PROXIMITY_ROW: usize = REFRESH_ROW + 2;
 /// closest nodes returned by T-Man").
 const REPORT_NEIGHBORS: usize = 4;
 
-/// Engine-level configuration: protocol parameters plus simulation knobs.
-/// The protocol fields it does not carry take
-/// [`ProtocolConfig`](polystyrene_protocol::ProtocolConfig)'s defaults
-/// (the [`World`] turns the built-in detector off), and messages are
-/// priced by [`wire_units`](polystyrene_protocol::wire_units).
-///
-/// Defaults are the paper's evaluation settings (Sec. IV-A).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct EngineConfig {
-    /// T-Man parameters (view cap 100, m = 20, ψ = 5).
-    pub tman: TManConfig,
-    /// Polystyrene parameters (K, split strategy, projection, …).
-    pub poly: PolystyreneConfig,
-    /// Surface area of the data space, for the reference homogeneity
-    /// (3200 for the paper's 80×40 torus).
-    pub area: f64,
-    /// Failure-detection delay in rounds: a crash at round `r` is only
-    /// reported by the nodes' detector from round `r + detection_delay`
-    /// on (the paper's "possibly imperfect" detector, Sec. III-A). Zero
-    /// models the perfect detector of the paper's evaluation.
-    pub detection_delay: u32,
-    /// Master seed; every run with the same seed is bit-identical.
-    pub seed: u64,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self {
-            tman: TManConfig::default(),
-            poly: PolystyreneConfig::default(),
-            area: 3200.0,
-            detection_delay: 0,
-            seed: 0,
-        }
-    }
-}
+/// The engine's configuration under its old name, kept while the
+/// repository benchmark names it: the one [`SubstrateConfig`]. The
+/// engine reads `tman`, `poly`, `area`, `seed` and `tman_only`.
+pub type EngineConfig = SubstrateConfig;
 
 /// The cycle-driven simulator: a [`World`] plus synchronous dispatch.
 /// Derefs to its `World` for every read of the population.
@@ -138,7 +107,7 @@ impl Default for EngineConfig {
 ///
 /// let space = Torus2::new(8.0, 4.0);
 /// let shape = shapes::torus_grid(8, 4, 1.0);
-/// let mut cfg = EngineConfig::default();
+/// let mut cfg = SubstrateConfig::default();
 /// cfg.area = 32.0;
 /// let mut engine = Engine::new(space, shape, cfg);
 /// let metrics = engine.step();
@@ -146,14 +115,8 @@ impl Default for EngineConfig {
 /// ```
 pub struct Engine<S: MetricSpace> {
     world: World<S>,
-    config: EngineConfig,
-    /// Crashes still inside the detection delay, as `(round from which
-    /// the detector reports it, id)` in crash order. The round counter
-    /// only grows, so the queue is sorted and [`Engine::step`] matures
-    /// it from the front into the World's failure knowledge.
-    undetected: VecDeque<(u32, NodeId)>,
+    config: SubstrateConfig,
     history: Vec<RoundMetrics>,
-    poly_enabled: bool,
     /// Reusable per-node `(distance sum, samples)` of the proximity pass.
     proximity: Vec<(f64, usize)>,
     /// The one effect buffer every activation pushes into.
@@ -181,21 +144,12 @@ impl<S: MetricSpace> Engine<S> {
     ///
     /// # Panics
     ///
-    /// Panics if `shape` is empty.
-    pub fn new(space: S, shape: Vec<S::Point>, config: EngineConfig) -> Self {
+    /// Panics if `shape` is empty or `config` is invalid.
+    pub fn new(space: S, shape: Vec<S::Point>, config: SubstrateConfig) -> Self {
         Self {
-            world: World::found(
-                space,
-                &shape,
-                config.tman,
-                config.poly,
-                config.area,
-                config.seed,
-            ),
+            world: World::found(space, &shape, &config),
             config,
-            undetected: VecDeque::new(),
             history: Vec::new(),
-            poly_enabled: true,
             proximity: Vec::new(),
             sink: EffectSink::new(),
             queue: VecDeque::new(),
@@ -203,16 +157,15 @@ impl<S: MetricSpace> Engine<S> {
         }
     }
 
-    /// Turns the Polystyrene layer off, leaving plain T-Man over RPS — the
-    /// paper's baseline configuration ("second with T-Man alone (termed
-    /// T-Man)", Sec. IV-A). Each node then forever hosts its single
-    /// original data point and never migrates, backs up, or recovers.
+    /// Turns the Polystyrene layer off, as `tman_only` in the
+    /// configuration does, under the name the repository benchmark calls
+    /// it by.
     pub fn disable_polystyrene(&mut self) {
-        self.poly_enabled = false;
+        self.config.tman_only = true;
     }
 
     /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
+    pub fn config(&self) -> &SubstrateConfig {
         &self.config
     }
 
@@ -392,15 +345,14 @@ impl<S: MetricSpace> Engine<S> {
     }
 
     /// Crashes one specific node; returns whether it was alive. The pool
-    /// frees and recycles the slot; the id is never reused. The detector
-    /// reports the crash `detection_delay` rounds later (see
-    /// [`Engine::step`]).
+    /// frees and recycles the slot; the id is never reused. The crash
+    /// enters the failure knowledge at once: the perfect detector of the
+    /// paper's evaluation.
     pub fn crash(&mut self, id: NodeId) -> bool {
         if self.world.pool.remove(id).is_none() {
             return false;
         }
-        let visible_from = self.world.round.saturating_add(self.config.detection_delay);
-        self.undetected.push_back((visible_from, id));
+        self.world.detected.mark(id);
         true
     }
 
@@ -440,17 +392,6 @@ impl<S: MetricSpace> Engine<S> {
     /// metrics measured at the end of it.
     pub fn step(&mut self) -> RoundMetrics {
         self.world.begin_round();
-        // Crashes whose detection delay has run out enter the failure
-        // knowledge here, once, for every phase below: verdicts
-        // cannot change mid-round, because crashes are injected only
-        // between rounds.
-        while let Some(&(visible_from, id)) = self.undetected.front() {
-            if visible_from > self.world.round {
-                break;
-            }
-            self.world.detected.mark(id);
-            self.undetected.pop_front();
-        }
         let mut clock = Instant::now();
         for (row, phase) in Phase::ALL.into_iter().enumerate() {
             match phase {
@@ -459,7 +400,7 @@ impl<S: MetricSpace> Engine<S> {
                 // activation shuffle off the rng.
                 Phase::Heartbeat => continue,
                 // T-Man alone: Polystyrene's three phases never run.
-                Phase::Recovery | Phase::Backup | Phase::Migration if !self.poly_enabled => {
+                Phase::Recovery | Phase::Backup | Phase::Migration if self.config.tman_only => {
                     continue
                 }
                 Phase::Recovery => self.recovery_phase(),
@@ -663,13 +604,15 @@ impl<S: MetricSpace> Engine<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use polystyrene::prelude::*;
     use polystyrene_protocol::observe::reference_homogeneity;
     use polystyrene_protocol::ProtocolNode;
     use polystyrene_space::prelude::*;
     use polystyrene_space::shapes;
+    use polystyrene_topology::TManConfig;
 
-    fn tiny_config(seed: u64) -> EngineConfig {
-        EngineConfig {
+    fn tiny_config(seed: u64) -> SubstrateConfig {
+        SubstrateConfig {
             tman: TManConfig {
                 view_cap: 20,
                 m: 8,
@@ -680,8 +623,8 @@ mod tests {
                 ..PolystyreneConfig::default()
             },
             area: 64.0,
-            detection_delay: 0,
             seed,
+            ..SubstrateConfig::default()
         }
     }
 
@@ -774,7 +717,7 @@ mod tests {
 
     #[test]
     fn converged_neighbors_are_the_grid_neighbors() {
-        let mut cfg = EngineConfig::default();
+        let mut cfg = SubstrateConfig::default();
         cfg.area = 32.0;
         cfg.tman.view_cap = 16;
         cfg.tman.m = 6;
@@ -980,21 +923,13 @@ mod tests {
     }
 
     /// The per-phase verdict table as `detector_flags()` rebuilt it from
-    /// the `(id, crash round)` records before the engine kept a
-    /// [`FailureTable`] up to date — verbatim but for taking its inputs
-    /// as arguments.
-    fn detector_flags_reference(
-        records: &[(NodeId, u32)],
-        next_id: usize,
-        delay: u32,
-        now: u32,
-    ) -> Vec<bool> {
+    /// the crash records before the engine kept a [`FailureTable`] up to
+    /// date, at the engine's one detection delay, zero.
+    fn detector_flags_reference(records: &[NodeId], next_id: usize) -> Vec<bool> {
         let mut flags = vec![false; next_id];
-        for &(id, at) in records {
-            if now >= at.saturating_add(delay) {
-                if let Some(f) = flags.get_mut(id.index()) {
-                    *f = true;
-                }
+        for id in records {
+            if let Some(f) = flags.get_mut(id.index()) {
+                *f = true;
             }
         }
         flags
@@ -1002,52 +937,56 @@ mod tests {
 
     #[test]
     fn failure_knowledge_matches_the_rebuilt_flags_through_crash_delay_and_inject() {
-        for delay in [0, 1, 3, u32::MAX] {
-            let mut cfg = tiny_config(21);
-            cfg.detection_delay = delay;
-            let mut e = Engine::new(Torus2::new(16.0, 4.0), shapes::torus_grid(16, 4, 1.0), cfg);
-            let mut records: Vec<(NodeId, u32)> = Vec::new();
-            // One round, then the table the round's phases read against
-            // the one the old code would have rebuilt for them.
-            let step_and_check = |e: &mut Engine<Torus2>, records: &[(NodeId, u32)]| {
-                e.step();
-                let next_id = e.pool.peek_next_id().index();
-                let flags = detector_flags_reference(records, next_id, delay, e.round());
-                for probe in 0..next_id + 8 {
-                    assert_eq!(
-                        e.detected.is_failed(NodeId::new(probe as u64)),
-                        flags.get(probe).copied().unwrap_or(false),
-                        "delay {delay}, round {}: verdict on n{probe}",
-                        e.round()
-                    );
-                }
-            };
-            let crash = |e: &mut Engine<Torus2>, records: &mut Vec<_>, raw: u64| {
-                e.crash(NodeId::new(raw));
-                records.push((NodeId::new(raw), e.round()));
-            };
-
-            step_and_check(&mut e, &records);
-            crash(&mut e, &mut records, 2);
-            crash(&mut e, &mut records, 40);
-            e.crash(NodeId::new(2)); // already dead: no second record
-            step_and_check(&mut e, &records);
-            crash(&mut e, &mut records, 7);
-            step_and_check(&mut e, &records);
-            // Ids issued after construction, one of them crashed in turn.
-            let fresh = e.inject(&[[1.5, 1.5], [9.5, 2.5]]);
-            assert_eq!(fresh, [64, 65].map(NodeId::new));
-            step_and_check(&mut e, &records);
-            crash(&mut e, &mut records, 65);
-            crash(&mut e, &mut records, 0);
-            for _ in 0..5 {
-                step_and_check(&mut e, &records);
+        let mut e = Engine::new(
+            Torus2::new(16.0, 4.0),
+            shapes::torus_grid(16, 4, 1.0),
+            tiny_config(21),
+        );
+        let mut records: Vec<NodeId> = Vec::new();
+        // The table the phases read, after a crash and after a round,
+        // against the one the old code would have rebuilt for them.
+        let check = |e: &Engine<Torus2>, records: &[NodeId]| {
+            let next_id = e.pool.peek_next_id().index();
+            let flags = detector_flags_reference(records, next_id);
+            for probe in 0..next_id + 8 {
+                assert_eq!(
+                    e.detected.is_failed(NodeId::new(probe as u64)),
+                    flags.get(probe).copied().unwrap_or(false),
+                    "round {}: verdict on n{probe}",
+                    e.round()
+                );
             }
-            let known = (0..80)
-                .filter(|&i| e.detected.is_failed(NodeId::new(i)))
-                .count();
-            assert_eq!(known, if delay == u32::MAX { 0 } else { records.len() });
+        };
+        let step_and_check = |e: &mut Engine<Torus2>, records: &[NodeId]| {
+            e.step();
+            check(e, records);
+        };
+        let crash = |e: &mut Engine<Torus2>, records: &mut Vec<_>, raw: u64| {
+            e.crash(NodeId::new(raw));
+            records.push(NodeId::new(raw));
+            check(e, records);
+        };
+
+        step_and_check(&mut e, &records);
+        crash(&mut e, &mut records, 2);
+        crash(&mut e, &mut records, 40);
+        e.crash(NodeId::new(2)); // already dead: no second record
+        step_and_check(&mut e, &records);
+        crash(&mut e, &mut records, 7);
+        step_and_check(&mut e, &records);
+        // Ids issued after construction, one of them crashed in turn.
+        let fresh = e.inject(&[[1.5, 1.5], [9.5, 2.5]]);
+        assert_eq!(fresh, [64, 65].map(NodeId::new));
+        step_and_check(&mut e, &records);
+        crash(&mut e, &mut records, 65);
+        crash(&mut e, &mut records, 0);
+        for _ in 0..5 {
+            step_and_check(&mut e, &records);
         }
+        let known = (0..80)
+            .filter(|&i| e.detected.is_failed(NodeId::new(i)))
+            .count();
+        assert_eq!(known, records.len());
     }
 
     #[test]
@@ -1067,35 +1006,6 @@ mod tests {
     #[should_panic(expected = "empty network")]
     fn empty_shape_rejected() {
         let _ = Engine::new(Torus2::new(4.0, 4.0), Vec::new(), tiny_config(0));
-    }
-
-    #[test]
-    fn delayed_detection_still_recovers_but_later() {
-        let run = |delay: u32| {
-            let mut cfg = tiny_config(21);
-            cfg.detection_delay = delay;
-            let space = Torus2::new(16.0, 4.0);
-            let mut e = Engine::new(space, shapes::torus_grid(16, 4, 1.0), cfg);
-            e.run(12);
-            e.fail_original_region(&shapes::in_right_half(16.0));
-            // First round at which homogeneity recrosses the reference.
-            for extra in 1..=30u32 {
-                let m = e.step();
-                if m.homogeneity < m.reference_homogeneity {
-                    return Some(extra);
-                }
-            }
-            None
-        };
-        let fast = run(0).expect("perfect detector must reshape");
-        let slow = run(4).expect("delayed detector must still reshape");
-        assert!(
-            slow >= fast,
-            "detection lag cannot speed up reshaping: {slow} < {fast}"
-        );
-        // The lag lower-bounds recovery: nothing reactivates before
-        // detection, so at least `delay` extra rounds pass.
-        assert!(slow >= 4, "reshaped in {slow} rounds despite 4-round lag");
     }
 
     #[test]

@@ -6,7 +6,11 @@
 //! * [`engine`] — the cycle-driven engine running the full stack
 //!   (RPS → T-Man → Polystyrene) with failure and churn injection, over
 //!   the ground truth it shares with the event kernel
-//!   ([`polystyrene_protocol::world::World`]);
+//!   ([`polystyrene_protocol::world::World`]). It is built from the one
+//!   [`SubstrateConfig`] every
+//!   substrate takes, reads its T-Man, Polystyrene, area, seed and
+//!   `tman_only` fields, and reports a crash to the survivors at once:
+//!   the oracle detector of the paper's cycle model;
 //! * [`metrics`] — the paper's five metrics (proximity, homogeneity,
 //!   reference homogeneity / reshaping time, data points per node,
 //!   message cost, priced by [`polystyrene_protocol::cost`]).
@@ -41,7 +45,7 @@
 //! use polystyrene_space::prelude::*;
 //!
 //! // A 16×4 torus of 64 nodes.
-//! let mut cfg = EngineConfig::default();
+//! let mut cfg = SubstrateConfig::default();
 //! cfg.area = 64.0;
 //! cfg.tman.view_cap = 20;
 //! cfg.tman.m = 8;
@@ -69,6 +73,7 @@ pub mod prelude {
     pub use crate::engine::{Engine, EngineConfig, ENGINE_PHASES};
     pub use crate::metrics::{reference_homogeneity, RoundMetrics};
     pub use polystyrene_protocol::scenario::{PaperScenario, Scenario, ScenarioEvent};
+    pub use polystyrene_protocol::SubstrateConfig;
 }
 
 pub use prelude::*;

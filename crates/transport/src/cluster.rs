@@ -29,8 +29,8 @@ use crate::framing::{write_frame_into, MID_FRAME_DEADLINE};
 use crate::reactor::IoThread;
 use polystyrene_membership::NodeId;
 use polystyrene_protocol::codec::{decode_event, encode_event_into, PointCodec};
-use polystyrene_protocol::{Event, Wire};
-use polystyrene_runtime::{Cluster, Mailbox, NodeFabric, RuntimeConfig, TransitLoss, Transport};
+use polystyrene_protocol::{Event, SubstrateConfig, Wire};
+use polystyrene_runtime::{Cluster, Mailbox, NodeFabric, TransitLoss, Transport};
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,13 +59,20 @@ pub const CONNECTION_CAP: usize = 24;
 /// this point).
 pub const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Parameters of the TCP deployment: the runtime ones. The connection
-/// cap and the socket timeout are the constants above.
+/// The TCP deployment's configuration under its old shape, kept while
+/// the repository benchmark builds one: a wrapper around the one
+/// [`SubstrateConfig`], which [`Cluster::spawn`] takes it as. The
+/// connection cap and the socket timeout are the constants above.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TcpConfig {
-    /// The shared node-loop configuration (tick, timeouts, protocol
-    /// parameters, seed; `link.loss` installs the network model).
-    pub runtime: RuntimeConfig,
+    /// The deployment's configuration.
+    pub runtime: SubstrateConfig,
+}
+
+impl From<TcpConfig> for SubstrateConfig {
+    fn from(config: TcpConfig) -> Self {
+        config.runtime
+    }
 }
 
 /// The shared socket-level address book plus fault-injection state:
@@ -98,17 +105,10 @@ impl TcpFabric {
 }
 
 impl<P: PointCodec + Clone + Send + 'static> Transport<P> for TcpFabric {
-    type Config = TcpConfig;
-
-    fn runtime(config: &TcpConfig) -> RuntimeConfig {
-        config.runtime
-    }
-
-    fn open(config: TcpConfig) -> Self {
-        config.runtime.validate();
+    fn open(config: &SubstrateConfig) -> Self {
         Self {
             addrs: RwLock::new(HashMap::new()),
-            loss: TransitLoss::new(&config.runtime),
+            loss: TransitLoss::new(config),
             sent_frames: AtomicU64::new(0),
             io: IoThread::start(MID_FRAME_DEADLINE),
         }

@@ -23,15 +23,17 @@
 //!
 //! This crate is only the transport. The harness and the node loop are
 //! `polystyrene-runtime`'s `Cluster` and `NodeRuntime`:
-//! [`TcpCluster<S>`] is `Cluster<S, TcpFabric>`, so whatever runs on the
-//! in-process cluster runs unchanged here:
+//! [`TcpCluster<S>`] is `Cluster<S, TcpFabric>`, spawned from the same
+//! `SubstrateConfig` as the in-process cluster, so whatever runs there
+//! runs unchanged here:
 //!
 //! ```
-//! use polystyrene_transport::{TcpCluster, TcpConfig};
+//! use polystyrene_protocol::SubstrateConfig;
+//! use polystyrene_transport::TcpCluster;
 //! use polystyrene_space::prelude::*;
 //!
-//! let mut config = TcpConfig::default();
-//! config.runtime.tick = std::time::Duration::from_millis(4);
+//! let mut config = SubstrateConfig::default();
+//! config.tick = std::time::Duration::from_millis(4);
 //! let shape = shapes::torus_grid(3, 3, 1.0);
 //! let mut cluster = TcpCluster::spawn(Torus2::new(3.0, 3.0), shape, config);
 //! assert!(cluster.await_ticks(3, std::time::Duration::from_secs(10)));

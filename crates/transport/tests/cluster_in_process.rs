@@ -4,20 +4,12 @@
 mod cluster_suite;
 
 use cluster_suite::{Point, Under};
-use polystyrene_protocol::LinkProfile;
-use polystyrene_runtime::{Registry, RuntimeConfig};
+use polystyrene_runtime::Registry;
 use std::time::Duration;
 
 impl Under for Registry<Point> {
     const FRAMED: bool = false;
-
-    fn fast_config(link: LinkProfile, replication: usize) -> RuntimeConfig {
-        let mut c = RuntimeConfig::default();
-        c.tick = Duration::from_millis(2);
-        c.poly.replication = replication;
-        c.link = link;
-        c
-    }
+    const TICK: Duration = Duration::from_millis(2);
 }
 
 cluster_suite!(Registry<Point>);

@@ -10,7 +10,7 @@
 
 use polystyrene_membership::NodeId;
 use polystyrene_protocol::observe::RoundObservation;
-use polystyrene_protocol::LinkProfile;
+use polystyrene_protocol::{LinkProfile, SubstrateConfig};
 use polystyrene_runtime::{Cluster, Transport, GATEWAY_INGRESS_BOUND};
 use polystyrene_space::prelude::*;
 use std::time::Duration;
@@ -23,9 +23,22 @@ const MAX_WAIT: Duration = Duration::from_secs(30);
 pub trait Under: Transport<Point> {
     /// Whether protocol messages cross the transport as frames.
     const FRAMED: bool;
-    /// A millisecond-tick configuration with `replication` backups per
-    /// point over `link`.
-    fn fast_config(link: LinkProfile, replication: usize) -> Self::Config;
+    /// The millisecond tick the suite runs the transport at.
+    const TICK: Duration;
+}
+
+/// A configuration at `T`'s tick with `replication` backups per point
+/// over `link`, in the live tests' sizing: seed 1 and a T-Man view of 30
+/// with m = 10.
+pub fn fast_config<T: Under>(link: LinkProfile, replication: usize) -> SubstrateConfig {
+    let mut c = SubstrateConfig::default();
+    c.seed = 1;
+    c.tman.view_cap = 30;
+    c.tman.m = 10;
+    c.tick = T::TICK;
+    c.poly.replication = replication;
+    c.link = link;
+    c
 }
 
 fn spawn_on<T: Under>(
@@ -37,7 +50,7 @@ fn spawn_on<T: Under>(
     Cluster::spawn(
         Torus2::new(cols as f64, rows as f64),
         shapes::torus_grid(cols, rows, 1.0),
-        T::fast_config(link, replication),
+        fast_config::<T>(link, replication),
     )
 }
 

@@ -3,11 +3,11 @@
 #[macro_use]
 mod cluster_suite;
 
-use cluster_suite::Under;
+use cluster_suite::{fast_config, Under};
 use polystyrene_membership::NodeId;
 use polystyrene_protocol::LinkProfile;
 use polystyrene_space::prelude::*;
-use polystyrene_transport::{TcpCluster, TcpConfig, TcpFabric};
+use polystyrene_transport::{TcpCluster, TcpFabric};
 use std::io::{ErrorKind, Read};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -17,14 +17,7 @@ const MAX_WAIT: Duration = Duration::from_secs(30);
 
 impl Under for TcpFabric {
     const FRAMED: bool = true;
-
-    fn fast_config(link: LinkProfile, replication: usize) -> TcpConfig {
-        let mut c = TcpConfig::default();
-        c.runtime.tick = Duration::from_millis(4);
-        c.runtime.poly.replication = replication;
-        c.runtime.link = link;
-        c
-    }
+    const TICK: Duration = Duration::from_millis(4);
 }
 
 cluster_suite!(TcpFabric);
@@ -37,7 +30,7 @@ fn a_kill_closes_the_victims_sockets() {
     let mut cluster = TcpCluster::spawn(
         Torus2::new(3.0, 3.0),
         shapes::torus_grid(3, 3, 1.0),
-        TcpFabric::fast_config(LinkProfile::ideal(), 3),
+        fast_config::<TcpFabric>(LinkProfile::ideal(), 3),
     );
     assert!(cluster.await_ticks(3, MAX_WAIT), "the cluster stalled");
     let victim = NodeId::new(4);

@@ -18,9 +18,9 @@
 
 use polystyrene_membership::NodeId;
 use polystyrene_protocol::observe::RoundObservation;
-use polystyrene_protocol::LinkProfile;
+use polystyrene_protocol::{LinkProfile, SubstrateConfig};
 use polystyrene_space::prelude::*;
-use polystyrene_transport::{TcpCluster, TcpConfig};
+use polystyrene_transport::TcpCluster;
 use std::time::Duration;
 
 /// Safety valve of one await, sized so a loaded CI box never reaches it.
@@ -39,17 +39,20 @@ const HEARTBEAT_TIMEOUT_TICKS: u32 = 12;
 
 #[test]
 fn mid_migration_kills_under_loss_never_destroy_points() {
-    let mut config = TcpConfig::default();
+    let mut config = SubstrateConfig::default();
+    config.seed = 1;
+    config.tman.view_cap = 30;
+    config.tman.m = 10;
     // 8 ms leaves socket-IO and scheduling headroom per round when the
     // whole workspace tests on a loaded single-core box.
-    config.runtime.tick = Duration::from_millis(8);
-    config.runtime.poly.replication = 4;
-    config.runtime.heartbeat_timeout_ticks = HEARTBEAT_TIMEOUT_TICKS;
+    config.tick = Duration::from_millis(8);
+    config.poly.replication = 4;
+    config.heartbeat_timeout_ticks = HEARTBEAT_TIMEOUT_TICKS;
     // 15% of frames vanish in transit: migration replies get lost (the
     // responder's handout stays parked until re-adoption) and acks get
     // lost (the initiator holds the points *and* the responder re-adopts
     // them — the benign duplication direction).
-    config.runtime.link = LinkProfile {
+    config.link = LinkProfile {
         latency: 0,
         jitter: 0,
         loss: 0.15,

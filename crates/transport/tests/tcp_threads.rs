@@ -7,8 +7,9 @@
 
 #![cfg(target_os = "linux")]
 
+use polystyrene_protocol::SubstrateConfig;
 use polystyrene_space::prelude::*;
-use polystyrene_transport::{TcpCluster, TcpConfig};
+use polystyrene_transport::TcpCluster;
 use std::time::Duration;
 
 /// Safety valve of one await, sized so a loaded CI box never reaches it.
@@ -43,8 +44,11 @@ fn threads_after_reaping(harness: usize) -> usize {
 /// has both sent and received, and returns the process's thread count
 /// while it is up.
 fn threads_under_a_grid(side: usize) -> usize {
-    let mut config = TcpConfig::default();
-    config.runtime.area = (side * side) as f64;
+    let mut config = SubstrateConfig::default();
+    config.area = (side * side) as f64;
+    config.seed = 1;
+    config.tman.view_cap = 30;
+    config.tman.m = 10;
     let mut cluster = TcpCluster::spawn(
         Torus2::new(side as f64, side as f64),
         shapes::torus_grid(side, side, 1.0),

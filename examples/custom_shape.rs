@@ -16,7 +16,7 @@ fn ring_demo() {
     println!("=== ring overlay (1-D modular space) ===");
     let n = 256;
     let circumference = 256.0;
-    let mut config = EngineConfig::default();
+    let mut config = SubstrateConfig::default();
     // Reference homogeneity is 2-D; for the ring we track raw homogeneity.
     config.area = circumference;
     config.poly.replication = 4;
@@ -45,7 +45,7 @@ fn blob_demo() {
     );
     shape.extend(shapes::line_points(60, [10.0, 0.0], [30.0, 0.0]));
     let n = shape.len();
-    let mut config = EngineConfig::default();
+    let mut config = SubstrateConfig::default();
     config.area = 600.0; // rough footprint, only used for reporting
     config.poly.replication = 6;
     let mut engine = Engine::new(Euclidean2, shape, config);

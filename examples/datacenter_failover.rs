@@ -28,7 +28,7 @@ fn datacenter(pos: &[f64; 2], width: f64, height: f64) -> usize {
 fn run(label: &str, polystyrene: bool) -> (f64, f64) {
     let (cols, rows) = (32, 32);
     let (w, h) = (cols as f64, rows as f64);
-    let mut config = EngineConfig::default();
+    let mut config = SubstrateConfig::default();
     config.area = w * h;
     config.poly.replication = 6;
     let mut engine = Engine::new(

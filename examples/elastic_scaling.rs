@@ -15,7 +15,7 @@ use polystyrene_repro::prelude::*;
 
 fn main() {
     let (cols, rows) = (32, 16);
-    let mut config = EngineConfig::default();
+    let mut config = SubstrateConfig::default();
     config.area = (cols * rows) as f64;
     config.poly.replication = 4;
     let mut engine = Engine::new(

@@ -18,8 +18,9 @@ fn main() {
     let (cols, rows) = (24, 12);
     let paper = PaperScenario::reshaping_only(cols, rows, 15, 15);
     let (w, h) = paper.extents();
-    let mut cfg = LabConfig::default();
+    let mut cfg = SubstrateConfig::default();
     cfg.area = paper.area();
+    cfg.seed = 1;
     cfg.poly.replication = 6;
     let mut engine = build_substrate(
         SubstrateKind::Engine,

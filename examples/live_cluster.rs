@@ -13,7 +13,10 @@ use std::time::Duration;
 
 fn main() {
     let (cols, rows) = (9, 6);
-    let mut config = RuntimeConfig::default();
+    let mut config = SubstrateConfig::default();
+    config.seed = 1;
+    config.tman.view_cap = 30;
+    config.tman.m = 10;
     config.tick = Duration::from_millis(5);
     config.poly.replication = 4;
 

@@ -12,7 +12,7 @@ use polystyrene_repro::prelude::*;
 fn main() {
     // A 40×20 torus: 800 nodes, each founding one data point of the shape.
     let (cols, rows) = (40, 20);
-    let mut config = EngineConfig::default();
+    let mut config = SubstrateConfig::default();
     config.area = (cols * rows) as f64;
     config.poly.replication = 4;
     let mut engine = Engine::new(

@@ -27,7 +27,7 @@
 //! use polystyrene_repro::prelude::*;
 //!
 //! // Build the paper's torus in miniature, kill half of it, watch it heal.
-//! let mut cfg = EngineConfig::default();
+//! let mut cfg = SubstrateConfig::default();
 //! cfg.area = 128.0;
 //! let mut engine = Engine::new(
 //!     Torus2::new(16.0, 8.0),
@@ -62,15 +62,14 @@ pub mod prelude {
     pub use polystyrene::prelude::*;
     pub use polystyrene_lab::{
         build_substrate, key_universe, run_experiment, run_experiment_with_traffic, summary_json,
-        ExperimentSummary, ExperimentTrace, LabConfig, LiveSubstrate, Substrate, SubstrateKind,
-        TrafficLoad,
+        ExperimentSummary, ExperimentTrace, LiveSubstrate, Substrate, SubstrateKind, TrafficLoad,
     };
     pub use polystyrene_membership::{Descriptor, NodeId, PeerSampling, View};
-    pub use polystyrene_netsim::{NetRoundMetrics, NetSim, NetSimConfig};
+    pub use polystyrene_netsim::{NetRoundMetrics, NetSim};
     pub use polystyrene_protocol::prelude::*;
-    pub use polystyrene_runtime::{Cluster, RuntimeConfig};
-    pub use polystyrene_sim::prelude::*;
+    pub use polystyrene_runtime::Cluster;
+    pub use polystyrene_sim::{Engine, RoundMetrics, ENGINE_PHASES};
     pub use polystyrene_space::prelude::*;
     pub use polystyrene_topology::{TMan, TManConfig, TopologyConstruction};
-    pub use polystyrene_transport::{TcpCluster, TcpConfig};
+    pub use polystyrene_transport::TcpCluster;
 }

@@ -44,8 +44,8 @@ fn shared_scenario() -> Scenario<[f64; 2]> {
 /// (5% churn of 16 then 15, rounded) + 16 injected.
 const EXPECTED_FINAL_ALIVE: usize = 30;
 
-fn lab_config() -> LabConfig {
-    let mut cfg = LabConfig::default();
+fn lab_config() -> SubstrateConfig {
+    let mut cfg = SubstrateConfig::default();
     cfg.area = (COLS * ROWS) as f64;
     cfg.seed = 11;
     cfg.tman.view_cap = 20;
@@ -88,17 +88,10 @@ fn deterministic_substrates_agree_exactly_and_recover() {
     // built concretely (same configuration the factory applies) so its
     // internal drop/in-flight counters stay checkable.
     let engine = run_on(SubstrateKind::Engine);
-    let cfg = lab_config();
-    let mut n = NetSimConfig::default();
-    n.tman = cfg.tman;
-    n.poly = cfg.poly;
-    n.area = cfg.area;
-    n.seed = cfg.seed;
-    n.link = cfg.link;
     let mut sim = NetSim::new(
         Torus2::new(COLS as f64, ROWS as f64),
         shapes::torus_grid(COLS, ROWS, 1.0),
-        n,
+        lab_config(),
     );
     let netsim = run_experiment(&mut sim, &shared_scenario());
     // An ideal link drops nothing and leaves nothing in flight between
@@ -168,13 +161,11 @@ fn tcp_runs_the_same_scenario_and_recovers() {
     // that short-circuited in-process would pass the population
     // arithmetic while moving zero bytes.
     let cfg = lab_config();
-    let mut tcp_config = TcpConfig::default();
-    tcp_config.runtime = cfg.runtime();
     let mut substrate = LiveSubstrate::new(
         TcpCluster::spawn(
             Torus2::new(COLS as f64, ROWS as f64),
             shapes::torus_grid(COLS, ROWS, 1.0),
-            tcp_config,
+            cfg,
         ),
         cfg.seed,
         cfg.round_timeout,

@@ -5,7 +5,7 @@
 use polystyrene_repro::prelude::*;
 
 fn engine(cols: usize, rows: usize, k: usize, seed: u64) -> Engine<Torus2> {
-    let mut cfg = EngineConfig::default();
+    let mut cfg = SubstrateConfig::default();
     cfg.area = (cols * rows) as f64;
     cfg.seed = seed;
     cfg.poly.replication = k;

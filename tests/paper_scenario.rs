@@ -11,7 +11,7 @@ fn run_script(engine: &mut Engine<Torus2>, paper: &PaperScenario) -> Vec<RoundMe
 
 fn engine_for(paper: &PaperScenario, k: usize, seed: u64) -> Engine<Torus2> {
     let (w, h) = paper.extents();
-    let mut cfg = EngineConfig::default();
+    let mut cfg = SubstrateConfig::default();
     cfg.area = paper.area();
     cfg.seed = seed;
     cfg.poly.replication = k;

@@ -27,7 +27,7 @@ fn profile_population(communities: usize, per_community: usize) -> Vec<ItemSet> 
 
 fn engine(communities: usize, per_community: usize, seed: u64) -> Engine<JaccardSpace> {
     let shape = profile_population(communities, per_community);
-    let mut cfg = EngineConfig::default();
+    let mut cfg = SubstrateConfig::default();
     // The Jaccard space has no meaningful area; keep reporting sane.
     cfg.area = 1.0;
     cfg.seed = seed;

@@ -18,7 +18,7 @@ proptest! {
         rows in 3usize..8,
         rounds in 1u32..12,
     ) {
-        let mut cfg = EngineConfig::default();
+        let mut cfg = SubstrateConfig::default();
         cfg.area = (cols * rows) as f64;
         cfg.seed = seed;
         cfg.tman.view_cap = 20;
@@ -56,7 +56,7 @@ proptest! {
     ) {
         let cols = 8usize;
         let rows = 4usize;
-        let mut cfg = EngineConfig::default();
+        let mut cfg = SubstrateConfig::default();
         cfg.area = (cols * rows) as f64;
         cfg.seed = seed;
         cfg.tman.view_cap = 20;

@@ -4,8 +4,11 @@
 use polystyrene_repro::prelude::*;
 use std::time::Duration;
 
-fn config(k: usize) -> RuntimeConfig {
-    let mut c = RuntimeConfig::default();
+fn config(k: usize) -> SubstrateConfig {
+    let mut c = SubstrateConfig::default();
+    c.seed = 1;
+    c.tman.view_cap = 30;
+    c.tman.m = 10;
     // 8 ms leaves debug-build message handling comfortable headroom per
     // round even on a loaded CI box; at 3 ms the protocol clock stretches
     // under contention and wall-clock assertions below get flaky.
