@@ -22,10 +22,10 @@ use crate::report::render_table;
 use crate::{lab_config, Args, Output};
 use polystyrene::prelude::SplitStrategy;
 use polystyrene_lab::{
-    build_substrate, key_universe, run_experiment_with_traffic, SubstrateKind, TrafficDist,
-    TrafficLoad,
+    key_universe, run_experiment_with_traffic, TrafficDist, TrafficLoad,
 };
 use polystyrene_protocol::{LinkProfile, PaperScenario};
+use polystyrene_sim::engine::Engine;
 use polystyrene_space::torus::Torus2;
 
 /// The flags E1 reads: one engine run of each stack under the key
@@ -81,13 +81,10 @@ pub fn run(args: &Args) -> Output {
     for (name, tman_only) in [(format!("Polystyrene_K{k}"), false), ("TMan".into(), true)] {
         let mut cfg = lab_config(k, SplitStrategy::Advanced, seed, LinkProfile::ideal());
         cfg.area = paper.area();
-        cfg.tman_only = tman_only;
-        let mut engine = build_substrate(
-            SubstrateKind::Engine,
-            Torus2::new(w, h),
-            paper.shape(),
-            &cfg,
-        );
+        let mut engine = Engine::new(Torus2::new(w, h), paper.shape(), cfg);
+        if tman_only {
+            engine.disable_polystyrene();
+        }
         let mut load = TrafficLoad::with_dist(
             keys.clone(),
             traffic_rate,
@@ -96,7 +93,7 @@ pub fn run(args: &Args) -> Output {
             seed,
             traffic_dist,
         );
-        let trace = run_experiment_with_traffic(engine.as_mut(), &paper.script(), Some(&mut load));
+        let trace = run_experiment_with_traffic(&mut engine, &paper.script(), Some(&mut load));
         for (moment, offset) in MOMENTS {
             let o = &trace.observations[(i64::from(paper.failure_round) + offset) as usize];
             table.push(vec![

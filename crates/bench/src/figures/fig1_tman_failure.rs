@@ -63,8 +63,8 @@ pub fn run(args: &Args) -> Output {
     let mut cfg = SubstrateConfig::default();
     cfg.area = paper.area();
     cfg.seed = seed;
-    cfg.tman_only = true;
     let mut engine = Engine::new(Torus2::new(w, h), paper.shape(), cfg);
+    engine.disable_polystyrene();
     let panel = |engine: &_, label: &str, out: &mut Output| {
         dump(engine, &paper, &format!("Fig. 1{label}"), &format!("fig1{label}"), out);
     };

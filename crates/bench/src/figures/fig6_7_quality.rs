@@ -56,9 +56,8 @@ pub fn run(args: &Args) -> Output {
         };
         let mut cfg = base;
         cfg.poly.replication = k;
-        cfg.tman_only = tman_only;
         let started = Instant::now();
-        let (summary, proximity) = run_quality(&paper, &cfg, runs);
+        let (summary, proximity) = run_quality(&paper, &cfg, tman_only, runs);
         let elapsed = started.elapsed();
         let points = summary[Series::PointsPerNode].means();
         let cost = summary[Series::CostUnits].means();

@@ -42,8 +42,10 @@ pub fn run(args: &Args) -> Output {
     for (name, tman_only) in [(format!("Polystyrene_K{k}"), false), ("TMan".into(), true)] {
         let mut cfg = base;
         cfg.area = paper.area();
-        cfg.tman_only = tman_only;
         let mut engine = Engine::new(Torus2::new(w, h), paper.shape(), cfg);
+        if tman_only {
+            engine.disable_polystyrene();
+        }
         engine.run(paper.failure_round);
         engine.fail_original_region(&shapes::in_right_half(w));
         if !tman_only {

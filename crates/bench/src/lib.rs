@@ -283,11 +283,12 @@ pub fn lab_config(k: usize, split: SplitStrategy, seed: u64, link: LinkProfile) 
 /// aggregates the traces — the runs behind Figs. 6 and 7. Also returns
 /// the per-round proximity (Fig. 6b), the one series the unified
 /// observation does not carry, read off the engine history. `cfg`
-/// supplies K, split and the base seed; `cfg.tman_only` runs the T-Man
-/// baseline.
+/// supplies K, split and the base seed; `tman_only` runs the T-Man
+/// baseline ([`Engine::disable_polystyrene`]).
 pub fn run_quality(
     paper: &PaperScenario,
     cfg: &SubstrateConfig,
+    tman_only: bool,
     runs: usize,
 ) -> (ExperimentSummary, SeriesStats) {
     let (w, h) = paper.extents();
@@ -298,6 +299,9 @@ pub fn run_quality(
         run_cfg.seed = cfg.seed + run as u64;
         run_cfg.area = paper.area();
         let mut engine = Engine::new(Torus2::new(w, h), paper.shape(), run_cfg);
+        if tman_only {
+            engine.disable_polystyrene();
+        }
         summary.push(&run_experiment(&mut engine, &paper.script()));
         proximity.push_run(engine.history().iter().map(|m| m.proximity));
     }
@@ -835,7 +839,7 @@ mod tests {
         let mut cfg = SubstrateConfig::default();
         cfg.seed = 1;
         cfg.poly.replication = 3;
-        let (summary, proximity) = run_quality(&paper, &cfg, 2);
+        let (summary, proximity) = run_quality(&paper, &cfg, false, 2);
         assert_eq!(summary.runs, 2);
         assert_eq!(summary[Series::Homogeneity].len(), 30);
         assert_eq!(proximity.len(), 30);
@@ -844,8 +848,7 @@ mod tests {
         assert_eq!(summary.recovered_runs() + summary.unreshaped_runs(), 2);
         assert!(summary.unreshaped_runs() == 0, "tiny torus must reshape");
         // The baseline heals links but the shape is lost for good.
-        cfg.tman_only = true;
-        let (tman, _) = run_quality(&paper, &cfg, 1);
+        let (tman, _) = run_quality(&paper, &cfg, true, 1);
         assert_eq!(tman.recovered_runs(), 0);
         assert_eq!(tman.unreshaped_runs(), 1);
         assert!(tman.reliability_percent_ci().mean < 60.0);

@@ -498,8 +498,7 @@ mod tests {
                 &mut rng,
             );
             let med = |c: &[DataPoint<[f64; 2]>]| -> Option<[f64; 2]> {
-                let pos: Vec<_> = c.iter().map(|p| p.pos).collect();
-                polystyrene_space::medoid::medoid(&Euclidean2, &pos).copied()
+                medoid_index_by(&Euclidean2, c, |p| &p.pos).map(|i| c[i].pos)
             };
             let disp = |m: Option<[f64; 2]>, t: [f64; 2]| {
                 m.map_or(0.0, |m| Euclidean2.distance(&m, &t))

@@ -151,7 +151,6 @@ pub struct LiveSubstrate<C> {
     cluster: C,
     rng: StdRng,
     target_ticks: u64,
-    round_timeout: Duration,
     /// Cumulative per-node cost at the end of the previous round — live
     /// clusters report running totals (no round boundary to reset at),
     /// and differencing them here recovers the per-round `cost_units`
@@ -163,29 +162,39 @@ pub struct LiveSubstrate<C> {
     traffic_baseline: (u64, u64, u64, u64),
 }
 
-impl<C> LiveSubstrate<C> {
-    /// Wraps a running cluster. `seed` drives victim selection for
-    /// random-failure and churn events; `round_timeout` bounds how long
-    /// one round may take (a safety valve: freshly injected nodes start
-    /// at tick zero and need wall-clock time to catch up).
-    pub fn new(cluster: C, seed: u64, round_timeout: Duration) -> Self {
+impl<S: MetricSpace, T: Transport<S::Point>> LiveSubstrate<Cluster<S, T>> {
+    /// Wraps a running cluster. Its `seed` also drives victim selection
+    /// for random-failure and churn events, and its `round_timeout`
+    /// bounds how long one round may take (a safety valve: freshly
+    /// injected nodes start at tick zero and need wall-clock time to
+    /// catch up). The repository benchmark passes both values again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seed` or `round_timeout` is not the cluster's own.
+    pub fn new(cluster: Cluster<S, T>, seed: u64, round_timeout: Duration) -> Self {
+        let config = cluster.config();
+        assert_eq!(
+            (seed, round_timeout),
+            (config.seed, config.round_timeout),
+            "LiveSubstrate::new got (seed, round_timeout) other than its cluster's"
+        );
         Self {
             cluster,
             rng: StdRng::seed_from_u64(seed),
             target_ticks: 0,
-            round_timeout,
             cost_baseline: 0.0,
             traffic_baseline: (0, 0, 0, 0),
         }
     }
 
     /// The wrapped cluster (e.g. for transport-specific counters).
-    pub fn cluster(&self) -> &C {
+    pub fn cluster(&self) -> &Cluster<S, T> {
         &self.cluster
     }
 
     /// Unwraps the cluster.
-    pub fn into_inner(self) -> C {
+    pub fn into_inner(self) -> Cluster<S, T> {
         self.cluster
     }
 }
@@ -247,9 +256,8 @@ impl<S: MetricSpace, T: Transport<S::Point>> Substrate<S::Point> for LiveSubstra
         self.target_ticks += 1;
         // A round that runs into `round_timeout` is still a round: the
         // trace shows where the cluster was when the wait gave up.
-        let _ = self
-            .cluster
-            .await_ticks(self.target_ticks, self.round_timeout);
+        let round_timeout = self.cluster.config().round_timeout;
+        let _ = self.cluster.await_ticks(self.target_ticks, round_timeout);
         let mut obs = self.cluster.observe();
         obs.round = self.target_ticks as u32;
         let cumulative = obs.cost_units;
@@ -348,9 +356,7 @@ pub type LabConfig = SubstrateConfig;
 ///
 /// # Panics
 ///
-/// Panics if the backend rejects the configuration: an invalid one, or
-/// `cfg.tman_only` for anything but the cycle engine (only the engine
-/// can switch the Polystyrene layer off).
+/// Panics if the configuration is invalid.
 pub fn build_substrate(
     kind: SubstrateKind,
     space: Torus2,
@@ -421,11 +427,24 @@ mod tests {
         // The full stack replicates every point K times; the baseline
         // never stores more than its own point.
         assert!(engine.history()[2].points_per_node > 1.0);
-        cfg.tman_only = true;
-        let mut baseline = build_substrate(SubstrateKind::Engine, space, shape, &cfg);
+        let mut baseline = Engine::new(space, shape, cfg);
+        baseline.disable_polystyrene();
         for _ in 0..3 {
             assert_eq!(baseline.step().points_per_node, 1.0);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "other than its cluster's")]
+    fn live_substrate_rejects_a_seed_its_cluster_was_not_spawned_with() {
+        let mut cfg = SubstrateConfig::default();
+        cfg.seed = 3;
+        let cluster = Cluster::<Torus2>::spawn(
+            Torus2::new(2.0, 2.0),
+            polystyrene_space::shapes::torus_grid(2, 2, 1.0),
+            cfg,
+        );
+        let _ = LiveSubstrate::new(cluster, 4, cfg.round_timeout);
     }
 
     #[test]
@@ -445,8 +464,10 @@ mod tests {
             let mut cfg = SubstrateConfig::default();
             cfg.area = paper.area();
             cfg.seed = 1;
-            cfg.tman_only = tman_only;
             let mut engine = Engine::new(Torus2::new(w, h), paper.shape(), cfg);
+            if tman_only {
+                engine.disable_polystyrene();
+            }
             let trace = crate::run_experiment(&mut engine, &paper.script());
             assert_eq!(trace.observations.len(), 18);
             assert_eq!(engine.history().len(), 18);
@@ -454,18 +475,5 @@ mod tests {
                 assert_eq!(*obs, metrics.observation);
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "T-Man-only baseline needs the cycle engine")]
-    fn tman_only_rejected_off_engine() {
-        let mut cfg = SubstrateConfig::default();
-        cfg.tman_only = true;
-        let _ = build_substrate(
-            SubstrateKind::Netsim,
-            Torus2::new(4.0, 4.0),
-            polystyrene_space::shapes::torus_grid(4, 4, 1.0),
-            &cfg,
-        );
     }
 }

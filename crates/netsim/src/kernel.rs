@@ -344,14 +344,8 @@ impl<S: MetricSpace> NetSim<S> {
     ///
     /// # Panics
     ///
-    /// Panics if `shape` is empty, the configuration is invalid, or it
-    /// asks for `tman_only`: only the cycle engine can switch the
-    /// Polystyrene layer off.
+    /// Panics if `shape` is empty or the configuration is invalid.
     pub fn new(space: S, shape: Vec<S::Point>, config: SubstrateConfig) -> Self {
-        assert!(
-            !config.tman_only,
-            "the T-Man-only baseline needs the cycle engine (--substrate engine)"
-        );
         let world = World::found(space, &shape, &config);
         // Founding slots are positional, and so is the rng slab.
         let rngs = world
@@ -1350,16 +1344,6 @@ mod tests {
             Vec::new(),
             SubstrateConfig::default(),
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "T-Man-only baseline needs the cycle engine")]
-    fn tman_only_rejected() {
-        let cfg = SubstrateConfig {
-            tman_only: true,
-            ..tiny_config(1)
-        };
-        let _ = NetSim::new(Torus2::new(16.0, 4.0), shapes::torus_grid(16, 4, 1.0), cfg);
     }
 
     #[test]

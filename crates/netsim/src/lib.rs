@@ -41,8 +41,9 @@
 //! The kernel is built from the one
 //! [`SubstrateConfig`] every
 //! substrate takes. Beyond the protocol fields, area and seed it reads
-//! the link profile, `ticks_per_round` and `detection_delay_ticks`, and
-//! it rejects `tman_only`, which only the cycle engine honors.
+//! the link profile, `ticks_per_round` and `detection_delay_ticks`. The
+//! T-Man-only baseline is the cycle engine's alone
+//! (`Engine::disable_polystyrene`).
 //!
 //! Scenario scripts are the shared ones: the experiment plane
 //! (`polystyrene-lab`) plugs [`kernel::NetSim`] in as one of its

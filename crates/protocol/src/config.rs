@@ -77,7 +77,8 @@ impl ProtocolConfig {
 /// like with like. The protocol fields it does not carry are
 /// [`ProtocolConfig`]'s defaults on the deterministic substrates (with
 /// the built-in detector off: the [`World`](crate::World) supplies the
-/// failure knowledge) and the live RPS sizing on the clusters.
+/// failure knowledge) and the live RPS sizing on the clusters. The
+/// T-Man-only baseline is no field: it is `Engine::disable_polystyrene`.
 ///
 /// Defaults are the paper's evaluation settings (Sec. IV-A: T-Man's view
 /// of 100 with m = 20 and ψ = 5, the 80×40 torus's area of 3200) with an
@@ -122,10 +123,6 @@ pub struct SubstrateConfig {
     /// Netsim time units between a crash and the survivors' failure
     /// knowledge reporting it (0: at once, as on the cycle engine).
     pub detection_delay_ticks: u64,
-    /// Run plain T-Man without the Polystyrene layer: the paper's
-    /// baseline ("T-Man alone", Sec. IV-A). Only the cycle engine can
-    /// switch the layer off; the other substrates reject it.
-    pub tman_only: bool,
 }
 
 impl Default for SubstrateConfig {
@@ -141,7 +138,6 @@ impl Default for SubstrateConfig {
             heartbeat_timeout_ticks: 4,
             ticks_per_round: 16,
             detection_delay_ticks: 0,
-            tman_only: false,
         }
     }
 }

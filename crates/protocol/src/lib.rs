@@ -131,8 +131,9 @@ pub mod prelude {
     };
     pub use crate::pool::{NodePool, SlotRef};
     pub use crate::scenario::{
-        founder_contacts, joiner_contacts, sample_bootstrap_contacts, select_region_victims,
-        select_victims, PaperScenario, Scenario, ScenarioEvent, TMAN_BOOTSTRAP,
+        founder_contacts, founding_points, joiner_contacts, sample_bootstrap_contacts,
+        select_region_victims, select_victims, PaperScenario, Scenario, ScenarioEvent,
+        TMAN_BOOTSTRAP,
     };
     pub use crate::wire::{Channel, Effect, EffectSink, Event, QueryItem, QueryReplyItem, Wire};
     pub use crate::world::World;

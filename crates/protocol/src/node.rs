@@ -26,6 +26,13 @@
 //!   the effects through one loop, [`ProtocolNode::execute_effects`]:
 //!   the driver only says whether a peer is reachable and carries a
 //!   send.
+//!
+//! The traffic plane's greedy routing is one per-query rule,
+//! `route_query`: register at the gateway, forward to the strictly
+//! closer view entry while the hop budget lasts, else complete at the
+//! gateway or answer it. [`Wire::Query`] and [`Wire::QueryBatch`] are two
+//! envelopes over it, and every completion goes through
+//! `complete_query`.
 
 use crate::config::{ProtocolConfig, MIGRATION_TIMEOUT_TICKS, QUERY_TIMEOUT_TICKS};
 use crate::wire::{Channel, Effect, EffectSink, Event, QueryItem, QueryReplyItem, Wire};
@@ -373,6 +380,52 @@ impl<S: MetricSpace> ProtocolNode<S> {
             }
         }
         best
+    }
+
+    /// The per-query rule both query envelopes serve. A query injected at
+    /// its own gateway (`origin == self.id`, zero hops) is registered
+    /// there. While `hops < ttl` it goes on to the
+    /// [`closer_view_entry`](Self::closer_view_entry), one hop more;
+    /// otherwise it ends here, completed at its gateway or answered to it
+    /// with this node's position. The envelope's `forward` and `answer`
+    /// get `sink`, the destination and the outgoing item.
+    fn route_query(
+        &mut self,
+        mut query: QueryItem<S::Point>,
+        sink: &mut EffectSink<S::Point>,
+        forward: impl FnOnce(&mut EffectSink<S::Point>, NodeId, QueryItem<S::Point>),
+        answer: impl FnOnce(&mut EffectSink<S::Point>, NodeId, QueryReplyItem<S::Point>),
+    ) {
+        let (qid, origin, hops) = (query.qid, query.origin, query.hops);
+        if origin == self.id && hops == 0 {
+            self.traffic_offered += 1;
+            self.pending_queries.insert(qid, self.clock);
+        }
+        match self.closer_view_entry(&query.key) {
+            Some(next) if hops < query.ttl => {
+                query.hops += 1;
+                forward(sink, next, query);
+            }
+            // Terminal: nobody in the view is closer (greedy minimum —
+            // ideally the key's true closest node) or the budget ran out.
+            _ if origin == self.id => self.complete_query(qid, hops, false),
+            _ => {
+                let pos = self.poly.pos.clone();
+                answer(sink, origin, QueryReplyItem { qid, hops, pos });
+            }
+        }
+    }
+
+    /// Completes a query this node gatewayed: forgets `qid` and records
+    /// its hops with the gateway ticks since issue when a reply brought
+    /// it back (`by_reply`), zero when it ended at the gateway itself. A
+    /// qid no longer pending (written off at a drain) records nothing.
+    fn complete_query(&mut self, qid: u64, hops: u32, by_reply: bool) {
+        if let Some(issued) = self.pending_queries.remove(&qid) {
+            let latency = self.clock.saturating_sub(issued);
+            let latency = if by_reply { latency } else { 0 };
+            self.traffic_samples.push((hops, latency));
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1001,112 +1054,49 @@ impl<S: MetricSpace> ProtocolNode<S> {
                 key,
                 ttl,
                 hops,
-            } => {
-                // A query arriving at its own origin with zero hops is
-                // the gateway injection: register it before routing.
-                if origin == self.id && hops == 0 {
-                    self.traffic_offered += 1;
-                    self.pending_queries.insert(qid, self.clock);
-                }
-                match self.closer_view_entry(&key) {
-                    Some(next) if hops < ttl => {
-                        sink.push(Effect::Send {
-                            to: next,
-                            wire: Wire::Query {
-                                qid,
-                                origin,
-                                key,
-                                ttl,
-                                hops: hops + 1,
-                            },
-                        });
-                    }
-                    // Terminal: nobody in the view is closer (greedy
-                    // minimum — ideally the key's true closest node) or
-                    // the budget ran out. Answer the gateway.
-                    _ => {
-                        if origin == self.id {
-                            if self.pending_queries.remove(&qid).is_some() {
-                                self.traffic_samples.push((hops, 0));
-                            }
-                        } else {
-                            sink.push(Effect::Send {
-                                to: origin,
-                                wire: Wire::QueryReply {
-                                    qid,
-                                    hops,
-                                    pos: self.poly.pos.clone(),
-                                },
-                            });
-                        }
-                    }
-                }
-            }
-            Wire::QueryReply { qid, hops, .. } => {
-                if let Some(issued) = self.pending_queries.remove(&qid) {
-                    self.traffic_samples
-                        .push((hops, self.clock.saturating_sub(issued)));
-                }
-            }
-            Wire::QueryBatch { mut queries } => {
-                // Each item follows the exact `Wire::Query` semantics
-                // above — same registration, same greedy argmin, same
-                // per-query hop accounting — but the forwards regroup by
-                // next-hop and the terminal answers by origin, so one
-                // envelope in yields at most one envelope per
-                // destination out instead of one effect per query.
-                let mut forwards = sink.take_query_groups();
-                let mut replies = sink.take_reply_groups();
-                for QueryItem {
+            } => self.route_query(
+                QueryItem {
                     qid,
                     origin,
                     key,
                     ttl,
                     hops,
-                } in queries.drain(..)
-                {
-                    if origin == self.id && hops == 0 {
-                        self.traffic_offered += 1;
-                        self.pending_queries.insert(qid, self.clock);
-                    }
-                    match self.closer_view_entry(&key) {
-                        Some(next) if hops < ttl => {
-                            let slot = match forwards.iter().position(|(to, _)| *to == next) {
-                                Some(i) => i,
-                                None => {
-                                    forwards.push((next, sink.pool.take_queries()));
-                                    forwards.len() - 1
-                                }
-                            };
-                            forwards[slot].1.push(QueryItem {
-                                qid,
-                                origin,
-                                key,
-                                ttl,
-                                hops: hops + 1,
-                            });
-                        }
-                        _ => {
-                            if origin == self.id {
-                                if self.pending_queries.remove(&qid).is_some() {
-                                    self.traffic_samples.push((hops, 0));
-                                }
-                            } else {
-                                let slot = match replies.iter().position(|(to, _)| *to == origin) {
-                                    Some(i) => i,
-                                    None => {
-                                        replies.push((origin, sink.pool.take_replies()));
-                                        replies.len() - 1
-                                    }
-                                };
-                                replies[slot].1.push(QueryReplyItem {
-                                    qid,
-                                    hops,
-                                    pos: self.poly.pos.clone(),
-                                });
-                            }
-                        }
-                    }
+                },
+                sink,
+                |sink, to, q| {
+                    let wire = Wire::Query {
+                        qid: q.qid,
+                        origin: q.origin,
+                        key: q.key,
+                        ttl: q.ttl,
+                        hops: q.hops,
+                    };
+                    sink.push(Effect::Send { to, wire })
+                },
+                |sink, to, QueryReplyItem { qid, hops, pos }| {
+                    let wire = Wire::QueryReply { qid, hops, pos };
+                    sink.push(Effect::Send { to, wire })
+                },
+            ),
+            Wire::QueryReply { qid, hops, .. } => self.complete_query(qid, hops, true),
+            Wire::QueryBatch { mut queries } => {
+                // Every item goes through the one per-query rule; the
+                // forwards regroup by next hop and the answers by origin,
+                // so one envelope in yields at most one envelope per
+                // destination out instead of one effect per query.
+                let mut forwards = sink.take_query_groups();
+                let mut replies = sink.take_reply_groups();
+                for query in queries.drain(..) {
+                    self.route_query(
+                        query,
+                        sink,
+                        |sink, to, q| {
+                            group_for(&mut forwards, to, || sink.pool.take_queries()).push(q)
+                        },
+                        |sink, to, r| {
+                            group_for(&mut replies, to, || sink.pool.take_replies()).push(r)
+                        },
+                    );
                 }
                 sink.pool.put_queries(queries);
                 for (to, queries) in forwards.drain(..) {
@@ -1126,15 +1116,27 @@ impl<S: MetricSpace> ProtocolNode<S> {
             }
             Wire::QueryReplyBatch { mut replies } => {
                 for QueryReplyItem { qid, hops, .. } in replies.drain(..) {
-                    if let Some(issued) = self.pending_queries.remove(&qid) {
-                        self.traffic_samples
-                            .push((hops, self.clock.saturating_sub(issued)));
-                    }
+                    self.complete_query(qid, hops, true);
                 }
                 sink.pool.put_replies(replies);
             }
         }
     }
+}
+
+/// The buffer of `groups` bound for `to`, opened with `take` (a pooled
+/// buffer) on that destination's first item.
+fn group_for<T>(
+    groups: &mut Vec<(NodeId, Vec<T>)>,
+    to: NodeId,
+    take: impl FnOnce() -> Vec<T>,
+) -> &mut Vec<T> {
+    let slot = groups.iter().position(|(dest, _)| *dest == to);
+    let slot = slot.unwrap_or_else(|| {
+        groups.push((to, take()));
+        groups.len() - 1
+    });
+    &mut groups[slot].1
 }
 
 #[cfg(test)]
@@ -1708,179 +1710,227 @@ mod tests {
         assert_eq!(beats, 1);
     }
 
-    /// Injects a query at `node` through its own gateway, as a driver
-    /// would: `Event::Message` from the node itself with zero hops.
+    /// What a node sent for the queries it handled, whichever envelope
+    /// carried it: `(to, qid, hops, None)` per forward, `(to, qid, hops,
+    /// Some(pos))` per answer to a gateway.
+    type Sent = (NodeId, u64, u32, Option<[f64; 2]>);
+
+    /// Delivers queries `(qid, origin, key, ttl, hops)`, then replies
+    /// `(qid, hops, pos)`, from `from` to `node`: each in its own
+    /// `Wire::Query` or `Wire::QueryReply`, or each kind in one batch.
+    /// Returns what the node sent, which must travel in the envelope kind
+    /// it came in.
+    fn deliver(
+        node: &mut ProtocolNode<Euclidean2>,
+        from: u64,
+        queries: &[(u64, u64, [f64; 2], u32, u32)],
+        replies: &[(u64, u32, [f64; 2])],
+        batched: bool,
+        rng: &mut StdRng,
+    ) -> Vec<Sent> {
+        let from = NodeId::new(from);
+        let wires: Vec<Wire<[f64; 2]>> = if batched {
+            let queries = queries
+                .iter()
+                .map(|&(qid, origin, key, ttl, hops)| QueryItem {
+                    qid,
+                    origin: NodeId::new(origin),
+                    key,
+                    ttl,
+                    hops,
+                });
+            let replies = replies
+                .iter()
+                .map(|&(qid, hops, pos)| QueryReplyItem { qid, hops, pos });
+            let (queries, replies) = (queries.collect(), replies.collect());
+            vec![
+                Wire::QueryBatch { queries },
+                Wire::QueryReplyBatch { replies },
+            ]
+        } else {
+            let queries = queries
+                .iter()
+                .map(|&(qid, origin, key, ttl, hops)| Wire::Query {
+                    qid,
+                    origin: NodeId::new(origin),
+                    key,
+                    ttl,
+                    hops,
+                });
+            let replies =
+                replies
+                    .iter()
+                    .map(|&(qid, hops, pos)| Wire::QueryReply { qid, hops, pos });
+            queries.chain(replies).collect()
+        };
+        let mut sent = Vec::new();
+        for wire in wires {
+            let event = Event::Message { from, wire };
+            for effect in collect(|sink| node.on_event_into(event, rng, sink)) {
+                let Effect::Send { to, wire } = effect else {
+                    panic!("a query handler only sends, got {effect:?}");
+                };
+                match wire {
+                    Wire::Query { qid, hops, .. } if !batched => sent.push((to, qid, hops, None)),
+                    Wire::QueryReply { qid, hops, pos } if !batched => {
+                        sent.push((to, qid, hops, Some(pos)))
+                    }
+                    Wire::QueryBatch { queries } if batched => {
+                        sent.extend(queries.iter().map(|q| (to, q.qid, q.hops, None)))
+                    }
+                    Wire::QueryReplyBatch { replies } if batched => {
+                        sent.extend(replies.iter().map(|r| (to, r.qid, r.hops, Some(r.pos))))
+                    }
+                    other => panic!("unexpected send (batched {batched}): {other:?}"),
+                }
+            }
+        }
+        sent
+    }
+
+    /// Injects query `(qid, key, ttl)` at `node` through its own gateway,
+    /// as a driver would: a message from the node itself with zero hops.
     fn inject_query(
         node: &mut ProtocolNode<Euclidean2>,
-        qid: u64,
-        key: [f64; 2],
-        ttl: u32,
+        (qid, key, ttl): (u64, [f64; 2], u32),
+        batched: bool,
         rng: &mut StdRng,
-    ) -> Vec<Effect<[f64; 2]>> {
-        let origin = node.id();
-        collect(|sink| {
-            node.on_event_into(
-                Event::Message {
-                    from: origin,
-                    wire: Wire::Query {
-                        qid,
-                        origin,
-                        key,
-                        ttl,
-                        hops: 0,
-                    },
-                },
-                rng,
-                sink,
-            )
-        })
+    ) -> Vec<Sent> {
+        let id = node.id().as_u64();
+        deliver(node, id, &[(qid, id, key, ttl, 0)], &[], batched, rng)
     }
 
     #[test]
     fn query_with_no_closer_neighbor_completes_at_the_gateway() {
-        let mut rng = StdRng::seed_from_u64(21);
-        // a's only view entry (node 1 at x=1) is farther from the key
-        // than a itself: the query terminates locally, zero hops.
-        let mut a = founder(0, 0.0, vec![desc(1, 1.0, 0.0)]);
-        let effects = inject_query(&mut a, 7, [-0.4, 0.0], 8, &mut rng);
-        assert!(effects.is_empty(), "local completion sends nothing");
-        let mut samples = Vec::new();
-        let (offered, delivered, dropped) = a.take_traffic(&mut samples);
-        assert_eq!((offered, delivered, dropped), (1, 1, 0));
-        assert_eq!(samples, vec![(0, 0)]);
-        assert_eq!(a.pending_query_count(), 0);
+        for batched in [false, true] {
+            let mut rng = StdRng::seed_from_u64(21);
+            // a's only view entry (node 1 at x=1) is farther from the key
+            // than a itself: the query terminates locally, zero hops.
+            let mut a = founder(0, 0.0, vec![desc(1, 1.0, 0.0)]);
+            let sent = inject_query(&mut a, (7, [-0.4, 0.0], 8), batched, &mut rng);
+            assert!(sent.is_empty(), "local completion sends nothing");
+            let mut samples = Vec::new();
+            let (offered, delivered, dropped) = a.take_traffic(&mut samples);
+            assert_eq!((offered, delivered, dropped), (1, 1, 0));
+            assert_eq!(samples, vec![(0, 0)]);
+            assert_eq!(a.pending_query_count(), 0);
+        }
     }
 
     #[test]
     fn query_forwards_to_the_strictly_closest_view_entry() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let mut a = founder(0, 0.0, vec![desc(1, 1.0, 0.0), desc(2, 3.0, 0.0)]);
-        let effects = inject_query(&mut a, 9, [3.1, 0.0], 8, &mut rng);
-        match effects.as_slice() {
-            [Effect::Send {
-                to,
-                wire: Wire::Query { qid, hops, .. },
-            }] => {
-                assert_eq!(
-                    *to,
-                    NodeId::new(2),
-                    "argmin of the view, not just any closer"
-                );
-                assert_eq!(*qid, 9);
-                assert_eq!(*hops, 1);
-            }
-            other => panic!("expected a forwarded query, got {other:?}"),
+        for batched in [false, true] {
+            let mut rng = StdRng::seed_from_u64(22);
+            let mut a = founder(0, 0.0, vec![desc(1, 1.0, 0.0), desc(2, 3.0, 0.0)]);
+            let sent = inject_query(&mut a, (9, [3.1, 0.0], 8), batched, &mut rng);
+            // The argmin of the view, not just any closer entry.
+            assert_eq!(sent, vec![(NodeId::new(2), 9, 1, None)]);
+            assert_eq!(a.pending_query_count(), 1);
+            // The remote terminus answers; the gateway records the completion.
+            deliver(&mut a, 2, &[], &[(9, 1, [3.0, 0.0])], batched, &mut rng);
+            let mut samples = Vec::new();
+            let (offered, delivered, dropped) = a.take_traffic(&mut samples);
+            assert_eq!((offered, delivered, dropped), (1, 1, 0));
+            assert_eq!(samples, vec![(1, 0)]);
         }
-        assert_eq!(a.pending_query_count(), 1);
-        // The remote terminus answers; the gateway records the completion.
-        a.on_event_into(
-            Event::Message {
-                from: NodeId::new(2),
-                wire: Wire::QueryReply {
-                    qid: 9,
-                    hops: 1,
-                    pos: [3.0, 0.0],
-                },
-            },
-            &mut rng,
-            &mut EffectSink::new(),
-        );
-        let mut samples = Vec::new();
-        let (offered, delivered, dropped) = a.take_traffic(&mut samples);
-        assert_eq!((offered, delivered, dropped), (1, 1, 0));
-        assert_eq!(samples, vec![(1, 0)]);
     }
 
     #[test]
     fn non_origin_terminus_replies_to_the_gateway() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let mut b = founder(1, 1.0, vec![desc(5, 9.0, 0.0)]);
-        // b is the closest to the key among what it can see: terminal.
-        let effects = collect(|sink| {
-            b.on_event_into(
-                Event::Message {
-                    from: NodeId::new(0),
-                    wire: Wire::Query {
-                        qid: 4,
-                        origin: NodeId::new(0),
-                        key: [1.2, 0.0],
-                        ttl: 8,
-                        hops: 3,
-                    },
-                },
-                &mut rng,
-                sink,
-            )
-        });
-        match effects.as_slice() {
-            [Effect::Send {
-                to,
-                wire: Wire::QueryReply { qid, hops, pos },
-            }] => {
-                assert_eq!(*to, NodeId::new(0));
-                assert_eq!(*qid, 4);
-                assert_eq!(*hops, 3);
-                assert_eq!(*pos, [1.0, 0.0]);
-            }
-            other => panic!("expected a reply to the gateway, got {other:?}"),
+        for batched in [false, true] {
+            let mut rng = StdRng::seed_from_u64(23);
+            let mut b = founder(1, 1.0, vec![desc(5, 9.0, 0.0)]);
+            // b is the closest to the key among what it can see: terminal.
+            let q = (4, 0, [1.2, 0.0], 8, 3);
+            let sent = deliver(&mut b, 0, &[q], &[], batched, &mut rng);
+            assert_eq!(sent, vec![(NodeId::new(0), 4, 3, Some([1.0, 0.0]))]);
+            // Relaying leaves no gateway state behind on the terminus.
+            assert_eq!(b.pending_query_count(), 0);
         }
-        // Relaying leaves no gateway state behind on the terminus.
-        assert_eq!(b.pending_query_count(), 0);
     }
 
     #[test]
     fn exhausted_ttl_terminates_at_the_current_hop() {
-        let mut rng = StdRng::seed_from_u64(24);
-        let mut b = founder(1, 1.0, vec![desc(2, 3.0, 0.0)]);
-        // Node 2 is strictly closer to the key, but the budget is spent.
-        let effects = collect(|sink| {
-            b.on_event_into(
-                Event::Message {
-                    from: NodeId::new(0),
-                    wire: Wire::Query {
-                        qid: 5,
-                        origin: NodeId::new(0),
-                        key: [3.0, 0.0],
-                        ttl: 2,
-                        hops: 2,
-                    },
-                },
-                &mut rng,
-                sink,
-            )
-        });
-        assert!(
-            matches!(
-                effects.as_slice(),
-                [Effect::Send {
-                    wire: Wire::QueryReply { .. },
-                    ..
-                }]
-            ),
-            "a spent budget must answer from where the query stands"
-        );
+        for batched in [false, true] {
+            let mut rng = StdRng::seed_from_u64(24);
+            let mut b = founder(1, 1.0, vec![desc(2, 3.0, 0.0)]);
+            // Node 2 is strictly closer to the key, but the budget is spent.
+            let q = (5, 0, [3.0, 0.0], 2, 2);
+            assert_eq!(
+                deliver(&mut b, 0, &[q], &[], batched, &mut rng),
+                vec![(NodeId::new(0), 5, 2, Some([1.0, 0.0]))],
+                "a spent budget must answer from where the query stands"
+            );
+        }
     }
 
     #[test]
     fn unanswered_query_is_written_off_at_drain_after_the_timeout() {
-        let mut rng = StdRng::seed_from_u64(25);
-        let mut a = founder(0, 0.0, vec![desc(2, 3.0, 0.0)]);
-        let effects = inject_query(&mut a, 11, [3.0, 0.0], 8, &mut rng);
-        assert_eq!(effects.len(), 1, "forwarded into the (lossy) world");
-        let mut samples = Vec::new();
-        // Drains before the timeout leave the query pending…
-        let (offered, delivered, dropped) = a.take_traffic(&mut samples);
-        assert_eq!((offered, delivered, dropped), (1, 0, 0));
-        assert_eq!(a.pending_query_count(), 1);
-        // …and once the gateway's clock passes the timeout, the next
-        // drain writes it off as dropped-in-hole.
-        for _ in 0..=QUERY_TIMEOUT_TICKS {
-            a.advance_clock();
+        for batched in [false, true] {
+            let mut rng = StdRng::seed_from_u64(25);
+            let mut a = founder(0, 0.0, vec![desc(2, 3.0, 0.0)]);
+            let sent = inject_query(&mut a, (11, [3.0, 0.0], 8), batched, &mut rng);
+            assert_eq!(sent.len(), 1, "forwarded into the (lossy) world");
+            let mut samples = Vec::new();
+            // Drains before the timeout leave the query pending…
+            let (offered, delivered, dropped) = a.take_traffic(&mut samples);
+            assert_eq!((offered, delivered, dropped), (1, 0, 0));
+            assert_eq!(a.pending_query_count(), 1);
+            // …and once the gateway's clock passes the timeout, the next
+            // drain writes it off as dropped-in-hole.
+            for _ in 0..=QUERY_TIMEOUT_TICKS {
+                a.advance_clock();
+            }
+            let (offered, delivered, dropped) = a.take_traffic(&mut samples);
+            assert_eq!((offered, delivered, dropped), (0, 0, 1));
+            assert!(samples.is_empty());
+            assert_eq!(a.pending_query_count(), 0);
         }
-        let (offered, delivered, dropped) = a.take_traffic(&mut samples);
-        assert_eq!((offered, delivered, dropped), (0, 0, 1));
-        assert!(samples.is_empty());
-        assert_eq!(a.pending_query_count(), 0);
+    }
+
+    #[test]
+    fn both_envelopes_route_the_same_queries_alike() {
+        // Twin gateways at x = 0, one per envelope, each handed the same
+        // queries from three senders (itself and two remote gateways):
+        // keys on a grid around the view, with spent and unspent budgets.
+        let view = vec![
+            desc(1, 1.0, 0.0),
+            desc(2, 3.0, 0.0),
+            desc(3, -2.0, 0.0),
+            desc(4, 0.0, 2.5),
+        ];
+        let key = |i: u64| [(i % 7) as f64 - 3.0, (i / 7 % 4) as f64 - 1.0];
+        let mut outcomes = Vec::new();
+        for batched in [false, true] {
+            let mut rng = StdRng::seed_from_u64(26);
+            let mut gateway = founder(0, 0.0, view.clone());
+            let mut sent = Vec::new();
+            for from in [0, 7, 8] {
+                let hops = if from == 0 { 0 } else { 2 };
+                let ttl = |i: u64| 2 + i as u32 % 2;
+                let queries = (0..28).map(|i| (from * 100 + i, from, key(i), ttl(i), hops));
+                let queries: Vec<_> = queries.collect();
+                let got = deliver(&mut gateway, from, &queries, &[], batched, &mut rng);
+                sent.extend(got);
+            }
+            sent.sort_by_key(|&(to, qid, hops, _)| (to, qid, hops));
+            // The forwarded injections come back answered.
+            let replies: Vec<_> = sent
+                .iter()
+                .filter(|s| s.1 < 100)
+                .map(|s| (s.1, s.2, [0.5, 0.5]))
+                .collect();
+            deliver(&mut gateway, 2, &[], &replies, batched, &mut rng);
+            let mut samples = Vec::new();
+            let counts = gateway.take_traffic(&mut samples);
+            samples.sort_unstable();
+            outcomes.push((sent, counts, samples));
+        }
+        let (sent, counts, _) = &outcomes[0];
+        let forwards = sent.iter().filter(|s| s.3.is_none()).count();
+        assert!(forwards > 0 && forwards < sent.len(), "{sent:?}");
+        assert_eq!((counts.0, counts.2), (28, 0));
+        assert_eq!(outcomes[0], outcomes[1], "the envelopes disagree");
     }
 
     #[test]

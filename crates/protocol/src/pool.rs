@@ -84,10 +84,10 @@
 use crate::config::ProtocolConfig;
 use crate::node::ProtocolNode;
 use crate::par;
-use crate::scenario::{founder_contacts, joiner_contacts};
+use crate::scenario::{founder_contacts, founding_points, joiner_contacts};
 use crate::wire::QueryItem;
 use crate::TRAFFIC_SEED_TAG;
-use polystyrene::prelude::{DataPoint, PointId, PolyState};
+use polystyrene::prelude::{DataPoint, PolyState};
 use polystyrene_membership::NodeId;
 use polystyrene_space::MetricSpace;
 use polystyrene_topology::TopologyConstruction;
@@ -172,11 +172,7 @@ impl<S: MetricSpace> NodePool<S> {
         protocol: ProtocolConfig,
         rng: &mut R,
     ) -> (Self, Vec<DataPoint<S::Point>>) {
-        let points: Vec<DataPoint<S::Point>> = shape
-            .iter()
-            .enumerate()
-            .map(|(i, p)| DataPoint::new(PointId::new(i as u64), p.clone()))
-            .collect();
+        let points = founding_points(shape);
         let mut pool = Self::with_capacity(shape.len());
         for (i, origin) in points.iter().enumerate() {
             let (contacts, boot) = founder_contacts(i, shape, protocol.rps_view_cap, rng);

@@ -13,7 +13,7 @@
 //! substrate routes through, so what "crash", "inject" and "churn" mean
 //! cannot drift between them.
 
-use polystyrene::prelude::DataPoint;
+use polystyrene::prelude::{DataPoint, PointId};
 use polystyrene_membership::{Descriptor, NodeId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -158,6 +158,18 @@ pub fn select_victims<R: rand::Rng + ?Sized>(
     let kill = ((alive.len() as f64) * fraction).round() as usize;
     alive.truncate(kill);
     alive
+}
+
+/// The founding data points of a population standing on `shape`: point
+/// `i` at `shape[i]`, with id `i`, founded by node `i`. Every substrate
+/// founds with these, and the census and [`select_region_victims`] rely
+/// on the convention.
+pub fn founding_points<P: Clone>(shape: &[P]) -> Vec<DataPoint<P>> {
+    shape
+        .iter()
+        .enumerate()
+        .map(|(i, p)| DataPoint::new(PointId::new(i as u64), p.clone()))
+        .collect()
 }
 
 /// Selects the victims of a correlated regional failure: every *founding*

@@ -10,11 +10,12 @@ use crate::observe::{observe, ObservationBoard};
 use crate::registry::Registry;
 use crate::traffic::GatewayTraffic;
 use crate::worker::{inbox, Inbox, Mailbox, Post, Worker};
-use polystyrene::prelude::{DataPoint, PointId, PolyState};
+use polystyrene::prelude::{DataPoint, PolyState};
 use polystyrene_membership::{Descriptor, NodeId};
 use polystyrene_protocol::observe::{Census, RoundObservation};
 use polystyrene_protocol::{
-    founder_contacts, joiner_contacts, select_region_victims, ProtocolNode, SubstrateConfig,
+    founder_contacts, founding_points, joiner_contacts, select_region_victims, ProtocolNode,
+    SubstrateConfig,
 };
 use polystyrene_space::MetricSpace;
 use rand::rngs::StdRng;
@@ -85,17 +86,12 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
     ///
     /// # Panics
     ///
-    /// Panics if `shape` is empty, the configuration is invalid or asks
-    /// for `tman_only` (only the cycle engine can switch the Polystyrene
-    /// layer off), the transport cannot allocate a node's endpoint, or a
-    /// worker thread cannot be started.
+    /// Panics if `shape` is empty, the configuration is invalid, the
+    /// transport cannot allocate a node's endpoint, or a worker thread
+    /// cannot be started.
     pub fn spawn(space: S, shape: Vec<S::Point>, config: impl Into<SubstrateConfig>) -> Self {
         let config = config.into();
         assert!(!shape.is_empty(), "cannot spawn an empty cluster");
-        assert!(
-            !config.tman_only,
-            "the T-Man-only baseline needs the cycle engine (--substrate engine)"
-        );
         config.validate();
         let transport = Arc::new(T::open(&config));
         let board = ObservationBoard::new();
@@ -114,11 +110,7 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
                 (inbox, thread)
             })
             .unzip();
-        let original_points: Vec<DataPoint<S::Point>> = shape
-            .iter()
-            .enumerate()
-            .map(|(i, p)| DataPoint::new(PointId::new(i as u64), p.clone()))
-            .collect();
+        let original_points = founding_points(&shape);
         let mut cluster = Self {
             space,
             config,
@@ -177,6 +169,11 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
         // so, and `shutdown` reports why.
         let _ = worker.0.send(Post::Adopt(Box::new(node)));
         self.nodes.insert(id, Node { mailbox, ingress });
+    }
+
+    /// The configuration the cluster was spawned with.
+    pub fn config(&self) -> &SubstrateConfig {
+        &self.config
     }
 
     /// The original data points (the target shape).
@@ -446,17 +443,6 @@ mod tests {
         fn sent_frames(&self) -> u64 {
             0
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "T-Man-only baseline needs the cycle engine")]
-    fn tman_only_rejected() {
-        let config = SubstrateConfig {
-            tman_only: true,
-            ..SubstrateConfig::default()
-        };
-        let _ =
-            Cluster::<Torus2>::spawn(Torus2::new(2.0, 2.0), shapes::torus_grid(2, 2, 1.0), config);
     }
 
     #[test]

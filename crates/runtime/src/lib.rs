@@ -31,7 +31,8 @@
 //! A cluster is spawned from the one
 //! [`SubstrateConfig`](polystyrene_protocol::SubstrateConfig) every
 //! substrate takes: it reads the tick, the heartbeat timeout, the link's
-//! loss probability, the seed and the area, and it rejects `tman_only`.
+//! loss probability, the seed and the area. [`Cluster::config`] hands
+//! the value back; the experiment plane reads its round timeout there.
 //! Each node's protocol configuration is [`config::live_protocol`]: the
 //! shared T-Man, Polystyrene and heartbeat parameters with the live RPS
 //! sizing.

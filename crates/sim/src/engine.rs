@@ -93,7 +93,7 @@ const REPORT_NEIGHBORS: usize = 4;
 
 /// The engine's configuration under its old name, kept while the
 /// repository benchmark names it: the one [`SubstrateConfig`]. The
-/// engine reads `tman`, `poly`, `area`, `seed` and `tman_only`.
+/// engine reads `tman`, `poly`, `area` and `seed`.
 pub type EngineConfig = SubstrateConfig;
 
 /// The cycle-driven simulator: a [`World`] plus synchronous dispatch.
@@ -116,6 +116,8 @@ pub type EngineConfig = SubstrateConfig;
 pub struct Engine<S: MetricSpace> {
     world: World<S>,
     config: SubstrateConfig,
+    /// T-Man alone: [`Engine::disable_polystyrene`] was called.
+    tman_only: bool,
     history: Vec<RoundMetrics>,
     /// Reusable per-node `(distance sum, samples)` of the proximity pass.
     proximity: Vec<(f64, usize)>,
@@ -149,6 +151,7 @@ impl<S: MetricSpace> Engine<S> {
         Self {
             world: World::found(space, &shape, &config),
             config,
+            tman_only: false,
             history: Vec::new(),
             proximity: Vec::new(),
             sink: EffectSink::new(),
@@ -157,11 +160,12 @@ impl<S: MetricSpace> Engine<S> {
         }
     }
 
-    /// Turns the Polystyrene layer off, as `tman_only` in the
-    /// configuration does, under the name the repository benchmark calls
-    /// it by.
+    /// Turns the Polystyrene layer off for every later round: its
+    /// recovery, backup and migration phases no longer run, which leaves
+    /// the paper's baseline, T-Man alone (Sec. IV-A, Figs. 1 and 6–9).
+    /// Only the cycle engine has this switch.
     pub fn disable_polystyrene(&mut self) {
-        self.config.tman_only = true;
+        self.tman_only = true;
     }
 
     /// The engine configuration.
@@ -400,9 +404,7 @@ impl<S: MetricSpace> Engine<S> {
                 // activation shuffle off the rng.
                 Phase::Heartbeat => continue,
                 // T-Man alone: Polystyrene's three phases never run.
-                Phase::Recovery | Phase::Backup | Phase::Migration if self.config.tman_only => {
-                    continue
-                }
+                Phase::Recovery | Phase::Backup | Phase::Migration if self.tman_only => continue,
                 Phase::Recovery => self.recovery_phase(),
                 _ => self.run_phase(phase),
             }

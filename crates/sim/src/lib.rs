@@ -8,9 +8,11 @@
 //!   the ground truth it shares with the event kernel
 //!   ([`polystyrene_protocol::world::World`]). It is built from the one
 //!   [`SubstrateConfig`] every
-//!   substrate takes, reads its T-Man, Polystyrene, area, seed and
-//!   `tman_only` fields, and reports a crash to the survivors at once:
-//!   the oracle detector of the paper's cycle model;
+//!   substrate takes, reads its T-Man, Polystyrene, area and seed
+//!   fields, and reports a crash to the survivors at once: the oracle
+//!   detector of the paper's cycle model. Its
+//!   [`disable_polystyrene`](engine::Engine::disable_polystyrene) runs
+//!   the paper's T-Man-only baseline, which only this engine can;
 //! * [`metrics`] — the paper's five metrics (proximity, homogeneity,
 //!   reference homogeneity / reshaping time, data points per node,
 //!   message cost, priced by [`polystyrene_protocol::cost`]).

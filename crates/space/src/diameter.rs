@@ -4,7 +4,7 @@
 //! diameters, i.e. a pair of points (u, v) so that d(u, v) = max d(x, y)".
 //! The paper notes that beyond ~30 points one can "approximate a diameter by
 //! taking a sample of pairs" — both the exact and the sampled variants live
-//! here.
+//! here, behind the one entry point [`diameter_of_by`].
 
 use crate::point::MetricSpace;
 use rand::Rng;
@@ -20,26 +20,10 @@ pub struct Diameter {
     pub length: f64,
 }
 
-/// Exact diameter by exhaustive pair enumeration, `O(n^2)` distances.
-///
-/// Returns `None` for sets of fewer than two points.
-///
-/// # Example
-///
-/// ```
-/// use polystyrene_space::prelude::*;
-///
-/// let pts = [[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]];
-/// let d = diameter_exact(&Euclidean2, &pts).unwrap();
-/// assert_eq!((d.a, d.b, d.length), (0, 2, 5.0));
-/// ```
-pub fn diameter_exact<S: MetricSpace>(space: &S, points: &[S::Point]) -> Option<Diameter> {
-    diameter_exact_by(space, points, |p| p)
-}
-
-/// [`diameter_exact`] over any item type through a position accessor —
-/// same enumeration order and tie-breaking, no temporary position `Vec`.
-pub fn diameter_exact_by<S: MetricSpace, T>(
+/// Exact diameter by exhaustive pair enumeration, `O(n^2)` distances,
+/// over any item type through a position accessor. Returns `None` for
+/// sets of fewer than two items.
+fn diameter_exact_by<S: MetricSpace, T>(
     space: &S,
     items: &[T],
     pos: impl Fn(&T) -> &S::Point,
@@ -67,23 +51,11 @@ pub fn diameter_exact_by<S: MetricSpace, T>(
     Some(best)
 }
 
-/// Approximate diameter from `pairs` random pairs.
-///
-/// Used by `SPLIT_ADVANCED` when the merged guest set is large, as the
-/// paper suggests (Sec. III-F). Returns `None` for sets of fewer than two
-/// points. The result is a lower bound on the true diameter.
-pub fn diameter_sampled<S: MetricSpace, R: Rng + ?Sized>(
-    space: &S,
-    points: &[S::Point],
-    pairs: usize,
-    rng: &mut R,
-) -> Option<Diameter> {
-    diameter_sampled_by(space, points, |p| p, pairs, rng)
-}
-
-/// [`diameter_sampled`] through a position accessor, with the identical
-/// pair-draw sequence for a given `rng` state.
-pub fn diameter_sampled_by<S: MetricSpace, T, R: Rng + ?Sized>(
+/// Approximate diameter from `pairs` random pairs, which the paper
+/// suggests for large merged guest sets (Sec. III-F). Returns `None` for
+/// sets of fewer than two items. The result is a lower bound on the true
+/// diameter.
+fn diameter_sampled_by<S: MetricSpace, T, R: Rng + ?Sized>(
     space: &S,
     items: &[T],
     pos: impl Fn(&T) -> &S::Point,
@@ -117,22 +89,29 @@ pub fn diameter_sampled_by<S: MetricSpace, T, R: Rng + ?Sized>(
     Some(best)
 }
 
-/// Adaptive diameter: exact up to `exact_threshold` points, sampled above.
+/// Adaptive diameter over any item type through a position accessor
+/// (`|p| p` for bare points): exact up to `exact_threshold` items,
+/// sampled from `4n` random pairs above, which keeps the cost linear.
+/// Returns `None` for sets of fewer than two items.
 ///
 /// This is the policy `SPLIT_ADVANCED` uses in this reproduction, with the
 /// paper's suggested threshold of ~30 points as the default in the core
-/// crate. The number of sampled pairs is `4n`, keeping the cost linear.
-pub fn diameter_of<S: MetricSpace, R: Rng + ?Sized>(
-    space: &S,
-    points: &[S::Point],
-    exact_threshold: usize,
-    rng: &mut R,
-) -> Option<Diameter> {
-    diameter_of_by(space, points, |p| p, exact_threshold, rng)
-}
-
-/// [`diameter_of`] through a position accessor — the adaptive policy on
-/// wrapped points, without a temporary position `Vec`.
+/// crate. The exact enumeration breaks ties towards the first pair in
+/// index order.
+///
+/// # Example
+///
+/// ```
+/// use polystyrene_space::diameter::diameter_of_by;
+/// use polystyrene_space::prelude::*;
+/// use rand::rngs::StdRng;
+/// use rand::SeedableRng;
+///
+/// let pts = [[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]];
+/// let mut rng = StdRng::seed_from_u64(0);
+/// let d = diameter_of_by(&Euclidean2, &pts, |p| p, 30, &mut rng).unwrap();
+/// assert_eq!((d.a, d.b, d.length), (0, 2, 5.0));
+/// ```
 pub fn diameter_of_by<S: MetricSpace, T, R: Rng + ?Sized>(
     space: &S,
     items: &[T],
@@ -158,16 +137,16 @@ mod tests {
 
     #[test]
     fn exact_on_tiny_sets() {
-        assert_eq!(diameter_exact(&Euclidean2, &[]), None);
-        assert_eq!(diameter_exact(&Euclidean2, &[[0.0, 0.0]]), None);
-        let d = diameter_exact(&Euclidean2, &[[0.0, 0.0], [3.0, 4.0]]).unwrap();
+        assert_eq!(diameter_exact_by(&Euclidean2, &[], |p| p), None);
+        assert_eq!(diameter_exact_by(&Euclidean2, &[[0.0, 0.0]], |p| p), None);
+        let d = diameter_exact_by(&Euclidean2, &[[0.0, 0.0], [3.0, 4.0]], |p| p).unwrap();
         assert_eq!(d.length, 5.0);
     }
 
     #[test]
     fn exact_finds_the_extremes() {
         let pts = [[0.0, 0.0], [1.0, 1.0], [-4.0, 0.0], [10.0, 0.0]];
-        let d = diameter_exact(&Euclidean2, &pts).unwrap();
+        let d = diameter_exact_by(&Euclidean2, &pts, |p| p).unwrap();
         assert_eq!((d.a, d.b), (2, 3));
         assert_eq!(d.length, 14.0);
     }
@@ -177,7 +156,7 @@ mod tests {
         let t = Torus2::new(10.0, 10.0);
         // 0 and 9 are distance 1 apart on the ring; 0 and 5 are 5 apart.
         let pts = [[0.0, 0.0], [9.0, 0.0], [5.0, 0.0]];
-        let d = diameter_exact(&t, &pts).unwrap();
+        let d = diameter_exact_by(&t, &pts, |p| p).unwrap();
         assert_eq!((d.a, d.b, d.length), (0, 2, 5.0));
     }
 
@@ -185,7 +164,7 @@ mod tests {
     fn sampled_none_below_two_points() {
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(
-            diameter_sampled(&Euclidean2, &[[1.0, 1.0]], 10, &mut rng),
+            diameter_sampled_by(&Euclidean2, &[[1.0, 1.0]], |p| p, 10, &mut rng),
             None
         );
     }
@@ -194,9 +173,9 @@ mod tests {
     fn adaptive_switches_to_sampling() {
         let mut rng = StdRng::seed_from_u64(5);
         let pts: Vec<[f64; 2]> = (0..100).map(|i| [i as f64, 0.0]).collect();
-        let exact = diameter_of(&Euclidean2, &pts[..10], 30, &mut rng).unwrap();
+        let exact = diameter_of_by(&Euclidean2, &pts[..10], |p| p, 30, &mut rng).unwrap();
         assert_eq!(exact.length, 9.0);
-        let approx = diameter_of(&Euclidean2, &pts, 30, &mut rng).unwrap();
+        let approx = diameter_of_by(&Euclidean2, &pts, |p| p, 30, &mut rng).unwrap();
         // 400 sampled pairs out of 4950 possible: overwhelmingly likely to
         // land close to the true diameter on a segment.
         assert!(approx.length >= 49.0);
@@ -213,8 +192,8 @@ mod tests {
             seed in 0u64..500,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let exact = diameter_exact(&Euclidean2, &pts).unwrap();
-            let approx = diameter_sampled(&Euclidean2, &pts, 20, &mut rng).unwrap();
+            let exact = diameter_exact_by(&Euclidean2, &pts, |p| p).unwrap();
+            let approx = diameter_sampled_by(&Euclidean2, &pts, |p| p, 20, &mut rng).unwrap();
             prop_assert!(approx.length <= exact.length + 1e-9);
         }
 
@@ -225,8 +204,8 @@ mod tests {
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             for d in [
-                diameter_exact(&Euclidean2, &pts).unwrap(),
-                diameter_sampled(&Euclidean2, &pts, 8, &mut rng).unwrap(),
+                diameter_exact_by(&Euclidean2, &pts, |p| p).unwrap(),
+                diameter_sampled_by(&Euclidean2, &pts, |p| p, 8, &mut rng).unwrap(),
             ] {
                 prop_assert!(d.a != d.b);
                 prop_assert!(d.a < pts.len() && d.b < pts.len());

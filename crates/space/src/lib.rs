@@ -25,6 +25,7 @@
 //! # Example
 //!
 //! ```
+//! use polystyrene_space::medoid::medoid_index_by;
 //! use polystyrene_space::prelude::*;
 //!
 //! // The paper's evaluation space: an 80x40 logical torus with step 1.
@@ -36,8 +37,8 @@
 //!
 //! let grid = shapes::torus_grid(80, 40, 1.0);
 //! assert_eq!(grid.len(), 3200);
-//! let m = medoid(&space, &grid[..10]).unwrap();
-//! assert!(grid[..10].contains(m));
+//! let m = medoid_index_by(&space, &grid[..10], |p| p).unwrap();
+//! assert!(grid[..10].contains(&grid[m]));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -55,9 +56,7 @@ pub mod torus;
 
 /// Convenient glob-import of the most commonly used items.
 pub mod prelude {
-    pub use crate::diameter::{diameter_exact, diameter_of, diameter_sampled};
     pub use crate::euclidean::{Euclidean, Euclidean2, Euclidean3};
-    pub use crate::medoid::{medoid, medoid_index, sum_sq_to};
     pub use crate::point::{GridSpec, MetricSpace};
     pub use crate::ring::Ring;
     pub use crate::setspace::{ItemSet, JaccardSpace};

@@ -5,20 +5,26 @@
 //! the centroid, the medoid is always a member of the input set and is
 //! well-defined in any metric space, including modular ones where division
 //! is ill-defined.
+//!
+//! ```
+//! use polystyrene_space::medoid::medoid_index_by;
+//! use polystyrene_space::prelude::*;
+//!
+//! let t = Torus2::new(16.0, 16.0);
+//! // On a torus the cluster {15, 0, 1} straddles the seam; the medoid is
+//! // the middle point 0, which a naive centroid ((15+0+1)/3 ≈ 5.3) misses.
+//! let pts = [[15.0, 0.0], [0.0, 0.0], [1.0, 0.0]];
+//! assert_eq!(medoid_index_by(&t, &pts, |p| p).map(|i| &pts[i]), Some(&[0.0, 0.0]));
+//! ```
 
 use crate::point::MetricSpace;
 use rand::seq::index::sample;
 use rand::Rng;
 
-/// Sum of squared distances from `q` to every point of `points`.
-///
-/// This is the objective minimized by [`medoid`], and also the in-cluster
-/// cost the paper uses to judge partitions in Sec. III-F.
-pub fn sum_sq_to<S: MetricSpace>(space: &S, q: &S::Point, points: &[S::Point]) -> f64 {
-    points.iter().map(|p| space.distance_sq(q, p)).sum()
-}
-
-/// Index of the medoid of `points`, or `None` if `points` is empty.
+/// Index of the medoid of `items`, or `None` if `items` is empty, over
+/// any item type through a position accessor (`|p| p` for bare points),
+/// so a caller holding wrapped points (e.g. id-tagged data points) needs
+/// no temporary position `Vec`.
 ///
 /// Runs in `O(n^2)` distance evaluations. Ties are broken towards the
 /// lowest index, which keeps the operation deterministic.
@@ -26,19 +32,12 @@ pub fn sum_sq_to<S: MetricSpace>(space: &S, q: &S::Point, points: &[S::Point]) -
 /// # Example
 ///
 /// ```
+/// use polystyrene_space::medoid::medoid_index_by;
 /// use polystyrene_space::prelude::*;
 ///
 /// let pts = [[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]];
-/// assert_eq!(medoid_index(&Euclidean2, &pts), Some(1));
+/// assert_eq!(medoid_index_by(&Euclidean2, &pts, |p| p), Some(1));
 /// ```
-pub fn medoid_index<S: MetricSpace>(space: &S, points: &[S::Point]) -> Option<usize> {
-    medoid_index_by(space, points, |p| p)
-}
-
-/// [`medoid_index`] over any item type through a position accessor, so a
-/// caller holding wrapped points (e.g. id-tagged data points) can find
-/// the medoid without first collecting positions into a temporary `Vec`.
-/// Identical objective, iteration order and tie-breaking.
 pub fn medoid_index_by<S: MetricSpace, T>(
     space: &S,
     items: &[T],
@@ -62,43 +61,13 @@ pub fn medoid_index_by<S: MetricSpace, T>(
     Some(best)
 }
 
-/// The medoid of `points`, or `None` if `points` is empty.
+/// Approximate medoid for large sets: evaluates the objective only on a
+/// random sample of `candidates` items (still against the full set),
+/// trading exactness for `O(candidates · n)` cost. Same accessor as
+/// [`medoid_index_by`].
 ///
-/// See [`medoid_index`] for complexity and tie-breaking.
-///
-/// # Example
-///
-/// ```
-/// use polystyrene_space::prelude::*;
-///
-/// let t = Torus2::new(16.0, 16.0);
-/// // On a torus the cluster {15, 0, 1} straddles the seam; the medoid is
-/// // the middle point 0, which a naive centroid ((15+0+1)/3 ≈ 5.3) misses.
-/// let pts = [[15.0, 0.0], [0.0, 0.0], [1.0, 0.0]];
-/// assert_eq!(medoid(&t, &pts), Some(&[0.0, 0.0]));
-/// ```
-pub fn medoid<'a, S: MetricSpace>(space: &S, points: &'a [S::Point]) -> Option<&'a S::Point> {
-    medoid_index(space, points).map(|i| &points[i])
-}
-
-/// Approximate medoid for large point sets: evaluates the objective only on
-/// a random sample of `candidates` candidate points (still against the full
-/// set), trading exactness for `O(candidates · n)` cost.
-///
-/// Falls back to the exact computation when `points.len() <= candidates`.
-/// Returns `None` if `points` is empty.
-pub fn medoid_index_sampled<S: MetricSpace, R: Rng + ?Sized>(
-    space: &S,
-    points: &[S::Point],
-    candidates: usize,
-    rng: &mut R,
-) -> Option<usize> {
-    medoid_index_sampled_by(space, points, |p| p, candidates, rng)
-}
-
-/// [`medoid_index_sampled`] through a position accessor — the sampled
-/// counterpart of [`medoid_index_by`], with the identical candidate draw
-/// sequence for a given `rng` state.
+/// Falls back to the exact computation when `items.len() <= candidates`.
+/// Returns `None` if `items` is empty.
 pub fn medoid_index_sampled_by<S: MetricSpace, T, R: Rng + ?Sized>(
     space: &S,
     items: &[T],
@@ -135,15 +104,21 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The medoid objective: the sum of squared distances from `q` to
+    /// every point of `points`.
+    fn sum_sq_to<S: MetricSpace>(space: &S, q: &S::Point, points: &[S::Point]) -> f64 {
+        points.iter().map(|p| space.distance_sq(q, p)).sum()
+    }
+
     #[test]
     fn empty_has_no_medoid() {
-        assert_eq!(medoid_index(&Euclidean2, &[]), None);
-        assert_eq!(medoid(&Euclidean2, &[]), None);
+        let pts: [[f64; 2]; 0] = [];
+        assert_eq!(medoid_index_by(&Euclidean2, &pts, |p| p), None);
     }
 
     #[test]
     fn singleton_is_its_own_medoid() {
-        assert_eq!(medoid(&Euclidean2, &[[3.0, 4.0]]), Some(&[3.0, 4.0]));
+        assert_eq!(medoid_index_by(&Euclidean2, &[[3.0, 4.0]], |p| p), Some(0));
     }
 
     #[test]
@@ -152,7 +127,7 @@ mod tests {
         // The squared objective makes the outlier dominate: the medoid is
         // the cluster point closest to it (cost 9423 at x=3 vs 9610 at x=2),
         // but it must stay a member of the set.
-        let m = medoid_index(&Euclidean2, &pts).unwrap();
+        let m = medoid_index_by(&Euclidean2, &pts, |p| p).unwrap();
         assert_eq!(m, 3);
     }
 
@@ -161,21 +136,24 @@ mod tests {
         let r = Ring::new(16.0);
         // Cluster straddling the modular seam.
         let pts = [15.0, 0.0, 1.0];
-        assert_eq!(medoid(&r, &pts), Some(&0.0));
+        assert_eq!(medoid_index_by(&r, &pts, |p| p).map(|i| pts[i]), Some(0.0));
     }
 
     #[test]
     fn wraps_correctly_on_torus() {
         let t = Torus2::new(16.0, 16.0);
         let pts = [[15.0, 15.0], [0.0, 0.0], [1.0, 1.0]];
-        assert_eq!(medoid(&t, &pts), Some(&[0.0, 0.0]));
+        assert_eq!(
+            medoid_index_by(&t, &pts, |p| p).map(|i| pts[i]),
+            Some([0.0, 0.0])
+        );
     }
 
     #[test]
     fn tie_breaks_to_lowest_index() {
         // Two points: each has the same cost (d^2 to the other).
         let pts = [[0.0, 0.0], [1.0, 0.0]];
-        assert_eq!(medoid_index(&Euclidean2, &pts), Some(0));
+        assert_eq!(medoid_index_by(&Euclidean2, &pts, |p| p), Some(0));
     }
 
     #[test]
@@ -183,8 +161,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let pts = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]];
         assert_eq!(
-            medoid_index_sampled(&Euclidean2, &pts, 10, &mut rng),
-            medoid_index(&Euclidean2, &pts)
+            medoid_index_sampled_by(&Euclidean2, &pts, |p| p, 10, &mut rng),
+            medoid_index_by(&Euclidean2, &pts, |p| p)
         );
     }
 
@@ -192,7 +170,10 @@ mod tests {
     fn sampled_returns_none_on_empty() {
         let mut rng = StdRng::seed_from_u64(7);
         let pts: [[f64; 2]; 0] = [];
-        assert_eq!(medoid_index_sampled(&Euclidean2, &pts, 4, &mut rng), None);
+        assert_eq!(
+            medoid_index_sampled_by(&Euclidean2, &pts, |p| p, 4, &mut rng),
+            None
+        );
     }
 
     #[test]
@@ -203,8 +184,8 @@ mod tests {
             let a = i as f64 * 0.1;
             pts.push([a.cos() * 5.0, a.sin() * 5.0]);
         }
-        let exact = medoid_index(&Euclidean2, &pts).unwrap();
-        let approx = medoid_index_sampled(&Euclidean2, &pts, 40, &mut rng).unwrap();
+        let exact = medoid_index_by(&Euclidean2, &pts, |p| p).unwrap();
+        let approx = medoid_index_sampled_by(&Euclidean2, &pts, |p| p, 40, &mut rng).unwrap();
         let exact_cost = sum_sq_to(&Euclidean2, &pts[exact], &pts);
         let approx_cost = sum_sq_to(&Euclidean2, &pts[approx], &pts);
         // The sampled medoid is near-optimal on a dense ring of points.
@@ -218,14 +199,14 @@ mod tests {
     proptest! {
         #[test]
         fn medoid_is_a_member(pts in proptest::collection::vec(pt2(), 1..30)) {
-            let m = medoid(&Euclidean2, &pts).unwrap();
-            prop_assert!(pts.contains(m));
+            let m = medoid_index_by(&Euclidean2, &pts, |p| p).unwrap();
+            prop_assert!(m < pts.len());
         }
 
         #[test]
         fn medoid_minimizes_objective(pts in proptest::collection::vec(pt2(), 1..25)) {
-            let m = medoid(&Euclidean2, &pts).unwrap();
-            let mcost = sum_sq_to(&Euclidean2, m, &pts);
+            let m = medoid_index_by(&Euclidean2, &pts, |p| p).unwrap();
+            let mcost = sum_sq_to(&Euclidean2, &pts[m], &pts);
             for p in &pts {
                 prop_assert!(mcost <= sum_sq_to(&Euclidean2, p, &pts) + 1e-9);
             }
@@ -238,7 +219,7 @@ mod tests {
             candidates in 1usize..10,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let i = medoid_index_sampled(&Euclidean2, &pts, candidates, &mut rng).unwrap();
+            let i = medoid_index_sampled_by(&Euclidean2, &pts, |p| p, candidates, &mut rng).unwrap();
             prop_assert!(i < pts.len());
         }
     }
