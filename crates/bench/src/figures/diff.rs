@@ -11,7 +11,8 @@
 //!   unit price (Sec. IV-A),
 //! * `mean_traffic_availability` per substrate entry, when present —
 //!   the traffic plane's served fraction, gated as its complement
-//!   (unavailability is lower-is-better) against an absolute floor,
+//!   (unavailability is lower-is-better), exactly on the deterministic
+//!   substrates and against an absolute floor on the live ones,
 //! * `wall_secs` per substrate from the artifact metadata — real time,
 //! * `allocs_per_round` from the artifact metadata, when present — the
 //!   netsim sweep's steady-state allocation count, gated exactly: the
@@ -25,10 +26,11 @@
 //! cannot be dodged by dropping a substrate from the matrix. Noisy
 //! metrics (wall-clock everywhere, round counts on the live threaded
 //! substrates) are gated against a denominator *floor* so small
-//! baselines are judged on absolute drift instead of timer noise. The
-//! deterministic substrates' (engine, netsim) round and cost metrics
-//! are exact: the scenario is seeded and replays bit for bit, so any
-//! increase over the committed value fails.
+//! baselines are judged on absolute drift instead of timer noise; such
+//! a row prints its change against the floor and, beside it, against
+//! its baseline. The deterministic substrates' (engine, netsim) round,
+//! cost and availability metrics are exact: the scenario is seeded and
+//! replays bit for bit, so any increase over the committed value fails.
 //!
 //! ```sh
 //! figures diff --baseline crates/bench/baselines/BENCH_matrix.json \
@@ -37,6 +39,7 @@
 
 use crate::minijson::{parse, Json};
 use crate::{Args, Output};
+use std::fmt::Write as _;
 
 /// The flags the differ reads; it writes no file.
 pub const FLAGS: &[&str] = &["baseline", "current", "max-regression"];
@@ -59,24 +62,26 @@ const WALL_FLOOR_SECS: f64 = 5.0;
 const LIVE_ROUNDS_FLOOR: f64 = 20.0;
 
 /// Denominator floor for the traffic plane's unserved fraction
-/// (`1 − mean_traffic_availability`). The deterministic substrates
-/// serve the catastrophe scenario at ~98–99% mean availability, so the
-/// baseline unavailability is a couple of percent; gating it exactly
-/// would let one extra dropped query per run trip the diff. A 25% gate
-/// on a 0.02 floor allows half a point of absolute availability drift
-/// while a substrate that stops serving queries still fails loudly.
+/// (`1 − mean_traffic_availability`) on the live substrates, whose
+/// served share drifts from run to run. A 25% gate on a 0.02 floor
+/// allows half a point of absolute availability drift while a
+/// substrate that stops serving queries still fails loudly. The
+/// deterministic substrates replay their served share exactly and are
+/// gated exactly; the floor still gives a baseline that served every
+/// query a denominator, so any drop from it counts as an increase.
 const UNAVAILABILITY_FLOOR: f64 = 0.02;
 
 /// Substrates whose scenario runs are bit-reproducible; everything
 /// else is a live threaded deployment with wall-clock jitter.
 ///
-/// In the matrix artifact the entry *labels* name substrates; in a
+/// In the matrix artifact the entry *labels* name substrates, and the
+/// saturation sweep's name theirs before an `@` (`netsim@r1000`); in a
 /// single-substrate artifact (e.g. `fig_loss_latency`'s sweep, whose
 /// labels are `loss=0.05` rows) the substrate is named once in the
 /// document metadata and covers every entry — see
 /// [`doc_is_deterministic`].
 fn is_deterministic(label: &str) -> bool {
-    matches!(label, "engine" | "netsim")
+    matches!(label.split('@').next(), Some("engine" | "netsim"))
 }
 
 /// Whether the document's `substrate` metadata pins every entry to a
@@ -215,7 +220,7 @@ pub fn compare(baseline: &Json, current: &Json, max_regression: f64) -> (Vec<Com
                     baseline: 1.0 - b,
                     current: 1.0 - c,
                     floor: UNAVAILABILITY_FLOOR,
-                    exact: false,
+                    exact: deterministic,
                 }),
                 None => failures.push(format!(
                     "{label}/mean_traffic_availability: measured in baseline, null now"
@@ -300,6 +305,35 @@ fn summary(comparisons: &[Comparison], max_regression: f64) -> String {
     )
 }
 
+/// One printed row of the diff table. The change is the gated one,
+/// against the row's floor where that exceeds its baseline; such a row
+/// also prints the change as a share of its baseline (a wall row that
+/// goes from 0.075 to 0.136 s is +1.2 % of the 5 s floor but +81.3 %
+/// of its baseline).
+fn row(c: &Comparison, max_regression: f64) -> String {
+    let gate = if c.exact {
+        "exact".to_string()
+    } else {
+        format!("+{:.0}%", max_regression * 100.0)
+    };
+    let mut line = format!(
+        "{:<28} {:>10.3} {:>10.3} {:>+7.1}% {:>6}",
+        c.what,
+        c.baseline,
+        c.current,
+        c.regression() * 100.0,
+        gate
+    );
+    if c.fails(max_regression) {
+        line.push_str("  FAIL");
+    }
+    if c.floor > c.baseline && c.baseline > 0.0 {
+        let share = (c.current - c.baseline) / c.baseline * 100.0;
+        let _ = write!(line, "  ({share:+.1}% of baseline)");
+    }
+    line
+}
+
 /// Runs the differ: prints every comparison and fails on each
 /// [`compare`] failure.
 pub fn run(args: &Args) -> Output {
@@ -313,21 +347,12 @@ pub fn run(args: &Args) -> Output {
         &load(&current_path),
         max_regression,
     );
-    let limit = format!("+{:.0}%", max_regression * 100.0);
     println!(
         "{:<28} {:>10} {:>10} {:>8} {:>6}",
         "metric", "baseline", "current", "change", "gate"
     );
     for c in &comparisons {
-        let verdict = if c.fails(max_regression) { "  FAIL" } else { "" };
-        println!(
-            "{:<28} {:>10.3} {:>10.3} {:>+7.1}% {:>6}{verdict}",
-            c.what,
-            c.baseline,
-            c.current,
-            c.regression() * 100.0,
-            if c.exact { "exact" } else { &limit }
-        );
+        println!("{}", row(c, max_regression));
     }
     let mut out = Output::default();
     if failures.is_empty() {
@@ -416,6 +441,59 @@ mod tests {
         assert!(failures(&baseline, &matrix((2.0, 12.4), (6.0, 1.0))).is_empty());
         // Under the 5 s floor, +1 s on a 1 s baseline is 20 %.
         assert!(failures(&baseline, &matrix((2.0, 10.0), (6.0, 2.0))).is_empty());
+    }
+
+    #[test]
+    fn saturation_sweep_rows_are_deterministic() {
+        // The sweep names no substrate in its metadata; each row's
+        // label does, before the `@`.
+        let sweep = |cost: f64, availability: f64| {
+            parse(&format!(
+                "{{\"entries\":[{{\"label\":\"netsim@r1000\",\"mean_cost_units\":{cost},\
+                 \"mean_traffic_availability\":{availability}}}]}}"
+            ))
+            .unwrap()
+        };
+        let baseline = sweep(123.751, 1.0);
+        let f = failures(&baseline, &sweep(123.752, 1.0));
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].starts_with("netsim@r1000/mean_cost_units: 123.751 -> 123.752"));
+        let f = failures(&baseline, &sweep(123.751, 0.9999));
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(
+            f[0].starts_with("netsim@r1000/traffic_unavailability: 0.000 -> 0.000"),
+            "{f:?}"
+        );
+        assert!(failures(&baseline, &baseline).is_empty());
+        // A live label keeps its floor: 0.3 points are 15 % of it.
+        let live = |availability: f64| {
+            parse(&format!(
+                "{{\"entries\":[{{\"label\":\"cluster@r100\",\
+                 \"mean_traffic_availability\":{availability}}}]}}"
+            ))
+            .unwrap()
+        };
+        assert!(failures(&live(0.99), &live(0.987)).is_empty());
+    }
+
+    #[test]
+    fn floored_rows_print_the_baseline_share() {
+        let (comparisons, _) = compare(
+            &matrix((2.0, 0.075), (6.0, 1.0)),
+            &matrix((2.0, 0.136), (6.0, 1.0)),
+            0.25,
+        );
+        let wall = comparisons
+            .iter()
+            .find(|c| c.what == "engine/wall_secs")
+            .unwrap();
+        let line = row(wall, 0.25);
+        assert!(line.contains("+1.2%"), "{line}");
+        assert!(line.ends_with("(+81.3% of baseline)"), "{line}");
+        // A row gated against its own baseline prints one change.
+        let rounds = &comparisons[0];
+        assert_eq!(rounds.what, "engine/mean_reshaping_rounds");
+        assert!(!row(rounds, 0.25).contains("of baseline"));
     }
 
     #[test]

@@ -18,10 +18,10 @@ use crate::snapshot::dump;
 use crate::{lab_config, run_summary, Args, Output};
 use polystyrene::prelude::SplitStrategy;
 use polystyrene_lab::{run_experiment, SubstrateKind};
-use polystyrene_protocol::{PaperScenario, Scenario, ScenarioEvent, SubstrateConfig};
+use polystyrene_protocol::{region_ids, PaperScenario, Scenario, ScenarioEvent, SubstrateConfig};
 use polystyrene_sim::engine::Engine;
 use polystyrene_space::torus::Torus2;
-use std::sync::Arc;
+use polystyrene_space::shapes;
 
 /// The flags Fig. 1 reads: one run of each stack. `--k`, `--substrate`
 /// and `--net-*` set up the full stack's contrast run.
@@ -72,11 +72,9 @@ pub fn run(args: &Args) -> Output {
     panel(&engine, "a_round0", &mut out);
     run_experiment(&mut engine, &Scenario::new(paper.failure_round));
     panel(&engine, "b_converged", &mut out);
-    let kill_script: Scenario<[f64; 2]> = Scenario::new(20) // T-Man heals links in ~20 rounds
-        .at(
-            0,
-            ScenarioEvent::FailOriginalRegion(Arc::new(move |p: &[f64; 2]| p[0] >= w / 2.0)),
-        );
+    let dead_half = region_ids(&paper.shape(), shapes::in_right_half(w));
+    // T-Man heals links in ~20 rounds.
+    let kill_script = Scenario::new(20).at(0, ScenarioEvent::FailNodes(dead_half));
     run_experiment(&mut engine, &kill_script);
     panel(&engine, "c_after_failure", &mut out);
 

@@ -24,10 +24,9 @@ use polystyrene_lab::{
     run_experiment_with_traffic, summary_json, ExperimentSummary, Series, SubstrateKind,
     TrafficLoad,
 };
-use polystyrene_protocol::{Scenario, ScenarioEvent, SubstrateConfig};
+use polystyrene_protocol::{region_ids, Scenario, ScenarioEvent, SubstrateConfig};
 use polystyrene_space::prelude::*;
 use polystyrene_space::shapes;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Scenario length in rounds.
@@ -58,11 +57,12 @@ pub const FLAGS: &[&str] = &[
 
 /// Converge 20 rounds → kill the right half-torus → observe the served
 /// fraction while the survivors reshape over the full space.
-fn traffic_scenario(cols: usize) -> Scenario<[f64; 2]> {
-    Scenario::new(ROUNDS).at(
-        KILL_ROUND,
-        ScenarioEvent::FailOriginalRegion(Arc::new(move |p: &[f64; 2]| p[0] >= cols as f64 / 2.0)),
-    )
+fn traffic_scenario(cols: usize, rows: usize) -> Scenario<[f64; 2]> {
+    let dead_half = region_ids(
+        &shapes::torus_grid(cols, rows, 1.0),
+        shapes::in_right_half(cols as f64),
+    );
+    Scenario::new(ROUNDS).at(KILL_ROUND, ScenarioEvent::FailNodes(dead_half))
 }
 
 /// Runs the traffic figure.
@@ -79,7 +79,7 @@ pub fn run(args: &Args) -> Output {
         args.read_fraction(),
     );
     let base_seed: u64 = args.get("seed", 1);
-    let scenario = traffic_scenario(cols);
+    let scenario = traffic_scenario(cols, rows);
     let keys = key_universe(traffic_keys, cols, rows);
     let kinds: Vec<SubstrateKind> = if args.given("substrate") {
         vec![args.get("substrate", SubstrateKind::Engine)]

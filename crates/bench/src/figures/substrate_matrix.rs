@@ -21,10 +21,9 @@ use polystyrene_lab::{
     build_substrate, json_f64, json_object, json_strings, run_experiment, summary_json,
     ExperimentSummary, ExperimentTrace, SubstrateKind,
 };
-use polystyrene_protocol::{Scenario, ScenarioEvent, SubstrateConfig};
+use polystyrene_protocol::{region_ids, Scenario, ScenarioEvent, SubstrateConfig};
 use polystyrene_space::prelude::*;
 use polystyrene_space::shapes;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Converge 20 rounds → kill the right half-torus → 2 rounds of 5%
@@ -33,9 +32,10 @@ fn shared_scenario(cols: usize, rows: usize) -> Scenario<[f64; 2]> {
     Scenario::new(55)
         .at(
             20,
-            ScenarioEvent::FailOriginalRegion(Arc::new(move |p: &[f64; 2]| {
-                p[0] >= cols as f64 / 2.0
-            })),
+            ScenarioEvent::FailNodes(region_ids(
+                &shapes::torus_grid(cols, rows, 1.0),
+                shapes::in_right_half(cols as f64),
+            )),
         )
         .at(
             25,

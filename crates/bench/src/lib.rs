@@ -831,7 +831,6 @@ mod tests {
         let paper = PaperScenario {
             cols: 12,
             rows: 6,
-            step: 1.0,
             failure_round: 10,
             inject_round: None,
             total_rounds: 30,

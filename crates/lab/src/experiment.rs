@@ -65,12 +65,6 @@ pub fn run_experiment_with_traffic<P: Clone>(
         if let Some(events) = scenario.events_at(round) {
             for event in events {
                 match event {
-                    ScenarioEvent::FailOriginalRegion(pred) => {
-                        substrate.kill_region(pred.as_ref());
-                    }
-                    ScenarioEvent::FailRandomFraction(fraction) => {
-                        substrate.kill_fraction(*fraction);
-                    }
                     ScenarioEvent::FailNodes(ids) => {
                         substrate.kill_nodes(ids);
                     }

@@ -30,7 +30,10 @@
 //!
 //! Scenario × substrate composes freely: any script written in
 //! [`polystyrene_protocol::Scenario`] runs unchanged on anything
-//! [`build_substrate`] returns.
+//! [`build_substrate`] returns. A script is plain data: a regional
+//! failure is the `FailNodes` of its founders'
+//! [`region_ids`](polystyrene_protocol::region_ids), the same ids, in
+//! the same order, that [`Substrate::kill_region`] crashes.
 //!
 //! # Example: the same script on two substrates
 //!

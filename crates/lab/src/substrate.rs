@@ -33,7 +33,9 @@ use std::time::Duration;
 /// advancement have exactly one meaning across the whole matrix.
 pub trait Substrate<P> {
     /// Crashes every alive founding node whose original data point
-    /// satisfies `predicate`; returns the crashed ids.
+    /// satisfies `predicate`, as [`Self::kill_nodes`] of the founders'
+    /// [`region_ids`](polystyrene_protocol::region_ids) would; returns
+    /// the crashed ids.
     fn kill_region(&mut self, predicate: &(dyn Fn(&P) -> bool + Send + Sync)) -> Vec<NodeId>;
     /// Crashes a uniformly random `fraction` of the alive population;
     /// returns the crashed ids.
@@ -454,7 +456,6 @@ mod tests {
         let paper = polystyrene_protocol::PaperScenario {
             cols: 8,
             rows: 4,
-            step: 1.0,
             failure_round: 5,
             inject_round: Some(12),
             total_rounds: 18,

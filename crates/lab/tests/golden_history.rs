@@ -43,7 +43,6 @@ fn paper_history(seed: u64) -> Vec<RoundMetrics> {
     let paper = PaperScenario {
         cols: 16,
         rows: 8,
-        step: 1.0,
         failure_round: 12,
         inject_round: Some(30),
         total_rounds: 45,

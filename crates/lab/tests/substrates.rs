@@ -11,14 +11,13 @@ use polystyrene_membership::NodeId;
 use polystyrene_netsim::{NetRoundMetrics, NetSim};
 use polystyrene_protocol::observe::{Census, RoundObservation};
 use polystyrene_protocol::{
-    PaperScenario, Scenario, ScenarioEvent, SubstrateConfig, UNITS_PER_DESCRIPTOR,
+    region_ids, PaperScenario, Scenario, ScenarioEvent, SubstrateConfig, UNITS_PER_DESCRIPTOR,
 };
 use polystyrene_runtime::observe::{observe, NodeReport};
 use polystyrene_runtime::Cluster;
 use polystyrene_sim::prelude::*;
 use polystyrene_space::prelude::*;
 use polystyrene_space::shapes;
-use std::sync::Arc;
 use std::time::Duration;
 
 fn small_lab_config(seed: u64) -> SubstrateConfig {
@@ -91,20 +90,51 @@ fn fail_nodes_event_applies_on_the_engine() {
 #[test]
 fn region_failure_uses_the_shared_selection_on_netsim() {
     let mut substrate = small_substrate(SubstrateKind::Netsim, 6);
-    let scenario: Scenario<[f64; 2]> = Scenario::new(3).at(
-        1,
-        ScenarioEvent::FailOriginalRegion(Arc::new(|p: &[f64; 2]| p[0] < 10.0)),
-    );
+    let left_half = region_ids(&PaperScenario::small().shape(), |p: &[f64; 2]| p[0] < 10.0);
+    let scenario = Scenario::new(3).at(1, ScenarioEvent::FailNodes(left_half));
     let trace = run_experiment(substrate.as_mut(), &scenario);
     assert_eq!(trace.populations()[0], 200);
     assert_eq!(trace.populations()[1], 100, "half the 20×10 grid");
 }
 
 #[test]
+fn region_kill_and_scripted_region_ids_crash_the_same_ids() {
+    // The benchmark kills a region through `kill_region`, a script
+    // through `FailNodes(region_ids(..))`: on every substrate both must
+    // crash the same founders in the same ascending order, dead ones
+    // skipped.
+    let shape = shapes::torus_grid(4, 4, 1.0);
+    let dead_half = shapes::in_right_half(4.0);
+    let mut cfg = SubstrateConfig::default();
+    cfg.area = 16.0;
+    cfg.seed = 8;
+    cfg.tick = Duration::from_millis(2);
+    let killed: Vec<NodeId> = [2, 3, 7, 10, 11, 14, 15]
+        .into_iter()
+        .map(NodeId::new)
+        .collect();
+    for kind in SubstrateKind::ALL {
+        let mut by_region = build_substrate(kind, Torus2::new(4.0, 4.0), shape.clone(), &cfg);
+        let mut by_ids = build_substrate(kind, Torus2::new(4.0, 4.0), shape.clone(), &cfg);
+        for substrate in [&mut by_region, &mut by_ids] {
+            assert_eq!(
+                substrate.kill_nodes(&[NodeId::new(6)]),
+                vec![NodeId::new(6)]
+            );
+        }
+        assert_eq!(by_region.kill_region(&dead_half), killed, "{kind}");
+        assert_eq!(
+            by_ids.kill_nodes(&region_ids(&shape, &dead_half)),
+            killed,
+            "{kind}"
+        );
+    }
+}
+
+#[test]
 fn reshaping_only_variant_recovers_on_the_engine() {
     let p = PaperScenario::reshaping_only(16, 8, 10, 30);
     assert_eq!(p.total_rounds, 40);
-    assert_eq!(p.script().event_rounds(), vec![10]);
     let (w, h) = p.extents();
     let mut cfg = SubstrateConfig::default();
     cfg.area = p.area();
@@ -273,10 +303,8 @@ fn traffic_load_serves_queries_on_the_deterministic_substrates() {
     // may still carry a small in-flight tail — hence the per-run, not
     // per-round, accounting check).
     let p = PaperScenario::small();
-    let scenario: Scenario<[f64; 2]> = Scenario::new(20).at(
-        10,
-        ScenarioEvent::FailOriginalRegion(Arc::new(shapes::in_right_half(20.0))),
-    );
+    let dead_half = region_ids(&p.shape(), shapes::in_right_half(20.0));
+    let scenario = Scenario::new(20).at(10, ScenarioEvent::FailNodes(dead_half));
     for kind in [SubstrateKind::Engine, SubstrateKind::Netsim] {
         let mut substrate = small_substrate(kind, 9);
         let mut load = TrafficLoad::new(p.shape(), 16, 0.9, 8, 9);
@@ -314,10 +342,8 @@ fn traffic_load_does_not_perturb_the_scenario_plane() {
     // same homogeneity trajectory, same cost — on both deterministic
     // substrates (the netsim kernel additionally proves byte-identical
     // history in its own tests).
-    let scenario: Scenario<[f64; 2]> = Scenario::new(12).at(
-        5,
-        ScenarioEvent::FailOriginalRegion(Arc::new(shapes::in_right_half(20.0))),
-    );
+    let dead_half = region_ids(&PaperScenario::small().shape(), shapes::in_right_half(20.0));
+    let scenario = Scenario::new(12).at(5, ScenarioEvent::FailNodes(dead_half));
     for kind in [SubstrateKind::Engine, SubstrateKind::Netsim] {
         let mut quiet_sub = small_substrate(kind, 13);
         let quiet = run_experiment(quiet_sub.as_mut(), &scenario);

@@ -122,8 +122,8 @@ use crate::queue::CalendarQueue;
 use polystyrene_membership::{FailureTable, NodeId};
 use polystyrene_protocol::observe::RoundObservation;
 use polystyrene_protocol::{
-    node_seed, par, Channel, Effect, EffectSink, Event, Fate, FaultyNetwork, ProtocolNode,
-    SubstrateConfig, Wire, World, TRAFFIC_SEED_TAG,
+    node_seed, par, region_ids, Channel, Effect, EffectSink, Event, Fate, FaultyNetwork,
+    ProtocolNode, SubstrateConfig, Wire, World, TRAFFIC_SEED_TAG,
 };
 use polystyrene_space::MetricSpace;
 use rand::rngs::StdRng;
@@ -522,18 +522,17 @@ impl<S: MetricSpace> NetSim<S> {
     }
 
     /// Crashes every alive founding node whose original data point
-    /// satisfies `predicate` (the World's
-    /// [`region_victims`](World::region_victims)). Returns the crashed
-    /// ids.
+    /// satisfies `predicate`. The victims are the founders' [`region_ids`], crashed in
+    /// ascending order, the dead ones skipped. Returns the crashed ids.
     pub fn fail_original_region(
         &mut self,
         predicate: &(dyn Fn(&S::Point) -> bool + Send + Sync),
     ) -> Vec<NodeId> {
-        let killed = self.world.region_victims(predicate);
-        for &id in &killed {
-            self.crash(id);
-        }
-        killed
+        let founders = self.world.original_points.iter().map(|p| &p.pos);
+        region_ids(founders, predicate)
+            .into_iter()
+            .filter(|&id| self.crash(id))
+            .collect()
     }
 
     /// Crashes a uniformly random fraction of the alive population,

@@ -12,10 +12,12 @@
 //!   [`wire::Event`]s in and [`wire::Effect`]s out — it never touches a
 //!   socket, a channel, or a clock;
 //! * [`scenario`] holds the timed event scripts ([`scenario::Scenario`],
-//!   including the paper's three-phase evaluation, continuous
+//!   a plain value that compares with `==`, including the paper's
+//!   three-phase evaluation, continuous
 //!   [`scenario::ScenarioEvent::Churn`] windows and
 //!   [`scenario::ScenarioEvent::Partition`] masks) together with the
-//!   shared victim-selection helpers; the `polystyrene-lab` experiment
+//!   shared victim-selection helpers (a region is its founders'
+//!   [`scenario::region_ids`]); the `polystyrene-lab` experiment
 //!   plane executes the *same* script value unchanged on the cycle
 //!   engine, the discrete-event network simulator, and the live
 //!   clusters;
@@ -131,9 +133,8 @@ pub mod prelude {
     };
     pub use crate::pool::{NodePool, SlotRef};
     pub use crate::scenario::{
-        founder_contacts, founding_points, joiner_contacts, sample_bootstrap_contacts,
-        select_region_victims, select_victims, PaperScenario, Scenario, ScenarioEvent,
-        TMAN_BOOTSTRAP,
+        founder_contacts, founding_points, joiner_contacts, region_ids, sample_bootstrap_contacts,
+        select_victims, PaperScenario, Scenario, ScenarioEvent, TMAN_BOOTSTRAP,
     };
     pub use crate::wire::{Channel, Effect, EffectSink, Event, QueryItem, QueryReplyItem, Wire};
     pub use crate::world::World;

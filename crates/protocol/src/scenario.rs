@@ -16,17 +16,12 @@
 use polystyrene::prelude::{DataPoint, PointId};
 use polystyrene_membership::{Descriptor, NodeId};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// One scripted event.
-#[derive(Clone)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ScenarioEvent<P> {
-    /// Crash every founding node whose *original* data point satisfies the
-    /// predicate (correlated regional failure).
-    FailOriginalRegion(Arc<dyn Fn(&P) -> bool + Send + Sync>),
-    /// Crash a uniformly random fraction of the alive population.
-    FailRandomFraction(f64),
-    /// Crash these specific nodes.
+    /// Crash these specific nodes, in order (dead ones are skipped). A
+    /// correlated regional failure is the [`region_ids`] of its region.
     FailNodes(Vec<NodeId>),
     /// Inject fresh, empty nodes at these positions.
     Inject(Vec<P>),
@@ -60,23 +55,9 @@ pub enum ScenarioEvent<P> {
     },
 }
 
-impl<P> std::fmt::Debug for ScenarioEvent<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::FailOriginalRegion(_) => write!(f, "FailOriginalRegion(<predicate>)"),
-            Self::FailRandomFraction(x) => write!(f, "FailRandomFraction({x})"),
-            Self::FailNodes(ids) => write!(f, "FailNodes({} nodes)", ids.len()),
-            Self::Inject(ps) => write!(f, "Inject({} nodes)", ps.len()),
-            Self::Churn { rate, rounds } => write!(f, "Churn({rate}/round for {rounds} rounds)"),
-            Self::Partition { groups, rounds } => {
-                write!(f, "Partition({} groups for {rounds} rounds)", groups.len())
-            }
-        }
-    }
-}
-
-/// A timed script of [`ScenarioEvent`]s plus a total duration.
-#[derive(Clone, Debug)]
+/// A timed script of [`ScenarioEvent`]s plus a total duration: a plain
+/// value, so two scripts compare with `==` and print with `{:?}`.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Scenario<P> {
     total_rounds: u32,
     events: BTreeMap<u32, Vec<ScenarioEvent<P>>>,
@@ -109,11 +90,6 @@ impl<P> Scenario<P> {
         self.events.get(&round).map(Vec::as_slice)
     }
 
-    /// Rounds at which at least one event fires.
-    pub fn event_rounds(&self) -> Vec<u32> {
-        self.events.keys().copied().collect()
-    }
-
     /// The first round at which a failure event fires, if any — the
     /// reference point of the reshaping-time metric. Partitions do not
     /// count: they disrupt connectivity without destroying any node.
@@ -121,15 +97,8 @@ impl<P> Scenario<P> {
         self.events
             .iter()
             .find(|(_, evs)| {
-                evs.iter().any(|e| {
-                    matches!(
-                        e,
-                        ScenarioEvent::FailOriginalRegion(_)
-                            | ScenarioEvent::FailRandomFraction(_)
-                            | ScenarioEvent::FailNodes(_)
-                            | ScenarioEvent::Churn { .. }
-                    )
-                })
+                evs.iter()
+                    .any(|e| matches!(e, ScenarioEvent::FailNodes(_) | ScenarioEvent::Churn { .. }))
             })
             .map(|(&r, _)| r)
     }
@@ -162,8 +131,8 @@ pub fn select_victims<R: rand::Rng + ?Sized>(
 
 /// The founding data points of a population standing on `shape`: point
 /// `i` at `shape[i]`, with id `i`, founded by node `i`. Every substrate
-/// founds with these, and the census and [`select_region_victims`] rely
-/// on the convention.
+/// founds with these, and the census and [`region_ids`] rely on the
+/// convention.
 pub fn founding_points<P: Clone>(shape: &[P]) -> Vec<DataPoint<P>> {
     shape
         .iter()
@@ -172,23 +141,21 @@ pub fn founding_points<P: Clone>(shape: &[P]) -> Vec<DataPoint<P>> {
         .collect()
 }
 
-/// Selects the victims of a correlated regional failure: every *founding*
-/// node whose original data point satisfies `predicate` and is still
-/// alive. Encodes the founding convention — node `i` founded data point
-/// `i` — in exactly one place; every substrate's `fail_region` routes
-/// through this, so what "kill a region" means cannot drift between the
-/// cycle engine, the discrete-event network simulator, and the threaded
-/// runtime.
-pub fn select_region_victims<P>(
-    original_points: &[DataPoint<P>],
-    predicate: &(dyn Fn(&P) -> bool + Send + Sync),
-    is_alive: &dyn Fn(NodeId) -> bool,
+/// The founders of a correlated regional failure: the ids, ascending,
+/// of every founder (founder `i` stands on `shape[i]`) whose position
+/// satisfies `predicate`, alive or not. A region kill crashes them in
+/// this order and skips the dead ones, on every substrate and in a
+/// script's [`ScenarioEvent::FailNodes`] alike, so what "kill a region"
+/// means cannot drift between them.
+pub fn region_ids<'a, P: 'a>(
+    shape: impl IntoIterator<Item = &'a P>,
+    predicate: impl Fn(&P) -> bool,
 ) -> Vec<NodeId> {
-    original_points
-        .iter()
-        .filter(|point| predicate(&point.pos))
-        .map(|point| NodeId::new(point.id.as_u64()))
-        .filter(|&id| is_alive(id))
+    shape
+        .into_iter()
+        .enumerate()
+        .filter(|(_, p)| predicate(p))
+        .map(|(i, _)| NodeId::new(i as u64))
         .collect()
 }
 
@@ -278,8 +245,6 @@ pub struct PaperScenario {
     pub cols: usize,
     /// Grid rows (paper: 40).
     pub rows: usize,
-    /// Grid step (paper: 1.0).
-    pub step: f64,
     /// Round of the catastrophic half-torus failure (paper: 20).
     pub failure_round: u32,
     /// Round of the fresh-node re-injection, `None` to skip Phase 3
@@ -294,7 +259,6 @@ impl Default for PaperScenario {
         Self {
             cols: 80,
             rows: 40,
-            step: 1.0,
             failure_round: 20,
             inject_round: Some(100),
             total_rounds: 200,
@@ -309,7 +273,6 @@ impl PaperScenario {
         Self {
             cols: 20,
             rows: 10,
-            step: 1.0,
             failure_round: 15,
             inject_round: Some(45),
             total_rounds: 70,
@@ -322,7 +285,6 @@ impl PaperScenario {
         Self {
             cols,
             rows,
-            step: 1.0,
             failure_round,
             inject_round: None,
             total_rounds: failure_round + tail,
@@ -334,9 +296,9 @@ impl PaperScenario {
         self.cols * self.rows
     }
 
-    /// Torus extents.
+    /// Torus extents (the paper's unit grid step).
     pub fn extents(&self) -> (f64, f64) {
-        (self.cols as f64 * self.step, self.rows as f64 * self.step)
+        (self.cols as f64, self.rows as f64)
     }
 
     /// Torus area (for the reference homogeneity).
@@ -347,23 +309,26 @@ impl PaperScenario {
 
     /// The initial positions (the target shape).
     pub fn shape(&self) -> Vec<[f64; 2]> {
-        polystyrene_space::shapes::torus_grid(self.cols, self.rows, self.step)
+        polystyrene_space::shapes::torus_grid(self.cols, self.rows, 1.0)
     }
 
-    /// Builds the timed event script.
+    /// Builds the timed event script: the failure kills the founders of
+    /// the right half-torus.
     pub fn script(&self) -> Scenario<[f64; 2]> {
         let (width, _) = self.extents();
-        let mut scenario = Scenario::new(self.total_rounds).at(
-            self.failure_round,
-            ScenarioEvent::FailOriginalRegion(Arc::new(move |p: &[f64; 2]| p[0] >= width / 2.0)),
+        let dead_half = region_ids(
+            &self.shape(),
+            polystyrene_space::shapes::in_right_half(width),
         );
+        let mut scenario = Scenario::new(self.total_rounds)
+            .at(self.failure_round, ScenarioEvent::FailNodes(dead_half));
         if let Some(inject_round) = self.inject_round {
             scenario = scenario.at(
                 inject_round,
                 ScenarioEvent::Inject(polystyrene_space::shapes::torus_grid_offset(
                     self.cols / 2,
                     self.rows,
-                    self.step,
+                    1.0,
                 )),
             );
         }
@@ -378,9 +343,13 @@ mod tests {
     #[test]
     fn scenario_event_rounds_and_failure_detection() {
         let s: Scenario<[f64; 2]> = Scenario::new(50)
-            .at(10, ScenarioEvent::FailRandomFraction(0.1))
-            .at(30, ScenarioEvent::Inject(vec![[0.0, 0.0]]));
-        assert_eq!(s.event_rounds(), vec![10, 30]);
+            .at(30, ScenarioEvent::Inject(vec![[0.0, 0.0]]))
+            .at(10, ScenarioEvent::FailNodes(vec![NodeId::new(3)]));
+        assert_eq!(
+            s.events_at(10),
+            Some(&[ScenarioEvent::FailNodes(vec![NodeId::new(3)])][..])
+        );
+        assert_eq!(s.events_at(20), None);
         assert_eq!(s.first_failure_round(), Some(10));
         let s2: Scenario<[f64; 2]> = Scenario::new(10).at(5, ScenarioEvent::Inject(vec![]));
         assert_eq!(s2.first_failure_round(), None);
@@ -408,16 +377,15 @@ mod tests {
 
     #[test]
     fn region_victims_follow_the_founding_convention() {
-        use polystyrene::prelude::PointId;
-        let originals: Vec<DataPoint<[f64; 2]>> = (0..6)
-            .map(|i| DataPoint::new(PointId::new(i), [i as f64, 0.0]))
+        // Founder `i` stands on `shape[i]`: the ids come out ascending.
+        let shape: Vec<[f64; 2]> = [4.0, 0.0, 5.0, 3.0, 1.0, 9.0]
+            .iter()
+            .map(|&x| [x, 0.0])
             .collect();
-        let victims = select_region_victims(
-            &originals,
-            &|p: &[f64; 2]| p[0] >= 3.0,
-            &|id| id != NodeId::new(4), // node 4 already dead
-        );
-        assert_eq!(victims, vec![NodeId::new(3), NodeId::new(5)]);
+        let ids = region_ids(&shape, |p: &[f64; 2]| p[0] >= 3.0);
+        let expected: Vec<NodeId> = [0, 2, 3, 5].into_iter().map(NodeId::new).collect();
+        assert_eq!(ids, expected);
+        assert!(region_ids(&shape, |_: &[f64; 2]| false).is_empty());
     }
 
     #[test]
@@ -442,16 +410,39 @@ mod tests {
         assert_eq!(p.failure_round, 20);
         assert_eq!(p.inject_round, Some(100));
         assert_eq!(p.total_rounds, 200);
-        let script = p.script();
-        assert_eq!(script.event_rounds(), vec![20, 100]);
-        assert_eq!(script.first_failure_round(), Some(20));
+        assert_eq!(p.script().first_failure_round(), Some(20));
+    }
+
+    #[test]
+    fn paper_script_is_a_plain_value() {
+        // The grid is row-major: id `i` stands in column `i % 80`, and
+        // the right half-torus is columns 40 and up.
+        let dead_half: Vec<NodeId> = (0..3200u64)
+            .filter(|i| i % 80 >= 40)
+            .map(NodeId::new)
+            .collect();
+        assert_eq!(dead_half.len(), 1600);
+        let expected = Scenario::new(200)
+            .at(20, ScenarioEvent::FailNodes(dead_half))
+            .at(
+                100,
+                ScenarioEvent::Inject(polystyrene_space::shapes::torus_grid_offset(40, 40, 1.0)),
+            );
+        let script = PaperScenario::default().script();
+        assert_eq!(script, expected);
+        assert!(!format!("{script:?}").contains("<predicate>"));
     }
 
     #[test]
     fn reshaping_only_variant_has_no_injection() {
         let p = PaperScenario::reshaping_only(16, 8, 10, 30);
         assert_eq!(p.total_rounds, 40);
-        assert_eq!(p.script().event_rounds(), vec![10]);
+        let dead_half = region_ids(&p.shape(), |q: &[f64; 2]| q[0] >= 8.0);
+        assert_eq!(dead_half.len(), 64);
+        assert_eq!(
+            p.script(),
+            Scenario::new(40).at(10, ScenarioEvent::FailNodes(dead_half))
+        );
     }
 
     #[test]
@@ -460,7 +451,7 @@ mod tests {
         assert_eq!(p.shape().len(), 3200);
         assert_eq!(
             p.shape().len(),
-            polystyrene_space::shapes::torus_grid(p.cols, p.rows, p.step).len()
+            polystyrene_space::shapes::torus_grid(p.cols, p.rows, 1.0).len()
         );
     }
 }

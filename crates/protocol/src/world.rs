@@ -13,8 +13,8 @@
 //!   [`RoundCost`], the failure knowledge every handler reads, and the
 //!   traffic plane's [`Gateways`];
 //! * the code that touches them alike: founding ([`World::found`]),
-//!   joining ([`World::join`]), victim selection
-//!   ([`World::region_victims`], [`World::random_victims`]), the round's
+//!   joining ([`World::join`]), random victim selection
+//!   ([`World::random_victims`]), the round's
 //!   shared steps ([`World::begin_round`], [`World::shuffled_order`],
 //!   [`World::refresh_positions`]) and the measurement
 //!   ([`World::measure`], [`World::measure_fresh`]).
@@ -34,7 +34,7 @@ use crate::config::{ProtocolConfig, SubstrateConfig};
 use crate::cost::{RoundCost, UNITS_PER_DESCRIPTOR};
 use crate::observe::{Census, RoundObservation};
 use crate::pool::{Gateways, NodePool};
-use crate::scenario::{select_region_victims, select_victims};
+use crate::scenario::select_victims;
 use polystyrene::prelude::{DataPoint, PolyState};
 use polystyrene_membership::{Descriptor, FailureTable, NodeId};
 use polystyrene_space::MetricSpace;
@@ -122,18 +122,6 @@ impl<S: MetricSpace> World<S> {
     pub fn join(&mut self, positions: &[S::Point]) -> Vec<NodeId> {
         self.pool
             .join(&self.space, positions, self.protocol, &mut self.rng)
-    }
-
-    /// The victims of a correlated regional failure: every alive
-    /// founding node whose original data point satisfies `predicate`
-    /// ([`select_region_victims`]). Draws nothing.
-    pub fn region_victims(
-        &self,
-        predicate: &(dyn Fn(&S::Point) -> bool + Send + Sync),
-    ) -> Vec<NodeId> {
-        select_region_victims(&self.original_points, predicate, &|id| {
-            self.pool.contains(id)
-        })
     }
 
     /// A uniformly random `fraction` of the alive population, drawn from

@@ -14,8 +14,7 @@ use polystyrene::prelude::{DataPoint, PolyState};
 use polystyrene_membership::{Descriptor, NodeId};
 use polystyrene_protocol::observe::{Census, RoundObservation};
 use polystyrene_protocol::{
-    founder_contacts, founding_points, joiner_contacts, select_region_victims, ProtocolNode,
-    SubstrateConfig,
+    founder_contacts, founding_points, joiner_contacts, region_ids, ProtocolNode, SubstrateConfig,
 };
 use polystyrene_space::MetricSpace;
 use rand::rngs::StdRng;
@@ -231,16 +230,19 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
     }
 
     /// Crashes every founding node whose original data point satisfies
-    /// `predicate`: the paper's correlated regional failure, with victim
-    /// selection shared with every other substrate through
-    /// [`select_region_victims`]. Returns the crashed ids.
+    /// `predicate`: the paper's correlated regional failure. The victims
+    /// are the founders' [`region_ids`], as on every other substrate,
+    /// killed in ascending order, the dead ones skipped. Returns the
+    /// crashed ids.
     pub fn kill_region(
         &mut self,
         predicate: impl Fn(&S::Point) -> bool + Send + Sync,
     ) -> Vec<NodeId> {
-        let victims =
-            select_region_victims(&self.original_points, &predicate, &|id| self.is_alive(id));
-        victims.into_iter().filter(|&id| self.kill(id)).collect()
+        let founders = self.original_points.iter().map(|p| &p.pos);
+        region_ids(founders, predicate)
+            .into_iter()
+            .filter(|&id| self.kill(id))
+            .collect()
     }
 
     /// Injects a fresh node with no data points at `position`

@@ -55,7 +55,7 @@ use crate::metrics::RoundMetrics;
 use polystyrene_membership::NodeId;
 use polystyrene_protocol::observe::RoundObservation;
 use polystyrene_protocol::{
-    par, Channel, Effect, EffectSink, Event, Phase, SubstrateConfig, Wire, World,
+    par, region_ids, Channel, Effect, EffectSink, Event, Phase, SubstrateConfig, Wire, World,
     UNITS_PER_DESCRIPTOR,
 };
 use polystyrene_space::MetricSpace;
@@ -318,18 +318,17 @@ impl<S: MetricSpace> Engine<S> {
     /// Crashes every alive *founding* node whose original data point
     /// satisfies `predicate` — the paper's correlated catastrophic
     /// failure, e.g. "all the 1600 nodes located in one half of the torus"
-    /// (Sec. IV-A Phase 2). Victims are the World's
-    /// [`region_victims`](World::region_victims). Returns the crashed
-    /// ids.
+    /// (Sec. IV-A Phase 2). The victims are the founders' [`region_ids`], crashed in
+    /// ascending order, the dead ones skipped. Returns the crashed ids.
     pub fn fail_original_region(
         &mut self,
         predicate: &(dyn Fn(&S::Point) -> bool + Send + Sync),
     ) -> Vec<NodeId> {
-        let killed = self.world.region_victims(predicate);
-        for &id in &killed {
-            self.crash(id);
-        }
-        killed
+        let founders = self.world.original_points.iter().map(|p| &p.pos);
+        region_ids(founders, predicate)
+            .into_iter()
+            .filter(|&id| self.crash(id))
+            .collect()
     }
 
     /// Crashes a uniformly random fraction of the alive population

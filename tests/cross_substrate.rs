@@ -13,7 +13,6 @@
 //! same failure scenarios regardless of how messages move.
 
 use polystyrene_repro::prelude::*;
-use std::sync::Arc;
 use std::time::Duration;
 
 const COLS: usize = 8;
@@ -25,7 +24,10 @@ fn shared_scenario() -> Scenario<[f64; 2]> {
     Scenario::new(55)
         .at(
             20,
-            ScenarioEvent::FailOriginalRegion(Arc::new(|p: &[f64; 2]| p[0] >= COLS as f64 / 2.0)),
+            ScenarioEvent::FailNodes(region_ids(
+                &shapes::torus_grid(COLS, ROWS, 1.0),
+                shapes::in_right_half(COLS as f64),
+            )),
         )
         .at(
             25,

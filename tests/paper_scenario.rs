@@ -22,7 +22,6 @@ fn paper() -> PaperScenario {
     PaperScenario {
         cols: 24,
         rows: 12,
-        step: 1.0,
         failure_round: 15,
         inject_round: Some(50),
         total_rounds: 90,
