@@ -13,7 +13,7 @@
 use crate::snapshot::dump;
 use crate::{lab_config, Args, Output};
 use polystyrene::prelude::SplitStrategy;
-use polystyrene_protocol::{LinkProfile, PaperScenario};
+use polystyrene_protocol::{LinkProfile, PaperScenario, Substrate};
 use polystyrene_sim::engine::Engine;
 use polystyrene_space::shapes;
 use polystyrene_space::torus::Torus2;
@@ -47,7 +47,7 @@ pub fn run(args: &Args) -> Output {
             engine.disable_polystyrene();
         }
         engine.run(paper.failure_round);
-        engine.fail_original_region(&shapes::in_right_half(w));
+        engine.kill_region(&shapes::in_right_half(w));
         if !tman_only {
             engine.run(2);
             panel(&engine, &format!("fig8a_repair_started_{name}"));

@@ -114,7 +114,7 @@ pub fn dump(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polystyrene_protocol::SubstrateConfig;
+    use polystyrene_protocol::{Substrate, SubstrateConfig};
     use polystyrene_space::shapes;
 
     /// Fraction of density cells that are empty — how much of the
@@ -154,7 +154,7 @@ mod tests {
         e.run(8);
         let before = Snapshot::capture(&e);
         let empty_before = empty_cell_fraction(&before, 16.0, 4.0, 8, 2);
-        e.fail_original_region(&shapes::in_right_half(16.0));
+        e.kill_region(&shapes::in_right_half(16.0));
         let after = Snapshot::capture(&e);
         let empty_after = empty_cell_fraction(&after, 16.0, 4.0, 8, 2);
         assert!(

@@ -1,7 +1,8 @@
-//! Allocation and heap gates: a counting global allocator asserts on
-//! the *count* of heap allocations a steady-state round makes and on the
-//! bytes a 256-node fabric holds per node, on the cycle engine and on the
-//! event kernel.
+//! Allocation, heap and work gates: a counting global allocator asserts
+//! on the *count* of heap allocations a steady-state round makes and on
+//! the bytes a 256-node fabric holds per node, on the cycle engine and on
+//! the event kernel, and a counting metric space asserts on the distance
+//! evaluations an engine round makes.
 //!
 //! Every reading is seeded and deterministic, the same in debug and
 //! release builds, so the gates run with the rest of the suite. They are
@@ -10,10 +11,10 @@
 //! measurement.
 
 use polystyrene_lab::TrafficLoad;
-use polystyrene_netsim::prelude::{LinkProfile, NetSim, SubstrateConfig};
+use polystyrene_netsim::prelude::{LinkProfile, NetSim, Substrate, SubstrateConfig};
 use polystyrene_sim::prelude::Engine;
-use polystyrene_space::shapes;
 use polystyrene_space::torus::Torus2;
+use polystyrene_space::{shapes, GridSpec, MetricSpace};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -207,7 +208,7 @@ fn live_heap_per_node(live_before: u64, nodes: u64) -> u64 {
 fn assert_post_catastrophe_heap_per_node(engine: &mut Engine<Torus2>, live_before: u64) -> Reading {
     const BOUND: u64 = 4_529;
     let dead_half = |p: &[f64; 2]| p[0] >= 16.0;
-    engine.fail_original_region(&dead_half);
+    engine.kill_region(&dead_half);
     engine.run(8);
     let refill: Vec<[f64; 2]> = shapes::torus_grid(32, 8, 1.0)
         .into_iter()
@@ -223,6 +224,66 @@ fn assert_post_catastrophe_heap_per_node(engine: &mut Engine<Torus2>, live_befor
          (bound {BOUND}): per-node state is keeping capacity from the recovery spike"
     );
     (per_node, BOUND)
+}
+
+/// Metric evaluations — `distance` and `distance_sq` calls — made
+/// through [`Counted`] spaces so far.
+static METRIC_EVALUATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// A metric space that is its inner space but counts every distance it
+/// evaluates into [`METRIC_EVALUATIONS`].
+#[derive(Clone)]
+struct Counted<S>(S);
+
+impl<S: MetricSpace> MetricSpace for Counted<S> {
+    type Point = S::Point;
+
+    fn distance(&self, a: &S::Point, b: &S::Point) -> f64 {
+        METRIC_EVALUATIONS.fetch_add(1, Ordering::Relaxed);
+        self.0.distance(a, b)
+    }
+
+    fn distance_sq(&self, a: &S::Point, b: &S::Point) -> f64 {
+        METRIC_EVALUATIONS.fetch_add(1, Ordering::Relaxed);
+        self.0.distance_sq(a, b)
+    }
+
+    fn grid_spec(&self, target_cells: usize) -> Option<GridSpec> {
+        self.0.grid_spec(target_cells)
+    }
+
+    fn grid_cell(&self, p: &S::Point, spec: &GridSpec) -> Option<(usize, usize)> {
+        self.0.grid_cell(p, spec)
+    }
+}
+
+/// Work gate: the metric evaluations of 8 steady-state engine rounds at
+/// 256 nodes, 24 rounds in, on the allocation gates' configuration.
+/// Seeded, and below the fan-out threshold of
+/// `polystyrene_protocol::par` every pass runs inline, so the count is
+/// the same on every run, core count and build profile, and the gate is
+/// that count: one evaluation more per window fails it. It guards the
+/// pruned ranking scan of `polystyrene_topology::rank`, whose stop a
+/// wall-clock run cannot resolve from noise: a scan that never breaks
+/// returns the same ranks at more evaluations.
+fn assert_engine_metric_evaluations() -> Reading {
+    const ROUNDS: u32 = 8;
+    const EVALUATIONS: u64 = 262_117;
+    let mut cfg = SubstrateConfig::default();
+    cfg.area = 256.0;
+    cfg.seed = 21;
+    let space = Counted(Torus2::new(32.0, 8.0));
+    let mut engine = Engine::new(space, shapes::torus_grid(32, 8, 1.0), cfg);
+    engine.run(24);
+    let before = METRIC_EVALUATIONS.load(Ordering::Relaxed);
+    engine.run(ROUNDS);
+    let evaluations = METRIC_EVALUATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        evaluations, EVALUATIONS,
+        "8 steady-state engine rounds at 256 nodes evaluated the metric {evaluations} times \
+         (pinned {EVALUATIONS}): the ranking scan, or another pass, does different work"
+    );
+    (evaluations, EVALUATIONS)
 }
 
 /// The engine's gates in the order they run: live heap per node, then
@@ -270,6 +331,7 @@ fn netsim_gates() -> [Reading; 2] {
 fn steady_state_allocations_and_live_heap_stay_within_their_gates() {
     let [engine_heap, engine_allocations, engine_recovered] = engine_gates();
     let [netsim_heap, netsim_allocations] = netsim_gates();
+    let evaluations = assert_engine_metric_evaluations();
     for (gate, (reading, bound)) in [
         ("engine live heap, bytes/node after 24 rounds", engine_heap),
         ("engine steady-state allocations/round", engine_allocations),
@@ -279,6 +341,10 @@ fn steady_state_allocations_and_live_heap_stay_within_their_gates() {
         ),
         ("netsim live heap, bytes/node after 24 rounds", netsim_heap),
         ("netsim steady-state allocations/round", netsim_allocations),
+        (
+            "engine metric evaluations over 8 steady-state rounds",
+            evaluations,
+        ),
     ] {
         println!("{gate}: {reading} (bound {bound})");
     }

@@ -581,6 +581,7 @@ pub fn summary_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use polystyrene::prelude::DataPoint;
     use polystyrene_membership::NodeId;
     use polystyrene_protocol::observe::TrafficStats;
 
@@ -593,9 +594,11 @@ mod tests {
     }
 
     impl Substrate<[f64; 2]> for Recorder {
-        fn kill_region(&mut self, _: &(dyn Fn(&[f64; 2]) -> bool + Send + Sync)) -> Vec<NodeId> {
-            self.calls.push(format!("region@{}", self.rounds));
-            Vec::new()
+        fn crash(&mut self, _: NodeId) -> bool {
+            false
+        }
+        fn original_points(&self) -> &[DataPoint<[f64; 2]>] {
+            &[]
         }
         fn kill_fraction(&mut self, fraction: f64) -> Vec<NodeId> {
             self.calls

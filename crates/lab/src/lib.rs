@@ -10,7 +10,9 @@
 //! is the plane that makes the claim checkable by construction:
 //!
 //! * [`Substrate`] — the one seam (kill / inject / partition / step /
-//!   observe) all four backends implement;
+//!   observe) all four backends implement, defined beside the script
+//!   language in [`polystyrene_protocol::scenario`] and re-exported
+//!   here;
 //! * [`build_substrate`] — the `--substrate engine|netsim|cluster|tcp`
 //!   switchboard behind every figure's `--substrate`, built from one
 //!   [`SubstrateConfig`](polystyrene_protocol::SubstrateConfig) whatever

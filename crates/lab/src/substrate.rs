@@ -1,9 +1,9 @@
-//! The one seam every execution substrate stands behind.
+//! The experiment plane's side of the substrate seam.
 //!
-//! [`Substrate`] is that seam: kill, inject, partition, step, observe.
-//! The cycle engine and the discrete-event kernel implement it
-//! directly, with one body (their kill, join and traffic methods share
-//! signatures); the live [`Cluster`], over whichever transport, plugs in
+//! [`Substrate`] itself lives beside the script language
+//! ([`polystyrene_protocol::scenario`]) and is re-exported here: the
+//! cycle engine and the discrete-event kernel implement it in their own
+//! crates, and the live [`Cluster`], over whichever transport, plugs in
 //! through [`LiveSubstrate`], which owns the round bookkeeping (tick
 //! targets, victim entropy) that an asynchronous cluster needs and
 //! deterministic simulators don't.
@@ -14,10 +14,12 @@
 //! every cross-substrate test is one `--substrate` flag away from
 //! running on a different execution model.
 
+use polystyrene::prelude::DataPoint;
 use polystyrene_membership::NodeId;
 use polystyrene_netsim::NetSim;
 use polystyrene_protocol::observe::{RoundObservation, TrafficStats};
 use polystyrene_protocol::scenario::select_victims;
+pub use polystyrene_protocol::scenario::Substrate;
 use polystyrene_protocol::SubstrateConfig;
 use polystyrene_runtime::{Cluster, Transport};
 use polystyrene_sim::engine::Engine;
@@ -27,118 +29,6 @@ use polystyrene_transport::TcpCluster;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
-
-/// What a scenario needs from an execution substrate — implemented by
-/// all four backends, so failure injection, observation and round
-/// advancement have exactly one meaning across the whole matrix.
-pub trait Substrate<P> {
-    /// Crashes every alive founding node whose original data point
-    /// satisfies `predicate`, as [`Self::kill_nodes`] of the founders'
-    /// [`region_ids`](polystyrene_protocol::region_ids) would; returns
-    /// the crashed ids.
-    fn kill_region(&mut self, predicate: &(dyn Fn(&P) -> bool + Send + Sync)) -> Vec<NodeId>;
-    /// Crashes a uniformly random `fraction` of the alive population;
-    /// returns the crashed ids.
-    fn kill_fraction(&mut self, fraction: f64) -> Vec<NodeId>;
-    /// Crashes these specific nodes (dead ones are skipped); returns the
-    /// ids actually crashed.
-    fn kill_nodes(&mut self, ids: &[NodeId]) -> Vec<NodeId>;
-    /// Injects fresh, empty nodes at `positions`; returns the new ids.
-    fn inject(&mut self, positions: &[P]) -> Vec<NodeId>;
-    /// Installs a network partition
-    /// (see [`polystyrene_protocol::ScenarioEvent::Partition`]).
-    /// Default: no-op, for substrates without a network fabric to cut —
-    /// the cycle engine's atomic exchanges and the live cluster's
-    /// reliable channels cannot model one.
-    fn partition(&mut self, _groups: &[Vec<NodeId>]) {}
-    /// Heals a previously installed partition. Default: no-op.
-    fn heal(&mut self) {}
-    /// Offers application queries — one per key, each entering at a
-    /// uniformly random alive gateway and resolving hop-by-hop through
-    /// node views. Default: no-op, so scenario-only substrates (and the
-    /// driver tests' recorders) need not carry a traffic plane.
-    fn offer_traffic(&mut self, _keys: &[P], _ttl: u32) {}
-    /// Collects and resets the traffic accounting accumulated since the
-    /// previous drain — the per-round [`TrafficStats`] the experiment
-    /// driver stores into its observations. Default: zero stats.
-    fn drain_traffic(&mut self) -> TrafficStats {
-        TrafficStats::default()
-    }
-    /// Runs one protocol round (one engine cycle, one event-kernel
-    /// round, or one tick-equivalent of wall-clock progress on a live
-    /// cluster) and returns the observation measured at its end.
-    fn step(&mut self) -> RoundObservation;
-    /// Measures the current state without advancing. On the
-    /// deterministic substrates this re-reads the last round's metrics
-    /// (or measures round zero) and consumes no entropy; on the live
-    /// clusters it reads the observation board.
-    fn observe(&self) -> RoundObservation;
-}
-
-/// The one [`Substrate`] impl of the deterministic drivers, which share
-/// their kill, join and traffic signatures; `$extra` holds what only one
-/// of them has.
-macro_rules! deterministic_substrate {
-    ($driver:ident { $($extra:item)* }) => {
-        impl<S: MetricSpace> Substrate<S::Point> for $driver<S> {
-            fn kill_region(
-                &mut self,
-                predicate: &(dyn Fn(&S::Point) -> bool + Send + Sync),
-            ) -> Vec<NodeId> {
-                self.fail_original_region(predicate)
-            }
-
-            fn kill_fraction(&mut self, fraction: f64) -> Vec<NodeId> {
-                self.fail_random_fraction(fraction)
-            }
-
-            fn kill_nodes(&mut self, ids: &[NodeId]) -> Vec<NodeId> {
-                ids.iter().copied().filter(|&id| self.crash(id)).collect()
-            }
-
-            fn inject(&mut self, positions: &[S::Point]) -> Vec<NodeId> {
-                $driver::inject(self, positions)
-            }
-
-            fn offer_traffic(&mut self, keys: &[S::Point], ttl: u32) {
-                $driver::offer_traffic(self, keys, ttl);
-            }
-
-            fn drain_traffic(&mut self) -> TrafficStats {
-                let mut samples = Vec::new();
-                let (offered, delivered, dropped) = $driver::drain_traffic(self, &mut samples);
-                TrafficStats::from_samples(offered, delivered, dropped, &mut samples)
-            }
-
-            fn step(&mut self) -> RoundObservation {
-                $driver::step(self).observation
-            }
-
-            fn observe(&self) -> RoundObservation {
-                match self.history().last() {
-                    Some(m) => m.observation,
-                    None => self.compute_metrics().observation,
-                }
-            }
-
-            $($extra)*
-        }
-    };
-}
-
-deterministic_substrate!(Engine {});
-
-deterministic_substrate!(NetSim {
-    fn partition(&mut self, groups: &[Vec<NodeId>]) {
-        // The kernel-level cut severs both fabrics — protocol gossip and
-        // query traffic — so a partition is a partition for everyone.
-        NetSim::set_partition(self, groups);
-    }
-
-    fn heal(&mut self) {
-        NetSim::heal(self);
-    }
-});
 
 /// A wall-clock deployment viewed as a [`Substrate`]: one scenario round
 /// is "every alive node has completed one more local tick", and victim
@@ -202,24 +92,17 @@ impl<S: MetricSpace, T: Transport<S::Point>> LiveSubstrate<Cluster<S, T>> {
 }
 
 impl<S: MetricSpace, T: Transport<S::Point>> Substrate<S::Point> for LiveSubstrate<Cluster<S, T>> {
-    fn kill_region(
-        &mut self,
-        predicate: &(dyn Fn(&S::Point) -> bool + Send + Sync),
-    ) -> Vec<NodeId> {
-        self.cluster.kill_region(predicate)
+    fn crash(&mut self, id: NodeId) -> bool {
+        self.cluster.kill(id)
+    }
+
+    fn original_points(&self) -> &[DataPoint<S::Point>] {
+        self.cluster.original_points()
     }
 
     fn kill_fraction(&mut self, fraction: f64) -> Vec<NodeId> {
-        let mut victims = select_victims(self.cluster.alive_ids(), fraction, &mut self.rng);
-        victims.retain(|&id| self.cluster.kill(id));
-        victims
-    }
-
-    fn kill_nodes(&mut self, ids: &[NodeId]) -> Vec<NodeId> {
-        ids.iter()
-            .copied()
-            .filter(|&id| self.cluster.kill(id))
-            .collect()
+        let victims = select_victims(self.cluster.alive_ids(), fraction, &mut self.rng);
+        self.kill_nodes(&victims)
     }
 
     fn inject(&mut self, positions: &[S::Point]) -> Vec<NodeId> {

@@ -102,7 +102,7 @@ fn region_kill_and_scripted_region_ids_crash_the_same_ids() {
     // The benchmark kills a region through `kill_region`, a script
     // through `FailNodes(region_ids(..))`: on every substrate both must
     // crash the same founders in the same ascending order, dead ones
-    // skipped.
+    // skipped, and a churn round after them the same random victims.
     let shape = shapes::torus_grid(4, 4, 1.0);
     let dead_half = shapes::in_right_half(4.0);
     let mut cfg = SubstrateConfig::default();
@@ -128,6 +128,19 @@ fn region_kill_and_scripted_region_ids_crash_the_same_ids() {
             killed,
             "{kind}"
         );
+        // Churn draws from the substrate's own stream, which no kill
+        // above touched, and crashes through the same `kill_nodes`: half
+        // of the eight left alive, the same four on both twins.
+        let churned = by_region.kill_fraction(0.5);
+        assert_eq!(churned.len(), 4, "{kind}");
+        assert!(
+            churned
+                .iter()
+                .all(|id| !killed.contains(id) && *id != NodeId::new(6)),
+            "{kind}"
+        );
+        assert_eq!(by_ids.kill_fraction(0.5), churned, "{kind}");
+        assert!(by_ids.kill_nodes(&churned).is_empty(), "{kind}");
     }
 }
 
@@ -220,7 +233,7 @@ fn injected_netsim_nodes_attract_points() {
     cfg.tman.m = 10;
     let mut sim = NetSim::new(Torus2::new(w, h), p.shape(), cfg);
     sim.run(10);
-    sim.fail_original_region(&shapes::in_right_half(20.0));
+    sim.kill_region(&shapes::in_right_half(20.0));
     sim.run(10);
     let fresh = sim.inject(&shapes::torus_grid_offset(10, 10, 1.0));
     assert_eq!(fresh.len(), 100);
@@ -581,7 +594,7 @@ fn census_reads_the_pool_and_the_board_alike() {
     let space = Torus2::new(32.0, 16.0);
     let mut engine = Engine::new(space, shapes::torus_grid(32, 16, 1.0), cfg);
     engine.run(8);
-    engine.fail_original_region(&shapes::in_right_half(32.0));
+    engine.kill_region(&shapes::in_right_half(32.0));
     engine.run(2);
     let reports: Vec<NodeReport<[f64; 2]>> = engine
         .alive_ids()

@@ -119,11 +119,12 @@
 
 use crate::metrics::NetRoundMetrics;
 use crate::queue::CalendarQueue;
+use polystyrene::prelude::DataPoint;
 use polystyrene_membership::{FailureTable, NodeId};
-use polystyrene_protocol::observe::RoundObservation;
+use polystyrene_protocol::observe::{RoundObservation, TrafficStats};
 use polystyrene_protocol::{
-    node_seed, par, region_ids, Channel, Effect, EffectSink, Event, Fate, FaultyNetwork,
-    ProtocolNode, SubstrateConfig, Wire, World, TRAFFIC_SEED_TAG,
+    node_seed, par, Channel, Effect, EffectSink, Event, Fate, FaultyNetwork, ProtocolNode,
+    Substrate, SubstrateConfig, Wire, World, TRAFFIC_SEED_TAG,
 };
 use polystyrene_space::MetricSpace;
 use rand::rngs::StdRng;
@@ -404,52 +405,9 @@ impl<S: MetricSpace> NetSim<S> {
     // Traffic plane — application queries over the live fabric
     // ------------------------------------------------------------------
 
-    /// Installs a partition on both the protocol and traffic fabrics.
-    pub fn set_partition(&mut self, groups: &[Vec<NodeId>]) {
-        self.net.set_partition(groups);
-        self.traffic_net.set_partition(groups);
-    }
-
-    /// Heals both fabrics.
-    pub fn heal(&mut self) {
-        self.net.heal();
-        self.traffic_net.heal();
-    }
-
     /// Query messages currently in transit on the traffic fabric.
     pub fn traffic_in_flight(&self) -> usize {
         self.traffic_in_flight
-    }
-
-    /// Injects one query per key at a uniformly random alive gateway.
-    /// Co-gateway queries share one [`Wire::QueryBatch`] envelope,
-    /// scheduled as a *single* self-addressed kernel event at the
-    /// current instant — the start of the next [`Self::step`] — and then
-    /// forward hop-by-hop through node views as (batched) messages on
-    /// the traffic fabric. Gateways are drawn first, in key order
-    /// against one borrow of the alive list — the exact rng stream and
-    /// qid assignment of the per-wire path — so batching changes the
-    /// envelope count, never a query's gateway or id. Gateway choice and
-    /// query transit draw from dedicated streams, so enabling traffic
-    /// leaves the protocol history byte-identical.
-    pub fn offer_traffic(&mut self, keys: &[S::Point], ttl: u32) {
-        self.world
-            .gateways
-            .group(self.world.pool.alive_ids(), keys.len());
-        while let Some((gateway, queries)) = self
-            .world
-            .gateways
-            .next_batch(keys, ttl, |_| self.lanes[0].sink.pool.take_queries())
-        {
-            self.schedule(
-                self.now,
-                Pending::Deliver {
-                    from: gateway,
-                    to: gateway,
-                    wire: Wire::QueryBatch { queries },
-                },
-            );
-        }
     }
 
     /// The per-wire offer path: one [`Wire::Query`] delivery event per
@@ -495,75 +453,12 @@ impl<S: MetricSpace> NetSim<S> {
     // Failure injection — everything is an event
     // ------------------------------------------------------------------
 
-    /// Crashes a node immediately (no-op if already dead): the node stops
-    /// processing from this instant, messages already in flight toward it
-    /// will evaporate at delivery, and its `Detect` event — the moment
-    /// survivors' failure knowledge learns of the crash — fires
-    /// `detection_delay_ticks` later.
-    pub fn crash(&mut self, id: NodeId) -> bool {
-        if self.world.pool.remove(id).is_none() {
-            return false;
-        }
-        if self.config.detection_delay_ticks == 0 {
-            self.world.detected.mark(id);
-        } else {
-            let at = self.now + self.config.detection_delay_ticks;
-            self.schedule(at, Pending::Detect { id });
-        }
-        true
-    }
-
     /// Schedules a crash `in_ticks` simulated time units from now — mid-
     /// round crashes, correlated cascades, anything a script can express
     /// in time rather than rounds.
     pub fn schedule_crash(&mut self, id: NodeId, in_ticks: u64) {
         let at = self.now + in_ticks;
         self.schedule(at, Pending::Crash { id });
-    }
-
-    /// Crashes every alive founding node whose original data point
-    /// satisfies `predicate`. The victims are the founders' [`region_ids`], crashed in
-    /// ascending order, the dead ones skipped. Returns the crashed ids.
-    pub fn fail_original_region(
-        &mut self,
-        predicate: &(dyn Fn(&S::Point) -> bool + Send + Sync),
-    ) -> Vec<NodeId> {
-        let founders = self.world.original_points.iter().map(|p| &p.pos);
-        region_ids(founders, predicate)
-            .into_iter()
-            .filter(|&id| self.crash(id))
-            .collect()
-    }
-
-    /// Crashes a uniformly random fraction of the alive population,
-    /// drawn by the World's [`random_victims`](World::random_victims).
-    /// Returns the crashed ids.
-    pub fn fail_random_fraction(&mut self, fraction: f64) -> Vec<NodeId> {
-        let killed = self.world.random_victims(fraction);
-        for &id in &killed {
-            self.crash(id);
-        }
-        killed
-    }
-
-    /// Injects fresh empty nodes at `positions`, bootstrapped from random
-    /// alive contacts through the World's two-pass [`World::join`] (the
-    /// cycle engine's inject; joiners never bootstrap each other), each
-    /// with its own stream. Returns the new ids.
-    pub fn inject(&mut self, positions: &[S::Point]) -> Vec<NodeId> {
-        let ids = self.world.join(positions);
-        for &id in &ids {
-            // A recycled slot still holds its previous occupant's stream;
-            // fresh slots are issued in ascending order.
-            let slot = self.world.pool.slot_of(id).expect("just inserted");
-            let rng = StdRng::seed_from_u64(node_seed(self.config.seed, id));
-            match self.rngs.get_mut(slot) {
-                Some(stream) => *stream = rng,
-                None => self.rngs.push(rng),
-            }
-        }
-        debug_assert_eq!(self.rngs.len(), self.world.pool.slot_count());
-        ids
     }
 
     // ------------------------------------------------------------------
@@ -823,6 +718,119 @@ impl<S: MetricSpace> NetSim<S> {
     }
 }
 
+impl<S: MetricSpace> Substrate<S::Point> for NetSim<S> {
+    /// Crashes a node immediately (no-op if already dead): the node stops
+    /// processing from this instant, messages already in flight toward it
+    /// will evaporate at delivery, and its `Detect` event — the moment
+    /// survivors' failure knowledge learns of the crash — fires
+    /// `detection_delay_ticks` later.
+    fn crash(&mut self, id: NodeId) -> bool {
+        if self.world.pool.remove(id).is_none() {
+            return false;
+        }
+        if self.config.detection_delay_ticks == 0 {
+            self.world.detected.mark(id);
+        } else {
+            let at = self.now + self.config.detection_delay_ticks;
+            self.schedule(at, Pending::Detect { id });
+        }
+        true
+    }
+
+    fn original_points(&self) -> &[DataPoint<S::Point>] {
+        &self.world.original_points
+    }
+
+    /// Crashes a uniformly random fraction of the alive population,
+    /// drawn by the World's [`random_victims`](World::random_victims).
+    fn kill_fraction(&mut self, fraction: f64) -> Vec<NodeId> {
+        let victims = self.world.random_victims(fraction);
+        self.kill_nodes(&victims)
+    }
+
+    /// Injects fresh empty nodes at `positions`, bootstrapped from random
+    /// alive contacts through the World's two-pass [`World::join`] (the
+    /// cycle engine's inject; joiners never bootstrap each other), each
+    /// with its own stream. Returns the new ids.
+    fn inject(&mut self, positions: &[S::Point]) -> Vec<NodeId> {
+        let ids = self.world.join(positions);
+        for &id in &ids {
+            // A recycled slot still holds its previous occupant's stream;
+            // fresh slots are issued in ascending order.
+            let slot = self.world.pool.slot_of(id).expect("just inserted");
+            let rng = StdRng::seed_from_u64(node_seed(self.config.seed, id));
+            match self.rngs.get_mut(slot) {
+                Some(stream) => *stream = rng,
+                None => self.rngs.push(rng),
+            }
+        }
+        debug_assert_eq!(self.rngs.len(), self.world.pool.slot_count());
+        ids
+    }
+
+    /// Installs a partition on both the protocol and traffic fabrics:
+    /// the kernel-level cut severs protocol gossip and query traffic
+    /// alike.
+    fn partition(&mut self, groups: &[Vec<NodeId>]) {
+        self.net.set_partition(groups);
+        self.traffic_net.set_partition(groups);
+    }
+
+    /// Heals both fabrics.
+    fn heal(&mut self) {
+        self.net.heal();
+        self.traffic_net.heal();
+    }
+
+    /// Injects one query per key at a uniformly random alive gateway.
+    /// Co-gateway queries share one [`Wire::QueryBatch`] envelope,
+    /// scheduled as a *single* self-addressed kernel event at the
+    /// current instant — the start of the next [`Self::step`] — and then
+    /// forward hop-by-hop through node views as (batched) messages on
+    /// the traffic fabric. Gateways are drawn first, in key order
+    /// against one borrow of the alive list — the exact rng stream and
+    /// qid assignment of the per-wire path — so batching changes the
+    /// envelope count, never a query's gateway or id. Gateway choice and
+    /// query transit draw from dedicated streams, so enabling traffic
+    /// leaves the protocol history byte-identical.
+    fn offer_traffic(&mut self, keys: &[S::Point], ttl: u32) {
+        self.world
+            .gateways
+            .group(self.world.pool.alive_ids(), keys.len());
+        while let Some((gateway, queries)) = self
+            .world
+            .gateways
+            .next_batch(keys, ttl, |_| self.lanes[0].sink.pool.take_queries())
+        {
+            self.schedule(
+                self.now,
+                Pending::Deliver {
+                    from: gateway,
+                    to: gateway,
+                    wire: Wire::QueryBatch { queries },
+                },
+            );
+        }
+    }
+
+    fn drain_traffic(&mut self) -> TrafficStats {
+        let mut samples = Vec::new();
+        let (offered, delivered, dropped) = NetSim::drain_traffic(self, &mut samples);
+        TrafficStats::from_samples(offered, delivered, dropped, &mut samples)
+    }
+
+    fn step(&mut self) -> RoundObservation {
+        NetSim::step(self).observation
+    }
+
+    fn observe(&self) -> RoundObservation {
+        match self.history.last() {
+            Some(m) => m.observation,
+            None => self.compute_metrics().observation,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -879,7 +887,7 @@ mod tests {
         let mut sim = tiny_sim(12, lossy);
         for round in 1..=8 {
             if round == 5 {
-                sim.fail_original_region(&shapes::in_right_half(16.0));
+                sim.kill_region(&shapes::in_right_half(16.0));
             }
             let stepped = sim.step();
             let fresh = sim.compute_metrics();
@@ -954,7 +962,7 @@ mod tests {
         sim.schedule_crash(NodeId::new(40), sim.config().ticks_per_round / 2);
         round(&mut sim, Some(7));
         assert_eq!(sim.alive_count(), 510);
-        sim.fail_original_region(&shapes::in_right_half(32.0));
+        sim.kill_region(&shapes::in_right_half(32.0));
         for _ in 0..3 {
             round(&mut sim, None);
         }
@@ -1086,7 +1094,7 @@ mod tests {
         };
         let mut sim = tiny_sim(5, link);
         sim.run(12);
-        let killed = sim.fail_original_region(&shapes::in_right_half(16.0));
+        let killed = sim.kill_region(&shapes::in_right_half(16.0));
         assert_eq!(killed.len(), 32);
         assert_eq!(sim.alive_count(), 32);
         sim.run(20);
@@ -1215,7 +1223,7 @@ mod tests {
         let mut sim = tiny_sim(8, LinkProfile::ideal());
         sim.run(8);
         // Cut node 0 off from everyone.
-        sim.set_partition(&[vec![NodeId::new(0)]]);
+        sim.partition(&[vec![NodeId::new(0)]]);
         let before = sim.compute_metrics().dropped_messages;
         sim.run(4);
         let during = sim.compute_metrics().dropped_messages;
@@ -1247,7 +1255,7 @@ mod tests {
         // survivors move while the left half cannot hear of it.
         let on_left = |id: NodeId| id.index() % 16 < 8;
         let left: Vec<NodeId> = (0..64).map(NodeId::new).filter(|&id| on_left(id)).collect();
-        sim.set_partition(std::slice::from_ref(&left));
+        sim.partition(std::slice::from_ref(&left));
         let at_cut: Vec<[f64; 2]> = (0..64)
             .map(|i| sim.poly_state(NodeId::new(i)).expect("alive").pos)
             .collect();
@@ -1404,7 +1412,7 @@ mod tests {
         // and expire at their origins as drops.
         let (left, right): (Vec<NodeId>, Vec<NodeId>) =
             sim.alive_ids().iter().partition(|id| id.index() % 16 < 8);
-        sim.set_partition(&[left, right]);
+        sim.partition(&[left, right]);
         let keys: Vec<[f64; 2]> = (0..16).map(|i| [i as f64 + 0.5, 1.5]).collect();
         let mut samples = Vec::new();
         let (mut offered, mut delivered, mut dropped) = (0, 0, 0);

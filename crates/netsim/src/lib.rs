@@ -45,11 +45,11 @@
 //! T-Man-only baseline is the cycle engine's alone
 //! (`Engine::disable_polystyrene`).
 //!
-//! Scenario scripts are the shared ones: the experiment plane
-//! (`polystyrene-lab`) plugs [`kernel::NetSim`] in as one of its
-//! `Substrate`s, so any script written for the engine or the live
-//! cluster — including churn windows and the partition events only a
-//! substrate with a network model can honor — runs here unchanged.
+//! Scenario scripts are the shared ones: [`kernel::NetSim`] implements
+//! the one [`Substrate`](polystyrene_protocol::Substrate) seam, so any
+//! script written for the engine or the live cluster — including churn
+//! windows and the partition events only a substrate with a network
+//! model can honor — runs here unchanged.
 //!
 //! # Example: convergence under a lossy, laggy network
 //!
@@ -79,7 +79,7 @@ pub mod prelude {
     pub use crate::kernel::{NetSim, NetSimConfig};
     pub use crate::metrics::{reference_homogeneity, NetRoundMetrics};
     pub use crate::queue::CalendarQueue;
-    pub use polystyrene_protocol::{Fate, FaultyNetwork, LinkProfile, SubstrateConfig};
+    pub use polystyrene_protocol::{Fate, FaultyNetwork, LinkProfile, Substrate, SubstrateConfig};
 }
 
 pub use prelude::*;

@@ -43,7 +43,7 @@ fn lossy_costs(seed: u64) -> Vec<NetRoundMetrics> {
     };
     let mut sim = NetSim::new(Torus2::new(16.0, 8.0), shapes::torus_grid(16, 8, 1.0), cfg);
     sim.run(12);
-    sim.fail_original_region(&shapes::in_right_half(16.0));
+    sim.kill_region(&shapes::in_right_half(16.0));
     sim.run(10);
     sim.history().to_vec()
 }

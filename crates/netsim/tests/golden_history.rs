@@ -76,7 +76,7 @@ fn lossy_history(seed: u64) -> Vec<NetRoundMetrics> {
         cfg,
     );
     sim.run(12);
-    sim.fail_original_region(&shapes::in_right_half(cols as f64));
+    sim.kill_region(&shapes::in_right_half(cols as f64));
     sim.run(18);
     sim.inject(&shapes::torus_grid_offset(cols / 2, rows, 1.0));
     sim.run(15);

@@ -32,7 +32,7 @@ fn recovers_from_half_torus_failure_under_ten_percent_loss() {
         lossy_config(42, 0.10),
     );
     sim.run(20);
-    let killed = sim.fail_original_region(&shapes::in_right_half(COLS as f64));
+    let killed = sim.kill_region(&shapes::in_right_half(COLS as f64));
     assert_eq!(killed.len(), COLS * ROWS / 2);
     sim.run(40);
     let reshaping = reshaping_time(sim.history(), 20);
@@ -63,7 +63,7 @@ fn lossy_runs_replay_bit_identically() {
             lossy_config(seed, 0.10),
         );
         sim.run(10);
-        sim.fail_original_region(&shapes::in_right_half(COLS as f64));
+        sim.kill_region(&shapes::in_right_half(COLS as f64));
         sim.run(10);
         sim.history().to_vec()
     };

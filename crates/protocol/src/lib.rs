@@ -16,7 +16,8 @@
 //!   three-phase evaluation, continuous
 //!   [`scenario::ScenarioEvent::Churn`] windows and
 //!   [`scenario::ScenarioEvent::Partition`] masks) together with the
-//!   shared victim-selection helpers (a region is its founders'
+//!   [`scenario::Substrate`] seam every driver implements once (a
+//!   region kill is the `kill_nodes` of its founders'
 //!   [`scenario::region_ids`]); the `polystyrene-lab` experiment
 //!   plane executes the *same* script value unchanged on the cycle
 //!   engine, the discrete-event network simulator, and the live
@@ -134,7 +135,7 @@ pub mod prelude {
     pub use crate::pool::{NodePool, SlotRef};
     pub use crate::scenario::{
         founder_contacts, founding_points, joiner_contacts, region_ids, sample_bootstrap_contacts,
-        select_victims, PaperScenario, Scenario, ScenarioEvent, TMAN_BOOTSTRAP,
+        select_victims, PaperScenario, Scenario, ScenarioEvent, Substrate, TMAN_BOOTSTRAP,
     };
     pub use crate::wire::{Channel, Effect, EffectSink, Event, QueryItem, QueryReplyItem, Wire};
     pub use crate::world::World;

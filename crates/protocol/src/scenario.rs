@@ -5,14 +5,15 @@
 //! 20, and re-injection of 1600 fresh nodes at round 100, observed until
 //! round 200. [`Scenario`] generalizes that — arbitrary events at
 //! arbitrary rounds, including continuous [`ScenarioEvent::Churn`]
-//! windows and [`ScenarioEvent::Partition`] masks. *Executing* a script
-//! is the experiment plane's job: `polystyrene-lab`'s `Substrate` trait
-//! and `run_experiment` driver run any script value unchanged on every
-//! execution substrate. What stays here, next to the script language,
-//! are the shared victim-selection and bootstrap-sampling helpers every
-//! substrate routes through, so what "crash", "inject" and "churn" mean
-//! cannot drift between them.
+//! windows and [`ScenarioEvent::Partition`] masks. [`Substrate`] is what
+//! a script runs on: each of the four drivers implements it once, and
+//! `polystyrene-lab`'s `run_experiment` runs any script value unchanged
+//! on all of them. What stays beside the script language are the
+//! victim-selection, kill and bootstrap rules every substrate routes
+//! through, so what "crash", "inject" and "churn" mean cannot drift
+//! between them.
 
+use crate::observe::{RoundObservation, TrafficStats};
 use polystyrene::prelude::{DataPoint, PointId};
 use polystyrene_membership::{Descriptor, NodeId};
 use std::collections::BTreeMap;
@@ -105,10 +106,10 @@ impl<P> Scenario<P> {
 }
 
 /// Selects the victims of a random-fraction failure: shuffles the alive
-/// population and takes the rounded fraction. Both substrates'
-/// `fail_fraction` implementations must route through this, so the
-/// rounding rule (how many nodes a `Churn { rate }` round kills) cannot
-/// drift between them.
+/// population and takes the rounded fraction. Every
+/// [`Substrate::kill_fraction`] routes through this, so the rounding
+/// rule (how many nodes a `Churn { rate }` round kills) cannot drift
+/// between them.
 ///
 /// # Panics
 ///
@@ -157,6 +158,70 @@ pub fn region_ids<'a, P: 'a>(
         .filter(|(_, p)| predicate(p))
         .map(|(i, _)| NodeId::new(i as u64))
         .collect()
+}
+
+/// What a scenario needs from an execution substrate: crash, inject,
+/// partition, step, observe. The cycle engine and the event kernel
+/// implement it in their own crates, the live clusters through
+/// `polystyrene-lab`'s `LiveSubstrate`, so failure injection,
+/// observation and round advancement have one meaning across the whole
+/// matrix.
+///
+/// [`Self::crash`] is the one kill primitive: every kill verb is a list
+/// of ids handed to [`Self::kill_nodes`], so the end of that method is
+/// the one place that sees every crash of every substrate.
+pub trait Substrate<P> {
+    /// Crashes one node; returns whether it was alive.
+    fn crash(&mut self, id: NodeId) -> bool;
+    /// The founding data points (founder `i` founded point `i` at
+    /// `shape[i]`, see [`founding_points`]).
+    fn original_points(&self) -> &[DataPoint<P>];
+    /// Crashes these specific nodes, in order, skipping the dead ones;
+    /// returns the ids actually crashed.
+    fn kill_nodes(&mut self, ids: &[NodeId]) -> Vec<NodeId> {
+        ids.iter().copied().filter(|&id| self.crash(id)).collect()
+    }
+    /// Crashes every alive founder whose original data point satisfies
+    /// `predicate` — the paper's correlated catastrophic failure, "all
+    /// the 1600 nodes located in one half of the torus" (Sec. IV-A): the
+    /// [`Self::kill_nodes`] of the founders' [`region_ids`].
+    fn kill_region(&mut self, predicate: &(dyn Fn(&P) -> bool + Send + Sync)) -> Vec<NodeId> {
+        let founders = region_ids(self.original_points().iter().map(|p| &p.pos), predicate);
+        self.kill_nodes(&founders)
+    }
+    /// Crashes a uniformly random `fraction` of the alive population,
+    /// drawn through [`select_victims`] and handed to
+    /// [`Self::kill_nodes`]; returns the crashed ids.
+    fn kill_fraction(&mut self, fraction: f64) -> Vec<NodeId>;
+    /// Injects fresh, empty nodes at `positions`; returns the new ids.
+    fn inject(&mut self, positions: &[P]) -> Vec<NodeId>;
+    /// Installs a network partition (see [`ScenarioEvent::Partition`]).
+    /// Default: no-op, for substrates without a network fabric to cut —
+    /// the cycle engine's atomic exchanges and the live cluster's
+    /// reliable channels cannot model one.
+    fn partition(&mut self, _groups: &[Vec<NodeId>]) {}
+    /// Heals a previously installed partition. Default: no-op.
+    fn heal(&mut self) {}
+    /// Offers application queries — one per key, each entering at a
+    /// uniformly random alive gateway and resolving hop-by-hop through
+    /// node views. Default: no-op, so scenario-only substrates need not
+    /// carry a traffic plane.
+    fn offer_traffic(&mut self, _keys: &[P], _ttl: u32) {}
+    /// Collects and resets the traffic accounting accumulated since the
+    /// previous drain — the per-round [`TrafficStats`] the experiment
+    /// driver stores into its observations. Default: zero stats.
+    fn drain_traffic(&mut self) -> TrafficStats {
+        TrafficStats::default()
+    }
+    /// Runs one protocol round (one engine cycle, one event-kernel
+    /// round, or one tick-equivalent of wall-clock progress on a live
+    /// cluster) and returns the observation measured at its end.
+    fn step(&mut self) -> RoundObservation;
+    /// Measures the current state without advancing. On the
+    /// deterministic substrates this re-reads the last round's metrics
+    /// (or measures round zero) and consumes no entropy; on the live
+    /// clusters it reads the observation board.
+    fn observe(&self) -> RoundObservation;
 }
 
 /// Draws bootstrap contacts for a freshly injected node: `count` uniform
@@ -386,6 +451,58 @@ mod tests {
         let expected: Vec<NodeId> = [0, 2, 3, 5].into_iter().map(NodeId::new).collect();
         assert_eq!(ids, expected);
         assert!(region_ids(&shape, |_: &[f64; 2]| false).is_empty());
+    }
+
+    /// A substrate with only the required methods: every kill verb it
+    /// answers is the trait's own.
+    struct Minimal {
+        founders: Vec<DataPoint<f64>>,
+        alive: Vec<bool>,
+        crashed: Vec<NodeId>,
+    }
+
+    impl Substrate<f64> for Minimal {
+        fn crash(&mut self, id: NodeId) -> bool {
+            let was_alive = std::mem::replace(&mut self.alive[id.index()], false);
+            if was_alive {
+                self.crashed.push(id);
+            }
+            was_alive
+        }
+        fn original_points(&self) -> &[DataPoint<f64>] {
+            &self.founders
+        }
+        fn kill_fraction(&mut self, _: f64) -> Vec<NodeId> {
+            unreachable!("not exercised")
+        }
+        fn inject(&mut self, _: &[f64]) -> Vec<NodeId> {
+            unreachable!("not exercised")
+        }
+        fn step(&mut self) -> RoundObservation {
+            RoundObservation::default()
+        }
+        fn observe(&self) -> RoundObservation {
+            RoundObservation::default()
+        }
+    }
+
+    #[test]
+    fn provided_kills_crash_in_order_and_return_only_the_alive() {
+        let ids = |raw: &[u64]| raw.iter().copied().map(NodeId::new).collect::<Vec<_>>();
+        let shape = [4.0, 0.0, 5.0, 3.0, 1.0, 9.0];
+        let mut substrate = Minimal {
+            founders: founding_points(&shape),
+            alive: vec![true; shape.len()],
+            crashed: Vec::new(),
+        };
+        assert!(substrate.crash(NodeId::new(2)));
+        // Founders 0, 2, 3 and 5 stand at x >= 3, and 2 is dead already.
+        assert_eq!(substrate.kill_region(&|&x: &f64| x >= 3.0), ids(&[0, 3, 5]));
+        assert_eq!(substrate.crashed, ids(&[2, 0, 3, 5]));
+        // The ids `crash` found alive, in the order given.
+        assert_eq!(substrate.kill_nodes(&ids(&[4, 0, 1, 4])), ids(&[4, 1]));
+        assert_eq!(substrate.crashed, ids(&[2, 0, 3, 5, 4, 1]));
+        assert!(substrate.kill_region(&|_: &f64| true).is_empty());
     }
 
     #[test]

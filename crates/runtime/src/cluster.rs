@@ -14,7 +14,7 @@ use polystyrene::prelude::{DataPoint, PolyState};
 use polystyrene_membership::{Descriptor, NodeId};
 use polystyrene_protocol::observe::{Census, RoundObservation};
 use polystyrene_protocol::{
-    founder_contacts, founding_points, joiner_contacts, region_ids, ProtocolNode, SubstrateConfig,
+    founder_contacts, founding_points, joiner_contacts, ProtocolNode, SubstrateConfig,
 };
 use polystyrene_space::MetricSpace;
 use rand::rngs::StdRng;
@@ -227,22 +227,6 @@ impl<S: MetricSpace, T: Transport<S::Point>> Cluster<S, T> {
         self.transport.detach(id);
         node.mailbox.retire();
         true
-    }
-
-    /// Crashes every founding node whose original data point satisfies
-    /// `predicate`: the paper's correlated regional failure. The victims
-    /// are the founders' [`region_ids`], as on every other substrate,
-    /// killed in ascending order, the dead ones skipped. Returns the
-    /// crashed ids.
-    pub fn kill_region(
-        &mut self,
-        predicate: impl Fn(&S::Point) -> bool + Send + Sync,
-    ) -> Vec<NodeId> {
-        let founders = self.original_points.iter().map(|p| &p.pos);
-        region_ids(founders, predicate)
-            .into_iter()
-            .filter(|&id| self.kill(id))
-            .collect()
     }
 
     /// Injects a fresh node with no data points at `position`

@@ -52,10 +52,11 @@
 //! golden-history fingerprint suites.
 
 use crate::metrics::RoundMetrics;
+use polystyrene::prelude::DataPoint;
 use polystyrene_membership::NodeId;
-use polystyrene_protocol::observe::RoundObservation;
+use polystyrene_protocol::observe::{RoundObservation, TrafficStats};
 use polystyrene_protocol::{
-    par, region_ids, Channel, Effect, EffectSink, Event, Phase, SubstrateConfig, Wire, World,
+    par, Channel, Effect, EffectSink, Event, Phase, Substrate, SubstrateConfig, Wire, World,
     UNITS_PER_DESCRIPTOR,
 };
 use polystyrene_space::MetricSpace;
@@ -225,45 +226,6 @@ impl<S: MetricSpace> Engine<S> {
     // Application traffic
     // ------------------------------------------------------------------
 
-    /// Offers one query per key through a random alive gateway each, and
-    /// routes them to completion within the call — the cycle model's
-    /// atomic-exchange semantics applied to the traffic plane. Gateways
-    /// are drawn from the dedicated traffic RNG and query handling draws
-    /// no entropy at all, so the protocol stream is untouched.
-    ///
-    /// Co-gateway queries share one [`Wire::QueryBatch`] envelope: every
-    /// gateway is drawn first, in key order (the exact rng stream and
-    /// qid assignment of the per-wire path), then the round's queries
-    /// are grouped per gateway
-    /// ([`Gateways::group`](polystyrene_protocol::pool::Gateways::group))
-    /// and each batch is dispatched at once.
-    pub fn offer_traffic(&mut self, keys: &[S::Point], ttl: u32) {
-        self.world
-            .gateways
-            .group(self.world.pool.alive_ids(), keys.len());
-        let mut sink = std::mem::take(&mut self.sink);
-        while let Some((gateway, queries)) = self
-            .world
-            .gateways
-            .next_batch(keys, ttl, |_| sink.pool.take_queries())
-        {
-            sink.clear();
-            let node = self.world.pool.get_mut(gateway).expect("alive id");
-            node.on_event_into(
-                Event::Message {
-                    from: gateway,
-                    wire: Wire::QueryBatch { queries },
-                },
-                &mut self.world.rng,
-                &mut sink,
-            );
-            if !sink.is_empty() {
-                self.dispatch(gateway, &mut sink);
-            }
-        }
-        self.sink = sink;
-    }
-
     /// The per-wire offer path: one [`Wire::Query`] event per key,
     /// dispatched to completion individually. Nothing drives load
     /// through it; it stays only as the reference the batched path must
@@ -312,60 +274,8 @@ impl<S: MetricSpace> Engine<S> {
     }
 
     // ------------------------------------------------------------------
-    // Failure and churn injection
+    // The target shape
     // ------------------------------------------------------------------
-
-    /// Crashes every alive *founding* node whose original data point
-    /// satisfies `predicate` — the paper's correlated catastrophic
-    /// failure, e.g. "all the 1600 nodes located in one half of the torus"
-    /// (Sec. IV-A Phase 2). The victims are the founders' [`region_ids`], crashed in
-    /// ascending order, the dead ones skipped. Returns the crashed ids.
-    pub fn fail_original_region(
-        &mut self,
-        predicate: &(dyn Fn(&S::Point) -> bool + Send + Sync),
-    ) -> Vec<NodeId> {
-        let founders = self.world.original_points.iter().map(|p| &p.pos);
-        region_ids(founders, predicate)
-            .into_iter()
-            .filter(|&id| self.crash(id))
-            .collect()
-    }
-
-    /// Crashes a uniformly random fraction of the alive population
-    /// (uncorrelated churn), drawn by the World's
-    /// [`random_victims`](World::random_victims). Returns the crashed
-    /// ids.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is outside `[0, 1]`.
-    pub fn fail_random_fraction(&mut self, fraction: f64) -> Vec<NodeId> {
-        let killed = self.world.random_victims(fraction);
-        for &id in &killed {
-            self.crash(id);
-        }
-        killed
-    }
-
-    /// Crashes one specific node; returns whether it was alive. The pool
-    /// frees and recycles the slot; the id is never reused. The crash
-    /// enters the failure knowledge at once: the perfect detector of the
-    /// paper's evaluation.
-    pub fn crash(&mut self, id: NodeId) -> bool {
-        if self.world.pool.remove(id).is_none() {
-            return false;
-        }
-        self.world.detected.mark(id);
-        true
-    }
-
-    /// Injects fresh nodes at the given positions: no data points, `pos`
-    /// initialized (Sec. IV-A Phase 3), both gossip layers bootstrapped
-    /// from random alive contacts ([`World::join`]: joiners never
-    /// bootstrap each other). Returns the new ids.
-    pub fn inject(&mut self, positions: &[S::Point]) -> Vec<NodeId> {
-        self.world.join(positions)
-    }
 
     /// Morphs the target shape in place (paper footnote 1: the shape
     /// "could, however, keep evolving as the algorithm executes"): applies
@@ -602,6 +512,100 @@ impl<S: MetricSpace> Engine<S> {
     }
 }
 
+impl<S: MetricSpace> Substrate<S::Point> for Engine<S> {
+    /// Crashes one specific node; returns whether it was alive. The pool
+    /// frees and recycles the slot; the id is never reused. The crash
+    /// enters the failure knowledge at once: the perfect detector of the
+    /// paper's evaluation.
+    fn crash(&mut self, id: NodeId) -> bool {
+        if self.world.pool.remove(id).is_none() {
+            return false;
+        }
+        self.world.detected.mark(id);
+        true
+    }
+
+    /// Injects fresh nodes at the given positions: no data points, `pos`
+    /// initialized (Sec. IV-A Phase 3), both gossip layers bootstrapped
+    /// from random alive contacts ([`World::join`]: joiners never
+    /// bootstrap each other). Returns the new ids.
+    fn inject(&mut self, positions: &[S::Point]) -> Vec<NodeId> {
+        self.world.join(positions)
+    }
+
+    fn original_points(&self) -> &[DataPoint<S::Point>] {
+        &self.world.original_points
+    }
+
+    /// Crashes a uniformly random fraction of the alive population
+    /// (uncorrelated churn), drawn by the World's
+    /// [`random_victims`](World::random_victims).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fraction` is outside `[0, 1]`.
+    fn kill_fraction(&mut self, fraction: f64) -> Vec<NodeId> {
+        let victims = self.world.random_victims(fraction);
+        self.kill_nodes(&victims)
+    }
+
+    /// Offers one query per key through a random alive gateway each, and
+    /// routes them to completion within the call — the cycle model's
+    /// atomic-exchange semantics applied to the traffic plane. Gateways
+    /// are drawn from the dedicated traffic RNG and query handling draws
+    /// no entropy at all, so the protocol stream is untouched.
+    ///
+    /// Co-gateway queries share one [`Wire::QueryBatch`] envelope: every
+    /// gateway is drawn first, in key order (the exact rng stream and
+    /// qid assignment of the per-wire path), then the round's queries
+    /// are grouped per gateway
+    /// ([`Gateways::group`](polystyrene_protocol::pool::Gateways::group))
+    /// and each batch is dispatched at once.
+    fn offer_traffic(&mut self, keys: &[S::Point], ttl: u32) {
+        self.world
+            .gateways
+            .group(self.world.pool.alive_ids(), keys.len());
+        let mut sink = std::mem::take(&mut self.sink);
+        while let Some((gateway, queries)) = self
+            .world
+            .gateways
+            .next_batch(keys, ttl, |_| sink.pool.take_queries())
+        {
+            sink.clear();
+            let node = self.world.pool.get_mut(gateway).expect("alive id");
+            node.on_event_into(
+                Event::Message {
+                    from: gateway,
+                    wire: Wire::QueryBatch { queries },
+                },
+                &mut self.world.rng,
+                &mut sink,
+            );
+            if !sink.is_empty() {
+                self.dispatch(gateway, &mut sink);
+            }
+        }
+        self.sink = sink;
+    }
+
+    fn drain_traffic(&mut self) -> TrafficStats {
+        let mut samples = Vec::new();
+        let (offered, delivered, dropped) = Engine::drain_traffic(self, &mut samples);
+        TrafficStats::from_samples(offered, delivered, dropped, &mut samples)
+    }
+
+    fn step(&mut self) -> RoundObservation {
+        Engine::step(self).observation
+    }
+
+    fn observe(&self) -> RoundObservation {
+        match self.history.last() {
+            Some(m) => m.observation,
+            None => self.compute_metrics().observation,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -686,7 +690,7 @@ mod tests {
         let mut e = tiny_engine(12);
         for round in 1..=8 {
             if round == 5 {
-                e.fail_original_region(&shapes::in_right_half(16.0));
+                e.kill_region(&shapes::in_right_half(16.0));
             }
             let stepped = e.step();
             let fresh = e.compute_metrics();
@@ -740,7 +744,7 @@ mod tests {
     fn catastrophic_failure_and_recovery() {
         let mut e = tiny_engine(4);
         e.run(12);
-        let killed = e.fail_original_region(&shapes::in_right_half(16.0));
+        let killed = e.kill_region(&shapes::in_right_half(16.0));
         assert_eq!(killed.len(), 32);
         assert_eq!(e.alive_count(), 32);
         let at_failure = e.compute_metrics();
@@ -775,7 +779,7 @@ mod tests {
         );
         for round in 0..50 {
             if round == 20 {
-                e.fail_original_region(&shapes::in_right_half(16.0));
+                e.kill_region(&shapes::in_right_half(16.0));
             }
             if round == 35 {
                 e.inject(&shapes::torus_grid(4, 4, 4.0));
@@ -842,7 +846,7 @@ mod tests {
         let mut gridded_rounds = 0;
         for round in 1..=14 {
             if round == 7 {
-                e.fail_original_region(&shapes::in_right_half(32.0));
+                e.kill_region(&shapes::in_right_half(32.0));
             }
             let m = e.step();
             let (reference, holderless) = exhaustive_census(&e);
@@ -887,7 +891,7 @@ mod tests {
     fn injection_adds_empty_nodes_that_acquire_points() {
         let mut e = tiny_engine(5);
         e.run(10);
-        e.fail_original_region(&shapes::in_right_half(16.0));
+        e.kill_region(&shapes::in_right_half(16.0));
         e.run(10);
         let fresh = e.inject(&shapes::torus_grid_offset(16, 2, 1.0));
         assert_eq!(fresh.len(), 32);
@@ -910,7 +914,7 @@ mod tests {
     fn random_failure_fraction() {
         let mut e = tiny_engine(6);
         e.run(3);
-        let killed = e.fail_random_fraction(0.25);
+        let killed = e.kill_fraction(0.25);
         assert_eq!(killed.len(), 16);
         assert_eq!(e.alive_count(), 48);
     }
@@ -1021,7 +1025,7 @@ mod tests {
             let space = Torus2::new(16.0, 4.0);
             let mut e = Engine::new(space, shapes::torus_grid(16, 4, 1.0), cfg);
             e.run(12);
-            e.fail_original_region(&shapes::in_right_half(16.0));
+            e.kill_region(&shapes::in_right_half(16.0));
             e.run(5);
             e.history().last().unwrap().surviving_points
         };

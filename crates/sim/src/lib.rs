@@ -10,7 +10,9 @@
 //!   [`SubstrateConfig`] every
 //!   substrate takes, reads its T-Man, Polystyrene, area and seed
 //!   fields, and reports a crash to the survivors at once: the oracle
-//!   detector of the paper's cycle model. Its
+//!   detector of the paper's cycle model. It implements the one
+//!   [`Substrate`](polystyrene_protocol::Substrate) seam, which kills,
+//!   injects and offers traffic on every substrate alike. Its
 //!   [`disable_polystyrene`](engine::Engine::disable_polystyrene) runs
 //!   the paper's T-Man-only baseline, which only this engine can;
 //! * [`metrics`] — the paper's five metrics (proximity, homogeneity,
@@ -55,7 +57,7 @@
 //!
 //! // Converge, then kill the right half of the torus.
 //! engine.run(10);
-//! engine.fail_original_region(&shapes::in_right_half(16.0));
+//! engine.kill_region(&shapes::in_right_half(16.0));
 //! assert!(engine.compute_metrics().homogeneity > 1.0);
 //!
 //! // A few rounds later the survivors have re-formed the full torus.
@@ -74,7 +76,7 @@ pub mod metrics;
 pub mod prelude {
     pub use crate::engine::{Engine, EngineConfig, ENGINE_PHASES};
     pub use crate::metrics::{reference_homogeneity, RoundMetrics};
-    pub use polystyrene_protocol::scenario::{PaperScenario, Scenario, ScenarioEvent};
+    pub use polystyrene_protocol::scenario::{PaperScenario, Scenario, ScenarioEvent, Substrate};
     pub use polystyrene_protocol::SubstrateConfig;
 }
 

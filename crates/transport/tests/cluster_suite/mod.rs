@@ -10,7 +10,7 @@
 
 use polystyrene_membership::NodeId;
 use polystyrene_protocol::observe::RoundObservation;
-use polystyrene_protocol::{LinkProfile, SubstrateConfig};
+use polystyrene_protocol::{region_ids, LinkProfile, SubstrateConfig};
 use polystyrene_runtime::{Cluster, Transport, GATEWAY_INGRESS_BOUND};
 use polystyrene_space::prelude::*;
 use std::time::Duration;
@@ -182,8 +182,9 @@ pub fn catastrophic_failure_recovers_points<T: Under>() {
     let mut cluster = spawn_on::<T>(8, 4, LinkProfile::ideal(), 4);
     // Let replication converge first.
     reach(&cluster, 12);
-    let killed = cluster.kill_region(shapes::in_right_half(8.0));
-    assert_eq!(killed.len(), 16);
+    let dead_half = region_ids(&shapes::torus_grid(8, 4, 1.0), shapes::in_right_half(8.0));
+    assert_eq!(dead_half.len(), 16);
+    assert!(dead_half.iter().all(|&id| cluster.kill(id)));
     // Heartbeat timeouts + recovery + migration, all tick-denominated.
     let obs = settle(&cluster, 200, |o| {
         o.surviving_points > 0.75 && o.homogeneity < 2.0

@@ -26,7 +26,7 @@ fn ring_demo() {
     engine.run(15);
     let before = engine.compute_metrics().homogeneity;
     // One contiguous arc of the ring — half the key space — goes down.
-    engine.fail_original_region(&|&p| p >= circumference / 2.0);
+    engine.kill_region(&|&p| p >= circumference / 2.0);
     let at_failure = engine.compute_metrics().homogeneity;
     engine.run(20);
     let after = engine.history().last().unwrap().homogeneity;
@@ -52,7 +52,7 @@ fn blob_demo() {
 
     engine.run(15);
     // The right blob's hosting site dies entirely.
-    let killed = engine.fail_original_region(&|p| p[0] >= 20.0);
+    let killed = engine.kill_region(&|p| p[0] >= 20.0);
     println!("{killed} of {n} nodes crashed", killed = killed.len());
     let at_failure = engine.compute_metrics().homogeneity;
     engine.run(25);

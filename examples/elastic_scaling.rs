@@ -33,7 +33,7 @@ fn main() {
 
     // Scale-in: churn takes out half the fleet over five waves.
     for wave in 1..=5 {
-        engine.fail_random_fraction(0.13);
+        engine.kill_fraction(0.13);
         engine.run(4);
         let m = engine.history().last().unwrap();
         println!(

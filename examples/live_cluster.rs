@@ -20,7 +20,7 @@ fn main() {
     config.tick = Duration::from_millis(5);
     config.poly.replication = 4;
 
-    let mut cluster = Cluster::<Torus2>::spawn(
+    let cluster = Cluster::<Torus2>::spawn(
         Torus2::new(cols as f64, rows as f64),
         shapes::torus_grid(cols, rows, 1.0),
         config,
@@ -34,9 +34,12 @@ fn main() {
         steady.alive_nodes, steady.points_per_node, steady.homogeneity
     );
 
-    // Crash-stop a contiguous third of the torus: nodes die with their
-    // mailboxes; survivors must notice via heartbeat timeouts.
-    let killed = cluster.kill_region(|p| p[0] >= 6.0);
+    // Crash-stop a contiguous third of the torus, through the kill seam
+    // every substrate shares: nodes die with their mailboxes; survivors
+    // must notice via heartbeat timeouts.
+    let mut live = LiveSubstrate::new(cluster, config.seed, config.round_timeout);
+    let killed = live.kill_region(&|p: &[f64; 2]| p[0] >= 6.0);
+    let mut cluster = live.into_inner();
     println!("killed {} nodes (no goodbye messages)", killed.len());
 
     // 120 protocol rounds: 600 ms at this tick on an idle box.

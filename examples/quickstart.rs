@@ -30,7 +30,7 @@ fn main() {
     );
 
     // Phase 2: a datacenter hosting the right half of the torus dies.
-    let killed = engine.fail_original_region(&shapes::in_right_half(cols as f64));
+    let killed = engine.kill_region(&shapes::in_right_half(cols as f64));
     println!(
         "catastrophe: {} of {} nodes crashed simultaneously",
         killed.len(),

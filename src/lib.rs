@@ -35,9 +35,9 @@
 //!     cfg,
 //! );
 //! engine.run(12);
-//! // The engine and the event kernel share this kill signature, and
-//! // `inject(&positions)` and `crash(id) -> bool` besides.
-//! engine.fail_original_region(&shapes::in_right_half(16.0));
+//! // A `Substrate` method, the same on all four substrates: the
+//! // `kill_nodes` of the founders' `region_ids`.
+//! engine.kill_region(&shapes::in_right_half(16.0));
 //! engine.run(15);
 //! let m = engine.history().last().unwrap();
 //! assert!(m.homogeneity < m.reference_homogeneity, "the shape must re-form");

@@ -67,8 +67,12 @@ fn full_lifecycle_failover_and_reinjection() {
     );
 
     // Catastrophe: the right half dies mid-flight.
-    let killed = cluster.kill_region(shapes::in_right_half(cols as f64));
-    assert_eq!(killed.len(), 16);
+    let dead_half = region_ids(
+        &shapes::torus_grid(cols, rows, 1.0),
+        shapes::in_right_half(cols as f64),
+    );
+    assert_eq!(dead_half.len(), 16);
+    assert!(dead_half.iter().all(|&id| cluster.kill(id)));
     advance(&cluster, 62);
     let healed = cluster.observe();
     assert_eq!(healed.alive_nodes, 16);
