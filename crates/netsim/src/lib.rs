@@ -46,10 +46,10 @@
 //! (`Engine::disable_polystyrene`).
 //!
 //! Scenario scripts are the shared ones: [`kernel::NetSim`] implements
-//! the one [`Substrate`](polystyrene_protocol::Substrate) seam, so any
-//! script written for the engine or the live cluster — including churn
-//! windows and the partition events only a substrate with a network
-//! model can honor — runs here unchanged.
+//! the one [`Substrate`] seam, so any script written for the engine or
+//! the live cluster — including churn windows and the partition events
+//! only a substrate with a network model can honor — runs here
+//! unchanged.
 //!
 //! # Example: convergence under a lossy, laggy network
 //!

@@ -11,8 +11,8 @@
 //!   substrate takes, reads its T-Man, Polystyrene, area and seed
 //!   fields, and reports a crash to the survivors at once: the oracle
 //!   detector of the paper's cycle model. It implements the one
-//!   [`Substrate`](polystyrene_protocol::Substrate) seam, which kills,
-//!   injects and offers traffic on every substrate alike. Its
+//!   [`Substrate`] seam, which kills, injects and offers traffic on
+//!   every substrate alike. Its
 //!   [`disable_polystyrene`](engine::Engine::disable_polystyrene) runs
 //!   the paper's T-Man-only baseline, which only this engine can;
 //! * [`metrics`] — the paper's five metrics (proximity, homogeneity,
